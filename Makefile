@@ -7,7 +7,7 @@ RACE_PKGS := ./internal/core/... ./internal/fabric/... ./internal/server/... \
              ./internal/member/... ./internal/wire/... ./internal/cluster/... \
              ./internal/trace/... ./internal/stats/... ./internal/oplog/...
 
-.PHONY: all ci vet build build-cmds test race smoke soak soak-short chaos chaos-proc bench bench-smoke bench-overload bench-failover bench-trace bench-plan bench-seedkill clean
+.PHONY: all ci vet build build-cmds test race smoke soak soak-short chaos chaos-proc bench bench-smoke bench-overload bench-failover bench-plan bench-seedkill bench-e2e clean
 
 all: ci
 
@@ -52,8 +52,8 @@ chaos:
 
 # Process-level chaos (DESIGN.md §12, §15): build the real wukongsd, form a
 # 3-daemon TCP cluster, and run both kill scenarios — a member kill -9
-# (survivor sub-ms path, typed dead-partition errors, rejoin + twin-equal
-# dedup) and an authority kill -9 (fenced succession, bounded recorded
+# (survivor answers every one-shot sub-ms and twin-equal, the killed rank's
+# entities included; rejoin + twin-equal dedup) and an authority kill -9 (fenced succession, bounded recorded
 # write-unavailability, demoted ex-seed resume, twin-equal deliveries). The
 # scenarios ARE the short configuration, so -short changes nothing.
 chaos-proc:
@@ -79,13 +79,6 @@ bench-overload:
 bench-failover:
 	$(GO) run ./cmd/wsbench -node-kill -obs-json BENCH_PR5.json
 
-# Tracing overhead benchmark: the same forwarded query over real loopback TCP
-# with tracing off vs head-sampling every request, plus the per-hop span
-# breakdown (root → forward → serve → exec); writes BENCH_PR7.json. The
-# overhead is recorded against the 5% design budget, not enforced.
-bench-trace:
-	$(GO) run ./cmd/wsbench -trace -trace-out BENCH_PR7.json
-
 # Planner benchmark (DESIGN.md §14): delta vs full continuous evaluation over
 # L1-L6 at rising rates (every benched delta firing crosschecked against the
 # full recompute) and adaptive vs forced execution mode over S1-S6; writes
@@ -101,6 +94,11 @@ bench-plan:
 bench-seedkill:
 	$(GO) run ./cmd/wsbench -seed-kill -seedkill-out BENCH_PR9.json
 
+# The repository's one client-observed benchmark (benchmark/README.md): real
+# daemons over loopback, three workloads, the metrics BENCHMARK.json declares.
+bench-e2e:
+	$(GO) run ./benchmark
+
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_PR2.json BENCH_PR4.json BENCH_PR5.json BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json
+	rm -rf .bench_build benchmark/out

@@ -44,8 +44,6 @@ func main() {
 		obsJSON  = flag.String("obs-json", "", "after all experiments, print per-stage latency percentiles and write the full metric registry to this JSON file")
 		overload = flag.Bool("overload", false, "run the overload/degradation soak (internal/soak) and check its contract instead of a paper experiment")
 		nodeKill = flag.Bool("node-kill", false, "run the node-kill failover benchmark (survivor latency, typed dead-partition errors, CQ re-fires) instead of a paper experiment")
-		traceRun = flag.Bool("trace", false, "measure tracing on/off overhead and the per-hop latency breakdown of a forwarded query, writing -trace-out")
-		traceOut = flag.String("trace-out", "BENCH_PR7.json", "output path for the -trace report")
 		planRun  = flag.Bool("plan", false, "measure delta vs full continuous evaluation (L1-L6, crosschecked) and adaptive vs forced execution mode (S1-S6), writing -plan-out")
 		planOut  = flag.String("plan-out", "BENCH_PR8.json", "output path for the -plan report")
 		seedKill = flag.Bool("seed-kill", false, "measure the write-unavailability window of seed-authority failover across real kill -9ed daemons, writing -seedkill-out")
@@ -88,13 +86,6 @@ func main() {
 		}
 		return
 	}
-	if *traceRun {
-		if err := runTraceBench(*traceOut, *runs*20); err != nil {
-			fmt.Fprintf(os.Stderr, "wsbench: trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *planRun {
 		if err := runPlanBench(*planOut, *runs, mode, *nodes); err != nil {
 			fmt.Fprintf(os.Stderr, "wsbench: plan: %v\n", err)
@@ -110,7 +101,7 @@ func main() {
 		return
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "wsbench: -exp required (or -list, -overload, -node-kill, -trace, -plan, or -seed-kill); e.g. -exp table2 or -exp all")
+		fmt.Fprintln(os.Stderr, "wsbench: -exp required (or -list, -overload, -node-kill, -plan, or -seed-kill); e.g. -exp table2 or -exp all")
 		os.Exit(2)
 	}
 	opts := experiments.Options{

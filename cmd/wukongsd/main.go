@@ -7,7 +7,7 @@
 // With -listen it becomes one daemon of a real multi-process cluster
 // (DESIGN.md §12): the first daemon is the seed, later daemons -join it.
 // Every daemon keeps a full replica; writes replicate through the seed's op
-// log and one-shot queries route to the rank owning their partition.
+// log and each daemon answers one-shot queries from its own replica.
 //
 //	wukongsd -addr :7690 -nodes 3 -listen 127.0.0.1:7800
 //	wukongsd -addr :7691 -nodes 3 -listen 127.0.0.1:7801 -join 127.0.0.1:7800

@@ -224,6 +224,9 @@ func (c *collector) attach(cq *core.ContinuousQuery) {
 	c.pending = nil
 }
 
+// scriptSubjects is how many distinct subjects (u0..) the script draws from.
+const scriptSubjects = 24
+
 // scriptBatch deterministically generates batch b's tuples. Each batch seeds
 // its own RNG so the script is identical whether or not earlier batches were
 // generated in this process lifetime (the harness regenerates post-kill
@@ -233,7 +236,7 @@ func scriptBatch(seed int64, b, n int) []rdf.Tuple {
 	base := rdf.Timestamp((b - 1) * batchMS)
 	out := make([]rdf.Tuple, 0, n)
 	for i := 0; i < n; i++ {
-		s := fmt.Sprintf("u%d", rng.Intn(24))
+		s := fmt.Sprintf("u%d", rng.Intn(scriptSubjects))
 		o := fmt.Sprintf("t%d", rng.Intn(48))
 		out = append(out, rdf.Tuple{Triple: rdf.T(s, "po", o), TS: base + rdf.Timestamp(1+i)})
 	}
@@ -358,7 +361,7 @@ func recoverEngine(cfg Config, col *collector) (*core.Engine, *stream.Source, er
 // fixed universe; only already-streamed subjects resolve.
 func probeOutage(e *core.Engine, rep *Report, dead fabric.NodeID) {
 	liveDone, deadDone := false, false
-	for i := 0; i < 24 && !(liveDone && deadDone); i++ {
+	for i := 0; i < scriptSubjects && !(liveDone && deadDone); i++ {
 		name := fmt.Sprintf("u%d", i)
 		id, ok := e.StringServer().LookupEntity(rdf.T(name, "po", "x").S)
 		if !ok {

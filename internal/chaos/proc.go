@@ -3,10 +3,13 @@
 // transport, kill -9s one mid-load, and asserts the same failover contract
 // across actual process boundaries:
 //
-//	(a) survivors keep answering one-shot queries on live partitions with
-//	    sub-millisecond engine latency;
-//	(b) queries needing the dead rank's partition fail fast with the typed
-//	    partition-down error (never a socket error or a hang);
+//	(a) a survivor keeps answering every one-shot query from its own
+//	    replica with sub-millisecond engine latency — the subjects the
+//	    fabric's placement homes on the killed rank included — and its
+//	    answers equal a fault-free twin's;
+//	(b) federated observability degrades to partial results that name the
+//	    dead rank, and a write acked mid-outage leaves one causally linked
+//	    trace across the live processes;
 //	(c) the restarted daemon rejoins under its old rank, replays the op
 //	    log, and its re-fired windows dedup — per window timestamp — to
 //	    exactly the rows of an in-process fault-free twin run.
@@ -112,14 +115,14 @@ type ProcReport struct {
 	NodeDeclaredDead bool // a survivor's detector reached Dead for the victim
 	NodeRejoined     bool // ... and saw it Alive again after the restart
 
-	// Outage probes, all issued against a surviving member daemon.
-	SurvivorQueries  int           // probes answered by live partitions
-	SurvivorFailures int           // ... that failed (contract: 0)
+	// Outage probes, all issued against a surviving member daemon and
+	// checked against a fault-free twin replayed to the same batch.
+	SurvivorQueries  int           // anchored probes, one per scripted subject emitted so far
+	KilledRankProbes int           // ... of which HomeOf places the subject on the killed rank
+	SurvivorFailures int           // ... that errored or disagreed with the twin (contract: 0)
 	SurvivorLatMax   time.Duration // slowest server-reported engine latency
-	ScatterOK        bool          // an unanchored scatter query succeeded during the outage
-	DeadProbes       int           // probes needing the dead partition
-	DeadTyped        int           // ... that failed typed (client.ErrPartitionDown)
-	DeadProbeMax     time.Duration // slowest dead probe (fail-fast bound)
+	ScanRows         int           // rows the unanchored ?X po ?Y probe returned
+	TwinScanRows     int           // rows the twin returned for it
 
 	// Federated observability, sampled mid-outage through the survivor.
 	FedDeadAnnotated bool  // CLUSTER METRICS listed the dead rank with an explicit error
@@ -157,7 +160,7 @@ func (d *procDaemon) kill9() {
 }
 
 // lineConn is a minimal raw protocol connection for the commands the Go
-// client does not expose (CLUSTER, HOME) and for reading the server's
+// client does not expose (CLUSTER) and for reading the server's
 // engine-latency report verbatim off the QUERY status line.
 type lineConn struct {
 	c net.Conn
@@ -347,80 +350,85 @@ func (cfg ProcConfig) spawn(bin string, d *procDaemon, seedWire string) error {
 	})
 }
 
-// queryLatency runs one anchored query on a raw connection and returns the
+// queryRows runs one query on a raw connection and returns its rows and the
 // server-reported engine latency from the "+OK <n> rows in <lat>" status.
-func queryLatency(l *lineConn, subject string) (time.Duration, error) {
-	st, err := l.cmd("QUERY", fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", subject), ".")
+func queryRows(l *lineConn, text string) ([]string, time.Duration, error) {
+	st, err := l.cmd("QUERY", text, ".")
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if !strings.HasPrefix(st, "+OK") {
-		return 0, errors.New(st)
+		return nil, 0, errors.New(st)
 	}
-	if _, err := l.block(); err != nil {
-		return 0, err
+	rows, err := l.block()
+	if err != nil {
+		return nil, 0, err
 	}
 	f := strings.Fields(st)
 	if len(f) != 5 {
-		return 0, fmt.Errorf("chaos: unexpected query status %q", st)
+		return nil, 0, fmt.Errorf("chaos: unexpected query status %q", st)
 	}
-	return time.ParseDuration(f[4])
+	lat, err := time.ParseDuration(f[4])
+	return rows, lat, err
 }
 
-// probeProcOutage classifies scripted subjects via HOME on a survivor and
-// probes both sides of the contract: live partitions answer sub-ms, the
-// dead partition fails typed.
+// probeProcOutage asks the survivor, while the victim is down, for every
+// scripted subject emitted so far and for the unanchored scan, and checks
+// each answer against a fault-free twin replayed to the same batch. The twin
+// also says which subjects the fabric's placement homes on the killed rank:
+// those are the reads a partitioned design would have lost.
 func probeProcOutage(cfg ProcConfig, survivor *procDaemon, rep *ProcReport) error {
+	twin, _, err := twinThrough(cfg, cfg.KillAtBatch)
+	if err != nil {
+		return err
+	}
+	defer twin.Close()
 	l, err := dialLine(survivor.addr, cfg.Timeout)
 	if err != nil {
 		return err
 	}
 	defer l.close()
-	cl, err := client.DialOptions(survivor.addr, client.Options{JitterSeed: cfg.Seed})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	for i := 0; i < 24 && (rep.SurvivorQueries < 3 || rep.DeadProbes < 3); i++ {
+	for i := 0; i < scriptSubjects; i++ {
 		name := fmt.Sprintf("u%d", i)
-		st, err := l.cmd("HOME " + name)
+		id, ok := twin.StringServer().LookupEntity(rdf.NewIRI(name))
+		if !ok {
+			continue // not emitted yet
+		}
+		q := fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", name)
+		want, err := twin.Query(q)
 		if err != nil {
 			return err
 		}
-		switch {
-		case strings.Contains(st, "known=false"):
+		rep.SurvivorQueries++
+		if int(twin.Fabric().HomeOf(uint64(id))) == cfg.KillRank {
+			rep.KilledRankProbes++
+		}
+		rows, lat, qerr := queryRows(l, q)
+		sort.Strings(rows)
+		twinRows := want.Strings()
+		sort.Strings(twinRows)
+		if qerr != nil || len(rows) == 0 || fmt.Sprint(rows) != fmt.Sprint(twinRows) {
+			rep.SurvivorFailures++
+			if cfg.Logf != nil {
+				cfg.Logf("chaos: outage probe %s: got %v (%v), twin %v", name, rows, qerr, twinRows)
+			}
 			continue
-		case strings.Contains(st, "state=dead"):
-			if rep.DeadProbes >= 3 {
-				continue
-			}
-			rep.DeadProbes++
-			start := time.Now()
-			_, qerr := cl.Query(fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", name))
-			if elapsed := time.Since(start); elapsed > rep.DeadProbeMax {
-				rep.DeadProbeMax = elapsed
-			}
-			if errors.Is(qerr, client.ErrPartitionDown) {
-				rep.DeadTyped++
-			}
-		case strings.Contains(st, "state=alive"):
-			if rep.SurvivorQueries >= 3 {
-				continue
-			}
-			rep.SurvivorQueries++
-			lat, qerr := queryLatency(l, name)
-			if qerr != nil {
-				rep.SurvivorFailures++
-			} else if lat > rep.SurvivorLatMax {
-				rep.SurvivorLatMax = lat
-			}
+		}
+		if lat > rep.SurvivorLatMax {
+			rep.SurvivorLatMax = lat
 		}
 	}
-	// Unanchored queries scatter across all live shards, reassigning the
-	// dead rank's shard locally — they must keep answering mid-outage.
-	if rows, err := cl.Query("SELECT ?X ?Y WHERE { ?X po ?Y }"); err == nil && len(rows) > 0 {
-		rep.ScatterOK = true
+	const scan = "SELECT ?X ?Y WHERE { ?X po ?Y }"
+	want, err := twin.Query(scan)
+	if err != nil {
+		return err
 	}
+	rep.TwinScanRows = want.Len()
+	rows, _, err := queryRows(l, scan)
+	if err != nil {
+		return err
+	}
+	rep.ScanRows = len(rows)
 	return nil
 }
 
@@ -428,8 +436,8 @@ func probeProcOutage(cfg ProcConfig, survivor *procDaemon, rep *ProcReport) erro
 // the victim is still down, all through the survivor: the CLUSTER METRICS
 // wire command must return partial results annotating the dead rank with an
 // explicit error (never stalling on it), and the survivor's /debug/traces
-// HTTP endpoint must serve a causally-linked cross-process trace for a query
-// the harness forwards mid-outage.
+// HTTP endpoint must serve a causally-linked cross-process trace for a write
+// the harness sends mid-outage.
 func probeFedObservability(cfg ProcConfig, survivor *procDaemon, rep *ProcReport) error {
 	l, err := dialLine(survivor.addr, cfg.Timeout)
 	if err != nil {
@@ -437,22 +445,12 @@ func probeFedObservability(cfg ProcConfig, survivor *procDaemon, rep *ProcReport
 	}
 	defer l.close()
 
-	// Force one forwarded query: pick a scripted entity homed on a live rank
-	// other than the survivor, so its trace must cross a process boundary.
-	for i := 0; i < 64; i++ {
-		name := fmt.Sprintf("u%d", i)
-		st, err := l.cmd("HOME " + name)
-		if err != nil {
-			return err
-		}
-		if !strings.Contains(st, "state=alive") ||
-			strings.Contains(st, fmt.Sprintf("home=%d ", survivor.rank)) {
-			continue
-		}
-		if _, err := queryLatency(l, name); err != nil {
-			return err
-		}
-		break
+	// One write through the survivor, mid-outage: an EMIT of no tuples is
+	// forwarded, sequenced and replicated like any other but leaves the
+	// script — and so the twin comparison — untouched.
+	since := time.Now().UnixNano()
+	if st, err := l.cmd("EMIT "+StreamName, "."); err != nil || !strings.HasPrefix(st, "+OK") {
+		return fmt.Errorf("chaos: mid-outage EMIT: %q, %v", st, err)
 	}
 
 	// CLUSTER METRICS over the wire: merged counters plus per-member
@@ -489,8 +487,9 @@ func probeFedObservability(cfg ProcConfig, survivor *procDaemon, rep *ProcReport
 		}
 	}
 
-	// The forwarded query's trace must come back over HTTP, federated: the
-	// merged span set from both live daemons plus the dead rank's error.
+	// That write's trace (server.emit → cluster.forward → seed.apply →
+	// seed.replicate → replica.apply) must come back over HTTP, federated:
+	// the merged span set from both live daemons plus the dead rank's error.
 	return waitFor("cross-process trace on /debug/traces", cfg.Timeout, func() (bool, error) {
 		resp, err := http.Get("http://" + survivor.httpAddr + "/debug/traces?n=256")
 		if err != nil {
@@ -507,7 +506,8 @@ func probeFedObservability(cfg ProcConfig, survivor *procDaemon, rep *ProcReport
 		}
 		rep.TraceFedErrors = len(tdoc.Errors)
 		for _, tr := range tdoc.Traces {
-			if len(tr.Nodes) >= 2 && tr.Orphans == 0 && tr.Spans > rep.TraceSpans {
+			if tr.Root.Name == "server.emit" && tr.Start >= since &&
+				len(tr.Nodes) >= 2 && tr.Orphans == 0 && tr.Spans > rep.TraceSpans {
 				rep.TraceSpans = tr.Spans
 				rep.TraceNodes = len(tr.Nodes)
 			}
@@ -536,21 +536,22 @@ func dedupWindows(fires []client.FireRow) (map[rdf.Timestamp][]string, error) {
 	return byAt, nil
 }
 
-// runTwin replays the identical script on an in-process fault-free engine
-// and returns its windows.
-func runTwin(cfg ProcConfig) (map[rdf.Timestamp][]string, error) {
+// twinThrough replays batches 1..upTo of the identical script on an
+// in-process fault-free engine. It returns the engine (the caller closes it)
+// and the windows its continuous query has fired and will go on firing.
+func twinThrough(cfg ProcConfig, upTo int) (*core.Engine, map[rdf.Timestamp][]string, error) {
 	e, err := core.New(core.Config{
 		Nodes:          cfg.Nodes,
 		WorkersPerNode: 2,
 		Metrics:        obs.NewRegistry("chaos_twin"),
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer e.Close()
 	src, err := e.RegisterStream(stream.Config{Name: StreamName, BatchInterval: batchMS * time.Millisecond})
 	if err != nil {
-		return nil, err
+		e.Close()
+		return nil, nil, err
 	}
 	windows := map[rdf.Timestamp][]string{}
 	if _, err := e.RegisterContinuous(queryText, func(r *core.Result, f core.FireInfo) {
@@ -567,16 +568,29 @@ func runTwin(cfg ProcConfig) (map[rdf.Timestamp][]string, error) {
 		}
 		windows[f.At] = uniq
 	}); err != nil {
-		return nil, err
+		e.Close()
+		return nil, nil, err
 	}
-	for b := 1; b <= cfg.Batches; b++ {
+	for b := 1; b <= upTo; b++ {
 		for _, tu := range scriptBatch(cfg.Seed, b, cfg.TuplesPerBatch) {
 			if err := src.Emit(tu); err != nil {
-				return nil, err
+				e.Close()
+				return nil, nil, err
 			}
 		}
 		e.AdvanceTo(rdf.Timestamp(b * batchMS))
 	}
+	return e, windows, nil
+}
+
+// runTwin replays the whole script on the twin, flushes the trailing
+// boundaries, and returns its windows.
+func runTwin(cfg ProcConfig) (map[rdf.Timestamp][]string, error) {
+	e, windows, err := twinThrough(cfg, cfg.Batches)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
 	e.AdvanceTo(rdf.Timestamp((cfg.Batches + 1) * batchMS))
 	e.AdvanceTo(rdf.Timestamp((cfg.Batches + 2) * batchMS))
 	return windows, nil
@@ -688,6 +702,8 @@ func RunProc(cfg ProcConfig) (*ProcReport, error) {
 			if err := probeProcOutage(cfg, survivor, rep); err != nil {
 				return nil, err
 			}
+			logf("chaos: outage reads on rank %d: %d probes (%d homed on the killed rank), %d failed, slowest %v",
+				survivor.rank, rep.SurvivorQueries, rep.KilledRankProbes, rep.SurvivorFailures, rep.SurvivorLatMax)
 			if err := probeFedObservability(cfg, survivor, rep); err != nil {
 				return nil, err
 			}
@@ -763,7 +779,7 @@ func RunProc(cfg ProcConfig) (*ProcReport, error) {
 // Seed-kill chaos: kill -9 the write authority itself.
 //
 // RunProc kills a non-seed member — the op log keeps its sequencer and the
-// contract is about partitioned reads. RunProcSeedKill kills rank 0, the
+// contract is about survivor reads. RunProcSeedKill kills rank 0, the
 // authority, under sustained EMIT load, and asserts the succession contract
 // (DESIGN.md §15):
 //

@@ -8,12 +8,13 @@ import (
 	"repro/internal/rdf"
 )
 
-// TestProcClusterKillDashNine is the PR-5 failover contract asserted across
-// real process boundaries: three wukongsd daemons form a TCP cluster, one
-// is kill -9ed mid-load, and the survivors must keep the sub-millisecond
-// path while the dead partition fails typed; after a restart the victim
-// must rejoin, replay, and dedup to the fault-free twin. Runs in -short
-// mode too (make chaos-proc): the scenario IS the short configuration.
+// TestProcClusterKillDashNine is the failover contract asserted across real
+// process boundaries: three wukongsd daemons form a TCP cluster, one is
+// kill -9ed mid-load, and a survivor must keep answering every one-shot —
+// the killed rank's entities included — on the sub-millisecond path; after a
+// restart the victim must rejoin, replay, and dedup to the fault-free twin.
+// Runs in -short mode too (make chaos-proc): the scenario IS the short
+// configuration.
 func TestProcClusterKillDashNine(t *testing.T) {
 	rep, err := RunProc(ProcConfig{
 		Seed:    7,
@@ -31,34 +32,26 @@ func TestProcClusterKillDashNine(t *testing.T) {
 		t.Error("victim never rejoined after restart")
 	}
 
-	// (a) survivors keep the sub-millisecond path.
-	if rep.SurvivorQueries == 0 {
-		t.Error("no survivor-partition probes ran during the outage")
+	// (a) a peer's death costs the survivor no read: every scripted subject
+	// answers from the local replica, twin-equal and sub-millisecond, and so
+	// does the unanchored scan.
+	if rep.KilledRankProbes == 0 {
+		t.Errorf("none of the %d probed subjects is homed on the killed rank; the outage reads proved nothing", rep.SurvivorQueries)
 	}
 	if rep.SurvivorFailures != 0 {
-		t.Errorf("%d of %d survivor probes failed during the outage", rep.SurvivorFailures, rep.SurvivorQueries)
+		t.Errorf("%d of %d survivor probes errored or disagreed with the twin during the outage (%d homed on the killed rank)",
+			rep.SurvivorFailures, rep.SurvivorQueries, rep.KilledRankProbes)
 	}
 	if rep.SurvivorLatMax >= time.Millisecond {
 		t.Errorf("survivor engine latency %v breaches the sub-millisecond path", rep.SurvivorLatMax)
 	}
-	if !rep.ScatterOK {
-		t.Error("unanchored scatter query failed during the outage")
+	if rep.ScanRows == 0 || rep.ScanRows != rep.TwinScanRows {
+		t.Errorf("unanchored scan during the outage returned %d rows, twin has %d", rep.ScanRows, rep.TwinScanRows)
 	}
 
-	// (b) dead-partition probes fail fast and typed.
-	if rep.DeadProbes == 0 {
-		t.Error("no dead-partition probes ran during the outage")
-	}
-	if rep.DeadTyped != rep.DeadProbes {
-		t.Errorf("%d of %d dead-partition probes were not typed client.ErrPartitionDown", rep.DeadProbes-rep.DeadTyped, rep.DeadProbes)
-	}
-	if rep.DeadProbeMax >= time.Second {
-		t.Errorf("dead-partition probe took %v; the contract is fail-fast", rep.DeadProbeMax)
-	}
-
-	// (b') federated observability degrades, not disappears: the survivor's
+	// (b) federated observability degrades, not disappears: the survivor's
 	// CLUSTER METRICS and /debug/traces keep serving merged data mid-outage,
-	// annotating the dead rank explicitly, and a query forwarded during the
+	// annotating the dead rank explicitly, and an EMIT forwarded during the
 	// outage yields one causally-linked trace spanning both live processes.
 	if !rep.FedDeadAnnotated {
 		t.Error("CLUSTER METRICS did not annotate the dead rank with an explicit error")
@@ -70,7 +63,7 @@ func TestProcClusterKillDashNine(t *testing.T) {
 		t.Error("merged cluster_ops_applied_total empty in the degraded federation")
 	}
 	if rep.TraceSpans < 4 || rep.TraceNodes < 2 {
-		t.Errorf("best cross-process trace: %d spans across %d ranks, want >= 4 across >= 2",
+		t.Errorf("mid-outage EMIT trace: %d spans across %d ranks, want >= 4 across >= 2",
 			rep.TraceSpans, rep.TraceNodes)
 	}
 	if rep.TraceFedErrors == 0 {

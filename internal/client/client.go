@@ -113,9 +113,11 @@ func (e *OverloadError) Unwrap() error { return ErrOverload }
 const overloadPrefix = "-ERR overload retry-after="
 
 // ErrPartitionDown is the base error for queries that needed a partition
-// whose owning cluster rank is dead. The data is temporarily gone, not the
-// connection: reconnecting (or retrying elsewhere) will not help until the
-// rank rejoins, so the client never retries these.
+// whose owning node inside the server's engine is dead (a standalone daemon
+// run with -heartbeat-interval; a cluster daemon reads its own full replica
+// and never reports it). The data is temporarily gone, not the connection:
+// reconnecting will not help until the node rejoins, so the client never
+// retries these.
 var ErrPartitionDown = errors.New("partition down")
 
 // PartitionDownError carries the server's typed partition-down response.

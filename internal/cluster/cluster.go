@@ -1,6 +1,6 @@
 // Package cluster turns independent wukongsd processes into one multi-process
 // Wukong+S cluster over a fabric.Transport. The design is replicated
-// deterministic engines with partition authority:
+// deterministic engines with local reads:
 //
 //   - Every daemon runs a full simulated engine (all N fabric nodes). All
 //     state-mutating operations — LOAD, STREAM, REGISTER, EMIT, ADVANCE —
@@ -10,21 +10,21 @@
 //     the op order, so replicas converge to identical stores, stream
 //     indexes, VTS state, and continuous-query firings.
 //
-//   - Query authority is partitioned: a one-shot query anchored at a
-//     constant subject belongs to the rank that HomeOf assigns the subject's
-//     entity id. The owner answers locally (the sub-millisecond path); other
-//     daemons forward over the wire; a dead owner fails fast with a typed
-//     partition-down error. Queries with no anchor fork-join: the
-//     coordinator scatters row-disjoint shards to the live members and
-//     merges their responses.
+//   - Reads never leave the daemon: every replica holds the full data, so
+//     the server answers each one-shot query from the local engine at its
+//     stable SN (the paper's §4.3 consistent cut). An op is applied on the
+//     daemon that acked it, so that daemon reads its own writes; any other
+//     daemon may trail by cluster_replica_lag_ops. This package does not see
+//     queries at all.
 //
 //   - Membership is per-daemon: each daemon runs a member.Detector whose
 //     probes are real wire heartbeats from its own vantage (a daemon can
 //     only observe paths that start at itself). A member that misses enough
-//     rounds is declared dead locally — queries for its partitions fail
-//     fast — and a restarted daemon re-joins, replays the full oplog into a
-//     fresh engine, and re-fires every window exactly once (the dedup
-//     contract: fresh POLL buffers, deterministic replay).
+//     rounds is declared dead locally — which matters to the write path
+//     (succession) and to federation, never to reads — and a restarted
+//     daemon re-joins, replays the full oplog into a fresh engine, and
+//     re-fires every window exactly once (the dedup contract: fresh POLL
+//     buffers, deterministic replay).
 //
 // Replication losses self-heal two ways: the authority's broadcast retries
 // transient drops through flow.Sender, and a member that observes a sequence
@@ -121,35 +121,6 @@ func (e *UnavailableError) Error() string {
 // Unwrap exposes the sentinel and the transport cause.
 func (e *UnavailableError) Unwrap() []error { return []error{ErrUnavailable, e.Err} }
 
-// PartitionDownError reports a query that needed a partition whose owning
-// daemon is dead or unreachable. It unwraps to core.ErrPartitionDown so
-// callers use one sentinel for both the in-engine and the cross-process
-// failover contract.
-type PartitionDownError struct {
-	Node fabric.NodeID
-	Err  error // transport evidence; nil when the local detector said dead
-}
-
-func (e *PartitionDownError) Error() string {
-	if e.Err == nil {
-		return fmt.Sprintf("cluster: partition owner %d is declared dead: %v", e.Node, core.ErrPartitionDown)
-	}
-	return fmt.Sprintf("cluster: partition owner %d unreachable: %v: %v", e.Node, e.Err, core.ErrPartitionDown)
-}
-
-// Unwrap exposes the shared partition-down sentinel (and the transport
-// cause, when there is one).
-func (e *PartitionDownError) Unwrap() []error {
-	if e.Err == nil {
-		return []error{core.ErrPartitionDown}
-	}
-	return []error{core.ErrPartitionDown, e.Err}
-}
-
-// DownNode returns the dead partition's rank (shared accessor with
-// core.PartitionDownError for protocol rendering).
-func (e *PartitionDownError) DownNode() fabric.NodeID { return e.Node }
-
 // Config parameterizes one cluster daemon.
 type Config struct {
 	// Transport is the message plane (wire.TCP in a real cluster, fabric.Mem
@@ -208,8 +179,7 @@ type Config struct {
 }
 
 // Node is one daemon's cluster brain: the transport handler, the replication
-// log (seed), the replica applier (members), the query router, and the
-// membership detector.
+// log (seed), the replica applier (members), and the membership detector.
 type Node struct {
 	cfg    Config
 	t      fabric.Transport
@@ -231,6 +201,7 @@ type Node struct {
 	base      uint64   // seq of oplog[0] (1 when nothing discarded)
 	nextSeq   uint64   // authority: next seq to assign
 	applied   uint64   // highest seq applied locally
+	authHead  uint64   // member: the authority's applied seq at the last anti-entropy read
 	members   []string // rank → advertised addr ("" unknown)
 	reserved  []string // authority: rank → addr promised by Discover, not yet joined
 	epoch     uint64   // current authority epoch (raised only by EPOCH ops)
@@ -265,10 +236,6 @@ type Node struct {
 	cForwarded *obs.Counter
 	cSynced    *obs.Counter
 	cDupOps    *obs.Counter
-	cLocalQ    *obs.Counter
-	cRemoteQ   *obs.Counter
-	cScatterQ  *obs.Counter
-	cPartDown  *obs.Counter
 
 	cFailover     *obs.Counter   // seed_failover_total
 	cStaleEpoch   *obs.Counter   // cluster_stale_epoch_rejected_total
@@ -324,10 +291,6 @@ func newNode(cfg Config) (*Node, error) {
 		cForwarded: r.Counter("cluster_ops_forwarded_total"),
 		cSynced:    r.Counter("cluster_ops_synced_total"),
 		cDupOps:    r.Counter("cluster_ops_duplicate_total"),
-		cLocalQ:    r.Counter("cluster_queries_local_total"),
-		cRemoteQ:   r.Counter("cluster_queries_forwarded_total"),
-		cScatterQ:  r.Counter("cluster_queries_scattered_total"),
-		cPartDown:  r.Counter("cluster_queries_partition_down_total"),
 
 		cFailover:     r.Counter("seed_failover_total"),
 		cStaleEpoch:   r.Counter("cluster_stale_epoch_rejected_total"),
@@ -343,6 +306,19 @@ func newNode(cfg Config) (*Node, error) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		return int64(n.epoch)
+	})
+	// Staleness of this replica, which is what a local read can observe.
+	// Labeled by rank: CLUSTER METRICS sums same-named gauges, and a summed
+	// sequence number means nothing.
+	rank := strconv.Itoa(int(n.self))
+	r.GaugeFunc(obs.Name("cluster_applied_seq", "rank", rank), func() int64 { return int64(n.Applied()) })
+	r.GaugeFunc(obs.Name("cluster_replica_lag_ops", "rank", rank), func() int64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.authority == n.self || n.authHead <= n.applied {
+			return 0
+		}
+		return int64(n.authHead - n.applied)
 	})
 	if cfg.DataDir != "" {
 		dl, err := oplog.Open(cfg.DataDir, oplog.Options{SegmentOps: cfg.SegmentOps, NoSync: cfg.NoSync})
@@ -607,9 +583,10 @@ func (n *Node) startTicker() {
 // RECEIPT of a later op — a finite op stream can strand a member one
 // broadcast behind forever. The fix is to make the member ask: each
 // detector tick it fetches the authority's applied sequence (the MEMBERS
-// reply leads with "SEQ <n>") and SYNCs any shortfall. The authority never
-// pulls (it is the log). A shortfall past the authority's compaction window
-// converges through snapshot transfer instead.
+// reply leads with "SEQ <n>"), records it as the head that
+// cluster_replica_lag_ops is measured against, and SYNCs any shortfall. The
+// authority never pulls (it is the log). A shortfall past the authority's
+// compaction window converges through snapshot transfer instead.
 func (n *Node) antiEntropy() {
 	if !n.aeBusy.CompareAndSwap(false, true) {
 		return
@@ -632,6 +609,9 @@ func (n *Node) antiEntropy() {
 	if err != nil {
 		return
 	}
+	n.mu.Lock()
+	n.authHead = latest
+	n.mu.Unlock()
 	n.applyMu.Lock()
 	n.mu.Lock()
 	applied := n.applied
@@ -986,8 +966,8 @@ func (n *Node) handleJoin(args []string) (string, error) {
 			n.reserved[want] = ""
 		}
 	case want == -1:
-		// Prefer the rank that already owns this address (a restarted daemon
-		// reclaiming its partitions), else the lowest unclaimed rank.
+		// Prefer the rank that already owns this address (a restarted
+		// daemon), else the lowest unclaimed rank.
 		for r := 1; r < n.nodes; r++ {
 			if n.members[r] == addr || n.reserved[r] == addr {
 				rank = r
@@ -1020,12 +1000,6 @@ func (n *Node) handleJoin(args []string) (string, error) {
 		n.mu.Unlock()
 	}
 	return fmt.Sprintf("RANK %d NODES %d SEQ %d", rank, n.nodes, latest), nil
-}
-
-func (n *Node) memberAddr(r fabric.NodeID) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.members[r]
 }
 
 // handleSync serves SYNC <from> <to>: the requested oplog range, each op
@@ -1429,10 +1403,6 @@ func (n *Node) HandleCallTraced(from fabric.NodeID, req []byte, tc trace.Context
 		return []byte(resp), err
 	case "SNAPGET":
 		return n.serveSnapGet(f[1:])
-	case "QUERY":
-		return n.serveQuery(tc, body)
-	case "SCATTER":
-		return n.serveScatter(tc, f[1:], body)
 	case "MEMBERS":
 		return []byte(n.membersReply()), nil
 	case verbFedStats, verbFedMetrics, verbFedTraces:
@@ -1465,6 +1435,19 @@ func (n *Node) membersReply() string {
 		fmt.Fprintf(&b, "%d %s %s\n", r, addr, st)
 	}
 	return b.String()
+}
+
+// Home answers the HOME command, a placement diagnostic: the rank the
+// in-process fabric's HomeOf assigns the entity, whether that rank is alive in
+// this daemon's view, and whether the entity is known. It does not decide
+// where a query runs — every daemon serves every query from its own replica.
+func (n *Node) Home(entity string) (rank fabric.NodeID, alive, known bool) {
+	id, ok := n.eng.StringServer().LookupEntity(rdf.NewIRI(entity))
+	if !ok {
+		return 0, false, false
+	}
+	rank = n.eng.Fabric().HomeOf(uint64(id))
+	return rank, n.det.State(rank) != member.Dead, true
 }
 
 // Info returns the CLUSTER command's lines: this daemon's view of every

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -218,19 +216,6 @@ func waitConverged(t *testing.T, ds ...*daemon) {
 	}
 }
 
-// entityHomedOn finds a loaded entity whose partition authority is rank.
-func entityHomedOn(t *testing.T, d *daemon, rank fabric.NodeID) string {
-	t.Helper()
-	for i := 0; i < 12; i++ {
-		name := fmt.Sprintf("u%d", i)
-		if home, _, known := d.node.Home(name); known && home == rank {
-			return name
-		}
-	}
-	t.Fatalf("no test entity homed on rank %d", rank)
-	return ""
-}
-
 func TestClusterTCPReplicationAndRouting(t *testing.T) {
 	seed := startSeed(t, nil)
 	defer seed.close()
@@ -245,10 +230,9 @@ func TestClusterTCPReplicationAndRouting(t *testing.T) {
 	waitConverged(t, seed, d1, d2)
 
 	// Every replica's engine answers identically.
-	const scatter = `SELECT ?X ?Y WHERE { ?X po ?Y }`
 	var want []string
 	for i, d := range []*daemon{seed, d1, d2} {
-		res, err := d.eng.Query(scatter)
+		res, err := d.eng.Query(`SELECT ?X ?Y WHERE { ?X po ?Y }`)
 		if err != nil {
 			t.Fatalf("replica %d query: %v", i, err)
 		}
@@ -263,42 +247,12 @@ func TestClusterTCPReplicationAndRouting(t *testing.T) {
 		}
 	}
 
-	// Routed queries agree with each other no matter where they enter:
-	// local on the owner, one forwarded hop elsewhere.
-	for rank := fabric.NodeID(0); rank < clusterNodes; rank++ {
-		entity := entityHomedOn(t, seed, rank)
-		q := fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", entity)
-		var first []string
-		for i, d := range []*daemon{seed, d1, d2} {
-			rows, lat, err := d.node.Query(q)
-			if err != nil {
-				t.Fatalf("query %q via daemon %d: %v", q, i, err)
-			}
-			if lat <= 0 {
-				t.Fatalf("query %q via daemon %d: zero latency", q, i)
-			}
-			if i == 0 {
-				first = rows
-				if len(rows) != 1 {
-					t.Fatalf("query %q: rows = %v", q, rows)
-				}
-			} else if !reflect.DeepEqual(rows, first) {
-				t.Fatalf("query %q diverged via daemon %d: %v vs %v", q, i, rows, first)
-			}
-		}
-	}
-
-	// Scatter: no anchor, every daemon coordinates the same merged answer
-	// (merged rows come back lexicographically sorted).
-	wantSorted := append([]string(nil), want...)
-	sort.Strings(wantSorted)
-	for i, d := range []*daemon{seed, d1, d2} {
-		rows, _, err := d.node.Query(scatter)
-		if err != nil {
-			t.Fatalf("scatter via daemon %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(rows, wantSorted) {
-			t.Fatalf("scatter via daemon %d: %v, want %v", i, rows, wantSorted)
+	// Reads are not this layer's business: the verbs that once carried them
+	// between daemons are gone from the wire protocol.
+	for _, verb := range []string{"QUERY", "SCATTER 0 3"} {
+		_, err := seed.node.HandleCall(d1.node.Self(), []byte(verb+"\nSELECT ?X ?Y WHERE { ?X po ?Y }"))
+		if err == nil || !strings.Contains(err.Error(), "unknown verb") {
+			t.Fatalf("%s call = %v, want unknown verb", verb, err)
 		}
 	}
 
@@ -338,47 +292,13 @@ func TestClusterTCPKillAndRejoin(t *testing.T) {
 
 	victim := d2.node.Self()
 	victimAddr := d2.tr.Addr()
-	deadEntity := entityHomedOn(t, seed, victim)
-	liveEntity := entityHomedOn(t, seed, d1.node.Self())
 
 	// Kill the daemon (transport torn down = sockets reset, like kill -9).
 	d2.close()
 
 	// Survivors declare it dead on their own heartbeats.
-	deadline := time.Now().Add(5 * time.Second)
-	for seed.node.Detector().State(victim) != member.Dead ||
-		d1.node.Detector().State(victim) != member.Dead {
-		if time.Now().After(deadline) {
-			t.Fatalf("victim never declared dead: seed=%v d1=%v",
-				seed.node.Detector().State(victim), d1.node.Detector().State(victim))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Survivor-owned partitions keep answering.
-	q := fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", liveEntity)
-	if rows, _, err := seed.node.Query(q); err != nil || len(rows) != 1 {
-		t.Fatalf("survivor query = %v, %v", rows, err)
-	}
-	// Dead-owned partitions fail fast and typed — never a raw socket error.
-	q = fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", deadEntity)
-	start := time.Now()
-	_, _, err := d1.node.Query(q)
-	elapsed := time.Since(start)
-	if !errors.Is(err, core.ErrPartitionDown) {
-		t.Fatalf("dead-partition query error = %v, want ErrPartitionDown", err)
-	}
-	var pd *PartitionDownError
-	if !errors.As(err, &pd) || pd.Node != victim {
-		t.Fatalf("partition-down detail = %v", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("dead-partition query took %v, want fast typed failure", elapsed)
-	}
-	// Scatter queries degrade gracefully (dead shard reassigned locally).
-	if rows, _, err := d1.node.Query(`SELECT ?X ?Y WHERE { ?X po ?Y }`); err != nil || len(rows) == 0 {
-		t.Fatalf("scatter during outage = %v, %v", rows, err)
-	}
+	waitState(t, seed, victim, member.Dead)
+	waitState(t, d1, victim, member.Dead)
 
 	// Restart on the same address: Discover must hand back the same rank,
 	// Join must replay the full oplog into the fresh engine.
@@ -391,16 +311,38 @@ func TestClusterTCPKillAndRejoin(t *testing.T) {
 	if got, want := d2b.node.Applied(), seed.node.Applied(); got != want {
 		t.Fatalf("rejoined replica applied %d, seed at %d", got, want)
 	}
-	// Survivors see it alive again and route to it.
-	deadline = time.Now().Add(5 * time.Second)
-	for d1.node.Detector().State(victim) == member.Dead {
-		if time.Now().After(deadline) {
-			t.Fatal("victim never rejoined in survivor's view")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Survivors see it alive again.
+	waitState(t, d1, victim, member.Alive)
+}
+
+// Local reads rest on this: a write acked by a daemon is applied on that
+// daemon, so the daemon's own engine answers it with no wait and no hop.
+func TestReadYourWritesOnServingMember(t *testing.T) {
+	seed := startSeed(t, nil)
+	defer seed.close()
+	d1 := joinDaemon(t, seed.tr.Addr(), "")
+	defer d1.close()
+	d2 := joinDaemon(t, seed.tr.Addr(), "")
+	defer d2.close()
+
+	if _, err := d1.node.Forward("STREAM", []string{"S", "100"}, ""); err != nil {
+		t.Fatalf("STREAM: %v", err)
 	}
-	if rows, _, err := d1.node.Query(q); err != nil || len(rows) != 1 {
-		t.Fatalf("post-rejoin query = %v, %v", rows, err)
+	for i := 1; i <= 200; i++ {
+		tuple := fmt.Sprintf("<w%d> <po> <v%d> . @%d\n", i, i, 100*i-50)
+		if _, err := d1.node.Forward("EMIT", []string{"S"}, tuple); err != nil {
+			t.Fatalf("EMIT %d: %v", i, err)
+		}
+		if _, err := d1.node.Forward("ADVANCE", []string{fmt.Sprint(100 * i)}, ""); err != nil {
+			t.Fatalf("ADVANCE %d: %v", i, err)
+		}
+		res, err := d1.eng.Query(fmt.Sprintf("SELECT ?Y WHERE { w%d po ?Y }", i))
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if got := res.Strings(); len(got) != 1 || got[0] != fmt.Sprintf("v%d", i) {
+			t.Fatalf("write %d acked on the member but its engine answers %v", i, got)
+		}
 	}
 }
 
@@ -496,21 +438,20 @@ func TestClusterMemTransport(t *testing.T) {
 	seedData(t, d1)
 	waitConverged(t, seed, d1, d2)
 
-	entity := entityHomedOn(t, seed, d2.node.Self())
-	q := fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", entity)
 	var first []string
 	for i, d := range []*daemon{seed, d1, d2} {
-		rows, _, err := d.node.Query(q)
+		res, err := d.eng.Query(`SELECT ?X ?Y WHERE { ?X po ?Y }`)
 		if err != nil {
-			t.Fatalf("mem query via %d: %v", i, err)
+			t.Fatalf("mem replica %d query: %v", i, err)
 		}
+		res.Sort()
 		if i == 0 {
-			first = rows
-		} else if !reflect.DeepEqual(rows, first) {
-			t.Fatalf("mem query diverged via %d", i)
+			first = res.Strings()
+		} else if !reflect.DeepEqual(res.Strings(), first) {
+			t.Fatalf("mem replica %d diverged: %v vs %v", i, res.Strings(), first)
 		}
 	}
-	if len(first) != 1 {
-		t.Fatalf("mem query rows = %v", first)
+	if len(first) != 12 {
+		t.Fatalf("mem replicas hold %d rows, want 12: %v", len(first), first)
 	}
 }

@@ -271,6 +271,17 @@ func TestSnapshotCatchUpFarBehindDefaultWindow(t *testing.T) {
 	}
 	d1 := joinDaemon(t, seed.tr.Addr(), "")
 	defer d1.close()
+	// Join returns once a catch-up is under way — the replicated MEMBER op
+	// can start one before Join's own — and restoring a clock 66k ticks
+	// ahead is slow under the race detector. Wait for the transfer itself
+	// (the /healthz catching-up gate), not for waitConverged's fixed budget.
+	deadline := time.Now().Add(2 * time.Minute)
+	for d1.node.Status() == "catching-up" {
+		if time.Now().After(deadline) {
+			t.Fatal("snapshot catch-up still running after 2m")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	waitConverged(t, seed, d1)
 	if a, b := seed.node.Applied(), d1.node.Applied(); a != b {
 		t.Fatalf("far-behind joiner applied %d, authority %d", b, a)

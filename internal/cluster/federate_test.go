@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/member"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -38,76 +39,6 @@ func flatSpans(tr trace.Tree) []trace.Span {
 		walk(tr.Root)
 	}
 	return out
-}
-
-// TestForwardedQueryProducesLinkedTrace is the tentpole acceptance check at
-// the cluster layer: one query entering a non-owner daemon must yield a
-// single trace whose span tree links the routing hop on the entry daemon to
-// the serving hops on the owner — across two real TCP processes' worth of
-// transports.
-func TestForwardedQueryProducesLinkedTrace(t *testing.T) {
-	seed := startSeed(t, nil)
-	defer seed.close()
-	d1 := joinDaemon(t, seed.tr.Addr(), "")
-	defer d1.close()
-	d2 := joinDaemon(t, seed.tr.Addr(), "")
-	defer d2.close()
-	seedData(t, d1)
-	waitConverged(t, seed, d1, d2)
-
-	// Pick an entity the seed owns and query it through d1: d1 records the
-	// root + forward spans, the seed records the serve + exec spans.
-	entity := entityHomedOn(t, d1, SeedRank)
-	q := fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", entity)
-	if _, _, err := d1.node.Query(q); err != nil {
-		t.Fatalf("forwarded query: %v", err)
-	}
-
-	trees := gatherTrees(t, d2) // federate through a third party on purpose
-	var tree *trace.Tree
-	var spans []trace.Span
-	for i := range trees {
-		for _, sp := range flatSpans(trees[i]) {
-			if sp.Name == "serve.query" {
-				tree = &trees[i]
-				spans = flatSpans(trees[i])
-			}
-		}
-	}
-	if tree == nil {
-		t.Fatalf("no trace containing a serve.query span in %d trees", len(trees))
-	}
-	if tree.Spans < 4 {
-		t.Fatalf("forwarded-query trace has %d spans, want >= 4: %+v", tree.Spans, spans)
-	}
-	if tree.Orphans != 0 {
-		t.Fatalf("trace has %d orphaned spans (parent links broken): %+v", tree.Orphans, spans)
-	}
-	if len(tree.Nodes) < 2 {
-		t.Fatalf("trace touched nodes %v, want spans from both sides of the wire", tree.Nodes)
-	}
-
-	// The causal chain must be root → cluster.forward → serve.query →
-	// exec.local, with the serve side recorded on the seed's rank.
-	byName := map[string]trace.Span{}
-	for _, sp := range spans {
-		byName[sp.Name] = sp
-	}
-	root, fwd := byName["cluster.query"], byName["cluster.forward"]
-	serve, exec := byName["serve.query"], byName["exec.local"]
-	if root.SpanID == 0 || fwd.Parent != root.SpanID {
-		t.Fatalf("cluster.forward not parented under cluster.query: %+v", spans)
-	}
-	if serve.Parent != fwd.SpanID {
-		t.Fatalf("serve.query not parented under cluster.forward: %+v", spans)
-	}
-	if exec.Parent != serve.SpanID {
-		t.Fatalf("exec.local not parented under serve.query: %+v", spans)
-	}
-	if root.Node != int(d1.node.Self()) || serve.Node != int(SeedRank) {
-		t.Fatalf("span nodes wrong: root on %d (want %d), serve on %d (want %d)",
-			root.Node, int(d1.node.Self()), serve.Node, int(SeedRank))
-	}
 }
 
 // TestReplicationTrace checks the write path's tree: a forwarded mutating op
@@ -206,6 +137,60 @@ func TestClusterStatsAndMetricsFederation(t *testing.T) {
 	one := seed.node.cfg.Metrics.SnapshotJSON()["cluster_ops_applied_total"]
 	if *m.Value <= *one.Value {
 		t.Fatalf("merged applied %d not greater than single node %d", *m.Value, *one.Value)
+	}
+
+	// Staleness is reported once per live member, labeled by rank so the
+	// merge cannot add one replica's sequence number to another's.
+	gauge := func(base string, d *daemon) int64 {
+		t.Helper()
+		merged, _ := d1.node.ClusterMetrics()
+		m, ok := merged[obs.Name(base, "rank", fmt.Sprint(int(d.node.Self())))]
+		if !ok || m.Value == nil {
+			t.Fatalf("CLUSTER METRICS has no %s for rank %d: %v", base, d.node.Self(), merged)
+		}
+		return *m.Value
+	}
+	for _, d := range []*daemon{seed, d1} {
+		if got := gauge("cluster_applied_seq", d); uint64(got) != d.node.Applied() {
+			t.Fatalf("rank %d: cluster_applied_seq = %d, want %d", d.node.Self(), got, d.node.Applied())
+		}
+		if got := gauge("cluster_replica_lag_ops", d); got != 0 {
+			t.Fatalf("rank %d: cluster_replica_lag_ops = %d on a converged cluster", d.node.Self(), got)
+		}
+	}
+
+	// A member that cannot apply (here: its apply lock is held) learns from
+	// its anti-entropy read how far ahead the authority is and says so, then
+	// reports 0 again once it has caught up. The test owns the member's
+	// anti-entropy slot while the authority's head moves, so the read that
+	// follows sees all three ops — an earlier one would block on the apply
+	// lock holding a stale head.
+	for !d1.node.aeBusy.CompareAndSwap(false, true) {
+		time.Sleep(time.Millisecond)
+	}
+	d1.node.applyMu.Lock()
+	for i := 0; i < 3; i++ {
+		if _, err := seed.node.Forward("LOAD", nil, fmt.Sprintf("<lag%d> <p> <o> .\n", i)); err != nil {
+			d1.node.applyMu.Unlock()
+			t.Fatalf("LOAD: %v", err)
+		}
+	}
+	d1.node.aeBusy.Store(false)
+	deadline := time.Now().Add(5 * time.Second)
+	for gauge("cluster_replica_lag_ops", d1) != 3 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	lag := gauge("cluster_replica_lag_ops", d1)
+	d1.node.applyMu.Unlock()
+	if lag != 3 {
+		t.Fatalf("stalled member reports cluster_replica_lag_ops = %d, want 3", lag)
+	}
+	if got := gauge("cluster_replica_lag_ops", seed); got != 0 {
+		t.Fatalf("authority reports cluster_replica_lag_ops = %d, want 0", got)
+	}
+	waitConverged(t, seed, d1)
+	if got := gauge("cluster_replica_lag_ops", d1); got != 0 {
+		t.Fatalf("caught-up member reports cluster_replica_lag_ops = %d, want 0", got)
 	}
 }
 

@@ -4,8 +4,8 @@
 //
 // A snapshot is a deterministic text transcript of one replica's state
 // machine at an applied-sequence boundary. The one property everything
-// hinges on is replica-identical string-server IDs: store keys, vertex
-// homing, and scatter routing are all ID-based, so the transcript dumps the
+// hinges on is replica-identical string-server IDs: store keys and vertex
+// homing are ID-based, so the transcript dumps the
 // entity and predicate tables in ID order and a restorer re-interns them in
 // that order before anything else touches the string server. Stream and
 // continuous-query registrations replay through the same applyOp path the

@@ -52,11 +52,6 @@ func (p *PartitionDownError) Error() string {
 // Unwrap exposes both the typed sentinel and the original fault.
 func (p *PartitionDownError) Unwrap() []error { return []error{ErrPartitionDown, p.err} }
 
-// DownNode returns the dead node's id. The cluster layer's cross-process
-// partition-down error carries the same accessor, so protocol renderers can
-// extract the node from either without knowing which layer failed.
-func (p *PartitionDownError) DownNode() fabric.NodeID { return p.Node }
-
 // missedBatch is one journaled batch whose share for a dead node was never
 // injected; the snapshot number is recorded so replay restores the exact
 // per-key snapshot runs (§4.3 consecutiveness).

@@ -1,16 +1,16 @@
 // Cluster mode: when a ClusterBackend is installed, every state-mutating
 // command (STREAM, LOAD, EMIT, ADVANCE, REGISTER) is forwarded through the
-// cluster's replicated op log instead of hitting the local engine directly,
-// and one-shot QUERYs are routed to the rank that owns their anchor
-// partition. Read-side commands (POLL, STATS, METRICS, EXPLAIN) stay local:
-// every daemon holds a full replica, and continuous-query firings are
+// cluster's replicated op log instead of hitting the local engine directly.
+// Read-side commands (QUERY, POLL, STATS, METRICS, EXPLAIN) stay local:
+// every daemon holds a full replica, so a one-shot query runs on the local
+// engine exactly as it does standalone, and continuous-query firings are
 // buffered on whichever daemon the client polls.
 //
-// Failure rendering is typed at the protocol layer: a query that needed a
-// dead rank's partition answers "-ERR partition-down node=<n>: ..." and a
-// cluster operation that could not reach its peer answers
-// "-ERR unavailable: ..." — clients match the prefixes instead of parsing
-// socket errors.
+// Failure rendering is typed at the protocol layer: a cluster operation that
+// could not reach its peer answers "-ERR unavailable: ...", and an engine
+// whose in-process fabric lost a node's partition answers
+// "-ERR partition-down node=<n>: ..." — clients match the prefixes instead
+// of parsing socket errors.
 package server
 
 import (
@@ -21,7 +21,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -40,10 +39,8 @@ type ClusterBackend interface {
 	// Forward runs one replicated state-mutating op cluster-wide and
 	// returns the seed's apply reply (e.g. "loaded 42").
 	Forward(kind string, args []string, body string) (string, error)
-	// Query routes a one-shot query to its partition authority.
-	Query(text string) ([]string, time.Duration, error)
-	// Home classifies an entity: owning rank, owner liveness, and whether
-	// the entity is known at all.
+	// Home is a placement diagnostic: the rank HomeOf assigns an entity,
+	// that rank's liveness, and whether the entity is known at all.
 	Home(entity string) (rank fabric.NodeID, alive, known bool)
 	// Info renders this daemon's membership view, one line per rank.
 	Info() []string
@@ -54,7 +51,6 @@ type ClusterBackend interface {
 // context is threaded through so downstream hops join the request's trace.
 type TracedBackend interface {
 	ForwardTraced(tc trace.Context, kind string, args []string, body string) (string, error)
-	QueryTraced(tc trace.Context, text string) ([]string, time.Duration, error)
 }
 
 // FederatedBackend is the optional cluster-wide observability face of a
@@ -74,14 +70,6 @@ func forward(c ClusterBackend, tc trace.Context, kind string, args []string, bod
 	return c.Forward(kind, args, body)
 }
 
-// query routes a one-shot query through the traced path when available.
-func query(c ClusterBackend, tc trace.Context, text string) ([]string, time.Duration, error) {
-	if tb, ok := c.(TracedBackend); ok && tc.Valid() {
-		return tb.QueryTraced(tc, text)
-	}
-	return c.Query(text)
-}
-
 // SetCluster installs the cluster backend. Call before Serve.
 func (s *Server) SetCluster(c ClusterBackend) {
 	s.mu.Lock()
@@ -96,14 +84,15 @@ func (s *Server) clusterBackend() ClusterBackend {
 }
 
 // renderError writes one "-ERR ..." line with the typed prefixes clients
-// parse: partition-down (with the dead rank) and unavailable (a cluster
-// peer could not be reached). Everything else renders as before.
+// parse: partition-down (the engine's in-process fabric lost the node a
+// query needed) and unavailable (a cluster peer could not be reached).
+// Everything else renders as before.
 func renderError(w *bufio.Writer, err error) {
 	msg := strings.ReplaceAll(err.Error(), "\n", " ")
-	var down interface{ DownNode() fabric.NodeID }
+	var down *core.PartitionDownError
 	switch {
 	case errors.As(err, &down):
-		fmt.Fprintf(w, "-ERR partition-down node=%d: %s\n", down.DownNode(), msg)
+		fmt.Fprintf(w, "-ERR partition-down node=%d: %s\n", down.Node, msg)
 	case errors.Is(err, core.ErrPartitionDown):
 		fmt.Fprintf(w, "-ERR partition-down node=-1: %s\n", msg)
 	case errors.Is(err, cluster.ErrUnavailable),
@@ -233,23 +222,6 @@ func (s *Server) cmdRegisterCluster(w *bufio.Writer, c ClusterBackend, r *bufio.
 	return nil
 }
 
-func (s *Server) cmdQueryCluster(w *bufio.Writer, c ClusterBackend, r *bufio.Scanner, tc trace.Context) error {
-	text, err := readBlock(r)
-	if err != nil {
-		return err
-	}
-	rows, lat, err := query(c, tc, text)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "+OK %d rows in %v\n", len(rows), lat.Round(time.Microsecond))
-	for _, row := range rows {
-		fmt.Fprintf(w, "%s\n", row)
-	}
-	fmt.Fprintf(w, ".\n")
-	return nil
-}
-
 // cmdCluster serves CLUSTER [STATS|METRICS|TRACES]: bare CLUSTER is this
 // daemon's membership view; the subcommands fan out over the wire and merge
 // every live member's observability state, annotating unreachable members
@@ -334,8 +306,9 @@ func memberErrors(reports []cluster.MemberReport) map[string]string {
 	return errs
 }
 
-// cmdHome serves HOME <entity>: which rank owns the entity's partition and
-// whether that rank is currently alive in this daemon's view.
+// cmdHome serves HOME <entity>: which rank the fabric's placement assigns the
+// entity and whether that rank is currently alive in this daemon's view. A
+// diagnostic only — QUERY never consults it.
 func (s *Server) cmdHome(w *bufio.Writer, args []string) error {
 	c := s.clusterBackend()
 	if c == nil {

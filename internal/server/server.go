@@ -81,8 +81,8 @@ type Server struct {
 	// remainder stays buffered for the next POLL.
 	MaxPollRows int
 	// Tracer, when non-nil, records a root span per state-touching command
-	// (QUERY and the write path); in cluster mode its context rides the wire
-	// so downstream hops land in the same trace. Set before Serve.
+	// (QUERY and the write path); in cluster mode a write's context rides the
+	// wire so downstream hops land in the same trace. Set before Serve.
 	Tracer *trace.Tracer
 
 	emitLim   *flow.Limiter
@@ -343,8 +343,8 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Lock()
 		s.commandsTotal++
 		s.mu.Unlock()
-		// In cluster mode the write path and one-shot queries route through
-		// the replicated op log / partition authority; reads stay local.
+		// In cluster mode the write path routes through the replicated op
+		// log; reads, one-shot queries included, stay local.
 		cb := s.clusterBackend()
 		// State-touching commands get a root span: the admit → forward →
 		// apply → reply chain hangs off it, across processes in cluster mode.
@@ -385,11 +385,7 @@ func (s *Server) handle(conn net.Conn) {
 				err = s.cmdAdvance(w, stripIDToken(fields[1:]))
 			}
 		case "QUERY":
-			if cb != nil {
-				err = s.cmdQueryCluster(w, cb, r, tc)
-			} else {
-				err = s.cmdQuery(w, r)
-			}
+			err = s.cmdQuery(w, r)
 		case "EXPLAIN":
 			err = s.cmdExplain(w, r)
 		case "REGISTER":

@@ -70,6 +70,12 @@ func startServer(t *testing.T) (*Server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
+	return serve(t, eng)
+}
+
+// serve fronts eng with a server on an ephemeral loopback port.
+func serve(t *testing.T, eng *core.Engine) (*Server, string) {
+	t.Helper()
 	srv := New(eng)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/trace"
 )
 
@@ -30,16 +30,6 @@ func (f *fakeBackend) Forward(kind string, args []string, body string) (string, 
 func (f *fakeBackend) ForwardTraced(tc trace.Context, kind string, args []string, body string) (string, error) {
 	f.lastKind, f.lastTC = kind, tc
 	return "ok " + kind, nil
-}
-
-func (f *fakeBackend) Query(text string) ([]string, time.Duration, error) {
-	f.lastKind, f.lastTC = "QUERY", trace.Context{}
-	return []string{"r"}, time.Microsecond, nil
-}
-
-func (f *fakeBackend) QueryTraced(tc trace.Context, text string) ([]string, time.Duration, error) {
-	f.lastKind, f.lastTC = "QUERY", tc
-	return []string{"r"}, time.Microsecond, nil
 }
 
 func (f *fakeBackend) Home(string) (fabric.NodeID, bool, bool) { return 0, true, true }
@@ -74,18 +64,22 @@ func startTracedClusterServer(t *testing.T) (*Server, *fakeBackend, *trace.Trace
 }
 
 func TestServerRootSpanReachesBackend(t *testing.T) {
-	_, fb, tr, addr := startTracedClusterServer(t)
+	srv, fb, tr, addr := startTracedClusterServer(t)
 	c := dial(t, addr)
 
+	// A cluster-mode QUERY is answered by the local engine, not the backend.
+	srv.eng.LoadTriples([]rdf.Triple{rdf.T("a", "p", "b")})
 	c.send("QUERY", "SELECT ?X WHERE { ?X p ?Y }", ".")
 	expectOK(t, c.status())
-	c.rows()
-	if !fb.lastTC.Valid() || !fb.lastTC.Sampled() {
-		t.Fatalf("backend did not receive a sampled root context: %+v", fb.lastTC)
+	if rows := c.rows(); len(rows) != 1 || rows[0] != "a" {
+		t.Fatalf("cluster-mode QUERY rows = %v, want the local engine's [a]", rows)
+	}
+	if fb.lastKind != "" {
+		t.Fatalf("QUERY reached the cluster backend as %q", fb.lastKind)
 	}
 	c.send("ADVANCE 100")
 	expectOK(t, c.status())
-	if fb.lastKind != "ADVANCE" || !fb.lastTC.Valid() {
+	if fb.lastKind != "ADVANCE" || !fb.lastTC.Valid() || !fb.lastTC.Sampled() {
 		t.Fatalf("ADVANCE not traced: kind=%q tc=%+v", fb.lastKind, fb.lastTC)
 	}
 
@@ -197,8 +191,5 @@ func TestClusterSubcommandOnPlainBackendFails(t *testing.T) {
 type plainBackend struct{}
 
 func (plainBackend) Forward(kind string, _ []string, _ string) (string, error) { return "ok", nil }
-func (plainBackend) Query(string) ([]string, time.Duration, error) {
-	return nil, time.Microsecond, nil
-}
-func (plainBackend) Home(string) (fabric.NodeID, bool, bool) { return 0, true, true }
-func (plainBackend) Info() []string                          { return []string{"0 self"} }
+func (plainBackend) Home(string) (fabric.NodeID, bool, bool)                   { return 0, true, true }
+func (plainBackend) Info() []string                                            { return []string{"0 self"} }

@@ -145,7 +145,7 @@ func New(cfg Config) *Tracer {
 }
 
 // SetEnabled flips the whole tracer; disabled Start/StartRoot return no-op
-// spans without reading the clock (the knob bench-trace toggles).
+// spans without reading the clock.
 func (t *Tracer) SetEnabled(v bool) {
 	if t != nil {
 		t.enabled.Store(v)

@@ -179,7 +179,7 @@ func Encode(f *Frame) []byte {
 		flags |= FlagTrace
 		extra = trace.ContextSize
 	}
-	buf := make([]byte, headerSize+extra+len(f.Payload))
+	buf := make([]byte, encodedLen(f))
 	buf[0], buf[1], buf[2], buf[3] = magic0, magic1, magic2, magic3
 	buf[4] = f.Type
 	buf[5] = flags
@@ -195,6 +195,15 @@ func Encode(f *Frame) []byte {
 	crc = crc32.Update(crc, crcTable, buf[headerSize:])
 	binary.BigEndian.PutUint32(buf[22:26], crc)
 	return buf
+}
+
+// encodedLen is len(Encode(f)) without encoding; it does not depend on Seq.
+func encodedLen(f *Frame) int {
+	n := headerSize + len(f.Payload)
+	if f.Trace.Valid() {
+		n += trace.ContextSize
+	}
+	return n
 }
 
 // ReadFrame decodes one frame from r.

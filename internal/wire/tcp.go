@@ -114,14 +114,17 @@ type call struct {
 	done    chan struct{}
 	payload []byte
 	err     error
-	conn    *wconn // connection the request went out on; nil until written
+	conn    *wconn // connection the request goes out on
 }
 
 // wconn wraps one socket shared by a reader goroutine and concurrent
 // writers.
 type wconn struct {
-	c       net.Conn
-	wmu     sync.Mutex // serializes writes (frames must not interleave)
+	c net.Conn
+	// wmu serializes writes (frames must not interleave) and is where
+	// request-direction frames take their sequence number, so socket order
+	// equals sequence order.
+	wmu     sync.Mutex
 	lastSeq atomic.Uint64
 	closed  atomic.Bool
 	// feat holds the handshake-negotiated feature bits (the AND of both
@@ -396,7 +399,7 @@ func (t *TCP) SendTraced(from, to fabric.NodeID, payload []byte, tc trace.Contex
 	if !br.Allow() {
 		return &flow.BreakerOpenError{To: int(to)}
 	}
-	err := t.writeTo(to, &Frame{Type: TypeSend, From: t.cfg.Self, To: to, Seq: t.seq.Add(1), Payload: payload, Trace: tc})
+	err := t.writeTo(to, &Frame{Type: TypeSend, From: t.cfg.Self, To: to, Payload: payload, Trace: tc})
 	if err == nil {
 		br.Success()
 		return nil
@@ -481,32 +484,26 @@ func RemoteError(err error) bool { return errors.Is(err, errRemote) }
 
 // roundTrip sends a request-direction frame and waits for its response.
 func (t *TCP) roundTrip(to fabric.NodeID, typ byte, req []byte, timeout time.Duration, tc trace.Context) ([]byte, error) {
-	seq := t.seq.Add(1)
-	c := &call{done: make(chan struct{})}
-	t.pmu.Lock()
-	t.pending[seq] = c
-	t.pmu.Unlock()
-	defer func() {
-		t.pmu.Lock()
-		delete(t.pending, seq)
-		t.pmu.Unlock()
-	}()
-
 	op := "call"
 	if typ == TypePing {
 		op = "heartbeat"
 	}
-	// Resolve the connection before writing and pin it to the call, so the
-	// reader's death sweep (failConnCalls) can fail this round trip the
-	// moment the socket dies instead of letting it sit out CallTimeout.
 	w, err := t.outbound(to)
 	if err != nil {
 		return nil, err
 	}
-	t.pmu.Lock()
-	c.conn = w
-	t.pmu.Unlock()
-	if err := t.writeOn(w, to, &Frame{Type: typ, From: t.cfg.Self, To: to, Seq: seq, Payload: req, Trace: tc}); err != nil {
+	// The call is pinned to its connection, so the reader's death sweep
+	// (failConnCalls) can fail this round trip the moment the socket dies
+	// instead of letting it sit out CallTimeout. writeFrame registers it
+	// under the sequence number it assigns.
+	c := &call{done: make(chan struct{}), conn: w}
+	f := &Frame{Type: typ, From: t.cfg.Self, To: to, Payload: req, Trace: tc}
+	defer func() {
+		t.pmu.Lock()
+		delete(t.pending, f.Seq)
+		t.pmu.Unlock()
+	}()
+	if err := t.writeOn(w, to, f, c); err != nil {
 		return nil, err
 	}
 	timer := time.NewTimer(timeout)
@@ -526,13 +523,14 @@ func (t *TCP) writeTo(to fabric.NodeID, f *Frame) error {
 	if err != nil {
 		return err
 	}
-	return t.writeOn(w, to, f)
+	return t.writeOn(w, to, f, nil)
 }
 
 // writeOn writes one request-direction frame on an already-resolved
-// connection, mapping hard write failures to PeerDownError.
-func (t *TCP) writeOn(w *wconn, to fabric.NodeID, f *Frame) error {
-	if err := t.writeFrame(w, f, "send"); err != nil {
+// connection, mapping hard write failures to PeerDownError. c, when non-nil,
+// is the round trip awaiting the frame's response.
+func (t *TCP) writeOn(w *wconn, to fabric.NodeID, f *Frame, c *call) error {
+	if err := t.writeFrame(w, f, "send", c); err != nil {
 		if fabric.Transient(err) {
 			return err
 		}
@@ -543,29 +541,49 @@ func (t *TCP) writeOn(w *wconn, to fabric.NodeID, f *Frame) error {
 	return nil
 }
 
+// sequenced reports whether typ is a request-direction frame that writeFrame
+// numbers and readLoop's replay guard checks; the two must agree on the set.
+func sequenced(typ byte) bool {
+	return typ == TypePing || typ == TypeSend || typ == TypeCall
+}
+
 // writeFrame encodes and writes f on w under the connection's write mutex,
-// applying the outbound fault injector.
-func (t *TCP) writeFrame(w *wconn, f *Frame, op string) error {
+// applying the outbound fault injector. A request-direction frame takes its
+// sequence number here, under that mutex, and a round trip c is registered
+// under it before the first byte leaves: the receiver's replay guard drops
+// any request whose number is not above the last one it saw on the
+// connection, so a number taken before the lock would let a concurrent
+// writer's later number reach the socket first and cost this frame its
+// delivery.
+func (t *TCP) writeFrame(w *wconn, f *Frame, op string, c *call) error {
 	if f.Trace.Valid() && w.feat&FeatTrace == 0 {
 		// The handshake did not negotiate tracing (legacy peer): drop the
 		// context, keep the payload — old decoders must never see FlagTrace.
 		f.Trace = trace.Context{}
 	}
-	buf := Encode(f)
-	act, arg, delay := t.cfg.Faults.draw(len(buf))
+	act, arg, delay := t.cfg.Faults.draw(encodedLen(f))
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	switch act {
-	case ActDrop:
+	if act == ActDrop {
 		return &fabric.FaultError{Kind: fabric.FaultDropped, Op: "wire-" + op, From: f.From, To: f.To}
-	case ActCorrupt:
-		buf[arg/8] ^= 1 << (arg % 8)
 	}
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	if w.closed.Load() {
 		return fmt.Errorf("connection closed")
+	}
+	if sequenced(f.Type) {
+		f.Seq = t.seq.Add(1)
+	}
+	if c != nil {
+		t.pmu.Lock()
+		t.pending[f.Seq] = c
+		t.pmu.Unlock()
+	}
+	buf := Encode(f)
+	if act == ActCorrupt {
+		buf[arg/8] ^= 1 << (arg % 8)
 	}
 	w.c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
 	switch act {
@@ -723,7 +741,7 @@ func (t *TCP) serveConn(c net.Conn) {
 	if !t.cfg.LegacyHandshake {
 		ack.Payload = encodeHello(FeatTrace, t.epoch.Load())
 	}
-	if err := t.writeFrame(w, ack, "helloack"); err != nil {
+	if err := t.writeFrame(w, ack, "helloack", nil); err != nil {
 		w.close()
 		return
 	}
@@ -753,8 +771,7 @@ func (t *TCP) readLoop(w *wconn, from fabric.NodeID, inbound bool) {
 			return
 		}
 		t.cReceived.Inc()
-		switch f.Type {
-		case TypePing, TypeSend, TypeCall:
+		if sequenced(f.Type) {
 			// Request-direction frames carry strictly increasing sequence
 			// numbers per connection; a replay (injected duplication) is
 			// quarantined here, which is what makes at-most-once delivery
@@ -769,7 +786,7 @@ func (t *TCP) readLoop(w *wconn, from fabric.NodeID, inbound bool) {
 		switch f.Type {
 		case TypePing:
 			pong := &Frame{Type: TypePong, From: t.cfg.Self, To: f.From, Seq: f.Seq}
-			if err := t.writeFrame(w, pong, "pong"); err != nil && !fabric.Transient(err) {
+			if err := t.writeFrame(w, pong, "pong", nil); err != nil && !fabric.Transient(err) {
 				return
 			}
 		case TypeSend:
@@ -803,7 +820,7 @@ func (t *TCP) serveCall(w *wconn, f *Frame) {
 		resp.Type = TypeResp
 		resp.Payload = out
 	}
-	if err := t.writeFrame(w, resp, "resp"); err != nil && !fabric.Transient(err) {
+	if err := t.writeFrame(w, resp, "resp", nil); err != nil && !fabric.Transient(err) {
 		w.close()
 	}
 }
@@ -835,8 +852,8 @@ func (t *TCP) resolve(f *Frame) {
 // sweep a call whose peer died mid-flight would sit out its entire
 // CallTimeout even though the kernel reported the loss within milliseconds —
 // a window that would otherwise dominate authority-failover time. Runs after
-// w.close(), so a racing roundTrip that grabbed w but has not yet written
-// sees the closed flag and fails on its own.
+// w.close(), so a racing roundTrip that grabbed w but has not yet registered
+// sees the closed flag, or its write fails on the closed socket.
 func (t *TCP) failConnCalls(w *wconn, from fabric.NodeID) {
 	var failed []*call
 	t.pmu.Lock()

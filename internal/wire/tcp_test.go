@@ -116,6 +116,38 @@ func TestTCPSendCallHeartbeat(t *testing.T) {
 	}
 }
 
+// Concurrent callers share one connection to a peer. Their frames must reach
+// the socket in sequence-number order, or the receiver's replay guard drops
+// the late one and its caller sits out CallTimeout.
+func TestTCPConcurrentCallsKeepSequenceOrder(t *testing.T) {
+	r := obs.NewRegistry("test")
+	a := newTestTCP(t, 0, 2, nil, nil)
+	b := newTestTCP(t, 1, 2, r, nil)
+	b.SetHandler(1, &testHandler{})
+	a.SetPeer(1, b.Addr())
+
+	const callers, calls = 8, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				req := []byte(fmt.Sprintf("%d-%d", g, i))
+				resp, err := a.Call(0, 1, req)
+				if err != nil || string(resp) != "echo:"+string(req) {
+					t.Errorf("call %s = %q, %v", req, resp, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := r.Counter("wire_frames_quarantined_total").Value(); n != 0 {
+		t.Fatalf("wire_frames_quarantined_total = %d, want 0: the receiver dropped in-order traffic as replays", n)
+	}
+}
+
 // rawPeer is a hand-rolled wire client for writing precisely mangled bytes.
 type rawPeer struct {
 	c   net.Conn
