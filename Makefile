@@ -7,12 +7,12 @@ RACE_PKGS := ./internal/core/... ./internal/fabric/... ./internal/server/... \
              ./internal/member/... ./internal/wire/... ./internal/cluster/... \
              ./internal/trace/... ./internal/stats/... ./internal/oplog/...
 
-.PHONY: all ci vet build build-cmds test race smoke soak soak-short chaos chaos-proc bench bench-smoke bench-overload bench-failover bench-plan bench-seedkill bench-e2e clean
+.PHONY: all ci vet build build-cmds test race fuzz-short smoke soak soak-short chaos chaos-proc bench bench-smoke bench-overload bench-failover bench-plan bench-seedkill bench-e2e clean
 
 all: ci
 
 # The full gate: what CI runs, in order.
-ci: vet build build-cmds test race soak-short chaos chaos-proc
+ci: vet build build-cmds test race fuzz-short soak-short chaos chaos-proc
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,13 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Five seconds of native fuzzing per target on the replicated-op path: the op
+# decoder never panics and round-trips, and the verb interpreter never panics
+# and leaves no trace of an op it refuses. -fuzz takes one target per run.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
 
 # Quick confidence pass, including the chaos kill/recover smoke test.
 smoke:

@@ -216,13 +216,9 @@ func main() {
 			adv = *listen
 		}
 		ccfg := cluster.Config{
-			Engine:   eng,
-			SelfAddr: adv,
-			OnFire: func(name string, res *core.Result, fi core.FireInfo) {
-				if s := srvp.Load(); s != nil {
-					s.BufferResult(name, res, fi)
-				}
-			},
+			Engine:            eng,
+			SelfAddr:          adv,
+			OnFire:            srv.BufferResult,
 			HeartbeatInterval: *clusterHB,
 			FlowSeed:          *flowSeed,
 			DataDir:           *dataDir,

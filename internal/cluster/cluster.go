@@ -61,7 +61,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oplog"
 	"repro/internal/rdf"
-	"repro/internal/stream"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -701,10 +700,11 @@ func decodeOp(p []byte) (seq, epoch uint64, id, kind string, args []string, body
 	return seq, epoch, id, f[4], f[5:], rest, nil
 }
 
-// splitID strips a trailing "id=<token>" argument — the client's
+// SplitID strips a trailing "id=<token>" argument — the client's
 // exactly-once token, carried in-band through the text protocol so every
-// hop (server parse, FWD relay) forwards it without special plumbing.
-func splitID(args []string) (id string, rest []string) {
+// hop (server parse, FWD relay) forwards it without special plumbing. A
+// standalone daemon applies each command once by construction and drops it.
+func SplitID(args []string) (id string, rest []string) {
 	if len(args) > 0 && strings.HasPrefix(args[len(args)-1], "id=") {
 		return strings.TrimPrefix(args[len(args)-1], "id="), args[:len(args)-1]
 	}
@@ -759,7 +759,7 @@ func (n *Node) ForwardTraced(tc trace.Context, kind string, args []string, body 
 		tc = root.Context()
 		defer root.End()
 	}
-	id, bare := splitID(args)
+	id, bare := SplitID(args)
 	deadline := time.Now().Add(ForwardTimeout)
 	var unavailSince time.Time
 	var lastErr error
@@ -817,6 +817,12 @@ func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind st
 	resp, err := n.callTraced(target, req, body, "forward "+kind, sp.Context())
 	sp.EndErr(err)
 	if err != nil {
+		// The authority's shed decision crossed the wire as text; type it
+		// again so this daemon's client gets the same overload reply and
+		// backoff hint the authority's own client would.
+		if shed, ok := flow.ParseShedError(err.Error()); ok {
+			return "", shed
+		}
 		return "", err
 	}
 	head, reply := splitLine(resp)
@@ -1195,6 +1201,8 @@ func (n *Node) recordDedupLocked(id string, seq uint64, reply string) {
 	}
 }
 
+// applyOp runs one op: the two cluster-bookkeeping kinds here, every data
+// verb through the shared interpreter (verbs.go).
 func (n *Node) applyOp(kind string, args []string, body string) (string, error) {
 	switch kind {
 	case "MEMBER":
@@ -1237,96 +1245,8 @@ func (n *Node) applyOp(kind string, args []string, body string) (string, error) 
 		n.logf("authority epoch %d, rank %d", e, rank)
 		return fmt.Sprintf("epoch %d authority %d", e, rank), nil
 
-	case "LOAD":
-		count, err := n.eng.LoadReader(strings.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("loaded %d", count), nil
-
-	case "STREAM":
-		if len(args) < 2 {
-			return "", fmt.Errorf("cluster: usage STREAM <name> <interval_ms> [preds...]")
-		}
-		ms, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil || ms <= 0 {
-			return "", fmt.Errorf("cluster: bad interval %q", args[1])
-		}
-		_, err = n.eng.RegisterStream(stream.Config{
-			Name:             args[0],
-			BatchInterval:    time.Duration(ms) * time.Millisecond,
-			TimingPredicates: args[2:],
-		})
-		if err != nil {
-			// Idempotent re-registration (client replay after reconnect).
-			if _, ok := n.eng.SourceOf(args[0]); !ok {
-				return "", err
-			}
-		}
-		return "stream " + args[0], nil
-
-	case "EMIT":
-		if len(args) != 1 {
-			return "", fmt.Errorf("cluster: usage EMIT <stream>")
-		}
-		src, ok := n.eng.SourceOf(args[0])
-		if !ok {
-			return "", fmt.Errorf("cluster: unknown stream %q", args[0])
-		}
-		rd := rdf.NewReader(strings.NewReader(body))
-		admitted := 0
-		for {
-			tu, err := rd.ReadTuple()
-			if err != nil {
-				break
-			}
-			if err := src.Emit(tu); err != nil {
-				if errors.Is(err, flow.ErrShed) {
-					// Admission control refused the tail. The queue state is
-					// op-order-deterministic, so every replica sheds the same
-					// tuples; report the overload to the writer.
-					return "", err
-				}
-				return "", err
-			}
-			admitted++
-		}
-		return fmt.Sprintf("emitted %d", admitted), nil
-
-	case "ADVANCE":
-		if len(args) != 1 {
-			return "", fmt.Errorf("cluster: usage ADVANCE <ts_ms>")
-		}
-		ts, err := strconv.ParseInt(args[0], 10, 64)
-		if err != nil {
-			return "", fmt.Errorf("cluster: bad timestamp %q", args[0])
-		}
-		n.eng.AdvanceTo(rdf.Timestamp(ts))
-		return fmt.Sprintf("now %d", int64(n.eng.Now())), nil
-
-	case "REGISTER":
-		// The engine assigns the name; the firing callback needs it, so it
-		// blocks on ready until registration returns (a query cannot fire
-		// before the next ADVANCE op anyway).
-		ready := make(chan struct{})
-		name := ""
-		cb := func(res *core.Result, fi core.FireInfo) {
-			<-ready
-			if n.cfg.OnFire != nil {
-				n.cfg.OnFire(name, res, fi)
-			}
-		}
-		cq, err := n.eng.RegisterContinuous(body, cb)
-		if err != nil {
-			close(ready)
-			return "", err
-		}
-		name = cq.Name
-		close(ready)
-		return "registered " + cq.Name, nil
-
 	default:
-		return "", fmt.Errorf("cluster: unknown op kind %q", kind)
+		return ApplyVerb(n.eng, n.cfg.OnFire, kind, args, body)
 	}
 }
 
@@ -1388,7 +1308,7 @@ func (n *Node) HandleCallTraced(from fabric.NodeID, req []byte, tc trace.Context
 		if len(f) < 2 {
 			return nil, fmt.Errorf("cluster: usage FWD <kind> [args...]")
 		}
-		id, bare := splitID(f[2:])
+		id, bare := SplitID(f[2:])
 		reply, seq, err := n.sequence(tc, id, f[1], bare, body)
 		if err != nil {
 			return nil, err

@@ -202,12 +202,11 @@ func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabr
 				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot state %q: %w", line, e)
 			}
 			rest = tail
-		case "MEMBER":
-			if len(f) != 3 {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot member %q", line)
-			}
-			if _, e := n.applyOp("MEMBER", f[1:], ""); e != nil {
-				return 0, 0, 0, e
+		case "MEMBER", "STREAM", "ADVANCE":
+			// The op log's own lines, replayed through its interpreter (which
+			// checks them; a STREAM that already exists is adopted).
+			if _, e := n.applyOp(f[0], f[1:], ""); e != nil {
+				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot line %q: %w", line, e)
 			}
 			rest = tail
 		case "ACK":
@@ -245,24 +244,6 @@ func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabr
 				ss.InternPredicate(blob)
 			}
 			rest = t2
-		case "STREAM":
-			if len(f) < 3 {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot stream %q", line)
-			}
-			if _, ok := n.eng.SourceOf(f[1]); !ok {
-				if _, e := n.applyOp("STREAM", f[1:], ""); e != nil {
-					return 0, 0, 0, e
-				}
-			}
-			rest = tail
-		case "ADVANCE":
-			if len(f) != 2 {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot advance %q", line)
-			}
-			if _, e := n.applyOp("ADVANCE", f[1:], ""); e != nil {
-				return 0, 0, 0, e
-			}
-			rest = tail
 		case "CQ":
 			if len(f) != 3 {
 				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot cq %q", line)

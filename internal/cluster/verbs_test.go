@@ -1,0 +1,259 @@
+package cluster
+
+import (
+	"errors"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/flow"
+	"repro/internal/obs"
+)
+
+// startPair brings up a seed and one joined member over loopback TCP, both
+// engines built from flowCfg, with stream S registered.
+func startPair(t *testing.T, flowCfg core.FlowConfig) (seed, d1 *daemon) {
+	t.Helper()
+	withEngine := func(c *Config) {
+		eng, err := core.New(core.Config{Nodes: clusterNodes, WorkersPerNode: 2, Metrics: obs.NewRegistry(""), Flow: flowCfg})
+		if err != nil {
+			t.Fatalf("engine: %v", err)
+		}
+		c.Engine.Close()
+		c.Engine = eng
+	}
+	seed = startSeedCfg(t, withEngine)
+	seed.eng = seed.node.eng
+	t.Cleanup(seed.close)
+	d1 = joinDaemonCfg(t, seed.tr.Addr(), "", withEngine)
+	d1.eng = d1.node.eng
+	t.Cleanup(d1.close)
+	if _, err := d1.node.Forward("STREAM", []string{"S", "100"}, ""); err != nil {
+		t.Fatalf("STREAM: %v", err)
+	}
+	return seed, d1
+}
+
+// expectRefused forwards one op through via and requires that it fails, that
+// no sequence number was consumed, and that no replica holds any of it.
+func expectRefused(t *testing.T, via *daemon, all []*daemon, kind string, args []string, body string) error {
+	t.Helper()
+	applied := all[0].node.Applied()
+	_, err := via.node.Forward(kind, args, body)
+	if err == nil {
+		t.Fatalf("%s %v %q was accepted", kind, args, body)
+	}
+	for _, d := range all {
+		if got := d.node.Applied(); got != applied {
+			t.Fatalf("refused %s moved rank %d from op %d to %d", kind, d.node.Self(), applied, got)
+		}
+		if got := d.eng.PendingEmits(); got != 0 {
+			t.Fatalf("refused %s left %d tuples pending on rank %d", kind, got, d.node.Self())
+		}
+	}
+	return err
+}
+
+// expectSameRows requires every daemon to answer q identically, and returns
+// the rows.
+func expectSameRows(t *testing.T, q string, ds ...*daemon) []string {
+	t.Helper()
+	want := queryRows(t, ds[0], q)
+	for _, d := range ds[1:] {
+		if got := queryRows(t, d, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: rank %d answers %v, rank %d answers %v", q, ds[0].node.Self(), want, d.node.Self(), got)
+		}
+	}
+	return want
+}
+
+// A refused EMIT — out of order here — must not leave its accepted prefix on
+// the authority: the op is never sequenced, so the replicas would never get it.
+func TestRefusedEmitLeavesReplicasEqual(t *testing.T) {
+	seed, d1 := startPair(t, core.FlowConfig{})
+	all := []*daemon{seed, d1}
+	err := expectRefused(t, d1, all, "EMIT", []string{"S"}, "<a> <po> <b> . @250\n<c> <po> <d> . @150\n")
+	if !strings.Contains(err.Error(), "timestamp regression") {
+		t.Fatalf("err = %v, want the timestamp regression", err)
+	}
+	if _, err := d1.node.Forward("ADVANCE", []string{"400"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, all...)
+	if rows := expectSameRows(t, "SELECT ?X ?Y WHERE { ?X po ?Y }", all...); len(rows) != 0 {
+		t.Fatalf("refused tuples became visible: %v", rows)
+	}
+}
+
+// A malformed tuple line is an error, not the end of the body: the lines
+// after it must not be silently lost behind an "emitted 1".
+func TestMalformedEmitLineIsAnError(t *testing.T) {
+	seed, d1 := startPair(t, core.FlowConfig{})
+	err := expectRefused(t, d1, []*daemon{seed, d1}, "EMIT", []string{"S"}, "<a> <po> <b> . @250\nnot a tuple\n<c> <po> <d> . @260\n")
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("err = %v, want the bad line named", err)
+	}
+}
+
+// The same for a stream-buffer refusal, which is also typed on the member: a
+// ShedError raised on the authority arrives as a ShedError, hint included.
+func TestShedEmitLeavesReplicasEqualAndStaysTyped(t *testing.T) {
+	seed, d1 := startPair(t, core.FlowConfig{MaxPending: 2})
+	all := []*daemon{seed, d1}
+	four := "<a> <po> <b> . @10\n<c> <po> <d> . @20\n<e> <po> <f> . @30\n<g> <po> <h> . @40\n"
+	if err := expectRefused(t, d1, all, "EMIT", []string{"S"}, four); errors.Is(err, flow.ErrShed) || !strings.Contains(err.Error(), "can never fit") {
+		t.Fatalf("four tuples into a two-tuple buffer: %v, want an error that says it can never fit", err)
+	}
+	if _, err := d1.node.Forward("EMIT", []string{"S"}, "<a> <po> <b> . @10\n"); err != nil {
+		t.Fatal(err)
+	}
+	applied := seed.node.Applied()
+	_, err := d1.node.Forward("EMIT", []string{"S"}, "<c> <po> <d> . @20\n<e> <po> <f> . @30\n")
+	var se *flow.ShedError
+	if !errors.As(err, &se) || se.RetryAfter <= 0 || !strings.Contains(se.Reason, "admission buffer full") {
+		t.Fatalf("shed across the forward hop = %v, want a typed ShedError with its hint", err)
+	}
+	if seed.node.Applied() != applied || seed.eng.PendingEmits() != 1 || d1.eng.PendingEmits() != 1 {
+		t.Fatalf("shed EMIT left a trace: applied %d→%d, pending %d/%d", applied, seed.node.Applied(), seed.eng.PendingEmits(), d1.eng.PendingEmits())
+	}
+	if _, err := d1.node.Forward("ADVANCE", []string{"400"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, all...)
+	if rows := expectSameRows(t, "SELECT ?X ?Y WHERE { ?X po ?Y }", all...); !reflect.DeepEqual(rows, []string{"a b"}) {
+		t.Fatalf("rows = %v, want only the admitted tuple", rows)
+	}
+}
+
+// A LOAD with a bad line inserts nothing, anywhere.
+func TestRefusedLoadLeavesReplicasEqual(t *testing.T) {
+	seed, d1 := startPair(t, core.FlowConfig{})
+	all := []*daemon{seed, d1}
+	err := expectRefused(t, d1, all, "LOAD", nil, "<a> <p> <b> .\nnot a triple\n<c> <p> <d> .\n")
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("err = %v, want the bad line named", err)
+	}
+	if reply, err := d1.node.Forward("LOAD", nil, "<e> <p> <f> .\n"); err != nil || reply != "loaded 1" {
+		t.Fatalf("LOAD = %q, %v", reply, err)
+	}
+	waitConverged(t, all...)
+	if rows := expectSameRows(t, "SELECT ?X ?Y WHERE { ?X p ?Y }", all...); !reflect.DeepEqual(rows, []string{"e f"}) {
+		t.Fatalf("rows = %v, want only the good LOAD", rows)
+	}
+}
+
+// A refused REGISTER must not burn the auto-name counter: the authority would
+// then ack the next unnamed query as cq1 while every replica registers cq0,
+// and a POLL on the member finds nothing under the acked name.
+func TestRefusedRegisterLeavesReplicasEqual(t *testing.T) {
+	seed, d1 := startPair(t, core.FlowConfig{})
+	all := []*daemon{seed, d1}
+	const unnamed = "SELECT ?X ?Y FROM %s [RANGE 100ms STEP 100ms] WHERE { GRAPH %s { ?X po ?Y } }"
+	expectRefused(t, d1, all, "REGISTER", nil, strings.ReplaceAll(unnamed, "%s", "NOPE"))
+	reply, err := d1.node.Forward("REGISTER", nil, strings.ReplaceAll(unnamed, "%s", "S"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, all...)
+	for _, d := range all {
+		cqs := d.eng.ContinuousOrdered()
+		if len(cqs) != 1 || "registered "+cqs[0].Name != reply {
+			t.Fatalf("rank %d holds %d queries (first %q), the ack was %q", d.node.Self(), len(cqs), cqs[0].Name, reply)
+		}
+	}
+}
+
+// verbSeeds are the conformance script's commands (internal/server
+// TestWriteVerbsConformAcrossModes), as (kind, args, body).
+var verbSeeds = []struct{ kind, args, body string }{
+	{"STREAM", "S 100", ""},
+	{"STREAM", "T 100 ga", ""},
+	{"LOAD", "", "<a> <p> <b> .\n"},
+	{"REGISTER", "", "REGISTER QUERY Q1 AS\nSELECT ?X ?Y FROM S [RANGE 100ms STEP 100ms]\nWHERE { GRAPH S { ?X po ?Y } }\n"},
+	{"EMIT", "S", "<a> <po> <b> . @10\n"},
+	{"ADVANCE", "100", ""},
+	{"STREAM", "S", ""},
+	{"LOAD", "extra", "<a> <p> <b> .\n"},
+	{"EMIT", "", ""},
+	{"EMIT", "S T", "<a> <po> <b> . @300\n"},
+	{"ADVANCE", "1 2", ""},
+	{"REGISTER", "extra", "SELECT ?X WHERE { ?X p ?Y }\n"},
+	{"STREAM", "U 0", ""},
+	{"STREAM", "U abc", ""},
+	{"ADVANCE", "abc", ""},
+	{"EMIT", "nope", "<a> <po> <b> . @300\n"},
+	{"EMIT", "S", "<a> <po> <b> . @300\ngarbage\n<c> <po> <d> . @310\n"},
+	{"LOAD", "", "<a> <p> <b> .\nnot a triple\n"},
+	{"LOAD", "", "<a> \"p\" <b> .\n"},
+	{"EMIT", "S", "<a> <po> <b> . @250\n<c> <po> <d> . @150\n"},
+	{"EMIT", "S", "<a> <po> <b> . @300\n<a> <po> <c> . @301\n<a> <po> <d> . @302\n<a> <po> <e> . @303\n<a> <po> <f> . @304\n"},
+	{"REGISTER", "", "this is not sparql\n"},
+	{"BOGUS", "x", "y"},
+}
+
+// FuzzDecodeOp: arbitrary bytes never panic the op decoder, and an encoded
+// op decodes to itself.
+func FuzzDecodeOp(f *testing.F) {
+	for i, s := range verbSeeds {
+		f.Add(encodeOp(uint64(i+1), 1, "", s.kind, strings.Fields(s.args), s.body))
+	}
+	f.Add(encodeOp(7, 3, "c1-9", "EPOCH", []string{"3", "1"}, ""))
+	f.Add([]byte("OP x"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		seq, epoch, id, kind, args, body, err := decodeOp(p)
+		if err != nil {
+			return
+		}
+		// Whatever decoded is whitespace-free by construction, so it must
+		// survive the round trip.
+		seq2, epoch2, id2, kind2, args2, body2, err := decodeOp(encodeOp(seq, epoch, id, kind, args, body))
+		if err != nil || seq2 != seq || epoch2 != epoch || id2 != id || kind2 != kind || body2 != body ||
+			len(args2) != len(args) || (len(args) > 0 && !reflect.DeepEqual(args2, args)) {
+			t.Fatalf("round trip of %q: got (%d %d %q %q %q %q, %v), want (%d %d %q %q %q %q)",
+				p, seq2, epoch2, id2, kind2, args2, body2, err, seq, epoch, id, kind, args, body)
+		}
+	})
+}
+
+// FuzzApplyVerb: arbitrary (kind, args, body) never panics the interpreter,
+// and a refusal leaves no trace — not in a stream buffer, the store, the
+// clock, or the string server's ID assignment.
+func FuzzApplyVerb(f *testing.F) {
+	for _, s := range verbSeeds {
+		f.Add(s.kind, s.args, s.body)
+	}
+	f.Fuzz(func(t *testing.T, kind, args, body string) {
+		// The clock seals one batch per stream interval it passes, empty or
+		// not, so a far-future ADVANCE is slow by design, not a finding.
+		if ts, err := strconv.ParseInt(strings.TrimSpace(args), 10, 64); kind == "ADVANCE" && err == nil && ts > 1e6 {
+			t.Skip()
+		}
+		eng, err := core.New(core.Config{Nodes: 2, Metrics: obs.NewRegistry(""), Flow: core.FlowConfig{MaxPending: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		for _, setup := range verbSeeds[:6] {
+			if _, err := ApplyVerb(eng, nil, setup.kind, strings.Fields(setup.args), setup.body); err != nil {
+				t.Fatalf("setup %s: %v", setup.kind, err)
+			}
+		}
+		type state struct {
+			pending, entries, entities, predicates int
+			now                                    int64
+		}
+		snap := func() state {
+			ss := eng.StringServer()
+			return state{eng.PendingEmits(), int(eng.Store().Memory().Entries), ss.NumEntities(), ss.NumPredicates(), int64(eng.Now())}
+		}
+		before := snap()
+		if _, err := ApplyVerb(eng, nil, kind, strings.Fields(args), body); err != nil {
+			if after := snap(); after != before {
+				t.Fatalf("%s %q %q refused (%v) but changed %+v into %+v", kind, args, body, err, before, after)
+			}
+		}
+	})
+}

@@ -137,20 +137,13 @@ func (e *Engine) RegisterContinuous(text string, cb func(*Result, FireInfo)) (*C
 	if name == "" {
 		name = fmt.Sprintf("cq%d", e.cqSeq)
 	}
-	e.cqSeq++
-	if _, ok := e.continuous[name]; ok {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("core: continuous query %q already registered", name)
-	}
 	cq := &ContinuousQuery{
 		Name:   name,
 		Text:   text,
 		engine: e,
 		query:  q,
-		home:   e.liveNodeFor(fabric.NodeID(e.nextHome % e.cfg.Nodes)),
 		cb:     cb,
 	}
-	e.nextHome++
 	for _, w := range q.Windows {
 		st, ok := e.streams[w.Stream]
 		if !ok {
@@ -170,24 +163,11 @@ func (e *Engine) RegisterContinuous(text string, cb func(*Result, FireInfo)) (*C
 		if cq.stepMS == 0 || w.Step.Milliseconds() < cq.stepMS {
 			cq.stepMS = w.Step.Milliseconds()
 		}
-		// Locality-aware partitioning: replicate this stream's index to the
-		// node where the query runs. Without RDMA, fork-join migrates
-		// execution to every node, so the index replicates everywhere.
-		if !e.cfg.DisableIndexReplication {
-			st.index.Replicate(cq.home)
-			if e.cfg.ForceForkJoin || !e.fab.RDMA() {
-				for n := 0; n < e.cfg.Nodes; n++ {
-					st.index.Replicate(fabric.NodeID(n))
-				}
-			}
-		}
 	}
 	if len(cq.windows) == 0 {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("core: continuous query %s declares no stream windows", name)
 	}
-	// First execution at the next step boundary after the current clock.
-	cq.nextFire = rdf.Timestamp((int64(e.now)/cq.stepMS + 1) * cq.stepMS)
 	e.mu.Unlock()
 
 	// Compile outside the engine lock: the planner's statistics adapter
@@ -197,10 +177,37 @@ func (e *Engine) RegisterContinuous(text string, cb func(*Result, FireInfo)) (*C
 		return nil, err
 	}
 
+	// Everything a registration changes, it changes from here on, past the
+	// last way it can fail: a refused registration must leave nothing behind.
+	// A replicated cluster drops a refused op unsequenced, and the counters
+	// below decide the next query's auto-assigned name and home on each
+	// replica.
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if q.Name == "" {
+		name = fmt.Sprintf("cq%d", e.cqSeq) // another registration may have landed while this one compiled
+		cq.Name = name
+	}
 	if _, ok := e.continuous[name]; ok {
 		return nil, fmt.Errorf("core: continuous query %q already registered", name)
+	}
+	e.cqSeq++
+	cq.home = e.liveNodeFor(fabric.NodeID(e.nextHome % e.cfg.Nodes))
+	e.nextHome++
+	// First execution at the next step boundary after the current clock.
+	cq.nextFire = rdf.Timestamp((int64(e.now)/cq.stepMS + 1) * cq.stepMS)
+	// Locality-aware partitioning: replicate each stream's index to the node
+	// where the query runs. Without RDMA, fork-join migrates execution to
+	// every node, so the index replicates everywhere.
+	if !e.cfg.DisableIndexReplication {
+		for _, w := range cq.windows {
+			w.state.index.Replicate(cq.home)
+			if e.cfg.ForceForkJoin || !e.fab.RDMA() {
+				for n := 0; n < e.cfg.Nodes; n++ {
+					w.state.index.Replicate(fabric.NodeID(n))
+				}
+			}
+		}
 	}
 	e.continuous[name] = cq
 	e.cqOrder = append(e.cqOrder, name)

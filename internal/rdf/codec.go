@@ -130,6 +130,11 @@ func ParseTriple(line string) (Triple, error) {
 	if err != nil {
 		return Triple{}, fmt.Errorf("predicate: %w", err)
 	}
+	if !p.IsIRI() {
+		// Encoding assumes it (strserver.EncodeTriple panics otherwise), and
+		// these lines arrive from the network.
+		return Triple{}, fmt.Errorf("predicate: rdf: must be an IRI, got %s", p)
+	}
 	o, rest, err := scanTerm(rest)
 	if err != nil {
 		return Triple{}, fmt.Errorf("object: %w", err)
@@ -216,11 +221,16 @@ func (r *Reader) ReadTuple() (Tuple, error) {
 }
 
 // ReadAllTriples consumes the remaining input and returns all triples.
-func ReadAllTriples(r io.Reader) ([]Triple, error) {
+func ReadAllTriples(r io.Reader) ([]Triple, error) { return readAll(r, (*Reader).ReadTriple) }
+
+// ReadAllTuples consumes the remaining input and returns all stream tuples.
+func ReadAllTuples(r io.Reader) ([]Tuple, error) { return readAll(r, (*Reader).ReadTuple) }
+
+func readAll[T any](r io.Reader, read func(*Reader) (T, error)) ([]T, error) {
 	rd := NewReader(r)
-	var out []Triple
+	var out []T
 	for {
-		t, err := rd.ReadTriple()
+		t, err := read(rd)
 		if err == io.EOF {
 			return out, nil
 		}

@@ -1,10 +1,10 @@
-// Cluster mode: when a ClusterBackend is installed, every state-mutating
-// command (STREAM, LOAD, EMIT, ADVANCE, REGISTER) is forwarded through the
-// cluster's replicated op log instead of hitting the local engine directly.
-// Read-side commands (QUERY, POLL, STATS, METRICS, EXPLAIN) stay local:
-// every daemon holds a full replica, so a one-shot query runs on the local
-// engine exactly as it does standalone, and continuous-query firings are
-// buffered on whichever daemon the client polls.
+// Cluster mode: when a ClusterBackend is installed, every write verb (STREAM,
+// LOAD, EMIT, ADVANCE, REGISTER) goes through the cluster's replicated op log
+// instead of hitting the local engine directly (cmdWrite). Read-side commands
+// (QUERY, POLL, STATS, METRICS, EXPLAIN) stay local: every daemon holds a
+// full replica, so a one-shot query runs on the local engine exactly as it
+// does standalone, and continuous-query firings are buffered on whichever
+// daemon the client polls.
 //
 // Failure rendering is typed at the protocol layer: a cluster operation that
 // could not reach its peer answers "-ERR unavailable: ...", and an engine
@@ -18,56 +18,38 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/flow"
 	"repro/internal/obs"
-	"repro/internal/rdf"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// ClusterBackend is what the server needs from a cluster daemon.
-// cluster.Node implements it; the indirection keeps the server testable
-// with fakes and free of the cluster package's construction details.
+// ClusterBackend is everything the server needs from a cluster daemon.
+// *cluster.Node implements it; the indirection keeps the server testable
+// with a fake and free of the cluster package's construction details.
 type ClusterBackend interface {
-	// Forward runs one replicated state-mutating op cluster-wide and
-	// returns the seed's apply reply (e.g. "loaded 42").
-	Forward(kind string, args []string, body string) (string, error)
+	// ForwardTraced runs one write verb cluster-wide and returns the
+	// interpreter's reply from the write authority (e.g. "loaded 42"). args
+	// may end with the client's id= token. A valid tc joins the downstream
+	// hops to the request's trace; the zero Context means untraced.
+	ForwardTraced(tc trace.Context, kind string, args []string, body string) (string, error)
 	// Home is a placement diagnostic: the rank HomeOf assigns an entity,
 	// that rank's liveness, and whether the entity is known at all.
 	Home(entity string) (rank fabric.NodeID, alive, known bool)
 	// Info renders this daemon's membership view, one line per rank.
 	Info() []string
-}
-
-// TracedBackend is the optional trace-propagating face of a backend. When
-// the backend implements it and the server has a valid root context, the
-// context is threaded through so downstream hops join the request's trace.
-type TracedBackend interface {
-	ForwardTraced(tc trace.Context, kind string, args []string, body string) (string, error)
-}
-
-// FederatedBackend is the optional cluster-wide observability face of a
-// backend: merged metrics, per-member stats lines, and the pooled span
-// records behind CLUSTER STATS/METRICS/TRACES and the obs-mux endpoints.
-type FederatedBackend interface {
+	// ClusterStats, ClusterMetrics and ClusterTraces are the cluster-wide
+	// observability views behind CLUSTER STATS/METRICS/TRACES: per-member
+	// stats lines, merged metrics, and the pooled span records.
 	ClusterStats() []cluster.MemberReport
 	ClusterMetrics() (map[string]obs.JSONMetric, []cluster.MemberReport)
 	ClusterTraces() ([]trace.Span, []cluster.MemberReport)
-}
-
-// forward routes a replicated op through the traced path when available.
-func forward(c ClusterBackend, tc trace.Context, kind string, args []string, body string) (string, error) {
-	if tb, ok := c.(TracedBackend); ok && tc.Valid() {
-		return tb.ForwardTraced(tc, kind, args, body)
-	}
-	return c.Forward(kind, args, body)
 }
 
 // SetCluster installs the cluster backend. Call before Serve.
@@ -84,13 +66,17 @@ func (s *Server) clusterBackend() ClusterBackend {
 }
 
 // renderError writes one "-ERR ..." line with the typed prefixes clients
-// parse: partition-down (the engine's in-process fabric lost the node a
-// query needed) and unavailable (a cluster peer could not be reached).
-// Everything else renders as before.
+// parse: overload (an admission edge shed the request; back off by the hint
+// instead of tight-looping), partition-down (the engine's in-process fabric
+// lost the node a query needed) and unavailable (a cluster peer could not be
+// reached). Everything else renders as plain text.
 func renderError(w *bufio.Writer, err error) {
 	msg := strings.ReplaceAll(err.Error(), "\n", " ")
 	var down *core.PartitionDownError
+	var shed *flow.ShedError
 	switch {
+	case errors.As(err, &shed):
+		fmt.Fprintf(w, "-ERR overload retry-after=%s: %s\n", max(shed.RetryAfter, time.Millisecond), shed.Reason)
 	case errors.As(err, &down):
 		fmt.Fprintf(w, "-ERR partition-down node=%d: %s\n", down.Node, msg)
 	case errors.Is(err, core.ErrPartitionDown):
@@ -107,119 +93,6 @@ func renderError(w *bufio.Writer, err error) {
 	default:
 		fmt.Fprintf(w, "-ERR %s\n", msg)
 	}
-}
-
-// The cluster-mode twins of the write-path commands. Replies are printed
-// from the seed's apply result, which matches the local command output
-// formats exactly.
-
-func (s *Server) cmdStreamCluster(w *bufio.Writer, c ClusterBackend, args []string, tc trace.Context) error {
-	// Validate the bare command; the full args (with any trailing id= token,
-	// the client's exactly-once handle) go to the cluster untouched.
-	bare := stripIDToken(args)
-	if len(bare) < 2 {
-		return fmt.Errorf("usage: STREAM <name> <interval_ms> [timingPred ...]")
-	}
-	if ms, err := strconv.ParseInt(bare[1], 10, 64); err != nil || ms <= 0 {
-		return fmt.Errorf("bad interval %q", bare[1])
-	}
-	reply, err := forward(c, tc, "STREAM", args, "")
-	if err != nil {
-		return mapShed(err)
-	}
-	// Keep the local source map warm for EMIT fallbacks and tests: the op
-	// has been applied to the local replica by the time Forward returns on
-	// the seed; on members it lands asynchronously, so tolerate absence.
-	if src, ok := s.eng.SourceOf(bare[0]); ok {
-		s.mu.Lock()
-		s.sources[bare[0]] = src
-		s.mu.Unlock()
-	}
-	fmt.Fprintf(w, "+OK %s\n", reply)
-	return nil
-}
-
-func (s *Server) cmdLoadCluster(w *bufio.Writer, c ClusterBackend, r *bufio.Scanner, args []string, tc trace.Context) error {
-	block, err := readBlock(r)
-	if err != nil {
-		return err
-	}
-	reply, err := forward(c, tc, "LOAD", args, block)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "+OK %s\n", reply)
-	return nil
-}
-
-func (s *Server) cmdEmitCluster(w *bufio.Writer, c ClusterBackend, r *bufio.Scanner, args []string, tc trace.Context) error {
-	block, err := readBlock(r)
-	if err != nil {
-		return err
-	}
-	bare := stripIDToken(args)
-	if len(bare) != 1 {
-		return fmt.Errorf("usage: EMIT <stream>")
-	}
-	// Validate and count tuples here so the ingest-edge rate limiter keeps
-	// protecting the cluster write path exactly as it protects the local
-	// engine: the whole EMIT is admitted or shed before anything is
-	// replicated.
-	rd := rdf.NewReader(strings.NewReader(block))
-	n := 0
-	for {
-		if _, err := rd.ReadTuple(); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-		n++
-	}
-	if lim := s.emitLimiter(); lim != nil && n > 0 {
-		if !lim.WaitMax(float64(n), s.EmitWait) {
-			s.cEmitShed.Inc()
-			return overloadError(lim.RetryAfter(float64(n)),
-				fmt.Sprintf("EMIT rate limit (%d tuples)", n))
-		}
-	}
-	reply, err := forward(c, tc, "EMIT", args, block)
-	if err != nil {
-		if errors.Is(err, flow.ErrShed) || strings.HasPrefix(err.Error(), "flow: ") {
-			s.cEmitShed.Inc()
-		}
-		return mapShed(err)
-	}
-	fmt.Fprintf(w, "+OK %s\n", reply)
-	return nil
-}
-
-func (s *Server) cmdAdvanceCluster(w *bufio.Writer, c ClusterBackend, args []string, tc trace.Context) error {
-	bare := stripIDToken(args)
-	if len(bare) != 1 {
-		return fmt.Errorf("usage: ADVANCE <ts_ms>")
-	}
-	if _, err := strconv.ParseInt(bare[0], 10, 64); err != nil {
-		return fmt.Errorf("bad timestamp %q", bare[0])
-	}
-	reply, err := forward(c, tc, "ADVANCE", args, "")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "+OK %s\n", reply)
-	return nil
-}
-
-func (s *Server) cmdRegisterCluster(w *bufio.Writer, c ClusterBackend, r *bufio.Scanner, args []string, tc trace.Context) error {
-	text, err := readBlock(r)
-	if err != nil {
-		return err
-	}
-	reply, err := forward(c, tc, "REGISTER", args, text)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "+OK %s\n", reply)
-	return nil
 }
 
 // cmdCluster serves CLUSTER [STATS|METRICS|TRACES]: bare CLUSTER is this
@@ -239,13 +112,9 @@ func (s *Server) cmdCluster(w *bufio.Writer, args []string) error {
 		fmt.Fprintf(w, ".\n")
 		return nil
 	}
-	fb, ok := c.(FederatedBackend)
-	if !ok {
-		return fmt.Errorf("backend does not support CLUSTER %s", strings.ToUpper(args[0]))
-	}
 	switch strings.ToUpper(args[0]) {
 	case "STATS":
-		reports := fb.ClusterStats()
+		reports := c.ClusterStats()
 		fmt.Fprintf(w, "+OK cluster stats %d members\n", len(reports))
 		for _, r := range reports {
 			writeMemberLine(w, r)
@@ -253,14 +122,14 @@ func (s *Server) cmdCluster(w *bufio.Writer, args []string) error {
 		fmt.Fprintf(w, ".\n")
 		return nil
 	case "METRICS":
-		merged, reports := fb.ClusterMetrics()
+		merged, reports := c.ClusterMetrics()
 		doc := struct {
 			Metrics map[string]obs.JSONMetric `json:"metrics"`
 			Members []cluster.MemberReport    `json:"members"`
 		}{merged, reports}
 		return writeJSONBlock(w, "cluster metrics", doc)
 	case "TRACES":
-		spans, reports := fb.ClusterTraces()
+		spans, reports := c.ClusterTraces()
 		doc := trace.TracesDoc{Traces: trace.Assemble(spans), Errors: memberErrors(reports)}
 		return writeJSONBlock(w, "cluster traces", doc)
 	default:

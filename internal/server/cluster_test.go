@@ -18,6 +18,7 @@ import (
 type clusterDaemon struct {
 	tr   *wire.TCP
 	node *cluster.Node
+	srv  *Server
 	addr string // line-protocol address
 }
 
@@ -25,7 +26,14 @@ type clusterDaemon struct {
 // two-daemon cluster over loopback TCP.
 func startClusterDaemon(t *testing.T, seedWire string) *clusterDaemon {
 	t.Helper()
-	eng, err := core.New(core.Config{Nodes: 2, Metrics: obs.NewRegistry("")})
+	return startClusterDaemonFlow(t, seedWire, core.FlowConfig{})
+}
+
+// startClusterDaemonFlow is startClusterDaemon with the engine's overload
+// knobs set.
+func startClusterDaemonFlow(t *testing.T, seedWire string, flowCfg core.FlowConfig) *clusterDaemon {
+	t.Helper()
+	eng, err := core.New(core.Config{Nodes: 2, Metrics: obs.NewRegistry(""), Flow: flowCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +53,17 @@ func startClusterDaemon(t *testing.T, seedWire string) *clusterDaemon {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
+	srv, addr := serve(t, eng)
 	cfg := cluster.Config{
 		Transport:         tr,
 		Self:              self,
 		Engine:            eng,
 		SelfAddr:          tr.Addr(),
 		SeedAddr:          seedWire,
+		OnFire:            srv.BufferResult,
 		HeartbeatInterval: 20 * time.Millisecond,
 	}
-	d := &clusterDaemon{tr: tr}
+	d := &clusterDaemon{tr: tr, srv: srv, addr: addr}
 	if seedWire == "" {
 		d.node, err = cluster.NewSeed(cfg)
 	} else {
@@ -63,9 +73,7 @@ func startClusterDaemon(t *testing.T, seedWire string) *clusterDaemon {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.node.Close)
-	srv, addr := serve(t, eng)
 	srv.SetCluster(d.node)
-	d.addr = addr
 	return d
 }
 

@@ -11,13 +11,25 @@
 //	LOAD                                           then N-Triples lines, "."
 //	EMIT <stream>                                  then tuple lines, "."
 //	ADVANCE <ts_ms>                                drive the clock
+//	REGISTER                                       then C-SPARQL text, "." → +OK registered <name>
 //	QUERY                                          then C-SPARQL text, "." → rows, "."
 //	EXPLAIN                                        then C-SPARQL text, "." → plan, "."
-//	REGISTER                                       then C-SPARQL text, "." → +OK <name>
 //	POLL <name>                                    buffered results → rows, "."
 //	STATS                                          engine counters
 //	METRICS                                        Prometheus text dump, "."
+//	CLUSTER                                        membership view → lines, "." (cluster mode)
+//	CLUSTER STATS|METRICS|TRACES                   federated stats lines / JSON, "." (cluster mode)
+//	HOME <entity>                                  placement diagnostic (cluster mode)
 //	QUIT
+//
+// The first five are the write verbs. Each may end with an "id=<token>"
+// argument, the client's exactly-once handle: cluster mode threads it into
+// the replicated dedup table, a standalone daemon drops it. Both modes
+// execute them with the same code, cluster.ApplyVerb — a standalone daemon
+// calls it on its engine, a cluster daemon forwards the command to the write
+// authority, which calls it there and on every replica — so a command gets
+// the same reply, or the same refusal, whichever daemon it reaches, and a
+// refused command changes nothing anywhere.
 //
 // The server is deliberately simple — its purpose is to make the engine a
 // deployable artifact (cmd/wukongsd) and exercise the full client path in
@@ -30,16 +42,15 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/rdf"
-	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -85,13 +96,12 @@ type Server struct {
 	// wire so downstream hops land in the same trace. Set before Serve.
 	Tracer *trace.Tracer
 
-	emitLim   *flow.Limiter
-	cEmitShed *obs.Counter // server_emit_shed_total
-	cPollTrim *obs.Counter // server_poll_truncated_total
+	emitLim   *flow.Limiter // built by Serve from the Emit* fields, read-only after
+	cEmitShed *obs.Counter  // server_emit_shed_total
+	cPollTrim *obs.Counter  // server_poll_truncated_total
 
 	mu      sync.Mutex
-	cluster ClusterBackend // nil = single-process daemon
-	sources map[string]*stream.Source
+	cluster ClusterBackend      // nil = single-process daemon
 	results map[string]*pollBuf // continuous query name → buffered rows
 	ln      net.Listener
 	conns   map[net.Conn]struct{}
@@ -106,7 +116,6 @@ type Server struct {
 func New(eng *core.Engine) *Server {
 	s := &Server{
 		eng:     eng,
-		sources: make(map[string]*stream.Source),
 		results: make(map[string]*pollBuf),
 		conns:   make(map[net.Conn]struct{}),
 	}
@@ -154,52 +163,6 @@ func New(eng *core.Engine) *Server {
 	return s
 }
 
-// emitLimiter lazily builds the EMIT token bucket from the rate fields (they
-// are set between New and Serve).
-func (s *Server) emitLimiter() *flow.Limiter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.emitLim == nil && s.EmitRate > 0 {
-		s.emitLim = flow.NewLimiter(s.EmitRate, s.EmitBurst)
-	}
-	return s.emitLim
-}
-
-// overloadError renders a shed decision in the protocol's machine-readable
-// overload form: clients parse "overload retry-after=<duration>" and back
-// off instead of tight-looping.
-func overloadError(retryAfter time.Duration, reason string) error {
-	if retryAfter <= 0 {
-		retryAfter = time.Millisecond
-	}
-	return fmt.Errorf("overload retry-after=%s: %s", retryAfter, reason)
-}
-
-// stripIDToken drops a trailing "id=<token>" argument — the client's
-// exactly-once handle. Cluster mode threads it into the replicated dedup
-// table; a standalone daemon applies commands exactly once by construction
-// and simply ignores it, so clients can send the same bytes to both.
-func stripIDToken(args []string) []string {
-	if n := len(args); n > 0 && strings.HasPrefix(args[n-1], "id=") {
-		return args[:n-1]
-	}
-	return args
-}
-
-// mapShed translates an admission-control rejection (the stream's bounded
-// buffer, typically) into the protocol's overload error; other errors pass
-// through.
-func mapShed(err error) error {
-	var se *flow.ShedError
-	if errors.As(err, &se) {
-		return overloadError(se.RetryAfter, se.Reason)
-	}
-	if errors.Is(err, flow.ErrShed) {
-		return overloadError(time.Millisecond, err.Error())
-	}
-	return err
-}
-
 // droppedTotalLocked sums cumulative dropped rows across all poll buffers.
 // Caller holds s.mu.
 func (s *Server) droppedTotalLocked() int64 {
@@ -225,6 +188,9 @@ func (s *Server) DroppedRows(name string) (query, total int64) {
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
+	if s.emitLim == nil && s.EmitRate > 0 {
+		s.emitLim = flow.NewLimiter(s.EmitRate, s.EmitBurst)
+	}
 	s.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
@@ -343,9 +309,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Lock()
 		s.commandsTotal++
 		s.mu.Unlock()
-		// In cluster mode the write path routes through the replicated op
-		// log; reads, one-shot queries included, stay local.
-		cb := s.clusterBackend()
 		// State-touching commands get a root span: the admit → forward →
 		// apply → reply chain hangs off it, across processes in cluster mode.
 		var sp trace.Active
@@ -353,47 +316,18 @@ func (s *Server) handle(conn net.Conn) {
 		case "QUERY", "STREAM", "LOAD", "EMIT", "ADVANCE", "REGISTER":
 			sp = s.Tracer.StartRoot("server." + strings.ToLower(cmd))
 		}
-		tc := sp.Context()
 		var err error
 		switch cmd {
 		case "QUIT":
 			fmt.Fprintf(w, "+OK bye\n")
 			w.Flush()
 			return
-		case "STREAM":
-			if cb != nil {
-				err = s.cmdStreamCluster(w, cb, fields[1:], tc)
-			} else {
-				err = s.cmdStream(w, stripIDToken(fields[1:]))
-			}
-		case "LOAD":
-			if cb != nil {
-				err = s.cmdLoadCluster(w, cb, r, fields[1:], tc)
-			} else {
-				err = s.cmdLoad(w, r)
-			}
-		case "EMIT":
-			if cb != nil {
-				err = s.cmdEmitCluster(w, cb, r, fields[1:], tc)
-			} else {
-				err = s.cmdEmit(w, r, stripIDToken(fields[1:]))
-			}
-		case "ADVANCE":
-			if cb != nil {
-				err = s.cmdAdvanceCluster(w, cb, fields[1:], tc)
-			} else {
-				err = s.cmdAdvance(w, stripIDToken(fields[1:]))
-			}
+		case "STREAM", "LOAD", "EMIT", "ADVANCE", "REGISTER":
+			err = s.cmdWrite(w, r, cmd, fields[1:], sp.Context())
 		case "QUERY":
 			err = s.cmdQuery(w, r)
 		case "EXPLAIN":
 			err = s.cmdExplain(w, r)
-		case "REGISTER":
-			if cb != nil {
-				err = s.cmdRegisterCluster(w, cb, r, fields[1:], tc)
-			} else {
-				err = s.cmdRegister(w, r)
-			}
 		case "POLL":
 			err = s.cmdPoll(w, fields[1:])
 		case "STATS":
@@ -439,120 +373,53 @@ func readBlock(r *bufio.Scanner) (string, error) {
 	return "", io.ErrUnexpectedEOF
 }
 
-func (s *Server) cmdStream(w *bufio.Writer, args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("usage: STREAM <name> <interval_ms> [timingPred ...]")
-	}
-	ms, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil || ms <= 0 {
-		return fmt.Errorf("bad interval %q", args[1])
-	}
-	src, err := s.eng.RegisterStream(stream.Config{
-		Name:             args[0],
-		BatchInterval:    time.Duration(ms) * time.Millisecond,
-		TimingPredicates: args[2:],
-	})
-	if err != nil {
-		// Idempotent re-registration: the stream already exists on the
-		// engine (a reconnecting client replaying its session, or a stream
-		// recovered from the FT log). Adopt it.
-		existing, ok := s.eng.SourceOf(args[0])
-		if !ok {
+// cmdWrite serves the five write verbs in both modes: it reads the body a
+// verb carries, executes the command, and renders the interpreter's reply.
+func (s *Server) cmdWrite(w *bufio.Writer, r *bufio.Scanner, kind string, args []string, tc trace.Context) error {
+	body := ""
+	if kind == "LOAD" || kind == "EMIT" || kind == "REGISTER" {
+		// Consume the payload before anything can fail, or a rejected command
+		// would leave its lines to be parsed as commands.
+		var err error
+		if body, err = readBlock(r); err != nil {
 			return err
 		}
-		src = existing
 	}
-	s.mu.Lock()
-	s.sources[args[0]] = src
-	s.mu.Unlock()
-	fmt.Fprintf(w, "+OK stream %s\n", args[0])
-	return nil
-}
-
-func (s *Server) cmdLoad(w *bufio.Writer, r *bufio.Scanner) error {
-	block, err := readBlock(r)
+	reply, err := s.execWrite(tc, kind, args, body)
 	if err != nil {
-		return err
-	}
-	n, err := s.eng.LoadReader(strings.NewReader(block))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "+OK loaded %d\n", n)
-	return nil
-}
-
-func (s *Server) cmdEmit(w *bufio.Writer, r *bufio.Scanner, args []string) error {
-	// Consume the payload before validating, or a rejected command would
-	// leave its tuple lines to be parsed as commands.
-	block, err := readBlock(r)
-	if err != nil {
-		return err
-	}
-	if len(args) != 1 {
-		return fmt.Errorf("usage: EMIT <stream>")
-	}
-	s.mu.Lock()
-	src, ok := s.sources[args[0]]
-	s.mu.Unlock()
-	if !ok {
-		// The stream may predate this server process (recovered from the
-		// FT log by a restarted daemon); fall back to the engine.
-		src, ok = s.eng.SourceOf(args[0])
-		if !ok {
-			return fmt.Errorf("unknown stream %q", args[0])
-		}
-		s.mu.Lock()
-		s.sources[args[0]] = src
-		s.mu.Unlock()
-	}
-	rd := rdf.NewReader(strings.NewReader(block))
-	var tuples []rdf.Tuple
-	for {
-		tu, err := rd.ReadTuple()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		tuples = append(tuples, tu)
-	}
-	// Admission control at the ingest edge: the whole EMIT is admitted or
-	// shed atomically (a half-admitted EMIT would make the client's retry
-	// duplicate the admitted half).
-	if lim := s.emitLimiter(); lim != nil && len(tuples) > 0 {
-		if !lim.WaitMax(float64(len(tuples)), s.EmitWait) {
+		if errors.Is(err, flow.ErrShed) {
 			s.cEmitShed.Inc()
-			return overloadError(lim.RetryAfter(float64(len(tuples))),
-				fmt.Sprintf("EMIT rate limit (%d tuples)", len(tuples)))
 		}
+		return err
 	}
-	n := 0
-	for _, tu := range tuples {
-		if err := src.Emit(tu); err != nil {
-			if errors.Is(err, flow.ErrShed) {
-				s.cEmitShed.Inc()
-			}
-			return mapShed(err)
-		}
-		n++
-	}
-	fmt.Fprintf(w, "+OK emitted %d\n", n)
+	fmt.Fprintf(w, "+OK %s\n", reply)
 	return nil
 }
 
-func (s *Server) cmdAdvance(w *bufio.Writer, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: ADVANCE <ts_ms>")
+// execWrite hands one write command to the one interpreter: directly on a
+// standalone daemon, through the replicated op log in cluster mode (where the
+// write authority and every replica run that same interpreter). Argument
+// checking, parsing and the reply text are the interpreter's alone, so both
+// modes answer alike. The only thing decided here is admission control at the
+// ingest edge: the rate limiter admits or sheds a whole EMIT by its tuple
+// count before anything is applied or replicated (a half-admitted EMIT would
+// make the client's retry duplicate the admitted half). The body is parsed
+// here only to count it, and only when a limiter is configured.
+func (s *Server) execWrite(tc trace.Context, kind string, args []string, body string) (string, error) {
+	if lim := s.emitLim; lim != nil && kind == "EMIT" {
+		tuples, err := rdf.ReadAllTuples(strings.NewReader(body))
+		if err != nil {
+			return "", err
+		}
+		if n := float64(len(tuples)); n > 0 && !lim.WaitMax(n, s.EmitWait) {
+			return "", flow.Shed(fmt.Sprintf("EMIT rate limit (%d tuples)", len(tuples)), lim.RetryAfter(n))
+		}
 	}
-	ts, err := strconv.ParseInt(args[0], 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad timestamp %q", args[0])
+	if cb := s.clusterBackend(); cb != nil {
+		return cb.ForwardTraced(tc, kind, args, body)
 	}
-	s.eng.AdvanceTo(rdf.Timestamp(ts))
-	fmt.Fprintf(w, "+OK now %d\n", s.eng.Now())
-	return nil
+	_, bare := cluster.SplitID(args)
+	return cluster.ApplyVerb(s.eng, s.BufferResult, kind, bare, body)
 }
 
 func (s *Server) cmdQuery(w *bufio.Writer, r *bufio.Scanner) error {
@@ -589,35 +456,11 @@ func (s *Server) cmdExplain(w *bufio.Writer, r *bufio.Scanner) error {
 	return nil
 }
 
-func (s *Server) cmdRegister(w *bufio.Writer, r *bufio.Scanner) error {
-	text, err := readBlock(r)
-	if err != nil {
-		return err
-	}
-	// The engine assigns the query name; the buffering callback must know
-	// it, so it blocks on ready until registration completes (a query
-	// cannot fire before the next ADVANCE anyway).
-	ready := make(chan struct{})
-	name := ""
-	cb := func(res *core.Result, f core.FireInfo) {
-		<-ready
-		s.BufferResult(name, res, f)
-	}
-	cq, err := s.eng.RegisterContinuous(text, cb)
-	if err != nil {
-		close(ready)
-		return err
-	}
-	name = cq.Name
-	close(ready)
-	fmt.Fprintf(w, "+OK registered %s\n", cq.Name)
-	return nil
-}
-
 // BufferResult appends a continuous-query firing to name's POLL buffer —
-// the same sink REGISTER wires up. Exported so an engine recovered before
-// the server existed (a cmd/wukongsd restart) can route its re-registered
-// queries' firings here via core.Recover's callback factory.
+// the sink REGISTER wires up. Exported so firings that do not originate in
+// this server's own REGISTER reach the same buffers: cluster replication
+// (cluster.Config.OnFire) and an engine recovered before the server existed
+// (core.Recover's callback factory).
 func (s *Server) BufferResult(name string, res *core.Result, f core.FireInfo) {
 	rows := res.Strings()
 	s.mu.Lock()

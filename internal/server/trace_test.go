@@ -12,19 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeBackend implements ClusterBackend plus the optional traced and
-// federated faces, recording what the server hands it.
+// fakeBackend implements ClusterBackend, recording what the server hands it.
 type fakeBackend struct {
 	lastTC   trace.Context
 	lastKind string
 	stats    []cluster.MemberReport
 	metrics  map[string]obs.JSONMetric
 	spans    []trace.Span
-}
-
-func (f *fakeBackend) Forward(kind string, args []string, body string) (string, error) {
-	f.lastKind, f.lastTC = kind, trace.Context{}
-	return "ok " + kind, nil
 }
 
 func (f *fakeBackend) ForwardTraced(tc trace.Context, kind string, args []string, body string) (string, error) {
@@ -172,24 +166,3 @@ func TestClusterTracesCommand(t *testing.T) {
 		t.Fatalf("errors = %v", doc.Errors)
 	}
 }
-
-func TestClusterSubcommandOnPlainBackendFails(t *testing.T) {
-	srv, addr := startServer(t)
-	srv.SetCluster(plainBackend{})
-	c := dial(t, addr)
-	c.send("CLUSTER STATS")
-	if st := c.status(); !strings.HasPrefix(st, "-ERR") {
-		t.Fatalf("expected -ERR for non-federated backend, got %q", st)
-	}
-	// Bare CLUSTER still works.
-	c.send("CLUSTER")
-	expectOK(t, c.status())
-	c.rows()
-}
-
-// plainBackend implements only the required face.
-type plainBackend struct{}
-
-func (plainBackend) Forward(kind string, _ []string, _ string) (string, error) { return "ok", nil }
-func (plainBackend) Home(string) (fabric.NodeID, bool, bool)                   { return 0, true, true }
-func (plainBackend) Info() []string                                            { return []string{"0 self"} }

@@ -188,18 +188,15 @@ func (s *Source) EmitEncoded(enc strserver.EncodedTuple) error {
 	if s.maxDelay > 0 {
 		return s.emitReorderedLocked(enc)
 	}
-	if enc.TS < s.lastTS {
-		return fmt.Errorf("stream %s: timestamp regression %d after %d", s.name, enc.TS, s.lastTS)
-	}
-	if b := s.BatchOf(enc.TS); b <= s.sealedTo {
-		return fmt.Errorf("stream %s: tuple at %d arrived after batch %d was sealed", s.name, enc.TS, b)
+	if err := s.orderLocked(enc.TS, s.lastTS); err != nil {
+		return err
 	}
 	s.lastTS = enc.TS
 	if s.keep != nil && !s.keep[enc.P] {
 		s.discarded++
 		return nil
 	}
-	if err := s.admitLocked(); err != nil {
+	if err := s.reserveLocked(1); err != nil {
 		return err
 	}
 	// The Block policy released the lock while waiting; a concurrent seal
@@ -214,6 +211,66 @@ func (s *Source) EmitEncoded(enc strserver.EncodedTuple) error {
 	return nil
 }
 
+// EmitBatch admits a whole slice of raw tuples or none of them. It is the
+// unit the EMIT verb ingests: a half-admitted body would duplicate on the
+// client's at-least-once retry, and a replicated op must apply completely or
+// not at all. Under one lock acquisition it checks timestamp order (within
+// the slice and against the last accepted tuple), the sealed-batch boundary,
+// and room for the whole slice; only then are the tuples encoded and
+// appended, so a refusal leaves the adaptor and the string server exactly as
+// they were. DropNewest sheds the whole slice, Block waits for room for the
+// whole slice or sheds it, DropOldest evicts and never refuses; a slice that
+// could never fit (more tuples than MaxPending under DropNewest or Block) is
+// a plain error, not a retry hint. Shed counters move in tuples.
+//
+// A source with MaxDelay or KeepPredicates — library-only extensions no
+// protocol verb can configure — keeps per-tuple admission: there a refusal
+// part-way leaves the earlier tuples admitted.
+func (s *Source) EmitBatch(tuples []rdf.Tuple) error {
+	if s.maxDelay > 0 || s.keep != nil {
+		for _, t := range tuples {
+			if err := s.Emit(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if len(tuples) == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		last := s.lastTS
+		for _, t := range tuples {
+			if err := s.orderLocked(t.TS, last); err != nil {
+				return err
+			}
+			last = t.TS
+		}
+		sealedTo := s.sealedTo
+		if err := s.reserveLocked(len(tuples)); err != nil {
+			return err
+		}
+		// The Block policy released the lock while it waited: if a seal or
+		// another producer moved the stream meanwhile, check again.
+		if s.sealedTo == sealedTo && s.lastTS <= tuples[0].TS {
+			break
+		}
+	}
+	for _, t := range tuples {
+		enc := s.ss.EncodeTuple(t)
+		s.pending = append(s.pending, Tuple{EncodedTuple: enc, Timing: s.timing[enc.P]})
+		s.qstats.OnAdmit()
+	}
+	s.lastTS = tuples[len(tuples)-1].TS
+	if s.maxPending > 0 && s.shed == flow.DropOldest {
+		s.evictToLocked(s.maxPending) // a body larger than the buffer sheds its own head
+	}
+	s.qstats.Observe(s.depthLocked())
+	return nil
+}
+
 // EmitReplayed is Emit minus admission control, for fault-tolerance replay:
 // a durably-logged tuple was admitted before the crash, and shedding it now
 // would silently turn at-least-once recovery into at-most-once. Ordering and
@@ -224,11 +281,8 @@ func (s *Source) EmitReplayed(t rdf.Tuple) error {
 	enc := s.ss.EncodeTuple(t)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if enc.TS < s.lastTS {
-		return fmt.Errorf("stream %s: timestamp regression %d after %d", s.name, enc.TS, s.lastTS)
-	}
-	if b := s.BatchOf(enc.TS); b <= s.sealedTo {
-		return fmt.Errorf("stream %s: tuple at %d arrived after batch %d was sealed", s.name, enc.TS, b)
+	if err := s.orderLocked(enc.TS, s.lastTS); err != nil {
+		return err
 	}
 	s.lastTS = enc.TS
 	if enc.TS > s.maxSeen {
@@ -244,37 +298,47 @@ func (s *Source) EmitReplayed(t rdf.Tuple) error {
 	return nil
 }
 
+// orderLocked enforces the strict time model on one timestamp: it may not
+// precede after (C-SPARQL's monotonic streams), nor fall into a batch that is
+// already sealed (that would violate prefix integrity).
+func (s *Source) orderLocked(ts, after rdf.Timestamp) error {
+	if ts < after {
+		return fmt.Errorf("stream %s: timestamp regression %d after %d", s.name, ts, after)
+	}
+	if b := s.BatchOf(ts); b <= s.sealedTo {
+		return fmt.Errorf("stream %s: tuple at %d arrived after batch %d was sealed", s.name, ts, b)
+	}
+	return nil
+}
+
 // depthLocked is the admission buffer's occupancy: tuples accepted but not
 // yet sealed into a batch, whether released (pending) or held back (reorder).
 func (s *Source) depthLocked() int { return len(s.pending) + len(s.reorder) }
 
-// admitLocked applies the shed policy when the admission buffer is full.
-// Called with s.mu held; the Block policy temporarily releases it to wait
-// for SealUpTo to drain the buffer. A nil return means the tuple may be
-// appended.
-func (s *Source) admitLocked() error {
-	if s.maxPending <= 0 || s.depthLocked() < s.maxPending {
+// reserveLocked makes room for n more tuples, applying the shed policy when
+// the admission buffer cannot take them. Called with s.mu held; the Block
+// policy temporarily releases it to wait for SealUpTo to drain the buffer. A
+// nil return means all n may be appended; an error means none may, and the
+// shed counters have moved by n.
+func (s *Source) reserveLocked(n int) error {
+	if s.maxPending <= 0 || s.depthLocked()+n <= s.maxPending {
 		return nil
 	}
-	switch s.shed {
-	case flow.DropOldest:
-		for s.depthLocked() >= s.maxPending {
-			if len(s.pending) > 0 {
-				s.pending = s.pending[1:]
-			} else {
-				s.reorder = s.reorder[1:]
-			}
-			s.qstats.OnShedOldest()
-		}
+	if s.shed == flow.DropOldest {
+		s.evictToLocked(s.maxPending - n)
 		return nil
-	case flow.Block:
+	}
+	if n > s.maxPending {
+		return fmt.Errorf("stream %s: %d tuples can never fit the %d-tuple admission buffer; send smaller EMITs",
+			s.name, n, s.maxPending)
+	}
+	if s.shed == flow.Block {
 		deadline := time.Now().Add(s.shedWait)
-		for s.depthLocked() >= s.maxPending {
+		for s.depthLocked()+n > s.maxPending {
 			remaining := time.Until(deadline)
 			if remaining <= 0 {
 				s.qstats.OnTimeout()
-				s.qstats.OnShedNewest()
-				return flow.Shed("stream "+s.name+": admission buffer full", s.interval)
+				break
 			}
 			s.mu.Unlock()
 			t := time.NewTimer(remaining)
@@ -285,10 +349,25 @@ func (s *Source) admitLocked() error {
 			t.Stop()
 			s.mu.Lock()
 		}
-		return nil
-	default: // DropNewest
+		if s.depthLocked()+n <= s.maxPending {
+			return nil
+		}
+	}
+	for i := 0; i < n; i++ {
 		s.qstats.OnShedNewest()
-		return flow.Shed("stream "+s.name+": admission buffer full", s.interval)
+	}
+	return flow.Shed("stream "+s.name+": admission buffer full", s.interval)
+}
+
+// evictToLocked sheds the oldest buffered tuples until at most limit remain.
+func (s *Source) evictToLocked(limit int) {
+	for d := s.depthLocked(); d > limit && d > 0; d-- {
+		if len(s.pending) > 0 {
+			s.pending = s.pending[1:]
+		} else {
+			s.reorder = s.reorder[1:]
+		}
+		s.qstats.OnShedOldest()
 	}
 }
 
@@ -326,7 +405,7 @@ func (s *Source) emitReorderedLocked(enc strserver.EncodedTuple) error {
 		s.discarded++
 		return nil
 	}
-	if err := s.admitLocked(); err != nil {
+	if err := s.reserveLocked(1); err != nil {
 		return err
 	}
 	if b := s.BatchOf(enc.TS); b <= s.sealedTo {
