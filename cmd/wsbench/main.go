@@ -29,26 +29,18 @@ import (
 	"repro/internal/bench/experiments"
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/soak"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment ID, or 'all'")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		runs     = flag.Int("runs", 20, "repetitions per latency measurement")
-		scale    = flag.Float64("scale", 1, "dataset/rate scale multiplier")
-		nodes    = flag.Int("nodes", 8, "cluster size for distributed experiments")
-		latency  = flag.String("latency", "spin", "simulated network latency mode: off|spin|sleep")
-		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
-		obsJSON  = flag.String("obs-json", "", "after all experiments, print per-stage latency percentiles and write the full metric registry to this JSON file")
-		overload = flag.Bool("overload", false, "run the overload/degradation soak (internal/soak) and check its contract instead of a paper experiment")
-		nodeKill = flag.Bool("node-kill", false, "run the node-kill failover benchmark (survivor latency, typed dead-partition errors, CQ re-fires) instead of a paper experiment")
-		planRun  = flag.Bool("plan", false, "measure delta vs full continuous evaluation (L1-L6, crosschecked) and adaptive vs forced execution mode (S1-S6), writing -plan-out")
-		planOut  = flag.String("plan-out", "BENCH_PR8.json", "output path for the -plan report")
-		seedKill = flag.Bool("seed-kill", false, "measure the write-unavailability window of seed-authority failover across real kill -9ed daemons, writing -seedkill-out")
-		skOut    = flag.String("seedkill-out", "BENCH_PR9.json", "output path for the -seed-kill report")
-		skRuns   = flag.Int("seedkill-runs", 3, "seed-kill scenario repetitions")
+		exp     = flag.String("exp", "", "experiment ID, or 'all'")
+		list    = flag.Bool("list", false, "list experiment IDs and exit")
+		runs    = flag.Int("runs", 20, "repetitions per latency measurement")
+		scale   = flag.Float64("scale", 1, "dataset/rate scale multiplier")
+		nodes   = flag.Int("nodes", 8, "cluster size for distributed experiments")
+		latency = flag.String("latency", "spin", "simulated network latency mode: off|spin|sleep")
+		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
+		obsJSON = flag.String("obs-json", "", "after all experiments, print per-stage latency percentiles and write the full metric registry to this JSON file")
 	)
 	flag.Parse()
 
@@ -72,36 +64,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *overload {
-		if err := runOverload(*obsJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "wsbench: overload: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *nodeKill {
-		if err := runNodeKill(*obsJSON, mode); err != nil {
-			fmt.Fprintf(os.Stderr, "wsbench: node-kill: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *planRun {
-		if err := runPlanBench(*planOut, *runs, mode, *nodes); err != nil {
-			fmt.Fprintf(os.Stderr, "wsbench: plan: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *seedKill {
-		if err := runSeedKill(*skOut, *skRuns); err != nil {
-			fmt.Fprintf(os.Stderr, "wsbench: seed-kill: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "wsbench: -exp required (or -list, -overload, -node-kill, -plan, or -seed-kill); e.g. -exp table2 or -exp all")
+		fmt.Fprintln(os.Stderr, "wsbench: -exp required (or -list); e.g. -exp table2 or -exp all")
 		os.Exit(2)
 	}
 	opts := experiments.Options{
@@ -142,27 +106,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// runOverload drives the three-phase degradation soak against the default
-// metric registry, prints the report, and fails unless the degradation
-// contract holds (bounded queues, exact shed accounting, zero-net-loss
-// retries, post-pressure throughput recovery).
-func runOverload(obsPath string) error {
-	start := time.Now()
-	rep, err := soak.Run(soak.Config{Metrics: obs.Default})
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep)
-	if err := rep.CheckContract(); err != nil {
-		return err
-	}
-	fmt.Printf("degradation contract: PASS (completed in %v)\n\n", time.Since(start).Round(time.Millisecond))
-	if obsPath != "" {
-		return reportObs(obsPath)
-	}
-	return nil
 }
 
 // reportObs prints the per-stage pipeline latency percentiles recorded during

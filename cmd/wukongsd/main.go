@@ -26,6 +26,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -45,102 +46,140 @@ import (
 	"repro/internal/wire"
 )
 
+// options holds every command-line flag's value, in defineFlags order.
+type options struct {
+	addr           string
+	nodes, workers int
+	load, ftDir    string
+	metricsAddr    string
+	version        bool
+
+	traceSample int
+	traceSlow   time.Duration
+	traceCap    int
+
+	emitRate, emitBurst float64
+	emitWait            time.Duration
+	pollMax, maxPending int
+	shedPolicy          string
+	planMode, deltaMode string
+	queryDL, cqDL       time.Duration
+	sendRetries         int
+
+	listen, join, advertise string
+	clusterHB               time.Duration
+	flowSeed                int64
+
+	dataDir   string
+	snapEvery int
+	noSync    bool
+}
+
+// defineFlags declares wukongsd's flags on fs and returns where their values
+// land once fs is parsed.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7690", "listen address")
+	fs.IntVar(&o.nodes, "nodes", 4, "simulated cluster size")
+	fs.IntVar(&o.workers, "workers", 4, "query workers per node")
+	fs.StringVar(&o.load, "load", "", "N-Triples file to preload")
+	fs.StringVar(&o.ftDir, "ft", "", "enable fault tolerance in this directory")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics/cluster, /debug/traces, /healthz and /debug/pprof/ on this address (empty = disabled)")
+	fs.BoolVar(&o.version, "version", false, "print build information and exit")
+
+	// Distributed-tracing knobs (DESIGN.md §13).
+	fs.IntVar(&o.traceSample, "trace-sample", 128, "head-sample 1 in N requests into the span ring (1 = every request, 0 = disable tracing)")
+	fs.DurationVar(&o.traceSlow, "trace-slow", time.Millisecond, "always keep spans at least this slow, sampled or not (slow-query log; 0 = off)")
+	fs.IntVar(&o.traceCap, "trace-cap", 4096, "bounded span-ring capacity per daemon")
+
+	// Overload-protection knobs (DESIGN.md §10).
+	fs.Float64Var(&o.emitRate, "emit-rate", 0, "rate-limit EMIT to this many tuples/second (0 = unlimited)")
+	fs.Float64Var(&o.emitBurst, "emit-burst", 0, "EMIT token-bucket burst (0 = one second at -emit-rate)")
+	fs.DurationVar(&o.emitWait, "emit-wait", 0, "how long an EMIT may wait for rate tokens before shedding (0 = shed immediately)")
+	fs.IntVar(&o.pollMax, "poll-max", 0, "cap rows returned per POLL; the rest stays buffered (0 = unlimited)")
+	fs.IntVar(&o.maxPending, "max-pending", 0, "per-stream admission buffer bound in tuples (0 = unbounded)")
+	fs.StringVar(&o.shedPolicy, "shed", "drop-newest", "admission shed policy: drop-newest|drop-oldest|block")
+	fs.StringVar(&o.planMode, "plan-mode", "auto", "execution-strategy selection: auto (cost-based per query), inplace, or forkjoin")
+	fs.StringVar(&o.deltaMode, "delta-mode", "auto", "continuous-query delta evaluation: auto (incremental over window deltas) or off (full recompute per firing)")
+	fs.DurationVar(&o.queryDL, "query-deadline", 0, "per-one-shot-query execution deadline (0 = none)")
+	fs.DurationVar(&o.cqDL, "cq-deadline", 0, "per-continuous-query-firing execution deadline (0 = none)")
+	fs.IntVar(&o.sendRetries, "send-retries", 0, "retry budget for transient fabric sends (0 = default 3, negative = none)")
+
+	// Real-cluster knobs (DESIGN.md §12).
+	fs.StringVar(&o.listen, "listen", "", "cluster wire listen address (host:port); enables multi-process cluster mode — this daemon is the seed unless -join is set")
+	fs.StringVar(&o.join, "join", "", "seed daemon's -listen address to join (requires -listen)")
+	fs.StringVar(&o.advertise, "advertise", "", "dialable address peers use to reach this daemon's -listen socket (default: the -listen address)")
+	fs.DurationVar(&o.clusterHB, "cluster-heartbeat", 0, "cluster peer-liveness probe period (0 = default 100ms)")
+	fs.Int64Var(&o.flowSeed, "flow-seed", 0, "seed for retry-jitter RNGs (engine sends and cluster replication); 0 = nondeterministic")
+
+	// Durability / failover knobs (DESIGN.md §15; cluster mode only).
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable oplog + snapshot directory for this daemon; enables crash restart via Resume (cluster mode only)")
+	fs.IntVar(&o.snapEvery, "snapshot-every", 0, "ops between durable engine snapshots (0 = default 4096; needs -data-dir)")
+	fs.BoolVar(&o.noSync, "no-sync", false, "skip fsync on durable oplog appends (faster, loses the tail on power loss)")
+	return o
+}
+
+// checkFlags refuses flag combinations that do not compose: a flag that would
+// be silently ignored, or one whose effect another flag's mode contradicts.
+func checkFlags(o *options) error {
+	cluster := o.listen != ""
+	switch {
+	case o.join != "" && !cluster:
+		return errors.New("-join requires -listen")
+	case o.advertise != "" && !cluster:
+		return errors.New("-advertise requires -listen")
+	case o.clusterHB != 0 && !cluster:
+		return errors.New("-cluster-heartbeat requires -listen")
+	case cluster && o.ftDir != "":
+		return errors.New("-ft cannot be combined with cluster mode (replication is the durability story there)")
+	case cluster && o.load != "":
+		// A -load preload would live only in this daemon's replica: it never
+		// enters the seed's op log, so peers would silently diverge.
+		return errors.New("-load cannot be combined with cluster mode; LOAD via a client so the data replicates")
+	case o.dataDir != "" && !cluster:
+		return errors.New("-data-dir is the cluster-mode durability story; it requires -listen (use -ft for single-process durability)")
+	case o.snapEvery != 0 && o.dataDir == "":
+		return errors.New("-snapshot-every requires -data-dir")
+	case o.noSync && o.dataDir == "":
+		return errors.New("-no-sync requires -data-dir")
+	}
+	return nil
+}
+
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:7690", "listen address")
-		nodes       = flag.Int("nodes", 4, "simulated cluster size")
-		workers     = flag.Int("workers", 4, "query workers per node")
-		load        = flag.String("load", "", "N-Triples file to preload")
-		ftDir       = flag.String("ft", "", "enable fault tolerance in this directory")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics/cluster, /debug/traces, /healthz and /debug/pprof/ on this address (empty = disabled)")
-		version     = flag.Bool("version", false, "print build information and exit")
-
-		// Distributed-tracing knobs (DESIGN.md §13).
-		traceSample = flag.Int("trace-sample", 128, "head-sample 1 in N requests into the span ring (1 = every request, 0 = disable tracing)")
-		traceSlow   = flag.Duration("trace-slow", time.Millisecond, "always keep spans at least this slow, sampled or not (slow-query log; 0 = off)")
-		traceCap    = flag.Int("trace-cap", 4096, "bounded span-ring capacity per daemon")
-
-		// Overload-protection knobs (DESIGN.md §10).
-		emitRate    = flag.Float64("emit-rate", 0, "rate-limit EMIT to this many tuples/second (0 = unlimited)")
-		emitBurst   = flag.Float64("emit-burst", 0, "EMIT token-bucket burst (0 = one second at -emit-rate)")
-		emitWait    = flag.Duration("emit-wait", 0, "how long an EMIT may wait for rate tokens before shedding (0 = shed immediately)")
-		pollMax     = flag.Int("poll-max", 0, "cap rows returned per POLL; the rest stays buffered (0 = unlimited)")
-		maxPending  = flag.Int("max-pending", 0, "per-stream admission buffer bound in tuples (0 = unbounded)")
-		shedPolicy  = flag.String("shed", "drop-newest", "admission shed policy: drop-newest|drop-oldest|block")
-		planMode    = flag.String("plan-mode", "auto", "execution-strategy selection: auto (cost-based per query), inplace, or forkjoin")
-		deltaMode   = flag.String("delta-mode", "auto", "continuous-query delta evaluation: auto (incremental over window deltas) or off (full recompute per firing)")
-		queryDL     = flag.Duration("query-deadline", 0, "per-one-shot-query execution deadline (0 = none)")
-		cqDL        = flag.Duration("cq-deadline", 0, "per-continuous-query-firing execution deadline (0 = none)")
-		sendRetries = flag.Int("send-retries", 0, "retry budget for transient fabric sends (0 = default 3, negative = none)")
-
-		// Membership / failure-detector knobs (DESIGN.md §11).
-		hbEvery      = flag.Duration("heartbeat-interval", 0, "enable node failure detection and live failover with this probe-round period (0 = disabled)")
-		suspectAfter = flag.Int("suspect-after", 0, "consecutive missed probe rounds before a node is marked suspect (0 = default 2)")
-		deadAfter    = flag.Int("dead-after", 0, "consecutive missed probe rounds before a node is declared dead and the repair pipeline runs (0 = default 5)")
-
-		// Real-cluster knobs (DESIGN.md §12).
-		listen    = flag.String("listen", "", "cluster wire listen address (host:port); enables multi-process cluster mode — this daemon is the seed unless -join is set")
-		joinAddr  = flag.String("join", "", "seed daemon's -listen address to join (requires -listen)")
-		advertise = flag.String("advertise", "", "dialable address peers use to reach this daemon's -listen socket (default: the -listen address)")
-		clusterHB = flag.Duration("cluster-heartbeat", 0, "cluster peer-liveness probe period (0 = default 100ms)")
-		flowSeed  = flag.Int64("flow-seed", 0, "seed for retry-jitter RNGs (engine sends and cluster replication); 0 = nondeterministic")
-
-		// Durability / failover knobs (DESIGN.md §15; cluster mode only).
-		dataDir   = flag.String("data-dir", "", "durable oplog + snapshot directory for this daemon; enables crash restart via Resume (cluster mode only)")
-		snapEvery = flag.Int("snapshot-every", 0, "ops between durable engine snapshots (0 = default 4096; needs -data-dir)")
-		noSync    = flag.Bool("no-sync", false, "skip fsync on durable oplog appends (faster, loses the tail on power loss)")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *version {
+	if o.version {
 		fmt.Printf("wukongsd %s\n", obs.ReadBuild())
 		return
 	}
-
-	if *joinAddr != "" && *listen == "" {
-		log.Fatal("-join requires -listen")
-	}
-	if *listen != "" && *ftDir != "" {
-		log.Fatal("-ft cannot be combined with cluster mode (replication is the durability story there)")
-	}
-	if *listen != "" && *hbEvery > 0 {
-		log.Fatal("-heartbeat-interval is the single-process simulated detector; cluster mode has its own (-cluster-heartbeat)")
-	}
-	if *dataDir != "" && *listen == "" {
-		log.Fatal("-data-dir is the cluster-mode durability story; it requires -listen (use -ft for single-process durability)")
-	}
-	if *snapEvery != 0 && *dataDir == "" {
-		log.Fatal("-snapshot-every requires -data-dir")
+	if err := checkFlags(o); err != nil {
+		log.Fatal(err)
 	}
 
-	shed, err := flow.ParsePolicy(*shedPolicy)
+	shed, err := flow.ParsePolicy(o.shedPolicy)
 	if err != nil {
 		log.Fatalf("-shed: %v", err)
 	}
 	cfg := core.Config{
-		Nodes:          *nodes,
-		WorkersPerNode: *workers,
-		PlanMode:       *planMode,
-		DeltaMode:      *deltaMode,
+		Nodes:          o.nodes,
+		WorkersPerNode: o.workers,
+		PlanMode:       o.planMode,
+		DeltaMode:      o.deltaMode,
 		Flow: core.FlowConfig{
-			MaxPending:    *maxPending,
+			MaxPending:    o.maxPending,
 			Shed:          shed,
-			QueryDeadline: *queryDL,
-			CQDeadline:    *cqDL,
-			SendRetries:   *sendRetries,
-			Seed:          *flowSeed,
-		},
-		Membership: core.MembershipConfig{
-			Enable:              *hbEvery > 0,
-			HeartbeatIntervalMS: hbEvery.Milliseconds(),
-			SuspectAfter:        *suspectAfter,
-			DeadAfter:           *deadAfter,
+			QueryDeadline: o.queryDL,
+			CQDeadline:    o.cqDL,
+			SendRetries:   o.sendRetries,
+			Seed:          o.flowSeed,
 		},
 	}
-	ftCfg := core.FTConfig{Dir: *ftDir, CheckpointEveryBatches: 100}
+	ftCfg := core.FTConfig{Dir: o.ftDir, CheckpointEveryBatches: 100}
 	var srvp atomic.Pointer[server.Server]
 	var eng *core.Engine
-	if *ftDir != "" {
+	if o.ftDir != "" {
 		// A directory with prior state means this is a restart: recover the
 		// replayed store, streams, and logged queries instead of starting
 		// empty. Recovered queries route their firings into the server's
@@ -154,7 +193,7 @@ func main() {
 				}
 			})
 		if err == nil {
-			fmt.Printf("recovered engine state from %s\n", *ftDir)
+			fmt.Printf("recovered engine state from %s\n", o.ftDir)
 		}
 	}
 	if eng == nil {
@@ -162,68 +201,62 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *ftDir != "" {
+		if o.ftDir != "" {
 			if err := eng.EnableFT(ftCfg); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("fault tolerance enabled in %s\n", *ftDir)
+			fmt.Printf("fault tolerance enabled in %s\n", o.ftDir)
 		}
 	}
 	defer eng.Close()
 
-	if *load != "" && *listen != "" {
-		// A -load preload would live only in this daemon's replica: it never
-		// enters the seed's op log, so peers would silently diverge. Load
-		// through a client instead (LOAD replicates).
-		log.Fatal("-load cannot be combined with cluster mode; LOAD via a client so the data replicates")
-	}
-	if *load != "" {
-		f, err := os.Open(*load)
+	if o.load != "" {
+		f, err := os.Open(o.load)
 		if err != nil {
 			log.Fatal(err)
 		}
 		n, err := eng.LoadReader(f)
 		f.Close()
 		if err != nil {
-			log.Fatalf("loading %s: %v", *load, err)
+			log.Fatalf("loading %s: %v", o.load, err)
 		}
-		fmt.Printf("loaded %d triples from %s\n", n, *load)
+		fmt.Printf("loaded %d triples from %s\n", n, o.load)
 	}
 	build := obs.RegisterBuildInfo(eng.Metrics())
 	fmt.Printf("wukongsd %s\n", build)
 
 	var tracer *trace.Tracer
-	if *traceSample > 0 {
+	if o.traceSample > 0 {
 		tracer = trace.New(trace.Config{
-			SampleEvery:   *traceSample,
-			SlowThreshold: *traceSlow,
-			Capacity:      *traceCap,
+			SampleEvery:   o.traceSample,
+			SlowThreshold: o.traceSlow,
+			Capacity:      o.traceCap,
 		})
 	}
 
 	srv := server.New(eng)
-	srv.EmitRate = *emitRate
-	srv.EmitBurst = *emitBurst
-	srv.EmitWait = *emitWait
-	srv.MaxPollRows = *pollMax
+	srv.EmitRate = o.emitRate
+	srv.EmitBurst = o.emitBurst
+	srv.EmitWait = o.emitWait
+	srv.MaxPollRows = o.pollMax
 	srv.Tracer = tracer
 	srvp.Store(srv)
 
 	var nodep atomic.Pointer[cluster.Node]
-	if *listen != "" {
-		adv := *advertise
+	if o.listen != "" {
+		adv := o.advertise
 		if adv == "" {
-			adv = *listen
+			adv = o.listen
 		}
 		ccfg := cluster.Config{
 			Engine:            eng,
 			SelfAddr:          adv,
 			OnFire:            srv.BufferResult,
-			HeartbeatInterval: *clusterHB,
-			FlowSeed:          *flowSeed,
-			DataDir:           *dataDir,
-			SnapshotEvery:     *snapEvery,
-			NoSync:            *noSync,
+			HeartbeatInterval: o.clusterHB,
+			FlowSeed:          o.flowSeed,
+			DataDir:           o.dataDir,
+			SnapshotEvery:     o.snapEvery,
+			NoSync:            o.noSync,
 			Metrics:           eng.Metrics(),
 			Tracer:            tracer,
 			LocalStats: func() string {
@@ -235,48 +268,48 @@ func main() {
 			},
 			Logf: log.Printf,
 		}
-		ln, err := net.Listen("tcp", *listen)
+		ln, err := net.Listen("tcp", o.listen)
 		if err != nil {
-			log.Fatalf("cluster -listen %s: %v", *listen, err)
+			log.Fatalf("cluster -listen %s: %v", o.listen, err)
 		}
 		rank := cluster.SeedRank
-		resuming := *dataDir != "" && cluster.HasDurableState(*dataDir)
+		resuming := o.dataDir != "" && cluster.HasDurableState(o.dataDir)
 		if resuming {
 			// The durable record knows who we are: re-identify from disk so
 			// the wire transport speaks for the right rank even when no peer
 			// is alive to ask. Fall back to seed discovery if the record
 			// predates our own MEMBER op.
-			if r, ok := cluster.RecoverRank(*dataDir, adv); ok {
+			if r, ok := cluster.RecoverRank(o.dataDir, adv); ok {
 				rank = r
-			} else if *joinAddr != "" {
-				r, n, err := cluster.Discover(*joinAddr, adv, 10*time.Second)
+			} else if o.join != "" {
+				r, n, err := cluster.Discover(o.join, adv, 10*time.Second)
 				if err != nil {
-					log.Fatalf("cluster discover via %s: %v", *joinAddr, err)
+					log.Fatalf("cluster discover via %s: %v", o.join, err)
 				}
-				if n != *nodes {
-					log.Fatalf("cluster size mismatch: seed runs %d nodes, this daemon was started with -nodes %d", n, *nodes)
+				if n != o.nodes {
+					log.Fatalf("cluster size mismatch: seed runs %d nodes, this daemon was started with -nodes %d", n, o.nodes)
 				}
 				rank = fabric.NodeID(r)
 			}
 			ccfg.Self = rank
-			ccfg.SeedAddr = *joinAddr
-		} else if *joinAddr != "" {
+			ccfg.SeedAddr = o.join
+		} else if o.join != "" {
 			// Joiner: ask the seed for a rank before the wire transport comes
 			// up (the transport needs to know which rank it speaks for).
-			r, n, err := cluster.Discover(*joinAddr, adv, 10*time.Second)
+			r, n, err := cluster.Discover(o.join, adv, 10*time.Second)
 			if err != nil {
-				log.Fatalf("cluster discover via %s: %v", *joinAddr, err)
+				log.Fatalf("cluster discover via %s: %v", o.join, err)
 			}
-			if n != *nodes {
-				log.Fatalf("cluster size mismatch: seed runs %d nodes, this daemon was started with -nodes %d", n, *nodes)
+			if n != o.nodes {
+				log.Fatalf("cluster size mismatch: seed runs %d nodes, this daemon was started with -nodes %d", n, o.nodes)
 			}
 			rank = fabric.NodeID(r)
 			ccfg.Self = rank
-			ccfg.SeedAddr = *joinAddr
+			ccfg.SeedAddr = o.join
 		}
 		// Stamp this daemon's rank onto every span it records from here on.
 		tracer.SetNode(int(rank))
-		tr, err := wire.NewTCP(ln, wire.TCPConfig{Self: rank, Nodes: *nodes}, eng.Metrics())
+		tr, err := wire.NewTCP(ln, wire.TCPConfig{Self: rank, Nodes: o.nodes}, eng.Metrics())
 		if err != nil {
 			log.Fatalf("cluster transport: %v", err)
 		}
@@ -286,7 +319,7 @@ func main() {
 		switch {
 		case resuming:
 			node, err = cluster.Resume(ccfg)
-		case *joinAddr == "":
+		case o.join == "":
 			node, err = cluster.NewSeed(ccfg)
 		default:
 			node, err = cluster.Join(ccfg)
@@ -300,15 +333,15 @@ func main() {
 		switch {
 		case resuming:
 			fmt.Printf("wukongsd: resumed rank %d of %d from %s (epoch %d, applied %d), wire on %s\n",
-				int(node.Self()), *nodes, *dataDir, node.Epoch(), node.Applied(), adv)
-		case *joinAddr == "":
-			fmt.Printf("wukongsd: cluster seed, rank 0 of %d, wire on %s\n", *nodes, adv)
+				int(node.Self()), o.nodes, o.dataDir, node.Epoch(), node.Applied(), adv)
+		case o.join == "":
+			fmt.Printf("wukongsd: cluster seed, rank 0 of %d, wire on %s\n", o.nodes, adv)
 		default:
-			fmt.Printf("wukongsd: joined cluster as rank %d of %d via %s, wire on %s\n", int(rank), *nodes, *joinAddr, adv)
+			fmt.Printf("wukongsd: joined cluster as rank %d of %d via %s, wire on %s\n", int(rank), o.nodes, o.join, adv)
 		}
 	}
 
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		mux := obs.NewHTTPMux(eng.Metrics())
 		mux.Handle("/healthz", healthzHandler(&nodep))
 		mux.Handle("/metrics/cluster", clusterMetricsHandler(eng.Metrics(), &nodep))
@@ -329,14 +362,14 @@ func main() {
 			return tracer.Spans(), nil
 		}))
 		go func() {
-			fmt.Printf("wukongsd: metrics on http://%s/metrics (traces on /debug/traces, pprof on /debug/pprof/)\n", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
+			fmt.Printf("wukongsd: metrics on http://%s/metrics (traces on /debug/traces, pprof on /debug/pprof/)\n", o.metricsAddr)
+			if err := http.ListenAndServe(o.metricsAddr, mux); err != nil {
 				log.Printf("metrics server: %v", err)
 			}
 		}()
 	}
-	fmt.Printf("wukongsd: %d-node engine listening on %s\n", *nodes, *addr)
-	if err := srv.ListenAndServe(*addr); err != nil {
+	fmt.Printf("wukongsd: %d-node engine listening on %s\n", o.nodes, o.addr)
+	if err := srv.ListenAndServe(o.addr); err != nil {
 		log.Fatal(err)
 	}
 }

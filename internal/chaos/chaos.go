@@ -29,8 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/flow"
-	"repro/internal/member"
-	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/stream"
 )
@@ -89,22 +87,6 @@ type Config struct {
 	// fabric.
 	FabricCrashAtBatch int
 	FabricCrashNode    int
-	// Membership enables the node-level failure detector (DESIGN.md §11) with
-	// a heartbeat per mini-batch, suspect after 1 missed round, dead after 2.
-	// Set it on BOTH the faulted run and its fault-free twin so the engines
-	// are identically configured.
-	Membership bool
-	// NodeKillAtBatch, when nonzero, crashes fabric node NodeKillNode after
-	// that batch's boundary WITHOUT killing the engine: the detector declares
-	// it dead and the live-failover pipeline keeps survivors serving. While
-	// the node is down the harness probes one-shot queries each boundary —
-	// live partitions must answer, the dead partition must fail fast with
-	// core.ErrPartitionDown. Requires Membership and NodeRestartAtBatch (a
-	// run that never rejoins cannot match its fault-free twin: boundaries
-	// with lost shares are withheld until the replay repairs them).
-	NodeKillAtBatch    int
-	NodeKillNode       int
-	NodeRestartAtBatch int
 }
 
 func (c Config) withDefaults() Config {
@@ -148,16 +130,6 @@ type Report struct {
 	// fault+overload scenario asserts recovery holds from exactly that
 	// state.
 	BreakerOpenAtKill bool
-
-	// Node-kill (live failover) scenario results.
-	NodeDeclaredDead bool  // the detector reached Dead for the scripted node
-	NodeRejoined     bool  // ... and returned to Alive after the restart
-	SurvivorQueries  int   // one-shot probes on live partitions during the outage
-	SurvivorFailures int   // ... that failed (the contract demands 0)
-	DeadProbes       int   // one-shot probes needing the dead partition
-	DeadTyped        int   // ... that returned core.ErrPartitionDown (must equal DeadProbes)
-	DeadProbeMaxMS   int64 // slowest dead-partition probe — the fail-fast bound
-	Refires          int64 // withheld boundaries re-executed after the rejoin repair
 }
 
 // Dedup collapses the report to one row set per window boundary. It errors
@@ -258,21 +230,7 @@ func installFaults(e *core.Engine, seed int64, spikes bool) *fabric.FaultPlan {
 // needsPlan reports whether the run needs a fault-plan handle on the first
 // life's fabric (spikes or a scripted crash).
 func (c Config) needsPlan() bool {
-	return c.FaultSeed != 0 || c.FabricCrashAtBatch > 0 || c.NodeKillAtBatch > 0
-}
-
-// membershipConfig is the detector configuration every Membership run uses:
-// one heartbeat round per mini-batch, suspect after 1 miss, dead after 2.
-func (c Config) membershipConfig() core.MembershipConfig {
-	if !c.Membership {
-		return core.MembershipConfig{}
-	}
-	return core.MembershipConfig{
-		Enable:              true,
-		HeartbeatIntervalMS: batchMS,
-		SuspectAfter:        1,
-		DeadAfter:           2,
-	}
+	return c.FaultSeed != 0 || c.FabricCrashAtBatch > 0
 }
 
 // start builds the first life: engine + FT + stream + query.
@@ -281,14 +239,10 @@ func start(cfg Config, col *collector) (*core.Engine, *stream.Source, *fabric.Fa
 		Nodes:          cfg.Nodes,
 		WorkersPerNode: 2,
 		Flow:           cfg.Flow,
-		Membership:     cfg.membershipConfig(),
 		// Every delta-evaluated firing under chaos re-runs the full recompute
 		// and panics on divergence — the harness doubles as the delta≡full
 		// equivalence gate.
 		DeltaCrosscheck: true,
-		// A private registry per run keeps failover counters readable without
-		// cross-run contamination through the shared default registry.
-		Metrics: obs.NewRegistry("chaos"),
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -355,65 +309,11 @@ func recoverEngine(cfg Config, col *collector) (*core.Engine, *stream.Source, er
 	return e, src, nil
 }
 
-// probeOutage issues one-shot probes while node dead is declared dead: one on
-// a live partition (must answer) and one needing the dead partition (must
-// fail fast with core.ErrPartitionDown). Subjects come from the script's
-// fixed universe; only already-streamed subjects resolve.
-func probeOutage(e *core.Engine, rep *Report, dead fabric.NodeID) {
-	liveDone, deadDone := false, false
-	for i := 0; i < scriptSubjects && !(liveDone && deadDone); i++ {
-		name := fmt.Sprintf("u%d", i)
-		id, ok := e.StringServer().LookupEntity(rdf.T(name, "po", "x").S)
-		if !ok {
-			continue
-		}
-		onDead := e.Fabric().HomeOf(uint64(id)) == dead
-		if (onDead && deadDone) || (!onDead && liveDone) {
-			continue
-		}
-		start := time.Now()
-		_, err := e.Query(fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", name))
-		elapsed := time.Since(start)
-		if onDead {
-			deadDone = true
-			rep.DeadProbes++
-			if errors.Is(err, core.ErrPartitionDown) {
-				rep.DeadTyped++
-			}
-			if ms := elapsed.Milliseconds(); ms > rep.DeadProbeMaxMS {
-				rep.DeadProbeMaxMS = ms
-			}
-		} else {
-			liveDone = true
-			rep.SurvivorQueries++
-			if err != nil {
-				rep.SurvivorFailures++
-			}
-		}
-	}
-}
-
 // Run executes one scripted chaos run and returns its report.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("chaos: Config.Dir is required")
-	}
-	if cfg.NodeKillAtBatch > 0 {
-		if !cfg.Membership {
-			return nil, fmt.Errorf("chaos: NodeKillAtBatch requires Membership")
-		}
-		if cfg.KillAtBatch > 0 {
-			return nil, fmt.Errorf("chaos: engine kill and node kill are separate scenarios")
-		}
-		if cfg.NodeRestartAtBatch < cfg.NodeKillAtBatch+2 {
-			return nil, fmt.Errorf("chaos: NodeRestartAtBatch must leave at least DeadAfter=2 boundaries after NodeKillAtBatch")
-		}
-		if cfg.Nodes < 3 {
-			// With 2 nodes a single crash leaves the survivor with no peer to
-			// vouch for it, and the detector declares the whole cluster dead.
-			return nil, fmt.Errorf("chaos: node-kill needs at least 3 nodes, got %d", cfg.Nodes)
-		}
 	}
 	density := cfg.TuplesPerBatch
 	if cfg.OverEmitFactor > 1 {
@@ -446,20 +346,6 @@ func Run(cfg Config) (*Report, error) {
 		if b == cfg.FabricCrashAtBatch && plan != nil {
 			plan.Crash(fabric.NodeID(cfg.FabricCrashNode))
 		}
-		if cfg.NodeKillAtBatch > 0 {
-			if b == cfg.NodeKillAtBatch {
-				plan.Crash(fabric.NodeID(cfg.NodeKillNode))
-			}
-			// Probe before any restart below: the degraded-mode contract holds
-			// exactly while the fabric actually refuses the partition.
-			if det := e.Detector(); det != nil && det.State(fabric.NodeID(cfg.NodeKillNode)) == member.Dead && plan.Crashed(fabric.NodeID(cfg.NodeKillNode)) {
-				rep.NodeDeclaredDead = true
-				probeOutage(e, rep, fabric.NodeID(cfg.NodeKillNode))
-			}
-			if b == cfg.NodeRestartAtBatch {
-				plan.Restart(fabric.NodeID(cfg.NodeKillNode))
-			}
-		}
 		if b == cfg.KillAtBatch {
 			if snd := e.Sender(); snd != nil && cfg.FabricCrashAtBatch > 0 {
 				rep.BreakerOpenAtKill = snd.Breaker(fabric.NodeID(cfg.FabricCrashNode)).State() == flow.Open
@@ -472,18 +358,8 @@ func Run(cfg Config) (*Report, error) {
 			rep.Recovered = true
 		}
 	}
-	// One empty boundary past the script flushes the final window; membership
-	// runs get a second so boundaries withheld across a late rejoin re-fire.
-	// The fault-free twin runs the same trailing boundaries (gated on
-	// Membership, not on the kill) so both runs cover identical windows.
+	// One empty boundary past the script flushes the final window.
 	e.AdvanceTo(rdf.Timestamp((cfg.Batches + 1) * batchMS))
-	if cfg.Membership {
-		e.AdvanceTo(rdf.Timestamp((cfg.Batches + 2) * batchMS))
-		rep.Refires = e.Metrics().Counter("failover_refires_executed_total").Value()
-		if det := e.Detector(); det != nil && cfg.NodeKillAtBatch > 0 {
-			rep.NodeRejoined = det.State(fabric.NodeID(cfg.NodeKillNode)) == member.Alive
-		}
-	}
 	for _, cq := range e.ContinuousQueries() {
 		if cq.Name == QueryName {
 			rep.FailedExecs = cq.Stats().FailedExecutions

@@ -112,46 +112,6 @@ func (e *OverloadError) Unwrap() error { return ErrOverload }
 // overloadPrefix is the machine-readable shed response the server writes.
 const overloadPrefix = "-ERR overload retry-after="
 
-// ErrPartitionDown is the base error for queries that needed a partition
-// whose owning node inside the server's engine is dead (a standalone daemon
-// run with -heartbeat-interval; a cluster daemon reads its own full replica
-// and never reports it). The data is temporarily gone, not the connection:
-// reconnecting will not help until the node rejoins, so the client never
-// retries these.
-var ErrPartitionDown = errors.New("partition down")
-
-// PartitionDownError carries the server's typed partition-down response.
-type PartitionDownError struct {
-	// Node is the dead rank as reported by the server (-1 if the server
-	// could not attribute the failure to a specific rank).
-	Node int
-	Msg  string
-}
-
-func (e *PartitionDownError) Error() string {
-	return fmt.Sprintf("client: %v: node %d: %s", ErrPartitionDown, e.Node, e.Msg)
-}
-
-// Unwrap lets errors.Is(err, ErrPartitionDown) see through the error.
-func (e *PartitionDownError) Unwrap() error { return ErrPartitionDown }
-
-// partitionDownPrefix is the server's typed partition-down response.
-const partitionDownPrefix = "-ERR partition-down node="
-
-// parsePartitionDown decodes "-ERR partition-down node=<n>: <reason>".
-func parsePartitionDown(line string) (*PartitionDownError, bool) {
-	if !strings.HasPrefix(line, partitionDownPrefix) {
-		return nil, false
-	}
-	rest := strings.TrimPrefix(line, partitionDownPrefix)
-	nodeStr, msg, _ := strings.Cut(rest, ":")
-	n, err := strconv.Atoi(strings.TrimSpace(nodeStr))
-	if err != nil {
-		return nil, false
-	}
-	return &PartitionDownError{Node: n, Msg: strings.TrimSpace(msg)}, true
-}
-
 // ErrUnavailable is the base error for requests that could not complete
 // because the server (or, in cluster mode, one of its peers) was
 // unreachable. Callers match with errors.Is(err, ErrUnavailable) instead of
@@ -359,17 +319,16 @@ func (c *Client) backoffHint(hint time.Duration) {
 
 // typed wraps raw transport failures in UnavailableError at the client
 // boundary. Application-level errors (server rejections, overload sheds,
-// partition-down, already-typed unavailability) and a deliberate Close pass
-// through unchanged.
+// already-typed unavailability) and a deliberate Close pass through
+// unchanged.
 func (c *Client) typed(op string, err error) error {
 	if err == nil {
 		return nil
 	}
 	var se *ServerError
 	var oe *OverloadError
-	var pd *PartitionDownError
 	var ue *UnavailableError
-	if errors.As(err, &se) || errors.As(err, &oe) || errors.As(err, &pd) || errors.As(err, &ue) {
+	if errors.As(err, &se) || errors.As(err, &oe) || errors.As(err, &ue) {
 		return err
 	}
 	if c.closed && errors.Is(err, errClosed) {
@@ -421,12 +380,8 @@ func (c *Client) retryable(err error) bool {
 	if errors.As(err, &oe) {
 		return false
 	}
-	// Partition-down and server-reported peer unavailability also reached a
-	// healthy server; reconnecting to it cannot revive the dead rank.
-	var pd *PartitionDownError
-	if errors.As(err, &pd) {
-		return false
-	}
+	// Server-reported peer unavailability also reached a healthy server;
+	// reconnecting to it cannot revive the dead rank.
 	var ue *UnavailableError
 	if errors.As(err, &ue) && ue.Op == "remote" {
 		return false
@@ -516,9 +471,6 @@ func (c *Client) status() (string, error) {
 	line := c.r.Text()
 	if oe, ok := parseOverload(line); ok {
 		return "", oe
-	}
-	if pd, ok := parsePartitionDown(line); ok {
-		return "", pd
 	}
 	if ue, ok := c.parseUnavailable(line); ok {
 		return "", ue

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/rdf"
 	"repro/internal/server"
 )
@@ -136,67 +135,6 @@ func TestClientServerError(t *testing.T) {
 	}
 	if err := c.Emit("nostream", rdf.Tuple{Triple: rdf.T("a", "b", "c")}); err == nil {
 		t.Error("emit to unknown stream succeeded")
-	}
-}
-
-// A standalone daemon whose engine runs the in-process membership detector
-// (-heartbeat-interval) answers a query that needs a dead node's partition
-// with the typed partition-down line; the client surfaces it typed and does
-// not retry it.
-func TestClientPartitionDownTyped(t *testing.T) {
-	eng, err := core.New(core.Config{
-		Nodes: 3,
-		Membership: core.MembershipConfig{
-			Enable:              true,
-			HeartbeatIntervalMS: 100,
-			SuspectAfter:        1,
-			DeadAfter:           2,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	plan := fabric.NewFaultPlan(1)
-	eng.Fabric().SetFaultPlan(plan)
-	c, err := Dial(serve(t, eng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var nt strings.Builder
-	for i := 0; i < 12; i++ {
-		fmt.Fprintf(&nt, "<u%d> <po> <v%d> .\n", i, i)
-	}
-	if _, err := c.Load(nt.String()); err != nil {
-		t.Fatal(err)
-	}
-	const dead = 2
-	plan.Crash(dead)
-	if _, err := c.Advance(200); err != nil { // two missed probe rounds
-		t.Fatal(err)
-	}
-
-	typed := 0
-	for i := 0; i < 12; i++ {
-		name := fmt.Sprintf("u%d", i)
-		id, _ := eng.StringServer().LookupEntity(rdf.NewIRI(name))
-		rows, err := c.Query(fmt.Sprintf("SELECT ?O WHERE { %s po ?O }", name))
-		if eng.Fabric().HomeOf(uint64(id)) != dead {
-			if err != nil || len(rows) != 1 {
-				t.Fatalf("live-partition query %s = %v, %v", name, rows, err)
-			}
-			continue
-		}
-		var pd *PartitionDownError
-		if !errors.Is(err, ErrPartitionDown) || !errors.As(err, &pd) || pd.Node != dead {
-			t.Fatalf("dead-partition query %s = %v, %v; want typed partition-down node=%d", name, rows, err, dead)
-		}
-		typed++
-	}
-	if typed == 0 {
-		t.Fatal("no loaded subject is homed on the dead node")
 	}
 }
 

@@ -80,7 +80,7 @@ type ContinuousQuery struct {
 	cb      func(*Result, FireInfo)
 
 	// delta is the incremental-evaluation cache (delta.go); it has its own
-	// lock and is touched only by firings and the failover pipeline.
+	// lock and is touched only by firings.
 	delta deltaState
 
 	mu          sync.Mutex
@@ -192,7 +192,7 @@ func (e *Engine) RegisterContinuous(text string, cb func(*Result, FireInfo)) (*C
 		return nil, fmt.Errorf("core: continuous query %q already registered", name)
 	}
 	e.cqSeq++
-	cq.home = e.liveNodeFor(fabric.NodeID(e.nextHome % e.cfg.Nodes))
+	cq.home = fabric.NodeID(e.nextHome % e.cfg.Nodes)
 	e.nextHome++
 	// First execution at the next step boundary after the current clock.
 	cq.nextFire = rdf.Timestamp((int64(e.now)/cq.stepMS + 1) * cq.stepMS)
@@ -277,16 +277,6 @@ func (e *Engine) fireDueQueries(ts rdf.Timestamp) {
 		cq.mu.Lock()
 		fired := false
 		for cq.nextFire <= ts && cq.windowsReady(cq.nextFire) {
-			if e.windowBlocked(cq, cq.nextFire) {
-				// The window covers a dead node's missed batches: executing
-				// it would silently return partial results. Withhold it,
-				// queue a re-fire for after the rejoin repair, and keep the
-				// step scheduler moving.
-				e.noteRefire(cq, cq.nextFire)
-				cq.nextFire += rdf.Timestamp(cq.stepMS)
-				fired = true
-				continue
-			}
 			due = append(due, firing{cq: cq, at: cq.nextFire})
 			cq.nextFire += rdf.Timestamp(cq.stepMS)
 			fired = true
@@ -312,16 +302,13 @@ func (e *Engine) fireDueQueries(ts rdf.Timestamp) {
 			f.cq.execute(f.at)
 		})
 		if err != nil {
-			// The home node refused the firing (marked dead mid-repair or the
-			// cluster is shutting down). Treat it like a failed execution; if
-			// membership is active the firing is queued for re-fire so the
-			// at-least-once contract survives the refusal.
+			// The cluster is shutting down and refused the firing: count it
+			// like a failed execution.
 			wg.Done()
 			f.cq.mu.Lock()
 			f.cq.failedExecs++
 			f.cq.mu.Unlock()
 			e.cFailedExecs.Inc()
-			e.noteRefire(f.cq, f.at)
 		}
 	}
 	wg.Wait()
@@ -399,13 +386,10 @@ func (cq *ContinuousQuery) execute(at rdf.Timestamp) {
 			// An injected network fault made window data unreachable. The
 			// window is NOT delivered (a partial answer would be wrong);
 			// recovery re-fires it over replayed data (§5 at-least-once).
-			// With membership enabled the firing is queued for re-execution
-			// after the repair pipeline runs.
 			cq.mu.Lock()
 			cq.failedExecs++
 			cq.mu.Unlock()
 			e.cFailedExecs.Inc()
-			e.noteRefire(cq, at)
 			return
 		}
 		// Other execution errors indicate planner/executor bugs; surface
@@ -512,20 +496,5 @@ func (cq *ContinuousQuery) Latencies() []time.Duration {
 	return append([]time.Duration(nil), cq.lats...)
 }
 
-// Home returns the node the query executes on (failover may re-home it).
-func (cq *ContinuousQuery) Home() fabric.NodeID {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	return cq.home
-}
-
-// setHome moves the query to a new execution node (the failover repair
-// pipeline re-homes queries off a dead node).
-func (cq *ContinuousQuery) setHome(n fabric.NodeID) {
-	cq.mu.Lock()
-	cq.home = n
-	cq.mu.Unlock()
-	// Cached delta tables were computed for the old home's view; the next
-	// firing after a re-homing must rebuild from scratch.
-	cq.delta.invalidate("rehomed")
-}
+// Home returns the node the query executes on, fixed at registration.
+func (cq *ContinuousQuery) Home() fabric.NodeID { return cq.home }

@@ -16,10 +16,9 @@
 // Correctness rests on immutability: batch contents never change after
 // injection, the persistent store is append-only, and executor tables are
 // never mutated in place — so a cached table stays valid until one of the
-// tracked invalidation signals fires (plan change, re-homing, epoch bump,
-// stored-predicate count drift, out-of-order index backfill, forced
-// transient GC). Any signal rebuilds from scratch through the same
-// descent, counted in cq_full_recompute_total{reason}; ineligible shapes
+// tracked invalidation signals fires (plan change, stored-predicate count
+// drift, forced transient GC). Any signal rebuilds from scratch through the
+// same descent, counted in cq_full_recompute_total{reason}; ineligible shapes
 // (UNION/OPTIONAL/post-filters/variable predicates) always take the classic
 // full path. A crosscheck mode re-runs the full evaluation after every
 // delta firing and panics on divergence.
@@ -47,8 +46,8 @@ const maxDeltaCombos = 4096
 
 // deltaReasons enumerates the cq_full_recompute_total reason labels.
 var deltaReasons = []string{
-	"cold", "replan", "rehomed", "epoch", "stored-drift", "sindex-backfill",
-	"tstore-evict", "shape", "no-overlap", "window-too-wide", "out-of-order",
+	"cold", "replan", "stored-drift", "tstore-evict", "shape", "no-overlap",
+	"window-too-wide", "out-of-order",
 }
 
 func (e *Engine) countFullRecompute(reason string) {
@@ -192,9 +191,9 @@ type deltaEntry struct {
 type edgePair struct{ from, to rdf.ID }
 
 // batchEdges is a mini-batch's edge list for one (pred, dir), hashed by the
-// from-side vertex. Batch contents are immutable after injection (backfill
-// and eviction bump the tracked invalidation signals), so a list built once
-// when the batch enters the window serves every later firing it remains in.
+// from-side vertex. Batch contents are immutable after injection (eviction
+// bumps a tracked invalidation signal), so a list built once when the batch
+// enters the window serves every later firing it remains in.
 type batchEdges map[rdf.ID][]rdf.ID
 
 // storedKey identifies one stored-graph neighbor read for the cross-firing
@@ -251,14 +250,10 @@ type postState struct {
 // one query concurrently, and the later-at firing must see the earlier's
 // committed state or fall back.
 type deltaState struct {
-	mu            sync.Mutex
-	valid         bool
-	pendingReason string // forced invalidation (e.g. failover re-homing)
+	mu    sync.Mutex
+	valid bool
 
 	fp           string
-	home         fabric.NodeID
-	epoch        int64
-	sindexVers   []int64 // per dp.streams entry
 	forcedGCs    int64   // summed over involved streams' transient stores
 	storedCounts []int64 // per dp.storedPids entry
 	lastAt       rdf.Timestamp
@@ -270,42 +265,17 @@ type deltaState struct {
 	stored   map[storedKey][]rdf.ID          // cross-firing stored-read memo
 }
 
-// invalidate force-marks the state for rebuild with a reason; the failover
-// pipeline calls it on re-homing so the next firing can never serve cached
-// tables computed for the dead home.
-func (ds *deltaState) invalidate(reason string) {
-	ds.mu.Lock()
-	ds.valid = false
-	ds.pendingReason = reason
-	ds.mu.Unlock()
-}
-
 // checkValid returns the first failing invalidation signal, or "" when every
 // cached table is still exact. Caller holds ds.mu.
-func (ds *deltaState) checkValid(e *Engine, cq *ContinuousQuery, dp *deltaPlan) string {
-	if ds.pendingReason != "" {
-		return ds.pendingReason
-	}
+func (ds *deltaState) checkValid(e *Engine, dp *deltaPlan) string {
 	if !ds.valid {
 		return "cold"
 	}
 	if ds.fp != dp.fp {
 		return "replan"
 	}
-	if ds.home != cq.Home() {
-		return "rehomed"
-	}
-	if ds.epoch != e.coord.Epoch() {
-		return "epoch"
-	}
-	if len(ds.sindexVers) != len(dp.streams) || len(ds.storedCounts) != len(dp.storedPids) {
+	if len(ds.storedCounts) != len(dp.storedPids) {
 		return "replan"
-	}
-	for i, name := range dp.streams {
-		st, ok := e.streamOf(name)
-		if !ok || st.index.Version() != ds.sindexVers[i] {
-			return "sindex-backfill"
-		}
 	}
 	if ds.forcedGCs != e.forcedGCsFor(dp) {
 		return "tstore-evict"
@@ -338,18 +308,9 @@ func (e *Engine) forcedGCsFor(dp *deltaPlan) int64 {
 
 // reset clears the cache and re-captures every invalidation signal's current
 // value. Caller holds ds.mu.
-func (ds *deltaState) reset(e *Engine, cq *ContinuousQuery, dp *deltaPlan) {
-	ds.pendingReason = ""
+func (ds *deltaState) reset(e *Engine, dp *deltaPlan) {
 	ds.valid = false
 	ds.fp = dp.fp
-	ds.home = cq.Home()
-	ds.epoch = e.coord.Epoch()
-	ds.sindexVers = make([]int64, len(dp.streams))
-	for i, name := range dp.streams {
-		if st, ok := e.streamOf(name); ok {
-			ds.sindexVers[i] = st.index.Version()
-		}
-	}
 	ds.forcedGCs = e.forcedGCsFor(dp)
 	ds.storedCounts = make([]int64, len(dp.storedPids))
 	for i, pid := range dp.storedPids {
@@ -785,9 +746,9 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 		e.countFullRecompute("out-of-order")
 		return nil, 0, nil, false
 	}
-	reason = ds.checkValid(e, cq, dp)
+	reason = ds.checkValid(e, dp)
 	if reason != "" {
-		ds.reset(e, cq, dp)
+		ds.reset(e, dp)
 	}
 	ds.expire(wins)
 

@@ -2,15 +2,11 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -182,99 +178,5 @@ WHERE { GRAPH PO { ?U po ?P } }`
 	}
 	if got := e.ModeForQuery(q); got != exec.ForkJoin {
 		t.Fatalf("mode after rate surge = %v, want fork-join (decision must flip with drift)", got)
-	}
-}
-
-// deltaRehomeTimeline drives the membership failover timeline, crashing the
-// node the CQ under test is homed on, so the outage forces a re-homing —
-// not just replayed batches. Returns the per-boundary rows for twin
-// comparison; the victim node is deterministic (round-robin placement),
-// so faulted and fault-free twins see identical timelines.
-func deltaRehomeTimeline(t *testing.T, kill bool) (map[rdf.Timestamp][]string, *Engine, *ContinuousQuery, fabric.NodeID) {
-	t.Helper()
-	e, src, plan := failoverEngine(t, 7)
-	var mu sync.Mutex
-	fires := map[rdf.Timestamp][]string{}
-	// RANGE 2× STEP so consecutive windows share batches: firings after the
-	// rebuild actually reuse cached vectors (RANGE == STEP would make every
-	// firing a no-overlap full recompute and never exercise the delta path).
-	cq, err := e.RegisterContinuous(`
-REGISTER QUERY QRH AS
-SELECT ?S ?O
-FROM S [RANGE 400ms STEP 200ms]
-WHERE { GRAPH S { ?S po ?O } }`, func(r *Result, f FireInfo) {
-		rows := r.Strings()
-		sort.Strings(rows)
-		mu.Lock()
-		defer mu.Unlock()
-		if prev, ok := fires[f.At]; ok {
-			t.Errorf("boundary %d delivered twice: %v then %v", f.At, prev, rows)
-		}
-		fires[f.At] = rows
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := cq.Home()
-	uVictim := subjectOn(t, e, victim)
-	uOther := subjectOn(t, e, (victim+1)%3)
-	for ts := rdf.Timestamp(100); ts <= 1500; ts += 100 {
-		if kill && ts == 600 {
-			plan.Crash(victim)
-		}
-		if kill && ts == 1200 {
-			plan.Restart(victim)
-		}
-		emit(t, src, ts-50, uVictim, "po", fmt.Sprintf("a%d", ts))
-		emit(t, src, ts-50, uOther, "po", fmt.Sprintf("b%d", ts))
-		e.AdvanceTo(ts)
-	}
-	e.AdvanceTo(1600)
-	e.AdvanceTo(1700)
-	mu.Lock()
-	defer mu.Unlock()
-	out := make(map[rdf.Timestamp][]string, len(fires))
-	for at, rows := range fires {
-		out[at] = rows
-	}
-	return out, e, cq, victim
-}
-
-// TestDeltaRebuildAfterRehome kills the node a delta-evaluating CQ runs
-// on: failover must move the query, the cached partial state must be
-// rebuilt (counted under reason="rehomed"), and every boundary's rows
-// must still match a fault-free twin — re-homed delta state is rebuilt,
-// never silently stale.
-func TestDeltaRebuildAfterRehome(t *testing.T) {
-	faulted, fe, cq, victim := deltaRehomeTimeline(t, true)
-	clean, _, _, _ := deltaRehomeTimeline(t, false)
-	if len(faulted) == 0 {
-		t.Fatal("no firings observed")
-	}
-	if !reflect.DeepEqual(faulted, clean) {
-		for at, rows := range clean {
-			if !reflect.DeepEqual(faulted[at], rows) {
-				t.Errorf("boundary %d: faulted rows %v != fault-free %v", at, faulted[at], rows)
-			}
-		}
-		for at := range faulted {
-			if _, ok := clean[at]; !ok {
-				t.Errorf("boundary %d fired only in the faulted run", at)
-			}
-		}
-	}
-	if cq.Home() == victim {
-		t.Errorf("CQ still homed on the crashed node %d", victim)
-	}
-	r := fe.Metrics()
-	if n := counterValue(t, r, "failover_cq_rehomed_total"); n == 0 {
-		t.Error("failover_cq_rehomed_total = 0, want re-homed queries")
-	}
-	if n := counterValue(t, r, `cq_full_recompute_total{reason="rehomed"}`); n == 0 {
-		t.Error(`cq_full_recompute_total{reason="rehomed"} = 0, want a forced rebuild after re-homing`)
-	}
-	// Delta evaluation resumed on the new home after the rebuild.
-	if n := counterValue(t, r, "cq_delta_firings_total"); n == 0 {
-		t.Error("cq_delta_firings_total = 0, want delta firings to resume after failover")
 	}
 }

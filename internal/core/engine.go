@@ -108,9 +108,6 @@ type Config struct {
 	// defaults, and query deadlines. The zero value enables the sender with
 	// defaults and leaves admission unbounded and deadlines off.
 	Flow FlowConfig
-	// Membership configures node-level failure detection and live failover
-	// (DESIGN.md §11). Zero value = disabled (pre-membership behavior).
-	Membership MembershipConfig
 	// SeedTables pre-sizes nothing yet; reserved.
 }
 
@@ -268,7 +265,6 @@ type Engine struct {
 	nextHome   int // round-robin placement for queries and adaptors
 
 	ft *ftState // non-nil when fault tolerance is enabled
-	fo *failoverState // non-nil when membership/failover is enabled
 
 	tick atomic.Int64 // AdvanceTo counter; continuous queries replan per tick
 
@@ -337,9 +333,6 @@ func New(cfg Config) (*Engine, error) {
 		}, e.obs)
 	}
 	e.registerMetrics()
-	if cfg.Membership.Enable {
-		e.fo = newFailover(e)
-	}
 	return e, nil
 }
 
@@ -732,12 +725,6 @@ func (e *Engine) AdvanceTo(ts rdf.Timestamp) {
 	e.tick.Add(1)
 	defer e.obs.Span("advance").End()
 
-	// Membership first: probe liveness at the new clock and run any death or
-	// rejoin repair synchronously, before this tick's batches dispatch — so
-	// injection never races a re-homing and rebuilt partitions are visible to
-	// the firings below.
-	e.tickMembership(ts)
-
 	// Phase 0: re-deliver replica shipments lost on earlier ticks. Each
 	// success releases its hold on the stable VTS, so healed paths let the
 	// stable timestamps catch up before new batches inject.
@@ -855,14 +842,8 @@ func (e *Engine) sendOneWay(from, to fabric.NodeID, n int) error {
 // until the batch is fully inserted and reported to the coordinator.
 func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 	disp := e.obs.Span("dispatch")
-	work, lost, lostAt := stream.DispatchSkip(e.fab, e.snd, st.home, b, e.skipDead())
+	work, lost := stream.Dispatch(e.fab, e.snd, st.home, b)
 	disp.End()
-	for _, ln := range lostAt {
-		// A share lost to a node not (yet) declared dead: journal it so the
-		// batch can replay from upstream backup if the node is later declared
-		// dead and rejoins (the pre-detection gap). No-op without membership.
-		e.journalLost(st, ln, b.ID, sn)
-	}
 	if lost > 0 {
 		// A lost share cannot be re-injected later (per-key snapshot runs
 		// must stay consecutive), so it is accounted — never hidden — and
@@ -877,14 +858,6 @@ func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 	for n := range work {
 		n := fabric.NodeID(n)
 		w := work[n]
-		if e.nodeDown(n) {
-			// The node is declared dead: don't hand it work it cannot run.
-			// Its share is journaled and rebuilt from upstream backup when
-			// the node rejoins (membership.go); windows over this stream are
-			// held back from firing until then.
-			e.journalMissed(st, n, b.ID, sn, len(w.SubjectSide)+len(w.ObjectSide))
-			continue
-		}
 		wg.Add(1)
 		err := e.cluster.Submit(n, func() {
 			defer wg.Done()
@@ -905,10 +878,9 @@ func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 			e.coord.OnBatchInserted(n, st.id, b.ID)
 		})
 		if err != nil {
-			// Raced with a death mark or shutdown between the check above and
-			// the submit: fall back to the same journaled-miss path.
+			// The cluster closed under a running tick (fabric.ErrClusterClosed):
+			// the task will never run, so release its slot here.
 			wg.Done()
-			e.journalMissed(st, n, b.ID, sn, len(w.SubjectSide)+len(w.ObjectSide))
 		}
 	}
 	wg.Wait()
@@ -973,18 +945,6 @@ func (e *Engine) collectGarbage() {
 		}
 	}
 	e.mu.Unlock()
-	if e.fo != nil {
-		// Withheld firings will re-execute after repair: pin their windows.
-		e.fo.mu.RLock()
-		for _, rf := range e.fo.refires {
-			for _, w := range rf.cq.windows {
-				if from := w.fromBatch(rf.at); from < needed[w.state] {
-					needed[w.state] = from
-				}
-			}
-		}
-		e.fo.mu.RUnlock()
-	}
 	for st, before := range needed {
 		st.index.GC(before)
 		for _, ts := range st.trans {

@@ -532,3 +532,37 @@ WHERE { GRAPH Tweet_Stream { NewUser po ?Z } }`, col.cb)
 		t.Errorf("rows = %v, want [T-99]", rows)
 	}
 }
+
+// TestCloseDuringAdvanceReturns: Close may land while AdvanceTo is injecting.
+// Every share the closed cluster refuses must still be released, or the tick
+// would wait forever in injectBatch — both calls have to return, and a tick
+// driven entirely after Close (every submission refused) has to as well.
+func TestCloseDuringAdvanceReturns(t *testing.T) {
+	finish := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s did not return", what)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		e, tweets, likes := figure1Engine(t, 3)
+		if _, err := e.RegisterContinuous(qcText, func(*Result, FireInfo) {}); err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 40; b++ {
+			ts := rdf.Timestamp(b*100 + 50)
+			emit(t, tweets, ts, "Logan", "po", fmt.Sprintf("T-%d", 100+b))
+			emit(t, likes, ts, "Erik", "li", fmt.Sprintf("T-%d", 100+b))
+		}
+		advanced := make(chan struct{})
+		go func() { defer close(advanced); e.AdvanceTo(4000) }()
+		finish("Close racing AdvanceTo", e.Close)
+		finish("AdvanceTo racing Close", func() { <-advanced })
+		emit(t, tweets, 4050, "Logan", "po", "T-late")
+		finish("AdvanceTo after Close", func() { e.AdvanceTo(4100) })
+	}
+}

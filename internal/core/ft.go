@@ -379,14 +379,7 @@ func (e *Engine) Checkpoint() error {
 	for name, sst := range e.streams {
 		b := stable[sst.id]
 		meta.StableVTS[name] = int64(b)
-		before := b + 1
-		// Never trim past batches a dead (or silently crashed) node still
-		// needs replayed from upstream backup — the rejoin repair's only
-		// data source (DESIGN.md §11).
-		if oldest, ok := e.oldestMissedBatch(sst); ok && oldest < before {
-			before = oldest
-		}
-		trims = append(trims, trim{src: sst.src, before: before})
+		trims = append(trims, trim{src: sst.src, before: b + 1})
 	}
 	e.mu.Unlock()
 

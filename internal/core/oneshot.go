@@ -67,9 +67,6 @@ func (e *Engine) executeOneShot(ctx context.Context, q *sparql.Query) (*Result, 
 	node := fabric.NodeID(e.nextHome % e.cfg.Nodes)
 	e.nextHome++
 	e.mu.Unlock()
-	// Round-robin placement skips nodes currently declared dead, so one-shot
-	// queries over live partitions keep answering during an outage.
-	node = e.liveNodeFor(node)
 	rs, trace, err := e.ex.Execute(exec.Request{
 		Node:             node,
 		Mode:             e.decideMode(p).Mode,
@@ -82,14 +79,6 @@ func (e *Engine) executeOneShot(ctx context.Context, q *sparql.Query) (*Result, 
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			e.cOneshotDL.Inc()
-		}
-		if dn, ok := e.faultedDeadNode(err); ok {
-			// The query needed data homed on a declared-dead node: fail fast
-			// with the typed degraded-mode error (DESIGN.md §11) instead of a
-			// bare injected-fault error. errors.Is(err, fabric.ErrInjected)
-			// still holds through the wrapper.
-			e.fo.cPartitionDown.Inc()
-			return nil, &PartitionDownError{Node: dn, err: err}
 		}
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -12,12 +11,6 @@ import (
 // drains the workers — surface as this error instead of a panic, so callers
 // can drop the work gracefully.
 var ErrClusterClosed = errors.New("fabric: cluster is closed")
-
-// ErrNodeDead is returned by Submit when the target node has been marked
-// dead (MarkDead): a dead node's workers accept no new tasks. Tasks queued
-// before the mark still drain normally — they were accepted while the node
-// was alive, and dropping them would strand their completion signals.
-var ErrNodeDead = errors.New("fabric: node is marked dead")
 
 // Cluster layers per-node worker pools over a Fabric. Each logical node binds
 // a fixed number of worker goroutines (the paper binds a worker thread per
@@ -30,7 +23,6 @@ type Cluster struct {
 	wg      sync.WaitGroup
 	mu      sync.RWMutex // guards closed vs. queue sends (shutdown race)
 	closed  bool
-	dead    []atomic.Bool // per-node membership mark (MarkDead/MarkLive)
 	pending atomic.Int64
 	idle    chan struct{}
 }
@@ -43,7 +35,6 @@ func NewCluster(f *Fabric, workersPerNode int) *Cluster {
 	c := &Cluster{
 		fabric: f,
 		queues: make([]chan func(), f.Nodes()),
-		dead:   make([]atomic.Bool, f.Nodes()),
 		idle:   make(chan struct{}, 1),
 	}
 	for n := range c.queues {
@@ -78,14 +69,10 @@ func (c *Cluster) worker(q chan func()) {
 }
 
 // Submit enqueues a task on node n's queue. It returns ErrClusterClosed
-// after Close and ErrNodeDead while node n is marked dead; the task does not
-// run in either case. The closed check and the queue send happen under one
-// lock, so a concurrent Close can never turn a submission into a send on a
-// closed channel.
+// after Close, and the task does not run. The closed check and the queue send
+// happen under one lock, so a concurrent Close can never turn a submission
+// into a send on a closed channel.
 func (c *Cluster) Submit(n NodeID, task func()) error {
-	if c.dead[n].Load() {
-		return fmt.Errorf("%w: node %d", ErrNodeDead, n)
-	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
@@ -96,21 +83,10 @@ func (c *Cluster) Submit(n NodeID, task func()) error {
 	return nil
 }
 
-// MarkDead refuses new submissions to node n until MarkLive. Tasks already
-// queued drain cleanly: the node's workers keep running them to completion,
-// so work accepted before the death mark is never stranded mid-queue.
-func (c *Cluster) MarkDead(n NodeID) { c.dead[n].Store(true) }
-
-// MarkLive clears node n's death mark, re-admitting submissions.
-func (c *Cluster) MarkLive(n NodeID) { c.dead[n].Store(false) }
-
-// Dead reports whether node n is currently marked dead.
-func (c *Cluster) Dead(n NodeID) bool { return c.dead[n].Load() }
-
 // Call runs fn on node `to` from node `from` as a synchronous RPC, charging
 // the two-sided message cost for reqBytes out and fn's returned respBytes
 // back. fn executes on one of the target node's workers. If the path to `to`
-// is faulted or the node refuses work, fn never runs — the request message
+// is faulted or the cluster is closed, fn never runs — the request message
 // could not be delivered.
 func (c *Cluster) Call(from, to NodeID, reqBytes int, fn func() (respBytes int)) error {
 	if err := c.fabric.Reachable(from, to); err != nil {

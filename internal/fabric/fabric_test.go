@@ -307,70 +307,6 @@ func TestClusterSubmitCloseRace(t *testing.T) {
 	}
 }
 
-func TestClusterMarkDeadRefusesNewWorkAndDrainsQueued(t *testing.T) {
-	f := New(DefaultConfig(2))
-	c := NewCluster(f, 1)
-	defer c.Close()
-
-	// Stall node 1's single worker so tasks queue up behind it, then mark
-	// the node dead: the queued tasks must still drain (they were accepted
-	// while the node was alive), while new submissions are refused.
-	release := make(chan struct{})
-	var drained atomic.Int64
-	if err := c.Submit(1, func() { <-release }); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := c.Submit(1, func() { drained.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.MarkDead(1)
-	if !c.Dead(1) {
-		t.Error("Dead(1) = false after MarkDead")
-	}
-	if err := c.Submit(1, func() { t.Error("task ran on dead node") }); !errors.Is(err, ErrNodeDead) {
-		t.Errorf("Submit to dead node = %v, want ErrNodeDead", err)
-	}
-	if err := c.Call(0, 1, 8, func() int { return 8 }); !errors.Is(err, ErrNodeDead) {
-		t.Errorf("Call to dead node = %v, want ErrNodeDead", err)
-	}
-	// ForkJoin must skip the dead node but still run live branches, and
-	// return the dead-node error after all branches complete.
-	var live atomic.Int64
-	if err := c.ForkJoin(0, 8, func(n NodeID) int {
-		if n == 1 {
-			t.Error("fork-join branch ran on dead node")
-		}
-		live.Add(1)
-		return 8
-	}); !errors.Is(err, ErrNodeDead) {
-		t.Errorf("ForkJoin with dead node = %v, want ErrNodeDead", err)
-	}
-	if live.Load() != 1 {
-		t.Errorf("fork-join ran %d live branches, want 1", live.Load())
-	}
-	close(release)
-	c.Quiesce()
-	if drained.Load() != 10 {
-		t.Errorf("drained %d queued tasks, want 10 (dead mark must not strand queued work)", drained.Load())
-	}
-
-	// Rejoin: the node accepts work again.
-	c.MarkLive(1)
-	if c.Dead(1) {
-		t.Error("Dead(1) = true after MarkLive")
-	}
-	var after atomic.Int64
-	if err := c.Submit(1, func() { after.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	c.Quiesce()
-	if after.Load() != 1 {
-		t.Error("task did not run after MarkLive")
-	}
-}
-
 func TestHeartbeatFollowsReachability(t *testing.T) {
 	f := New(DefaultConfig(3))
 	if err := f.Heartbeat(0, 1); err != nil {

@@ -1,15 +1,15 @@
-// Package member implements node-level failure detection for the simulated
-// cluster. A Detector runs heartbeat rounds over the fabric on the engine's
-// logical clock: each round, every node is probed by its live peers, and a
-// node that misses enough consecutive rounds transitions Alive → Suspect →
-// Dead. When the fabric heals, the node transitions back to Alive and the
-// OnRejoin hook drives the repair pipeline (core/membership.go).
+// Package member implements failure detection for a cluster of daemons
+// (internal/cluster is its one user). A Detector runs heartbeat rounds over a
+// Prober on a clock its owner drives: each round, every node is probed by its
+// live peers, and a node that misses enough consecutive rounds transitions
+// Alive → Suspect → Dead. When the node answers again it transitions back to
+// Alive and the OnRejoin hook tells the owner to catch it up.
 //
-// Determinism: probes use fabric.Heartbeat, which consults the fault plan's
-// reachability state without consuming any probabilistic fault decision, and
-// rounds are driven by the logical clock (Tick), not wall time. A seeded run
-// therefore produces the identical transition sequence every time, and a
-// fault-free run can never declare a healthy node dead.
+// Determinism: rounds are driven by the clock passed to Tick, not wall time,
+// and over a simulated fabric the probes (fabric.Heartbeat) consult the fault
+// plan's reachability state without consuming any probabilistic fault
+// decision. A seeded run therefore produces the identical transition sequence
+// every time, and a fault-free run can never declare a healthy node dead.
 package member
 
 import (
@@ -29,8 +29,7 @@ const (
 	// Suspect: the node missed at least SuspectAfter consecutive rounds but
 	// is not yet declared dead. Suspect nodes still receive work.
 	Suspect
-	// Dead: the node missed at least DeadAfter consecutive rounds. The
-	// repair pipeline excludes it from stability and re-homes its work.
+	// Dead: the node missed at least DeadAfter consecutive rounds.
 	Dead
 )
 
@@ -66,8 +65,8 @@ type Config struct {
 	// process observing its own liveness is alive) and so keeps serving as
 	// a probe vantage even when every peer is dead — without it, a
 	// fully-partitioned daemon would declare itself dead and then have no
-	// live prober left to ever see a peer rejoin. The single-process
-	// simulated detector is a global observer and leaves HasSelf false.
+	// live prober left to ever see a peer rejoin. A global observer (the
+	// package's own tests over one simulated fabric) leaves HasSelf false.
 	HasSelf bool
 	Self    fabric.NodeID
 }
@@ -98,8 +97,8 @@ type Hooks struct {
 	// OnDead fires on Suspect → Dead (or Alive → Dead when DeadAfter ==
 	// SuspectAfter).
 	OnDead func(n fabric.NodeID)
-	// OnRejoin fires on Dead → Alive: the node answers probes again and its
-	// partition must be rebuilt before it can serve.
+	// OnRejoin fires on Dead → Alive: the node answers probes again and must
+	// be caught up before it can serve.
 	OnRejoin func(n fabric.NodeID)
 	// OnAlive fires on Suspect → Alive (a false suspicion retracted).
 	OnAlive func(n fabric.NodeID)
@@ -116,7 +115,7 @@ type Prober interface {
 }
 
 // Detector tracks per-node liveness. All methods are safe for concurrent
-// use; Tick is typically called from the engine's AdvanceTo.
+// use; the owner calls Tick from its heartbeat loop.
 type Detector struct {
 	cfg   Config
 	fab   Prober
@@ -132,11 +131,6 @@ type Detector struct {
 	cDeaths   *obs.Counter
 	cRejoins  *obs.Counter
 	cRounds   *obs.Counter
-}
-
-// New creates a detector over fab. r may be nil (no metrics).
-func New(fab *fabric.Fabric, cfg Config, hooks Hooks, r *obs.Registry) *Detector {
-	return NewOver(fab, cfg, hooks, r)
 }
 
 // NewOver creates a detector over any Prober. r may be nil (no metrics).
@@ -188,17 +182,6 @@ func (d *Detector) State(n fabric.NodeID) State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.states[n]
-}
-
-// Missed returns node n's current count of consecutive missed probe rounds
-// (0 after any round that found it reachable). The engine uses it to decide
-// whether a lost dispatch share was a transient message fault (node verified
-// reachable: discard) or potential partition loss pending a death verdict
-// (keep journaled for upstream-backup replay).
-func (d *Detector) Missed(n fabric.NodeID) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.missed[n]
 }
 
 // States returns a snapshot of all node states.

@@ -32,13 +32,13 @@ func recordingHooks(events *[]event, mu *sync.Mutex) Hooks {
 
 func TestDefaults(t *testing.T) {
 	f := fabric.New(fabric.DefaultConfig(3))
-	d := New(f, Config{}, Hooks{}, nil)
+	d := NewOver(f, Config{}, Hooks{}, nil)
 	cfg := d.Config()
 	if cfg.HeartbeatIntervalMS != 100 || cfg.SuspectAfter != 2 || cfg.DeadAfter != 5 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	// DeadAfter below SuspectAfter is clamped up.
-	d2 := New(f, Config{SuspectAfter: 4, DeadAfter: 2}, Hooks{}, nil)
+	d2 := NewOver(f, Config{SuspectAfter: 4, DeadAfter: 2}, Hooks{}, nil)
 	if d2.Config().DeadAfter != 4 {
 		t.Errorf("DeadAfter = %d, want clamped to 4", d2.Config().DeadAfter)
 	}
@@ -54,7 +54,7 @@ func TestFaultFreeSoakNeverSuspects(t *testing.T) {
 	f.SetFaultPlan(plan)
 	var mu sync.Mutex
 	var events []event
-	d := New(f, Config{HeartbeatIntervalMS: 10, SuspectAfter: 1, DeadAfter: 2}, recordingHooks(&events, &mu), obs.NewRegistry("member_test"))
+	d := NewOver(f, Config{HeartbeatIntervalMS: 10, SuspectAfter: 1, DeadAfter: 2}, recordingHooks(&events, &mu), obs.NewRegistry("member_test"))
 	for now := int64(0); now <= 100_000; now += 10 {
 		d.Tick(now)
 	}
@@ -75,7 +75,7 @@ func TestCrashSuspectDeadRejoinSequence(t *testing.T) {
 	var mu sync.Mutex
 	var events []event
 	cfg := Config{HeartbeatIntervalMS: 100, SuspectAfter: 2, DeadAfter: 4}
-	d := New(f, cfg, recordingHooks(&events, &mu), nil)
+	d := NewOver(f, cfg, recordingHooks(&events, &mu), nil)
 
 	d.Tick(1000) // 10 healthy rounds
 	plan.Crash(2)
@@ -115,7 +115,7 @@ func TestSuspicionRetracted(t *testing.T) {
 	f.SetFaultPlan(plan)
 	var mu sync.Mutex
 	var events []event
-	d := New(f, Config{HeartbeatIntervalMS: 100, SuspectAfter: 1, DeadAfter: 10}, recordingHooks(&events, &mu), nil)
+	d := NewOver(f, Config{HeartbeatIntervalMS: 100, SuspectAfter: 1, DeadAfter: 10}, recordingHooks(&events, &mu), nil)
 	plan.Crash(1)
 	d.Tick(100)
 	if d.State(1) != Suspect {
@@ -139,7 +139,7 @@ func TestPartitionMinorityDeclaredDead(t *testing.T) {
 	f := fabric.New(fabric.DefaultConfig(3))
 	plan := fabric.NewFaultPlan(1)
 	f.SetFaultPlan(plan)
-	d := New(f, Config{HeartbeatIntervalMS: 100, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, nil)
+	d := NewOver(f, Config{HeartbeatIntervalMS: 100, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, nil)
 	plan.Partition([]fabric.NodeID{0, 1}, []fabric.NodeID{2})
 	d.Tick(500)
 	if got := d.States(); got[0] != Alive || got[1] != Alive || got[2] != Dead {
@@ -160,7 +160,7 @@ func TestDeterministicTransitions(t *testing.T) {
 		f.SetFaultPlan(plan)
 		var mu sync.Mutex
 		var events []event
-		d := New(f, Config{HeartbeatIntervalMS: 50, SuspectAfter: 2, DeadAfter: 3}, recordingHooks(&events, &mu), nil)
+		d := NewOver(f, Config{HeartbeatIntervalMS: 50, SuspectAfter: 2, DeadAfter: 3}, recordingHooks(&events, &mu), nil)
 		for now := int64(0); now <= 2000; now += 25 {
 			if now == 500 {
 				plan.Crash(3)
@@ -191,7 +191,7 @@ func TestSingleNodeClusterInert(t *testing.T) {
 	f := fabric.New(fabric.DefaultConfig(1))
 	plan := fabric.NewFaultPlan(1)
 	f.SetFaultPlan(plan)
-	d := New(f, Config{HeartbeatIntervalMS: 10}, Hooks{}, nil)
+	d := NewOver(f, Config{HeartbeatIntervalMS: 10}, Hooks{}, nil)
 	plan.Crash(0)
 	d.Tick(10_000)
 	if d.State(0) != Alive {
@@ -203,7 +203,7 @@ func TestConcurrentStateReads(t *testing.T) {
 	f := fabric.New(fabric.DefaultConfig(4))
 	plan := fabric.NewFaultPlan(5)
 	f.SetFaultPlan(plan)
-	d := New(f, Config{HeartbeatIntervalMS: 1, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, obs.NewRegistry("member_test"))
+	d := NewOver(f, Config{HeartbeatIntervalMS: 1, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, obs.NewRegistry("member_test"))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {

@@ -7,10 +7,8 @@
 // daemon the client polls.
 //
 // Failure rendering is typed at the protocol layer: a cluster operation that
-// could not reach its peer answers "-ERR unavailable: ...", and an engine
-// whose in-process fabric lost a node's partition answers
-// "-ERR partition-down node=<n>: ..." — clients match the prefixes instead
-// of parsing socket errors.
+// could not reach its peer answers "-ERR unavailable: ..." — clients match
+// the prefix instead of parsing socket errors.
 package server
 
 import (
@@ -22,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/flow"
 	"repro/internal/obs"
@@ -67,20 +64,14 @@ func (s *Server) clusterBackend() ClusterBackend {
 
 // renderError writes one "-ERR ..." line with the typed prefixes clients
 // parse: overload (an admission edge shed the request; back off by the hint
-// instead of tight-looping), partition-down (the engine's in-process fabric
-// lost the node a query needed) and unavailable (a cluster peer could not be
+// instead of tight-looping) and unavailable (a cluster peer could not be
 // reached). Everything else renders as plain text.
 func renderError(w *bufio.Writer, err error) {
 	msg := strings.ReplaceAll(err.Error(), "\n", " ")
-	var down *core.PartitionDownError
 	var shed *flow.ShedError
 	switch {
 	case errors.As(err, &shed):
 		fmt.Fprintf(w, "-ERR overload retry-after=%s: %s\n", max(shed.RetryAfter, time.Millisecond), shed.Reason)
-	case errors.As(err, &down):
-		fmt.Fprintf(w, "-ERR partition-down node=%d: %s\n", down.Node, msg)
-	case errors.Is(err, core.ErrPartitionDown):
-		fmt.Fprintf(w, "-ERR partition-down node=-1: %s\n", msg)
 	case errors.Is(err, cluster.ErrUnavailable),
 		cluster.IsNotAuthority(err),
 		errors.Is(err, wire.ErrPeerDown),

@@ -60,7 +60,7 @@ type Index struct {
 	mu      sync.RWMutex
 	batches []*batchIndex // ascending batch order
 
-	home fabric.NodeID // guarded by replicaMu; changes only via PromoteHome
+	home fabric.NodeID // fixed at New
 
 	replicaMu sync.RWMutex
 	replicas  map[fabric.NodeID]bool
@@ -71,12 +71,6 @@ type Index struct {
 
 	lookups  atomic.Int64 // Lookup calls (span fetches)
 	vertices atomic.Int64 // Vertices calls (candidate enumerations)
-
-	// version counts out-of-order backfills (a rejoining node's
-	// upstream-backup replay rewriting history). Delta-evaluation caches
-	// keyed by batch ranges watch it: a bump means already-read batches may
-	// have gained data, so cached per-batch results must be rebuilt.
-	version atomic.Int64
 }
 
 // New creates an empty stream index homed on the given node.
@@ -84,40 +78,17 @@ func New(home fabric.NodeID) *Index {
 	return &Index{home: home, replicas: map[fabric.NodeID]bool{home: true}}
 }
 
-// Home returns the node the index is homed on (the stream's adaptor home
-// unless a failover promoted a replica).
-func (ix *Index) Home() fabric.NodeID {
-	ix.replicaMu.RLock()
-	defer ix.replicaMu.RUnlock()
-	return ix.home
-}
-
 // AddBatch records the key spans appended by one batch's injection. Adjacent
 // spans for the same key merge into one (injection within a batch is
-// consecutive per key, §4.3). Batches normally arrive in ascending order; an
-// older batch (a rejoining node's upstream-backup backfill) is merged into
-// place by sorted insertion instead.
+// consecutive per key, §4.3). Batches arrive in ascending order: the engine
+// finishes injecting one batch of a stream on every node before the next.
 func (ix *Index) AddBatch(batch tstore.BatchID, spans []store.KeySpan) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	n := len(ix.batches)
 	var bi *batchIndex
-	switch {
-	case n > 0 && ix.batches[n-1].batch == batch:
+	if n := len(ix.batches); n > 0 && ix.batches[n-1].batch == batch {
 		bi = ix.batches[n-1]
-	case n > 0 && ix.batches[n-1].batch > batch:
-		// Out-of-order backfill: find (or make room at) batch's slot.
-		ix.version.Add(1)
-		i := sort.Search(n, func(i int) bool { return ix.batches[i].batch >= batch })
-		if i < n && ix.batches[i].batch == batch {
-			bi = ix.batches[i]
-		} else {
-			bi = newBatchIndex(batch)
-			ix.batches = append(ix.batches, nil)
-			copy(ix.batches[i+1:], ix.batches[i:])
-			ix.batches[i] = bi
-		}
-	default:
+	} else {
 		bi = newBatchIndex(batch)
 		ix.batches = append(ix.batches, bi)
 	}
@@ -149,10 +120,6 @@ func newBatchIndex(batch tstore.BatchID) *batchIndex {
 		predVals: make(map[pidDir]int64),
 	}
 }
-
-// Version counts out-of-order backfills into the index. Callers caching
-// per-batch derived state treat any change as "history rewritten".
-func (ix *Index) Version() int64 { return ix.version.Load() }
 
 // BatchEdgeSpans returns one KeySpan per span that batch b appended under a
 // (pid, d) edge key — a one-walk enumeration of the batch's edges for delta
@@ -346,30 +313,6 @@ func (ix *Index) Replicate(n fabric.NodeID) {
 	ix.replicaMu.Lock()
 	defer ix.replicaMu.Unlock()
 	ix.replicas[n] = true
-}
-
-// PromoteHome moves the index home to node n (which must then hold a
-// replica, so it is added to the replica set). The failover pipeline
-// promotes a locality replica when the original home node dies, keeping
-// windows answerable — replica-less readers then pay their one-sided read
-// against the promoted home instead of the dead node.
-func (ix *Index) PromoteHome(n fabric.NodeID) {
-	ix.replicaMu.Lock()
-	defer ix.replicaMu.Unlock()
-	ix.home = n
-	ix.replicas[n] = true
-}
-
-// Unreplicate drops node n from the replica set, so injection stops shipping
-// replica updates to it. Dropping the home is refused — the home copy is the
-// one replica that must always exist; promote a different home first.
-func (ix *Index) Unreplicate(n fabric.NodeID) {
-	ix.replicaMu.Lock()
-	defer ix.replicaMu.Unlock()
-	if n == ix.home {
-		return
-	}
-	delete(ix.replicas, n)
 }
 
 // ReplicatedOn reports whether node n holds a replica.

@@ -56,62 +56,6 @@ func TestNonAdjacentSpansKept(t *testing.T) {
 	}
 }
 
-func TestOutOfOrderBackfillMergesInPlace(t *testing.T) {
-	// A rejoining node's upstream-backup backfill adds older batches after
-	// newer ones already landed; the index must keep time order.
-	ix := New(0)
-	ix.AddBatch(2, []store.KeySpan{{Key: key(7), Span: store.Span{Start: 3, End: 5}}})
-	ix.AddBatch(5, []store.KeySpan{{Key: key(7), Span: store.Span{Start: 9, End: 10}}})
-	ix.AddBatch(1, []store.KeySpan{{Key: key(7), Span: store.Span{Start: 0, End: 3}}}) // backfill before all
-	ix.AddBatch(3, []store.KeySpan{{Key: key(7), Span: store.Span{Start: 5, End: 7}}}) // backfill in the middle
-	ix.AddBatch(2, []store.KeySpan{{Key: key(8), Span: store.Span{Start: 0, End: 1}}}) // merge into existing
-	if o, n := ix.Batches(); o != 1 || n != 5 {
-		t.Fatalf("batches = %d..%d, want 1..5", o, n)
-	}
-	got := ix.Lookup(key(7), 1, 5)
-	want := []store.Span{{Start: 0, End: 3}, {Start: 3, End: 5}, {Start: 5, End: 7}, {Start: 9, End: 10}}
-	if len(got) != len(want) {
-		t.Fatalf("Lookup = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Lookup = %v, want %v (time order broken)", got, want)
-		}
-	}
-	if got := ix.Lookup(key(8), 2, 2); len(got) != 1 {
-		t.Errorf("merged backfill batch lookup = %v", got)
-	}
-	// Window reads exclude backfilled batches outside the range.
-	if got := ix.Lookup(key(7), 2, 3); len(got) != 2 {
-		t.Errorf("Lookup [2,3] = %v", got)
-	}
-}
-
-func TestPromoteHomeAndUnreplicate(t *testing.T) {
-	ix := New(2)
-	ix.Replicate(1)
-	ix.PromoteHome(1)
-	if ix.Home() != 1 {
-		t.Errorf("Home = %d, want 1", ix.Home())
-	}
-	if !ix.ReplicatedOn(1) {
-		t.Error("promoted home lost its replica")
-	}
-	ix.Unreplicate(2) // the dead ex-home drops out of the replica set
-	if ix.ReplicatedOn(2) {
-		t.Error("Unreplicate did not take")
-	}
-	ix.Unreplicate(1) // refusing to drop the home copy
-	if !ix.ReplicatedOn(1) {
-		t.Error("Unreplicate removed the home replica")
-	}
-	// Promotion onto a node without a prior replica implies one.
-	ix.PromoteHome(0)
-	if !ix.ReplicatedOn(0) {
-		t.Error("PromoteHome did not add a replica")
-	}
-}
-
 func TestKeys(t *testing.T) {
 	ix := New(0)
 	ix.AddBatch(1, []store.KeySpan{{Key: key(1), Span: store.Span{Start: 0, End: 1}}})

@@ -28,30 +28,6 @@ func (w NodeWork) Empty() bool { return len(w.SubjectSide) == 0 && len(w.ObjectS
 // bytes approximates the wire size of the work (32 bytes per tuple side).
 func (w NodeWork) bytes() int { return 32 * (len(w.SubjectSide) + len(w.ObjectSide)) }
 
-// WireBytes is the wire size of the work — exported for the rejoin repair
-// path, which charges its own re-shipment of a rebuilt share.
-func (w NodeWork) WireBytes() int { return w.bytes() }
-
-// Tuples is the number of tuple sides in the work.
-func (w NodeWork) Tuples() int { return len(w.SubjectSide) + len(w.ObjectSide) }
-
-// PartitionNode computes node n's share of a batch without shipping anything
-// and without charging the fabric. The rejoin repair path uses it to rebuild a
-// dead node's partition from upstream-backup batches; the caller charges the
-// single re-shipment itself.
-func PartitionNode(fab *fabric.Fabric, b Batch, n fabric.NodeID) NodeWork {
-	var w NodeWork
-	for _, t := range b.Tuples {
-		if fab.HomeOf(uint64(t.S)) == n {
-			w.SubjectSide = append(w.SubjectSide, t)
-		}
-		if fab.HomeOf(uint64(t.O)) == n {
-			w.ObjectSide = append(w.ObjectSide, t)
-		}
-	}
-	return w
-}
-
 // sendVia ships one one-way message, through the retrying sender when one is
 // configured (nil snd = the raw, lose-on-any-fault fabric path).
 func sendVia(fab *fabric.Fabric, snd *flow.Sender, from, to fabric.NodeID, n int) error {
@@ -70,19 +46,6 @@ func sendVia(fab *fabric.Fabric, snd *flow.Sender, from, to fabric.NodeID, n int
 // return value; the upstream backup (§5) is the recovery path for lost
 // shares.
 func Dispatch(fab *fabric.Fabric, snd *flow.Sender, adaptorHome fabric.NodeID, b Batch) (work []NodeWork, lost int) {
-	work, lost, _ = DispatchSkip(fab, snd, adaptorHome, b, nil)
-	return work, lost
-}
-
-// DispatchSkip is Dispatch with a membership filter: shares owned by a node
-// for which skip returns true are partitioned but not shipped (no send is
-// charged, nothing is counted lost) — the caller journals them for
-// upstream-backup replay when the node rejoins. The third return value names
-// the nodes whose shipment failed outright: a membership-aware caller journals
-// those too, because a share lost to a node that is crashed but not yet
-// declared dead must be replayed when (if) the node is eventually declared
-// dead and rejoins. skip == nil behaves exactly like Dispatch.
-func DispatchSkip(fab *fabric.Fabric, snd *flow.Sender, adaptorHome fabric.NodeID, b Batch, skip func(fabric.NodeID) bool) (work []NodeWork, lost int, lostAt []fabric.NodeID) {
 	work = make([]NodeWork, fab.Nodes())
 	for _, t := range b.Tuples {
 		sHome := fab.HomeOf(uint64(t.S))
@@ -94,17 +57,13 @@ func DispatchSkip(fab *fabric.Fabric, snd *flow.Sender, adaptorHome fabric.NodeI
 		if fabric.NodeID(n) == adaptorHome || work[n].Empty() {
 			continue
 		}
-		if skip != nil && skip(fabric.NodeID(n)) {
-			continue
-		}
 		// One-way shipment: the dispatcher does not block on delivery.
 		if err := sendVia(fab, snd, adaptorHome, fabric.NodeID(n), work[n].bytes()); err != nil {
 			lost += len(work[n].SubjectSide) + len(work[n].ObjectSide)
-			lostAt = append(lostAt, fabric.NodeID(n))
 			work[n] = NodeWork{}
 		}
 	}
-	return work, lost, lostAt
+	return work, lost
 }
 
 // InjectTarget bundles the stores one node's injector writes to.

@@ -103,14 +103,6 @@ type Coordinator struct {
 	// (the §4.3 prefix-integrity contract, extended to replica shipping).
 	unshipped []map[tstore.BatchID]int
 	holds     int64 // total MarkUnshipped calls (monotonic)
-
-	// excluded marks nodes removed from the stability computation by the
-	// membership layer: a dead node must not pin Stable_VTS/Stable_SN
-	// forever at its last reported position. Each exclusion or re-inclusion
-	// bumps epoch, so readers can tell which membership view produced a
-	// stability value.
-	excluded []bool
-	epoch    int64
 }
 
 // DefaultInterval is the default number of batches per stream covered by one
@@ -140,7 +132,6 @@ func NewCoordinator(fab *fabric.Fabric, nodes, streams int, interval tstore.Batc
 		nextSN:   1,
 
 		unshipped: make([]map[tstore.BatchID]int, streams),
-		excluded:  make([]bool, nodes),
 	}
 	for s := range c.rates {
 		c.rates[s] = float64(interval)
@@ -266,35 +257,15 @@ func (c *Coordinator) OnBatchInserted(node fabric.NodeID, s StreamID, b tstore.B
 	}
 }
 
-// liveLocked reports whether node n participates in stability. When every
-// node is excluded (a degenerate configuration), all nodes are treated as
-// live so stability stays well-defined.
-func (c *Coordinator) liveLocked(n int) bool {
-	if !c.excluded[n] {
-		return true
-	}
-	for _, ex := range c.excluded {
-		if !ex {
-			return false
-		}
-	}
-	return true
-}
-
 // recomputeStableLocked derives Stable_VTS and Stable_SN from the local
-// vectors of the live (non-excluded) nodes, then clamps both below any
-// unshipped replica batches. Without holds or exclusions it reproduces the
-// plain element-wise-minimum / min-Local_SN rule.
+// vectors, then clamps both below any unshipped replica batches. Without
+// holds it reproduces the plain element-wise-minimum / min-Local_SN rule.
 func (c *Coordinator) recomputeStableLocked() {
 	for s := 0; s < c.streams; s++ {
-		var min tstore.BatchID
-		first := true
-		for n := 0; n < c.nodes; n++ {
-			if !c.liveLocked(n) {
-				continue
-			}
-			if first || c.local[n][s] < min {
-				min, first = c.local[n][s], false
+		min := c.local[0][s]
+		for n := 1; n < c.nodes; n++ {
+			if c.local[n][s] < min {
+				min = c.local[n][s]
 			}
 		}
 		// Clamp below the oldest batch with an un-shipped replica: the
@@ -314,16 +285,12 @@ func (c *Coordinator) recomputeStableLocked() {
 		}
 		c.stable[s] = min
 	}
-	// Stable_SN = min Local_SN across live nodes, walked down until the
-	// (clamped) stable VTS actually covers the plan's target.
-	var minSN uint32
-	firstSN := true
-	for n := 0; n < c.nodes; n++ {
-		if !c.liveLocked(n) {
-			continue
-		}
-		if firstSN || c.localSN[n] < minSN {
-			minSN, firstSN = c.localSN[n], false
+	// Stable_SN = min Local_SN across nodes, walked down until the (clamped)
+	// stable VTS actually covers the plan's target.
+	minSN := c.localSN[0]
+	for n := 1; n < c.nodes; n++ {
+		if c.localSN[n] < minSN {
+			minSN = c.localSN[n]
 		}
 	}
 	for minSN > 0 && !c.stable.Covers(c.targetForLocked(minSN)) {
@@ -367,60 +334,6 @@ func (c *Coordinator) ClearUnshipped(s StreamID, b tstore.BatchID) {
 		delete(held, b)
 	}
 	c.recomputeStableLocked()
-}
-
-// ExcludeNode removes node n from the stability computation and bumps the
-// membership epoch. Called by the failover pipeline when the detector
-// declares n dead: the survivors' element-wise minimum takes over, so
-// Stable_VTS and Stable_SN keep advancing instead of stalling on the silent
-// peer. The excluded node's local vector is retained (frozen) so the repair
-// pipeline can read where it stopped. Excluding an already-excluded node is
-// a no-op.
-func (c *Coordinator) ExcludeNode(n fabric.NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.excluded[n] {
-		return
-	}
-	c.excluded[n] = true
-	c.epoch++
-	c.recomputeStableLocked()
-}
-
-// IncludeNode re-admits node n to the stability computation after repair,
-// bumping the epoch again. The node's Local_SN is first recomputed
-// arithmetically from its (replayed) local vector — the plans it satisfied
-// during the outage may have been pruned once the survivors' stability moved
-// past them, so the usual plan-walk in OnBatchInserted cannot be relied on.
-// The caller must have replayed the node's missed batches first; otherwise
-// stability legitimately drops back to the node's true position.
-func (c *Coordinator) IncludeNode(n fabric.NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.excluded[n] {
-		return
-	}
-	c.excluded[n] = false
-	c.epoch++
-	for c.localSN[n]+1 < c.nextSN && c.local[n].Covers(c.targetForLocked(c.localSN[n]+1)) {
-		c.localSN[n]++
-	}
-	c.recomputeStableLocked()
-}
-
-// Excluded reports whether node n is currently excluded from stability.
-func (c *Coordinator) Excluded(n fabric.NodeID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.excluded[n]
-}
-
-// Epoch returns the membership epoch: the number of exclusion/re-inclusion
-// transitions applied to the stability computation.
-func (c *Coordinator) Epoch() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
 }
 
 // Unshipped returns how many lost shipments are currently held for stream s.
