@@ -1,18 +1,26 @@
 GO ?= go
 
 # Packages whose concurrency matters most; `make race` keeps them honest.
+# store, vts, sindex and tstore are the state every injector and every
+# one-shot share.
 RACE_PKGS := ./internal/core/... ./internal/fabric/... ./internal/server/... \
              ./internal/client/... ./internal/chaos/... ./internal/obs/... \
              ./internal/flow/... ./internal/stream/... ./internal/soak/... \
              ./internal/member/... ./internal/wire/... ./internal/cluster/... \
-             ./internal/trace/... ./internal/stats/... ./internal/oplog/...
+             ./internal/trace/... ./internal/stats/... ./internal/oplog/... \
+             ./internal/store/... ./internal/vts/... ./internal/sindex/... \
+             ./internal/tstore/...
 
-.PHONY: all ci vet build build-cmds test race fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e clean
+.PHONY: all ci fmt vet build build-cmds test race fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e clean
 
 all: ci
 
 # The full gate: what CI runs, in order.
-ci: vet build build-cmds test race fuzz-short soak-short chaos-proc
+ci: fmt vet build build-cmds test race fuzz-short soak-short chaos-proc
+
+# Format gate: any file gofmt would rewrite fails the build.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -371,6 +371,8 @@ func (e *Engine) registerMetrics() {
 	r.GaugeFunc("store_span_reads_total", func() int64 { return e.stored.OpStats().SpanReads })
 	r.GaugeFunc("store_index_reads_total", func() int64 { return e.stored.OpStats().IndexReads })
 	r.GaugeFunc("store_snapshot_prunes_total", func() int64 { return e.stored.OpStats().Prunes })
+	r.GaugeFunc("store_prune_visited_entries_total", func() int64 { return e.stored.OpStats().PruneVisited })
+	r.GaugeFunc("store_multi_boundary_keys", e.stored.MultiBoundaryKeys)
 	// Consistency machinery.
 	r.GaugeFunc("vts_stable_sn", func() int64 { return int64(e.coord.StableSN()) })
 	r.GaugeFunc("vts_stall_waits_total", func() int64 { return e.coord.StallWaits() })

@@ -67,16 +67,45 @@ func (r *Result) Row(i int) []rdf.Term {
 	return out
 }
 
+// AppendRow appends row i to dst as the wire and Strings render it — each
+// cell's lexical value, cells separated by one space, an unbound cell empty —
+// and returns the extended slice. Entity and predicate values are copied
+// straight out of the string server, so rendering into a buffer with room
+// allocates nothing.
+func (r *Result) AppendRow(dst []byte, i int) []byte {
+	for j, v := range r.set.Rows[i] {
+		if j > 0 {
+			dst = append(dst, ' ')
+		}
+		switch {
+		case v.IsNum:
+			dst = append(dst, rdf.NewFloatLiteral(v.Num).Value...)
+		case v.ID == 0:
+			// An OPTIONAL group left the variable unbound.
+		default:
+			if pid, ok := exec.UntagPred(v.ID); ok {
+				if iri, ok := r.ss.Predicate(pid); ok {
+					dst = append(dst, iri...)
+					continue
+				}
+			}
+			if t, ok := r.ss.Entity(v.ID); ok {
+				dst = append(dst, t.Value...)
+			} else {
+				dst = fmt.Appendf(dst, "unknown-id-%d", v.ID)
+			}
+		}
+	}
+	return dst
+}
+
 // Strings decodes all rows to human-readable strings (tests and examples).
 func (r *Result) Strings() []string {
 	out := make([]string, r.Len())
+	var row []byte
 	for i := range out {
-		terms := r.Row(i)
-		parts := make([]string, len(terms))
-		for j, t := range terms {
-			parts[j] = t.Value
-		}
-		out[i] = strings.Join(parts, " ")
+		row = r.AppendRow(row[:0], i)
+		out[i] = string(row)
 	}
 	return out
 }

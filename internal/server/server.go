@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -432,10 +433,12 @@ func (s *Server) cmdQuery(w *bufio.Writer, r *bufio.Scanner) error {
 		return err
 	}
 	fmt.Fprintf(w, "+OK %d rows in %v\n", res.Len(), res.Latency.Round(time.Microsecond))
-	for _, row := range res.Strings() {
-		fmt.Fprintf(w, "%s\n", row)
+	// Each row is rendered once, into the writer's own free space when it
+	// fits (Write of an AvailableBuffer slice copies nothing).
+	for i, n := 0, res.Len(); i < n; i++ {
+		w.Write(append(res.AppendRow(w.AvailableBuffer(), i), '\n'))
 	}
-	fmt.Fprintf(w, ".\n")
+	w.WriteString(".\n")
 	return nil
 }
 
@@ -462,7 +465,15 @@ func (s *Server) cmdExplain(w *bufio.Writer, r *bufio.Scanner) error {
 // (cluster.Config.OnFire) and an engine recovered before the server existed
 // (core.Recover's callback factory).
 func (s *Server) BufferResult(name string, res *core.Result, f core.FireInfo) {
-	rows := res.Strings()
+	// Render "@<at> <row>" before taking the lock, one allocation per row.
+	rows := make([]string, res.Len())
+	line := strconv.AppendInt([]byte{'@'}, int64(f.At), 10)
+	line = append(line, ' ')
+	prefix := len(line)
+	for i := range rows {
+		line = res.AppendRow(line[:prefix], i)
+		rows[i] = string(line)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	buf := s.results[name]
@@ -477,9 +488,7 @@ func (s *Server) BufferResult(name string, res *core.Result, f core.FireInfo) {
 				return buf.cumDropped
 			})
 	}
-	for _, row := range rows {
-		buf.rows = append(buf.rows, fmt.Sprintf("@%d %s", f.At, row))
-	}
+	buf.rows = append(buf.rows, rows...)
 	buf.cumRows += int64(len(rows))
 	limit := s.PollBuffer
 	if limit <= 0 {
@@ -519,9 +528,10 @@ func (s *Server) cmdPoll(w *bufio.Writer, args []string) error {
 	}
 	fmt.Fprintf(w, "+OK %d rows dropped %d\n", len(rows), dropped)
 	for _, row := range rows {
-		fmt.Fprintf(w, "%s\n", row)
+		w.WriteString(row)
+		w.WriteByte('\n')
 	}
-	fmt.Fprintf(w, ".\n")
+	w.WriteString(".\n")
 	return nil
 }
 

@@ -70,7 +70,7 @@ type Decision struct {
 	Forced string
 	// InPlaceNS / ForkJoinNS are the model's estimated latencies. Zero when
 	// the decision was forced.
-	InPlaceNS float64
+	InPlaceNS  float64
 	ForkJoinNS float64
 }
 

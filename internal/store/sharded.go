@@ -304,16 +304,33 @@ type OpStats struct {
 	SpanReads  int64 // stream-index span reads
 	IndexReads int64 // index-vertex gathers
 	Prunes     int64 // snapshot-metadata prune passes
+	// PruneVisited is the entries those passes examined; it grows with what
+	// recent snapshots touched, not with the number of keys stored.
+	PruneVisited int64
 }
 
 // OpStats returns a snapshot of the operation counters.
 func (g *Sharded) OpStats() OpStats {
-	return OpStats{
+	st := OpStats{
 		Reads:      g.reads.Load(),
 		SpanReads:  g.spanReads.Load(),
 		IndexReads: g.indexReads.Load(),
 		Prunes:     g.prunes.Load(),
 	}
+	for _, s := range g.shards {
+		st.PruneVisited += s.PruneVisited()
+	}
+	return st
+}
+
+// MultiBoundaryKeys returns how many keys across all shards carry more than
+// one snapshot boundary.
+func (g *Sharded) MultiBoundaryKeys() int64 {
+	var n int64
+	for _, s := range g.shards {
+		n += s.MultiBoundaryKeys()
+	}
+	return n
 }
 
 // Memory aggregates memory statistics across all shards.

@@ -20,6 +20,7 @@ package store
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fabric"
 	"repro/internal/rdf"
@@ -112,34 +113,6 @@ func (e *entry) visibleLen(sn uint32) int {
 	return 0
 }
 
-// append adds vals under snapshot sn and returns the [start,end) span of the
-// new values. Snapshot numbers must be non-decreasing per key; the dispatcher
-// and coordinator guarantee this (stream batches within a stream are inserted
-// in order, and SN–VTS plans advance monotonically).
-func (e *entry) append(vals []rdf.ID, sn uint32, maxSnapshots int) Span {
-	start := uint32(len(e.vals))
-	e.vals = append(e.vals, vals...)
-	end := uint32(len(e.vals))
-	n := len(e.segs)
-	switch {
-	case n > 0 && e.segs[n-1].sn == sn:
-		e.segs[n-1].end = end
-	case n > 0 && e.segs[n-1].sn > sn:
-		panic(fmt.Sprintf("store: snapshot regression on append: %d after %d", sn, e.segs[n-1].sn))
-	default:
-		e.segs = append(e.segs, segBoundary{sn: sn, end: end})
-	}
-	// Bound metadata: collapse the oldest boundaries. This is safe only once
-	// no reader is below the collapsed SN; Shard.PruneSnapshots is the
-	// coordinated path, but a hard cap protects memory if a caller never
-	// prunes. Collapsing {sn1,e1},{sn2,e2} into {sn2,e2} loses only the
-	// ability to read below sn2.
-	if maxSnapshots > 0 && len(e.segs) > maxSnapshots {
-		e.segs = e.segs[len(e.segs)-maxSnapshots:]
-	}
-	return Span{Start: start, End: end}
-}
-
 // prune collapses boundaries below minSN into a single floor boundary.
 func (e *entry) prune(minSN uint32) {
 	i := 0
@@ -175,6 +148,20 @@ type Shard struct {
 	mu   [stripes]sync.RWMutex
 	kv   [stripes]map[Key]*entry
 	stat [stripes]shardStat
+
+	// multi[st] lists the entries of stripe st that carry more than one
+	// snapshot boundary, guarded by mu[st]: an entry is listed ⇔
+	// len(segs) > 1. It joins where bound takes it from one boundary to two
+	// and leaves where PruneSnapshots collapses it back to one, so the list
+	// itself is the membership record and entry needs no flag. Only listed
+	// entries can have anything to prune, which makes a prune cost what the
+	// last few snapshots touched instead of what the shard stores.
+	multi [stripes][]*entry
+	// nmulti[st] mirrors len(multi[st]) so a prune skips a stripe with
+	// nothing listed without taking its lock.
+	nmulti [stripes]atomic.Int32
+
+	pruneVisited atomic.Int64 // entries PruneSnapshots has examined
 }
 
 type shardStat struct {
@@ -203,58 +190,72 @@ func NewShard(node fabric.NodeID, maxSnapshots int) *Shard {
 // Node returns the shard's owning node.
 func (s *Shard) Node() fabric.NodeID { return s.node }
 
+// entryLocked returns key's entry in stripe st, creating it on first sight.
+// Caller holds mu[st].
+func (s *Shard) entryLocked(st int, key Key) *entry {
+	e, ok := s.kv[st][key]
+	if !ok {
+		e = &entry{}
+		s.kv[st][key] = e
+		s.stat[st].entries++
+	}
+	return e
+}
+
+// bound records that e's current values are visible from snapshot sn on: it
+// extends the newest boundary when that already is sn's and adds one
+// otherwise. Every append goes through here, so this is the one place a
+// boundary is added and the one place an entry joins the stripe's
+// multi-boundary list. Snapshot numbers must be non-decreasing per key; the
+// dispatcher and coordinator guarantee this (stream batches within a stream
+// are inserted in order, and SN–VTS plans advance monotonically). Caller holds
+// mu[st].
+func (s *Shard) bound(st int, e *entry, sn uint32) {
+	end := uint32(len(e.vals))
+	n := len(e.segs)
+	if n > 0 && e.segs[n-1].sn == sn {
+		e.segs[n-1].end = end
+		return
+	}
+	if n > 0 && e.segs[n-1].sn > sn {
+		panic(fmt.Sprintf("store: snapshot regression on append: %d after %d", sn, e.segs[n-1].sn))
+	}
+	e.segs = append(e.segs, segBoundary{sn: sn, end: end})
+	// Bound metadata: collapse the oldest boundaries. This is safe only once
+	// no reader is below the collapsed SN; PruneSnapshots is the coordinated
+	// path, but a hard cap protects memory if a caller never prunes.
+	// Collapsing {sn1,e1},{sn2,e2} into {sn2,e2} loses only the ability to
+	// read below sn2. Copy down rather than reslice forward: a key appended
+	// to on every SN (the index vertices) keeps its backing array.
+	if over := len(e.segs) - s.maxSnapshots; over > 0 {
+		e.segs = append(e.segs[:0], e.segs[over:]...)
+	}
+	s.stat[st].segBounds += int64(len(e.segs) - n)
+	if n == 1 && len(e.segs) > 1 {
+		s.multi[st] = append(s.multi[st], e)
+		s.nmulti[st].Add(1)
+	}
+}
+
 // Append adds vals to key under snapshot sn, returning the span of the newly
 // appended values (for the stream index).
 func (s *Shard) Append(key Key, vals []rdf.ID, sn uint32) Span {
 	st := stripeOf(key)
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()
-	e, ok := s.kv[st][key]
-	if !ok {
-		e = &entry{}
-		s.kv[st][key] = e
-		s.stat[st].entries++
-	}
-	segsBefore := len(e.segs)
-	sp := e.append(vals, sn, s.maxSnapshots)
+	e := s.entryLocked(st, key)
+	start := uint32(len(e.vals))
+	e.vals = append(e.vals, vals...)
 	s.stat[st].values += int64(len(vals))
-	s.stat[st].segBounds += int64(len(e.segs) - segsBefore)
-	return sp
+	s.bound(st, e, sn)
+	return Span{Start: start, End: uint32(len(e.vals))}
 }
 
 // AppendOne is Append for a single value, avoiding a slice allocation on the
 // injection hot path. wasEmpty reports whether the key had no values before
 // this append — the injector's atomic cue to update the index vertex.
 func (s *Shard) AppendOne(key Key, val rdf.ID, sn uint32) (sp Span, wasEmpty bool) {
-	st := stripeOf(key)
-	s.mu[st].Lock()
-	defer s.mu[st].Unlock()
-	e, ok := s.kv[st][key]
-	if !ok {
-		e = &entry{}
-		s.kv[st][key] = e
-		s.stat[st].entries++
-	}
-	wasEmpty = len(e.vals) == 0
-	segsBefore := len(e.segs)
-	start := uint32(len(e.vals))
-	e.vals = append(e.vals, val)
-	sp = Span{Start: start, End: start + 1}
-	n := len(e.segs)
-	switch {
-	case n > 0 && e.segs[n-1].sn == sn:
-		e.segs[n-1].end = start + 1
-	case n > 0 && e.segs[n-1].sn > sn:
-		panic(fmt.Sprintf("store: snapshot regression on append: %d after %d", sn, e.segs[n-1].sn))
-	default:
-		e.segs = append(e.segs, segBoundary{sn: sn, end: start + 1})
-		if len(e.segs) > s.maxSnapshots {
-			e.segs = e.segs[len(e.segs)-s.maxSnapshots:]
-		}
-	}
-	s.stat[st].values++
-	s.stat[st].segBounds += int64(len(e.segs) - segsBefore)
-	return sp, wasEmpty
+	return s.appendOne(key, val, sn, false)
 }
 
 // AppendOneFloor is AppendOne with the snapshot number clamped up to the
@@ -265,24 +266,22 @@ func (s *Shard) AppendOne(key Key, val rdf.ID, sn uint32) (sp Span, wasEmpty boo
 // invariant. Clamping is sound for catch-up because the receiving replica's
 // snapshot readers are already at or above the newest boundary.
 func (s *Shard) AppendOneFloor(key Key, val rdf.ID, sn uint32) (sp Span, wasEmpty bool) {
+	return s.appendOne(key, val, sn, true)
+}
+
+func (s *Shard) appendOne(key Key, val rdf.ID, sn uint32, floor bool) (sp Span, wasEmpty bool) {
 	st := stripeOf(key)
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()
-	e, ok := s.kv[st][key]
-	if !ok {
-		e = &entry{}
-		s.kv[st][key] = e
-		s.stat[st].entries++
-	}
-	if n := len(e.segs); n > 0 && e.segs[n-1].sn > sn {
+	e := s.entryLocked(st, key)
+	if n := len(e.segs); floor && n > 0 && e.segs[n-1].sn > sn {
 		sn = e.segs[n-1].sn
 	}
-	wasEmpty = len(e.vals) == 0
-	segsBefore := len(e.segs)
-	sp = e.append([]rdf.ID{val}, sn, s.maxSnapshots)
+	start := uint32(len(e.vals))
+	e.vals = append(e.vals, val)
 	s.stat[st].values++
-	s.stat[st].segBounds += int64(len(e.segs) - segsBefore)
-	return sp, wasEmpty
+	s.bound(st, e, sn)
+	return Span{Start: start, End: start + 1}, start == 0
 }
 
 // RangeKeys calls f for every key in the shard with a copy of its full
@@ -354,17 +353,44 @@ func (s *Shard) GetSpan(key Key, sp Span) []rdf.ID {
 }
 
 // PruneSnapshots collapses per-key snapshot metadata below minSN. The engine
-// calls this as the coordinator's stable SN advances.
+// calls this as the coordinator's stable SN advances. Only the entries on the
+// multi-boundary lists are examined — an entry with a single boundary has
+// nothing to collapse — and a stripe with none listed is not locked.
 func (s *Shard) PruneSnapshots(minSN uint32) {
 	for st := 0; st < stripes; st++ {
+		if s.nmulti[st].Load() == 0 {
+			continue
+		}
 		s.mu[st].Lock()
-		for _, e := range s.kv[st] {
+		listed := s.multi[st]
+		kept := listed[:0]
+		for _, e := range listed {
 			before := len(e.segs)
 			e.prune(minSN)
 			s.stat[st].segBounds -= int64(before - len(e.segs))
+			if len(e.segs) > 1 {
+				kept = append(kept, e)
+			}
 		}
+		s.multi[st] = kept
+		s.nmulti[st].Store(int32(len(kept)))
 		s.mu[st].Unlock()
+		s.pruneVisited.Add(int64(len(listed)))
 	}
+}
+
+// PruneVisited returns how many entries PruneSnapshots has examined since the
+// shard was created.
+func (s *Shard) PruneVisited() int64 { return s.pruneVisited.Load() }
+
+// MultiBoundaryKeys returns how many keys currently carry more than one
+// snapshot boundary — what the next PruneSnapshots will examine.
+func (s *Shard) MultiBoundaryKeys() int64 {
+	var n int64
+	for st := range s.nmulti {
+		n += int64(s.nmulti[st].Load())
+	}
+	return n
 }
 
 // MemoryStats describes a shard's resident footprint for the memory

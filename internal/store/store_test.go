@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -209,24 +211,83 @@ func TestConcurrentAppendsDistinctKeys(t *testing.T) {
 	}
 }
 
+// A reader pinned at a snapshot sees an immutable prefix while a writer
+// appends under later snapshots and a pruner collapses metadata at or below
+// the reader's SN. The shard has room for every boundary, as in
+// TestSnapshotPrefixProperty: what the cap does to a reader it overtakes is
+// TestCapAndPruneKeepReadersAtOrAboveFloor's subject, not this test's.
 func TestConcurrentReadersDuringAppends(t *testing.T) {
-	s := NewShard(0, 4)
+	const pinned = 3
+	s := NewShard(0, 1<<30)
 	k := EdgeKey(1, 1, Out)
 	s.Append(k, []rdf.ID{1, 2, 3}, 0)
-	done := make(chan struct{})
+	for sn := uint32(1); sn <= pinned; sn++ {
+		s.AppendOne(k, rdf.ID(100+sn), sn)
+	}
+	want := []rdf.ID{1, 2, 3, 101, 102, 103}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
 	go func() {
-		defer close(done)
-		for sn := uint32(1); sn <= 50; sn++ {
-			s.AppendOne(k, rdf.ID(sn), sn)
+		defer wg.Done()
+		for sn := uint32(pinned + 1); sn <= 200; sn++ {
+			s.AppendOne(k, rdf.ID(100+sn), sn)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			s.PruneSnapshots(uint32(i % (pinned + 1)))
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		got := s.Get(k, 0)
-		if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-			t.Fatalf("snapshot-0 read changed under appends: %v", got)
+		if got := s.Get(k, pinned); !slices.Equal(got, want) {
+			t.Fatalf("read %d: snapshot-%d prefix changed under appends and prunes: %v", i, pinned, got)
 		}
 	}
-	<-done
+	wg.Wait()
+}
+
+// The contract the store does give: neither the hard cap nor a prune changes
+// what a reader at or above the floor sees. The floor is the oldest SN still
+// readable — minSN-1 after PruneSnapshots(minSN), the oldest retained boundary
+// after the cap. (Below the floor a reader is not protected: once the cap
+// drops every boundary ≤ its SN, visibleLen answers 0. DESIGN.md §6 records
+// that gap for in-flight one-shots.)
+func TestCapAndPruneKeepReadersAtOrAboveFloor(t *testing.T) {
+	for _, maxSnapshots := range []int{1, 2, 3, 5} {
+		ref := NewShard(0, 1<<30) // never capped, never pruned
+		s := NewShard(0, maxSnapshots)
+		k := EdgeKey(1, 1, Out)
+		const last = 12
+		floor := uint32(0) // only ever rises
+		for sn := uint32(0); sn <= last; sn++ {
+			sameAsRefFromFloor := func(after string) {
+				t.Helper()
+				for at := floor; at <= sn+1; at++ {
+					if got, want := len(s.Get(k, at)), len(ref.Get(k, at)); got != want {
+						t.Fatalf("max=%d after %s at sn=%d: Get(%d) sees %d values, want %d", maxSnapshots, after, sn, at, got, want)
+					}
+				}
+			}
+			for _, sh := range []*Shard{ref, s} {
+				sh.Append(k, []rdf.ID{rdf.ID(2 * sn), rdf.ID(2*sn + 1)}, sn)
+			}
+			// The cap keeps at least the newest maxSnapshots SNs readable.
+			if capFloor := int(sn) - maxSnapshots + 1; capFloor > int(floor) {
+				floor = uint32(capFloor)
+			}
+			sameAsRefFromFloor("append")
+			// A prune at minSN keeps every reader ≥ minSN-1 whole (and cannot
+			// resurrect what the cap already dropped).
+			if sn%3 == 2 {
+				minSN := sn - 1
+				s.PruneSnapshots(minSN)
+				floor = max(floor, minSN-1)
+				sameAsRefFromFloor(fmt.Sprintf("prune(%d)", minSN))
+			}
+		}
+	}
 }
 
 // Property: for any append schedule with non-decreasing SNs, a reader at
