@@ -40,12 +40,15 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Five seconds of native fuzzing per target on the replicated-op path: the op
-# decoder never panics and round-trips, and the verb interpreter never panics
-# and leaves no trace of an op it refuses. -fuzz takes one target per run.
+# Five seconds of native fuzzing per target where bytes cross a trust
+# boundary: the op decoder never panics and round-trips, the verb interpreter
+# never panics and leaves no trace of an op it refuses, and the in-memory
+# tuple parser never panics and agrees with the streaming Reader. -fuzz takes
+# one target per run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTuples$$' -fuzztime 5s ./internal/rdf
 
 # Quick confidence pass, including the chaos kill/recover smoke test.
 smoke:
@@ -69,8 +72,11 @@ soak-short:
 chaos-proc:
 	$(GO) test -short -count=1 -run 'TestProcClusterKillDashNine|TestProcSeedKillFailover' ./internal/chaos/...
 
+# Every benchmark reports B/op and allocs/op. BenchmarkMicro_Tick (one
+# daemon-side tick: EMIT ×5, ADVANCE, POLL ×6) lives in internal/server
+# because it drives the unexported POLL handler.
 bench:
-	$(GO) test -bench . -benchtime 20x -run '^$$' .
+	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server
 
 # Short observability-instrumented workload: prints per-stage p50/p99/p999 and
 # writes the metric registry under .bench_build/. wsbench exits nonzero if no

@@ -11,6 +11,7 @@ package repro
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -84,6 +85,7 @@ func newWukongSFixture(b *testing.B, cfg core.Config, lsCfg lsbench.Config) *wuk
 }
 
 func (f *wukongSFixture) benchQuery(b *testing.B, n int) {
+	b.ReportAllocs()
 	b.Helper()
 	cq := f.cqs[n]
 	// Warm once: the first execution after an engine tick replans against
@@ -134,8 +136,10 @@ func (env *lsBaselineEnv) fab(nodes int) *fabric.Fabric {
 // ---- Fig 4 ----------------------------------------------------------------
 
 func BenchmarkFig4_CompositeBreakdown(b *testing.B) {
+	b.ReportAllocs()
 	for _, mode := range []composite.PlanMode{composite.Interleaved, composite.StreamFirst} {
 		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			env := newLSBaselineEnv(b)
 			sys := composite.NewSystem(env.fab(1), env.ss, composite.Config{PlanMode: mode})
 			b.Cleanup(sys.Close)
@@ -158,6 +162,7 @@ func BenchmarkFig4_CompositeBreakdown(b *testing.B) {
 // ---- Tables 2 and 3: Wukong+S --------------------------------------------
 
 func benchmarkWukongSQueries(b *testing.B, nodes int) {
+	b.ReportAllocs()
 	f := newWukongSFixture(b, benchEngineConfig(nodes), benchLSConfig())
 	for n := 1; n <= 6; n++ {
 		n := n
@@ -173,6 +178,7 @@ func BenchmarkTable3_StormWukong(b *testing.B) { benchmarkComposite(b, storm.Sto
 func BenchmarkTable4_HeronWukong(b *testing.B) { benchmarkComposite(b, storm.Heron, 8) }
 
 func benchmarkComposite(b *testing.B, v storm.Variant, nodes int) {
+	b.ReportAllocs()
 	env := newLSBaselineEnv(b)
 	sys := composite.NewSystem(env.fab(nodes), env.ss, composite.Config{Variant: v})
 	b.Cleanup(sys.Close)
@@ -180,6 +186,7 @@ func benchmarkComposite(b *testing.B, v storm.Variant, nodes int) {
 	for n := 1; n <= 6; n++ {
 		q := sparql.MustParse(env.w.QueryL(n, 3))
 		b.Run(fmt.Sprintf("L%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := sys.ExecuteContinuous(q, env.windows(q, 2000), 2000); err != nil {
 					b.Fatal(err)
@@ -190,6 +197,7 @@ func benchmarkComposite(b *testing.B, v storm.Variant, nodes int) {
 }
 
 func BenchmarkTable2_CSPARQL(b *testing.B) {
+	b.ReportAllocs()
 	env := newLSBaselineEnv(b)
 	cfg := csparql.Config{}
 	if latencyMode() != fabric.Off {
@@ -200,6 +208,7 @@ func BenchmarkTable2_CSPARQL(b *testing.B) {
 	for n := 1; n <= 6; n++ {
 		q := sparql.MustParse(env.w.QueryL(n, 3))
 		b.Run(fmt.Sprintf("L%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := sys.ExecuteContinuous(q, env.windows(q, 2000), 2000); err != nil {
 					b.Fatal(err)
@@ -211,10 +220,12 @@ func BenchmarkTable2_CSPARQL(b *testing.B) {
 
 func BenchmarkTable3_SparkStreaming(b *testing.B) { benchmarkRelstream(b, relstream.SparkStreaming) }
 func BenchmarkTable4_StructuredStreaming(b *testing.B) {
+	b.ReportAllocs()
 	benchmarkRelstream(b, relstream.StructuredStreaming)
 }
 
 func benchmarkRelstream(b *testing.B, mode relstream.Mode) {
+	b.ReportAllocs()
 	env := newLSBaselineEnv(b)
 	sys := relstream.NewSystem(env.fab(1), env.ss, relstream.Config{Mode: mode})
 	sys.LoadBase(env.w.Initial)
@@ -224,6 +235,7 @@ func benchmarkRelstream(b *testing.B, mode relstream.Mode) {
 	for n := 1; n <= 6; n++ {
 		q := sparql.MustParse(env.w.QueryL(n, 3))
 		b.Run(fmt.Sprintf("L%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, _, err := sys.ExecuteContinuous(q, env.windows(q, 2000), 2000)
 				if err == relstream.ErrUnsupported {
@@ -238,6 +250,7 @@ func benchmarkRelstream(b *testing.B, mode relstream.Mode) {
 }
 
 func BenchmarkTable4_WukongExt(b *testing.B) {
+	b.ReportAllocs()
 	env := newLSBaselineEnv(b)
 	sys := wukongext.NewSystem(env.fab(8), env.ss, 4)
 	b.Cleanup(sys.Close)
@@ -248,6 +261,7 @@ func BenchmarkTable4_WukongExt(b *testing.B) {
 	for n := 1; n <= 6; n++ {
 		q := sparql.MustParse(env.w.QueryL(n, 3))
 		b.Run(fmt.Sprintf("L%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := sys.ExecuteContinuous(q, 2000); err != nil {
 					b.Fatal(err)
@@ -260,6 +274,7 @@ func BenchmarkTable4_WukongExt(b *testing.B) {
 // ---- Table 5: RDMA on/off --------------------------------------------------
 
 func BenchmarkTable5_NonRDMA(b *testing.B) {
+	b.ReportAllocs()
 	cfg := benchEngineConfig(8)
 	cfg.Fabric.Latency = fabric.DefaultLatency()
 	cfg.Fabric.RDMA = false
@@ -274,6 +289,7 @@ func BenchmarkTable5_NonRDMA(b *testing.B) {
 // ---- Figs 12, 13: scalability ----------------------------------------------
 
 func BenchmarkFig12_Nodes(b *testing.B) {
+	b.ReportAllocs()
 	for _, nodes := range []int{2, 4, 6, 8} {
 		f := newWukongSFixture(b, benchEngineConfig(nodes), benchLSConfig())
 		for _, n := range []int{1, 4} { // one query per selectivity group
@@ -284,6 +300,7 @@ func BenchmarkFig12_Nodes(b *testing.B) {
 }
 
 func BenchmarkFig13_StreamRate(b *testing.B) {
+	b.ReportAllocs()
 	for _, mult := range []int{1, 2, 4} {
 		cfg := benchLSConfig()
 		cfg.RatePO *= mult
@@ -302,6 +319,7 @@ func BenchmarkFig13_StreamRate(b *testing.B) {
 // ---- Table 6: injection ------------------------------------------------------
 
 func BenchmarkTable6_Injection(b *testing.B) {
+	b.ReportAllocs()
 	e, d, _, err := harness.LSBenchEngine(benchEngineConfig(8), benchLSConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -330,6 +348,7 @@ func BenchmarkTable6_Injection(b *testing.B) {
 // ---- Figs 14, 15: throughput -------------------------------------------------
 
 func benchmarkThroughput(b *testing.B, classes []int) {
+	b.ReportAllocs()
 	e, d, w, err := harness.LSBenchEngine(benchEngineConfig(8), benchLSConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -369,6 +388,7 @@ func BenchmarkFig15_ThroughputMix6(b *testing.B) { benchmarkThroughput(b, []int{
 // ---- Table 7 / §6.7: memory ---------------------------------------------------
 
 func BenchmarkTable7_StreamIndexMemory(b *testing.B) {
+	b.ReportAllocs()
 	e, d, w, err := harness.LSBenchEngine(benchEngineConfig(8), benchLSConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -398,8 +418,10 @@ func BenchmarkTable7_StreamIndexMemory(b *testing.B) {
 }
 
 func BenchmarkSnapMem_Scalarization(b *testing.B) {
+	b.ReportAllocs()
 	for _, snaps := range []int{2, 3} {
 		b.Run(fmt.Sprintf("snapshots=%d", snaps), func(b *testing.B) {
+			b.ReportAllocs()
 			cfg := benchEngineConfig(8)
 			cfg.MaxSnapshots = snaps
 			e, d, _, err := harness.LSBenchEngine(cfg, benchLSConfig())
@@ -426,12 +448,14 @@ func BenchmarkSnapMem_Scalarization(b *testing.B) {
 // ---- §6.8: fault tolerance -----------------------------------------------------
 
 func BenchmarkFT_Overhead(b *testing.B) {
+	b.ReportAllocs()
 	for _, ft := range []bool{false, true} {
 		name := "off"
 		if ft {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			e, d, w, err := harness.LSBenchEngine(benchEngineConfig(8), benchLSConfig())
 			if err != nil {
 				b.Fatal(err)
@@ -467,6 +491,7 @@ func BenchmarkFT_Overhead(b *testing.B) {
 // ---- Table 8: one-shot queries ---------------------------------------------------
 
 func BenchmarkTable8_OneShot(b *testing.B) {
+	b.ReportAllocs()
 	e, d, w, err := harness.LSBenchEngine(benchEngineConfig(8), benchLSConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -486,6 +511,7 @@ func BenchmarkTable8_OneShot(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("S%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.QueryParsed(q); err != nil {
 					b.Fatal(err)
@@ -498,6 +524,7 @@ func BenchmarkTable8_OneShot(b *testing.B) {
 // ---- Table 9: CityBench -----------------------------------------------------------
 
 func BenchmarkTable9_CityBench(b *testing.B) {
+	b.ReportAllocs()
 	e, d, w, err := harness.CityBenchEngine(benchEngineConfig(1), citybench.Config{RateScale: 10})
 	if err != nil {
 		b.Fatal(err)
@@ -517,6 +544,7 @@ func BenchmarkTable9_CityBench(b *testing.B) {
 	for n := 1; n <= 11; n++ {
 		cq := cqs[n]
 		b.Run(fmt.Sprintf("C%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := cq.ExecuteNow(); err != nil {
 					b.Fatal(err)
@@ -529,6 +557,7 @@ func BenchmarkTable9_CityBench(b *testing.B) {
 // ---- Micro-benchmarks of the substrates -------------------------------------------
 
 func BenchmarkMicro_StoreInsert(b *testing.B) {
+	b.ReportAllocs()
 	fab := fabric.New(fabric.DefaultConfig(8))
 	st := storeSharded(fab)
 	ss := strserver.New()
@@ -544,6 +573,7 @@ func BenchmarkMicro_StoreInsert(b *testing.B) {
 }
 
 func BenchmarkMicro_ParseQC(b *testing.B) {
+	b.ReportAllocs()
 	w := lsbench.Generate(lsbench.Config{Users: 50}, strserver.New())
 	text := w.QueryL(5, 0)
 	b.ResetTimer()
@@ -555,6 +585,7 @@ func BenchmarkMicro_ParseQC(b *testing.B) {
 }
 
 func BenchmarkMicro_SourceEmit(b *testing.B) {
+	b.ReportAllocs()
 	ss := strserver.New()
 	src, err := stream.NewSource(stream.Config{Name: "s", BatchInterval: 100 * time.Millisecond}, ss)
 	if err != nil {
@@ -570,6 +601,40 @@ func BenchmarkMicro_SourceEmit(b *testing.B) {
 		if i%1024 == 1023 {
 			src.SealUpTo(enc.TS) // keep the pending buffer bounded
 		}
+	}
+}
+
+// BenchmarkMicro_ParseTuples parses one EMIT body the size of a benchmark
+// tick's largest stream share (64 tuples) from memory.
+func BenchmarkMicro_ParseTuples(b *testing.B) {
+	b.ReportAllocs()
+	var body strings.Builder
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&body, "%s\n", rdf.Tuple{Triple: rdf.T(fmt.Sprintf("user-%d", i), "po", fmt.Sprintf("post-%d", 1000+i)), TS: rdf.Timestamp(100 + i)})
+	}
+	text := body.String()
+	b.SetBytes(int64(len(text)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rdf.ParseTuples(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMicro_InternHit interns a term the string server already knows —
+// what every tuple of a steady stream does twice.
+func BenchmarkMicro_InternHit(b *testing.B) {
+	b.ReportAllocs()
+	ss := strserver.New()
+	terms := make([]rdf.Term, 1024)
+	for i := range terms {
+		terms[i] = rdf.NewIRI(fmt.Sprintf("http://example.org/user/%d", i))
+		ss.InternEntity(terms[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ss.InternEntity(terms[i%len(terms)])
 	}
 }
 

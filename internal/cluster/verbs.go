@@ -19,13 +19,19 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/stream"
 )
+
+// emitScratch holds the []rdf.Tuple an EMIT body is parsed into. It is a pool
+// because ApplyVerb has no owner that serialises it: connection handlers,
+// the sequencer, replica apply and log replay all call it, concurrently on a
+// standalone daemon.
+var emitScratch = sync.Pool{New: func() any { return new([]rdf.Tuple) }}
 
 // ApplyVerb executes one data verb against eng and returns the reply text
 // that follows "+OK " on the line protocol ("stream S", "loaded 12",
@@ -61,7 +67,7 @@ func ApplyVerb(eng *core.Engine, onFire func(name string, res *core.Result, fi c
 		if len(args) != 0 {
 			return "", errors.New("usage: LOAD")
 		}
-		triples, err := rdf.ReadAllTriples(strings.NewReader(body))
+		triples, err := rdf.ParseTriples(body)
 		if err != nil {
 			return "", err
 		}
@@ -76,16 +82,24 @@ func ApplyVerb(eng *core.Engine, onFire func(name string, res *core.Result, fi c
 		if !ok {
 			return "", fmt.Errorf("unknown stream %q", args[0])
 		}
-		tuples, err := rdf.ReadAllTuples(strings.NewReader(body))
+		buf := emitScratch.Get().(*[]rdf.Tuple)
+		tuples, err := rdf.AppendTuples(*buf, body)
 		if err != nil {
-			return "", err
+			return "", err // buf is dropped with whatever it parsed
 		}
 		// One admission decision for the whole body: the stream's shed policy
 		// is deterministic in op order, so every replica decides alike.
-		if err := src.EmitBatch(tuples); err != nil {
+		// EmitBatch encodes the tuples to IDs and keeps none of them; their
+		// strings are slices of body, so they are cleared before the buffer
+		// is parked.
+		n, err := len(tuples), src.EmitBatch(tuples)
+		clear(tuples)
+		*buf = tuples[:0]
+		emitScratch.Put(buf)
+		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("emitted %d", len(tuples)), nil
+		return "emitted " + strconv.Itoa(n), nil
 
 	case "ADVANCE":
 		if len(args) != 1 {

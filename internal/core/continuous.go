@@ -49,7 +49,14 @@ type FireInfo struct {
 	Rows int
 }
 
-// CQStats summarizes a continuous query's executions.
+// latRing is how many execution latencies a continuous query remembers: the
+// newest 65 536, a constant 512 KiB once full, where an unbounded slice grew
+// by about 7 MB a day per query at ten firings a second.
+const latRing = 1 << 16
+
+// CQStats summarizes a continuous query's executions. Executions, the failure
+// counters and TotalRows are exact over the query's life; the latency
+// figures cover the newest latRing executions.
 type CQStats struct {
 	Executions int64
 	// FailedExecutions counts window firings abandoned because an injected
@@ -85,13 +92,17 @@ type ContinuousQuery struct {
 
 	mu          sync.Mutex
 	nextFire    rdf.Timestamp
-	planTick    int64 // engine tick the plan was compiled at
+	planTick    int64      // engine tick the plan was compiled at
+	splitOf     *plan.Plan // the plan split/splitReason were computed from
+	split       *deltaPlan
+	splitReason string
 	execs       int64
 	failedExecs int64
 	deadlineEx  int64
 	totalRows   int64
-	lats        []time.Duration
-	waitSince   time.Time // wall time a due firing first found its windows unstable
+	lats        []time.Duration // the newest latRing latencies; a ring once full
+	latNext     int             // the slot the next latency overwrites once the ring is full
+	waitSince   time.Time       // wall time a due firing first found its windows unstable
 }
 
 // replan recompiles the query at most once per engine tick: stream
@@ -399,7 +410,7 @@ func (cq *ContinuousQuery) execute(at rdf.Timestamp) {
 	cq.mu.Lock()
 	cq.execs++
 	cq.totalRows += int64(rs.Len())
-	cq.lats = append(cq.lats, lat)
+	cq.recordLatLocked(lat)
 	cq.mu.Unlock()
 	e.hExecute.Observe(lat)
 	e.cExecs.Inc()
@@ -408,6 +419,17 @@ func (cq *ContinuousQuery) execute(at rdf.Timestamp) {
 	cq.cb(&Result{set: rs, ss: e.ss}, FireInfo{At: at, Latency: lat, Rows: rs.Len()})
 	emit.End()
 	emitted.End()
+}
+
+// recordLatLocked remembers one execution latency, overwriting the oldest
+// once latRing are held. Caller holds cq.mu.
+func (cq *ContinuousQuery) recordLatLocked(lat time.Duration) {
+	if len(cq.lats) < latRing {
+		cq.lats = append(cq.lats, lat)
+		return
+	}
+	cq.lats[cq.latNext] = lat
+	cq.latNext = (cq.latNext + 1) % latRing
 }
 
 // ExecuteNow synchronously runs the query once over the window ending at the
@@ -464,7 +486,8 @@ func (cq *ContinuousQuery) ExecuteNowTraced() (*Result, *exec.Trace, error) {
 	return &Result{set: rs, ss: e.ss}, trace, nil
 }
 
-// Stats summarizes the query's executions so far.
+// Stats summarizes the query's executions so far; see CQStats for what the
+// latency figures cover.
 func (cq *ContinuousQuery) Stats() CQStats {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
@@ -489,11 +512,13 @@ func (cq *ContinuousQuery) Stats() CQStats {
 	return st
 }
 
-// Latencies returns a copy of all recorded execution latencies (CDF plots).
+// Latencies returns a copy of the recorded execution latencies, oldest first
+// (CDF plots): all of them up to latRing executions, the newest latRing after.
 func (cq *ContinuousQuery) Latencies() []time.Duration {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	return append([]time.Duration(nil), cq.lats...)
+	out := make([]time.Duration, 0, len(cq.lats))
+	return append(append(out, cq.lats[cq.latNext:]...), cq.lats[:cq.latNext]...)
 }
 
 // Home returns the node the query executes on, fixed at registration.

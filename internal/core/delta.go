@@ -27,6 +27,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -83,24 +85,35 @@ type deltaPlan struct {
 // estimates are deliberately excluded: drifting estimates that don't change
 // the step order must not invalidate the cache.
 func planFingerprint(p *plan.Plan) string {
-	var b strings.Builder
+	b := make([]byte, 0, 32*len(p.Steps))
+	num := func(v uint64) {
+		b = strconv.AppendUint(b, v, 10)
+		b = append(b, ':')
+	}
+	endpoint := func(ep plan.Endpoint) {
+		if ep.IsVar() {
+			b = append(append(b, '?'), ep.Var...)
+		} else {
+			b = strconv.AppendUint(append(b, '#'), uint64(ep.Const), 10)
+		}
+	}
 	for _, st := range p.Steps {
 		if st.Kind == plan.Filter {
-			fmt.Fprintf(&b, "f:%v;", st.Expr)
+			b = fmt.Appendf(b, "f:%v;", st.Expr)
 			continue
 		}
-		fmt.Fprintf(&b, "%d:%d:%s:%s>%s:%d:%d:%s;",
-			st.Kind, st.Pid, st.PVar, endpointStr(st.From), endpointStr(st.To),
-			st.Dir, st.Graph.Kind, st.Graph.Name)
+		num(uint64(st.Kind))
+		num(uint64(st.Pid))
+		b = append(append(b, st.PVar...), ':')
+		endpoint(st.From)
+		b = append(b, '>')
+		endpoint(st.To)
+		b = append(b, ':')
+		num(uint64(st.Dir))
+		num(uint64(st.Graph.Kind))
+		b = append(append(b, st.Graph.Name...), ';')
 	}
-	return b.String()
-}
-
-func endpointStr(ep plan.Endpoint) string {
-	if ep.IsVar() {
-		return "?" + ep.Var
-	}
-	return fmt.Sprintf("#%d", ep.Const)
+	return string(b)
 }
 
 // splitDeltaPlan segments a compiled plan, or returns the shape reason it is
@@ -117,19 +130,10 @@ func endpointStr(ep plan.Endpoint) string {
 // every later step; they defer to `post`, re-evaluated over the live full
 // window each firing.
 func splitDeltaPlan(p *plan.Plan) (*deltaPlan, string) {
-	if p == nil || p.Empty || len(p.Steps) == 0 ||
-		len(p.Unions) > 0 || len(p.Optionals) > 0 || len(p.PostFilters) > 0 {
+	if !deltaShape(p) {
 		return nil, "shape"
 	}
 	dp := &deltaPlan{fp: planFingerprint(p)}
-	seen := map[rdf.ID]bool{}
-	seenStream := map[string]bool{}
-	stream := func(name string) {
-		if !seenStream[name] {
-			seenStream[name] = true
-			dp.streams = append(dp.streams, name)
-		}
-	}
 	cur := -1 // -1 = the stored prefix
 	for _, st := range p.Steps {
 		if st.Kind != plan.Filter {
@@ -137,15 +141,16 @@ func splitDeltaPlan(p *plan.Plan) (*deltaPlan, string) {
 				return nil, "shape"
 			}
 			if st.Graph.Kind == sparql.StreamGraph {
-				stream(st.Graph.Name)
+				if !slices.Contains(dp.streams, st.Graph.Name) {
+					dp.streams = append(dp.streams, st.Graph.Name)
+				}
 				if st.Kind == plan.Check {
 					dp.post = append(dp.post, st)
 					continue
 				}
 				dp.segs = append(dp.segs, deltaSeg{stream: st.Graph.Name})
 				cur = len(dp.segs) - 1
-			} else if !seen[st.Pid] {
-				seen[st.Pid] = true
+			} else if !slices.Contains(dp.storedPids, st.Pid) {
 				dp.storedPids = append(dp.storedPids, st.Pid)
 			}
 		}
@@ -162,6 +167,30 @@ func splitDeltaPlan(p *plan.Plan) (*deltaPlan, string) {
 		return nil, "shape" // vector keys are fixed-size; see maxDeltaSegs
 	}
 	return dp, ""
+}
+
+// deltaShape reports whether a plan is a plain step sequence — the only
+// shape the delta evaluator segments.
+func deltaShape(p *plan.Plan) bool {
+	return p != nil && !p.Empty && len(p.Steps) > 0 &&
+		len(p.Unions) == 0 && len(p.Optionals) == 0 && len(p.PostFilters) == 0
+}
+
+// deltaPlanFor returns p's segmentation, computed once per compiled plan and
+// kept across a recompile that did not change the plan's shape (the per-tick
+// replan usually moves only the estimates, which the fingerprint leaves out
+// and the segmentation never reads). A deltaPlan is immutable, so every
+// firing that runs p shares one.
+func (cq *ContinuousQuery) deltaPlanFor(p *plan.Plan) (*deltaPlan, string) {
+	cq.mu.Lock()
+	defer cq.mu.Unlock()
+	if cq.splitOf != p {
+		cq.splitOf = p
+		if cq.split == nil || !deltaShape(p) || cq.split.fp != planFingerprint(p) {
+			cq.split, cq.splitReason = splitDeltaPlan(p)
+		}
+	}
+	return cq.split, cq.splitReason
 }
 
 // batchRange is one segment's window, in batches.
@@ -370,12 +399,10 @@ func (cq *ContinuousQuery) windowFor(stream string) (queryWindow, bool) {
 // batchProvider clones the firing's provider with one stream's window
 // restricted to a single batch — the segment evaluator's data source.
 func (e *Engine) batchProvider(base *accessProvider, stream string, b tstore.BatchID) *accessProvider {
-	out := &accessProvider{stored: base.stored, memo: base.memo, byName: make(map[string]exec.WindowAccess, len(base.byName))}
-	for name, wa := range base.byName {
-		if name == stream {
-			wa.From, wa.To = b, b
-		}
-		out.byName[name] = wa
+	out := &accessProvider{stored: base.stored, memo: base.memo, byName: base.byName}
+	if wa, ok := base.byName[stream]; ok {
+		out.narrowName, out.narrow = stream, *wa
+		out.narrow.From, out.narrow.To = b, b
 	}
 	return out
 }
@@ -409,7 +436,7 @@ type walkState struct {
 	dp          *deltaPlan
 	ds          *deltaState
 	wins        []batchRange
-	staged      []map[vecKey]deltaEntry         // lazily allocated per level
+	staged      [][]deltaEntry                  // per level: this firing's new entries, committed on success
 	stagedEdges []map[tstore.BatchID]batchEdges // lazily allocated per level
 	noEdges     []map[tstore.BatchID]bool       // this firing's "too sparse to build" memo
 	parentEst   []int                           // per level: cached parent-table row total
@@ -426,7 +453,6 @@ func (ws *walkState) batchEdgeScan(stream string, b tstore.BatchID, st plan.Step
 	if !ok {
 		return nil, nil
 	}
-	wa.From, wa.To = b, b
 	m, err := wa.BatchEdges(ws.cq.Home(), b, st.Pid, st.Dir)
 	if err != nil {
 		return nil, err
@@ -528,7 +554,7 @@ func (ws *walkState) segRest(level int, b tstore.BatchID, tbl *exec.Table, rest 
 // through crossBind's cartesian attach, including the ?x p ?x self-loop
 // handling — the identical row multiset to the Candidates+Neighbors path.
 func seedCrossBind(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
-	out := &exec.Table{Vars: append([]string(nil), in.Vars...)}
+	out := &exec.Table{Vars: append(make([]string, 0, len(in.Vars)+2), in.Vars...)}
 	fromCol, toCol := -1, -1
 	if st.From.IsVar() {
 		fromCol = len(out.Vars)
@@ -538,6 +564,13 @@ func seedCrossBind(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 		toCol = len(out.Vars)
 		out.Vars = append(out.Vars, st.To.Var)
 	}
+	edges := 0
+	for _, ns := range be {
+		edges += len(ns)
+	}
+	var arena exec.RowArena
+	arena.Grow(len(in.Rows) * edges * len(out.Vars))
+	out.Rows = make([][]rdf.ID, 0, len(in.Rows)*edges)
 	for _, row := range in.Rows {
 		for from, ns := range be {
 			for _, to := range ns {
@@ -547,7 +580,7 @@ func seedCrossBind(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 				if st.To.IsVar() && st.To.Var == st.From.Var && from != to {
 					continue // ?x p ?x self-loop pattern
 				}
-				nr := make([]rdf.ID, len(out.Vars))
+				nr := arena.Row(len(out.Vars))
 				copy(nr, row)
 				if fromCol >= 0 {
 					nr[fromCol] = from
@@ -570,17 +603,29 @@ func joinExpand(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 	if st.From.IsVar() {
 		fromCol = in.Col(st.From.Var)
 	}
-	out := &exec.Table{Vars: append(append([]string(nil), in.Vars...), st.To.Var)}
-	for _, row := range in.Rows {
-		from := st.From.Const
+	out := &exec.Table{Vars: exec.WithVars(in.Vars, st.To.Var)}
+	origin := func(row []rdf.ID) rdf.ID {
 		if fromCol >= 0 {
-			from = row[fromCol]
+			return row[fromCol]
 		}
-		for _, n := range be[from] {
-			nr := make([]rdf.ID, len(row)+1)
-			copy(nr, row)
-			nr[len(row)] = n
-			out.Rows = append(out.Rows, nr)
+		return st.From.Const
+	}
+	// Count the matches first (one more hash probe per input row) so the
+	// output is two allocations of the right size, not a doubling slice of
+	// row headers plus a chain of chunks.
+	n := 0
+	for _, row := range in.Rows {
+		n += len(be[origin(row)])
+	}
+	if n == 0 {
+		return out
+	}
+	var arena exec.RowArena
+	arena.Grow(n * len(out.Vars))
+	out.Rows = make([][]rdf.ID, 0, n)
+	for _, row := range in.Rows {
+		for _, to := range be[origin(row)] {
+			out.Rows = append(out.Rows, arena.Extend(row, to))
 		}
 	}
 	return out
@@ -593,7 +638,6 @@ func joinExpand(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 func (e *Engine) buildPostPairs(cq *ContinuousQuery, base *accessProvider, st plan.Step, b tstore.BatchID) ([]edgePair, error) {
 	node := cq.Home()
 	if wa, ok := base.byName[st.Graph.Name]; ok {
-		wa.From, wa.To = b, b
 		m, err := wa.BatchEdges(node, b, st.Pid, st.Dir)
 		if err != nil {
 			return nil, err
@@ -712,7 +756,7 @@ func (e *Engine) applyPost(cq *ContinuousQuery, ds *deltaState, dp *deltaPlan, b
 // handled=true, rs/err carry the evaluation outcome and lat the wall time
 // of the delta evaluation alone.
 func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestamp, mode exec.Mode, ctx context.Context) (rs *exec.ResultSet, lat time.Duration, err error, handled bool) {
-	dp, reason := splitDeltaPlan(p)
+	dp, reason := cq.deltaPlanFor(p)
 	if dp == nil {
 		e.countFullRecompute(reason)
 		return nil, 0, nil, false
@@ -772,7 +816,7 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 
 	ws := &walkState{
 		e: e, cq: cq, ctx: ctx, base: base, dp: dp, ds: ds, wins: wins,
-		staged:      make([]map[vecKey]deltaEntry, len(dp.segs)),
+		staged:      make([][]deltaEntry, len(dp.segs)),
 		stagedEdges: make([]map[tstore.BatchID]batchEdges, len(dp.segs)),
 		noEdges:     make([]map[tstore.BatchID]bool, len(dp.segs)),
 		parentEst:   make([]int, len(dp.segs)),
@@ -789,21 +833,18 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 			key := prefix
 			key[level] = b
 			var tbl *exec.Table
+			// The descent enumerates distinct vectors, so a key not yet in
+			// the cache has not been staged by this firing either.
 			if ent, ok := ds.levels[level][key]; ok {
 				tbl = ent.tbl
 				ws.reused++
-			} else if ent, ok := ws.staged[level][key]; ok {
-				tbl = ent.tbl
 			} else {
 				var werr error
 				tbl, werr = ws.segEval(level, b, in)
 				if werr != nil {
 					return werr
 				}
-				if ws.staged[level] == nil {
-					ws.staged[level] = map[vecKey]deltaEntry{}
-				}
-				ws.staged[level][key] = deltaEntry{vec: key, tbl: tbl}
+				ws.staged[level] = append(ws.staged[level], deltaEntry{vec: key, tbl: tbl})
 			}
 			if len(tbl.Rows) == 0 {
 				continue // an empty prefix joins to nothing deeper down
@@ -828,8 +869,8 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 	// Commit.
 	ds.pre = pre
 	for i := range ws.staged {
-		for k, v := range ws.staged[i] {
-			ds.levels[i][k] = v
+		for _, ent := range ws.staged[i] {
+			ds.levels[i][ent.vec] = ent
 		}
 		for b, be := range ws.stagedEdges[i] {
 			ds.segEdges[i][b] = be
@@ -843,7 +884,11 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 	// apply incrementally (their pair counts slide with the window), then
 	// Project applies DISTINCT/aggregates/ORDER/LIMIT identically.
 	if len(leaves) > 0 {
-		tbl := &exec.Table{Vars: leaves[0].Vars}
+		total := 0
+		for _, l := range leaves {
+			total += len(l.Rows)
+		}
+		tbl := &exec.Table{Vars: leaves[0].Vars, Rows: make([][]rdf.ID, 0, total)}
 		for _, l := range leaves {
 			tbl.Rows = append(tbl.Rows, l.Rows...)
 		}

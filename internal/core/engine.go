@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,13 +186,18 @@ func (c Config) withDefaults() Config {
 
 // streamState is the engine's per-stream bookkeeping.
 type streamState struct {
-	id     vts.StreamID
-	src    *stream.Source
-	index  *sindex.Index
-	trans  []*tstore.Store // per node
-	home   fabric.NodeID   // adaptor home (stream arrival node)
-	timing bool            // has any timing predicates (diagnostics)
-	cfg    stream.Config   // original registration config (persisted by FT)
+	id    vts.StreamID
+	src   *stream.Source
+	index *sindex.Index
+	trans []*tstore.Store // per node
+	// injectMu makes one stream's batch injections never overlap — what
+	// sindex.AddBatch assumes and what lets each node's injector reuse its
+	// scratch — even when two clients drive ADVANCE at once.
+	injectMu sync.Mutex
+	inject   []stream.InjectScratch // per node, guarded by injectMu
+	home     fabric.NodeID          // adaptor home (stream arrival node)
+	timing   bool                   // has any timing predicates (diagnostics)
+	cfg      stream.Config          // original registration config (persisted by FT)
 
 	// Per-stream observability counters (nil-safe; see RegisterStream).
 	mTuples  *obs.Counter
@@ -361,6 +367,8 @@ func (e *Engine) Metrics() *obs.Registry { return e.obs }
 // engine in a process owns the process-wide series.
 func (e *Engine) registerMetrics() {
 	r := e.obs
+	// Go runtime health: allocation, GC and scheduler cost of this process.
+	obs.RegisterRuntime(r)
 	// Persistent store: memory and operation counters.
 	r.GaugeFunc("store_entries", func() int64 { return e.stored.Memory().Entries })
 	r.GaugeFunc("store_values", func() int64 { return e.stored.Memory().Values })
@@ -537,6 +545,11 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 	if _, ok := e.streams[cfg.Name]; ok {
 		return nil, fmt.Errorf("core: stream %q already registered", cfg.Name)
 	}
+	// cfg is kept for the engine's life (streamState, StreamConfigsOrdered),
+	// and its strings may be slices of a request line the caller reuses.
+	cfg.Name = strings.Clone(cfg.Name)
+	cfg.TimingPredicates = cloneStrings(cfg.TimingPredicates)
+	cfg.KeepPredicates = cloneStrings(cfg.KeepPredicates)
 	if cfg.MaxPending == 0 && e.cfg.Flow.MaxPending > 0 {
 		// Engine-wide admission default for streams that don't choose their
 		// own bound.
@@ -555,6 +568,7 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 		src:    src,
 		index:  sindex.New(home),
 		trans:  make([]*tstore.Store, e.cfg.Nodes),
+		inject: make([]stream.InjectScratch, e.cfg.Nodes),
 		home:   home,
 		timing: len(cfg.TimingPredicates) > 0,
 		cfg:    cfg,
@@ -571,6 +585,18 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 		}
 	}
 	return src, nil
+}
+
+// cloneStrings copies a string slice and the bytes of every element.
+func cloneStrings(in []string) []string {
+	if in == nil {
+		return nil
+	}
+	out := make([]string, len(in))
+	for i, s := range in {
+		out[i] = strings.Clone(s)
+	}
+	return out
 }
 
 // registerStreamMetrics installs the per-stream series, labeled by stream
@@ -843,6 +869,8 @@ func (e *Engine) sendOneWay(from, to fabric.NodeID, n int) error {
 // injectBatch dispatches one batch and injects it on all nodes, blocking
 // until the batch is fully inserted and reported to the coordinator.
 func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
+	st.injectMu.Lock()
+	defer st.injectMu.Unlock()
 	disp := e.obs.Span("dispatch")
 	work, lost := stream.Dispatch(e.fab, e.snd, st.home, b)
 	disp.End()
@@ -867,6 +895,7 @@ func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 				Store:     e.stored,
 				Index:     st.index,
 				Transient: st.trans[n],
+				Scratch:   &st.inject[n],
 				Obs:       e.injObs,
 				Sender:    e.snd,
 				Unshipped: func(from, to fabric.NodeID, bytes int) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/rdf"
 	"repro/internal/stream"
@@ -564,5 +565,69 @@ func TestCloseDuringAdvanceReturns(t *testing.T) {
 		finish("AdvanceTo racing Close", func() { <-advanced })
 		emit(t, tweets, 4050, "Logan", "po", "T-late")
 		finish("AdvanceTo after Close", func() { e.AdvanceTo(4100) })
+	}
+}
+
+// TestLatencyHistoryIsBounded pins the ring: a query that has fired more than
+// latRing times remembers exactly the newest latRing latencies, oldest first,
+// and Stats' percentiles cover those.
+func TestLatencyHistoryIsBounded(t *testing.T) {
+	cq := &ContinuousQuery{}
+	const extra = 10
+	for i := 0; i < latRing+extra; i++ {
+		cq.recordLatLocked(time.Duration(i))
+	}
+	lats := cq.Latencies()
+	if len(lats) != latRing {
+		t.Fatalf("Latencies() holds %d, want %d", len(lats), latRing)
+	}
+	for i, l := range lats {
+		if want := time.Duration(extra + i); l != want {
+			t.Fatalf("Latencies()[%d] = %d, want %d (oldest first, the first %d overwritten)", i, l, want, extra)
+		}
+	}
+	if len(cq.lats) != latRing || cap(cq.lats) > 2*latRing {
+		t.Errorf("backing slice len %d cap %d, want a fixed ring of %d", len(cq.lats), cap(cq.lats), latRing)
+	}
+	st := cq.Stats()
+	if want := time.Duration(extra + latRing/2); st.MedianLat != want {
+		t.Errorf("MedianLat = %d, want %d (the median of the ring)", st.MedianLat, want)
+	}
+}
+
+// TestRegisterStreamCopiesWhatItKeeps: the line-protocol handler hands
+// RegisterStream slices of a request line in an argument slice it reuses, and
+// the engine keeps the config for its whole life — so the name and the
+// predicate lists must be copies, bytes and slice both.
+func TestRegisterStreamCopiesWhatItKeeps(t *testing.T) {
+	e, err := New(Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	line := strings.Repeat("#", 1<<20) + "S1 ga gb"
+	args := strings.Fields(line[1<<20:])
+	src, err := e.RegisterStream(stream.Config{Name: args[0], BatchInterval: 100 * time.Millisecond, TimingPredicates: args[1:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args[1], args[2] = "overwritten", "too"
+	kept := e.StreamConfigsOrdered()[0]
+	if kept.Name != "S1" || len(kept.TimingPredicates) != 2 || kept.TimingPredicates[0] != "ga" || kept.TimingPredicates[1] != "gb" {
+		t.Errorf("kept config = %q %q, want S1 [ga gb]", kept.Name, kept.TimingPredicates)
+	}
+	inLine := func(s string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(line)))
+		return p >= lo && p < lo+uintptr(len(line))
+	}
+	for _, s := range append([]string{kept.Name, src.Name()}, kept.TimingPredicates...) {
+		if inLine(s) {
+			t.Errorf("kept string %q points into the request line", s)
+		}
+	}
+	for _, iri := range e.StringServer().PredicateIRIs() {
+		if inLine(iri) {
+			t.Errorf("interned predicate %q points into the request line", iri)
+		}
 	}
 }

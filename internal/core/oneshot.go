@@ -172,7 +172,7 @@ func writePlanSteps(b *strings.Builder, indent string, p *plan.Plan) {
 func (e *Engine) providerFor(q *sparql.Query, at rdf.Timestamp) *accessProvider {
 	prov := &accessProvider{
 		stored: exec.StoredAccess{Store: e.stored, SN: e.coord.StableSN()},
-		byName: make(map[string]exec.WindowAccess),
+		byName: make(map[string]*exec.WindowAccess, len(q.Windows)),
 	}
 	for _, w := range q.Windows {
 		st, ok := e.streamOf(w.Stream)
@@ -180,7 +180,7 @@ func (e *Engine) providerFor(q *sparql.Query, at rdf.Timestamp) *accessProvider 
 			continue // Validate/Register already rejected unknown streams
 		}
 		qw := queryWindow{state: st, rangeMS: w.Range.Milliseconds(), stepMS: w.Step.Milliseconds()}
-		prov.byName[w.Stream] = exec.WindowAccess{
+		prov.byName[w.Stream] = &exec.WindowAccess{
 			Store:      e.stored,
 			Index:      st.index,
 			Transients: st.trans,
@@ -193,10 +193,19 @@ func (e *Engine) providerFor(q *sparql.Query, at rdf.Timestamp) *accessProvider 
 }
 
 // accessProvider implements exec.Provider for the engine.
+//
+// The accesses are handed out as interfaces once per plan step, so they are
+// held in a form that converts without allocating: stored is boxed when the
+// provider is built, the windows are pointers.
 type accessProvider struct {
-	stored exec.StoredAccess
-	memo   exec.Access // non-nil: overrides stored (delta's cross-firing read memo)
-	byName map[string]exec.WindowAccess
+	stored exec.Access                   // an exec.StoredAccess at the firing's stable SN
+	memo   exec.Access                   // non-nil: overrides stored (delta's cross-firing read memo)
+	byName map[string]*exec.WindowAccess // shared with providers derived by batchProvider; read-only
+	// narrow, when narrowName is set (stream names are never empty), replaces
+	// byName[narrowName]: that stream's window restricted to one batch (delta
+	// segment evaluation).
+	narrowName string
+	narrow     exec.WindowAccess
 }
 
 func (p *accessProvider) Access(g sparql.GraphRef) (exec.Access, error) {
@@ -205,6 +214,9 @@ func (p *accessProvider) Access(g sparql.GraphRef) (exec.Access, error) {
 			return p.memo, nil
 		}
 		return p.stored, nil
+	}
+	if p.narrowName != "" && g.Name == p.narrowName {
+		return &p.narrow, nil
 	}
 	w, ok := p.byName[g.Name]
 	if !ok {

@@ -178,10 +178,25 @@ func (a WindowAccess) BatchEdges(from fabric.NodeID, b tstore.BatchID, pid rdf.I
 	if err != nil {
 		return nil, err
 	}
+	// Each vertex's first values are carved from one chunk, at full capacity:
+	// a vertex with a second span, or with timing data below, reallocates its
+	// own list and leaves its neighbours alone.
+	total := 0
+	for _, v := range vals {
+		total += len(v)
+	}
+	var arena RowArena
+	arena.Grow(total)
 	out := make(map[rdf.ID][]rdf.ID, len(kss))
 	for i, ks := range kss {
 		a.Obs.spanRead()
-		out[ks.Key.Vid] = append(out[ks.Key.Vid], vals[i]...)
+		if prev, ok := out[ks.Key.Vid]; ok {
+			out[ks.Key.Vid] = append(prev, vals[i]...)
+			continue
+		}
+		first := arena.Row(len(vals[i]))
+		copy(first, vals[i])
+		out[ks.Key.Vid] = first
 	}
 	for n, ts := range a.Transients {
 		if ts == nil {

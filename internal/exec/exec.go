@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -379,7 +380,7 @@ func expandSeeds(acc Access, node fabric.NodeID, seeds []rdf.ID, st plan.Step) (
 // crossBind attaches seed pairs to the incoming table (cartesian product —
 // the incoming table is the unit seed in the common case).
 func crossBind(tbl *Table, st plan.Step, pairs []pair) *Table {
-	out := &Table{Vars: append([]string(nil), tbl.Vars...)}
+	out := &Table{Vars: append(make([]string, 0, len(tbl.Vars)+2), tbl.Vars...)}
 	fromCol, toCol := -1, -1
 	if st.From.IsVar() {
 		fromCol = len(out.Vars)
@@ -389,12 +390,15 @@ func crossBind(tbl *Table, st plan.Step, pairs []pair) *Table {
 		toCol = len(out.Vars)
 		out.Vars = append(out.Vars, st.To.Var)
 	}
+	var arena RowArena
+	arena.Grow(len(tbl.Rows) * len(pairs) * len(out.Vars))
+	out.Rows = make([][]rdf.ID, 0, len(tbl.Rows)*len(pairs))
 	for _, row := range tbl.Rows {
 		for _, pr := range pairs {
 			if st.To.IsVar() && st.To.Var == st.From.Var && pr.from != pr.to {
 				continue // ?x p ?x self-loop pattern
 			}
-			nr := make([]rdf.ID, len(out.Vars))
+			nr := arena.Row(len(out.Vars))
 			copy(nr, row)
 			if fromCol >= 0 {
 				nr[fromCol] = pr.from
@@ -514,8 +518,9 @@ func traverse(ctx context.Context, acc Access, node fabric.NodeID, st plan.Step,
 	}
 	out := &Table{Vars: tbl.Vars}
 	if newVar {
-		out.Vars = append(append([]string(nil), tbl.Vars...), st.To.Var)
+		out.Vars = WithVars(tbl.Vars, st.To.Var)
 	}
+	var arena RowArena
 	for i, row := range tbl.Rows {
 		if i%ctxStride == ctxStride-1 {
 			if err := ctxErr(ctx); err != nil {
@@ -532,11 +537,10 @@ func traverse(ctx context.Context, acc Access, node fabric.NodeID, st plan.Step,
 		}
 		switch {
 		case newVar: // Expand
+			arena.Grow(len(ns) * (len(row) + 1))
+			out.Rows = slices.Grow(out.Rows, len(ns))
 			for _, n := range ns {
-				nr := make([]rdf.ID, len(row)+1)
-				copy(nr, row)
-				nr[len(row)] = n
-				out.Rows = append(out.Rows, nr)
+				out.Rows = append(out.Rows, arena.Extend(row, n))
 			}
 		default: // Check against bound var or constant
 			want := st.To.Const
@@ -585,6 +589,7 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 		outToCol = len(out.Vars)
 		out.Vars = append(out.Vars, st.To.Var)
 	}
+	var arena RowArena
 	for i, row := range tbl.Rows {
 		if i%ctxStride == ctxStride-1 {
 			if err := ctxErr(ctx); err != nil {
@@ -626,7 +631,7 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 						continue
 					}
 				}
-				nr := make([]rdf.ID, len(out.Vars))
+				nr := arena.Row(len(out.Vars))
 				copy(nr, row)
 				if newPV {
 					nr[outPVCol] = TagPred(pid)
@@ -650,9 +655,14 @@ func (ex *Executor) forkJoinTraversal(req Request, acc Access, st plan.Step, tbl
 		return nil, fmt.Errorf("exec: step %s references unbound ?%s", st, st.From.Var)
 	}
 	fab := ex.cluster.Fabric()
+	// Count each node's share first, so every partition is allocated once.
+	counts := make([]int, ex.cluster.Nodes())
+	for _, row := range tbl.Rows {
+		counts[fab.HomeOf(uint64(row[fromCol]))]++
+	}
 	parts := make([]*Table, ex.cluster.Nodes())
 	for n := range parts {
-		parts[n] = &Table{Vars: tbl.Vars}
+		parts[n] = &Table{Vars: tbl.Vars, Rows: make([][]rdf.ID, 0, counts[n])}
 	}
 	for _, row := range tbl.Rows {
 		home := fab.HomeOf(uint64(row[fromCol]))
@@ -673,12 +683,19 @@ func (ex *Executor) forkJoinTraversal(req Request, acc Access, st plan.Step, tbl
 		})
 	out := &Table{Vars: tbl.Vars}
 	if st.To.IsVar() && tbl.Col(st.To.Var) < 0 {
-		out.Vars = append(append([]string(nil), tbl.Vars...), st.To.Var)
+		out.Vars = WithVars(tbl.Vars, st.To.Var)
 	}
+	total := 0
 	for n, res := range results {
 		if errs[n] != nil {
 			return nil, errs[n]
 		}
+		if res != nil {
+			total += len(res.Rows)
+		}
+	}
+	out.Rows = make([][]rdf.ID, 0, total)
+	for _, res := range results {
 		if res != nil {
 			out.Rows = append(out.Rows, res.Rows...)
 		}

@@ -20,37 +20,55 @@ func Project(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSet, error) 
 		}
 		return applyModifiers(q, rs, res), nil
 	}
-	rs := &ResultSet{}
-	cols := make([]int, len(q.Select))
-	for i, pr := range q.Select {
+	// One allocation carries the result header and, for the usual short
+	// SELECT list, its Vars; the column map lives on the stack.
+	hdr := new(struct {
+		rs   ResultSet
+		vars [4]string
+	})
+	rs := &hdr.rs
+	rs.Vars = hdr.vars[:0]
+	var colBuf [8]int
+	cols := colBuf[:0]
+	for _, pr := range q.Select {
 		rs.Vars = append(rs.Vars, pr.As)
-		cols[i] = tbl.Col(pr.Var)
-		if cols[i] < 0 {
+		c := tbl.Col(pr.Var)
+		if c < 0 {
 			return nil, fmt.Errorf("exec: projected ?%s not bound", pr.Var)
 		}
+		cols = append(cols, c)
 	}
 	// Early LIMIT only when no modifier needs the full row set first.
 	earlyLimit := q.Limit > 0 && len(q.OrderBy) == 0 && q.Offset == 0
+	n := len(tbl.Rows)
+	if earlyLimit && q.Limit < n {
+		n = q.Limit
+	}
 	var seen map[string]bool
 	if q.Distinct {
 		seen = make(map[string]bool)
 	}
+	// The output rows are carved from one chunk of cells, each at full
+	// capacity, and Rows is sized up front: two allocations however many rows.
+	rs.Rows = make([][]Value, 0, n)
+	cells := make([]Value, n*len(cols))
 	for _, row := range tbl.Rows {
-		out := make([]Value, len(cols))
+		if len(rs.Rows) == n {
+			break
+		}
+		out := cells[:len(cols):len(cols)]
 		for i, c := range cols {
 			out[i] = Value{ID: row[c]}
 		}
 		if q.Distinct {
 			k := rowKeyVals(out)
 			if seen[k] {
-				continue
+				continue // the cells are reused by the next row
 			}
 			seen[k] = true
 		}
+		cells = cells[len(cols):]
 		rs.Rows = append(rs.Rows, out)
-		if earlyLimit && len(rs.Rows) >= q.Limit {
-			break
-		}
 	}
 	return applyModifiers(q, rs, res), nil
 }

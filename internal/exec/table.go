@@ -29,6 +29,57 @@ type Table struct {
 	Rows [][]rdf.ID
 }
 
+// RowArena carves binding rows out of chunks, so a step that produces n rows
+// allocates a few chunks instead of n slices. Every row is handed out at full
+// capacity (len == cap): appending to one copies it and can never write into
+// its neighbour. The first chunk is exactly what was first asked for, so a
+// one-row table costs what it did without an arena; later chunks double from
+// rowChunkMin to rowChunkMax cells. The zero value is ready to use; an arena
+// serves one goroutine — in practice the one call that builds one table.
+type RowArena struct {
+	free []rdf.ID
+	next int // cells in the next chunk
+}
+
+const (
+	rowChunkMin = 64   // 512 B
+	rowChunkMax = 8192 // 64 KiB: a row keeps its whole chunk alive
+)
+
+// Grow makes room for cells more cells without another allocation — a hint
+// for a caller that knows how many rows it is about to carve.
+func (a *RowArena) Grow(cells int) {
+	if len(a.free) >= cells {
+		return
+	}
+	n := max(a.next, cells)
+	a.next = min(max(2*n, rowChunkMin), rowChunkMax)
+	a.free = make([]rdf.ID, n)
+}
+
+// Row returns a zeroed row of the given width.
+func (a *RowArena) Row(width int) []rdf.ID {
+	a.Grow(width)
+	r := a.free[:width:width]
+	a.free = a.free[width:]
+	return r
+}
+
+// Extend returns a new row holding row's cells followed by last.
+func (a *RowArena) Extend(row []rdf.ID, last rdf.ID) []rdf.ID {
+	nr := a.Row(len(row) + 1)
+	copy(nr, row)
+	nr[len(row)] = last
+	return nr
+}
+
+// WithVars returns a copy of vars extended by more, allocated once at its
+// final size.
+func WithVars(vars []string, more ...string) []string {
+	out := make([]string, 0, len(vars)+len(more))
+	return append(append(out, vars...), more...)
+}
+
 // Col returns the column index of a variable, or -1.
 func (t *Table) Col(v string) int {
 	for i, name := range t.Vars {

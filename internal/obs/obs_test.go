@@ -3,6 +3,8 @@ package obs
 import (
 	"math"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +260,60 @@ w_lat_ns_count 3
 	if got := b.String(); got != want {
 		t.Errorf("Prometheus output mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
+
+	// The runtime-health gauges are pinned by name only: their values vary.
+	RegisterRuntime(r)
+	b.Reset()
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"go_memstats_alloc_bytes_total", "go_memstats_mallocs_total", "go_gc_cycles_total",
+		"go_gc_pause_p99_ns", "go_heap_live_bytes", "go_heap_objects", "go_goroutines",
+		"go_sched_latency_p99_ns",
+	} {
+		if !regexp.MustCompile(`(?m)^# TYPE w_` + name + ` gauge\nw_` + name + ` \d+$`).MatchString(b.String()) {
+			t.Errorf("runtime gauge %s missing from:\n%s", name, b.String())
+		}
+	}
+}
+
+// TestRuntimeGaugesMove checks the runtime gauges read the live runtime:
+// allocation counters grow with allocation, the heap and goroutine gauges are
+// positive, and reads inside one scrape are served by one cached sample.
+func TestRuntimeGaugesMove(t *testing.T) {
+	rr := newRuntimeReader()
+	read := func(name string) int64 {
+		for i, s := range runtimeSeries {
+			if s.name == name {
+				return rr.value(i)
+			}
+		}
+		t.Fatalf("no runtime series %q", name)
+		return 0
+	}
+	bytes0, mallocs0 := read("go_memstats_alloc_bytes_total"), read("go_memstats_mallocs_total")
+	sink := make([][]byte, 0, 1000)
+	for i := 0; i < 1000; i++ {
+		sink = append(sink, make([]byte, 1024))
+	}
+	runtime.GC()
+	if again := read("go_memstats_alloc_bytes_total"); again != bytes0 {
+		t.Errorf("two reads inside one scrape differ: %d then %d (the sample is not cached)", bytes0, again)
+	}
+	rr.readAt = time.Time{} // the next scrape
+	if d := read("go_memstats_alloc_bytes_total") - bytes0; d < 1000*1024 {
+		t.Errorf("alloc_bytes_total grew %d after allocating 1 MiB", d)
+	}
+	if d := read("go_memstats_mallocs_total") - mallocs0; d < 1000 {
+		t.Errorf("mallocs_total grew %d after 1000 allocations", d)
+	}
+	for _, name := range []string{"go_gc_cycles_total", "go_heap_live_bytes", "go_heap_objects", "go_goroutines"} {
+		if v := read(name); v <= 0 {
+			t.Errorf("%s = %d, want > 0", name, v)
+		}
+	}
+	runtime.KeepAlive(sink)
 }
 
 func TestJSONExport(t *testing.T) {

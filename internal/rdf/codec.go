@@ -88,6 +88,10 @@ func scanQuoted(s string) (string, string, error) {
 	if s == "" || s[0] != '"' {
 		return "", "", fmt.Errorf("rdf: expected quoted literal in %q", s)
 	}
+	// No escape before the closing quote: the lexical form is a substring.
+	if end := strings.IndexAny(s[1:], "\"\\"); end >= 0 && s[1+end] == '"' {
+		return s[1 : 1+end], s[2+end:], nil
+	}
 	var b strings.Builder
 	i := 1
 	for i < len(s) {
@@ -174,7 +178,7 @@ type Reader struct {
 // NewReader returns a Reader over r. Lines may be up to 1 MiB long.
 func NewReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	return &Reader{sc: sc}
 }
 
@@ -220,25 +224,74 @@ func (r *Reader) ReadTuple() (Tuple, error) {
 	return t, nil
 }
 
+// maxLineBytes is the longest line the codec accepts, whichever way the
+// input arrives: NewReader's scanner and the in-memory parsers refuse a line
+// of this many bytes or more with bufio.ErrTooLong.
+const maxLineBytes = 1 << 20
+
+// ParseTriples parses a whole in-memory body of triple lines. Blank and '#'
+// lines are skipped, a bad line fails the body with a "line N: " error, and
+// a line of 1 MiB or more with bufio.ErrTooLong — what a Reader over the same
+// bytes returns. Every Term.Value of the result is a substring of body
+// (escaped literals excepted): a caller that keeps one past the body's life
+// must strings.Clone it.
+func ParseTriples(body string) ([]Triple, error) {
+	return appendLines(nil, body, ParseTriple)
+}
+
+// ParseTuples is ParseTriples for stream tuple lines.
+func ParseTuples(body string) ([]Tuple, error) {
+	return appendLines(nil, body, ParseTuple)
+}
+
+// AppendTuples is ParseTuples into dst's spare capacity, for a caller that
+// parses one body after another. On error it returns nil.
+func AppendTuples(dst []Tuple, body string) ([]Tuple, error) {
+	return appendLines(dst[:0], body, ParseTuple)
+}
+
+// appendLines is the one loop that splits a body into lines: it cuts at each
+// '\n' without copying, and when dst has no room sizes the result from the
+// newline count so it is allocated once.
+func appendLines[T any](dst []T, body string, parse func(string) (T, error)) ([]T, error) {
+	if n := strings.Count(body, "\n") + 1; cap(dst) < n && body != "" {
+		dst = make([]T, 0, n)
+	}
+	for line := 1; body != ""; line++ {
+		var text string
+		if i := strings.IndexByte(body, '\n'); i >= 0 {
+			text, body = body[:i], body[i+1:]
+		} else {
+			text, body = body, ""
+		}
+		if len(text) >= maxLineBytes {
+			return nil, bufio.ErrTooLong
+		}
+		text = strings.TrimSpace(text)
+		if text == "" || text[0] == '#' {
+			continue
+		}
+		t, err := parse(text)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		dst = append(dst, t)
+	}
+	return dst, nil
+}
+
 // ReadAllTriples consumes the remaining input and returns all triples.
-func ReadAllTriples(r io.Reader) ([]Triple, error) { return readAll(r, (*Reader).ReadTriple) }
+func ReadAllTriples(r io.Reader) ([]Triple, error) { return readAll(r, ParseTriples) }
 
 // ReadAllTuples consumes the remaining input and returns all stream tuples.
-func ReadAllTuples(r io.Reader) ([]Tuple, error) { return readAll(r, (*Reader).ReadTuple) }
+func ReadAllTuples(r io.Reader) ([]Tuple, error) { return readAll(r, ParseTuples) }
 
-func readAll[T any](r io.Reader, read func(*Reader) (T, error)) ([]T, error) {
-	rd := NewReader(r)
-	var out []T
-	for {
-		t, err := read(rd)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
+func readAll[T any](r io.Reader, parse func(string) ([]T, error)) ([]T, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
+	return parse(string(b))
 }
 
 // WriteTriples writes triples in N-Triples syntax, one per line.

@@ -114,17 +114,28 @@ func (t Term) Numeric() (float64, bool) {
 // leading byte discriminates kind, and literal datatypes are appended after a
 // separator that cannot occur in an IRI.
 func (t Term) Key() string {
+	var buf [64]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the term's interning key to dst and returns the extended
+// slice, so a lookup can build the key in a stack buffer and allocate only
+// when it has to store it.
+func (t Term) AppendKey(dst []byte) []byte {
 	switch t.Kind {
 	case IRIKind:
-		return "<" + t.Value
+		dst = append(dst, '<')
 	case BlankKind:
-		return "_" + t.Value
+		dst = append(dst, '_')
 	default:
-		if t.Datatype == "" {
-			return "\"" + t.Value
-		}
-		return "\"" + t.Value + "\"^^" + t.Datatype
+		dst = append(dst, '"')
 	}
+	dst = append(dst, t.Value...)
+	if t.Kind == LiteralKind && t.Datatype != "" {
+		dst = append(dst, "\"^^"...)
+		dst = append(dst, t.Datatype...)
+	}
+	return dst
 }
 
 // String renders the term in N-Triples syntax.

@@ -38,6 +38,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -45,7 +46,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -109,8 +112,8 @@ type Server struct {
 	wg      sync.WaitGroup
 	closed  bool
 
-	connsTotal    int64 // connections ever accepted
-	commandsTotal int64 // commands dispatched across all connections
+	connsTotal    atomic.Int64 // connections ever accepted
+	commandsTotal atomic.Int64 // commands dispatched across all connections
 }
 
 // New wraps an engine (which the caller keeps owning).
@@ -126,16 +129,8 @@ func New(eng *core.Engine) *Server {
 		defer s.mu.Unlock()
 		return int64(len(s.conns))
 	})
-	r.GaugeFunc("server_connections_total", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.connsTotal
-	})
-	r.GaugeFunc("server_commands_total", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.commandsTotal
-	})
+	r.GaugeFunc("server_connections_total", s.connsTotal.Load)
+	r.GaugeFunc("server_commands_total", s.commandsTotal.Load)
 	r.GaugeFunc("server_poll_rows_total", func() int64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -211,7 +206,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return nil
 		}
 		s.conns[conn] = struct{}{}
-		s.connsTotal++
+		s.connsTotal.Add(1)
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
@@ -290,32 +285,60 @@ func (c *idleConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
+// lineReader is one connection's input side: the line scanner plus the
+// scratch the connection's handler — the only goroutine that reads it —
+// reuses from command to command.
+type lineReader struct {
+	*bufio.Scanner
+	block  []byte   // readBlock assembles a body here
+	fields []string // the current command line, split
+}
+
+func newLineReader(r io.Reader) *lineReader {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	return &lineReader{Scanner: sc}
+}
+
+// command splits the current line into its upper-cased verb and arguments.
+// The arguments are valid until the next call: a verb that keeps one copies it.
+func (r *lineReader) command() (cmd string, args []string) {
+	r.fields = r.fields[:0]
+	line := strings.TrimSpace(r.Text())
+	for line != "" {
+		end := strings.IndexFunc(line, unicode.IsSpace)
+		if end < 0 {
+			end = len(line)
+		}
+		r.fields = append(r.fields, line[:end])
+		line = strings.TrimLeftFunc(line[end:], unicode.IsSpace)
+	}
+	if len(r.fields) == 0 {
+		return "", nil
+	}
+	return strings.ToUpper(r.fields[0]), r.fields[1:]
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	var rc io.Reader = conn
 	if s.IdleTimeout > 0 {
 		rc = &idleConn{Conn: conn, idle: s.IdleTimeout}
 	}
-	r := bufio.NewScanner(rc)
-	r.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	r := newLineReader(rc)
 	w := bufio.NewWriter(conn)
 	defer w.Flush()
 	for r.Scan() {
-		line := strings.TrimSpace(r.Text())
-		if line == "" {
+		cmd, args := r.command()
+		if cmd == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		cmd := strings.ToUpper(fields[0])
-		s.mu.Lock()
-		s.commandsTotal++
-		s.mu.Unlock()
+		s.commandsTotal.Add(1)
 		// State-touching commands get a root span: the admit → forward →
 		// apply → reply chain hangs off it, across processes in cluster mode.
 		var sp trace.Active
-		switch cmd {
-		case "QUERY", "STREAM", "LOAD", "EMIT", "ADVANCE", "REGISTER":
-			sp = s.Tracer.StartRoot("server." + strings.ToLower(cmd))
+		if name := spanNames[cmd]; name != "" {
+			sp = s.Tracer.StartRoot(name)
 		}
 		var err error
 		switch cmd {
@@ -324,21 +347,21 @@ func (s *Server) handle(conn net.Conn) {
 			w.Flush()
 			return
 		case "STREAM", "LOAD", "EMIT", "ADVANCE", "REGISTER":
-			err = s.cmdWrite(w, r, cmd, fields[1:], sp.Context())
+			err = s.cmdWrite(w, r, cmd, args, sp.Context())
 		case "QUERY":
 			err = s.cmdQuery(w, r)
 		case "EXPLAIN":
 			err = s.cmdExplain(w, r)
 		case "POLL":
-			err = s.cmdPoll(w, fields[1:])
+			err = s.cmdPoll(w, args)
 		case "STATS":
 			err = s.cmdStats(w)
 		case "METRICS":
 			err = s.cmdMetrics(w)
 		case "CLUSTER":
-			err = s.cmdCluster(w, fields[1:])
+			err = s.cmdCluster(w, args)
 		case "HOME":
-			err = s.cmdHome(w, fields[1:])
+			err = s.cmdHome(w, args)
 		default:
 			err = fmt.Errorf("unknown command %q", cmd)
 		}
@@ -357,16 +380,28 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// readBlock consumes lines until the "." terminator.
-func readBlock(r *bufio.Scanner) (string, error) {
-	var b strings.Builder
+// spanNames maps the commands that get a root span to the span's name.
+var spanNames = map[string]string{
+	"QUERY":    "server.query",
+	"STREAM":   "server.stream",
+	"LOAD":     "server.load",
+	"EMIT":     "server.emit",
+	"ADVANCE":  "server.advance",
+	"REGISTER": "server.register",
+}
+
+// readBlock consumes lines until the "." terminator. The lines are gathered
+// in the connection's buffer and converted once, so a block costs one
+// allocation however many lines it has.
+func (r *lineReader) readBlock() (string, error) {
+	r.block = r.block[:0]
 	for r.Scan() {
-		line := r.Text()
-		if strings.TrimSpace(line) == "." {
-			return b.String(), nil
+		line := r.Bytes()
+		if t := bytes.TrimSpace(line); len(t) == 1 && t[0] == '.' {
+			return string(r.block), nil
 		}
-		b.WriteString(line)
-		b.WriteByte('\n')
+		r.block = append(r.block, line...)
+		r.block = append(r.block, '\n')
 	}
 	if err := r.Err(); err != nil {
 		return "", err
@@ -376,13 +411,13 @@ func readBlock(r *bufio.Scanner) (string, error) {
 
 // cmdWrite serves the five write verbs in both modes: it reads the body a
 // verb carries, executes the command, and renders the interpreter's reply.
-func (s *Server) cmdWrite(w *bufio.Writer, r *bufio.Scanner, kind string, args []string, tc trace.Context) error {
+func (s *Server) cmdWrite(w *bufio.Writer, r *lineReader, kind string, args []string, tc trace.Context) error {
 	body := ""
 	if kind == "LOAD" || kind == "EMIT" || kind == "REGISTER" {
 		// Consume the payload before anything can fail, or a rejected command
 		// would leave its lines to be parsed as commands.
 		var err error
-		if body, err = readBlock(r); err != nil {
+		if body, err = r.readBlock(); err != nil {
 			return err
 		}
 	}
@@ -408,7 +443,7 @@ func (s *Server) cmdWrite(w *bufio.Writer, r *bufio.Scanner, kind string, args [
 // here only to count it, and only when a limiter is configured.
 func (s *Server) execWrite(tc trace.Context, kind string, args []string, body string) (string, error) {
 	if lim := s.emitLim; lim != nil && kind == "EMIT" {
-		tuples, err := rdf.ReadAllTuples(strings.NewReader(body))
+		tuples, err := rdf.ParseTuples(body)
 		if err != nil {
 			return "", err
 		}
@@ -423,8 +458,8 @@ func (s *Server) execWrite(tc trace.Context, kind string, args []string, body st
 	return cluster.ApplyVerb(s.eng, s.BufferResult, kind, bare, body)
 }
 
-func (s *Server) cmdQuery(w *bufio.Writer, r *bufio.Scanner) error {
-	text, err := readBlock(r)
+func (s *Server) cmdQuery(w *bufio.Writer, r *lineReader) error {
+	text, err := r.readBlock()
 	if err != nil {
 		return err
 	}
@@ -442,12 +477,23 @@ func (s *Server) cmdQuery(w *bufio.Writer, r *bufio.Scanner) error {
 	return nil
 }
 
+// renderScratch is where BufferResult renders a firing before it copies the
+// bytes into the one string the POLL buffer keeps. It is pooled because a
+// firing's sink has no owner that serialises it: firings of different
+// queries, and two firings of one query, run on whichever workers are free.
+type renderScratch struct {
+	block []byte
+	ends  []int // ends[i] is where row i stops in block
+}
+
+var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
 // defaultPollBuffer bounds the rows buffered per continuous query between
 // POLLs unless Server.PollBuffer overrides it.
 const defaultPollBuffer = 10000
 
-func (s *Server) cmdExplain(w *bufio.Writer, r *bufio.Scanner) error {
-	text, err := readBlock(r)
+func (s *Server) cmdExplain(w *bufio.Writer, r *lineReader) error {
+	text, err := r.readBlock()
 	if err != nil {
 		return err
 	}
@@ -465,15 +511,26 @@ func (s *Server) cmdExplain(w *bufio.Writer, r *bufio.Scanner) error {
 // (cluster.Config.OnFire) and an engine recovered before the server existed
 // (core.Recover's callback factory).
 func (s *Server) BufferResult(name string, res *core.Result, f core.FireInfo) {
-	// Render "@<at> <row>" before taking the lock, one allocation per row.
-	rows := make([]string, res.Len())
-	line := strconv.AppendInt([]byte{'@'}, int64(f.At), 10)
-	line = append(line, ' ')
-	prefix := len(line)
-	for i := range rows {
-		line = res.AppendRow(line[:prefix], i)
-		rows[i] = string(line)
+	// Render every "@<at> <row>" line into one scratch buffer before taking
+	// the lock, make one string of it and hand out substrings: a firing costs
+	// two allocations (the string and the row headers), not one per row. The
+	// string lives as long as any of its rows is buffered, which PollBuffer
+	// bounds.
+	sc := renderPool.Get().(*renderScratch)
+	block, ends := sc.block[:0], sc.ends[:0]
+	var pbuf [24]byte
+	prefix := append(strconv.AppendInt(append(pbuf[:0], '@'), int64(f.At), 10), ' ')
+	for i, n := 0, res.Len(); i < n; i++ {
+		block = res.AppendRow(append(block, prefix...), i)
+		ends = append(ends, len(block))
 	}
+	rows := make([]string, len(ends))
+	all, start := string(block), 0
+	for i, end := range ends {
+		rows[i], start = all[start:end], end
+	}
+	sc.block, sc.ends = block, ends
+	renderPool.Put(sc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	buf := s.results[name]

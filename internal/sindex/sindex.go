@@ -47,6 +47,11 @@ type batchIndex struct {
 	// at injection time so estimation never scans the index.
 	predVals map[pidDir]int64
 	bytes    int64
+	// spare is where a key's first span is carved from: one chunk per
+	// AddBatch call instead of one one-element slice per key. Carved at full
+	// capacity, so a key that gains a second, non-adjacent span reallocates
+	// its own slice and leaves its neighbours alone.
+	spare []store.Span
 }
 
 // entryBytes approximates the resident size of one index entry: a 24-byte
@@ -62,8 +67,9 @@ type Index struct {
 
 	home fabric.NodeID // fixed at New
 
-	replicaMu sync.RWMutex
-	replicas  map[fabric.NodeID]bool
+	replicaMu   sync.RWMutex
+	replicas    map[fabric.NodeID]bool
+	replicaList []fabric.NodeID // the set as a slice, rebuilt (never edited) by Replicate
 
 	gcRuns    int64
 	gcBatches int64 // batch indexes freed by GC
@@ -75,7 +81,7 @@ type Index struct {
 
 // New creates an empty stream index homed on the given node.
 func New(home fabric.NodeID) *Index {
-	return &Index{home: home, replicas: map[fabric.NodeID]bool{home: true}}
+	return &Index{home: home, replicas: map[fabric.NodeID]bool{home: true}, replicaList: []fabric.NodeID{home}}
 }
 
 // AddBatch records the key spans appended by one batch's injection. Adjacent
@@ -89,8 +95,11 @@ func (ix *Index) AddBatch(batch tstore.BatchID, spans []store.KeySpan) {
 	if n := len(ix.batches); n > 0 && ix.batches[n-1].batch == batch {
 		bi = ix.batches[n-1]
 	} else {
-		bi = newBatchIndex(batch)
+		bi = newBatchIndex(batch, len(spans))
 		ix.batches = append(ix.batches, bi)
+	}
+	if len(bi.spare) < len(spans) {
+		bi.spare = make([]store.Span, len(spans)) // at most one new key per span
 	}
 	for _, ks := range spans {
 		prev := bi.entries[ks.Key]
@@ -102,6 +111,9 @@ func (ix *Index) AddBatch(batch tstore.BatchID, spans []store.KeySpan) {
 			prev[len(prev)-1].End = ks.Span.End
 			continue
 		}
+		if isNewKey {
+			prev, bi.spare = bi.spare[:0:1], bi.spare[1:]
+		}
 		bi.entries[ks.Key] = append(prev, ks.Span)
 		bi.bytes += entryBytes
 		if isNewKey && !ks.Key.IsIndex() {
@@ -112,10 +124,12 @@ func (ix *Index) AddBatch(batch tstore.BatchID, spans []store.KeySpan) {
 	}
 }
 
-func newBatchIndex(batch tstore.BatchID) *batchIndex {
+// newBatchIndex sizes the entry map for the spans of the first share to
+// arrive (each node adds its own share; the rest grow the map as usual).
+func newBatchIndex(batch tstore.BatchID, spans int) *batchIndex {
 	return &batchIndex{
 		batch:    batch,
-		entries:  make(map[store.Key][]store.Span),
+		entries:  make(map[store.Key][]store.Span, spans),
 		byPred:   make(map[pidDir][]rdf.ID),
 		predVals: make(map[pidDir]int64),
 	}
@@ -312,7 +326,11 @@ func (ix *Index) GC(before tstore.BatchID) {
 func (ix *Index) Replicate(n fabric.NodeID) {
 	ix.replicaMu.Lock()
 	defer ix.replicaMu.Unlock()
+	if ix.replicas[n] {
+		return
+	}
 	ix.replicas[n] = true
+	ix.replicaList = append(ix.replicaList[:len(ix.replicaList):len(ix.replicaList)], n)
 }
 
 // ReplicatedOn reports whether node n holds a replica.
@@ -322,15 +340,14 @@ func (ix *Index) ReplicatedOn(n fabric.NodeID) bool {
 	return ix.replicas[n]
 }
 
-// Replicas returns the current replica set (a copy).
+// Replicas returns the current replica set, home first then in replication
+// order. The slice is a snapshot shared between callers — Replicate builds a
+// new one instead of editing it — so the injector can read it on every batch
+// without a copy; callers must not modify it.
 func (ix *Index) Replicas() []fabric.NodeID {
 	ix.replicaMu.RLock()
 	defer ix.replicaMu.RUnlock()
-	out := make([]fabric.NodeID, 0, len(ix.replicas))
-	for n := range ix.replicas {
-		out = append(out, n)
-	}
-	return out
+	return ix.replicaList
 }
 
 // MemoryBytes returns the resident size of the index (one replica).

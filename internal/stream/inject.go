@@ -46,12 +46,33 @@ func sendVia(fab *fabric.Fabric, snd *flow.Sender, from, to fabric.NodeID, n int
 // return value; the upstream backup (§5) is the recovery path for lost
 // shares.
 func Dispatch(fab *fabric.Fabric, snd *flow.Sender, adaptorHome fabric.NodeID, b Batch) (work []NodeWork, lost int) {
-	work = make([]NodeWork, fab.Nodes())
-	for _, t := range b.Tuples {
-		sHome := fab.HomeOf(uint64(t.S))
-		oHome := fab.HomeOf(uint64(t.O))
-		work[sHome].SubjectSide = append(work[sHome].SubjectSide, t)
-		work[oHome].ObjectSide = append(work[oHome].ObjectSide, t)
+	nodes := fab.Nodes()
+	work = make([]NodeWork, nodes)
+	if len(b.Tuples) > 0 {
+		// Count each node's two sides, then carve all of them from one
+		// 2·len(tuples) array: every side gets exactly its capacity, so
+		// filling it in tuple order below never reallocates.
+		var stack [32]int
+		counts := stack[:]
+		if 2*nodes > len(stack) {
+			counts = make([]int, 2*nodes)
+		}
+		for _, t := range b.Tuples {
+			counts[2*fab.HomeOf(uint64(t.S))]++
+			counts[2*fab.HomeOf(uint64(t.O))+1]++
+		}
+		sides := make([]Tuple, 2*len(b.Tuples))
+		for n := range work {
+			ns, no := counts[2*n], counts[2*n+1]
+			work[n].SubjectSide, sides = sides[:0:ns], sides[ns:]
+			work[n].ObjectSide, sides = sides[:0:no], sides[no:]
+		}
+		for _, t := range b.Tuples {
+			sHome := fab.HomeOf(uint64(t.S))
+			oHome := fab.HomeOf(uint64(t.O))
+			work[sHome].SubjectSide = append(work[sHome].SubjectSide, t)
+			work[oHome].ObjectSide = append(work[oHome].ObjectSide, t)
+		}
 	}
 	for n := range work {
 		if fabric.NodeID(n) == adaptorHome || work[n].Empty() {
@@ -77,12 +98,22 @@ type InjectTarget struct {
 	// Sender, when non-nil, ships index-replica updates with retry and
 	// circuit breaking instead of raw fire-and-forget.
 	Sender *flow.Sender
+	// Scratch, when non-nil, is span space InjectNode reuses from call to
+	// call. It belongs to one (stream, node) pair: the engine injects one
+	// batch of a stream at a time and one share of it per node, so that
+	// pair's injections never overlap. nil allocates per call.
+	Scratch *InjectScratch
 	// Unshipped, when non-nil, is called for each replica shipment that
 	// still failed after retry: the caller must hold the stable VTS below
 	// this batch (vts.MarkUnshipped) until the replica is re-delivered, or
 	// remote index reads may silently miss data the timestamps claim is
 	// visible.
 	Unshipped func(from, to fabric.NodeID, bytes int)
+}
+
+// InjectScratch is InjectNode's reusable working memory.
+type InjectScratch struct {
+	spans []store.KeySpan
 }
 
 // InjectObs holds pre-resolved injection metrics so the per-node inject hot
@@ -141,7 +172,14 @@ func (s *InjectStats) Add(o InjectStats) {
 func InjectNode(n fabric.NodeID, w NodeWork, batch tstore.BatchID, sn uint32, tgt InjectTarget) InjectStats {
 	var st InjectStats
 	shard := tgt.Store.Shard(n)
-	spans := make([]store.KeySpan, 0, len(w.SubjectSide)+len(w.ObjectSide))
+	var spans []store.KeySpan
+	if tgt.Scratch != nil {
+		// The index copies what it keeps (AddBatch), so the spans can be
+		// overwritten by the next batch.
+		spans = tgt.Scratch.spans[:0]
+	} else {
+		spans = make([]store.KeySpan, 0, len(w.SubjectSide)+len(w.ObjectSide))
+	}
 
 	start := time.Now()
 	for _, t := range w.SubjectSide {
@@ -204,6 +242,9 @@ func InjectNode(n fabric.NodeID, w NodeWork, batch tstore.BatchID, sn uint32, tg
 		tgt.Index.AddBatch(batch, nil)
 	}
 	st.IndexTime = time.Since(idxStart)
+	if tgt.Scratch != nil {
+		tgt.Scratch.spans = spans[:0]
+	}
 
 	if o := tgt.Obs; o != nil {
 		o.Inject.Observe(st.InjectTime)

@@ -17,7 +17,9 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -122,7 +124,7 @@ func NewSource(cfg Config, ss *strserver.Server) (*Source, error) {
 		return nil, fmt.Errorf("stream: source %q requires a positive batch interval", cfg.Name)
 	}
 	s := &Source{
-		name:         cfg.Name,
+		name:         strings.Clone(cfg.Name), // may be a slice of a request line
 		interval:     cfg.BatchInterval,
 		ss:           ss,
 		timing:       make(map[rdf.ID]bool),
@@ -258,6 +260,7 @@ func (s *Source) EmitBatch(tuples []rdf.Tuple) error {
 			break
 		}
 	}
+	s.pending = slices.Grow(s.pending, len(tuples))
 	for _, t := range tuples {
 		enc := s.ss.EncodeTuple(t)
 		s.pending = append(s.pending, Tuple{EncodedTuple: enc, Timing: s.timing[enc.P]})
@@ -483,7 +486,9 @@ func (s *Source) SealUpTo(ts rdf.Timestamp) []Batch {
 		for n < len(s.pending) && s.pending[n].TS < end {
 			n++
 		}
-		batch := Batch{ID: b, Tuples: append([]Tuple(nil), s.pending[:n]...)}
+		// The batch takes its tuples' part of the buffer as it is, capped so
+		// a later append to pending can never write into it.
+		batch := Batch{ID: b, Tuples: s.pending[:n:n]}
 		s.pending = s.pending[n:]
 		out = append(out, batch)
 		s.backup = append(s.backup, batch)

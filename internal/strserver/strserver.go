@@ -12,6 +12,7 @@ package strserver
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/rdf"
@@ -30,6 +31,10 @@ type Server struct {
 	predToo []string          // predicate ID (1-based) → IRI
 }
 
+// keyBuf is the stack space InternEntity and LookupEntity build a term key
+// in; a longer key spills to the heap and still works.
+const keyBuf = 128
+
 // ReservedIndexID is the pseudo vertex ID used for index vertices in store
 // keys (paper Fig. 6: key [0|pid|dir] lists all vertices touching pid).
 const ReservedIndexID rdf.ID = 0
@@ -45,19 +50,25 @@ func New() *Server {
 
 // InternEntity returns the ID for a subject/object term, assigning a fresh
 // one on first sight.
+//
+// The key is built in a stack buffer and looked up without a conversion, so
+// a known term allocates nothing; a new term's key is a fresh string, so the
+// table never keeps memory the caller's term points into (a request body).
 func (s *Server) InternEntity(t rdf.Term) rdf.ID {
-	key := t.Key()
+	var buf [keyBuf]byte
+	k := t.AppendKey(buf[:0])
 	s.mu.RLock()
-	id, ok := s.entity[key]
+	id, ok := s.entity[string(k)]
 	s.mu.RUnlock()
 	if ok {
 		return id
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok := s.entity[key]; ok {
+	if id, ok := s.entity[string(k)]; ok {
 		return id
 	}
+	key := string(k)
 	id = rdf.ID(len(s.entToo) + 1)
 	if id > rdf.MaxEntityID {
 		panic("strserver: 46-bit entity ID space exhausted")
@@ -72,9 +83,11 @@ func (s *Server) InternEntity(t rdf.Term) rdf.ID {
 
 // LookupEntity returns the ID for a term without assigning one.
 func (s *Server) LookupEntity(t rdf.Term) (rdf.ID, bool) {
+	var buf [keyBuf]byte
+	k := t.AppendKey(buf[:0])
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	id, ok := s.entity[t.Key()]
+	id, ok := s.entity[string(k)]
 	return id, ok
 }
 
@@ -125,6 +138,8 @@ func (s *Server) InternPredicate(iri string) rdf.ID {
 		return id
 	}
 	id = rdf.ID(len(s.predToo) + 1)
+	// The IRI may be a slice of a request body; the table outlives it.
+	iri = strings.Clone(iri)
 	s.pred[iri] = id
 	s.predToo = append(s.predToo, iri)
 	return id

@@ -2,10 +2,13 @@ package strserver
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"repro/internal/race"
 	"repro/internal/rdf"
 )
 
@@ -234,5 +237,82 @@ func TestInternInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestKnownTermLookupsDoNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	s := New()
+	terms := []rdf.Term{
+		rdf.NewIRI("http://example.org/users/u-1234567"),
+		rdf.NewLiteral("a plain literal"),
+		rdf.NewTypedLiteral("42", rdf.XSDInteger),
+		rdf.NewBlank("b17"),
+	}
+	for _, tm := range terms {
+		s.InternEntity(tm)
+	}
+	for _, tm := range terms {
+		if n := testing.AllocsPerRun(100, func() { s.InternEntity(tm) }); n != 0 {
+			t.Errorf("InternEntity(%v) of a known term allocates %.0f times, want 0", tm, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := s.LookupEntity(tm); !ok {
+				t.Fatal("known term not found")
+			}
+		}); n != 0 {
+			t.Errorf("LookupEntity(%v) allocates %.0f times, want 0", tm, n)
+		}
+	}
+	// A key longer than the stack buffer still resolves to the same ID.
+	long := rdf.NewIRI(strings.Repeat("x", 4*keyBuf))
+	if id := s.InternEntity(long); id != s.InternEntity(long) {
+		t.Error("a long term interned twice got two IDs")
+	}
+	if got, ok := s.LookupEntity(long); !ok || got != s.InternEntity(long) {
+		t.Error("a long term is not found by LookupEntity")
+	}
+}
+
+// pointsInto reports whether s's bytes lie inside buf's.
+func pointsInto(s, buf string) bool {
+	if s == "" {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(buf)))
+	return p >= lo && p < lo+uintptr(len(buf))
+}
+
+// TestInternedStringsDoNotAliasTheirSource: terms parsed out of a request
+// body are substrings of it, and the tables live for the daemon's life — a
+// stored string that pointed into a body would pin the whole body.
+func TestInternedStringsDoNotAliasTheirSource(t *testing.T) {
+	body := strings.Repeat("#", 1<<20) + "http://example.org/p/likes|http://example.org/e/alice"
+	iri, ent := body[1<<20:1<<20+26], body[1<<20+27:]
+	if !pointsInto(iri, body) || !pointsInto(ent, body) {
+		t.Fatal("test setup: the slices do not alias the body")
+	}
+	s := New()
+	pid := s.InternPredicate(iri)
+	stored, ok := s.Predicate(pid)
+	if !ok || stored != iri {
+		t.Fatalf("Predicate(%d) = %q, %v", pid, stored, ok)
+	}
+	if pointsInto(stored, body) {
+		t.Error("the stored predicate IRI points into the request body")
+	}
+	for _, k := range s.PredicateIRIs() {
+		if pointsInto(k, body) {
+			t.Error("PredicateIRIs exposes a string that points into the request body")
+		}
+	}
+	s.InternEntity(rdf.NewIRI(ent))
+	for _, k := range s.EntityKeys() {
+		if pointsInto(k, body) {
+			t.Error("a stored entity key points into the request body")
+		}
 	}
 }

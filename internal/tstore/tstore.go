@@ -35,7 +35,15 @@ type slice struct {
 	predVals map[predDir]int64
 	predKeys map[predDir]int64
 	bytes    int64
+	// spare is where a key's first values are carved from (at full capacity,
+	// so a key appended to again reallocates its own slice): timing tuples
+	// arrive one value at a time, and a heap slice per ID would cost more in
+	// headers than in data.
+	spare []rdf.ID
 }
+
+// spareChunk is how many IDs a slice's value chunk holds.
+const spareChunk = 64
 
 // sliceBytes approximates the resident size of one (key, vals) pair.
 func pairBytes(n int) int64 { return 24 + 8*int64(n) }
@@ -100,6 +108,10 @@ func (s *Store) Append(batch BatchID, key store.Key, vals []rdf.ID) {
 	if prev == nil {
 		delta = pairBytes(len(vals))
 		sl.predKeys[pd]++
+		if len(sl.spare) < len(vals) {
+			sl.spare = make([]rdf.ID, max(spareChunk, len(vals)))
+		}
+		prev, sl.spare = sl.spare[:0:len(vals)], sl.spare[len(vals):]
 	} else {
 		delta = 8 * int64(len(vals))
 	}

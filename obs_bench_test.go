@@ -113,6 +113,7 @@ func (f *obsWorkloadFixture) step(b *testing.B, rng *rand.Rand, now rdf.Timestam
 }
 
 func benchObsWorkload(b *testing.B, enabled bool) {
+	b.ReportAllocs()
 	obs.Default.SetEnabled(enabled)
 	defer obs.Default.SetEnabled(true)
 	f := newObsWorkload(b)
@@ -131,6 +132,7 @@ func benchObsWorkload(b *testing.B, enabled bool) {
 }
 
 func BenchmarkObsOverhead(b *testing.B) {
+	b.ReportAllocs()
 	b.Run("enabled", func(b *testing.B) { benchObsWorkload(b, true) })
 	b.Run("disabled", func(b *testing.B) { benchObsWorkload(b, false) })
 }
