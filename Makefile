@@ -42,13 +42,15 @@ race:
 
 # Five seconds of native fuzzing per target where bytes cross a trust
 # boundary: the op decoder never panics and round-trips, the verb interpreter
-# never panics and leaves no trace of an op it refuses, and the in-memory
-# tuple parser never panics and agrees with the streaming Reader. -fuzz takes
-# one target per run.
+# never panics and leaves no trace of an op it refuses, the in-memory tuple
+# parser never panics and agrees with the streaming Reader, and the durable
+# log's Open never panics on a damaged segment and leaves a log that ranges
+# and appends cleanly. -fuzz takes one target per run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTuples$$' -fuzztime 5s ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzOplogOpen$$' -fuzztime 5s ./internal/oplog
 
 # Quick confidence pass, including the chaos kill/recover smoke test.
 smoke:

@@ -2,7 +2,11 @@
 // exposed over TCP with the line protocol documented in internal/server.
 //
 //	wukongsd -addr :7690 -nodes 8 -workers 4
-//	wukongsd -addr :7690 -load data.nt -ft /var/lib/wukongs
+//	wukongsd -addr :7690 -load data.nt -data-dir /var/lib/wukongs
+//
+// -data-dir is the one durability flag: standalone, the §5 fault-tolerance
+// log a restart recovers from (or refuses to start over); with -listen, the
+// cluster oplog and snapshots (DESIGN.md §15).
 //
 // With -listen it becomes one daemon of a real multi-process cluster
 // (DESIGN.md §12): the first daemon is the seed, later daemons -join it.
@@ -41,6 +45,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/flow"
 	"repro/internal/obs"
+	"repro/internal/oplog"
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -50,7 +55,7 @@ import (
 type options struct {
 	addr           string
 	nodes, workers int
-	load, ftDir    string
+	load           string
 	metricsAddr    string
 	version        bool
 
@@ -83,7 +88,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.nodes, "nodes", 4, "simulated cluster size")
 	fs.IntVar(&o.workers, "workers", 4, "query workers per node")
 	fs.StringVar(&o.load, "load", "", "N-Triples file to preload")
-	fs.StringVar(&o.ftDir, "ft", "", "enable fault tolerance in this directory")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics/cluster, /debug/traces, /healthz and /debug/pprof/ on this address (empty = disabled)")
 	fs.BoolVar(&o.version, "version", false, "print build information and exit")
 
@@ -112,8 +116,8 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.clusterHB, "cluster-heartbeat", 0, "cluster peer-liveness probe period (0 = default 100ms)")
 	fs.Int64Var(&o.flowSeed, "flow-seed", 0, "seed for retry-jitter RNGs (engine sends and cluster replication); 0 = nondeterministic")
 
-	// Durability / failover knobs (DESIGN.md §15; cluster mode only).
-	fs.StringVar(&o.dataDir, "data-dir", "", "durable oplog + snapshot directory for this daemon; enables crash restart via Resume (cluster mode only)")
+	// Durability knobs (DESIGN.md §8 standalone, §15 with -listen).
+	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: standalone, the §5 fault-tolerance log (recovered on restart); with -listen, the durable oplog + snapshots (crash restart via Resume)")
 	fs.IntVar(&o.snapEvery, "snapshot-every", 0, "ops between durable engine snapshots (0 = default 4096; needs -data-dir)")
 	fs.BoolVar(&o.noSync, "no-sync", false, "skip fsync on durable oplog appends (faster, loses the tail on power loss)")
 	return o
@@ -130,18 +134,18 @@ func checkFlags(o *options) error {
 		return errors.New("-advertise requires -listen")
 	case o.clusterHB != 0 && !cluster:
 		return errors.New("-cluster-heartbeat requires -listen")
-	case cluster && o.ftDir != "":
-		return errors.New("-ft cannot be combined with cluster mode (replication is the durability story there)")
 	case cluster && o.load != "":
 		// A -load preload would live only in this daemon's replica: it never
 		// enters the seed's op log, so peers would silently diverge.
 		return errors.New("-load cannot be combined with cluster mode; LOAD via a client so the data replicates")
-	case o.dataDir != "" && !cluster:
-		return errors.New("-data-dir is the cluster-mode durability story; it requires -listen (use -ft for single-process durability)")
 	case o.snapEvery != 0 && o.dataDir == "":
 		return errors.New("-snapshot-every requires -data-dir")
 	case o.noSync && o.dataDir == "":
 		return errors.New("-no-sync requires -data-dir")
+	case o.snapEvery != 0 && !cluster:
+		return errors.New("-snapshot-every requires -listen (the standalone §5 log takes no snapshots)")
+	case o.noSync && !cluster:
+		return errors.New("-no-sync requires -listen (the standalone §5 log syncs only at checkpoints already)")
 	}
 	return nil
 }
@@ -176,37 +180,22 @@ func main() {
 			Seed:          o.flowSeed,
 		},
 	}
-	ftCfg := core.FTConfig{Dir: o.ftDir, CheckpointEveryBatches: 100}
 	var srvp atomic.Pointer[server.Server]
-	var eng *core.Engine
-	if o.ftDir != "" {
-		// A directory with prior state means this is a restart: recover the
-		// replayed store, streams, and logged queries instead of starting
-		// empty. Recovered queries route their firings into the server's
-		// POLL buffers once it is up (earlier re-fires predate any client).
-		eng, err = core.Recover(cfg, ftCfg, nil,
-			func(name string) func(*core.Result, core.FireInfo) {
-				return func(res *core.Result, f core.FireInfo) {
-					if s := srvp.Load(); s != nil {
-						s.BufferResult(name, res, f)
-					}
-				}
-			})
-		if err == nil {
-			fmt.Printf("recovered engine state from %s\n", o.ftDir)
-		}
+	ftDir := o.dataDir
+	if o.listen != "" {
+		ftDir = "" // the cluster's oplog is the durability there
 	}
-	if eng == nil {
-		eng, err = core.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if o.ftDir != "" {
-			if err := eng.EnableFT(ftCfg); err != nil {
-				log.Fatal(err)
+	// Recovered queries route their firings into the server's POLL buffers
+	// once it is up (earlier re-fires predate any client).
+	eng, err := openEngine(cfg, ftDir, func(name string) func(*core.Result, core.FireInfo) {
+		return func(res *core.Result, f core.FireInfo) {
+			if s := srvp.Load(); s != nil {
+				s.BufferResult(name, res, f)
 			}
-			fmt.Printf("fault tolerance enabled in %s\n", o.ftDir)
 		}
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	defer eng.Close()
 
@@ -372,6 +361,31 @@ func main() {
 	if err := srv.ListenAndServe(o.addr); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// openEngine builds the standalone engine. With an ftDir that holds a §5
+// log this start is a restart: the engine is recovered from the log, and a
+// log that does not recover is an error — never a reason to start empty over
+// it. Otherwise a fresh engine logs into ftDir (when set) from now on.
+func openEngine(cfg core.Config, ftDir string, callbacks func(name string) func(*core.Result, core.FireInfo)) (*core.Engine, error) {
+	ftCfg := core.FTConfig{Dir: ftDir, CheckpointEveryBatches: 100}
+	if ftDir != "" && oplog.Exists(ftDir) {
+		eng, err := core.Recover(cfg, ftCfg, nil, callbacks)
+		if err == nil {
+			fmt.Printf("recovered engine state from %s\n", ftDir)
+		}
+		return eng, err
+	}
+	eng, err := core.New(cfg)
+	if err != nil || ftDir == "" {
+		return eng, err
+	}
+	if err := eng.EnableFT(ftCfg); err != nil {
+		eng.Close()
+		return nil, err
+	}
+	fmt.Printf("fault tolerance enabled in %s\n", ftDir)
+	return eng, nil
 }
 
 // healthzHandler serves readiness: a single-process daemon is ready once

@@ -4,10 +4,17 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/rdf"
+	"repro/internal/stream"
 )
 
 // newFlags is wukongsd's flag set on a quiet, non-exiting FlagSet.
@@ -30,7 +37,7 @@ func TestCheckFlags(t *testing.T) {
 		refuse string // substring of the refusal; "" = accepted
 	}{
 		{"defaults", nil, ""},
-		{"standalone with ft and load", []string{"-ft", "/d", "-load", "x.nt"}, ""},
+		{"standalone with ft and load", []string{"-data-dir", "/d", "-load", "x.nt"}, ""},
 		{"seed", []string{"-listen", ":7800"}, ""},
 		{"joiner", []string{"-listen", ":7801", "-join", ":7800", "-advertise", "h:7801", "-cluster-heartbeat", "50ms"}, ""},
 		{"durable member", []string{"-listen", ":7801", "-join", ":7800", "-data-dir", "/d", "-snapshot-every", "64", "-no-sync"}, ""},
@@ -41,12 +48,13 @@ func TestCheckFlags(t *testing.T) {
 		{"join without listen", []string{"-join", ":7800"}, "-join requires -listen"},
 		{"advertise without listen", []string{"-advertise", "h:1"}, "-advertise requires -listen"},
 		{"cluster-heartbeat without listen", []string{"-cluster-heartbeat", "50ms"}, "-cluster-heartbeat requires -listen"},
-		{"ft in cluster mode", []string{"-listen", ":7800", "-ft", "/d"}, "-ft cannot be combined with cluster mode"},
 		{"load in cluster mode", []string{"-listen", ":7800", "-load", "x.nt"}, "-load cannot be combined with cluster mode"},
-		{"data-dir without listen", []string{"-data-dir", "/d"}, "-data-dir is the cluster-mode durability story"},
+		{"data-dir without listen", []string{"-data-dir", "/d"}, ""},
 		{"snapshot-every without data-dir", []string{"-listen", ":7800", "-snapshot-every", "64"}, "-snapshot-every requires -data-dir"},
 		{"no-sync without data-dir", []string{"-listen", ":7800", "-no-sync"}, "-no-sync requires -data-dir"},
 		{"no-sync standalone", []string{"-no-sync"}, "-no-sync requires -data-dir"},
+		{"snapshot-every with standalone data-dir", []string{"-data-dir", "/d", "-snapshot-every", "64"}, "-snapshot-every requires -listen"},
+		{"no-sync with standalone data-dir", []string{"-data-dir", "/d", "-no-sync"}, "-no-sync requires -listen"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -65,15 +73,113 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// The in-process failover flags are gone, not deprecated: giving one is a
-// usage error like any other unknown flag. The names are spelled in two
-// halves so a repo-wide grep for them finds nothing.
+// The in-process failover flags and -ft (now -data-dir) are gone, not
+// deprecated: giving one is a usage error like any other unknown flag. The
+// failover names are spelled in two halves so a repo-wide grep for them
+// finds nothing.
 func TestRemovedFlagsFailParsing(t *testing.T) {
-	for _, f := range []string{"-heartbeat" + "-interval=100ms", "-suspect" + "-after=1", "-dead" + "-after=2"} {
+	for _, f := range []string{"-heartbeat" + "-interval=100ms", "-suspect" + "-after=1", "-dead" + "-after=2", "-ft=/d"} {
 		if _, err := parse(f); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("parse(%s) = %v, want an undefined-flag error", f, err)
 		}
 	}
+}
+
+// openEngine recovers exactly when the directory holds a log, and a log that
+// does not recover stops the daemon without touching it: a restart must
+// never start empty over the state it was asked to keep.
+func TestOpenEngine(t *testing.T) {
+	cfg := core.Config{Nodes: 2}
+	const q = `SELECT ?Y WHERE { Logan po ?Y }`
+
+	// firstLife starts on a fresh directory and leaves one logged batch.
+	firstLife := func(t *testing.T) string {
+		dir := filepath.Join(t.TempDir(), "ft")
+		eng, err := openEngine(cfg, dir, nil)
+		if err != nil {
+			t.Fatalf("fresh dir: %v", err)
+		}
+		src, err := eng.RegisterStream(stream.Config{Name: "S", BatchInterval: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Emit(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-1"), TS: 10}); err != nil {
+			t.Fatal(err)
+		}
+		eng.AdvanceTo(100)
+		eng.Kill()
+		return dir
+	}
+
+	t.Run("fresh dir gives a new engine", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, err := openEngine(cfg, dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if res, err := eng.Query(q); err != nil || res.Len() != 0 {
+			t.Fatalf("new engine answers %v, %v", res.Strings(), err)
+		}
+	})
+
+	t.Run("dir with state gives the recovered rows", func(t *testing.T) {
+		eng, err := openEngine(cfg, firstLife(t), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Strings(); len(got) != 1 || got[0] != "T-1" {
+			t.Fatalf("recovered rows = %v, want [T-1]", got)
+		}
+	})
+
+	t.Run("damaged first record is an error and leaves the dir unchanged", func(t *testing.T) {
+		dir := firstLife(t)
+		seg := filepath.Join(dir, "seg-1.wal")
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := strings.Index(string(data), `"name"`) // the first record: the stream registration
+		if i < 0 {
+			t.Fatalf("log holds no stream registration:\n%q", data)
+		}
+		data[i] ^= 0x01
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+		if eng, err := openEngine(cfg, dir, nil); err == nil {
+			eng.Close()
+			t.Fatal("opened a log whose first record is damaged")
+		}
+		if after := dirBytes(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("directory changed:\nbefore %q\nafter  %q", before, after)
+		}
+	})
+}
+
+// dirBytes maps each file in dir to its contents.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
 }
 
 func readDoc(t *testing.T, name string) string {

@@ -1,7 +1,7 @@
 // Faulttolerance: checkpoint, crash, and recover a Wukong+S instance (§5).
 //
-// The example enables fault tolerance (query log + incremental batch
-// checkpointing), streams data with a registered continuous query, crashes
+// The example enables fault tolerance (one durable log of stream and query
+// registrations and injected batches, synced at each checkpoint), streams data with a registered continuous query, crashes
 // the engine, and recovers a new instance from the durable state — showing
 // that the store's absorbed data, the stream registrations, and the
 // continuous query all survive, with at-least-once execution semantics.
@@ -95,9 +95,7 @@ func main() {
 	fmt.Printf("[life 2] recovered store has %d of Erik's posts\n", res.Len())
 
 	// The recovered continuous query keeps firing on fresh data.
-	st, _ := recovered.StreamNames(), ""
-	_ = st
-	src2, ok := findSource(recovered)
+	src2, ok := recovered.SourceOf("Posts")
 	if !ok {
 		log.Fatal("stream not recovered")
 	}
@@ -107,16 +105,4 @@ func main() {
 	}
 	recovered.AdvanceTo(next + 1000)
 	fmt.Println("[life 2] done — at-least-once semantics: replayed windows may fire twice")
-}
-
-// findSource grabs the recovered Posts stream handle. Recover re-registers
-// streams internally; applications normally keep their own handles, so this
-// example re-attaches through a second emit source.
-func findSource(e *core.Engine) (*stream.Source, bool) {
-	// Re-registering under the same name fails, which proves it exists; we
-	// then reach the handle via a tiny helper stream instead.
-	if _, err := e.RegisterStream(stream.Config{Name: "Posts", BatchInterval: 100 * time.Millisecond}); err == nil {
-		return nil, false // it did not survive: unexpected
-	}
-	return e.SourceOf("Posts")
 }

@@ -324,6 +324,7 @@ func newNode(cfg Config) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: open durable oplog: %w", err)
 		}
+		r.Counter("ft_quarantined_records_total").Add(int64(dl.Damaged()))
 		n.dlog = dl
 	}
 	if tcp, ok := cfg.Transport.(*wire.TCP); ok {

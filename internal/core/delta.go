@@ -125,7 +125,7 @@ func planFingerprint(p *plan.Plan) string {
 // batches — each window edge lives in exactly one mini-batch — and starts a
 // new segment. A stream Check does NOT: it keeps a row at most once if a
 // matching edge exists ANYWHERE in the window, so per-batch evaluation would
-// duplicate rows whose edge recurs across batches. Checks are row-wise
+// duplicate rows whose edge recurs across batches; Checks are row-wise
 // (their outcome depends only on the row's bindings), so they commute with
 // every later step; they defer to `post`, re-evaluated over the live full
 // window each firing.
@@ -193,7 +193,7 @@ func (cq *ContinuousQuery) deltaPlanFor(p *plan.Plan) (*deltaPlan, string) {
 	return cq.split, cq.splitReason
 }
 
-// batchRange is one segment's window, in batches.
+// batchRange is one segment's window, in batch IDs.
 type batchRange struct{ from, to tstore.BatchID }
 
 // maxDeltaSegs caps the segment count so batch vectors pack into a fixed

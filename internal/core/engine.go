@@ -465,11 +465,11 @@ func (e *Engine) Close() {
 }
 
 // Kill abruptly stops the engine, simulating a process crash: workers stop,
-// durable files are closed without flushing, and no final checkpoint is
-// taken — the fault-tolerance directory is left exactly as the last durable
-// write left it. The engine is unusable afterwards; Recover builds a
-// successor from the directory. The chaos harness uses this to exercise §5
-// recovery at non-checkpoint boundaries.
+// the log is closed without a sync, and no final checkpoint is taken — the
+// fault-tolerance directory is left exactly as the last append left it. The
+// engine is unusable afterwards; Recover builds a successor from the
+// directory. The chaos harness uses this to exercise §5 recovery at
+// non-checkpoint boundaries.
 func (e *Engine) Kill() {
 	e.mu.Lock()
 	if e.closed {
@@ -580,7 +580,7 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 	e.streams[cfg.Name] = st
 	e.streamByID = append(e.streamByID, st)
 	if e.ft != nil {
-		if err := e.ftWriteStreamConfigs(); err != nil {
+		if err := e.ftLogStream(st); err != nil {
 			return nil, err
 		}
 	}
@@ -871,6 +871,9 @@ func (e *Engine) sendOneWay(from, to fabric.NodeID, n int) error {
 func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 	st.injectMu.Lock()
 	defer st.injectMu.Unlock()
+	if e.ft != nil {
+		e.ftLogBatch(st, b)
+	}
 	disp := e.obs.Span("dispatch")
 	work, lost := stream.Dispatch(e.fab, e.snd, st.home, b)
 	disp.End()
@@ -922,9 +925,6 @@ func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 	e.hBatchTuples.Record(int64(len(b.Tuples)))
 	st.mTuples.Add(int64(len(b.Tuples)))
 	st.mBatches.Inc()
-	if e.ft != nil {
-		e.ftLogBatch(st, b)
-	}
 }
 
 // InjectionStats returns a stream's accumulated injection cost split

@@ -1,19 +1,14 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/oplog"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/stream"
@@ -23,22 +18,23 @@ import (
 // Fault tolerance (§5): Wukong+S assumes upstream backup (sources buffer and
 // replay recent batches), logs registered continuous queries, and performs
 // incremental checkpointing of streaming data. Recovery reloads the initial
-// RDF data, replays the durable checkpoints in order, re-registers the
-// logged queries, and asks sources to replay anything after the last
+// RDF data, re-registers the logged streams and queries, replays the logged
+// batches in order, and asks sources to replay anything after the last
 // checkpoint. Continuous queries get at-least-once semantics: a window may
 // execute twice across a failure, which clients deduplicate by the window's
 // time information.
+//
+// All of it lives in one oplog.Log, one record per event in the order the
+// engine saw them:
+//
+//	S <ftStreamMeta JSON>          a stream registration
+//	Q <query text>                 a continuous-query registration
+//	B <stream> <batch>\n<tuples>   an injected batch, one "<triple> . @ts" line per tuple
 
 // FTConfig configures fault tolerance.
 type FTConfig struct {
 	// Dir is the persistence directory.
 	Dir string
-	// MirrorDir, when set, duplicates every durable write to a second
-	// directory — the paper's note that availability "can be implemented by
-	// replicating initial data and log checkpoints on remote nodes" (§5);
-	// point it at remote-mounted storage and Recover from it after losing
-	// Dir.
-	MirrorDir string
 	// CheckpointEveryBatches triggers an automatic checkpoint after this
 	// many logged batches (0 = checkpoint only on explicit Checkpoint call).
 	CheckpointEveryBatches int
@@ -53,215 +49,75 @@ type FTStats struct {
 }
 
 type ftState struct {
-	mu  sync.Mutex
 	cfg FTConfig
+	log *oplog.Log
 
-	queryLog *os.File
-	batchF   *os.File
-	batchW   *bufio.Writer
-
-	// Mirror replicas of the durable files (nil without MirrorDir).
-	queryLogM *os.File
-	batchFM   *os.File
-	batchWM   *bufio.Writer
-
-	ckptSeq int
+	mu sync.Mutex
+	// err is the first failed append or sync. It sticks: nothing is appended
+	// after it (the log would have a hole), and Checkpoint reports it
+	// instead of trimming upstream backup that may be all that is left.
+	err     error
 	sinceCk int
-
-	stats FTStats
+	stats   FTStats
 }
 
-// close releases the durable files. With flush, buffered batch records are
-// written out first (graceful shutdown); without, they die with the process
+// ftQuarantineCounter counts durable records Recover found damaged (see
+// oplog.Log.Damaged) — bit rot or a torn write.
+const ftQuarantineCounter = "ft_quarantined_records_total"
+
+// appendLocked logs rec as the next record; a registration is synced before
+// it returns, a batch waits for the next checkpoint. Caller holds st.mu.
+func (st *ftState) appendLocked(rec []byte, sync bool) error {
+	if st.err == nil {
+		st.err = st.log.Append(st.log.Last()+1, rec)
+	}
+	if st.err == nil && sync {
+		st.err = st.log.Sync()
+	}
+	return st.err
+}
+
+// close releases the log. With flush, appended records are synced first
+// (graceful shutdown); without, they stay wherever the OS has them
 // (simulated crash).
 func (st *ftState) close(flush bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if flush {
-		if st.batchW != nil {
-			st.batchW.Flush()
-			st.batchF.Sync()
-		}
-		if st.batchWM != nil {
-			st.batchWM.Flush()
-			st.batchFM.Sync()
-		}
+	if flush && st.err == nil {
+		st.err = st.log.Sync()
 	}
-	for _, f := range []*os.File{st.batchF, st.batchFM, st.queryLog, st.queryLogM} {
-		if f != nil {
-			f.Close()
-		}
-	}
-}
-
-// sinks returns the active batch-log writers (primary + mirror).
-func (st *ftState) sinks() []*bufio.Writer {
-	if st.batchWM != nil {
-		return []*bufio.Writer{st.batchW, st.batchWM}
-	}
-	return []*bufio.Writer{st.batchW}
-}
-
-const (
-	ftQueriesFile = "queries.log"
-	ftStreamsFile = "streams.json"
-	ftVTSFile     = "vts.json"
-	ftQuerySep    = "\x1e" // record separator between query texts
-
-	// ftQuarantineCounter counts durable records dropped because their CRC32C
-	// frame did not match — bit rot or a torn write that still parsed.
-	ftQuarantineCounter = "ft_quarantined_records_total"
-)
-
-// Durable records are CRC32C-framed (Castagnoli, the polynomial storage
-// systems use for exactly this): every batch-log record and checkpoint
-// metadata file ends with a trailer line "C <8 hex digits>" whose checksum
-// covers all preceding record bytes. Replay verifies the frame before
-// emitting anything from a record; a mismatch quarantines the record — it is
-// dropped and counted, and replay stops there, since later records may depend
-// on the lost tuples — instead of silently absorbing corrupted data.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrCorruptRecord reports a durable record whose CRC32C frame does not match
-// its contents.
-var ErrCorruptRecord = errors.New("core: corrupt durable record (CRC32C mismatch)")
-
-// withCRCTrailer frames data with its checksum trailer.
-func withCRCTrailer(data []byte) []byte {
-	return append(data, fmt.Sprintf("\nC %08x\n", crc32.Checksum(data, crcTable))...)
-}
-
-// readCheckedFile reads a CRC-framed metadata file, verifies the frame, and
-// returns the payload with the trailer stripped.
-func readCheckedFile(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	i := bytes.LastIndex(raw, []byte("\nC "))
-	if i < 0 {
-		return nil, fmt.Errorf("%w: %s has no checksum trailer", ErrCorruptRecord, filepath.Base(path))
-	}
-	var sum uint32
-	if _, err := fmt.Sscanf(string(raw[i+1:]), "C %x", &sum); err != nil {
-		return nil, fmt.Errorf("%w: %s trailer unreadable", ErrCorruptRecord, filepath.Base(path))
-	}
-	if payload := raw[:i]; crc32.Checksum(payload, crcTable) == sum {
-		return payload, nil
-	}
-	return nil, fmt.Errorf("%w: %s", ErrCorruptRecord, filepath.Base(path))
-}
-
-// writeFileAtomic durably replaces path: the data is written to a temporary
-// file in the same directory, fsynced, and renamed over the target, so a
-// crash mid-write never leaves a torn metadata file. The directory is synced
-// after the rename so the new name itself survives the crash.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	st.log.Close()
 }
 
 // EnableFT turns on fault tolerance: registered streams and queries are
-// logged immediately; every injected batch is logged from now on.
+// logged immediately; every injected batch is logged from now on. A
+// directory that already holds a log belongs to an earlier life: Recover
+// from it instead.
 func (e *Engine) EnableFT(cfg FTConfig) error {
 	if cfg.Dir == "" {
 		return fmt.Errorf("core: FT requires a directory")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return err
+	if oplog.Exists(cfg.Dir) {
+		return fmt.Errorf("core: %s already holds a fault-tolerance log; Recover from it", cfg.Dir)
 	}
-	// The query log is rewritten from the engine's current state: after a
-	// recovery the recovered queries are re-logged below, so appending to the
-	// old log would accumulate duplicates across kill/recover cycles.
-	qf, err := os.OpenFile(filepath.Join(cfg.Dir, ftQueriesFile), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	l, err := oplog.Open(cfg.Dir, oplog.Options{NoSync: true})
 	if err != nil {
-		return err
-	}
-	st := &ftState{cfg: cfg, queryLog: qf}
-	if cfg.MirrorDir != "" {
-		if err := os.MkdirAll(cfg.MirrorDir, 0o755); err != nil {
-			qf.Close()
-			return err
-		}
-		st.queryLogM, err = os.OpenFile(filepath.Join(cfg.MirrorDir, ftQueriesFile), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			qf.Close()
-			return err
-		}
-	}
-	// Resume at the highest existing batch-log sequence: replay sorts logs by
-	// name, so a recovered engine must append to the newest log, not restart
-	// at 000000 (which would put post-recovery batches before checkpointed
-	// ones in replay order).
-	if logs, _ := filepath.Glob(filepath.Join(cfg.Dir, "batches.*.log")); len(logs) > 0 {
-		for _, path := range logs {
-			var seq int
-			if _, err := fmt.Sscanf(filepath.Base(path), "batches.%d.log", &seq); err == nil && seq > st.ckptSeq {
-				st.ckptSeq = seq
-			}
-		}
-	}
-	if err := st.openBatchLog(); err != nil {
-		qf.Close()
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.ft != nil {
-		qf.Close()
+		l.Close()
 		return fmt.Errorf("core: FT already enabled")
 	}
-	e.ft = st
-	// Log already-registered state.
-	if err := e.ftWriteStreamConfigs(); err != nil {
-		return err
-	}
-	for _, cq := range e.continuous {
-		e.ftLogQuery(cq.Text)
-	}
-	return nil
-}
-
-func (st *ftState) openBatchLog() error {
-	name := fmt.Sprintf("batches.%06d.log", st.ckptSeq)
-	f, err := os.OpenFile(filepath.Join(st.cfg.Dir, name),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	st.batchF = f
-	st.batchW = bufio.NewWriterSize(f, 1<<16)
-	if st.cfg.MirrorDir != "" {
-		m, err := os.OpenFile(filepath.Join(st.cfg.MirrorDir, name),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+	e.ft = &ftState{cfg: cfg, log: l}
+	for _, st := range e.streamByID {
+		if err := e.ftLogStream(st); err != nil {
 			return err
 		}
-		st.batchFM = m
-		st.batchWM = bufio.NewWriterSize(m, 1<<16)
+	}
+	for _, name := range e.cqOrder {
+		e.ftLogQuery(e.continuous[name].Text)
 	}
 	return nil
 }
@@ -276,58 +132,42 @@ type ftStreamMeta struct {
 	MaxDelayMS    int64    `json:"max_delay_ms,omitempty"`
 }
 
-func (e *Engine) ftWriteStreamConfigs() error {
-	// Caller holds e.mu.
-	metas := make([]ftStreamMeta, 0, len(e.streams))
-	for name, st := range e.streams {
-		metas = append(metas, ftStreamMeta{
-			Name:          name,
-			BatchMS:       st.src.Interval().Milliseconds(),
-			TimingPreds:   st.cfg.TimingPredicates,
-			KeepPreds:     st.cfg.KeepPredicates,
-			BackupBatches: st.cfg.BackupBudget,
-			MaxDelayMS:    st.cfg.MaxDelay.Milliseconds(),
-		})
-	}
-	sort.Slice(metas, func(i, j int) bool { return metas[i].Name < metas[j].Name })
-	data, err := json.MarshalIndent(metas, "", "  ")
+// ftLogStream logs one stream registration. Caller holds e.mu.
+func (e *Engine) ftLogStream(st *streamState) error {
+	meta, err := json.Marshal(ftStreamMeta{
+		Name:          st.cfg.Name,
+		BatchMS:       st.src.Interval().Milliseconds(),
+		TimingPreds:   st.cfg.TimingPredicates,
+		KeepPreds:     st.cfg.KeepPredicates,
+		BackupBatches: st.cfg.BackupBudget,
+		MaxDelayMS:    st.cfg.MaxDelay.Milliseconds(),
+	})
 	if err != nil {
 		return err
 	}
-	framed := withCRCTrailer(data)
-	if err := writeFileAtomic(filepath.Join(e.ft.cfg.Dir, ftStreamsFile), framed); err != nil {
-		return err
-	}
-	if e.ft.cfg.MirrorDir != "" {
-		return writeFileAtomic(filepath.Join(e.ft.cfg.MirrorDir, ftStreamsFile), framed)
-	}
-	return nil
+	e.ft.mu.Lock()
+	defer e.ft.mu.Unlock()
+	return e.ft.appendLocked(append([]byte("S "), meta...), true)
 }
 
-// ftLogQuery appends a continuous query's text to the durable query log
-// ("Wukong+S only needs to log all continuous queries to the persistent
-// storage and simply re-register them after recovery").
+// ftLogQuery logs a continuous query's text ("Wukong+S only needs to log all
+// continuous queries to the persistent storage and simply re-register them
+// after recovery"). Caller holds e.mu.
 func (e *Engine) ftLogQuery(text string) {
-	st := e.ft
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	fmt.Fprintf(st.queryLog, "%s%s", text, ftQuerySep)
-	st.queryLog.Sync()
-	if st.queryLogM != nil {
-		fmt.Fprintf(st.queryLogM, "%s%s", text, ftQuerySep)
-		st.queryLogM.Sync()
-	}
+	e.ft.mu.Lock()
+	defer e.ft.mu.Unlock()
+	_ = e.ft.appendLocked([]byte("Q "+text), true) // sticks in ft.err; Checkpoint reports it
 }
 
-// ftLogBatch durably logs one injected batch. Runs on the injection path, so
-// its cost is the paper's "logging delay for each batch".
+// ftLogBatch logs one batch before it is injected, so every batch a stable
+// VTS covers is in the log when Checkpoint syncs it and trims below that VTS.
+// Runs on the injection path, so its cost is the paper's "logging delay for
+// each batch".
 func (e *Engine) ftLogBatch(sst *streamState, b stream.Batch) {
 	st := e.ft
 	start := time.Now()
-	// Assemble the whole record first so its CRC32C frame covers exactly the
-	// bytes that hit the disk, then append it to every sink in one write.
 	var rec bytes.Buffer
-	fmt.Fprintf(&rec, "B %s %d %d\n", sst.src.Name(), b.ID, len(b.Tuples))
+	fmt.Fprintf(&rec, "B %s %d\n", sst.src.Name(), b.ID)
 	for _, t := range b.Tuples {
 		tr, err := e.ss.DecodeTriple(t.EncodedTriple)
 		if err != nil {
@@ -335,33 +175,24 @@ func (e *Engine) ftLogBatch(sst *streamState, b stream.Batch) {
 		}
 		fmt.Fprintf(&rec, "%s . @%d\n", tr, int64(t.TS))
 	}
-	sum := crc32.Checksum(rec.Bytes(), crcTable)
-	fmt.Fprintf(&rec, "C %08x\n", sum)
 	st.mu.Lock()
-	for _, w := range st.sinks() {
-		w.Write(rec.Bytes())
-		w.Flush()
+	if st.appendLocked(rec.Bytes(), false) == nil {
+		st.stats.LoggedBatches++
+		st.stats.LoggedTuples += int64(len(b.Tuples))
 	}
-	st.stats.LoggedBatches++
-	st.stats.LoggedTuples += int64(len(b.Tuples))
 	st.sinceCk++
 	due := st.cfg.CheckpointEveryBatches > 0 && st.sinceCk >= st.cfg.CheckpointEveryBatches
 	st.stats.LogTime += time.Since(start)
 	st.mu.Unlock()
 	if due {
-		_ = e.Checkpoint()
+		_ = e.Checkpoint() // a failure sticks in st.err; the next Checkpoint reports it
 	}
 }
 
-// ftVTSMeta persists the coordinator's progress at a checkpoint.
-type ftVTSMeta struct {
-	StableSN  uint32           `json:"stable_sn"`
-	StableVTS map[string]int64 `json:"stable_vts"`
-}
-
-// Checkpoint makes logged state durable, persists the vector timestamps, and
-// rotates the batch log. Sources are asked to trim their upstream-backup
-// buffers below the checkpointed batches.
+// Checkpoint makes every logged record durable (one fsync of the log) and
+// then asks each source to trim its upstream backup below its stable VTS:
+// those batches are on disk now. If any append or sync has failed, it
+// returns that error and trims nothing.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	st := e.ft
@@ -369,53 +200,28 @@ func (e *Engine) Checkpoint() error {
 		e.mu.Unlock()
 		return fmt.Errorf("core: FT not enabled")
 	}
-	meta := ftVTSMeta{StableSN: e.coord.StableSN(), StableVTS: map[string]int64{}}
 	stable := e.coord.StableVTS()
-	type trim struct {
-		src    *stream.Source
-		before tstore.BatchID
-	}
-	var trims []trim
-	for name, sst := range e.streams {
-		b := stable[sst.id]
-		meta.StableVTS[name] = int64(b)
-		trims = append(trims, trim{src: sst.src, before: b + 1})
+	trims := make(map[*stream.Source]tstore.BatchID, len(e.streamByID))
+	for _, sst := range e.streamByID {
+		trims[sst.src] = stable[sst.id] + 1
 	}
 	e.mu.Unlock()
 
 	st.mu.Lock()
-	st.batchW.Flush()
-	st.batchF.Sync()
-	st.batchF.Close()
-	if st.batchWM != nil {
-		st.batchWM.Flush()
-		st.batchFM.Sync()
-		st.batchFM.Close()
+	if st.err == nil {
+		st.err = st.log.Sync()
 	}
-	st.ckptSeq++
+	err := st.err
 	st.sinceCk = 0
-	st.stats.Checkpoints++
-	err := st.openBatchLog()
+	if err == nil {
+		st.stats.Checkpoints++
+	}
 	st.mu.Unlock()
 	if err != nil {
-		return err
+		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	data, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	framed := withCRCTrailer(data)
-	if err := writeFileAtomic(filepath.Join(st.cfg.Dir, ftVTSFile), framed); err != nil {
-		return err
-	}
-	if st.cfg.MirrorDir != "" {
-		if err := writeFileAtomic(filepath.Join(st.cfg.MirrorDir, ftVTSFile), framed); err != nil {
-			return err
-		}
-	}
-	// Notify sources to flush buffered data up to the checkpoint.
-	for _, t := range trims {
-		t.src.TrimBackup(t.before)
+	for src, before := range trims {
+		src.TrimBackup(before)
 	}
 	return nil
 }
@@ -434,36 +240,75 @@ func (e *Engine) FTStats() (FTStats, error) {
 }
 
 // Recover rebuilds an engine from a fault-tolerance directory: it reloads
-// the initial RDF data, re-registers the logged streams, replays the durable
-// batch logs in order, and re-registers the logged continuous queries
-// (callbacks come from the factory, since functions cannot be persisted).
-// The recovered engine has FT re-enabled on the same directory.
+// the initial RDF data, replays the log — re-registering streams and
+// continuous queries (callbacks come from the factory, since functions
+// cannot be persisted) and re-emitting batches — and advances past the last
+// replayed batch, which re-fires the recovered windows. The log stays open
+// as the recovered engine's log.
+//
+// A torn or corrupt tail is counted in ft_quarantined_records_total and
+// replay stops before it; upstream backup covers the gap. A log whose first
+// record is damaged recovers nothing, so Recover fails without touching the
+// directory.
 func Recover(cfg Config, ftCfg FTConfig, initial []rdf.Triple, callbacks func(name string) func(*Result, FireInfo)) (*Engine, error) {
+	if !oplog.Exists(ftCfg.Dir) {
+		return nil, fmt.Errorf("core: recover: %s holds no fault-tolerance log", ftCfg.Dir)
+	}
+	l, err := oplog.Open(ftCfg.Dir, oplog.Options{NoSync: true})
+	if err != nil {
+		return nil, fmt.Errorf("core: recover: %w", err)
+	}
 	e, err := New(cfg)
 	if err != nil {
+		l.Close()
 		return nil, err
 	}
+	fail := func(err error) (*Engine, error) {
+		l.Close()
+		e.Close()
+		return nil, fmt.Errorf("core: recover %s: %w", ftCfg.Dir, err)
+	}
+	e.obs.Counter(ftQuarantineCounter).Add(int64(l.Damaged()))
+	if l.Last() == 0 {
+		return fail(fmt.Errorf("the log's first record is damaged"))
+	}
 	e.LoadTriples(initial)
-
-	// Streams. The stream metadata is the root of the recovery: without it
-	// nothing else can replay, so a corrupt frame here is a hard error (after
-	// counting the quarantined record) rather than a silent stop.
-	data, err := readCheckedFile(filepath.Join(ftCfg.Dir, ftStreamsFile))
-	if err != nil {
-		if errors.Is(err, ErrCorruptRecord) {
-			e.obs.Counter(ftQuarantineCounter).Inc()
+	var maxTS rdf.Timestamp
+	err = l.Range(0, 0, func(seq uint64, rec []byte) error {
+		end, err := e.replayRecord(string(rec), callbacks)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", seq, err)
 		}
-		e.Close()
-		return nil, fmt.Errorf("core: recover: %w", err)
+		maxTS = max(maxTS, end)
+		return nil
+	})
+	if err != nil {
+		return fail(err)
 	}
-	var metas []ftStreamMeta
-	if err := json.Unmarshal(data, &metas); err != nil {
-		e.Close()
-		return nil, fmt.Errorf("core: recover: %w", err)
-	}
-	sources := map[string]*stream.Source{}
-	for _, m := range metas {
-		src, err := e.RegisterStream(stream.Config{
+	// Advance past every replayed batch so the recovered store is stable —
+	// this also fires the re-registered queries' recovered windows. Only
+	// then does the log take new records: the replayed ones are in it.
+	e.AdvanceTo(maxTS)
+	e.mu.Lock()
+	e.ft = &ftState{cfg: ftCfg, log: l}
+	e.mu.Unlock()
+	return e, nil
+}
+
+// replayRecord applies one logged record to a recovering engine and returns
+// the end of the batch it re-emitted (0 for a registration). Every query is
+// registered before the final AdvanceTo injects anything, so windows that
+// fired before the crash fire again over the replayed data — the paper's
+// at-least-once contract (§5).
+func (e *Engine) replayRecord(rec string, callbacks func(name string) func(*Result, FireInfo)) (rdf.Timestamp, error) {
+	kind, body, _ := strings.Cut(rec, " ")
+	switch kind {
+	case "S":
+		var m ftStreamMeta
+		if err := json.Unmarshal([]byte(body), &m); err != nil {
+			return 0, err
+		}
+		_, err := e.RegisterStream(stream.Config{
 			Name:             m.Name,
 			BatchInterval:    time.Duration(m.BatchMS) * time.Millisecond,
 			TimingPredicates: m.TimingPreds,
@@ -471,172 +316,42 @@ func Recover(cfg Config, ftCfg FTConfig, initial []rdf.Triple, callbacks func(na
 			BackupBudget:     m.BackupBatches,
 			MaxDelay:         time.Duration(m.MaxDelayMS) * time.Millisecond,
 		})
+		return 0, err
+	case "Q":
+		q, err := sparql.Parse(body)
 		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		sources[m.Name] = src
-	}
-
-	// Queries are re-registered BEFORE the batch logs replay: windows that
-	// already fired before the crash then fire again over the replayed data
-	// during AdvanceTo below — the paper's at-least-once contract (§5).
-	// Clients deduplicate by the window's time information (FireInfo.At).
-	qdata, err := os.ReadFile(filepath.Join(ftCfg.Dir, ftQueriesFile))
-	if err != nil && !os.IsNotExist(err) {
-		e.Close()
-		return nil, err
-	}
-	seen := map[string]bool{}
-	for _, text := range strings.Split(string(qdata), ftQuerySep) {
-		if strings.TrimSpace(text) == "" || seen[text] {
-			continue
-		}
-		seen[text] = true
-		q, err := sparql.Parse(text)
-		if err != nil {
-			e.Close()
-			return nil, fmt.Errorf("core: recover query log: %w", err)
+			return 0, err
 		}
 		var cb func(*Result, FireInfo)
 		if callbacks != nil {
 			cb = callbacks(q.Name)
 		}
-		if _, err := e.RegisterContinuous(text, cb); err != nil {
-			e.Close()
-			return nil, err
+		_, err = e.RegisterContinuous(body, cb)
+		return 0, err
+	case "B":
+		head, lines, _ := strings.Cut(body, "\n")
+		var name string
+		var batch int64
+		if _, err := fmt.Sscanf(head, "%s %d", &name, &batch); err != nil {
+			return 0, fmt.Errorf("batch header %q: %w", head, err)
 		}
-	}
-
-	// Replay batch logs in checkpoint order. A log with a truncated or corrupt
-	// tail (the crash hit mid-write) replays up to its last complete batch;
-	// nothing after the damage is replayed — later records could depend on the
-	// lost ones. The upstream backup covers the gap in a real deployment.
-	logs, err := filepath.Glob(filepath.Join(ftCfg.Dir, "batches.*.log"))
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	sort.Strings(logs)
-	var maxTS rdf.Timestamp
-	for _, path := range logs {
-		ts, complete, err := replayBatchLog(e, sources, path)
+		src, ok := e.SourceOf(name)
+		if !ok {
+			return 0, fmt.Errorf("batch for unknown stream %q", name)
+		}
+		tuples, err := rdf.ParseTuples(lines)
 		if err != nil {
-			e.Close()
-			return nil, fmt.Errorf("core: recover %s: %w", path, err)
+			return 0, err
 		}
-		if ts > maxTS {
-			maxTS = ts
-		}
-		if !complete {
-			break
-		}
-	}
-	// Advance past every replayed batch so the recovered store is stable —
-	// this also fires the re-registered queries' recovered windows.
-	e.AdvanceTo(maxTS)
-
-	if err := e.EnableFT(ftCfg); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
-// replayBatchLog replays one durable batch log and returns the highest batch
-// end timestamp it covered. Records are buffered per batch and emitted only
-// after their CRC32C trailer verifies, so a truncated tail (a crash mid-
-// append) loses at most the damaged batch — replay stops at the last complete
-// record and reports complete=false — and a bit-flipped record is quarantined
-// (dropped + counted via ft_quarantined_records_total) instead of replayed.
-func replayBatchLog(e *Engine, sources map[string]*stream.Source, path string) (rdf.Timestamp, bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var maxTS rdf.Timestamp
-	var cur *stream.Source
-	var curEnd rdf.Timestamp
-	var pending []string // raw tuple lines, parsed only after the CRC verifies
-	var crcSum uint32
-	remaining := 0
-	inRec := false
-	flush := func() error {
-		for _, ln := range pending {
-			tu, err := rdf.ParseTuple(ln)
-			if err != nil {
-				// The frame verified, so the record holds exactly the bytes we
-				// wrote; an unparseable line is a logger bug, not corruption.
-				return fmt.Errorf("verified record does not parse: %w", err)
-			}
+		for _, tu := range tuples {
 			// Replay bypasses admission control: every logged tuple was
 			// admitted before the crash, and shedding it here would lose
 			// durable data.
-			if err := cur.EmitReplayed(tu); err != nil {
-				return err
+			if err := src.EmitReplayed(tu); err != nil {
+				return 0, err
 			}
 		}
-		if curEnd > maxTS {
-			maxTS = curEnd
-		}
-		pending = pending[:0]
-		return nil
+		return src.BatchEnd(tstore.BatchID(batch)), nil
 	}
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case inRec && remaining == 0:
-			// The only legal line here is the record's checksum trailer.
-			var want uint32
-			if !strings.HasPrefix(line, "C ") {
-				return maxTS, false, nil // trailer lost: truncated tail
-			}
-			if _, err := fmt.Sscanf(line, "C %x", &want); err != nil || want != crcSum {
-				// Quarantine: the record's bytes do not match the frame. Drop
-				// it, count it, and stop — later records may depend on it.
-				e.obs.Counter(ftQuarantineCounter).Inc()
-				return maxTS, false, nil
-			}
-			if err := flush(); err != nil {
-				return maxTS, false, err
-			}
-			inRec = false
-		case strings.HasPrefix(line, "B "):
-			if inRec {
-				// A new header inside an unfinished batch: the previous
-				// batch's tail was lost. Discard it and stop.
-				return maxTS, false, nil
-			}
-			var name string
-			var batch, n int64
-			if _, err := fmt.Sscanf(line, "B %s %d %d", &name, &batch, &n); err != nil {
-				return maxTS, false, nil // corrupt header: stop at last complete batch
-			}
-			src, ok := sources[name]
-			if !ok {
-				return 0, false, fmt.Errorf("log references unknown stream %q", name)
-			}
-			cur = src
-			remaining = int(n)
-			curEnd = src.BatchEnd(tstore.BatchID(batch))
-			pending = pending[:0]
-			inRec = true
-			crcSum = crc32.Update(0, crcTable, append([]byte(line), '\n'))
-		case !inRec:
-			return maxTS, false, nil // stray tuple line: corrupt tail
-		default:
-			crcSum = crc32.Update(crcSum, crcTable, append([]byte(line), '\n'))
-			pending = append(pending, line)
-			remaining--
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return maxTS, false, err
-	}
-	// A record still open at EOF is a truncated tail: its buffered tuples are
-	// dropped, everything before it was already emitted.
-	return maxTS, !inRec, nil
+	return 0, fmt.Errorf("unknown record kind %q", kind)
 }

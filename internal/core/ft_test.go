@@ -1,14 +1,19 @@
 package core
 
 import (
-	"errors"
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/oplog"
 	"repro/internal/rdf"
 	"repro/internal/stream"
 )
@@ -42,19 +47,37 @@ func TestFTLogAndCheckpoint(t *testing.T) {
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoint trims the upstream backup below the stable VTS.
+	// Checkpoint syncs the log and trims the upstream backup below the
+	// stable VTS.
 	if n := tweets.BackupLen(); n != 0 {
 		t.Errorf("backup after checkpoint = %d batches", n)
 	}
-	// The VTS metadata file exists.
-	if _, err := os.Stat(filepath.Join(dir, ftVTSFile)); err != nil {
-		t.Error(err)
+	if st, _ := e.FTStats(); st.Checkpoints != 1 {
+		t.Errorf("Checkpoints = %d, want 1", st.Checkpoints)
 	}
-	// A fresh batch log was opened.
-	logs, _ := filepath.Glob(filepath.Join(dir, "batches.*.log"))
-	if len(logs) != 2 {
-		t.Errorf("batch logs = %v", logs)
+	// Every registration and logged batch is a record in the one log.
+	if recs := ftRecords(t, dir); recs["S"] != 2 || int64(recs["B"]) != st.LoggedBatches {
+		t.Errorf("log records = %v, want 2 streams and %d batches", recs, st.LoggedBatches)
 	}
+}
+
+// ftRecords counts the records in dir's fault-tolerance log by kind.
+func ftRecords(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	l, err := oplog.Open(dir, oplog.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	n := map[string]int{}
+	if err := l.Range(0, 0, func(_ uint64, rec []byte) error {
+		kind, _, _ := strings.Cut(string(rec), " ")
+		n[kind]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestFTRecovery(t *testing.T) {
@@ -77,6 +100,12 @@ WHERE { GRAPH Tweet_Stream { ?X po ?Z } }`
 	emit(t, tweets, 220, "Erik", "li", "T-77")
 	e.AdvanceTo(300)
 	e.Close()
+
+	// The directory belongs to the first life now: only Recover may take
+	// it over.
+	if fresh, _, _ := figure1Engine(t, 2); fresh.EnableFT(FTConfig{Dir: dir}) == nil {
+		t.Error("EnableFT accepted a directory holding a previous life's log")
+	}
 
 	// Second life: recover from the FT directory.
 	var col collector
@@ -126,7 +155,7 @@ WHERE { GRAPH Tweet_Stream { ?X po ?Z } }`
 	}
 }
 
-// TestFTRecoveryTruncatedTail crashes mid-append: the batch log's tail is cut
+// TestFTRecoveryTruncatedTail crashes mid-append: the log's tail is cut
 // in the middle of a record. Recovery must stop at the last complete batch —
 // no error, no panic — and everything before the damage must be back.
 func TestFTRecoveryTruncatedTail(t *testing.T) {
@@ -143,7 +172,7 @@ func TestFTRecoveryTruncatedTail(t *testing.T) {
 
 	// Cut the log mid-way through T-91's record, as a crash during the append
 	// would: everything from that point on is lost.
-	logPath := filepath.Join(dir, "batches.000000.log")
+	logPath := filepath.Join(dir, "seg-1.wal")
 	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +246,7 @@ func TestFTQuarantinesBitFlippedRecord(t *testing.T) {
 	e.AdvanceTo(300)
 	e.Kill()
 
-	logPath := filepath.Join(dir, "batches.000000.log")
+	logPath := filepath.Join(dir, "seg-1.wal")
 	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +285,10 @@ func TestFTQuarantinesBitFlippedRecord(t *testing.T) {
 	}
 }
 
-// TestFTDetectsCorruptStreamMetadata flips a bit in streams.json: the
-// recovery root must refuse to proceed with a typed error.
+// TestFTDetectsCorruptStreamMetadata flips a bit in the log's first record,
+// the first stream registration: every later record replays against it, so
+// Recover must fail loudly, count the damage, and leave the directory as it
+// found it.
 func TestFTDetectsCorruptStreamMetadata(t *testing.T) {
 	dir := t.TempDir()
 	e, _, _ := figure1Engine(t, 2)
@@ -265,18 +296,150 @@ func TestFTDetectsCorruptStreamMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Kill()
-	path := filepath.Join(dir, ftStreamsFile)
+	path := filepath.Join(dir, "seg-1.wal")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x01
+	i := bytes.Index(data, []byte("Tweet_Stream"))
+	if i < 0 {
+		t.Fatalf("log does not mention Tweet_Stream:\n%q", data)
+	}
+	data[i] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Recover(Config{Nodes: 2}, FTConfig{Dir: dir}, xlab(), nil)
-	if !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("recover err = %v, want ErrCorruptRecord", err)
+	reg := obs.NewRegistry("ftmeta_test")
+	if _, err := Recover(Config{Nodes: 2, Metrics: reg}, FTConfig{Dir: dir}, xlab(), nil); err == nil {
+		t.Fatal("recovery from a damaged stream record succeeded")
+	}
+	if n := reg.Counter(ftQuarantineCounter).Value(); n != 1 {
+		t.Errorf("quarantined records = %d, want 1", n)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+		t.Error("failed recovery modified the log")
+	}
+}
+
+// A failed append sticks: no later batch is appended behind the hole, and
+// Checkpoint reports the failure and trims no upstream backup — the batches
+// it would trim may exist nowhere else.
+func TestFTFailedAppendStopsCheckpointTrim(t *testing.T) {
+	dir := t.TempDir()
+	e, tweets, _ := figure1Engine(t, 2)
+	if err := e.EnableFT(FTConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	emit(t, tweets, 10, "Logan", "po", "T-15")
+	e.AdvanceTo(100)
+	// Pull the directory out from under the log: its next append must open
+	// a segment there and cannot.
+	e.ft.log.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	emit(t, tweets, 150, "Logan", "po", "T-16")
+	e.AdvanceTo(200)
+
+	backup := tweets.BackupLen()
+	if backup == 0 {
+		t.Fatal("upstream backup is empty; the trim check below would be vacuous")
+	}
+	if err := e.Checkpoint(); err == nil {
+		t.Fatal("checkpoint after a failed append succeeded")
+	}
+	if n := tweets.BackupLen(); n != backup {
+		t.Errorf("backup trimmed to %d of %d batches after a failed append", n, backup)
+	}
+	st, _ := e.FTStats()
+	if st.Checkpoints != 0 || st.LoggedBatches != 2 {
+		t.Errorf("stats = %+v, want no checkpoint and only the 2 batches before the failure", st)
+	}
+}
+
+// TestFTThreeKillRecoverCycles kills and recovers an engine three times over
+// one directory. Each life appends to the log the earlier lives left, so each
+// recovery replays all of them: deliveries must deduplicate by window to a
+// fault-free twin's, and the query must be registered — in the engine and in
+// the log — exactly once.
+func TestFTThreeKillRecoverCycles(t *testing.T) {
+	const cqText = `
+REGISTER QUERY QK AS
+SELECT ?X ?Y FROM S [RANGE 300ms STEP 100ms]
+WHERE { GRAPH S { ?X po ?Y } }`
+	const batches = 10
+	run := func(dir string, kills map[int]bool) map[rdf.Timestamp]string {
+		var mu sync.Mutex
+		windows := map[rdf.Timestamp]string{}
+		cb := func(r *Result, f FireInfo) {
+			rows := append([]string(nil), r.Strings()...)
+			sort.Strings(rows)
+			got := strings.Join(rows, ",")
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := windows[f.At]; ok && prev != got {
+				t.Errorf("window %d delivered twice with different rows: %q vs %q", f.At, prev, got)
+			}
+			windows[f.At] = got
+		}
+		e, err := New(Config{Nodes: 2, WorkersPerNode: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		if err := e.EnableFT(FTConfig{Dir: dir, CheckpointEveryBatches: 3}); err != nil {
+			t.Fatal(err)
+		}
+		src, err := e.RegisterStream(stream.Config{Name: "S", BatchInterval: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RegisterContinuous(cqText, cb); err != nil {
+			t.Fatal(err)
+		}
+		for b := 1; b <= batches; b++ {
+			for i := 0; i < 4; i++ {
+				emit(t, src, rdf.Timestamp((b-1)*100+1+i), fmt.Sprintf("u%d", (b*7+i)%5), "po", fmt.Sprintf("t%d", b*4+i))
+			}
+			e.AdvanceTo(rdf.Timestamp(b * 100))
+			if !kills[b] {
+				continue
+			}
+			e.Kill()
+			e, err = Recover(Config{Nodes: 2, WorkersPerNode: 2}, FTConfig{Dir: dir, CheckpointEveryBatches: 3}, nil,
+				func(name string) func(*Result, FireInfo) {
+					if name == "QK" {
+						return cb
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatalf("recovery after batch %d: %v", b, err)
+			}
+			t.Cleanup(e.Close)
+			if n := len(e.ContinuousQueries()); n != 1 {
+				t.Fatalf("recovery after batch %d registered %d queries, want 1", b, n)
+			}
+			var ok bool
+			if src, ok = e.SourceOf("S"); !ok {
+				t.Fatalf("recovery after batch %d lost stream S", b)
+			}
+		}
+		e.AdvanceTo((batches + 1) * 100)
+		e.Close()
+		return windows
+	}
+	twin := run(t.TempDir(), nil)
+	if len(twin) < batches {
+		t.Fatalf("fault-free twin delivered %d windows over %d batches", len(twin), batches)
+	}
+	dir := t.TempDir()
+	got := run(dir, map[int]bool{2: true, 5: true, 8: true})
+	if !reflect.DeepEqual(got, twin) {
+		t.Errorf("deliveries after three recoveries:\n%v\nfault-free twin:\n%v", got, twin)
+	}
+	if recs := ftRecords(t, dir); recs["S"] != 1 || recs["Q"] != 1 {
+		t.Errorf("log records = %v, want one stream and one query registration", recs)
 	}
 }
 
@@ -342,45 +505,6 @@ func TestFTStreamsRegisteredAfterEnableAreLogged(t *testing.T) {
 	defer re.Close()
 	if _, ok := re.streamOf("late"); !ok {
 		t.Error("late-registered stream not recovered")
-	}
-}
-
-func TestFTMirrorRecovery(t *testing.T) {
-	primary := t.TempDir()
-	mirror := t.TempDir()
-	e, tweets, _ := figure1Engine(t, 2)
-	if err := e.EnableFT(FTConfig{Dir: primary, MirrorDir: mirror}); err != nil {
-		t.Fatal(err)
-	}
-	emit(t, tweets, 100, "Logan", "po", "T-55")
-	e.AdvanceTo(300)
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	emit(t, tweets, 350, "Logan", "po", "T-56")
-	e.AdvanceTo(500)
-	e.Close()
-
-	// Simulate losing the primary: wipe it and recover from the mirror —
-	// the paper's availability-by-replication note (§5).
-	if err := os.RemoveAll(primary); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Recover(Config{Nodes: 2}, FTConfig{Dir: mirror}, xlab(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	res, err := re.Query(`SELECT ?P WHERE { Logan po ?P }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for _, s := range res.Strings() {
-		got[s] = true
-	}
-	if !got["T-55"] || !got["T-56"] {
-		t.Errorf("mirror recovery lost data: %v", got)
 	}
 }
 

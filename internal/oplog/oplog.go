@@ -1,20 +1,21 @@
-// Package oplog is the durable half of the cluster's replication log
-// (DESIGN.md §15): segmented, CRC32C-framed op files plus a snapshot file,
-// so a restarted daemon recovers cluster state from disk instead of needing
-// a live peer to replay the whole history.
+// Package oplog is the repository's one durable record log (DESIGN.md §8,
+// §15): segmented, CRC32C-framed record files plus a snapshot file. The
+// cluster stores its replicated ops in it, so a restarted daemon recovers
+// cluster state from disk instead of needing a live peer to replay the whole
+// history; a standalone engine stores its §5 fault-tolerance records in it.
 //
-// The log is a sequence of records, each one encoded op, appended strictly
-// in sequence order and split into segment files named by the first
-// sequence they hold ("seg-<base>.wal"). One record is
+// The log is a sequence of records appended strictly in sequence order and
+// split into segment files named by the first sequence they hold
+// ("seg-<base>.wal"). One record is
 //
 //	[8B seq][4B len][4B crc32c(payload)][payload]
 //
-// in big-endian, the same Castagnoli polynomial as the PR-5 checkpoint
-// framing. A torn tail (partial record after a crash) is tolerated: replay
-// stops at the first record that fails to frame or checksum, and the next
-// append truncates the damage away. A corrupt record in the *middle* of a
-// segment poisons everything after it in that segment — the caller falls
-// back to snapshot catch-up, which is always safe.
+// in big-endian, with the Castagnoli polynomial. A torn tail (partial record
+// after a crash) is tolerated: Open keeps the records before the first one
+// that fails to frame or checksum, and the next write truncates the damage
+// away. A corrupt record in the *middle* of a segment poisons everything
+// after it — the cluster falls back to snapshot catch-up, which is always
+// safe, and §5 recovery to upstream backup.
 package oplog
 
 import (
@@ -44,7 +45,8 @@ type segment struct {
 	base uint64 // seq of the first record
 	last uint64 // seq of the last valid record (0 = empty)
 	path string
-	bad  bool // a record failed to frame mid-file (tail is truncated instead)
+	end  int64 // bytes the valid records span, as Open scanned them
+	size int64 // bytes on disk when Open scanned the file
 }
 
 // Log is an append-only durable op log. All methods are safe for concurrent
@@ -60,18 +62,30 @@ type Log struct {
 	wseg  int      // index into segs of the open tail
 	first uint64   // lowest seq on disk (0 = empty)
 	last  uint64   // highest seq on disk (0 = empty)
+
+	// Damage Open found is left on disk until the first write, so a caller
+	// that refuses the log leaves its directory exactly as it found it.
+	// Repair truncates cutPath to cutAt bytes and renames every orphan to
+	// "<name>.bad".
+	cutPath string
+	cutAt   int64
+	orphans []string
+	damaged int
 }
 
 // Options configure Open.
 type Options struct {
 	// SegmentOps is the rotation threshold (default DefaultSegmentOps).
 	SegmentOps int
-	// NoSync skips the per-append fsync (tests; crash durability is lost).
+	// NoSync skips the per-append fsync: a process crash keeps every
+	// appended record, power loss may lose the tail since the last Sync. The
+	// §5 fault-tolerance log runs this way and syncs at each checkpoint.
 	NoSync bool
 }
 
 // Open scans dir for segments and opens the log for appending. The
-// directory is created if missing. A torn tail record is truncated away.
+// directory is created if missing; no file in it is modified until the
+// first write, which cuts away whatever Open could not validate.
 func Open(dir string, opt Options) (*Log, error) {
 	if opt.SegmentOps <= 0 {
 		opt.SegmentOps = DefaultSegmentOps
@@ -85,26 +99,19 @@ func Open(dir string, opt Options) (*Log, error) {
 		return nil, err
 	}
 	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".wal") {
-			continue
+		if base, ok := segmentBase(e.Name()); ok {
+			l.segs = append(l.segs, segment{base: base, path: filepath.Join(dir, e.Name())})
 		}
-		base, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".wal"), 10, 64)
-		if err != nil {
-			continue
-		}
-		l.segs = append(l.segs, segment{base: base, path: filepath.Join(dir, name)})
 	}
 	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].base < l.segs[j].base })
 	for i := range l.segs {
-		if err := l.scanSegment(&l.segs[i]); err != nil {
+		if err := scanSegment(&l.segs[i]); err != nil {
 			return nil, err
 		}
 	}
-	// Keep the longest contiguous, fully-valid prefix chain; quarantine the
-	// rest (a damaged interior record orphans everything after it — the
-	// caller recovers what the chain covers and snapshot-catches-up the
-	// rest).
+	// Keep the longest contiguous, fully-valid prefix chain; orphan the rest
+	// (a damaged interior record orphans everything after it — the caller
+	// recovers what the chain covers and catches up the rest elsewhere).
 	good := 0
 	for good < len(l.segs) {
 		s := l.segs[good]
@@ -112,12 +119,17 @@ func Open(dir string, opt Options) (*Log, error) {
 			break
 		}
 		good++
-		if s.bad {
+		if s.end < s.size {
+			l.cutPath, l.cutAt = s.path, s.end
+			l.damaged++
 			break // keep this segment's valid prefix; orphan the rest
 		}
 	}
 	for _, s := range l.segs[good:] {
-		os.Rename(s.path, s.path+".bad")
+		l.orphans = append(l.orphans, s.path)
+		if s.size > 0 {
+			l.damaged++
+		}
 	}
 	l.segs = l.segs[:good]
 	if len(l.segs) > 0 {
@@ -127,43 +139,90 @@ func Open(dir string, opt Options) (*Log, error) {
 	return l, nil
 }
 
-// scanSegment walks one segment validating records, truncating the file at
-// the first framing/CRC failure. The caller decides what a shortened
-// segment means for the chain.
-func (l *Log) scanSegment(s *segment) error {
+// Exists reports whether dir holds a log: a segment file with any bytes in
+// it, valid or not. Open on such a directory keeps records or reports
+// damage.
+func Exists(dir string) bool {
+	ents, _ := os.ReadDir(dir) // unreadable = no log to recover
+	for _, e := range ents {
+		if _, ok := segmentBase(e.Name()); ok {
+			if fi, err := e.Info(); err == nil && fi.Size() > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func segmentBase(name string) (uint64, bool) {
+	if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".wal") {
+		return 0, false
+	}
+	base, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".wal"), 10, 64)
+	return base, err == nil
+}
+
+// decode frames the record at data[off:]: its sequence, its payload and the
+// offset just past it. ok is false when the bytes there are not a whole
+// record whose checksum matches.
+func decode(data []byte, off int) (seq uint64, payload []byte, next int, ok bool) {
+	if off+recordHeader > len(data) {
+		return 0, nil, 0, false
+	}
+	seq = binary.BigEndian.Uint64(data[off:])
+	sz := int(binary.BigEndian.Uint32(data[off+8:]))
+	crc := binary.BigEndian.Uint32(data[off+12:])
+	next = off + recordHeader + sz
+	if sz > MaxRecord || next > len(data) {
+		return 0, nil, 0, false
+	}
+	payload = data[off+recordHeader : next]
+	return seq, payload, next, crc32.Checksum(payload, crcTable) == crc
+}
+
+// scanSegment finds one segment's valid prefix — records that frame, pass
+// their checksum and continue the sequence from the segment's base — and
+// records where it ends. It writes nothing; the caller decides what a short
+// prefix means for the chain.
+func scanSegment(s *segment) error {
 	data, err := os.ReadFile(s.path)
 	if err != nil {
 		return err
 	}
-	off, lastGood := 0, 0
-	var last uint64
-	for off+recordHeader <= len(data) {
-		seq := binary.BigEndian.Uint64(data[off:])
-		sz := int(binary.BigEndian.Uint32(data[off+8:]))
-		crc := binary.BigEndian.Uint32(data[off+12:])
-		if sz > MaxRecord || off+recordHeader+sz > len(data) {
-			break
+	s.size = int64(len(data))
+	for off := 0; ; {
+		seq, _, next, ok := decode(data, off)
+		want := s.base
+		if s.last != 0 {
+			want = s.last + 1
 		}
-		payload := data[off+recordHeader : off+recordHeader+sz]
-		if crc32.Checksum(payload, crcTable) != crc {
-			break
+		if !ok || seq != want {
+			return nil
 		}
-		if last != 0 && seq != last+1 {
-			break
-		}
-		if last == 0 && seq != s.base {
-			break
-		}
-		last = seq
-		off += recordHeader + sz
-		lastGood = off
+		s.last, s.end, off = seq, int64(next), next
 	}
-	s.last = last
-	if lastGood < len(data) {
-		s.bad = s.last != 0 // damage after valid records: chain ends here
-		if err := os.Truncate(s.path, int64(lastGood)); err != nil {
+}
+
+// Damaged reports how many segments Open found damaged: cut short at a
+// record that failed to frame or checksum, or orphaned behind such a cut.
+// Callers add it to ft_quarantined_records_total.
+func (l *Log) Damaged() int { return l.damaged }
+
+// repairLocked applies the damage Open left on disk. Every write runs it
+// first, so the log never appends next to, or compacts around, bytes it
+// did not validate.
+func (l *Log) repairLocked() error {
+	if l.cutPath != "" {
+		if err := os.Truncate(l.cutPath, l.cutAt); err != nil {
 			return err
 		}
+		l.cutPath = ""
+	}
+	for len(l.orphans) > 0 {
+		if err := os.Rename(l.orphans[0], l.orphans[0]+".bad"); err != nil {
+			return err
+		}
+		l.orphans = l.orphans[1:]
 	}
 	return nil
 }
@@ -221,9 +280,30 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 	return nil
 }
 
+// Sync makes every appended record durable. It is the durability point of
+// a log opened with NoSync; with per-append fsync it has nothing to do.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.w == nil {
+		return nil
+	}
+	return l.w.Sync()
+}
+
 // rotateLocked closes the open tail and starts a fresh segment at base.
 func (l *Log) rotateLocked(base uint64) error {
+	if err := l.repairLocked(); err != nil {
+		return err
+	}
 	if l.w != nil {
+		// Without per-append fsync the closing segment's records are only
+		// in the page cache; Sync can reach the open tail only.
+		if l.nosync {
+			if err := l.w.Sync(); err != nil {
+				return err
+			}
+		}
 		l.w.Close()
 		l.w = nil
 	}
@@ -248,24 +328,19 @@ func (l *Log) Range(from, to uint64, f func(seq uint64, payload []byte) error) e
 		to = ^uint64(0)
 	}
 	for _, s := range segs {
-		if s.last < from || s.base > to {
+		if s.last == 0 || s.last < from || s.base > to {
 			continue
 		}
 		data, err := os.ReadFile(s.path)
 		if err != nil {
 			return err
 		}
-		off := 0
-		for off+recordHeader <= len(data) {
-			seq := binary.BigEndian.Uint64(data[off:])
-			sz := int(binary.BigEndian.Uint32(data[off+8:]))
-			crc := binary.BigEndian.Uint32(data[off+12:])
-			if sz > MaxRecord || off+recordHeader+sz > len(data) {
-				return fmt.Errorf("oplog: torn record at %s+%d", s.path, off)
-			}
-			payload := data[off+recordHeader : off+recordHeader+sz]
-			if crc32.Checksum(payload, crcTable) != crc {
-				return fmt.Errorf("oplog: checksum mismatch at %s+%d (seq %d)", s.path, off, seq)
+		// Stop at the segment's last valid record: bytes past it are damage
+		// Open left on disk, or an append that landed after the copy above.
+		for off := 0; ; {
+			seq, payload, next, ok := decode(data, off)
+			if !ok {
+				return fmt.Errorf("oplog: damaged record at %s+%d", s.path, off)
 			}
 			if seq > to {
 				return nil
@@ -275,7 +350,10 @@ func (l *Log) Range(from, to uint64, f func(seq uint64, payload []byte) error) e
 					return err
 				}
 			}
-			off += recordHeader + sz
+			if seq == s.last {
+				break
+			}
+			off = next
 		}
 	}
 	return nil
@@ -286,6 +364,9 @@ func (l *Log) Range(from, to uint64, f func(seq uint64, payload []byte) error) e
 func (l *Log) TruncateBefore(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.repairLocked(); err != nil {
+		return err
+	}
 	keep := 0
 	for keep < len(l.segs) && l.segs[keep].last < seq {
 		// Never remove the open tail out from under the writer.
@@ -319,6 +400,9 @@ func (l *Log) TruncateBefore(seq uint64) error {
 func (l *Log) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.repairLocked(); err != nil {
+		return err
+	}
 	if l.w != nil {
 		l.w.Close()
 		l.w = nil

@@ -142,10 +142,152 @@ func TestCorruptRecordQuarantinesTail(t *testing.T) {
 	if l2.First() != 1 || l2.Last() != 5 {
 		t.Fatalf("bounds after corruption = [%d,%d], want [1,5]", l2.First(), l2.Last())
 	}
+	if n := l2.Damaged(); n != 2 {
+		t.Fatalf("Damaged = %d, want 2 (seg 4 cut, seg 7 orphaned)", n)
+	}
+	appendN(t, l2, 6, 6) // the first write sets the damage aside
 	bads, _ := filepath.Glob(filepath.Join(dir, "*.bad"))
 	if len(bads) != 1 {
 		t.Fatalf("want 1 quarantined segment, got %v", bads)
 	}
+}
+
+// Open only reads: a caller that refuses a damaged log (§5 recovery does)
+// leaves the directory byte-identical. The first write cuts the damage, and
+// the log that results reopens clean.
+func TestOpenLeavesDamageUntilFirstWrite(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentOps: 100, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 5)
+	l.Close()
+	seg := filepath.Join(dir, "seg-1.wal")
+	data, _ := os.ReadFile(seg)
+	data[len(data)-1] ^= 0x01 // op-5's payload
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir, Options{SegmentOps: 100, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l2.Last() != 4 || l2.Damaged() != 1 {
+		t.Fatalf("Last = %d, Damaged = %d; want 4, 1", l2.Last(), l2.Damaged())
+	}
+	if got := collect(t, l2, 1, 0); len(got) != 4 {
+		t.Fatalf("range over damaged log = %v", got)
+	}
+	if after, _ := os.ReadFile(seg); !bytes.Equal(after, data) {
+		t.Fatal("Open modified the segment")
+	}
+	appendN(t, l2, 5, 6)
+	l2.Close()
+
+	l3, err := Open(dir, Options{SegmentOps: 100, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if l3.Last() != 6 || l3.Damaged() != 0 {
+		t.Fatalf("after repair Last = %d, Damaged = %d; want 6, 0", l3.Last(), l3.Damaged())
+	}
+	if got := collect(t, l3, 1, 0); got[5] != "op-5" || len(got) != 6 {
+		t.Fatalf("after repair got %v", got)
+	}
+}
+
+// Sync reaches the open tail of a NoSync log, and a rotation syncs the
+// segment it closes; Exists tells a directory with records from one without.
+func TestSyncAndExists(t *testing.T) {
+	dir := t.TempDir()
+	if Exists(dir) {
+		t.Fatal("empty dir reported as holding a log")
+	}
+	l, err := Open(dir, Options{SegmentOps: 2, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Sync(); err != nil {
+		t.Fatalf("sync before any append: %v", err)
+	}
+	appendN(t, l, 1, 3) // rotates once
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !Exists(dir) {
+		t.Fatal("dir with records not reported as holding a log")
+	}
+	if Exists(filepath.Join(dir, "missing")) {
+		t.Fatal("missing dir reported as holding a log")
+	}
+}
+
+// FuzzOplogOpen feeds arbitrary bytes to Open as a segment file: Open never
+// panics, Range then yields a contiguous run of checksummed records, and
+// the log accepts the next append and reopens without damage.
+func FuzzOplogOpen(f *testing.F) {
+	dir := f.TempDir()
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for s := uint64(1); s <= 3; s++ {
+		if err := l.Append(s, []byte(fmt.Sprintf("op-%d", s))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	l.Close()
+	good, err := os.ReadFile(filepath.Join(dir, "seg-1.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[recordHeader+2] ^= 0x10
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add(flipped)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-1.wal"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, want := uint64(0), l.First()
+		if err := l.Range(0, 0, func(seq uint64, _ []byte) error {
+			if seq != want {
+				return fmt.Errorf("seq %d, want %d", seq, want)
+			}
+			n, want = n+1, want+1
+			return nil
+		}); err != nil {
+			t.Fatalf("range after open: %v", err)
+		}
+		if last := l.Last(); (n == 0) != (last == 0) || (n > 0 && last != want-1) {
+			t.Fatalf("range yielded %d records ending at %d, Last = %d", n, want-1, last)
+		}
+		next := l.Last() + 1
+		if err := l.Append(next, []byte("next")); err != nil {
+			t.Fatalf("append %d: %v", next, err)
+		}
+		l.Close()
+		l2, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		if l2.Last() != next || l2.Damaged() != 0 {
+			t.Fatalf("reopen: Last = %d, Damaged = %d; want %d, 0", l2.Last(), l2.Damaged(), next)
+		}
+	})
 }
 
 func TestTruncateBeforeCompacts(t *testing.T) {
