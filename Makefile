@@ -76,9 +76,11 @@ chaos-proc:
 
 # Every benchmark reports B/op and allocs/op. BenchmarkMicro_Tick (one
 # daemon-side tick: EMIT ×5, ADVANCE, POLL ×6) lives in internal/server
-# because it drives the unexported POLL handler.
+# because it drives the unexported POLL handler. BenchmarkForwardedWrite
+# (internal/cluster) is one write through a member of a seed + member pair
+# over loopback TCP with fsynced oplogs.
 bench:
-	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server
+	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server ./internal/cluster
 
 # Short observability-instrumented workload: prints per-stage p50/p99/p999 and
 # writes the metric registry under .bench_build/. wsbench exits nonzero if no

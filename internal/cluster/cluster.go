@@ -5,10 +5,11 @@
 //   - Every daemon runs a full simulated engine (all N fabric nodes). All
 //     state-mutating operations — LOAD, STREAM, REGISTER, EMIT, ADVANCE —
 //     are forwarded to the seed (rank 0), which assigns each a sequence
-//     number, applies it locally, appends it to a bounded oplog, and
-//     replicates it one-way to every member. The engine is deterministic in
-//     the op order, so replicas converge to identical stores, stream
-//     indexes, VTS state, and continuous-query firings.
+//     number, appends it to a bounded oplog, replicates it one-way to every
+//     member, and then applies it locally while the members apply their
+//     copies. The engine is deterministic in the op order, so replicas
+//     converge to identical stores, stream indexes, VTS state, and
+//     continuous-query firings.
 //
 //   - Reads never leave the daemon: every replica holds the full data, so
 //     the server answers each one-shot query from the local engine at its
@@ -196,14 +197,15 @@ type Node struct {
 	// mu guards the replicated bookkeeping below. Never held across engine
 	// or transport calls.
 	mu        sync.Mutex
-	oplog     [][]byte // encoded ops; oplog[i] has seq base+i
-	base      uint64   // seq of oplog[0] (1 when nothing discarded)
-	nextSeq   uint64   // authority: next seq to assign
-	applied   uint64   // highest seq applied locally
-	authHead  uint64   // member: the authority's applied seq at the last anti-entropy read
-	members   []string // rank → advertised addr ("" unknown)
-	reserved  []string // authority: rank → addr promised by Discover, not yet joined
-	epoch     uint64   // current authority epoch (raised only by EPOCH ops)
+	oplog     [][]byte      // encoded ops; oplog[i] has seq base+i
+	base      uint64        // seq of oplog[0] (1 when nothing discarded)
+	nextSeq   uint64        // authority: next seq to assign
+	applied   uint64        // highest seq applied locally; raised only by setAppliedLocked
+	appliedCh chan struct{} // closed and replaced each time applied rises
+	authHead  uint64        // member: the authority's applied seq at the last anti-entropy read
+	members   []string      // rank → advertised addr ("" unknown)
+	reserved  []string      // authority: rank → addr promised by Discover, not yet joined
+	epoch     uint64        // current authority epoch (raised only by EPOCH ops)
 	authority fabric.NodeID
 	dedup     map[string]dedupEntry // op id → acked (seq, reply)
 	dedupRing []string              // FIFO eviction order for dedup
@@ -232,6 +234,7 @@ type Node struct {
 	aeBusy   atomic.Bool // one anti-entropy pull in flight at a time
 
 	cApplied   *obs.Counter
+	cRefused   *obs.Counter // cluster_ops_refused_total: equal on every replica
 	cForwarded *obs.Counter
 	cSynced    *obs.Counter
 	cDupOps    *obs.Counter
@@ -277,6 +280,7 @@ func newNode(cfg Config) (*Node, error) {
 		nextSeq:   1,
 		epoch:     1,
 		authority: SeedRank,
+		appliedCh: make(chan struct{}),
 		members:   make([]string, nodes),
 		reserved:  make([]string, nodes),
 		dedup:     make(map[string]dedupEntry),
@@ -287,6 +291,7 @@ func newNode(cfg Config) (*Node, error) {
 		start:     time.Now(),
 
 		cApplied:   r.Counter("cluster_ops_applied_total"),
+		cRefused:   r.Counter("cluster_ops_refused_total"),
 		cForwarded: r.Counter("cluster_ops_forwarded_total"),
 		cSynced:    r.Counter("cluster_ops_synced_total"),
 		cDupOps:    r.Counter("cluster_ops_duplicate_total"),
@@ -592,26 +597,10 @@ func (n *Node) antiEntropy() {
 		return
 	}
 	defer n.aeBusy.Store(false)
-	auth := n.currentAuthority()
-	if auth == n.self {
+	auth, latest, ok := n.readAuthHead()
+	if !ok {
 		return
 	}
-	resp, err := n.call(auth, "MEMBERS", "", "anti-entropy")
-	if err != nil {
-		return // authority unreachable: the detector is already tracking that
-	}
-	head, _ := splitLine(resp)
-	f := strings.Fields(head)
-	if len(f) != 2 || f[0] != "SEQ" {
-		return
-	}
-	latest, err := strconv.ParseUint(f[1], 10, 64)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	n.authHead = latest
-	n.mu.Unlock()
 	n.applyMu.Lock()
 	n.mu.Lock()
 	applied := n.applied
@@ -630,6 +619,34 @@ func (n *Node) antiEntropy() {
 		}
 		n.logf("anti-entropy [%d,%d]: %v", applied+1, latest, syncErr)
 	}
+}
+
+// readAuthHead fetches the authority's applied sequence and records it as
+// the head cluster_replica_lag_ops is measured against. It never waits for
+// applyMu, so a member that cannot apply still learns how far behind it is.
+// ok is false on the authority itself and when the authority cannot be read.
+func (n *Node) readAuthHead() (auth fabric.NodeID, latest uint64, ok bool) {
+	auth = n.currentAuthority()
+	if auth == n.self {
+		return auth, 0, false
+	}
+	resp, err := n.call(auth, "MEMBERS", "", "anti-entropy")
+	if err != nil {
+		return auth, 0, false // authority unreachable: the detector is already tracking that
+	}
+	head, _ := splitLine(resp)
+	f := strings.Fields(head)
+	if len(f) != 2 || f[0] != "SEQ" {
+		return auth, 0, false
+	}
+	latest, err = strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		return auth, 0, false
+	}
+	n.mu.Lock()
+	n.authHead = latest
+	n.mu.Unlock()
+	return auth, latest, true
 }
 
 // vantage adapts this daemon's wire view to the member.Prober contract: a
@@ -831,7 +848,10 @@ func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind st
 	if _, err := fmt.Sscanf(head, "SEQ %d", &seq); err != nil {
 		return "", fmt.Errorf("cluster: bad FWD ack %q", head)
 	}
-	if !n.waitApplied(seq, forwardAckTimeout) {
+	spWait := n.tracer.Start(tc, "cluster.wait_applied")
+	ok := n.waitApplied(seq, forwardAckTimeout)
+	spWait.End()
+	if !ok {
 		// Committed at the authority but not yet replicated here; the
 		// client's id-bearing retry returns the cached reply once it lands.
 		return "", &UnavailableError{Node: target, Op: "forward " + kind, Err: fmt.Errorf("op %d not replicated locally in %v", seq, forwardAckTimeout)}
@@ -840,28 +860,67 @@ func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind st
 }
 
 // waitApplied blocks until this replica has applied seq (true) or the
-// timeout passes (false).
+// timeout passes (false). It sleeps on appliedCh, so it wakes the moment
+// the op applies: a sub-millisecond poll would not, because the runtime
+// rounds a short timer up to about a millisecond when it is otherwise idle.
 func (n *Node) waitApplied(seq uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	var expired <-chan time.Time
 	for {
 		n.mu.Lock()
-		ok := n.applied >= seq
+		ok, ch := n.applied >= seq, n.appliedCh
 		n.mu.Unlock()
 		if ok {
 			return true
 		}
-		if time.Now().After(deadline) {
+		if expired == nil {
+			t := time.NewTimer(timeout)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-ch:
+		case <-expired:
 			return false
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 
-// sequence assigns the next op sequence number, applies the op locally,
-// logs it (in memory and, with a data dir, durably), and replicates it to
-// every member — all under applyMu, so the op order members observe is the
-// apply order. Only the current authority may sequence; an already-acked op
-// id short-circuits to the cached reply.
+// setAppliedLocked raises the applied sequence to seq (never lowers it) and
+// wakes every waitApplied. Caller holds n.mu.
+func (n *Node) setAppliedLocked(seq uint64) {
+	if seq <= n.applied {
+		return
+	}
+	n.applied = seq
+	close(n.appliedCh)
+	n.appliedCh = make(chan struct{})
+}
+
+// opEpoch is the epoch an op is stamped with when sequenced under cur: an
+// EPOCH op carries the epoch it installs (that is the fence), every other op
+// the current one.
+func opEpoch(cur uint64, kind string, args []string) uint64 {
+	if kind == "EPOCH" && len(args) == 2 {
+		if e, err := strconv.ParseUint(args[0], 10, 64); err == nil && e > cur {
+			return e
+		}
+	}
+	return cur
+}
+
+// sequence assigns the next op sequence number and runs the op down the
+// write path in the order that lets every replica work at once: append it
+// to the in-memory oplog, broadcast it, apply it locally, append it
+// durably, reply. Members apply their copy while the authority applies and
+// fsyncs; the reply still waits for the durable append. All of it runs
+// under applyMu, so the op order members observe is the apply order.
+//
+// Because the op is broadcast before anyone knows whether it will be
+// refused, a refused op is sequenced too and refused alike on every replica
+// (ApplyVerb changes nothing when it refuses): it uses up its seq as a
+// no-op, never enters the dedup table, and its error is the reply. Only the
+// current authority may sequence; an already-acked op id short-circuits to
+// the cached reply.
 func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body string) (string, uint64, error) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
@@ -878,21 +937,7 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 		}
 	}
 	seq := n.nextSeq
-	n.mu.Unlock()
-	spApply := n.tracer.Start(tc, "seed.apply")
-	reply, err := n.applyLocked(seq, id, kind, args, body)
-	spApply.EndErr(err)
-	if err != nil {
-		// The op never happened: no seq consumed, nothing replicated.
-		return "", 0, err
-	}
-	// Encode after applying: an EPOCH op raises n.epoch during apply and
-	// must carry the new epoch (that is the fence).
-	n.mu.Lock()
-	enc := encodeOp(seq, n.epoch, id, kind, args, body)
-	n.mu.Unlock()
-	n.recordLocked(seq, kind, enc)
-	n.mu.Lock()
+	enc := encodeOp(seq, opEpoch(n.epoch, kind, args), id, kind, args, body)
 	targets := make([]fabric.NodeID, 0, n.nodes)
 	for r := 0; r < n.nodes; r++ {
 		if fabric.NodeID(r) != n.self && n.members[r] != "" {
@@ -900,6 +945,8 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 		}
 	}
 	n.mu.Unlock()
+	n.recordMemLocked(seq, enc)
+
 	spRepl := n.tracer.Start(tc, "seed.replicate")
 	for _, to := range targets {
 		n.outbox[to] = enc
@@ -910,13 +957,33 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 		_ = n.snd.Send(n.self, to, len(enc))
 	}
 	spRepl.End()
-	return reply, seq, nil
+
+	spApply := n.tracer.Start(tc, "seed.apply")
+	reply, err := n.applyLocked(seq, id, kind, args, body)
+	spApply.EndErr(err)
+
+	if n.dlog != nil {
+		spSync := n.tracer.Start(tc, "seed.fsync")
+		spSync.EndErr(n.persistLocked(seq, enc))
+	}
+	n.maybeSnapshotLocked(kind)
+	return reply, seq, err
 }
 
-// recordLocked appends one applied op to the in-memory oplog (trimming past
-// MaxOplog), to the durable log when one is open, and advances nextSeq.
-// Caller holds applyMu. It also drives the durable snapshot cadence.
+// recordLocked appends one applied op to the in-memory oplog and, when one
+// is open, to the durable log, then drives the durable snapshot cadence.
+// Caller holds applyMu.
 func (n *Node) recordLocked(seq uint64, kind string, enc []byte) {
+	n.recordMemLocked(seq, enc)
+	if n.dlog != nil {
+		n.persistLocked(seq, enc)
+	}
+	n.maybeSnapshotLocked(kind)
+}
+
+// recordMemLocked appends one op to the in-memory oplog window (trimming
+// past MaxOplog) and advances nextSeq. Caller holds applyMu.
+func (n *Node) recordMemLocked(seq uint64, enc []byte) {
 	n.mu.Lock()
 	if seq >= n.nextSeq {
 		n.nextSeq = seq + 1
@@ -928,12 +995,16 @@ func (n *Node) recordLocked(seq uint64, kind string, enc []byte) {
 		n.base += uint64(drop)
 	}
 	n.mu.Unlock()
-	if n.dlog != nil {
-		if err := n.dlog.Append(seq, enc); err != nil {
-			n.logf("durable append %d: %v", seq, err)
-		}
+}
+
+// persistLocked appends one op to the durable log, which must be open.
+// Caller holds applyMu.
+func (n *Node) persistLocked(seq uint64, enc []byte) error {
+	err := n.dlog.Append(seq, enc)
+	if err != nil {
+		n.logf("durable append %d: %v", seq, err)
 	}
-	n.maybeSnapshotLocked(kind)
+	return err
 }
 
 // attemptSend is the flow.Sender delivery attempt: ship the current outbox
@@ -1065,7 +1136,7 @@ func (n *Node) HandleSendTraced(from fabric.NodeID, payload []byte, tc trace.Con
 	}
 	sp := n.tracer.Start(tc, "replica.apply")
 	n.applyMu.Lock()
-	n.ingestLocked(from, seq, epoch, id, kind, args, body)
+	n.ingestLocked(from, payload, seq, id, kind, args, body)
 	n.applyMu.Unlock()
 	sp.End()
 }
@@ -1075,8 +1146,10 @@ func (n *Node) HandleSendTraced(from fabric.NodeID, payload []byte, tc trace.Con
 // gap includes the EPOCH op this replica missed; pulling from the dead old
 // authority would strand it. Duplicates (sequence already applied) are
 // dropped — this plus the deterministic engine is what makes replication
-// idempotent.
-func (n *Node) ingestLocked(from fabric.NodeID, seq, epoch uint64, id, kind string, args []string, body string) {
+// idempotent. A refused op is recorded like any other: the authority
+// sequenced it and refused it the same way. enc is the op as it arrived,
+// kept in the oplogs as is.
+func (n *Node) ingestLocked(from fabric.NodeID, enc []byte, seq uint64, id, kind string, args []string, body string) {
 	n.mu.Lock()
 	applied := n.applied
 	n.mu.Unlock()
@@ -1100,11 +1173,8 @@ func (n *Node) ingestLocked(from fabric.NodeID, seq, epoch uint64, id, kind stri
 			return
 		}
 	}
-	if _, err := n.applyLocked(seq, id, kind, args, body); err != nil {
-		n.logf("op %d %s failed: %v", seq, kind, err)
-		return
-	}
-	n.recordLocked(seq, kind, encodeOp(seq, epoch, id, kind, args, body))
+	n.applyLocked(seq, id, kind, args, body)
+	n.recordLocked(seq, kind, enc)
 }
 
 // syncRange fetches and applies the op range [lo,hi] from target.
@@ -1149,11 +1219,10 @@ func (n *Node) syncRangeLocked(target fabric.NodeID, lo, hi uint64) error {
 		n.mu.Unlock()
 		if seq > applied {
 			// No epoch fencing on replay: historical ops legitimately carry
-			// the epochs they were sequenced under.
-			if _, err := n.applyLocked(seq, id, kind, args, body); err != nil {
-				return fmt.Errorf("cluster: replaying op %d %s: %w", seq, kind, err)
-			}
-			n.recordLocked(seq, kind, append([]byte(nil), raw...))
+			// the epochs they were sequenced under. A refused op replays as
+			// refused.
+			n.applyLocked(seq, id, kind, args, body)
+			n.recordLocked(seq, kind, raw)
 			n.cSynced.Inc()
 		}
 		rest = tail[size:]
@@ -1164,24 +1233,29 @@ func (n *Node) syncRangeLocked(target fabric.NodeID, lo, hi uint64) error {
 // ---------------------------------------------------------------------------
 // Apply: the deterministic state machine every replica runs.
 
-// applyLocked applies one op to the local engine. Caller holds applyMu.
-// Every replica applies the same ops in the same order; anything this
-// touches must be deterministic in that order — including the id→reply
-// dedup table, which is what makes a client retry return the same ack from
-// whichever daemon survives.
+// applyLocked applies op seq to the local engine and marks it applied,
+// whether the engine accepts it or refuses it. Caller holds applyMu. Every
+// replica applies the same ops in the same order; anything this touches
+// must be deterministic in that order — including the id→reply dedup
+// table, which is what makes a client retry return the same ack from
+// whichever daemon survives. A refusal changed nothing (ApplyVerb's
+// contract), so it is a no-op that uses up its seq: it is counted in
+// cluster_ops_refused_total and kept out of the dedup table, so a retry of
+// its id runs again.
 func (n *Node) applyLocked(seq uint64, id, kind string, args []string, body string) (string, error) {
 	reply, err := n.applyOp(kind, args, body)
 	if err != nil {
-		return "", err
+		n.cRefused.Inc()
+	} else {
+		n.cApplied.Inc()
 	}
-	n.cApplied.Inc()
 	n.mu.Lock()
-	if seq > n.applied {
-		n.applied = seq
+	n.setAppliedLocked(seq)
+	if err == nil {
+		n.recordDedupLocked(id, seq, reply)
 	}
-	n.recordDedupLocked(id, seq, reply)
 	n.mu.Unlock()
-	return reply, nil
+	return reply, err
 }
 
 // recordDedupLocked installs one acked (id, seq, reply) into the replicated

@@ -51,7 +51,7 @@ func (d *daemon) close() {
 	}
 }
 
-func newEngine(t *testing.T) *core.Engine {
+func newEngine(t testing.TB) *core.Engine {
 	t.Helper()
 	eng, err := core.New(core.Config{
 		Nodes:          clusterNodes,
@@ -190,29 +190,27 @@ func seedData(t *testing.T, via *daemon) {
 	}
 }
 
-// waitConverged blocks until every daemon has applied the seed's latest op.
+// requireApplied blocks until d has applied seq, failing the test after 5 s.
+func requireApplied(t *testing.T, d *daemon, seq uint64) {
+	t.Helper()
+	if !d.node.waitApplied(seq, 5*time.Second) {
+		t.Fatalf("rank %d applied %d, never reached %d", d.node.Self(), d.node.Applied(), seq)
+	}
+}
+
+// waitConverged blocks until every daemon has applied the first daemon's
+// latest op.
 func waitConverged(t *testing.T, ds ...*daemon) {
 	t.Helper()
 	want := ds[0].node.Applied()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		all := true
-		for _, d := range ds {
-			if d.node.Applied() < want {
-				all = false
-			}
-		}
-		if all {
-			return
-		}
-		if time.Now().After(deadline) {
+	for _, d := range ds {
+		if !d.node.waitApplied(want, 5*time.Second) {
 			state := make([]uint64, len(ds))
 			for i, d := range ds {
 				state[i] = d.node.Applied()
 			}
 			t.Fatalf("replicas did not converge to op %d: %v", want, state)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -453,5 +451,63 @@ func TestClusterMemTransport(t *testing.T) {
 	}
 	if len(first) != 12 {
 		t.Fatalf("mem replicas hold %d rows, want 12: %v", len(first), first)
+	}
+}
+
+// A joiner's own MEMBER op is broadcast before the authority applies it, so
+// the joiner is not yet one of its targets: the op reaches the joiner
+// through the SYNC its join runs, and Join returns with it applied.
+func TestJoinerGetsOwnMemberOpBySync(t *testing.T) {
+	seed := startSeed(t, nil)
+	defer seed.close()
+	// No anti-entropy on the joiner: only a broadcast or its join's SYNC can
+	// bring it an op.
+	d1 := joinDaemonCfg(t, seed.tr.Addr(), "", func(c *Config) { c.HeartbeatInterval = -1 })
+	defer d1.close()
+	joined := d1.node.Applied()
+	if want := seed.node.Applied(); joined != want {
+		t.Fatalf("Join returned at op %d, the authority is at %d", joined, want)
+	}
+	// The next op is broadcast to the joiner on the same connection any
+	// broadcast of its MEMBER op would have taken, so once it has applied,
+	// such a broadcast would have arrived and counted as a duplicate.
+	if _, err := seed.node.Forward("ADVANCE", []string{"100"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	requireApplied(t, d1, joined+1)
+	if got := counter(d1, "cluster_ops_synced_total"); got != int64(joined) {
+		t.Fatalf("joiner took %d of its first %d ops by SYNC, want all", got, joined)
+	}
+	if got := counter(d1, "cluster_ops_duplicate_total"); got != 0 {
+		t.Fatalf("joiner was sent %d ops it already had", got)
+	}
+	self := fmt.Sprintf("%d %s self", d1.node.Self(), d1.tr.Addr())
+	if info := d1.node.Info(); !strings.Contains(strings.Join(info, "\n"), self) {
+		t.Fatalf("joiner's member view %q lacks %q", info, self)
+	}
+}
+
+// waitApplied wakes when another goroutine raises applied, and gives up at
+// its timeout.
+func TestWaitAppliedWakesOnRaise(t *testing.T) {
+	n := &Node{appliedCh: make(chan struct{})}
+	raise := func(seq uint64) {
+		n.mu.Lock()
+		n.setAppliedLocked(seq)
+		n.mu.Unlock()
+	}
+	done := make(chan bool)
+	go func() { done <- n.waitApplied(3, time.Hour) }()
+	raise(2)
+	raise(3)
+	if !<-done {
+		t.Fatal("waitApplied(3) gave up with applied at 3")
+	}
+	raise(1) // never lowers
+	if got := n.Applied(); got != 3 {
+		t.Fatalf("applied = %d after raising to 1, want 3", got)
+	}
+	if n.waitApplied(4, time.Millisecond) {
+		t.Fatal("waitApplied(4) succeeded with applied at 3")
 	}
 }

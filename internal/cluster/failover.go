@@ -151,10 +151,9 @@ func (n *Node) assumeAuthority() error {
 		}
 	}
 
-	// Fence and assume. Claiming authority and bumping the epoch happen
-	// before sequencing the EPOCH op — sequence() requires self-authority,
-	// and the op must be stamped with the new epoch (encodeOp stamps after
-	// apply, and applying the op raises n.epoch).
+	// Fence and assume. Claiming authority happens before sequencing the
+	// EPOCH op — sequence() requires self-authority — and the op is stamped
+	// with the epoch it installs (opEpoch), which applying it then raises.
 	n.mu.Lock()
 	if n.epoch != myEpoch || n.authority != auth {
 		n.mu.Unlock()

@@ -15,7 +15,7 @@ import (
 )
 
 // startSeedCfg is startSeed with a config hook (data dir, oplog sizing).
-func startSeedCfg(t *testing.T, mutate func(*Config)) *daemon {
+func startSeedCfg(t testing.TB, mutate func(*Config)) *daemon {
 	t.Helper()
 	d := &daemon{eng: newEngine(t)}
 	tr, err := wire.ListenTCP("127.0.0.1:0", tcpConfig(SeedRank, nil), obs.NewRegistry(""))
@@ -37,7 +37,7 @@ func startSeedCfg(t *testing.T, mutate func(*Config)) *daemon {
 }
 
 // joinDaemonCfg is joinDaemon with a config hook.
-func joinDaemonCfg(t *testing.T, seedAddr, listenAddr string, mutate func(*Config)) *daemon {
+func joinDaemonCfg(t testing.TB, seedAddr, listenAddr string, mutate func(*Config)) *daemon {
 	t.Helper()
 	if listenAddr == "" {
 		listenAddr = "127.0.0.1:0"

@@ -80,12 +80,66 @@ func TestReplicationTrace(t *testing.T) {
 	}
 }
 
+// TestWritePathObservability: one refused EMIT through a member counts in
+// cluster_ops_refused_total on both daemons, and a write's trace shows the
+// authority's durable append (seed.fsync) and the member's wait for its own
+// apply (cluster.wait_applied). A refusal's reply carries no sequence number,
+// so the member waits only for an accepted op, here the STREAM before it.
+func TestWritePathObservability(t *testing.T) {
+	seed := startSeedCfg(t, func(c *Config) {
+		c.DataDir = t.TempDir()
+		c.NoSync = true
+	})
+	defer seed.close()
+	d1 := joinDaemon(t, seed.tr.Addr(), "")
+	defer d1.close()
+	if _, err := d1.node.Forward("STREAM", []string{"S", "100"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d1.node.Forward("EMIT", []string{"S"}, "<a> <po> <b> . @250\n<c> <po> <d> . @150\n"); err == nil {
+		t.Fatal("out-of-order EMIT was accepted")
+	}
+	waitConverged(t, seed, d1)
+	for _, d := range []*daemon{seed, d1} {
+		if got := counter(d, "cluster_ops_refused_total"); got != 1 {
+			t.Fatalf("rank %d: cluster_ops_refused_total = %d, want 1", d.node.Self(), got)
+		}
+	}
+
+	var refused, accepted bool
+	for _, tr := range gatherTrees(t, seed) {
+		names := map[string]int{}
+		var applyErr string
+		for _, sp := range flatSpans(tr) {
+			names[sp.Name]++
+			if sp.Name == "seed.apply" {
+				applyErr = sp.Err
+			}
+		}
+		if names["cluster.forward"] != 1 || names["seed.fsync"] != 1 {
+			continue
+		}
+		switch {
+		case strings.Contains(applyErr, "timestamp regression"):
+			refused = names["cluster.wait_applied"] == 0
+		case applyErr == "":
+			accepted = names["cluster.wait_applied"] == 1
+		}
+	}
+	if !refused || !accepted {
+		t.Fatalf("want a refused write traced through seed.fsync with no wait (%v) and an accepted one through seed.fsync and cluster.wait_applied (%v)", refused, accepted)
+	}
+}
+
 // TestClusterStatsAndMetricsFederation checks the merged views and the
 // per-node annotations while everyone is alive.
 func TestClusterStatsAndMetricsFederation(t *testing.T) {
 	seed := startSeed(t, nil)
 	defer seed.close()
-	d1 := joinDaemon(t, seed.tr.Addr(), "")
+	// The member's detector and anti-entropy stay off: the test runs its
+	// anti-entropy read itself, and a detector starved by a loaded host
+	// could otherwise crown the member while its apply lock is held below.
+	d1 := joinDaemonCfg(t, seed.tr.Addr(), "", func(c *Config) { c.HeartbeatInterval = -1 })
 	defer d1.close()
 	seedData(t, seed)
 	waitConverged(t, seed, d1)
@@ -161,13 +215,7 @@ func TestClusterStatsAndMetricsFederation(t *testing.T) {
 
 	// A member that cannot apply (here: its apply lock is held) learns from
 	// its anti-entropy read how far ahead the authority is and says so, then
-	// reports 0 again once it has caught up. The test owns the member's
-	// anti-entropy slot while the authority's head moves, so the read that
-	// follows sees all three ops — an earlier one would block on the apply
-	// lock holding a stale head.
-	for !d1.node.aeBusy.CompareAndSwap(false, true) {
-		time.Sleep(time.Millisecond)
-	}
+	// reports 0 again once it has caught up.
 	d1.node.applyMu.Lock()
 	for i := 0; i < 3; i++ {
 		if _, err := seed.node.Forward("LOAD", nil, fmt.Sprintf("<lag%d> <p> <o> .\n", i)); err != nil {
@@ -175,13 +223,12 @@ func TestClusterStatsAndMetricsFederation(t *testing.T) {
 			t.Fatalf("LOAD: %v", err)
 		}
 	}
-	d1.node.aeBusy.Store(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for gauge("cluster_replica_lag_ops", d1) != 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	_, head, ok := d1.node.readAuthHead()
 	lag := gauge("cluster_replica_lag_ops", d1)
 	d1.node.applyMu.Unlock()
+	if !ok || head != seed.node.Applied() {
+		t.Fatalf("anti-entropy read head %d (ok %v), authority at %d", head, ok, seed.node.Applied())
+	}
 	if lag != 3 {
 		t.Fatalf("stalled member reports cluster_replica_lag_ops = %d, want 3", lag)
 	}

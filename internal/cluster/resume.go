@@ -220,7 +220,7 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 			return fmt.Errorf("cluster: restore snapshot at %d: %w", snapSeq, err)
 		}
 		n.mu.Lock()
-		n.applied = gotSeq
+		n.setAppliedLocked(gotSeq)
 		n.nextSeq = gotSeq + 1
 		n.base = gotSeq + 1
 		n.oplog = nil
@@ -235,9 +235,9 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 		if dseq != seq {
 			return fmt.Errorf("cluster: durable op %d framed as %d", dseq, seq)
 		}
-		if _, aerr := n.applyLocked(seq, id, kind, args, body); aerr != nil {
-			return fmt.Errorf("cluster: replaying durable op %d %s: %w", seq, kind, aerr)
-		}
+		// A refused op was sequenced and refused everywhere; it replays as
+		// refused.
+		n.applyLocked(seq, id, kind, args, body)
 		// In-memory record only: the op is already on disk.
 		n.recordMemLocked(seq, append([]byte(nil), payload...))
 		replayed++
@@ -271,23 +271,6 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 	}
 	n.logf("resumed as authority: %d replayed ops, applied %d, epoch %d", replayed, n.Applied(), newEpoch)
 	return nil
-}
-
-// recordMemLocked is recordLocked minus durability: it extends the
-// in-memory oplog window for ops that are already on disk (restart replay).
-// Caller holds applyMu.
-func (n *Node) recordMemLocked(seq uint64, enc []byte) {
-	n.mu.Lock()
-	if seq >= n.nextSeq {
-		n.nextSeq = seq + 1
-	}
-	n.oplog = append(n.oplog, enc)
-	if len(n.oplog) > n.maxOplog {
-		drop := len(n.oplog) - n.maxOplog
-		n.oplog = append(n.oplog[:0:0], n.oplog[drop:]...)
-		n.base += uint64(drop)
-	}
-	n.mu.Unlock()
 }
 
 // RecoverRank scans a data directory for the rank recorded against

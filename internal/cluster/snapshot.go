@@ -426,9 +426,7 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 		return err
 	}
 	n.mu.Lock()
-	if gotSeq > n.applied {
-		n.applied = gotSeq
-	}
+	n.setAppliedLocked(gotSeq)
 	n.nextSeq = n.applied + 1
 	n.base = n.applied + 1
 	n.oplog = nil

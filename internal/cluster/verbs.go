@@ -9,9 +9,9 @@
 // applies completely and returns its reply, or returns an error having
 // changed nothing — not the store, not a stream buffer, not the clock, not
 // the string server's ID assignment. Everything is parsed and checked before
-// the first mutation, so the authority can drop a refused op unsequenced
-// ("the op never happened") and still hold exactly the state its replicas
-// hold.
+// the first mutation. The authority broadcasts an op before it applies it, so
+// a refused op is sequenced like any other and every replica refuses it the
+// same way; this contract is what makes that refusal a no-op everywhere.
 package cluster
 
 import (

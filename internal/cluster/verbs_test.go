@@ -6,10 +6,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // startPair brings up a seed and one joined member over loopback TCP, both
@@ -36,24 +38,46 @@ func startPair(t *testing.T, flowCfg core.FlowConfig) (seed, d1 *daemon) {
 	return seed, d1
 }
 
-// expectRefused forwards one op through via and requires that it fails, that
-// no sequence number was consumed, and that no replica holds any of it.
+// expectRefused forwards one op through via under an id= token, then once
+// more under the same token, and requires of each attempt that it fails with
+// the same text and uses up exactly one sequence number on every replica as
+// a no-op (nothing pending, the same rows everywhere). The retry moving the
+// sequence again shows it ran again instead of answering from the dedup
+// table. It returns the refusal.
 func expectRefused(t *testing.T, via *daemon, all []*daemon, kind string, args []string, body string) error {
 	t.Helper()
-	applied := all[0].node.Applied()
-	_, err := via.node.Forward(kind, args, body)
-	if err == nil {
-		t.Fatalf("%s %v %q was accepted", kind, args, body)
-	}
-	for _, d := range all {
-		if got := d.node.Applied(); got != applied {
-			t.Fatalf("refused %s moved rank %d from op %d to %d", kind, d.node.Self(), applied, got)
+	withID := append(append([]string(nil), args...), "id=refused-"+kind)
+	var first error
+	for attempt := 1; attempt <= 2; attempt++ {
+		applied := all[0].node.Applied()
+		_, err := via.node.Forward(kind, withID, body)
+		if err == nil {
+			t.Fatalf("%s %v %q was accepted (attempt %d)", kind, args, body, attempt)
 		}
-		if got := d.eng.PendingEmits(); got != 0 {
-			t.Fatalf("refused %s left %d tuples pending on rank %d", kind, got, d.node.Self())
+		if first == nil {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("retried %s refused as %q, first as %q", kind, err, first)
 		}
+		for _, d := range all {
+			// A member does not wait for a refused op before replying.
+			requireApplied(t, d, applied+1)
+			if got := d.node.Applied(); got != applied+1 {
+				t.Fatalf("refused %s (attempt %d) moved rank %d from op %d to %d, want %d", kind, attempt, d.node.Self(), applied, got, applied+1)
+			}
+			if got := d.eng.PendingEmits(); got != 0 {
+				t.Fatalf("refused %s left %d tuples pending on rank %d", kind, got, d.node.Self())
+			}
+		}
+		expectSameRows(t, "SELECT ?X ?Y WHERE { ?X po ?Y }", all...)
+		expectSameRows(t, "SELECT ?X ?Y WHERE { ?X p ?Y }", all...)
 	}
-	return err
+	return first
+}
+
+// counter reads a counter from d's metrics registry.
+func counter(d *daemon, name string) int64 {
+	return d.node.cfg.Metrics.Counter(name).Value()
 }
 
 // expectSameRows requires every daemon to answer q identically, and returns
@@ -69,8 +93,9 @@ func expectSameRows(t *testing.T, q string, ds ...*daemon) []string {
 	return want
 }
 
-// A refused EMIT — out of order here — must not leave its accepted prefix on
-// the authority: the op is never sequenced, so the replicas would never get it.
+// A refused EMIT — out of order here — must not leave its accepted prefix
+// anywhere: every replica applies the sequenced op and refuses it, and a
+// refusal changes nothing.
 func TestRefusedEmitLeavesReplicasEqual(t *testing.T) {
 	seed, d1 := startPair(t, core.FlowConfig{})
 	all := []*daemon{seed, d1}
@@ -115,8 +140,9 @@ func TestShedEmitLeavesReplicasEqualAndStaysTyped(t *testing.T) {
 	if !errors.As(err, &se) || se.RetryAfter <= 0 || !strings.Contains(se.Reason, "admission buffer full") {
 		t.Fatalf("shed across the forward hop = %v, want a typed ShedError with its hint", err)
 	}
-	if seed.node.Applied() != applied || seed.eng.PendingEmits() != 1 || d1.eng.PendingEmits() != 1 {
-		t.Fatalf("shed EMIT left a trace: applied %d→%d, pending %d/%d", applied, seed.node.Applied(), seed.eng.PendingEmits(), d1.eng.PendingEmits())
+	requireApplied(t, d1, applied+1)
+	if seed.node.Applied() != applied+1 || d1.node.Applied() != applied+1 || seed.eng.PendingEmits() != 1 || d1.eng.PendingEmits() != 1 {
+		t.Fatalf("shed EMIT left a trace: applied %d→%d/%d, pending %d/%d", applied, seed.node.Applied(), d1.node.Applied(), seed.eng.PendingEmits(), d1.eng.PendingEmits())
 	}
 	if _, err := d1.node.Forward("ADVANCE", []string{"400"}, ""); err != nil {
 		t.Fatal(err)
@@ -144,9 +170,9 @@ func TestRefusedLoadLeavesReplicasEqual(t *testing.T) {
 	}
 }
 
-// A refused REGISTER must not burn the auto-name counter: the authority would
-// then ack the next unnamed query as cq1 while every replica registers cq0,
-// and a POLL on the member finds nothing under the acked name.
+// A refused REGISTER must not burn the auto-name counter (a refusal changes
+// nothing): the next unnamed query gets the same name in the ack and on
+// every replica, so a POLL on the member finds it under the acked name.
 func TestRefusedRegisterLeavesReplicasEqual(t *testing.T) {
 	seed, d1 := startPair(t, core.FlowConfig{})
 	all := []*daemon{seed, d1}
@@ -256,4 +282,91 @@ func FuzzApplyVerb(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A durable log that holds a refused op resumes cleanly: the op replays as
+// refused — its seq used up, nothing applied, no error — and the restarted
+// authority holds what the crashed one held.
+func TestResumeReplaysRefusedOp(t *testing.T) {
+	dir := t.TempDir()
+	durable := func(c *Config) {
+		c.DataDir = dir
+		c.NoSync = true
+	}
+	seed := startSeedCfg(t, durable)
+	for _, op := range []struct {
+		kind, arg, body string
+		refused         bool
+	}{
+		{"STREAM", "S 100", "", false},
+		{"EMIT", "S", "<a> <po> <b> . @250\n<c> <po> <d> . @150\n", true},
+		{"EMIT", "S", "<e> <po> <f> . @260\n", false},
+		{"ADVANCE", "400", "", false},
+	} {
+		if _, err := seed.node.Forward(op.kind, strings.Fields(op.arg), op.body); (err != nil) != op.refused {
+			t.Fatalf("%s %s: err = %v, want refused = %v", op.kind, op.arg, err, op.refused)
+		}
+	}
+	q := "SELECT ?X ?Y WHERE { ?X po ?Y }"
+	want := queryRows(t, seed, q)
+	wantApplied := seed.node.Applied()
+	addr := seed.tr.Addr()
+	seed.close() // crash
+
+	d := &daemon{eng: newEngine(t)}
+	defer d.close()
+	var err error
+	for i := 0; i < 50; i++ { // the crashed daemon's port can linger briefly
+		if d.tr, err = wire.ListenTCP(addr, tcpConfig(SeedRank, nil), obs.NewRegistry("")); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	cfg := clusterConfig(d.tr, SeedRank, d.eng, d)
+	cfg.SelfAddr = addr
+	durable(&cfg)
+	if d.node, err = Resume(cfg); err != nil {
+		t.Fatalf("resume over a refused op: %v", err)
+	}
+	// +1: the re-fencing EPOCH op.
+	if got := d.node.Applied(); got != wantApplied+1 {
+		t.Fatalf("resumed applied = %d, want %d", got, wantApplied+1)
+	}
+	if got := counter(d, "cluster_ops_refused_total"); got != 1 {
+		t.Fatalf("replay refused %d ops, want 1", got)
+	}
+	if got := queryRows(t, d, q); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, []string{"e f"}) {
+		t.Fatalf("resumed rows = %v, crashed authority held %v, want only the accepted tuple", got, want)
+	}
+}
+
+// A member that catches up by SYNC across refused ops converges: it replays
+// each as a refusal and ends where the replicas that took the broadcast did.
+func TestSyncAcrossRefusedOpConverges(t *testing.T) {
+	seed, d1 := startPair(t, core.FlowConfig{})
+	expectRefused(t, d1, []*daemon{seed, d1}, "EMIT", []string{"S"}, "<a> <po> <b> . @250\n<c> <po> <d> . @150\n")
+	if _, err := d1.node.Forward("EMIT", []string{"S"}, "<e> <po> <f> . @260\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d1.node.Forward("ADVANCE", []string{"400"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	d2 := joinDaemon(t, seed.tr.Addr(), "")
+	defer d2.close()
+	all := []*daemon{seed, d1, d2}
+	waitConverged(t, all...)
+	if got := counter(d2, "cluster_ops_synced_total"); got != int64(d2.node.Applied()) {
+		t.Fatalf("joiner took %d of its %d ops by SYNC, want all", got, d2.node.Applied())
+	}
+	for _, d := range all {
+		if got := counter(d, "cluster_ops_refused_total"); got != 2 {
+			t.Fatalf("rank %d refused %d ops, want 2 (one refusal and its retry)", d.node.Self(), got)
+		}
+	}
+	if rows := expectSameRows(t, "SELECT ?X ?Y WHERE { ?X po ?Y }", all...); !reflect.DeepEqual(rows, []string{"e f"}) {
+		t.Fatalf("rows = %v, want only the accepted tuple", rows)
+	}
 }

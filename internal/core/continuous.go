@@ -189,10 +189,10 @@ func (e *Engine) RegisterContinuous(text string, cb func(*Result, FireInfo)) (*C
 	}
 
 	// Everything a registration changes, it changes from here on, past the
-	// last way it can fail: a refused registration must leave nothing behind.
-	// A replicated cluster drops a refused op unsequenced, and the counters
-	// below decide the next query's auto-assigned name and home on each
-	// replica.
+	// last way it can fail: a refused registration must leave nothing behind
+	// (cluster.ApplyVerb's contract, on which a replicated cluster's
+	// sequenced refusals rest). The counters below decide the next query's
+	// auto-assigned name and home on each replica.
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if q.Name == "" {

@@ -7,11 +7,13 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	clientpkg "repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 )
@@ -64,6 +66,15 @@ func gaugeValue(t *testing.T, r *obs.Registry, suffix string) int64 {
 	return out
 }
 
+// stepClock is a rate-limiter clock that moves 100 µs each time it is read,
+// so a token bucket refills by how many admission decisions were made, never
+// by how fast the scheduler happened to run the test.
+type stepClock struct{ ns atomic.Int64 }
+
+func (c *stepClock) now() time.Time {
+	return time.Unix(0, c.ns.Add(int64(100*time.Microsecond)))
+}
+
 // TestEmitOverloadRetryAfter: a rate-limited EMIT is shed atomically with a
 // machine-readable retry-after; the client library surfaces it as a typed
 // ErrOverload when retries are disabled, and rides out the overload by
@@ -72,6 +83,12 @@ func TestEmitOverloadRetryAfter(t *testing.T) {
 	_, _, addr := startServerWith(t, func(s *Server) {
 		s.EmitRate = 1000 // 1 tuple per millisecond
 		s.EmitBurst = 1
+		// Each decision reads the clock once or twice, so a shed EMIT
+		// refills at most 0.2 of a token: the empty bucket stays empty
+		// across the two checks below, and a retrying client gets in after
+		// a few attempts.
+		s.emitLim = flow.NewLimiter(s.EmitRate, s.EmitBurst)
+		s.emitLim.SetClock(new(stepClock).now, nil)
 	})
 	c := dial(t, addr)
 	c.send("STREAM S 100")
@@ -106,7 +123,7 @@ func TestEmitOverloadRetryAfter(t *testing.T) {
 	}
 
 	// With retries enabled the client backs off per the hint and succeeds
-	// (the bucket refills at 1 token/ms).
+	// (the bucket refills at 1 token per simulated ms).
 	cl2, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: 20, JitterSeed: 2})
 	if err != nil {
 		t.Fatal(err)
