@@ -78,9 +78,10 @@ chaos-proc:
 # daemon-side tick: EMIT ×5, ADVANCE, POLL ×6) lives in internal/server
 # because it drives the unexported POLL handler. BenchmarkForwardedWrite
 # (internal/cluster) is one write through a member of a seed + member pair
-# over loopback TCP with fsynced oplogs.
+# over loopback TCP with fsynced oplogs. BenchmarkShardGet and
+# BenchmarkShardAppendOne (internal/store) probe 100 k keys in random order.
 bench:
-	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server ./internal/cluster
+	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server ./internal/cluster ./internal/store
 
 # Short observability-instrumented workload: prints per-stage p50/p99/p999 and
 # writes the metric registry under .bench_build/. wsbench exits nonzero if no

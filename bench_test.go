@@ -33,6 +33,14 @@ import (
 	"repro/internal/strserver"
 )
 
+// must unwraps an encoding the test's few predicates always fit.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func latencyMode() fabric.LatencyMode {
 	if os.Getenv("WS_BENCH_LATENCY") == "spin" {
 		return fabric.Spin
@@ -561,7 +569,7 @@ func BenchmarkMicro_StoreInsert(b *testing.B) {
 	fab := fabric.New(fabric.DefaultConfig(8))
 	st := storeSharded(fab)
 	ss := strserver.New()
-	p := ss.InternPredicate("p")
+	p := must(ss.InternPredicate("p"))
 	ids := make([]rdf.ID, 4096)
 	for i := range ids {
 		ids[i] = ss.InternEntity(rdf.NewIntLiteral(int64(i)))
@@ -591,7 +599,7 @@ func BenchmarkMicro_SourceEmit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enc := ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("a", "p", "b"), TS: 0})
+	enc := must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("a", "p", "b"), TS: 0}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc.TS = rdf.Timestamp(i)

@@ -11,6 +11,14 @@ import (
 	"repro/internal/strserver"
 )
 
+// must unwraps an encoding the test's few predicates always fit.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 const qcText = `
 REGISTER QUERY QC AS
 SELECT ?X ?Y ?Z
@@ -36,12 +44,12 @@ func fixture(t *testing.T, cfg Config) (*System, *strserver.Server, Windows) {
 		{"T-13", "ht", "sosp17"},
 		{"Erik", "li", "T-13"},
 	} {
-		base = append(base, ss.EncodeTriple(rdf.T(tr[0], tr[1], tr[2])))
+		base = append(base, must(ss.EncodeTriple(rdf.T(tr[0], tr[1], tr[2]))))
 	}
 	s.LoadBase(base)
 	w := Windows{
-		"Tweet_Stream": {ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-15"), TS: 802})},
-		"Like_Stream":  {ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "li", "T-15"), TS: 806})},
+		"Tweet_Stream": {must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-15"), TS: 802}))},
+		"Like_Stream":  {must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "li", "T-15"), TS: 806}))},
 	}
 	return s, ss, w
 }

@@ -12,6 +12,14 @@ import (
 	"repro/internal/strserver"
 )
 
+// must unwraps an encoding the test's few predicates always fit.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func fixture(t *testing.T, mode Mode) (*System, *strserver.Server, rel.Windows) {
 	t.Helper()
 	ss := strserver.New()
@@ -23,11 +31,11 @@ func fixture(t *testing.T, mode Mode) (*System, *strserver.Server, rel.Windows) 
 		{"Logan", "po", "T-13"},
 		{"Erik", "li", "T-13"},
 	} {
-		base = append(base, ss.EncodeTriple(rdf.T(tr[0], tr[1], tr[2])))
+		base = append(base, must(ss.EncodeTriple(rdf.T(tr[0], tr[1], tr[2]))))
 	}
 	s.LoadBase(base)
-	tweet := []strserver.EncodedTuple{ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-15"), TS: 802})}
-	like := []strserver.EncodedTuple{ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "li", "T-15"), TS: 806})}
+	tweet := []strserver.EncodedTuple{must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-15"), TS: 802}))}
+	like := []strserver.EncodedTuple{must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "li", "T-15"), TS: 806}))}
 	s.Absorb("Tweet_Stream", tweet)
 	s.Absorb("Like_Stream", like)
 	return s, ss, rel.Windows{"Tweet_Stream": tweet, "Like_Stream": like}
@@ -92,7 +100,7 @@ func TestStructuredStreamingScansHistory(t *testing.T) {
 	// A tuple outside the window exists only in history; Structured
 	// Streaming scans it but the window filter must still exclude it.
 	s, ss, _ := fixture(t, StructuredStreaming)
-	old := []strserver.EncodedTuple{ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "po", "T-99"), TS: 900})}
+	old := []strserver.EncodedTuple{must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "po", "T-99"), TS: 900}))}
 	s.Absorb("Tweet_Stream", old)
 	q := sparql.MustParse(oneStreamQuery)
 	// Window (90000,100000]: nothing inside.
@@ -109,7 +117,7 @@ func TestSchedulingOverheadCharged(t *testing.T) {
 	ss := strserver.New()
 	fab := fabric.New(fabric.DefaultConfig(1))
 	s := NewSystem(fab, ss, Config{Mode: SparkStreaming, StageOverhead: time.Millisecond})
-	s.LoadBase([]strserver.EncodedTriple{ss.EncodeTriple(rdf.T("a", "p", "b"))})
+	s.LoadBase([]strserver.EncodedTriple{must(ss.EncodeTriple(rdf.T("a", "p", "b")))})
 	q := sparql.MustParse(`SELECT ?x ?y WHERE { ?x p ?y }`)
 	if _, _, err := s.ExecuteContinuous(q, nil, 0); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,14 @@ import (
 	"repro/internal/strserver"
 )
 
+// must unwraps an encoding the test's few predicates always fit.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func fixture(t *testing.T, nodes int) (*System, *strserver.Server) {
 	t.Helper()
 	ss := strserver.New()
@@ -21,12 +29,12 @@ func fixture(t *testing.T, nodes int) (*System, *strserver.Server) {
 		{"Logan", "po", "T-13"},
 		{"Erik", "li", "T-13"},
 	} {
-		base = append(base, ss.EncodeTriple(rdf.T(tr[0], tr[1], tr[2])))
+		base = append(base, must(ss.EncodeTriple(rdf.T(tr[0], tr[1], tr[2]))))
 	}
 	s.LoadBase(base)
 	s.Inject([]strserver.EncodedTuple{
-		ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-15"), TS: 802}),
-		ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "li", "T-15"), TS: 806}),
+		must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-15"), TS: 802})),
+		must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "li", "T-15"), TS: 806})),
 	})
 	return s, ss
 }
@@ -107,9 +115,9 @@ func TestMemoryGrowsWithoutGC(t *testing.T) {
 	before := s.Store().MemoryBytes()
 	var tuples []strserver.EncodedTuple
 	for i := 0; i < 100; i++ {
-		tuples = append(tuples, ss.EncodeTuple(rdf.Tuple{
+		tuples = append(tuples, must(ss.EncodeTuple(rdf.Tuple{
 			Triple: rdf.T("Logan", "po", "T-13"), TS: rdf.Timestamp(1000 + i),
-		}))
+		})))
 	}
 	s.Inject(tuples)
 	after := s.Store().MemoryBytes()

@@ -115,7 +115,11 @@ func Generate(cfg Config, ss *strserver.Server) *Workload {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, p := range []string{PredCongestion, PredSpeed, PredTemp, PredHumidity,
 		PredAt, PredAvail, PredPollution, PredOnRoad, PredNear, PredType} {
-		w.preds[p] = ss.InternPredicate(p)
+		id, err := ss.InternPredicate(p)
+		if err != nil {
+			panic("citybench: the string server has no room for the workload's predicates: " + err.Error())
+		}
+		w.preds[p] = id
 	}
 
 	roads := make([]rdf.ID, cfg.Roads)

@@ -123,7 +123,11 @@ func Generate(cfg Config, ss *strserver.Server) *Workload {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, p := range []string{PredType, PredFollow, PredPost, PredLike, PredHashtag, PredPhoto, PredPhotoL, PredGPS} {
-		w.preds[p] = ss.InternPredicate(p)
+		id, err := ss.InternPredicate(p)
+		if err != nil {
+			panic("lsbench: the string server has no room for the workload's predicates: " + err.Error())
+		}
+		w.preds[p] = id
 	}
 	userType := w.ent("User")
 

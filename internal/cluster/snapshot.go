@@ -162,115 +162,112 @@ func (n *Node) buildSnapshotLocked() []byte {
 	return b.Bytes()
 }
 
+// blobField maps each transcript section that carries a blob to the field of
+// its header line that holds the blob's length.
+var blobField = map[string]int{"ACK": 3, "ENT": 1, "PRED": 1, "CQ": 2}
+
+// walkSnapshot calls f for every section line of a transcript after its
+// magic line, with the line's fields and, for a section that carries one, its
+// blob (which may contain newlines). It checks the framing; f checks the
+// rest.
+func walkSnapshot(payload string, f func(fields []string, line, blob string) error) error {
+	line, rest := splitLine(payload)
+	if line != "WSSNAP 1" {
+		return fmt.Errorf("cluster: bad snapshot magic %q", line)
+	}
+	for rest != "" {
+		line, rest = splitLine(rest)
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		blob := ""
+		if at, ok := blobField[fields[0]]; ok {
+			size, err := -1, error(nil)
+			if len(fields) == at+1 {
+				size, err = strconv.Atoi(fields[at])
+			}
+			if err != nil || size < 0 || size > len(rest) {
+				return fmt.Errorf("cluster: bad snapshot header %q", line)
+			}
+			blob, rest = rest[:size], strings.TrimPrefix(rest[size:], "\n")
+		}
+		if err := f(fields, line, blob); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // applySnapshotLocked replays a transcript into this replica. Caller holds
 // applyMu. The same code path serves a fresh engine (restore/join) and a
 // stale one (in-place catch-up): every section skips what already exists,
-// and triple restore inserts only the per-key multiset shortfall.
+// and triple restore inserts only the per-key multiset shortfall. The framing
+// is checked and the predicate table interned, all or none, before anything
+// else is applied: a transcript whose predicates do not fit the predicate
+// space changes nothing and fails with strserver.ErrPredicateSpace.
 func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabric.NodeID, err error) {
 	s := string(payload)
-	line, rest := splitLine(s)
-	if line != "WSSNAP 1" {
-		return 0, 0, 0, fmt.Errorf("cluster: bad snapshot magic %q", line)
+	var preds []string
+	if err := walkSnapshot(s, func(f []string, _, blob string) error {
+		if f[0] == "PRED" {
+			preds = append(preds, blob)
+		}
+		return nil
+	}); err != nil {
+		return 0, 0, 0, err
 	}
 	ss := n.eng.StringServer()
+	// The predicate space is separate from the entity space, so interning it
+	// ahead of the ENT section assigns the IDs the donor holds.
+	if err := ss.InternPredicates(make([]rdf.ID, len(preds)), func(i int) string { return preds[i] }); err != nil {
+		return 0, 0, 0, fmt.Errorf("cluster: snapshot predicate table of %d: %w", len(preds), err)
+	}
 	g := n.eng.Store()
 	haveCQ := make(map[string]bool)
 	for _, cq := range n.eng.ContinuousOrdered() {
 		haveCQ[cq.Name] = true
 	}
-	// readBlob consumes "<len bytes>\n" after a header line consumed n
-	// fields; the blob may contain newlines.
-	readBlob := func(rest string, size int) (blob, tail string, err error) {
-		if size < 0 || size > len(rest) {
-			return "", "", fmt.Errorf("cluster: snapshot blob of %d bytes overruns", size)
-		}
-		blob = rest[:size]
-		tail = rest[size:]
-		tail = strings.TrimPrefix(tail, "\n")
-		return blob, tail, nil
-	}
-	for rest != "" {
-		line, tail := splitLine(rest)
-		f := strings.Fields(line)
-		if len(f) == 0 {
-			rest = tail
-			continue
-		}
+	err = walkSnapshot(s, func(f []string, line, blob string) error {
 		switch f[0] {
 		case "STATE":
 			if _, e := fmt.Sscanf(line, "STATE SEQ %d EPOCH %d AUTH %d", &seq, &epoch, &auth); e != nil {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot state %q: %w", line, e)
+				return fmt.Errorf("cluster: bad snapshot state %q: %w", line, e)
 			}
-			rest = tail
 		case "MEMBER", "STREAM", "ADVANCE":
 			// The op log's own lines, replayed through its interpreter (which
 			// checks them; a STREAM that already exists is adopted).
 			if _, e := n.applyOp(f[0], f[1:], ""); e != nil {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot line %q: %w", line, e)
+				return fmt.Errorf("cluster: bad snapshot line %q: %w", line, e)
 			}
-			rest = tail
 		case "ACK":
-			if len(f) != 4 {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot ack %q", line)
-			}
-			ackSeq, e1 := strconv.ParseUint(f[2], 10, 64)
-			size, e2 := strconv.Atoi(f[3])
-			if e1 != nil || e2 != nil {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot ack %q", line)
-			}
-			reply, t2, e := readBlob(tail, size)
+			ackSeq, e := strconv.ParseUint(f[2], 10, 64)
 			if e != nil {
-				return 0, 0, 0, e
+				return fmt.Errorf("cluster: bad snapshot ack %q", line)
 			}
 			n.mu.Lock()
-			n.recordDedupLocked(f[1], ackSeq, reply)
+			n.recordDedupLocked(f[1], ackSeq, blob)
 			n.mu.Unlock()
-			rest = t2
-		case "ENT", "PRED":
-			if len(f) != 2 {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot intern %q", line)
-			}
-			size, e := strconv.Atoi(f[1])
-			if e != nil {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot intern %q", line)
-			}
-			blob, t2, e := readBlob(tail, size)
-			if e != nil {
-				return 0, 0, 0, e
-			}
-			if f[0] == "ENT" {
-				ss.InternEntity(rdf.TermFromKey(blob))
-			} else {
-				ss.InternPredicate(blob)
-			}
-			rest = t2
+		case "ENT":
+			ss.InternEntity(rdf.TermFromKey(blob))
+		case "PRED":
+			// Interned above.
 		case "CQ":
-			if len(f) != 3 {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot cq %q", line)
-			}
-			size, e := strconv.Atoi(f[2])
-			if e != nil {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot cq %q", line)
-			}
-			text, t2, e := readBlob(tail, size)
-			if e != nil {
-				return 0, 0, 0, e
-			}
 			if !haveCQ[f[1]] {
-				if _, e := n.applyOp("REGISTER", nil, text); e != nil {
-					return 0, 0, 0, e
+				if _, e := n.applyOp("REGISTER", nil, blob); e != nil {
+					return e
 				}
 			}
-			rest = t2
 		case "KEY":
 			if len(f) < 4 {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot key %q", line)
+				return fmt.Errorf("cluster: bad snapshot key %q", line)
 			}
 			vid, e1 := strconv.ParseUint(f[1], 10, 64)
 			pid, e2 := strconv.ParseUint(f[2], 10, 64)
 			count, e3 := strconv.Atoi(f[3])
-			if e1 != nil || e2 != nil || e3 != nil || len(f) != 4+count {
-				return 0, 0, 0, fmt.Errorf("cluster: bad snapshot key %q", line)
+			if e1 != nil || e2 != nil || e3 != nil || len(f) != 4+count ||
+				rdf.ID(vid) > rdf.MaxEntityID || rdf.ID(pid) > strserver.MaxPredicateID {
+				return fmt.Errorf("cluster: bad snapshot key %q", line)
 			}
 			// In-place catch-up dedup: insert only the multiset shortfall
 			// per (key, object), so replaying a snapshot over a store that
@@ -279,8 +276,8 @@ func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabr
 			order := make([]rdf.ID, 0, count)
 			for _, tok := range f[4:] {
 				o, e := strconv.ParseUint(tok, 10, 64)
-				if e != nil {
-					return 0, 0, 0, fmt.Errorf("cluster: bad snapshot key %q", line)
+				if e != nil || rdf.ID(o) > rdf.MaxEntityID {
+					return fmt.Errorf("cluster: bad snapshot key %q", line)
 				}
 				id := rdf.ID(o)
 				if want[id] == 0 {
@@ -299,10 +296,13 @@ func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabr
 					g.InsertFloor(strserver.EncodedTriple{S: rdf.ID(vid), P: rdf.ID(pid), O: obj}, store.BaseSN)
 				}
 			}
-			rest = tail
 		default:
-			return 0, 0, 0, fmt.Errorf("cluster: unknown snapshot section %q", f[0])
+			return fmt.Errorf("cluster: unknown snapshot section %q", f[0])
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	// Succession facts ride the snapshot: the restored replica starts at
 	// the donor's epoch and authority view.

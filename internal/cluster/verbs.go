@@ -71,7 +71,9 @@ func ApplyVerb(eng *core.Engine, onFire func(name string, res *core.Result, fi c
 		if err != nil {
 			return "", err
 		}
-		eng.LoadTriples(triples)
+		if err := eng.LoadTriples(triples); err != nil {
+			return "", err
+		}
 		return fmt.Sprintf("loaded %d", len(triples)), nil
 
 	case "EMIT":

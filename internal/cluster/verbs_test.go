@@ -2,15 +2,19 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/obs"
+	"repro/internal/rdf"
+	"repro/internal/strserver"
 	"repro/internal/wire"
 )
 
@@ -192,7 +196,9 @@ func TestRefusedRegisterLeavesReplicasEqual(t *testing.T) {
 }
 
 // verbSeeds are the conformance script's commands (internal/server
-// TestWriteVerbsConformAcrossModes), as (kind, args, body).
+// TestWriteVerbsConformAcrossModes), as (kind, args, body), and last an EMIT
+// whose only predicate is new and which can never fit FuzzApplyVerb's
+// four-tuple buffer: refused for room, it must not have interned it.
 var verbSeeds = []struct{ kind, args, body string }{
 	{"STREAM", "S 100", ""},
 	{"STREAM", "T 100 ga", ""},
@@ -217,6 +223,7 @@ var verbSeeds = []struct{ kind, args, body string }{
 	{"EMIT", "S", "<a> <po> <b> . @300\n<a> <po> <c> . @301\n<a> <po> <d> . @302\n<a> <po> <e> . @303\n<a> <po> <f> . @304\n"},
 	{"REGISTER", "", "this is not sparql\n"},
 	{"BOGUS", "x", "y"},
+	{"EMIT", "S", "<a> <fresh> <b> . @300\n<a> <fresh> <c> . @301\n<a> <fresh> <d> . @302\n<a> <fresh> <e> . @303\n<a> <fresh> <f> . @304\n"},
 }
 
 // FuzzDecodeOp: arbitrary bytes never panic the op decoder, and an encoded
@@ -368,5 +375,212 @@ func TestSyncAcrossRefusedOpConverges(t *testing.T) {
 	}
 	if rows := expectSameRows(t, "SELECT ?X ?Y WHERE { ?X po ?Y }", all...); !reflect.DeepEqual(rows, []string{"e f"}) {
 		t.Fatalf("rows = %v, want only the accepted tuple", rows)
+	}
+}
+
+// fillPredicateSpace interns the same fresh predicates, in the same order,
+// into each string server until free IDs are left: what a long history of
+// LOADs would leave on every replica, without the history.
+func fillPredicateSpace(t *testing.T, free int, sss ...*strserver.Server) {
+	t.Helper()
+	base := sss[0].NumPredicates()
+	for _, ss := range sss {
+		if n := ss.NumPredicates(); n != base {
+			t.Fatalf("replicas hold %d and %d predicates before the fill", base, n)
+		}
+	}
+	for _, ss := range sss {
+		pids := make([]rdf.ID, int(strserver.MaxPredicateID)-free-base)
+		if err := ss.InternPredicates(pids, func(i int) string { return "fill/" + strconv.Itoa(base+i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// With the predicate space full, a LOAD, an EMIT and a STREAM that each need
+// one more predicate are refused alike on every replica, each as one
+// sequenced no-op: no predicate, store key, row or pending tuple appears, even
+// from the body's lines whose predicates are known.
+func TestPredicateSpaceExhaustedIsRefusedEverywhere(t *testing.T) {
+	seed, d1 := startPair(t, core.FlowConfig{})
+	all := []*daemon{seed, d1}
+	if _, err := d1.node.Forward("LOAD", nil, "<a> <p> <b> .\n<c> <po> <d> .\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, all...)
+	fillPredicateSpace(t, 0, seed.eng.StringServer(), d1.eng.StringServer())
+
+	type state struct {
+		preds int
+		keys  int64
+		rows  []string
+	}
+	snap := func(d *daemon) state {
+		return state{d.eng.StringServer().NumPredicates(), d.eng.Store().Memory().Entries, queryRows(t, d, "SELECT ?X ?Y WHERE { ?X p ?Y }")}
+	}
+	before := []state{snap(seed), snap(d1)}
+	for _, op := range []struct {
+		kind string
+		args []string
+		body string
+	}{
+		{"LOAD", nil, "<x> <p> <y> .\n<x> <new1> <y> .\n"},
+		{"EMIT", []string{"S"}, "<x> <po> <y> . @10\n<x> <new2> <y> . @11\n"},
+		{"STREAM", []string{"T", "100", "new3"}, ""},
+	} {
+		err := expectRefused(t, d1, all, op.kind, op.args, op.body)
+		if !strings.Contains(err.Error(), strserver.ErrPredicateSpace.Error()) {
+			t.Fatalf("%s refused as %q, want %q", op.kind, err, strserver.ErrPredicateSpace)
+		}
+		for i, d := range all {
+			if got := snap(d); !reflect.DeepEqual(got, before[i]) {
+				t.Fatalf("refused %s changed rank %d from %+v to %+v", op.kind, d.node.Self(), before[i], got)
+			}
+		}
+	}
+	for _, d := range all {
+		if _, ok := d.eng.SourceOf("T"); ok {
+			t.Fatalf("rank %d registered the refused stream", d.node.Self())
+		}
+	}
+	// Known predicates still fit.
+	if reply, err := d1.node.Forward("LOAD", nil, "<e> <p> <f> .\n"); err != nil || reply != "loaded 1" {
+		t.Fatalf("LOAD of a known predicate at the cap = %q, %v", reply, err)
+	}
+	waitConverged(t, all...)
+	if rows := expectSameRows(t, "SELECT ?X ?Y WHERE { ?X p ?Y }", all...); !reflect.DeepEqual(rows, []string{"a b", "e f"}) {
+		t.Fatalf("rows = %v, want the first LOAD and the last", rows)
+	}
+}
+
+// A transcript whose predicate table does not fit the predicate space fails
+// to restore with an error, and before it changes anything: the entity it
+// lists first and the stream it lists after are not there.
+func TestSnapshotPastThePredicateSpaceIsRefused(t *testing.T) {
+	d := startSeedCfg(t, nil)
+	defer d.close()
+	var b strings.Builder
+	b.WriteString("WSSNAP 1\nSTATE SEQ 9 EPOCH 1 AUTH 0 NOW 0\n")
+	ent := string(rdf.NewIRI("restored").AppendKey(nil))
+	fmt.Fprintf(&b, "ENT %d\n%s\n", len(ent), ent)
+	for i := 0; i <= int(strserver.MaxPredicateID); i++ {
+		iri := "p" + strconv.Itoa(i)
+		fmt.Fprintf(&b, "PRED %d\n%s\n", len(iri), iri)
+	}
+	b.WriteString("STREAM S 100\n")
+	ss := d.eng.StringServer()
+	applied, ents, preds := d.node.Applied(), ss.NumEntities(), ss.NumPredicates()
+	d.node.applyMu.Lock()
+	_, _, _, err := d.node.applySnapshotLocked([]byte(b.String()))
+	d.node.applyMu.Unlock()
+	if !errors.Is(err, strserver.ErrPredicateSpace) {
+		t.Fatalf("restore of %d predicates: err = %v, want ErrPredicateSpace", strserver.MaxPredicateID+1, err)
+	}
+	if _, ok := d.eng.SourceOf("S"); ok || ss.NumEntities() != ents || ss.NumPredicates() != preds || d.node.Applied() != applied {
+		t.Fatalf("the refused restore left a trace: stream %v, entities %d→%d, predicates %d→%d, applied %d→%d",
+			ok, ents, ss.NumEntities(), preds, ss.NumPredicates(), applied, d.node.Applied())
+	}
+}
+
+// Standalone LOADs and EMITs race for the last free predicate IDs (run under
+// -race). Each is admitted whole or refused whole: the predicates assigned are
+// exactly the admitted ops' new ones, and the tuples pending exactly the
+// admitted EMITs'.
+func TestConcurrentLoadAndEmitRaceForTheLastPredicates(t *testing.T) {
+	eng, err := core.New(core.Config{Nodes: 2, Metrics: obs.NewRegistry("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := ApplyVerb(eng, nil, "STREAM", []string{"S", "100"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	ss := eng.StringServer()
+	for _, p := range []string{"p", "po"} {
+		if _, err := ss.InternPredicate(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const free, workers, opsEach = 7, 8, 3
+	fillPredicateSpace(t, free, ss)
+
+	type outcome struct {
+		emit  bool
+		preds []string
+		err   error
+	}
+	results := make([][]outcome, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < opsEach; i++ {
+				o := outcome{emit: w%2 == 1, preds: []string{fmt.Sprintf("new/%d/%d/a", w, i), fmt.Sprintf("new/%d/%d/b", w, i)}}
+				if o.emit {
+					// Equal timestamps: concurrent EMITs never regress the stream.
+					_, o.err = ApplyVerb(eng, nil, "EMIT", []string{"S"}, fmt.Sprintf("<x> <po> <y> . @10\n<x> <%s> <y> . @10\n<x> <%s> <y> . @10\n", o.preds[0], o.preds[1]))
+				} else {
+					_, o.err = ApplyVerb(eng, nil, "LOAD", nil, fmt.Sprintf("<x> <p> <y> .\n<x> <%s> <y> .\n<x> <%s> <y> .\n", o.preds[0], o.preds[1]))
+				}
+				results[w] = append(results[w], o)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	admitted, refused, pending := 0, 0, 0
+	for _, rs := range results {
+		for _, o := range rs {
+			_, aOK := ss.LookupPredicate(o.preds[0])
+			_, bOK := ss.LookupPredicate(o.preds[1])
+			switch {
+			case o.err == nil && aOK && bOK:
+				admitted += len(o.preds)
+				if o.emit {
+					pending += 3
+				}
+			case o.err != nil && o.err.Error() == "predicate space exhausted" && !aOK && !bOK:
+				refused++
+			default:
+				t.Errorf("op on %v: err = %v, predicates interned %v %v", o.preds, o.err, aOK, bOK)
+			}
+		}
+	}
+	if admitted == 0 || refused == 0 {
+		t.Errorf("%d predicates admitted, %d ops refused: the race never reached the cap", admitted, refused)
+	}
+	if got, want := ss.NumPredicates(), int(strserver.MaxPredicateID)-free+admitted; got != want {
+		t.Errorf("NumPredicates = %d, the admitted ops account for %d", got, want)
+	}
+	if got := eng.PendingEmits(); got != pending {
+		t.Errorf("%d tuples pending, the admitted EMITs account for %d: an EMIT was half admitted", got, pending)
+	}
+}
+
+// A transcript whose framing breaks anywhere is refused before its first
+// section applies: the entity it lists ahead of the break is not interned.
+func TestSnapshotFramingIsCheckedFirst(t *testing.T) {
+	d := startSeedCfg(t, nil)
+	defer d.close()
+	ent := string(rdf.NewIRI("restored").AppendKey(nil))
+	head := fmt.Sprintf("WSSNAP 1\nENT %d\n%s\n", len(ent), ent)
+	ss := d.eng.StringServer()
+	for _, tail := range []string{
+		"PRED x\np\n",         // a length that is not a number
+		"PRED 1 2\np\n",       // a stray field
+		"PRED -1\np\n",        // a negative length
+		"CQ Q1 999\nSELECT\n", // a blob past the end
+		"ACK id-1 7\nreply\n", // a header missing its length
+	} {
+		d.node.applyMu.Lock()
+		_, _, _, err := d.node.applySnapshotLocked([]byte(head + tail))
+		d.node.applyMu.Unlock()
+		if err == nil || !strings.Contains(err.Error(), "bad snapshot header") {
+			t.Errorf("%q: err = %v, want a bad header", tail, err)
+		}
+		if _, ok := ss.LookupEntity(rdf.NewIRI("restored")); ok {
+			t.Fatalf("%q: the entity ahead of the bad header was interned", tail)
+		}
 	}
 }

@@ -507,11 +507,18 @@ func (e *Engine) Now() rdf.Timestamp {
 }
 
 // LoadTriples bulk-loads initially stored data (visible at the base
-// snapshot).
-func (e *Engine) LoadTriples(triples []rdf.Triple) {
-	for _, t := range triples {
-		e.stored.Insert(e.ss.EncodeTriple(t), store.BaseSN)
+// snapshot), all or nothing: when the triples' unseen predicates would not
+// fit the predicate space it loads none of them, interns nothing and returns
+// strserver.ErrPredicateSpace.
+func (e *Engine) LoadTriples(triples []rdf.Triple) error {
+	pids := make([]rdf.ID, len(triples))
+	if err := e.ss.InternPredicates(pids, func(i int) string { return triples[i].P.Value }); err != nil {
+		return err
 	}
+	for i, t := range triples {
+		e.stored.Insert(e.ss.EncodeWith(t, pids[i]), store.BaseSN)
+	}
+	return nil
 }
 
 // LoadEncoded bulk-loads pre-encoded triples (generator hot path).
@@ -519,21 +526,25 @@ func (e *Engine) LoadEncoded(triples []strserver.EncodedTriple) {
 	e.stored.LoadBase(triples)
 }
 
-// LoadReader streams N-Triples data into the store.
+// LoadReader reads N-Triples data and loads it as LoadTriples does, all or
+// nothing: a bad line, or predicates that do not fit, load none of it.
 func (e *Engine) LoadReader(r io.Reader) (int, error) {
 	rd := rdf.NewReader(r)
-	n := 0
+	var triples []rdf.Triple
 	for {
 		t, err := rd.ReadTriple()
 		if err == io.EOF {
-			return n, nil
+			break
 		}
 		if err != nil {
-			return n, err
+			return 0, err
 		}
-		e.stored.Insert(e.ss.EncodeTriple(t), store.BaseSN)
-		n++
+		triples = append(triples, t)
 	}
+	if err := e.LoadTriples(triples); err != nil {
+		return 0, err
+	}
+	return len(triples), nil
 }
 
 // RegisterStream registers a stream and returns its source handle. The

@@ -272,7 +272,9 @@ func Recover(cfg Config, ftCfg FTConfig, initial []rdf.Triple, callbacks func(na
 	if l.Last() == 0 {
 		return fail(fmt.Errorf("the log's first record is damaged"))
 	}
-	e.LoadTriples(initial)
+	if err := e.LoadTriples(initial); err != nil {
+		return fail(err)
+	}
 	var maxTS rdf.Timestamp
 	err = l.Range(0, 0, func(seq uint64, rec []byte) error {
 		end, err := e.replayRecord(string(rec), callbacks)

@@ -20,7 +20,8 @@ func TestAppendRowMatchesTermValues(t *testing.T) {
 	typed := ss.InternEntity(rdf.NewIntLiteral(42))
 	blank := ss.InternEntity(rdf.NewBlank("b0"))
 	quoted := ss.InternEntity(rdf.NewLiteral(`say "hi" twice`))
-	pred := exec.TagPred(ss.InternPredicate("po"))
+	po, _ := ss.InternPredicate("po")
+	pred := exec.TagPred(po)
 	id := func(v rdf.ID) exec.Value { return exec.Value{ID: v} }
 	num := func(f float64) exec.Value { return exec.Value{Num: f, IsNum: true} }
 
@@ -71,9 +72,10 @@ func TestAppendRowMatchesTermValues(t *testing.T) {
 // and allocates nothing.
 func TestAppendRowDoesNotAllocate(t *testing.T) {
 	ss := strserver.New()
+	po, _ := ss.InternPredicate("po")
 	row := []exec.Value{
 		{ID: ss.InternEntity(rdf.NewIRI("http://example.org/Logan"))},
-		{ID: exec.TagPred(ss.InternPredicate("po"))},
+		{ID: exec.TagPred(po)},
 		{ID: ss.InternEntity(rdf.NewLiteral("T-13"))},
 		{}, // unbound
 		{ID: ss.InternEntity(rdf.NewIntLiteral(7))},

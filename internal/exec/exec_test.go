@@ -30,6 +30,12 @@ type fixture struct {
 
 func (f *fixture) id(name string) rdf.ID { return f.ss.InternEntity(rdf.NewIRI(name)) }
 
+// pred interns a predicate; a fixture's handful always fits the space.
+func (f *fixture) pred(iri string) rdf.ID {
+	id, _ := f.ss.InternPredicate(iri)
+	return id
+}
+
 func newFixture(t testing.TB, nodes int) *fixture {
 	t.Helper()
 	f := &fixture{
@@ -70,7 +76,7 @@ func newFixture(t testing.TB, nodes int) *fixture {
 	}
 	gps := f.id("pos-31-121")
 	t15 := f.id("T-15")
-	ga := f.ss.InternPredicate("ga")
+	ga := f.pred("ga")
 	home := f.stored.HomeOf(t15)
 	f.tweetTS[home].Append(1, store.EdgeKey(t15, ga, store.Out), []rdf.ID{gps})
 
@@ -84,7 +90,7 @@ func newFixture(t testing.TB, nodes int) *fixture {
 func (f *fixture) enc(tr [3]string) strserver.EncodedTriple {
 	return strserver.EncodedTriple{
 		S: f.id(tr[0]),
-		P: f.ss.InternPredicate(tr[1]),
+		P: f.pred(tr[1]),
 		O: f.id(tr[2]),
 	}
 }
@@ -251,7 +257,7 @@ func TestIndexSeedEnumeratesAll(t *testing.T) {
 
 func TestFilterNumeric(t *testing.T) {
 	f := newFixture(t, 2)
-	speed := f.ss.InternPredicate("speed")
+	speed := f.pred("speed")
 	for i, v := range []int64{10, 50, 90} {
 		car := f.id(fmt.Sprintf("car%d", i))
 		val := f.ss.InternEntity(rdf.NewIntLiteral(v))
@@ -284,8 +290,8 @@ func TestFilterEqualityAndNot(t *testing.T) {
 
 func TestAggregates(t *testing.T) {
 	f := newFixture(t, 2)
-	speed := f.ss.InternPredicate("speed")
-	road := f.ss.InternPredicate("road")
+	speed := f.pred("speed")
+	road := f.pred("road")
 	r1 := f.id("road1")
 	for i, v := range []int64{10, 20, 60} {
 		obs := f.id(fmt.Sprintf("obs%d", i))
@@ -354,7 +360,7 @@ func TestTraceRecordsSteps(t *testing.T) {
 
 func TestSelfLoopPattern(t *testing.T) {
 	f := newFixture(t, 2)
-	selfp := f.ss.InternPredicate("self")
+	selfp := f.pred("self")
 	a := f.id("selfnode")
 	f.stored.Insert(strserver.EncodedTriple{S: a, P: selfp, O: a}, store.BaseSN)
 	b := f.id("othernode")

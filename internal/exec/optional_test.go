@@ -14,9 +14,9 @@ import (
 // numeric-scored for filter tests.
 func optionalFixture(t *testing.T) *fixture {
 	f := newFixture(t, 2)
-	ty := f.ss.InternPredicate("ty")
-	email := f.ss.InternPredicate("email")
-	age := f.ss.InternPredicate("age")
+	ty := f.pred("ty")
+	email := f.pred("email")
+	age := f.pred("age")
 	person := f.id("Person")
 	for _, u := range []string{"alice", "bob", "carol"} {
 		f.stored.Insert(strserver.EncodedTriple{S: f.id(u), P: ty, O: person}, store.BaseSN)

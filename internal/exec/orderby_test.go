@@ -14,7 +14,7 @@ import (
 // orderFixture loads entities with numeric scores for ORDER BY tests.
 func orderFixture(t *testing.T) *fixture {
 	f := newFixture(t, 2)
-	score := f.ss.InternPredicate("score")
+	score := f.pred("score")
 	for i, v := range []int64{30, 10, 50, 20, 40} {
 		item := f.id(fmt.Sprintf("item%d", i))
 		val := f.ss.InternEntity(rdf.NewIntLiteral(v))
@@ -102,8 +102,8 @@ func TestOffsetAndLimit(t *testing.T) {
 
 func TestOrderByAggregate(t *testing.T) {
 	f := newFixture(t, 2)
-	score := f.ss.InternPredicate("score")
-	kind := f.ss.InternPredicate("kind")
+	score := f.pred("score")
+	kind := f.pred("kind")
 	for i, v := range []int64{5, 7, 1, 2} {
 		item := f.id(fmt.Sprintf("it%d", i))
 		k := f.id(fmt.Sprintf("k%d", i%2))

@@ -15,8 +15,8 @@ import (
 // fork-join scatter: root -p-> mids (fanout) -q-> leaves.
 func buildChainFixture(t testing.TB, nodes, fanout int) *fixture {
 	f := newFixture(t, nodes)
-	p := f.ss.InternPredicate("p")
-	q := f.ss.InternPredicate("q")
+	p := f.pred("p")
+	q := f.pred("q")
 	root := f.id("root")
 	for i := 0; i < fanout; i++ {
 		mid := f.id(fmt.Sprintf("mid%d", i))

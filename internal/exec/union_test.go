@@ -12,7 +12,7 @@ import (
 // unionFixture: people connected by either "fo" (follows) or "fr" (friends).
 func unionFixture(t *testing.T) *fixture {
 	f := newFixture(t, 2)
-	fr := f.ss.InternPredicate("fr")
+	fr := f.pred("fr")
 	f.stored.Insert(strserver.EncodedTriple{S: f.id("Logan"), P: fr, O: f.id("Charles")}, store.BaseSN)
 	f.stored.Insert(strserver.EncodedTriple{S: f.id("Logan"), P: fr, O: f.id("Erik")}, store.BaseSN)
 	return f

@@ -1,0 +1,368 @@
+package store
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"repro/internal/race"
+	"repro/internal/rdf"
+	"repro/internal/strserver"
+)
+
+// This file pins the shard's layout — one packed word per key, entries carved
+// from slabs with their first two boundaries inline — against a plain model,
+// and pins what the layout costs.
+
+// must unwraps a value the test's inputs always produce.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func TestPackedKeyFillsOneWord(t *testing.T) {
+	if allKeyBits != ^uint64(0) {
+		t.Fatalf("the ID spaces fill %#x of the key word, want all 64 bits", allKeyBits)
+	}
+	for _, k := range edgeKeys() {
+		w, ok := pack(k)
+		if !ok || unpack(w) != k {
+			t.Errorf("pack(%v) = %#x, %v; unpacks to %v", k, w, ok, unpack(w))
+		}
+	}
+	for _, k := range []Key{
+		{Vid: rdf.MaxEntityID + 1, Pid: 1},
+		{Vid: 1, Pid: strserver.MaxPredicateID + 1},
+		{Vid: 1, Pid: 1, Dir: 2},
+	} {
+		if _, ok := pack(k); ok {
+			t.Errorf("pack(%v) fits the word", k)
+		}
+	}
+}
+
+// An out-of-range key is never stored: reads find nothing, writes panic
+// rather than alias another key's entry.
+func TestKeyOutsideTheWord(t *testing.T) {
+	s := NewShard(0, 0)
+	in := Key{Vid: 1, Pid: 1}
+	out := Key{Vid: 1, Pid: strserver.MaxPredicateID + 1}
+	s.AppendOne(in, 7, BaseSN)
+	if s.Get(out, BaseSN) != nil || s.GetAll(out) != nil || s.GetSpan(out, Span{0, 1}) != nil {
+		t.Errorf("a key outside the word reads values")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("appending to a key outside the word did not panic")
+		}
+	}()
+	s.AppendOne(out, 8, BaseSN)
+}
+
+func TestChunkFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 64 {
+		t.Errorf("entry is %d bytes, want 64", got)
+	}
+	// The allocator prefixes a pointerful object this large with an 8-byte
+	// header; both must fit the 8192-byte class.
+	if got := unsafe.Sizeof(chunk{}) + 8; got > 8192 {
+		t.Errorf("a chunk and its header take %d bytes, past the 8192-byte class", got)
+	}
+}
+
+// edgeKeys are the keys at the edges of every field: the index vertex, the
+// largest entity, a vertex's predicate index, the largest predicate, both
+// directions, and neighbors that differ in one bit of one field.
+func edgeKeys() []Key {
+	var ks []Key
+	for _, d := range []Dir{In, Out} {
+		ks = append(ks,
+			IndexKey(1, d),
+			IndexKey(strserver.MaxPredicateID, d),
+			PredIndexKey(1, d),
+			PredIndexKey(rdf.MaxEntityID, d),
+			EdgeKey(rdf.MaxEntityID, 1, d),
+			EdgeKey(rdf.MaxEntityID, strserver.MaxPredicateID, d),
+			EdgeKey(1, strserver.MaxPredicateID, d),
+			EdgeKey(1, 1<<16, d),
+			EdgeKey(1<<45, 1, d),
+			EdgeKey(2, 1, d),
+			EdgeKey(3, 1, d),
+		)
+	}
+	return ks
+}
+
+// modelVal is one value the model holds, with the snapshot it landed in.
+type modelVal struct {
+	val rdf.ID
+	sn  uint32
+}
+
+// shardModel is what a Shard must answer, kept the plainest way: every value
+// with its snapshot, and per key the snapshots whose boundaries survive the
+// cap and the prunes, oldest first.
+type shardModel struct {
+	max  int
+	vals map[Key][]modelVal
+	sns  map[Key][]uint32
+}
+
+func (m *shardModel) append(k Key, sn uint32, floor bool, vals ...rdf.ID) Span {
+	sns := m.sns[k]
+	if n := len(sns); floor && n > 0 && sns[n-1] > sn {
+		sn = sns[n-1]
+	}
+	if n := len(sns); n == 0 || sns[n-1] != sn {
+		sns = append(sns, sn)
+		if len(sns) > m.max {
+			sns = sns[len(sns)-m.max:]
+		}
+	}
+	m.sns[k] = sns
+	start := uint32(len(m.vals[k]))
+	for _, v := range vals {
+		m.vals[k] = append(m.vals[k], modelVal{v, sn})
+	}
+	return Span{Start: start, End: uint32(len(m.vals[k]))}
+}
+
+func (m *shardModel) prune(minSN uint32) {
+	for k, sns := range m.sns {
+		i := 0
+		for i < len(sns) && sns[i] < minSN {
+			i++
+		}
+		if i > 1 {
+			m.sns[k] = sns[i-1:]
+		}
+	}
+}
+
+// visible is what a reader at sn sees of k.
+func (m *shardModel) visible(k Key, sn uint32) []rdf.ID {
+	var out []rdf.ID
+	for _, v := range m.vals[k] {
+		if v.sn <= sn {
+			out = append(out, v.val)
+		}
+	}
+	return out
+}
+
+func allVals(mv []modelVal) []rdf.ID {
+	out := make([]rdf.ID, len(mv))
+	for i, v := range mv {
+		out[i] = v.val
+	}
+	return out
+}
+
+// check fails the test unless s answers every read the way m does: Get at
+// every SN from each key's floor (its oldest surviving boundary) to past the
+// last, GetAll, every span an append returned, RangeKeys and Memory.
+func (m *shardModel) check(t *testing.T, s *Shard, lastSN uint32, spans map[Key][]Span, when string) {
+	t.Helper()
+	var values, bounds int64
+	for k, mv := range m.vals {
+		values += int64(len(mv))
+		bounds += int64(len(m.sns[k]))
+		for sn := m.sns[k][0]; sn <= lastSN+1; sn++ {
+			if got, want := s.Get(k, sn), m.visible(k, sn); !slices.Equal(got, want) {
+				t.Fatalf("%s: Get(%v, %d) = %v, want %v", when, k, sn, got, want)
+			}
+		}
+		all := allVals(mv)
+		if got := s.GetAll(k); !slices.Equal(got, all) {
+			t.Fatalf("%s: GetAll(%v) = %v, want %v", when, k, got, all)
+		}
+		for _, sp := range spans[k] {
+			if got := s.GetSpan(k, sp); !slices.Equal(got, all[sp.Start:sp.End]) {
+				t.Fatalf("%s: GetSpan(%v, %v) = %v, want %v", when, k, sp, got, all[sp.Start:sp.End])
+			}
+		}
+	}
+	ranged := 0
+	s.RangeKeys(func(k Key, vals []rdf.ID) {
+		ranged++
+		if mv, ok := m.vals[k]; !ok || !slices.Equal(vals, allVals(mv)) {
+			t.Fatalf("%s: RangeKeys gives %v → %v, the model %v (present %v)", when, k, vals, allVals(mv), ok)
+		}
+	})
+	keys := int64(len(m.vals))
+	want := MemoryStats{
+		Entries: keys, Values: values, SegBoundaries: bounds,
+		ValueBytes: values * 8, SegBytes: bounds * 8, KeyBytes: keys * 8,
+		ScalarizedCost: keys*8 + values*8 + bounds*8,
+	}
+	if got := s.Memory(); got != want || ranged != len(m.vals) || s.Len() != len(m.vals) {
+		t.Fatalf("%s: Memory() = %+v, RangeKeys %d keys, Len %d; the model %+v", when, got, ranged, s.Len(), want)
+	}
+}
+
+// TestShardMatchesModel drives a Shard and the model through the same seeded
+// appends and prunes, on the edge keys and on random ones, for caps on both
+// sides of the two inline boundaries.
+func TestShardMatchesModel(t *testing.T) {
+	const lastSN = 24
+	for _, maxSnapshots := range []int{1, 2, 3, 5} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("max=%d/seed=%d", maxSnapshots, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				s := NewShard(0, maxSnapshots)
+				m := &shardModel{max: maxSnapshots, vals: map[Key][]modelVal{}, sns: map[Key][]uint32{}}
+				spans := map[Key][]Span{}
+				keys := edgeKeys()
+				for len(keys) < 300 {
+					keys = append(keys, EdgeKey(rdf.ID(rng.Int63n(int64(rdf.MaxEntityID)+1)), rdf.ID(rng.Intn(int(strserver.MaxPredicateID)+1)), Dir(rng.Intn(2))))
+				}
+				next := rdf.ID(0)
+				val := func() rdf.ID { next++; return next }
+				for _, k := range edgeKeys() {
+					v := val()
+					sp, _ := s.AppendOne(k, v, BaseSN)
+					m.append(k, BaseSN, false, v)
+					spans[k] = append(spans[k], sp)
+				}
+				minSN := uint32(0)
+				for sn := uint32(0); sn <= lastSN; sn++ {
+					for op := 0; op < 60; op++ {
+						k := keys[rng.Intn(len(keys))]
+						var got, want Span
+						switch rng.Intn(3) {
+						case 0:
+							vals := make([]rdf.ID, 1+rng.Intn(3))
+							for i := range vals {
+								vals[i] = val()
+							}
+							got, want = s.Append(k, vals, sn), m.append(k, sn, false, vals...)
+						case 1:
+							v := val()
+							wasEmpty := len(m.vals[k]) == 0
+							var empty bool
+							got, empty = s.AppendOne(k, v, sn)
+							want = m.append(k, sn, false, v)
+							if empty != wasEmpty {
+								t.Fatalf("AppendOne(%v) wasEmpty = %v, want %v", k, empty, wasEmpty)
+							}
+						default:
+							// Catch-up replay below the key's newest boundary.
+							v, at := val(), sn-uint32(rng.Intn(int(min(sn, 3))+1))
+							got, _ = s.AppendOneFloor(k, v, at)
+							want = m.append(k, at, true, v)
+						}
+						if got != want {
+							t.Fatalf("append to %v at sn=%d returned span %v, want %v", k, sn, got, want)
+						}
+						spans[k] = append(spans[k], got)
+					}
+					if rng.Intn(2) == 0 {
+						minSN = max(minSN, sn-uint32(rng.Intn(int(min(sn, 2))+1)))
+						s.PruneSnapshots(minSN)
+						m.prune(minSN)
+					}
+					m.check(t, s, lastSN, spans, fmt.Sprintf("after sn=%d (prune floor %d)", sn, minSN))
+				}
+				s.checkMultiInvariant(t)
+			})
+		}
+	}
+}
+
+// A single-value key costs about half a heap object: its one-value list, which
+// the allocator packs two to a 16-byte block. The entry is a slot in a chunk
+// shared with 126 others, and the map slot holding the key is no object.
+func TestStoreHeapObjectsPerKey(t *testing.T) {
+	if race.Enabled {
+		t.Skip("heap counts are meaningless under the race detector")
+	}
+	const keys = 50_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewShard(0, 0)
+	for i := 0; i < keys; i++ {
+		s.AppendOne(EdgeKey(rdf.ID(1+i), 1, Out), rdf.ID(i), BaseSN)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if perKey := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / keys; perKey > 0.75 {
+		t.Errorf("%.2f heap objects per single-value key, want ≤ 0.75", perKey)
+	}
+}
+
+// A read allocates nothing, and neither does an append into a key with room
+// for the value, at its newest snapshot or at a new one: under the default cap
+// the boundaries stay in the entry's inline pair.
+func TestShardHotPathsDoNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	s := NewShard(0, 0)
+	k := EdgeKey(7, 3, Out)
+	for i := 0; i < 10; i++ {
+		s.AppendOne(EdgeKey(rdf.ID(100+i), 3, Out), 1, BaseSN) // neighbors in the stripes
+	}
+	s.AppendOne(k, 1, BaseSN)
+	w, _ := pack(k)
+	e := s.find(stripeOf(w), w)
+	for cap(e.vals)-len(e.vals) < 500 {
+		s.AppendOne(k, 1, BaseSN)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Get(k, BaseSN) }); n != 0 {
+		t.Errorf("Get allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.AppendOne(k, 2, BaseSN) }); n != 0 {
+		t.Errorf("AppendOne at the newest snapshot allocates %.0f times, want 0", n)
+	}
+	sn := uint32(BaseSN)
+	if n := testing.AllocsPerRun(100, func() { sn++; s.AppendOne(k, 3, sn) }); n != 0 {
+		t.Errorf("AppendOne at a new snapshot allocates %.0f times, want 0", n)
+	}
+	if len(e.segs) != 2 || &e.segs[0] != &e.inline[0] {
+		t.Errorf("after 100 snapshots the entry's %d boundaries live outside its inline pair", len(e.segs))
+	}
+}
+
+// benchKeys fills a shard with n single-value keys and returns them in a
+// random order, so consecutive probes land far apart.
+func benchKeys(b *testing.B, n int) (*Shard, []Key) {
+	s := NewShard(0, 0)
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = EdgeKey(rdf.ID(1+i), rdf.ID(1+i%7), Dir(i%2))
+		s.AppendOne(keys[i], rdf.ID(i), BaseSN)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	return s, keys
+}
+
+func BenchmarkShardGet(b *testing.B) {
+	s, keys := benchKeys(b, 100_000)
+	for i := 0; i < b.N; i++ {
+		if s.Get(keys[i%len(keys)], BaseSN) == nil {
+			b.Fatal("a stored key read nothing")
+		}
+	}
+}
+
+// BenchmarkShardAppendOne appends to existing keys in random order, each pass
+// over them under the next snapshot, pruning between passes as the engine does.
+func BenchmarkShardAppendOne(b *testing.B) {
+	s, keys := benchKeys(b, 100_000)
+	for i := 0; i < b.N; i++ {
+		sn := uint32(1 + i/len(keys))
+		if i%len(keys) == 0 {
+			s.PruneSnapshots(sn - 1)
+		}
+		s.AppendOne(keys[i%len(keys)], rdf.ID(i), sn)
+	}
+}

@@ -24,14 +24,14 @@ func (s *Shard) PruneSnapshotsWalk(minSN uint32) {
 	for st := 0; st < stripes; st++ {
 		s.mu[st].Lock()
 		s.multi[st] = s.multi[st][:0]
-		for _, e := range s.kv[st] {
+		s.eachLocked(st, func(_ Key, e *entry) {
 			before := len(e.segs)
 			e.prune(minSN)
 			s.stat[st].segBounds -= int64(before - len(e.segs))
 			if len(e.segs) > 1 {
 				s.multi[st] = append(s.multi[st], e)
 			}
-		}
+		})
 		s.nmulti[st].Store(int32(len(s.multi[st])))
 		s.mu[st].Unlock()
 	}
@@ -61,11 +61,11 @@ func (s *Shard) checkMultiInvariant(t *testing.T) {
 			}
 			listed[e] = true
 		}
-		for k, e := range s.kv[st] {
+		s.eachLocked(st, func(k Key, e *entry) {
 			if len(e.segs) > 1 && !listed[e] {
 				t.Errorf("stripe %d: %v has %d boundaries and is not listed", st, k, len(e.segs))
 			}
-		}
+		})
 		if got := int(s.nmulti[st].Load()); got != len(s.multi[st]) {
 			t.Errorf("stripe %d: count %d, list length %d", st, got, len(s.multi[st]))
 		}

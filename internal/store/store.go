@@ -8,6 +8,13 @@
 // the list of neighboring vertex IDs. Index vertices (pseudo vid 0) provide a
 // reverse mapping from an edge label to all normal vertices carrying it.
 //
+// A shard stores each key as one 64-bit word, vid<<18 | pid<<1 | dir: the
+// string server's 46-bit entity and 17-bit predicate spaces fill it exactly.
+// Each of a shard's stripes maps that word to a slot in its slab, a list of
+// fixed-size chunks of entries that never move, so a key costs no heap object
+// of its own: its map slot holds no pointer, and its entry, with its first
+// two snapshot boundaries inline, shares a chunk with 126 others.
+//
 // Values are append-only. Each key keeps a bounded list of snapshot
 // boundaries {SN, end}: a one-shot query reading at stable snapshot number s
 // sees the value prefix up to the newest boundary with SN ≤ s. Because stream
@@ -81,6 +88,42 @@ func (k Key) IsPredIndex() bool { return k.Pid == 0 && k.Vid != strserver.Reserv
 // IsIndex reports whether the key addresses an index vertex.
 func (k Key) IsIndex() bool { return k.Vid == strserver.ReservedIndexID }
 
+// The fields of a packed key word: dir in bit 0, pid above it, vid on top.
+const (
+	pidShift = 1
+	vidShift = 18
+
+	// allKeyBits is the word with every field at its maximum. As a constant
+	// it stops the build if the ID spaces outgrow the word.
+	allKeyBits = uint64(rdf.MaxEntityID)<<vidShift | uint64(strserver.MaxPredicateID)<<pidShift | uint64(Out)
+)
+
+// pack returns k as one word and whether k fits it. The string server
+// assigns no ID past rdf.MaxEntityID or strserver.MaxPredicateID, so only a
+// key made up by hand can fail.
+func pack(k Key) (uint64, bool) {
+	return uint64(k.Vid)<<vidShift | uint64(k.Pid)<<pidShift | uint64(k.Dir),
+		k.Vid <= rdf.MaxEntityID && k.Pid <= strserver.MaxPredicateID && k.Dir <= Out
+}
+
+// packWrite is pack for a key about to be written, which must fit.
+func packWrite(k Key) uint64 {
+	w, ok := pack(k)
+	if !ok {
+		panic(fmt.Sprintf("store: key %v does not fit the [vid|pid|dir] word", k))
+	}
+	return w
+}
+
+// unpack inverts pack.
+func unpack(w uint64) Key {
+	return Key{
+		Vid: rdf.ID(w >> vidShift),
+		Pid: rdf.ID(w>>pidShift) & strserver.MaxPredicateID,
+		Dir: Dir(w & 1),
+	}
+}
+
 // BaseSN is the snapshot number of the initially stored data.
 const BaseSN uint32 = 0
 
@@ -96,11 +139,22 @@ type segBoundary struct {
 }
 
 // entry is one key's value: an append-only neighbor list plus its snapshot
-// boundaries, newest last.
+// boundaries, newest last. segs is backed by inline until a shard with
+// MaxSnapshots > 2 makes it spill to the heap. 64 bytes.
 type entry struct {
-	vals []rdf.ID
-	segs []segBoundary
+	vals   []rdf.ID
+	segs   []segBoundary
+	inline [2]segBoundary
 }
+
+// chunkLen is how many entries a slab chunk holds: 127 × 64 B is 8128 B,
+// which with the allocator's 8-byte header fills the 8192 B size class (128
+// entries would land in the 9472 B class).
+const chunkLen = 127
+
+// chunk is a slab's unit of allocation. Chunks never move, so an *entry stays
+// valid for the shard's life.
+type chunk [chunkLen]entry
 
 // visibleLen returns how many values a reader at snapshot sn may see.
 func (e *entry) visibleLen(sn uint32) int {
@@ -136,7 +190,10 @@ type Span struct {
 // Len returns the number of values covered by the span.
 func (s Span) Len() int { return int(s.End - s.Start) }
 
-const stripes = 64
+const (
+	stripeBits = 6
+	stripes    = 1 << stripeBits
+)
 
 // Shard is one node's partition of the persistent store. Reads and writes
 // are safe for concurrent use; the injector additionally partitions the key
@@ -145,8 +202,12 @@ type Shard struct {
 	node         fabric.NodeID
 	maxSnapshots int
 
-	mu   [stripes]sync.RWMutex
-	kv   [stripes]map[Key]*entry
+	mu [stripes]sync.RWMutex
+	// kv[st] maps a packed key to its slot in slab[st]; slot i is entry
+	// i%chunkLen of chunk i/chunkLen. Slots are handed out in order and never
+	// freed, so stat[st].entries is the next one.
+	kv   [stripes]map[uint64]uint32
+	slab [stripes][]*chunk
 	stat [stripes]shardStat
 
 	// multi[st] lists the entries of stripe st that carry more than one
@@ -170,10 +231,9 @@ type shardStat struct {
 	segBounds int64
 }
 
-func stripeOf(k Key) int {
-	h := uint64(k.Vid)*0x9e3779b97f4a7c15 ^ uint64(k.Pid)<<8 ^ uint64(k.Dir)
-	return int(h>>32) % stripes
-}
+// stripeOf picks a packed key's stripe from the top bits of its Fibonacci
+// hash.
+func stripeOf(w uint64) int { return int(w * 0x9e3779b97f4a7c15 >> (64 - stripeBits)) }
 
 // NewShard creates an empty shard for a node.
 func NewShard(node fabric.NodeID, maxSnapshots int) *Shard {
@@ -182,7 +242,7 @@ func NewShard(node fabric.NodeID, maxSnapshots int) *Shard {
 	}
 	s := &Shard{node: node, maxSnapshots: maxSnapshots}
 	for i := range s.kv {
-		s.kv[i] = make(map[Key]*entry)
+		s.kv[i] = make(map[uint64]uint32)
 	}
 	return s
 }
@@ -190,16 +250,42 @@ func NewShard(node fabric.NodeID, maxSnapshots int) *Shard {
 // Node returns the shard's owning node.
 func (s *Shard) Node() fabric.NodeID { return s.node }
 
-// entryLocked returns key's entry in stripe st, creating it on first sight.
-// Caller holds mu[st].
-func (s *Shard) entryLocked(st int, key Key) *entry {
-	e, ok := s.kv[st][key]
+// at returns slot i of stripe st's slab. Caller holds mu[st].
+func (s *Shard) at(st int, i uint32) *entry { return &s.slab[st][i/chunkLen][i%chunkLen] }
+
+// find returns the entry of packed key w in stripe st, or nil. Caller holds
+// mu[st].
+func (s *Shard) find(st int, w uint64) *entry {
+	i, ok := s.kv[st][w]
 	if !ok {
-		e = &entry{}
-		s.kv[st][key] = e
-		s.stat[st].entries++
+		return nil
 	}
+	return s.at(st, i)
+}
+
+// entryLocked returns packed key w's entry in stripe st, carving it from the
+// slab on first sight. Caller holds mu[st].
+func (s *Shard) entryLocked(st int, w uint64) *entry {
+	if i, ok := s.kv[st][w]; ok {
+		return s.at(st, i)
+	}
+	i := uint32(s.stat[st].entries)
+	if i%chunkLen == 0 {
+		s.slab[st] = append(s.slab[st], new(chunk))
+	}
+	s.kv[st][w] = i
+	s.stat[st].entries++
+	e := s.at(st, i)
+	e.segs = e.inline[:0]
 	return e
+}
+
+// eachLocked calls f with every key of stripe st and its entry, in no
+// particular order. Caller holds mu[st].
+func (s *Shard) eachLocked(st int, f func(Key, *entry)) {
+	for w, i := range s.kv[st] {
+		f(unpack(w), s.at(st, i))
+	}
 }
 
 // bound records that e's current values are visible from snapshot sn on: it
@@ -220,16 +306,17 @@ func (s *Shard) bound(st int, e *entry, sn uint32) {
 	if n > 0 && e.segs[n-1].sn > sn {
 		panic(fmt.Sprintf("store: snapshot regression on append: %d after %d", sn, e.segs[n-1].sn))
 	}
-	e.segs = append(e.segs, segBoundary{sn: sn, end: end})
-	// Bound metadata: collapse the oldest boundaries. This is safe only once
-	// no reader is below the collapsed SN; PruneSnapshots is the coordinated
-	// path, but a hard cap protects memory if a caller never prunes.
-	// Collapsing {sn1,e1},{sn2,e2} into {sn2,e2} loses only the ability to
-	// read below sn2. Copy down rather than reslice forward: a key appended
-	// to on every SN (the index vertices) keeps its backing array.
-	if over := len(e.segs) - s.maxSnapshots; over > 0 {
+	// Bound metadata: collapse the oldest boundaries to make room. This is
+	// safe only once no reader is below the collapsed SN; PruneSnapshots is
+	// the coordinated path, but a hard cap protects memory if a caller never
+	// prunes. Collapsing {sn1,e1},{sn2,e2} into {sn2,e2} loses only the
+	// ability to read below sn2. Collapse before appending and copy down
+	// rather than reslice forward, so segs keeps its backing array: under the
+	// default cap of two that is the entry's inline pair, for good.
+	if over := n + 1 - s.maxSnapshots; over > 0 {
 		e.segs = append(e.segs[:0], e.segs[over:]...)
 	}
+	e.segs = append(e.segs, segBoundary{sn: sn, end: end})
 	s.stat[st].segBounds += int64(len(e.segs) - n)
 	if n == 1 && len(e.segs) > 1 {
 		s.multi[st] = append(s.multi[st], e)
@@ -240,10 +327,11 @@ func (s *Shard) bound(st int, e *entry, sn uint32) {
 // Append adds vals to key under snapshot sn, returning the span of the newly
 // appended values (for the stream index).
 func (s *Shard) Append(key Key, vals []rdf.ID, sn uint32) Span {
-	st := stripeOf(key)
+	w := packWrite(key)
+	st := stripeOf(w)
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()
-	e := s.entryLocked(st, key)
+	e := s.entryLocked(st, w)
 	start := uint32(len(e.vals))
 	e.vals = append(e.vals, vals...)
 	s.stat[st].values += int64(len(vals))
@@ -270,10 +358,11 @@ func (s *Shard) AppendOneFloor(key Key, val rdf.ID, sn uint32) (sp Span, wasEmpt
 }
 
 func (s *Shard) appendOne(key Key, val rdf.ID, sn uint32, floor bool) (sp Span, wasEmpty bool) {
-	st := stripeOf(key)
+	w := packWrite(key)
+	st := stripeOf(w)
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()
-	e := s.entryLocked(st, key)
+	e := s.entryLocked(st, w)
 	if n := len(e.segs); floor && n > 0 && e.segs[n-1].sn > sn {
 		sn = e.segs[n-1].sn
 	}
@@ -292,10 +381,10 @@ func (s *Shard) RangeKeys(f func(Key, []rdf.ID)) {
 		s.mu[st].RLock()
 		keys := make([]Key, 0, len(s.kv[st]))
 		vals := make([][]rdf.ID, 0, len(s.kv[st]))
-		for k, e := range s.kv[st] {
+		s.eachLocked(st, func(k Key, e *entry) {
 			keys = append(keys, k)
 			vals = append(vals, append([]rdf.ID(nil), e.vals...))
-		}
+		})
 		s.mu[st].RUnlock()
 		for i, k := range keys {
 			f(k, vals[i])
@@ -303,24 +392,19 @@ func (s *Shard) RangeKeys(f func(Key, []rdf.ID)) {
 	}
 }
 
-// HasEdge reports whether the key already has any values at all.
-func (s *Shard) HasEdge(key Key) bool {
-	st := stripeOf(key)
-	s.mu[st].RLock()
-	defer s.mu[st].RUnlock()
-	e, ok := s.kv[st][key]
-	return ok && len(e.vals) > 0
-}
-
 // Get returns the values of key visible at snapshot sn. The returned slice
 // aliases the store (values below the visible length are immutable); callers
 // must not modify it.
 func (s *Shard) Get(key Key, sn uint32) []rdf.ID {
-	st := stripeOf(key)
+	w, ok := pack(key)
+	if !ok {
+		return nil
+	}
+	st := stripeOf(w)
 	s.mu[st].RLock()
 	defer s.mu[st].RUnlock()
-	e, ok := s.kv[st][key]
-	if !ok {
+	e := s.find(st, w)
+	if e == nil {
 		return nil
 	}
 	return e.vals[:e.visibleLen(sn)]
@@ -329,11 +413,15 @@ func (s *Shard) Get(key Key, sn uint32) []rdf.ID {
 // GetAll returns every value of key regardless of snapshot (continuous
 // queries use window extraction, not snapshots, so they read via spans).
 func (s *Shard) GetAll(key Key) []rdf.ID {
-	st := stripeOf(key)
+	w, ok := pack(key)
+	if !ok {
+		return nil
+	}
+	st := stripeOf(w)
 	s.mu[st].RLock()
 	defer s.mu[st].RUnlock()
-	e, ok := s.kv[st][key]
-	if !ok {
+	e := s.find(st, w)
+	if e == nil {
 		return nil
 	}
 	return e.vals[:len(e.vals):len(e.vals)]
@@ -342,11 +430,15 @@ func (s *Shard) GetAll(key Key) []rdf.ID {
 // GetSpan returns the values covered by a stream-index span. The span's fat
 // pointer may locate into the middle of the value (§4.2).
 func (s *Shard) GetSpan(key Key, sp Span) []rdf.ID {
-	st := stripeOf(key)
+	w, ok := pack(key)
+	if !ok {
+		return nil
+	}
+	st := stripeOf(w)
 	s.mu[st].RLock()
 	defer s.mu[st].RUnlock()
-	e, ok := s.kv[st][key]
-	if !ok || int(sp.End) > len(e.vals) {
+	e := s.find(st, w)
+	if e == nil || int(sp.End) > len(e.vals) {
 		return nil
 	}
 	return e.vals[sp.Start:sp.End:sp.End]
@@ -401,7 +493,7 @@ type MemoryStats struct {
 	SegBoundaries  int64 // total snapshot boundaries across keys
 	ValueBytes     int64 // Values * 8
 	SegBytes       int64 // SegBoundaries * 8
-	KeyBytes       int64 // Entries * 24 (three packed words per key)
+	KeyBytes       int64 // Entries * 8 (one packed [vid|pid|dir] word per key)
 	ScalarizedCost int64 // KeyBytes + ValueBytes + SegBytes
 }
 
@@ -424,7 +516,7 @@ func (s *Shard) Memory() MemoryStats {
 	}
 	m.ValueBytes = m.Values * 8
 	m.SegBytes = m.SegBoundaries * 8
-	m.KeyBytes = m.Entries * 24
+	m.KeyBytes = m.Entries * 8
 	m.ScalarizedCost = m.KeyBytes + m.ValueBytes + m.SegBytes
 	return m
 }

@@ -330,7 +330,7 @@ func TestMemoryStats(t *testing.T) {
 	if m.Entries != 2 || m.Values != 4 {
 		t.Errorf("Memory = %+v", m)
 	}
-	if m.ValueBytes != 32 || m.KeyBytes != 48 {
+	if m.ValueBytes != 32 || m.KeyBytes != 16 {
 		t.Errorf("byte accounting = %+v", m)
 	}
 	if alt := m.VTSAlternativeBytes(5); alt <= m.ScalarizedCost {
@@ -348,7 +348,7 @@ func TestShardedInsertAndRead(t *testing.T) {
 	g, ss := newTestSharded(t, 4)
 	logan := ss.InternEntity(rdf.NewIRI("Logan"))
 	t15 := ss.InternEntity(rdf.NewIRI("T-15"))
-	po := ss.InternPredicate("po")
+	po := must(ss.InternPredicate("po"))
 
 	spans := g.Insert(strserver.EncodedTriple{S: logan, P: po, O: t15}, 1)
 	if len(spans) != 4 { // out edge + out index + in edge + in index (all first-sight)
@@ -377,7 +377,7 @@ func TestShardedIndexDedup(t *testing.T) {
 	a := ss.InternEntity(rdf.NewIRI("a"))
 	b := ss.InternEntity(rdf.NewIRI("b"))
 	c := ss.InternEntity(rdf.NewIRI("c"))
-	p := ss.InternPredicate("p")
+	p := must(ss.InternPredicate("p"))
 	g.Insert(strserver.EncodedTriple{S: a, P: p, O: b}, 0)
 	g.Insert(strserver.EncodedTriple{S: a, P: p, O: c}, 0)
 	idx := g.Shard(g.HomeOf(a)).Get(IndexKey(p, Out), 0)
@@ -409,7 +409,7 @@ func TestShardedReadChargesFabric(t *testing.T) {
 			break
 		}
 	}
-	p := ss.InternPredicate("p")
+	p := must(ss.InternPredicate("p"))
 	g.Insert(strserver.EncodedTriple{S: vid, P: p, O: vid}, 0)
 	f.ResetStats()
 
@@ -432,7 +432,7 @@ func TestShardedReadChargesFabric(t *testing.T) {
 func TestShardedLoadBaseVisibleAtBaseSN(t *testing.T) {
 	g, ss := newTestSharded(t, 3)
 	var triples []strserver.EncodedTriple
-	p := ss.InternPredicate("fo")
+	p := must(ss.InternPredicate("fo"))
 	for i := 0; i < 50; i++ {
 		s := ss.InternEntity(rdf.NewIntLiteral(int64(i)))
 		o := ss.InternEntity(rdf.NewIntLiteral(int64(i + 1)))
@@ -452,7 +452,7 @@ func TestShardedLoadBaseVisibleAtBaseSN(t *testing.T) {
 
 func TestShardedConcurrentInsert(t *testing.T) {
 	g, ss := newTestSharded(t, 4)
-	p := ss.InternPredicate("li")
+	p := must(ss.InternPredicate("li"))
 	// Pre-intern entities to avoid measuring the string server.
 	ids := make([]rdf.ID, 400)
 	for i := range ids {

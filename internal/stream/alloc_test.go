@@ -13,15 +13,23 @@ import (
 	"repro/internal/tstore"
 )
 
+// must unwraps an encoding the test's few predicates always fit.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // testBatch builds a batch of n timeless tuples over a small vertex set, so
 // most keys repeat from batch to batch (the injector's steady state).
 func testBatch(ss *strserver.Server, id tstore.BatchID, n int) Batch {
 	b := Batch{ID: id}
 	for i := 0; i < n; i++ {
-		enc := ss.EncodeTuple(rdf.Tuple{
+		enc := must(ss.EncodeTuple(rdf.Tuple{
 			Triple: rdf.T(fmt.Sprintf("u%d", i%37), "po", fmt.Sprintf("t%d", i%53)),
 			TS:     rdf.Timestamp(i),
-		})
+		}))
 		b.Tuples = append(b.Tuples, Tuple{EncodedTuple: enc})
 	}
 	return b

@@ -104,6 +104,8 @@ type Source struct {
 	discarded int64
 	reordered int64 // tuples that arrived out of order and were re-sorted
 
+	pids []rdf.ID // EmitBatch's predicate IDs, reused across calls
+
 	backup       []Batch // upstream backup, ascending batch
 	backupBudget int
 
@@ -144,15 +146,19 @@ func NewSource(cfg Config, ss *strserver.Server) (*Source, error) {
 	if s.maxPending > 0 && s.shed == flow.Block {
 		s.space = make(chan struct{}, 1)
 	}
-	for _, p := range cfg.TimingPredicates {
-		s.timing[ss.InternPredicate(p)] = true
+	// Both lists are interned at once, so predicates that do not fit refuse
+	// the source without assigning any of them.
+	named := append(slices.Clip(cfg.TimingPredicates), cfg.KeepPredicates...)
+	pids := make([]rdf.ID, len(named))
+	if err := ss.InternPredicates(pids, func(i int) string { return named[i] }); err != nil {
+		return nil, err
+	}
+	for _, pid := range pids[:len(cfg.TimingPredicates)] {
+		s.timing[pid] = true
 	}
 	if len(cfg.KeepPredicates) > 0 {
 		s.keep = make(map[rdf.ID]bool)
-		for _, p := range cfg.KeepPredicates {
-			s.keep[ss.InternPredicate(p)] = true
-		}
-		for pid := range s.timing {
+		for _, pid := range pids {
 			s.keep[pid] = true
 		}
 	}
@@ -179,7 +185,10 @@ func (s *Source) BatchEnd(b tstore.BatchID) rdf.Timestamp {
 // Timestamps must be monotonically non-decreasing, and a tuple whose batch
 // has already been sealed is rejected (it would violate prefix integrity).
 func (s *Source) Emit(t rdf.Tuple) error {
-	enc := s.ss.EncodeTuple(t)
+	enc, err := s.ss.EncodeTuple(t)
+	if err != nil {
+		return err
+	}
 	return s.EmitEncoded(enc)
 }
 
@@ -218,12 +227,15 @@ func (s *Source) EmitEncoded(enc strserver.EncodedTuple) error {
 // client's at-least-once retry, and a replicated op must apply completely or
 // not at all. Under one lock acquisition it checks timestamp order (within
 // the slice and against the last accepted tuple), the sealed-batch boundary,
-// and room for the whole slice; only then are the tuples encoded and
-// appended, so a refusal leaves the adaptor and the string server exactly as
-// they were. DropNewest sheds the whole slice, Block waits for room for the
-// whole slice or sheds it, DropOldest evicts and never refuses; a slice that
-// could never fit (more tuples than MaxPending under DropNewest or Block) is
-// a plain error, not a retry hint. Shed counters move in tuples.
+// and room for the whole slice; then it interns the slice's predicates all
+// or none (strserver.ErrPredicateSpace when they do not fit), and only then
+// are the tuples encoded and appended, so a refusal leaves the adaptor and
+// the string server exactly as they were. DropNewest sheds the whole slice,
+// Block waits for room for the whole slice or sheds it, DropOldest evicts
+// (after the append, so a refused slice evicts nothing) and never refuses for
+// room; a slice that could never fit (more tuples than MaxPending under
+// DropNewest or Block) is a plain error, not a retry hint. Shed counters move
+// in tuples.
 //
 // A source with MaxDelay or KeepPredicates — library-only extensions no
 // protocol verb can configure — keeps per-tuple admission: there a refusal
@@ -250,6 +262,9 @@ func (s *Source) EmitBatch(tuples []rdf.Tuple) error {
 			}
 			last = t.TS
 		}
+		if s.shed == flow.DropOldest {
+			break
+		}
 		sealedTo := s.sealedTo
 		if err := s.reserveLocked(len(tuples)); err != nil {
 			return err
@@ -260,9 +275,13 @@ func (s *Source) EmitBatch(tuples []rdf.Tuple) error {
 			break
 		}
 	}
+	s.pids = slices.Grow(s.pids[:0], len(tuples))[:len(tuples)]
+	if err := s.ss.InternPredicates(s.pids, func(i int) string { return tuples[i].P.Value }); err != nil {
+		return err
+	}
 	s.pending = slices.Grow(s.pending, len(tuples))
-	for _, t := range tuples {
-		enc := s.ss.EncodeTuple(t)
+	for i, t := range tuples {
+		enc := strserver.EncodedTuple{EncodedTriple: s.ss.EncodeWith(t.Triple, s.pids[i]), TS: t.TS}
 		s.pending = append(s.pending, Tuple{EncodedTuple: enc, Timing: s.timing[enc.P]})
 		s.qstats.OnAdmit()
 	}
@@ -281,7 +300,10 @@ func (s *Source) EmitBatch(tuples []rdf.Tuple) error {
 // admit/depth accounting. Logs are written in seal order, so the reorder
 // buffer is bypassed too.
 func (s *Source) EmitReplayed(t rdf.Tuple) error {
-	enc := s.ss.EncodeTuple(t)
+	enc, err := s.ss.EncodeTuple(t)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.orderLocked(enc.TS, s.lastTS); err != nil {

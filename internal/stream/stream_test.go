@@ -156,7 +156,7 @@ func TestDispatchPartitionsBySide(t *testing.T) {
 	ss := strserver.New()
 	var tuples []Tuple
 	for i := 0; i < 50; i++ {
-		enc := ss.EncodeTuple(tupleAt(rdf.Timestamp(i), string(rune('a'+i%20)), "p", string(rune('A'+i%20))))
+		enc := must(ss.EncodeTuple(tupleAt(rdf.Timestamp(i), string(rune('a'+i%20)), "p", string(rune('A'+i%20)))))
 		tuples = append(tuples, Tuple{EncodedTuple: enc})
 	}
 	work, lost := Dispatch(fab, nil, 0, Batch{ID: 1, Tuples: tuples})
@@ -265,7 +265,7 @@ func TestInjectReplicationCharged(t *testing.T) {
 	for n := 0; n < 4; n++ {
 		ix.Replicate(fabric.NodeID(n))
 	}
-	enc := ss.EncodeTuple(tupleAt(1, "a", "p", "b"))
+	enc := must(ss.EncodeTuple(tupleAt(1, "a", "p", "b")))
 	w := NodeWork{SubjectSide: []Tuple{{EncodedTuple: enc}}}
 	home := fab.HomeOf(uint64(enc.S))
 	fab.ResetStats()

@@ -4,19 +4,29 @@
 // As in the paper (§3, §4.1), every string in data and queries is converted
 // to a unique ID before it reaches the servers, so queries ship IDs rather
 // than long strings. Entities (IRIs, literals, blank nodes appearing in
-// subject/object position) get 46-bit IDs; predicates get IDs from a small
-// separate space, mirroring Wukong's [vid|pid|dir] key layout. The mapping
-// table is never garbage collected (§4.1 footnote 8): future one-shot or
-// continuous queries may reference any previously seen entity.
+// subject/object position) get 46-bit IDs; predicates get 17-bit IDs from a
+// separate space, so a store key [vid|pid|dir] is one 64-bit word (Wukong's
+// layout, Fig. 6). The mapping table is never garbage collected (§4.1
+// footnote 8): future one-shot or continuous queries may reference any
+// previously seen entity.
 package strserver
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
 	"repro/internal/rdf"
 )
+
+// MaxPredicateID is the largest assignable predicate ID: the 17-bit pid
+// field of a packed store key, beside rdf.MaxEntityID's 46-bit vid.
+const MaxPredicateID rdf.ID = 1<<17 - 1
+
+// ErrPredicateSpace refuses a predicate that would need an ID past
+// MaxPredicateID.
+var ErrPredicateSpace = errors.New("predicate space exhausted")
 
 // Server interns terms and predicates. The zero value is not usable; call New.
 type Server struct {
@@ -124,25 +134,57 @@ func (s *Server) Numeric(id rdf.ID) (float64, bool) {
 }
 
 // InternPredicate returns the ID for a predicate IRI, assigning a fresh one
-// on first sight.
-func (s *Server) InternPredicate(iri string) rdf.ID {
+// on first sight, or ErrPredicateSpace when no ID is left for it.
+func (s *Server) InternPredicate(iri string) (rdf.ID, error) {
+	var id [1]rdf.ID
+	err := s.InternPredicates(id[:], func(int) string { return iri })
+	return id[0], err
+}
+
+// InternPredicates sets pids[i] to the ID of predicate IRI iri(i) for every
+// i, all or none: when the unseen IRIs would not all fit below
+// MaxPredicateID it assigns none, leaves pids undefined and returns
+// ErrPredicateSpace. Unseen IRIs get fresh IDs in index order. A write verb
+// interns its body's predicates through here before its first mutation, so
+// a body that does not fit is refused without a trace.
+func (s *Server) InternPredicates(pids []rdf.ID, iri func(i int) string) error {
 	s.mu.RLock()
-	id, ok := s.pred[iri]
+	unseen := false
+	for i := range pids {
+		id, ok := s.pred[iri(i)]
+		pids[i], unseen = id, unseen || !ok
+	}
 	s.mu.RUnlock()
-	if ok {
-		return id
+	if !unseen {
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok := s.pred[iri]; ok {
-		return id
+	var fresh map[string]bool
+	for i := range pids {
+		if p := iri(i); s.pred[p] == 0 && !fresh[p] {
+			if fresh == nil {
+				fresh = make(map[string]bool)
+			}
+			fresh[p] = true
+		}
 	}
-	id = rdf.ID(len(s.predToo) + 1)
-	// The IRI may be a slice of a request body; the table outlives it.
-	iri = strings.Clone(iri)
-	s.pred[iri] = id
-	s.predToo = append(s.predToo, iri)
-	return id
+	if len(s.predToo)+len(fresh) > int(MaxPredicateID) {
+		return ErrPredicateSpace
+	}
+	for i := range pids {
+		p := iri(i)
+		id, ok := s.pred[p]
+		if !ok {
+			id = rdf.ID(len(s.predToo) + 1)
+			// The IRI may be a slice of a request body; the table outlives it.
+			p = strings.Clone(p)
+			s.pred[p] = id
+			s.predToo = append(s.predToo, p)
+		}
+		pids[i] = id
+	}
+	return nil
 }
 
 // EntityKeys returns every interned entity term key in ID order (entry i is
@@ -205,21 +247,29 @@ type EncodedTuple struct {
 	TS rdf.Timestamp
 }
 
-// EncodeTriple interns all three terms of a triple.
-func (s *Server) EncodeTriple(t rdf.Triple) EncodedTriple {
+// EncodeTriple interns all three terms of a triple. A predicate with no ID
+// left for it is ErrPredicateSpace, and then nothing is interned.
+func (s *Server) EncodeTriple(t rdf.Triple) (EncodedTriple, error) {
 	if !t.P.IsIRI() {
 		panic(fmt.Sprintf("strserver: predicate must be an IRI, got %v", t.P))
 	}
-	return EncodedTriple{
-		S: s.InternEntity(t.S),
-		P: s.InternPredicate(t.P.Value),
-		O: s.InternEntity(t.O),
+	p, err := s.InternPredicate(t.P.Value)
+	if err != nil {
+		return EncodedTriple{}, err
 	}
+	return s.EncodeWith(t, p), nil
 }
 
-// EncodeTuple interns a stream tuple.
-func (s *Server) EncodeTuple(t rdf.Tuple) EncodedTuple {
-	return EncodedTuple{EncodedTriple: s.EncodeTriple(t.Triple), TS: t.TS}
+// EncodeWith is EncodeTriple for a triple whose predicate ID the caller
+// already holds (from InternPredicates): it interns the subject and object.
+func (s *Server) EncodeWith(t rdf.Triple, pid rdf.ID) EncodedTriple {
+	return EncodedTriple{S: s.InternEntity(t.S), P: pid, O: s.InternEntity(t.O)}
+}
+
+// EncodeTuple interns a stream tuple, as EncodeTriple does.
+func (s *Server) EncodeTuple(t rdf.Tuple) (EncodedTuple, error) {
+	enc, err := s.EncodeTriple(t.Triple)
+	return EncodedTuple{EncodedTriple: enc, TS: t.TS}, err
 }
 
 // DecodeTriple converts an encoded triple back to terms.

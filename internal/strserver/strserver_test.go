@@ -1,7 +1,9 @@
 package strserver
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -99,12 +101,12 @@ func TestNumericCache(t *testing.T) {
 
 func TestPredicates(t *testing.T) {
 	s := New()
-	p1 := s.InternPredicate("http://ex/follows")
-	p2 := s.InternPredicate("http://ex/likes")
+	p1, _ := s.InternPredicate("http://ex/follows")
+	p2, _ := s.InternPredicate("http://ex/likes")
 	if p1 == p2 {
 		t.Fatal("distinct predicates share ID")
 	}
-	if again := s.InternPredicate("http://ex/follows"); again != p1 {
+	if again, err := s.InternPredicate("http://ex/follows"); again != p1 || err != nil {
 		t.Fatal("re-intern changed predicate ID")
 	}
 	iri, ok := s.Predicate(p1)
@@ -126,7 +128,10 @@ func TestEncodeDecodeTriple(t *testing.T) {
 		P: rdf.NewIRI("http://ex/po"),
 		O: rdf.NewIRI("http://ex/t15"),
 	}
-	enc := s.EncodeTriple(tr)
+	enc, err := s.EncodeTriple(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dec, err := s.DecodeTriple(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +153,9 @@ func TestEncodeDecodeTriple(t *testing.T) {
 func TestEncodeTuple(t *testing.T) {
 	s := New()
 	tu := rdf.Tuple{Triple: rdf.T("a", "p", "b"), TS: 802}
-	enc := s.EncodeTuple(tu)
-	if enc.TS != 802 {
-		t.Errorf("TS = %d", enc.TS)
+	enc, err := s.EncodeTuple(tu)
+	if err != nil || enc.TS != 802 {
+		t.Errorf("TS = %d, err = %v", enc.TS, err)
 	}
 	if enc.S == 0 || enc.P == 0 || enc.O == 0 {
 		t.Errorf("zero IDs in %+v", enc)
@@ -296,7 +301,7 @@ func TestInternedStringsDoNotAliasTheirSource(t *testing.T) {
 		t.Fatal("test setup: the slices do not alias the body")
 	}
 	s := New()
-	pid := s.InternPredicate(iri)
+	pid, _ := s.InternPredicate(iri)
 	stored, ok := s.Predicate(pid)
 	if !ok || stored != iri {
 		t.Fatalf("Predicate(%d) = %q, %v", pid, stored, ok)
@@ -314,5 +319,63 @@ func TestInternedStringsDoNotAliasTheirSource(t *testing.T) {
 		if pointsInto(k, body) {
 			t.Error("a stored entity key points into the request body")
 		}
+	}
+}
+
+// fillPredicates interns fresh predicates until free IDs are left.
+func fillPredicates(t *testing.T, s *Server, free int) {
+	t.Helper()
+	base := s.NumPredicates()
+	pids := make([]rdf.ID, int(MaxPredicateID)-free-base)
+	if err := s.InternPredicates(pids, func(i int) string { return "fill/" + strconv.Itoa(base+i) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The predicate space ends at MaxPredicateID, the 17-bit pid of a packed
+// store key. Interning past it is an error, never a panic, and a batch that
+// does not fit assigns nothing.
+func TestPredicateSpaceCap(t *testing.T) {
+	s := New()
+	fillPredicates(t, s, 2)
+	names := func(iris ...string) func(int) string { return func(i int) string { return iris[i] } }
+
+	if err := s.InternPredicates(make([]rdf.ID, 3), names("a", "b", "c")); !errors.Is(err, ErrPredicateSpace) {
+		t.Fatalf("three new predicates with two IDs free: err = %v, want ErrPredicateSpace", err)
+	}
+	if n := s.NumPredicates(); n != int(MaxPredicateID)-2 {
+		t.Fatalf("a refused batch moved NumPredicates to %d", n)
+	}
+	if _, ok := s.LookupPredicate("a"); ok {
+		t.Fatal("a refused batch assigned its first predicate")
+	}
+
+	// A repeated IRI needs one ID, and known ones need none.
+	pids := make([]rdf.ID, 4)
+	if err := s.InternPredicates(pids, names("a", "fill/0", "a", "b")); err != nil {
+		t.Fatalf("two new predicates with two IDs free: %v", err)
+	}
+	if pids[0] != pids[2] || pids[1] != 1 || pids[3] != MaxPredicateID {
+		t.Fatalf("pids = %v, want a twice, fill/0 = 1 and b = MaxPredicateID", pids)
+	}
+
+	before := s.NumEntities()
+	if id, err := s.InternPredicate("c"); id != 0 || !errors.Is(err, ErrPredicateSpace) {
+		t.Fatalf("InternPredicate past the cap = %d, %v", id, err)
+	}
+	if _, err := s.EncodeTriple(rdf.T("x", "c", "y")); !errors.Is(err, ErrPredicateSpace) {
+		t.Fatalf("EncodeTriple past the cap: err = %v", err)
+	}
+	if _, err := s.EncodeTuple(rdf.Tuple{Triple: rdf.T("x", "d", "y"), TS: 1}); !errors.Is(err, ErrPredicateSpace) {
+		t.Fatalf("EncodeTuple past the cap: err = %v", err)
+	}
+	if s.NumEntities() != before || s.NumPredicates() != int(MaxPredicateID) {
+		t.Fatalf("refused encodes interned something: %d entities (was %d), %d predicates", s.NumEntities(), before, s.NumPredicates())
+	}
+	if id, err := s.InternPredicate("b"); id != MaxPredicateID || err != nil {
+		t.Fatalf("a known predicate at the cap = %d, %v", id, err)
+	}
+	if enc, err := s.EncodeTriple(rdf.T("x", "a", "y")); err != nil || enc.P != pids[0] {
+		t.Fatalf("EncodeTriple with a known predicate at the cap = %+v, %v", enc, err)
 	}
 }
