@@ -66,13 +66,15 @@ soak-short:
 	$(GO) test -race -short -count=1 ./internal/soak/...
 
 # Process-level chaos (DESIGN.md §12, §15): build the real wukongsd, form a
-# 3-daemon TCP cluster, and run both kill scenarios — a member kill -9
-# (survivor answers every one-shot sub-ms and twin-equal, the killed rank's
-# entities included; rejoin + twin-equal dedup) and an authority kill -9 (fenced succession, bounded recorded
-# write-unavailability, demoted ex-seed resume, twin-equal deliveries). The
-# scenarios ARE the short configuration, so -short changes nothing.
+# 3-daemon TCP cluster, and run three scenarios — a member kill -9 (survivor
+# answers every one-shot sub-ms and twin-equal; rejoin + twin-equal dedup),
+# an authority kill -9 (fenced succession, bounded recorded
+# write-unavailability, demoted ex-seed resume, twin-equal deliveries), and a
+# fourth daemon joining the running three (rank 3, equal applied sequence,
+# twin-equal deliveries). The scenarios ARE the short configuration, so
+# -short changes nothing.
 chaos-proc:
-	$(GO) test -short -count=1 -run 'TestProcClusterKillDashNine|TestProcSeedKillFailover' ./internal/chaos/...
+	$(GO) test -short -count=1 -run 'TestProcClusterKillDashNine|TestProcSeedKillFailover|TestProcFourthDaemonJoins' ./internal/chaos/...
 
 # Every benchmark reports B/op and allocs/op. BenchmarkMicro_Tick (one
 # daemon-side tick: EMIT ×5, ADVANCE, POLL ×6) lives in internal/server

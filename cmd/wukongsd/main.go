@@ -1,5 +1,6 @@
-// Command wukongsd runs a Wukong+S server: a simulated cluster engine
-// exposed over TCP with the line protocol documented in internal/server.
+// Command wukongsd runs a Wukong+S server: an engine simulating -nodes
+// in-process partitions, exposed over TCP with the line protocol documented
+// in internal/server.
 //
 //	wukongsd -addr :7690 -nodes 8 -workers 4
 //	wukongsd -addr :7690 -load data.nt -data-dir /var/lib/wukongs
@@ -11,11 +12,13 @@
 // With -listen it becomes one daemon of a real multi-process cluster
 // (DESIGN.md §12): the first daemon is the seed, later daemons -join it.
 // Every daemon keeps a full replica; writes replicate through the seed's op
-// log and each daemon answers one-shot queries from its own replica.
+// log and each daemon answers one-shot queries from its own replica. A
+// daemon's rank comes from the order it joined, not from -nodes, so any
+// number of daemons can join.
 //
-//	wukongsd -addr :7690 -nodes 3 -listen 127.0.0.1:7800
-//	wukongsd -addr :7691 -nodes 3 -listen 127.0.0.1:7801 -join 127.0.0.1:7800
-//	wukongsd -addr :7692 -nodes 3 -listen 127.0.0.1:7802 -join 127.0.0.1:7800
+//	wukongsd -addr :7690 -listen 127.0.0.1:7800
+//	wukongsd -addr :7691 -listen 127.0.0.1:7801 -join 127.0.0.1:7800
+//	wukongsd -addr :7692 -listen 127.0.0.1:7802 -join 127.0.0.1:7800
 //
 // Try it with netcat:
 //
@@ -85,8 +88,8 @@ type options struct {
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7690", "listen address")
-	fs.IntVar(&o.nodes, "nodes", 4, "simulated cluster size")
-	fs.IntVar(&o.workers, "workers", 4, "query workers per node")
+	fs.IntVar(&o.nodes, "nodes", 2, "engine partitions (simulated nodes inside this daemon's engine)")
+	fs.IntVar(&o.workers, "workers", 4, "query workers per engine partition")
 	fs.StringVar(&o.load, "load", "", "N-Triples file to preload")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics/cluster, /debug/traces, /healthz and /debug/pprof/ on this address (empty = disabled)")
 	fs.BoolVar(&o.version, "version", false, "print build information and exit")
@@ -271,34 +274,20 @@ func main() {
 			if r, ok := cluster.RecoverRank(o.dataDir, adv); ok {
 				rank = r
 			} else if o.join != "" {
-				r, n, err := cluster.Discover(o.join, adv, 10*time.Second)
-				if err != nil {
-					log.Fatalf("cluster discover via %s: %v", o.join, err)
-				}
-				if n != o.nodes {
-					log.Fatalf("cluster size mismatch: seed runs %d nodes, this daemon was started with -nodes %d", n, o.nodes)
-				}
-				rank = fabric.NodeID(r)
+				rank = discover(o.join, adv)
 			}
 			ccfg.Self = rank
 			ccfg.SeedAddr = o.join
 		} else if o.join != "" {
 			// Joiner: ask the seed for a rank before the wire transport comes
 			// up (the transport needs to know which rank it speaks for).
-			r, n, err := cluster.Discover(o.join, adv, 10*time.Second)
-			if err != nil {
-				log.Fatalf("cluster discover via %s: %v", o.join, err)
-			}
-			if n != o.nodes {
-				log.Fatalf("cluster size mismatch: seed runs %d nodes, this daemon was started with -nodes %d", n, o.nodes)
-			}
-			rank = fabric.NodeID(r)
+			rank = discover(o.join, adv)
 			ccfg.Self = rank
 			ccfg.SeedAddr = o.join
 		}
 		// Stamp this daemon's rank onto every span it records from here on.
 		tracer.SetNode(int(rank))
-		tr, err := wire.NewTCP(ln, wire.TCPConfig{Self: rank, Nodes: o.nodes}, eng.Metrics())
+		tr, err := wire.NewTCP(ln, wire.TCPConfig{Self: rank}, eng.Metrics())
 		if err != nil {
 			log.Fatalf("cluster transport: %v", err)
 		}
@@ -321,12 +310,12 @@ func main() {
 		srv.SetCluster(node)
 		switch {
 		case resuming:
-			fmt.Printf("wukongsd: resumed rank %d of %d from %s (epoch %d, applied %d), wire on %s\n",
-				int(node.Self()), o.nodes, o.dataDir, node.Epoch(), node.Applied(), adv)
+			fmt.Printf("wukongsd: resumed rank %d from %s (epoch %d, applied %d), wire on %s\n",
+				int(node.Self()), o.dataDir, node.Epoch(), node.Applied(), adv)
 		case o.join == "":
-			fmt.Printf("wukongsd: cluster seed, rank 0 of %d, wire on %s\n", o.nodes, adv)
+			fmt.Printf("wukongsd: cluster seed, rank 0, wire on %s\n", adv)
 		default:
-			fmt.Printf("wukongsd: joined cluster as rank %d of %d via %s, wire on %s\n", int(rank), o.nodes, o.join, adv)
+			fmt.Printf("wukongsd: joined cluster as rank %d via %s, wire on %s\n", int(rank), o.join, adv)
 		}
 	}
 
@@ -357,10 +346,19 @@ func main() {
 			}
 		}()
 	}
-	fmt.Printf("wukongsd: %d-node engine listening on %s\n", o.nodes, o.addr)
+	fmt.Printf("wukongsd: %d-partition engine listening on %s\n", o.nodes, o.addr)
 	if err := srv.ListenAndServe(o.addr); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// discover asks the seed at join for this daemon's rank, exiting on failure.
+func discover(join, advertise string) fabric.NodeID {
+	r, _, err := cluster.Discover(join, advertise, 10*time.Second)
+	if err != nil {
+		log.Fatalf("cluster discover via %s: %v", join, err)
+	}
+	return fabric.NodeID(r)
 }
 
 // openEngine builds the standalone engine. With an ftDir that holds a §5

@@ -4,9 +4,8 @@
 // across actual process boundaries:
 //
 //	(a) a survivor keeps answering every one-shot query from its own
-//	    replica with sub-millisecond engine latency — the subjects the
-//	    fabric's placement homes on the killed rank included — and its
-//	    answers equal a fault-free twin's;
+//	    replica with sub-millisecond engine latency, and its answers equal a
+//	    fault-free twin's;
 //	(b) federated observability degrades to partial results that name the
 //	    dead rank, and a write acked mid-outage leaves one causally linked
 //	    trace across the live processes;
@@ -50,8 +49,9 @@ type ProcConfig struct {
 	// daemons (passed through as -flow-seed), so a failing run replays with
 	// the same workload and the same retry schedules.
 	Seed int64
-	// Nodes is the cluster size = daemon count (default 3; minimum 3 so a
-	// single kill leaves a quorum of live probe vantages).
+	// Nodes is the daemon count (default 3; minimum 3 so a single kill
+	// leaves a quorum of live probe vantages). Each daemon's engine runs
+	// wukongsd's default partition count, whatever the daemon count.
 	Nodes int
 	// Batches is the stream length in mini-batches (default 8).
 	Batches int
@@ -118,7 +118,6 @@ type ProcReport struct {
 	// Outage probes, all issued against a surviving member daemon and
 	// checked against a fault-free twin replayed to the same batch.
 	SurvivorQueries  int           // anchored probes, one per scripted subject emitted so far
-	KilledRankProbes int           // ... of which HomeOf places the subject on the killed rank
 	SurvivorFailures int           // ... that errored or disagreed with the twin (contract: 0)
 	SurvivorLatMax   time.Duration // slowest server-reported engine latency
 	ScanRows         int           // rows the unanchored ?X po ?Y probe returned
@@ -299,7 +298,6 @@ func readClusterView(addr string, timeout time.Duration) (*clusterView, error) {
 func (cfg ProcConfig) spawn(bin string, d *procDaemon, seedWire string) error {
 	args := []string{
 		"-addr", d.addr,
-		"-nodes", strconv.Itoa(cfg.Nodes),
 		"-listen", d.wireAddr,
 		"-cluster-heartbeat", cfg.Heartbeat.String(),
 		"-flow-seed", strconv.FormatInt(cfg.Seed, 10),
@@ -374,9 +372,7 @@ func queryRows(l *lineConn, text string) ([]string, time.Duration, error) {
 
 // probeProcOutage asks the survivor, while the victim is down, for every
 // scripted subject emitted so far and for the unanchored scan, and checks
-// each answer against a fault-free twin replayed to the same batch. The twin
-// also says which subjects the fabric's placement homes on the killed rank:
-// those are the reads a partitioned design would have lost.
+// each answer against a fault-free twin replayed to the same batch.
 func probeProcOutage(cfg ProcConfig, survivor *procDaemon, rep *ProcReport) error {
 	twin, _, err := twinThrough(cfg, cfg.KillAtBatch)
 	if err != nil {
@@ -390,8 +386,7 @@ func probeProcOutage(cfg ProcConfig, survivor *procDaemon, rep *ProcReport) erro
 	defer l.close()
 	for i := 0; i < scriptSubjects; i++ {
 		name := fmt.Sprintf("u%d", i)
-		id, ok := twin.StringServer().LookupEntity(rdf.NewIRI(name))
-		if !ok {
+		if _, ok := twin.StringServer().LookupEntity(rdf.NewIRI(name)); !ok {
 			continue // not emitted yet
 		}
 		q := fmt.Sprintf("SELECT ?Y WHERE { %s po ?Y }", name)
@@ -400,9 +395,6 @@ func probeProcOutage(cfg ProcConfig, survivor *procDaemon, rep *ProcReport) erro
 			return err
 		}
 		rep.SurvivorQueries++
-		if int(twin.Fabric().HomeOf(uint64(id))) == cfg.KillRank {
-			rep.KilledRankProbes++
-		}
 		rows, lat, qerr := queryRows(l, q)
 		sort.Strings(rows)
 		twinRows := want.Strings()
@@ -536,12 +528,16 @@ func dedupWindows(fires []client.FireRow) (map[rdf.Timestamp][]string, error) {
 	return byAt, nil
 }
 
+// twinEngineNodes sizes the twin's engine. Replicas agree whatever their
+// partition counts, so it need not match the daemons'.
+const twinEngineNodes = 2
+
 // twinThrough replays batches 1..upTo of the identical script on an
 // in-process fault-free engine. It returns the engine (the caller closes it)
 // and the windows its continuous query has fired and will go on firing.
 func twinThrough(cfg ProcConfig, upTo int) (*core.Engine, map[rdf.Timestamp][]string, error) {
 	e, err := core.New(core.Config{
-		Nodes:          cfg.Nodes,
+		Nodes:          twinEngineNodes,
 		WorkersPerNode: 2,
 		Metrics:        obs.NewRegistry("chaos_twin"),
 	})
@@ -610,17 +606,149 @@ func (cfg ProcConfig) EnsureBin() (string, error) {
 	return bin, nil
 }
 
+// procCluster is one process-level scenario in flight: its daemons (only
+// those with a live cmd are running) and the client that drives the script.
+type procCluster struct {
+	cfg     ProcConfig
+	logf    func(format string, args ...any)
+	bin     string
+	daemons []*procDaemon
+	cl      *client.Client
+	qname   string
+}
+
+// startProc builds the binary, lays out n daemons (durable ones get a data
+// directory), spawns the first cfg.Nodes of them, and registers the
+// script's stream and continuous query through daemons[drive]. The caller
+// closes the cluster.
+func startProc(cfg ProcConfig, n, drive int, durable bool, opts client.Options) (p *procCluster, err error) {
+	if cfg.WorkDir == "" {
+		return nil, fmt.Errorf("chaos: ProcConfig.WorkDir is required")
+	}
+	p = &procCluster{cfg: cfg, logf: cfg.Logf}
+	if p.logf == nil {
+		p.logf = func(string, ...any) {}
+	}
+	if p.bin, err = cfg.EnsureBin(); err != nil {
+		return nil, err
+	}
+	ports, err := freePorts(3 * n)
+	if err != nil {
+		return nil, err
+	}
+	for r := 0; r < n; r++ {
+		d := &procDaemon{
+			rank:     r,
+			addr:     fmt.Sprintf("127.0.0.1:%d", ports[3*r]),
+			wireAddr: fmt.Sprintf("127.0.0.1:%d", ports[3*r+1]),
+			httpAddr: fmt.Sprintf("127.0.0.1:%d", ports[3*r+2]),
+		}
+		if durable {
+			d.dataDir = filepath.Join(cfg.WorkDir, fmt.Sprintf("data-%d", r))
+			if err := os.MkdirAll(d.dataDir, 0o755); err != nil {
+				return nil, err
+			}
+		}
+		p.daemons = append(p.daemons, d)
+	}
+	defer func() {
+		if err != nil {
+			p.close()
+		}
+	}()
+	for _, d := range p.daemons[:cfg.Nodes] {
+		if err := p.spawn(d, p.daemons[0]); err != nil {
+			return nil, err
+		}
+	}
+	p.logf("chaos: %d daemons up", cfg.Nodes)
+	opts.JitterSeed = cfg.Seed
+	if p.cl, err = client.DialOptions(p.daemons[drive].addr, opts); err != nil {
+		return nil, err
+	}
+	if err := p.cl.Stream(StreamName, batchMS*time.Millisecond); err != nil {
+		return nil, err
+	}
+	p.qname, err = p.cl.Register(queryText)
+	return p, err
+}
+
+// spawn starts d joining through via (ignored for rank 0).
+func (p *procCluster) spawn(d, via *procDaemon) error { return p.cfg.spawn(p.bin, d, via.wireAddr) }
+
+func (p *procCluster) close() {
+	if p.cl != nil {
+		p.cl.Close()
+	}
+	for _, d := range p.daemons {
+		d.kill9()
+	}
+}
+
+// emit sends scripted batch b.
+func (p *procCluster) emit(b int) error {
+	if err := p.cl.Emit(StreamName, scriptBatch(p.cfg.Seed, b, p.cfg.TuplesPerBatch)...); err != nil {
+		return fmt.Errorf("chaos: emit batch %d: %w", b, err)
+	}
+	return nil
+}
+
+// advance moves the cluster clock to batch b's boundary.
+func (p *procCluster) advance(b int) error {
+	if _, err := p.cl.Advance(rdf.Timestamp(b * batchMS)); err != nil {
+		return fmt.Errorf("chaos: advance batch %d: %w", b, err)
+	}
+	return nil
+}
+
+// finish flushes the trailing windows, waits until every running daemon has
+// applied ref's op log, and polls the driving connection's deliveries.
+func (p *procCluster) finish(ref *procDaemon) (map[rdf.Timestamp][]string, error) {
+	for b := p.cfg.Batches + 1; b <= p.cfg.Batches+2; b++ {
+		if err := p.advance(b); err != nil {
+			return nil, err
+		}
+	}
+	refView, err := readClusterView(ref.addr, p.cfg.Timeout)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range p.daemons {
+		if d.cmd == nil {
+			continue
+		}
+		if err := waitFor(fmt.Sprintf("daemon %d converged", d.rank), p.cfg.Timeout, func() (bool, error) {
+			v, err := readClusterView(d.addr, time.Second)
+			return err == nil && v.seq >= refView.seq, err
+		}); err != nil {
+			return nil, err
+		}
+	}
+	fires, err := p.cl.Poll(p.qname)
+	if err != nil {
+		return nil, err
+	}
+	return dedupWindows(fires)
+}
+
+// windows polls d's deliveries through a connection of its own.
+func (p *procCluster) windows(d *procDaemon) (map[rdf.Timestamp][]string, error) {
+	c, err := client.DialOptions(d.addr, client.Options{JitterSeed: p.cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	fires, err := c.Poll(p.qname)
+	if err != nil {
+		return nil, err
+	}
+	return dedupWindows(fires)
+}
+
 // RunProc executes one process-level chaos run: build, spawn, load, kill -9,
 // probe, restart, converge, poll, and compare against the fault-free twin.
 func RunProc(cfg ProcConfig) (*ProcReport, error) {
 	cfg = cfg.procDefaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if cfg.WorkDir == "" {
-		return nil, fmt.Errorf("chaos: ProcConfig.WorkDir is required")
-	}
 	if cfg.Nodes < 3 {
 		return nil, fmt.Errorf("chaos: process-level kill needs at least 3 daemons, got %d", cfg.Nodes)
 	}
@@ -630,71 +758,29 @@ func RunProc(cfg ProcConfig) (*ProcReport, error) {
 	if cfg.RestartAtBatch <= cfg.KillAtBatch || cfg.RestartAtBatch > cfg.Batches {
 		return nil, fmt.Errorf("chaos: RestartAtBatch %d must be inside (KillAtBatch, Batches]", cfg.RestartAtBatch)
 	}
-
-	bin, err := cfg.EnsureBin()
-	if err != nil {
-		return nil, err
-	}
-
-	ports, err := freePorts(3 * cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	daemons := make([]*procDaemon, cfg.Nodes)
-	for r := 0; r < cfg.Nodes; r++ {
-		daemons[r] = &procDaemon{
-			rank:     r,
-			addr:     fmt.Sprintf("127.0.0.1:%d", ports[3*r]),
-			wireAddr: fmt.Sprintf("127.0.0.1:%d", ports[3*r+1]),
-			httpAddr: fmt.Sprintf("127.0.0.1:%d", ports[3*r+2]),
-		}
-	}
-	defer func() {
-		for _, d := range daemons {
-			d.kill9()
-		}
-	}()
-	for r := 0; r < cfg.Nodes; r++ {
-		if err := cfg.spawn(bin, daemons[r], daemons[0].wireAddr); err != nil {
-			return nil, err
-		}
-	}
-	logf("chaos: %d daemons up", cfg.Nodes)
-
 	// Drive the whole script through a surviving member — the relay path
 	// (member → seed → replicas) is the one under test.
-	survivor := daemons[1]
-	victim := daemons[cfg.KillRank]
-	cl, err := client.DialOptions(survivor.addr, client.Options{JitterSeed: cfg.Seed})
+	p, err := startProc(cfg, cfg.Nodes, 1, false, client.Options{})
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
-	if err := cl.Stream(StreamName, batchMS*time.Millisecond); err != nil {
-		return nil, err
-	}
-	qname, err := cl.Register(queryText)
-	if err != nil {
-		return nil, err
-	}
+	defer p.close()
+	survivor, victim := p.daemons[1], p.daemons[cfg.KillRank]
 
 	rep := &ProcReport{}
 	for b := 1; b <= cfg.Batches; b++ {
-		if err := cl.Emit(StreamName, scriptBatch(cfg.Seed, b, cfg.TuplesPerBatch)...); err != nil {
-			return nil, fmt.Errorf("chaos: emit batch %d: %w", b, err)
+		if err := p.emit(b); err != nil {
+			return nil, err
 		}
-		if _, err := cl.Advance(rdf.Timestamp(b * batchMS)); err != nil {
-			return nil, fmt.Errorf("chaos: advance batch %d: %w", b, err)
+		if err := p.advance(b); err != nil {
+			return nil, err
 		}
 		if b == cfg.KillAtBatch {
 			victim.kill9()
-			logf("chaos: kill -9 rank %d at batch %d", cfg.KillRank, b)
+			p.logf("chaos: kill -9 rank %d at batch %d", cfg.KillRank, b)
 			if err := waitFor("victim declared dead", cfg.Timeout, func() (bool, error) {
 				v, err := readClusterView(survivor.addr, time.Second)
-				if err != nil {
-					return false, err
-				}
-				return v.states[cfg.KillRank] == "dead", nil
+				return err == nil && v.states[cfg.KillRank] == "dead", err
 			}); err != nil {
 				return nil, err
 			}
@@ -702,71 +788,31 @@ func RunProc(cfg ProcConfig) (*ProcReport, error) {
 			if err := probeProcOutage(cfg, survivor, rep); err != nil {
 				return nil, err
 			}
-			logf("chaos: outage reads on rank %d: %d probes (%d homed on the killed rank), %d failed, slowest %v",
-				survivor.rank, rep.SurvivorQueries, rep.KilledRankProbes, rep.SurvivorFailures, rep.SurvivorLatMax)
+			p.logf("chaos: outage reads on rank %d: %d probes, %d failed, slowest %v",
+				survivor.rank, rep.SurvivorQueries, rep.SurvivorFailures, rep.SurvivorLatMax)
 			if err := probeFedObservability(cfg, survivor, rep); err != nil {
 				return nil, err
 			}
 		}
 		if b == cfg.RestartAtBatch {
-			if err := cfg.spawn(bin, victim, daemons[0].wireAddr); err != nil {
+			if err := p.spawn(victim, p.daemons[0]); err != nil {
 				return nil, fmt.Errorf("chaos: restarting rank %d: %w", cfg.KillRank, err)
 			}
-			logf("chaos: rank %d restarted at batch %d", cfg.KillRank, b)
+			p.logf("chaos: rank %d restarted at batch %d", cfg.KillRank, b)
 			if err := waitFor("victim rejoined", cfg.Timeout, func() (bool, error) {
 				v, err := readClusterView(survivor.addr, time.Second)
-				if err != nil {
-					return false, err
-				}
-				return v.states[cfg.KillRank] == "alive", nil
+				return err == nil && v.states[cfg.KillRank] == "alive", err
 			}); err != nil {
 				return nil, err
 			}
 			rep.NodeRejoined = true
 		}
 	}
-	// Trailing boundaries flush the last windows, then every daemon must
-	// converge on the seed's op log before the final polls.
-	if _, err := cl.Advance(rdf.Timestamp((cfg.Batches + 1) * batchMS)); err != nil {
+	// Every daemon must converge on the seed's op log before the final polls.
+	if rep.Windows, err = p.finish(p.daemons[0]); err != nil {
 		return nil, err
 	}
-	if _, err := cl.Advance(rdf.Timestamp((cfg.Batches + 2) * batchMS)); err != nil {
-		return nil, err
-	}
-	seedView, err := readClusterView(daemons[0].addr, cfg.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range daemons {
-		d := d
-		if err := waitFor(fmt.Sprintf("daemon %d converged", d.rank), cfg.Timeout, func() (bool, error) {
-			v, err := readClusterView(d.addr, time.Second)
-			if err != nil {
-				return false, err
-			}
-			return v.seq >= seedView.seq, nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	fires, err := cl.Poll(qname)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Windows, err = dedupWindows(fires); err != nil {
-		return nil, err
-	}
-	clV, err := client.DialOptions(victim.addr, client.Options{JitterSeed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	vfires, err := clV.Poll(qname)
-	clV.Close()
-	if err != nil {
-		return nil, err
-	}
-	if rep.RejoinWindows, err = dedupWindows(vfires); err != nil {
+	if rep.RejoinWindows, err = p.windows(victim); err != nil {
 		return nil, err
 	}
 	if rep.TwinWindows, err = runTwin(cfg); err != nil {
@@ -835,87 +881,33 @@ func fetchMetricsJSON(httpAddr string) (map[string]obs.JSONMetric, error) {
 // from its stale data directory, and compare every survivor to the twin.
 func RunProcSeedKill(cfg ProcConfig) (*SeedKillReport, error) {
 	cfg = cfg.procDefaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if cfg.WorkDir == "" {
-		return nil, fmt.Errorf("chaos: ProcConfig.WorkDir is required")
-	}
 	if cfg.Nodes < 3 {
 		return nil, fmt.Errorf("chaos: seed kill needs at least 3 daemons, got %d", cfg.Nodes)
 	}
 	if cfg.RestartAtBatch <= cfg.KillAtBatch || cfg.RestartAtBatch > cfg.Batches {
 		return nil, fmt.Errorf("chaos: RestartAtBatch %d must be inside (KillAtBatch, Batches]", cfg.RestartAtBatch)
 	}
-
-	bin, err := cfg.EnsureBin()
-	if err != nil {
-		return nil, err
-	}
-	ports, err := freePorts(3 * cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	daemons := make([]*procDaemon, cfg.Nodes)
-	for r := 0; r < cfg.Nodes; r++ {
-		daemons[r] = &procDaemon{
-			rank:     r,
-			addr:     fmt.Sprintf("127.0.0.1:%d", ports[3*r]),
-			wireAddr: fmt.Sprintf("127.0.0.1:%d", ports[3*r+1]),
-			httpAddr: fmt.Sprintf("127.0.0.1:%d", ports[3*r+2]),
-			dataDir:  filepath.Join(cfg.WorkDir, fmt.Sprintf("data-%d", r)),
-		}
-		if err := os.MkdirAll(daemons[r].dataDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	defer func() {
-		for _, d := range daemons {
-			d.kill9()
-		}
-	}()
-	for r := 0; r < cfg.Nodes; r++ {
-		if err := cfg.spawn(bin, daemons[r], daemons[0].wireAddr); err != nil {
-			return nil, err
-		}
-	}
-	logf("chaos: %d durable daemons up", cfg.Nodes)
-
 	// Drive everything through the successor-to-be. A generous unavailable
 	// budget keeps each write inside ONE id-bearing logical op, so a write
 	// that raced the takeover retries with the same id — the dedup table,
 	// not the harness, guarantees exactly-once.
-	seed := daemons[0]
-	successor := daemons[1]
-	cl, err := client.DialOptions(successor.addr, client.Options{
-		JitterSeed:         cfg.Seed,
-		UnavailableRetries: 400,
-	})
+	p, err := startProc(cfg, cfg.Nodes, 1, true, client.Options{UnavailableRetries: 400})
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
-	if err := cl.Stream(StreamName, batchMS*time.Millisecond); err != nil {
-		return nil, err
-	}
-	qname, err := cl.Register(queryText)
-	if err != nil {
-		return nil, err
-	}
+	defer p.close()
+	seed, successor := p.daemons[0], p.daemons[1]
 
 	rep := &SeedKillReport{}
 	var killedAt time.Time
 	for b := 1; b <= cfg.Batches; b++ {
-		start := time.Now()
-		if err := cl.Emit(StreamName, scriptBatch(cfg.Seed, b, cfg.TuplesPerBatch)...); err != nil {
-			return nil, fmt.Errorf("chaos: emit batch %d: %w", b, err)
+		if err := p.emit(b); err != nil {
+			return nil, err
 		}
 		if !killedAt.IsZero() && rep.WriteUnavail == 0 {
 			// First write acked under the successor: the unavailability
 			// window spans death detection, fencing, and this op's commit.
 			rep.WriteUnavail = time.Since(killedAt)
-			_ = start
 			v, err := readClusterView(successor.addr, cfg.Timeout)
 			if err != nil {
 				return nil, err
@@ -923,7 +915,7 @@ func RunProcSeedKill(cfg ProcConfig) (*SeedKillReport, error) {
 			rep.SeedDeclaredDead = v.states[0] == "dead"
 			rep.FailoverEpoch = v.epoch
 			rep.FailoverAuthority = v.auth
-			logf("chaos: writes resumed %v after kill (epoch %d, authority %d)",
+			p.logf("chaos: writes resumed %v after kill (epoch %d, authority %d)",
 				rep.WriteUnavail, v.epoch, v.auth)
 			if m, err := fetchMetricsJSON(successor.httpAddr); err == nil {
 				for name, jm := range m {
@@ -934,28 +926,25 @@ func RunProcSeedKill(cfg ProcConfig) (*SeedKillReport, error) {
 				}
 			}
 		}
-		if _, err := cl.Advance(rdf.Timestamp(b * batchMS)); err != nil {
-			return nil, fmt.Errorf("chaos: advance batch %d: %w", b, err)
+		if err := p.advance(b); err != nil {
+			return nil, err
 		}
 		if b == cfg.KillAtBatch {
 			seed.kill9()
 			killedAt = time.Now()
-			logf("chaos: kill -9 the authority (rank 0) at batch %d", b)
+			p.logf("chaos: kill -9 the authority (rank 0) at batch %d", b)
 		}
 		if b == cfg.RestartAtBatch {
 			// The ex-seed comes back with its stale durable state. Resume
 			// must find the live fenced cluster and rejoin demoted — never
 			// re-crown itself from disk.
-			if err := cfg.spawn(bin, seed, successor.wireAddr); err != nil {
+			if err := p.spawn(seed, successor); err != nil {
 				return nil, fmt.Errorf("chaos: restarting ex-seed: %w", err)
 			}
-			logf("chaos: ex-seed restarted from %s at batch %d", seed.dataDir, b)
+			p.logf("chaos: ex-seed restarted from %s at batch %d", seed.dataDir, b)
 			if err := waitFor("ex-seed rejoined", cfg.Timeout, func() (bool, error) {
 				v, err := readClusterView(successor.addr, time.Second)
-				if err != nil {
-					return false, err
-				}
-				return v.states[0] == "alive", nil
+				return err == nil && v.states[0] == "alive", err
 			}); err != nil {
 				return nil, err
 			}
@@ -973,51 +962,123 @@ func RunProcSeedKill(cfg ProcConfig) (*SeedKillReport, error) {
 			}
 		}
 	}
-	// Trailing boundaries flush the last windows; everyone converges on the
-	// successor's op log before the final polls.
-	if _, err := cl.Advance(rdf.Timestamp((cfg.Batches + 1) * batchMS)); err != nil {
+	// Everyone converges on the successor's op log before the final polls.
+	if rep.Windows, err = p.finish(successor); err != nil {
 		return nil, err
 	}
-	if _, err := cl.Advance(rdf.Timestamp((cfg.Batches + 2) * batchMS)); err != nil {
+	if rep.RejoinWindows, err = p.windows(seed); err != nil {
 		return nil, err
 	}
-	refView, err := readClusterView(successor.addr, cfg.Timeout)
+	if rep.TwinWindows, err = runTwin(cfg); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// ---------------------------------------------------------------------------
+// Growth: a daemon joins a running cluster.
+//
+// RunProcJoin starts cfg.Nodes daemons, drives the first half of the script
+// through rank 1, then starts one more daemon with -join. Ranks come from
+// membership, so the newcomer takes rank cfg.Nodes, replays the op log (or
+// catches up by snapshot), and from then on receives every broadcast. The
+// rest of the script runs with it in the cluster. The contract:
+//
+//	(a) the newcomer reports itself as rank cfg.Nodes, and every original
+//	    daemon lists it alive;
+//	(b) once the script ends, its cluster_applied_seq equals the driving
+//	    member's;
+//	(c) its polled deliveries dedup to exactly the driving member's and the
+//	    fault-free twin's.
+
+// JoinReport is the outcome of one growth run.
+type JoinReport struct {
+	JoinerRank    int  // rank the newcomer reports for itself
+	SeenByAll     bool // every original daemon lists the newcomer alive
+	JoinerApplied int64
+	MemberApplied int64 // the driving member's cluster_applied_seq at the same point
+
+	Windows       map[rdf.Timestamp][]string // driving member's polled deliveries
+	JoinerWindows map[rdf.Timestamp][]string // newcomer's deliveries
+	TwinWindows   map[rdf.Timestamp][]string // in-process fault-free twin's
+}
+
+// appliedSeq reads one daemon's cluster_applied_seq gauge from /metrics.
+func appliedSeq(httpAddr string, rank int) (int64, error) {
+	m, err := fetchMetricsJSON(httpAddr)
+	if err != nil {
+		return 0, err
+	}
+	want := obs.Name("cluster_applied_seq", "rank", strconv.Itoa(rank))
+	for name, jm := range m {
+		if strings.HasSuffix(name, want) && jm.Value != nil {
+			return *jm.Value, nil
+		}
+	}
+	return 0, fmt.Errorf("chaos: %s not on %s/metrics", want, httpAddr)
+}
+
+// RunProcJoin executes one growth run: spawn, drive half the script, start
+// one more daemon, drive the rest, converge, poll, and compare.
+func RunProcJoin(cfg ProcConfig) (*JoinReport, error) {
+	cfg = cfg.procDefaults()
+	if cfg.Nodes < 2 {
+		return nil, fmt.Errorf("chaos: growth needs a running cluster of at least 2 daemons, got %d", cfg.Nodes)
+	}
+	p, err := startProc(cfg, cfg.Nodes+1, 1, false, client.Options{})
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range daemons {
-		d := d
-		if d == nil || d.cmd == nil {
+	defer p.close()
+	member, joiner := p.daemons[1], p.daemons[cfg.Nodes]
+
+	rep := &JoinReport{JoinerRank: -1}
+	for b := 1; b <= cfg.Batches; b++ {
+		if err := p.emit(b); err != nil {
+			return nil, err
+		}
+		if err := p.advance(b); err != nil {
+			return nil, err
+		}
+		if b != cfg.Batches/2 {
 			continue
 		}
-		if err := waitFor(fmt.Sprintf("daemon %d converged", d.rank), cfg.Timeout, func() (bool, error) {
-			v, err := readClusterView(d.addr, time.Second)
-			if err != nil {
-				return false, err
+		if err := p.spawn(joiner, p.daemons[0]); err != nil {
+			return nil, fmt.Errorf("chaos: starting daemon %d: %w", cfg.Nodes+1, err)
+		}
+		v, err := readClusterView(joiner.addr, cfg.Timeout)
+		if err != nil {
+			return nil, err
+		}
+		for r, st := range v.states {
+			if st == "self" {
+				rep.JoinerRank = r
 			}
-			return v.seq >= refView.seq, nil
+		}
+		p.logf("chaos: daemon %d joined as rank %d at batch %d", cfg.Nodes+1, rep.JoinerRank, b)
+		if err := waitFor("newcomer seen alive by every daemon", cfg.Timeout, func() (bool, error) {
+			for _, d := range p.daemons[:cfg.Nodes] {
+				v, err := readClusterView(d.addr, time.Second)
+				if err != nil || v.states[rep.JoinerRank] != "alive" {
+					return false, err
+				}
+			}
+			return true, nil
 		}); err != nil {
 			return nil, err
 		}
+		rep.SeenByAll = true
 	}
-
-	fires, err := cl.Poll(qname)
-	if err != nil {
+	if rep.Windows, err = p.finish(member); err != nil {
 		return nil, err
 	}
-	if rep.Windows, err = dedupWindows(fires); err != nil {
+	if rep.MemberApplied, err = appliedSeq(member.httpAddr, member.rank); err != nil {
 		return nil, err
 	}
-	clS, err := client.DialOptions(seed.addr, client.Options{JitterSeed: cfg.Seed})
-	if err != nil {
+	if rep.JoinerApplied, err = appliedSeq(joiner.httpAddr, rep.JoinerRank); err != nil {
 		return nil, err
 	}
-	sfires, err := clS.Poll(qname)
-	clS.Close()
-	if err != nil {
-		return nil, err
-	}
-	if rep.RejoinWindows, err = dedupWindows(sfires); err != nil {
+	if rep.JoinerWindows, err = p.windows(joiner); err != nil {
 		return nil, err
 	}
 	if rep.TwinWindows, err = runTwin(cfg); err != nil {

@@ -1,9 +1,12 @@
 // Package cluster turns independent wukongsd processes into one multi-process
-// Wukong+S cluster over a fabric.Transport. The design is replicated
-// deterministic engines with local reads:
+// Wukong+S cluster over wire.TCP. The design is replicated deterministic
+// engines with local reads:
 //
-//   - Every daemon runs a full simulated engine (all N fabric nodes). All
-//     state-mutating operations — LOAD, STREAM, REGISTER, EMIT, ADVANCE —
+//   - Every daemon runs a full engine; how many in-process partitions that
+//     engine simulates is its own business and has nothing to do with the
+//     daemon's rank. The cluster's ranks are its members: the seed is rank
+//     0, and each joiner gets the next free rank. All state-mutating
+//     operations — LOAD, STREAM, REGISTER, EMIT, ADVANCE —
 //     are forwarded to the seed (rank 0), which assigns each a sequence
 //     number, appends it to a bounded oplog, replicates it one-way to every
 //     member, and then applies it locally while the members apply their
@@ -47,8 +50,10 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,16 +126,16 @@ func (e *UnavailableError) Error() string {
 // Unwrap exposes the sentinel and the transport cause.
 func (e *UnavailableError) Unwrap() []error { return []error{ErrUnavailable, e.Err} }
 
+// ErrRankSpace reports a JOIN for a rank a wire frame cannot address.
+var ErrRankSpace = errors.New("cluster: rank space exhausted")
+
 // Config parameterizes one cluster daemon.
 type Config struct {
-	// Transport is the message plane (wire.TCP in a real cluster, fabric.Mem
-	// in tests). Required.
-	Transport fabric.Transport
-	// Self is this daemon's rank; the engine node ids double as daemon
-	// ranks, so Self must be < Engine nodes. Required (0 = seed).
+	// Transport is the message plane. Required.
+	Transport *wire.TCP
+	// Self is this daemon's rank (0 = seed); the transport speaks for it.
 	Self fabric.NodeID
-	// Engine is the local replica. Its simulated-node count must equal the
-	// transport's. Required.
+	// Engine is the local replica. Required.
 	Engine *core.Engine
 	// SelfAddr is this daemon's dialable wire address, advertised to peers.
 	SelfAddr string
@@ -182,9 +187,8 @@ type Config struct {
 // log (seed), the replica applier (members), and the membership detector.
 type Node struct {
 	cfg    Config
-	t      fabric.Transport
+	t      *wire.TCP
 	self   fabric.NodeID
-	nodes  int
 	eng    *core.Engine
 	det    *member.Detector
 	snd    *flow.Sender
@@ -197,15 +201,15 @@ type Node struct {
 	// mu guards the replicated bookkeeping below. Never held across engine
 	// or transport calls.
 	mu        sync.Mutex
-	oplog     [][]byte      // encoded ops; oplog[i] has seq base+i
-	base      uint64        // seq of oplog[0] (1 when nothing discarded)
-	nextSeq   uint64        // authority: next seq to assign
-	applied   uint64        // highest seq applied locally; raised only by setAppliedLocked
-	appliedCh chan struct{} // closed and replaced each time applied rises
-	authHead  uint64        // member: the authority's applied seq at the last anti-entropy read
-	members   []string      // rank → advertised addr ("" unknown)
-	reserved  []string      // authority: rank → addr promised by Discover, not yet joined
-	epoch     uint64        // current authority epoch (raised only by EPOCH ops)
+	oplog     [][]byte                 // encoded ops; oplog[i] has seq base+i
+	base      uint64                   // seq of oplog[0] (1 when nothing discarded)
+	nextSeq   uint64                   // authority: next seq to assign
+	applied   uint64                   // highest seq applied locally; raised only by setAppliedLocked
+	appliedCh chan struct{}            // closed and replaced each time applied rises
+	authHead  uint64                   // member: the authority's applied seq at the last anti-entropy read
+	members   []rankAddr               // joined ranks, in rank order
+	reserved  map[fabric.NodeID]string // authority: rank → addr promised by Discover, not yet joined
+	epoch     uint64                   // current authority epoch (raised only by EPOCH ops)
 	authority fabric.NodeID
 	dedup     map[string]dedupEntry // op id → acked (seq, reply)
 	dedupRing []string              // FIFO eviction order for dedup
@@ -222,11 +226,11 @@ type Node struct {
 	catching   atomic.Bool // mid snapshot-transfer / large sync (healthz)
 	takingOver atomic.Bool // one authority takeover attempt at a time
 
-	// outbox holds the payload the retrying sender's attempt closure ships;
-	// written under applyMu immediately before each Send. outboxTC carries
-	// the matching replication span context per destination.
-	outbox   [][]byte
-	outboxTC []trace.Context
+	// outbox is the op the retrying sender's attempt ships, and outboxTC
+	// its replication span context; both are written under applyMu
+	// immediately before each (synchronous) Send.
+	outbox   []byte
+	outboxTC trace.Context
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -247,6 +251,32 @@ type Node struct {
 	hUnavail      *obs.Histogram // cluster_write_unavail_ns
 }
 
+// rankAddr is one member: a rank that joined and its advertised address.
+type rankAddr struct {
+	rank fabric.NodeID
+	addr string
+}
+
+// memberAddrLocked returns rank r's advertised address, "" if r has not
+// joined. Caller holds n.mu.
+func (n *Node) memberAddrLocked(r fabric.NodeID) string {
+	if i, ok := n.memberIndexLocked(r); ok {
+		return n.members[i].addr
+	}
+	return ""
+}
+
+func (n *Node) memberIndexLocked(r fabric.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(n.members, r, func(m rankAddr, r fabric.NodeID) int { return cmp.Compare(m.rank, r) })
+}
+
+// membersCopy returns the joined ranks and their addresses, in rank order.
+func (n *Node) membersCopy() []rankAddr {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return slices.Clone(n.members)
+}
+
 // dedupEntry is one acked write in the replicated exactly-once table.
 type dedupEntry struct {
 	seq   uint64
@@ -264,16 +294,11 @@ func newNode(cfg Config) (*Node, error) {
 	if cfg.Transport == nil || cfg.Engine == nil {
 		return nil, fmt.Errorf("cluster: Transport and Engine are required")
 	}
-	nodes := cfg.Transport.Nodes()
-	if int(cfg.Self) < 0 || int(cfg.Self) >= nodes {
-		return nil, fmt.Errorf("cluster: rank %d out of range [0,%d)", cfg.Self, nodes)
-	}
 	r := cfg.Metrics
 	n := &Node{
 		cfg:       cfg,
 		t:         cfg.Transport,
 		self:      cfg.Self,
-		nodes:     nodes,
 		eng:       cfg.Engine,
 		tracer:    cfg.Tracer,
 		base:      1,
@@ -281,12 +306,9 @@ func newNode(cfg Config) (*Node, error) {
 		epoch:     1,
 		authority: SeedRank,
 		appliedCh: make(chan struct{}),
-		members:   make([]string, nodes),
-		reserved:  make([]string, nodes),
+		reserved:  make(map[fabric.NodeID]string),
 		dedup:     make(map[string]dedupEntry),
 		maxOplog:  cfg.MaxOplog,
-		outbox:    make([][]byte, nodes),
-		outboxTC:  make([]trace.Context, nodes),
 		stop:      make(chan struct{}),
 		start:     time.Now(),
 
@@ -332,10 +354,8 @@ func newNode(cfg Config) (*Node, error) {
 		r.Counter("ft_quarantined_records_total").Add(int64(dl.Damaged()))
 		n.dlog = dl
 	}
-	if tcp, ok := cfg.Transport.(*wire.TCP); ok {
-		tcp.SetEpoch(1)
-	}
-	n.snd = flow.NewSenderOver(nodes, n.attemptSend, flow.SenderConfig{Seed: cfg.FlowSeed}, r)
+	n.t.SetEpoch(1)
+	n.snd = flow.NewSenderOver(n.attemptSend, flow.SenderConfig{Seed: cfg.FlowSeed}, r)
 	sa := cfg.SuspectAfter
 	if sa <= 0 {
 		sa = 2
@@ -371,9 +391,6 @@ func NewSeed(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	n.members[SeedRank] = cfg.SelfAddr
-	n.mu.Unlock()
 	if _, _, err := n.sequence(trace.Context{}, "", "MEMBER", []string{"0", cfg.SelfAddr}, ""); err != nil {
 		return nil, err
 	}
@@ -388,17 +405,13 @@ func Join(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: rank 0 is the seed; use NewSeed")
 	}
 	if cfg.SeedAddr == "" {
-		if _, ok := cfg.Transport.(*wire.TCP); ok {
-			return nil, fmt.Errorf("cluster: SeedAddr is required to join over TCP")
-		}
+		return nil, fmt.Errorf("cluster: SeedAddr is required to join")
 	}
 	n, err := newNode(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if tcp, ok := cfg.Transport.(*wire.TCP); ok {
-		tcp.SetPeer(SeedRank, cfg.SeedAddr)
-	}
+	n.t.SetPeer(SeedRank, cfg.SeedAddr)
 	// JOIN and SYNC are idempotent (the seed reuses the rank for a known
 	// address; replay skips applied ops), so a lossy wire just means retry.
 	var joinErr error
@@ -414,13 +427,12 @@ func Join(cfg Config) (*Node, error) {
 			}
 			return nil, err
 		}
-		var rank, nodes int
-		var latest uint64
-		if _, err := fmt.Sscanf(firstLine(resp), "RANK %d NODES %d SEQ %d", &rank, &nodes, &latest); err != nil {
-			return nil, fmt.Errorf("cluster: bad join response %q: %w", firstLine(resp), err)
+		rank, latest, err := parseJoinReply(resp)
+		if err != nil {
+			return nil, err
 		}
-		if rank != int(cfg.Self) || nodes != n.nodes {
-			return nil, fmt.Errorf("cluster: seed assigned rank %d/%d nodes, we are %d/%d", rank, nodes, cfg.Self, n.nodes)
+		if rank != int(cfg.Self) {
+			return nil, fmt.Errorf("cluster: seed assigned rank %d, we are %d", rank, cfg.Self)
 		}
 		if err := n.syncRange(SeedRank, 1, latest); err != nil {
 			if IsLogCompacted(err) {
@@ -451,8 +463,9 @@ func Join(cfg Config) (*Node, error) {
 // Discover asks the seed at seedAddr for a rank assignment before the
 // transport exists (the rank is needed to construct it): a rank whose
 // recorded address equals advertise is reused — the restart path — else the
-// lowest unclaimed rank is assigned.
-func Discover(seedAddr, advertise string, timeout time.Duration) (rank, nodes int, err error) {
+// lowest unclaimed rank is assigned. seq is the authority's last sequenced
+// op at the time, the history the joiner will replay.
+func Discover(seedAddr, advertise string, timeout time.Duration) (rank int, seq uint64, err error) {
 	// The bootstrap frame needs a from-rank before one is assigned; 0 is a
 	// white lie that only labels the handshake (JOIN carries the real
 	// identity in its payload). Reservation is idempotent per address, so a
@@ -473,11 +486,15 @@ func Discover(seedAddr, advertise string, timeout time.Duration) (rank, nodes in
 	if err != nil {
 		return 0, 0, &UnavailableError{Node: SeedRank, Op: "discover", Err: err}
 	}
-	var latest uint64
-	if _, err := fmt.Sscanf(firstLine(string(resp)), "RANK %d NODES %d SEQ %d", &rank, &nodes, &latest); err != nil {
-		return 0, 0, fmt.Errorf("cluster: bad discover response %q: %w", firstLine(string(resp)), err)
+	return parseJoinReply(string(resp))
+}
+
+// parseJoinReply reads JOIN's "RANK <r> SEQ <s>" reply.
+func parseJoinReply(resp string) (rank int, seq uint64, err error) {
+	if _, err := fmt.Sscanf(firstLine(resp), "RANK %d SEQ %d", &rank, &seq); err != nil {
+		return 0, 0, fmt.Errorf("cluster: bad join reply %q: %w", firstLine(resp), err)
 	}
-	return rank, nodes, nil
+	return rank, seq, nil
 }
 
 // Close stops the ticker and the durable log. The transport and engine
@@ -655,8 +672,6 @@ func (n *Node) readAuthHead() (auth fabric.NodeID, latest uint64, ok bool) {
 type vantage struct{ n *Node }
 
 var errNoVantage = errors.New("cluster: cannot probe a path not starting here")
-
-func (v vantage) Nodes() int { return v.n.nodes }
 
 func (v vantage) Heartbeat(from, to fabric.NodeID) error {
 	if to == v.n.self {
@@ -938,19 +953,18 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 	}
 	seq := n.nextSeq
 	enc := encodeOp(seq, opEpoch(n.epoch, kind, args), id, kind, args, body)
-	targets := make([]fabric.NodeID, 0, n.nodes)
-	for r := 0; r < n.nodes; r++ {
-		if fabric.NodeID(r) != n.self && n.members[r] != "" {
-			targets = append(targets, fabric.NodeID(r))
+	targets := make([]fabric.NodeID, 0, len(n.members))
+	for _, m := range n.members {
+		if m.rank != n.self {
+			targets = append(targets, m.rank)
 		}
 	}
 	n.mu.Unlock()
 	n.recordMemLocked(seq, enc)
 
 	spRepl := n.tracer.Start(tc, "seed.replicate")
+	n.outbox, n.outboxTC = enc, spRepl.Context()
 	for _, to := range targets {
-		n.outbox[to] = enc
-		n.outboxTC[to] = spRepl.Context()
 		// Transient drops retry inside the sender; persistent failures trip
 		// the per-member breaker and are dropped here — the member's gap
 		// SYNC (or its rejoin replay) repairs the hole when it returns.
@@ -1007,11 +1021,11 @@ func (n *Node) persistLocked(seq uint64, enc []byte) error {
 	return err
 }
 
-// attemptSend is the flow.Sender delivery attempt: ship the current outbox
-// payload for the destination. outbox writes are serialized by applyMu,
-// which is held across the Send that triggers this.
+// attemptSend is the flow.Sender delivery attempt: ship the outbox to the
+// destination. outbox writes are serialized by applyMu, which is held
+// across the Send that triggers this.
 func (n *Node) attemptSend(from, to fabric.NodeID, _ int) error {
-	return fabric.SendTraced(n.t, from, to, n.outbox[to], n.outboxTC[to])
+	return n.t.Send(from, to, n.outbox, n.outboxTC)
 }
 
 // handleJoin serves JOIN <rank|-1> <addr> on the authority. Rank -1 is the
@@ -1033,41 +1047,51 @@ func (n *Node) handleJoin(args []string) (string, error) {
 		return "", fmt.Errorf("cluster: bad rank %q", args[0])
 	}
 	addr := args[1]
+	if want < -1 {
+		return "", fmt.Errorf("cluster: bad rank %q", args[0])
+	}
+	if want > wire.MaxRank {
+		return "", fmt.Errorf("%w: rank %d exceeds %d", ErrRankSpace, want, wire.MaxRank)
+	}
 	n.mu.Lock()
 	rank := -1
 	commit := false
-	switch {
-	case want >= 0 && want < n.nodes:
-		if n.members[want] == "" || n.members[want] == addr || n.reserved[want] == addr {
+	if want >= 0 {
+		r := fabric.NodeID(want)
+		if cur := n.memberAddrLocked(r); cur == "" || cur == addr || n.reserved[r] == addr {
 			rank = want
-			commit = n.members[want] != addr
-			n.reserved[want] = ""
+			commit = cur != addr
+			delete(n.reserved, r)
 		}
-	case want == -1:
+	} else {
 		// Prefer the rank that already owns this address (a restarted
-		// daemon), else the lowest unclaimed rank.
-		for r := 1; r < n.nodes; r++ {
-			if n.members[r] == addr || n.reserved[r] == addr {
-				rank = r
-				break
+		// daemon), else the lowest rank neither joined nor reserved.
+		for _, m := range n.members {
+			if m.rank != SeedRank && m.addr == addr {
+				rank = int(m.rank)
 			}
 		}
-		if rank < 0 {
-			for r := 1; r < n.nodes; r++ {
-				if n.members[r] == "" && n.reserved[r] == "" {
-					rank = r
-					break
-				}
+		for r, a := range n.reserved {
+			if a == addr {
+				rank = int(r)
+			}
+		}
+		for r := 1; rank < 0 && r <= wire.MaxRank; r++ {
+			if n.memberAddrLocked(fabric.NodeID(r)) == "" && n.reserved[fabric.NodeID(r)] == "" {
+				rank = r
 			}
 		}
 		if rank >= 0 {
-			n.reserved[rank] = addr
+			n.reserved[fabric.NodeID(rank)] = addr
 		}
 	}
 	latest := n.nextSeq - 1
 	n.mu.Unlock()
-	if rank < 0 {
-		return "", fmt.Errorf("cluster: no rank available for %s (cluster of %d full or rank taken)", addr, n.nodes)
+	switch {
+	case rank < 0 && want < 0:
+		return "", fmt.Errorf("%w: no free rank for %s", ErrRankSpace, addr)
+	case rank < 0:
+		return "", fmt.Errorf("cluster: rank %d is taken", want)
 	}
 	if commit {
 		if _, _, err := n.sequence(trace.Context{}, "", "MEMBER", []string{strconv.Itoa(rank), addr}, ""); err != nil {
@@ -1077,7 +1101,7 @@ func (n *Node) handleJoin(args []string) (string, error) {
 		latest = n.nextSeq - 1
 		n.mu.Unlock()
 	}
-	return fmt.Sprintf("RANK %d NODES %d SEQ %d", rank, n.nodes, latest), nil
+	return fmt.Sprintf("RANK %d SEQ %d", rank, latest), nil
 }
 
 // handleSync serves SYNC <from> <to>: the requested oplog range, each op
@@ -1111,13 +1135,13 @@ func (n *Node) handleSync(args []string) (string, error) {
 // ---------------------------------------------------------------------------
 // Members: replication receive + gap repair.
 
-// HandleSend consumes one replicated op (fabric.Handler).
+// HandleSend consumes one replicated op (wire.Handler).
 func (n *Node) HandleSend(from fabric.NodeID, payload []byte) {
 	n.HandleSendTraced(from, payload, trace.Context{})
 }
 
 // HandleSendTraced consumes one replicated op, recording a replica.apply
-// span under the authority's replicate span (fabric.TraceHandler). This is
+// span under the authority's replicate span (wire.TracedHandler). This is
 // where epoch fencing bites: an op sequenced under an older epoch than this
 // replica has seen is a zombie ex-authority's broadcast and is rejected.
 func (n *Node) HandleSendTraced(from fabric.NodeID, payload []byte, tc trace.Context) {
@@ -1285,15 +1309,21 @@ func (n *Node) applyOp(kind string, args []string, body string) (string, error) 
 			return "", fmt.Errorf("cluster: usage MEMBER <rank> <addr>")
 		}
 		rank, err := strconv.Atoi(args[0])
-		if err != nil || rank < 0 || rank >= n.nodes {
+		if err != nil || rank < 0 || rank > wire.MaxRank {
 			return "", fmt.Errorf("cluster: bad member rank %q", args[0])
 		}
+		r := fabric.NodeID(rank)
 		n.mu.Lock()
-		n.members[rank] = args[1]
-		n.mu.Unlock()
-		if tcp, ok := n.t.(*wire.TCP); ok && fabric.NodeID(rank) != n.self {
-			tcp.SetPeer(fabric.NodeID(rank), args[1])
+		if i, ok := n.memberIndexLocked(r); ok {
+			n.members[i].addr = args[1]
+		} else {
+			n.members = slices.Insert(n.members, i, rankAddr{r, args[1]})
 		}
+		n.mu.Unlock()
+		if r != n.self {
+			n.t.SetPeer(r, args[1])
+		}
+		n.det.Add(r)
 		return fmt.Sprintf("member %d %s", rank, args[1]), nil
 
 	case "EPOCH":
@@ -1305,7 +1335,7 @@ func (n *Node) applyOp(kind string, args []string, body string) (string, error) 
 		}
 		e, err1 := strconv.ParseUint(args[0], 10, 64)
 		rank, err2 := strconv.Atoi(args[1])
-		if err1 != nil || err2 != nil || rank < 0 || rank >= n.nodes {
+		if err1 != nil || err2 != nil || rank < 0 || rank > wire.MaxRank {
 			return "", fmt.Errorf("cluster: bad EPOCH op %v", args)
 		}
 		n.mu.Lock()
@@ -1314,9 +1344,7 @@ func (n *Node) applyOp(kind string, args []string, body string) (string, error) 
 		}
 		n.authority = fabric.NodeID(rank)
 		n.mu.Unlock()
-		if tcp, ok := n.t.(*wire.TCP); ok {
-			tcp.SetEpoch(e)
-		}
+		n.t.SetEpoch(e)
 		n.logf("authority epoch %d, rank %d", e, rank)
 		return fmt.Sprintf("epoch %d authority %d", e, rank), nil
 
@@ -1344,7 +1372,7 @@ func (n *Node) callTraced(to fabric.NodeID, head, body, op string, tc trace.Cont
 	var err error
 	for attempt := 0; attempt < 8; attempt++ {
 		var resp []byte
-		resp, err = fabric.CallTraced(n.t, n.self, to, []byte(payload), tc)
+		resp, err = n.t.CallTraced(n.self, to, []byte(payload), tc)
 		if err == nil {
 			return string(resp), nil
 		}
@@ -1359,13 +1387,13 @@ func (n *Node) callTraced(to fabric.NodeID, head, body, op string, tc trace.Cont
 	return "", &UnavailableError{Node: to, Op: op, Err: err}
 }
 
-// HandleCall serves the cluster verbs (fabric.Handler).
+// HandleCall serves the cluster verbs (wire.Handler).
 func (n *Node) HandleCall(from fabric.NodeID, req []byte) ([]byte, error) {
 	return n.HandleCallTraced(from, req, trace.Context{})
 }
 
 // HandleCallTraced serves the cluster verbs with the caller's span context
-// (fabric.TraceHandler), so served hops land in the caller's trace.
+// (wire.TracedHandler), so served hops land in the caller's trace.
 func (n *Node) HandleCallTraced(from fabric.NodeID, req []byte, tc trace.Context) ([]byte, error) {
 	head, body := splitLine(string(req))
 	f := strings.Fields(head)
@@ -1408,41 +1436,46 @@ func (n *Node) HandleCallTraced(from fabric.NodeID, req []byte, tc trace.Context
 }
 
 // membersReply renders "SEQ <applied>", then "EPOCH <e> AUTH <r>", plus one
-// "<rank> <addr> <state>" line per rank, from this daemon's local view. The
-// leading SEQ line is load-bearing for anti-entropy; the EPOCH line lets
+// "<rank> <addr> <state>" line per member, from this daemon's local view.
+// The leading SEQ line is load-bearing for anti-entropy; the EPOCH line lets
 // operators (and the chaos harness) watch a failover fence in.
+//
+// The detector is read after n.mu is released: a probe round holds the
+// detector's lock across its heartbeats, and n.mu must never wait on that.
 func (n *Node) membersReply() string {
-	states := n.det.States()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var b strings.Builder
+	n.mu.Lock()
 	fmt.Fprintf(&b, "SEQ %d\n", n.applied)
 	fmt.Fprintf(&b, "EPOCH %d AUTH %d\n", n.epoch, int(n.authority))
-	for r := 0; r < n.nodes; r++ {
-		addr := n.members[r]
-		if addr == "" {
-			addr = "-"
-		}
-		st := states[r].String()
-		if fabric.NodeID(r) == n.self {
+	members := slices.Clone(n.members)
+	n.mu.Unlock()
+	for _, m := range members {
+		st := n.det.State(m.rank).String()
+		if m.rank == n.self {
 			st = "self"
 		}
-		fmt.Fprintf(&b, "%d %s %s\n", r, addr, st)
+		fmt.Fprintf(&b, "%d %s %s\n", m.rank, m.addr, st)
 	}
 	return b.String()
 }
 
-// Home answers the HOME command, a placement diagnostic: the rank the
-// in-process fabric's HomeOf assigns the entity, whether that rank is alive in
-// this daemon's view, and whether the entity is known. It does not decide
-// where a query runs — every daemon serves every query from its own replica.
-func (n *Node) Home(entity string) (rank fabric.NodeID, alive, known bool) {
+// Home answers the HOME command, a placement diagnostic: the engine
+// partition the in-process fabric's HomeOf assigns the entity, the state in
+// this daemon's view of the member rank with that number ("unknown" when no
+// member has it), and whether the entity is known. It does not decide where
+// a query runs — every daemon serves every query from its own replica.
+func (n *Node) Home(entity string) (home fabric.NodeID, state string, known bool) {
 	id, ok := n.eng.StringServer().LookupEntity(rdf.NewIRI(entity))
 	if !ok {
-		return 0, false, false
+		return 0, "", false
 	}
-	rank = n.eng.Fabric().HomeOf(uint64(id))
-	return rank, n.det.State(rank) != member.Dead, true
+	home = n.eng.Fabric().HomeOf(uint64(id))
+	switch st := n.det.State(home); st {
+	case member.Dead, member.Unknown:
+		return home, st.String(), true
+	default:
+		return home, member.Alive.String(), true
+	}
 }
 
 // Info returns the CLUSTER command's lines: this daemon's view of every

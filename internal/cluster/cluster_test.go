@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,7 +16,9 @@ import (
 	"repro/internal/wire"
 )
 
-const clusterNodes = 3
+// engineNodes sizes every test replica's engine; it has nothing to do with
+// how many daemons a test starts.
+const engineNodes = 3
 
 // daemon is one in-process stand-in for a wukongsd process: its own engine
 // replica, its own TCP transport, its own cluster node.
@@ -39,6 +40,15 @@ func (d *daemon) onFire(name string, res *core.Result, _ core.FireInfo) {
 	d.fires[name] = append(d.fires[name], res.Strings())
 }
 
+// enginePartitions is a Config hook that swaps in an engine of the given
+// partition count.
+func enginePartitions(t testing.TB, nodes int) func(*Config) {
+	return func(c *Config) {
+		c.Engine.Close()
+		c.Engine = newEngineN(t, nodes)
+	}
+}
+
 func (d *daemon) close() {
 	if d.node != nil {
 		d.node.Close()
@@ -53,8 +63,14 @@ func (d *daemon) close() {
 
 func newEngine(t testing.TB) *core.Engine {
 	t.Helper()
+	return newEngineN(t, engineNodes)
+}
+
+// newEngineN is newEngine with the given partition count.
+func newEngineN(t testing.TB, nodes int) *core.Engine {
+	t.Helper()
 	eng, err := core.New(core.Config{
-		Nodes:          clusterNodes,
+		Nodes:          nodes,
 		WorkersPerNode: 2,
 		Metrics:        obs.NewRegistry(""),
 	})
@@ -67,7 +83,6 @@ func newEngine(t testing.TB) *core.Engine {
 func tcpConfig(self fabric.NodeID, faults *wire.Faults) wire.TCPConfig {
 	return wire.TCPConfig{
 		Self:             self,
-		Nodes:            clusterNodes,
 		DialTimeout:      time.Second,
 		CallTimeout:      500 * time.Millisecond,
 		HeartbeatTimeout: 200 * time.Millisecond,
@@ -78,7 +93,7 @@ func tcpConfig(self fabric.NodeID, faults *wire.Faults) wire.TCPConfig {
 	}
 }
 
-func clusterConfig(tr fabric.Transport, self fabric.NodeID, eng *core.Engine, d *daemon) Config {
+func clusterConfig(tr *wire.TCP, self fabric.NodeID, eng *core.Engine, d *daemon) Config {
 	return Config{
 		Transport:         tr,
 		Self:              self,
@@ -118,46 +133,7 @@ func startSeed(t *testing.T, faults *wire.Faults) *daemon {
 // restart path).
 func joinDaemon(t *testing.T, seedAddr, listenAddr string) *daemon {
 	t.Helper()
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
-	}
-	var ln net.Listener
-	var err error
-	for i := 0; i < 50; i++ { // a just-killed daemon's port can linger briefly
-		ln, err = net.Listen("tcp", listenAddr)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("member listen %s: %v", listenAddr, err)
-	}
-	advertise := ln.Addr().String()
-	rank, nodes, err := Discover(seedAddr, advertise, time.Second)
-	if err != nil {
-		ln.Close()
-		t.Fatalf("discover: %v", err)
-	}
-	if nodes != clusterNodes {
-		ln.Close()
-		t.Fatalf("discover: nodes = %d, want %d", nodes, clusterNodes)
-	}
-	d := &daemon{eng: newEngine(t)}
-	tr, err := wire.NewTCP(ln, tcpConfig(fabric.NodeID(rank), nil), obs.NewRegistry(""))
-	if err != nil {
-		t.Fatalf("member transport: %v", err)
-	}
-	d.tr = tr
-	cfg := clusterConfig(tr, fabric.NodeID(rank), d.eng, d)
-	cfg.SelfAddr = advertise
-	cfg.SeedAddr = seedAddr
-	node, err := Join(cfg)
-	if err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	d.node = node
-	return d
+	return joinDaemonCfg(t, seedAddr, listenAddr, nil)
 }
 
 // seedData pushes a base graph, a stream, tuples, and a window advance
@@ -401,56 +377,6 @@ func TestClusterTCPReplicationUnderWireFaults(t *testing.T) {
 		if !reflect.DeepEqual(res.Strings(), seedRes.Strings()) {
 			t.Fatalf("replica %d diverged under faults", i)
 		}
-	}
-}
-
-// The cluster must also run over the in-memory transport: same brain, no
-// sockets — this is what keeps the single-process deployment first-class.
-func TestClusterMemTransport(t *testing.T) {
-	fab := fabric.New(fabric.DefaultConfig(clusterNodes))
-	mem := fabric.NewMem(fab)
-
-	mk := func(self fabric.NodeID) *daemon {
-		d := &daemon{eng: newEngine(t)}
-		cfg := clusterConfig(mem, self, d.eng, d)
-		cfg.HeartbeatInterval = -1 // no wall-clock ticker needed here
-		cfg.SelfAddr = fmt.Sprintf("mem-%d", self)
-		var err error
-		if self == SeedRank {
-			d.node, err = NewSeed(cfg)
-		} else {
-			d.node, err = Join(cfg)
-		}
-		if err != nil {
-			t.Fatalf("node %d: %v", self, err)
-		}
-		return d
-	}
-	seed := mk(0)
-	defer seed.eng.Close()
-	d1 := mk(1)
-	defer d1.eng.Close()
-	d2 := mk(2)
-	defer d2.eng.Close()
-
-	seedData(t, d1)
-	waitConverged(t, seed, d1, d2)
-
-	var first []string
-	for i, d := range []*daemon{seed, d1, d2} {
-		res, err := d.eng.Query(`SELECT ?X ?Y WHERE { ?X po ?Y }`)
-		if err != nil {
-			t.Fatalf("mem replica %d query: %v", i, err)
-		}
-		res.Sort()
-		if i == 0 {
-			first = res.Strings()
-		} else if !reflect.DeepEqual(res.Strings(), first) {
-			t.Fatalf("mem replica %d diverged: %v vs %v", i, res.Strings(), first)
-		}
-	}
-	if len(first) != 12 {
-		t.Fatalf("mem replicas hold %d rows, want 12: %v", len(first), first)
 	}
 }
 

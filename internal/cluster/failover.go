@@ -53,17 +53,16 @@ func (n *Node) resolveAuthority() fabric.NodeID {
 }
 
 // lowestLiveRank computes the deterministic successor: the lowest rank that
-// is either this node or a known member the detector has not declared dead.
+// is either this node or a member the detector has not declared dead.
 func (n *Node) lowestLiveRank() fabric.NodeID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for r := 0; r < n.nodes; r++ {
-		id := fabric.NodeID(r)
-		if id == n.self {
-			return id
+	for _, m := range n.members {
+		if m.rank >= n.self {
+			break
 		}
-		if n.members[r] != "" && n.det.State(id) != member.Dead {
-			return id
+		if n.det.State(m.rank) != member.Dead {
+			return m.rank
 		}
 	}
 	return n.self
@@ -108,17 +107,9 @@ func (n *Node) assumeAuthority() error {
 	bestPeer := fabric.NodeID(0)
 	var bestSeq uint64
 	havePeer := false
-	n.mu.Lock()
-	peers := make([]fabric.NodeID, 0, n.nodes)
-	for r := 0; r < n.nodes; r++ {
-		id := fabric.NodeID(r)
-		if id != n.self && n.members[r] != "" {
-			peers = append(peers, id)
-		}
-	}
-	n.mu.Unlock()
-	for _, p := range peers {
-		if n.det.State(p) == member.Dead {
+	for _, m := range n.membersCopy() {
+		p := m.rank
+		if p == n.self || n.det.State(p) == member.Dead {
 			continue
 		}
 		resp, err := n.call(p, "STATE", "", "takeover-survey")

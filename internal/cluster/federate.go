@@ -82,56 +82,40 @@ type fedResult struct {
 }
 
 // federate collects one verb's payload from every reachable member,
-// concurrently. Self is served in-process; a rank with no recorded address
-// (never joined) is omitted; a rank declared dead is reported but not
-// probed, so a partitioned cluster answers in call-latency time, not
-// dead-member-timeout time.
+// concurrently. Self is served in-process; a member declared dead is
+// reported but not probed, so a partitioned cluster answers in call-latency
+// time, not dead-member-timeout time.
 func (n *Node) federate(verb, op string) []fedResult {
-	states := n.det.States()
-	n.mu.Lock()
-	addrs := append([]string(nil), n.members...)
-	n.mu.Unlock()
-
-	slots := make([]*fedResult, n.nodes)
+	members := n.membersCopy()
+	out := make([]fedResult, len(members))
 	var wg sync.WaitGroup
-	for r := 0; r < n.nodes; r++ {
-		rank := fabric.NodeID(r)
-		rep := MemberReport{Rank: r, Addr: addrs[r], State: states[r].String()}
+	for i, m := range members {
+		st := n.det.State(m.rank)
+		out[i].report = MemberReport{Rank: int(m.rank), Addr: m.addr, State: st.String()}
 		switch {
-		case rank == n.self:
-			rep.State = "self"
+		case m.rank == n.self:
+			out[i].report.State = "self"
 			payload, err := n.serveFed(verb)
 			if err != nil {
-				rep.Err = err.Error()
+				out[i].report.Err = err.Error()
 			}
-			slots[r] = &fedResult{report: rep, payload: payload}
-		case addrs[r] == "":
-			// Never joined: nothing to report.
-		case states[r] == member.Dead:
-			rep.Err = "declared dead; not probed"
-			slots[r] = &fedResult{report: rep}
+			out[i].payload = payload
+		case st == member.Dead:
+			out[i].report.Err = "declared dead; not probed"
 		default:
-			slots[r] = &fedResult{report: rep}
 			wg.Add(1)
-			go func(r int, rank fabric.NodeID) {
+			go func(slot *fedResult, rank fabric.NodeID) {
 				defer wg.Done()
 				resp, err := n.call(rank, verb, "", op)
 				if err != nil {
-					slots[r].report.Err = err.Error()
+					slot.report.Err = err.Error()
 					return
 				}
-				slots[r].payload = []byte(resp)
-			}(r, rank)
+				slot.payload = []byte(resp)
+			}(&out[i], m.rank)
 		}
 	}
 	wg.Wait()
-
-	out := make([]fedResult, 0, n.nodes)
-	for _, s := range slots {
-		if s != nil {
-			out = append(out, *s)
-		}
-	}
 	return out
 }
 

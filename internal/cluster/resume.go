@@ -29,7 +29,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/oplog"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // HasDurableState reports whether dir holds anything Resume could recover
@@ -106,11 +105,9 @@ func Resume(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: nothing to resume in %s", cfg.DataDir)
 	}
 	members[int(n.self)] = cfg.SelfAddr
-	if tcp, ok := n.t.(*wire.TCP); ok {
-		for r, addr := range members {
-			if fabric.NodeID(r) != n.self {
-				tcp.SetPeer(fabric.NodeID(r), addr)
-			}
+	for r, addr := range members {
+		if fabric.NodeID(r) != n.self {
+			n.t.SetPeer(fabric.NodeID(r), addr)
 		}
 	}
 
@@ -175,10 +172,9 @@ func (n *Node) resumeAsMember(donor fabric.NodeID) error {
 			}
 			return err
 		}
-		var rank, nodes int
-		var latest uint64
-		if _, err := fmt.Sscanf(firstLine(resp), "RANK %d NODES %d SEQ %d", &rank, &nodes, &latest); err != nil {
-			return fmt.Errorf("cluster: bad rejoin response %q: %w", firstLine(resp), err)
+		rank, latest, err := parseJoinReply(resp)
+		if err != nil {
+			return err
 		}
 		if rank != int(n.self) {
 			return fmt.Errorf("cluster: rank %d reassigned to %d while we were down", int(n.self), rank)
@@ -257,7 +253,7 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 	}
 	newEpoch := n.epoch + 1
 	n.authority = n.self
-	selfAddrStale := n.members[int(n.self)] != n.cfg.SelfAddr
+	selfAddrStale := n.memberAddrLocked(n.self) != n.cfg.SelfAddr
 	n.mu.Unlock()
 	if _, _, err := n.sequence(trace.Context{}, "", "EPOCH",
 		[]string{strconv.FormatUint(newEpoch, 10), strconv.Itoa(int(n.self))}, ""); err != nil {

@@ -40,7 +40,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"strconv"
 	"strings"
 	"time"
@@ -50,7 +49,6 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/store"
 	"repro/internal/strserver"
-	"repro/internal/wire"
 )
 
 // DefaultSnapshotEvery is the op cadence between durable snapshots.
@@ -59,8 +57,6 @@ const DefaultSnapshotEvery = 4096
 // snapChunk bounds one SNAPGET response, comfortably under the wire's
 // 16 MiB frame ceiling.
 const snapChunk = 1 << 20
-
-var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // maybeSnapshotLocked drives the durable snapshot cadence after each
 // recorded op. Caller holds applyMu. Due snapshots are deferred at
@@ -116,10 +112,8 @@ func (n *Node) buildSnapshotLocked() []byte {
 	b.WriteString("WSSNAP 1\n")
 	n.mu.Lock()
 	fmt.Fprintf(&b, "STATE SEQ %d EPOCH %d AUTH %d NOW %d\n", n.applied, n.epoch, int(n.authority), int64(eng.Now()))
-	for r := 0; r < n.nodes; r++ {
-		if n.members[r] != "" {
-			fmt.Fprintf(&b, "MEMBER %d %s\n", r, n.members[r])
-		}
+	for _, m := range n.members {
+		fmt.Fprintf(&b, "MEMBER %d %s\n", m.rank, m.addr)
 	}
 	for _, id := range n.dedupRing {
 		e := n.dedup[id]
@@ -313,9 +307,7 @@ func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabr
 	cur := n.epoch
 	n.authority = auth
 	n.mu.Unlock()
-	if tcp, ok := n.t.(*wire.TCP); ok {
-		tcp.SetEpoch(cur)
-	}
+	n.t.SetEpoch(cur)
 	return seq, epoch, auth, nil
 }
 
@@ -339,7 +331,7 @@ func (n *Node) serveSnapMeta() (string, error) {
 		return "", fmt.Errorf("cluster: no snapshot available yet (not quiescent)")
 	}
 	chunks := (len(n.snapPayload) + snapChunk - 1) / snapChunk
-	crc := crc32.Checksum(n.snapPayload, snapCRC)
+	crc := oplog.Checksum(n.snapPayload)
 	return fmt.Sprintf("SNAP %d %d %d %d %d", n.snapSeq, n.snapEpoch, len(n.snapPayload), chunks, crc), nil
 }
 
@@ -415,7 +407,7 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 		}
 		payload = append(payload, chunk...)
 	}
-	if len(payload) != size || crc32.Checksum(payload, snapCRC) != crc {
+	if len(payload) != size || oplog.Checksum(payload) != crc {
 		return fmt.Errorf("cluster: snapshot transfer damaged (%d of %d bytes)", len(payload), size)
 	}
 

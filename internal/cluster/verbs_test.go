@@ -23,7 +23,7 @@ import (
 func startPair(t *testing.T, flowCfg core.FlowConfig) (seed, d1 *daemon) {
 	t.Helper()
 	withEngine := func(c *Config) {
-		eng, err := core.New(core.Config{Nodes: clusterNodes, WorkersPerNode: 2, Metrics: obs.NewRegistry(""), Flow: flowCfg})
+		eng, err := core.New(core.Config{Nodes: engineNodes, WorkersPerNode: 2, Metrics: obs.NewRegistry(""), Flow: flowCfg})
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
@@ -31,10 +31,8 @@ func startPair(t *testing.T, flowCfg core.FlowConfig) (seed, d1 *daemon) {
 		c.Engine = eng
 	}
 	seed = startSeedCfg(t, withEngine)
-	seed.eng = seed.node.eng
 	t.Cleanup(seed.close)
 	d1 = joinDaemonCfg(t, seed.tr.Addr(), "", withEngine)
-	d1.eng = d1.node.eng
 	t.Cleanup(d1.close)
 	if _, err := d1.node.Forward("STREAM", []string{"S", "100"}, ""); err != nil {
 		t.Fatalf("STREAM: %v", err)

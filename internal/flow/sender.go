@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fabric"
@@ -69,9 +70,12 @@ type SenderStats struct {
 // — and makes truly-dead paths cheap (fail fast) instead of a retry storm.
 // Safe for concurrent use.
 type Sender struct {
-	attempt  func(from, to fabric.NodeID, n int) error
-	cfg      SenderConfig
-	breakers []*Breaker
+	attempt func(from, to fabric.NodeID, n int) error
+	cfg     SenderConfig
+	reg     *obs.Registry
+	// breakers is indexed by destination. Send loads it without a lock; a
+	// destination past its end grows it copy-on-write under mu.
+	breakers atomic.Pointer[[]*Breaker]
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -94,7 +98,9 @@ type Sender struct {
 // NewSender creates a sender over fab, recording outcome counters into r
 // (nil r records nothing).
 func NewSender(fab *fabric.Fabric, cfg SenderConfig, r *obs.Registry) *Sender {
-	return NewSenderOver(fab.Nodes(), fab.SendAsync, cfg, r)
+	s := NewSenderOver(fab.SendAsync, cfg, r)
+	s.breaker(fabric.NodeID(fab.Nodes() - 1))
+	return s
 }
 
 // NewSenderOver creates a sender whose delivery attempt is an arbitrary
@@ -102,17 +108,18 @@ func NewSender(fab *fabric.Fabric, cfg SenderConfig, r *obs.Registry) *Sender {
 // breakers, but over any substrate (the simulated fabric, or a TCP wire via
 // internal/wire). attempt is called with the message endpoints and size and
 // must classify its failures so fabric.Transient reports drops as retryable.
-func NewSenderOver(nodes int, attempt func(from, to fabric.NodeID, n int) error, cfg SenderConfig, r *obs.Registry) *Sender {
+// A destination's breaker is created on its first Send.
+func NewSenderOver(attempt func(from, to fabric.NodeID, n int) error, cfg SenderConfig, r *obs.Registry) *Sender {
 	cfg = cfg.withDefaults()
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
 	s := &Sender{
-		attempt:  attempt,
-		cfg:      cfg,
-		breakers: make([]*Breaker, nodes),
-		rng:      rand.New(rand.NewSource(seed)),
+		attempt: attempt,
+		cfg:     cfg,
+		reg:     r,
+		rng:     rand.New(rand.NewSource(seed)),
 
 		cSent:      r.Counter("flow_send_ok_total"),
 		cRetries:   r.Counter("flow_send_retries_total"),
@@ -121,25 +128,45 @@ func NewSenderOver(nodes int, attempt func(from, to fabric.NodeID, n int) error,
 		cFastFails: r.Counter("flow_send_breaker_fastfail_total"),
 		cOpens:     r.Counter("flow_breaker_opens_total"),
 	}
-	for i := range s.breakers {
-		s.breakers[i] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
-	if r != nil && nodes <= 16 {
-		for i := range s.breakers {
-			br := s.breakers[i]
-			r.GaugeFunc(obs.Name("flow_breaker_state", "node", fmt.Sprint(i)),
-				func() int64 { return int64(br.State()) })
-		}
-	}
+	s.breakers.Store(new([]*Breaker))
 	return s
 }
+
+// maxBreakerGauges caps the per-destination flow_breaker_state gauges.
+const maxBreakerGauges = 16
 
 // Breaker returns the destination node's breaker (for state probes).
 func (s *Sender) Breaker(to fabric.NodeID) *Breaker {
 	if s == nil {
 		return nil
 	}
-	return s.breakers[to]
+	return s.breaker(to)
+}
+
+// breaker returns to's breaker, creating it (and every lower destination's)
+// on first use.
+func (s *Sender) breaker(to fabric.NodeID) *Breaker {
+	if bs := *s.breakers.Load(); int(to) < len(bs) {
+		return bs[to]
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := *s.breakers.Load()
+	if int(to) < len(old) {
+		return old[to]
+	}
+	bs := make([]*Breaker, int(to)+1)
+	copy(bs, old)
+	for i := len(old); i < len(bs); i++ {
+		br := NewBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown)
+		bs[i] = br
+		if i < maxBreakerGauges {
+			s.reg.GaugeFunc(obs.Name("flow_breaker_state", "node", fmt.Sprint(i)),
+				func() int64 { return int64(br.State()) })
+		}
+	}
+	s.breakers.Store(&bs)
+	return bs[to]
 }
 
 // backoff returns the jittered backoff before retry attempt (0-based).
@@ -166,7 +193,7 @@ func (s *Sender) Send(from, to fabric.NodeID, n int) error {
 	if from == to {
 		return nil
 	}
-	br := s.breakers[to]
+	br := s.breaker(to)
 	if !br.Allow() {
 		s.cFastFails.Inc()
 		s.mu.Lock()

@@ -1,8 +1,8 @@
 // Package member implements failure detection for a cluster of daemons
 // (internal/cluster is its one user). A Detector runs heartbeat rounds over a
-// Prober on a clock its owner drives: each round, every node is probed by its
-// live peers, and a node that misses enough consecutive rounds transitions
-// Alive → Suspect → Dead. When the node answers again it transitions back to
+// Prober on a clock its owner drives: each round, every node it tracks (the
+// owner adds each one) is probed by its live peers, and a node that misses
+// enough consecutive rounds transitions Alive → Suspect → Dead. When the node answers again it transitions back to
 // Alive and the OnRejoin hook tells the owner to catch it up.
 //
 // Determinism: rounds are driven by the clock passed to Tick, not wall time,
@@ -31,6 +31,8 @@ const (
 	Suspect
 	// Dead: the node missed at least DeadAfter consecutive rounds.
 	Dead
+	// Unknown: the detector does not track the node (it was never added).
+	Unknown
 )
 
 func (s State) String() string {
@@ -41,6 +43,8 @@ func (s State) String() string {
 		return "suspect"
 	case Dead:
 		return "dead"
+	case Unknown:
+		return "unknown"
 	default:
 		return fmt.Sprintf("State(%d)", int(s))
 	}
@@ -49,8 +53,6 @@ func (s State) String() string {
 // Config parameterizes the detector. The zero value of each field is
 // replaced by its default.
 type Config struct {
-	// Nodes is the cluster size (required).
-	Nodes int
 	// HeartbeatIntervalMS is the logical-time probe period (default 100,
 	// one mini-batch at the paper's default batching interval).
 	HeartbeatIntervalMS int64
@@ -104,13 +106,11 @@ type Hooks struct {
 	OnAlive func(n fabric.NodeID)
 }
 
-// Prober is the detector's view of the substrate it probes: a cluster size
-// and a liveness check. *fabric.Fabric satisfies it directly (the simulated
-// cluster); a wire-backed cluster satisfies it with real socket heartbeats,
-// where only probes originating at the local daemon carry information (see
-// internal/cluster).
+// Prober is the detector's liveness check. *fabric.Fabric satisfies it
+// directly (the simulated cluster); a wire-backed cluster satisfies it with
+// real socket heartbeats, where only probes originating at the local daemon
+// carry information (see internal/cluster).
 type Prober interface {
-	Nodes() int
 	Heartbeat(from, to fabric.NodeID) error
 }
 
@@ -122,9 +122,10 @@ type Detector struct {
 	hooks Hooks
 
 	mu        sync.Mutex
-	states    []State
-	missed    []int // consecutive missed probe rounds per node
-	lastRound int64 // logical ms of the last completed probe round; -1 before the first
+	states    []State // indexed by node; Unknown where not tracked
+	missed    []int   // consecutive missed probe rounds per node
+	tracked   int     // nodes added
+	lastRound int64   // logical ms of the last completed probe round; -1 before the first
 
 	// counters (nil-safe via obs).
 	cSuspects *obs.Counter
@@ -133,16 +134,14 @@ type Detector struct {
 	cRounds   *obs.Counter
 }
 
-// NewOver creates a detector over any Prober. r may be nil (no metrics).
+// NewOver creates a detector over any Prober, tracking no node until Add.
+// r may be nil (no metrics).
 func NewOver(fab Prober, cfg Config, hooks Hooks, r *obs.Registry) *Detector {
-	cfg.Nodes = fab.Nodes()
 	cfg = cfg.withDefaults()
 	d := &Detector{
 		cfg:       cfg,
 		fab:       fab,
 		hooks:     hooks,
-		states:    make([]State, cfg.Nodes),
-		missed:    make([]int, cfg.Nodes),
 		lastRound: -1,
 		cSuspects: r.Counter("member_suspects_total"),
 		cDeaths:   r.Counter("member_deaths_total"),
@@ -154,7 +153,7 @@ func NewOver(fab Prober, cfg Config, hooks Hooks, r *obs.Registry) *Detector {
 		defer d.mu.Unlock()
 		var alive int64
 		for _, s := range d.states {
-			if s != Dead {
+			if s == Alive || s == Suspect {
 				alive++
 			}
 		}
@@ -177,10 +176,27 @@ func NewOver(fab Prober, cfg Config, hooks Hooks, r *obs.Registry) *Detector {
 // Config returns the detector's effective (defaulted) configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// State returns node n's current membership state.
+// Add starts tracking node n as Alive. Adding a tracked node is a no-op.
+func (d *Detector) Add(n fabric.NodeID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for len(d.states) <= int(n) {
+		d.states = append(d.states, Unknown)
+		d.missed = append(d.missed, 0)
+	}
+	if d.states[n] == Unknown {
+		d.states[n] = Alive
+		d.tracked++
+	}
+}
+
+// State returns node n's current membership state (Unknown if untracked).
 func (d *Detector) State(n fabric.NodeID) State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if int(n) >= len(d.states) {
+		return Unknown
+	}
 	return d.states[n]
 }
 
@@ -210,11 +226,12 @@ type transition struct {
 // A single-node cluster never probes: there is no peer to observe a failure,
 // and declaring the only node dead would be useless.
 func (d *Detector) Tick(now int64) {
-	if d.cfg.Nodes < 2 {
-		return
-	}
 	var trans []transition
 	d.mu.Lock()
+	if d.tracked < 2 {
+		d.mu.Unlock()
+		return
+	}
 	if d.lastRound < 0 {
 		// Anchor the first round one interval after time zero.
 		d.lastRound = 0
@@ -233,12 +250,15 @@ func (d *Detector) Tick(now int64) {
 func (d *Detector) probeRoundLocked() []transition {
 	d.cRounds.Inc()
 	var trans []transition
-	for n := 0; n < d.cfg.Nodes; n++ {
+	for n := range d.states {
+		if d.states[n] == Unknown {
+			continue
+		}
 		target := fabric.NodeID(n)
 		reachable := d.cfg.HasSelf && target == d.cfg.Self
-		for m := 0; !reachable && m < d.cfg.Nodes; m++ {
+		for m := 0; !reachable && m < len(d.states); m++ {
 			prober := fabric.NodeID(m)
-			if m == n || d.states[m] == Dead {
+			if m == n || d.states[m] == Dead || d.states[m] == Unknown {
 				continue
 			}
 			if d.fab.Heartbeat(prober, target) == nil {

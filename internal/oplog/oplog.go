@@ -32,6 +32,10 @@ import (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// Checksum is the CRC32C (Castagnoli) of p: the checksum of every durable
+// record and snapshot, and of a snapshot shipped between replicas.
+func Checksum(p []byte) uint32 { return crc32.Checksum(p, crcTable) }
+
 const recordHeader = 16 // seq + len + crc
 
 // DefaultSegmentOps is how many ops one segment file holds before rotation.
@@ -177,7 +181,7 @@ func decode(data []byte, off int) (seq uint64, payload []byte, next int, ok bool
 		return 0, nil, 0, false
 	}
 	payload = data[off+recordHeader : next]
-	return seq, payload, next, crc32.Checksum(payload, crcTable) == crc
+	return seq, payload, next, Checksum(payload) == crc
 }
 
 // scanSegment finds one segment's valid prefix — records that frame, pass
@@ -260,7 +264,7 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 	var hdr [recordHeader]byte
 	binary.BigEndian.PutUint64(hdr[0:], seq)
 	binary.BigEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[12:], crc32.Checksum(payload, crcTable))
+	binary.BigEndian.PutUint32(hdr[12:], Checksum(payload))
 	if _, err := l.w.Write(hdr[:]); err != nil {
 		return err
 	}

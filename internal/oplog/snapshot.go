@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,7 +42,7 @@ func SaveSnapshot(dir string, seq, epoch uint64, payload []byte) error {
 	binary.BigEndian.PutUint64(buf[8:], seq)
 	binary.BigEndian.PutUint64(buf[16:], epoch)
 	binary.BigEndian.PutUint32(buf[24:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[28:], crc32.Checksum(payload, crcTable))
+	binary.BigEndian.PutUint32(buf[28:], Checksum(payload))
 	copy(buf[snapHeader:], payload)
 
 	final := snapPath(dir, seq)
@@ -143,7 +142,7 @@ func readSnapshot(path string) (seq, epoch uint64, payload []byte, err error) {
 		return 0, 0, nil, fmt.Errorf("oplog: %s: truncated snapshot (%d of %d payload bytes)", path, len(data)-snapHeader, sz)
 	}
 	payload = data[snapHeader:]
-	if crc32.Checksum(payload, crcTable) != crc {
+	if Checksum(payload) != crc {
 		return 0, 0, nil, fmt.Errorf("oplog: %s: snapshot checksum mismatch", path)
 	}
 	return seq, epoch, payload, nil

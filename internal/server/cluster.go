@@ -36,10 +36,12 @@ type ClusterBackend interface {
 	// may end with the client's id= token. A valid tc joins the downstream
 	// hops to the request's trace; the zero Context means untraced.
 	ForwardTraced(tc trace.Context, kind string, args []string, body string) (string, error)
-	// Home is a placement diagnostic: the rank HomeOf assigns an entity,
-	// that rank's liveness, and whether the entity is known at all.
-	Home(entity string) (rank fabric.NodeID, alive, known bool)
-	// Info renders this daemon's membership view, one line per rank.
+	// Home is a placement diagnostic: the engine partition HomeOf assigns
+	// an entity, the state of the member rank with that number ("alive",
+	// "dead", or "unknown" when no member has it), and whether the entity is
+	// known at all.
+	Home(entity string) (home fabric.NodeID, state string, known bool)
+	// Info renders this daemon's membership view, one line per member.
 	Info() []string
 	// ClusterStats, ClusterMetrics and ClusterTraces are the cluster-wide
 	// observability views behind CLUSTER STATS/METRICS/TRACES: per-member
@@ -166,9 +168,9 @@ func memberErrors(reports []cluster.MemberReport) map[string]string {
 	return errs
 }
 
-// cmdHome serves HOME <entity>: which rank the fabric's placement assigns the
-// entity and whether that rank is currently alive in this daemon's view. A
-// diagnostic only — QUERY never consults it.
+// cmdHome serves HOME <entity>: which engine partition the fabric's
+// placement assigns the entity, and the state of the member rank with that
+// number in this daemon's view. A diagnostic only — QUERY never consults it.
 func (s *Server) cmdHome(w *bufio.Writer, args []string) error {
 	c := s.clusterBackend()
 	if c == nil {
@@ -177,15 +179,11 @@ func (s *Server) cmdHome(w *bufio.Writer, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: HOME <entity>")
 	}
-	rank, alive, known := c.Home(args[0])
+	home, state, known := c.Home(args[0])
 	if !known {
 		fmt.Fprintf(w, "+OK home=-1 state=unknown known=false\n")
 		return nil
 	}
-	state := "alive"
-	if !alive {
-		state = "dead"
-	}
-	fmt.Fprintf(w, "+OK home=%d state=%s known=true\n", rank, state)
+	fmt.Fprintf(w, "+OK home=%d state=%s known=true\n", home, state)
 	return nil
 }

@@ -33,7 +33,15 @@ func startClusterDaemon(t *testing.T, seedWire string) *clusterDaemon {
 // knobs set.
 func startClusterDaemonFlow(t *testing.T, seedWire string, flowCfg core.FlowConfig) *clusterDaemon {
 	t.Helper()
-	eng, err := core.New(core.Config{Nodes: 2, Metrics: obs.NewRegistry(""), Flow: flowCfg})
+	return startClusterDaemonEngine(t, seedWire, core.Config{Nodes: 2, Flow: flowCfg})
+}
+
+// startClusterDaemonEngine is startClusterDaemon with the engine built from
+// engCfg.
+func startClusterDaemonEngine(t *testing.T, seedWire string, engCfg core.Config) *clusterDaemon {
+	t.Helper()
+	engCfg.Metrics = obs.NewRegistry("")
+	eng, err := core.New(engCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +52,6 @@ func startClusterDaemonFlow(t *testing.T, seedWire string, flowCfg core.FlowConf
 	}
 	tr, err := wire.ListenTCP("127.0.0.1:0", wire.TCPConfig{
 		Self:             self,
-		Nodes:            2,
 		HeartbeatTimeout: 200 * time.Millisecond,
 		ReconnectBase:    5 * time.Millisecond,
 		ReconnectCap:     50 * time.Millisecond,
@@ -129,5 +136,37 @@ func TestClusterQuerySurvivesDeadHomeRank(t *testing.T) {
 	expectOK(t, st)
 	if rows := c.rows(); len(rows) != 1 || rows[0] != "t"+strings.TrimPrefix(entity, "u") {
 		t.Fatalf("QUERY for %s (home rank %d is dead): %q rows %v", entity, victim, st, rows)
+	}
+}
+
+// HOME names an engine partition, which need not be a member rank: a
+// two-daemon cluster whose engines run four partitions answers HOME for an
+// entity on partition 3 with state=unknown.
+func TestHomeOnPartitionPastTheMembers(t *testing.T) {
+	seed := startClusterDaemonEngine(t, "", core.Config{Nodes: 4})
+	startClusterDaemonEngine(t, seed.tr.Addr(), core.Config{Nodes: 4})
+	c := dial(t, seed.addr)
+
+	var triples []string
+	for i := 0; i < 32; i++ {
+		triples = append(triples, fmt.Sprintf("<u%d> <po> <t%d> .", i, i))
+	}
+	c.send(append(append([]string{"LOAD"}, triples...), ".")...)
+	expectOK(t, c.status())
+
+	seen := map[string]bool{}
+	for i := 0; i < 32; i++ {
+		c.send(fmt.Sprintf("HOME u%d", i))
+		st := c.status()
+		switch st {
+		case "+OK home=0 state=alive known=true", "+OK home=1 state=alive known=true",
+			"+OK home=2 state=unknown known=true", "+OK home=3 state=unknown known=true":
+			seen[st] = true
+		default:
+			t.Fatalf("HOME u%d = %q", i, st)
+		}
+	}
+	if !seen["+OK home=3 state=unknown known=true"] {
+		t.Fatalf("no loaded entity is homed on partition 3: %v", seen)
 	}
 }

@@ -26,8 +26,8 @@ func (f *fakeBackend) ForwardTraced(tc trace.Context, kind string, args []string
 	return "ok " + kind, nil
 }
 
-func (f *fakeBackend) Home(string) (fabric.NodeID, bool, bool) { return 0, true, true }
-func (f *fakeBackend) Info() []string                          { return []string{"0 self"} }
+func (f *fakeBackend) Home(string) (fabric.NodeID, string, bool) { return 0, "alive", true }
+func (f *fakeBackend) Info() []string                            { return []string{"0 self"} }
 
 func (f *fakeBackend) ClusterStats() []cluster.MemberReport { return f.stats }
 func (f *fakeBackend) ClusterMetrics() (map[string]obs.JSONMetric, []cluster.MemberReport) {

@@ -1,5 +1,5 @@
-// Package wire is the TCP substrate behind fabric.Transport: length-prefixed
-// CRC32C frames over ordinary sockets, with a seeded fault injector that
+// Package wire is the cluster's message plane: length-prefixed CRC32C
+// frames over ordinary sockets, with a seeded fault injector that
 // mangles traffic at the frame layer the way fabric/faults.go mangles the
 // simulated fabric. The framing is deliberately dumb — fixed header, one
 // checksum, no compression, no negotiation — because everything interesting
@@ -19,9 +19,9 @@
 //	22      4     CRC32C over bytes [4,22) plus the payload
 //	26      n     payload
 //
-// The CRC uses the Castagnoli polynomial — the same table core/ft.go uses
-// for durable records — so "verified by CRC32C" means one thing in this
-// codebase. A frame whose checksum fails is quarantined: the receiver has a
+// The CRC uses the Castagnoli polynomial, as oplog's durable records do, so
+// "verified by CRC32C" means one thing in this codebase; unlike a record's
+// checksum it also covers the header. A frame whose checksum fails is quarantined: the receiver has a
 // trustworthy length prefix (it already consumed the full frame), so it
 // drops the frame, bumps the quarantine counters, and keeps reading. Only
 // damage that destroys framing itself (bad magic, truncation mid-frame)

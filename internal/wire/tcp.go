@@ -1,8 +1,10 @@
-// TCP is the socket-backed fabric.Transport. One instance speaks for one
-// node (one OS process); peers are reached over per-peer outbound
-// connections with a Hello handshake, write deadlines, bounded reconnect
-// backoff, and a flow.Breaker per destination, while a listener accepts
-// inbound connections from peers that dialed us. Calls are matched to
+// TCP is the cluster's message plane. One instance speaks for one rank (one
+// OS process); peers are reached over per-peer outbound connections with a
+// Hello handshake, write deadlines, bounded reconnect backoff, and a
+// flow.Breaker per destination, while a listener accepts inbound
+// connections from peers that dialed us. The peer table holds only the
+// ranks SetPeer has named: it grows as members join, and an operation
+// toward any other rank fails with a PeerDownError. Calls are matched to
 // responses by sequence number; heartbeats are Ping/Pong with a short
 // deadline and bypass the breaker (the heartbeat IS the probe that lets a
 // breaker-opened path be rediscovered as healthy).
@@ -33,6 +35,47 @@ import (
 // ErrPeerDown is the base error for persistent wire failures against a peer.
 var ErrPeerDown = errors.New("wire: peer down")
 
+// ErrNoHandler is returned by calls served before SetHandler installed the
+// local frame consumer.
+var ErrNoHandler = errors.New("wire: no handler installed")
+
+// MaxRank is the highest rank a frame can address: its from/to fields are
+// 16 bits wide.
+const MaxRank = 1<<16 - 1
+
+// Handler consumes the frames delivered to this rank. Implementations must
+// be safe for concurrent use: frames arrive from many connections at once.
+type Handler interface {
+	// HandleSend consumes a one-way frame. There is no reply path.
+	HandleSend(from fabric.NodeID, payload []byte)
+	// HandleCall serves a two-sided exchange and returns the response
+	// payload. A returned error travels back to the caller as text.
+	HandleCall(from fabric.NodeID, req []byte) ([]byte, error)
+}
+
+// TracedHandler is a Handler that also takes the sender's span context
+// (DESIGN.md §13). The transport delivers through these entry points
+// whenever the handler has them; the zero context means untraced.
+type TracedHandler interface {
+	HandleSendTraced(from fabric.NodeID, payload []byte, tc trace.Context)
+	HandleCallTraced(from fabric.NodeID, req []byte, tc trace.Context) ([]byte, error)
+}
+
+func deliverSend(h Handler, from fabric.NodeID, payload []byte, tc trace.Context) {
+	if th, ok := h.(TracedHandler); ok {
+		th.HandleSendTraced(from, payload, tc)
+		return
+	}
+	h.HandleSend(from, payload)
+}
+
+func deliverCall(h Handler, from fabric.NodeID, req []byte, tc trace.Context) ([]byte, error) {
+	if th, ok := h.(TracedHandler); ok {
+		return th.HandleCallTraced(from, req, tc)
+	}
+	return h.HandleCall(from, req)
+}
+
 // PeerDownError reports a persistent transport failure toward one peer.
 type PeerDownError struct {
 	To  fabric.NodeID
@@ -50,9 +93,10 @@ func (e *PeerDownError) Unwrap() error { return ErrPeerDown }
 // TCPConfig parameterizes a TCP transport. Zero-valued fields take the
 // listed defaults.
 type TCPConfig struct {
-	// Self is this process's node id (required).
+	// Self is this process's rank, at most MaxRank.
 	Self fabric.NodeID
-	// Nodes is the cluster capacity (required).
+	// Nodes is ignored: the peer table grows as SetPeer names ranks. It
+	// remains so that configurations which set it still compile.
 	Nodes int
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
@@ -139,8 +183,10 @@ func (w *wconn) close() {
 	}
 }
 
-// peer is this transport's view of one remote node's outbound path.
+// peer is this transport's view of one remote rank's outbound path.
 type peer struct {
+	br *flow.Breaker // outbound breaker; set at creation, never replaced
+
 	mu       sync.Mutex
 	addr     string
 	conn     *wconn
@@ -148,15 +194,17 @@ type peer struct {
 	nextDial time.Time // redial refused before this instant
 }
 
-// TCP implements fabric.Transport over real sockets.
+// TCP is the socket-backed message plane for one rank.
 type TCP struct {
-	cfg   TCPConfig
-	ln    net.Listener
-	peers []*peer
-	brs   []*flow.Breaker
+	cfg TCPConfig
+	ln  net.Listener
+	// peers is indexed by rank; nil entries are ranks never named. Sends
+	// load it without a lock; SetPeer grows it copy-on-write under growMu.
+	peers  atomic.Pointer[[]*peer]
+	growMu sync.Mutex
 
 	hmu     sync.RWMutex
-	handler fabric.Handler
+	handler Handler
 
 	pmu     sync.Mutex
 	pending map[uint64]*call
@@ -187,8 +235,6 @@ type TCP struct {
 	hHBRTT       *obs.Histogram
 }
 
-var _ fabric.Transport = (*TCP)(nil)
-
 // ListenTCP binds addr (e.g. "127.0.0.1:0") and returns a transport
 // speaking for cfg.Self. r may be nil (no metrics).
 func ListenTCP(addr string, cfg TCPConfig, r *obs.Registry) (*TCP, error) {
@@ -209,17 +255,12 @@ func ListenTCP(addr string, cfg TCPConfig, r *obs.Registry) (*TCP, error) {
 // cfg.Self needs). r may be nil (no metrics).
 func NewTCP(ln net.Listener, cfg TCPConfig, r *obs.Registry) (*TCP, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("wire: TCPConfig.Nodes must be positive")
-	}
-	if int(cfg.Self) < 0 || int(cfg.Self) >= cfg.Nodes {
-		return nil, fmt.Errorf("wire: self node %d out of range [0,%d)", cfg.Self, cfg.Nodes)
+	if int(cfg.Self) < 0 || int(cfg.Self) > MaxRank {
+		return nil, fmt.Errorf("wire: self rank %d out of range [0,%d]", cfg.Self, MaxRank)
 	}
 	t := &TCP{
 		cfg:      cfg,
 		ln:       ln,
-		peers:    make([]*peer, cfg.Nodes),
-		brs:      make([]*flow.Breaker, cfg.Nodes),
 		pending:  make(map[uint64]*call),
 		accepted: make(map[*wconn]struct{}),
 
@@ -234,17 +275,16 @@ func NewTCP(ln net.Listener, cfg TCPConfig, r *obs.Registry) (*TCP, error) {
 		cHeartbeats:  r.Counter("wire_heartbeats_total"),
 		hHBRTT:       r.Histogram("wire_heartbeat_rtt_ns", obs.LatencyBuckets),
 	}
-	for i := range t.peers {
-		t.peers[i] = &peer{}
-		t.brs[i] = flow.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
+	t.peers.Store(new([]*peer))
 	// Surface the wire path's internals in /metrics: outbound breaker opens
 	// across all peers and, when fault injection is armed, what the injector
 	// actually did to the traffic (ISSUE 7 satellite).
 	r.GaugeFunc("wire_breaker_opens_total", func() int64 {
 		var n int64
-		for _, br := range t.brs {
-			n += br.Opens()
+		for _, p := range *t.peers.Load() {
+			if p != nil {
+				n += p.br.Opens()
+			}
 		}
 		return n
 	})
@@ -263,20 +303,55 @@ func NewTCP(ln net.Listener, cfg TCPConfig, r *obs.Registry) (*TCP, error) {
 // Addr returns the transport's bound listen address (for advertising).
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
-// Nodes returns the cluster capacity.
-func (t *TCP) Nodes() int { return t.cfg.Nodes }
-
 // Self returns the node this transport speaks for.
 func (t *TCP) Self() fabric.NodeID { return t.cfg.Self }
 
-// Breaker returns the outbound breaker toward node n (state probes).
-func (t *TCP) Breaker(n fabric.NodeID) *flow.Breaker { return t.brs[n] }
+// Breaker returns the outbound breaker toward rank n (state probes), or nil
+// for a rank SetPeer never named.
+func (t *TCP) Breaker(n fabric.NodeID) *flow.Breaker {
+	if p := t.peer(n); p != nil {
+		return p.br
+	}
+	return nil
+}
 
-// SetPeer records node n's dialable address. An existing connection to a
-// different address is dropped so the next operation redials; the redial
-// backoff is cleared (a fresh address deserves a fresh chance).
+// peer returns rank n's outbound path, or nil for a rank never named.
+func (t *TCP) peer(n fabric.NodeID) *peer {
+	if ps := *t.peers.Load(); int(n) < len(ps) {
+		return ps[n]
+	}
+	return nil
+}
+
+// peerOrDown is peer with the "no known address" failure for an unnamed
+// rank.
+func (t *TCP) peerOrDown(n fabric.NodeID) (*peer, error) {
+	if p := t.peer(n); p != nil {
+		return p, nil
+	}
+	return nil, &PeerDownError{To: n, Op: "dial", Err: errNoAddr}
+}
+
+var errNoAddr = errors.New("no known address")
+
+// SetPeer records rank n's dialable address, adding n to the peer table. An
+// existing connection to a different address is dropped so the next
+// operation redials; the redial backoff is cleared (a fresh address
+// deserves a fresh chance).
 func (t *TCP) SetPeer(n fabric.NodeID, addr string) {
-	p := t.peers[n]
+	p := t.peer(n)
+	if p == nil {
+		t.growMu.Lock()
+		old := *t.peers.Load()
+		ps := make([]*peer, max(len(old), int(n)+1))
+		copy(ps, old)
+		if ps[n] == nil {
+			ps[n] = &peer{br: flow.NewBreaker(t.cfg.BreakerThreshold, t.cfg.BreakerCooldown)}
+			t.peers.Store(&ps)
+		}
+		p = ps[n]
+		t.growMu.Unlock()
+	}
 	p.mu.Lock()
 	if p.addr != addr {
 		p.addr = addr
@@ -314,9 +389,12 @@ func (t *TCP) observeEpoch(from fabric.NodeID, epoch uint64) {
 	}
 }
 
-// PeerAddr returns node n's recorded address ("" if unknown).
+// PeerAddr returns rank n's recorded address ("" if unknown).
 func (t *TCP) PeerAddr(n fabric.NodeID) string {
-	p := t.peers[n]
+	p := t.peer(n)
+	if p == nil {
+		return ""
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.addr
@@ -325,7 +403,7 @@ func (t *TCP) PeerAddr(n fabric.NodeID) string {
 // SetHandler installs the local frame consumer. Only this node's handler is
 // meaningful — each process speaks for exactly one node — so handlers set
 // for other ids are ignored.
-func (t *TCP) SetHandler(n fabric.NodeID, h fabric.Handler) {
+func (t *TCP) SetHandler(n fabric.NodeID, h Handler) {
 	if n != t.cfg.Self {
 		return
 	}
@@ -334,7 +412,7 @@ func (t *TCP) SetHandler(n fabric.NodeID, h fabric.Handler) {
 	t.hmu.Unlock()
 }
 
-func (t *TCP) getHandler() fabric.Handler {
+func (t *TCP) getHandler() Handler {
 	t.hmu.RLock()
 	defer t.hmu.RUnlock()
 	return t.handler
@@ -346,7 +424,10 @@ func (t *TCP) Close() error {
 		return nil
 	}
 	t.ln.Close()
-	for _, p := range t.peers {
+	for _, p := range *t.peers.Load() {
+		if p == nil {
+			continue
+		}
 		p.mu.Lock()
 		if p.conn != nil {
 			p.conn.close()
@@ -374,32 +455,31 @@ func (t *TCP) failPending(err error) {
 	t.pmu.Unlock()
 }
 
-// Send ships a one-way payload. Self-sends deliver directly to the local
-// handler (no socket, mirroring Mem's zero-cost local path).
-func (t *TCP) Send(from, to fabric.NodeID, payload []byte) error {
-	return t.SendTraced(from, to, payload, trace.Context{})
-}
-
-// SendTraced is Send carrying a trace context; the context rides the frame
-// under FlagTrace when the connection's handshake negotiated it, and is
-// silently dropped toward legacy peers.
-func (t *TCP) SendTraced(from, to fabric.NodeID, payload []byte, tc trace.Context) error {
+// Send ships a one-way payload. A valid tc rides the frame under FlagTrace
+// when the connection's handshake negotiated it, and is silently dropped
+// toward legacy peers; the zero context sends untraced. Self-sends deliver
+// directly to the local handler, with no socket.
+func (t *TCP) Send(from, to fabric.NodeID, payload []byte, tc trace.Context) error {
 	if t.closed.Load() {
 		return fabric.ErrClusterClosed
 	}
 	if to == t.cfg.Self {
 		h := t.getHandler()
 		if h == nil {
-			return fmt.Errorf("%w: %d", fabric.ErrNoHandler, to)
+			return fmt.Errorf("%w: %d", ErrNoHandler, to)
 		}
-		fabric.DeliverSend(h, from, payload, tc)
+		deliverSend(h, from, payload, tc)
 		return nil
 	}
-	br := t.brs[to]
+	p, err := t.peerOrDown(to)
+	if err != nil {
+		return err
+	}
+	br := p.br
 	if !br.Allow() {
 		return &flow.BreakerOpenError{To: int(to)}
 	}
-	err := t.writeTo(to, &Frame{Type: TypeSend, From: t.cfg.Self, To: to, Payload: payload, Trace: tc})
+	err = t.writeTo(p, to, &Frame{Type: TypeSend, From: t.cfg.Self, To: to, Payload: payload, Trace: tc})
 	if err == nil {
 		br.Success()
 		return nil
@@ -413,12 +493,13 @@ func (t *TCP) SendTraced(from, to fabric.NodeID, payload []byte, tc trace.Contex
 	return err
 }
 
-// Call performs a request/response exchange with the peer's handler.
+// Call is CallTraced without a trace context.
 func (t *TCP) Call(from, to fabric.NodeID, req []byte) ([]byte, error) {
 	return t.CallTraced(from, to, req, trace.Context{})
 }
 
-// CallTraced is Call carrying a trace context (see SendTraced).
+// CallTraced performs a request/response exchange with the peer's handler,
+// carrying tc the way Send does.
 func (t *TCP) CallTraced(from, to fabric.NodeID, req []byte, tc trace.Context) ([]byte, error) {
 	if t.closed.Load() {
 		return nil, fabric.ErrClusterClosed
@@ -426,15 +507,19 @@ func (t *TCP) CallTraced(from, to fabric.NodeID, req []byte, tc trace.Context) (
 	if to == t.cfg.Self {
 		h := t.getHandler()
 		if h == nil {
-			return nil, fmt.Errorf("%w: %d", fabric.ErrNoHandler, to)
+			return nil, fmt.Errorf("%w: %d", ErrNoHandler, to)
 		}
-		return fabric.DeliverCall(h, from, req, tc)
+		return deliverCall(h, from, req, tc)
 	}
-	br := t.brs[to]
+	p, err := t.peerOrDown(to)
+	if err != nil {
+		return nil, err
+	}
+	br := p.br
 	if !br.Allow() {
 		return nil, &flow.BreakerOpenError{To: int(to)}
 	}
-	resp, err := t.roundTrip(to, TypeCall, req, t.cfg.CallTimeout, tc)
+	resp, err := t.roundTrip(p, to, TypeCall, req, t.cfg.CallTimeout, tc)
 	if err == nil {
 		br.Success()
 		return resp, nil
@@ -451,8 +536,6 @@ func (t *TCP) CallTraced(from, to fabric.NodeID, req []byte, tc trace.Context) (
 	return nil, err
 }
 
-var _ fabric.TracedTransport = (*TCP)(nil)
-
 // Heartbeat probes the path to node to with a Ping/Pong round trip. It
 // deliberately bypasses the breaker: heartbeats are the evidence that
 // reopens a path, so they must be allowed to touch it.
@@ -463,14 +546,17 @@ func (t *TCP) Heartbeat(from, to fabric.NodeID) error {
 	if to == t.cfg.Self {
 		return nil
 	}
-	t.cHeartbeats.Inc()
-	start := time.Now()
-	_, err := t.roundTrip(to, TypePing, nil, t.cfg.HeartbeatTimeout, trace.Context{})
+	p, err := t.peerOrDown(to)
 	if err != nil {
 		return err
 	}
+	t.cHeartbeats.Inc()
+	start := time.Now()
+	if _, err := t.roundTrip(p, to, TypePing, nil, t.cfg.HeartbeatTimeout, trace.Context{}); err != nil {
+		return err
+	}
 	t.hHBRTT.Observe(time.Since(start))
-	t.brs[to].Success()
+	p.br.Success()
 	return nil
 }
 
@@ -483,12 +569,12 @@ var errRemote = errors.New("wire: remote handler error")
 func RemoteError(err error) bool { return errors.Is(err, errRemote) }
 
 // roundTrip sends a request-direction frame and waits for its response.
-func (t *TCP) roundTrip(to fabric.NodeID, typ byte, req []byte, timeout time.Duration, tc trace.Context) ([]byte, error) {
+func (t *TCP) roundTrip(p *peer, to fabric.NodeID, typ byte, req []byte, timeout time.Duration, tc trace.Context) ([]byte, error) {
 	op := "call"
 	if typ == TypePing {
 		op = "heartbeat"
 	}
-	w, err := t.outbound(to)
+	w, err := t.outbound(p, to)
 	if err != nil {
 		return nil, err
 	}
@@ -503,7 +589,7 @@ func (t *TCP) roundTrip(to fabric.NodeID, typ byte, req []byte, timeout time.Dur
 		delete(t.pending, f.Seq)
 		t.pmu.Unlock()
 	}()
-	if err := t.writeOn(w, to, f, c); err != nil {
+	if err := t.writeOn(p, w, to, f, c); err != nil {
 		return nil, err
 	}
 	timer := time.NewTimer(timeout)
@@ -518,24 +604,24 @@ func (t *TCP) roundTrip(to fabric.NodeID, typ byte, req []byte, timeout time.Dur
 
 // writeTo frames and writes one request-direction frame on the outbound
 // connection to node to, dialing if necessary, with fault injection.
-func (t *TCP) writeTo(to fabric.NodeID, f *Frame) error {
-	w, err := t.outbound(to)
+func (t *TCP) writeTo(p *peer, to fabric.NodeID, f *Frame) error {
+	w, err := t.outbound(p, to)
 	if err != nil {
 		return err
 	}
-	return t.writeOn(w, to, f, nil)
+	return t.writeOn(p, w, to, f, nil)
 }
 
 // writeOn writes one request-direction frame on an already-resolved
 // connection, mapping hard write failures to PeerDownError. c, when non-nil,
 // is the round trip awaiting the frame's response.
-func (t *TCP) writeOn(w *wconn, to fabric.NodeID, f *Frame, c *call) error {
+func (t *TCP) writeOn(p *peer, w *wconn, to fabric.NodeID, f *Frame, c *call) error {
 	if err := t.writeFrame(w, f, "send", c); err != nil {
 		if fabric.Transient(err) {
 			return err
 		}
 		// The socket is suspect; drop it so the next operation redials.
-		t.dropOutbound(to, w)
+		p.drop(w)
 		return &PeerDownError{To: to, Op: "send", Err: err}
 	}
 	return nil
@@ -608,8 +694,7 @@ func (t *TCP) writeFrame(w *wconn, f *Frame, op string, c *call) error {
 
 // outbound returns the live outbound connection to node to, dialing and
 // handshaking if needed, under the peer's reconnect backoff.
-func (t *TCP) outbound(to fabric.NodeID) (*wconn, error) {
-	p := t.peers[to]
+func (t *TCP) outbound(p *peer, to fabric.NodeID) (*wconn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.conn != nil && !p.conn.closed.Load() {
@@ -617,7 +702,7 @@ func (t *TCP) outbound(to fabric.NodeID) (*wconn, error) {
 	}
 	p.conn = nil
 	if p.addr == "" {
-		return nil, &PeerDownError{To: to, Op: "dial", Err: fmt.Errorf("no known address")}
+		return nil, &PeerDownError{To: to, Op: "dial", Err: errNoAddr}
 	}
 	if now := time.Now(); now.Before(p.nextDial) {
 		return nil, &PeerDownError{To: to, Op: "dial", Err: fmt.Errorf("reconnect backoff until %v", p.nextDial.Sub(now).Round(time.Millisecond))}
@@ -680,10 +765,9 @@ func (t *TCP) dial(to fabric.NodeID, addr string) (*wconn, error) {
 	return w, nil
 }
 
-// dropOutbound discards the outbound connection to node to if it is still w.
-func (t *TCP) dropOutbound(to fabric.NodeID, w *wconn) {
+// drop discards the peer's outbound connection if it is still w.
+func (p *peer) drop(w *wconn) {
 	w.close()
-	p := t.peers[to]
 	p.mu.Lock()
 	if p.conn == w {
 		p.conn = nil
@@ -791,7 +875,7 @@ func (t *TCP) readLoop(w *wconn, from fabric.NodeID, inbound bool) {
 			}
 		case TypeSend:
 			if h := t.getHandler(); h != nil {
-				fabric.DeliverSend(h, f.From, f.Payload, f.Trace)
+				deliverSend(h, f.From, f.Payload, f.Trace)
 			}
 		case TypeCall:
 			// Serve calls off the read loop so a slow handler cannot delay
@@ -812,8 +896,8 @@ func (t *TCP) serveCall(w *wconn, f *Frame) {
 	h := t.getHandler()
 	if h == nil {
 		resp.Type = TypeRespErr
-		resp.Payload = []byte(fmt.Sprintf("%v: %d", fabric.ErrNoHandler, t.cfg.Self))
-	} else if out, err := fabric.DeliverCall(h, f.From, f.Payload, f.Trace); err != nil {
+		resp.Payload = []byte(fmt.Sprintf("%v: %d", ErrNoHandler, t.cfg.Self))
+	} else if out, err := deliverCall(h, f.From, f.Payload, f.Trace); err != nil {
 		resp.Type = TypeRespErr
 		resp.Payload = []byte(err.Error())
 	} else {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/flow"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // testHandler records sends and serves calls with a pluggable function.
@@ -40,11 +41,10 @@ func (h *testHandler) sendCount() int {
 	return len(h.sends)
 }
 
-func newTestTCP(t *testing.T, self fabric.NodeID, nodes int, r *obs.Registry, faults *Faults) *TCP {
+func newTestTCP(t *testing.T, self fabric.NodeID, r *obs.Registry, faults *Faults) *TCP {
 	t.Helper()
 	tr, err := ListenTCP("127.0.0.1:0", TCPConfig{
 		Self:             self,
-		Nodes:            nodes,
 		DialTimeout:      time.Second,
 		WriteTimeout:     time.Second,
 		CallTimeout:      2 * time.Second,
@@ -73,8 +73,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestTCPSendCallHeartbeat(t *testing.T) {
-	a := newTestTCP(t, 0, 2, nil, nil)
-	b := newTestTCP(t, 1, 2, nil, nil)
+	a := newTestTCP(t, 0, nil, nil)
+	b := newTestTCP(t, 1, nil, nil)
 	hb := &testHandler{}
 	b.SetHandler(1, hb)
 	a.SetPeer(1, b.Addr())
@@ -82,7 +82,7 @@ func TestTCPSendCallHeartbeat(t *testing.T) {
 	if err := a.Heartbeat(0, 1); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
-	if err := a.Send(0, 1, []byte("one-way")); err != nil {
+	if err := a.Send(0, 1, []byte("one-way"), trace.Context{}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	waitFor(t, "send delivery", func() bool { return hb.sendCount() == 1 })
@@ -108,7 +108,7 @@ func TestTCPSendCallHeartbeat(t *testing.T) {
 	// Self paths never touch a socket.
 	ha := &testHandler{}
 	a.SetHandler(0, ha)
-	if err := a.Send(1, 0, []byte("local")); err != nil {
+	if err := a.Send(1, 0, []byte("local"), trace.Context{}); err != nil {
 		t.Fatalf("self send: %v", err)
 	}
 	if ha.sendCount() != 1 {
@@ -121,8 +121,8 @@ func TestTCPSendCallHeartbeat(t *testing.T) {
 // the late one and its caller sits out CallTimeout.
 func TestTCPConcurrentCallsKeepSequenceOrder(t *testing.T) {
 	r := obs.NewRegistry("test")
-	a := newTestTCP(t, 0, 2, nil, nil)
-	b := newTestTCP(t, 1, 2, r, nil)
+	a := newTestTCP(t, 0, nil, nil)
+	b := newTestTCP(t, 1, r, nil)
 	b.SetHandler(1, &testHandler{})
 	a.SetPeer(1, b.Addr())
 
@@ -183,7 +183,7 @@ func (p *rawPeer) frame(payload []byte) []byte {
 // connection keeps delivering subsequent frames.
 func TestTCPWireBitFlipQuarantinesWithoutWedging(t *testing.T) {
 	r := obs.NewRegistry("test")
-	a := newTestTCP(t, 0, 2, r, nil)
+	a := newTestTCP(t, 0, r, nil)
 	h := &testHandler{}
 	a.SetHandler(0, h)
 	p := dialRaw(t, a.Addr(), 1)
@@ -213,7 +213,7 @@ func TestTCPWireBitFlipQuarantinesWithoutWedging(t *testing.T) {
 // quarantined; the connection keeps working.
 func TestTCPWireDuplicateQuarantinesWithoutWedging(t *testing.T) {
 	r := obs.NewRegistry("test")
-	a := newTestTCP(t, 0, 2, r, nil)
+	a := newTestTCP(t, 0, r, nil)
 	h := &testHandler{}
 	a.SetHandler(0, h)
 	p := dialRaw(t, a.Addr(), 1)
@@ -239,7 +239,7 @@ func TestTCPWireDuplicateQuarantinesWithoutWedging(t *testing.T) {
 // transport keeps serving fresh connections.
 func TestTCPWireTruncationResetsConnOnly(t *testing.T) {
 	r := obs.NewRegistry("test")
-	a := newTestTCP(t, 0, 2, r, nil)
+	a := newTestTCP(t, 0, r, nil)
 	h := &testHandler{}
 	a.SetHandler(0, h)
 
@@ -270,15 +270,15 @@ func TestTCPWireTruncationResetsConnOnly(t *testing.T) {
 func TestTCPInjectedDuplicationExactlyOnce(t *testing.T) {
 	r := obs.NewRegistry("test")
 	faults := NewFaults(42, FaultsConfig{DupProb: 1.0})
-	a := newTestTCP(t, 0, 2, nil, faults)
-	b := newTestTCP(t, 1, 2, r, nil)
+	a := newTestTCP(t, 0, nil, faults)
+	b := newTestTCP(t, 1, r, nil)
 	h := &testHandler{}
 	b.SetHandler(1, h)
 	a.SetPeer(1, b.Addr())
 
 	const sends = 20
 	for i := 0; i < sends; i++ {
-		if err := a.Send(0, 1, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
+		if err := a.Send(0, 1, []byte(fmt.Sprintf("msg-%d", i)), trace.Context{}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -297,14 +297,14 @@ func TestTCPInjectedDuplicationExactlyOnce(t *testing.T) {
 // the same contract the simulated fabric gives the stream substrate.
 func TestTCPInjectedDropIsRetryable(t *testing.T) {
 	faults := NewFaults(7, FaultsConfig{DropProb: 0.5})
-	a := newTestTCP(t, 0, 2, nil, faults)
-	b := newTestTCP(t, 1, 2, nil, nil)
+	a := newTestTCP(t, 0, nil, faults)
+	b := newTestTCP(t, 1, nil, nil)
 	h := &testHandler{}
 	b.SetHandler(1, h)
 	a.SetPeer(1, b.Addr())
 
-	sender := flow.NewSenderOver(2, func(from, to fabric.NodeID, n int) error {
-		return a.Send(from, to, bytes.Repeat([]byte("x"), n))
+	sender := flow.NewSenderOver(func(from, to fabric.NodeID, n int) error {
+		return a.Send(from, to, bytes.Repeat([]byte("x"), n), trace.Context{})
 	}, flow.SenderConfig{Retries: 8, Seed: 1}, nil)
 
 	const sends = 30
@@ -322,8 +322,8 @@ func TestTCPInjectedDropIsRetryable(t *testing.T) {
 // Persistent failures surface typed: ErrPeerDown (never a raw *net.OpError),
 // the breaker trips to fast-fail, and a restarted peer is rediscovered.
 func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
-	a := newTestTCP(t, 0, 2, nil, nil)
-	b := newTestTCP(t, 1, 2, nil, nil)
+	a := newTestTCP(t, 0, nil, nil)
+	b := newTestTCP(t, 1, nil, nil)
 	b.SetHandler(1, &testHandler{})
 	a.SetPeer(1, b.Addr())
 	addr := b.Addr()
@@ -334,7 +334,7 @@ func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
 	b.Close()
 	var sawPeerDown, sawFastFail bool
 	for i := 0; i < 50; i++ {
-		err := a.Send(0, 1, []byte("into the void"))
+		err := a.Send(0, 1, []byte("into the void"), trace.Context{})
 		if err == nil {
 			// A one-way write can land in the kernel buffer before the RST
 			// from the closed peer arrives; the failure is detected on a
@@ -365,7 +365,7 @@ func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
 
 	// Peer restarts on the same address: heartbeats (breaker-bypassing)
 	// rediscover it and normal traffic resumes.
-	b2, err := ListenTCP(addr, TCPConfig{Self: 1, Nodes: 2, ReconnectBase: 5 * time.Millisecond, ReconnectCap: 50 * time.Millisecond}, nil)
+	b2, err := ListenTCP(addr, TCPConfig{Self: 1, ReconnectBase: 5 * time.Millisecond, ReconnectCap: 50 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatalf("restart listener: %v", err)
 	}
@@ -374,15 +374,15 @@ func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
 	waitFor(t, "heartbeat rediscovers restarted peer", func() bool {
 		return a.Heartbeat(0, 1) == nil
 	})
-	if err := a.Send(0, 1, []byte("back")); err != nil {
+	if err := a.Send(0, 1, []byte("back"), trace.Context{}); err != nil {
 		t.Fatalf("send after recovery: %v", err)
 	}
 }
 
 func TestTCPClosedReturnsClusterClosed(t *testing.T) {
-	a := newTestTCP(t, 0, 2, nil, nil)
+	a := newTestTCP(t, 0, nil, nil)
 	a.Close()
-	if err := a.Send(0, 1, nil); !errors.Is(err, fabric.ErrClusterClosed) {
+	if err := a.Send(0, 1, nil, trace.Context{}); !errors.Is(err, fabric.ErrClusterClosed) {
 		t.Fatalf("Send after close: %v", err)
 	}
 	if _, err := a.Call(0, 1, nil); !errors.Is(err, fabric.ErrClusterClosed) {
@@ -393,41 +393,9 @@ func TestTCPClosedReturnsClusterClosed(t *testing.T) {
 	}
 }
 
-// The Mem transport charges the simulated fabric and honors fault plans.
-func TestMemTransportDelivers(t *testing.T) {
-	fab := fabric.New(fabric.Config{Nodes: 3})
-	m := fabric.NewMem(fab)
-	h := &testHandler{}
-	m.SetHandler(2, h)
-
-	if err := m.Send(0, 2, []byte("hello")); err != nil {
-		t.Fatalf("mem send: %v", err)
-	}
-	if h.sendCount() != 1 {
-		t.Fatal("mem send not delivered")
-	}
-	resp, err := m.Call(1, 2, []byte("req"))
-	if err != nil || string(resp) != "echo:req" {
-		t.Fatalf("mem call: %v %q", err, resp)
-	}
-
-	plan := fabric.NewFaultPlan(1)
-	plan.Crash(2)
-	fab.SetFaultPlan(plan)
-	if err := m.Send(0, 2, []byte("x")); !errors.Is(err, fabric.ErrInjected) {
-		t.Fatalf("send to crashed node: %v", err)
-	}
-	if _, err := m.Call(0, 2, nil); !errors.Is(err, fabric.ErrInjected) {
-		t.Fatalf("call to crashed node: %v", err)
-	}
-	if h.sendCount() != 1 {
-		t.Fatal("faulted send must not deliver")
-	}
-}
-
 func TestTCPHandshakeCarriesEpoch(t *testing.T) {
-	a := newTestTCP(t, 0, 2, nil, nil)
-	b := newTestTCP(t, 1, 2, nil, nil)
+	a := newTestTCP(t, 0, nil, nil)
+	b := newTestTCP(t, 1, nil, nil)
 	a.SetPeer(1, b.Addr())
 	b.SetPeer(0, a.Addr())
 	a.SetHandler(0, &testHandler{})
@@ -476,4 +444,35 @@ func TestTCPHandshakeCarriesEpoch(t *testing.T) {
 		defer mu.Unlock()
 		return seenByA[1] == 9
 	})
+}
+
+// The peer table holds only the ranks SetPeer named. Anything sent toward
+// another rank fails with a typed PeerDownError instead of indexing past the
+// table, and naming a high rank grows the table to reach it.
+func TestTCPUnnamedRankIsPeerDown(t *testing.T) {
+	a := newTestTCP(t, 0, nil, nil)
+	b := newTestTCP(t, 7, nil, nil)
+	b.SetHandler(7, &testHandler{})
+	for _, to := range []fabric.NodeID{1, 7, MaxRank} {
+		var pd *PeerDownError
+		if err := a.Send(0, to, []byte("x"), trace.Context{}); !errors.As(err, &pd) || pd.To != to {
+			t.Fatalf("Send to unnamed rank %d: %v", to, err)
+		}
+		if _, err := a.Call(0, to, nil); !errors.Is(err, ErrPeerDown) {
+			t.Fatalf("Call to unnamed rank %d: %v", to, err)
+		}
+		if err := a.Heartbeat(0, to); !errors.Is(err, ErrPeerDown) {
+			t.Fatalf("Heartbeat to unnamed rank %d: %v", to, err)
+		}
+		if a.Breaker(to) != nil || a.PeerAddr(to) != "" {
+			t.Fatalf("rank %d has state before SetPeer", to)
+		}
+	}
+	a.SetPeer(7, b.Addr())
+	if resp, err := a.Call(0, 7, []byte("hi")); err != nil || string(resp) != "echo:hi" {
+		t.Fatalf("Call after SetPeer(7): %q, %v", resp, err)
+	}
+	if err := a.Send(0, 3, nil, trace.Context{}); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("rank 3, below a named rank, is still unnamed: %v", err)
+	}
 }

@@ -105,8 +105,8 @@ func TestHelloFeatureBytes(t *testing.T) {
 // arrives at the far handler, and spans recorded on both sides assemble
 // into one causally-linked tree.
 func TestTraceContextPropagatesOverTCP(t *testing.T) {
-	a := newTestTCP(t, 0, 2, nil, nil)
-	b := newTestTCP(t, 1, 2, nil, nil)
+	a := newTestTCP(t, 0, nil, nil)
+	b := newTestTCP(t, 1, nil, nil)
 	clientT := trace.New(trace.Config{SampleEvery: 1, Node: 0})
 	serverT := trace.New(trace.Config{SampleEvery: 1, Node: 1})
 	hb := &tracedHandler{tracer: serverT}
@@ -134,8 +134,8 @@ func TestTraceContextPropagatesOverTCP(t *testing.T) {
 
 	// One-way send path too.
 	sp2 := clientT.Start(root.Context(), "wire.send")
-	if err := a.SendTraced(0, 1, []byte("data"), sp2.Context()); err != nil {
-		t.Fatalf("SendTraced: %v", err)
+	if err := a.Send(0, 1, []byte("data"), sp2.Context()); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
 	sp2.End()
 	waitFor(t, "send delivery", func() bool { return hb.sendCount() == 1 })
@@ -166,7 +166,7 @@ func TestLegacyPeerCompatibility(t *testing.T) {
 		t.Run(dir, func(t *testing.T) {
 			mk := func(self fabric.NodeID, legacy bool) *TCP {
 				tr, err := ListenTCP("127.0.0.1:0", TCPConfig{
-					Self: self, Nodes: 2,
+					Self:        self,
 					DialTimeout: time.Second, WriteTimeout: time.Second,
 					CallTimeout: 2 * time.Second, LegacyHandshake: legacy,
 				}, nil)
@@ -198,8 +198,8 @@ func TestLegacyPeerCompatibility(t *testing.T) {
 			if got, ok := h.lastCtx(); ok && got.Valid() {
 				t.Fatalf("context crossed a legacy hop: %+v", got)
 			}
-			if err := caller.SendTraced(0, 1, []byte("d"), tc); err != nil {
-				t.Fatalf("SendTraced: %v", err)
+			if err := caller.Send(0, 1, []byte("d"), tc); err != nil {
+				t.Fatalf("Send: %v", err)
 			}
 			waitFor(t, "legacy send delivery", func() bool { return h.sendCount() == 1 })
 		})
@@ -216,7 +216,7 @@ func TestTraceSpanAssemblyUnderFaults(t *testing.T) {
 	// side and never answered, so the caller must wait out the timeout.
 	mk := func(self fabric.NodeID, f *Faults) *TCP {
 		tr, err := ListenTCP("127.0.0.1:0", TCPConfig{
-			Self: self, Nodes: 2,
+			Self:        self,
 			DialTimeout: time.Second, WriteTimeout: time.Second,
 			CallTimeout:   100 * time.Millisecond,
 			ReconnectBase: time.Millisecond, ReconnectCap: 10 * time.Millisecond,
