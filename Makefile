@@ -43,13 +43,15 @@ race:
 # Five seconds of native fuzzing per target where bytes cross a trust
 # boundary: the op decoder never panics and round-trips, the verb interpreter
 # never panics and leaves no trace of an op it refuses, the in-memory tuple
-# parser never panics and agrees with the streaming Reader, and the durable
-# log's Open never panics on a damaged segment and leaves a log that ranges
-# and appends cleanly. -fuzz takes one target per run.
+# parser never panics and agrees with the streaming Reader, every tuple the
+# renderer writes parses back to itself, and the durable log's Open never
+# panics on a damaged segment and leaves a log that ranges and appends
+# cleanly. -fuzz takes one target per run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTuples$$' -fuzztime 5s ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzTupleRoundTrip$$' -fuzztime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzOplogOpen$$' -fuzztime 5s ./internal/oplog
 
 # Quick confidence pass, including the chaos kill/recover smoke test.
@@ -82,8 +84,10 @@ chaos-proc:
 # (internal/cluster) is one write through a member of a seed + member pair
 # over loopback TCP with fsynced oplogs. BenchmarkShardGet and
 # BenchmarkShardAppendOne (internal/store) probe 100 k keys in random order.
+# BenchmarkClientEmit (internal/client) is one 3 337-tuple EMIT against a
+# server that only acknowledges; it reports ns and allocs per tuple.
 bench:
-	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server ./internal/cluster ./internal/store
+	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server ./internal/cluster ./internal/store ./internal/client
 
 # Short observability-instrumented workload: prints per-stage p50/p99/p999 and
 # writes the metric registry under .bench_build/. wsbench exits nonzero if no

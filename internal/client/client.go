@@ -13,6 +13,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -211,12 +212,21 @@ type Client struct {
 
 	streams []streamReg
 	queries []*queryReg
+
+	// req is the EMIT request Emit renders, kept whole so a retry re-sends
+	// the same bytes; reply is where rows gathers a reply's lines. Both are
+	// reused from call to call, which the one-goroutine contract allows.
+	req   []byte
+	reply []byte
 }
 
-// newOpID mints the exactly-once token for one logical mutating request.
-func (c *Client) newOpID() string {
+// appendOpID mints the exactly-once token for one logical mutating request
+// and appends it to dst.
+func (c *Client) appendOpID(dst []byte) []byte {
 	c.opSeq++
-	return fmt.Sprintf("%x-%d", c.opSession, c.opSeq)
+	dst = strconv.AppendUint(dst, c.opSession, 16)
+	dst = append(dst, '-')
+	return strconv.AppendUint(dst, c.opSeq, 10)
 }
 
 // Dial connects to a wukongsd server with default Options.
@@ -258,7 +268,7 @@ func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
 	}
-	fmt.Fprintf(c.w, "QUIT\n")
+	c.w.WriteString("QUIT\n")
 	c.w.Flush()
 	return c.conn.Close()
 }
@@ -430,10 +440,7 @@ func (c *Client) replay() error {
 		}
 	}
 	for _, q := range c.queries {
-		if err := c.send("REGISTER"); err != nil {
-			return err
-		}
-		if err := c.sendBlock(q.text); err != nil {
+		if err := c.sendBlock("REGISTER", q.text); err != nil {
 			return err
 		}
 		st, err := c.status()
@@ -451,12 +458,10 @@ func (c *Client) replay() error {
 	return nil
 }
 
-func (c *Client) send(lines ...string) error {
-	for _, l := range lines {
-		if _, err := fmt.Fprintf(c.w, "%s\n", l); err != nil {
-			return err
-		}
-	}
+// send writes one command line and flushes it.
+func (c *Client) send(line string) error {
+	c.w.WriteString(line)
+	c.w.WriteByte('\n')
 	return c.w.Flush()
 }
 
@@ -484,37 +489,73 @@ func (c *Client) status() (string, error) {
 	return strings.TrimSpace(strings.TrimPrefix(line, "+OK")), nil
 }
 
-// rows reads data lines until the "." terminator.
+// rows reads data lines until the "." terminator. The lines are gathered in
+// the client's reply buffer and converted once, so a reply costs the same
+// allocations however many rows it has; every row is a substring of that one
+// string, which a kept row keeps alive.
 func (c *Client) rows() ([]string, error) {
-	var out []string
+	b, n := c.reply[:0], 0
 	for c.r.Scan() {
-		if c.r.Text() == "." {
+		line := c.r.Bytes()
+		if len(line) == 1 && line[0] == '.' {
+			c.reply = b
+			if n == 0 {
+				return nil, nil
+			}
+			out := make([]string, 0, n)
+			for rest := string(b); rest != ""; {
+				var row string
+				row, rest, _ = strings.Cut(rest, "\n")
+				out = append(out, row)
+			}
 			return out, nil
 		}
-		out = append(out, c.r.Text())
+		b = append(b, line...)
+		b = append(b, '\n')
+		n++
 	}
+	c.reply = b
 	if err := c.r.Err(); err != nil {
 		return nil, err
 	}
 	return nil, fmt.Errorf("client: missing terminator")
 }
 
-// checkBlock rejects bodies the protocol cannot frame.
+var errLoneDot = errors.New("client: block body may not contain a lone '.'")
+
+// checkBlock rejects bodies the protocol cannot frame: one whose line, once
+// trimmed, is the "." terminator.
 func checkBlock(body string) error {
-	for _, line := range strings.Split(body, "\n") {
+	for more := true; more; {
+		var line string
+		line, body, more = strings.Cut(body, "\n")
 		if strings.TrimSpace(line) == "." {
-			return fmt.Errorf("client: block body may not contain a lone '.'")
+			return errLoneDot
 		}
 	}
 	return nil
 }
 
-func (c *Client) sendBlock(body string) error {
-	for _, line := range strings.Split(body, "\n") {
-		fmt.Fprintf(c.w, "%s\n", line)
-	}
-	fmt.Fprintf(c.w, ".\n")
+// sendBlock writes a command line, its body and the "." terminator, and
+// flushes once. The body goes out as one line per line of body, so a body
+// ending in "\n" sends an empty last line and an empty body one empty line.
+func (c *Client) sendBlock(cmd, body string) error {
+	c.w.WriteString(cmd)
+	c.w.WriteByte('\n')
+	c.w.WriteString(body)
+	c.w.WriteString("\n.\n")
 	return c.w.Flush()
+}
+
+// parseReply reads the integer that follows prefix in a "+OK" reply, and
+// quotes the reply in its error when there is none.
+func parseReply(verb, prefix, st string) (int64, error) {
+	if v, ok := strings.CutPrefix(st, prefix); ok {
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+			return n, nil
+		}
+	}
+	return 0, fmt.Errorf("client: unexpected %s response %q", verb, st)
 }
 
 // Load sends N-Triples text and returns the number of triples loaded.
@@ -522,24 +563,20 @@ func (c *Client) Load(ntriples string) (int, error) {
 	if err := checkBlock(ntriples); err != nil {
 		return 0, err
 	}
-	var n int
-	cmd := "LOAD id=" + c.newOpID()
+	var n int64
+	cmd := string(c.appendOpID([]byte("LOAD id=")))
 	err := c.do("LOAD", func() error {
-		if err := c.send(cmd); err != nil {
-			return err
-		}
-		if err := c.sendBlock(ntriples); err != nil {
+		if err := c.sendBlock(cmd, ntriples); err != nil {
 			return err
 		}
 		st, err := c.status()
 		if err != nil {
 			return err
 		}
-		n = 0
-		fmt.Sscanf(st, "loaded %d", &n)
-		return nil
+		n, err = parseReply("load", "loaded ", st)
+		return err
 	})
-	return n, err
+	return int(n), err
 }
 
 // Stream registers a stream with the given mini-batch interval and timing
@@ -567,23 +604,36 @@ func (c *Client) Stream(name string, interval time.Duration, timingPreds ...stri
 // retried Emit lands exactly once; a standalone daemon ignores the token and
 // keeps the at-least-once contract the engine's window-granularity dedup
 // absorbs.
+//
+// The whole request — command line, one rendered line per tuple, terminator —
+// is built in one pass into a buffer the client reuses, and written with one
+// flush.
 func (c *Client) Emit(stream string, tuples ...rdf.Tuple) error {
-	var b strings.Builder
-	for i, tu := range tuples {
-		if i > 0 {
-			b.WriteByte('\n')
+	b := append(c.req[:0], "EMIT "...)
+	b = append(b, stream...)
+	b = append(b, " id="...)
+	b = c.appendOpID(b)
+	b = append(b, '\n')
+	for _, tu := range tuples {
+		start := len(b)
+		b = rdf.AppendTuple(b, tu)
+		// A rendered tuple starts with a term and ends with its timestamp,
+		// so only one with a newline inside can hold a lone ".".
+		if bytes.IndexByte(b[start:], '\n') >= 0 {
+			if err := checkBlock(string(b[start:])); err != nil {
+				return err
+			}
 		}
-		b.WriteString(tu.String())
+		b = append(b, '\n')
 	}
-	if err := checkBlock(b.String()); err != nil {
-		return err
+	if len(tuples) == 0 {
+		b = append(b, '\n') // an empty body is one empty line
 	}
-	cmd := "EMIT " + stream + " id=" + c.newOpID()
+	b = append(b, ".\n"...)
+	c.req = b
 	return c.do("EMIT", func() error {
-		if err := c.send(cmd); err != nil {
-			return err
-		}
-		if err := c.sendBlock(b.String()); err != nil {
+		c.w.Write(b)
+		if err := c.w.Flush(); err != nil {
 			return err
 		}
 		_, err := c.status()
@@ -594,17 +644,17 @@ func (c *Client) Emit(stream string, tuples ...rdf.Tuple) error {
 // Advance drives the server's logical clock and returns the new time.
 func (c *Client) Advance(ts rdf.Timestamp) (rdf.Timestamp, error) {
 	var now int64
+	cmd := "ADVANCE " + strconv.FormatInt(int64(ts), 10)
 	err := c.do("ADVANCE", func() error {
-		if err := c.send(fmt.Sprintf("ADVANCE %d", int64(ts))); err != nil {
+		if err := c.send(cmd); err != nil {
 			return err
 		}
 		st, err := c.status()
 		if err != nil {
 			return err
 		}
-		now = 0
-		fmt.Sscanf(st, "now %d", &now)
-		return nil
+		now, err = parseReply("advance", "now ", st)
+		return err
 	})
 	return rdf.Timestamp(now), err
 }
@@ -625,10 +675,7 @@ func (c *Client) block(cmd, text string) ([]string, error) {
 	}
 	var out []string
 	err := c.do(cmd, func() error {
-		if err := c.send(cmd); err != nil {
-			return err
-		}
-		if err := c.sendBlock(text); err != nil {
+		if err := c.sendBlock(cmd, text); err != nil {
 			return err
 		}
 		if _, err := c.status(); err != nil {
@@ -649,12 +696,9 @@ func (c *Client) Register(text string) (string, error) {
 		return "", err
 	}
 	var name string
-	cmd := "REGISTER id=" + c.newOpID()
+	cmd := string(c.appendOpID([]byte("REGISTER id=")))
 	err := c.do("REGISTER", func() error {
-		if err := c.send(cmd); err != nil {
-			return err
-		}
-		if err := c.sendBlock(text); err != nil {
+		if err := c.sendBlock(cmd, text); err != nil {
 			return err
 		}
 		st, err := c.status()

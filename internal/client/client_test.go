@@ -138,6 +138,45 @@ func TestClientServerError(t *testing.T) {
 	}
 }
 
+// TestClientLiteralsSurviveTheWire: a literal the client sends — by EMIT or
+// by LOAD — parses back to itself on the daemon, whatever its bytes.
+func TestClientLiteralsSurviveTheWire(t *testing.T) {
+	addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Stream("S", 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	values := []string{"a\x01b", " ", "bell\a\x7f", "\xff\xfe", `tab	"q" \`}
+	var load strings.Builder
+	for i, v := range values {
+		subject := fmt.Sprintf("x%d", i)
+		tu := rdf.Tuple{Triple: rdf.Triple{S: rdf.NewIRI(subject), P: rdf.NewIRI("motto"), O: rdf.NewLiteral(v)}, TS: 150}
+		if err := c.Emit("S", tu); err != nil {
+			t.Fatalf("Emit %q: %v", v, err)
+		}
+		fmt.Fprintf(&load, "%s .\n", rdf.Triple{S: rdf.NewIRI("y" + subject[1:]), P: rdf.NewIRI("motto"), O: rdf.NewLiteral(v)})
+	}
+	if _, err := c.Load(load.String()); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if _, err := c.Advance(1000); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range values {
+		for _, subject := range []string{"x", "y"} {
+			q := fmt.Sprintf("SELECT ?M WHERE { %s%d motto ?M }", subject, i)
+			rows, err := c.Query(q)
+			if err != nil || len(rows) != 1 || rows[0] != v {
+				t.Errorf("%s = %q, %v; want [%q]", q, rows, err, v)
+			}
+		}
+	}
+}
+
 func TestClientBlockValidation(t *testing.T) {
 	addr := startServer(t)
 	c, err := Dial(addr)
@@ -400,7 +439,7 @@ func TestClientOpIDsUnique(t *testing.T) {
 	c := &Client{opSession: 7}
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		id := c.newOpID()
+		id := string(c.appendOpID(nil))
 		if seen[id] {
 			t.Fatalf("duplicate op id %q", id)
 		}

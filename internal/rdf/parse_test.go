@@ -164,6 +164,44 @@ func TestParseTuplesAllocations(t *testing.T) {
 	}
 }
 
+// FuzzTupleRoundTrip: whatever the renderer writes parses back to the tuple it
+// rendered, alone and as a line of a body — for a literal of any bytes, and for
+// any IRI or blank-node value the line syntax can carry.
+func FuzzTupleRoundTrip(f *testing.F) {
+	f.Add(uint8(0), "s", "p", "o", "", int64(802))
+	f.Add(uint8(4), "b1", "p", "x@y>z", "", int64(-1))
+	f.Add(uint8(7), "a\x01b", "http://ex/p", " \"\\\n\r\t\xff", XSDInteger, int64(0))
+	f.Fuzz(func(t *testing.T, kinds uint8, s, p, o, dt string, ts int64) {
+		term := func(kind uint8, v string) (Term, bool) {
+			switch TermKind(kind % 3) {
+			case IRIKind:
+				return NewIRI(v), !strings.ContainsAny(v, ">\n")
+			case BlankKind:
+				return NewBlank(v), !strings.ContainsAny(v, " \t\n")
+			default:
+				return NewTypedLiteral(v, dt), !strings.ContainsAny(dt, ">\n")
+			}
+		}
+		sub, okS := term(kinds, s)
+		obj, okO := term(kinds/3, o)
+		if !okS || !okO || strings.ContainsAny(p, ">\n") {
+			return
+		}
+		want := Tuple{Triple: Triple{S: sub, P: NewIRI(p), O: obj}, TS: Timestamp(ts)}
+		line := string(AppendTuple(nil, want))
+		if line != want.String() {
+			t.Fatalf("AppendTuple %q, String %q", line, want.String())
+		}
+		got, err := ParseTuple(line)
+		if err != nil || got != want {
+			t.Fatalf("ParseTuple(%q) = %v, %v; want %v", line, got, err, want)
+		}
+		if all, err := ParseTuples(line + "\n" + line + "\n"); err != nil || len(all) != 2 || all[1] != want {
+			t.Fatalf("ParseTuples of two %q lines = %v, %v", line, all, err)
+		}
+	})
+}
+
 // FuzzParseTuples: the in-memory parser never panics and agrees with the
 // Reader path on every input — the bytes of an EMIT body cross a trust
 // boundary.

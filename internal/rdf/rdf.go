@@ -140,17 +140,57 @@ func (t Term) AppendKey(dst []byte) []byte {
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
+	var buf [64]byte
+	return string(AppendTerm(buf[:0], t))
+}
+
+// AppendTerm appends the term's N-Triples rendering to dst and returns the
+// extended slice. A literal is quoted with exactly the five escapes the
+// parser reads (\" \\ \n \r \t) and every other byte copied through, so any
+// literal renders to a line that parses back to itself.
+func AppendTerm(dst []byte, t Term) []byte {
 	switch t.Kind {
 	case IRIKind:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case BlankKind:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	default:
-		if t.Datatype == "" {
-			return strconv.Quote(t.Value)
+		dst = appendQuoted(dst, t.Value)
+		if t.Datatype != "" {
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
 		}
-		return strconv.Quote(t.Value) + "^^<" + t.Datatype + ">"
+		return dst
 	}
+}
+
+// appendQuoted is the inverse of scanQuoted.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for {
+		i := strings.IndexAny(s, "\"\\\n\r\t")
+		if i < 0 {
+			break
+		}
+		dst = append(dst, s[:i]...)
+		switch s[i] {
+		case '\n':
+			dst = append(dst, `\n`...)
+		case '\r':
+			dst = append(dst, `\r`...)
+		case '\t':
+			dst = append(dst, `\t`...)
+		default:
+			dst = append(dst, '\\', s[i])
+		}
+		s = s[i+1:]
+	}
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // TermFromKey reconstructs a term from its interning key. It is the inverse
@@ -188,7 +228,17 @@ func T(s, p, o string) Triple {
 
 // String renders the triple in N-Triples syntax (without trailing dot).
 func (t Triple) String() string {
-	return t.S.String() + " " + t.P.String() + " " + t.O.String()
+	var buf [128]byte
+	return string(AppendTriple(buf[:0], t))
+}
+
+// AppendTriple appends the triple's rendering (String's bytes) to dst.
+func AppendTriple(dst []byte, t Triple) []byte {
+	dst = AppendTerm(dst, t.S)
+	dst = append(dst, ' ')
+	dst = AppendTerm(dst, t.P)
+	dst = append(dst, ' ')
+	return AppendTerm(dst, t.O)
 }
 
 // Timestamp is a logical stream timestamp in milliseconds. The paper's
@@ -205,5 +255,14 @@ type Tuple struct {
 
 // String renders the tuple as "triple . @ts".
 func (t Tuple) String() string {
-	return fmt.Sprintf("%s . @%d", t.Triple, int64(t.TS))
+	var buf [128]byte
+	return string(AppendTuple(buf[:0], t))
+}
+
+// AppendTuple appends the tuple's rendering (String's bytes) to dst: the one
+// renderer a client's EMIT body is built with.
+func AppendTuple(dst []byte, t Tuple) []byte {
+	dst = AppendTriple(dst, t.Triple)
+	dst = append(dst, " . @"...)
+	return strconv.AppendInt(dst, int64(t.TS), 10)
 }

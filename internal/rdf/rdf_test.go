@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -298,12 +299,36 @@ func TestFloatLiteralPrecision(t *testing.T) {
 }
 
 func TestEscapedLiteralRoundTrip(t *testing.T) {
-	tr := Triple{S: NewIRI("s"), P: NewIRI("p"), O: NewLiteral("a\"b\\c\nd\te\rf")}
-	got, err := ParseTriple(tr.String())
-	if err != nil {
-		t.Fatal(err)
+	// Control bytes, non-printable runes and invalid UTF-8 are copied
+	// through: the parser reads only the five escapes the renderer writes.
+	for _, lex := range []string{"a\"b\\c\nd\te\rf", "a\x01b", " ", "\x00\a\b\f\v\x7f", "\xff\xfe", "é ✓"} {
+		tr := Triple{S: NewIRI("s"), P: NewIRI("p"), O: NewLiteral(lex)}
+		got, err := ParseTriple(tr.String())
+		if err != nil {
+			t.Errorf("%q: %v", lex, err)
+			continue
+		}
+		if got != tr {
+			t.Errorf("round trip = %v, want %v", got, tr)
+		}
 	}
-	if got != tr {
-		t.Errorf("round trip = %v, want %v", got, tr)
+}
+
+// Property: on a string whose only escapes are the five the parser reads, a
+// literal renders exactly as strconv.Quote does — the bytes String wrote
+// before it had its own quoting.
+func TestLiteralQuotingMatchesStrconv(t *testing.T) {
+	f := func(s string) bool {
+		s = strings.Map(func(r rune) rune {
+			if r == '\n' || r == '\r' || r == '\t' || strconv.IsPrint(r) {
+				return r
+			}
+			return -1
+		}, s) + `"\`
+		return NewLiteral(s).String() == strconv.Quote(s) &&
+			NewTypedLiteral(s, XSDString).String() == strconv.Quote(s)+"^^<"+XSDString+">"
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
