@@ -11,12 +11,12 @@ RACE_PKGS := ./internal/core/... ./internal/fabric/... ./internal/server/... \
              ./internal/store/... ./internal/vts/... ./internal/sindex/... \
              ./internal/tstore/...
 
-.PHONY: all ci fmt vet build build-cmds test race fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e clean
+.PHONY: all ci fmt vet build build-cmds test shapes race fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e clean
 
 all: ci
 
 # The full gate: what CI runs, in order.
-ci: fmt vet build build-cmds test race fuzz-short soak-short chaos-proc
+ci: fmt vet build build-cmds test shapes race fuzz-short soak-short chaos-proc
 
 # Format gate: any file gofmt would rewrite fails the build.
 fmt:
@@ -36,6 +36,13 @@ build-cmds:
 
 test:
 	$(GO) test ./...
+
+# The paper's evaluation shapes (EXPERIMENTS.md) as a gate: Table 2's
+# ordering, Table 4's unsupported cells, Table 5's RDMA penalty, Fig. 4's
+# cross-system share and Fig. 12's Group II speed-up, each a ratio with a
+# margin under spin-injected latency. About 3 s of wall time on a 2-vCPU host.
+shapes:
+	$(GO) test -count=1 -run 'Shape$$|^TestTable4StructuredStreamingUnsupported$$|^TestFig4CrossSystemCost$$' ./internal/bench/experiments
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -59,8 +66,10 @@ smoke:
 	$(GO) test -short ./...
 
 # Overload/degradation soak (DESIGN.md §10): three-phase pressure run under
-# the race detector, asserting the degradation contract. soak-short is the
-# ci-sized variant.
+# the race detector, asserting the degradation contract (bounded queue, exact
+# shed accounting, prefix integrity, recovered throughput). It injects no
+# faults: admission pressure is the only stress. soak-short is the ci-sized
+# variant.
 soak:
 	$(GO) test -race -count=1 ./internal/soak/...
 

@@ -72,7 +72,6 @@ type options struct {
 	shedPolicy          string
 	planMode, deltaMode string
 	queryDL, cqDL       time.Duration
-	sendRetries         int
 
 	listen, join, advertise string
 	clusterHB               time.Duration
@@ -110,14 +109,13 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.deltaMode, "delta-mode", "auto", "continuous-query delta evaluation: auto (incremental over window deltas) or off (full recompute per firing)")
 	fs.DurationVar(&o.queryDL, "query-deadline", 0, "per-one-shot-query execution deadline (0 = none)")
 	fs.DurationVar(&o.cqDL, "cq-deadline", 0, "per-continuous-query-firing execution deadline (0 = none)")
-	fs.IntVar(&o.sendRetries, "send-retries", 0, "retry budget for transient fabric sends (0 = default 3, negative = none)")
 
 	// Real-cluster knobs (DESIGN.md §12).
 	fs.StringVar(&o.listen, "listen", "", "cluster wire listen address (host:port); enables multi-process cluster mode — this daemon is the seed unless -join is set")
 	fs.StringVar(&o.join, "join", "", "seed daemon's -listen address to join (requires -listen)")
 	fs.StringVar(&o.advertise, "advertise", "", "dialable address peers use to reach this daemon's -listen socket (default: the -listen address)")
 	fs.DurationVar(&o.clusterHB, "cluster-heartbeat", 0, "cluster peer-liveness probe period (0 = default 100ms)")
-	fs.Int64Var(&o.flowSeed, "flow-seed", 0, "seed for retry-jitter RNGs (engine sends and cluster replication); 0 = nondeterministic")
+	fs.Int64Var(&o.flowSeed, "flow-seed", 0, "seed for retry jitter (cluster replication); 0 = nondeterministic")
 
 	// Durability knobs (DESIGN.md §8 standalone, §15 with -listen).
 	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: standalone, the §5 fault-tolerance log (recovered on restart); with -listen, the durable oplog + snapshots (crash restart via Resume)")
@@ -179,8 +177,6 @@ func main() {
 			Shed:          shed,
 			QueryDeadline: o.queryDL,
 			CQDeadline:    o.cqDL,
-			SendRetries:   o.sendRetries,
-			Seed:          o.flowSeed,
 		},
 	}
 	var srvp atomic.Pointer[server.Server]

@@ -154,7 +154,7 @@ func (s *Store) MemoryBytes() int64 {
 // scan returns key's values with timestamps in [from, to], walking the whole
 // value list — the slow path the stream index avoids (§6.2: "extracting data
 // in a certain time period is inefficient without indexing").
-func (s *Store) scan(reqNode fabric.NodeID, key store.Key, from, to rdf.Timestamp) ([]rdf.ID, error) {
+func (s *Store) scan(reqNode fabric.NodeID, key store.Key, from, to rdf.Timestamp) []rdf.ID {
 	home := s.homeOf(key.Vid)
 	sh := s.shards[home]
 	sh.mu.RLock()
@@ -166,15 +166,9 @@ func (s *Store) scan(reqNode fabric.NodeID, key store.Key, from, to rdf.Timestam
 		}
 	}
 	sh.mu.RUnlock()
-	if home != reqNode {
-		if err := s.fab.ReadRemote(reqNode, home, 16); err != nil {
-			return nil, err
-		}
-		if err := s.fab.ReadRemote(reqNode, home, 16*len(vals)); err != nil { // whole value crosses the wire
-			return nil, err
-		}
-	}
-	return out, nil
+	s.fab.ReadRemote(reqNode, home, 16)
+	s.fab.ReadRemote(reqNode, home, 16*len(vals)) // whole value crosses the wire
+	return out
 }
 
 // Access adapts the store to the executor for a time range. A full-history
@@ -190,22 +184,18 @@ func FullRange(s *Store) Access {
 }
 
 // Neighbors implements exec.Access by a filtered scan.
-func (a Access) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (a Access) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
 	return a.Store.scan(from, store.EdgeKey(vid, pid, d), a.From, a.To)
 }
 
 // Candidates implements exec.Access over the timestamped index vertices.
-func (a Access) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (a Access) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID {
 	var out []rdf.ID
 	for n := 0; n < a.Store.fab.Nodes(); n++ {
-		if fabric.NodeID(n) != from {
-			if err := a.Store.fab.ReadRemote(from, fabric.NodeID(n), 16); err != nil {
-				return nil, err
-			}
-		}
+		a.Store.fab.ReadRemote(from, fabric.NodeID(n), 16)
 		out = append(out, a.LocalCandidates(fabric.NodeID(n), pid, d)...)
 	}
-	return out, nil
+	return out
 }
 
 // LocalCandidates returns node n's index partition filtered by time.

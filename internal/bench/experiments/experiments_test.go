@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/bench/harness"
 	"repro/internal/fabric"
 	"strconv"
 	"strings"
@@ -81,20 +82,75 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var geo []string
-	for _, row := range r.Table.Rows {
-		if row[0] == "Geo.M" {
-			geo = row
-		}
-	}
-	if geo == nil {
-		t.Fatal("no Geo.M row")
-	}
+	geo := geoRow(t, r)
 	ws := msValue(t, geo[1])
 	comp := msValue(t, geo[2])
 	csq := msValue(t, geo[5])
 	if !(ws < comp && comp < csq) {
 		t.Errorf("shape violated: Wukong+S=%v Storm+Wukong=%v CSPARQL=%v", ws, comp, csq)
+	}
+}
+
+// geoRow returns the cells of a report's Geo.M row.
+func geoRow(t *testing.T, r *Report) []string {
+	t.Helper()
+	for _, row := range r.Table.Rows {
+		if row[0] == "Geo.M" {
+			return row
+		}
+	}
+	t.Fatalf("no Geo.M row:\n%s", r.Table)
+	return nil
+}
+
+// TestTable5Shape checks the RDMA impact study at quick scale: without
+// one-sided reads every remote access is a TCP round trip and every query
+// runs fork-join, so the Non-RDMA geometric mean over L1–L6 is above the
+// RDMA one.
+func TestTable5Shape(t *testing.T) {
+	o := QuickOptions()
+	o.Runs = 5
+	o.LatencyMode = fabric.Spin
+	r, err := Table5(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := geoRow(t, r)
+	rdma, non := msValue(t, geo[1]), msValue(t, geo[2])
+	if !(non > rdma) {
+		t.Errorf("shape violated: Non-RDMA geo-mean %v not above RDMA %v\n%s", non, rdma, r.Table)
+	}
+}
+
+// fig12Margin is how much faster Group II must run on 8 nodes than on 2.
+// The paper reports 2.8–3.2×; at scale 1 this reproduction measures about
+// 2× on the Group II geometric mean, and 1.5× leaves room for a noisy host.
+const fig12Margin = 1.5
+
+// TestFig12Shape checks the node-scalability study: Group II (L4–L6), whose
+// windows are large enough to parallelize, is faster at 8 nodes than at 2 by
+// fig12Margin on its geometric mean. Group I is µs-level and not checked.
+func TestFig12Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape check needs a non-trivial run")
+	}
+	o := Options{Runs: 10, Scale: 1, LatencyMode: fabric.Spin}
+	r, err := Fig12(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: Query, 2, 4, 6, 8 nodes; rows L1..L6.
+	groupII := func(col int) time.Duration {
+		var lats []time.Duration
+		for _, row := range r.Table.Rows[3:6] {
+			lats = append(lats, msValue(t, row[col]))
+		}
+		return harness.GeoMean(lats)
+	}
+	two, eight := groupII(1), groupII(4)
+	if float64(two) < fig12Margin*float64(eight) {
+		t.Errorf("shape violated: Group II geo-mean %v on 2 nodes vs %v on 8 (want ≥ %.1f× faster)\n%s",
+			two, eight, fig12Margin, r.Table)
 	}
 }
 

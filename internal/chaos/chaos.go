@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/flow"
 	"repro/internal/rdf"
 	"repro/internal/stream"
@@ -51,7 +50,7 @@ WHERE { GRAPH S { ?X po ?Y } }`
 
 // Config scripts one chaos run.
 type Config struct {
-	// Seed drives the scripted stream (and FaultSeed-less fault plans).
+	// Seed drives the scripted stream.
 	Seed int64
 	// Nodes is the engine's cluster size (default 2).
 	Nodes int
@@ -68,25 +67,15 @@ type Config struct {
 	KillAtBatch int
 	// Dir is the fault-tolerance directory (required).
 	Dir string
-	// FaultSeed, when nonzero, installs a fabric FaultPlan with latency
-	// spikes for the whole run — faults that must not change any result.
-	FaultSeed int64
 	// Flow is the engine's overload-protection config, applied identically
 	// to the first life, the recovered life, and the fault-free twin so
-	// admission bounds and breaker settings survive recovery.
+	// admission bounds survive recovery.
 	Flow core.FlowConfig
 	// OverEmitFactor multiplies the scripted density past TuplesPerBatch;
 	// with Flow.MaxPending below the inflated rate, emits shed
 	// deterministically (counted in Report.Shed, never fatal). 0 or 1
 	// means no overload.
 	OverEmitFactor int
-	// FabricCrashAtBatch, when nonzero, crashes fabric node
-	// FabricCrashNode after that batch's boundary — shipments then fail
-	// persistently, the destination's breaker trips, and lost replica
-	// shipments take vts holds until recovery replays them on the fresh
-	// fabric.
-	FabricCrashAtBatch int
-	FabricCrashNode    int
 }
 
 func (c Config) withDefaults() Config {
@@ -98,11 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TuplesPerBatch <= 0 {
 		c.TuplesPerBatch = 6
-	}
-	// Clamp the flow sender's retry jitter to the run seed: a failing chaos
-	// run must replay with the same retry schedule, not a wall-clock one.
-	if c.Flow.Seed == 0 {
-		c.Flow.Seed = c.Seed
 	}
 	return c
 }
@@ -121,15 +105,8 @@ type Report struct {
 	Firings []Firing
 	// Recovered reports whether the run went through a kill+recover cycle.
 	Recovered bool
-	// FailedExecs counts window executions abandoned on injected faults.
-	FailedExecs int64
 	// Shed counts emits refused by admission control (OverEmitFactor runs).
 	Shed int64
-	// BreakerOpenAtKill records whether the crashed destination's circuit
-	// breaker was open at the moment the engine was killed — the combined
-	// fault+overload scenario asserts recovery holds from exactly that
-	// state.
-	BreakerOpenAtKill bool
 }
 
 // Dedup collapses the report to one row set per window boundary. It errors
@@ -176,9 +153,7 @@ func (c *collector) cb(r *core.Result, f core.FireInfo) {
 }
 
 // detach drops the killed life's query handle so firings during recovery
-// queue as pending instead of probing the dead engine's coordinator — which
-// would report windows held at the kill (e.g. behind an open breaker's lost
-// shipments) as never stable.
+// queue as pending instead of probing the dead engine's coordinator.
 func (c *collector) detach() {
 	c.mu.Lock()
 	c.cq = nil
@@ -215,26 +190,8 @@ func scriptBatch(seed int64, b, n int) []rdf.Tuple {
 	return out
 }
 
-// installFaults seeds a fault plan on the engine's fabric: latency spikes
-// when spikes is set, otherwise a pass-through plan that exists only so the
-// harness can crash nodes on it. Returns the plan handle.
-func installFaults(e *core.Engine, seed int64, spikes bool) *fabric.FaultPlan {
-	plan := fabric.NewFaultPlan(seed)
-	if spikes {
-		plan.SetSpike(0.05, 100*time.Microsecond)
-	}
-	e.Fabric().SetFaultPlan(plan)
-	return plan
-}
-
-// needsPlan reports whether the run needs a fault-plan handle on the first
-// life's fabric (spikes or a scripted crash).
-func (c Config) needsPlan() bool {
-	return c.FaultSeed != 0 || c.FabricCrashAtBatch > 0
-}
-
 // start builds the first life: engine + FT + stream + query.
-func start(cfg Config, col *collector) (*core.Engine, *stream.Source, *fabric.FaultPlan, error) {
+func start(cfg Config, col *collector) (*core.Engine, *stream.Source, error) {
 	e, err := core.New(core.Config{
 		Nodes:          cfg.Nodes,
 		WorkersPerNode: 2,
@@ -245,32 +202,24 @@ func start(cfg Config, col *collector) (*core.Engine, *stream.Source, *fabric.Fa
 		DeltaCrosscheck: true,
 	})
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	var plan *fabric.FaultPlan
-	if cfg.needsPlan() {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		plan = installFaults(e, seed, cfg.FaultSeed != 0)
+		return nil, nil, err
 	}
 	if err := e.EnableFT(core.FTConfig{Dir: cfg.Dir, CheckpointEveryBatches: cfg.CheckpointEvery}); err != nil {
 		e.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	src, err := e.RegisterStream(stream.Config{Name: StreamName, BatchInterval: batchMS * time.Millisecond})
 	if err != nil {
 		e.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cq, err := e.RegisterContinuous(queryText, col.cb)
 	if err != nil {
 		e.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	col.attach(cq)
-	return e, src, plan, nil
+	return e, src, nil
 }
 
 // recoverEngine builds the second life from the FT directory. Recovered
@@ -290,11 +239,6 @@ func recoverEngine(cfg Config, col *collector) (*core.Engine, *stream.Source, er
 		})
 	if err != nil {
 		return nil, nil, err
-	}
-	// The recovered life's fabric is fresh and healthy (a crashed node
-	// comes back as part of recovery); only latency spikes carry over.
-	if cfg.FaultSeed != 0 {
-		installFaults(e, cfg.FaultSeed+1, true)
 	}
 	for _, cq := range e.ContinuousQueries() {
 		if cq.Name == QueryName {
@@ -324,7 +268,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	col := &collector{}
 	rep := &Report{}
-	e, src, plan, err := start(cfg, col)
+	e, src, err := start(cfg, col)
 	if err != nil {
 		return nil, err
 	}
@@ -343,13 +287,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 		}
 		e.AdvanceTo(rdf.Timestamp(b * batchMS))
-		if b == cfg.FabricCrashAtBatch && plan != nil {
-			plan.Crash(fabric.NodeID(cfg.FabricCrashNode))
-		}
 		if b == cfg.KillAtBatch {
-			if snd := e.Sender(); snd != nil && cfg.FabricCrashAtBatch > 0 {
-				rep.BreakerOpenAtKill = snd.Breaker(fabric.NodeID(cfg.FabricCrashNode)).State() == flow.Open
-			}
 			e.Kill()
 			e, src, err = recoverEngine(cfg, col)
 			if err != nil {
@@ -360,11 +298,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// One empty boundary past the script flushes the final window.
 	e.AdvanceTo(rdf.Timestamp((cfg.Batches + 1) * batchMS))
-	for _, cq := range e.ContinuousQueries() {
-		if cq.Name == QueryName {
-			rep.FailedExecs = cq.Stats().FailedExecutions
-		}
-	}
 	e.Close()
 
 	col.mu.Lock()

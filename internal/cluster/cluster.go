@@ -1376,7 +1376,7 @@ func (n *Node) callTraced(to fabric.NodeID, head, body, op string, tc trace.Cont
 		if err == nil {
 			return string(resp), nil
 		}
-		if fabric.Transient(err) {
+		if flow.Transient(err) {
 			continue
 		}
 		break

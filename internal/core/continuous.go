@@ -59,8 +59,8 @@ const latRing = 1 << 16
 // figures cover the newest latRing executions.
 type CQStats struct {
 	Executions int64
-	// FailedExecutions counts window firings abandoned because an injected
-	// fabric fault made their data unreachable mid-execution.
+	// FailedExecutions counts window firings the engine's worker pool
+	// refused because it was shutting down.
 	FailedExecutions int64
 	// DeadlineExceeded counts window firings abandoned because they ran past
 	// the engine's Flow.CQDeadline. The window is not delivered; the step
@@ -391,16 +391,6 @@ func (cq *ContinuousQuery) execute(at rdf.Timestamp) {
 			cq.deadlineEx++
 			cq.mu.Unlock()
 			e.cCQDL.Inc()
-			return
-		}
-		if errors.Is(err, fabric.ErrInjected) {
-			// An injected network fault made window data unreachable. The
-			// window is NOT delivered (a partial answer would be wrong);
-			// recovery re-fires it over replayed data (§5 at-least-once).
-			cq.mu.Lock()
-			cq.failedExecs++
-			cq.mu.Unlock()
-			e.cFailedExecs.Inc()
 			return
 		}
 		// Other execution errors indicate planner/executor bugs; surface

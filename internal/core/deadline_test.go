@@ -82,6 +82,30 @@ func TestOneShotDeadline(t *testing.T) {
 // TestCQDeadlineShedsFirings: a continuous firing past Flow.CQDeadline is
 // abandoned — counted, not delivered, never panicking — and the scheduler
 // keeps stepping.
+// flowTestQuery is a 1-batch-window continuous query over the scripted
+// stream F.
+const flowTestQuery = `
+REGISTER QUERY QF AS
+SELECT ?X ?Y FROM F [RANGE 100ms STEP 100ms]
+WHERE { GRAPH F { ?X po ?Y } }`
+
+// flowTestTuples builds batch b's tuples for the scripted stream F.
+func flowTestTuples(b int) []rdf.Tuple {
+	base := rdf.Timestamp((b - 1) * 100)
+	out := make([]rdf.Tuple, 0, 8)
+	for i := 0; i < 8; i++ {
+		out = append(out, rdf.Tuple{
+			Triple: rdf.T(
+				string(rune('a'+i))+"s",
+				"po",
+				string(rune('a'+i))+"o",
+			),
+			TS: base + rdf.Timestamp(i),
+		})
+	}
+	return out
+}
+
 func TestCQDeadlineShedsFirings(t *testing.T) {
 	r := obs.NewRegistry("test")
 	e, err := New(Config{

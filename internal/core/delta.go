@@ -244,20 +244,17 @@ type memoStored struct {
 	memo  map[storedKey][]rdf.ID
 }
 
-func (m memoStored) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (m memoStored) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
 	k := storedKey{vid: vid, pid: pid, dir: d}
 	if ns, ok := m.memo[k]; ok {
-		return ns, nil
+		return ns
 	}
-	ns, err := m.inner.Neighbors(from, vid, pid, d)
-	if err != nil {
-		return nil, err
-	}
+	ns := m.inner.Neighbors(from, vid, pid, d)
 	m.memo[k] = ns
-	return ns, nil
+	return ns
 }
 
-func (m memoStored) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (m memoStored) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID {
 	return m.inner.Candidates(from, pid, d)
 }
 
@@ -445,35 +442,31 @@ type walkState struct {
 }
 
 // batchEdgeScan enumerates one mini-batch's edges for (st.Pid, st.Dir)
-// through the window access's one-walk path. nil without error means the
-// stream has no window access (shouldn't happen for a split plan — the
-// caller falls back to the per-row path).
-func (ws *walkState) batchEdgeScan(stream string, b tstore.BatchID, st plan.Step) (batchEdges, error) {
+// through the window access's one-walk path. nil means the stream has no
+// window access (shouldn't happen for a split plan — the caller falls back
+// to the per-row path).
+func (ws *walkState) batchEdgeScan(stream string, b tstore.BatchID, st plan.Step) batchEdges {
 	wa, ok := ws.base.byName[stream]
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	m, err := wa.BatchEdges(ws.cq.Home(), b, st.Pid, st.Dir)
-	if err != nil {
-		return nil, err
-	}
-	return batchEdges(m), nil
+	return batchEdges(wa.BatchEdges(ws.cq.Home(), b, st.Pid, st.Dir))
 }
 
 // edgesFor returns the hashed edge list for (level, b), building and staging
-// it on first use. nil (without error) means the per-row Neighbors path is
-// cheaper for this level: building costs one span read per batch edge paid
-// once per batch lifetime, per-row costs one read per probing row per
-// firing, so sparse parents (an anchored prefix) skip the build.
-func (ws *walkState) edgesFor(level int, b tstore.BatchID, st plan.Step, stream string, inRows int) (batchEdges, error) {
+// it on first use. nil means the per-row Neighbors path is cheaper for this
+// level: building costs one span read per batch edge paid once per batch
+// lifetime, per-row costs one read per probing row per firing, so sparse
+// parents (an anchored prefix) skip the build.
+func (ws *walkState) edgesFor(level int, b tstore.BatchID, st plan.Step, stream string, inRows int) batchEdges {
 	if be, ok := ws.ds.segEdges[level][b]; ok {
-		return be, nil
+		return be
 	}
 	if be, ok := ws.stagedEdges[level][b]; ok {
-		return be, nil
+		return be
 	}
 	if ws.noEdges[level][b] {
-		return nil, nil
+		return nil
 	}
 	// Cheap prior before paying the batch walk (its cost is proportional to
 	// the batch's edges): a level whose parents are sparse against the
@@ -485,18 +478,18 @@ func (ws *walkState) edgesFor(level int, b tstore.BatchID, st plan.Step, stream 
 				ws.noEdges[level] = map[tstore.BatchID]bool{}
 			}
 			ws.noEdges[level][b] = true
-			return nil, nil
+			return nil
 		}
 	}
-	be, err := ws.batchEdgeScan(stream, b, st)
-	if err != nil || be == nil {
-		return nil, err
+	be := ws.batchEdgeScan(stream, b, st)
+	if be == nil {
+		return nil
 	}
 	if ws.stagedEdges[level] == nil {
 		ws.stagedEdges[level] = map[tstore.BatchID]batchEdges{}
 	}
 	ws.stagedEdges[level][b] = be
-	return be, nil
+	return be
 }
 
 // segEval computes the binding table for one (vector prefix, batch) pair.
@@ -517,21 +510,13 @@ func (ws *walkState) segEval(level int, b tstore.BatchID, in *exec.Table) (*exec
 		// A seed's candidate enumeration already walks the whole batch, so
 		// the one-walk scan is never a loss — and it is evaluated once per
 		// batch (the level table is cached), so the list is not kept.
-		be, err := ws.batchEdgeScan(seg.stream, b, st)
-		if err != nil {
-			return nil, err
-		}
-		if be != nil {
+		if be := ws.batchEdgeScan(seg.stream, b, st); be != nil {
 			return ws.segRest(level, b, seedCrossBind(st, in, be), seg.steps[1:])
 		}
 	}
 	if st.Kind == plan.Expand && st.To.IsVar() && in.Col(st.To.Var) < 0 &&
 		(!st.From.IsVar() || in.Col(st.From.Var) >= 0) {
-		be, err := ws.edgesFor(level, b, st, seg.stream, len(in.Rows))
-		if err != nil {
-			return nil, err
-		}
-		if be != nil {
+		if be := ws.edgesFor(level, b, st, seg.stream, len(in.Rows)); be != nil {
 			return ws.segRest(level, b, joinExpand(st, in, be), seg.steps[1:])
 		}
 	}
@@ -633,17 +618,13 @@ func joinExpand(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 
 // buildPostPairs enumerates a mini-batch's (from, to) edges for a deferred
 // check through the window access's one-walk scan, inheriting its fabric
-// charging and fault injection. A stream without a window access (defensive)
-// falls back to restricted Candidates + per-vertex Neighbors.
+// charging. A stream without a window access (defensive) falls back to
+// restricted Candidates + per-vertex Neighbors.
 func (e *Engine) buildPostPairs(cq *ContinuousQuery, base *accessProvider, st plan.Step, b tstore.BatchID) ([]edgePair, error) {
 	node := cq.Home()
 	if wa, ok := base.byName[st.Graph.Name]; ok {
-		m, err := wa.BatchEdges(node, b, st.Pid, st.Dir)
-		if err != nil {
-			return nil, err
-		}
 		var pairs []edgePair
-		for v, ns := range m {
+		for v, ns := range wa.BatchEdges(node, b, st.Pid, st.Dir) {
 			for _, n := range ns {
 				pairs = append(pairs, edgePair{from: v, to: n})
 			}
@@ -655,17 +636,9 @@ func (e *Engine) buildPostPairs(cq *ContinuousQuery, base *accessProvider, st pl
 	if err != nil {
 		return nil, err
 	}
-	cands, err := acc.Candidates(node, st.Pid, st.Dir)
-	if err != nil {
-		return nil, err
-	}
 	var pairs []edgePair
-	for _, v := range cands {
-		ns, err := acc.Neighbors(node, v, st.Pid, st.Dir)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range ns {
+	for _, v := range acc.Candidates(node, st.Pid, st.Dir) {
+		for _, n := range acc.Neighbors(node, v, st.Pid, st.Dir) {
 			pairs = append(pairs, edgePair{from: v, to: n})
 		}
 	}
@@ -798,8 +771,8 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 
 	// Evaluate: ensure the stored prefix and every in-window batch vector,
 	// staging new entries and committing only on full success — a failed
-	// evaluation (injected fault, deadline) leaves the cache exactly as the
-	// last successful firing did.
+	// evaluation (a deadline) leaves the cache exactly as the last
+	// successful firing did.
 	base := e.providerFor(cq.query, at)
 	base.memo = memoStored{inner: base.stored, memo: ds.stored}
 	pre := ds.pre
@@ -931,7 +904,7 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 // crosscheckDelta re-runs the firing through the classic full evaluator and
 // panics if the delta result diverges — the delta≡full assertion. Runs
 // outside the state lock and outside the recorded latency. A full-path
-// failure (injected fault) skips the comparison: there is nothing sound to
+// failure (a deadline) skips the comparison: there is nothing sound to
 // compare against, and the delta evaluation itself read its data
 // successfully.
 func (e *Engine) crosscheckDelta(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestamp, mode exec.Mode, got *exec.ResultSet) {

@@ -104,35 +104,15 @@ type Config struct {
 	// (default obs.Default, the process-global registry). Tests that need
 	// isolation pass their own.
 	Metrics *obs.Registry
-	// Flow configures overload protection: retrying dispatch/replica sends
-	// with per-destination circuit breakers, engine-wide stream admission
-	// defaults, and query deadlines. The zero value enables the sender with
-	// defaults and leaves admission unbounded and deadlines off.
+	// Flow configures overload protection: engine-wide stream admission
+	// defaults and query deadlines. The zero value leaves admission unbounded
+	// and deadlines off.
 	Flow FlowConfig
 	// SeedTables pre-sizes nothing yet; reserved.
 }
 
 // FlowConfig is the engine's overload-protection knob set (DESIGN.md §10).
 type FlowConfig struct {
-	// DisableSendRetry reverts one-way shipments (dispatch shares, index
-	// replicas) to raw fire-and-forget: any injected fault loses the
-	// message. The pre-overload-protection behavior, kept as an ablation
-	// switch.
-	DisableSendRetry bool
-	// SendRetries is the per-send retry budget for transient faults
-	// (0 = default 3; negative = no retries, breaker only).
-	SendRetries int
-	// SendRetryBase/SendRetryCap bound the jittered retry backoff
-	// (defaults 50µs and 5ms).
-	SendRetryBase time.Duration
-	SendRetryCap  time.Duration
-	// BreakerThreshold persistent send failures trip a destination's
-	// circuit breaker (default 5); BreakerCooldown is how long it fails
-	// fast before probing (default 50ms).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Seed makes retry jitter deterministic when nonzero.
-	Seed int64
 	// MaxPending and Shed are engine-wide admission defaults applied to
 	// streams whose own config leaves MaxPending at 0.
 	MaxPending int
@@ -142,11 +122,6 @@ type FlowConfig struct {
 	// work is cancelled cooperatively and counted, never silently lost.
 	QueryDeadline time.Duration
 	CQDeadline    time.Duration
-	// MaxReship bounds the queue of lost replica shipments awaiting
-	// re-delivery (default 65536). On overflow the shipment stays held in
-	// the stable VTS (the hold is never silently dropped) but is no longer
-	// retried by the engine; fault-tolerance recovery clears it.
-	MaxReship int
 }
 
 func (c Config) withDefaults() Config {
@@ -177,9 +152,6 @@ func (c Config) withDefaults() Config {
 	// trip; fork-join migrates every traversal step to the data instead.
 	if c.ForceForkJoin || (c.Fabric.Nodes > 1 && !c.Fabric.RDMA) {
 		c.ForkThreshold = 1
-	}
-	if c.Flow.MaxReship <= 0 {
-		c.Flow.MaxReship = 65536
 	}
 	return c
 }
@@ -243,7 +215,6 @@ type Engine struct {
 	cFailedExecs *obs.Counter
 	cRows        *obs.Counter
 	cOneshots    *obs.Counter
-	cDispDropped *obs.Counter
 
 	// Adaptive planning and delta evaluation (DESIGN.md §14).
 	cModeInPlace  *obs.Counter            // plan_mode_total{mode="in-place"}
@@ -253,13 +224,8 @@ type Engine struct {
 	hEstErr       *obs.Histogram          // planner_estimate_error_pct
 
 	// Overload protection (DESIGN.md §10).
-	snd           *flow.Sender // retrying one-way sender; nil when disabled
-	cOneshotDL    *obs.Counter // oneshot_deadline_exceeded_total
-	cCQDL         *obs.Counter // cq_deadline_exceeded_total
-	cReshipped    *obs.Counter // flow_reshipped_total
-	reshipMu      sync.Mutex
-	reships       []reship
-	reshipDropped int64 // reships lost to the queue bound (holds remain)
+	cOneshotDL *obs.Counter // oneshot_deadline_exceeded_total
+	cCQDL      *obs.Counter // cq_deadline_exceeded_total
 
 	mu         sync.Mutex
 	streams    map[string]*streamState
@@ -316,10 +282,8 @@ func New(cfg Config) (*Engine, error) {
 	e.cFailedExecs = e.obs.Counter("cq_failed_executions_total")
 	e.cRows = e.obs.Counter("cq_rows_total")
 	e.cOneshots = e.obs.Counter("oneshot_queries_total")
-	e.cDispDropped = e.obs.Counter("stream_dispatch_dropped_total")
 	e.cOneshotDL = e.obs.Counter("oneshot_deadline_exceeded_total")
 	e.cCQDL = e.obs.Counter("cq_deadline_exceeded_total")
-	e.cReshipped = e.obs.Counter("flow_reshipped_total")
 	e.cModeInPlace = e.obs.Counter(obs.Name("plan_mode_total", "mode", "in-place"))
 	e.cModeForkJoin = e.obs.Counter(obs.Name("plan_mode_total", "mode", "fork-join"))
 	e.cDeltaFirings = e.obs.Counter("cq_delta_firings_total")
@@ -328,36 +292,9 @@ func New(cfg Config) (*Engine, error) {
 		e.cFullRecomp[r] = e.obs.Counter(obs.Name("cq_full_recompute_total", "reason", r))
 	}
 	e.hEstErr = e.obs.Histogram("planner_estimate_error_pct", obs.SizeBuckets)
-	if !cfg.Flow.DisableSendRetry {
-		e.snd = flow.NewSender(fab, flow.SenderConfig{
-			Retries:          cfg.Flow.SendRetries,
-			RetryBase:        cfg.Flow.SendRetryBase,
-			RetryCap:         cfg.Flow.SendRetryCap,
-			BreakerThreshold: cfg.Flow.BreakerThreshold,
-			BreakerCooldown:  cfg.Flow.BreakerCooldown,
-			Seed:             cfg.Flow.Seed,
-		}, e.obs)
-	}
 	e.registerMetrics()
 	return e, nil
 }
-
-// reship is one lost index-replica shipment awaiting re-delivery. The
-// replica message is pure metadata (the index itself is shared in-process),
-// so re-sending later is always safe; the corresponding vts hold keeps the
-// stable timestamps honest until it lands.
-type reship struct {
-	st    *streamState
-	batch tstore.BatchID
-	from  fabric.NodeID
-	to    fabric.NodeID
-	bytes int
-}
-
-// Sender returns the engine's retrying one-way sender (nil when
-// Flow.DisableSendRetry is set) — chaos and soak probes read breaker state
-// through it.
-func (e *Engine) Sender() *flow.Sender { return e.snd }
 
 // Metrics returns the registry the engine records into.
 func (e *Engine) Metrics() *obs.Registry { return e.obs }
@@ -386,49 +323,13 @@ func (e *Engine) registerMetrics() {
 	r.GaugeFunc("vts_stall_waits_total", func() int64 { return e.coord.StallWaits() })
 	r.GaugeFunc("vts_plans_published_total", func() int64 { return e.coord.PlansPublished() })
 	r.GaugeFunc("vts_retained_plans", func() int64 { return int64(len(e.coord.RetainedPlans())) })
-	r.GaugeFunc("vts_unshipped_holds_total", func() int64 { return e.coord.Holds() })
-	// Lost replica shipments awaiting re-delivery.
-	r.GaugeFunc("flow_reship_queue_depth", func() int64 {
-		e.reshipMu.Lock()
-		defer e.reshipMu.Unlock()
-		return int64(len(e.reships))
-	})
-	r.GaugeFunc("flow_reship_overflow_total", func() int64 {
-		e.reshipMu.Lock()
-		defer e.reshipMu.Unlock()
-		return e.reshipDropped
-	})
-	// Fabric traffic and injected faults.
+	// Fabric traffic.
 	r.GaugeFunc("fabric_rdma_reads_total", func() int64 { return e.fab.Stats().RDMAReads })
 	r.GaugeFunc("fabric_rpcs_total", func() int64 { return e.fab.Stats().RPCs })
 	r.GaugeFunc("fabric_tcp_rounds_total", func() int64 { return e.fab.Stats().TCPRounds })
 	r.GaugeFunc("fabric_bytes_read_total", func() int64 { return e.fab.Stats().BytesRead })
 	r.GaugeFunc("fabric_bytes_rpc_total", func() int64 { return e.fab.Stats().BytesRPC })
 	r.GaugeFunc("fabric_charged_ns_total", func() int64 { return int64(e.fab.Stats().ChargedTime) })
-	r.GaugeFunc("fabric_faults_node_down_total", func() int64 {
-		if p := e.fab.Plan(); p != nil {
-			return p.Stats().NodeDown
-		}
-		return 0
-	})
-	r.GaugeFunc("fabric_faults_partitioned_total", func() int64 {
-		if p := e.fab.Plan(); p != nil {
-			return p.Stats().Partitioned
-		}
-		return 0
-	})
-	r.GaugeFunc("fabric_faults_dropped_total", func() int64 {
-		if p := e.fab.Plan(); p != nil {
-			return p.Stats().Dropped
-		}
-		return 0
-	})
-	r.GaugeFunc("fabric_faults_spikes_total", func() int64 {
-		if p := e.fab.Plan(); p != nil {
-			return p.Stats().Spikes
-		}
-		return 0
-	})
 	// Per-pair traffic matrix (only for small clusters: n² series).
 	if n := e.fab.Nodes(); n <= 16 {
 		for from := 0; from < n; from++ {
@@ -630,11 +531,6 @@ func (e *Engine) registerStreamMetrics(st *streamState, name string) {
 		defer st.mu.Unlock()
 		return int64(st.injectStats.IndexTime)
 	})
-	r.GaugeFunc(lbl("stream_dropped_total"), func() int64 {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return int64(st.injectStats.Dropped)
-	})
 	// Stream index: memory (Table 7), lookups, GC reclaim.
 	r.GaugeFunc(lbl("sindex_bytes"), func() int64 { return st.index.MemoryBytes() })
 	r.GaugeFunc(lbl("sindex_lookups_total"), func() int64 { return st.index.Counters().Lookups })
@@ -681,12 +577,8 @@ func (e *Engine) registerStreamMetrics(st *streamState, name string) {
 	r.GaugeFunc(lbl("vts_stable_lag_batches"), func() int64 {
 		return int64(e.coord.StableLag(st.id))
 	})
-	// Admission accounting (flow_queue_* series, labeled by stream) and the
-	// stream's lost-replica holds on the stable VTS.
+	// Admission accounting (flow_queue_* series, labeled by stream).
 	st.src.QueueStats().Instrument(r, name)
-	r.GaugeFunc(lbl("vts_unshipped"), func() int64 {
-		return int64(e.coord.Unshipped(st.id))
-	})
 }
 
 // StreamNames returns the registered stream IRIs.
@@ -764,11 +656,6 @@ func (e *Engine) AdvanceTo(ts rdf.Timestamp) {
 	e.tick.Add(1)
 	defer e.obs.Span("advance").End()
 
-	// Phase 0: re-deliver replica shipments lost on earlier ticks. Each
-	// success releases its hold on the stable VTS, so healed paths let the
-	// stable timestamps catch up before new batches inject.
-	e.retryUnshipped()
-
 	// Phase 1: seal + inject every due batch. The injectors must keep all
 	// batches with one snapshot number consecutive per key (§4.3), so
 	// injection proceeds SN group by SN group: within a group streams run
@@ -827,56 +714,6 @@ func (e *Engine) AdvanceTo(ts rdf.Timestamp) {
 	gc.End()
 }
 
-// enqueueReship queues a lost replica shipment for re-delivery on a later
-// tick. The queue is bounded: past the bound the shipment's vts hold remains
-// (the stable timestamps stay honest) but the engine stops retrying it —
-// fault-tolerance recovery is then the release path.
-func (e *Engine) enqueueReship(r reship) {
-	e.reshipMu.Lock()
-	defer e.reshipMu.Unlock()
-	if len(e.reships) >= e.cfg.Flow.MaxReship {
-		e.reshipDropped++
-		return
-	}
-	e.reships = append(e.reships, r)
-}
-
-// retryUnshipped re-sends queued lost replica shipments, clearing the vts
-// hold of each one that lands. Still-failing shipments stay queued; an open
-// breaker makes the whole pass cheap (fast fails, no retry burn).
-func (e *Engine) retryUnshipped() {
-	e.reshipMu.Lock()
-	pend := e.reships
-	e.reships = nil
-	e.reshipMu.Unlock()
-	if len(pend) == 0 {
-		return
-	}
-	var kept []reship
-	for _, r := range pend {
-		if err := e.sendOneWay(r.from, r.to, r.bytes); err != nil {
-			kept = append(kept, r)
-			continue
-		}
-		e.coord.ClearUnshipped(r.st.id, r.batch)
-		e.cReshipped.Inc()
-	}
-	if len(kept) > 0 {
-		e.reshipMu.Lock()
-		e.reships = append(kept, e.reships...)
-		e.reshipMu.Unlock()
-	}
-}
-
-// sendOneWay ships a one-way message through the retrying sender when
-// enabled, the raw fabric otherwise.
-func (e *Engine) sendOneWay(from, to fabric.NodeID, n int) error {
-	if e.snd != nil {
-		return e.snd.Send(from, to, n)
-	}
-	return e.fab.SendAsync(from, to, n)
-}
-
 // injectBatch dispatches one batch and injects it on all nodes, blocking
 // until the batch is fully inserted and reported to the coordinator.
 func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
@@ -886,18 +723,8 @@ func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 		e.ftLogBatch(st, b)
 	}
 	disp := e.obs.Span("dispatch")
-	work, lost := stream.Dispatch(e.fab, e.snd, st.home, b)
+	work := stream.Dispatch(e.fab, st.home, b)
 	disp.End()
-	if lost > 0 {
-		// A lost share cannot be re-injected later (per-key snapshot runs
-		// must stay consecutive), so it is accounted — never hidden — and
-		// upstream-backup replay during recovery (§5) is the repair path.
-		// With the retrying sender only persistent faults reach this.
-		st.mu.Lock()
-		st.injectStats.Dropped += lost
-		st.mu.Unlock()
-		e.cDispDropped.Add(int64(lost))
-	}
 	var wg sync.WaitGroup
 	for n := range work {
 		n := fabric.NodeID(n)
@@ -911,11 +738,6 @@ func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 				Transient: st.trans[n],
 				Scratch:   &st.inject[n],
 				Obs:       e.injObs,
-				Sender:    e.snd,
-				Unshipped: func(from, to fabric.NodeID, bytes int) {
-					e.coord.MarkUnshipped(st.id, b.ID)
-					e.enqueueReship(reship{st: st, batch: b.ID, from: from, to: to, bytes: bytes})
-				},
 			})
 			st.mu.Lock()
 			st.injectStats.Add(stats)

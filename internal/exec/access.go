@@ -12,19 +12,15 @@ import (
 
 // Access provides a pattern's data. Implementations charge the fabric for
 // remote operations, so the executor stays oblivious to network pricing.
-// Remote reads can fail when the fabric has injected faults; a fault on the
-// path to the data surfaces as an error rather than a silently-empty result,
-// so a query never returns a wrong answer because a node was unreachable.
 type Access interface {
 	// Neighbors returns vid's pid-neighbors in direction d, as visible to
 	// this access path, on behalf of a worker on node from.
-	Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) ([]rdf.ID, error)
+	Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID
 	// Candidates enumerates all vertices carrying a pid edge in direction d
 	// (the index-vertex read), gathering every node's partition.
-	Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) ([]rdf.ID, error)
+	Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID
 	// LocalCandidates returns only node n's partition of the index vertex;
-	// fork-join seeding scans each partition on its own node. Purely local:
-	// it cannot observe network faults.
+	// fork-join seeding scans each partition on its own node.
 	LocalCandidates(n fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID
 }
 
@@ -43,12 +39,12 @@ type StoredAccess struct {
 
 // Neighbors implements Access via a snapshot read (two one-sided reads when
 // remote: key lookup + value).
-func (a StoredAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
-	return a.Store.Read(from, store.EdgeKey(vid, pid, d), a.SN)
+func (a StoredAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
+	return a.Store.ReadValues(from, store.EdgeKey(vid, pid, d), a.SN)
 }
 
 // Candidates gathers every node's index-vertex partition.
-func (a StoredAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (a StoredAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID {
 	return a.Store.ReadIndex(from, pid, d, a.SN)
 }
 
@@ -117,48 +113,31 @@ type WindowAccess struct {
 // indexLookup charges one extra one-sided read when the stream index is not
 // replicated on the reading node (§4.2: a partitioned stream index incurs an
 // additional RDMA read).
-func (a WindowAccess) indexLookup(from fabric.NodeID, key store.Key) ([]store.Span, error) {
+func (a WindowAccess) indexLookup(from fabric.NodeID, key store.Key) []store.Span {
 	a.Obs.lookup()
 	spans := a.Index.Lookup(key, a.From, a.To)
 	if !a.Index.ReplicatedOn(from) {
-		home := a.Store.HomeOf(key.Vid)
-		if home != from {
-			if err := a.Store.Fabric().ReadRemote(from, home, 16); err != nil {
-				return nil, err
-			}
-		}
+		a.Store.Fabric().ReadRemote(from, a.Store.HomeOf(key.Vid), 16)
 	}
-	return spans, nil
+	return spans
 }
 
 // Neighbors implements Access: stream-index spans give direct value reads
 // (one one-sided read each when remote); timing data comes from the home
 // node's transient store.
-func (a WindowAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (a WindowAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
 	key := store.EdgeKey(vid, pid, d)
-	spans, err := a.indexLookup(from, key)
-	if err != nil {
-		return nil, err
-	}
 	var out []rdf.ID
-	for _, sp := range spans {
+	for _, sp := range a.indexLookup(from, key) {
 		a.Obs.spanRead()
-		vals, err := a.Store.ReadSpan(from, key, sp)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
+		out = append(out, a.Store.ReadSpan(from, key, sp)...)
 	}
 	home := a.Store.HomeOf(vid)
 	if ts := a.Transients[home]; ts != nil {
 		a.Obs.transientRead()
-		vals, err := ts.GetFrom(a.Store.Fabric(), from, home, key, a.From, a.To)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
+		out = append(out, ts.GetFrom(a.Store.Fabric(), from, home, key, a.From, a.To)...)
 	}
-	return out, nil
+	return out
 }
 
 // BatchEdges enumerates the (from → to) edges one mini-batch contributed for
@@ -168,16 +147,10 @@ func (a WindowAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir
 // coalesce into one batched gather per home node (GatherSpans); per-node
 // transient slices fold in with the usual remote pricing. The batch need not
 // lie inside [From, To]: the caller names it explicitly.
-func (a WindowAccess) BatchEdges(from fabric.NodeID, b tstore.BatchID, pid rdf.ID, d store.Dir) (map[rdf.ID][]rdf.ID, error) {
+func (a WindowAccess) BatchEdges(from fabric.NodeID, b tstore.BatchID, pid rdf.ID, d store.Dir) map[rdf.ID][]rdf.ID {
 	a.Obs.candidateScan()
-	kss, err := a.Index.BatchEdgeSpansFrom(a.Store.Fabric(), from, b, pid, d)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := a.Store.GatherSpans(from, kss)
-	if err != nil {
-		return nil, err
-	}
+	kss := a.Index.BatchEdgeSpansFrom(a.Store.Fabric(), from, b, pid, d)
+	vals := a.Store.GatherSpans(from, kss)
 	// Each vertex's first values are carved from one chunk, at full capacity:
 	// a vertex with a second span, or with timing data below, reallocates its
 	// own list and leaves its neighbours alone.
@@ -203,15 +176,11 @@ func (a WindowAccess) BatchEdges(from fabric.NodeID, b tstore.BatchID, pid rdf.I
 			continue
 		}
 		a.Obs.transientRead()
-		m, err := ts.BatchEdgesFrom(a.Store.Fabric(), from, fabric.NodeID(n), b, pid, d)
-		if err != nil {
-			return nil, err
-		}
-		for v, vals := range m {
+		for v, vals := range ts.BatchEdgesFrom(a.Store.Fabric(), from, fabric.NodeID(n), b, pid, d) {
 			out[v] = append(out[v], vals...)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Candidates enumerates the window's vertices carrying a pid edge in
@@ -219,12 +188,9 @@ func (a WindowAccess) BatchEdges(from fabric.NodeID, b tstore.BatchID, pid rdf.I
 // the index for window data (§4.2), so no persistent-store index vertex is
 // consulted (which would also see data outside the window, and would miss
 // vertices the store already knew).
-func (a WindowAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (a WindowAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID {
 	a.Obs.candidateScan()
-	out, err := a.Index.VerticesFrom(a.Store.Fabric(), from, pid, d, a.From, a.To)
-	if err != nil {
-		return nil, err
-	}
+	out := a.Index.VerticesFrom(a.Store.Fabric(), from, pid, d, a.From, a.To)
 	// Timing data: scan each node's transient window for this predicate.
 	var seen map[rdf.ID]bool
 	for n, ts := range a.Transients {
@@ -244,16 +210,12 @@ func (a WindowAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) ([
 		for _, v := range cands {
 			if !seen[v] {
 				seen[v] = true
-				if fabric.NodeID(n) != from {
-					if err := a.Store.Fabric().ReadRemote(from, fabric.NodeID(n), 8); err != nil {
-						return nil, err
-					}
-				}
+				a.Store.Fabric().ReadRemote(from, fabric.NodeID(n), 8)
 				out = append(out, v)
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // LocalCandidates returns node n's share of the window candidates: the
@@ -290,29 +252,21 @@ func transientCandidates(ts *tstore.Store, pid rdf.ID, d store.Dir, from, to tst
 type UnionAccess []Access
 
 // Neighbors unions the underlying accesses' neighbor lists.
-func (u UnionAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (u UnionAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
 	var out []rdf.ID
 	for _, a := range u {
-		vals, err := a.Neighbors(from, vid, pid, d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
+		out = append(out, a.Neighbors(from, vid, pid, d)...)
 	}
-	return out, nil
+	return out
 }
 
 // Candidates unions the underlying accesses' candidates.
-func (u UnionAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) ([]rdf.ID, error) {
+func (u UnionAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID {
 	var out []rdf.ID
 	for _, a := range u {
-		vals, err := a.Candidates(from, pid, d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
+		out = append(out, a.Candidates(from, pid, d)...)
 	}
-	return out, nil
+	return out
 }
 
 // LocalCandidates unions the underlying accesses' local candidates.

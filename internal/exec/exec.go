@@ -343,38 +343,26 @@ func (ex *Executor) applySeed(req Request, acc Access, st plan.Step, tbl *Table)
 		if req.Mode == ForkJoin {
 			return ex.forkJoinIndexSeed(req, acc, st, tbl)
 		}
-		var err error
-		seeds, err = acc.Candidates(req.Node, st.Pid, st.Dir)
-		if err != nil {
-			return nil, err
-		}
+		seeds = acc.Candidates(req.Node, st.Pid, st.Dir)
 	}
-	pairs, err := expandSeeds(acc, req.Node, seeds, st)
-	if err != nil {
-		return nil, err
-	}
-	return crossBind(tbl, st, pairs), nil
+	return crossBind(tbl, st, expandSeeds(acc, req.Node, seeds, st)), nil
 }
 
 // pair is one (from, to) edge produced by expanding a seed.
 type pair struct{ from, to rdf.ID }
 
 // expandSeeds follows the seeding pattern's edges for every seed.
-func expandSeeds(acc Access, node fabric.NodeID, seeds []rdf.ID, st plan.Step) ([]pair, error) {
+func expandSeeds(acc Access, node fabric.NodeID, seeds []rdf.ID, st plan.Step) []pair {
 	var out []pair
 	for _, s := range seeds {
-		ns, err := acc.Neighbors(node, s, st.Pid, st.Dir)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range ns {
+		for _, n := range acc.Neighbors(node, s, st.Pid, st.Dir) {
 			if !st.To.IsVar() && n != st.To.Const {
 				continue
 			}
 			out = append(out, pair{from: s, to: n})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // crossBind attaches seed pairs to the incoming table (cartesian product —
@@ -421,30 +409,21 @@ func crossBind(tbl *Table, st plan.Step, pairs []pair) *Table {
 // messages explicitly instead).
 func (ex *Executor) forkJoinIndexSeed(req Request, acc Access, st plan.Step, tbl *Table) (*Table, error) {
 	fab := ex.cluster.Fabric()
-	seeds, err := acc.Candidates(req.Node, st.Pid, st.Dir)
-	if err != nil {
-		return nil, err
-	}
+	seeds := acc.Candidates(req.Node, st.Pid, st.Dir)
 	parts := make([][]rdf.ID, ex.cluster.Nodes())
 	for _, s := range seeds {
 		home := fab.HomeOf(uint64(s))
 		parts[home] = append(parts[home], s)
 	}
 	results := make([][]pair, ex.cluster.Nodes())
-	errs := make([]error, ex.cluster.Nodes())
 	runBranches(req, ex.cluster.Nodes(), func(i int) bool { return len(parts[i]) > 0 },
 		func(i int) {
 			n := fabric.NodeID(i)
-			results[n], errs[n] = expandSeeds(acc, n, parts[n], st)
-			if errs[n] == nil {
-				errs[n] = fab.RPC(req.Node, n, 8*len(parts[n]), 16*len(results[n]))
-			}
+			results[n] = expandSeeds(acc, n, parts[n], st)
+			fab.RPC(req.Node, n, 8*len(parts[n]), 16*len(results[n]))
 		})
 	var pairs []pair
-	for n, p := range results {
-		if errs[n] != nil {
-			return nil, errs[n]
-		}
+	for _, p := range results {
 		pairs = append(pairs, p...)
 	}
 	return crossBind(tbl, st, pairs), nil
@@ -531,10 +510,7 @@ func traverse(ctx context.Context, acc Access, node fabric.NodeID, st plan.Step,
 		if fromCol >= 0 {
 			from = row[fromCol]
 		}
-		ns, err := acc.Neighbors(node, from, st.Pid, st.Dir)
-		if err != nil {
-			return nil, err
-		}
+		ns := acc.Neighbors(node, from, st.Pid, st.Dir)
 		switch {
 		case newVar: // Expand
 			arena.Grow(len(ns) * (len(row) + 1))
@@ -607,18 +583,10 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 				preds = []rdf.ID{pid}
 			}
 		} else {
-			var err error
-			preds, err = acc.Neighbors(node, from, 0, st.Dir) // predicate index
-			if err != nil {
-				return nil, err
-			}
+			preds = acc.Neighbors(node, from, 0, st.Dir) // predicate index
 		}
 		for _, pid := range preds {
-			ns, err := acc.Neighbors(node, from, pid, st.Dir)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range ns {
+			for _, n := range acc.Neighbors(node, from, pid, st.Dir) {
 				switch {
 				case newTo:
 					// fall through to emit
@@ -678,7 +646,7 @@ func (ex *Executor) forkJoinTraversal(req Request, acc Access, st plan.Step, tbl
 			results[n], errs[n] = res, err
 			// Scatter (rows out) and gather (rows back) messages.
 			if err == nil {
-				errs[n] = fab.RPC(req.Node, n, parts[n].ByteSize(), res.ByteSize())
+				fab.RPC(req.Node, n, parts[n].ByteSize(), res.ByteSize())
 			}
 		})
 	out := &Table{Vars: tbl.Vars}

@@ -115,15 +115,11 @@ type Stats struct {
 type Fabric struct {
 	cfg Config
 
-	// plan, when non-nil, injects faults into remote operations (faults.go).
-	plan atomic.Pointer[FaultPlan]
-
 	rdmaReads   atomic.Int64
 	rpcs        atomic.Int64
 	tcpRounds   atomic.Int64
 	bytesRead   atomic.Int64
 	bytesRPC    atomic.Int64
-	heartbeats  atomic.Int64
 	chargedNano atomic.Int64
 
 	// Per node-pair traffic, indexed from*Nodes+to (remote ops only). The
@@ -173,69 +169,6 @@ func (f *Fabric) RDMA() bool { return f.cfg.RDMA }
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// SetFaultPlan installs (or, with nil, removes) a fault-injection plan. The
-// healthy fabric has no plan and every operation succeeds.
-func (f *Fabric) SetFaultPlan(p *FaultPlan) { f.plan.Store(p) }
-
-// Plan returns the installed fault plan, or nil when the fabric is healthy.
-func (f *Fabric) Plan() *FaultPlan { return f.plan.Load() }
-
-// admit consults the fault plan for one remote op; a healthy fabric admits
-// everything with no extra latency.
-func (f *Fabric) admit(op string, from, to NodeID, oneWay bool) (time.Duration, error) {
-	p := f.plan.Load()
-	if p == nil {
-		return 0, nil
-	}
-	return p.admit(op, from, to, oneWay)
-}
-
-// Reachable reports whether a remote operation from->to would currently be
-// admitted, without consuming any probabilistic fault decision. Local paths
-// (from == to) are reachable unless the node itself is down.
-func (f *Fabric) Reachable(from, to NodeID) error {
-	f.checkNode(from)
-	f.checkNode(to)
-	p := f.plan.Load()
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, n := range [2]NodeID{to, from} {
-		if p.crashed[n] {
-			return &FaultError{Kind: FaultNodeDown, Op: "reach", From: from, To: to, Node: n}
-		}
-	}
-	if from != to && p.groupOf != nil && p.groupOf[from] != p.groupOf[to] {
-		return &FaultError{Kind: FaultPartitioned, Op: "reach", From: from, To: to}
-	}
-	return nil
-}
-
-// Heartbeat probes the from->to path with a tiny liveness message. It fails
-// exactly when Reachable fails (crashed endpoint or partition) and never
-// consumes a probabilistic fault decision, so a seeded run behaves
-// identically with or without a failure detector attached. Probe traffic is
-// counted separately from data traffic (Heartbeats accessor) but still shows
-// up in per-pair link accounting.
-func (f *Fabric) Heartbeat(from, to NodeID) error {
-	if err := f.Reachable(from, to); err != nil {
-		return err
-	}
-	f.heartbeats.Add(1)
-	if from != to {
-		f.addPair(from, to, heartbeatBytes)
-	}
-	return nil
-}
-
-// heartbeatBytes is the nominal wire size of one liveness probe.
-const heartbeatBytes = 8
-
-// Heartbeats returns the number of successful liveness probes issued.
-func (f *Fabric) Heartbeats() int64 { return f.heartbeats.Load() }
-
 // charge injects d of latency according to the configured mode and records it.
 func (f *Fabric) charge(d time.Duration) {
 	if d <= 0 {
@@ -273,57 +206,47 @@ func perKB(rate time.Duration, n int) time.Duration {
 // ReadRemote charges one remote read of n bytes from node `to`, issued by
 // node `from`. Local accesses (from == to) are free. With RDMA enabled this
 // is a one-sided read; otherwise it degenerates to a TCP round trip whose
-// remote side must be served by a CPU. Under an installed fault plan the read
-// fails — with an error, never a panic or silent success — when either
-// endpoint is crashed or the link is partitioned.
-func (f *Fabric) ReadRemote(from, to NodeID, n int) error {
+// remote side must be served by a CPU. Nothing inside one process can lose
+// the read, so it only costs time.
+func (f *Fabric) ReadRemote(from, to NodeID, n int) {
 	f.checkNode(from)
 	f.checkNode(to)
 	if from == to {
-		return nil
-	}
-	extra, err := f.admit("read", from, to, false)
-	if err != nil {
-		return err
+		return
 	}
 	f.addPair(from, to, n)
+	f.bytesRead.Add(int64(n))
 	if f.cfg.RDMA {
 		f.rdmaReads.Add(1)
-		f.bytesRead.Add(int64(n))
-		f.charge(f.cfg.Latency.RDMARead + perKB(f.cfg.Latency.RDMAPerKB, n) + extra)
-		return nil
+		f.charge(f.cfg.Latency.RDMARead + perKB(f.cfg.Latency.RDMAPerKB, n))
+		return
 	}
 	f.tcpRounds.Add(1)
-	f.bytesRead.Add(int64(n))
-	f.charge(f.cfg.Latency.TCPRoundTrip + perKB(f.cfg.Latency.TCPPerKB, n) + extra)
-	return nil
+	f.charge(f.cfg.Latency.TCPRoundTrip + perKB(f.cfg.Latency.TCPPerKB, n))
 }
 
 // RPC charges one two-sided message exchange between nodes carrying reqBytes
-// out and respBytes back. Local calls are free. Fault-plan failures surface
-// as errors, like ReadRemote.
-func (f *Fabric) RPC(from, to NodeID, reqBytes, respBytes int) error {
+// out and respBytes back. Local calls are free.
+func (f *Fabric) RPC(from, to NodeID, reqBytes, respBytes int) {
 	f.checkNode(from)
 	f.checkNode(to)
 	if from == to {
-		return nil
+		return
 	}
-	extra, err := f.admit("rpc", from, to, false)
-	if err != nil {
-		return err
-	}
-	n := reqBytes + respBytes
+	f.charge(f.message(from, to, reqBytes+respBytes))
+}
+
+// message counts one two-sided or one-way message of n bytes on the from→to
+// link and returns its latency.
+func (f *Fabric) message(from, to NodeID, n int) time.Duration {
 	f.addPair(from, to, n)
+	f.bytesRPC.Add(int64(n))
 	if f.cfg.RDMA {
 		f.rpcs.Add(1)
-		f.bytesRPC.Add(int64(n))
-		f.charge(f.cfg.Latency.RPC + perKB(f.cfg.Latency.RPCPerKB, n) + extra)
-		return nil
+		return f.cfg.Latency.RPC + perKB(f.cfg.Latency.RPCPerKB, n)
 	}
 	f.tcpRounds.Add(1)
-	f.bytesRPC.Add(int64(n))
-	f.charge(f.cfg.Latency.TCPRoundTrip + perKB(f.cfg.Latency.TCPPerKB, n) + extra)
-	return nil
+	return f.cfg.Latency.TCPRoundTrip + perKB(f.cfg.Latency.TCPPerKB, n)
 }
 
 // ChargeCompute injects a pure compute/overhead delay (used by baseline
@@ -333,30 +256,14 @@ func (f *Fabric) ChargeCompute(d time.Duration) { f.charge(d) }
 // SendAsync records a one-way message of n bytes from->to without delaying
 // the sender: fire-and-forget traffic (stream-index replication, dispatcher
 // fan-out) is off the sender's critical path. The message still shows up in
-// the counters and in ChargedTime. One-way messages are the droppable class:
-// a fault plan may lose them probabilistically in addition to the crash and
-// partition failures shared with the two-sided ops.
-func (f *Fabric) SendAsync(from, to NodeID, n int) error {
+// the counters and in ChargedTime.
+func (f *Fabric) SendAsync(from, to NodeID, n int) {
 	f.checkNode(from)
 	f.checkNode(to)
 	if from == to {
-		return nil
+		return
 	}
-	extra, err := f.admit("send", from, to, true)
-	if err != nil {
-		return err
-	}
-	f.addPair(from, to, n)
-	if f.cfg.RDMA {
-		f.rpcs.Add(1)
-		f.bytesRPC.Add(int64(n))
-		f.chargedNano.Add(int64(f.cfg.Latency.RPC + perKB(f.cfg.Latency.RPCPerKB, n) + extra))
-		return nil
-	}
-	f.tcpRounds.Add(1)
-	f.bytesRPC.Add(int64(n))
-	f.chargedNano.Add(int64(f.cfg.Latency.TCPRoundTrip + perKB(f.cfg.Latency.TCPPerKB, n) + extra))
-	return nil
+	f.chargedNano.Add(int64(f.message(from, to, n)))
 }
 
 // Stats returns a snapshot of traffic counters.
@@ -378,7 +285,6 @@ func (f *Fabric) ResetStats() {
 	f.tcpRounds.Store(0)
 	f.bytesRead.Store(0)
 	f.bytesRPC.Store(0)
-	f.heartbeats.Store(0)
 	f.chargedNano.Store(0)
 }
 

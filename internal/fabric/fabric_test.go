@@ -183,70 +183,16 @@ func TestClusterSubmitRuns(t *testing.T) {
 	c := NewCluster(f, 2)
 	defer c.Close()
 	var count atomic.Int64
+	var done sync.WaitGroup
 	for n := 0; n < 4; n++ {
 		for i := 0; i < 25; i++ {
-			c.Submit(NodeID(n), func() { count.Add(1) })
+			done.Add(1)
+			c.Submit(NodeID(n), func() { count.Add(1); done.Done() })
 		}
 	}
-	c.Quiesce()
+	done.Wait()
 	if count.Load() != 100 {
 		t.Errorf("ran %d tasks, want 100", count.Load())
-	}
-}
-
-func TestClusterQuiesceWaitsForSpawnedTasks(t *testing.T) {
-	f := New(DefaultConfig(2))
-	c := NewCluster(f, 1)
-	defer c.Close()
-	var count atomic.Int64
-	c.Submit(0, func() {
-		count.Add(1)
-		c.Submit(1, func() {
-			count.Add(1)
-			c.Submit(0, func() { count.Add(1) })
-		})
-	})
-	c.Quiesce()
-	if count.Load() != 3 {
-		t.Errorf("ran %d tasks, want 3 (Quiesce returned early)", count.Load())
-	}
-}
-
-func TestClusterCallChargesRPC(t *testing.T) {
-	f := New(DefaultConfig(2))
-	c := NewCluster(f, 1)
-	defer c.Close()
-	ran := false
-	c.Call(0, 1, 64, func() int { ran = true; return 128 })
-	if !ran {
-		t.Error("Call did not run fn")
-	}
-	if f.Stats().RPCs != 1 {
-		t.Errorf("RPCs = %d, want 1", f.Stats().RPCs)
-	}
-	if f.Stats().BytesRPC != 192 {
-		t.Errorf("BytesRPC = %d, want 192", f.Stats().BytesRPC)
-	}
-}
-
-func TestClusterForkJoin(t *testing.T) {
-	f := New(DefaultConfig(4))
-	c := NewCluster(f, 2)
-	defer c.Close()
-	var mu sync.Mutex
-	seen := make(map[NodeID]bool)
-	c.ForkJoin(0, 32, func(n NodeID) int {
-		mu.Lock()
-		seen[n] = true
-		mu.Unlock()
-		return 16
-	})
-	if len(seen) != 4 {
-		t.Errorf("fork-join visited %d nodes, want 4", len(seen))
-	}
-	// 3 remote nodes charged (node 0 is local).
-	if f.Stats().RPCs != 3 {
-		t.Errorf("RPCs = %d, want 3", f.Stats().RPCs)
 	}
 }
 
@@ -258,12 +204,6 @@ func TestClusterSubmitAfterCloseReturnsTypedError(t *testing.T) {
 	err := c.Submit(0, func() { t.Error("task ran on closed cluster") })
 	if !errors.Is(err, ErrClusterClosed) {
 		t.Errorf("Submit after Close = %v, want ErrClusterClosed", err)
-	}
-	if err := c.Call(0, 0, 8, func() int { return 8 }); !errors.Is(err, ErrClusterClosed) {
-		t.Errorf("Call after Close = %v, want ErrClusterClosed", err)
-	}
-	if err := c.ForkJoin(0, 8, func(NodeID) int { return 8 }); !errors.Is(err, ErrClusterClosed) {
-		t.Errorf("ForkJoin after Close = %v, want ErrClusterClosed", err)
 	}
 }
 
@@ -307,67 +247,6 @@ func TestClusterSubmitCloseRace(t *testing.T) {
 	}
 }
 
-func TestHeartbeatFollowsReachability(t *testing.T) {
-	f := New(DefaultConfig(3))
-	if err := f.Heartbeat(0, 1); err != nil {
-		t.Fatalf("healthy heartbeat failed: %v", err)
-	}
-	if f.Heartbeats() != 1 {
-		t.Errorf("Heartbeats = %d, want 1", f.Heartbeats())
-	}
-	plan := NewFaultPlan(1)
-	f.SetFaultPlan(plan)
-	plan.Crash(2)
-	if err := f.Heartbeat(0, 2); err == nil {
-		t.Error("heartbeat to crashed node succeeded")
-	} else if !errors.Is(err, ErrInjected) {
-		t.Errorf("heartbeat error = %v, want ErrInjected chain", err)
-	}
-	if err := f.Heartbeat(0, 1); err != nil {
-		t.Errorf("heartbeat between live nodes failed: %v", err)
-	}
-	plan.Restart(2)
-	if err := f.Heartbeat(0, 2); err != nil {
-		t.Errorf("heartbeat after restart failed: %v", err)
-	}
-	// Partition: probes across groups fail, within a group succeed.
-	plan.Partition([]NodeID{0, 1}, []NodeID{2})
-	if err := f.Heartbeat(0, 2); err == nil {
-		t.Error("heartbeat across partition succeeded")
-	}
-	if err := f.Heartbeat(0, 1); err != nil {
-		t.Errorf("heartbeat within partition group failed: %v", err)
-	}
-}
-
-func TestHeartbeatDrawsNoRandomness(t *testing.T) {
-	// Reachability probes must not consume fault-plan RNG: a run with a
-	// failure detector attached must shed/drop identically to one without.
-	draw := func(probes int) []bool {
-		f := New(DefaultConfig(2))
-		plan := NewFaultPlan(42)
-		plan.SetDrop(0.5)
-		f.SetFaultPlan(plan)
-		var outcomes []bool
-		for i := 0; i < 20; i++ {
-			for p := 0; p < probes; p++ {
-				if err := f.Heartbeat(0, 1); err != nil {
-					t.Fatalf("heartbeat failed under drop plan: %v", err)
-				}
-			}
-			outcomes = append(outcomes, f.SendAsync(0, 1, 8) == nil)
-		}
-		return outcomes
-	}
-	without := draw(0)
-	with := draw(7)
-	for i := range without {
-		if without[i] != with[i] {
-			t.Fatalf("send %d diverged when heartbeats interleaved: %v vs %v", i, without, with)
-		}
-	}
-}
-
 func TestClusterWorkerValidation(t *testing.T) {
 	f := New(DefaultConfig(1))
 	defer func() {
@@ -383,18 +262,19 @@ func TestClusterConcurrentSubmitters(t *testing.T) {
 	c := NewCluster(f, 4)
 	defer c.Close()
 	var count atomic.Int64
-	var wg sync.WaitGroup
+	var wg, done sync.WaitGroup
+	done.Add(16 * 200)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				c.Submit(NodeID((g+i)%8), func() { count.Add(1) })
+				c.Submit(NodeID((g+i)%8), func() { count.Add(1); done.Done() })
 			}
 		}(g)
 	}
 	wg.Wait()
-	c.Quiesce()
+	done.Wait()
 	if count.Load() != 16*200 {
 		t.Errorf("ran %d, want %d", count.Load(), 16*200)
 	}

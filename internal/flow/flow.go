@@ -7,14 +7,13 @@
 // what defends that latency when input outruns capacity. The design contract
 // (DESIGN.md §10) extends §4.3's "never trigger on an incomplete prefix" to
 // "never lie about what was shed": every admission decision is accounted —
-// work is either admitted (and completes with bounded latency), shed (and
-// counted, with a retry-after hint), or held (and the stable VTS refuses to
-// advance past it). Silent loss is a bug; bounded, observable loss is the
-// degradation mode.
+// work is either admitted (and completes with bounded latency) or shed (and
+// counted, with a retry-after hint). Silent loss is a bug; bounded,
+// observable loss is the degradation mode.
 //
 // Everything here is zero-dependency and deterministic where it matters:
 // limiters and breakers take an injectable clock, and retry jitter is
-// seedable, so soak and chaos runs reproduce from their seeds.
+// seedable, so a run reproduces from its seeds.
 package flow
 
 import (

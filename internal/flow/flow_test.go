@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -265,65 +266,115 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// errPeerDown stands in for a persistent delivery failure (wire's
+// PeerDownError): anything that does not wrap ErrDropped.
+var errPeerDown = errors.New("peer down")
+
 func TestTransientClassification(t *testing.T) {
-	drop := &fabric.FaultError{Kind: fabric.FaultDropped, Op: "send"}
-	down := &fabric.FaultError{Kind: fabric.FaultNodeDown, Op: "send"}
-	part := &fabric.FaultError{Kind: fabric.FaultPartitioned, Op: "send"}
-	if !fabric.Transient(drop) {
-		t.Fatal("dropped message should be transient")
+	if !Transient(ErrDropped) || !Transient(fmt.Errorf("wire: send 0->1: %w", ErrDropped)) {
+		t.Fatal("a dropped message, wrapped or not, should be transient")
 	}
-	if fabric.Transient(down) || fabric.Transient(part) || fabric.Transient(errors.New("other")) {
-		t.Fatal("crash/partition/other errors must not be transient")
+	if Transient(errPeerDown) || Transient(&BreakerOpenError{To: 1}) || Transient(nil) {
+		t.Fatal("peer-down, breaker-open and nil errors must not be transient")
+	}
+}
+
+// scriptedAttempt is a delivery function whose outcomes a test dictates:
+// each call pops the next scripted error (nil = delivered); past the end of
+// the script it returns fallback.
+type scriptedAttempt struct {
+	mu       sync.Mutex
+	script   []error
+	fallback error
+	calls    int
+}
+
+func (a *scriptedAttempt) attempt(from, to fabric.NodeID, n int) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.calls++
+	if len(a.script) == 0 {
+		return a.fallback
+	}
+	err := a.script[0]
+	a.script = a.script[1:]
+	return err
+}
+
+func (a *scriptedAttempt) set(fallback error, script ...error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.script, a.fallback = script, fallback
+}
+
+// sendCounts is a Sender's outcome counters, read from its registry.
+type sendCounts struct{ ok, retries, recovered, failed, fastFails, opens int64 }
+
+func senderCounts(r *obs.Registry) sendCounts {
+	return sendCounts{
+		ok:        r.Counter("flow_send_ok_total").Value(),
+		retries:   r.Counter("flow_send_retries_total").Value(),
+		recovered: r.Counter("flow_send_recovered_total").Value(),
+		failed:    r.Counter("flow_send_failed_total").Value(),
+		fastFails: r.Counter("flow_send_breaker_fastfail_total").Value(),
+		opens:     r.Counter("flow_breaker_opens_total").Value(),
 	}
 }
 
 func TestSenderRecoversTransientDrops(t *testing.T) {
-	fab := fabric.New(fabric.Config{Nodes: 2, Latency: fabric.DefaultLatency()})
-	plan := fabric.NewFaultPlan(7)
-	plan.SetDrop(0.3)
-	fab.SetFaultPlan(plan)
-
-	s := NewSender(fab, SenderConfig{Retries: 12, RetryBase: time.Microsecond, RetryCap: 10 * time.Microsecond, Seed: 11}, nil)
+	// Send i's first i%3 attempts are dropped: every send needs at most two
+	// retries, and two in three need at least one.
+	var script []error
 	const sends = 200
+	for i := 0; i < sends; i++ {
+		for d := 0; d < i%3; d++ {
+			script = append(script, fmt.Errorf("wire: send 0->1: %w", ErrDropped))
+		}
+		script = append(script, nil)
+	}
+	a := &scriptedAttempt{script: script}
+	r := obs.NewRegistry("test")
+	s := NewSenderOver(a.attempt, SenderConfig{Retries: 3, RetryBase: time.Microsecond, RetryCap: 10 * time.Microsecond, Seed: 11}, r)
 	for i := 0; i < sends; i++ {
 		if err := s.Send(0, 1, 64); err != nil {
 			t.Fatalf("send %d failed despite retry budget: %v", i, err)
 		}
 	}
-	st := s.Stats()
-	if st.Sent != sends || st.Failed != 0 {
-		t.Fatalf("stats = %+v; want all %d sent", st, sends)
-	}
-	if st.Recovered == 0 || st.Retries == 0 {
-		t.Fatalf("stats = %+v; expected retries to have recovered drops", st)
+	if st := senderCounts(r); st.ok != sends || st.failed != 0 {
+		t.Fatalf("counts = %+v; want all %d sent", st, sends)
+	} else if wantRetries := int64(sends/3*3 + 1); st.retries != wantRetries || st.recovered != sends*2/3 {
+		t.Fatalf("counts = %+v; want %d retries recovering %d sends", st, wantRetries, sends*2/3)
 	}
 	if s.Breaker(1).State() != Closed {
 		t.Fatal("breaker tripped on transient drops")
 	}
-	// Local delivery never touches the fabric.
-	if err := s.Send(0, 0, 64); err != nil {
-		t.Fatalf("local send = %v", err)
+	// Local delivery never calls the attempt function.
+	calls := a.calls
+	if err := s.Send(0, 0, 64); err != nil || a.calls != calls {
+		t.Fatalf("local send = %v after %d attempts", err, a.calls-calls)
+	}
+	// A drop that outlasts the budget fails the send.
+	a.set(ErrDropped)
+	if err := s.Send(0, 1, 64); !Transient(err) {
+		t.Fatalf("send past the retry budget = %v; want the drop", err)
 	}
 }
 
 func TestSenderBreakerFastFailsAndRecovers(t *testing.T) {
-	fab := fabric.New(fabric.Config{Nodes: 2, Latency: fabric.DefaultLatency()})
-	plan := fabric.NewFaultPlan(1)
-	fab.SetFaultPlan(plan)
-	s := NewSender(fab, SenderConfig{Retries: 3, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond, Seed: 1}, obs.NewRegistry("test"))
+	a := &scriptedAttempt{fallback: errPeerDown}
+	r := obs.NewRegistry("test")
+	s := NewSenderOver(a.attempt, SenderConfig{Retries: 3, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond, Seed: 1}, r)
 	clk := newFakeClock()
 	s.Breaker(1).SetClock(clk.now)
 
-	plan.Crash(1)
 	for i := 0; i < 2; i++ {
-		err := s.Send(0, 1, 64)
-		if !errors.Is(err, fabric.ErrInjected) {
-			t.Fatalf("send to crashed node = %v; want injected fault", err)
+		if err := s.Send(0, 1, 64); !errors.Is(err, errPeerDown) {
+			t.Fatalf("send to a down peer = %v; want errPeerDown", err)
 		}
 	}
-	// Persistent faults must not burn the retry budget.
-	if st := s.Stats(); st.Retries != 0 || st.Failed != 2 {
-		t.Fatalf("stats after crashes = %+v; want 0 retries, 2 failed", st)
+	// Persistent failures must not burn the retry budget.
+	if st := senderCounts(r); st.retries != 0 || st.failed != 2 || st.opens != 1 || a.calls != 2 {
+		t.Fatalf("counts after peer-down = %+v over %d attempts; want 0 retries, 2 failed, 1 breaker trip, 2 attempts", st, a.calls)
 	}
 	if s.Breaker(1).State() != Open {
 		t.Fatal("breaker did not trip after threshold persistent failures")
@@ -336,16 +387,16 @@ func TestSenderBreakerFastFailsAndRecovers(t *testing.T) {
 	if !errors.As(err, &boe) || boe.To != 1 {
 		t.Fatalf("breaker error lost its destination: %v", err)
 	}
-	if st := s.Stats(); st.FastFails != 1 {
-		t.Fatalf("fastFails = %d; want 1", st.FastFails)
+	if st := senderCounts(r); st.fastFails != 1 || a.calls != 2 {
+		t.Fatalf("fast fails = %d after %d attempts; want 1 fast fail and no attempt", st.fastFails, a.calls)
 	}
 
-	// Node restarts; after the cooldown the half-open probe succeeds and the
-	// breaker closes.
-	plan.Restart(1)
+	// The peer comes back; after the cooldown the half-open probe succeeds
+	// and the breaker closes.
+	a.set(nil)
 	clk.advance(60 * time.Millisecond)
 	if err := s.Send(0, 1, 64); err != nil {
-		t.Fatalf("probe send after restart = %v", err)
+		t.Fatalf("probe send after recovery = %v", err)
 	}
 	if s.Breaker(1).State() != Closed {
 		t.Fatal("breaker did not close after successful probe")

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -11,7 +12,17 @@ import (
 	"repro/internal/obs"
 )
 
-// SenderConfig tunes the retrying fabric sender. The zero value means
+// ErrDropped is the one retryable delivery failure: the message was lost in
+// transit (an injected wire.Faults frame drop) and sending it again may land.
+// A delivery attempt reports a drop by returning an error that wraps it.
+var ErrDropped = errors.New("message dropped")
+
+// Transient reports whether err is a retryable drop. Every other failure —
+// a peer that is down, an open breaker, a closed transport — is persistent:
+// retrying it burns work until the topology changes.
+func Transient(err error) bool { return errors.Is(err, ErrDropped) }
+
+// SenderConfig tunes the retrying sender. The zero value means
 // defaults (3 retries, 50µs base backoff doubling to a 5ms cap, breaker
 // tripping after 5 persistent failures with a 50ms cooldown).
 type SenderConfig struct {
@@ -22,8 +33,8 @@ type SenderConfig struct {
 	// capped at RetryCap. Defaults 50µs and 5ms.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// BreakerThreshold is how many consecutive persistent failures (crashed
-	// node, partition) trip a destination's breaker (default 5).
+	// BreakerThreshold is how many consecutive persistent failures (a peer
+	// that is down) trip a destination's breaker (default 5).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker fails fast before probing
 	// again (default 50ms).
@@ -54,21 +65,11 @@ func (c SenderConfig) withDefaults() SenderConfig {
 	return c
 }
 
-// SenderStats snapshots a sender's outcome counters.
-type SenderStats struct {
-	Sent      int64 // successful sends (first try or after retries)
-	Retries   int64 // individual retry attempts
-	Recovered int64 // sends that succeeded only after at least one retry
-	Failed    int64 // sends that exhausted retries or hit a persistent fault
-	FastFails int64 // sends refused because the destination's breaker was open
-}
-
-// Sender ships one-way fabric messages with bounded, jittered retry for
-// transient faults and a per-destination circuit breaker for persistent ones.
-// This is what turns the stream substrate's fire-and-forget shipments from
-// "lost on any injected drop" into "recovered unless the path is truly dead"
-// — and makes truly-dead paths cheap (fail fast) instead of a retry storm.
-// Safe for concurrent use.
+// Sender ships one-way messages with bounded, jittered retry for transient
+// drops and a per-destination circuit breaker for persistent failures. The
+// cluster's replication stream uses it over internal/wire: a dropped frame is
+// re-sent, and a dead peer fails fast instead of causing a retry storm. Safe
+// for concurrent use.
 type Sender struct {
 	attempt func(from, to fabric.NodeID, n int) error
 	cfg     SenderConfig
@@ -77,38 +78,24 @@ type Sender struct {
 	// destination past its end grows it copy-on-write under mu.
 	breakers atomic.Pointer[[]*Breaker]
 
-	mu  sync.Mutex
+	mu  sync.Mutex // guards rng and breaker-slice growth
 	rng *rand.Rand
 
-	// Pre-resolved metrics (nil-safe when no registry was given).
+	// Outcome counters (nil-safe when no registry was given): successful
+	// sends, retry attempts, sends that landed only after a retry, sends
+	// that failed, sends refused by an open breaker, and breaker trips.
 	cSent      *obs.Counter
 	cRetries   *obs.Counter
 	cRecovered *obs.Counter
 	cFailed    *obs.Counter
 	cFastFails *obs.Counter
 	cOpens     *obs.Counter
-
-	sent      int64
-	retries   int64
-	recovered int64
-	failed    int64
-	fastFails int64
 }
 
-// NewSender creates a sender over fab, recording outcome counters into r
-// (nil r records nothing).
-func NewSender(fab *fabric.Fabric, cfg SenderConfig, r *obs.Registry) *Sender {
-	s := NewSenderOver(fab.SendAsync, cfg, r)
-	s.breaker(fabric.NodeID(fab.Nodes() - 1))
-	return s
-}
-
-// NewSenderOver creates a sender whose delivery attempt is an arbitrary
-// function — the same retry budget, jittered backoff, and per-destination
-// breakers, but over any substrate (the simulated fabric, or a TCP wire via
-// internal/wire). attempt is called with the message endpoints and size and
-// must classify its failures so fabric.Transient reports drops as retryable.
-// A destination's breaker is created on its first Send.
+// NewSenderOver creates a sender whose delivery attempt is attempt, recording
+// outcome counters into r (nil r records nothing). attempt is called with the
+// message endpoints and size and reports a retryable drop by wrapping
+// ErrDropped. A destination's breaker is created on its first Send.
 func NewSenderOver(attempt func(from, to fabric.NodeID, n int) error, cfg SenderConfig, r *obs.Registry) *Sender {
 	cfg = cfg.withDefaults()
 	seed := cfg.Seed
@@ -181,11 +168,11 @@ func (s *Sender) backoff(attempt int) time.Duration {
 	return d/2 + j // full jitter in [d/2, d]
 }
 
-// Send ships a one-way message of n bytes from->to. Transient faults
-// (injected drops) are retried with jittered backoff up to the configured
-// budget; persistent faults (crashed node, partition) are reported to the
-// destination's breaker without burning retries. An open breaker fails fast
-// with a BreakerOpenError before touching the fabric.
+// Send ships a one-way message of n bytes from->to. Transient drops are
+// retried with jittered backoff up to the configured budget; persistent
+// failures are reported to the destination's breaker without burning
+// retries. An open breaker fails fast with a BreakerOpenError before
+// attempting delivery.
 func (s *Sender) Send(from, to fabric.NodeID, n int) error {
 	if s == nil {
 		panic("flow: Send on nil Sender")
@@ -196,9 +183,6 @@ func (s *Sender) Send(from, to fabric.NodeID, n int) error {
 	br := s.breaker(to)
 	if !br.Allow() {
 		s.cFastFails.Inc()
-		s.mu.Lock()
-		s.fastFails++
-		s.mu.Unlock()
 		return &BreakerOpenError{To: int(to)}
 	}
 	var err error
@@ -207,24 +191,15 @@ func (s *Sender) Send(from, to fabric.NodeID, n int) error {
 		if err == nil {
 			br.Success()
 			s.cSent.Inc()
-			s.mu.Lock()
-			s.sent++
-			if attempt > 0 {
-				s.recovered++
-			}
-			s.mu.Unlock()
 			if attempt > 0 {
 				s.cRecovered.Inc()
 			}
 			return nil
 		}
-		if !fabric.Transient(err) || attempt >= s.cfg.Retries {
+		if !Transient(err) || attempt >= s.cfg.Retries {
 			break
 		}
 		s.cRetries.Inc()
-		s.mu.Lock()
-		s.retries++
-		s.mu.Unlock()
 		time.Sleep(s.backoff(attempt))
 	}
 	before := br.Opens()
@@ -233,24 +208,5 @@ func (s *Sender) Send(from, to fabric.NodeID, n int) error {
 		s.cOpens.Inc()
 	}
 	s.cFailed.Inc()
-	s.mu.Lock()
-	s.failed++
-	s.mu.Unlock()
 	return err
-}
-
-// Stats snapshots the sender's outcome counters.
-func (s *Sender) Stats() SenderStats {
-	if s == nil {
-		return SenderStats{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SenderStats{
-		Sent:      s.sent,
-		Retries:   s.retries,
-		Recovered: s.recovered,
-		Failed:    s.failed,
-		FastFails: s.fastFails,
-	}
 }

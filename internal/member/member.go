@@ -6,10 +6,9 @@
 // Alive and the OnRejoin hook tells the owner to catch it up.
 //
 // Determinism: rounds are driven by the clock passed to Tick, not wall time,
-// and over a simulated fabric the probes (fabric.Heartbeat) consult the fault
-// plan's reachability state without consuming any probabilistic fault
-// decision. A seeded run therefore produces the identical transition sequence
-// every time, and a fault-free run can never declare a healthy node dead.
+// so a Prober that answers the same way produces the identical transition
+// sequence every time, and a run whose probes all succeed can never declare a
+// healthy node dead.
 package member
 
 import (
@@ -68,7 +67,7 @@ type Config struct {
 	// a probe vantage even when every peer is dead — without it, a
 	// fully-partitioned daemon would declare itself dead and then have no
 	// live prober left to ever see a peer rejoin. A global observer (the
-	// package's own tests over one simulated fabric) leaves HasSelf false.
+	// package's own tests over a scripted Prober) leaves HasSelf false.
 	HasSelf bool
 	Self    fabric.NodeID
 }
@@ -106,10 +105,10 @@ type Hooks struct {
 	OnAlive func(n fabric.NodeID)
 }
 
-// Prober is the detector's liveness check. *fabric.Fabric satisfies it
-// directly (the simulated cluster); a wire-backed cluster satisfies it with
-// real socket heartbeats, where only probes originating at the local daemon
-// carry information (see internal/cluster).
+// Prober is the detector's liveness check: Heartbeat returns nil when node
+// from can reach node to. The cluster satisfies it with real socket
+// heartbeats, where only probes originating at the local daemon carry
+// information (see internal/cluster).
 type Prober interface {
 	Heartbeat(from, to fabric.NodeID) error
 }

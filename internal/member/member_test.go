@@ -1,6 +1,7 @@
 package member
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -30,40 +31,85 @@ func recordingHooks(events *[]event, mu *sync.Mutex) Hooks {
 	}
 }
 
-// overFabric is a global-observer detector tracking every node of f.
-func overFabric(f *fabric.Fabric, cfg Config, hooks Hooks, r *obs.Registry) *Detector {
-	d := NewOver(f, cfg, hooks, r)
-	for n := 0; n < f.Nodes(); n++ {
-		d.Add(fabric.NodeID(n))
+// pairs is a scripted Prober: a probe from->to succeeds iff the ordered pair
+// is in the reachable set, which the test edits between ticks.
+type pairs struct {
+	mu    sync.Mutex
+	nodes int
+	ok    map[[2]fabric.NodeID]bool
+}
+
+var errUnreachable = errors.New("unreachable")
+
+// mesh returns a Prober over n nodes where every pair is reachable.
+func mesh(n int) *pairs {
+	p := &pairs{nodes: n, ok: make(map[[2]fabric.NodeID]bool)}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			p.ok[[2]fabric.NodeID{fabric.NodeID(a), fabric.NodeID(b)}] = true
+		}
+	}
+	return p
+}
+
+func (p *pairs) Heartbeat(from, to fabric.NodeID) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ok[[2]fabric.NodeID{from, to}] {
+		return nil
+	}
+	return errUnreachable
+}
+
+// link sets whether n and each of others reach each other, both ways.
+func (p *pairs) link(up bool, n fabric.NodeID, others ...fabric.NodeID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, m := range others {
+		p.ok[[2]fabric.NodeID{n, m}] = up
+		p.ok[[2]fabric.NodeID{m, n}] = up
+	}
+}
+
+// crash cuts n off from every node; restart links it back.
+func (p *pairs) crash(n fabric.NodeID)   { p.link(false, n, p.all()...) }
+func (p *pairs) restart(n fabric.NodeID) { p.link(true, n, p.all()...) }
+
+func (p *pairs) all() []fabric.NodeID {
+	out := make([]fabric.NodeID, p.nodes)
+	for i := range out {
+		out[i] = fabric.NodeID(i)
+	}
+	return out
+}
+
+// observe is a global-observer detector tracking every node of p.
+func observe(p *pairs, cfg Config, hooks Hooks, r *obs.Registry) *Detector {
+	d := NewOver(p, cfg, hooks, r)
+	for _, n := range p.all() {
+		d.Add(n)
 	}
 	return d
 }
 
 func TestDefaults(t *testing.T) {
-	f := fabric.New(fabric.DefaultConfig(3))
-	d := overFabric(f, Config{}, Hooks{}, nil)
+	p := mesh(3)
+	d := observe(p, Config{}, Hooks{}, nil)
 	cfg := d.Config()
 	if cfg.HeartbeatIntervalMS != 100 || cfg.SuspectAfter != 2 || cfg.DeadAfter != 5 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	// DeadAfter below SuspectAfter is clamped up.
-	d2 := overFabric(f, Config{SuspectAfter: 4, DeadAfter: 2}, Hooks{}, nil)
+	d2 := observe(p, Config{SuspectAfter: 4, DeadAfter: 2}, Hooks{}, nil)
 	if d2.Config().DeadAfter != 4 {
 		t.Errorf("DeadAfter = %d, want clamped to 4", d2.Config().DeadAfter)
 	}
 }
 
 func TestFaultFreeSoakNeverSuspects(t *testing.T) {
-	f := fabric.New(fabric.DefaultConfig(4))
-	// Install a plan with aggressive probabilistic faults (drops, spikes):
-	// those are message-level, not liveness-level, and must never trip the
-	// detector.
-	plan := fabric.NewFaultPlan(7)
-	plan.SetDrop(0.9)
-	f.SetFaultPlan(plan)
 	var mu sync.Mutex
 	var events []event
-	d := overFabric(f, Config{HeartbeatIntervalMS: 10, SuspectAfter: 1, DeadAfter: 2}, recordingHooks(&events, &mu), obs.NewRegistry("member_test"))
+	d := observe(mesh(4), Config{HeartbeatIntervalMS: 10, SuspectAfter: 1, DeadAfter: 2}, recordingHooks(&events, &mu), obs.NewRegistry("member_test"))
 	for now := int64(0); now <= 100_000; now += 10 {
 		d.Tick(now)
 	}
@@ -78,16 +124,14 @@ func TestFaultFreeSoakNeverSuspects(t *testing.T) {
 }
 
 func TestCrashSuspectDeadRejoinSequence(t *testing.T) {
-	f := fabric.New(fabric.DefaultConfig(3))
-	plan := fabric.NewFaultPlan(1)
-	f.SetFaultPlan(plan)
+	p := mesh(3)
 	var mu sync.Mutex
 	var events []event
 	cfg := Config{HeartbeatIntervalMS: 100, SuspectAfter: 2, DeadAfter: 4}
-	d := overFabric(f, cfg, recordingHooks(&events, &mu), nil)
+	d := observe(p, cfg, recordingHooks(&events, &mu), nil)
 
 	d.Tick(1000) // 10 healthy rounds
-	plan.Crash(2)
+	p.crash(2)
 	// Rounds at 1100, 1200 → 2 misses → suspect exactly at 1200.
 	d.Tick(1150)
 	if got := d.State(2); got != Alive {
@@ -107,7 +151,7 @@ func TestCrashSuspectDeadRejoinSequence(t *testing.T) {
 		t.Fatalf("state after 4 misses = %v, want dead", got)
 	}
 	// Restart: next round flips straight back to alive (rejoin).
-	plan.Restart(2)
+	p.restart(2)
 	d.Tick(1500)
 	if got := d.State(2); got != Alive {
 		t.Fatalf("state after restart = %v, want alive", got)
@@ -119,18 +163,16 @@ func TestCrashSuspectDeadRejoinSequence(t *testing.T) {
 }
 
 func TestSuspicionRetracted(t *testing.T) {
-	f := fabric.New(fabric.DefaultConfig(3))
-	plan := fabric.NewFaultPlan(1)
-	f.SetFaultPlan(plan)
+	p := mesh(3)
 	var mu sync.Mutex
 	var events []event
-	d := overFabric(f, Config{HeartbeatIntervalMS: 100, SuspectAfter: 1, DeadAfter: 10}, recordingHooks(&events, &mu), nil)
-	plan.Crash(1)
+	d := observe(p, Config{HeartbeatIntervalMS: 100, SuspectAfter: 1, DeadAfter: 10}, recordingHooks(&events, &mu), nil)
+	p.crash(1)
 	d.Tick(100)
 	if d.State(1) != Suspect {
 		t.Fatalf("state = %v, want suspect", d.State(1))
 	}
-	plan.Restart(1)
+	p.restart(1)
 	d.Tick(200)
 	if d.State(1) != Alive {
 		t.Fatalf("state = %v, want alive", d.State(1))
@@ -145,16 +187,14 @@ func TestPartitionMinorityDeclaredDead(t *testing.T) {
 	// Nodes {0,1} vs {2}: the minority side has no live prober on the
 	// majority side, so node 2 is declared dead while 0 and 1 (which can
 	// probe each other) stay alive.
-	f := fabric.New(fabric.DefaultConfig(3))
-	plan := fabric.NewFaultPlan(1)
-	f.SetFaultPlan(plan)
-	d := overFabric(f, Config{HeartbeatIntervalMS: 100, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, nil)
-	plan.Partition([]fabric.NodeID{0, 1}, []fabric.NodeID{2})
+	p := mesh(3)
+	d := observe(p, Config{HeartbeatIntervalMS: 100, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, nil)
+	p.link(false, 2, 0, 1)
 	d.Tick(500)
 	if got := d.States(); got[0] != Alive || got[1] != Alive || got[2] != Dead {
 		t.Errorf("states = %v, want [alive alive dead]", got)
 	}
-	plan.Heal()
+	p.link(true, 2, 0, 1)
 	d.Tick(600)
 	if got := d.State(2); got != Alive {
 		t.Errorf("state after heal = %v, want alive", got)
@@ -163,33 +203,27 @@ func TestPartitionMinorityDeclaredDead(t *testing.T) {
 
 func TestDeterministicTransitions(t *testing.T) {
 	run := func() []event {
-		f := fabric.New(fabric.DefaultConfig(4))
-		plan := fabric.NewFaultPlan(99)
-		plan.SetDrop(0.3) // probabilistic noise must not perturb the detector
-		f.SetFaultPlan(plan)
+		p := mesh(4)
 		var mu sync.Mutex
 		var events []event
-		d := overFabric(f, Config{HeartbeatIntervalMS: 50, SuspectAfter: 2, DeadAfter: 3}, recordingHooks(&events, &mu), nil)
+		d := observe(p, Config{HeartbeatIntervalMS: 50, SuspectAfter: 2, DeadAfter: 3}, recordingHooks(&events, &mu), nil)
 		for now := int64(0); now <= 2000; now += 25 {
 			if now == 500 {
-				plan.Crash(3)
+				p.crash(3)
 			}
 			if now == 1200 {
-				plan.Restart(3)
+				p.restart(3)
 			}
 			if now == 1500 {
-				plan.Crash(1)
+				p.crash(1)
 			}
 			d.Tick(now)
-			// Interleave data traffic so the RNG stream advances differently
-			// from probe traffic; the detector must not care.
-			_ = f.SendAsync(0, 2, 64)
 		}
 		return events
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two seeded runs diverged:\n%v\n%v", a, b)
+		t.Fatalf("two scripted runs diverged:\n%v\n%v", a, b)
 	}
 	if len(a) == 0 {
 		t.Fatal("no transitions observed")
@@ -197,11 +231,8 @@ func TestDeterministicTransitions(t *testing.T) {
 }
 
 func TestSingleNodeClusterInert(t *testing.T) {
-	f := fabric.New(fabric.DefaultConfig(1))
-	plan := fabric.NewFaultPlan(1)
-	f.SetFaultPlan(plan)
-	d := overFabric(f, Config{HeartbeatIntervalMS: 10}, Hooks{}, nil)
-	plan.Crash(0)
+	// Nothing answers a probe, not even node 0 itself.
+	d := observe(&pairs{nodes: 1}, Config{HeartbeatIntervalMS: 10}, Hooks{}, nil)
 	d.Tick(10_000)
 	if d.State(0) != Alive {
 		t.Errorf("single node state = %v, want alive (no peer to observe death)", d.State(0))
@@ -209,10 +240,8 @@ func TestSingleNodeClusterInert(t *testing.T) {
 }
 
 func TestConcurrentStateReads(t *testing.T) {
-	f := fabric.New(fabric.DefaultConfig(4))
-	plan := fabric.NewFaultPlan(5)
-	f.SetFaultPlan(plan)
-	d := overFabric(f, Config{HeartbeatIntervalMS: 1, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, obs.NewRegistry("member_test"))
+	p := mesh(4)
+	d := observe(p, Config{HeartbeatIntervalMS: 1, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, obs.NewRegistry("member_test"))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -232,10 +261,10 @@ func TestConcurrentStateReads(t *testing.T) {
 	}
 	for now := int64(0); now < 500; now++ {
 		if now == 100 {
-			plan.Crash(2)
+			p.crash(2)
 		}
 		if now == 300 {
-			plan.Restart(2)
+			p.restart(2)
 		}
 		d.Tick(now)
 	}
@@ -259,15 +288,13 @@ func TestStateString(t *testing.T) {
 // Unknown, never probed and never declared dead, and one tracked node alone
 // is a single-node cluster.
 func TestUntrackedNodesAreUnknown(t *testing.T) {
-	f := fabric.New(fabric.DefaultConfig(4))
+	p := mesh(4)
 	r := obs.NewRegistry("member_test")
-	d := NewOver(f, Config{HeartbeatIntervalMS: 10, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, r)
+	d := NewOver(p, Config{HeartbeatIntervalMS: 10, SuspectAfter: 1, DeadAfter: 2}, Hooks{}, r)
 	d.Add(0)
 	d.Tick(100)
 	d.Add(2)
-	plan := fabric.NewFaultPlan(1)
-	plan.Crash(3)
-	f.SetFaultPlan(plan)
+	p.crash(3)
 	d.Tick(1000)
 	want := []State{Alive, Unknown, Alive}
 	if got := d.States(); !reflect.DeepEqual(got, want) {

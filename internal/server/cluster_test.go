@@ -16,6 +16,7 @@ import (
 // clusterDaemon is an in-process stand-in for one clustered wukongsd: its own
 // engine replica, TCP transport, cluster node and line-protocol server.
 type clusterDaemon struct {
+	eng  *core.Engine
 	tr   *wire.TCP
 	node *cluster.Node
 	srv  *Server
@@ -69,8 +70,9 @@ func startClusterDaemonEngine(t *testing.T, seedWire string, engCfg core.Config)
 		SeedAddr:          seedWire,
 		OnFire:            srv.BufferResult,
 		HeartbeatInterval: 20 * time.Millisecond,
+		Metrics:           eng.Metrics(), // one registry per daemon, as wukongsd wires it
 	}
-	d := &clusterDaemon{tr: tr, srv: srv, addr: addr}
+	d := &clusterDaemon{eng: eng, tr: tr, srv: srv, addr: addr}
 	if seedWire == "" {
 		d.node, err = cluster.NewSeed(cfg)
 	} else {

@@ -371,7 +371,7 @@ func TestConcurrentClients(t *testing.T) {
 // the server process's own stream table starts empty. EMIT must fall back to
 // the engine, and a replayed STREAM must be an idempotent no-op, or
 // reconnecting clients are stranded after every recovery.
-func TestRecoveredStreamsReachableAfterRestart(t *testing.T) {
+func TestRecoveredStreamsAcceptEmitAfterRestart(t *testing.T) {
 	eng, err := core.New(core.Config{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)

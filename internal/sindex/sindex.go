@@ -162,11 +162,9 @@ func (ix *Index) BatchEdgeSpans(b tstore.BatchID, pid rdf.ID, d store.Dir) []sto
 
 // BatchEdgeSpansFrom is BatchEdgeSpans on behalf of a worker on node `from`,
 // charging the same replica-less remote read as VerticesFrom.
-func (ix *Index) BatchEdgeSpansFrom(fab *fabric.Fabric, from fabric.NodeID, b tstore.BatchID, pid rdf.ID, d store.Dir) ([]store.KeySpan, error) {
-	if err := ix.chargeRemote(fab, from); err != nil {
-		return nil, err
-	}
-	return ix.BatchEdgeSpans(b, pid, d), nil
+func (ix *Index) BatchEdgeSpansFrom(fab *fabric.Fabric, from fabric.NodeID, b tstore.BatchID, pid rdf.ID, d store.Dir) []store.KeySpan {
+	ix.chargeRemote(fab, from)
+	return ix.BatchEdgeSpans(b, pid, d)
 }
 
 // PredWindowStats returns the planner's window-scoped cardinality statistics
@@ -236,39 +234,24 @@ func (ix *Index) Lookup(key store.Key, from, to tstore.BatchID) []store.Span {
 	return out
 }
 
-// LookupFrom is Lookup on behalf of a worker on node `from`, charging the
-// §4.2 cost structure against fab: a node holding a replica reads the fat
-// pointers locally; a node without one pays an extra one-sided read against
-// the index home — and inherits that path's faults. The key's spans come back
-// like Lookup's.
-func (ix *Index) LookupFrom(fab *fabric.Fabric, from fabric.NodeID, key store.Key, lo, hi tstore.BatchID) ([]store.Span, error) {
-	if err := ix.chargeRemote(fab, from); err != nil {
-		return nil, err
-	}
-	return ix.Lookup(key, lo, hi), nil
-}
-
-// chargeRemote charges (and may fail) the one-sided read a replica-less node
-// pays against the index home.
-func (ix *Index) chargeRemote(fab *fabric.Fabric, from fabric.NodeID) error {
+// chargeRemote charges the one-sided read a replica-less node pays against
+// the index home (§4.2).
+func (ix *Index) chargeRemote(fab *fabric.Fabric, from fabric.NodeID) {
 	ix.replicaMu.RLock()
 	local := ix.replicas[from] || ix.home == from
 	home := ix.home
 	ix.replicaMu.RUnlock()
-	if local {
-		return nil
+	if !local {
+		fab.ReadRemote(from, home, 16)
 	}
-	return fab.ReadRemote(from, home, 16)
 }
 
 // VerticesFrom is Vertices on behalf of a worker on node `from`: a node
-// without a replica pays (and may fail) one remote lookup read against the
-// index home before scanning.
-func (ix *Index) VerticesFrom(fab *fabric.Fabric, from fabric.NodeID, pid rdf.ID, d store.Dir, lo, hi tstore.BatchID) ([]rdf.ID, error) {
-	if err := ix.chargeRemote(fab, from); err != nil {
-		return nil, err
-	}
-	return ix.Vertices(pid, d, lo, hi), nil
+// without a replica pays one remote lookup read against the index home
+// before scanning.
+func (ix *Index) VerticesFrom(fab *fabric.Fabric, from fabric.NodeID, pid rdf.ID, d store.Dir, lo, hi tstore.BatchID) []rdf.ID {
+	ix.chargeRemote(fab, from)
+	return ix.Vertices(pid, d, lo, hi)
 }
 
 // Keys returns the distinct keys indexed across batches in [from, to]. The

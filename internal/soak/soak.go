@@ -1,20 +1,16 @@
 // Package soak drives the engine past capacity and measures the degradation
 // contract the flow layer promises (DESIGN.md §10): under overload, admitted
 // batches keep prefix integrity and bounded latency, shed work is exactly
-// accounted, transient fabric drops are recovered by retry with zero net
-// loss while the breaker stays closed, and throughput returns to baseline
-// once pressure is removed.
+// accounted, and throughput returns to baseline once pressure is removed.
 //
 // A run is three phases over one scripted stream and continuous query:
 //
 //	baseline  — emit at a rate the admission bound absorbs; nothing sheds
-//	overload  — emit OverloadFactor× the baseline and inject transient
-//	            fabric drops; the bounded queue sheds the excess and the
-//	            send retry layer recovers the drops
-//	recovery  — back to the baseline rate, faults off; sheds stop, holds
-//	            drain, throughput returns
+//	overload  — emit OverloadFactor× the baseline; the bounded queue sheds
+//	            the excess
+//	recovery  — back to the baseline rate; sheds stop, throughput returns
 //
-// Everything is deterministic from the seeds, so a contract violation
+// Everything is deterministic from the seed, so a contract violation
 // reproduces by rerunning the same Config.
 package soak
 
@@ -26,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -42,8 +37,6 @@ type Config struct {
 	Nodes int
 	// Seed drives the scripted tuples (default 1).
 	Seed int64
-	// FaultSeed seeds the fabric fault plan and send-retry jitter (default 7).
-	FaultSeed int64
 	// BatchMS is the stream's mini-batch interval in milliseconds (default 50).
 	BatchMS int64
 	// TuplesPerBatch is the baseline per-batch rate (default 8).
@@ -54,9 +47,6 @@ type Config struct {
 	MaxPending int
 	// Shed is the admission policy when the queue is full (default DropNewest).
 	Shed flow.Policy
-	// DropRate is the transient fabric drop probability during overload
-	// (default 0.15; the retry layer must recover every drop).
-	DropRate float64
 	// Phase lengths in batches (defaults 10 each).
 	BaselineBatches int
 	OverloadBatches int
@@ -73,9 +63,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.FaultSeed == 0 {
-		c.FaultSeed = 7
-	}
 	if c.BatchMS <= 0 {
 		c.BatchMS = 50
 	}
@@ -87,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 2 * c.TuplesPerBatch
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.15
 	}
 	if c.BaselineBatches <= 0 {
 		c.BaselineBatches = 10
@@ -140,22 +124,16 @@ type Report struct {
 	QueueWatermark int64
 	QueueShed      int64
 
-	// Send-retry accounting across the run.
-	SendRetries   int64
-	SendRecovered int64
-	SendFailed    int64
-	BreakerOpens  int64
-
 	// End-of-run state.
-	HoldsOutstanding int   // vts holds not cleared by re-shipment
-	StableBatch      int64 // the stream's stable VTS entry
-	FinalBatch       int64 // the last batch the script emitted
+	StableBatch int64 // the stream's stable VTS entry
+	FinalBatch  int64 // the last batch the script emitted
 	// AllReady is the prefix-integrity verdict: every delivered window's VTS
 	// prefix was stable at delivery.
 	AllReady bool
 }
 
-// String renders the report as the wsbench -overload table.
+// String renders the report as a per-phase table plus the queue and
+// end-of-run state.
 func (r *Report) String() string {
 	line := func(p Phase) string {
 		return fmt.Sprintf("%-9s %7d %8d %9d %6d %8d %12v",
@@ -165,13 +143,11 @@ func (r *Report) String() string {
 		"soak overload profile\n"+
 			"%-9s %7s %8s %9s %6s %8s %12s\n%s\n%s\n%s\n"+
 			"queue: capacity=%d watermark=%d shed=%d\n"+
-			"sends: retries=%d recovered=%d failed=%d breaker_opens=%d\n"+
-			"state: stable_batch=%d/%d holds=%d prefix_integrity=%v",
+			"state: stable_batch=%d/%d prefix_integrity=%v",
 		"phase", "batches", "emitted", "admitted", "shed", "firings", "p99",
 		line(r.Baseline), line(r.Overload), line(r.Recovery),
 		r.QueueCapacity, r.QueueWatermark, r.QueueShed,
-		r.SendRetries, r.SendRecovered, r.SendFailed, r.BreakerOpens,
-		r.StableBatch, r.FinalBatch, r.HoldsOutstanding, r.AllReady)
+		r.StableBatch, r.FinalBatch, r.AllReady)
 }
 
 // CheckContract verifies the degradation contract and returns the first
@@ -193,14 +169,6 @@ func (r *Report) CheckContract() error {
 	case r.Recovery.AdmittedPerBatch() < 0.9*r.Baseline.AdmittedPerBatch():
 		return fmt.Errorf("soak: recovery throughput %.1f/batch is below 90%% of baseline %.1f/batch",
 			r.Recovery.AdmittedPerBatch(), r.Baseline.AdmittedPerBatch())
-	case r.SendRecovered == 0:
-		return fmt.Errorf("soak: no transient drops recovered; the fault injection went dark")
-	case r.SendFailed != 0:
-		return fmt.Errorf("soak: %d sends failed permanently under transient-only faults", r.SendFailed)
-	case r.BreakerOpens != 0:
-		return fmt.Errorf("soak: breaker opened %d times on transient-only faults", r.BreakerOpens)
-	case r.HoldsOutstanding != 0:
-		return fmt.Errorf("soak: %d vts holds never cleared by re-shipment", r.HoldsOutstanding)
 	// The flush boundary may seal one empty batch past the script, so the
 	// stable VTS can legitimately sit at FinalBatch+1.
 	case r.StableBatch < r.FinalBatch:
@@ -222,14 +190,12 @@ func Run(cfg Config) (*Report, error) {
 	e, err := core.New(core.Config{
 		Nodes:   cfg.Nodes,
 		Metrics: cfg.Metrics,
-		Flow:    flowConfig(cfg),
+		Flow:    core.FlowConfig{MaxPending: cfg.MaxPending, Shed: cfg.Shed},
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
-	plan := fabric.NewFaultPlan(cfg.FaultSeed)
-	e.Fabric().SetFaultPlan(plan)
 
 	src, err := e.RegisterStream(stream.Config{
 		Name:          StreamName,
@@ -303,11 +269,9 @@ func Run(cfg Config) (*Report, error) {
 
 	rep := &Report{}
 	rep.Baseline = runPhase("baseline", cfg.BaselineBatches, cfg.TuplesPerBatch)
-	plan.SetDrop(cfg.DropRate)
 	rep.Overload = runPhase("overload", cfg.OverloadBatches, peak)
-	plan.SetDrop(0)
 	rep.Recovery = runPhase("recovery", cfg.RecoveryBatches, cfg.TuplesPerBatch)
-	// One empty boundary flushes the final window and drains any re-ships.
+	// One empty boundary flushes the final window.
 	batch++
 	e.AdvanceTo(rdf.Timestamp(int64(batch) * cfg.BatchMS))
 
@@ -315,30 +279,10 @@ func Run(cfg Config) (*Report, error) {
 	rep.QueueCapacity = qs.Capacity()
 	rep.QueueWatermark = qs.Watermark()
 	rep.QueueShed = qs.Shed()
-	st := e.Sender().Stats()
-	rep.SendRetries = st.Retries
-	rep.SendRecovered = st.Recovered
-	rep.SendFailed = st.Failed
-	for n := 0; n < cfg.Nodes; n++ {
-		rep.BreakerOpens += e.Sender().Breaker(fabric.NodeID(n)).Opens()
-	}
-	rep.HoldsOutstanding = e.Coordinator().Unshipped(0)
 	rep.StableBatch = int64(e.Coordinator().StableVTS()[0])
 	rep.FinalBatch = int64(batch - 1)
 	mu.Lock()
 	rep.AllReady = allReady
 	mu.Unlock()
 	return rep, nil
-}
-
-// flowConfig derives the engine's flow settings from the soak knobs: a deep
-// retry budget (transient drops must never become permanent loss in this
-// harness) and the scripted admission bound.
-func flowConfig(cfg Config) core.FlowConfig {
-	return core.FlowConfig{
-		MaxPending:  cfg.MaxPending,
-		Shed:        cfg.Shed,
-		SendRetries: 10,
-		Seed:        cfg.FaultSeed,
-	}
 }

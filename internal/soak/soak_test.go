@@ -7,10 +7,9 @@ import (
 	"repro/internal/obs"
 )
 
-// TestDegradationContract is the PR 4 acceptance run: 4× capacity pressure
-// with transient fabric drops must degrade exactly as promised — bounded
-// queue, exact shed accounting, retry-recovered drops with zero net loss,
-// prefix integrity throughout, and throughput back to baseline afterwards.
+// TestDegradationContract is the acceptance run: 4× capacity pressure must
+// degrade exactly as promised — bounded queue, exact shed accounting, prefix
+// integrity throughout, and throughput back to baseline afterwards.
 func TestDegradationContract(t *testing.T) {
 	cfg := Config{}
 	if testing.Short() {
@@ -87,8 +86,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("same config diverged: %+v vs %+v", pair[0], pair[1])
 		}
 	}
-	if a.SendRecovered != b.SendRecovered || a.QueueShed != b.QueueShed {
-		t.Fatalf("send/queue accounting diverged: %d/%d vs %d/%d",
-			a.SendRecovered, a.QueueShed, b.SendRecovered, b.QueueShed)
+	if a.QueueShed != b.QueueShed {
+		t.Fatalf("queue accounting diverged: %d vs %d", a.QueueShed, b.QueueShed)
 	}
 }

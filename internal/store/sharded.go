@@ -188,63 +188,48 @@ func (g *Sharded) LoadBase(triples []strserver.EncodedTriple) {
 
 // Read returns key's values visible at snapshot sn, charging the network
 // cost of a normal remote key/value access: at least two one-sided reads —
-// read key (lookup) and read value (§5 "Leveraging RDMA"). A faulted path to
-// the key's home node surfaces as an error: the data is unreachable, not
-// silently empty.
+// read key (lookup) and read value (§5 "Leveraging RDMA"). The error is
+// always nil; the signature is kept for callers built against it (see
+// ReadValues).
 func (g *Sharded) Read(from fabric.NodeID, key Key, sn uint32) ([]rdf.ID, error) {
+	return g.ReadValues(from, key, sn), nil
+}
+
+// ReadValues is Read without the error result.
+func (g *Sharded) ReadValues(from fabric.NodeID, key Key, sn uint32) []rdf.ID {
 	g.reads.Add(1)
 	home := g.HomeOf(key.Vid)
-	if home != from {
-		if err := g.fab.ReadRemote(from, home, 16); err != nil { // key lookup
-			return nil, err
-		}
+	if home == from {
+		return g.shards[home].Get(key, sn)
 	}
+	g.fab.ReadRemote(from, home, 16) // key lookup
 	vals := g.shards[home].Get(key, sn)
-	if home != from {
-		if err := g.fab.ReadRemote(from, home, 8*len(vals)); err != nil { // value read
-			return nil, err
-		}
-	}
-	return vals, nil
+	g.fab.ReadRemote(from, home, 8*len(vals)) // value read
+	return vals
 }
 
 // ReadSpan returns the values covered by a stream-index span with a single
 // one-sided read: the replicated stream index made the fat pointer locally
 // available, so no lookup round is needed (§5).
-func (g *Sharded) ReadSpan(from fabric.NodeID, key Key, sp Span) ([]rdf.ID, error) {
+func (g *Sharded) ReadSpan(from fabric.NodeID, key Key, sp Span) []rdf.ID {
 	g.spanReads.Add(1)
 	home := g.HomeOf(key.Vid)
-	if home != from {
-		if err := g.fab.Reachable(from, home); err != nil {
-			return nil, err
-		}
-	}
 	vals := g.shards[home].GetSpan(key, sp)
-	if home != from {
-		if err := g.fab.ReadRemote(from, home, 8*len(vals)); err != nil {
-			return nil, err
-		}
-	}
-	return vals, nil
+	g.fab.ReadRemote(from, home, 8*len(vals))
+	return vals
 }
 
 // GatherSpans reads many stream-index spans on behalf of a worker on `from`,
 // coalescing the remote pricing per home node: all spans homed on one node
 // travel in a single batched one-sided read (doorbell batching), sized by
 // the values fetched — the access pattern of a delta edge-cache build, which
-// knows every fat pointer up front. An unreachable home aborts the gather.
-// The result slice is parallel to kss.
-func (g *Sharded) GatherSpans(from fabric.NodeID, kss []KeySpan) ([][]rdf.ID, error) {
+// knows every fat pointer up front. The result slice is parallel to kss.
+func (g *Sharded) GatherSpans(from fabric.NodeID, kss []KeySpan) [][]rdf.ID {
 	out := make([][]rdf.ID, len(kss))
 	perHome := make([]int, g.fab.Nodes())
 	for i, ks := range kss {
 		g.spanReads.Add(1)
 		home := g.HomeOf(ks.Key.Vid)
-		if home != from {
-			if err := g.fab.Reachable(from, home); err != nil {
-				return nil, err
-			}
-		}
 		vals := g.shards[home].GetSpan(ks.Key, ks.Span)
 		out[i] = vals
 		if home != from {
@@ -253,34 +238,24 @@ func (g *Sharded) GatherSpans(from fabric.NodeID, kss []KeySpan) ([][]rdf.ID, er
 	}
 	for n, bytes := range perHome {
 		if bytes > 0 {
-			if err := g.fab.ReadRemote(from, fabric.NodeID(n), bytes); err != nil {
-				return nil, err
-			}
+			g.fab.ReadRemote(from, fabric.NodeID(n), bytes)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ReadIndex gathers an index vertex across all nodes on behalf of a worker on
-// `from`: each remote partition costs a key lookup plus a value read. The
-// first unreachable partition aborts the gather — a partial candidate set
-// would silently produce wrong query results.
-func (g *Sharded) ReadIndex(from fabric.NodeID, pid rdf.ID, d Dir, sn uint32) ([]rdf.ID, error) {
+// `from`: each remote partition costs a key lookup plus a value read.
+func (g *Sharded) ReadIndex(from fabric.NodeID, pid rdf.ID, d Dir, sn uint32) []rdf.ID {
 	g.indexReads.Add(1)
 	var out []rdf.ID
 	for n := 0; n < g.fab.Nodes(); n++ {
 		vals := g.shards[n].Get(IndexKey(pid, d), sn)
-		if fabric.NodeID(n) != from {
-			if err := g.fab.ReadRemote(from, fabric.NodeID(n), 16); err != nil {
-				return nil, err
-			}
-			if err := g.fab.ReadRemote(from, fabric.NodeID(n), 8*len(vals)); err != nil {
-				return nil, err
-			}
-		}
+		g.fab.ReadRemote(from, fabric.NodeID(n), 16)
+		g.fab.ReadRemote(from, fabric.NodeID(n), 8*len(vals))
 		out = append(out, vals...)
 	}
-	return out, nil
+	return out
 }
 
 // ReadLocalIndex returns node n's partition of an index vertex at snapshot

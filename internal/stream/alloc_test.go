@@ -41,10 +41,7 @@ func testBatch(ss *strserver.Server, id tstore.BatchID, n int) Batch {
 func TestDispatchKeepsTupleOrder(t *testing.T) {
 	fab := fabric.New(fabric.DefaultConfig(3))
 	b := testBatch(strserver.New(), 1, 200)
-	work, lost := Dispatch(fab, nil, 0, b)
-	if lost != 0 {
-		t.Fatalf("healthy dispatch lost %d sides", lost)
-	}
+	work := Dispatch(fab, 0, b)
 	for n := range work {
 		var wantS, wantO []Tuple
 		for _, tu := range b.Tuples {
@@ -70,7 +67,7 @@ func TestDispatchKeepsTupleOrder(t *testing.T) {
 		check("subject", work[n].SubjectSide, wantS)
 		check("object", work[n].ObjectSide, wantO)
 	}
-	if empty, _ := Dispatch(fab, nil, 0, Batch{ID: 2}); len(empty) != 3 || !empty[0].Empty() {
+	if empty := Dispatch(fab, 0, Batch{ID: 2}); len(empty) != 3 || !empty[0].Empty() {
 		t.Errorf("an empty batch dispatches to %v", empty)
 	}
 }
@@ -81,7 +78,7 @@ func TestDispatchAllocations(t *testing.T) {
 	}
 	fab := fabric.New(fabric.DefaultConfig(2))
 	b := testBatch(strserver.New(), 1, 300)
-	if n := testing.AllocsPerRun(100, func() { Dispatch(fab, nil, 0, b) }); n > 2 {
+	if n := testing.AllocsPerRun(100, func() { Dispatch(fab, 0, b) }); n > 2 {
 		t.Errorf("Dispatch of a 300-tuple batch allocates %.0f times, want ≤ 2", n)
 	}
 }

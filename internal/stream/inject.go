@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sindex"
@@ -28,26 +27,12 @@ func (w NodeWork) Empty() bool { return len(w.SubjectSide) == 0 && len(w.ObjectS
 // bytes approximates the wire size of the work (32 bytes per tuple side).
 func (w NodeWork) bytes() int { return 32 * (len(w.SubjectSide) + len(w.ObjectSide)) }
 
-// sendVia ships one one-way message, through the retrying sender when one is
-// configured (nil snd = the raw, lose-on-any-fault fabric path).
-func sendVia(fab *fabric.Fabric, snd *flow.Sender, from, to fabric.NodeID, n int) error {
-	if snd != nil {
-		return snd.Send(from, to, n)
-	}
-	return fab.SendAsync(from, to, n)
-}
-
 // Dispatch partitions a batch across nodes and charges the dispatcher's
 // network traffic: the stream arrives at one node (its adaptor home) and
-// tuple shares are shipped to their owners. When snd is non-nil, shipments
-// retry transient faults and fail fast against destinations whose breaker is
-// open. A share whose shipment still fails (persistent fault, exhausted
-// retries) is lost — its node receives empty work — and counted in the second
-// return value; the upstream backup (§5) is the recovery path for lost
-// shares.
-func Dispatch(fab *fabric.Fabric, snd *flow.Sender, adaptorHome fabric.NodeID, b Batch) (work []NodeWork, lost int) {
+// tuple shares are shipped to their owners.
+func Dispatch(fab *fabric.Fabric, adaptorHome fabric.NodeID, b Batch) []NodeWork {
 	nodes := fab.Nodes()
-	work = make([]NodeWork, nodes)
+	work := make([]NodeWork, nodes)
 	if len(b.Tuples) > 0 {
 		// Count each node's two sides, then carve all of them from one
 		// 2·len(tuples) array: every side gets exactly its capacity, so
@@ -79,12 +64,9 @@ func Dispatch(fab *fabric.Fabric, snd *flow.Sender, adaptorHome fabric.NodeID, b
 			continue
 		}
 		// One-way shipment: the dispatcher does not block on delivery.
-		if err := sendVia(fab, snd, adaptorHome, fabric.NodeID(n), work[n].bytes()); err != nil {
-			lost += len(work[n].SubjectSide) + len(work[n].ObjectSide)
-			work[n] = NodeWork{}
-		}
+		fab.SendAsync(adaptorHome, fabric.NodeID(n), work[n].bytes())
 	}
-	return work, lost
+	return work
 }
 
 // InjectTarget bundles the stores one node's injector writes to.
@@ -95,20 +77,11 @@ type InjectTarget struct {
 	// Obs, when non-nil, receives the injection's stage latencies and tuple
 	// counters (nil records nothing).
 	Obs *InjectObs
-	// Sender, when non-nil, ships index-replica updates with retry and
-	// circuit breaking instead of raw fire-and-forget.
-	Sender *flow.Sender
 	// Scratch, when non-nil, is span space InjectNode reuses from call to
 	// call. It belongs to one (stream, node) pair: the engine injects one
 	// batch of a stream at a time and one share of it per node, so that
 	// pair's injections never overlap. nil allocates per call.
 	Scratch *InjectScratch
-	// Unshipped, when non-nil, is called for each replica shipment that
-	// still failed after retry: the caller must hold the stable VTS below
-	// this batch (vts.MarkUnshipped) until the replica is re-delivered, or
-	// remote index reads may silently miss data the timestamps claim is
-	// visible.
-	Unshipped func(from, to fabric.NodeID, bytes int)
 }
 
 // InjectScratch is InjectNode's reusable working memory.
@@ -126,7 +99,6 @@ type InjectObs struct {
 	Timeless *obs.Counter
 	Timing   *obs.Counter
 	Spans    *obs.Counter
-	Dropped  *obs.Counter
 }
 
 // NewInjectObs resolves the injection metrics against r (nil r → metrics that
@@ -138,7 +110,6 @@ func NewInjectObs(r *obs.Registry) *InjectObs {
 		Timeless: r.Counter("stream_timeless_tuples_total"),
 		Timing:   r.Counter("stream_timing_tuples_total"),
 		Spans:    r.Counter("stream_index_spans_total"),
-		Dropped:  r.Counter("stream_dropped_shipments_total"),
 	}
 }
 
@@ -149,9 +120,6 @@ type InjectStats struct {
 	Spans          int
 	InjectTime     time.Duration // persistent/transient store appends
 	IndexTime      time.Duration // stream-index maintenance
-	// Dropped counts tuple shares and index-replica shipments lost to
-	// injected fabric faults (one-way messages carry no delivery guarantee).
-	Dropped int
 }
 
 // Add accumulates another node's stats.
@@ -161,7 +129,6 @@ func (s *InjectStats) Add(o InjectStats) {
 	s.Spans += o.Spans
 	s.InjectTime += o.InjectTime
 	s.IndexTime += o.IndexTime
-	s.Dropped += o.Dropped
 }
 
 // InjectNode applies one node's share of a batch under snapshot sn. Timeless
@@ -227,14 +194,7 @@ func InjectNode(n fabric.NodeID, w NodeWork, batch tstore.BatchID, sn uint32, tg
 		// one-way messages — the injector does not wait for replicas.
 		fab := tgt.Store.Fabric()
 		for _, r := range tgt.Index.Replicas() {
-			if r != n {
-				if err := sendVia(fab, tgt.Sender, n, r, 32*len(spans)); err != nil {
-					st.Dropped++
-					if tgt.Unshipped != nil {
-						tgt.Unshipped(n, r, 32*len(spans))
-					}
-				}
-			}
+			fab.SendAsync(n, r, 32*len(spans))
 		}
 	} else {
 		// Even an all-timing batch must appear in the index timeline so
@@ -252,9 +212,6 @@ func InjectNode(n fabric.NodeID, w NodeWork, batch tstore.BatchID, sn uint32, tg
 		o.Timeless.Add(int64(st.TimelessTuples))
 		o.Timing.Add(int64(st.TimingTuples))
 		o.Spans.Add(int64(st.Spans))
-		if st.Dropped > 0 {
-			o.Dropped.Add(int64(st.Dropped))
-		}
 	}
 	return st
 }

@@ -159,10 +159,7 @@ func TestDispatchPartitionsBySide(t *testing.T) {
 		enc := must(ss.EncodeTuple(tupleAt(rdf.Timestamp(i), string(rune('a'+i%20)), "p", string(rune('A'+i%20)))))
 		tuples = append(tuples, Tuple{EncodedTuple: enc})
 	}
-	work, lost := Dispatch(fab, nil, 0, Batch{ID: 1, Tuples: tuples})
-	if lost != 0 {
-		t.Fatalf("healthy dispatch lost %d tuple sides", lost)
-	}
+	work := Dispatch(fab, 0, Batch{ID: 1, Tuples: tuples})
 	subj, obj := 0, 0
 	for n, w := range work {
 		subj += len(w.SubjectSide)
@@ -204,7 +201,7 @@ func TestInjectNodeEndToEnd(t *testing.T) {
 	src.Emit(tupleAt(20, "T-15", "ga", "pos1"))
 	batch := src.SealUpTo(100)[0]
 
-	work, _ := Dispatch(fab, nil, 0, batch)
+	work := Dispatch(fab, 0, batch)
 	var stats InjectStats
 	for n := range work {
 		stats.Add(InjectNode(fabric.NodeID(n), work[n], batch.ID, 1, InjectTarget{

@@ -148,21 +148,14 @@ func (s *Store) Get(key store.Key, from, to BatchID) []rdf.ID {
 }
 
 // GetFrom is Get on behalf of a worker on node `from` against a store living
-// on node `home`: a non-empty remote result costs (and may fail on) one
-// one-sided read of the values.
-func (s *Store) GetFrom(fab *fabric.Fabric, from, home fabric.NodeID, key store.Key, lo, hi BatchID) ([]rdf.ID, error) {
-	if from != home {
-		if err := fab.Reachable(from, home); err != nil {
-			return nil, err
-		}
-	}
+// on node `home`: a non-empty remote result costs one one-sided read of the
+// values.
+func (s *Store) GetFrom(fab *fabric.Fabric, from, home fabric.NodeID, key store.Key, lo, hi BatchID) []rdf.ID {
 	vals := s.Get(key, lo, hi)
-	if from != home && len(vals) > 0 {
-		if err := fab.ReadRemote(from, home, 8*len(vals)); err != nil {
-			return nil, err
-		}
+	if len(vals) > 0 {
+		fab.ReadRemote(from, home, 8*len(vals))
 	}
-	return vals, nil
+	return vals
 }
 
 // BatchEdges returns the (vertex → values) timing pairs batch b recorded for
@@ -196,45 +189,18 @@ func (s *Store) BatchEdges(b BatchID, pid rdf.ID, d store.Dir) map[rdf.ID][]rdf.
 }
 
 // BatchEdgesFrom is BatchEdges on behalf of a worker on node `from`: a
-// non-empty remote result costs (and may fail on) one one-sided read of the
-// values, mirroring GetFrom's pricing.
-func (s *Store) BatchEdgesFrom(fab *fabric.Fabric, from, home fabric.NodeID, b BatchID, pid rdf.ID, d store.Dir) (map[rdf.ID][]rdf.ID, error) {
-	if from != home {
-		if err := fab.Reachable(from, home); err != nil {
-			return nil, err
-		}
-	}
+// non-empty remote result costs one one-sided read of the values, mirroring
+// GetFrom's pricing.
+func (s *Store) BatchEdgesFrom(fab *fabric.Fabric, from, home fabric.NodeID, b BatchID, pid rdf.ID, d store.Dir) map[rdf.ID][]rdf.ID {
 	m := s.BatchEdges(b, pid, d)
 	if from != home && len(m) > 0 {
 		var n int
 		for _, vals := range m {
 			n += len(vals)
 		}
-		if err := fab.ReadRemote(from, home, 8*n); err != nil {
-			return nil, err
-		}
+		fab.ReadRemote(from, home, 8*n)
 	}
-	return m, nil
-}
-
-// ScanVerticesFrom is ScanVertices on behalf of a worker on node `from`: a
-// remote scan pays one 8-byte read per candidate found, and fails if the path
-// to `home` is faulted.
-func (s *Store) ScanVerticesFrom(fab *fabric.Fabric, from, home fabric.NodeID, pid rdf.ID, d store.Dir, lo, hi BatchID) ([]rdf.ID, error) {
-	if from != home {
-		if err := fab.Reachable(from, home); err != nil {
-			return nil, err
-		}
-	}
-	vs := s.ScanVertices(pid, d, lo, hi)
-	if from != home {
-		for range vs {
-			if err := fab.ReadRemote(from, home, 8); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return vs, nil
+	return m
 }
 
 // Batches returns the range of batches currently held, or (0,0) when empty.

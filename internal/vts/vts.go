@@ -94,15 +94,6 @@ type Coordinator struct {
 	nextSN     uint32
 	stallWaits int64 // injector arrivals that outran the published plans
 	published  int64 // total plans ever published (monotonic; plans is pruned)
-
-	// unshipped refcounts, per stream, batches whose index-replica shipment
-	// was lost in flight and not yet re-delivered. While batch b of stream s
-	// is held here, the stable VTS for s is clamped below b and the stable SN
-	// below any plan needing b: remote readers could otherwise be served from
-	// a replica that silently misses data the timestamps claim is visible
-	// (the §4.3 prefix-integrity contract, extended to replica shipping).
-	unshipped []map[tstore.BatchID]int
-	holds     int64 // total MarkUnshipped calls (monotonic)
 }
 
 // DefaultInterval is the default number of batches per stream covered by one
@@ -130,8 +121,6 @@ func NewCoordinator(fab *fabric.Fabric, nodes, streams int, interval tstore.Batc
 		localSN:  make([]uint32, nodes),
 		stable:   make(VTS, streams),
 		nextSN:   1,
-
-		unshipped: make([]map[tstore.BatchID]int, streams),
 	}
 	for s := range c.rates {
 		c.rates[s] = float64(interval)
@@ -175,7 +164,6 @@ func (c *Coordinator) AddStreamRate(rate float64) StreamID {
 		c.local[n] = append(c.local[n], 0)
 	}
 	c.stable = append(c.stable, 0)
-	c.unshipped = append(c.unshipped, nil)
 	return id
 }
 
@@ -257,9 +245,10 @@ func (c *Coordinator) OnBatchInserted(node fabric.NodeID, s StreamID, b tstore.B
 	}
 }
 
-// recomputeStableLocked derives Stable_VTS and Stable_SN from the local
-// vectors, then clamps both below any unshipped replica batches. Without
-// holds it reproduces the plain element-wise-minimum / min-Local_SN rule.
+// recomputeStableLocked derives Stable_VTS (the element-wise minimum of the
+// local vectors) and Stable_SN (the minimum Local_SN). Plan targets grow with
+// the SN, so every node's local vector covers the target of the minimum
+// Local_SN, and so does Stable_VTS.
 func (c *Coordinator) recomputeStableLocked() {
 	for s := 0; s < c.streams; s++ {
 		min := c.local[0][s]
@@ -268,33 +257,13 @@ func (c *Coordinator) recomputeStableLocked() {
 				min = c.local[n][s]
 			}
 		}
-		// Clamp below the oldest batch with an un-shipped replica: the
-		// stable VTS must never claim visibility for data some node's index
-		// replica is missing.
-		if held := c.unshipped[s]; len(held) > 0 {
-			var oldest tstore.BatchID
-			first := true
-			for b := range held {
-				if first || b < oldest {
-					oldest, first = b, false
-				}
-			}
-			if min >= oldest {
-				min = oldest - 1
-			}
-		}
 		c.stable[s] = min
 	}
-	// Stable_SN = min Local_SN across nodes, walked down until the (clamped)
-	// stable VTS actually covers the plan's target.
 	minSN := c.localSN[0]
 	for n := 1; n < c.nodes; n++ {
 		if c.localSN[n] < minSN {
 			minSN = c.localSN[n]
 		}
-	}
-	for minSN > 0 && !c.stable.Covers(c.targetForLocked(minSN)) {
-		minSN--
 	}
 	c.stableSN = minSN
 	// Retain the current and future plans only ("one for using and another
@@ -302,57 +271,6 @@ func (c *Coordinator) recomputeStableLocked() {
 	for len(c.plans) > 1 && c.plans[0].SN < c.stableSN {
 		c.plans = c.plans[1:]
 	}
-}
-
-// MarkUnshipped records that batch b of stream s has an index-replica
-// shipment lost in flight. Stable_VTS and Stable_SN will not advance to or
-// past b until ClearUnshipped balances the mark. Multiple lost shipments of
-// the same batch stack (refcounted).
-func (c *Coordinator) MarkUnshipped(s StreamID, b tstore.BatchID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.unshipped[s] == nil {
-		c.unshipped[s] = make(map[tstore.BatchID]int)
-	}
-	c.unshipped[s][b]++
-	c.holds++
-	c.recomputeStableLocked()
-}
-
-// ClearUnshipped balances one MarkUnshipped(s, b) after the replica was
-// re-delivered (or recovered through another path), letting the stable
-// timestamps advance again.
-func (c *Coordinator) ClearUnshipped(s StreamID, b tstore.BatchID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	held := c.unshipped[s]
-	if held[b] == 0 {
-		panic(fmt.Sprintf("vts: ClearUnshipped without mark: stream %d batch %d", s, b))
-	}
-	held[b]--
-	if held[b] == 0 {
-		delete(held, b)
-	}
-	c.recomputeStableLocked()
-}
-
-// Unshipped returns how many lost shipments are currently held for stream s.
-func (c *Coordinator) Unshipped(s StreamID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, n := range c.unshipped[s] {
-		total += n
-	}
-	return total
-}
-
-// Holds returns the total number of MarkUnshipped calls ever made
-// (monotonic; Unshipped shrinks as shipments are recovered).
-func (c *Coordinator) Holds() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.holds
 }
 
 // StableVTS returns a copy of the stable vector timestamp.

@@ -1,15 +1,13 @@
-// Wire-level fault injection: the frame-layer analogue of fabric/faults.go.
-// Where the simulated fabric's FaultPlan decides whether an operation
-// logically succeeds, this injector mangles real bytes on real sockets —
-// dropping encoded frames, delaying them, duplicating them, flipping bits,
-// or cutting the connection mid-frame — so the receive path's CRC, dedup,
-// and resync machinery is exercised against genuine on-wire damage.
+// Wire-level fault injection, the repository's one fault injector. It
+// mangles real bytes on real sockets — dropping encoded frames, delaying
+// them, duplicating them, flipping bits, or cutting the connection
+// mid-frame — so the receive path's CRC, dedup, and resync machinery is
+// exercised against genuine on-wire damage.
 //
 // All draws come from one seeded RNG under one lock: the same seed and the
-// same write sequence injects the same faults. Injected drops surface as
-// *fabric.FaultError with Kind FaultDropped, so fabric.Transient reports
-// them retryable and flow.Sender's retry budget applies to the wire exactly
-// as it does to the simulated fabric.
+// same write sequence injects the same faults. Injected drops wrap
+// flow.ErrDropped, so flow.Transient reports them retryable and the
+// cluster's replication flow.Sender re-sends them.
 package wire
 
 import (
@@ -25,7 +23,7 @@ const (
 	// ActPass delivers the frame untouched.
 	ActPass Action = iota
 	// ActDrop discards the frame without writing (reported as a transient
-	// FaultDropped so senders retry).
+	// flow.ErrDropped so senders retry).
 	ActDrop
 	// ActDup writes the frame twice; the receiver must quarantine the copy.
 	ActDup

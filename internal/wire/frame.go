@@ -1,7 +1,6 @@
 // Package wire is the cluster's message plane: length-prefixed CRC32C
-// frames over ordinary sockets, with a seeded fault injector that
-// mangles traffic at the frame layer the way fabric/faults.go mangles the
-// simulated fabric. The framing is deliberately dumb — fixed header, one
+// frames over ordinary sockets, with a seeded fault injector (faults.go)
+// that mangles traffic at the frame layer. The framing is deliberately dumb — fixed header, one
 // checksum, no compression, no negotiation — because everything interesting
 // (retry, breakers, membership, replication) lives above it and must not
 // depend on transport cleverness.

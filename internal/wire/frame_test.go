@@ -6,7 +6,7 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/fabric"
+	"repro/internal/flow"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -145,8 +145,7 @@ func TestFaultsDeterministicAndTransient(t *testing.T) {
 		t.Fatal("different seeds produced identical fault schedules")
 	}
 
-	ferr := &fabric.FaultError{Kind: fabric.FaultDropped, Op: "wire-send", From: 0, To: 1}
-	if !fabric.Transient(ferr) {
+	if !flow.Transient(errDropped("send", &Frame{From: 0, To: 1})) {
 		t.Fatal("wire drop must be transient so flow.Sender retries it")
 	}
 }

@@ -10,7 +10,7 @@
 // breaker-opened path be rediscovered as healthy).
 //
 // Failure semantics at this layer: an injected frame drop is transient
-// (*fabric.FaultError, Kind FaultDropped — flow.Sender retries it); every
+// (it wraps flow.ErrDropped, so flow.Sender retries it); every
 // persistent failure (dial refused, write timeout, connection reset,
 // reconnect backoff in force) is a *PeerDownError wrapping ErrPeerDown; a
 // closed transport returns fabric.ErrClusterClosed. Callers never see a raw
@@ -484,7 +484,7 @@ func (t *TCP) Send(from, to fabric.NodeID, payload []byte, tc trace.Context) err
 		br.Success()
 		return nil
 	}
-	if fabric.Transient(err) {
+	if flow.Transient(err) {
 		// An injected drop is the substrate's loss model, not path death:
 		// the retry layer above owns it.
 		return err
@@ -524,7 +524,7 @@ func (t *TCP) CallTraced(from, to fabric.NodeID, req []byte, tc trace.Context) (
 		br.Success()
 		return resp, nil
 	}
-	if errors.Is(err, errRemote) || fabric.Transient(err) {
+	if errors.Is(err, errRemote) || flow.Transient(err) {
 		// The peer answered with an application error (path healthy), or the
 		// request frame was an injected drop (transient).
 		if errors.Is(err, errRemote) {
@@ -617,7 +617,7 @@ func (t *TCP) writeTo(p *peer, to fabric.NodeID, f *Frame) error {
 // is the round trip awaiting the frame's response.
 func (t *TCP) writeOn(p *peer, w *wconn, to fabric.NodeID, f *Frame, c *call) error {
 	if err := t.writeFrame(w, f, "send", c); err != nil {
-		if fabric.Transient(err) {
+		if flow.Transient(err) {
 			return err
 		}
 		// The socket is suspect; drop it so the next operation redials.
@@ -641,6 +641,12 @@ func sequenced(typ byte) bool {
 // connection, so a number taken before the lock would let a concurrent
 // writer's later number reach the socket first and cost this frame its
 // delivery.
+// errDropped reports a frame the fault injector dropped. It wraps
+// flow.ErrDropped, so flow.Transient classifies it as retryable.
+func errDropped(op string, f *Frame) error {
+	return fmt.Errorf("wire: %s %d->%d: %w", op, f.From, f.To, flow.ErrDropped)
+}
+
 func (t *TCP) writeFrame(w *wconn, f *Frame, op string, c *call) error {
 	if f.Trace.Valid() && w.feat&FeatTrace == 0 {
 		// The handshake did not negotiate tracing (legacy peer): drop the
@@ -652,7 +658,7 @@ func (t *TCP) writeFrame(w *wconn, f *Frame, op string, c *call) error {
 		time.Sleep(delay)
 	}
 	if act == ActDrop {
-		return &fabric.FaultError{Kind: fabric.FaultDropped, Op: "wire-" + op, From: f.From, To: f.To}
+		return errDropped(op, f)
 	}
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
@@ -870,7 +876,7 @@ func (t *TCP) readLoop(w *wconn, from fabric.NodeID, inbound bool) {
 		switch f.Type {
 		case TypePing:
 			pong := &Frame{Type: TypePong, From: t.cfg.Self, To: f.From, Seq: f.Seq}
-			if err := t.writeFrame(w, pong, "pong", nil); err != nil && !fabric.Transient(err) {
+			if err := t.writeFrame(w, pong, "pong", nil); err != nil && !flow.Transient(err) {
 				return
 			}
 		case TypeSend:
@@ -904,7 +910,7 @@ func (t *TCP) serveCall(w *wconn, f *Frame) {
 		resp.Type = TypeResp
 		resp.Payload = out
 	}
-	if err := t.writeFrame(w, resp, "resp", nil); err != nil && !fabric.Transient(err) {
+	if err := t.writeFrame(w, resp, "resp", nil); err != nil && !flow.Transient(err) {
 		w.close()
 	}
 }

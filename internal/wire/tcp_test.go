@@ -294,7 +294,7 @@ func TestTCPInjectedDuplicationExactlyOnce(t *testing.T) {
 }
 
 // Injected drops are transient and flow.Sender recovers them by retrying —
-// the same contract the simulated fabric gives the stream substrate.
+// the contract cluster replication relies on.
 func TestTCPInjectedDropIsRetryable(t *testing.T) {
 	faults := NewFaults(7, FaultsConfig{DropProb: 0.5})
 	a := newTestTCP(t, 0, nil, faults)
@@ -303,9 +303,10 @@ func TestTCPInjectedDropIsRetryable(t *testing.T) {
 	b.SetHandler(1, h)
 	a.SetPeer(1, b.Addr())
 
+	reg := obs.NewRegistry("")
 	sender := flow.NewSenderOver(func(from, to fabric.NodeID, n int) error {
 		return a.Send(from, to, bytes.Repeat([]byte("x"), n), trace.Context{})
-	}, flow.SenderConfig{Retries: 8, Seed: 1}, nil)
+	}, flow.SenderConfig{Retries: 8, Seed: 1}, reg)
 
 	const sends = 30
 	for i := 0; i < sends; i++ {
@@ -314,8 +315,8 @@ func TestTCPInjectedDropIsRetryable(t *testing.T) {
 		}
 	}
 	waitFor(t, "all retried sends delivered", func() bool { return h.sendCount() == sends })
-	if st := sender.Stats(); st.Recovered == 0 {
-		t.Fatalf("expected retry recoveries under 50%% drop, stats %+v", st)
+	if n := reg.Counter("flow_send_recovered_total").Value(); n == 0 {
+		t.Fatal("expected retry recoveries under 50% drop, flow_send_recovered_total = 0")
 	}
 }
 
