@@ -2,14 +2,15 @@ GO ?= go
 
 # Packages whose concurrency matters most; `make race` keeps them honest.
 # store, vts, sindex and tstore are the state every injector and every
-# one-shot share.
+# one-shot share; every connection and every firing reads strserver and
+# exec (the two add about 3 s under -race on a 2-vCPU host).
 RACE_PKGS := ./internal/core/... ./internal/fabric/... ./internal/server/... \
              ./internal/client/... ./internal/chaos/... ./internal/obs/... \
              ./internal/flow/... ./internal/stream/... ./internal/soak/... \
              ./internal/member/... ./internal/wire/... ./internal/cluster/... \
              ./internal/trace/... ./internal/stats/... ./internal/oplog/... \
              ./internal/store/... ./internal/vts/... ./internal/sindex/... \
-             ./internal/tstore/...
+             ./internal/tstore/... ./internal/strserver/... ./internal/exec/...
 
 .PHONY: all ci fmt vet build build-cmds test shapes race fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e clean
 
@@ -88,8 +89,9 @@ chaos-proc:
 	$(GO) test -short -count=1 -run 'TestProcClusterKillDashNine|TestProcSeedKillFailover|TestProcFourthDaemonJoins' ./internal/chaos/...
 
 # Every benchmark reports B/op and allocs/op. BenchmarkMicro_Tick (one
-# daemon-side tick: EMIT ×5, ADVANCE, POLL ×6) lives in internal/server
-# because it drives the unexported POLL handler. BenchmarkForwardedWrite
+# daemon-side tick: EMIT ×5, ADVANCE, POLL ×6) and BenchmarkMicro_Query (one
+# S2 probe and one S4 scan answered by the QUERY handler) live in
+# internal/server because they drive unexported handlers. BenchmarkForwardedWrite
 # (internal/cluster) is one write through a member of a seed + member pair
 # over loopback TCP with fsynced oplogs. BenchmarkShardGet and
 # BenchmarkShardAppendOne (internal/store) probe 100 k keys in random order.

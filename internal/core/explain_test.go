@@ -3,6 +3,11 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/bench/lsbench"
+	"repro/internal/rdf"
+	"repro/internal/sparql"
+	"repro/internal/stream"
 )
 
 func TestExplainOrdersByConstant(t *testing.T) {
@@ -49,5 +54,70 @@ func TestExplainEmptyAndVariants(t *testing.T) {
 	}
 	if _, err := e.Explain("not a query"); err == nil {
 		t.Error("bad query explained")
+	}
+}
+
+// perCallStats answers the planner the way statsAdapter did before it kept
+// the store total: every window fraction comes from a fresh adapter, so from
+// a fresh sweep of the store.
+type perCallStats struct{ *statsAdapter }
+
+func (p perCallStats) WindowFraction(g sparql.GraphRef) float64 {
+	return (&statsAdapter{e: p.e, q: p.q}).WindowFraction(g)
+}
+
+// TestExplainLSBenchUnchangedByStatsMemo: reading the store total once per
+// planner adapter leaves every plan as it was. EXPLAIN of L1–L6, over
+// LSBench data with a second and a half of streams injected, is
+// byte-identical to planning with a store sweep per stream pattern.
+func TestExplainLSBenchUnchangedByStatsMemo(t *testing.T) {
+	e, err := New(Config{Nodes: 2, WorkersPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	w := lsbench.Generate(lsbench.Config{
+		Seed: 5, Users: 200,
+		RatePO: 250, RatePOL: 2150, RatePH: 250, RatePHL: 187, RateGPS: 500,
+	}, e.StringServer())
+	e.LoadEncoded(w.Initial)
+	srcs := make(map[string]*stream.Source)
+	for _, sp := range lsbench.StreamConfigs() {
+		src, err := e.RegisterStream(stream.Config{Name: sp.Name, BatchInterval: sp.BatchInterval, TimingPredicates: sp.TimingPreds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[sp.Name] = src
+	}
+	for now := rdf.Timestamp(0); now < 1500; now += 100 {
+		for _, name := range lsbench.Streams() {
+			for _, tu := range w.StreamTuples(name, now, now+100) {
+				if err := srcs[name].EmitEncoded(tu); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		e.AdvanceTo(now + 100)
+	}
+	for n := 1; n <= 6; n++ {
+		text := w.QueryL(n, 3+n)
+		got, err := e.Explain(text)
+		if err != nil {
+			t.Fatalf("L%d: %v", n, err)
+		}
+		q, err := sparql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.explain(q, perCallStats{&statsAdapter{e: e, q: q}})
+		if err != nil {
+			t.Fatalf("L%d: %v", n, err)
+		}
+		if got != want {
+			t.Errorf("L%d: EXPLAIN with the store total read once:\n%s\nwith a sweep per pattern:\n%s", n, got, want)
+		}
+		if !strings.Contains(got, "stream") || !strings.Contains(got, "estimated cost") {
+			t.Errorf("L%d: EXPLAIN plans no stream step:\n%s", n, got)
+		}
 	}
 }

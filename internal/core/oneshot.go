@@ -108,7 +108,12 @@ func (e *Engine) Explain(text string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p, err := plan.Compile(q, e.ss, e.statsFor(q))
+	return e.explain(q, e.statsFor(q))
+}
+
+// explain is Explain for a parsed query planned with the given statistics.
+func (e *Engine) explain(q *sparql.Query, stats plan.StatsProvider) (string, error) {
+	p, err := plan.Compile(q, e.ss, stats)
 	if err != nil {
 		return "", err
 	}
@@ -234,6 +239,10 @@ func (e *Engine) statsFor(q *sparql.Query) plan.StatsProvider {
 type statsAdapter struct {
 	e *Engine
 	q *sparql.Query
+	// total is the stored tuple count window fractions divide by, read once
+	// per adapter (0 until then): Compile asks once per stream pattern, and
+	// each read sweeps every store stripe.
+	total float64
 }
 
 func (s *statsAdapter) PredStats(pid rdf.ID) (int64, int64, int64) {
@@ -254,11 +263,11 @@ func (s *statsAdapter) WindowFraction(g sparql.GraphRef) float64 {
 	}
 	batches := float64(w.Range.Milliseconds()) / float64(st.src.Interval().Milliseconds())
 	winTuples := st.avgTuplesPerBatch() * math.Max(batches, 1)
-	total := float64(s.e.stored.Memory().Values) / 2 // values count both directions
-	if total < 1 {
-		total = 1
+	if s.total == 0 {
+		// Values count both directions.
+		s.total = math.Max(float64(s.e.stored.Memory().Values)/2, 1)
 	}
-	f := winTuples / total
+	f := winTuples / s.total
 	if f > 1 {
 		return 1
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -70,8 +71,9 @@ func (r *Result) Row(i int) []rdf.Term {
 // AppendRow appends row i to dst as the wire and Strings render it — each
 // cell's lexical value, cells separated by one space, an unbound cell empty —
 // and returns the extended slice. Entity and predicate values are copied
-// straight out of the string server, so rendering into a buffer with room
-// allocates nothing.
+// straight out of the string server's keys and aggregates are formatted in
+// place (the bytes of rdf.NewFloatLiteral's Value), so rendering into a
+// buffer with room allocates nothing.
 func (r *Result) AppendRow(dst []byte, i int) []byte {
 	for j, v := range r.set.Rows[i] {
 		if j > 0 {
@@ -79,7 +81,7 @@ func (r *Result) AppendRow(dst []byte, i int) []byte {
 		}
 		switch {
 		case v.IsNum:
-			dst = append(dst, rdf.NewFloatLiteral(v.Num).Value...)
+			dst = strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
 		case v.ID == 0:
 			// An OPTIONAL group left the variable unbound.
 		default:
@@ -89,10 +91,10 @@ func (r *Result) AppendRow(dst []byte, i int) []byte {
 					continue
 				}
 			}
-			if t, ok := r.ss.Entity(v.ID); ok {
-				dst = append(dst, t.Value...)
+			if lex, ok := r.ss.Lexical(v.ID); ok {
+				dst = append(dst, lex...)
 			} else {
-				dst = fmt.Appendf(dst, "unknown-id-%d", v.ID)
+				dst = strconv.AppendUint(append(dst, "unknown-id-"...), uint64(v.ID), 10)
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/race"
 	"repro/internal/rdf"
 	"repro/internal/strserver"
 )
@@ -34,6 +36,8 @@ func TestAppendRowMatchesTermValues(t *testing.T) {
 		{"literals", []exec.Value{id(plain), id(typed), id(quoted)}, `a plain literal 42 say "hi" twice`},
 		{"blank node", []exec.Value{id(blank), id(iri)}, "b0 http://example.org/Logan"},
 		{"floats", []exec.Value{num(2.5), num(3), num(1e21), num(-0.125)}, "2.5 3 1e+21 -0.125"},
+		{"float edges", []exec.Value{num(math.NaN()), num(math.Inf(1)), num(math.Inf(-1)), num(math.Copysign(0, -1)), num(5e-324), num(1.2345678901234568e+17)},
+			"NaN +Inf -Inf -0 5e-324 1.2345678901234568e+17"},
 		{"unbound cells", []exec.Value{id(0), id(iri), id(0), id(0)}, " http://example.org/Logan  "},
 		{"tagged predicate", []exec.Value{id(pred), id(iri)}, "po http://example.org/Logan"},
 		{"unknown tagged predicate falls through to the entity table", []exec.Value{id(exec.TagPred(999))}, "unknown-id-4611686018427388903"},
@@ -68,9 +72,12 @@ func TestAppendRowMatchesTermValues(t *testing.T) {
 	}
 }
 
-// Rendering IDs into a buffer with room copies bytes out of the string server
-// and allocates nothing.
+// Rendering a row into a buffer with room copies bytes out of the string
+// server and formats numbers in place: no cell kind allocates.
 func TestAppendRowDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	ss := strserver.New()
 	po, _ := ss.InternPredicate("po")
 	row := []exec.Value{
@@ -79,13 +86,15 @@ func TestAppendRowDoesNotAllocate(t *testing.T) {
 		{ID: ss.InternEntity(rdf.NewLiteral("T-13"))},
 		{}, // unbound
 		{ID: ss.InternEntity(rdf.NewIntLiteral(7))},
+		{Num: 2.5, IsNum: true},
+		{ID: 987654}, // unknown
 	}
-	r := &Result{set: &exec.ResultSet{Vars: []string{"s", "p", "o", "u", "n"}, Rows: [][]exec.Value{row}}, ss: ss}
+	r := &Result{set: &exec.ResultSet{Vars: []string{"s", "p", "o", "u", "n", "a", "x"}, Rows: [][]exec.Value{row}}, ss: ss}
 	buf := make([]byte, 0, 256)
 	if allocs := testing.AllocsPerRun(200, func() { buf = r.AppendRow(buf[:0], 0) }); allocs != 0 {
 		t.Errorf("AppendRow into a pre-sized buffer allocates %v times per row", allocs)
 	}
-	if got, want := string(buf), "http://example.org/Logan po T-13  7"; got != want {
+	if got, want := string(buf), "http://example.org/Logan po T-13  7 2.5 unknown-id-987654"; got != want {
 		t.Errorf("rendered %q, want %q", got, want)
 	}
 }

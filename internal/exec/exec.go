@@ -65,8 +65,10 @@ type Request struct {
 }
 
 // StepTrace records one step's contribution, for the Fig. 4-style breakdown.
+// Step is the plan step itself, not its text: a reader that prints the trace
+// calls Step.String(), and a query whose trace nobody prints formats nothing.
 type StepTrace struct {
-	Step    string
+	Step    plan.Step
 	Rows    int
 	Elapsed time.Duration
 }
@@ -123,6 +125,7 @@ func (ex *Executor) Execute(req Request, p *plan.Plan) (*ResultSet, *Trace, erro
 		return ex.executeUnion(req, p, start, trace)
 	}
 	tbl := &Table{Rows: [][]rdf.ID{{}}} // one empty row: the unit seed
+	trace.Steps = make([]StepTrace, 0, len(p.Steps))
 	for _, st := range p.Steps {
 		if err := ctxErr(req.Ctx); err != nil {
 			return nil, trace, err
@@ -134,7 +137,7 @@ func (ex *Executor) Execute(req Request, p *plan.Plan) (*ResultSet, *Trace, erro
 			return nil, trace, err
 		}
 		trace.Steps = append(trace.Steps, StepTrace{
-			Step:    st.String(),
+			Step:    st,
 			Rows:    len(tbl.Rows),
 			Elapsed: time.Since(stepStart),
 		})
@@ -177,6 +180,7 @@ func (ex *Executor) Execute(req Request, p *plan.Plan) (*ResultSet, *Trace, erro
 func (ex *Executor) executeUnion(req Request, p *plan.Plan, start time.Time, trace *Trace) (*ResultSet, *Trace, error) {
 	out := emptyResult(p.Query)
 	var seen map[string]bool
+	var key []byte
 	if p.Query.Distinct {
 		seen = make(map[string]bool)
 	}
@@ -191,11 +195,11 @@ func (ex *Executor) executeUnion(req Request, p *plan.Plan, start time.Time, tra
 		trace.Steps = append(trace.Steps, btr.Steps...)
 		for _, row := range rs.Rows {
 			if seen != nil {
-				k := rowKeyVals(row)
-				if seen[k] {
+				key = appendRowKey(key[:0], row)
+				if seen[string(key)] {
 					continue
 				}
-				seen[k] = true
+				seen[string(key)] = true
 			}
 			out.Rows = append(out.Rows, row)
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -45,6 +46,8 @@ func Project(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSet, error) 
 		n = q.Limit
 	}
 	var seen map[string]bool
+	var keyBuf [4 * rowKeyWidth]byte
+	key := keyBuf[:0]
 	if q.Distinct {
 		seen = make(map[string]bool)
 	}
@@ -61,11 +64,11 @@ func Project(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSet, error) 
 			out[i] = Value{ID: row[c]}
 		}
 		if q.Distinct {
-			k := rowKeyVals(out)
-			if seen[k] {
+			key = appendRowKey(key[:0], out)
+			if seen[string(key)] {
 				continue // the cells are reused by the next row
 			}
-			seen[k] = true
+			seen[string(key)] = true
 		}
 		cells = cells[len(cols):]
 		rs.Rows = append(rs.Rows, out)
@@ -117,7 +120,7 @@ func applyModifiers(q *sparql.Query, rs *ResultSet, res TermResolver) *ResultSet
 // server implements it); ORDER BY uses it for lexical comparison of
 // non-numeric values.
 type termLookup interface {
-	Entity(id rdf.ID) (rdf.Term, bool)
+	Lexical(id rdf.ID) (string, bool)
 }
 
 // compareValues orders two result cells: numbers numerically (aggregates
@@ -141,10 +144,10 @@ func compareValues(a, b Value, res TermResolver) int {
 		return 1
 	}
 	if tl, ok := res.(termLookup); ok {
-		at, aok := tl.Entity(a.ID)
-		bt, bok := tl.Entity(b.ID)
+		al, aok := tl.Lexical(a.ID)
+		bl, bok := tl.Lexical(b.ID)
 		if aok && bok {
-			return strings.Compare(at.Value, bt.Value)
+			return strings.Compare(al, bl)
 		}
 	}
 	switch {
@@ -164,12 +167,30 @@ func valueNum(v Value, res TermResolver) (float64, bool) {
 	return res.Numeric(v.ID)
 }
 
-func rowKeyVals(vals []Value) string {
-	var b strings.Builder
+// rowKeyWidth is the bytes appendRowKey writes per cell.
+const rowKeyWidth = 17
+
+// canonicalNaN stands for every NaN in a row key.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// appendRowKey appends the DISTINCT key of a row to dst: per cell, the ID,
+// the number's bits and the IsNum flag, fixed width. Two rows share a key
+// exactly when fmt's "%d|%g|%v" of their cells agree: -0 and 0 differ, and
+// every NaN is the same NaN.
+func appendRowKey(dst []byte, vals []Value) []byte {
 	for _, v := range vals {
-		fmt.Fprintf(&b, "%d|%g|%v;", v.ID, v.Num, v.IsNum)
+		bits := math.Float64bits(v.Num)
+		if v.Num != v.Num {
+			bits = canonicalNaN
+		}
+		var isNum byte
+		if v.IsNum {
+			isNum = 1
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ID))
+		dst = append(binary.LittleEndian.AppendUint64(dst, bits), isNum)
 	}
-	return b.String()
+	return dst
 }
 
 // aggState accumulates one aggregate for one group.
@@ -246,20 +267,24 @@ func projectAggregates(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSe
 		aggs []aggState
 	}
 	groups := make(map[string]*group)
-	var order []string
+	var order []*group
+	var kb []byte
 	for _, row := range tbl.Rows {
-		var kb strings.Builder
-		key := make([]rdf.ID, len(groupCols))
-		for i, c := range groupCols {
-			key[i] = row[c]
-			fmt.Fprintf(&kb, "%d;", row[c])
+		// The group key is the grouped IDs, eight bytes each; a row of a
+		// known group allocates nothing.
+		kb = kb[:0]
+		for _, c := range groupCols {
+			kb = binary.LittleEndian.AppendUint64(kb, uint64(row[c]))
 		}
-		k := kb.String()
-		g, ok := groups[k]
+		g, ok := groups[string(kb)]
 		if !ok {
+			key := make([]rdf.ID, len(groupCols))
+			for i, c := range groupCols {
+				key[i] = row[c]
+			}
 			g = &group{key: key, aggs: make([]aggState, len(q.Select))}
-			groups[k] = g
-			order = append(order, k)
+			groups[string(kb)] = g
+			order = append(order, g)
 		}
 		for i, pr := range q.Select {
 			if pr.Agg == sparql.AggNone {
@@ -283,8 +308,7 @@ func projectAggregates(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSe
 			g.aggs[i].add(v)
 		}
 	}
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range order {
 		out := make([]Value, len(q.Select))
 		for i, pr := range q.Select {
 			if pr.Agg == sparql.AggNone {

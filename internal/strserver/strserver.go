@@ -111,6 +111,27 @@ func (s *Server) Entity(id rdf.ID) (rdf.Term, bool) {
 	return rdf.TermFromKey(s.entToo[id-1]), true
 }
 
+// Lexical returns an entity's lexical form — the Value of its term — as a
+// substring of the interned key, without building the term: the key minus
+// its kind byte, cut at the last `"^^` for a literal, exactly as
+// rdf.TermFromKey splits it. Result rendering reads every cell through here.
+func (s *Server) Lexical(id rdf.ID) (string, bool) {
+	s.mu.RLock()
+	if id == 0 || int(id) > len(s.entToo) {
+		s.mu.RUnlock()
+		return "", false
+	}
+	key := s.entToo[id-1]
+	s.mu.RUnlock()
+	body := key[1:]
+	if key[0] == '"' {
+		if i := strings.LastIndex(body, "\"^^"); i >= 0 {
+			body = body[:i]
+		}
+	}
+	return body, true
+}
+
 // MustEntity returns the term for an entity ID and panics if unknown; use it
 // only for IDs that came out of this server.
 func (s *Server) MustEntity(id rdf.ID) rdf.Term {

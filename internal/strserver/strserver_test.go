@@ -62,6 +62,39 @@ func TestEntityRoundTrip(t *testing.T) {
 	}
 }
 
+// Lexical is Entity(id).Value read straight off the key: the same string for
+// every kind of term, "" and false where Entity has no term, and no
+// allocation.
+func TestLexicalMatchesEntity(t *testing.T) {
+	s := New()
+	terms := []rdf.Term{
+		rdf.NewIRI("http://example.org/Logan"),
+		rdf.NewBlank("b9"),
+		rdf.NewLiteral("a plain literal"),
+		rdf.NewTypedLiteral("42", rdf.XSDInteger),
+		rdf.NewTypedLiteral(`x"^^y`, rdf.XSDString),
+		rdf.NewLiteral(`p"^^q`), // its key reads back as a typed literal
+		rdf.NewLiteral(""),
+	}
+	ids := []rdf.ID{0, rdf.ID(len(terms) + 1)}
+	for _, tm := range terms {
+		ids = append(ids, s.InternEntity(tm))
+	}
+	for _, id := range ids {
+		want, wantOK := s.Entity(id)
+		got, ok := s.Lexical(id)
+		if got != want.Value || ok != wantOK {
+			t.Errorf("Lexical(%d) = %q, %v; Entity(%d).Value = %q, %v", id, got, ok, id, want.Value, wantOK)
+		}
+		if race.Enabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { s.Lexical(id) }); n != 0 {
+			t.Errorf("Lexical(%d) allocates %.0f times, want 0", id, n)
+		}
+	}
+}
+
 func TestLookupEntity(t *testing.T) {
 	s := New()
 	if _, ok := s.LookupEntity(rdf.NewIRI("nope")); ok {
