@@ -12,12 +12,12 @@ RACE_PKGS := ./internal/core/... ./internal/fabric/... ./internal/server/... \
              ./internal/store/... ./internal/vts/... ./internal/sindex/... \
              ./internal/tstore/... ./internal/strserver/... ./internal/exec/...
 
-.PHONY: all ci fmt vet build build-cmds test shapes race fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e clean
+.PHONY: all ci fmt vet build build-cmds test shapes race faults fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e clean
 
 all: ci
 
 # The full gate: what CI runs, in order.
-ci: fmt vet build build-cmds test shapes race fuzz-short soak-short chaos-proc
+ci: fmt vet build build-cmds test shapes race faults fuzz-short soak-short chaos-proc
 
 # Format gate: any file gofmt would rewrite fails the build.
 fmt:
@@ -47,6 +47,15 @@ shapes:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Replication under wire faults, five times over: 15 % drops, 10 % dups and
+# 5 % bit flips on the seed's frames, with nothing on the broadcast retrying,
+# must converge; and a round trip that times out behind a damaged length
+# prefix must drop its socket so the next one redials. A wedge that comes
+# back shows here as a failure, not as a one-in-four flake. About 8 s of wall
+# time on a 2-vCPU host.
+faults:
+	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$' ./internal/cluster ./internal/wire
 
 # Five seconds of native fuzzing per target where bytes cross a trust
 # boundary: the op decoder never panics and round-trips, the verb interpreter

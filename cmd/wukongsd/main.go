@@ -75,7 +75,6 @@ type options struct {
 
 	listen, join, advertise string
 	clusterHB               time.Duration
-	flowSeed                int64
 
 	dataDir   string
 	snapEvery int
@@ -115,7 +114,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.join, "join", "", "seed daemon's -listen address to join (requires -listen)")
 	fs.StringVar(&o.advertise, "advertise", "", "dialable address peers use to reach this daemon's -listen socket (default: the -listen address)")
 	fs.DurationVar(&o.clusterHB, "cluster-heartbeat", 0, "cluster peer-liveness probe period (0 = default 100ms)")
-	fs.Int64Var(&o.flowSeed, "flow-seed", 0, "seed for retry jitter (cluster replication); 0 = nondeterministic")
 
 	// Durability knobs (DESIGN.md §8 standalone, §15 with -listen).
 	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: standalone, the §5 fault-tolerance log (recovered on restart); with -listen, the durable oplog + snapshots (crash restart via Resume)")
@@ -241,7 +239,6 @@ func main() {
 			SelfAddr:          adv,
 			OnFire:            srv.BufferResult,
 			HeartbeatInterval: o.clusterHB,
-			FlowSeed:          o.flowSeed,
 			DataDir:           o.dataDir,
 			SnapshotEvery:     o.snapEvery,
 			NoSync:            o.noSync,

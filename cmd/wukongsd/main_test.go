@@ -78,7 +78,7 @@ func TestCheckFlags(t *testing.T) {
 // failover names are spelled in two halves so a repo-wide grep for them
 // finds nothing.
 func TestRemovedFlagsFailParsing(t *testing.T) {
-	for _, f := range []string{"-heartbeat" + "-interval=100ms", "-suspect" + "-after=1", "-dead" + "-after=2", "-ft=/d", "-send" + "-retries=3"} {
+	for _, f := range []string{"-heartbeat" + "-interval=100ms", "-suspect" + "-after=1", "-dead" + "-after=2", "-ft=/d", "-send" + "-retries=3", "-flow" + "-seed=1"} {
 		if _, err := parse(f); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("parse(%s) = %v, want an undefined-flag error", f, err)
 		}

@@ -45,9 +45,8 @@ import (
 
 // ProcConfig scripts one process-level chaos run.
 type ProcConfig struct {
-	// Seed drives the scripted stream and every retry-jitter RNG in the
-	// daemons (passed through as -flow-seed), so a failing run replays with
-	// the same workload and the same retry schedules.
+	// Seed drives the scripted stream, so a failing run replays with the
+	// same workload.
 	Seed int64
 	// Nodes is the daemon count (default 3; minimum 3 so a single kill
 	// leaves a quorum of live probe vantages). Each daemon's engine runs
@@ -300,7 +299,6 @@ func (cfg ProcConfig) spawn(bin string, d *procDaemon, seedWire string) error {
 		"-addr", d.addr,
 		"-listen", d.wireAddr,
 		"-cluster-heartbeat", cfg.Heartbeat.String(),
-		"-flow-seed", strconv.FormatInt(cfg.Seed, 10),
 		"-metrics-addr", d.httpAddr,
 		"-trace-sample", "1",
 	}

@@ -30,9 +30,11 @@
 //     re-fires every window exactly once (the dedup contract: fresh POLL
 //     buffers, deterministic replay).
 //
-// Replication losses self-heal two ways: the authority's broadcast retries
-// transient drops through flow.Sender, and a member that observes a sequence
-// gap fetches the missing range from the sender before applying (SYNC).
+// A lost replication frame heals one way, by replaying the oplog, on two
+// triggers: a member that observes a sequence gap fetches the missing range
+// from the sender before applying (SYNC), and each detector tick a member
+// pulls whatever it lacks of the authority's applied sequence (anti-entropy).
+// The broadcast sends each op once per member and never retries.
 //
 // Write authority is survivable (DESIGN.md §15). The sequencer is not
 // pinned to rank 0: when the membership detector declares the current
@@ -151,9 +153,6 @@ type Config struct {
 	// member is suspected (default 2) / declared dead (default 3).
 	SuspectAfter int
 	DeadAfter    int
-	// FlowSeed, when nonzero, seeds the replication sender's retry jitter
-	// (reproducible chaos runs).
-	FlowSeed int64
 	// Metrics may be nil.
 	Metrics *obs.Registry
 	// Tracer records per-hop spans for distributed tracing (DESIGN.md §13).
@@ -191,7 +190,6 @@ type Node struct {
 	self   fabric.NodeID
 	eng    *core.Engine
 	det    *member.Detector
-	snd    *flow.Sender
 	tracer *trace.Tracer
 
 	// applyMu serializes op application (and, on the seed, sequencing +
@@ -225,12 +223,6 @@ type Node struct {
 
 	catching   atomic.Bool // mid snapshot-transfer / large sync (healthz)
 	takingOver atomic.Bool // one authority takeover attempt at a time
-
-	// outbox is the op the retrying sender's attempt ships, and outboxTC
-	// its replication span context; both are written under applyMu
-	// immediately before each (synchronous) Send.
-	outbox   []byte
-	outboxTC trace.Context
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -355,7 +347,6 @@ func newNode(cfg Config) (*Node, error) {
 		n.dlog = dl
 	}
 	n.t.SetEpoch(1)
-	n.snd = flow.NewSenderOver(n.attemptSend, flow.SenderConfig{Seed: cfg.FlowSeed}, r)
 	sa := cfg.SuspectAfter
 	if sa <= 0 {
 		sa = 2
@@ -963,12 +954,11 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 	n.recordMemLocked(seq, enc)
 
 	spRepl := n.tracer.Start(tc, "seed.replicate")
-	n.outbox, n.outboxTC = enc, spRepl.Context()
 	for _, to := range targets {
-		// Transient drops retry inside the sender; persistent failures trip
-		// the per-member breaker and are dropped here — the member's gap
-		// SYNC (or its rejoin replay) repairs the hole when it returns.
-		_ = n.snd.Send(n.self, to, len(enc))
+		// One send per member and no retry: a frame that does not land
+		// leaves the member a gap, which its next op's SYNC or its
+		// anti-entropy tick fills from the oplog.
+		_ = n.t.Send(n.self, to, enc, spRepl.Context())
 	}
 	spRepl.End()
 
@@ -1019,13 +1009,6 @@ func (n *Node) persistLocked(seq uint64, enc []byte) error {
 		n.logf("durable append %d: %v", seq, err)
 	}
 	return err
-}
-
-// attemptSend is the flow.Sender delivery attempt: ship the outbox to the
-// destination. outbox writes are serialized by applyMu, which is held
-// across the Send that triggers this.
-func (n *Node) attemptSend(from, to fabric.NodeID, _ int) error {
-	return n.t.Send(from, to, n.outbox, n.outboxTC)
 }
 
 // handleJoin serves JOIN <rank|-1> <addr> on the authority. Rank -1 is the
@@ -1365,8 +1348,7 @@ func (n *Node) call(to fabric.NodeID, head, body, op string) (string, error) {
 	return n.callTraced(to, head, body, op, trace.Context{})
 }
 
-// callTraced is call with a span context that rides the wire frame (when
-// the transport and the peer's connection negotiated tracing).
+// callTraced is call with a span context that rides the wire frame.
 func (n *Node) callTraced(to fabric.NodeID, head, body, op string, tc trace.Context) (string, error) {
 	payload := head + "\n" + body
 	var err error
@@ -1376,7 +1358,7 @@ func (n *Node) callTraced(to fabric.NodeID, head, body, op string, tc trace.Cont
 		if err == nil {
 			return string(resp), nil
 		}
-		if flow.Transient(err) {
+		if wire.Transient(err) {
 			continue
 		}
 		break

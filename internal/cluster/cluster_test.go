@@ -88,7 +88,6 @@ func tcpConfig(self fabric.NodeID, faults *wire.Faults) wire.TCPConfig {
 		HeartbeatTimeout: 200 * time.Millisecond,
 		ReconnectBase:    5 * time.Millisecond,
 		ReconnectCap:     50 * time.Millisecond,
-		BreakerCooldown:  30 * time.Millisecond,
 		Faults:           faults,
 	}
 }
@@ -102,7 +101,6 @@ func clusterConfig(tr *wire.TCP, self fabric.NodeID, eng *core.Engine, d *daemon
 		HeartbeatInterval: 20 * time.Millisecond,
 		SuspectAfter:      2,
 		DeadAfter:         3,
-		FlowSeed:          1,
 		Metrics:           obs.NewRegistry(""),
 		Tracer:            trace.New(trace.Config{SampleEvery: 1, Node: int(self)}),
 	}
@@ -321,9 +319,11 @@ func TestReadYourWritesOnServingMember(t *testing.T) {
 }
 
 // Replication must converge even when the seed's outbound wire injects
-// drops, duplicates, and corruption: drops retry through flow.Sender, dups
-// quarantine at the receiver, corruption quarantines and the resulting gap
-// is repaired by a SYNC fetch.
+// drops, duplicates, and corruption. Nothing on the broadcast retries: dups
+// quarantine at the receiver, and a dropped or quarantined op leaves a gap
+// that the member's next op or its anti-entropy tick repairs by SYNC. A
+// damaged length prefix wedges its socket until the next round trip on it
+// times out and drops it.
 func TestClusterTCPReplicationUnderWireFaults(t *testing.T) {
 	faults := wire.NewFaults(42, wire.FaultsConfig{
 		DropProb:    0.15,
@@ -382,7 +382,9 @@ func TestClusterTCPReplicationUnderWireFaults(t *testing.T) {
 
 // A joiner's own MEMBER op is broadcast before the authority applies it, so
 // the joiner is not yet one of its targets: the op reaches the joiner
-// through the SYNC its join runs, and Join returns with it applied.
+// through the SYNC its join runs, and Join returns with it applied. Every
+// later op reaches it exactly once, by broadcast: one send per op per
+// member.
 func TestJoinerGetsOwnMemberOpBySync(t *testing.T) {
 	seed := startSeed(t, nil)
 	defer seed.close()
@@ -394,13 +396,17 @@ func TestJoinerGetsOwnMemberOpBySync(t *testing.T) {
 	if want := seed.node.Applied(); joined != want {
 		t.Fatalf("Join returned at op %d, the authority is at %d", joined, want)
 	}
-	// The next op is broadcast to the joiner on the same connection any
-	// broadcast of its MEMBER op would have taken, so once it has applied,
-	// such a broadcast would have arrived and counted as a duplicate.
-	if _, err := seed.node.Forward("ADVANCE", []string{"100"}, ""); err != nil {
-		t.Fatal(err)
+	// Later ops are broadcast to the joiner on the same connection any
+	// broadcast of its MEMBER op would have taken, and the joiner applies
+	// them in arrival order, so once the last has applied, a second send of
+	// any earlier op would have arrived and counted as a duplicate.
+	const later = 5
+	for i := 1; i <= later; i++ {
+		if _, err := seed.node.Forward("ADVANCE", []string{fmt.Sprint(100 * i)}, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
-	requireApplied(t, d1, joined+1)
+	requireApplied(t, d1, joined+later)
 	if got := counter(d1, "cluster_ops_synced_total"); got != int64(joined) {
 		t.Fatalf("joiner took %d of its first %d ops by SYNC, want all", got, joined)
 	}

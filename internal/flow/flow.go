@@ -1,7 +1,8 @@
-// Package flow is the engine's overload-protection layer: bounded,
-// watermark-instrumented admission queues, token-bucket rate limiters,
-// pluggable shed policies, bounded retry with jittered backoff, and
-// per-destination circuit breakers.
+// Package flow is the engine's admission layer: the shed policies a bounded
+// buffer applies when full (Policy), the typed rejection a shed returns
+// (ShedError, with a retry-after hint), the token-bucket rate limiter the
+// server's EMIT edge uses (Limiter), and the watermark-instrumented
+// accounting a bounded buffer reports through (QueueStats).
 //
 // The paper's headline claim is sub-millisecond stateful querying; flow is
 // what defends that latency when input outruns capacity. The design contract
@@ -11,9 +12,8 @@
 // counted, with a retry-after hint). Silent loss is a bug; bounded,
 // observable loss is the degradation mode.
 //
-// Everything here is zero-dependency and deterministic where it matters:
-// limiters and breakers take an injectable clock, and retry jitter is
-// seedable, so a run reproduces from its seeds.
+// Everything here is zero-dependency and deterministic where it matters: the
+// limiter takes an injectable clock, so a run reproduces.
 package flow
 
 import (
@@ -111,18 +111,3 @@ func ParseShedError(msg string) (*ShedError, bool) {
 	}
 	return Shed(rest[:i], d), true
 }
-
-// ErrBreakerOpen is returned by Sender.Send when the destination's circuit
-// breaker is open: the path failed persistently and recently, so the send
-// fails fast instead of burning a retry budget against a dead node.
-var ErrBreakerOpen = errors.New("circuit breaker open")
-
-// BreakerOpenError reports a fast-failed send with its destination.
-type BreakerOpenError struct{ To int }
-
-func (e *BreakerOpenError) Error() string {
-	return fmt.Sprintf("flow: send to node %d: %v", e.To, ErrBreakerOpen)
-}
-
-// Unwrap lets errors.Is(err, ErrBreakerOpen) see through the error.
-func (e *BreakerOpenError) Unwrap() error { return ErrBreakerOpen }

@@ -2,16 +2,14 @@ package flow
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// QueueStats is the shared accounting every bounded admission point reports
-// through: depth, high-watermark, and per-policy shed counts. It exists as a
-// standalone type so components with bespoke buffers (the stream adaptor's
-// pending buffer, the server's poll buffers) surface the same series as
-// flow.Queue without adopting its storage. All methods are nil-safe.
+// QueueStats is the accounting a bounded admission point reports through:
+// depth, high-watermark, and per-policy shed counts. It holds no items; the
+// buffer it describes (the stream adaptor's pending buffer) is the owner's.
+// All methods are nil-safe.
 type QueueStats struct {
 	capacity   int64
 	depth      atomic.Int64
@@ -148,117 +146,4 @@ func (s *QueueStats) Instrument(r *obs.Registry, name string) {
 	r.GaugeFunc(lbl("flow_queue_shed_newest_total"), s.ShedNewest)
 	r.GaugeFunc(lbl("flow_queue_shed_oldest_total"), s.ShedOldest)
 	r.GaugeFunc(lbl("flow_queue_block_timeouts_total"), s.Timeouts)
-}
-
-// Queue is a bounded FIFO with a shed policy, built on a buffered channel so
-// Block-policy pushes and blocking pops need no condition variables. Safe for
-// concurrent producers and consumers.
-type Queue[T any] struct {
-	ch     chan T
-	policy Policy
-	stats  *QueueStats
-}
-
-// NewQueue creates a queue bounded at capacity (minimum 1) with the given
-// shed policy.
-func NewQueue[T any](capacity int, policy Policy) *Queue[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Queue[T]{
-		ch:     make(chan T, capacity),
-		policy: policy,
-		stats:  NewQueueStats(capacity),
-	}
-}
-
-// Stats returns the queue's accounting.
-func (q *Queue[T]) Stats() *QueueStats { return q.stats }
-
-// Len returns the current queue depth.
-func (q *Queue[T]) Len() int { return len(q.ch) }
-
-// Push offers v under the queue's policy. DropNewest returns a ShedError when
-// full; DropOldest evicts until v fits (evictions are counted); Block waits
-// up to wait for space, then sheds. The wait argument is ignored by the drop
-// policies.
-func (q *Queue[T]) Push(v T, wait time.Duration) error {
-	switch q.policy {
-	case DropOldest:
-		for {
-			select {
-			case q.ch <- v:
-				q.stats.OnAdmit()
-				q.stats.Observe(len(q.ch))
-				return nil
-			default:
-			}
-			select {
-			case <-q.ch:
-				q.stats.OnShedOldest()
-			default:
-			}
-		}
-	case Block:
-		select {
-		case q.ch <- v:
-			q.stats.OnAdmit()
-			q.stats.Observe(len(q.ch))
-			return nil
-		default:
-		}
-		if wait > 0 {
-			t := time.NewTimer(wait)
-			defer t.Stop()
-			select {
-			case q.ch <- v:
-				q.stats.OnAdmit()
-				q.stats.Observe(len(q.ch))
-				return nil
-			case <-t.C:
-				q.stats.OnTimeout()
-			}
-		}
-		q.stats.OnShedNewest()
-		return Shed("queue full", wait)
-	default: // DropNewest
-		select {
-		case q.ch <- v:
-			q.stats.OnAdmit()
-			q.stats.Observe(len(q.ch))
-			return nil
-		default:
-			q.stats.OnShedNewest()
-			return Shed("queue full", 0)
-		}
-	}
-}
-
-// Pop removes the oldest item without blocking.
-func (q *Queue[T]) Pop() (T, bool) {
-	select {
-	case v := <-q.ch:
-		q.stats.Observe(len(q.ch))
-		return v, true
-	default:
-		var zero T
-		return zero, false
-	}
-}
-
-// PopWait removes the oldest item, waiting up to d for one to arrive.
-func (q *Queue[T]) PopWait(d time.Duration) (T, bool) {
-	if v, ok := q.Pop(); ok {
-		return v, true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case v := <-q.ch:
-		q.stats.Observe(len(q.ch))
-		return v, true
-	case <-t.C:
-		var zero T
-		return zero, false
-	}
 }

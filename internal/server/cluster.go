@@ -77,7 +77,6 @@ func renderError(w *bufio.Writer, err error) {
 	case errors.Is(err, cluster.ErrUnavailable),
 		cluster.IsNotAuthority(err),
 		errors.Is(err, wire.ErrPeerDown),
-		errors.Is(err, flow.ErrBreakerOpen),
 		errors.Is(err, fabric.ErrClusterClosed):
 		// retry-after carries the failover hint: the write authority moved
 		// (or died) and a short backoff beats tight-looping while the

@@ -210,8 +210,8 @@ func (t *Tracer) StartRoot(name string) Active {
 }
 
 // Start begins a child span under parent. An invalid parent yields an
-// unsampled probe span in a fresh trace (a legacy peer that stripped the
-// context still gets slow-query coverage on this node).
+// unsampled probe span in a fresh trace (a request that arrived untraced
+// still gets slow-query coverage on this node).
 func (t *Tracer) Start(parent Context, name string) Active {
 	if t == nil || !t.enabled.Load() {
 		return Active{}

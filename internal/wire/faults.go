@@ -2,19 +2,33 @@
 // mangles real bytes on real sockets — dropping encoded frames, delaying
 // them, duplicating them, flipping bits, or cutting the connection
 // mid-frame — so the receive path's CRC, dedup, and resync machinery is
-// exercised against genuine on-wire damage.
+// exercised against genuine on-wire damage. It acts on the frames of an
+// established connection; the Hello/HelloAck handshake that opens one is
+// written past it, so a redial after a dropped connection reaches a live
+// peer.
 //
 // All draws come from one seeded RNG under one lock: the same seed and the
-// same write sequence injects the same faults. Injected drops wrap
-// flow.ErrDropped, so flow.Transient reports them retryable and the
-// cluster's replication flow.Sender re-sends them.
+// same write sequence injects the same faults. An injected drop is the one
+// failure a caller may safely repeat: the frame never reached the socket,
+// so it wraps ErrDropped and Transient reports it.
 package wire
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"time"
 )
+
+// ErrDropped is the one retryable delivery failure: the fault injector
+// discarded the frame before it was written, so the peer never saw it and
+// sending it again cannot deliver it twice.
+var ErrDropped = errors.New("message dropped")
+
+// Transient reports whether err is an injected drop. Every other failure —
+// a peer that is down, a timed-out round trip, a closed transport — is
+// persistent: repeating the operation at once cannot help.
+func Transient(err error) bool { return errors.Is(err, ErrDropped) }
 
 // Action is the fate the injector assigns to one outgoing frame.
 type Action int
@@ -22,8 +36,7 @@ type Action int
 const (
 	// ActPass delivers the frame untouched.
 	ActPass Action = iota
-	// ActDrop discards the frame without writing (reported as a transient
-	// flow.ErrDropped so senders retry).
+	// ActDrop discards the frame without writing (reported as ErrDropped).
 	ActDrop
 	// ActDup writes the frame twice; the receiver must quarantine the copy.
 	ActDup

@@ -2,7 +2,7 @@
 // frames over ordinary sockets, with a seeded fault injector (faults.go)
 // that mangles traffic at the frame layer. The framing is deliberately dumb — fixed header, one
 // checksum, no compression, no negotiation — because everything interesting
-// (retry, breakers, membership, replication) lives above it and must not
+// (membership, replication and its repair) lives above it and must not
 // depend on transport cleverness.
 //
 // Frame layout (big-endian):
@@ -20,11 +20,15 @@
 //
 // The CRC uses the Castagnoli polynomial, as oplog's durable records do, so
 // "verified by CRC32C" means one thing in this codebase; unlike a record's
-// checksum it also covers the header. A frame whose checksum fails is quarantined: the receiver has a
-// trustworthy length prefix (it already consumed the full frame), so it
-// drops the frame, bumps the quarantine counters, and keeps reading. Only
-// damage that destroys framing itself (bad magic, truncation mid-frame)
-// kills the connection, because byte alignment is unrecoverable.
+// checksum it also covers the header. A frame whose checksum fails is
+// quarantined: the receiver consumed as many bytes as the length prefix
+// promised, so it drops the frame, bumps the quarantine counters, and keeps
+// reading. Damage that destroys framing itself (bad magic, truncation
+// mid-frame) kills the connection, because byte alignment is unrecoverable.
+// The length prefix is trusted before the CRC can be checked, so a damaged
+// one that stays within MaxPayload leaves the reader waiting for bytes that
+// never come: the sender's next round trip on that connection times out and
+// drops it (TCP.roundTrip), and the operation after that redials.
 package wire
 
 import (
@@ -89,53 +93,54 @@ const (
 )
 
 // FlagTrace marks a frame whose payload is prefixed with a 17-byte trace
-// context (DESIGN.md §13). The flag is only set on connections where the
-// Hello/HelloAck handshake negotiated FeatTrace — a legacy peer never sees
-// a flagged frame, so old decoders keep working bit-for-bit.
+// context (DESIGN.md §13).
 const FlagTrace = 0x01
 
-// Handshake feature bits. The Hello payload (and the HelloAck payload) is
-// one of:
-//
-//	[]                                    legacy peer: features 0, epoch 0
-//	[version=1, featureBits]              PR-7 peer: no epoch
-//	[version=2, featureBits, 8B epoch]    PR-9 peer: carries the sender's
-//	                                      authority epoch (DESIGN.md §15)
-//
-// Each side uses the AND of the feature bits it offered and heard. The
-// epoch is informational at the wire layer — fencing decisions belong to
-// the cluster layer, which observes both sides' epochs via the handshake
-// callback — but carrying it here means a zombie's staleness is visible on
-// the very first frame a healed connection exchanges.
+// The Hello and HelloAck payloads have one form, [helloVersion, 8B epoch]:
+// the sender's authority epoch (DESIGN.md §15). Every daemon is built from
+// the same tree, so a handshake in any other form is not a peer, and the
+// side that reads it closes the connection. The epoch is informational at
+// the wire layer — fencing decisions belong to the cluster layer, which
+// observes both sides' epochs via the handshake callback — but carrying it
+// here means a zombie's staleness is visible on the very first frame a
+// healed connection exchanges.
 const (
-	FeatTrace         = 0x01 // peer understands FlagTrace context prefixes
-	helloVersion      = 1
-	helloVersionEpoch = 2
-	helloPayloadLen   = 2
-	helloEpochLen     = helloPayloadLen + 8
+	helloVersion = 3
+	helloLen     = 1 + 8
 )
 
-// encodeHello renders a feature-and-epoch-bearing Hello/HelloAck payload.
-func encodeHello(features byte, epoch uint64) []byte {
-	p := make([]byte, helloEpochLen)
-	p[0] = helloVersionEpoch
-	p[1] = features
-	binary.BigEndian.PutUint64(p[2:], epoch)
+// encodeHello renders a Hello/HelloAck payload.
+func encodeHello(epoch uint64) []byte {
+	p := make([]byte, helloLen)
+	p[0] = helloVersion
+	binary.BigEndian.PutUint64(p[1:], epoch)
 	return p
 }
 
-// decodeHello extracts the feature bits and authority epoch from a
-// Hello/HelloAck payload. Empty (or unrecognized) payloads are legacy
-// peers: no features, epoch 0. Version-1 payloads carry no epoch.
-func decodeHello(payload []byte) (features byte, epoch uint64) {
-	switch {
-	case len(payload) >= helloEpochLen && payload[0] == helloVersionEpoch:
-		return payload[1], binary.BigEndian.Uint64(payload[2:])
-	case len(payload) >= helloPayloadLen && payload[0] == helloVersion:
-		return payload[1], 0
-	default:
-		return 0, 0
+// decodeHello extracts the authority epoch from a Hello/HelloAck payload;
+// ok is false for a payload in any other form.
+func decodeHello(payload []byte) (epoch uint64, ok bool) {
+	if len(payload) != helloLen || payload[0] != helloVersion {
+		return 0, false
 	}
+	return binary.BigEndian.Uint64(payload[1:]), true
+}
+
+// readHello reads one handshake frame, which must have type typ and a
+// well-formed payload, and returns it with the epoch it carries.
+func readHello(r io.Reader, typ byte) (*Frame, uint64, error) {
+	f, err := ReadFrame(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	if f.Type != typ {
+		return nil, 0, fmt.Errorf("unexpected %s", typeName(f.Type))
+	}
+	epoch, ok := decodeHello(f.Payload)
+	if !ok {
+		return nil, 0, fmt.Errorf("malformed %s payload (%d bytes)", typeName(typ), len(f.Payload))
+	}
+	return f, epoch, nil
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

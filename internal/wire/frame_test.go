@@ -3,10 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
-	"repro/internal/flow"
+	"repro/internal/fabric"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -145,8 +146,22 @@ func TestFaultsDeterministicAndTransient(t *testing.T) {
 		t.Fatal("different seeds produced identical fault schedules")
 	}
 
-	if !flow.Transient(errDropped("send", &Frame{From: 0, To: 1})) {
-		t.Fatal("wire drop must be transient so flow.Sender retries it")
+	if !Transient(errDropped("send", &Frame{From: 0, To: 1})) {
+		t.Fatal("an injected drop must be transient: the frame never left, so repeating it is safe")
+	}
+}
+
+// An injected drop, wrapped or not, is the one transient failure. A peer
+// that is down (a refused dial, a timed-out round trip), a closed transport
+// and nil are not.
+func TestTransientClassification(t *testing.T) {
+	drop := errDropped("call", &Frame{From: 0, To: 1})
+	if !Transient(ErrDropped) || !Transient(drop) || !Transient(fmt.Errorf("forward: %w", drop)) {
+		t.Fatal("a dropped frame, wrapped or not, should be transient")
+	}
+	timeout := &PeerDownError{To: 1, Op: "call", Err: errors.New("timeout after 5ms")}
+	if Transient(timeout) || Transient(fabric.ErrClusterClosed) || Transient(nil) {
+		t.Fatal("peer-down, closed and nil errors must not be transient")
 	}
 }
 

@@ -1,20 +1,21 @@
 // TCP is the cluster's message plane. One instance speaks for one rank (one
 // OS process); peers are reached over per-peer outbound connections with a
-// Hello handshake, write deadlines, bounded reconnect backoff, and a
-// flow.Breaker per destination, while a listener accepts inbound
-// connections from peers that dialed us. The peer table holds only the
-// ranks SetPeer has named: it grows as members join, and an operation
-// toward any other rank fails with a PeerDownError. Calls are matched to
-// responses by sequence number; heartbeats are Ping/Pong with a short
-// deadline and bypass the breaker (the heartbeat IS the probe that lets a
-// breaker-opened path be rediscovered as healthy).
+// Hello handshake, write deadlines and bounded reconnect backoff, while a
+// listener accepts inbound connections from peers that dialed us. The peer
+// table holds only the ranks SetPeer has named: it grows as members join,
+// and an operation toward any other rank fails with a PeerDownError. Calls
+// are matched to responses by sequence number; heartbeats are Ping/Pong
+// with a short deadline.
 //
-// Failure semantics at this layer: an injected frame drop is transient
-// (it wraps flow.ErrDropped, so flow.Sender retries it); every
-// persistent failure (dial refused, write timeout, connection reset,
-// reconnect backoff in force) is a *PeerDownError wrapping ErrPeerDown; a
-// closed transport returns fabric.ErrClusterClosed. Callers never see a raw
-// *net.OpError.
+// Failure semantics at this layer: an injected frame drop is transient (it
+// wraps ErrDropped; the frame never left, so the caller may repeat it);
+// every persistent failure (dial refused, write timeout, round-trip
+// timeout, connection reset, reconnect backoff in force) is a
+// *PeerDownError wrapping ErrPeerDown; a closed transport returns
+// fabric.ErrClusterClosed. Callers never see a raw *net.OpError. A failed
+// write or a timed-out round trip drops its connection, so the next
+// operation redials instead of queueing behind a socket that may never
+// answer.
 package wire
 
 import (
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -111,18 +111,8 @@ type TCPConfig struct {
 	// base<<failures elapses, capped (defaults 50ms and 2s).
 	ReconnectBase time.Duration
 	ReconnectCap  time.Duration
-	// BreakerThreshold/BreakerCooldown configure the per-peer breaker
-	// (defaults 5 and 250ms).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Faults, when non-nil, mangles outgoing frames (seeded injection).
 	Faults *Faults
-	// LegacyHandshake makes this transport speak the pre-feature protocol:
-	// empty Hello/HelloAck payloads, no features offered or honored. It
-	// exists so tests can stand in for an old peer; real deployments leave
-	// it false and still interoperate with legacy peers (an empty payload
-	// from the far side negotiates all features off).
-	LegacyHandshake bool
 }
 
 func (c TCPConfig) withDefaults() TCPConfig {
@@ -143,12 +133,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	if c.ReconnectCap <= 0 {
 		c.ReconnectCap = 2 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 250 * time.Millisecond
 	}
 	return c
 }
@@ -171,10 +155,6 @@ type wconn struct {
 	wmu     sync.Mutex
 	lastSeq atomic.Uint64
 	closed  atomic.Bool
-	// feat holds the handshake-negotiated feature bits (the AND of both
-	// sides' offers). Written once during the handshake, before the
-	// connection is shared; read-only afterwards.
-	feat byte
 }
 
 func (w *wconn) close() {
@@ -185,8 +165,6 @@ func (w *wconn) close() {
 
 // peer is this transport's view of one remote rank's outbound path.
 type peer struct {
-	br *flow.Breaker // outbound breaker; set at creation, never replaced
-
 	mu       sync.Mutex
 	addr     string
 	conn     *wconn
@@ -276,18 +254,8 @@ func NewTCP(ln net.Listener, cfg TCPConfig, r *obs.Registry) (*TCP, error) {
 		hHBRTT:       r.Histogram("wire_heartbeat_rtt_ns", obs.LatencyBuckets),
 	}
 	t.peers.Store(new([]*peer))
-	// Surface the wire path's internals in /metrics: outbound breaker opens
-	// across all peers and, when fault injection is armed, what the injector
-	// actually did to the traffic (ISSUE 7 satellite).
-	r.GaugeFunc("wire_breaker_opens_total", func() int64 {
-		var n int64
-		for _, p := range *t.peers.Load() {
-			if p != nil {
-				n += p.br.Opens()
-			}
-		}
-		return n
-	})
+	// When fault injection is armed, /metrics shows what the injector
+	// actually did to the traffic.
 	if f := cfg.Faults; f != nil {
 		r.GaugeFunc("wire_faults_dropped_total", func() int64 { return f.Stats().Dropped })
 		r.GaugeFunc("wire_faults_dupped_total", func() int64 { return f.Stats().Dupped })
@@ -305,15 +273,6 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // Self returns the node this transport speaks for.
 func (t *TCP) Self() fabric.NodeID { return t.cfg.Self }
-
-// Breaker returns the outbound breaker toward rank n (state probes), or nil
-// for a rank SetPeer never named.
-func (t *TCP) Breaker(n fabric.NodeID) *flow.Breaker {
-	if p := t.peer(n); p != nil {
-		return p.br
-	}
-	return nil
-}
 
 // peer returns rank n's outbound path, or nil for a rank never named.
 func (t *TCP) peer(n fabric.NodeID) *peer {
@@ -346,7 +305,7 @@ func (t *TCP) SetPeer(n fabric.NodeID, addr string) {
 		ps := make([]*peer, max(len(old), int(n)+1))
 		copy(ps, old)
 		if ps[n] == nil {
-			ps[n] = &peer{br: flow.NewBreaker(t.cfg.BreakerThreshold, t.cfg.BreakerCooldown)}
+			ps[n] = &peer{}
 			t.peers.Store(&ps)
 		}
 		p = ps[n]
@@ -455,10 +414,9 @@ func (t *TCP) failPending(err error) {
 	t.pmu.Unlock()
 }
 
-// Send ships a one-way payload. A valid tc rides the frame under FlagTrace
-// when the connection's handshake negotiated it, and is silently dropped
-// toward legacy peers; the zero context sends untraced. Self-sends deliver
-// directly to the local handler, with no socket.
+// Send ships a one-way payload. A valid tc rides the frame under FlagTrace;
+// the zero context sends untraced. Self-sends deliver directly to the local
+// handler, with no socket.
 func (t *TCP) Send(from, to fabric.NodeID, payload []byte, tc trace.Context) error {
 	if t.closed.Load() {
 		return fabric.ErrClusterClosed
@@ -475,22 +433,11 @@ func (t *TCP) Send(from, to fabric.NodeID, payload []byte, tc trace.Context) err
 	if err != nil {
 		return err
 	}
-	br := p.br
-	if !br.Allow() {
-		return &flow.BreakerOpenError{To: int(to)}
-	}
-	err = t.writeTo(p, to, &Frame{Type: TypeSend, From: t.cfg.Self, To: to, Payload: payload, Trace: tc})
-	if err == nil {
-		br.Success()
-		return nil
-	}
-	if flow.Transient(err) {
-		// An injected drop is the substrate's loss model, not path death:
-		// the retry layer above owns it.
+	w, err := t.outbound(p, to)
+	if err != nil {
 		return err
 	}
-	br.Failure()
-	return err
+	return t.writeOn(p, w, to, &Frame{Type: TypeSend, From: t.cfg.Self, To: to, Payload: payload, Trace: tc}, nil)
 }
 
 // Call is CallTraced without a trace context.
@@ -515,30 +462,10 @@ func (t *TCP) CallTraced(from, to fabric.NodeID, req []byte, tc trace.Context) (
 	if err != nil {
 		return nil, err
 	}
-	br := p.br
-	if !br.Allow() {
-		return nil, &flow.BreakerOpenError{To: int(to)}
-	}
-	resp, err := t.roundTrip(p, to, TypeCall, req, t.cfg.CallTimeout, tc)
-	if err == nil {
-		br.Success()
-		return resp, nil
-	}
-	if errors.Is(err, errRemote) || flow.Transient(err) {
-		// The peer answered with an application error (path healthy), or the
-		// request frame was an injected drop (transient).
-		if errors.Is(err, errRemote) {
-			br.Success()
-		}
-		return nil, err
-	}
-	br.Failure()
-	return nil, err
+	return t.roundTrip(p, to, TypeCall, req, t.cfg.CallTimeout, tc)
 }
 
-// Heartbeat probes the path to node to with a Ping/Pong round trip. It
-// deliberately bypasses the breaker: heartbeats are the evidence that
-// reopens a path, so they must be allowed to touch it.
+// Heartbeat probes the path to node to with a Ping/Pong round trip.
 func (t *TCP) Heartbeat(from, to fabric.NodeID) error {
 	if t.closed.Load() {
 		return fabric.ErrClusterClosed
@@ -556,7 +483,6 @@ func (t *TCP) Heartbeat(from, to fabric.NodeID) error {
 		return err
 	}
 	t.hHBRTT.Observe(time.Since(start))
-	p.br.Success()
 	return nil
 }
 
@@ -598,18 +524,14 @@ func (t *TCP) roundTrip(p *peer, to fabric.NodeID, typ byte, req []byte, timeout
 	case <-c.done:
 		return c.payload, c.err
 	case <-timer.C:
+		// The response may never come on this socket: ReadFrame trusts the
+		// length prefix before it can check the CRC, so a damaged prefix
+		// leaves the reader waiting for bytes that are not on their way, and
+		// every later round trip here would time out behind it. Drop the
+		// connection; the next operation redials.
+		p.drop(w)
 		return nil, &PeerDownError{To: to, Op: op, Err: fmt.Errorf("timeout after %v", timeout)}
 	}
-}
-
-// writeTo frames and writes one request-direction frame on the outbound
-// connection to node to, dialing if necessary, with fault injection.
-func (t *TCP) writeTo(p *peer, to fabric.NodeID, f *Frame) error {
-	w, err := t.outbound(p, to)
-	if err != nil {
-		return err
-	}
-	return t.writeOn(p, w, to, f, nil)
 }
 
 // writeOn writes one request-direction frame on an already-resolved
@@ -617,7 +539,7 @@ func (t *TCP) writeTo(p *peer, to fabric.NodeID, f *Frame) error {
 // is the round trip awaiting the frame's response.
 func (t *TCP) writeOn(p *peer, w *wconn, to fabric.NodeID, f *Frame, c *call) error {
 	if err := t.writeFrame(w, f, "send", c); err != nil {
-		if flow.Transient(err) {
+		if Transient(err) {
 			return err
 		}
 		// The socket is suspect; drop it so the next operation redials.
@@ -625,6 +547,11 @@ func (t *TCP) writeOn(p *peer, w *wconn, to fabric.NodeID, f *Frame, c *call) er
 		return &PeerDownError{To: to, Op: "send", Err: err}
 	}
 	return nil
+}
+
+// errDropped reports a frame the fault injector dropped; it wraps ErrDropped.
+func errDropped(op string, f *Frame) error {
+	return fmt.Errorf("wire: %s %d->%d: %w", op, f.From, f.To, ErrDropped)
 }
 
 // sequenced reports whether typ is a request-direction frame that writeFrame
@@ -641,18 +568,7 @@ func sequenced(typ byte) bool {
 // connection, so a number taken before the lock would let a concurrent
 // writer's later number reach the socket first and cost this frame its
 // delivery.
-// errDropped reports a frame the fault injector dropped. It wraps
-// flow.ErrDropped, so flow.Transient classifies it as retryable.
-func errDropped(op string, f *Frame) error {
-	return fmt.Errorf("wire: %s %d->%d: %w", op, f.From, f.To, flow.ErrDropped)
-}
-
 func (t *TCP) writeFrame(w *wconn, f *Frame, op string, c *call) error {
-	if f.Trace.Valid() && w.feat&FeatTrace == 0 {
-		// The handshake did not negotiate tracing (legacy peer): drop the
-		// context, keep the payload — old decoders must never see FlagTrace.
-		f.Trace = trace.Context{}
-	}
 	act, arg, delay := t.cfg.Faults.draw(encodedLen(f))
 	if delay > 0 {
 		time.Sleep(delay)
@@ -741,31 +657,21 @@ func (t *TCP) dial(to fabric.NodeID, addr string) (*wconn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	w := &wconn{c: c}
-	hello := &Frame{Type: TypeHello, From: t.cfg.Self, To: to, Seq: t.seq.Add(1)}
-	if !t.cfg.LegacyHandshake {
-		hello.Payload = encodeHello(FeatTrace, t.epoch.Load())
-	}
+	hello := &Frame{Type: TypeHello, From: t.cfg.Self, To: to, Seq: t.seq.Add(1), Payload: encodeHello(t.epoch.Load())}
 	c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
 	if _, err := c.Write(Encode(hello)); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("hello: %w", err)
 	}
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	ack, err := ReadFrame(c)
-	if err != nil || ack.Type != TypeHelloAck {
+	_, epoch, err := readHello(c, TypeHelloAck)
+	if err != nil {
 		c.Close()
-		if err == nil {
-			err = fmt.Errorf("unexpected %s", typeName(ack.Type))
-		}
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
-	if !t.cfg.LegacyHandshake {
-		feat, epoch := decodeHello(ack.Payload)
-		w.feat = FeatTrace & feat
-		t.observeEpoch(to, epoch)
-	}
+	t.observeEpoch(to, epoch)
 	c.SetReadDeadline(time.Time{})
+	w := &wconn{c: c}
 	t.wg.Add(1)
 	go t.readLoop(w, to, false)
 	return w, nil
@@ -802,18 +708,14 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) serveConn(c net.Conn) {
 	defer t.wg.Done()
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	hello, err := ReadFrame(c)
-	if err != nil || hello.Type != TypeHello {
+	hello, epoch, err := readHello(c, TypeHello)
+	if err != nil {
 		c.Close()
 		return
 	}
 	c.SetReadDeadline(time.Time{})
 	w := &wconn{c: c}
-	if !t.cfg.LegacyHandshake {
-		feat, epoch := decodeHello(hello.Payload)
-		w.feat = FeatTrace & feat
-		t.observeEpoch(hello.From, epoch)
-	}
+	t.observeEpoch(hello.From, epoch)
 	t.amu.Lock()
 	if t.closed.Load() {
 		t.amu.Unlock()
@@ -827,11 +729,11 @@ func (t *TCP) serveConn(c net.Conn) {
 		delete(t.accepted, w)
 		t.amu.Unlock()
 	}()
-	ack := &Frame{Type: TypeHelloAck, From: t.cfg.Self, To: hello.From, Seq: hello.Seq}
-	if !t.cfg.LegacyHandshake {
-		ack.Payload = encodeHello(FeatTrace, t.epoch.Load())
-	}
-	if err := t.writeFrame(w, ack, "helloack", nil); err != nil {
+	// Like the dialer's Hello, the HelloAck is written past the fault
+	// injector: faults damage traffic on an established connection.
+	ack := &Frame{Type: TypeHelloAck, From: t.cfg.Self, To: hello.From, Seq: hello.Seq, Payload: encodeHello(t.epoch.Load())}
+	c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+	if _, err := c.Write(Encode(ack)); err != nil {
 		w.close()
 		return
 	}
@@ -876,7 +778,7 @@ func (t *TCP) readLoop(w *wconn, from fabric.NodeID, inbound bool) {
 		switch f.Type {
 		case TypePing:
 			pong := &Frame{Type: TypePong, From: t.cfg.Self, To: f.From, Seq: f.Seq}
-			if err := t.writeFrame(w, pong, "pong", nil); err != nil && !flow.Transient(err) {
+			if err := t.writeFrame(w, pong, "pong", nil); err != nil && !Transient(err) {
 				return
 			}
 		case TypeSend:
@@ -910,7 +812,7 @@ func (t *TCP) serveCall(w *wconn, f *Frame) {
 		resp.Type = TypeResp
 		resp.Payload = out
 	}
-	if err := t.writeFrame(w, resp, "resp", nil); err != nil && !flow.Transient(err) {
+	if err := t.writeFrame(w, resp, "resp", nil); err != nil && !Transient(err) {
 		w.close()
 	}
 }

@@ -1,16 +1,15 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -100,9 +99,10 @@ func TestTCPSendCallHeartbeat(t *testing.T) {
 	if _, err := a.Call(0, 1, []byte("x")); !RemoteError(err) {
 		t.Fatalf("expected remote error, got %v", err)
 	}
-	// And they do not trip the breaker.
-	if st := a.Breaker(1).State(); st != flow.Closed {
-		t.Fatalf("breaker state after remote error = %v", st)
+	// And they leave the path alone: the next call is answered.
+	hb.call = nil
+	if resp, err := a.Call(0, 1, []byte("again")); err != nil || string(resp) != "echo:again" {
+		t.Fatalf("call after a remote error = %q, %v", resp, err)
 	}
 
 	// Self paths never touch a socket.
@@ -162,7 +162,7 @@ func dialRaw(t *testing.T, addr string, self fabric.NodeID) *rawPeer {
 	}
 	t.Cleanup(func() { c.Close() })
 	p := &rawPeer{c: c, seq: 1}
-	if _, err := c.Write(Encode(&Frame{Type: TypeHello, From: self, To: 0, Seq: p.seq})); err != nil {
+	if _, err := c.Write(Encode(&Frame{Type: TypeHello, From: self, To: 0, Seq: p.seq, Payload: encodeHello(0)})); err != nil {
 		t.Fatalf("raw hello: %v", err)
 	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -293,35 +293,53 @@ func TestTCPInjectedDuplicationExactlyOnce(t *testing.T) {
 	}
 }
 
-// Injected drops are transient and flow.Sender recovers them by retrying —
-// the contract cluster replication relies on.
+// An injected drop is transient: the frame never reached the socket, so
+// repeating the operation cannot deliver it twice. Retrying a dropped call
+// until it lands, as cluster.callTraced does, serves every request exactly
+// once.
 func TestTCPInjectedDropIsRetryable(t *testing.T) {
 	faults := NewFaults(7, FaultsConfig{DropProb: 0.5})
 	a := newTestTCP(t, 0, nil, faults)
 	b := newTestTCP(t, 1, nil, nil)
-	h := &testHandler{}
-	b.SetHandler(1, h)
+	var mu sync.Mutex
+	served := map[string]int{}
+	b.SetHandler(1, &testHandler{call: func(_ fabric.NodeID, req []byte) ([]byte, error) {
+		mu.Lock()
+		served[string(req)]++
+		mu.Unlock()
+		return req, nil
+	}})
 	a.SetPeer(1, b.Addr())
 
-	reg := obs.NewRegistry("")
-	sender := flow.NewSenderOver(func(from, to fabric.NodeID, n int) error {
-		return a.Send(from, to, bytes.Repeat([]byte("x"), n), trace.Context{})
-	}, flow.SenderConfig{Retries: 8, Seed: 1}, reg)
-
-	const sends = 30
-	for i := 0; i < sends; i++ {
-		if err := sender.Send(0, 1, 16); err != nil {
-			t.Fatalf("send %d not recovered: %v", i, err)
+	const calls = 30
+	drops := 0
+	for i := 0; i < calls; i++ {
+		req := []byte(fmt.Sprint(i))
+		for {
+			_, err := a.Call(0, 1, req)
+			if err == nil {
+				break
+			}
+			if !Transient(err) {
+				t.Fatalf("call %d = %v; want success or an injected drop", i, err)
+			}
+			drops++
 		}
 	}
-	waitFor(t, "all retried sends delivered", func() bool { return h.sendCount() == sends })
-	if n := reg.Counter("flow_send_recovered_total").Value(); n == 0 {
-		t.Fatal("expected retry recoveries under 50% drop, flow_send_recovered_total = 0")
+	if drops == 0 {
+		t.Fatal("no request dropped at 50%; the test proved nothing")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < calls; i++ {
+		if n := served[fmt.Sprint(i)]; n != 1 {
+			t.Fatalf("request %d served %d times, want exactly once", i, n)
+		}
 	}
 }
 
 // Persistent failures surface typed: ErrPeerDown (never a raw *net.OpError),
-// the breaker trips to fast-fail, and a restarted peer is rediscovered.
+// and a restarted peer is rediscovered.
 func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
 	a := newTestTCP(t, 0, nil, nil)
 	b := newTestTCP(t, 1, nil, nil)
@@ -333,8 +351,8 @@ func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
 	}
 
 	b.Close()
-	var sawPeerDown, sawFastFail bool
-	for i := 0; i < 50; i++ {
+	var sawPeerDown bool
+	for i := 0; i < 50 && !sawPeerDown; i++ {
 		err := a.Send(0, 1, []byte("into the void"), trace.Context{})
 		if err == nil {
 			// A one-way write can land in the kernel buffer before the RST
@@ -347,25 +365,18 @@ func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
 		if errors.As(err, &op) {
 			t.Fatalf("raw *net.OpError leaked: %v", err)
 		}
-		if errors.Is(err, ErrPeerDown) {
-			sawPeerDown = true
-			var pd *PeerDownError
-			if !errors.As(err, &pd) || pd.To != 1 {
-				t.Fatalf("PeerDownError details wrong: %v", err)
-			}
+		var pd *PeerDownError
+		if !errors.Is(err, ErrPeerDown) || !errors.As(err, &pd) || pd.To != 1 {
+			t.Fatalf("send to a closed peer = %v; want a PeerDownError for node 1", err)
 		}
-		if errors.Is(err, flow.ErrBreakerOpen) {
-			sawFastFail = true
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+		sawPeerDown = true
 	}
-	if !sawPeerDown || !sawFastFail {
-		t.Fatalf("expected both typed failures: peerDown=%v fastFail=%v", sawPeerDown, sawFastFail)
+	if !sawPeerDown {
+		t.Fatal("sends to a closed peer never failed")
 	}
 
-	// Peer restarts on the same address: heartbeats (breaker-bypassing)
-	// rediscover it and normal traffic resumes.
+	// Peer restarts on the same address: heartbeats rediscover it and normal
+	// traffic resumes.
 	b2, err := ListenTCP(addr, TCPConfig{Self: 1, ReconnectBase: 5 * time.Millisecond, ReconnectCap: 50 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatalf("restart listener: %v", err)
@@ -377,6 +388,124 @@ func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
 	})
 	if err := a.Send(0, 1, []byte("back"), trace.Context{}); err != nil {
 		t.Fatalf("send after recovery: %v", err)
+	}
+}
+
+// serveRaw accepts connections on ln until it closes and hands each to
+// serve, which owns it; it returns a counter of the connections accepted.
+func serveRaw(t *testing.T, serve func(c net.Conn, n int32)) (addr string, accepted *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted = new(atomic.Int32)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				serve(c, accepted.Add(1))
+			}()
+		}
+	}()
+	return ln.Addr().String(), accepted
+}
+
+// A response whose length prefix lost one bit, but still fits under
+// MaxPayload, leaves the caller's reader waiting for bytes that never come,
+// so no later frame on that socket can be read. The call times out; the next
+// call on the same transport must redial instead of waiting behind it.
+func TestTCPTimedOutCallRedialsPastDamagedLengthPrefix(t *testing.T) {
+	addr, accepted := serveRaw(t, func(c net.Conn, n int32) {
+		hello, _, err := readHello(c, TypeHello)
+		if err != nil {
+			return
+		}
+		if _, err := c.Write(Encode(&Frame{Type: TypeHelloAck, From: 1, To: hello.From, Seq: hello.Seq, Payload: encodeHello(0)})); err != nil {
+			return
+		}
+		damage := n == 1
+		for {
+			f, err := ReadFrame(c)
+			if err != nil {
+				return
+			}
+			if f.Type != TypeCall {
+				continue
+			}
+			buf := Encode(&Frame{Type: TypeResp, From: 1, To: f.From, Seq: f.Seq, Payload: []byte("pong")})
+			if damage {
+				damage = false
+				buf[19] ^= 0x01 // length 4 becomes 1<<16 + 4
+			}
+			if _, err := c.Write(buf); err != nil {
+				return
+			}
+		}
+	})
+	a, err := ListenTCP("127.0.0.1:0", TCPConfig{Self: 0, DialTimeout: time.Second, WriteTimeout: time.Second, CallTimeout: 200 * time.Millisecond}, nil)
+	if err != nil {
+		t.Fatalf("ListenTCP: %v", err)
+	}
+	t.Cleanup(func() { a.Close() })
+	a.SetPeer(1, addr)
+
+	if _, err := a.Call(0, 1, []byte("ping")); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("call answered with a damaged length = %v; want a timeout", err)
+	}
+	resp, err := a.Call(0, 1, []byte("ping"))
+	if err != nil || string(resp) != "pong" {
+		t.Fatalf("call after the timeout = %q, %v; want an answer on a fresh connection", resp, err)
+	}
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("%d connections accepted, want 2", n)
+	}
+}
+
+// Every daemon speaks one handshake. An acceptor that hears a Hello in any
+// other form closes the connection without answering, and a dialer that
+// hears a HelloAck in any other form closes it and reports the peer down.
+func TestTCPHandshakeRefusesOtherForms(t *testing.T) {
+	a := newTestTCP(t, 0, nil, nil)
+	a.SetHandler(0, &testHandler{})
+	for _, payload := range otherHelloForms() {
+		c, err := net.DialTimeout("tcp", a.Addr(), time.Second)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if _, err := c.Write(Encode(&Frame{Type: TypeHello, From: 1, Seq: 1, Payload: payload})); err != nil {
+			t.Fatalf("write hello: %v", err)
+		}
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		f, err := ReadFrame(c)
+		c.Close()
+		var ne net.Error
+		if err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("hello payload %x: read %v, %v; want the connection closed", payload, f, err)
+		}
+	}
+
+	for _, payload := range otherHelloForms() {
+		addr, _ := serveRaw(t, func(c net.Conn, _ int32) {
+			hello, err := ReadFrame(c)
+			if err != nil {
+				return
+			}
+			c.Write(Encode(&Frame{Type: TypeHelloAck, From: 1, To: hello.From, Seq: hello.Seq, Payload: payload}))
+			ReadFrame(c) // returns when the dialer closes
+		})
+		a.SetPeer(1, addr)
+		if _, err := a.Call(0, 1, []byte("x")); !errors.Is(err, ErrPeerDown) {
+			t.Fatalf("call after helloack payload %x = %v; want ErrPeerDown", payload, err)
+		}
+		if _, err := RawCall(addr, 2, 1, []byte("x"), time.Second); !errors.Is(err, ErrPeerDown) {
+			t.Fatalf("RawCall after helloack payload %x = %v; want ErrPeerDown", payload, err)
+		}
 	}
 }
 
@@ -465,7 +594,7 @@ func TestTCPUnnamedRankIsPeerDown(t *testing.T) {
 		if err := a.Heartbeat(0, to); !errors.Is(err, ErrPeerDown) {
 			t.Fatalf("Heartbeat to unnamed rank %d: %v", to, err)
 		}
-		if a.Breaker(to) != nil || a.PeerAddr(to) != "" {
+		if a.PeerAddr(to) != "" {
 			t.Fatalf("rank %d has state before SetPeer", to)
 		}
 	}

@@ -86,18 +86,29 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// otherHelloForms are handshake payloads no daemon built from this tree
+// sends: the empty and two-byte forms of older builds, their ten-byte
+// feature-and-epoch form, and the current form cut short or overlong.
+func otherHelloForms() [][]byte {
+	return [][]byte{
+		nil,
+		{1, 1},
+		append([]byte{2, 1}, make([]byte, 8)...),
+		encodeHello(7)[:helloLen-1],
+		append(encodeHello(7), 0),
+	}
+}
+
+// The handshake payload has one form: it round-trips its epoch, and no
+// other form decodes.
 func TestHelloFeatureBytes(t *testing.T) {
-	if got, ep := decodeHello(nil); got != 0 || ep != 0 {
-		t.Fatalf("legacy empty hello -> features %x epoch %d", got, ep)
+	if ep, ok := decodeHello(encodeHello(7)); !ok || ep != 7 {
+		t.Fatalf("epoch roundtrip: %d, %v", ep, ok)
 	}
-	if got, ep := decodeHello(encodeHello(FeatTrace, 7)); got != FeatTrace || ep != 7 {
-		t.Fatalf("features+epoch roundtrip: %x %d", got, ep)
-	}
-	if got, ep := decodeHello([]byte{helloVersion, FeatTrace}); got != FeatTrace || ep != 0 {
-		t.Fatalf("v1 hello must carry features but no epoch, got %x %d", got, ep)
-	}
-	if got, ep := decodeHello([]byte{99, FeatTrace}); got != 0 || ep != 0 {
-		t.Fatalf("unknown version must negotiate nothing, got %x %d", got, ep)
+	for _, p := range otherHelloForms() {
+		if ep, ok := decodeHello(p); ok {
+			t.Fatalf("payload %x decoded (epoch %d); want it refused", p, ep)
+		}
 	}
 }
 
@@ -155,54 +166,6 @@ func TestTraceContextPropagatesOverTCP(t *testing.T) {
 	}
 	if len(tr.Nodes) != 2 {
 		t.Fatalf("nodes %v", tr.Nodes)
-	}
-}
-
-// TestLegacyPeerCompatibility pins the handshake downgrade in both
-// directions: a feature-speaking transport and a legacy one interoperate,
-// contexts are dropped instead of mangling frames, and payloads flow.
-func TestLegacyPeerCompatibility(t *testing.T) {
-	for _, dir := range []string{"new-dials-old", "old-dials-new"} {
-		t.Run(dir, func(t *testing.T) {
-			mk := func(self fabric.NodeID, legacy bool) *TCP {
-				tr, err := ListenTCP("127.0.0.1:0", TCPConfig{
-					Self:        self,
-					DialTimeout: time.Second, WriteTimeout: time.Second,
-					CallTimeout: 2 * time.Second, LegacyHandshake: legacy,
-				}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { tr.Close() })
-				return tr
-			}
-			var caller, callee *TCP
-			calleeLegacy := dir == "new-dials-old"
-			caller = mk(0, !calleeLegacy && dir == "old-dials-new")
-			callee = mk(1, calleeLegacy)
-
-			serverT := trace.New(trace.Config{SampleEvery: 1, Node: 1})
-			h := &tracedHandler{tracer: serverT}
-			callee.SetHandler(1, h)
-			caller.SetPeer(1, callee.Addr())
-
-			tc := trace.Context{TraceID: 42, SpanID: 42, Flags: trace.FlagSampled}
-			resp, err := caller.CallTraced(0, 1, []byte("hi"), tc)
-			if err != nil {
-				t.Fatalf("CallTraced across versions: %v", err)
-			}
-			if !bytes.Equal(resp, []byte("echo:hi")) {
-				t.Fatalf("resp %q", resp)
-			}
-			// Whichever side is legacy, no context may survive the hop.
-			if got, ok := h.lastCtx(); ok && got.Valid() {
-				t.Fatalf("context crossed a legacy hop: %+v", got)
-			}
-			if err := caller.Send(0, 1, []byte("d"), tc); err != nil {
-				t.Fatalf("Send: %v", err)
-			}
-			waitFor(t, "legacy send delivery", func() bool { return h.sendCount() == 1 })
-		})
 	}
 }
 
