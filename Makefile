@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/core/... ./internal/fabric/... ./internal/server/... \
              ./internal/store/... ./internal/vts/... ./internal/sindex/... \
              ./internal/tstore/... ./internal/strserver/... ./internal/exec/...
 
-.PHONY: all ci fmt vet build build-cmds test shapes race faults fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e clean
+.PHONY: all ci fmt vet build build-cmds test shapes race faults fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e bench-compare clean
 
 all: ci
 
@@ -121,6 +121,13 @@ bench-smoke:
 # daemons over loopback, three workloads, the metrics BENCHMARK.json declares.
 bench-e2e:
 	$(GO) run ./benchmark
+
+# Two result sets of `go run ./benchmark -repeat 5 -out FILE`, cell by cell:
+# the medians, their relative difference and each metric's bound. Exits 1 if
+# any cell leaves its bound, e.g.
+#   make bench-compare OLD=parent.json NEW=change.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 clean:
 	$(GO) clean ./...

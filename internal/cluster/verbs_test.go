@@ -289,6 +289,104 @@ func FuzzApplyVerb(f *testing.F) {
 	})
 }
 
+// A LOAD after the first sealed snapshot is written at the next snapshot
+// number, not the base one. The setup verbs seal <a> po <b> under SN 1, so a
+// LOAD touching <b>'s predicate index at the base snapshot would regress it
+// and panic every replica. One-shots see the loaded triple from the next
+// stable snapshot on, and not before.
+func TestLoadAfterTheFirstSealedSnapshot(t *testing.T) {
+	eng, err := core.New(core.Config{Nodes: 2, Metrics: obs.NewRegistry("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, setup := range verbSeeds[:6] {
+		if _, err := ApplyVerb(eng, nil, setup.kind, strings.Fields(setup.args), setup.body); err != nil {
+			t.Fatalf("setup %s: %v", setup.kind, err)
+		}
+	}
+	rows := func() int {
+		t.Helper()
+		res, err := eng.Query("SELECT ?X WHERE { ?X q <b> }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Len()
+	}
+	if _, err := ApplyVerb(eng, nil, "LOAD", nil, "<c> <q> <b> .\n"); err != nil {
+		t.Fatal(err)
+	}
+	if n := rows(); n != 0 {
+		t.Errorf("%d rows before the next stable snapshot, want 0", n)
+	}
+	if _, err := ApplyVerb(eng, nil, "ADVANCE", []string{"200"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := rows(); n != 1 {
+		t.Errorf("%d rows from the next stable snapshot on, want 1", n)
+	}
+	if _, err := ApplyVerb(eng, nil, "EMIT", []string{"S"}, "<c> <po> <b> . @250\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyVerb(eng, nil, "ADVANCE", []string{"300"}, ""); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// LOADs racing ADVANCEs on a standalone daemon, where nothing serialises
+// ApplyVerb, never write below a batch still being injected, nor below one
+// still to be sealed: the streams seal two batches per 100 ms snapshot plan
+// and the clock moves 50 ms a step, so half the time the newest published
+// plan still has a batch to come.
+func TestConcurrentLoadAndAdvance(t *testing.T) {
+	eng, err := core.New(core.Config{Nodes: 2, Metrics: obs.NewRegistry("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, name := range []string{"S", "T"} {
+		if _, err := ApplyVerb(eng, nil, "STREAM", []string{name, "50"}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 60
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= rounds; i++ {
+			for _, name := range []string{"S", "T"} {
+				body := fmt.Sprintf("<v%d> <po> <hub> . @%d\n<hub> <po> <v%d> . @%d\n", i, 50*i-10, i, 50*i-5)
+				if _, err := ApplyVerb(eng, nil, "EMIT", []string{name}, body); err != nil {
+					t.Error(err)
+				}
+			}
+			if _, err := ApplyVerb(eng, nil, "ADVANCE", []string{strconv.Itoa(50 * i)}, ""); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := ApplyVerb(eng, nil, "LOAD", nil, fmt.Sprintf("<hub> <po> <w%d> .\n<w%d> <po> <hub> .\n", i, i)); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	if _, err := ApplyVerb(eng, nil, "ADVANCE", []string{strconv.Itoa(50 * (rounds + 2))}, ""); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query("SELECT ?X WHERE { <hub> po ?X }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 * rounds; res.Len() != want { // one edge per round from S, T and the loads
+		t.Errorf("<hub> has %d out-neighbours once everything is stable, want %d", res.Len(), want)
+	}
+}
+
 // A durable log that holds a refused op resumes cleanly: the op replays as
 // refused — its seq used up, nothing applied, no error — and the restarted
 // authority holds what the crashed one held.

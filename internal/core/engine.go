@@ -238,6 +238,10 @@ type Engine struct {
 
 	ft *ftState // non-nil when fault tolerance is enabled
 
+	// sealMu orders loads after the batches sealed before them: AdvanceTo
+	// holds it shared while it seals and injects, LoadTriples exclusively.
+	sealMu sync.RWMutex
+
 	tick atomic.Int64 // AdvanceTo counter; continuous queries replan per tick
 
 	closed bool
@@ -407,19 +411,42 @@ func (e *Engine) Now() rdf.Timestamp {
 	return e.now
 }
 
-// LoadTriples bulk-loads initially stored data (visible at the base
-// snapshot), all or nothing: when the triples' unseen predicates would not
-// fit the predicate space it loads none of them, interns nothing and returns
-// strserver.ErrPredicateSpace.
+// LoadTriples bulk-loads stored data, all or nothing: when the triples'
+// unseen predicates would not fit the predicate space it loads none of them,
+// interns nothing and returns strserver.ErrPredicateSpace.
+//
+// Data loaded before the first batch is sealed is visible at the base
+// snapshot. Later, a load takes a snapshot number as a batch does (§4.1,
+// §4.3): the next one, the lowest any stream may still write at, so no key
+// sees its snapshots regress, and one-shots see the whole load from the next
+// stable snapshot on.
 func (e *Engine) LoadTriples(triples []rdf.Triple) error {
 	pids := make([]rdf.ID, len(triples))
 	if err := e.ss.InternPredicates(pids, func(i int) string { return triples[i].P.Value }); err != nil {
 		return err
 	}
+	e.sealMu.Lock()
+	defer e.sealMu.Unlock()
+	sn := e.loadSN()
 	for i, t := range triples {
-		e.stored.Insert(e.ss.EncodeWith(t, pids[i]), store.BaseSN)
+		e.stored.Insert(e.ss.EncodeWith(t, pids[i]), sn)
 	}
 	return nil
+}
+
+// loadSN is the snapshot number a load writes at. Caller holds sealMu, so no
+// batch is sealed or injected meanwhile.
+func (e *Engine) loadSN() uint32 {
+	if e.coord.PlansPublished() == 0 {
+		return store.BaseSN
+	}
+	e.mu.Lock()
+	next := make([]tstore.BatchID, len(e.streamByID))
+	for i, st := range e.streamByID {
+		next[i] = st.src.SealedTo() + 1
+	}
+	e.mu.Unlock()
+	return e.coord.NextSN(next)
 }
 
 // LoadEncoded bulk-loads pre-encoded triples (generator hot path).
@@ -660,7 +687,8 @@ func (e *Engine) AdvanceTo(ts rdf.Timestamp) {
 	// batches with one snapshot number consecutive per key (§4.3), so
 	// injection proceeds SN group by SN group: within a group streams run
 	// concurrently (their batches in stream order), with a barrier before
-	// the next SN.
+	// the next SN. A load waits for the phase, since it writes above it.
+	e.sealMu.RLock()
 	type job struct {
 		st *streamState
 		b  stream.Batch
@@ -702,6 +730,7 @@ func (e *Engine) AdvanceTo(ts rdf.Timestamp) {
 		}
 		groupWG.Wait()
 	}
+	e.sealMu.RUnlock()
 
 	// Phase 2: fire continuous queries whose next windows are stable.
 	trig := e.obs.Span("trigger")

@@ -239,10 +239,6 @@ func (e *Engine) statsFor(q *sparql.Query) plan.StatsProvider {
 type statsAdapter struct {
 	e *Engine
 	q *sparql.Query
-	// total is the stored tuple count window fractions divide by, read once
-	// per adapter (0 until then): Compile asks once per stream pattern, and
-	// each read sweeps every store stripe.
-	total float64
 }
 
 func (s *statsAdapter) PredStats(pid rdf.ID) (int64, int64, int64) {
@@ -263,11 +259,8 @@ func (s *statsAdapter) WindowFraction(g sparql.GraphRef) float64 {
 	}
 	batches := float64(w.Range.Milliseconds()) / float64(st.src.Interval().Milliseconds())
 	winTuples := st.avgTuplesPerBatch() * math.Max(batches, 1)
-	if s.total == 0 {
-		// Values count both directions.
-		s.total = math.Max(float64(s.e.stored.Memory().Values)/2, 1)
-	}
-	f := winTuples / s.total
+	// Values count both directions.
+	f := winTuples / math.Max(float64(s.e.stored.Memory().Values)/2, 1)
 	if f > 1 {
 		return 1
 	}

@@ -165,20 +165,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) by linear interpolation
-// within the covering bucket, clamped to the observed min/max.
-func (h *Histogram) Quantile(q float64) int64 {
-	s := h.Snapshot()
-	if s.Count == 0 {
-		return 0
-	}
-	counts := make([]int64, len(s.Buckets))
-	for i, b := range s.Buckets {
-		counts[i] = b.Count
-	}
-	return quantile(h.bounds, counts, s.Count, s.Min, s.Max, q)
-}
-
 func quantile(bounds []int64, counts []int64, total, min, max int64, q float64) int64 {
 	target := int64(math.Ceil(q * float64(total)))
 	if target < 1 {

@@ -153,14 +153,6 @@ func (r *Registry) SetEnabled(on bool) {
 // Enabled reports whether the registry records (false for nil).
 func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
 
-// Prefix returns the registry's export prefix.
-func (r *Registry) Prefix() string {
-	if r == nil {
-		return ""
-	}
-	return r.prefix
-}
-
 // lookup returns the metric registered under name, or nil.
 func (r *Registry) lookup(name string) Metric {
 	r.mu.RLock()

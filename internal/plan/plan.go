@@ -216,18 +216,22 @@ func Compile(q *sparql.Query, enc Encoder, stats StatsProvider) (*Plan, error) {
 			// variable-predicate patterns schedule after selective ones.
 			c.edges, c.subj, c.obj = 1e6, 1e4, 1e4
 		}
-		c.windowF = stats.WindowFraction(pat.Graph)
-		if pvar == "" && pat.Graph.Kind == sparql.StreamGraph {
+		c.windowF = 1
+		if pat.Graph.Kind == sparql.StreamGraph {
 			// Window-scoped statistics, when the provider has them, estimate
-			// the window's contents directly — no down-scaling of whole-store
-			// counts needed.
-			if wsp, ok := stats.(WindowStatsProvider); ok {
-				if e, s, o, ok := wsp.WindowPredStats(pat.Graph, pid); ok {
-					c.edges = math.Max(float64(e), 1)
-					c.subj = math.Max(float64(s), 1)
-					c.obj = math.Max(float64(o), 1)
-					c.windowF = 1
-				}
+			// the window's contents directly. Only without them is the
+			// window's fraction asked for, to scale whole-store counts down.
+			var e, s, o int64
+			wsp, ok := stats.(WindowStatsProvider)
+			if ok {
+				e, s, o, ok = wsp.WindowPredStats(pat.Graph, pid)
+			}
+			if ok {
+				c.edges = math.Max(float64(e), 1)
+				c.subj = math.Max(float64(s), 1)
+				c.obj = math.Max(float64(o), 1)
+			} else {
+				c.windowF = stats.WindowFraction(pat.Graph)
 			}
 		}
 		pats = append(pats, c)

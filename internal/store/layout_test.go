@@ -68,6 +68,9 @@ func TestChunkFitsItsSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(entry{}); got != 64 {
 		t.Errorf("entry is %d bytes, want 64", got)
 	}
+	if got := unsafe.Sizeof(cell{}); got != 16 {
+		t.Errorf("a key-table cell is %d bytes, want 16, four to a cache line", got)
+	}
 	// The allocator prefixes a pointerful object this large with an 8-byte
 	// header; both must fit the 8192-byte class.
 	if got := unsafe.Sizeof(chunk{}) + 8; got > 8192 {
@@ -274,9 +277,127 @@ func TestShardMatchesModel(t *testing.T) {
 	}
 }
 
+// TestKeyTableMatchesMap drives a key table and a map through the same seeded
+// inserts and lookups, word 0 and the all-ones word among the keys, across
+// every doubling from 16 cells to 2^16; after each doubling every key must
+// still find its slot and the table must hold nothing else.
+func TestKeyTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tab := newKeyTable(minTableCells)
+	oracle := map[uint64]uint32{}
+	check := func(when string) {
+		t.Helper()
+		for w, at := range oracle {
+			if got, ok := tab.get(w); !ok || got != at {
+				t.Fatalf("%s: get(%#x) = %d, %v; want %d", when, w, got, ok, at)
+			}
+		}
+		used := 0
+		for _, c := range tab.cells {
+			if c.at1 != 0 {
+				used++
+			}
+		}
+		if used != len(oracle) || tab.n != len(oracle) || tab.n*4 > len(tab.cells)*3 {
+			t.Fatalf("%s: %d cells used, n = %d, %d cells; the map holds %d", when, used, tab.n, len(tab.cells), len(oracle))
+		}
+	}
+	sizes := []int{len(tab.cells)}
+	edges := []uint64{0, ^uint64(0), 1, ^uint64(0) - 1}
+	for len(tab.cells) < 1<<16 {
+		w := rng.Uint64()
+		if len(edges) > 0 {
+			w, edges = edges[0], edges[1:]
+		} else if rng.Intn(4) == 0 {
+			w = uint64(rng.Intn(1 << 12)) // small words, some of them repeats
+		}
+		i, ok := tab.lookup(w)
+		if at, want := oracle[w]; ok != want || ok && tab.cells[i].at1-1 != at {
+			t.Fatalf("lookup(%#x) = %d, %v; the map has %d, %v", w, i, ok, at, want)
+		}
+		if !ok {
+			oracle[w] = uint32(len(oracle))
+			tab.insert(i, w, oracle[w])
+		}
+		absent := rng.Uint64()
+		if _, ok := oracle[absent]; !ok {
+			if _, ok := tab.get(absent); ok {
+				t.Fatalf("get(%#x) found a key the map lacks", absent)
+			}
+		}
+		if len(tab.cells) != sizes[len(sizes)-1] {
+			sizes = append(sizes, len(tab.cells))
+			check(fmt.Sprintf("after doubling to %d cells", len(tab.cells)))
+		}
+	}
+	check("at the end")
+	for i, n := range sizes {
+		if n != minTableCells<<i {
+			t.Fatalf("the table went through sizes %v, want every doubling from %d", sizes, minTableCells)
+		}
+	}
+	for _, w := range []uint64{0, ^uint64(0)} {
+		if _, ok := tab.get(w); !ok {
+			t.Errorf("word %#x is lost", w)
+		}
+	}
+}
+
+// The keys of one stripe share the top bits of their hash, so the probe
+// start must come from the bits below them: otherwise every key of a stripe
+// starts at the same cell and the table degrades to one long run.
+func TestKeyTableSpreadsOneStripe(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	tab := newKeyTable(minTableCells)
+	for tab.n < 5000 {
+		if w := rng.Uint64(); stripeOf(w) == 3 {
+			if i, ok := tab.lookup(w); !ok {
+				tab.insert(i, w, uint32(tab.n))
+			}
+		}
+	}
+	longest, run := 0, 0
+	for _, c := range append(tab.cells, tab.cells...) { // a run may wrap
+		if c.at1 == 0 {
+			run = 0
+			continue
+		}
+		run++
+		longest = max(longest, run)
+	}
+	if longest > len(tab.cells)/16 {
+		t.Errorf("%d keys of one stripe in %d cells make a run of %d occupied cells", tab.n, len(tab.cells), longest)
+	}
+}
+
+// RangeKeys visits every key exactly once, across the table doublings of
+// every stripe.
+func TestRangeKeysVisitsEachKeyOnce(t *testing.T) {
+	s := NewShard(0, 0)
+	const keys = 20_000
+	for i := 0; i < keys; i++ {
+		s.AppendOne(EdgeKey(rdf.ID(1+i/2), rdf.ID(1+i%5), Dir(i%2)), rdf.ID(i), BaseSN)
+	}
+	seen := map[Key]int{}
+	s.RangeKeys(func(k Key, vals []rdf.ID) {
+		seen[k]++
+		if len(vals) != 1 {
+			t.Errorf("%v ranges with %d values, want 1", k, len(vals))
+		}
+	})
+	if len(seen) != keys {
+		t.Errorf("RangeKeys visited %d distinct keys, want %d", len(seen), keys)
+	}
+	for k, n := range seen {
+		if n != 1 {
+			t.Errorf("RangeKeys visited %v %d times", k, n)
+		}
+	}
+}
+
 // A single-value key costs about half a heap object: its one-value list, which
 // the allocator packs two to a 16-byte block. The entry is a slot in a chunk
-// shared with 126 others, and the map slot holding the key is no object.
+// shared with 126 others, and the table cell holding the key is no object.
 func TestStoreHeapObjectsPerKey(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap counts are meaningless under the race detector")
@@ -317,6 +438,9 @@ func TestShardHotPathsDoNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Get(k, BaseSN) }); n != 0 {
 		t.Errorf("Get allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.GetSpan(k, Span{Start: 1, End: 3}) }); n != 0 {
+		t.Errorf("GetSpan allocates %.0f times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { s.AppendOne(k, 2, BaseSN) }); n != 0 {
 		t.Errorf("AppendOne at the newest snapshot allocates %.0f times, want 0", n)

@@ -10,10 +10,13 @@
 //
 // A shard stores each key as one 64-bit word, vid<<18 | pid<<1 | dir: the
 // string server's 46-bit entity and 17-bit predicate spaces fill it exactly.
-// Each of a shard's stripes maps that word to a slot in its slab, a list of
-// fixed-size chunks of entries that never move, so a key costs no heap object
-// of its own: its map slot holds no pointer, and its entry, with its first
-// two snapshot boundaries inline, shares a chunk with 126 others.
+// Each of a shard's stripes keeps a flat open-addressed table of 16-byte
+// cells, the word and the slot of its entry in the stripe's slab, four to a
+// cache line: a lookup reads one line in the common case, as the paper's
+// hash bucket does. The slab is a list of fixed-size chunks of entries that
+// never move, so a key costs no heap object of its own: its table cell holds
+// no pointer, and its entry, with its first two snapshot boundaries inline,
+// shares a chunk with 126 others.
 //
 // Values are append-only. Each key keeps a bounded list of snapshot
 // boundaries {SN, end}: a one-shot query reading at stable snapshot number s
@@ -26,6 +29,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -195,6 +199,76 @@ const (
 	stripes    = 1 << stripeBits
 )
 
+// fib is the Fibonacci hashing multiplier. Its product with a packed word
+// picks the stripe from the top stripeBits bits and the probe start within
+// the stripe's table from the bits below them: the top bits are the same for
+// every key of a stripe.
+const fib = 0x9e3779b97f4a7c15
+
+// cell is one slot of a keyTable: a packed key word and the slab slot of its
+// entry plus one. Every word is a real key (allKeyBits is all ones), so an
+// empty cell is marked by at1 == 0, never by its word.
+type cell struct {
+	w   uint64
+	at1 uint32
+}
+
+// minTableCells is the size of a new stripe's table.
+const minTableCells = 16
+
+// keyTable maps packed key words to slab slots: open addressing with linear
+// probing over a power-of-two array that doubles when it passes ¾ full. Keys
+// are never deleted, so it needs no tombstones.
+type keyTable struct {
+	cells []cell
+	shift uint8 // 64 - log2(len(cells))
+	n     int   // keys held
+}
+
+func newKeyTable(size int) keyTable {
+	return keyTable{cells: make([]cell, size), shift: uint8(64 - bits.Len(uint(size-1)))}
+}
+
+// lookup returns the index of w's cell and true, or the index of the empty
+// cell where w belongs and false.
+func (t *keyTable) lookup(w uint64) (int, bool) {
+	mask := len(t.cells) - 1
+	for i := int(w * fib << stripeBits >> t.shift); ; i = (i + 1) & mask {
+		c := &t.cells[i]
+		if c.at1 == 0 {
+			return i, false
+		}
+		if c.w == w {
+			return i, true
+		}
+	}
+}
+
+// get returns w's slab slot.
+func (t *keyTable) get(w uint64) (uint32, bool) {
+	i, ok := t.lookup(w)
+	return t.cells[i].at1 - 1, ok
+}
+
+// insert stores w, absent, at slab slot at in cell i, which lookup(w)
+// returned, and doubles the table once it is over ¾ full.
+func (t *keyTable) insert(i int, w uint64, at uint32) {
+	t.cells[i] = cell{w: w, at1: at + 1}
+	t.n++
+	if t.n*4 <= len(t.cells)*3 {
+		return
+	}
+	n, old := t.n, t.cells
+	*t = newKeyTable(2 * len(old))
+	t.n = n
+	for _, c := range old {
+		if c.at1 != 0 {
+			j, _ := t.lookup(c.w)
+			t.cells[j] = c
+		}
+	}
+}
+
 // Shard is one node's partition of the persistent store. Reads and writes
 // are safe for concurrent use; the injector additionally partitions the key
 // space across its threads so writes rarely contend (§4.1).
@@ -205,8 +279,8 @@ type Shard struct {
 	mu [stripes]sync.RWMutex
 	// kv[st] maps a packed key to its slot in slab[st]; slot i is entry
 	// i%chunkLen of chunk i/chunkLen. Slots are handed out in order and never
-	// freed, so stat[st].entries is the next one.
-	kv   [stripes]map[uint64]uint32
+	// freed, so kv[st].n is the next one.
+	kv   [stripes]keyTable
 	slab [stripes][]*chunk
 	stat [stripes]shardStat
 
@@ -226,14 +300,13 @@ type Shard struct {
 }
 
 type shardStat struct {
-	entries   int64
 	values    int64
 	segBounds int64
 }
 
 // stripeOf picks a packed key's stripe from the top bits of its Fibonacci
 // hash.
-func stripeOf(w uint64) int { return int(w * 0x9e3779b97f4a7c15 >> (64 - stripeBits)) }
+func stripeOf(w uint64) int { return int(w * fib >> (64 - stripeBits)) }
 
 // NewShard creates an empty shard for a node.
 func NewShard(node fabric.NodeID, maxSnapshots int) *Shard {
@@ -242,7 +315,7 @@ func NewShard(node fabric.NodeID, maxSnapshots int) *Shard {
 	}
 	s := &Shard{node: node, maxSnapshots: maxSnapshots}
 	for i := range s.kv {
-		s.kv[i] = make(map[uint64]uint32)
+		s.kv[i] = newKeyTable(minTableCells)
 	}
 	return s
 }
@@ -256,7 +329,7 @@ func (s *Shard) at(st int, i uint32) *entry { return &s.slab[st][i/chunkLen][i%c
 // find returns the entry of packed key w in stripe st, or nil. Caller holds
 // mu[st].
 func (s *Shard) find(st int, w uint64) *entry {
-	i, ok := s.kv[st][w]
+	i, ok := s.kv[st].get(w)
 	if !ok {
 		return nil
 	}
@@ -266,15 +339,15 @@ func (s *Shard) find(st int, w uint64) *entry {
 // entryLocked returns packed key w's entry in stripe st, carving it from the
 // slab on first sight. Caller holds mu[st].
 func (s *Shard) entryLocked(st int, w uint64) *entry {
-	if i, ok := s.kv[st][w]; ok {
-		return s.at(st, i)
+	c, ok := s.kv[st].lookup(w)
+	if ok {
+		return s.at(st, s.kv[st].cells[c].at1-1)
 	}
-	i := uint32(s.stat[st].entries)
+	i := uint32(s.kv[st].n)
 	if i%chunkLen == 0 {
 		s.slab[st] = append(s.slab[st], new(chunk))
 	}
-	s.kv[st][w] = i
-	s.stat[st].entries++
+	s.kv[st].insert(c, w, i)
 	e := s.at(st, i)
 	e.segs = e.inline[:0]
 	return e
@@ -283,8 +356,10 @@ func (s *Shard) entryLocked(st int, w uint64) *entry {
 // eachLocked calls f with every key of stripe st and its entry, in no
 // particular order. Caller holds mu[st].
 func (s *Shard) eachLocked(st int, f func(Key, *entry)) {
-	for w, i := range s.kv[st] {
-		f(unpack(w), s.at(st, i))
+	for _, c := range s.kv[st].cells {
+		if c.at1 != 0 {
+			f(unpack(c.w), s.at(st, c.at1-1))
+		}
 	}
 }
 
@@ -379,8 +454,8 @@ func (s *Shard) appendOne(key Key, val rdf.ID, sn uint32, floor bool) (sp Span, 
 func (s *Shard) RangeKeys(f func(Key, []rdf.ID)) {
 	for st := 0; st < stripes; st++ {
 		s.mu[st].RLock()
-		keys := make([]Key, 0, len(s.kv[st]))
-		vals := make([][]rdf.ID, 0, len(s.kv[st]))
+		keys := make([]Key, 0, s.kv[st].n)
+		vals := make([][]rdf.ID, 0, s.kv[st].n)
 		s.eachLocked(st, func(k Key, e *entry) {
 			keys = append(keys, k)
 			vals = append(vals, append([]rdf.ID(nil), e.vals...))
@@ -509,7 +584,7 @@ func (s *Shard) Memory() MemoryStats {
 	var m MemoryStats
 	for st := 0; st < stripes; st++ {
 		s.mu[st].RLock()
-		m.Entries += s.stat[st].entries
+		m.Entries += int64(s.kv[st].n)
 		m.Values += s.stat[st].values
 		m.SegBoundaries += s.stat[st].segBounds
 		s.mu[st].RUnlock()
@@ -526,7 +601,7 @@ func (s *Shard) Len() int {
 	var n int64
 	for st := 0; st < stripes; st++ {
 		s.mu[st].RLock()
-		n += s.stat[st].entries
+		n += int64(s.kv[st].n)
 		s.mu[st].RUnlock()
 	}
 	return int(n)

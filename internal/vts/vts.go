@@ -19,6 +19,7 @@ package vts
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/fabric"
@@ -171,13 +172,34 @@ func (c *Coordinator) AddStreamRate(rate float64) StreamID {
 func (c *Coordinator) targetForLocked(sn uint32) VTS {
 	target := make(VTS, c.streams)
 	for s := range target {
-		if sn <= c.addedAt[s] {
-			continue // stream did not exist yet: target 0
-		}
-		k := float64(sn - c.addedAt[s])
-		target[s] = tstore.BatchID(k*c.rates[s] + 1e-9)
+		target[s] = c.streamTargetLocked(StreamID(s), sn)
 	}
 	return target
+}
+
+// streamTargetLocked is stream s's batch target in plan sn.
+func (c *Coordinator) streamTargetLocked(s StreamID, sn uint32) tstore.BatchID {
+	if sn <= c.addedAt[s] {
+		return 0 // stream did not exist yet
+	}
+	k := float64(sn - c.addedAt[s])
+	return tstore.BatchID(k*c.rates[s] + 1e-9)
+}
+
+// snForLocked is the snapshot number of batch b of stream s: the first
+// retained plan whose target covers it, or else the first plan still to be
+// published that will.
+func (c *Coordinator) snForLocked(s StreamID, b tstore.BatchID) uint32 {
+	for _, p := range c.plans {
+		if int(s) < len(p.Target) && p.Target[s] >= b {
+			return p.SN
+		}
+	}
+	sn := c.nextSN
+	for c.streamTargetLocked(s, sn) < b {
+		sn++
+	}
+	return sn
 }
 
 // publishLocked appends the next SN–VTS plan. The arithmetic policy derives
@@ -205,15 +227,26 @@ func (c *Coordinator) publishLocked() Plan {
 func (c *Coordinator) SNForBatch(s StreamID, b tstore.BatchID) uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		for _, p := range c.plans {
-			if int(s) < len(p.Target) && p.Target[s] >= b {
-				return p.SN
-			}
-		}
+	sn := c.snForLocked(s, b)
+	for c.nextSN <= sn {
 		c.stallWaits++
 		c.publishLocked()
 	}
+	return sn
+}
+
+// NextSN returns the lowest snapshot number a batch not yet sealed can
+// belong to, given next[s], the first unsealed batch of each stream s. No
+// stream will write below it, and no plan at or above it is stable yet. It
+// publishes nothing; with no streams it returns math.MaxUint32.
+func (c *Coordinator) NextSN(next []tstore.BatchID) uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lowest := uint32(math.MaxUint32)
+	for s, b := range next {
+		lowest = min(lowest, c.snForLocked(StreamID(s), b))
+	}
+	return lowest
 }
 
 // OnBatchInserted records that node completed inserting batch b of stream s,

@@ -1,6 +1,7 @@
 package vts
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +202,38 @@ func TestGossipCharged(t *testing.T) {
 	c.SNForBatch(0, 9)
 	if got := f.Stats().RPCs; got == 0 {
 		t.Error("plan publication charged no RPCs")
+	}
+}
+
+// NextSN is the SN the first unsealed batch of each stream will get, the
+// lowest of them, and publishes nothing. A stream with two batches per plan
+// can leave it below the newest published plan: batch 3 gets SN 2, which
+// batch 4 still shares.
+func TestNextSNIsTheLowestUnsealedBatchSN(t *testing.T) {
+	c := NewCoordinator(nil, 1, 0, 1)
+	fast, slow := c.AddStreamRate(2), c.AddStreamRate(0.5)
+	c.SNForBatch(fast, 3)
+	published := c.PlansPublished()
+	if sn := c.NextSN([]tstore.BatchID{4, 1}); sn != 2 {
+		t.Errorf("NextSN(fast b4, slow b1) = %d, want 2", sn)
+	}
+	if sn := c.NextSN([]tstore.BatchID{9, 1}); sn != 2 {
+		t.Errorf("NextSN(fast b9, slow b1) = %d, want slow's 2", sn)
+	}
+	if c.PlansPublished() != published {
+		t.Errorf("NextSN published %d plans", c.PlansPublished()-published)
+	}
+	for _, b := range []struct {
+		s  StreamID
+		b  tstore.BatchID
+		sn uint32
+	}{{fast, 4, 2}, {slow, 1, 2}, {fast, 9, 5}} {
+		if sn := c.SNForBatch(b.s, b.b); sn != b.sn {
+			t.Errorf("SNForBatch(%d, b%d) = %d, want %d", b.s, b.b, sn, b.sn)
+		}
+	}
+	if sn := c.NextSN(nil); sn != math.MaxUint32 {
+		t.Errorf("NextSN with no streams = %d", sn)
 	}
 }
 
