@@ -61,15 +61,17 @@ faults:
 # boundary: the op decoder never panics and round-trips, the verb interpreter
 # never panics and leaves no trace of an op it refuses, the in-memory tuple
 # parser never panics and agrees with the streaming Reader, every tuple the
-# renderer writes parses back to itself, and the durable log's Open never
+# renderer writes parses back to itself, the durable log's Open never
 # panics on a damaged segment and leaves a log that ranges and appends
-# cleanly. -fuzz takes one target per run.
+# cleanly, and a snapshot file either loads to a payload that saves back to
+# the same bytes or is quarantined. -fuzz takes one target per run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTuples$$' -fuzztime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzTupleRoundTrip$$' -fuzztime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzOplogOpen$$' -fuzztime 5s ./internal/oplog
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/oplog
 
 # Quick confidence pass, including the chaos kill/recover smoke test.
 smoke:

@@ -49,6 +49,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/oplog"
+	"repro/internal/rdf"
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -177,6 +178,18 @@ func main() {
 			CQDeadline:    o.cqDL,
 		},
 	}
+	var initial []rdf.Triple
+	if o.load != "" {
+		f, err := os.Open(o.load)
+		if err != nil {
+			log.Fatal(err)
+		}
+		initial, err = rdf.ReadAllTriples(f)
+		f.Close()
+		if err != nil {
+			log.Fatalf("loading %s: %v", o.load, err)
+		}
+	}
 	var srvp atomic.Pointer[server.Server]
 	ftDir := o.dataDir
 	if o.listen != "" {
@@ -184,7 +197,7 @@ func main() {
 	}
 	// Recovered queries route their firings into the server's POLL buffers
 	// once it is up (earlier re-fires predate any client).
-	eng, err := openEngine(cfg, ftDir, func(name string) func(*core.Result, core.FireInfo) {
+	eng, err := openEngine(cfg, ftDir, initial, func(name string) func(*core.Result, core.FireInfo) {
 		return func(res *core.Result, f core.FireInfo) {
 			if s := srvp.Load(); s != nil {
 				s.BufferResult(name, res, f)
@@ -195,18 +208,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer eng.Close()
-
 	if o.load != "" {
-		f, err := os.Open(o.load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		n, err := eng.LoadReader(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("loading %s: %v", o.load, err)
-		}
-		fmt.Printf("loaded %d triples from %s\n", n, o.load)
+		fmt.Printf("loaded %d triples from %s\n", len(initial), o.load)
 	}
 	build := obs.RegisterBuildInfo(eng.Metrics())
 	fmt.Printf("wukongsd %s\n", build)
@@ -354,22 +357,31 @@ func discover(join, advertise string) fabric.NodeID {
 	return fabric.NodeID(r)
 }
 
-// openEngine builds the standalone engine. With an ftDir that holds a §5
-// log this start is a restart: the engine is recovered from the log, and a
-// log that does not recover is an error — never a reason to start empty over
-// it. Otherwise a fresh engine logs into ftDir (when set) from now on.
-func openEngine(cfg core.Config, ftDir string, callbacks func(name string) func(*core.Result, core.FireInfo)) (*core.Engine, error) {
+// openEngine builds the standalone engine over the initial (-load) triples.
+// With an ftDir that holds a §5 log this start is a restart: the engine is
+// recovered from the log, and a log that does not recover is an error —
+// never a reason to start empty over it. Otherwise a fresh engine logs into
+// ftDir (when set) from now on. The initial triples are loaded before the
+// log opens, so the log never holds them: each start loads them once.
+func openEngine(cfg core.Config, ftDir string, initial []rdf.Triple, callbacks func(name string) func(*core.Result, core.FireInfo)) (*core.Engine, error) {
 	ftCfg := core.FTConfig{Dir: ftDir, CheckpointEveryBatches: 100}
 	if ftDir != "" && oplog.Exists(ftDir) {
-		eng, err := core.Recover(cfg, ftCfg, nil, callbacks)
+		eng, err := core.Recover(cfg, ftCfg, initial, callbacks)
 		if err == nil {
 			fmt.Printf("recovered engine state from %s\n", ftDir)
 		}
 		return eng, err
 	}
 	eng, err := core.New(cfg)
-	if err != nil || ftDir == "" {
-		return eng, err
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.LoadTriples(initial); err != nil {
+		eng.Close()
+		return nil, err
+	}
+	if ftDir == "" {
+		return eng, nil
 	}
 	if err := eng.EnableFT(ftCfg); err != nil {
 		eng.Close()

@@ -95,7 +95,7 @@ func TestOpenEngine(t *testing.T) {
 	// firstLife starts on a fresh directory and leaves one logged batch.
 	firstLife := func(t *testing.T) string {
 		dir := filepath.Join(t.TempDir(), "ft")
-		eng, err := openEngine(cfg, dir, nil)
+		eng, err := openEngine(cfg, dir, nil, nil)
 		if err != nil {
 			t.Fatalf("fresh dir: %v", err)
 		}
@@ -113,7 +113,7 @@ func TestOpenEngine(t *testing.T) {
 
 	t.Run("fresh dir gives a new engine", func(t *testing.T) {
 		dir := t.TempDir()
-		eng, err := openEngine(cfg, dir, nil)
+		eng, err := openEngine(cfg, dir, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestOpenEngine(t *testing.T) {
 	})
 
 	t.Run("dir with state gives the recovered rows", func(t *testing.T) {
-		eng, err := openEngine(cfg, firstLife(t), nil)
+		eng, err := openEngine(cfg, firstLife(t), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +135,35 @@ func TestOpenEngine(t *testing.T) {
 		}
 		if got := res.Strings(); len(got) != 1 || got[0] != "T-1" {
 			t.Fatalf("recovered rows = %v, want [T-1]", got)
+		}
+	})
+
+	t.Run("a restart loads the preload once and recovers a later load", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "ft")
+		preload := []rdf.Triple{rdf.T("Logan", "po", "T-1")}
+		eng, err := openEngine(cfg, dir, preload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.LoadTriples([]rdf.Triple{rdf.T("Logan", "po", "T-2")}); err != nil {
+			t.Fatal(err)
+		}
+		eng.Kill()
+		for life := 2; life <= 3; life++ {
+			eng, err := openEngine(cfg, dir, preload, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Query(q)
+			eng.Kill()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Strings()
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, []string{"T-1", "T-2"}) {
+				t.Fatalf("life %d answers %v, want [T-1 T-2]", life, got)
+			}
 		}
 	})
 
@@ -154,7 +183,7 @@ func TestOpenEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := dirBytes(t, dir)
-		if eng, err := openEngine(cfg, dir, nil); err == nil {
+		if eng, err := openEngine(cfg, dir, nil, nil); err == nil {
 			eng.Close()
 			t.Fatal("opened a log whose first record is damaged")
 		}

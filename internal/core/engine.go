@@ -69,9 +69,6 @@ type Config struct {
 	// 100 ms): streams contribute batches to a snapshot proportionally to
 	// their mini-batch interval.
 	SNCadence time.Duration
-	// TransientBudget is the per-stream, per-node transient-store budget in
-	// bytes (default tstore.DefaultBudget).
-	TransientBudget int64
 	// ForkThreshold is the table size that triggers scatter/gather in
 	// fork-join execution (default 32).
 	ForkThreshold int
@@ -108,7 +105,6 @@ type Config struct {
 	// defaults and query deadlines. The zero value leaves admission unbounded
 	// and deadlines off.
 	Flow FlowConfig
-	// SeedTables pre-sizes nothing yet; reserved.
 }
 
 // FlowConfig is the engine's overload-protection knob set (DESIGN.md §10).
@@ -419,7 +415,8 @@ func (e *Engine) Now() rdf.Timestamp {
 // snapshot. Later, a load takes a snapshot number as a batch does (§4.1,
 // §4.3): the next one, the lowest any stream may still write at, so no key
 // sees its snapshots regress, and one-shots see the whole load from the next
-// stable snapshot on.
+// stable snapshot on. With fault tolerance on, the load is logged first, and
+// a load the log refuses is not applied.
 func (e *Engine) LoadTriples(triples []rdf.Triple) error {
 	pids := make([]rdf.ID, len(triples))
 	if err := e.ss.InternPredicates(pids, func(i int) string { return triples[i].P.Value }); err != nil {
@@ -427,6 +424,9 @@ func (e *Engine) LoadTriples(triples []rdf.Triple) error {
 	}
 	e.sealMu.Lock()
 	defer e.sealMu.Unlock()
+	if err := e.ftLogLoad(triples); err != nil {
+		return err
+	}
 	sn := e.loadSN()
 	for i, t := range triples {
 		e.stored.Insert(e.ss.EncodeWith(t, pids[i]), sn)
@@ -513,7 +513,7 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 		cfg:    cfg,
 	}
 	for n := range st.trans {
-		st.trans[n] = tstore.New(e.cfg.TransientBudget)
+		st.trans[n] = tstore.New(0)
 	}
 	e.registerStreamMetrics(st, cfg.Name)
 	e.streams[cfg.Name] = st

@@ -15,20 +15,26 @@ import (
 	"repro/internal/tstore"
 )
 
-// Fault tolerance (§5): Wukong+S assumes upstream backup (sources buffer and
-// replay recent batches), logs registered continuous queries, and performs
-// incremental checkpointing of streaming data. Recovery reloads the initial
-// RDF data, re-registers the logged streams and queries, replays the logged
-// batches in order, and asks sources to replay anything after the last
-// checkpoint. Continuous queries get at-least-once semantics: a window may
-// execute twice across a failure, which clients deduplicate by the window's
-// time information.
+// Fault tolerance (§5): the engine logs stream registrations, continuous
+// queries, loads and injected batches, and recovery replays the log: it
+// reloads the initial RDF data, re-registers the logged streams and queries,
+// re-applies the logged loads and re-emits the logged batches in order.
+// Continuous queries get at-least-once semantics: a window may execute twice
+// across a failure, which clients deduplicate by the window's time
+// information.
+//
+// The paper's upstream backup — sources buffer what they sent and replay it
+// on request — is the client's buffer: nothing in this process keeps a copy
+// of a sealed batch, and nothing here asks a source to replay one. What
+// survives a crash is what the log holds. A checkpoint is one fsync of it;
+// a torn tail loses its records.
 //
 // All of it lives in one oplog.Log, one record per event in the order the
 // engine saw them:
 //
 //	S <ftStreamMeta JSON>          a stream registration
 //	Q <query text>                 a continuous-query registration
+//	L <N-Triples>                  a load, one "<triple> ." line per triple
 //	B <stream> <batch>\n<tuples>   an injected batch, one "<triple> . @ts" line per tuple
 
 // FTConfig configures fault tolerance.
@@ -54,8 +60,7 @@ type ftState struct {
 
 	mu sync.Mutex
 	// err is the first failed append or sync. It sticks: nothing is appended
-	// after it (the log would have a hole), and Checkpoint reports it
-	// instead of trimming upstream backup that may be all that is left.
+	// after it (the log would have a hole), and Checkpoint reports it.
 	err     error
 	sinceCk int
 	stats   FTStats
@@ -65,8 +70,9 @@ type ftState struct {
 // oplog.Log.Damaged) — bit rot or a torn write.
 const ftQuarantineCounter = "ft_quarantined_records_total"
 
-// appendLocked logs rec as the next record; a registration is synced before
-// it returns, a batch waits for the next checkpoint. Caller holds st.mu.
+// appendLocked logs rec as the next record; a registration or load is synced
+// before it returns, a batch waits for the next checkpoint. Caller holds
+// st.mu.
 func (st *ftState) appendLocked(rec []byte, sync bool) error {
 	if st.err == nil {
 		st.err = st.log.Append(st.log.Last()+1, rec)
@@ -122,25 +128,25 @@ func (e *Engine) EnableFT(cfg FTConfig) error {
 	return nil
 }
 
-// ftStreamMeta is the persisted form of a stream registration.
+// ftStreamMeta is the persisted form of a stream registration. Logs written
+// before the engine dropped its upstream-backup buffer also carry
+// "backup_batches"; decoding skips it.
 type ftStreamMeta struct {
-	Name          string   `json:"name"`
-	BatchMS       int64    `json:"batch_ms"`
-	TimingPreds   []string `json:"timing_preds,omitempty"`
-	KeepPreds     []string `json:"keep_preds,omitempty"`
-	BackupBatches int      `json:"backup_batches,omitempty"`
-	MaxDelayMS    int64    `json:"max_delay_ms,omitempty"`
+	Name        string   `json:"name"`
+	BatchMS     int64    `json:"batch_ms"`
+	TimingPreds []string `json:"timing_preds,omitempty"`
+	KeepPreds   []string `json:"keep_preds,omitempty"`
+	MaxDelayMS  int64    `json:"max_delay_ms,omitempty"`
 }
 
 // ftLogStream logs one stream registration. Caller holds e.mu.
 func (e *Engine) ftLogStream(st *streamState) error {
 	meta, err := json.Marshal(ftStreamMeta{
-		Name:          st.cfg.Name,
-		BatchMS:       st.src.Interval().Milliseconds(),
-		TimingPreds:   st.cfg.TimingPredicates,
-		KeepPreds:     st.cfg.KeepPredicates,
-		BackupBatches: st.cfg.BackupBudget,
-		MaxDelayMS:    st.cfg.MaxDelay.Milliseconds(),
+		Name:        st.cfg.Name,
+		BatchMS:     st.src.Interval().Milliseconds(),
+		TimingPreds: st.cfg.TimingPredicates,
+		KeepPreds:   st.cfg.KeepPredicates,
+		MaxDelayMS:  st.cfg.MaxDelay.Milliseconds(),
 	})
 	if err != nil {
 		return err
@@ -159,9 +165,29 @@ func (e *Engine) ftLogQuery(text string) {
 	_ = e.ft.appendLocked([]byte("Q "+text), true) // sticks in ft.err; Checkpoint reports it
 }
 
+// ftLogLoad logs a load before it is applied, synced like a registration:
+// an acked LOAD survives a crash. The caller holds e.sealMu, so the record
+// lands after every batch sealed before the load and before any sealed after
+// it, and replay gives the load the same snapshot number.
+func (e *Engine) ftLogLoad(triples []rdf.Triple) error {
+	e.mu.Lock()
+	st := e.ft
+	e.mu.Unlock()
+	if st == nil || len(triples) == 0 {
+		return nil
+	}
+	rec := []byte("L ")
+	for _, t := range triples {
+		rec = append(rdf.AppendTriple(rec, t), " .\n"...)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.appendLocked(rec, true)
+}
+
 // ftLogBatch logs one batch before it is injected, so every batch a stable
-// VTS covers is in the log when Checkpoint syncs it and trims below that VTS.
-// Runs on the injection path, so its cost is the paper's "logging delay for
+// VTS covers is in the log when the next Checkpoint syncs it. Runs on the
+// injection path, so its cost is the paper's "logging delay for
 // each batch".
 func (e *Engine) ftLogBatch(sst *streamState, b stream.Batch) {
 	st := e.ft
@@ -189,40 +215,25 @@ func (e *Engine) ftLogBatch(sst *streamState, b stream.Batch) {
 	}
 }
 
-// Checkpoint makes every logged record durable (one fsync of the log) and
-// then asks each source to trim its upstream backup below its stable VTS:
-// those batches are on disk now. If any append or sync has failed, it
-// returns that error and trims nothing.
+// Checkpoint makes every logged record durable: one fsync of the log. If any
+// append or sync has failed, it returns that error.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	st := e.ft
+	e.mu.Unlock()
 	if st == nil {
-		e.mu.Unlock()
 		return fmt.Errorf("core: FT not enabled")
 	}
-	stable := e.coord.StableVTS()
-	trims := make(map[*stream.Source]tstore.BatchID, len(e.streamByID))
-	for _, sst := range e.streamByID {
-		trims[sst.src] = stable[sst.id] + 1
-	}
-	e.mu.Unlock()
-
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.err == nil {
 		st.err = st.log.Sync()
 	}
-	err := st.err
 	st.sinceCk = 0
-	if err == nil {
-		st.stats.Checkpoints++
+	if st.err != nil {
+		return fmt.Errorf("core: checkpoint: %w", st.err)
 	}
-	st.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	for src, before := range trims {
-		src.TrimBackup(before)
-	}
+	st.stats.Checkpoints++
 	return nil
 }
 
@@ -242,14 +253,16 @@ func (e *Engine) FTStats() (FTStats, error) {
 // Recover rebuilds an engine from a fault-tolerance directory: it reloads
 // the initial RDF data, replays the log — re-registering streams and
 // continuous queries (callbacks come from the factory, since functions
-// cannot be persisted) and re-emitting batches — and advances past the last
-// replayed batch, which re-fires the recovered windows. The log stays open
+// cannot be persisted), re-applying loads and re-emitting batches — and
+// advances past the last replayed batch, which re-fires the recovered
+// windows. A load replays at the clock the batches before it reached, as in
+// the first life, so it takes the same snapshot number. The log stays open
 // as the recovered engine's log.
 //
 // A torn or corrupt tail is counted in ft_quarantined_records_total and
-// replay stops before it; upstream backup covers the gap. A log whose first
-// record is damaged recovers nothing, so Recover fails without touching the
-// directory.
+// replay stops before it: its records are lost, and nothing in this process
+// re-emits them. A log whose first record is damaged recovers nothing, so
+// Recover fails without touching the directory.
 func Recover(cfg Config, ftCfg FTConfig, initial []rdf.Triple, callbacks func(name string) func(*Result, FireInfo)) (*Engine, error) {
 	if !oplog.Exists(ftCfg.Dir) {
 		return nil, fmt.Errorf("core: recover: %s holds no fault-tolerance log", ftCfg.Dir)
@@ -277,6 +290,9 @@ func Recover(cfg Config, ftCfg FTConfig, initial []rdf.Triple, callbacks func(na
 	}
 	var maxTS rdf.Timestamp
 	err = l.Range(0, 0, func(seq uint64, rec []byte) error {
+		if maxTS > 0 && bytes.HasPrefix(rec, []byte("L ")) {
+			e.AdvanceTo(maxTS) // a no-op once the clock is there
+		}
 		end, err := e.replayRecord(string(rec), callbacks)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", seq, err)
@@ -298,7 +314,7 @@ func Recover(cfg Config, ftCfg FTConfig, initial []rdf.Triple, callbacks func(na
 }
 
 // replayRecord applies one logged record to a recovering engine and returns
-// the end of the batch it re-emitted (0 for a registration). Every query is
+// the end of the batch it re-emitted (0 for any other record). Every query is
 // registered before the final AdvanceTo injects anything, so windows that
 // fired before the crash fire again over the replayed data — the paper's
 // at-least-once contract (§5).
@@ -315,7 +331,6 @@ func (e *Engine) replayRecord(rec string, callbacks func(name string) func(*Resu
 			BatchInterval:    time.Duration(m.BatchMS) * time.Millisecond,
 			TimingPredicates: m.TimingPreds,
 			KeepPredicates:   m.KeepPreds,
-			BackupBudget:     m.BackupBatches,
 			MaxDelay:         time.Duration(m.MaxDelayMS) * time.Millisecond,
 		})
 		return 0, err
@@ -330,6 +345,12 @@ func (e *Engine) replayRecord(rec string, callbacks func(name string) func(*Resu
 		}
 		_, err = e.RegisterContinuous(body, cb)
 		return 0, err
+	case "L":
+		triples, err := rdf.ParseTriples(body)
+		if err != nil {
+			return 0, err
+		}
+		return 0, e.LoadTriples(triples)
 	case "B":
 		head, lines, _ := strings.Cut(body, "\n")
 		var name string

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -46,11 +47,6 @@ func TestFTLogAndCheckpoint(t *testing.T) {
 
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-	// Checkpoint syncs the log and trims the upstream backup below the
-	// stable VTS.
-	if n := tweets.BackupLen(); n != 0 {
-		t.Errorf("backup after checkpoint = %d batches", n)
 	}
 	if st, _ := e.FTStats(); st.Checkpoints != 1 {
 		t.Errorf("Checkpoints = %d, want 1", st.Checkpoints)
@@ -322,9 +318,8 @@ func TestFTDetectsCorruptStreamMetadata(t *testing.T) {
 }
 
 // A failed append sticks: no later batch is appended behind the hole, and
-// Checkpoint reports the failure and trims no upstream backup — the batches
-// it would trim may exist nowhere else.
-func TestFTFailedAppendStopsCheckpointTrim(t *testing.T) {
+// Checkpoint reports the failure.
+func TestFTFailedAppendSticks(t *testing.T) {
 	dir := t.TempDir()
 	e, tweets, _ := figure1Engine(t, 2)
 	if err := e.EnableFT(FTConfig{Dir: dir}); err != nil {
@@ -341,19 +336,121 @@ func TestFTFailedAppendStopsCheckpointTrim(t *testing.T) {
 	emit(t, tweets, 150, "Logan", "po", "T-16")
 	e.AdvanceTo(200)
 
-	backup := tweets.BackupLen()
-	if backup == 0 {
-		t.Fatal("upstream backup is empty; the trim check below would be vacuous")
-	}
 	if err := e.Checkpoint(); err == nil {
 		t.Fatal("checkpoint after a failed append succeeded")
-	}
-	if n := tweets.BackupLen(); n != backup {
-		t.Errorf("backup trimmed to %d of %d batches after a failed append", n, backup)
 	}
 	st, _ := e.FTStats()
 	if st.Checkpoints != 0 || st.LoggedBatches != 2 {
 		t.Errorf("stats = %+v, want no checkpoint and only the 2 batches before the failure", st)
+	}
+	// A load the log refuses is not applied either: it would not survive.
+	if err := e.LoadTriples([]rdf.Triple{rdf.T("Logan", "po", "T-17")}); err == nil {
+		t.Error("load after a failed append succeeded")
+	}
+	e.AdvanceTo(300)
+	res, err := e.Query(`SELECT ?P WHERE { Logan po ?P }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Strings(); slices.Contains(got, "T-17") {
+		t.Errorf("refused load is visible: %v", got)
+	}
+}
+
+// TestFTLoadSurvivesRestart: a load is logged like a registration, so a
+// restart recovers it, at the snapshot number it took in the first life. The
+// load before any sealed batch is visible at once; the one after batches were
+// sealed is visible only from the next stable snapshot, before and after the
+// crash alike.
+func TestFTLoadSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	e, err := New(Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	if err := e.EnableFT(FTConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	src, err := e.RegisterStream(stream.Config{Name: "S", BatchInterval: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(e *Engine, o string) {
+		t.Helper()
+		if err := e.LoadTriples([]rdf.Triple{rdf.T("a", "p", o)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := func(e *Engine) string {
+		t.Helper()
+		res, err := e.Query(`SELECT ?o WHERE { a p ?o }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Strings()
+		sort.Strings(got)
+		return strings.Join(got, " ")
+	}
+	load(e, "b")
+	emit(t, src, 10, "x", "q", "y")
+	e.AdvanceTo(200)
+	load(e, "c")
+	if got := objects(e); got != "b" {
+		t.Fatalf("first life answers %q, want %q", got, "b")
+	}
+	e.Kill()
+
+	re, err := Recover(Config{Nodes: 2}, FTConfig{Dir: dir}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(re.Close)
+	if got := objects(re); got != "b" {
+		t.Errorf("recovered engine answers %q, want %q", got, "b")
+	}
+	re.AdvanceTo(300)
+	if got := objects(re); got != "b c" {
+		t.Errorf("after the next snapshot the recovered engine answers %q, want %q", got, "b c")
+	}
+	re.Close()
+	if recs := ftRecords(t, dir); recs["L"] != 2 {
+		t.Errorf("log records = %v, want 2 loads (replay logs none)", recs)
+	}
+}
+
+// TestFTRecoversLogWithBackupBatches recovers a log as engines wrote it while
+// they kept an upstream-backup buffer: its stream record carries the buffer's
+// budget, which the engine no longer has.
+func TestFTRecoversLogWithBackupBatches(t *testing.T) {
+	dir := t.TempDir()
+	l, err := oplog.Open(dir, oplog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range []string{
+		`S {"name":"S","batch_ms":100,"backup_batches":256}`,
+		"B S 1\n<Logan> <po> <T-1> . @10\n",
+	} {
+		if err := l.Append(uint64(i+1), []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	re, err := Recover(Config{Nodes: 2}, FTConfig{Dir: dir}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if src, ok := re.SourceOf("S"); !ok || src.Interval() != 100*time.Millisecond || src.SealedTo() != 1 {
+		t.Fatalf("recovered stream S = %v, %v", src, ok)
+	}
+	res, err := re.Query(`SELECT ?P WHERE { Logan po ?P }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Strings(); len(got) != 1 || got[0] != "T-1" {
+		t.Errorf("recovered rows = %v, want [T-1]", got)
 	}
 }
 

@@ -2,20 +2,24 @@
 // §15): segmented, CRC32C-framed record files plus a snapshot file. The
 // cluster stores its replicated ops in it, so a restarted daemon recovers
 // cluster state from disk instead of needing a live peer to replay the whole
-// history; a standalone engine stores its §5 fault-tolerance records in it.
+// history; a standalone engine stores its §5 fault-tolerance records in it,
+// and the log is all that engine's recovery has.
 //
-// The log is a sequence of records appended strictly in sequence order and
-// split into segment files named by the first sequence they hold
-// ("seg-<base>.wal"). One record is
+// Both kinds of durable record carry their payload in one frame,
 //
-//	[8B seq][4B len][4B crc32c(payload)][payload]
+//	[4B len][4B crc32c(payload)][payload]
 //
-// in big-endian, with the Castagnoli polynomial. A torn tail (partial record
-// after a crash) is tolerated: Open keeps the records before the first one
-// that fails to frame or checksum, and the next write truncates the damage
-// away. A corrupt record in the *middle* of a segment poisons everything
-// after it — the cluster falls back to snapshot catch-up, which is always
-// safe, and §5 recovery to upstream backup.
+// in big-endian, with the Castagnoli polynomial. The log is a sequence of
+// records appended strictly in sequence order and split into segment files
+// named by the first sequence they hold ("seg-<base>.wal"). One record is
+//
+//	[8B seq][frame]
+//
+// A torn tail (partial record after a crash) is tolerated: Open keeps the
+// records before the first one that fails to frame or checksum, and the next
+// write truncates the damage away. A corrupt record in the *middle* of a
+// segment poisons everything after it. The cluster falls back to snapshot
+// catch-up, which is always safe; a standalone engine loses those records.
 package oplog
 
 import (
@@ -36,7 +40,34 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // record and snapshot, and of a snapshot shipped between replicas.
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, crcTable) }
 
-const recordHeader = 16 // seq + len + crc
+// frameHeader is a frame's len and crc32c.
+const frameHeader = 8
+
+// appendFrame appends payload's frame, [4B len][4B crc32c(payload)][payload],
+// to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, Checksum(payload))
+	return append(dst, payload...)
+}
+
+// readFrame checks the frame at the start of data and returns its payload
+// and the bytes after it. ok is false when data does not start with a whole
+// frame whose checksum matches.
+func readFrame(data []byte) (payload, rest []byte, ok bool) {
+	if len(data) < frameHeader {
+		return nil, nil, false
+	}
+	sz := uint64(binary.BigEndian.Uint32(data))
+	if sz > uint64(len(data)-frameHeader) {
+		return nil, nil, false
+	}
+	payload = data[frameHeader : frameHeader+sz]
+	return payload, data[frameHeader+sz:], Checksum(payload) == binary.BigEndian.Uint32(data[4:])
+}
+
+// recordHeader is a log record's seq and its frame's header.
+const recordHeader = 8 + frameHeader
 
 // DefaultSegmentOps is how many ops one segment file holds before rotation.
 const DefaultSegmentOps = 8192
@@ -166,22 +197,15 @@ func segmentBase(name string) (uint64, bool) {
 	return base, err == nil
 }
 
-// decode frames the record at data[off:]: its sequence, its payload and the
+// decode reads the record at data[off:]: its sequence, its payload and the
 // offset just past it. ok is false when the bytes there are not a whole
 // record whose checksum matches.
 func decode(data []byte, off int) (seq uint64, payload []byte, next int, ok bool) {
-	if off+recordHeader > len(data) {
+	if off+8 > len(data) {
 		return 0, nil, 0, false
 	}
-	seq = binary.BigEndian.Uint64(data[off:])
-	sz := int(binary.BigEndian.Uint32(data[off+8:]))
-	crc := binary.BigEndian.Uint32(data[off+12:])
-	next = off + recordHeader + sz
-	if sz > MaxRecord || next > len(data) {
-		return 0, nil, 0, false
-	}
-	payload = data[off+recordHeader : next]
-	return seq, payload, next, Checksum(payload) == crc
+	payload, rest, ok := readFrame(data[off+8:])
+	return binary.BigEndian.Uint64(data[off:]), payload, len(data) - len(rest), ok
 }
 
 // scanSegment finds one segment's valid prefix — records that frame, pass
@@ -261,14 +285,9 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 			return err
 		}
 	}
-	var hdr [recordHeader]byte
-	binary.BigEndian.PutUint64(hdr[0:], seq)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[12:], Checksum(payload))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	rec := make([]byte, 8, recordHeader+len(payload))
+	binary.BigEndian.PutUint64(rec, seq)
+	if _, err := l.w.Write(appendFrame(rec, payload)); err != nil {
 		return err
 	}
 	if !l.nosync {

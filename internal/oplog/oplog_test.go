@@ -2,6 +2,8 @@ package oplog
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -375,4 +377,125 @@ func TestSnapshotCorruptionQuarantined(t *testing.T) {
 	if len(bads) != 1 {
 		t.Fatalf("want quarantined snapshot, got %v", bads)
 	}
+}
+
+// TestFrameGoldenBytes pins the on-disk format of both durable records: the
+// bytes below were written before the log and the snapshot shared one frame
+// codec, and both must still be written and read exactly so.
+func TestFrameGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		name, file, hex string
+		write           func(dir string) error
+		read            func(dir string) (string, error)
+		want            string // what read returns
+	}{{
+		name: "log record",
+		file: "seg-7.wal",
+		// [seq 7][len 31][crc32c][payload]
+		hex: "0000000000000007" + "0000001f" + "42e1ee41" + hex.EncodeToString([]byte("OP 7 1 EMIT S\n<a> <p> <b> . @10")),
+		write: func(dir string) error {
+			l, err := Open(dir, Options{})
+			if err != nil {
+				return err
+			}
+			defer l.Close()
+			return l.Append(7, []byte("OP 7 1 EMIT S\n<a> <p> <b> . @10"))
+		},
+		read: func(dir string) (string, error) {
+			l, err := Open(dir, Options{})
+			if err != nil {
+				return "", err
+			}
+			defer l.Close()
+			var got string
+			err = l.Range(0, 0, func(seq uint64, p []byte) error {
+				got += fmt.Sprintf("%d:%s;", seq, p)
+				return nil
+			})
+			return got, err
+		},
+		want: "7:OP 7 1 EMIT S\n<a> <p> <b> . @10;",
+	}, {
+		name: "snapshot",
+		file: "snap-42.ws",
+		// [magic][seq 42][epoch 3][len 9][crc32c][payload]
+		hex:   "5753534e41503031" + "000000000000002a" + "0000000000000003" + "00000009" + "5024a7c0" + hex.EncodeToString([]byte("WSSNAP 1\n")),
+		write: func(dir string) error { return SaveSnapshot(dir, 42, 3, []byte("WSSNAP 1\n")) },
+		read: func(dir string) (string, error) {
+			seq, epoch, p, err := LoadSnapshot(dir)
+			return fmt.Sprintf("%d:%d:%s", seq, epoch, p), err
+		},
+		want: "42:3:WSSNAP 1\n",
+	}} {
+		dir := t.TempDir()
+		if err := c.write(dir); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(data); got != c.hex {
+			t.Errorf("%s written as\n%s\nwant\n%s", c.name, got, c.hex)
+		}
+		golden, _ := hex.DecodeString(c.hex)
+		dir = t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, c.file), golden, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.read(dir); err != nil || got != c.want {
+			t.Errorf("%s read back as %q, %v; want %q", c.name, got, err, c.want)
+		}
+	}
+}
+
+// FuzzLoadSnapshot feeds arbitrary bytes to LoadSnapshot as a snapshot file:
+// it never panics, and either returns a payload that SaveSnapshot writes back
+// to the very same bytes, or reports ErrNoSnapshot with the file renamed to
+// "<name>.bad".
+func FuzzLoadSnapshot(f *testing.F) {
+	dir := f.TempDir()
+	if err := SaveSnapshot(dir, 42, 3, []byte("WSSNAP 1\nENT 3\n<a>\n")); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(snapPath(dir, 42))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-2] ^= 0x10
+	f.Add(uint64(42), good)
+	f.Add(uint64(1), good[:len(good)-3])
+	f.Add(uint64(42), append(good[:len(good):len(good)], 0))
+	f.Add(uint64(7), flipped)
+	f.Add(uint64(0), []byte{})
+
+	f.Fuzz(func(t *testing.T, n uint64, data []byte) {
+		dir := t.TempDir()
+		path := snapPath(dir, n)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		seq, epoch, payload, err := LoadSnapshot(dir)
+		if err != nil {
+			if !errors.Is(err, ErrNoSnapshot) {
+				t.Fatalf("load: %v, want ErrNoSnapshot", err)
+			}
+			if _, err := os.Stat(path + ".bad"); err != nil {
+				t.Fatalf("refused snapshot not quarantined: %v", err)
+			}
+			return
+		}
+		again := t.TempDir()
+		if err := SaveSnapshot(again, seq, epoch, payload); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := os.ReadFile(snapPath(again, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved, data) {
+			t.Fatalf("loaded (%d, %d, %q) from %x, which saves as %x", seq, epoch, payload, data, saved)
+		}
+	})
 }

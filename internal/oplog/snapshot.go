@@ -3,9 +3,10 @@
 // cluster layer builds and parses the transcript); here it gets a framed,
 // atomically-replaced home on disk:
 //
-//	[8B magic "WSSNAP01"][8B seq][8B epoch][4B len][4B crc32c(payload)][payload]
+//	[8B magic "WSSNAP01"][8B seq][8B epoch][frame]
 //
-// Only the newest snapshot is kept; the write path is tmp + fsync + rename
+// where the frame is the log's (oplog.go) and must end the file. Only the
+// newest snapshot is kept; the write path is tmp + fsync + rename
 // (the PR-5 atomic-replace discipline), and a corrupt snapshot is
 // quarantined to "<name>.bad" rather than trusted.
 package oplog
@@ -23,7 +24,7 @@ import (
 
 var snapMagic = [8]byte{'W', 'S', 'S', 'N', 'A', 'P', '0', '1'}
 
-const snapHeader = 8 + 8 + 8 + 4 + 4
+const snapHeader = 8 + 8 + 8 // magic, seq, epoch; the frame follows
 
 // ErrNoSnapshot reports that the directory holds no (valid) snapshot.
 var ErrNoSnapshot = errors.New("oplog: no snapshot")
@@ -37,13 +38,10 @@ func SaveSnapshot(dir string, seq, epoch uint64, payload []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	buf := make([]byte, snapHeader+len(payload))
-	copy(buf, snapMagic[:])
-	binary.BigEndian.PutUint64(buf[8:], seq)
-	binary.BigEndian.PutUint64(buf[16:], epoch)
-	binary.BigEndian.PutUint32(buf[24:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[28:], Checksum(payload))
-	copy(buf[snapHeader:], payload)
+	buf := append(make([]byte, 0, snapHeader+frameHeader+len(payload)), snapMagic[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = binary.BigEndian.AppendUint64(buf, epoch)
+	buf = appendFrame(buf, payload)
 
 	final := snapPath(dir, seq)
 	tmp := final + ".tmp"
@@ -134,16 +132,9 @@ func readSnapshot(path string) (seq, epoch uint64, payload []byte, err error) {
 	if len(data) < snapHeader || [8]byte(data[:8]) != snapMagic {
 		return 0, 0, nil, fmt.Errorf("oplog: %s: bad snapshot header", path)
 	}
-	seq = binary.BigEndian.Uint64(data[8:])
-	epoch = binary.BigEndian.Uint64(data[16:])
-	sz := int(binary.BigEndian.Uint32(data[24:]))
-	crc := binary.BigEndian.Uint32(data[28:])
-	if snapHeader+sz != len(data) {
-		return 0, 0, nil, fmt.Errorf("oplog: %s: truncated snapshot (%d of %d payload bytes)", path, len(data)-snapHeader, sz)
+	payload, rest, ok := readFrame(data[snapHeader:])
+	if !ok || len(rest) != 0 {
+		return 0, 0, nil, fmt.Errorf("oplog: %s: damaged snapshot frame", path)
 	}
-	payload = data[snapHeader:]
-	if Checksum(payload) != crc {
-		return 0, 0, nil, fmt.Errorf("oplog: %s: snapshot checksum mismatch", path)
-	}
-	return seq, epoch, payload, nil
+	return binary.BigEndian.Uint64(data[8:]), binary.BigEndian.Uint64(data[16:]), payload, nil
 }

@@ -3,8 +3,9 @@
 //   - Source (the paper's Adaptor): receives raw RDF tuples, converts strings
 //     to IDs, classifies each tuple as timing or timeless, enforces the
 //     C-SPARQL monotonic-timestamp model, and groups tuples into mini-batches
-//     by timestamp. It also keeps an upstream-backup buffer for fault
-//     tolerance (§5): recently sent batches can be replayed after a failure.
+//     by timestamp. It keeps no sealed batch: the paper's upstream backup
+//     (§5) is the client's buffer, and an engine's durable copy is its
+//     fault-tolerance log (internal/core/ft.go).
 //   - Dispatch (the paper's Dispatcher): partitions a sealed batch across
 //     nodes — each tuple's subject side goes to the subject's home node and
 //     its object side to the object's home node, the same sharding the
@@ -56,9 +57,6 @@ type Config struct {
 	// any other predicate ("the Adaptor will also discard unrelated
 	// tuples").
 	KeepPredicates []string
-	// BackupBudget bounds the upstream-backup buffer in batches
-	// (0 = DefaultBackupBatches).
-	BackupBudget int
 	// MaxDelay enables bounded out-of-order tolerance — an extension beyond
 	// the paper, which adopts C-SPARQL's monotonic time model (§4.3
 	// "Consistency guarantee"). Tuples may arrive up to MaxDelay late; the
@@ -78,9 +76,6 @@ type Config struct {
 	// anyway (default: BatchInterval).
 	ShedWait time.Duration
 }
-
-// DefaultBackupBatches is the default upstream-backup retention.
-const DefaultBackupBatches = 256
 
 // Source is the per-stream adaptor. Emit is safe for concurrent use with
 // SealUpTo, though a single producer per stream is the expected pattern
@@ -106,9 +101,6 @@ type Source struct {
 
 	pids []rdf.ID // EmitBatch's predicate IDs, reused across calls
 
-	backup       []Batch // upstream backup, ascending batch
-	backupBudget int
-
 	maxPending int
 	shed       flow.Policy
 	shedWait   time.Duration
@@ -126,19 +118,15 @@ func NewSource(cfg Config, ss *strserver.Server) (*Source, error) {
 		return nil, fmt.Errorf("stream: source %q requires a positive batch interval", cfg.Name)
 	}
 	s := &Source{
-		name:         strings.Clone(cfg.Name), // may be a slice of a request line
-		interval:     cfg.BatchInterval,
-		ss:           ss,
-		timing:       make(map[rdf.ID]bool),
-		backupBudget: cfg.BackupBudget,
-		maxDelay:     rdf.Timestamp(cfg.MaxDelay.Milliseconds()),
-		maxPending:   cfg.MaxPending,
-		shed:         cfg.Shed,
-		shedWait:     cfg.ShedWait,
-		qstats:       flow.NewQueueStats(cfg.MaxPending),
-	}
-	if s.backupBudget <= 0 {
-		s.backupBudget = DefaultBackupBatches
+		name:       strings.Clone(cfg.Name), // may be a slice of a request line
+		interval:   cfg.BatchInterval,
+		ss:         ss,
+		timing:     make(map[rdf.ID]bool),
+		maxDelay:   rdf.Timestamp(cfg.MaxDelay.Milliseconds()),
+		maxPending: cfg.MaxPending,
+		shed:       cfg.Shed,
+		shedWait:   cfg.ShedWait,
+		qstats:     flow.NewQueueStats(cfg.MaxPending),
 	}
 	if s.shedWait <= 0 {
 		s.shedWait = cfg.BatchInterval
@@ -478,8 +466,7 @@ func (s *Source) Discarded() int64 {
 
 // SealUpTo seals and returns every batch whose interval ends at or before
 // ts, including empty batches (the coordinator needs insertion reports for
-// every batch to advance the stable VTS). The sealed batches are also
-// appended to the upstream-backup buffer.
+// every batch to advance the stable VTS). The source keeps none of them.
 func (s *Source) SealUpTo(ts rdf.Timestamp) []Batch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -510,16 +497,10 @@ func (s *Source) SealUpTo(ts rdf.Timestamp) []Batch {
 		}
 		// The batch takes its tuples' part of the buffer as it is, capped so
 		// a later append to pending can never write into it.
-		batch := Batch{ID: b, Tuples: s.pending[:n:n]}
+		out = append(out, Batch{ID: b, Tuples: s.pending[:n:n]})
 		s.pending = s.pending[n:]
-		out = append(out, batch)
-		s.backup = append(s.backup, batch)
 	}
 	s.sealedTo = lastComplete
-	for len(s.backup) > s.backupBudget {
-		s.backup[0] = Batch{}
-		s.backup = s.backup[1:]
-	}
 	s.qstats.Observe(len(s.pending) + len(s.reorder))
 	if s.space != nil {
 		select {
@@ -535,40 +516,4 @@ func (s *Source) SealedTo() tstore.BatchID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sealedTo
-}
-
-// Replay returns buffered batches with ID ≥ from, for recovery (§5:
-// "Wukong+S assumes upstream backup such that the stream sources buffer
-// recently sent data and replay them").
-func (s *Source) Replay(from tstore.BatchID) []Batch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Batch
-	for _, b := range s.backup {
-		if b.ID >= from {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// TrimBackup drops buffered batches below `before` — called after a
-// checkpoint makes them unnecessary ("Wukong+S will notify the source of
-// streams to flush buffered data").
-func (s *Source) TrimBackup(before tstore.BatchID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.backup) && s.backup[i].ID < before {
-		s.backup[i] = Batch{}
-		i++
-	}
-	s.backup = s.backup[i:]
-}
-
-// BackupLen returns the number of buffered batches (test and FT accounting).
-func (s *Source) BackupLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.backup)
 }

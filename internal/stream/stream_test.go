@@ -131,26 +131,6 @@ func TestKeepPredicatesDiscards(t *testing.T) {
 	}
 }
 
-func TestUpstreamBackup(t *testing.T) {
-	ss := strserver.New()
-	s := newSource(t, Config{Name: "s", BatchInterval: 100 * time.Millisecond, BackupBudget: 3}, ss)
-	for b := 0; b < 6; b++ {
-		s.Emit(tupleAt(rdf.Timestamp(b*100+50), "a", "p", "b"))
-		s.SealUpTo(rdf.Timestamp((b + 1) * 100))
-	}
-	if s.BackupLen() != 3 {
-		t.Errorf("BackupLen = %d, want 3 (budget)", s.BackupLen())
-	}
-	got := s.Replay(5)
-	if len(got) != 2 || got[0].ID != 5 {
-		t.Errorf("Replay(5) = %+v", got)
-	}
-	s.TrimBackup(6)
-	if s.BackupLen() != 1 {
-		t.Errorf("BackupLen after trim = %d", s.BackupLen())
-	}
-}
-
 func TestDispatchPartitionsBySide(t *testing.T) {
 	fab := fabric.New(fabric.DefaultConfig(4))
 	ss := strserver.New()
