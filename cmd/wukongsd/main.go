@@ -40,7 +40,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -134,6 +136,11 @@ func checkFlags(o *options) error {
 		return errors.New("-advertise requires -listen")
 	case o.clusterHB != 0 && !cluster:
 		return errors.New("-cluster-heartbeat requires -listen")
+	case cluster && o.shedPolicy == "block":
+		// A blocked EMIT waits under the apply lock, on every replica, for
+		// room only an ADVANCE makes, and the ADVANCE needs that lock: the
+		// wait always runs its course and then sheds anyway (DESIGN.md §10).
+		return errors.New("-shed block cannot be combined with -listen: an EMIT would wait out its bound under the apply lock the draining ADVANCE needs, then shed")
 	case cluster && o.load != "":
 		// A -load preload would live only in this daemon's replica: it never
 		// enters the seed's op log, so peers would silently diverge.
@@ -302,6 +309,17 @@ func main() {
 			log.Fatalf("cluster: %v", err)
 		}
 		defer node.Close()
+		if o.dataDir == "" {
+			// Without -data-dir the op log lives in a private temporary
+			// directory that Close removes; a signal skips deferred calls.
+			sig := make(chan os.Signal, 1)
+			signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+			go func() {
+				<-sig
+				node.Close()
+				os.Exit(1)
+			}()
+		}
 		nodep.Store(node)
 		srv.SetCluster(node)
 		switch {

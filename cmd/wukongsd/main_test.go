@@ -49,6 +49,8 @@ func TestCheckFlags(t *testing.T) {
 		{"advertise without listen", []string{"-advertise", "h:1"}, "-advertise requires -listen"},
 		{"cluster-heartbeat without listen", []string{"-cluster-heartbeat", "50ms"}, "-cluster-heartbeat requires -listen"},
 		{"load in cluster mode", []string{"-listen", ":7800", "-load", "x.nt"}, "-load cannot be combined with cluster mode"},
+		{"shed block in cluster mode", []string{"-listen", ":7800", "-shed", "block"}, "-shed block cannot be combined with -listen"},
+		{"shed block standalone", []string{"-shed", "block", "-max-pending", "2"}, ""},
 		{"data-dir without listen", []string{"-data-dir", "/d"}, ""},
 		{"snapshot-every without data-dir", []string{"-listen", ":7800", "-snapshot-every", "64"}, "-snapshot-every requires -data-dir"},
 		{"no-sync without data-dir", []string{"-listen", ":7800", "-no-sync"}, "-no-sync requires -data-dir"},

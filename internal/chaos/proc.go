@@ -317,7 +317,16 @@ func (cfg ProcConfig) spawn(bin string, d *procDaemon, seedWire string) error {
 	if err != nil {
 		return err
 	}
+	// A daemon without -data-dir keeps its op log in a private directory
+	// under TMPDIR, which Close removes and kill -9 does not: rooting TMPDIR
+	// in WorkDir removes that log with the run.
+	tmp := filepath.Join(cfg.WorkDir, "tmp")
+	if err := os.MkdirAll(tmp, 0o755); err != nil {
+		logFile.Close()
+		return err
+	}
 	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
 	if err := cmd.Start(); err != nil {

@@ -8,11 +8,11 @@
 //     0, and each joiner gets the next free rank. All state-mutating
 //     operations — LOAD, STREAM, REGISTER, EMIT, ADVANCE —
 //     are forwarded to the seed (rank 0), which assigns each a sequence
-//     number, appends it to a bounded oplog, replicates it one-way to every
-//     member, and then applies it locally while the members apply their
-//     copies. The engine is deterministic in the op order, so replicas
-//     converge to identical stores, stream indexes, VTS state, and
-//     continuous-query firings.
+//     number, replicates it one-way to every member, applies it locally
+//     while the members apply their copies, and appends it to its op log.
+//     The engine is deterministic in the op order, so replicas converge to
+//     identical stores, stream indexes, VTS state, and continuous-query
+//     firings.
 //
 //   - Reads never leave the daemon: every replica holds the full data, so
 //     the server answers each one-shot query from the local engine at its
@@ -42,12 +42,10 @@
 // highest applied sequence among live members, and fences the old authority
 // out by sequencing an EPOCH op at epoch+1. Every op carries the epoch it
 // was sequenced under; replicas reject broadcast ops from older epochs, so
-// a zombie ex-authority can neither sequence nor replicate stale ops. All
-// ranks keep the bounded in-memory oplog (any live member can serve SYNC),
-// and a daemon with a data directory also keeps a segmented CRC32C-framed
-// durable oplog plus periodic engine snapshots, so a restart recovers from
-// disk and a member too far behind catches up by snapshot transfer instead
-// of full replay.
+// a zombie ex-authority can neither sequence nor replicate stale ops. Every
+// rank replays from one op log, an oplog.Log (durable with a data directory,
+// else private and unsynced), compacted by periodic engine snapshots; a
+// member that needs ops compacted away catches up by snapshot transfer.
 package cluster
 
 import (
@@ -55,6 +53,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -77,11 +77,6 @@ import (
 // with -listen and no -join; everything else joins through it.
 const SeedRank fabric.NodeID = 0
 
-// DefaultMaxOplog bounds the in-memory replication log. A joiner that needs
-// ops older than the window is served ErrLogCompacted and converges through
-// snapshot transfer instead of replay (DESIGN.md §15).
-const DefaultMaxOplog = 65536
-
 // dedupCap bounds the replicated id→reply table that makes client write
 // retries exactly-once. Entries evict FIFO; a client that retries an op id
 // more than dedupCap acked writes later re-executes, which the id scheme
@@ -97,9 +92,11 @@ var ErrUnavailable = errors.New("cluster: unavailable")
 // routing is stale). The caller should re-resolve and retry.
 var ErrNotAuthority = errors.New("cluster: not the write authority")
 
-// ErrLogCompacted reports a SYNC that asked for ops already compacted out of
-// the serving member's window. The requester cannot converge by replay; it
-// must catch up by snapshot transfer.
+// ErrLogCompacted reports a SYNC that asked for ops the serving member's log
+// no longer holds: below its first record (a snapshot compacted them away),
+// or past its last one while the member has applied beyond them (an append
+// failed, so the log stops at its last durable op). The requester cannot
+// converge by replay; it must catch up by snapshot transfer.
 var ErrLogCompacted = errors.New("cluster: log compacted")
 
 // IsLogCompacted reports whether err is ErrLogCompacted, including the
@@ -127,6 +124,25 @@ func (e *UnavailableError) Error() string {
 
 // Unwrap exposes the sentinel and the transport cause.
 func (e *UnavailableError) Unwrap() []error { return []error{ErrUnavailable, e.Err} }
+
+// ErrOpTooLarge reports a write whose op could ride neither the Send that
+// replicates it nor a SYNC reply: one wire frame. It is never sequenced.
+var ErrOpTooLarge = errors.New("cluster: op too large")
+
+// opHeadroom is what a frame carries besides an op's id, kind, args and
+// body: its header's tag, seq and epoch, SYNC's length line, a trace context.
+const opHeadroom = 64 + trace.ContextSize
+
+func checkOpSize(id, kind string, args []string, body string) error {
+	size := opHeadroom + len(id) + len(kind) + len(body)
+	for _, a := range args {
+		size += 1 + len(a)
+	}
+	if size > wire.MaxPayload {
+		return fmt.Errorf("%w: %s of %d bytes does not fit the %d-byte wire frame", ErrOpTooLarge, kind, size, wire.MaxPayload)
+	}
+	return nil
+}
 
 // ErrRankSpace reports a JOIN for a rank a wire frame cannot address.
 var ErrRankSpace = errors.New("cluster: rank space exhausted")
@@ -164,26 +180,26 @@ type Config struct {
 	// Logf may be nil.
 	Logf func(format string, args ...any)
 
-	// DataDir, when set, enables oplog durability: every applied op is
-	// appended to a segmented CRC32C-framed log under this directory, and
+	// DataDir is the op log's directory: every applied op is appended to a
+	// segmented CRC32C-framed log there, which every replay reads, and
 	// periodic engine snapshots make compaction and restart recovery safe.
+	// Empty puts the log in a private directory from os.MkdirTemp that is
+	// never fsynced and that Close removes; such a daemon cannot Resume.
 	DataDir string
-	// SnapshotEvery is the op cadence between durable snapshots (default
-	// 4096; only meaningful with DataDir). A due snapshot is deferred until
-	// the engine is quiescent (no pending emits, see Engine.PendingEmits).
+	// SnapshotEvery is the op cadence between snapshots (default 4096). A
+	// due snapshot is deferred until the engine is quiescent (no pending
+	// emits, see Engine.PendingEmits).
 	SnapshotEvery int
-	// SegmentOps caps ops per durable log segment (oplog.DefaultSegmentOps
+	// SegmentOps caps ops per log segment (oplog.DefaultSegmentOps
 	// when zero).
 	SegmentOps int
-	// NoSync skips fsync on durable appends (tests only).
+	// NoSync skips fsync on log appends (tests only).
 	NoSync bool
-	// MaxOplog bounds the in-memory replication log (DefaultMaxOplog when
-	// zero). Tests shrink it to exercise compaction catch-up.
-	MaxOplog int
 }
 
-// Node is one daemon's cluster brain: the transport handler, the replication
-// log (seed), the replica applier (members), and the membership detector.
+// Node is one daemon's cluster brain: the transport handler, the sequencer
+// (authority), the replica applier (members), the op log, and the membership
+// detector.
 type Node struct {
 	cfg    Config
 	t      *wire.TCP
@@ -199,9 +215,6 @@ type Node struct {
 	// mu guards the replicated bookkeeping below. Never held across engine
 	// or transport calls.
 	mu        sync.Mutex
-	oplog     [][]byte                 // encoded ops; oplog[i] has seq base+i
-	base      uint64                   // seq of oplog[0] (1 when nothing discarded)
-	nextSeq   uint64                   // authority: next seq to assign
 	applied   uint64                   // highest seq applied locally; raised only by setAppliedLocked
 	appliedCh chan struct{}            // closed and replaced each time applied rises
 	authHead  uint64                   // member: the authority's applied seq at the last anti-entropy read
@@ -212,8 +225,9 @@ type Node struct {
 	dedup     map[string]dedupEntry // op id → acked (seq, reply)
 	dedupRing []string              // FIFO eviction order for dedup
 
-	maxOplog int
-	dlog     *oplog.Log // durable log; nil without DataDir
+	dlog   *oplog.Log // the op log; every replay reads it
+	logDir string     // its directory: cfg.DataDir, or a private one
+	tmpDir bool       // logDir is private: unsynced, and Close removes it
 
 	opsSinceSnap int        // ops applied since the last durable snapshot
 	snapMu       sync.Mutex // guards the cached snapshot served to peers
@@ -293,14 +307,13 @@ func newNode(cfg Config) (*Node, error) {
 		self:      cfg.Self,
 		eng:       cfg.Engine,
 		tracer:    cfg.Tracer,
-		base:      1,
-		nextSeq:   1,
 		epoch:     1,
 		authority: SeedRank,
 		appliedCh: make(chan struct{}),
 		reserved:  make(map[fabric.NodeID]string),
 		dedup:     make(map[string]dedupEntry),
-		maxOplog:  cfg.MaxOplog,
+		logDir:    cfg.DataDir,
+		tmpDir:    cfg.DataDir == "",
 		stop:      make(chan struct{}),
 		start:     time.Now(),
 
@@ -316,9 +329,6 @@ func newNode(cfg Config) (*Node, error) {
 		cSnapXfers:    r.Counter("snapshot_transfers_total"),
 		cSnapDeferred: r.Counter("snapshot_deferred_total"),
 		hUnavail:      r.Histogram("cluster_write_unavail_ns", nil),
-	}
-	if n.maxOplog <= 0 {
-		n.maxOplog = DefaultMaxOplog
 	}
 	r.GaugeFunc("authority_epoch", func() int64 {
 		n.mu.Lock()
@@ -338,14 +348,22 @@ func newNode(cfg Config) (*Node, error) {
 		}
 		return int64(n.authHead - n.applied)
 	})
-	if cfg.DataDir != "" {
-		dl, err := oplog.Open(cfg.DataDir, oplog.Options{SegmentOps: cfg.SegmentOps, NoSync: cfg.NoSync})
+	if n.tmpDir {
+		dir, err := os.MkdirTemp("", "wukongsd-oplog-")
 		if err != nil {
-			return nil, fmt.Errorf("cluster: open durable oplog: %w", err)
+			return nil, fmt.Errorf("cluster: op log directory: %w", err)
 		}
-		r.Counter("ft_quarantined_records_total").Add(int64(dl.Damaged()))
-		n.dlog = dl
+		n.logDir = dir
 	}
+	dl, err := oplog.Open(n.logDir, oplog.Options{SegmentOps: cfg.SegmentOps, NoSync: cfg.NoSync || n.tmpDir})
+	if err != nil {
+		if n.tmpDir {
+			os.RemoveAll(n.logDir)
+		}
+		return nil, fmt.Errorf("cluster: open oplog: %w", err)
+	}
+	r.Counter("ft_quarantined_records_total").Add(int64(dl.Damaged()))
+	n.dlog = dl
 	n.t.SetEpoch(1)
 	sa := cfg.SuspectAfter
 	if sa <= 0 {
@@ -427,7 +445,7 @@ func Join(cfg Config) (*Node, error) {
 		}
 		if err := n.syncRange(SeedRank, 1, latest); err != nil {
 			if IsLogCompacted(err) {
-				// Too far behind the seed's window for replay: converge by
+				// The seed's log is compacted past op 1: converge by
 				// snapshot transfer plus the incremental tail.
 				if err := n.catchUpFromSnapshot(SeedRank); err != nil {
 					return nil, err
@@ -488,13 +506,14 @@ func parseJoinReply(resp string) (rank int, seq uint64, err error) {
 	return rank, seq, nil
 }
 
-// Close stops the ticker and the durable log. The transport and engine
-// belong to the caller.
+// Close stops the ticker and closes the op log, removing it if it lives in
+// a private directory. The transport and engine belong to the caller.
 func (n *Node) Close() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
-		if n.dlog != nil {
-			n.dlog.Close()
+		n.dlog.Close()
+		if n.tmpDir {
+			os.RemoveAll(n.logDir)
 		}
 	})
 }
@@ -551,7 +570,7 @@ func (n *Node) Status() string {
 func (n *Node) stateReply() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return fmt.Sprintf("EPOCH %d AUTH %d SEQ %d FIRST %d", n.epoch, int(n.authority), n.applied, n.base)
+	return fmt.Sprintf("EPOCH %d AUTH %d SEQ %d FIRST %d", n.epoch, int(n.authority), n.applied, n.dlog.First())
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -598,8 +617,8 @@ func (n *Node) startTicker() {
 // detector tick it fetches the authority's applied sequence (the MEMBERS
 // reply leads with "SEQ <n>"), records it as the head that
 // cluster_replica_lag_ops is measured against, and SYNCs any shortfall. The
-// authority never pulls (it is the log). A shortfall past the authority's
-// compaction window converges through snapshot transfer instead.
+// authority never pulls (it is the log). A shortfall the authority's log
+// compacted away converges through snapshot transfer instead.
 func (n *Node) antiEntropy() {
 	if !n.aeBusy.CompareAndSwap(false, true) {
 		return
@@ -767,7 +786,8 @@ const forwardAckTimeout = 5 * time.Second
 // the server's LOAD/STREAM/EMIT/ADVANCE/REGISTER commands all land here in
 // cluster mode. A trailing "id=<token>" argument is the client's
 // exactly-once token: retries of an already-acked id return the cached
-// reply without re-sequencing.
+// reply without re-sequencing. An op too large for one wire frame is refused
+// with ErrOpTooLarge before it is sequenced or relayed.
 func (n *Node) Forward(kind string, args []string, body string) (string, error) {
 	return n.ForwardTraced(trace.Context{}, kind, args, body)
 }
@@ -784,6 +804,9 @@ func (n *Node) ForwardTraced(tc trace.Context, kind string, args []string, body 
 		defer root.End()
 	}
 	id, bare := SplitID(args)
+	if err := checkOpSize(id, kind, bare, body); err != nil {
+		return "", err
+	}
 	deadline := time.Now().Add(ForwardTimeout)
 	var unavailSince time.Time
 	var lastErr error
@@ -915,11 +938,12 @@ func opEpoch(cur uint64, kind string, args []string) uint64 {
 }
 
 // sequence assigns the next op sequence number and runs the op down the
-// write path in the order that lets every replica work at once: append it
-// to the in-memory oplog, broadcast it, apply it locally, append it
-// durably, reply. Members apply their copy while the authority applies and
-// fsyncs; the reply still waits for the durable append. All of it runs
-// under applyMu, so the op order members observe is the apply order.
+// write path in the order that lets every replica work at once: broadcast
+// it, apply it locally, append it to the op log, reply. Members apply their
+// copy while the authority applies and fsyncs; the reply still waits for the
+// append. All of it runs under applyMu, so the op order members observe is
+// the apply order, and every op below the one being broadcast is already in
+// the log: a SYNC never needs the op in flight.
 //
 // Because the op is broadcast before anyone knows whether it will be
 // refused, a refused op is sequenced too and refused alike on every replica
@@ -942,7 +966,7 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 			return e.reply, e.seq, nil
 		}
 	}
-	seq := n.nextSeq
+	seq := n.applied + 1 // applied rises only under applyMu, held here
 	enc := encodeOp(seq, opEpoch(n.epoch, kind, args), id, kind, args, body)
 	targets := make([]fabric.NodeID, 0, len(n.members))
 	for _, m := range n.members {
@@ -951,7 +975,6 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 		}
 	}
 	n.mu.Unlock()
-	n.recordMemLocked(seq, enc)
 
 	spRepl := n.tracer.Start(tc, "seed.replicate")
 	for _, to := range targets {
@@ -966,48 +989,21 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 	reply, err := n.applyLocked(seq, id, kind, args, body)
 	spApply.EndErr(err)
 
-	if n.dlog != nil {
-		spSync := n.tracer.Start(tc, "seed.fsync")
-		spSync.EndErr(n.persistLocked(seq, enc))
-	}
-	n.maybeSnapshotLocked(kind)
+	spSync := n.tracer.Start(tc, "seed.fsync")
+	spSync.EndErr(n.recordLocked(seq, kind, enc))
 	return reply, seq, err
 }
 
-// recordLocked appends one applied op to the in-memory oplog and, when one
-// is open, to the durable log, then drives the durable snapshot cadence.
-// Caller holds applyMu.
-func (n *Node) recordLocked(seq uint64, kind string, enc []byte) {
-	n.recordMemLocked(seq, enc)
-	if n.dlog != nil {
-		n.persistLocked(seq, enc)
-	}
-	n.maybeSnapshotLocked(kind)
-}
-
-// recordMemLocked appends one op to the in-memory oplog window (trimming
-// past MaxOplog) and advances nextSeq. Caller holds applyMu.
-func (n *Node) recordMemLocked(seq uint64, enc []byte) {
-	n.mu.Lock()
-	if seq >= n.nextSeq {
-		n.nextSeq = seq + 1
-	}
-	n.oplog = append(n.oplog, enc)
-	if len(n.oplog) > n.maxOplog {
-		drop := len(n.oplog) - n.maxOplog
-		n.oplog = append(n.oplog[:0:0], n.oplog[drop:]...)
-		n.base += uint64(drop)
-	}
-	n.mu.Unlock()
-}
-
-// persistLocked appends one op to the durable log, which must be open.
-// Caller holds applyMu.
-func (n *Node) persistLocked(seq uint64, enc []byte) error {
+// recordLocked appends one applied op to the op log and drives the snapshot
+// cadence. A failed append is logged, and every later one fails out of
+// order, so the log stops at its last durable op and a SYNC past it answers
+// ErrLogCompacted. Caller holds applyMu.
+func (n *Node) recordLocked(seq uint64, kind string, enc []byte) error {
 	err := n.dlog.Append(seq, enc)
 	if err != nil {
-		n.logf("durable append %d: %v", seq, err)
+		n.logf("oplog append %d: %v", seq, err)
 	}
+	n.maybeSnapshotLocked(kind)
 	return err
 }
 
@@ -1068,7 +1064,7 @@ func (n *Node) handleJoin(args []string) (string, error) {
 			n.reserved[fabric.NodeID(rank)] = addr
 		}
 	}
-	latest := n.nextSeq - 1
+	latest := n.applied
 	n.mu.Unlock()
 	switch {
 	case rank < 0 && want < 0:
@@ -1080,15 +1076,23 @@ func (n *Node) handleJoin(args []string) (string, error) {
 		if _, _, err := n.sequence(trace.Context{}, "", "MEMBER", []string{strconv.Itoa(rank), addr}, ""); err != nil {
 			return "", err
 		}
-		n.mu.Lock()
-		latest = n.nextSeq - 1
-		n.mu.Unlock()
+		latest = n.Applied()
 	}
 	return fmt.Sprintf("RANK %d SEQ %d", rank, latest), nil
 }
 
-// handleSync serves SYNC <from> <to>: the requested oplog range, each op
-// length-prefixed ("<len>\n<bytes>").
+// syncReplyBytes bounds one SYNC reply: it carries whole records up to this
+// many bytes, and always at least one, so a history larger than a wire frame
+// replays over several round trips.
+const syncReplyBytes = wire.MaxPayload / 4
+
+// errSyncFull stops the log read that fills one SYNC reply.
+var errSyncFull = errors.New("cluster: sync reply full")
+
+// handleSync serves SYNC <from> <to> from the op log: the records from
+// <from> on, up to <to>, the last record the log holds and syncReplyBytes,
+// each length-prefixed ("<len>\n<bytes>"). An empty reply means the log holds
+// nothing at <from> yet: the op is in flight.
 func (n *Node) handleSync(args []string) (string, error) {
 	if len(args) != 2 {
 		return "", fmt.Errorf("cluster: usage SYNC <from> <to>")
@@ -1098,19 +1102,29 @@ func (n *Node) handleSync(args []string) (string, error) {
 	if err1 != nil || err2 != nil {
 		return "", fmt.Errorf("cluster: bad SYNC range %v", args)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if lo < n.base {
-		return "", fmt.Errorf("%w: ops before %d are gone (asked for %d); catch up by snapshot transfer", ErrLogCompacted, n.base, lo)
-	}
-	if hi >= n.base+uint64(len(n.oplog)) {
-		hi = n.base + uint64(len(n.oplog)) - 1
+	// applied is read before the log's bounds: an op below applied has had
+	// its append done, so if the log stops short of it the append failed.
+	applied := n.Applied()
+	first, last := n.dlog.First(), n.dlog.Last()
+	compacted := fmt.Errorf("%w: the log holds [%d,%d] at applied %d (asked for %d); catch up by snapshot transfer", ErrLogCompacted, first, last, applied, lo)
+	if lo < first || (lo > last && lo < applied) {
+		return "", compacted
 	}
 	var b bytes.Buffer
-	for s := lo; s <= hi; s++ {
-		enc := n.oplog[s-n.base]
-		fmt.Fprintf(&b, "%d\n", len(enc))
+	err := n.dlog.Range(lo, min(hi, last), func(_ uint64, enc []byte) error {
+		if b.Len() > 0 && b.Len()+len(enc) > syncReplyBytes {
+			return errSyncFull
+		}
+		b.WriteString(strconv.Itoa(len(enc)))
+		b.WriteByte('\n')
 		b.Write(enc)
+		return nil
+	})
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return "", compacted // a snapshot compacted the range away mid-read
+	case err != nil && !errors.Is(err, errSyncFull):
+		return "", err
 	}
 	return b.String(), nil
 }
@@ -1192,47 +1206,46 @@ func (n *Node) syncRange(target fabric.NodeID, lo, hi uint64) error {
 }
 
 func (n *Node) syncRangeLocked(target fabric.NodeID, lo, hi uint64) error {
-	if hi < lo {
-		return nil
-	}
-	// SYNC is idempotent; a lossy wire (a dropped or quarantined response)
-	// deserves a couple of fresh round trips before the gap is left for the
-	// next broadcast to re-trigger.
-	var resp string
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		resp, err = n.call(target, fmt.Sprintf("SYNC %d %d", lo, hi), "", "sync")
-		if err == nil || !errors.Is(err, ErrUnavailable) {
-			break
+	// A reply carries at most syncReplyBytes, so the range arrives over as
+	// many round trips as it takes. An empty reply means target has not
+	// logged lo yet: the next broadcast or anti-entropy tick brings it.
+	for from := uint64(0); lo <= hi && lo != from; {
+		from = lo
+		// SYNC is idempotent; a lossy wire (a dropped or quarantined
+		// response) deserves a couple of fresh round trips before the gap is
+		// left for the next broadcast to re-trigger.
+		var resp string
+		var err error
+		for attempt := 0; attempt < 3; attempt++ {
+			resp, err = n.call(target, fmt.Sprintf("SYNC %d %d", lo, hi), "", "sync")
+			if err == nil || !errors.Is(err, ErrUnavailable) {
+				break
+			}
 		}
-	}
-	if err != nil {
-		return err
-	}
-	rest := resp
-	for rest != "" {
-		head, tail := splitLine(rest)
-		size, err := strconv.Atoi(strings.TrimSpace(head))
-		if err != nil || size < 0 || size > len(tail) {
-			return fmt.Errorf("cluster: malformed SYNC chunk header %q", head)
-		}
-		raw := []byte(tail[:size])
-		seq, _, id, kind, args, body, err := decodeOp(raw)
 		if err != nil {
 			return err
 		}
-		n.mu.Lock()
-		applied := n.applied
-		n.mu.Unlock()
-		if seq > applied {
-			// No epoch fencing on replay: historical ops legitimately carry
-			// the epochs they were sequenced under. A refused op replays as
-			// refused.
-			n.applyLocked(seq, id, kind, args, body)
-			n.recordLocked(seq, kind, raw)
-			n.cSynced.Inc()
+		for rest := resp; rest != ""; {
+			head, tail := splitLine(rest)
+			size, err := strconv.Atoi(strings.TrimSpace(head))
+			if err != nil || size < 0 || size > len(tail) {
+				return fmt.Errorf("cluster: malformed SYNC chunk header %q", head)
+			}
+			raw := []byte(tail[:size])
+			seq, _, id, kind, args, body, err := decodeOp(raw)
+			if err != nil {
+				return err
+			}
+			if seq > n.Applied() {
+				// No epoch fencing on replay: historical ops legitimately
+				// carry the epochs they were sequenced under. A refused op
+				// replays as refused.
+				n.applyLocked(seq, id, kind, args, body)
+				n.recordLocked(seq, kind, raw)
+				n.cSynced.Inc()
+			}
+			lo, rest = seq+1, tail[size:]
 		}
-		rest = tail[size:]
 	}
 	return nil
 }

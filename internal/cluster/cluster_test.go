@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -441,5 +444,111 @@ func TestWaitAppliedWakesOnRaise(t *testing.T) {
 	}
 	if n.waitApplied(4, time.Millisecond) {
 		t.Fatal("waitApplied(4) succeeded with applied at 3")
+	}
+}
+
+// bigLoad is a LOAD body of at least size bytes: triples with 16 KiB object
+// IRIs, so the op is large while the engine's work stays small.
+func bigLoad(tag string, size int) string {
+	pad := strings.Repeat("x", 16<<10)
+	var b strings.Builder
+	for i := 0; b.Len() < size; i++ {
+		fmt.Fprintf(&b, "<%s-%d> <big> <%s-%d-%s> .\n", tag, i, tag, i, pad)
+	}
+	return b.String()
+}
+
+// TestForwardRefusesOpLargerThanAFrame: an op whose encoding cannot ride one
+// wire frame is refused before it is sequenced, with the same plain,
+// non-retryable error through the authority and through a member, and no
+// replica moves. Sequenced, it would apply on the authority and then never
+// reach a member: neither its broadcast nor a SYNC could carry it.
+func TestForwardRefusesOpLargerThanAFrame(t *testing.T) {
+	seed := startSeed(t, nil)
+	defer seed.close()
+	d1 := joinDaemon(t, seed.tr.Addr(), "")
+	defer d1.close()
+	seedData(t, d1)
+	waitConverged(t, seed, d1)
+	before := seed.node.Applied()
+
+	body := bigLoad("huge", 17<<20)
+	var texts []string
+	for _, via := range []*daemon{seed, d1} {
+		_, err := via.node.Forward("LOAD", nil, body)
+		if !errors.Is(err, ErrOpTooLarge) || errors.Is(err, ErrUnavailable) {
+			t.Fatalf("17 MiB LOAD via rank %d: err = %v, want ErrOpTooLarge alone", via.node.Self(), err)
+		}
+		if !strings.Contains(err.Error(), strconv.Itoa(wire.MaxPayload)) {
+			t.Fatalf("refusal %q does not name the %d-byte limit", err, wire.MaxPayload)
+		}
+		texts = append(texts, err.Error())
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("authority and member refuse differently: %q vs %q", texts[0], texts[1])
+	}
+	if a, b := seed.node.Applied(), d1.node.Applied(); a != before || b != before {
+		t.Fatalf("refused op moved applied: authority %d, member %d, want %d", a, b, before)
+	}
+	if _, err := d1.node.Forward("ADVANCE", []string{"900"}, ""); err != nil {
+		t.Fatalf("write after the refusal: %v", err)
+	}
+	waitConverged(t, seed, d1)
+	q := `SELECT ?X ?Y WHERE { ?X knows ?Y }`
+	if want, got := queryRows(t, seed, q), queryRows(t, d1, q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replicas diverged: %v vs %v", got, want)
+	}
+
+	// The limit is exact: the largest op it admits, under the widest header,
+	// still fits a traced SYNC reply; one byte more is refused.
+	id, kind := "op-1", "LOAD"
+	fill := strings.Repeat("x", wire.MaxPayload-opHeadroom-len(id)-len(kind))
+	if err := checkOpSize(id, kind, nil, fill); err != nil {
+		t.Fatalf("op at the limit refused: %v", err)
+	}
+	enc := encodeOp(math.MaxUint64, math.MaxUint64, id, kind, nil, fill)
+	if n := len(strconv.Itoa(len(enc))) + 1 + len(enc) + trace.ContextSize; n > wire.MaxPayload {
+		t.Fatalf("op at the limit needs a %d-byte SYNC frame", n)
+	}
+	if err := checkOpSize(id, kind, nil, fill+"x"); err == nil {
+		t.Fatal("op one byte over the limit admitted")
+	}
+}
+
+// TestJoinReplaysHistoryLargerThanAFrame: a joiner replays a history larger
+// than one wire frame, over as many SYNC replies as it takes, and so does a
+// member that resumes from its data directory (the same loop serves the
+// takeover reconcile).
+func TestJoinReplaysHistoryLargerThanAFrame(t *testing.T) {
+	seed := startSeed(t, nil)
+	defer seed.close()
+	const loads = 24 // 24 MiB of history against a 16 MiB frame
+	for i := 0; i < loads; i++ {
+		if _, err := seed.node.Forward("LOAD", nil, bigLoad(fmt.Sprintf("b%d", i), 1<<20)); err != nil {
+			t.Fatalf("LOAD %d: %v", i, err)
+		}
+	}
+	dir := t.TempDir()
+	d1 := joinDaemonCfg(t, seed.tr.Addr(), "", func(c *Config) {
+		c.DataDir = dir
+		c.NoSync = true
+	})
+	waitConverged(t, seed, d1)
+	q := `SELECT ?X WHERE { ?X big ?Y }`
+	want := queryRows(t, seed, q)
+	if len(want) < loads {
+		t.Fatalf("authority holds %d rows", len(want))
+	}
+	if got := queryRows(t, d1, q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("joiner holds %d rows, authority %d", len(got), len(want))
+	}
+
+	addr, rank := d1.tr.Addr(), d1.node.Self()
+	d1.close()
+	d2 := resumeMember(t, addr, rank, seed.tr.Addr(), dir)
+	defer d2.close()
+	waitConverged(t, seed, d2)
+	if got := queryRows(t, d2, q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed member holds %d rows, authority %d", len(got), len(want))
 	}
 }

@@ -9,7 +9,7 @@
 //     sits at a higher epoch, someone else won a concurrent takeover (or
 //     the old authority came back fenced-forward) and the candidate aborts.
 //  2. It reconciles to the highest applied sequence any live peer has seen,
-//     by incremental SYNC or — past the compacted window — by snapshot
+//     by incremental SYNC or — for ops its log compacted away — by snapshot
 //     transfer. Nothing a client may have been acked for is skipped: an ack
 //     implies the op was applied on the authority and at least one other
 //     daemon, and the candidate drains every such peer first.

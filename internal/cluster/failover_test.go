@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
+	"repro/internal/oplog"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -175,25 +176,31 @@ func TestZombieAuthorityFenced(t *testing.T) {
 	}
 }
 
-// TestSnapshotCatchUpTwinEqual forces a joiner beyond the authority's
-// retained oplog window so it must converge by snapshot transfer, and
-// checks it against a full-replay twin.
+// TestSnapshotCatchUpTwinEqual compacts the authority's op log past op 1 so
+// a joiner must converge by snapshot transfer, and checks it against a
+// full-replay twin.
 func TestSnapshotCatchUpTwinEqual(t *testing.T) {
-	seed := startSeedCfg(t, func(c *Config) { c.MaxOplog = 64 })
+	seed := startSeedCfg(t, func(c *Config) {
+		c.SnapshotEvery = 64
+		c.SegmentOps = 32
+	})
 	defer seed.close()
-	// Full, uncompacted replay is impossible once the window slides; build
-	// real state first, then slide it.
+	// Full replay is impossible once a snapshot compacts the log's first
+	// segments away; build real state first, then compact it.
 	seedData(t, seed)
 	if reply, err := seed.node.Forward("REGISTER", nil,
 		`REGISTER QUERY QF AS SELECT ?X ?Y FROM S [RANGE 300ms STEP 100ms] WHERE { GRAPH S { ?X po ?Y } }`); err != nil || reply != "registered QF" {
 		t.Fatalf("REGISTER = %q, %v", reply, err)
 	}
-	d1 := joinDaemon(t, seed.tr.Addr(), "") // replay path: window still intact
+	d1 := joinDaemon(t, seed.tr.Addr(), "") // replay path: log still whole
 	defer d1.close()
 	waitConverged(t, seed, d1)
+	if first := seed.node.dlog.First(); first != 1 {
+		t.Fatalf("log compacted to %d before the pump", first)
+	}
 
-	// Slide the window far past its retention: the next joiner cannot
-	// replay from 1 and must take the snapshot path.
+	// Pump past a few snapshots: each one drops the segments below it, so
+	// the next joiner cannot replay from 1 and must take the snapshot path.
 	base := int64(1000)
 	for i := int64(0); i < 200; i++ {
 		if _, err := seed.node.Forward("ADVANCE", []string{fmt.Sprint(base + i*100)}, ""); err != nil {
@@ -201,6 +208,9 @@ func TestSnapshotCatchUpTwinEqual(t *testing.T) {
 		}
 	}
 	waitConverged(t, seed, d1)
+	if first := seed.node.dlog.First(); first <= 1 {
+		t.Fatalf("log not compacted by the pump: first record %d", first)
+	}
 	d2 := joinDaemon(t, seed.tr.Addr(), "") // snapshot path
 	defer d2.close()
 	waitConverged(t, seed, d1, d2)
@@ -251,26 +261,29 @@ func TestSnapshotCatchUpTwinEqual(t *testing.T) {
 }
 
 // TestSnapshotCatchUpFarBehindDefaultWindow is the acceptance-bar variant:
-// with the default 65536-op retention, a member forced more than a full
-// window behind still converges to Applied() equality by snapshot transfer.
+// with the default snapshot cadence and segment size, a member that joins
+// after the first segment is compacted away still converges to Applied()
+// equality by snapshot transfer.
 func TestSnapshotCatchUpFarBehindDefaultWindow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pumps >65536 ops")
-	}
 	seed := startSeed(t, nil)
 	defer seed.close()
 	seedData(t, seed)
 
-	pump := DefaultMaxOplog + 512
+	// A snapshot drops a segment once the open tail has moved past it, so
+	// the first one past op DefaultSegmentOps compacts segment 1 away.
+	pump := oplog.DefaultSegmentOps + DefaultSnapshotEvery
 	for i := 0; i < pump; i++ {
 		if _, err := seed.node.Forward("ADVANCE", []string{fmt.Sprint(1000 + int64(i)*10)}, ""); err != nil {
 			t.Fatalf("ADVANCE pump %d: %v", i, err)
 		}
 	}
+	if first := seed.node.dlog.First(); first <= 1 {
+		t.Fatalf("log not compacted by the pump: first record %d", first)
+	}
 	d1 := joinDaemon(t, seed.tr.Addr(), "")
 	defer d1.close()
 	// Join returns once a catch-up is under way — the replicated MEMBER op
-	// can start one before Join's own — and restoring a clock 66k ticks
+	// can start one before Join's own — and restoring a clock 12k ticks
 	// ahead is slow under the race detector. Wait for the transfer itself
 	// (the /healthz catching-up gate), not for waitConverged's fixed budget.
 	deadline := time.Now().Add(2 * time.Minute)
@@ -415,8 +428,20 @@ func TestResumeAsMemberDiscardsStaleState(t *testing.T) {
 		t.Fatalf("ADVANCE while member down: %v", err)
 	}
 
-	d := &daemon{eng: newEngine(t)}
+	d := resumeMember(t, addr, rank, seed.tr.Addr(), dir)
 	defer d.close()
+	waitConverged(t, seed, d)
+	q := `SELECT ?X ?Y WHERE { ?X knows ?Y }`
+	if want, got := queryRows(t, seed, q), queryRows(t, d, q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed member diverged: %v vs %v", got, want)
+	}
+}
+
+// resumeMember restarts a member that listened on addr as rank from its data
+// directory, with the seed at seedAddr alive: Resume takes the member path.
+func resumeMember(t *testing.T, addr string, rank fabric.NodeID, seedAddr, dir string) *daemon {
+	t.Helper()
+	d := &daemon{eng: newEngine(t)}
 	var ln net.Listener
 	var err error
 	for i := 0; i < 50; i++ {
@@ -427,26 +452,25 @@ func TestResumeAsMemberDiscardsStaleState(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if err != nil {
+		d.close()
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	tr, err := wire.NewTCP(ln, tcpConfig(rank, nil), obs.NewRegistry(""))
 	if err != nil {
+		d.close()
 		t.Fatalf("transport: %v", err)
 	}
 	d.tr = tr
 	cfg := clusterConfig(tr, rank, d.eng, d)
 	cfg.SelfAddr = addr
-	cfg.SeedAddr = seed.tr.Addr()
+	cfg.SeedAddr = seedAddr
 	cfg.DataDir = dir
 	cfg.NoSync = true
 	node, err := Resume(cfg)
 	if err != nil {
+		d.close()
 		t.Fatalf("resume: %v", err)
 	}
 	d.node = node
-	waitConverged(t, seed, d)
-	q := `SELECT ?X ?Y WHERE { ?X knows ?Y }`
-	if want, got := queryRows(t, seed, q), queryRows(t, d, q); !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed member diverged: %v vs %v", got, want)
-	}
+	return d
 }

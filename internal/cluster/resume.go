@@ -217,9 +217,6 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 		}
 		n.mu.Lock()
 		n.setAppliedLocked(gotSeq)
-		n.nextSeq = gotSeq + 1
-		n.base = gotSeq + 1
-		n.oplog = nil
 		n.mu.Unlock()
 	}
 	replayed := 0
@@ -234,8 +231,6 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 		// A refused op was sequenced and refused everywhere; it replays as
 		// refused.
 		n.applyLocked(seq, id, kind, args, body)
-		// In-memory record only: the op is already on disk.
-		n.recordMemLocked(seq, append([]byte(nil), payload...))
 		replayed++
 		return nil
 	})

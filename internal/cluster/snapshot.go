@@ -1,6 +1,6 @@
-// Snapshot transfer: the catch-up path for members too far behind the
-// compacted oplog window, and the durable checkpoint that makes compaction
-// and restart recovery safe (DESIGN.md §15).
+// Snapshot transfer: the catch-up path for members that need ops the
+// serving member's op log compacted away, and the checkpoint that makes
+// compaction and restart recovery safe (DESIGN.md §15).
 //
 // A snapshot is a deterministic text transcript of one replica's state
 // machine at an applied-sequence boundary. The one property everything
@@ -40,6 +40,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -58,14 +59,11 @@ const DefaultSnapshotEvery = 4096
 // 16 MiB frame ceiling.
 const snapChunk = 1 << 20
 
-// maybeSnapshotLocked drives the durable snapshot cadence after each
-// recorded op. Caller holds applyMu. Due snapshots are deferred at
-// non-quiescent points (only an ADVANCE with no pending emits is safe —
-// see the package comment) and retried on the next op.
+// maybeSnapshotLocked drives the snapshot cadence after each recorded op.
+// Caller holds applyMu. Due snapshots are deferred at non-quiescent points
+// (only an ADVANCE with no pending emits is safe — see the package comment)
+// and retried on the next op.
 func (n *Node) maybeSnapshotLocked(kind string) {
-	if n.dlog == nil {
-		return
-	}
 	every := n.cfg.SnapshotEvery
 	if every <= 0 {
 		every = DefaultSnapshotEvery
@@ -82,7 +80,7 @@ func (n *Node) maybeSnapshotLocked(kind string) {
 	n.mu.Lock()
 	seq, epoch := n.applied, n.epoch
 	n.mu.Unlock()
-	if err := oplog.SaveSnapshot(n.cfg.DataDir, seq, epoch, payload); err != nil {
+	if err := oplog.SaveSnapshot(n.logDir, seq, epoch, payload); err != nil {
 		n.logf("snapshot save at %d: %v", seq, err)
 		return
 	}
@@ -364,9 +362,10 @@ func (n *Node) serveSnapGet(args []string) ([]byte, error) {
 }
 
 // catchUpFromSnapshot converges this replica on target's state via snapshot
-// transfer plus the incremental SYNC tail from the snapshot sequence — the
-// path for members beyond the compacted oplog window (and for restarts that
-// find the log already compacted past their applied point).
+// transfer plus the incremental SYNC tail from the snapshot sequence up to
+// the last op target has logged — the path for members that need ops
+// target's log compacted away (and for restarts that find the log already
+// compacted past their applied point).
 func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 	if !n.catching.CompareAndSwap(false, true) {
 		return nil // one transfer at a time; the runner converges for us
@@ -397,7 +396,7 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 	}
 	if n.Applied() >= seq {
 		// Already past the snapshot point: a plain tail sync suffices.
-		return n.tailSync(target, seq)
+		return n.syncRange(target, n.Applied()+1, math.MaxUint64)
 	}
 	payload := make([]byte, 0, size)
 	for i := 0; i < chunks; i++ {
@@ -419,41 +418,18 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 	}
 	n.mu.Lock()
 	n.setAppliedLocked(gotSeq)
-	n.nextSeq = n.applied + 1
-	n.base = n.applied + 1
-	n.oplog = nil
 	n.mu.Unlock()
-	if n.dlog != nil {
-		// Rebase the durable log at the snapshot: everything before it is
-		// captured by the snapshot file saved alongside.
-		if err := n.dlog.Reset(); err != nil {
-			n.logf("durable log rebase: %v", err)
-		} else if err := oplog.SaveSnapshot(n.cfg.DataDir, gotSeq, gotEpoch, payload); err != nil {
-			n.logf("durable snapshot save: %v", err)
-		}
+	// Rebase the op log at the snapshot: everything before it is captured by
+	// the snapshot file saved alongside.
+	if err := n.dlog.Reset(); err != nil {
+		n.logf("oplog rebase: %v", err)
+	} else if err := oplog.SaveSnapshot(n.logDir, gotSeq, gotEpoch, payload); err != nil {
+		n.logf("snapshot save: %v", err)
 	}
 	n.applyMu.Unlock()
 
 	n.cSnapXfers.Inc()
 	n.cSnapBytes.Add(int64(len(payload)))
 	n.logf("caught up by snapshot transfer from %d: seq %d (%d bytes)", target, gotSeq, len(payload))
-	return n.tailSync(target, gotSeq)
-}
-
-// tailSync pulls the incremental op tail (snapSeq, latest] from target.
-func (n *Node) tailSync(target fabric.NodeID, snapSeq uint64) error {
-	resp, err := n.call(target, "STATE", "", "tail-sync")
-	if err != nil {
-		return err
-	}
-	var epoch uint64
-	var auth int
-	var latest, first uint64
-	if _, err := fmt.Sscanf(resp, "EPOCH %d AUTH %d SEQ %d FIRST %d", &epoch, &auth, &latest, &first); err != nil {
-		return fmt.Errorf("cluster: bad STATE %q: %w", resp, err)
-	}
-	if latest <= snapSeq {
-		return nil
-	}
-	return n.syncRange(target, snapSeq+1, latest)
+	return n.syncRange(target, gotSeq+1, math.MaxUint64)
 }

@@ -23,9 +23,11 @@
 package oplog
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -341,8 +343,12 @@ func (l *Log) rotateLocked(base uint64) error {
 	return syncDir(l.dir)
 }
 
-// Range calls f for each record with from <= seq <= to, in order. A zero
-// `to` means "through the end".
+// Range calls f for each record with from <= seq <= to, in order, and
+// returns the first error f returns without reading further. A zero `to`
+// means "through the end". Segments are read record by record: the payloads
+// of records below from are skipped unread, and each payload f gets is its
+// own. A segment TruncateBefore or Reset removed before Range opened it fails
+// with an error that matches fs.ErrNotExist.
 func (l *Log) Range(from, to uint64, f func(seq uint64, payload []byte) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segs...)
@@ -354,30 +360,56 @@ func (l *Log) Range(from, to uint64, f func(seq uint64, payload []byte) error) e
 		if s.last == 0 || s.last < from || s.base > to {
 			continue
 		}
-		data, err := os.ReadFile(s.path)
-		if err != nil {
+		if err := rangeSegment(s, from, to, f); err != nil {
 			return err
 		}
-		// Stop at the segment's last valid record: bytes past it are damage
-		// Open left on disk, or an append that landed after the copy above.
-		for off := 0; ; {
-			seq, payload, next, ok := decode(data, off)
-			if !ok {
-				return fmt.Errorf("oplog: damaged record at %s+%d", s.path, off)
-			}
-			if seq > to {
-				return nil
-			}
-			if seq >= from {
-				if err := f(seq, payload); err != nil {
-					return err
-				}
-			}
-			if seq == s.last {
-				break
+	}
+	return nil
+}
+
+// rangeSegment is Range over one segment. It stops at the segment's last
+// valid record: bytes past it are damage Open left on disk, or an append
+// that landed after Range copied the segment list.
+func rangeSegment(s segment, from, to uint64, f func(seq uint64, payload []byte) error) error {
+	file, err := os.Open(s.path)
+	if err != nil {
+		return err
+	}
+	defer file.Close()
+	r := bufio.NewReaderSize(file, 64<<10)
+	var hdr [recordHeader]byte
+	var off int64 // file offset of the record being read
+	for want := s.base; want <= s.last && want <= to; want++ {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil || binary.BigEndian.Uint64(hdr[:]) != want {
+			return fmt.Errorf("oplog: damaged record at %s+%d", s.path, off)
+		}
+		size := int64(binary.BigEndian.Uint32(hdr[8:]))
+		next := off + recordHeader + size
+		if want < from {
+			if size <= int64(r.Buffered()) {
+				r.Discard(int(size))
+			} else if _, err := file.Seek(next, io.SeekStart); err != nil {
+				return err
+			} else {
+				r.Reset(file)
 			}
 			off = next
+			continue
 		}
+		if size > MaxRecord {
+			return fmt.Errorf("oplog: damaged record at %s+%d", s.path, off)
+		}
+		frame := make([]byte, frameHeader+size)
+		copy(frame, hdr[8:])
+		_, err := io.ReadFull(r, frame[frameHeader:])
+		payload, _, ok := readFrame(frame)
+		if err != nil || !ok {
+			return fmt.Errorf("oplog: damaged record at %s+%d", s.path, off)
+		}
+		if err := f(want, payload); err != nil {
+			return err
+		}
+		off = next
 	}
 	return nil
 }

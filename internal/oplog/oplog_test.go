@@ -315,6 +315,100 @@ func TestTruncateBeforeCompacts(t *testing.T) {
 	}
 }
 
+// Range reads only what it needs: the payloads of records below from are
+// skipped unread, so damage there does not fail a range that starts past it,
+// and it stops reading at the first error f returns, so damage past that
+// point is never reached.
+func TestRangeReadsOnlyWhatItNeeds(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 1, 10)
+	// Records 1..9 carry 4-byte payloads ("op-N"), so record k starts at
+	// (k-1)*(recordHeader+4). Flip a payload byte of records 2 and 9.
+	seg := filepath.Join(dir, "seg-1.wal")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 9} {
+		data[(k-1)*(recordHeader+4)+recordHeader] ^= 0xff
+	}
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := l.Range(1, 0, func(uint64, []byte) error { return nil }); err == nil {
+		t.Fatal("a range over the damaged payloads succeeded")
+	}
+	stop := errors.New("stop")
+	var got []uint64
+	err = l.Range(3, 0, func(seq uint64, p []byte) error {
+		if string(p) != fmt.Sprintf("op-%d", seq) {
+			t.Errorf("record %d = %q", seq, p)
+		}
+		got = append(got, seq)
+		if len(got) == 4 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("Range = %v, want f's own error", err)
+	}
+	if want := []uint64{3, 4, 5, 6}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("records %v, want %v", got, want)
+	}
+	if got := collect(t, l, 10, 0); got[10] != "op-10" || len(got) != 1 {
+		t.Fatalf("range from 10 = %v", got)
+	}
+}
+
+// Range runs beside Append, as a SYNC served from the log does: each range
+// sees a contiguous run of whole records from its start, however far the
+// appends that land meanwhile have got, across segment rotations.
+func TestRangeWhileAppending(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{SegmentOps: 16, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const last = 400
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for s := uint64(1); s <= last; s++ {
+			if err := l.Append(s, []byte(fmt.Sprintf("op-%d", s))); err != nil {
+				t.Errorf("append %d: %v", s, err)
+				return
+			}
+		}
+	}()
+	for ranging := true; ranging; {
+		select {
+		case <-done:
+			ranging = false
+		default:
+		}
+		want := uint64(1)
+		if err := l.Range(1, 0, func(seq uint64, p []byte) error {
+			if seq != want || string(p) != fmt.Sprintf("op-%d", seq) {
+				return fmt.Errorf("record %d = %q, want op-%d", seq, p, want)
+			}
+			want++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := collect(t, l, 1, 0); len(got) != last {
+		t.Fatalf("%d records after the appends, want %d", len(got), last)
+	}
+}
+
 func TestResetAllowsNewBase(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{NoSync: true})
