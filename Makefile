@@ -60,8 +60,9 @@ faults:
 # Five seconds of native fuzzing per target where bytes cross a trust
 # boundary: the op decoder never panics and round-trips, the verb interpreter
 # never panics and leaves no trace of an op it refuses, the in-memory tuple
-# parser never panics and agrees with the streaming Reader, every tuple the
-# renderer writes parses back to itself, the durable log's Open never
+# parser never panics and agrees with the streaming Reader, the key scanner
+# EMIT interns from agrees with that parser, every tuple the renderer writes
+# parses back to itself, the durable log's Open never
 # panics on a damaged segment and leaves a log that ranges and appends
 # cleanly, and a snapshot file either loads to a payload that saves back to
 # the same bytes or is quarantined. -fuzz takes one target per run.
@@ -69,6 +70,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTuples$$' -fuzztime 5s ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzTupleKeys$$' -fuzztime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzTupleRoundTrip$$' -fuzztime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzOplogOpen$$' -fuzztime 5s ./internal/oplog
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/oplog
@@ -100,7 +102,8 @@ chaos-proc:
 	$(GO) test -short -count=1 -run 'TestProcClusterKillDashNine|TestProcSeedKillFailover|TestProcFourthDaemonJoins' ./internal/chaos/...
 
 # Every benchmark reports B/op and allocs/op. BenchmarkMicro_Tick (one
-# daemon-side tick: EMIT ×5, ADVANCE, POLL ×6) and BenchmarkMicro_Query (one
+# daemon-side tick: EMIT ×5, ADVANCE, POLL ×6), BenchmarkMicro_Emit (that
+# tick's five EMITs alone, also in ns/tuple) and BenchmarkMicro_Query (one
 # S2 probe and one S4 scan answered by the QUERY handler) live in
 # internal/server because they drive unexported handlers. BenchmarkForwardedWrite
 # (internal/cluster) is one write through a member of a seed + member pair

@@ -195,15 +195,28 @@ func walkSnapshot(payload string, f func(fields []string, line, blob string) err
 // applyMu. The same code path serves a fresh engine (restore/join) and a
 // stale one (in-place catch-up): every section skips what already exists,
 // and triple restore inserts only the per-key multiset shortfall. The framing
-// is checked and the predicate table interned, all or none, before anything
-// else is applied: a transcript whose predicates do not fit the predicate
-// space changes nothing and fails with strserver.ErrPredicateSpace.
+// and every entity key are checked and the predicate table interned, all or
+// none, before anything else is applied: a transcript whose predicates do not
+// fit the predicate space changes nothing and fails with
+// strserver.ErrPredicateSpace. The entity table is interned next, in ID
+// order.
 func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabric.NodeID, err error) {
 	s := string(payload)
-	var preds []string
+	var (
+		preds []string
+		ents  []byte // the ENT keys, back to back
+		ends  []int  // ends[j] is where ENT key j ends in ents
+	)
 	if err := walkSnapshot(s, func(f []string, _, blob string) error {
-		if f[0] == "PRED" {
+		switch f[0] {
+		case "PRED":
 			preds = append(preds, blob)
+		case "ENT":
+			if err := rdf.CheckKey(blob); err != nil {
+				return fmt.Errorf("cluster: bad snapshot entity: %w", err)
+			}
+			ents = append(ents, blob...)
+			ends = append(ends, len(ents))
 		}
 		return nil
 	}); err != nil {
@@ -211,10 +224,16 @@ func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabr
 	}
 	ss := n.eng.StringServer()
 	// The predicate space is separate from the entity space, so interning it
-	// ahead of the ENT section assigns the IDs the donor holds.
+	// ahead of the entity table assigns the IDs the donor holds.
 	if err := ss.InternPredicates(make([]rdf.ID, len(preds)), func(i int) string { return preds[i] }); err != nil {
 		return 0, 0, 0, fmt.Errorf("cluster: snapshot predicate table of %d: %w", len(preds), err)
 	}
+	ss.InternKeys(make([]rdf.ID, len(ends)), func(j int) []byte {
+		if j == 0 {
+			return ents[:ends[0]]
+		}
+		return ents[ends[j-1]:ends[j]]
+	})
 	g := n.eng.Store()
 	haveCQ := make(map[string]bool)
 	for _, cq := range n.eng.ContinuousOrdered() {
@@ -240,9 +259,7 @@ func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabr
 			n.mu.Lock()
 			n.recordDedupLocked(f[1], ackSeq, blob)
 			n.mu.Unlock()
-		case "ENT":
-			ss.InternEntity(rdf.TermFromKey(blob))
-		case "PRED":
+		case "ENT", "PRED":
 			// Interned above.
 		case "CQ":
 			if !haveCQ[f[1]] {

@@ -19,19 +19,12 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/stream"
 )
-
-// emitScratch holds the []rdf.Tuple an EMIT body is parsed into. It is a pool
-// because ApplyVerb has no owner that serialises it: connection handlers,
-// the sequencer, replica apply and log replay all call it, concurrently on a
-// standalone daemon.
-var emitScratch = sync.Pool{New: func() any { return new([]rdf.Tuple) }}
 
 // ApplyVerb executes one data verb against eng and returns the reply text
 // that follows "+OK " on the line protocol ("stream S", "loaded 12",
@@ -84,20 +77,9 @@ func ApplyVerb(eng *core.Engine, onFire func(name string, res *core.Result, fi c
 		if !ok {
 			return "", fmt.Errorf("unknown stream %q", args[0])
 		}
-		buf := emitScratch.Get().(*[]rdf.Tuple)
-		tuples, err := rdf.AppendTuples(*buf, body)
-		if err != nil {
-			return "", err // buf is dropped with whatever it parsed
-		}
 		// One admission decision for the whole body: the stream's shed policy
 		// is deterministic in op order, so every replica decides alike.
-		// EmitBatch encodes the tuples to IDs and keeps none of them; their
-		// strings are slices of body, so they are cleared before the buffer
-		// is parked.
-		n, err := len(tuples), src.EmitBatch(tuples)
-		clear(tuples)
-		*buf = tuples[:0]
-		emitScratch.Put(buf)
+		n, err := src.EmitBody(body)
 		if err != nil {
 			return "", err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -256,6 +257,9 @@ func FuzzApplyVerb(f *testing.F) {
 	for _, s := range verbSeeds {
 		f.Add(s.kind, s.args, s.body)
 	}
+	// New terms on every line but the last, which is malformed: the body's
+	// entity keys are cut before any line is refused, and none is interned.
+	f.Add("EMIT", "S", "<n1> <po> <n2> . @300\n_:n3 <po> \"n4\" . @301\n<n5> <po>\n")
 	f.Fuzz(func(t *testing.T, kind, args, body string) {
 		// The clock seals one batch per stream interval it passes, empty or
 		// not, so a far-future ADVANCE is slow by design, not a finding.
@@ -654,29 +658,62 @@ func TestConcurrentLoadAndEmitRaceForTheLastPredicates(t *testing.T) {
 	}
 }
 
-// A transcript whose framing breaks anywhere is refused before its first
-// section applies: the entity it lists ahead of the break is not interned.
+// A transcript whose framing breaks anywhere, or that lists an entity key no
+// term has, is refused before its first section applies: the entity it lists
+// ahead of the break is not interned.
 func TestSnapshotFramingIsCheckedFirst(t *testing.T) {
 	d := startSeedCfg(t, nil)
 	defer d.close()
 	ent := string(rdf.NewIRI("restored").AppendKey(nil))
 	head := fmt.Sprintf("WSSNAP 1\nENT %d\n%s\n", len(ent), ent)
 	ss := d.eng.StringServer()
-	for _, tail := range []string{
-		"PRED x\np\n",         // a length that is not a number
-		"PRED 1 2\np\n",       // a stray field
-		"PRED -1\np\n",        // a negative length
-		"CQ Q1 999\nSELECT\n", // a blob past the end
-		"ACK id-1 7\nreply\n", // a header missing its length
+	for _, row := range []struct{ tail, want string }{
+		{"PRED x\np\n", "bad snapshot header"},         // a length that is not a number
+		{"PRED 1 2\np\n", "bad snapshot header"},       // a stray field
+		{"PRED -1\np\n", "bad snapshot header"},        // a negative length
+		{"CQ Q1 999\nSELECT\n", "bad snapshot header"}, // a blob past the end
+		{"ACK id-1 7\nreply\n", "bad snapshot header"}, // a header missing its length
+		{"ENT 0\n\n", "empty term key"},                // an empty entity key
+		{"ENT 1\nx\n", "malformed term key"},           // a key with no kind byte
 	} {
 		d.node.applyMu.Lock()
-		_, _, _, err := d.node.applySnapshotLocked([]byte(head + tail))
+		_, _, _, err := d.node.applySnapshotLocked([]byte(head + row.tail))
 		d.node.applyMu.Unlock()
-		if err == nil || !strings.Contains(err.Error(), "bad snapshot header") {
-			t.Errorf("%q: err = %v, want a bad header", tail, err)
+		if err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%q: err = %v, want %q", row.tail, err, row.want)
 		}
 		if _, ok := ss.LookupEntity(rdf.NewIRI("restored")); ok {
-			t.Fatalf("%q: the entity ahead of the bad header was interned", tail)
+			t.Fatalf("%q: the entity ahead of the bad section was interned", row.tail)
 		}
+	}
+}
+
+// Entity keys longer than the string server's arena chunks survive snapshot
+// transfer: the restored replica holds the same keys under the same IDs.
+func TestSnapshotRoundTripsLongKeys(t *testing.T) {
+	donor, restored := startSeedCfg(t, nil), startSeedCfg(t, nil)
+	defer donor.close()
+	defer restored.close()
+	long := strings.Repeat("x", 200<<10)
+	body := "<a> <p> \"" + long + "\" .\n<" + long + "> <p> <b> .\n<c> <p> <d> .\n"
+	if _, err := ApplyVerb(donor.eng, nil, "LOAD", nil, body); err != nil {
+		t.Fatal(err)
+	}
+	donor.node.applyMu.Lock()
+	payload := donor.node.buildSnapshotLocked()
+	donor.node.applyMu.Unlock()
+	restored.node.applyMu.Lock()
+	_, _, _, err := restored.node.applySnapshotLocked(payload)
+	restored.node.applyMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := donor.eng.StringServer().EntityKeys(), restored.eng.StringServer().EntityKeys()
+	if !slices.Equal(got, want) {
+		t.Fatalf("restored %d entity keys, the donor holds %d (or they differ)", len(got), len(want))
+	}
+	id, ok := restored.eng.StringServer().LookupEntity(rdf.NewIRI(long))
+	if lex, _ := restored.eng.StringServer().Lexical(id); !ok || lex != long {
+		t.Fatalf("the long IRI is not found after the restore (%v)", ok)
 	}
 }

@@ -35,7 +35,9 @@ func ParseTerm(s string) (Term, error) {
 
 // scanTerm parses one term from the front of s and returns the remainder.
 func scanTerm(s string) (Term, string, error) {
-	s = strings.TrimLeft(s, " \t")
+	for s != "" && (s[0] == ' ' || s[0] == '\t') {
+		s = s[1:]
+	}
 	if s == "" {
 		return Term{}, "", fmt.Errorf("rdf: expected term, got end of line")
 	}
@@ -154,7 +156,7 @@ func ParseTriple(line string) (Triple, error) {
 // ". @ts". A tuple without a timestamp annotation gets timestamp 0.
 func ParseTuple(line string) (Tuple, error) {
 	ts := Timestamp(0)
-	if i := strings.LastIndex(line, "@"); i >= 0 && !strings.ContainsAny(line[i:], ">\"") {
+	if i := strings.LastIndexByte(line, '@'); i >= 0 && strings.IndexByte(line[i:], '>') < 0 && strings.IndexByte(line[i:], '"') < 0 {
 		v, err := strconv.ParseInt(strings.TrimSpace(line[i+1:]), 10, 64)
 		if err != nil {
 			return Tuple{}, fmt.Errorf("rdf: bad timestamp: %w", err)
@@ -244,19 +246,31 @@ func ParseTuples(body string) ([]Tuple, error) {
 	return appendLines(nil, body, ParseTuple)
 }
 
-// AppendTuples is ParseTuples into dst's spare capacity, for a caller that
-// parses one body after another. On error it returns nil.
-func AppendTuples(dst []Tuple, body string) ([]Tuple, error) {
-	return appendLines(dst[:0], body, ParseTuple)
-}
-
-// appendLines is the one loop that splits a body into lines: it cuts at each
-// '\n' without copying, and when dst has no room sizes the result from the
-// newline count so it is allocated once.
+// appendLines parses every line of body into dst, which it sizes from the
+// newline count when dst has no room, so the result is allocated once.
 func appendLines[T any](dst []T, body string, parse func(string) (T, error)) ([]T, error) {
 	if n := strings.Count(body, "\n") + 1; cap(dst) < n && body != "" {
 		dst = make([]T, 0, n)
 	}
+	err := eachLine(body, func(text string) error {
+		t, err := parse(text)
+		if err != nil {
+			return err
+		}
+		dst = append(dst, t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// eachLine is the one loop that splits a body into lines: it cuts at each
+// '\n' without copying and calls f with every line that is not blank or a
+// '#' comment, trimmed. A line of maxLineBytes or more stops it with
+// bufio.ErrTooLong, and an error from f with "line N: " and that error.
+func eachLine(body string, f func(text string) error) error {
 	for line := 1; body != ""; line++ {
 		var text string
 		if i := strings.IndexByte(body, '\n'); i >= 0 {
@@ -265,19 +279,94 @@ func appendLines[T any](dst []T, body string, parse func(string) (T, error)) ([]
 			text, body = body, ""
 		}
 		if len(text) >= maxLineBytes {
-			return nil, bufio.ErrTooLong
+			return bufio.ErrTooLong
 		}
 		text = strings.TrimSpace(text)
 		if text == "" || text[0] == '#' {
 			continue
 		}
-		t, err := parse(text)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
+		if err := f(text); err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
 		}
-		dst = append(dst, t)
 	}
-	return dst, nil
+	return nil
+}
+
+// TupleKeys is a body of stream tuple lines cut for interning, each line
+// parsed by ParseTuple and kept as no Tuple: per tuple, its subject's and
+// object's interning keys (Term.AppendKey's bytes), its predicate IRI and its
+// timestamp. Entity key j is tuple j/2's subject when j is even and its
+// object when j is odd, the order in which interning them one tuple at a
+// time would meet them. Scan reuses every buffer, so a TupleKeys that scans
+// body after body allocates only while its buffers grow.
+type TupleKeys struct {
+	keys  []byte      // every entity key, back to back
+	ends  []int       // ends[j] is where entity key j ends in keys
+	preds []string    // predicate IRIs: substrings of the scanned body
+	ts    []Timestamp // timestamps, one per tuple
+}
+
+// Scan replaces k's contents with body's tuples. It accepts and refuses
+// exactly what ParseTuples does, with the same error; on error k is empty.
+// The predicate IRIs are substrings of body: a caller that keeps k past the
+// body's life calls Reset first.
+func (k *TupleKeys) Scan(body string) error {
+	k.Reset()
+	err := eachLine(body, func(text string) error {
+		t, err := ParseTuple(text)
+		if err != nil {
+			return err
+		}
+		k.keys = t.S.AppendKey(k.keys)
+		k.ends = append(k.ends, len(k.keys))
+		k.keys = t.O.AppendKey(k.keys)
+		k.ends = append(k.ends, len(k.keys))
+		k.preds = append(k.preds, t.P.Value)
+		k.ts = append(k.ts, t.TS)
+		return nil
+	})
+	if err != nil {
+		k.Reset()
+	}
+	return err
+}
+
+// Reset empties k and drops its references into the last scanned body; it
+// keeps the buffers.
+func (k *TupleKeys) Reset() {
+	clear(k.preds)
+	k.keys, k.ends, k.preds, k.ts = k.keys[:0], k.ends[:0], k.preds[:0], k.ts[:0]
+}
+
+// Len returns the number of tuples.
+func (k *TupleKeys) Len() int { return len(k.ts) }
+
+// Pred returns tuple i's predicate IRI.
+func (k *TupleKeys) Pred(i int) string { return k.preds[i] }
+
+// TS returns tuple i's timestamp.
+func (k *TupleKeys) TS(i int) Timestamp { return k.ts[i] }
+
+// Key returns entity key j (2·Len() of them). It aliases k's buffer, so it
+// is valid until the next Scan or Reset.
+func (k *TupleKeys) Key(j int) []byte {
+	start := 0
+	if j > 0 {
+		start = k.ends[j-1]
+	}
+	return k.keys[start:k.ends[j]:k.ends[j]]
+}
+
+// CountTuples returns how many tuples body holds, refusing what ParseTuples
+// refuses with the same error, and keeps nothing it parses.
+func CountTuples(body string) (int, error) {
+	n := 0
+	err := eachLine(body, func(text string) error {
+		n++
+		_, err := ParseTuple(text)
+		return err
+	})
+	return n, err
 }
 
 // ReadAllTriples consumes the remaining input and returns all triples.

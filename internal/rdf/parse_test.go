@@ -153,14 +153,20 @@ func TestParseTuplesAllocations(t *testing.T) {
 	}); n > 2 {
 		t.Errorf("ParseTuples of a 64-line body allocates %.0f times, want ≤ 2", n)
 	}
-	var buf []Tuple
+	var keys TupleKeys
 	if n := testing.AllocsPerRun(100, func() {
-		var err error
-		if buf, err = AppendTuples(buf, body); err != nil {
+		if err := keys.Scan(body); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("AppendTuples into a reused slice allocates %.0f times, want 0", n)
+		t.Errorf("TupleKeys.Scan into reused buffers allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if n, err := CountTuples(body); n != 64 || err != nil {
+			t.Fatal(n, err)
+		}
+	}); n != 0 {
+		t.Errorf("CountTuples allocates %.0f times, want 0", n)
 	}
 }
 
@@ -218,6 +224,50 @@ func FuzzParseTuples(f *testing.F) {
 		}
 		if !sameTuples(got, want) {
 			t.Fatalf("tuples differ: got %v, want %v", got, want)
+		}
+	})
+}
+
+// FuzzTupleKeys: the key scanner EMIT interns from agrees with ParseTuples
+// followed by Term.AppendKey on every body — the same keys, predicate IRIs
+// and timestamps, or the same refusal with the same error (so on the same
+// line) — and CountTuples counts what ParseTuples parses. Each body is
+// scanned into buffers a longer body filled first.
+func FuzzTupleKeys(f *testing.F) {
+	f.Add("<a> <p> <b> . @10\n<c> <p> \"l\\n\\t\\r\\\"\\\\x\" . @11\r\n# c\n")
+	f.Add("<a> <p> \"12\"^^<" + XSDInteger + "> . @1\n<a> <p> \"x\"^^<> . @2\n<a> <p> \"hi\"@en . @3\n")
+	f.Add("<a> <p> \"hi\"@en .\n")
+	f.Add("_:b1 <p> _:b2 . @5\n_:b1<p> <o> . @6\n_: <p> <o>\n")
+	f.Add("<a@b> <p> <c@d> . @7\n<a> <p> \"x@y>z\" . @8\n<a> <p> _:b@9\n<a> <p> \"@\" . @ 10 \n")
+	f.Add("# only a comment\r\n\r\n  \t\n<a> <p> <b> .\r\n<a> <p> <b> . @-3\r\n")
+	f.Add("<a> <p> <b> <c> . @1\n<a> <p> <b> .. @2\n")
+	f.Add("<a> <p> <b> . @x\n<a> \"p\" <b> . @1\n<a> <p> \"\\q\" . @1\n<a> <p> \"open . @1\n<a> <p>\n")
+	f.Add("<" + strings.Repeat("x", maxLineBytes) + "> <p> <o> . @1\n")
+	f.Add("<" + strings.Repeat("y", maxLineBytes-len("<> <p> <o> . @1")-1) + "> <p> <o> . @1\n")
+	var keys TupleKeys
+	f.Fuzz(func(t *testing.T, body string) {
+		if err := keys.Scan("<longer-subject> <p> \"a longer object\" . @0\n_:s <q> <o> . @1\n_:s <q> <o> . @2\n"); err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := ParseTuples(body)
+		gotErr := keys.Scan(body)
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("Scan error %q, ParseTuples says %q", errText(gotErr), errText(wantErr))
+		}
+		n, countErr := CountTuples(body)
+		if errText(countErr) != errText(wantErr) || (wantErr == nil && n != len(want)) {
+			t.Fatalf("CountTuples = %d, %q; ParseTuples parsed %d, %q", n, errText(countErr), len(want), errText(wantErr))
+		}
+		if keys.Len() != len(want) {
+			t.Fatalf("Scan cut %d tuples, ParseTuples %d", keys.Len(), len(want))
+		}
+		for i, tu := range want {
+			s, o := tu.S.AppendKey(nil), tu.O.AppendKey(nil)
+			if string(keys.Key(2*i)) != string(s) || string(keys.Key(2*i+1)) != string(o) ||
+				keys.Pred(i) != tu.P.Value || keys.TS(i) != tu.TS {
+				t.Fatalf("tuple %d: Scan has %q %q %q @%d; ParseTuples has %q %q %q @%d", i,
+					keys.Key(2*i), keys.Pred(i), keys.Key(2*i+1), keys.TS(i), s, tu.P.Value, o, tu.TS)
+			}
 		}
 	})
 }

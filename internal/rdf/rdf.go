@@ -9,6 +9,7 @@
 package rdf
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -193,12 +194,26 @@ func appendQuoted(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// CheckKey reports whether key can be an interning key: TermFromKey reads
+// back every key it accepts. A key that arrives from outside the process (a
+// snapshot transcript) is checked here before it is interned.
+func CheckKey(key string) error {
+	if key == "" {
+		return errors.New("rdf: empty term key")
+	}
+	switch key[0] {
+	case '<', '_', '"':
+		return nil
+	}
+	return fmt.Errorf("rdf: malformed term key %q", key)
+}
+
 // TermFromKey reconstructs a term from its interning key. It is the inverse
-// of Term.Key and panics on malformed input, which can only arise from
+// of Term.Key and panics on a key CheckKey refuses, which can only arise from
 // corruption of the string server's tables.
 func TermFromKey(key string) Term {
-	if key == "" {
-		panic("rdf: empty term key")
+	if err := CheckKey(key); err != nil {
+		panic(err.Error())
 	}
 	body := key[1:]
 	switch key[0] {
@@ -206,13 +221,11 @@ func TermFromKey(key string) Term {
 		return NewIRI(body)
 	case '_':
 		return NewBlank(body)
-	case '"':
+	default:
 		if i := strings.LastIndex(body, "\"^^"); i >= 0 {
 			return NewTypedLiteral(body[:i], body[i+3:])
 		}
 		return NewLiteral(body)
-	default:
-		panic(fmt.Sprintf("rdf: malformed term key %q", key))
 	}
 }
 

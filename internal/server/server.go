@@ -443,12 +443,12 @@ func (s *Server) cmdWrite(w *bufio.Writer, r *lineReader, kind string, args []st
 // here only to count it, and only when a limiter is configured.
 func (s *Server) execWrite(tc trace.Context, kind string, args []string, body string) (string, error) {
 	if lim := s.emitLim; lim != nil && kind == "EMIT" {
-		tuples, err := rdf.ParseTuples(body)
+		n, err := rdf.CountTuples(body)
 		if err != nil {
 			return "", err
 		}
-		if n := float64(len(tuples)); n > 0 && !lim.WaitMax(n, s.EmitWait) {
-			return "", flow.Shed(fmt.Sprintf("EMIT rate limit (%d tuples)", len(tuples)), lim.RetryAfter(n))
+		if n > 0 && !lim.WaitMax(float64(n), s.EmitWait) {
+			return "", flow.Shed(fmt.Sprintf("EMIT rate limit (%d tuples)", n), lim.RetryAfter(float64(n)))
 		}
 	}
 	if cb := s.clusterBackend(); cb != nil {

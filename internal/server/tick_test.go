@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,19 +104,37 @@ func (h *tickHarness) apply(tb testing.TB, kind string, args []string, body stri
 
 // tick runs the next pre-rendered tick and returns the rows POLL delivered.
 func (h *tickHarness) tick(tb testing.TB) int {
+	before := h.buffered()
+	h.emit(tb)
+	h.advance(tb)
+	return int(h.buffered() - before)
+}
+
+// emit runs the next tick's five EMITs and returns the tuples they carried.
+func (h *tickHarness) emit(tb testing.TB) int {
+	tk := &h.ticks[h.next]
+	n := 0
+	for i, name := range lsbench.Streams() {
+		reply := h.apply(tb, "EMIT", []string{name}, tk.bodies[i])
+		c, err := strconv.Atoi(strings.TrimPrefix(reply, "emitted "))
+		if err != nil {
+			tb.Fatalf("EMIT reply %q", reply)
+		}
+		n += c
+	}
+	return n
+}
+
+// advance ends the tick emit began: its ADVANCE and the six POLLs.
+func (h *tickHarness) advance(tb testing.TB) {
 	tk := &h.ticks[h.next]
 	h.next++
-	before := h.buffered()
-	for i, name := range lsbench.Streams() {
-		h.apply(tb, "EMIT", []string{name}, tk.bodies[i])
-	}
 	h.apply(tb, "ADVANCE", tk.advance, "")
 	for _, name := range h.cqs {
 		if err := h.srv.cmdPoll(h.w, []string{name}); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return int(h.buffered() - before)
 }
 
 // buffered is the cumulative count of rows firings have handed to the POLL
@@ -186,4 +205,64 @@ func BenchmarkMicro_Tick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.tick(b)
 	}
+}
+
+// measureEmits warms the harness up, then reports bytes and mallocs per tick
+// of the five EMITs alone (ADVANCE and POLL run between them, uncounted),
+// and the tuples they carried.
+func measureEmits(tb testing.TB) (bytesPerTick, mallocsPerTick float64, tuples int) {
+	h := newTickHarness(tb, tickWarm+tickMeasured)
+	for i := 0; i < tickWarm; i++ {
+		h.tick(tb)
+	}
+	var bytes, mallocs uint64
+	for i := 0; i < tickMeasured; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		tuples += h.emit(tb)
+		runtime.ReadMemStats(&m1)
+		bytes += m1.TotalAlloc - m0.TotalAlloc
+		mallocs += m1.Mallocs - m0.Mallocs
+		h.advance(tb)
+	}
+	return float64(bytes) / tickMeasured, float64(mallocs) / tickMeasured, tuples
+}
+
+// TestEmitAllocationBudget pins the EMIT verb on the daemon side: one tick's
+// five bodies (≈ 334 tuples, ≈ 57 new terms) stay under a ceiling 1.5× what
+// this tree measures, 21 KB and 23 mallocs. What is left is mostly data: the
+// adaptor's pending tuples, and the arena, refs and table growth new terms
+// pay for; the rest is refilling the pool of body scratch after a collection
+// empties it. Parsing to []rdf.Tuple and a heap string per new term read 32 KB
+// and 102 mallocs on the same harness.
+func TestEmitAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	b, m, tuples := measureEmits(t)
+	t.Logf("per tick: %.1f KB, %.1f mallocs for %d tuples", b/1024, m, tuples/tickMeasured)
+	const maxBytes, maxMallocs = 32 << 10, 34
+	if b > maxBytes || m > maxMallocs {
+		t.Fatalf("per tick: %.0f bytes (ceiling %d), %.1f mallocs (ceiling %d)", b, maxBytes, m, maxMallocs)
+	}
+}
+
+// BenchmarkMicro_Emit reports time and allocations for one tick's five EMIT
+// bodies through ApplyVerb, and ns per tuple; the tick's ADVANCE and POLLs
+// run with the timer stopped.
+func BenchmarkMicro_Emit(b *testing.B) {
+	b.ReportAllocs()
+	h := newTickHarness(b, tickWarm+b.N)
+	for i := 0; i < tickWarm; i++ {
+		h.tick(b)
+	}
+	b.ResetTimer()
+	tuples := 0
+	for i := 0; i < b.N; i++ {
+		tuples += h.emit(b)
+		b.StopTimer()
+		h.advance(b)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tuples), "ns/tuple")
 }

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,24 +140,38 @@ func batchAt(ts rdf.Timestamp, n int) []rdf.Tuple {
 	return out
 }
 
-// sourceState is everything a refused EmitBatch must leave alone.
+// emitBody sends tuples to src as one EMIT body, one rendered line each.
+func emitBody(src *Source, tuples []rdf.Tuple) error {
+	var b []byte
+	for _, t := range tuples {
+		b = append(rdf.AppendTuple(b, t), '\n')
+	}
+	_, err := src.EmitBody(string(b))
+	return err
+}
+
+// sourceState is everything a refused EmitBody must leave alone.
 type sourceState struct {
 	pending, entities, predicates int
 	admitted, shedOldest          int64
+	keys                          string
 }
 
 func stateOf(src *Source) sourceState {
 	st := src.QueueStats()
-	return sourceState{src.PendingLen(), src.ss.NumEntities(), src.ss.NumPredicates(), st.Admitted(), st.ShedOldest()}
+	return sourceState{src.PendingLen(), src.ss.NumEntities(), src.ss.NumPredicates(), st.Admitted(), st.ShedOldest(),
+		strings.Join(src.ss.EntityKeys(), "\n")}
 }
 
-// TestEmitBatchAllOrNothing: every way EmitBatch can refuse — order inside
-// the body, order against the stream, a sealed batch, a full buffer, a body
-// that could never fit — refuses the whole body and leaves the adaptor and
-// the string server as they were; shed counters move in tuples.
-func TestEmitBatchAllOrNothing(t *testing.T) {
+// TestEmitBodyAllOrNothing: every way EmitBody can refuse — a malformed
+// line anywhere, order inside the body, order against the stream, a sealed
+// batch, a full buffer, a body that could never fit, predicates past the
+// predicate space — refuses the whole body and leaves the adaptor and the
+// string server as they were, entity keys included; shed counters move in
+// tuples.
+func TestEmitBodyAllOrNothing(t *testing.T) {
 	src := admissionSource(t, 4, flow.DropNewest, 0)
-	if err := src.EmitBatch(batchAt(150, 2)); err != nil {
+	if err := emitBody(src, batchAt(150, 2)); err != nil {
 		t.Fatal(err)
 	}
 	src.SealUpTo(100) // batch 1 ([0,100)) is closed; the two tuples stay pending
@@ -166,7 +182,7 @@ func TestEmitBatchAllOrNothing(t *testing.T) {
 	regress[0].S, regress[1].S = rdf.NewIRI("fresh1"), rdf.NewIRI("fresh2")
 	behind := []rdf.Tuple{{Triple: rdf.T("fresh3", "p2", "o"), TS: 120}} // below lastTS (151)
 	for name, body := range map[string][]rdf.Tuple{"regression in body": regress, "regression against stream": behind} {
-		err := src.EmitBatch(body)
+		err := emitBody(src, body)
 		if err == nil || errors.Is(err, flow.ErrShed) {
 			t.Errorf("%s: err = %v, want a plain refusal", name, err)
 		}
@@ -174,18 +190,29 @@ func TestEmitBatchAllOrNothing(t *testing.T) {
 			t.Errorf("%s: state %+v, was %+v", name, got, before)
 		}
 	}
+	for _, body := range []string{
+		"<fresh4> <p3> <o> . @300\n<fresh5> <p> <o> . @301\n<a> <p>\n",
+		"<a> <p> . @300\n<fresh6> <p> <o> . @301\n",
+	} {
+		if _, err := src.EmitBody(body); err == nil || !strings.HasPrefix(err.Error(), "line ") {
+			t.Errorf("%q: err = %v, want a line error", body, err)
+		}
+		if got := stateOf(src); got != before {
+			t.Errorf("%q: state %+v, was %+v", body, got, before)
+		}
+	}
 
 	idle := admissionSource(t, 4, flow.DropNewest, 0)
 	idle.SealUpTo(200)
-	if err := idle.EmitBatch([]rdf.Tuple{{Triple: rdf.T("s", "p", "o"), TS: 250}, {Triple: rdf.T("s", "p", "o"), TS: 150}}); err == nil {
+	if err := emitBody(idle, []rdf.Tuple{{Triple: rdf.T("s", "p", "o"), TS: 250}, {Triple: rdf.T("s", "p", "o"), TS: 150}}); err == nil {
 		t.Error("regression into a sealed batch admitted")
 	}
-	if err := idle.EmitBatch(batchAt(150, 1)); err == nil || idle.PendingLen() != 0 || idle.ss.NumEntities() != 0 {
+	if err := emitBody(idle, batchAt(150, 1)); err == nil || idle.PendingLen() != 0 || idle.ss.NumEntities() != 0 {
 		t.Errorf("tuple in a sealed batch: err = %v, pending %d, entities %d", err, idle.PendingLen(), idle.ss.NumEntities())
 	}
 
 	// 2 pending + 3 > 4: the whole body sheds, counted as three tuples.
-	err := src.EmitBatch(batchAt(300, 3))
+	err := emitBody(src, batchAt(300, 3))
 	var se *flow.ShedError
 	if !errors.As(err, &se) || se.RetryAfter <= 0 {
 		t.Fatalf("full buffer: err = %v, want a ShedError with a hint", err)
@@ -195,12 +222,23 @@ func TestEmitBatchAllOrNothing(t *testing.T) {
 	}
 	// Five tuples can never fit a four-tuple buffer: an error that says so,
 	// not a retry hint.
-	err = src.EmitBatch(batchAt(300, 5))
+	err = emitBody(src, batchAt(300, 5))
 	if err == nil || errors.Is(err, flow.ErrShed) || stateOf(src) != before {
 		t.Fatalf("oversize body: err = %v, state %+v (was %+v)", err, stateOf(src), before)
 	}
+	// Two new predicates with one ID left: neither is interned, and neither
+	// are the body's new entities.
+	fill := make([]rdf.ID, int(strserver.MaxPredicateID)-1-src.ss.NumPredicates())
+	if err := src.ss.InternPredicates(fill, func(i int) string { return "fill/" + strconv.Itoa(i) }); err != nil {
+		t.Fatal(err)
+	}
+	before = stateOf(src)
+	full := []rdf.Tuple{{Triple: rdf.T("fresh7", "new1", "o"), TS: 160}, {Triple: rdf.T("fresh8", "new2", "o"), TS: 161}}
+	if err := emitBody(src, full); !errors.Is(err, strserver.ErrPredicateSpace) || stateOf(src) != before {
+		t.Fatalf("predicates past the space: err = %v, state %+v (was %+v)", err, stateOf(src), before)
+	}
 	// What fits is admitted whole, at a timestamp the refusals did not burn.
-	if err := src.EmitBatch(batchAt(160, 2)); err != nil {
+	if err := emitBody(src, batchAt(160, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.PendingLen(); got != 4 {
@@ -208,17 +246,65 @@ func TestEmitBatchAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestEmitBatchDropOldestNeverRefuses(t *testing.T) {
+// TestEmitBodyAssignsIDsInTupleOrder: a body of known and new terms, some
+// repeated within it, gets the IDs that interning its predicates and then
+// each tuple's subject and object one by one assigns on a twin server.
+func TestEmitBodyAssignsIDsInTupleOrder(t *testing.T) {
+	src := admissionSource(t, 0, flow.DropNewest, 0)
+	twin := strserver.New()
+	for _, ss := range []*strserver.Server{src.ss, twin} {
+		ss.InternEntity(rdf.NewIRI("known"))
+		ss.InternEntity(rdf.NewLiteral("7"))
+		if _, err := ss.InternPredicate("po"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := []rdf.Tuple{
+		{Triple: rdf.Triple{S: rdf.NewIRI("new1"), P: rdf.NewIRI("po"), O: rdf.NewIRI("known")}, TS: 1},
+		{Triple: rdf.Triple{S: rdf.NewBlank("b"), P: rdf.NewIRI("q"), O: rdf.NewIntLiteral(7)}, TS: 2},
+		{Triple: rdf.Triple{S: rdf.NewIRI("known"), P: rdf.NewIRI("r"), O: rdf.NewIRI("new1")}, TS: 2},
+		{Triple: rdf.Triple{S: rdf.NewLiteral("7"), P: rdf.NewIRI("q"), O: rdf.NewTypedLiteral("x\ny", "dt")}, TS: 3},
+		{Triple: rdf.Triple{S: rdf.NewBlank("b"), P: rdf.NewIRI("po"), O: rdf.NewBlank("b")}, TS: 3},
+	}
+	if err := emitBody(src, body); err != nil {
+		t.Fatal(err)
+	}
+	pids := make([]rdf.ID, len(body))
+	if err := twin.InternPredicates(pids, func(i int) string { return body[i].P.Value }); err != nil {
+		t.Fatal(err)
+	}
+	var want []strserver.EncodedTuple
+	for i, tu := range body {
+		want = append(want, strserver.EncodedTuple{EncodedTriple: twin.EncodeWith(tu.Triple, pids[i]), TS: tu.TS})
+	}
+	b := src.SealUpTo(100)
+	if len(b) != 1 || len(b[0].Tuples) != len(want) {
+		t.Fatalf("sealed %+v, want one batch of %d", b, len(want))
+	}
+	for i, tu := range b[0].Tuples {
+		if tu.EncodedTuple != want[i] {
+			t.Errorf("tuple %d = %+v, the twin assigns %+v", i, tu.EncodedTuple, want[i])
+		}
+	}
+	if got, want := strings.Join(src.ss.EntityKeys(), "|"), strings.Join(twin.EntityKeys(), "|"); got != want {
+		t.Errorf("entity keys %q, the twin has %q", got, want)
+	}
+	if got, want := strings.Join(src.ss.PredicateIRIs(), "|"), strings.Join(twin.PredicateIRIs(), "|"); got != want {
+		t.Errorf("predicates %q, the twin has %q", got, want)
+	}
+}
+
+func TestEmitBodyDropOldestNeverRefuses(t *testing.T) {
 	src := admissionSource(t, 3, flow.DropOldest, 0)
-	if err := src.EmitBatch(batchAt(0, 2)); err != nil {
+	if err := emitBody(src, batchAt(0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// 2 + 2 > 3: the oldest buffered tuple makes room.
-	if err := src.EmitBatch(batchAt(10, 2)); err != nil {
+	if err := emitBody(src, batchAt(10, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// A body larger than the buffer keeps its own newest three.
-	if err := src.EmitBatch(batchAt(20, 5)); err != nil {
+	if err := emitBody(src, batchAt(20, 5)); err != nil {
 		t.Fatal(err)
 	}
 	b := src.SealUpTo(100)
@@ -230,21 +316,21 @@ func TestEmitBatchDropOldestNeverRefuses(t *testing.T) {
 	}
 }
 
-func TestEmitBatchBlockWaitsForTheWholeBody(t *testing.T) {
+func TestEmitBodyBlockWaitsForTheWholeBody(t *testing.T) {
 	src := admissionSource(t, 4, flow.Block, 2*time.Second)
-	if err := src.EmitBatch(batchAt(0, 3)); err != nil {
+	if err := emitBody(src, batchAt(0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- src.EmitBatch(batchAt(100, 3)) }()
+	go func() { done <- emitBody(src, batchAt(100, 3)) }()
 	select {
 	case err := <-done:
-		t.Fatalf("EmitBatch returned %v with no room for the body", err)
+		t.Fatalf("EmitBody returned %v with no room for the body", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	src.SealUpTo(100) // drains the first three
 	if err := <-done; err != nil {
-		t.Fatalf("EmitBatch after the drain: %v", err)
+		t.Fatalf("EmitBody after the drain: %v", err)
 	}
 	if got := src.PendingLen(); got != 3 {
 		t.Fatalf("pending = %d, want 3", got)
@@ -252,13 +338,49 @@ func TestEmitBatchBlockWaitsForTheWholeBody(t *testing.T) {
 
 	// No drain: the wait expires and the whole body sheds.
 	short := admissionSource(t, 2, flow.Block, 10*time.Millisecond)
-	if err := short.EmitBatch(batchAt(0, 2)); err != nil {
+	if err := emitBody(short, batchAt(0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := short.EmitBatch(batchAt(10, 2)); !errors.Is(err, flow.ErrShed) {
-		t.Fatalf("EmitBatch on a full buffer = %v, want ErrShed", err)
+	if err := emitBody(short, batchAt(10, 2)); !errors.Is(err, flow.ErrShed) {
+		t.Fatalf("EmitBody on a full buffer = %v, want ErrShed", err)
 	}
 	if st := short.QueueStats(); st.Timeouts() != 1 || st.ShedNewest() != 2 || short.PendingLen() != 2 {
 		t.Fatalf("timeouts=%d shedNewest=%d pending=%d, want 1/2/2", st.Timeouts(), st.ShedNewest(), short.PendingLen())
+	}
+}
+
+// TestEmitBodyBlockedEmitsWaitSideBySide: ShedWait bounds each EMIT's wait,
+// however many producers block on one full stream at once. Two bodies that
+// block together shed together, each about ShedWait after it began, not one
+// after the other.
+func TestEmitBodyBlockedEmitsWaitSideBySide(t *testing.T) {
+	const wait = 250 * time.Millisecond
+	src := admissionSource(t, 2, flow.Block, wait)
+	if err := emitBody(src, batchAt(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		err  error
+		took time.Duration
+	}
+	done := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			start := time.Now()
+			err := emitBody(src, batchAt(10, 1))
+			done <- result{err, time.Since(start)}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		r := <-done
+		if !errors.Is(r.err, flow.ErrShed) {
+			t.Fatalf("blocked EmitBody = %v, want ErrShed", r.err)
+		}
+		if r.took >= 2*wait {
+			t.Fatalf("a blocked EmitBody shed after %v, past twice its ShedWait %v: it waited behind the other", r.took, wait)
+		}
+	}
+	if st := src.QueueStats(); st.Timeouts() != 2 || st.ShedNewest() != 2 {
+		t.Fatalf("timeouts=%d shedNewest=%d, want 2/2", st.Timeouts(), st.ShedNewest())
 	}
 }

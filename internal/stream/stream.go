@@ -99,7 +99,8 @@ type Source struct {
 	discarded int64
 	reordered int64 // tuples that arrived out of order and were re-sorted
 
-	pids []rdf.ID // EmitBatch's predicate IDs, reused across calls
+	pids []rdf.ID // admitBody's predicate IDs, reused under mu
+	ids  []rdf.ID // admitBody's entity IDs, reused under mu
 
 	maxPending int
 	shed       flow.Policy
@@ -210,70 +211,97 @@ func (s *Source) EmitEncoded(enc strserver.EncodedTuple) error {
 	return nil
 }
 
-// EmitBatch admits a whole slice of raw tuples or none of them. It is the
-// unit the EMIT verb ingests: a half-admitted body would duplicate on the
-// client's at-least-once retry, and a replicated op must apply completely or
-// not at all. Under one lock acquisition it checks timestamp order (within
-// the slice and against the last accepted tuple), the sealed-batch boundary,
-// and room for the whole slice; then it interns the slice's predicates all
-// or none (strserver.ErrPredicateSpace when they do not fit), and only then
-// are the tuples encoded and appended, so a refusal leaves the adaptor and
-// the string server exactly as they were. DropNewest sheds the whole slice,
-// Block waits for room for the whole slice or sheds it, DropOldest evicts
-// (after the append, so a refused slice evicts nothing) and never refuses for
-// room; a slice that could never fit (more tuples than MaxPending under
-// DropNewest or Block) is a plain error, not a retry hint. Shed counters move
-// in tuples.
+// EmitBody admits a body of tuple lines, the EMIT verb's, whole or not at
+// all, and returns how many tuples it held. A half-admitted body would
+// duplicate on the client's at-least-once retry, and a replicated op must
+// apply completely or not at all. The body is cut into interning keys
+// (rdf.TupleKeys), keeping no parsed tuple, and refused with
+// rdf.ParseTuples' error if a line is malformed. Then, under one lock acquisition, it checks timestamp
+// order (within the body and against the last accepted tuple), the
+// sealed-batch boundary, and room for the whole body; interns the body's
+// predicates all or none (strserver.ErrPredicateSpace when they do not fit);
+// and only then interns its subjects and objects in one call and appends the
+// tuples. So a refusal leaves the adaptor and the string server exactly as
+// they were, and IDs come out as interning the predicates and then each
+// tuple's subject and object in turn would assign them. DropNewest sheds
+// the whole body, Block waits for room for the whole body or sheds it,
+// DropOldest evicts (after the append, so a refused body evicts nothing) and
+// never refuses for room; a body that could never fit (more tuples than
+// MaxPending under DropNewest or Block) is a plain error, not a retry hint.
+// Shed counters move in tuples.
 //
 // A source with MaxDelay or KeepPredicates — library-only extensions no
-// protocol verb can configure — keeps per-tuple admission: there a refusal
-// part-way leaves the earlier tuples admitted.
-func (s *Source) EmitBatch(tuples []rdf.Tuple) error {
+// protocol verb can configure — admits tuple by tuple through Emit: there a
+// refusal part-way leaves the earlier tuples admitted.
+func (s *Source) EmitBody(body string) (int, error) {
 	if s.maxDelay > 0 || s.keep != nil {
+		tuples, err := rdf.ParseTuples(body)
+		if err != nil {
+			return 0, err
+		}
 		for _, t := range tuples {
 			if err := s.Emit(t); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		return nil
+		return len(tuples), nil
 	}
-	if len(tuples) == 0 {
+	k := bodyKeys.Get().(*rdf.TupleKeys)
+	defer bodyKeys.Put(k)
+	defer k.Reset() // its predicate IRIs are substrings of body
+	if err := k.Scan(body); err != nil {
+		return 0, err
+	}
+	return k.Len(), s.admitBody(k)
+}
+
+// bodyKeys holds EmitBody's scratch. A pool rather than a field of Source,
+// so that concurrent EMITs to one stream neither wait for each other nor
+// share it while the Block policy waits.
+var bodyKeys = sync.Pool{New: func() any { return new(rdf.TupleKeys) }}
+
+// admitBody is EmitBody's all-or-nothing path.
+func (s *Source) admitBody(k *rdf.TupleKeys) error {
+	n := k.Len()
+	if n == 0 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		last := s.lastTS
-		for _, t := range tuples {
-			if err := s.orderLocked(t.TS, last); err != nil {
+		for i := 0; i < n; i++ {
+			if err := s.orderLocked(k.TS(i), last); err != nil {
 				return err
 			}
-			last = t.TS
+			last = k.TS(i)
 		}
 		if s.shed == flow.DropOldest {
 			break
 		}
 		sealedTo := s.sealedTo
-		if err := s.reserveLocked(len(tuples)); err != nil {
+		if err := s.reserveLocked(n); err != nil {
 			return err
 		}
 		// The Block policy released the lock while it waited: if a seal or
 		// another producer moved the stream meanwhile, check again.
-		if s.sealedTo == sealedTo && s.lastTS <= tuples[0].TS {
+		if s.sealedTo == sealedTo && s.lastTS <= k.TS(0) {
 			break
 		}
 	}
-	s.pids = slices.Grow(s.pids[:0], len(tuples))[:len(tuples)]
-	if err := s.ss.InternPredicates(s.pids, func(i int) string { return tuples[i].P.Value }); err != nil {
+	s.pids = slices.Grow(s.pids[:0], n)[:n]
+	if err := s.ss.InternPredicates(s.pids, k.Pred); err != nil {
 		return err
 	}
-	s.pending = slices.Grow(s.pending, len(tuples))
-	for i, t := range tuples {
-		enc := strserver.EncodedTuple{EncodedTriple: s.ss.EncodeWith(t.Triple, s.pids[i]), TS: t.TS}
+	s.ids = slices.Grow(s.ids[:0], 2*n)[:2*n]
+	s.ss.InternKeys(s.ids, k.Key)
+	s.pending = slices.Grow(s.pending, n)
+	for i := 0; i < n; i++ {
+		enc := strserver.EncodedTuple{EncodedTriple: strserver.EncodedTriple{S: s.ids[2*i], P: s.pids[i], O: s.ids[2*i+1]}, TS: k.TS(i)}
 		s.pending = append(s.pending, Tuple{EncodedTuple: enc, Timing: s.timing[enc.P]})
 		s.qstats.OnAdmit()
 	}
-	s.lastTS = tuples[len(tuples)-1].TS
+	s.lastTS = k.TS(n - 1)
 	if s.maxPending > 0 && s.shed == flow.DropOldest {
 		s.evictToLocked(s.maxPending) // a body larger than the buffer sheds its own head
 	}

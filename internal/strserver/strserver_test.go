@@ -3,6 +3,7 @@ package strserver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -129,6 +130,40 @@ func TestNumericCache(t *testing.T) {
 	}
 	if _, ok := s.Numeric(0); ok {
 		t.Error("ID 0 reported numeric")
+	}
+	if _, ok := s.Numeric(x + 1); ok {
+		t.Error("an unassigned ID reported numeric")
+	}
+	// Past the first chunk of IDs: a chunk with no numeric literal, then one
+	// whose every third ID is one, NaN and a plain literal among them.
+	for i := 0; i < 2*refChunk; i++ {
+		s.InternEntity(rdf.NewIRI("e" + strconv.Itoa(i)))
+	}
+	want := map[rdf.ID]float64{}
+	var plain []rdf.ID
+	for i := 0; i < refChunk; i++ {
+		switch {
+		case i%3 != 0:
+			plain = append(plain, s.InternEntity(rdf.NewIRI("f"+strconv.Itoa(i))))
+		case i == 3:
+			plain = append(plain, s.InternEntity(rdf.NewLiteral("not a number")))
+		default:
+			want[s.InternEntity(rdf.NewIntLiteral(int64(i)))] = float64(i)
+		}
+	}
+	nan := s.InternEntity(rdf.NewLiteral("NaN"))
+	for id, v := range want {
+		if got, ok := s.Numeric(id); !ok || got != v {
+			t.Errorf("Numeric(%d) = %v, %v; want %v", id, got, ok, v)
+		}
+	}
+	for _, id := range plain {
+		if v, ok := s.Numeric(id); ok {
+			t.Errorf("Numeric(%d) = %v for a term that is not a number", id, v)
+		}
+	}
+	if v, ok := s.Numeric(nan); !ok || !math.IsNaN(v) {
+		t.Errorf("Numeric of the literal NaN = %v, %v", v, ok)
 	}
 }
 
@@ -410,5 +445,158 @@ func TestPredicateSpaceCap(t *testing.T) {
 	}
 	if enc, err := s.EncodeTriple(rdf.T("x", "a", "y")); err != nil || enc.P != pids[0] {
 		t.Fatalf("EncodeTriple with a known predicate at the cap = %+v, %v", enc, err)
+	}
+}
+
+// keyList is a []string as InternKeys' key function.
+func keyList(keys []string) func(int) []byte {
+	return func(j int) []byte { return []byte(keys[j]) }
+}
+
+// InternKeys assigns what InternEntity of each key in turn assigns: known
+// keys keep their IDs, new ones get the next IDs in index order, and a key
+// repeated within one call gets one ID.
+func TestInternKeysMatchesInternEntityInOrder(t *testing.T) {
+	terms := []rdf.Term{
+		rdf.NewIRI("known"), rdf.NewIRI("new1"), rdf.NewBlank("b"), rdf.NewIRI("new1"),
+		rdf.NewTypedLiteral("3.5", rdf.XSDDouble), rdf.NewLiteral("known"), rdf.NewIRI("known"), rdf.NewBlank("b"),
+	}
+	keys := make([]string, len(terms))
+	for i, tm := range terms {
+		keys[i] = tm.Key()
+	}
+	one, batch := New(), New()
+	for _, s := range []*Server{one, batch} {
+		s.InternEntity(rdf.NewLiteral("known"))
+		s.InternEntity(rdf.NewIRI("known"))
+	}
+	want := make([]rdf.ID, len(terms))
+	for i, tm := range terms {
+		want[i] = one.InternEntity(tm)
+	}
+	got := make([]rdf.ID, len(keys))
+	batch.InternKeys(got, keyList(keys))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("key %q: InternKeys gave %d, InternEntity %d", keys[i], got[i], want[i])
+		}
+	}
+	if g, w := strings.Join(batch.EntityKeys(), "|"), strings.Join(one.EntityKeys(), "|"); g != w {
+		t.Errorf("EntityKeys %q, want %q", g, w)
+	}
+	if v, ok := batch.Numeric(got[4]); !ok || v != 3.5 {
+		t.Errorf("Numeric of an interned key = %v, %v", v, ok)
+	}
+	// All known: the same IDs again, nothing assigned.
+	again := make([]rdf.ID, len(keys))
+	batch.InternKeys(again, keyList(keys))
+	if fmt.Sprint(again) != fmt.Sprint(got) || batch.NumEntities() != one.NumEntities() {
+		t.Errorf("re-interning gave %v (was %v), %d entities", again, got, batch.NumEntities())
+	}
+}
+
+// A key longer than an arena chunk, and one that fills a chunk exactly, get
+// chunks of their own; the keys on either side of them stay where they were.
+// Every one reads back through Entity, Lexical, EntityKeys and LookupEntity,
+// and across table doublings.
+func TestLongKeysRoundTrip(t *testing.T) {
+	s := New()
+	terms := []rdf.Term{
+		rdf.NewIRI("before"),
+		rdf.NewLiteral(strings.Repeat("l", 3*arenaChunk)),
+		rdf.NewIRI(""), // the shortest key, one byte, right after a long one
+		rdf.NewTypedLiteral(strings.Repeat("t", arenaChunk), rdf.XSDString),
+		rdf.NewBlank(strings.Repeat("b", longKey-1)), // exactly longKey bytes
+		rdf.NewIRI(strings.Repeat("i", longKey-2)),   // one short of longKey
+		rdf.NewIRI("after"),
+	}
+	for i := 0; i < 5000; i++ {
+		terms = append(terms, rdf.NewIRI("http://example.org/e/"+strconv.Itoa(i)))
+	}
+	ids := make([]rdf.ID, len(terms))
+	for i, tm := range terms {
+		ids[i] = s.InternEntity(tm)
+	}
+	keys := s.EntityKeys()
+	for i, tm := range terms {
+		if got, ok := s.Entity(ids[i]); !ok || got != tm {
+			t.Fatalf("Entity(%d) of term %d (%d key bytes) does not read back", ids[i], i, len(tm.Key()))
+		}
+		if lex, ok := s.Lexical(ids[i]); !ok || lex != tm.Value {
+			t.Fatalf("Lexical(%d) of term %d does not read back", ids[i], i)
+		}
+		if keys[ids[i]-1] != tm.Key() {
+			t.Fatalf("EntityKeys()[%d] is not term %d's key", ids[i]-1, i)
+		}
+		if id, ok := s.LookupEntity(tm); !ok || id != ids[i] {
+			t.Fatalf("LookupEntity of term %d = %d, %v; want %d", i, id, ok, ids[i])
+		}
+	}
+}
+
+// Body interns race InternEntity, LookupEntity and Lexical (`make race`),
+// and every writer sees one ID per key: the IDs partition the keys.
+func TestConcurrentInternKeys(t *testing.T) {
+	s := New()
+	const writers, bodies, perBody = 2, 50, 40
+	var wg sync.WaitGroup
+	seen := make([]map[string]rdf.ID, writers)
+	for w := 0; w < writers; w++ {
+		seen[w] = make(map[string]rdf.ID)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < bodies; b++ {
+				keys := make([]string, perBody)
+				for j := range keys {
+					keys[j] = rdf.NewIRI(fmt.Sprintf("http://ex/%d", (b*perBody+j*7)%1500)).Key()
+				}
+				ids := make([]rdf.ID, perBody)
+				s.InternKeys(ids, keyList(keys))
+				for j, k := range keys {
+					if prev, ok := seen[w][k]; ok && prev != ids[j] {
+						t.Errorf("key %q got IDs %d and %d", k, prev, ids[j])
+					}
+					seen[w][k] = ids[j]
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tm := rdf.NewIRI(fmt.Sprintf("http://ex/%d", i%1500))
+				if r == 0 {
+					s.InternEntity(tm)
+				} else if id, ok := s.LookupEntity(tm); ok {
+					if lex, ok := s.Lexical(id); !ok || lex != tm.Value {
+						t.Errorf("Lexical(%d) = %q, %v; want %q", id, lex, ok, tm.Value)
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for k, id := range seen[0] {
+		if other, ok := seen[1][k]; ok && other != id {
+			t.Errorf("key %q: writer 0 got %d, writer 1 %d", k, id, other)
+		}
+		if got, ok := s.LookupEntity(rdf.TermFromKey(k)); !ok || got != id {
+			t.Errorf("LookupEntity(%q) = %d, %v; want %d", k, got, ok, id)
+		}
+	}
+	if n := s.NumEntities(); n < len(seen[0]) || n > 1500 {
+		t.Errorf("NumEntities = %d, want %d to 1500", n, len(seen[0]))
 	}
 }
