@@ -40,8 +40,11 @@ test:
 
 # The paper's evaluation shapes (EXPERIMENTS.md) as a gate: Table 2's
 # ordering, Table 4's unsupported cells, Table 5's RDMA penalty, Fig. 4's
-# cross-system share and Fig. 12's Group II speed-up, each a ratio with a
-# margin under spin-injected latency. About 3 s of wall time on a 2-vCPU host.
+# cross-system share, Fig. 12's Group II speed-up (each a ratio with a margin
+# under spin-injected latency), Table 6's index-free GPS stream and per-batch
+# cost ≪ the batch interval, and Table 7's index < raw data with PO-L
+# amortizing better than PO (every *Shape test). About 3 s of test time
+# (6 s with the build) on a 2-vCPU host; Tables 6 and 7 take 0.03 s of it.
 shapes:
 	$(GO) test -count=1 -run 'Shape$$|^TestTable4StructuredStreamingUnsupported$$|^TestFig4CrossSystemCost$$' ./internal/bench/experiments
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/bench/harness"
+	"repro/internal/bench/lsbench"
 	"repro/internal/fabric"
 	"strconv"
 	"strings"
@@ -190,5 +191,82 @@ func TestFig4CrossSystemCost(t *testing.T) {
 		if cc <= 0 {
 			t.Errorf("plan %s has no cross-system cost", row[0])
 		}
+	}
+}
+
+// tableRows indexes a report's rows by their first cell.
+func tableRows(r *Report) map[string][]string {
+	rows := map[string][]string{}
+	for _, row := range r.Table.Rows {
+		rows[row[0]] = row
+	}
+	return rows
+}
+
+// floatCell parses a numeric report cell.
+func floatCell(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+	if err != nil {
+		t.Fatalf("bad numeric cell %q: %v", cell, err)
+	}
+	return v
+}
+
+// TestTable6Shape checks the injection-cost study at quick scale: the
+// timing-only GPS stream adds no span to the stream index, and each
+// stream's per-batch injection plus indexing stays at least 10× below its
+// 100 ms batch interval.
+func TestTable6Shape(t *testing.T) {
+	r, err := Table6(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tableRows(r)
+	// Columns: Stream, Rate, Injection, Indexing, Total, Spans/batch.
+	gps, ok := rows[lsbench.StreamGPS]
+	if !ok {
+		t.Fatalf("no GPS row:\n%s", r.Table)
+	}
+	if gps[5] != "0" {
+		t.Errorf("GPS indexes %s spans per batch, want 0\n%s", gps[5], r.Table)
+	}
+	for _, s := range lsbench.Streams() {
+		row, ok := rows[s]
+		if !ok {
+			t.Fatalf("no %s row:\n%s", s, r.Table)
+		}
+		if total := msValue(t, row[4]); 10*total > 100*time.Millisecond {
+			t.Errorf("%s costs %v per batch, want ≪ the 100ms interval\n%s", s, total, r.Table)
+		}
+	}
+}
+
+// TestTable7Shape checks the memory study at quick scale: GPS has no stream
+// index, the index is smaller than the raw stream data, and the like stream
+// PO-L amortizes its index better than the post stream PO (many likes per
+// batch hit the same hot posts).
+func TestTable7Shape(t *testing.T) {
+	r, err := Table7(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tableRows(r)
+	// Columns: Stream, Data(KB/min), Index(KB/min), Ratio.
+	ratio := func(s string) float64 {
+		row, ok := rows[s]
+		if !ok {
+			t.Fatalf("no %s row:\n%s", s, r.Table)
+		}
+		return floatCell(t, row[2]) / floatCell(t, row[1])
+	}
+	if gps := floatCell(t, rows[lsbench.StreamGPS][2]); gps != 0 {
+		t.Errorf("GPS index = %.1f KB/min, want 0\n%s", gps, r.Table)
+	}
+	if total := ratio("Total"); total >= 1 {
+		t.Errorf("index/raw = %.2f overall, want < 1\n%s", total, r.Table)
+	}
+	if pol, po := ratio(lsbench.StreamPOL), ratio(lsbench.StreamPO); pol >= po {
+		t.Errorf("PO-L index/raw %.2f not below PO's %.2f\n%s", pol, po, r.Table)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -213,17 +214,22 @@ type deltaEntry struct {
 	tbl *exec.Table
 }
 
-// edgePair is one (from, to) stream edge as the executor would traverse it:
-// from is the Candidates-side vertex under the step's direction, to one of
-// its Neighbors. Duplicate edges stay duplicated, matching Expand row
-// multiplicity.
-type edgePair struct{ from, to rdf.ID }
+// batchEdges is a mini-batch's edge list for one (pred, dir), sorted by the
+// from-side vertex (exec.WindowAccess.BatchEdges). Batch contents are
+// immutable after injection (eviction bumps a tracked invalidation signal),
+// so a list built once when the batch enters the window serves every later
+// firing it remains in.
+type batchEdges []exec.Edge
 
-// batchEdges is a mini-batch's edge list for one (pred, dir), hashed by the
-// from-side vertex. Batch contents are immutable after injection (eviction
-// bumps a tracked invalidation signal), so a list built once when the batch
-// enters the window serves every later firing it remains in.
-type batchEdges map[rdf.ID][]rdf.ID
+// from returns the edges leaving vertex v: one binary search.
+func (be batchEdges) from(v rdf.ID) batchEdges {
+	i := sort.Search(len(be), func(i int) bool { return be[i].From >= v })
+	j := i
+	for j < len(be) && be[j].From == v {
+		j++
+	}
+	return be[i:j]
+}
 
 // storedKey identifies one stored-graph neighbor read for the cross-firing
 // memo.
@@ -267,8 +273,8 @@ func (m memoStored) LocalCandidates(n fabric.NodeID, pid rdf.ID, d store.Dir) []
 // updated per firing by the batches that entered and left. The check then
 // costs one map probe per row instead of a window-span store read.
 type postState struct {
-	counts  map[edgePair]int
-	byBatch map[tstore.BatchID][]edgePair
+	counts  map[exec.Edge]int
+	byBatch map[tstore.BatchID][]exec.Edge
 }
 
 // deltaState is a continuous query's delta-evaluation cache. Its own mutex
@@ -286,7 +292,7 @@ type deltaState struct {
 
 	pre      *exec.Table
 	levels   []map[vecKey]deltaEntry         // levels[i]: vector prefix of length i+1
-	segEdges []map[tstore.BatchID]batchEdges // per level: hashed batch edge lists
+	segEdges []map[tstore.BatchID]batchEdges // per level: batch edge lists
 	posts    []postState                     // per dp.post entry
 	stored   map[storedKey][]rdf.ID          // cross-firing stored-read memo
 }
@@ -351,7 +357,7 @@ func (ds *deltaState) reset(e *Engine, dp *deltaPlan) {
 	}
 	ds.posts = make([]postState, len(dp.post))
 	for i := range ds.posts {
-		ds.posts[i] = postState{counts: map[edgePair]int{}, byBatch: map[tstore.BatchID][]edgePair{}}
+		ds.posts[i] = postState{counts: map[exec.Edge]int{}, byBatch: map[tstore.BatchID][]exec.Edge{}}
 	}
 	ds.stored = map[storedKey][]rdf.ID{}
 }
@@ -442,31 +448,31 @@ type walkState struct {
 }
 
 // batchEdgeScan enumerates one mini-batch's edges for (st.Pid, st.Dir)
-// through the window access's one-walk path. nil means the stream has no
-// window access (shouldn't happen for a split plan — the caller falls back
-// to the per-row path).
-func (ws *walkState) batchEdgeScan(stream string, b tstore.BatchID, st plan.Step) batchEdges {
+// through the window access's one-run path. ok is false when the stream has
+// no window access (shouldn't happen for a split plan — the caller falls
+// back to the per-row path).
+func (ws *walkState) batchEdgeScan(stream string, b tstore.BatchID, st plan.Step) (batchEdges, bool) {
 	wa, ok := ws.base.byName[stream]
 	if !ok {
-		return nil
+		return nil, false
 	}
-	return batchEdges(wa.BatchEdges(ws.cq.Home(), b, st.Pid, st.Dir))
+	return wa.BatchEdges(ws.cq.Home(), b, st.Pid, st.Dir), true
 }
 
-// edgesFor returns the hashed edge list for (level, b), building and staging
-// it on first use. nil means the per-row Neighbors path is cheaper for this
+// edgesFor returns the edge list for (level, b), building and staging it on
+// first use. ok is false when the per-row Neighbors path is cheaper for this
 // level: building costs one span read per batch edge paid once per batch
 // lifetime, per-row costs one read per probing row per firing, so sparse
 // parents (an anchored prefix) skip the build.
-func (ws *walkState) edgesFor(level int, b tstore.BatchID, st plan.Step, stream string, inRows int) batchEdges {
+func (ws *walkState) edgesFor(level int, b tstore.BatchID, st plan.Step, stream string, inRows int) (batchEdges, bool) {
 	if be, ok := ws.ds.segEdges[level][b]; ok {
-		return be
+		return be, true
 	}
 	if be, ok := ws.stagedEdges[level][b]; ok {
-		return be
+		return be, true
 	}
 	if ws.noEdges[level][b] {
-		return nil
+		return nil, false
 	}
 	// Cheap prior before paying the batch walk (its cost is proportional to
 	// the batch's edges): a level whose parents are sparse against the
@@ -478,24 +484,24 @@ func (ws *walkState) edgesFor(level int, b tstore.BatchID, st plan.Step, stream 
 				ws.noEdges[level] = map[tstore.BatchID]bool{}
 			}
 			ws.noEdges[level][b] = true
-			return nil
+			return nil, false
 		}
 	}
-	be := ws.batchEdgeScan(stream, b, st)
-	if be == nil {
-		return nil
+	be, ok := ws.batchEdgeScan(stream, b, st)
+	if !ok {
+		return nil, false
 	}
 	if ws.stagedEdges[level] == nil {
 		ws.stagedEdges[level] = map[tstore.BatchID]batchEdges{}
 	}
 	ws.stagedEdges[level][b] = be
-	return be
+	return be, true
 }
 
 // segEval computes the binding table for one (vector prefix, batch) pair.
-// A segment-leading index seed expands from the batch's one-walk edge scan;
-// a segment-leading Expand joins against the batch's in-memory edge hash
-// when available; everything else (constant seeds, sparse levels, the
+// A segment-leading index seed expands from the batch's one-run edge scan;
+// a segment-leading Expand joins against the batch's sorted edge list when
+// available; everything else (constant seeds, sparse levels, the
 // segment's trailing stored steps) runs through the normal step applier
 // restricted to the batch.
 func (ws *walkState) segEval(level int, b tstore.BatchID, in *exec.Table) (*exec.Table, error) {
@@ -508,15 +514,15 @@ func (ws *walkState) segEval(level int, b tstore.BatchID, in *exec.Table) (*exec
 	st := seg.steps[0]
 	if st.Kind == plan.SeedIndex {
 		// A seed's candidate enumeration already walks the whole batch, so
-		// the one-walk scan is never a loss — and it is evaluated once per
+		// the one-run scan is never a loss — and it is evaluated once per
 		// batch (the level table is cached), so the list is not kept.
-		if be := ws.batchEdgeScan(seg.stream, b, st); be != nil {
+		if be, ok := ws.batchEdgeScan(seg.stream, b, st); ok {
 			return ws.segRest(level, b, seedCrossBind(st, in, be), seg.steps[1:])
 		}
 	}
 	if st.Kind == plan.Expand && st.To.IsVar() && in.Col(st.To.Var) < 0 &&
 		(!st.From.IsVar() || in.Col(st.From.Var) >= 0) {
-		if be := ws.edgesFor(level, b, st, seg.stream, len(in.Rows)); be != nil {
+		if be, ok := ws.edgesFor(level, b, st, seg.stream, len(in.Rows)); ok {
 			return ws.segRest(level, b, joinExpand(st, in, be), seg.steps[1:])
 		}
 	}
@@ -535,7 +541,7 @@ func (ws *walkState) segRest(level int, b tstore.BatchID, tbl *exec.Table, rest 
 }
 
 // seedCrossBind mirrors the executor's index-seed expansion against a batch
-// edge hash: the same pair set as expandSeeds (To-const filter included) fed
+// edge list, walked in vertex order: the same pair set as expandSeeds (To-const filter included) fed
 // through crossBind's cartesian attach, including the ?x p ?x self-loop
 // handling — the identical row multiset to the Candidates+Neighbors path.
 func seedCrossBind(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
@@ -549,39 +555,33 @@ func seedCrossBind(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 		toCol = len(out.Vars)
 		out.Vars = append(out.Vars, st.To.Var)
 	}
-	edges := 0
-	for _, ns := range be {
-		edges += len(ns)
-	}
 	var arena exec.RowArena
-	arena.Grow(len(in.Rows) * edges * len(out.Vars))
-	out.Rows = make([][]rdf.ID, 0, len(in.Rows)*edges)
+	arena.Grow(len(in.Rows) * len(be) * len(out.Vars))
+	out.Rows = make([][]rdf.ID, 0, len(in.Rows)*len(be))
 	for _, row := range in.Rows {
-		for from, ns := range be {
-			for _, to := range ns {
-				if !st.To.IsVar() && to != st.To.Const {
-					continue
-				}
-				if st.To.IsVar() && st.To.Var == st.From.Var && from != to {
-					continue // ?x p ?x self-loop pattern
-				}
-				nr := arena.Row(len(out.Vars))
-				copy(nr, row)
-				if fromCol >= 0 {
-					nr[fromCol] = from
-				}
-				if toCol >= 0 {
-					nr[toCol] = to
-				}
-				out.Rows = append(out.Rows, nr)
+		for _, e := range be {
+			if !st.To.IsVar() && e.To != st.To.Const {
+				continue
 			}
+			if st.To.IsVar() && st.To.Var == st.From.Var && e.From != e.To {
+				continue // ?x p ?x self-loop pattern
+			}
+			nr := arena.Row(len(out.Vars))
+			copy(nr, row)
+			if fromCol >= 0 {
+				nr[fromCol] = e.From
+			}
+			if toCol >= 0 {
+				nr[toCol] = e.To
+			}
+			out.Rows = append(out.Rows, nr)
 		}
 	}
 	return out
 }
 
-// joinExpand mirrors the executor's Expand traversal against an in-memory
-// batch edge hash: one output row per (input row, matching edge), the new
+// joinExpand mirrors the executor's Expand traversal against a batch edge
+// list, probed by binary search: one output row per (input row, matching edge), the new
 // var bound last — the identical row multiset to the per-row Neighbors path.
 func joinExpand(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 	fromCol := -1
@@ -595,12 +595,12 @@ func joinExpand(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 		}
 		return st.From.Const
 	}
-	// Count the matches first (one more hash probe per input row) so the
-	// output is two allocations of the right size, not a doubling slice of
-	// row headers plus a chain of chunks.
+	// Count the matches first (one more probe per input row) so the output
+	// is two allocations of the right size, not a doubling slice of row
+	// headers plus a chain of chunks.
 	n := 0
 	for _, row := range in.Rows {
-		n += len(be[origin(row)])
+		n += len(be.from(origin(row)))
 	}
 	if n == 0 {
 		return out
@@ -609,37 +609,31 @@ func joinExpand(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 	arena.Grow(n * len(out.Vars))
 	out.Rows = make([][]rdf.ID, 0, n)
 	for _, row := range in.Rows {
-		for _, to := range be[origin(row)] {
-			out.Rows = append(out.Rows, arena.Extend(row, to))
+		for _, e := range be.from(origin(row)) {
+			out.Rows = append(out.Rows, arena.Extend(row, e.To))
 		}
 	}
 	return out
 }
 
 // buildPostPairs enumerates a mini-batch's (from, to) edges for a deferred
-// check through the window access's one-walk scan, inheriting its fabric
+// check through the window access's one-run scan, inheriting its fabric
 // charging. A stream without a window access (defensive) falls back to
 // restricted Candidates + per-vertex Neighbors.
-func (e *Engine) buildPostPairs(cq *ContinuousQuery, base *accessProvider, st plan.Step, b tstore.BatchID) ([]edgePair, error) {
+func (e *Engine) buildPostPairs(cq *ContinuousQuery, base *accessProvider, st plan.Step, b tstore.BatchID) ([]exec.Edge, error) {
 	node := cq.Home()
 	if wa, ok := base.byName[st.Graph.Name]; ok {
-		var pairs []edgePair
-		for v, ns := range wa.BatchEdges(node, b, st.Pid, st.Dir) {
-			for _, n := range ns {
-				pairs = append(pairs, edgePair{from: v, to: n})
-			}
-		}
-		return pairs, nil
+		return wa.BatchEdges(node, b, st.Pid, st.Dir), nil
 	}
 	prov := e.batchProvider(base, st.Graph.Name, b)
 	acc, err := prov.Access(st.Graph)
 	if err != nil {
 		return nil, err
 	}
-	var pairs []edgePair
+	var pairs []exec.Edge
 	for _, v := range acc.Candidates(node, st.Pid, st.Dir) {
 		for _, n := range acc.Neighbors(node, v, st.Pid, st.Dir) {
-			pairs = append(pairs, edgePair{from: v, to: n})
+			pairs = append(pairs, exec.Edge{From: v, To: n})
 		}
 	}
 	return pairs, nil
@@ -662,7 +656,7 @@ func (e *Engine) applyPost(cq *ContinuousQuery, ds *deltaState, dp *deltaPlan, b
 		ps := &ds.posts[i]
 		type batchAdd struct {
 			b     tstore.BatchID
-			pairs []edgePair
+			pairs []exec.Edge
 		}
 		var adds []batchAdd
 		for b := win.from; b <= win.to; b++ {
@@ -704,12 +698,12 @@ func (e *Engine) applyPost(cq *ContinuousQuery, ds *deltaState, dp *deltaPlan, b
 		}
 		out := &exec.Table{Vars: tbl.Vars}
 		for _, row := range tbl.Rows {
-			k := edgePair{from: st.From.Const, to: st.To.Const}
+			k := exec.Edge{From: st.From.Const, To: st.To.Const}
 			if fromCol >= 0 {
-				k.from = row[fromCol]
+				k.From = row[fromCol]
 			}
 			if toCol >= 0 {
-				k.to = row[toCol]
+				k.To = row[toCol]
 			}
 			if ps.counts[k] > 0 {
 				out.Rows = append(out.Rows, row)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/stream"
+	"repro/internal/tstore"
 )
 
 // TestDeltaEquivalenceCrosscheck drives a two-stream query with a stored
@@ -178,5 +179,44 @@ WHERE { GRAPH PO { ?U po ?P } }`
 	}
 	if got := e.ModeForQuery(q); got != exec.ForkJoin {
 		t.Fatalf("mode after rate surge = %v, want fork-join (decision must flip with drift)", got)
+	}
+}
+
+// TestDeltaExpireDropsEveryExpiredBatch: a firing never reads a cached
+// vector or edge list outside its window, so one that expiry forgot would
+// not change a row — only grow the cache for good. Expiry is checked here
+// directly: after it, every cached coordinate lies inside its window.
+func TestDeltaExpireDropsEveryExpiredBatch(t *testing.T) {
+	ds := &deltaState{
+		levels:   []map[vecKey]deltaEntry{{}, {}},
+		segEdges: []map[tstore.BatchID]batchEdges{{}, {}},
+	}
+	for a := tstore.BatchID(1); a <= 6; a++ {
+		ds.levels[0][vecKey{a}] = deltaEntry{vec: vecKey{a}}
+		ds.segEdges[0][a], ds.segEdges[1][a] = nil, nil
+		for b := tstore.BatchID(1); b <= 6; b++ {
+			ds.levels[1][vecKey{a, b}] = deltaEntry{vec: vecKey{a, b}}
+		}
+	}
+	wins := []batchRange{{from: 3, to: 5}, {from: 2, to: 6}}
+	ds.expire(wins)
+	for lvl, m := range ds.levels {
+		for k := range m {
+			for j := 0; j <= lvl; j++ {
+				if k[j] < wins[j].from || k[j] > wins[j].to {
+					t.Errorf("level %d keeps vector %v outside window %d %+v", lvl, k, j, wins[j])
+				}
+			}
+		}
+	}
+	if len(ds.levels[0]) != 3 || len(ds.levels[1]) != 3*5 {
+		t.Errorf("kept %d and %d vectors, want 3 and 15", len(ds.levels[0]), len(ds.levels[1]))
+	}
+	for lvl, m := range ds.segEdges {
+		for b := range m {
+			if b < wins[lvl].from || b > wins[lvl].to {
+				t.Errorf("level %d keeps the edge list of batch %d outside %+v", lvl, b, wins[lvl])
+			}
+		}
 	}
 }

@@ -291,7 +291,7 @@ WHERE { GRAPH Tweet_Stream { ?X po ?Z } }`, nil)
 	if newest-oldest > 10 {
 		t.Errorf("stream index retains %d batches; GC lagging", newest-oldest)
 	}
-	if st.index.GCRuns() == 0 {
+	if st.index.Counters().GCRuns == 0 {
 		t.Error("stream index never GCed")
 	}
 }

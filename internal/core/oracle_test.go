@@ -15,15 +15,22 @@ import (
 
 // This file model-tests the engine against a brute-force oracle: a naive
 // in-memory reference that re-evaluates every window from the full tuple
-// history. Random (seeded) stream schedules drive both; any divergence in
-// continuous-query results or one-shot visibility is a correctness bug in
-// the hybrid store, stream index, window math, or VTS machinery.
+// history with nested loops over term strings, sharing no code with exec,
+// plan, store, sindex or tstore. Random (seeded) stream schedules drive
+// both; any divergence in continuous-query results or one-shot visibility
+// is a correctness bug in the hybrid store, stream index, transient store,
+// window math, delta firing or VTS machinery.
+
+// oracleTiming is the timing predicate of stream A: its tuples live only in
+// the transient store and never reach the stored graph.
+const oracleTiming = "g"
 
 // oracleModel is the reference implementation.
 type oracleModel struct {
 	mu      sync.Mutex
 	initial [][3]string         // s, p, o
 	tuples  map[string][]oTuple // per stream
+	seen    map[[3]string]bool  // every triple used so far, stored or streamed
 }
 
 type oTuple struct {
@@ -31,7 +38,20 @@ type oTuple struct {
 	ts      rdf.Timestamp
 }
 
-func (m *oracleModel) addInitial(s, p, o string) { m.initial = append(m.initial, [3]string{s, p, o}) }
+// fresh reports whether s p o is new to the model and records it. The
+// scripts use every triple once, so the engine's bag semantics (a stream
+// Expand keeps duplicate edges, a stream Check keeps a row once) and the
+// model's agree.
+func (m *oracleModel) fresh(s, p, o string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k := [3]string{s, p, o}
+	if m.seen[k] {
+		return false
+	}
+	m.seen[k] = true
+	return true
+}
 
 func (m *oracleModel) emit(stream, s, p, o string, ts rdf.Timestamp) {
 	m.mu.Lock()
@@ -39,114 +59,222 @@ func (m *oracleModel) emit(stream, s, p, o string, ts rdf.Timestamp) {
 	m.tuples[stream] = append(m.tuples[stream], oTuple{s, p, o, ts})
 }
 
-// window returns stream tuples with ts in (from, to].
-func (m *oracleModel) window(stream string, from, to rdf.Timestamp) []oTuple {
+// oPat is one triple pattern as the model reads it: a term starting with
+// '?' is a variable, and graph "" is the stored graph.
+type oPat struct{ graph, s, p, o string }
+
+// triples returns the triples pattern pat ranges over: a stream window
+// [at-rng, at) (batches are 100 ms and windows fire on batch boundaries),
+// or the stored graph as a read at storedAsOf sees it — the initial load
+// plus every timeless tuple of a batch sealed by then.
+func (m *oracleModel) triples(pat oPat, rng int64, at, storedAsOf rdf.Timestamp) [][3]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []oTuple
-	for _, t := range m.tuples[stream] {
-		if t.ts > from && t.ts <= to {
-			out = append(out, t)
+	var out [][3]string
+	if pat.graph != "" {
+		for _, t := range m.tuples[pat.graph] {
+			if t.p == pat.p && int64(t.ts) >= int64(at)-rng && t.ts < at {
+				out = append(out, [3]string{t.s, t.p, t.o})
+			}
+		}
+		return out
+	}
+	for _, tr := range m.initial {
+		if tr[1] == pat.p {
+			out = append(out, tr)
+		}
+	}
+	cutoff := storedAsOf / 100 * 100
+	for _, ts := range m.tuples {
+		for _, t := range ts {
+			if t.p == pat.p && t.p != oracleTiming && t.ts < cutoff {
+				out = append(out, [3]string{t.s, t.p, t.o})
+			}
 		}
 	}
 	return out
 }
 
-// continuousOracle evaluates: GRAPH A { ?x p ?y } . ?y q ?z  for the window
-// ending at `at` with RANGE rng. The stream part is exact (prefix
-// integrity); the stored part reads the stable snapshot current at
-// *execution* time (`storedAsOf`) — a catch-up window that fires late sees
-// stored data absorbed after its boundary, which is the engine's documented
-// semantics (the paper's one-shot/stored reads use Stable_SN, not window
-// time).
-func (m *oracleModel) continuousOracle(at, storedAsOf rdf.Timestamp, rng int64) []string {
-	from := at - rdf.Timestamp(rng)
-	if from < 0 {
-		from = 0
+// bind extends row with triple tr matched against pat, or reports a clash.
+func bind(row map[string]string, pat oPat, tr [3]string) (map[string]string, bool) {
+	out := make(map[string]string, len(row)+2)
+	for k, v := range row {
+		out[k] = v
 	}
-	qEdges := map[string][]string{}
-	for _, tr := range m.initial {
-		if tr[1] == "q" {
-			qEdges[tr[0]] = append(qEdges[tr[0]], tr[2])
-		}
-	}
-	cutoff := rdf.Timestamp(int64(storedAsOf) / 100 * 100)
-	m.mu.Lock()
-	for _, t := range m.tuples["B"] {
-		if t.p == "q" && t.ts < cutoff {
-			qEdges[t.s] = append(qEdges[t.s], t.o)
-		}
-	}
-	m.mu.Unlock()
-	var rows []string
-	for _, t := range m.window("A", from, at) {
-		if t.p != "p" {
+	for i, term := range []string{pat.s, pat.o} {
+		val := tr[2*i]
+		if !strings.HasPrefix(term, "?") {
+			if term != val {
+				return nil, false
+			}
 			continue
 		}
-		for _, z := range qEdges[t.o] {
-			rows = append(rows, t.s+" "+t.o+" "+z)
+		if old, ok := out[term]; ok && old != val {
+			return nil, false
 		}
+		out[term] = val
 	}
-	sort.Strings(rows)
-	return rows
+	return out, true
 }
 
-// oneShotOracle returns all (x, y) with x p y visible at time `now`.
-func (m *oracleModel) oneShotOracle(now rdf.Timestamp) []string {
-	cutoff := rdf.Timestamp(int64(now) / 100 * 100)
-	var rows []string
-	for _, tr := range m.initial {
-		if tr[1] == "p" {
-			rows = append(rows, tr[0]+" "+tr[2])
-		}
-	}
-	m.mu.Lock()
-	for _, strm := range []string{"A", "B"} {
-		for _, t := range m.tuples[strm] {
-			if t.p == "p" && t.ts < cutoff {
-				rows = append(rows, t.s+" "+t.o)
+// eval answers c's query for the window firing at `at` by nested loops.
+func (m *oracleModel) eval(c oracleCase, at, storedAsOf rdf.Timestamp) []string {
+	rows := []map[string]string{{}}
+	for _, pat := range c.where {
+		trs := m.triples(pat, c.windows[pat.graph], at, storedAsOf)
+		var next []map[string]string
+		for _, row := range rows {
+			for _, tr := range trs {
+				if nb, ok := bind(row, pat, tr); ok {
+					next = append(next, nb)
+				}
 			}
 		}
+		rows = next
 	}
-	m.mu.Unlock()
-	sort.Strings(rows)
-	return rows
+	out := make([]string, 0, len(rows))
+	for _, row := range rows {
+		cells := make([]string, len(c.vars))
+		for i, v := range c.vars {
+			cells[i] = row[v]
+		}
+		out = append(out, strings.Join(cells, " "))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// oracleCase is one continuous query of the table: its windows (stream →
+// RANGE in ms; STEP is 100 ms), its WHERE clause and its SELECT list.
+type oracleCase struct {
+	name    string
+	windows map[string]int64
+	where   []oPat
+	vars    []string
+}
+
+// text renders c as the REGISTER QUERY the engine is given.
+func (c oracleCase) text() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "REGISTER QUERY oracle AS\nSELECT %s\n", strings.Join(c.vars, " "))
+	streams := make([]string, 0, len(c.windows))
+	for s := range c.windows {
+		streams = append(streams, s)
+	}
+	sort.Strings(streams)
+	for _, s := range streams {
+		fmt.Fprintf(&b, "FROM %s [RANGE %dms STEP 100ms]\n", s, c.windows[s])
+	}
+	pats := make([]string, len(c.where))
+	for i, p := range c.where {
+		pats[i] = fmt.Sprintf("%s %s %s", p.s, p.p, p.o)
+		if p.graph != "" {
+			pats[i] = fmt.Sprintf("GRAPH %s { %s }", p.graph, pats[i])
+		}
+	}
+	fmt.Fprintf(&b, "WHERE { %s }", strings.Join(pats, " . "))
+	return b.String()
+}
+
+// storedJoin is the original oracle query: a stream pattern joined with
+// stored data that itself evolves from stream B.
+var storedJoin = oracleCase{
+	name:    "stored-join",
+	windows: map[string]int64{"A": 500},
+	where:   []oPat{{"A", "?x", "p", "?y"}, {"", "?y", "q", "?z"}},
+	vars:    []string{"?x", "?y", "?z"},
+}
+
+// oracleCases covers the code that reads a mini-batch's indexes: the stream
+// index's window candidates and spans (unanchored seeds), the transient
+// store (timing data, as a seed and as an expand), two stream patterns
+// joined across streams with different windows, and a deferred stream check
+// (delta firing maintains those incrementally).
+var oracleCases = []oracleCase{
+	storedJoin,
+	{
+		name:    "unanchored",
+		windows: map[string]int64{"A": 300},
+		where:   []oPat{{"A", "?x", "p", "?y"}},
+		vars:    []string{"?x", "?y"},
+	},
+	{
+		name:    "timing-seed",
+		windows: map[string]int64{"A": 300},
+		where:   []oPat{{"A", "?x", oracleTiming, "?l"}},
+		vars:    []string{"?x", "?l"},
+	},
+	{
+		name:    "timing-join",
+		windows: map[string]int64{"A": 400},
+		where:   []oPat{{"A", "?x", "p", "?y"}, {"A", "?y", oracleTiming, "?l"}},
+		vars:    []string{"?x", "?y", "?l"},
+	},
+	{
+		name:    "stream-join",
+		windows: map[string]int64{"A": 300, "B": 500},
+		where:   []oPat{{"A", "?x", "p", "?y"}, {"B", "?y", "r", "?z"}},
+		vars:    []string{"?x", "?y", "?z"},
+	},
+	{
+		name:    "stream-check",
+		windows: map[string]int64{"A": 400},
+		where:   []oPat{{"A", "?x", "p", "?y"}, {"A", "?y", "p", "?x"}},
+		vars:    []string{"?x", "?y"},
+	},
 }
 
 func TestEngineMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runOracle(t, seed)
+			runOracle(t, seed, storedJoin, Config{Nodes: 3, WorkersPerNode: 2})
 		})
 	}
 }
 
-func runOracle(t *testing.T, seed int64) {
+// TestOracleTable runs every case of the table on 1, 2 and 4 engine
+// partitions, with delta firing on and off.
+func TestOracleTable(t *testing.T) {
+	for _, c := range oracleCases {
+		for _, nodes := range []int{1, 2, 4} {
+			for _, delta := range []string{DeltaModeAuto, DeltaModeOff} {
+				for _, seed := range []int64{3, 11} {
+					c, cfg, seed := c, Config{Nodes: nodes, WorkersPerNode: 2, DeltaMode: delta}, seed
+					t.Run(fmt.Sprintf("%s/nodes=%d/delta=%s/seed=%d", c.name, nodes, delta, seed), func(t *testing.T) {
+						runOracle(t, seed, c, cfg)
+					})
+				}
+			}
+		}
+	}
+}
+
+func runOracle(t *testing.T, seed int64, c oracleCase, cfg Config) {
 	rng := rand.New(rand.NewSource(seed))
-	e, err := New(Config{Nodes: 3, WorkersPerNode: 2})
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	model := &oracleModel{tuples: map[string][]oTuple{}}
+	model := &oracleModel{tuples: map[string][]oTuple{}, seen: map[[3]string]bool{}}
 
-	// Initial stored graph: a few q-edges.
+	// Initial stored graph: a few q-edges and p-edges.
 	var initial []rdf.Triple
 	ents := func(i int) string { return fmt.Sprintf("e%d", i) }
-	for i := 0; i < 12; i++ {
-		s, o := ents(rng.Intn(8)), ents(8+rng.Intn(8))
-		initial = append(initial, rdf.T(s, "q", o))
-		model.addInitial(s, "q", o)
-	}
-	for i := 0; i < 4; i++ {
-		s, o := ents(rng.Intn(8)), ents(rng.Intn(8))
-		initial = append(initial, rdf.T(s, "p", o))
-		model.addInitial(s, "p", o)
+	for i := 0; i < 16; i++ {
+		s, p, o := ents(rng.Intn(8)), "q", ents(8+rng.Intn(8))
+		if i >= 12 {
+			p, o = "p", ents(rng.Intn(8))
+		}
+		if model.fresh(s, p, o) {
+			initial = append(initial, rdf.T(s, p, o))
+			model.initial = append(model.initial, [3]string{s, p, o})
+		}
 	}
 	e.LoadTriples(initial)
 
-	srcA, err := e.RegisterStream(stream.Config{Name: "A", BatchInterval: 100 * time.Millisecond})
+	srcA, err := e.RegisterStream(stream.Config{Name: "A", BatchInterval: 100 * time.Millisecond, TimingPredicates: []string{oracleTiming}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +283,6 @@ func runOracle(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 
-	// Continuous query under test: stream pattern joined with stored data
-	// that itself evolves from stream B.
 	type fire struct {
 		at         rdf.Timestamp
 		storedAsOf rdf.Timestamp
@@ -164,47 +290,50 @@ func runOracle(t *testing.T, seed int64) {
 	}
 	var mu sync.Mutex
 	var fires []fire
-	_, err = e.RegisterContinuous(`
-REGISTER QUERY oracle AS
-SELECT ?x ?y ?z
-FROM A [RANGE 500ms STEP 100ms]
-WHERE { GRAPH A { ?x p ?y } . ?y q ?z }`,
-		func(r *Result, f FireInfo) {
-			rows := r.Strings()
-			sort.Strings(rows)
-			mu.Lock()
-			fires = append(fires, fire{at: f.At, storedAsOf: e.Now(), rows: rows})
-			mu.Unlock()
-		})
+	_, err = e.RegisterContinuous(c.text(), func(r *Result, f FireInfo) {
+		rows := r.Strings()
+		sort.Strings(rows)
+		mu.Lock()
+		fires = append(fires, fire{at: f.At, storedAsOf: e.Now(), rows: rows})
+		mu.Unlock()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Random schedule: emit bursts with non-decreasing timestamps, advance
 	// in random increments, and cross-check one-shot visibility as we go.
+	// Stream A carries p-edges between the first eight entities and timing
+	// g-edges to four locations; stream B carries q- and r-edges from them
+	// to the next eight entities.
 	now := rdf.Timestamp(0)
 	emitTS := rdf.Timestamp(1)
+	oneShot := oPat{"", "?x", "p", "?y"}
 	for step := 0; step < 40; step++ {
-		burst := rng.Intn(6)
+		burst := rng.Intn(8)
+		if emitTS <= now {
+			emitTS = now + rdf.Timestamp(rng.Intn(50))
+		}
 		for i := 0; i < burst; i++ {
 			emitTS += rdf.Timestamp(rng.Intn(60))
 			strmName, src := "A", srcA
 			if rng.Intn(3) == 0 {
 				strmName, src = "B", srcB
 			}
-			pred := "p"
-			if strmName == "B" && rng.Intn(2) == 0 {
-				pred = "q"
+			s, pred, o := ents(rng.Intn(8)), "p", ents(rng.Intn(8))
+			switch {
+			case strmName == "A" && rng.Intn(3) == 0:
+				pred, o = oracleTiming, fmt.Sprintf("l%d", rng.Intn(4))
+			case strmName == "B":
+				pred, o = "q", ents(8+rng.Intn(8))
+				if rng.Intn(2) == 0 {
+					pred = "r"
+				}
 			}
-			s, o := ents(rng.Intn(8)), ents(8+rng.Intn(8))
-			if pred == "p" {
-				o = ents(rng.Intn(8)) // p-edges point at q-subjects
-			}
-			tu := rdf.Tuple{Triple: rdf.T(s, pred, o), TS: emitTS}
-			if tu.TS <= now { // already-sealed batch: skip (monotonic model)
+			if !model.fresh(s, pred, o) {
 				continue
 			}
-			if err := src.Emit(tu); err != nil {
+			if err := src.Emit(rdf.Tuple{Triple: rdf.T(s, pred, o), TS: emitTS}); err != nil {
 				t.Fatal(err)
 			}
 			model.emit(strmName, s, pred, o, emitTS)
@@ -215,29 +344,33 @@ WHERE { GRAPH A { ?x p ?y } . ?y q ?z }`,
 		}
 		e.AdvanceTo(now)
 
-		// One-shot visibility check.
 		res, err := e.Query(`SELECT ?x ?y WHERE { ?x p ?y }`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := res.Strings()
 		sort.Strings(got)
-		want := model.oneShotOracle(now)
+		want := model.eval(oracleCase{where: []oPat{oneShot}, vars: []string{"?x", "?y"}}, now, now)
 		if strings.Join(got, "|") != strings.Join(want, "|") {
 			t.Fatalf("step %d @%d: one-shot mismatch\ngot:  %v\nwant: %v", step, now, got, want)
 		}
 	}
 
-	// Every fired window must match the oracle exactly.
+	// Every fired window must match the oracle exactly, as a multiset.
 	mu.Lock()
 	defer mu.Unlock()
 	if len(fires) == 0 {
 		t.Fatal("continuous query never fired")
 	}
+	rows := 0
 	for _, f := range fires {
-		want := model.continuousOracle(f.at, f.storedAsOf, 500)
+		want := model.eval(c, f.at, f.storedAsOf)
 		if strings.Join(f.rows, "|") != strings.Join(want, "|") {
 			t.Fatalf("window @%d mismatch\ngot:  %v\nwant: %v", f.at, f.rows, want)
 		}
+		rows += len(want)
+	}
+	if rows == 0 {
+		t.Fatalf("%s: no firing produced a row; the script does not exercise the query", c.name)
 	}
 }

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -140,45 +143,50 @@ func (a WindowAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir
 	return out
 }
 
-// BatchEdges enumerates the (from → to) edges one mini-batch contributed for
-// (pid, d), hashed by the from-side vertex — the delta evaluator's edge-cache
-// builder. One index walk yields the batch's fat pointers up front, so the
+// Edge is one (from → to) stream edge as the executor would traverse it:
+// from is the Candidates-side vertex under the step's direction, to one of
+// its Neighbors.
+type Edge struct{ From, To rdf.ID }
+
+// BatchEdges enumerates the edges one mini-batch contributed for (pid, d),
+// sorted by the from-side vertex — the delta evaluator's edge list. One run
+// of the batch's stream index yields its fat pointers up front, so the
 // per-vertex index lookups Neighbors would pay disappear and the span reads
 // coalesce into one batched gather per home node (GatherSpans); per-node
-// transient slices fold in with the usual remote pricing. The batch need not
-// lie inside [From, To]: the caller names it explicitly.
-func (a WindowAccess) BatchEdges(from fabric.NodeID, b tstore.BatchID, pid rdf.ID, d store.Dir) map[rdf.ID][]rdf.ID {
+// transient runs fold in with the usual remote pricing. Duplicate edges stay
+// duplicated, matching Expand row multiplicity. The batch need not lie
+// inside [From, To]: the caller names it explicitly.
+func (a WindowAccess) BatchEdges(from fabric.NodeID, b tstore.BatchID, pid rdf.ID, d store.Dir) []Edge {
 	a.Obs.candidateScan()
 	kss := a.Index.BatchEdgeSpansFrom(a.Store.Fabric(), from, b, pid, d)
 	vals := a.Store.GatherSpans(from, kss)
-	// Each vertex's first values are carved from one chunk, at full capacity:
-	// a vertex with a second span, or with timing data below, reallocates its
-	// own list and leaves its neighbours alone.
 	total := 0
 	for _, v := range vals {
 		total += len(v)
 	}
-	var arena RowArena
-	arena.Grow(total)
-	out := make(map[rdf.ID][]rdf.ID, len(kss))
+	out := make([]Edge, 0, total)
 	for i, ks := range kss {
 		a.Obs.spanRead()
-		if prev, ok := out[ks.Key.Vid]; ok {
-			out[ks.Key.Vid] = append(prev, vals[i]...)
-			continue
+		for _, v := range vals[i] {
+			out = append(out, Edge{From: ks.Key.Vid, To: v})
 		}
-		first := arena.Row(len(vals[i]))
-		copy(first, vals[i])
-		out[ks.Key.Vid] = first
 	}
+	sources := min(len(out), 1)
 	for n, ts := range a.Transients {
 		if ts == nil {
 			continue
 		}
 		a.Obs.transientRead()
-		for v, vals := range ts.BatchEdgesFrom(a.Store.Fabric(), from, fabric.NodeID(n), b, pid, d) {
-			out[v] = append(out[v], vals...)
+		ps := ts.BatchEdgesFrom(a.Store.Fabric(), from, fabric.NodeID(n), b, pid, d)
+		if len(ps) > 0 {
+			sources++
 		}
+		for _, p := range ps {
+			out = append(out, Edge{From: p.Key.Vid(), To: p.Val})
+		}
+	}
+	if sources > 1 {
+		slices.SortStableFunc(out, func(x, y Edge) int { return cmp.Compare(x.From, y.From) })
 	}
 	return out
 }
@@ -197,7 +205,7 @@ func (a WindowAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []
 		if ts == nil {
 			continue
 		}
-		cands := transientCandidates(ts, pid, d, a.From, a.To)
+		cands := ts.ScanVertices(pid, d, a.From, a.To)
 		if len(cands) == 0 {
 			continue
 		}
@@ -230,50 +238,12 @@ func (a WindowAccess) LocalCandidates(n fabric.NodeID, pid rdf.ID, d store.Dir) 
 		}
 	}
 	if ts := a.Transients[n]; ts != nil {
-		for _, v := range transientCandidates(ts, pid, d, a.From, a.To) {
+		for _, v := range ts.ScanVertices(pid, d, a.From, a.To) {
 			if !seen[v] {
 				seen[v] = true
 				out = append(out, v)
 			}
 		}
-	}
-	return out
-}
-
-// transientCandidates scans a transient store's window for vertices with a
-// pid edge in direction d.
-func transientCandidates(ts *tstore.Store, pid rdf.ID, d store.Dir, from, to tstore.BatchID) []rdf.ID {
-	return ts.ScanVertices(pid, d, from, to)
-}
-
-// UnionAccess merges several access paths (a query window plus timeless data
-// already absorbed, or multiple streams feeding one scope). Not used by the
-// standard engine but available to baselines.
-type UnionAccess []Access
-
-// Neighbors unions the underlying accesses' neighbor lists.
-func (u UnionAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
-	var out []rdf.ID
-	for _, a := range u {
-		out = append(out, a.Neighbors(from, vid, pid, d)...)
-	}
-	return out
-}
-
-// Candidates unions the underlying accesses' candidates.
-func (u UnionAccess) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID {
-	var out []rdf.ID
-	for _, a := range u {
-		out = append(out, a.Candidates(from, pid, d)...)
-	}
-	return out
-}
-
-// LocalCandidates unions the underlying accesses' local candidates.
-func (u UnionAccess) LocalCandidates(n fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID {
-	var out []rdf.ID
-	for _, a := range u {
-		out = append(out, a.LocalCandidates(n, pid, d)...)
 	}
 	return out
 }

@@ -78,7 +78,7 @@ func newFixture(t testing.TB, nodes int) *fixture {
 	t15 := f.id("T-15")
 	ga := f.pred("ga")
 	home := f.stored.HomeOf(t15)
-	f.tweetTS[home].Append(1, store.EdgeKey(t15, ga, store.Out), []rdf.ID{gps})
+	f.tweetTS[home].Append(1, []tstore.Pair{{Key: store.EdgeKey(t15, ga, store.Out).Ord(), Val: gps}})
 
 	// Stream batch 2 on Like_Stream: Erik likes T-15.
 	for _, ks := range f.stored.Insert(f.enc([3]string{"Erik", "li", "T-15"}), 1) {

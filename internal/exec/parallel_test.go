@@ -119,25 +119,6 @@ func TestPlanOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestUnionAccess(t *testing.T) {
-	f := newFixture(t, 2)
-	a := StoredAccess{Store: f.stored, SN: 1}
-	u := UnionAccess{a, a}
-	logan := f.id("Logan")
-	po, _ := f.ss.LookupPredicate("po")
-	single := a.Neighbors(0, logan, po, store.Out)
-	double := u.Neighbors(0, logan, po, store.Out)
-	if len(double) != 2*len(single) {
-		t.Errorf("union neighbors = %d, want %d", len(double), 2*len(single))
-	}
-	if len(u.Candidates(0, po, store.Out)) != 2*len(a.Candidates(0, po, store.Out)) {
-		t.Error("union candidates wrong")
-	}
-	if len(u.LocalCandidates(0, po, store.Out)) != 2*len(a.LocalCandidates(0, po, store.Out)) {
-		t.Error("union local candidates wrong")
-	}
-}
-
 func TestResultSetByteSizeAndClone(t *testing.T) {
 	tbl := &Table{Vars: []string{"a", "b"}, Rows: [][]rdf.ID{{1, 2}, {3, 4}}}
 	if tbl.ByteSize() != 32 {

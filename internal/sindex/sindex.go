@@ -9,17 +9,25 @@
 // covered batch index and reads the spans directly, making the search space
 // independent of the stored-data size.
 //
-// Like the transient store, batch indexes are created on the later side and
-// garbage-collected from the earlier side. The index also tracks its replica
-// set: with locality-aware partitioning the index is replicated to exactly
-// the nodes where registered continuous queries demand the stream (§4.2),
-// so in-place execution needs one one-sided read per span instead of two.
+// A mini-batch does not change once it is injected, so a batch index is one
+// array of (key, span) entries in the store's batch order (store.Ord) with a
+// small run directory per (pid, dir): a lookup binary-searches, and a
+// predicate's vertices, its value count and its distinct-vertex count are
+// one run. Like the transient store, batch indexes are created on the later
+// side and garbage-collected from the earlier side. The index also tracks its
+// replica set: with locality-aware partitioning the index is replicated to
+// exactly the nodes where registered continuous queries demand the stream
+// (§4.2), so in-place execution needs one one-sided read per span instead of
+// two.
 package sindex
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fabric"
 	"repro/internal/rdf"
@@ -27,37 +35,26 @@ import (
 	"repro/internal/tstore"
 )
 
-// pidDir keys the per-predicate vertex lists.
-type pidDir struct {
-	pid rdf.ID
-	dir store.Dir
+// entry is one span a batch appended under a key: 16 bytes, the paper's
+// fat pointer beside its packed key.
+type entry struct {
+	key  store.Ord
+	span store.Span
 }
 
-// batchIndex is the stream index of a single mini-batch.
+// batchIndex is the stream index of a single mini-batch: its entries in
+// batch order (a key's spans in value order, adjacent ones merged) and the
+// run directory over them.
 type batchIndex struct {
 	batch   tstore.BatchID
-	entries map[store.Key][]store.Span
-	// byPred lists the distinct vertices that gained a (pid,dir) edge in
-	// this batch — the window-scoped equivalent of Wukong's index vertices.
-	// Unbound stream patterns enumerate candidates from these lists, so the
-	// search space stays proportional to the window, not the store (§4.2).
-	byPred map[pidDir][]rdf.ID
-	// predVals counts the values (edges) each (pid,dir) appended in this
-	// batch — the planner's window-scoped cardinality statistic, maintained
-	// at injection time so estimation never scans the index.
-	predVals map[pidDir]int64
-	bytes    int64
-	// spare is where a key's first span is carved from: one chunk per
-	// AddBatch call instead of one one-element slice per key. Carved at full
-	// capacity, so a key that gains a second, non-adjacent span reallocates
-	// its own slice and leaves its neighbours alone.
-	spare []store.Span
+	entries []entry
+	runs    []store.Run
 }
 
-// entryBytes approximates the resident size of one index entry: a 24-byte
-// key plus an 8-byte span (the paper's 96-bit fat pointer ≈ 12 bytes; we
-// charge our actual layout).
-const entryBytes = 24 + 8
+// bytes is the batch's resident size: its two arrays.
+func (bi *batchIndex) bytes() int64 {
+	return int64(cap(bi.entries))*int64(unsafe.Sizeof(entry{})) + int64(cap(bi.runs))*int64(unsafe.Sizeof(store.Run{}))
+}
 
 // Index is the stream index for one stream. Methods are safe for concurrent
 // use.
@@ -68,8 +65,7 @@ type Index struct {
 	home fabric.NodeID // fixed at New
 
 	replicaMu   sync.RWMutex
-	replicas    map[fabric.NodeID]bool
-	replicaList []fabric.NodeID // the set as a slice, rebuilt (never edited) by Replicate
+	replicaList []fabric.NodeID // the set, home first; rebuilt (never edited) by Replicate
 
 	gcRuns    int64
 	gcBatches int64 // batch indexes freed by GC
@@ -81,81 +77,87 @@ type Index struct {
 
 // New creates an empty stream index homed on the given node.
 func New(home fabric.NodeID) *Index {
-	return &Index{home: home, replicas: map[fabric.NodeID]bool{home: true}, replicaList: []fabric.NodeID{home}}
+	return &Index{home: home, replicaList: []fabric.NodeID{home}}
 }
 
-// AddBatch records the key spans appended by one batch's injection. Adjacent
-// spans for the same key merge into one (injection within a batch is
-// consecutive per key, §4.3). Batches arrive in ascending order: the engine
-// finishes injecting one batch of a stream on every node before the next.
+// AddBatch records one injection share's key spans for a batch. It sorts
+// spans in place (the caller's scratch) into batch order, then, under the
+// write lock, merges them into the batch's array; adjacent spans of one key
+// merge into one (injection within a batch is consecutive per key, §4.3).
+// Batches arrive in ascending order: the engine finishes injecting one batch
+// of a stream on every node before the next, and no reader reads a batch
+// before its snapshot is stable, so a batch is complete before it is read.
 func (ix *Index) AddBatch(batch tstore.BatchID, spans []store.KeySpan) {
+	slices.SortFunc(spans, func(a, b store.KeySpan) int {
+		if c := cmp.Compare(a.Key.Ord(), b.Key.Ord()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Span.Start, b.Span.Start)
+	})
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	var bi *batchIndex
 	if n := len(ix.batches); n > 0 && ix.batches[n-1].batch == batch {
 		bi = ix.batches[n-1]
 	} else {
-		bi = newBatchIndex(batch, len(spans))
+		bi = &batchIndex{batch: batch}
 		ix.batches = append(ix.batches, bi)
 	}
-	if len(bi.spare) < len(spans) {
-		bi.spare = make([]store.Span, len(spans)) // at most one new key per span
+	if len(spans) == 0 {
+		return
 	}
+	old := bi.entries
+	merged := make([]entry, 0, len(old)+len(spans))
+	add := func(e entry) {
+		if n := len(merged); n > 0 && merged[n-1].key == e.key && merged[n-1].span.End == e.span.Start {
+			merged[n-1].span.End = e.span.End
+			return
+		}
+		merged = append(merged, e)
+	}
+	i := 0
 	for _, ks := range spans {
-		prev := bi.entries[ks.Key]
-		isNewKey := prev == nil
-		if !ks.Key.IsIndex() {
-			bi.predVals[pidDir{pid: ks.Key.Pid, dir: ks.Key.Dir}] += int64(ks.Span.Len())
+		e := entry{key: ks.Key.Ord(), span: ks.Span}
+		for i < len(old) && (old[i].key < e.key || old[i].key == e.key && old[i].span.Start <= e.span.Start) {
+			add(old[i])
+			i++
 		}
-		if len(prev) > 0 && prev[len(prev)-1].End == ks.Span.Start {
-			prev[len(prev)-1].End = ks.Span.End
-			continue
-		}
-		if isNewKey {
-			prev, bi.spare = bi.spare[:0:1], bi.spare[1:]
-		}
-		bi.entries[ks.Key] = append(prev, ks.Span)
-		bi.bytes += entryBytes
-		if isNewKey && !ks.Key.IsIndex() {
-			pd := pidDir{pid: ks.Key.Pid, dir: ks.Key.Dir}
-			bi.byPred[pd] = append(bi.byPred[pd], ks.Key.Vid)
-			bi.bytes += 8
-		}
+		add(e)
 	}
+	for _, e := range old[i:] {
+		add(e)
+	}
+	bi.entries = merged
+	bi.runs = store.BuildRuns(bi.runs, merged, func(e *entry) store.Ord { return e.key },
+		func(e *entry) int64 { return int64(e.span.Len()) })
 }
 
-// newBatchIndex sizes the entry map for the spans of the first share to
-// arrive (each node adds its own share; the rest grow the map as usual).
-func newBatchIndex(batch tstore.BatchID, spans int) *batchIndex {
-	return &batchIndex{
-		batch:    batch,
-		entries:  make(map[store.Key][]store.Span, spans),
-		byPred:   make(map[pidDir][]rdf.ID),
-		predVals: make(map[pidDir]int64),
+// window returns the batch indexes in [from, to].
+func (ix *Index) window(from, to tstore.BatchID) []*batchIndex {
+	i := sort.Search(len(ix.batches), func(i int) bool { return ix.batches[i].batch >= from })
+	j := i
+	for j < len(ix.batches) && ix.batches[j].batch <= to {
+		j++
 	}
+	return ix.batches[i:j]
 }
 
 // BatchEdgeSpans returns one KeySpan per span that batch b appended under a
-// (pid, d) edge key — a one-walk enumeration of the batch's edges for delta
-// evaluation. The batch's byPred vertex list drives the walk, so the cost is
-// proportional to the batch's matching vertices, not a per-vertex Lookup
-// scan over every batch index in the window.
+// (pid, d) edge key, in vertex order — one run of the batch's array, so the
+// cost is proportional to the batch's matching entries, not a per-vertex
+// Lookup over every batch index in the window.
 func (ix *Index) BatchEdgeSpans(b tstore.BatchID, pid rdf.ID, d store.Dir) []store.KeySpan {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	n := len(ix.batches)
-	i := sort.Search(n, func(i int) bool { return ix.batches[i].batch >= b })
-	if i >= n || ix.batches[i].batch != b {
+	w := ix.window(b, b)
+	if len(w) == 0 {
 		return nil
 	}
-	bi := ix.batches[i]
-	verts := bi.byPred[pidDir{pid: pid, dir: d}]
-	out := make([]store.KeySpan, 0, len(verts))
-	for _, v := range verts {
-		key := store.EdgeKey(v, pid, d)
-		for _, sp := range bi.entries[key] {
-			out = append(out, store.KeySpan{Key: key, Span: sp})
-		}
+	bi := w[0]
+	r := store.FindRun(bi.runs, pid, d)
+	out := make([]store.KeySpan, 0, r.Hi-r.Lo)
+	for _, e := range bi.entries[r.Lo:r.Hi] {
+		out = append(out, store.KeySpan{Key: e.key.Key(), Span: e.span})
 	}
 	return out
 }
@@ -168,49 +170,45 @@ func (ix *Index) BatchEdgeSpansFrom(fab *fabric.Fabric, from fabric.NodeID, b ts
 }
 
 // PredWindowStats returns the planner's window-scoped cardinality statistics
-// for (pid, d) over batches [from, to]: total values (edges) and distinct
-// vertices carrying at least one. Both come from counters maintained at
-// injection time, so the call is O(batches in window), independent of data
-// volume.
+// for (pid, d) over batches [from, to]: total values (edges) and, summed per
+// batch, the vertices carrying at least one. Both are counted when a batch's
+// run directory is built, so the call is O(batches in window), independent
+// of data volume.
 func (ix *Index) PredWindowStats(pid rdf.ID, d store.Dir, from, to tstore.BatchID) (values, vertices int64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	pd := pidDir{pid: pid, dir: d}
-	for _, bi := range ix.batches {
-		if bi.batch < from {
-			continue
-		}
-		if bi.batch > to {
-			break
-		}
-		values += bi.predVals[pd]
-		vertices += int64(len(bi.byPred[pd]))
+	for _, bi := range ix.window(from, to) {
+		r := store.FindRun(bi.runs, pid, d)
+		values += r.Values
+		vertices += int64(r.Vertices)
 	}
 	return values, vertices
 }
 
 // Vertices returns the distinct vertices with a (pid,dir) edge inside
-// batches [from, to] — the window candidates for unbound stream patterns.
+// batches [from, to], in ascending order — the window candidates for
+// unbound stream patterns, and the window's index vertex (§4.2).
 func (ix *Index) Vertices(pid rdf.ID, d store.Dir, from, to tstore.BatchID) []rdf.ID {
 	ix.vertices.Add(1)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	seen := make(map[rdf.ID]bool)
 	var out []rdf.ID
-	pd := pidDir{pid: pid, dir: d}
-	for _, bi := range ix.batches {
-		if bi.batch < from {
+	runs := 0
+	for _, bi := range ix.window(from, to) {
+		r := store.FindRun(bi.runs, pid, d)
+		if r.Vertices == 0 {
 			continue
 		}
-		if bi.batch > to {
-			break
-		}
-		for _, v := range bi.byPred[pd] {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
+		runs++
+		for i, e := range bi.entries[r.Lo:r.Hi] {
+			if i == 0 || bi.entries[int(r.Lo)+i-1].key != e.key {
+				out = append(out, e.key.Vid())
 			}
 		}
+	}
+	if runs > 1 {
+		slices.Sort(out)
+		out = slices.Compact(out)
 	}
 	return out
 }
@@ -219,17 +217,15 @@ func (ix *Index) Vertices(pid rdf.ID, d store.Dir, from, to tstore.BatchID) []rd
 // order. The slice is freshly allocated.
 func (ix *Index) Lookup(key store.Key, from, to tstore.BatchID) []store.Span {
 	ix.lookups.Add(1)
+	k := key.Ord()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var out []store.Span
-	for _, bi := range ix.batches {
-		if bi.batch < from {
-			continue
+	for _, bi := range ix.window(from, to) {
+		es := bi.entries
+		for i := sort.Search(len(es), func(i int) bool { return es[i].key >= k }); i < len(es) && es[i].key == k; i++ {
+			out = append(out, es[i].span)
 		}
-		if bi.batch > to {
-			break
-		}
-		out = append(out, bi.entries[key]...)
 	}
 	return out
 }
@@ -237,12 +233,8 @@ func (ix *Index) Lookup(key store.Key, from, to tstore.BatchID) []store.Span {
 // chargeRemote charges the one-sided read a replica-less node pays against
 // the index home (§4.2).
 func (ix *Index) chargeRemote(fab *fabric.Fabric, from fabric.NodeID) {
-	ix.replicaMu.RLock()
-	local := ix.replicas[from] || ix.home == from
-	home := ix.home
-	ix.replicaMu.RUnlock()
-	if !local {
-		fab.ReadRemote(from, home, 16)
+	if !ix.ReplicatedOn(from) {
+		fab.ReadRemote(from, ix.home, 16)
 	}
 }
 
@@ -252,28 +244,6 @@ func (ix *Index) chargeRemote(fab *fabric.Fabric, from fabric.NodeID) {
 func (ix *Index) VerticesFrom(fab *fabric.Fabric, from fabric.NodeID, pid rdf.ID, d store.Dir, lo, hi tstore.BatchID) []rdf.ID {
 	ix.chargeRemote(fab, from)
 	return ix.Vertices(pid, d, lo, hi)
-}
-
-// Keys returns the distinct keys indexed across batches in [from, to]. The
-// continuous engine uses this to enumerate window data for index-vertex
-// starts.
-func (ix *Index) Keys(from, to tstore.BatchID) []store.Key {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	seen := make(map[store.Key]bool)
-	var out []store.Key
-	for _, bi := range ix.batches {
-		if bi.batch < from || bi.batch > to {
-			continue
-		}
-		for k := range bi.entries {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
-		}
-	}
-	return out
 }
 
 // Batches returns the range of batches currently indexed, or (0,0) if empty.
@@ -293,7 +263,7 @@ func (ix *Index) GC(before tstore.BatchID) {
 	freed := false
 	for len(ix.batches) > 0 && ix.batches[0].batch < before {
 		ix.gcBatches++
-		ix.gcBytes += ix.batches[0].bytes
+		ix.gcBytes += ix.batches[0].bytes()
 		ix.batches[0] = nil
 		ix.batches = ix.batches[1:]
 		freed = true
@@ -309,18 +279,15 @@ func (ix *Index) GC(before tstore.BatchID) {
 func (ix *Index) Replicate(n fabric.NodeID) {
 	ix.replicaMu.Lock()
 	defer ix.replicaMu.Unlock()
-	if ix.replicas[n] {
+	if slices.Contains(ix.replicaList, n) {
 		return
 	}
-	ix.replicas[n] = true
 	ix.replicaList = append(ix.replicaList[:len(ix.replicaList):len(ix.replicaList)], n)
 }
 
 // ReplicatedOn reports whether node n holds a replica.
 func (ix *Index) ReplicatedOn(n fabric.NodeID) bool {
-	ix.replicaMu.RLock()
-	defer ix.replicaMu.RUnlock()
-	return ix.replicas[n]
+	return slices.Contains(ix.Replicas(), n)
 }
 
 // Replicas returns the current replica set, home first then in replication
@@ -333,29 +300,23 @@ func (ix *Index) Replicas() []fabric.NodeID {
 	return ix.replicaList
 }
 
-// MemoryBytes returns the resident size of the index (one replica).
+// MemoryBytes returns the resident size of the index (one replica): the
+// batch arrays' sizes.
 func (ix *Index) MemoryBytes() int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var n int64
 	for _, bi := range ix.batches {
-		n += bi.bytes
+		n += bi.bytes()
 	}
 	return n
-}
-
-// GCRuns returns the number of GC invocations that freed at least one batch.
-func (ix *Index) GCRuns() int64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.gcRuns
 }
 
 // Counters summarizes the index's operation and reclaim totals.
 type Counters struct {
 	Lookups   int64 // span fetches (Lookup)
 	Vertices  int64 // candidate enumerations (Vertices)
-	GCRuns    int64
+	GCRuns    int64 // GC calls that freed at least one batch
 	GCBatches int64 // batch indexes freed
 	GCBytes   int64 // resident bytes reclaimed
 }

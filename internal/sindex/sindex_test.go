@@ -1,9 +1,11 @@
 package sindex
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -56,23 +58,6 @@ func TestNonAdjacentSpansKept(t *testing.T) {
 	}
 }
 
-func TestKeys(t *testing.T) {
-	ix := New(0)
-	ix.AddBatch(1, []store.KeySpan{{Key: key(1), Span: store.Span{Start: 0, End: 1}}})
-	ix.AddBatch(2, []store.KeySpan{
-		{Key: key(1), Span: store.Span{Start: 1, End: 2}},
-		{Key: key(2), Span: store.Span{Start: 0, End: 1}},
-	})
-	ix.AddBatch(3, []store.KeySpan{{Key: key(3), Span: store.Span{Start: 0, End: 1}}})
-	ks := ix.Keys(1, 2)
-	if len(ks) != 2 {
-		t.Errorf("Keys = %v", ks)
-	}
-	if len(ix.Keys(3, 3)) != 1 {
-		t.Error("Keys [3,3] wrong")
-	}
-}
-
 func TestGC(t *testing.T) {
 	ix := New(0)
 	for b := tstore.BatchID(1); b <= 5; b++ {
@@ -89,8 +74,8 @@ func TestGC(t *testing.T) {
 	if got := ix.Lookup(key(1), 1, 5); len(got) != 2 {
 		t.Errorf("Lookup after GC = %v", got)
 	}
-	if ix.GCRuns() != 1 {
-		t.Errorf("GCRuns = %d", ix.GCRuns())
+	if c := ix.Counters(); c.GCRuns != 1 || c.GCBatches != 3 || c.GCBytes != before-ix.MemoryBytes() {
+		t.Errorf("Counters = %+v after freeing 3 batches and %d bytes", c, before-ix.MemoryBytes())
 	}
 }
 
@@ -119,6 +104,9 @@ func TestReplicas(t *testing.T) {
 	}
 }
 
+// TestConcurrentLookupDuringAdd: each batch arrives as two shares merged in
+// from two goroutines at once, as two nodes' injectors do, while readers
+// walk the index.
 func TestConcurrentLookupDuringAdd(t *testing.T) {
 	ix := New(0)
 	var wg sync.WaitGroup
@@ -126,7 +114,15 @@ func TestConcurrentLookupDuringAdd(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for b := tstore.BatchID(1); b <= 200; b++ {
-			ix.AddBatch(b, []store.KeySpan{{Key: key(rdf.ID(b % 7)), Span: store.Span{Start: uint32(b), End: uint32(b + 1)}}})
+			var shares sync.WaitGroup
+			for share := rdf.ID(0); share < 2; share++ {
+				shares.Add(1)
+				go func() {
+					defer shares.Done()
+					ix.AddBatch(b, []store.KeySpan{{Key: key(rdf.ID(b%7) + 7*share), Span: store.Span{Start: uint32(b), End: uint32(b + 1)}}})
+				}()
+			}
+			shares.Wait()
 		}
 	}()
 	for r := 0; r < 4; r++ {
@@ -134,12 +130,17 @@ func TestConcurrentLookupDuringAdd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				_ = ix.Lookup(key(rdf.ID(i%7)), 1, 200)
+				_ = ix.Lookup(key(rdf.ID(i%14)), 1, 200)
+				_ = ix.Vertices(3, store.In, 1, 200)
+				_ = ix.BatchEdgeSpans(tstore.BatchID(i%200+1), 3, store.In)
 				_ = ix.MemoryBytes()
 			}
 		}()
 	}
 	wg.Wait()
+	if got := ix.Vertices(3, store.In, 1, 200); len(got) != 14 {
+		t.Errorf("Vertices after 200 two-share batches = %v, want 14 keys", got)
+	}
 }
 
 // Property: Lookup over a window equals the brute-force union of the spans
@@ -181,5 +182,48 @@ func TestLookupMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSharesMergeIntoOneSortedBatch: two injection shares of one batch, each
+// in arrival order, read back as one array in batch order — vertices
+// ascending, a key's spans in value order, adjacent spans merged — with the
+// run counts the planner reads and an exact byte size.
+func TestSharesMergeIntoOneSortedBatch(t *testing.T) {
+	ix := New(0)
+	other := store.EdgeKey(5, 4, store.Out)
+	ix.AddBatch(1, []store.KeySpan{
+		{Key: key(9), Span: store.Span{Start: 0, End: 1}},
+		{Key: other, Span: store.Span{Start: 0, End: 2}},
+		{Key: key(2), Span: store.Span{Start: 4, End: 5}},
+	})
+	ix.AddBatch(1, []store.KeySpan{
+		{Key: key(6), Span: store.Span{Start: 0, End: 3}},
+		{Key: key(2), Span: store.Span{Start: 5, End: 7}},
+	})
+	ix.AddBatch(2, []store.KeySpan{{Key: key(6), Span: store.Span{Start: 3, End: 4}}})
+	got := ix.BatchEdgeSpans(1, 3, store.In)
+	want := []store.KeySpan{
+		{Key: key(2), Span: store.Span{Start: 4, End: 7}},
+		{Key: key(6), Span: store.Span{Start: 0, End: 3}},
+		{Key: key(9), Span: store.Span{Start: 0, End: 1}},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("BatchEdgeSpans = %v, want %v", got, want)
+	}
+	if got := ix.Vertices(3, store.In, 1, 2); !slices.Equal(got, []rdf.ID{2, 6, 9}) {
+		t.Errorf("Vertices = %v, want [2 6 9]", got)
+	}
+	if v, n := ix.PredWindowStats(3, store.In, 1, 2); v != 8 || n != 4 {
+		t.Errorf("PredWindowStats = %d values, %d vertices; want 8, 4", v, n)
+	}
+	if v, n := ix.PredWindowStats(4, store.Out, 2, 2); v != 0 || n != 0 {
+		t.Errorf("PredWindowStats outside the predicate's batch = %d, %d", v, n)
+	}
+	// Batch 1: four entries, merged from 3 + 2 slots, and two runs; batch 2:
+	// one entry and one run.
+	const entry, run = 16, int64(unsafe.Sizeof(store.Run{}))
+	if got, want := ix.MemoryBytes(), 5*entry+2*run+entry+run; got != want {
+		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 }

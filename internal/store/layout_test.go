@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -43,6 +44,26 @@ func TestPackedKeyFillsOneWord(t *testing.T) {
 		if _, ok := pack(k); ok {
 			t.Errorf("pack(%v) fits the word", k)
 		}
+	}
+}
+
+// TestOrdIsTheBatchOrder: every storable key round-trips through its Ord,
+// and Ords sort by (pid, dir, vid) — what a batch's runs rely on.
+func TestOrdIsTheBatchOrder(t *testing.T) {
+	ks := edgeKeys()
+	for _, k := range ks {
+		if got := k.Ord().Key(); got != k {
+			t.Errorf("%v.Ord() unpacks to %v", k, got)
+		}
+	}
+	byOrd := slices.Clone(ks)
+	slices.SortFunc(byOrd, func(a, b Key) int { return cmp.Compare(a.Ord(), b.Ord()) })
+	byFields := slices.Clone(ks)
+	slices.SortFunc(byFields, func(a, b Key) int {
+		return cmp.Or(cmp.Compare(a.Pid, b.Pid), cmp.Compare(a.Dir, b.Dir), cmp.Compare(a.Vid, b.Vid))
+	})
+	if !slices.Equal(byOrd, byFields) {
+		t.Errorf("Ord order %v, want (pid, dir, vid) order %v", byOrd, byFields)
 	}
 }
 

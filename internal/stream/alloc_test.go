@@ -85,14 +85,16 @@ func TestDispatchAllocations(t *testing.T) {
 
 // TestInjectNodeAllocatesOnlyInStoreAndIndex: with its scratch, a
 // steady-state InjectNode (every key already exists) allocates exactly what
-// the same store appends and the same index update allocate on their own.
+// the same store appends, the same stream-index share (AddBatch) and the
+// same transient share (Append) allocate on their own.
 func TestInjectNodeAllocatesOnlyInStoreAndIndex(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	ss := strserver.New()
 	work := NodeWork{}
-	for _, tu := range testBatch(ss, 1, 300).Tuples {
+	for i, tu := range testBatch(ss, 1, 300).Tuples {
+		tu.Timing = i%10 == 0
 		work.SubjectSide = append(work.SubjectSide, tu)
 		work.ObjectSide = append(work.ObjectSide, tu)
 	}
@@ -107,16 +109,17 @@ func TestInjectNodeAllocatesOnlyInStoreAndIndex(t *testing.T) {
 		InjectNode(0, work, batchA, uint32(batchA), tgt)
 	}
 
-	// Side B: the same appends and the same AddBatch, by hand.
+	// Side B: the same appends, AddBatch and Append, by hand.
 	fabB := fabric.New(fabric.DefaultConfig(1))
-	stB, ixB := store.NewSharded(fabB, 0), sindex.New(0)
+	stB, ixB, tsB := store.NewSharded(fabB, 0), sindex.New(0), tstore.New(0)
 	shard := stB.Shard(0)
-	spans := make([]store.KeySpan, 0, 4*len(work.SubjectSide))
+	spans := make([]store.KeySpan, 0, 2*len(work.SubjectSide))
+	pairs := make([]tstore.Pair, 0, 2*len(work.SubjectSide))
 	batchB := tstore.BatchID(0)
 	injectB := func() {
 		batchB++
 		sn := uint32(batchB)
-		spans = spans[:0]
+		spans, pairs = spans[:0], pairs[:0]
 		side := func(tuples []Tuple, d store.Dir) {
 			for _, tu := range tuples {
 				v, o := tu.S, tu.O
@@ -124,18 +127,21 @@ func TestInjectNodeAllocatesOnlyInStoreAndIndex(t *testing.T) {
 					v, o = tu.O, tu.S
 				}
 				key := store.EdgeKey(v, tu.P, d)
+				if tu.Timing {
+					pairs = append(pairs, tstore.Pair{Key: key.Ord(), Val: o})
+					continue
+				}
 				sp, wasEmpty := shard.AppendOne(key, o, sn)
 				spans = append(spans, store.KeySpan{Key: key, Span: sp})
 				if wasEmpty {
-					idx := store.IndexKey(tu.P, d)
-					isp, _ := shard.AppendOne(idx, v, sn)
-					spans = append(spans, store.KeySpan{Key: idx, Span: isp})
+					shard.AppendOne(store.IndexKey(tu.P, d), v, sn)
 					shard.AppendOne(store.PredIndexKey(v, d), tu.P, sn)
 				}
 			}
 		}
 		side(work.SubjectSide, store.Out)
 		side(work.ObjectSide, store.In)
+		tsB.Append(batchB, pairs)
 		ixB.AddBatch(batchB, spans)
 	}
 

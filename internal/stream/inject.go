@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/rdf"
 	"repro/internal/sindex"
 	"repro/internal/store"
 	"repro/internal/tstore"
@@ -84,9 +83,12 @@ type InjectTarget struct {
 	Scratch *InjectScratch
 }
 
-// InjectScratch is InjectNode's reusable working memory.
+// InjectScratch is InjectNode's reusable working memory: the share's stream
+// index spans and timing pairs, which AddBatch and Append sort in place and
+// copy into the batch.
 type InjectScratch struct {
 	spans []store.KeySpan
+	pairs []tstore.Pair
 }
 
 // InjectObs holds pre-resolved injection metrics so the per-node inject hot
@@ -139,56 +141,54 @@ func (s *InjectStats) Add(o InjectStats) {
 func InjectNode(n fabric.NodeID, w NodeWork, batch tstore.BatchID, sn uint32, tgt InjectTarget) InjectStats {
 	var st InjectStats
 	shard := tgt.Store.Shard(n)
-	var spans []store.KeySpan
-	if tgt.Scratch != nil {
-		// The index copies what it keeps (AddBatch), so the spans can be
-		// overwritten by the next batch.
-		spans = tgt.Scratch.spans[:0]
-	} else {
-		spans = make([]store.KeySpan, 0, len(w.SubjectSide)+len(w.ObjectSide))
+	scratch := tgt.Scratch
+	if scratch == nil {
+		scratch = new(InjectScratch)
 	}
+	spans, pairs := scratch.spans[:0], scratch.pairs[:0]
 
 	start := time.Now()
-	for _, t := range w.SubjectSide {
-		key := store.EdgeKey(t.S, t.P, store.Out)
-		if t.Timing {
-			tgt.Transient.Append(batch, key, []rdf.ID{t.O})
-			st.TimingTuples++
-			continue
-		}
-		sp, wasEmpty := shard.AppendOne(key, t.O, sn)
-		spans = append(spans, store.KeySpan{Key: key, Span: sp})
-		if wasEmpty {
-			idx := store.IndexKey(t.P, store.Out)
-			isp, _ := shard.AppendOne(idx, t.S, sn)
-			spans = append(spans, store.KeySpan{Key: idx, Span: isp})
-			shard.AppendOne(store.PredIndexKey(t.S, store.Out), t.P, sn)
-			tgt.Store.BumpSubjects(t.P)
-		}
-		tgt.Store.BumpEdges(t.P)
-		st.TimelessTuples++
-	}
-	for _, t := range w.ObjectSide {
-		key := store.EdgeKey(t.O, t.P, store.In)
-		if t.Timing {
-			tgt.Transient.Append(batch, key, []rdf.ID{t.S})
-			continue
-		}
-		sp, wasEmpty := shard.AppendOne(key, t.S, sn)
-		spans = append(spans, store.KeySpan{Key: key, Span: sp})
-		if wasEmpty {
-			idx := store.IndexKey(t.P, store.In)
-			isp, _ := shard.AppendOne(idx, t.O, sn)
-			spans = append(spans, store.KeySpan{Key: idx, Span: isp})
-			shard.AppendOne(store.PredIndexKey(t.O, store.In), t.P, sn)
-			tgt.Store.BumpObjects(t.P)
+	side := func(tuples []Tuple, d store.Dir) {
+		for _, t := range tuples {
+			v, o := t.S, t.O
+			if d == store.In {
+				v, o = t.O, t.S
+			}
+			key := store.EdgeKey(v, t.P, d)
+			if t.Timing {
+				pairs = append(pairs, tstore.Pair{Key: key.Ord(), Val: o})
+				if d == store.Out {
+					st.TimingTuples++
+				}
+				continue
+			}
+			sp, wasEmpty := shard.AppendOne(key, o, sn)
+			spans = append(spans, store.KeySpan{Key: key, Span: sp})
+			if wasEmpty {
+				shard.AppendOne(store.IndexKey(t.P, d), v, sn)
+				shard.AppendOne(store.PredIndexKey(v, d), t.P, sn)
+				if d == store.Out {
+					tgt.Store.BumpSubjects(t.P)
+				} else {
+					tgt.Store.BumpObjects(t.P)
+				}
+			}
+			if d == store.Out {
+				tgt.Store.BumpEdges(t.P)
+				st.TimelessTuples++
+			}
 		}
 	}
+	side(w.SubjectSide, store.Out)
+	side(w.ObjectSide, store.In)
+	tgt.Transient.Append(batch, pairs)
 	st.InjectTime = time.Since(start)
 
+	// Even an all-timing batch must appear in the index timeline so window
+	// lookups and GC see a consistent batch range.
 	idxStart := time.Now()
+	tgt.Index.AddBatch(batch, spans)
 	if len(spans) > 0 {
-		tgt.Index.AddBatch(batch, spans)
 		st.Spans = len(spans)
 		// Replicating the index: ship the new entries to each replica with
 		// one-way messages — the injector does not wait for replicas.
@@ -196,15 +196,9 @@ func InjectNode(n fabric.NodeID, w NodeWork, batch tstore.BatchID, sn uint32, tg
 		for _, r := range tgt.Index.Replicas() {
 			fab.SendAsync(n, r, 32*len(spans))
 		}
-	} else {
-		// Even an all-timing batch must appear in the index timeline so
-		// window lookups and GC see a consistent batch range.
-		tgt.Index.AddBatch(batch, nil)
 	}
 	st.IndexTime = time.Since(idxStart)
-	if tgt.Scratch != nil {
-		tgt.Scratch.spans = spans[:0]
-	}
+	scratch.spans, scratch.pairs = spans[:0], pairs[:0]
 
 	if o := tgt.Obs; o != nil {
 		o.Inject.Observe(st.InjectTime)

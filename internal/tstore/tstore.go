@@ -6,11 +6,19 @@
 // collector frees expired slices from the earlier side. The store is a ring
 // buffer with a fixed, user-defined memory budget; GC runs periodically in
 // the background or is forced when the buffer fills.
+//
+// A slice does not change once its batch is injected, so it is one array of
+// (key, value) pairs in the store's batch order (store.Ord) — a key's values
+// side by side, in arrival order — with a run directory per (pid, dir).
 package tstore
 
 import (
+	"cmp"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fabric"
 	"repro/internal/rdf"
@@ -20,33 +28,23 @@ import (
 // BatchID numbers a stream's mini-batches, sequential from 1.
 type BatchID int64
 
-// predDir keys the per-slice planner statistics.
-type predDir struct {
-	pid rdf.ID
-	dir store.Dir
+// Pair is one timing value and the key it was recorded under.
+type Pair struct {
+	Key store.Ord
+	Val rdf.ID
 }
 
 // slice holds the timing data of one stream batch.
 type slice struct {
 	batch BatchID
-	data  map[store.Key][]rdf.ID
-	// predVals / predKeys count values and keys per (pid,dir) — the
-	// planner's window-scoped cardinality statistics, maintained on append.
-	predVals map[predDir]int64
-	predKeys map[predDir]int64
-	bytes    int64
-	// spare is where a key's first values are carved from (at full capacity,
-	// so a key appended to again reallocates its own slice): timing tuples
-	// arrive one value at a time, and a heap slice per ID would cost more in
-	// headers than in data.
-	spare []rdf.ID
+	pairs []Pair // batch order; a key's values in arrival order
+	runs  []store.Run
 }
 
-// spareChunk is how many IDs a slice's value chunk holds.
-const spareChunk = 64
-
-// sliceBytes approximates the resident size of one (key, vals) pair.
-func pairBytes(n int) int64 { return 24 + 8*int64(n) }
+// bytes is the slice's resident size: its two arrays.
+func (sl *slice) bytes() int64 {
+	return int64(cap(sl.pairs))*int64(unsafe.Sizeof(Pair{})) + int64(cap(sl.runs))*int64(unsafe.Sizeof(store.Run{}))
+}
 
 // Store is the transient store for one stream on one node. Methods are safe
 // for concurrent use.
@@ -76,14 +74,17 @@ func New(budgetBytes int64) *Store {
 	return &Store{budgetBytes: budgetBytes}
 }
 
-// Append records timing values for key within a batch. Batches must arrive
-// in non-decreasing order (C-SPARQL's time model guarantees monotonic
-// timestamps per stream, §4.3 "Consistency guarantee"). Appending to the
-// newest batch is allowed repeatedly; appending to an older batch panics.
-func (s *Store) Append(batch BatchID, key store.Key, vals []rdf.ID) {
-	if len(vals) == 0 {
+// Append records one injection share's timing pairs for a batch. It sorts
+// pairs in place (the caller's scratch) into batch order, keeping each key's
+// values in arrival order, then merges them into the batch's slice after
+// any values an earlier share recorded. Batches must arrive in non-decreasing
+// order (C-SPARQL's time model guarantees monotonic timestamps per stream,
+// §4.3 "Consistency guarantee"); appending to an older batch panics.
+func (s *Store) Append(batch BatchID, pairs []Pair) {
+	if len(pairs) == 0 {
 		return
 	}
+	slices.SortStableFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.slices)
@@ -94,31 +95,25 @@ func (s *Store) Append(batch BatchID, key store.Key, vals []rdf.ID) {
 	case n > 0 && s.slices[n-1].batch > batch:
 		panic("tstore: batch regression on append")
 	default:
-		sl = &slice{
-			batch:    batch,
-			data:     make(map[store.Key][]rdf.ID),
-			predVals: make(map[predDir]int64),
-			predKeys: make(map[predDir]int64),
-		}
+		sl = &slice{batch: batch}
 		s.slices = append(s.slices, sl)
 	}
-	prev := sl.data[key]
-	pd := predDir{pid: key.Pid, dir: key.Dir}
-	var delta int64
-	if prev == nil {
-		delta = pairBytes(len(vals))
-		sl.predKeys[pd]++
-		if len(sl.spare) < len(vals) {
-			sl.spare = make([]rdf.ID, max(spareChunk, len(vals)))
+	old := sl.pairs
+	merged := make([]Pair, 0, len(old)+len(pairs))
+	i := 0
+	for _, p := range pairs {
+		for i < len(old) && old[i].Key <= p.Key {
+			merged = append(merged, old[i])
+			i++
 		}
-		prev, sl.spare = sl.spare[:0:len(vals)], sl.spare[len(vals):]
-	} else {
-		delta = 8 * int64(len(vals))
+		merged = append(merged, p)
 	}
-	sl.predVals[pd] += int64(len(vals))
-	sl.data[key] = append(prev, vals...)
-	sl.bytes += delta
-	s.curBytes += delta
+	merged = append(merged, old[i:]...)
+	before := sl.bytes()
+	sl.pairs = merged
+	sl.runs = store.BuildRuns(sl.runs, merged, func(p *Pair) store.Ord { return p.Key },
+		func(*Pair) int64 { return 1 })
+	s.curBytes += sl.bytes() - before
 	s.appends++
 	// Ring buffer full: force GC from the earlier side, never touching the
 	// newest slice (it is still being written).
@@ -128,21 +123,28 @@ func (s *Store) Append(batch BatchID, key store.Key, vals []rdf.ID) {
 	}
 }
 
+// window returns the slices in [from, to].
+func (s *Store) window(from, to BatchID) []*slice {
+	i := sort.Search(len(s.slices), func(i int) bool { return s.slices[i].batch >= from })
+	j := i
+	for j < len(s.slices) && s.slices[j].batch <= to {
+		j++
+	}
+	return s.slices[i:j]
+}
+
 // Get returns the values recorded for key across batches in [from, to],
 // concatenated in time order. The result is freshly allocated.
 func (s *Store) Get(key store.Key, from, to BatchID) []rdf.ID {
 	s.gets.Add(1)
+	k := key.Ord()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []rdf.ID
-	for _, sl := range s.slices {
-		if sl.batch < from {
-			continue
+	for _, sl := range s.window(from, to) {
+		for i := sort.Search(len(sl.pairs), func(i int) bool { return sl.pairs[i].Key >= k }); i < len(sl.pairs) && sl.pairs[i].Key == k; i++ {
+			out = append(out, sl.pairs[i].Val)
 		}
-		if sl.batch > to {
-			break
-		}
-		out = append(out, sl.data[key]...)
 	}
 	return out
 }
@@ -158,49 +160,29 @@ func (s *Store) GetFrom(fab *fabric.Fabric, from, home fabric.NodeID, key store.
 	return vals
 }
 
-// BatchEdges returns the (vertex → values) timing pairs batch b recorded for
-// (pid, d), or nil when the batch holds none — one walk of the batch's slice,
-// used by delta evaluation to fold timing data into a batch edge list. The
-// per-slice predKeys counter short-circuits batches without matching keys
-// before the slice's data map is scanned.
-func (s *Store) BatchEdges(b BatchID, pid rdf.ID, d store.Dir) map[rdf.ID][]rdf.ID {
+// BatchEdges returns a copy of the timing pairs batch b recorded for
+// (pid, d), in vertex order — one run of the batch's slice, used by delta
+// evaluation to fold timing data into a batch edge list.
+func (s *Store) BatchEdges(b BatchID, pid rdf.ID, d store.Dir) []Pair {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, sl := range s.slices {
-		if sl.batch > b {
-			break
-		}
-		if sl.batch != b {
-			continue
-		}
-		pd := predDir{pid: pid, dir: d}
-		if sl.predKeys[pd] == 0 {
-			return nil
-		}
-		out := make(map[rdf.ID][]rdf.ID, sl.predKeys[pd])
-		for k, vals := range sl.data {
-			if k.Pid == pid && k.Dir == d {
-				out[k.Vid] = append(out[k.Vid], vals...)
-			}
-		}
-		return out
+	w := s.window(b, b)
+	if len(w) == 0 {
+		return nil
 	}
-	return nil
+	r := store.FindRun(w[0].runs, pid, d)
+	return slices.Clone(w[0].pairs[r.Lo:r.Hi])
 }
 
 // BatchEdgesFrom is BatchEdges on behalf of a worker on node `from`: a
 // non-empty remote result costs one one-sided read of the values, mirroring
 // GetFrom's pricing.
-func (s *Store) BatchEdgesFrom(fab *fabric.Fabric, from, home fabric.NodeID, b BatchID, pid rdf.ID, d store.Dir) map[rdf.ID][]rdf.ID {
-	m := s.BatchEdges(b, pid, d)
-	if from != home && len(m) > 0 {
-		var n int
-		for _, vals := range m {
-			n += len(vals)
-		}
-		fab.ReadRemote(from, home, 8*n)
+func (s *Store) BatchEdgesFrom(fab *fabric.Fabric, from, home fabric.NodeID, b BatchID, pid rdf.ID, d store.Dir) []Pair {
+	ps := s.BatchEdges(b, pid, d)
+	if from != home && len(ps) > 0 {
+		fab.ReadRemote(from, home, 8*len(ps))
 	}
-	return m
+	return ps
 }
 
 // Batches returns the range of batches currently held, or (0,0) when empty.
@@ -229,54 +211,54 @@ func (s *Store) GC(before BatchID) {
 }
 
 func (s *Store) dropOldestLocked() {
-	sl := s.slices[0]
-	s.curBytes -= sl.bytes
-	s.reclaimed += sl.bytes
+	n := s.slices[0].bytes()
+	s.curBytes -= n
+	s.reclaimed += n
 	s.slices[0] = nil
 	s.slices = s.slices[1:]
 	s.dropped++
 }
 
 // ScanVertices returns the distinct vertices that carry a pid edge in
-// direction d within batches [from, to]. Timing data has no index vertices
-// (it expires too fast to be worth indexing), so unbound-pattern seeds over
-// timing data scan the window — which is small by construction.
+// direction d within batches [from, to], in ascending order. Timing data has
+// no index vertices (it expires too fast to be worth indexing), so
+// unbound-pattern seeds over timing data read the window's runs — which are
+// small by construction.
 func (s *Store) ScanVertices(pid rdf.ID, d store.Dir, from, to BatchID) []rdf.ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seen := make(map[rdf.ID]bool)
 	var out []rdf.ID
-	for _, sl := range s.slices {
-		if sl.batch < from || sl.batch > to {
+	runs := 0
+	for _, sl := range s.window(from, to) {
+		r := store.FindRun(sl.runs, pid, d)
+		if r.Vertices == 0 {
 			continue
 		}
-		for k := range sl.data {
-			if k.Pid == pid && k.Dir == d && !seen[k.Vid] {
-				seen[k.Vid] = true
-				out = append(out, k.Vid)
+		runs++
+		for i, p := range sl.pairs[r.Lo:r.Hi] {
+			if i == 0 || sl.pairs[int(r.Lo)+i-1].Key != p.Key {
+				out = append(out, p.Key.Vid())
 			}
 		}
+	}
+	if runs > 1 {
+		slices.Sort(out)
+		out = slices.Compact(out)
 	}
 	return out
 }
 
 // PredWindowStats returns planner cardinality statistics for (pid, d) over
 // batches [from, to]: total values and keys (distinct per batch; summing
-// across batches upper-bounds the window-distinct count). Counters are
-// maintained on append, so the call never scans timing data.
+// across batches upper-bounds the window-distinct count). Both are counted
+// when a slice's run directory is built, so the call never scans timing data.
 func (s *Store) PredWindowStats(pid rdf.ID, d store.Dir, from, to BatchID) (values, vertices int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	pd := predDir{pid: pid, dir: d}
-	for _, sl := range s.slices {
-		if sl.batch < from {
-			continue
-		}
-		if sl.batch > to {
-			break
-		}
-		values += sl.predVals[pd]
-		vertices += sl.predKeys[pd]
+	for _, sl := range s.window(from, to) {
+		r := store.FindRun(sl.runs, pid, d)
+		values += r.Values
+		vertices += int64(r.Vertices)
 	}
 	return values, vertices
 }
@@ -284,7 +266,7 @@ func (s *Store) PredWindowStats(pid rdf.ID, d store.Dir, from, to BatchID) (valu
 // Stats describes the store's occupancy.
 type Stats struct {
 	Slices    int
-	Bytes     int64
+	Bytes     int64 // the slices' arrays
 	Budget    int64
 	GCRuns    int64
 	ForcedGCs int64

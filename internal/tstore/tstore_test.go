@@ -1,9 +1,11 @@
 package tstore
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -11,11 +13,25 @@ import (
 
 func key(v rdf.ID) store.Key { return store.EdgeKey(v, 1, store.Out) }
 
+// add appends vals under k to batch b, as one share.
+func add(s *Store, b BatchID, k store.Key, vals ...rdf.ID) {
+	pairs := make([]Pair, len(vals))
+	for i, v := range vals {
+		pairs[i] = Pair{Key: k.Ord(), Val: v}
+	}
+	s.Append(b, pairs)
+}
+
+// sliceBytes is the resident size of a slice holding n pairs of one run.
+func sliceBytes(n int) int64 {
+	return int64(n)*int64(unsafe.Sizeof(Pair{})) + int64(unsafe.Sizeof(store.Run{}))
+}
+
 func TestAppendGet(t *testing.T) {
 	s := New(0)
-	s.Append(1, key(7), []rdf.ID{10, 11})
-	s.Append(2, key(7), []rdf.ID{12})
-	s.Append(3, key(8), []rdf.ID{13})
+	add(s, 1, key(7), 10, 11)
+	add(s, 2, key(7), 12)
+	add(s, 3, key(8), 13)
 
 	if got := s.Get(key(7), 1, 3); len(got) != 3 || got[2] != 12 {
 		t.Errorf("Get window [1,3] = %v", got)
@@ -33,7 +49,7 @@ func TestAppendGet(t *testing.T) {
 
 func TestAppendEmptyNoop(t *testing.T) {
 	s := New(0)
-	s.Append(1, key(1), nil)
+	s.Append(1, nil)
 	if st := s.Stats(); st.Slices != 0 || st.Bytes != 0 {
 		t.Errorf("empty append created state: %+v", st)
 	}
@@ -41,9 +57,9 @@ func TestAppendEmptyNoop(t *testing.T) {
 
 func TestAppendSameBatchAccumulates(t *testing.T) {
 	s := New(0)
-	s.Append(5, key(1), []rdf.ID{1})
-	s.Append(5, key(1), []rdf.ID{2})
-	s.Append(5, key(2), []rdf.ID{3})
+	add(s, 5, key(1), 1)
+	add(s, 5, key(1), 2)
+	add(s, 5, key(2), 3)
 	if st := s.Stats(); st.Slices != 1 {
 		t.Errorf("Slices = %d, want 1", st.Slices)
 	}
@@ -54,13 +70,13 @@ func TestAppendSameBatchAccumulates(t *testing.T) {
 
 func TestBatchRegressionPanics(t *testing.T) {
 	s := New(0)
-	s.Append(5, key(1), []rdf.ID{1})
+	add(s, 5, key(1), 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("batch regression did not panic")
 		}
 	}()
-	s.Append(4, key(1), []rdf.ID{2})
+	add(s, 4, key(1), 2)
 }
 
 func TestBatches(t *testing.T) {
@@ -68,8 +84,8 @@ func TestBatches(t *testing.T) {
 	if o, n := s.Batches(); o != 0 || n != 0 {
 		t.Error("empty store reports batches")
 	}
-	s.Append(3, key(1), []rdf.ID{1})
-	s.Append(7, key(1), []rdf.ID{2})
+	add(s, 3, key(1), 1)
+	add(s, 7, key(1), 2)
 	if o, n := s.Batches(); o != 3 || n != 7 {
 		t.Errorf("Batches = %d, %d", o, n)
 	}
@@ -78,7 +94,7 @@ func TestBatches(t *testing.T) {
 func TestGC(t *testing.T) {
 	s := New(0)
 	for b := BatchID(1); b <= 5; b++ {
-		s.Append(b, key(1), []rdf.ID{rdf.ID(b)})
+		add(s, b, key(1), rdf.ID(b))
 	}
 	s.GC(4)
 	if o, n := s.Batches(); o != 4 || n != 5 {
@@ -97,10 +113,10 @@ func TestGC(t *testing.T) {
 }
 
 func TestForcedGCOnBudget(t *testing.T) {
-	// Budget fits roughly two slices of one pair each.
-	s := New(2 * pairBytes(1))
+	// Budget fits two slices of one pair each.
+	s := New(2 * sliceBytes(1))
 	for b := BatchID(1); b <= 10; b++ {
-		s.Append(b, key(rdf.ID(b)), []rdf.ID{1})
+		add(s, b, key(rdf.ID(b)), 1)
 	}
 	st := s.Stats()
 	if st.Bytes > st.Budget {
@@ -116,7 +132,7 @@ func TestForcedGCOnBudget(t *testing.T) {
 
 func TestForcedGCNeverDropsNewest(t *testing.T) {
 	s := New(1) // absurdly small budget
-	s.Append(1, key(1), []rdf.ID{1, 2, 3})
+	add(s, 1, key(1), 1, 2, 3)
 	if st := s.Stats(); st.Slices != 1 {
 		t.Errorf("newest slice evicted: %+v", st)
 	}
@@ -127,13 +143,13 @@ func TestForcedGCNeverDropsNewest(t *testing.T) {
 
 func TestByteAccounting(t *testing.T) {
 	s := New(0)
-	s.Append(1, key(1), []rdf.ID{1, 2})
-	want := pairBytes(2)
+	add(s, 1, key(1), 1, 2)
+	want := sliceBytes(2)
 	if st := s.Stats(); st.Bytes != want {
 		t.Errorf("Bytes = %d, want %d", st.Bytes, want)
 	}
-	s.Append(1, key(1), []rdf.ID{3})
-	want += 8
+	add(s, 1, key(1), 3)
+	want = sliceBytes(3)
 	if st := s.Stats(); st.Bytes != want {
 		t.Errorf("Bytes = %d, want %d", st.Bytes, want)
 	}
@@ -150,7 +166,7 @@ func TestConcurrentReadersWriter(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for b := BatchID(1); b <= 100; b++ {
-			s.Append(b, key(rdf.ID(b%5)), []rdf.ID{rdf.ID(b)})
+			add(s, b, key(rdf.ID(b%5)), rdf.ID(b))
 		}
 	}()
 	for r := 0; r < 4; r++ {
@@ -176,7 +192,7 @@ func TestWindowProperty(t *testing.T) {
 		var batches []BatchID
 		for i, d := range deltas {
 			b += BatchID(d % 3)
-			s.Append(b, k, []rdf.ID{rdf.ID(i + 1)})
+			add(s, b, k, rdf.ID(i+1))
 			batches = append(batches, b)
 		}
 		from := BatchID(from8%16) + 1
@@ -200,5 +216,35 @@ func TestWindowProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunsAnswerPredicateReads: a share arrives in any order; the slice's
+// runs give each (pid, dir) its vertices in ascending order, its values in
+// arrival order per key, and the counts the planner reads.
+func TestRunsAnswerPredicateReads(t *testing.T) {
+	s := New(0)
+	other := store.EdgeKey(4, 2, store.Out)
+	s.Append(1, []Pair{
+		{Key: key(9).Ord(), Val: 90}, {Key: other.Ord(), Val: 40}, {Key: key(3).Ord(), Val: 30},
+		{Key: key(9).Ord(), Val: 91}, {Key: key(3).Ord(), Val: 31},
+	})
+	add(s, 2, key(5), 50)
+	add(s, 2, key(3), 32)
+	want := []Pair{{key(3).Ord(), 30}, {key(3).Ord(), 31}, {key(9).Ord(), 90}, {key(9).Ord(), 91}}
+	if got := s.BatchEdges(1, 1, store.Out); !slices.Equal(got, want) {
+		t.Errorf("BatchEdges = %v, want %v", got, want)
+	}
+	if got := s.BatchEdges(1, 1, store.In); len(got) != 0 {
+		t.Errorf("BatchEdges of an absent run = %v", got)
+	}
+	if got := s.ScanVertices(1, store.Out, 1, 2); !slices.Equal(got, []rdf.ID{3, 5, 9}) {
+		t.Errorf("ScanVertices = %v, want [3 5 9]", got)
+	}
+	if v, k := s.PredWindowStats(1, store.Out, 1, 2); v != 6 || k != 4 {
+		t.Errorf("PredWindowStats = %d values, %d keys; want 6, 4", v, k)
+	}
+	if got := s.Get(key(3), 1, 2); !slices.Equal(got, []rdf.ID{30, 31, 32}) {
+		t.Errorf("Get = %v", got)
 	}
 }
