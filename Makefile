@@ -107,10 +107,12 @@ chaos-proc:
 # Every benchmark reports B/op and allocs/op. BenchmarkMicro_Tick (one
 # daemon-side tick: EMIT ×5, ADVANCE, POLL ×6), BenchmarkMicro_Emit (that
 # tick's five EMITs alone, also in ns/tuple) and BenchmarkMicro_Query (one
-# S2 probe and one S4 scan answered by the QUERY handler) live in
+# S2 probe and one S4 scan answered by the QUERY handler, on the 50 k-triple
+# graph and on an engine 1 500 ticks have grown) live in
 # internal/server because they drive unexported handlers. BenchmarkForwardedWrite
 # (internal/cluster) is one write through a member of a seed + member pair
-# over loopback TCP with fsynced oplogs. BenchmarkShardGet and
+# over loopback TCP with fsynced oplogs. BenchmarkShardGet,
+# BenchmarkShardReadFrontier (128 keys per call, in ns/key) and
 # BenchmarkShardAppendOne (internal/store) probe 100 k keys in random order.
 # BenchmarkClientEmit (internal/client) is one 3 337-tuple EMIT against a
 # server that only acknowledges; it reports ns and allocs per tuple.

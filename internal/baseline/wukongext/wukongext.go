@@ -183,9 +183,11 @@ func FullRange(s *Store) Access {
 	return Access{Store: s, From: 0, To: 1<<62 - 1}
 }
 
-// Neighbors implements exec.Access by a filtered scan.
-func (a Access) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
-	return a.Store.scan(from, store.EdgeKey(vid, pid, d), a.From, a.To)
+// Neighbors implements exec.Access by a filtered scan per key.
+func (a Access) Neighbors(from fabric.NodeID, keys []store.Key, out [][]rdf.ID) {
+	for i, k := range keys {
+		out[i] = a.Store.scan(from, k, a.From, a.To)
+	}
 }
 
 // Candidates implements exec.Access over the timestamped index vertices.

@@ -231,33 +231,65 @@ func (be batchEdges) from(v rdf.ID) batchEdges {
 	return be[i:j]
 }
 
-// storedKey identifies one stored-graph neighbor read for the cross-firing
-// memo.
-type storedKey struct {
-	vid, pid rdf.ID
-	dir      store.Dir
-}
-
 // memoStored wraps the stored-graph access with a memo that survives across
 // firings. It is sound under the same invariants that keep cached tables
 // exact: the persistent store is append-only and any per-predicate count
 // drift resets the whole delta state — so a remembered neighbor list equals
 // what a fresh snapshot read would return. Cached slices are shared; callers
 // treat Neighbors results as read-only. Never used under fork-join (delta
-// evaluation is pinned in-place), so the map needs no lock beyond ds.mu.
+// evaluation is pinned in-place), so the map and the miss scratch need no
+// lock beyond ds.mu.
 type memoStored struct {
 	inner exec.Access
-	memo  map[storedKey][]rdf.ID
+	memo  map[store.Key][]rdf.ID
+	miss  *memoMisses
 }
 
-func (m memoStored) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
-	k := storedKey{vid: vid, pid: pid, dir: d}
-	if ns, ok := m.memo[k]; ok {
-		return ns
+// memoMisses is the scratch of one memoStored read: the distinct keys the
+// memo did not hold, each one's index among them, and for every caller key
+// that missed, its position in out and its miss's index.
+type memoMisses struct {
+	keys []store.Key
+	vals [][]rdf.ID
+	slot map[store.Key]int
+	to   [][2]int
+}
+
+// Neighbors serves memo hits and reads the distinct misses through the inner
+// access in one call, so a key that repeats in keys is read once, as it was
+// when each read went through the memo on its own.
+func (m memoStored) Neighbors(from fabric.NodeID, keys []store.Key, out [][]rdf.ID) {
+	ms := m.miss
+	ms.keys, ms.to = ms.keys[:0], ms.to[:0]
+	if ms.slot == nil {
+		ms.slot = make(map[store.Key]int)
 	}
-	ns := m.inner.Neighbors(from, vid, pid, d)
-	m.memo[k] = ns
-	return ns
+	clear(ms.slot)
+	for i, k := range keys {
+		if ns, ok := m.memo[k]; ok {
+			out[i] = ns
+			continue
+		}
+		j, ok := ms.slot[k]
+		if !ok {
+			j = len(ms.keys)
+			ms.slot[k] = j
+			ms.keys = append(ms.keys, k)
+		}
+		ms.to = append(ms.to, [2]int{i, j})
+	}
+	if len(ms.keys) == 0 {
+		return
+	}
+	ms.vals = slices.Grow(ms.vals[:0], len(ms.keys))[:len(ms.keys)]
+	m.inner.Neighbors(from, ms.keys, ms.vals)
+	for j, k := range ms.keys {
+		m.memo[k] = ms.vals[j]
+	}
+	for _, t := range ms.to {
+		out[t[0]] = ms.vals[t[1]]
+	}
+	clear(ms.vals)
 }
 
 func (m memoStored) Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID {
@@ -294,7 +326,8 @@ type deltaState struct {
 	levels   []map[vecKey]deltaEntry         // levels[i]: vector prefix of length i+1
 	segEdges []map[tstore.BatchID]batchEdges // per level: batch edge lists
 	posts    []postState                     // per dp.post entry
-	stored   map[storedKey][]rdf.ID          // cross-firing stored-read memo
+	stored   map[store.Key][]rdf.ID          // cross-firing stored-read memo
+	misses   memoMisses                      // the memo's read scratch
 }
 
 // checkValid returns the first failing invalidation signal, or "" when every
@@ -359,7 +392,7 @@ func (ds *deltaState) reset(e *Engine, dp *deltaPlan) {
 	for i := range ds.posts {
 		ds.posts[i] = postState{counts: map[exec.Edge]int{}, byBatch: map[tstore.BatchID][]exec.Edge{}}
 	}
-	ds.stored = map[storedKey][]rdf.ID{}
+	ds.stored = map[store.Key][]rdf.ID{}
 }
 
 // expire drops cached vectors with any coordinate outside the new windows —
@@ -630,9 +663,16 @@ func (e *Engine) buildPostPairs(cq *ContinuousQuery, base *accessProvider, st pl
 	if err != nil {
 		return nil, err
 	}
+	cands := acc.Candidates(node, st.Pid, st.Dir)
+	keys := make([]store.Key, len(cands))
+	for i, v := range cands {
+		keys[i] = store.EdgeKey(v, st.Pid, st.Dir)
+	}
+	vals := make([][]rdf.ID, len(cands))
+	acc.Neighbors(node, keys, vals)
 	var pairs []exec.Edge
-	for _, v := range acc.Candidates(node, st.Pid, st.Dir) {
-		for _, n := range acc.Neighbors(node, v, st.Pid, st.Dir) {
+	for i, v := range cands {
+		for _, n := range vals[i] {
 			pairs = append(pairs, exec.Edge{From: v, To: n})
 		}
 	}
@@ -768,7 +808,7 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 	// evaluation (a deadline) leaves the cache exactly as the last
 	// successful firing did.
 	base := e.providerFor(cq.query, at)
-	base.memo = memoStored{inner: base.stored, memo: ds.stored}
+	base.memo = memoStored{inner: base.stored, memo: ds.stored, miss: &ds.misses}
 	pre := ds.pre
 	if pre == nil {
 		pre = &exec.Table{Rows: [][]rdf.ID{{}}} // the unit seed

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/tstore"
 )
@@ -216,6 +218,41 @@ func TestDeltaExpireDropsEveryExpiredBatch(t *testing.T) {
 		for b := range m {
 			if b < wins[lvl].from || b > wins[lvl].to {
 				t.Errorf("level %d keeps the edge list of batch %d outside %+v", lvl, b, wins[lvl])
+			}
+		}
+	}
+}
+
+// keyCounter is an exec.Access whose Neighbors answers every key with its
+// vertex alone and counts the keys it was asked for.
+type keyCounter struct {
+	exec.Access
+	asked *int
+}
+
+func (a keyCounter) Neighbors(_ fabric.NodeID, keys []store.Key, out [][]rdf.ID) {
+	*a.asked += len(keys)
+	for i, k := range keys {
+		out[i] = []rdf.ID{k.Vid}
+	}
+}
+
+// TestMemoStoredReadsEachMissOnce: a frontier through the delta memo reads
+// each distinct missing key once, however often it repeats in the frontier,
+// and not again on a later firing; every position gets its key's values.
+func TestMemoStoredReadsEachMissOnce(t *testing.T) {
+	asked := 0
+	m := memoStored{inner: keyCounter{asked: &asked}, memo: map[store.Key][]rdf.ID{}, miss: &memoMisses{}}
+	keys := []store.Key{store.EdgeKey(1, 5, store.Out), store.EdgeKey(2, 5, store.Out), store.EdgeKey(1, 5, store.Out), store.EdgeKey(1, 5, store.In)}
+	for round, want := range []int{3, 3} {
+		out := make([][]rdf.ID, len(keys))
+		m.Neighbors(0, keys, out)
+		if asked != want {
+			t.Fatalf("round %d: the inner access was asked for %d keys in all, want %d", round, asked, want)
+		}
+		for i, k := range keys {
+			if len(out[i]) != 1 || out[i][0] != k.Vid {
+				t.Fatalf("round %d: key %v read %v", round, k, out[i])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -16,15 +17,42 @@ import (
 // Access provides a pattern's data. Implementations charge the fabric for
 // remote operations, so the executor stays oblivious to network pricing.
 type Access interface {
-	// Neighbors returns vid's pid-neighbors in direction d, as visible to
-	// this access path, on behalf of a worker on node from.
-	Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID
+	// Neighbors reads a traversal step's frontier in one call: out[i] gets
+	// the neighbors keys[i] ([vid|pid|dir]) addresses, as visible to this
+	// access path, on behalf of a worker on node from. out is as long as
+	// keys; the slices it gets may alias the data and are read-only.
+	Neighbors(from fabric.NodeID, keys []store.Key, out [][]rdf.ID)
 	// Candidates enumerates all vertices carrying a pid edge in direction d
 	// (the index-vertex read), gathering every node's partition.
 	Candidates(from fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID
 	// LocalCandidates returns only node n's partition of the index vertex;
 	// fork-join seeding scans each partition on its own node.
 	LocalCandidates(n fabric.NodeID, pid rdf.ID, d store.Dir) []rdf.ID
+}
+
+// frontier is the scratch of one Neighbors call: the keys of a chunk of a
+// step's rows and the neighbor lists read for them. It is pooled, so a step
+// allocates nothing for it.
+type frontier struct {
+	keys []store.Key
+	vals [][]rdf.ID
+}
+
+var frontiers = sync.Pool{New: func() any { return new(frontier) }}
+
+func getFrontier() *frontier { return frontiers.Get().(*frontier) }
+
+// size makes f hold n keys, dropping the neighbor lists of its last read.
+func (f *frontier) size(n int) {
+	clear(f.vals)
+	f.keys = slices.Grow(f.keys[:0], n)[:n]
+	f.vals = slices.Grow(f.vals[:0], n)[:n]
+}
+
+// release returns f to the pool, holding no neighbor list.
+func (f *frontier) release() {
+	f.size(0)
+	frontiers.Put(f)
 }
 
 // Provider maps a pattern's graph scope to its Access.
@@ -40,10 +68,10 @@ type StoredAccess struct {
 	SN    uint32
 }
 
-// Neighbors implements Access via a snapshot read (two one-sided reads when
-// remote: key lookup + value).
-func (a StoredAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
-	return a.Store.ReadValues(from, store.EdgeKey(vid, pid, d), a.SN)
+// Neighbors implements Access via one frontier read of the snapshot (two
+// one-sided reads per remote key: key lookup + value).
+func (a StoredAccess) Neighbors(from fabric.NodeID, keys []store.Key, out [][]rdf.ID) {
+	a.Store.ReadFrontier(from, keys, a.SN, out)
 }
 
 // Candidates gathers every node's index-vertex partition.
@@ -125,17 +153,22 @@ func (a WindowAccess) indexLookup(from fabric.NodeID, key store.Key) []store.Spa
 	return spans
 }
 
-// Neighbors implements Access: stream-index spans give direct value reads
-// (one one-sided read each when remote); timing data comes from the home
-// node's transient store.
-func (a WindowAccess) Neighbors(from fabric.NodeID, vid, pid rdf.ID, d store.Dir) []rdf.ID {
-	key := store.EdgeKey(vid, pid, d)
+// Neighbors implements Access one key at a time: stream-index spans give
+// direct value reads (one one-sided read each when remote); timing data
+// comes from the home node's transient store.
+func (a WindowAccess) Neighbors(from fabric.NodeID, keys []store.Key, out [][]rdf.ID) {
+	for i, key := range keys {
+		out[i] = a.neighbors(from, key)
+	}
+}
+
+func (a WindowAccess) neighbors(from fabric.NodeID, key store.Key) []rdf.ID {
 	var out []rdf.ID
 	for _, sp := range a.indexLookup(from, key) {
 		a.Obs.spanRead()
 		out = append(out, a.Store.ReadSpan(from, key, sp)...)
 	}
-	home := a.Store.HomeOf(vid)
+	home := a.Store.HomeOf(key.Vid)
 	if ts := a.Transients[home]; ts != nil {
 		a.Obs.transientRead()
 		out = append(out, ts.GetFrom(a.Store.Fabric(), from, home, key, a.From, a.To)...)

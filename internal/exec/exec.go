@@ -12,6 +12,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/store"
 )
 
 // Mode selects the execution strategy.
@@ -355,15 +356,26 @@ func (ex *Executor) applySeed(req Request, acc Access, st plan.Step, tbl *Table)
 // pair is one (from, to) edge produced by expanding a seed.
 type pair struct{ from, to rdf.ID }
 
-// expandSeeds follows the seeding pattern's edges for every seed.
+// expandSeeds follows the seeding pattern's edges for every seed, reading
+// ctxStride seeds per Neighbors call.
 func expandSeeds(acc Access, node fabric.NodeID, seeds []rdf.ID, st plan.Step) []pair {
 	var out []pair
-	for _, s := range seeds {
-		for _, n := range acc.Neighbors(node, s, st.Pid, st.Dir) {
-			if !st.To.IsVar() && n != st.To.Const {
-				continue
+	fr := getFrontier()
+	defer fr.release()
+	for lo := 0; lo < len(seeds); lo += ctxStride {
+		chunk := seeds[lo:min(lo+ctxStride, len(seeds))]
+		fr.size(len(chunk))
+		for i, s := range chunk {
+			fr.keys[i] = store.EdgeKey(s, st.Pid, st.Dir)
+		}
+		acc.Neighbors(node, fr.keys, fr.vals)
+		for i, s := range chunk {
+			for _, n := range fr.vals[i] {
+				if !st.To.IsVar() && n != st.To.Const {
+					continue
+				}
+				out = append(out, pair{from: s, to: n})
 			}
-			out = append(out, pair{from: s, to: n})
 		}
 	}
 	return out
@@ -504,33 +516,53 @@ func traverse(ctx context.Context, acc Access, node fabric.NodeID, st plan.Step,
 		out.Vars = WithVars(tbl.Vars, st.To.Var)
 	}
 	var arena RowArena
-	for i, row := range tbl.Rows {
-		if i%ctxStride == ctxStride-1 {
+	fr := getFrontier()
+	defer fr.release()
+	// One Neighbors call per chunk of ctxStride rows, with a context poll
+	// between chunks.
+	for lo := 0; lo < len(tbl.Rows); lo += ctxStride {
+		if lo > 0 {
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
 		}
-		from := st.From.Const
-		if fromCol >= 0 {
-			from = row[fromCol]
+		rows := tbl.Rows[lo:min(lo+ctxStride, len(tbl.Rows))]
+		fr.size(len(rows))
+		for i, row := range rows {
+			from := st.From.Const
+			if fromCol >= 0 {
+				from = row[fromCol]
+			}
+			fr.keys[i] = store.EdgeKey(from, st.Pid, st.Dir)
 		}
-		ns := acc.Neighbors(node, from, st.Pid, st.Dir)
-		switch {
-		case newVar: // Expand
-			arena.Grow(len(ns) * (len(row) + 1))
-			out.Rows = slices.Grow(out.Rows, len(ns))
-			for _, n := range ns {
-				out.Rows = append(out.Rows, arena.Extend(row, n))
+		acc.Neighbors(node, fr.keys, fr.vals)
+		if newVar {
+			// The chunk's output size is known: room for it all at once.
+			n, cells := 0, 0
+			for i, ns := range fr.vals {
+				n += len(ns)
+				cells += len(ns) * (len(rows[i]) + 1)
 			}
-		default: // Check against bound var or constant
-			want := st.To.Const
-			if toCol >= 0 {
-				want = row[toCol]
-			}
-			for _, n := range ns {
-				if n == want {
-					out.Rows = append(out.Rows, row)
-					break
+			arena.Grow(cells)
+			out.Rows = slices.Grow(out.Rows, n)
+		}
+		for i, row := range rows {
+			ns := fr.vals[i]
+			switch {
+			case newVar: // Expand
+				for _, n := range ns {
+					out.Rows = append(out.Rows, arena.Extend(row, n))
+				}
+			default: // Check against bound var or constant
+				want := st.To.Const
+				if toCol >= 0 {
+					want = row[toCol]
+				}
+				for _, n := range ns {
+					if n == want {
+						out.Rows = append(out.Rows, row)
+						break
+					}
 				}
 			}
 		}
@@ -570,6 +602,8 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 		out.Vars = append(out.Vars, st.To.Var)
 	}
 	var arena RowArena
+	fr := getFrontier()
+	defer fr.release()
 	for i, row := range tbl.Rows {
 		if i%ctxStride == ctxStride-1 {
 			if err := ctxErr(ctx); err != nil {
@@ -587,10 +621,19 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 				preds = []rdf.ID{pid}
 			}
 		} else {
-			preds = acc.Neighbors(node, from, 0, st.Dir) // predicate index
+			fr.size(1)
+			fr.keys[0] = store.PredIndexKey(from, st.Dir)
+			acc.Neighbors(node, fr.keys, fr.vals)
+			preds = fr.vals[0]
 		}
-		for _, pid := range preds {
-			for _, n := range acc.Neighbors(node, from, pid, st.Dir) {
+		// The row's predicate list, read in one call.
+		fr.size(len(preds))
+		for j, pid := range preds {
+			fr.keys[j] = store.EdgeKey(from, pid, st.Dir)
+		}
+		acc.Neighbors(node, fr.keys, fr.vals)
+		for j, pid := range preds {
+			for _, n := range fr.vals[j] {
 				switch {
 				case newTo:
 					// fall through to emit

@@ -209,20 +209,49 @@ func perKB(rate time.Duration, n int) time.Duration {
 // remote side must be served by a CPU. Nothing inside one process can lose
 // the read, so it only costs time.
 func (f *Fabric) ReadRemote(from, to NodeID, n int) {
+	var b Reads
+	f.AddRead(&b, n)
+	f.ReadRemoteBatch(from, to, b)
+}
+
+// Reads accumulates remote reads bound for one node, so a caller that issues
+// many of them in one pass charges them with one ReadRemoteBatch. The zero
+// value is empty.
+type Reads struct {
+	n, bytes int64
+	cost     time.Duration
+}
+
+// AddRead records one read of n bytes in b, priced as ReadRemote prices it.
+func (f *Fabric) AddRead(b *Reads, n int) {
+	b.n++
+	b.bytes += int64(n)
+	if f.cfg.RDMA {
+		b.cost += f.cfg.Latency.RDMARead + perKB(f.cfg.Latency.RDMAPerKB, n)
+	} else {
+		b.cost += f.cfg.Latency.TCPRoundTrip + perKB(f.cfg.Latency.TCPPerKB, n)
+	}
+}
+
+// ReadRemoteBatch charges the reads in b, issued by node `from` to node `to`:
+// the counters, pair traffic and charged time come out exactly as b's reads
+// one ReadRemote each would leave them, at one atomic add per counter.
+func (f *Fabric) ReadRemoteBatch(from, to NodeID, b Reads) {
 	f.checkNode(from)
 	f.checkNode(to)
-	if from == to {
+	if from == to || b.n == 0 {
 		return
 	}
-	f.addPair(from, to, n)
-	f.bytesRead.Add(int64(n))
+	i := int(from)*f.cfg.Nodes + int(to)
+	f.pairMsgs[i].Add(b.n)
+	f.pairBytes[i].Add(b.bytes)
+	f.bytesRead.Add(b.bytes)
 	if f.cfg.RDMA {
-		f.rdmaReads.Add(1)
-		f.charge(f.cfg.Latency.RDMARead + perKB(f.cfg.Latency.RDMAPerKB, n))
-		return
+		f.rdmaReads.Add(b.n)
+	} else {
+		f.tcpRounds.Add(b.n)
 	}
-	f.tcpRounds.Add(1)
-	f.charge(f.cfg.Latency.TCPRoundTrip + perKB(f.cfg.Latency.TCPPerKB, n))
+	f.charge(b.cost)
 }
 
 // RPC charges one two-sided message exchange between nodes carrying reqBytes

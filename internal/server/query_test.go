@@ -25,8 +25,7 @@ func (l *loopReader) Read(p []byte) (int, error) {
 }
 
 // queryHarness drives the daemon side of the benchmark's one-shots in
-// process: an LSBench graph the size of stream-standalone's (Users=1000, 50 k
-// triples), and QUERY bodies read off a connection's line reader by cmdQuery,
+// process: QUERY bodies read off a connection's line reader by cmdQuery,
 // which renders the reply into a discarded writer. Each pair is an S2-style
 // selective probe and an S4-style scan.
 type queryHarness struct {
@@ -38,6 +37,9 @@ type queryHarness struct {
 	replyBytes int
 }
 
+// newQueryHarness answers the pair on an LSBench graph the size of
+// stream-standalone's (Users=1000, 50 k triples), freshly loaded: small and
+// cache-warm.
 func newQueryHarness(tb testing.TB) *queryHarness {
 	tb.Helper()
 	eng, err := core.New(core.Config{Nodes: 2, WorkersPerNode: 2})
@@ -47,7 +49,31 @@ func newQueryHarness(tb testing.TB) *queryHarness {
 	tb.Cleanup(eng.Close)
 	ls := lsbench.Generate(lsbench.Config{Seed: 7, Users: 1000}, eng.StringServer())
 	eng.LoadEncoded(ls.Initial)
-	probe, scan := ls.QueryS(2, 17), ls.QueryS(4, 3)
+	h := newQueryHarnessOn(tb, eng, ls.QueryS(2, 17), ls.QueryS(4, 3))
+	if h.probeRows > 50 {
+		tb.Fatalf("probe has %d rows: want a selective probe", h.probeRows)
+	}
+	return h
+}
+
+// grownTicks is how many ticks grow the engine newGrownQueryHarness queries.
+const grownTicks = 1500
+
+// newGrownQueryHarness answers the pair on an engine the tick harness has
+// grown by grownTicks ticks of its five streams, L1–L6 firing all along:
+// a store several times the small harness's, whose reads miss the cache as
+// a daemon's do after a while on the benchmark.
+func newGrownQueryHarness(tb testing.TB) *queryHarness {
+	tb.Helper()
+	th := newTickHarness(tb, 0)
+	th.grow(tb, grownTicks)
+	return newQueryHarnessOn(tb, th.eng, th.ls.QueryS(2, 17), th.ls.QueryS(4, 3))
+}
+
+// newQueryHarnessOn answers probe and scan on eng, checking that the scan
+// reads 100+ rows and the probe fewer.
+func newQueryHarnessOn(tb testing.TB, eng *core.Engine, probe, scan string) *queryHarness {
+	tb.Helper()
 	h := &queryHarness{
 		srv: New(eng),
 		r:   newLineReader(&loopReader{text: probe + "\n.\n" + scan + "\n.\n"}),
@@ -66,8 +92,8 @@ func newQueryHarness(tb testing.TB) *queryHarness {
 			h.replyBytes += len(res.AppendRow(nil, i)) + 1
 		}
 	}
-	if h.probeRows == 0 || h.probeRows > 50 || h.scanRows < 100 {
-		tb.Fatalf("probe has %d rows, scan %d: want a selective probe and a scan of 100+ rows", h.probeRows, h.scanRows)
+	if h.probeRows == 0 || h.scanRows < 100 || h.probeRows >= h.scanRows {
+		tb.Fatalf("probe has %d rows, scan %d: want a probe and a scan of 100+ rows", h.probeRows, h.scanRows)
 	}
 	return h
 }
@@ -103,9 +129,11 @@ func measureQueries(tb testing.TB) (h *queryHarness, bytesPerPair, mallocsPerPai
 
 // TestQueryAllocationBudget pins the daemon side of a QUERY: read the body,
 // parse, plan, execute, project and render every row. One S2 probe plus one
-// S4 scan stay under a ceiling 1.5× what this tree measures, 44 KB and 137
-// mallocs per pair. Before rows rendered from the interned keys and the trace
-// kept its plan steps unformatted, the same pair took 172 mallocs.
+// S4 scan stay under a ceiling set at 1.5× the 44 KB and 137 mallocs per pair
+// measured when it was set; since a traversal sizes its output once per
+// chunk of rows, the pair measures 39 KB and 117. Before rows rendered from
+// the interned keys and the trace kept its plan steps unformatted, the same
+// pair took 172 mallocs.
 func TestQueryAllocationBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -121,9 +149,15 @@ func TestQueryAllocationBudget(t *testing.T) {
 
 // BenchmarkMicro_Query reports time, B/op and allocs/op for one probe + scan
 // pair answered daemon-side (`make bench` runs it beside BenchmarkMicro_Tick).
+// Small is the freshly loaded 50 k-triple graph; Grown is an engine the tick
+// harness has grown, where the store's reads miss the cache.
 func BenchmarkMicro_Query(b *testing.B) {
+	b.Run("Small", func(b *testing.B) { benchQueries(b, newQueryHarness(b)) })
+	b.Run("Grown", func(b *testing.B) { benchQueries(b, newGrownQueryHarness(b)) })
+}
+
+func benchQueries(b *testing.B, h *queryHarness) {
 	b.ReportAllocs()
-	h := newQueryHarness(b)
 	for i := 0; i < 20; i++ {
 		h.pair(b)
 	}

@@ -103,6 +103,7 @@ type Server struct {
 	emitLim   *flow.Limiter // built by Serve from the Emit* fields, read-only after
 	cEmitShed *obs.Counter  // server_emit_shed_total
 	cPollTrim *obs.Counter  // server_poll_truncated_total
+	verbs     map[string]verbObs
 
 	mu      sync.Mutex
 	cluster ClusterBackend      // nil = single-process daemon
@@ -156,7 +157,49 @@ func New(eng *core.Engine) *Server {
 	})
 	s.cEmitShed = r.Counter("server_emit_shed_total")
 	s.cPollTrim = r.Counter("server_poll_truncated_total")
+	s.verbs = make(map[string]verbObs, len(verbs))
+	for _, v := range verbs {
+		s.verbs[v] = verbObs{
+			latency: r.Histogram(obs.Name("server_request_latency_ns", "verb", v), obs.LatencyBuckets),
+			bytes:   r.Counter(obs.Name("server_reply_bytes_total", "verb", v)),
+		}
+	}
 	return s
+}
+
+// verbs label the per-verb request metrics: the commands handle serves, and
+// otherVerb for any other line, so a client cannot grow the label set.
+var verbs = []string{"STREAM", "LOAD", "EMIT", "ADVANCE", "REGISTER", "QUERY", "EXPLAIN", "POLL", "STATS", "METRICS", "CLUSTER", "HOME", otherVerb}
+
+const otherVerb = "OTHER"
+
+// verbObs is one verb's daemon-side request metrics.
+type verbObs struct {
+	latency *obs.Histogram // server_request_latency_ns{verb}: command read to reply flush
+	bytes   *obs.Counter   // server_reply_bytes_total{verb}
+}
+
+// observe records one request of verb cmd that was read at start and whose
+// reply of n bytes has just been flushed.
+func (s *Server) observe(cmd string, start time.Time, n int64) {
+	vo, ok := s.verbs[cmd]
+	if !ok {
+		vo = s.verbs[otherVerb]
+	}
+	vo.latency.Observe(time.Since(start))
+	vo.bytes.Add(n)
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // droppedTotalLocked sums cumulative dropped rows across all poll buffers.
@@ -326,9 +369,11 @@ func (s *Server) handle(conn net.Conn) {
 		rc = &idleConn{Conn: conn, idle: s.IdleTimeout}
 	}
 	r := newLineReader(rc)
-	w := bufio.NewWriter(conn)
+	out := &countingWriter{w: conn}
+	w := bufio.NewWriter(out)
 	defer w.Flush()
 	for r.Scan() {
+		start, sent := time.Now(), out.n
 		cmd, args := r.command()
 		if cmd == "" {
 			continue
@@ -370,6 +415,7 @@ func (s *Server) handle(conn net.Conn) {
 			renderError(w, err)
 		}
 		w.Flush()
+		s.observe(cmd, start, out.n-sent)
 	}
 	// Degrade gracefully on oversized input: tell the client why before
 	// hanging up (the stream is unframed past this point, so the connection

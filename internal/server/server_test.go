@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -522,5 +523,56 @@ func TestStatsAndMetricsRoundTrip(t *testing.T) {
 		if f := strings.Fields(l); len(f) != 2 {
 			t.Errorf("malformed metrics line %q", l)
 		}
+	}
+}
+
+// TestRequestMetricsPerVerb: a request moves its verb's series of the
+// per-verb latency histogram and reply-byte counter by one request and its
+// reply's bytes — a QUERY leaves EMIT's series alone — and an unknown verb
+// counts under OTHER. The registry may be shared, so every check is a delta.
+func TestRequestMetricsPerVerb(t *testing.T) {
+	srv, addr := startServer(t)
+	reg := srv.eng.Metrics()
+	lat := func(verb string) int64 {
+		return reg.Histogram(obs.Name("server_request_latency_ns", "verb", verb), nil).Count()
+	}
+	sent := func(verb string) int64 {
+		return reg.Counter(obs.Name("server_reply_bytes_total", "verb", verb)).Value()
+	}
+	c := dial(t, addr)
+	c.send("LOAD", "<a> <po> <b> .", "<a> <po> <c> .", ".")
+	expectOK(t, c.status())
+	c.send("STREAM S 100")
+	expectOK(t, c.status())
+	emits, emitBytes := lat("EMIT"), sent("EMIT")
+	c.send("EMIT S", "<a> <po> <d> . @10", ".")
+	status := c.status()
+	expectOK(t, status)
+	if lat("EMIT") != emits+1 || sent("EMIT") != emitBytes+int64(len(status)+1) {
+		t.Fatalf("one EMIT moved its series by %d requests, %d bytes", lat("EMIT")-emits, sent("EMIT")-emitBytes)
+	}
+	queries, queryBytes, emits, emitBytes, others := lat("QUERY"), sent("QUERY"), lat("EMIT"), sent("EMIT"), lat("OTHER")
+
+	c.send("QUERY", "SELECT ?X WHERE { a po ?X }", ".")
+	status = c.status()
+	expectOK(t, status)
+	rows := c.rows()
+	want := int64(len(status) + 1 + 2) // the status line and the terminator
+	for _, r := range rows {
+		want += int64(len(r) + 1)
+	}
+	if got := lat("QUERY") - queries; got != 1 {
+		t.Errorf("one QUERY moved server_request_latency_ns{verb=QUERY} by %d", got)
+	}
+	if got := sent("QUERY") - queryBytes; got != want {
+		t.Errorf("server_reply_bytes_total{verb=QUERY} = %d, want the reply's %d bytes", got, want)
+	}
+	if lat("EMIT") != emits || sent("EMIT") != emitBytes {
+		t.Errorf("a QUERY moved EMIT's series: %d requests, %d bytes (was %d, %d)", lat("EMIT"), sent("EMIT"), emits, emitBytes)
+	}
+	c.send("FROB")
+	c.status()
+	if got := lat("OTHER") - others; got != 1 {
+		t.Errorf("an unknown verb moved server_request_latency_ns{verb=OTHER} by %d, want 1", got)
 	}
 }

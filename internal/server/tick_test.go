@@ -25,6 +25,7 @@ import (
 type tickHarness struct {
 	eng   *core.Engine
 	srv   *Server
+	ls    *lsbench.Workload
 	cqs   []string
 	ticks []harnessTick
 	next  int
@@ -48,11 +49,11 @@ func newTickHarness(tb testing.TB, n int) *tickHarness {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(eng.Close)
-	h := &tickHarness{eng: eng, srv: New(eng), w: bufio.NewWriter(io.Discard)}
 	w := lsbench.Generate(lsbench.Config{
 		Seed: 7, Users: 200,
 		RatePO: 250, RatePOL: 2150, RatePH: 250, RatePHL: 187, RateGPS: 500,
 	}, strserver.New())
+	h := &tickHarness{eng: eng, srv: New(eng), ls: w, w: bufio.NewWriter(io.Discard)}
 
 	var load strings.Builder
 	for _, e := range w.Initial {
@@ -73,25 +74,40 @@ func newTickHarness(tb testing.TB, n int) *tickHarness {
 		h.cqs = append(h.cqs, strings.TrimPrefix(reply, "registered "))
 	}
 	for i := 0; i < n; i++ {
-		from := rdf.Timestamp(i * 100)
-		tk := harnessTick{advance: []string{fmt.Sprint(int64(from) + 100)}}
-		for _, name := range lsbench.Streams() {
-			var b strings.Builder
-			for j, e := range w.StreamTuples(name, from, from+100) {
-				t, err := w.SS.DecodeTriple(e.EncodedTriple)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				if j > 0 {
-					b.WriteByte('\n')
-				}
-				b.WriteString(rdf.Tuple{Triple: t, TS: e.TS}.String())
-			}
-			tk.bodies = append(tk.bodies, b.String())
-		}
-		h.ticks = append(h.ticks, tk)
+		h.ticks = append(h.ticks, h.render(tb, i))
 	}
 	return h
+}
+
+// render returns tick i: the stream tuples of [100i, 100i+100) ms.
+func (h *tickHarness) render(tb testing.TB, i int) harnessTick {
+	from := rdf.Timestamp(i * 100)
+	tk := harnessTick{advance: []string{fmt.Sprint(int64(from) + 100)}}
+	for _, name := range lsbench.Streams() {
+		var b strings.Builder
+		for j, e := range h.ls.StreamTuples(name, from, from+100) {
+			t, err := h.ls.SS.DecodeTriple(e.EncodedTriple)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if j > 0 {
+				b.WriteByte('\n')
+			}
+			b.WriteString(rdf.Tuple{Triple: t, TS: e.TS}.String())
+		}
+		tk.bodies = append(tk.bodies, b.String())
+	}
+	return tk
+}
+
+// grow runs n more ticks past the pre-rendered ones, rendering each just
+// before it runs and keeping none.
+func (h *tickHarness) grow(tb testing.TB, n int) {
+	for range n {
+		h.ticks = append(h.ticks[:h.next], h.render(tb, h.next))
+		h.tick(tb)
+		h.ticks[h.next-1] = harnessTick{}
+	}
 }
 
 func (h *tickHarness) apply(tb testing.TB, kind string, args []string, body string) string {

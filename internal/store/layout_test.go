@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/fabric"
 	"repro/internal/race"
 	"repro/internal/rdf"
 	"repro/internal/strserver"
@@ -496,6 +497,56 @@ func BenchmarkShardGet(b *testing.B) {
 		if s.Get(keys[i%len(keys)], BaseSN) == nil {
 			b.Fatal("a stored key read nothing")
 		}
+	}
+}
+
+// BenchmarkShardReadFrontier reads BenchmarkShardGet's 100 k keys, 128
+// random keys per ReadFrontier call, on a one-node store over the same
+// shard, and reports ns/key beside Get's ns/op.
+func BenchmarkShardReadFrontier(b *testing.B) {
+	s, keys := benchKeys(b, 100_000)
+	g := &Sharded{fab: fabric.New(fabric.DefaultConfig(1)), shards: []*Shard{s}}
+	const width = 128
+	out := make([][]rdf.ID, width)
+	for i := 0; i < b.N; i++ {
+		lo := i * width % (len(keys) - width)
+		g.ReadFrontier(0, keys[lo:lo+width], BaseSN, out)
+		if out[0] == nil || out[width-1] == nil {
+			b.Fatal("a stored key read nothing")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/key")
+}
+
+// BenchmarkShardedParallelRead has GOMAXPROCS readers read the same keys
+// through the one-node store at once, 128 per round, one ReadValues per key
+// or one ReadFrontier per round, in ns/key of wall time. One reader alone
+// reads about as fast either way; concurrent per-key readers contend on the
+// store's read counter and on the stripe locks' reader counts, frontier
+// readers touch each once per round.
+func BenchmarkShardedParallelRead(b *testing.B) {
+	const width = 128
+	for _, way := range []string{"ReadValues", "ReadFrontier"} {
+		frontier := way == "ReadFrontier"
+		b.Run(way, func(b *testing.B) {
+			s, keys := benchKeys(b, 100_000)
+			g := &Sharded{fab: fabric.New(fabric.DefaultConfig(1)), shards: []*Shard{s}}
+			b.RunParallel(func(pb *testing.PB) {
+				out := make([][]rdf.ID, width)
+				lo := rand.Intn(len(keys) - width)
+				for pb.Next() {
+					lo = (lo + width) % (len(keys) - width)
+					if frontier {
+						g.ReadFrontier(0, keys[lo:lo+width], BaseSN, out)
+						continue
+					}
+					for i, k := range keys[lo : lo+width] {
+						out[i] = g.ReadValues(0, k, BaseSN)
+					}
+				}
+			})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/key")
+		})
 	}
 }
 

@@ -27,8 +27,8 @@ type Sharded struct {
 	predStats map[rdf.ID]*PredStat
 
 	// Operation counters for the observability layer.
-	reads      atomic.Int64 // snapshot key reads (Read)
-	spanReads  atomic.Int64 // stream-index span reads (ReadSpan)
+	reads      atomic.Int64 // snapshot key reads (Read, ReadFrontier)
+	spanReads  atomic.Int64 // stream-index span reads (ReadSpan, GatherSpans)
 	indexReads atomic.Int64 // index-vertex gathers (ReadIndex)
 	prunes     atomic.Int64 // PruneSnapshots invocations
 }
@@ -223,24 +223,29 @@ func (g *Sharded) ReadSpan(from fabric.NodeID, key Key, sp Span) []rdf.ID {
 // coalescing the remote pricing per home node: all spans homed on one node
 // travel in a single batched one-sided read (doorbell batching), sized by
 // the values fetched — the access pattern of a delta edge-cache build, which
-// knows every fat pointer up front. The result slice is parallel to kss.
+// knows every fat pointer up front. The lookups are grouped as ReadFrontier
+// groups them. The result slice is parallel to kss.
 func (g *Sharded) GatherSpans(from fabric.NodeID, kss []KeySpan) [][]rdf.ID {
 	out := make([][]rdf.ID, len(kss))
-	perHome := make([]int, g.fab.Nodes())
-	for i, ks := range kss {
-		g.spanReads.Add(1)
-		home := g.HomeOf(ks.Key.Vid)
-		vals := g.shards[home].GetSpan(ks.Key, ks.Span)
-		out[i] = vals
-		if home != from {
-			perHome[home] += 8 * len(vals)
-		}
+	if len(kss) == 0 {
+		return out
 	}
-	for n, bytes := range perHome {
+	g.spanReads.Add(int64(len(kss)))
+	fr := g.frontierFor(len(kss), func(i int) Key { return kss[i].Key })
+	fr.read(g.shards, 0, kss, out)
+	for h := range g.shards {
+		if fabric.NodeID(h) == from {
+			continue
+		}
+		bytes := 0
+		for _, i := range fr.home(h) {
+			bytes += 8 * len(out[i])
+		}
 		if bytes > 0 {
-			g.fab.ReadRemote(from, fabric.NodeID(n), bytes)
+			g.fab.ReadRemote(from, fabric.NodeID(h), bytes)
 		}
 	}
+	frontiers.Put(fr)
 	return out
 }
 

@@ -171,6 +171,17 @@ func (e *entry) visibleLen(sn uint32) int {
 	return 0
 }
 
+// visible returns the values a reader at snapshot sn may see.
+func (e *entry) visible(sn uint32) []rdf.ID { return e.vals[:e.visibleLen(sn)] }
+
+// span returns the values sp covers, or nil when sp reaches past them.
+func (e *entry) span(sp Span) []rdf.ID {
+	if int(sp.End) > len(e.vals) {
+		return nil
+	}
+	return e.vals[sp.Start:sp.End:sp.End]
+}
+
 // prune collapses boundaries below minSN into a single floor boundary.
 func (e *entry) prune(minSN uint32) {
 	i := 0
@@ -482,7 +493,7 @@ func (s *Shard) Get(key Key, sn uint32) []rdf.ID {
 	if e == nil {
 		return nil
 	}
-	return e.vals[:e.visibleLen(sn)]
+	return e.visible(sn)
 }
 
 // GetAll returns every value of key regardless of snapshot (continuous
@@ -513,10 +524,10 @@ func (s *Shard) GetSpan(key Key, sp Span) []rdf.ID {
 	s.mu[st].RLock()
 	defer s.mu[st].RUnlock()
 	e := s.find(st, w)
-	if e == nil || int(sp.End) > len(e.vals) {
+	if e == nil {
 		return nil
 	}
-	return e.vals[sp.Start:sp.End:sp.End]
+	return e.span(sp)
 }
 
 // PruneSnapshots collapses per-key snapshot metadata below minSN. The engine
