@@ -12,12 +12,12 @@ RACE_PKGS := ./internal/core/... ./internal/fabric/... ./internal/server/... \
              ./internal/store/... ./internal/vts/... ./internal/sindex/... \
              ./internal/tstore/... ./internal/strserver/... ./internal/exec/...
 
-.PHONY: all ci fmt vet build build-cmds test shapes race faults fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e bench-compare clean
+.PHONY: all ci fmt vet build build-cmds examples test shapes race faults fuzz-short smoke soak soak-short chaos-proc bench bench-smoke bench-e2e bench-compare clean
 
 all: ci
 
 # The full gate: what CI runs, in order.
-ci: fmt vet build build-cmds test shapes race faults fuzz-short soak-short chaos-proc
+ci: fmt vet build build-cmds examples test shapes race faults fuzz-short soak-short chaos-proc
 
 # Format gate: any file gofmt would rewrite fails the build.
 fmt:
@@ -34,6 +34,11 @@ build:
 build-cmds:
 	$(GO) build -o /dev/null ./cmd/wukongsd
 	$(GO) build -o /dev/null ./cmd/wsbench
+
+# Build and run each example program under examples/; a non-zero exit fails.
+# Each runs in well under a second on a 2-vCPU host.
+examples:
+	@set -e; for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null; done
 
 test:
 	$(GO) test ./...

@@ -286,7 +286,6 @@ func BenchmarkTable5_NonRDMA(b *testing.B) {
 	cfg := benchEngineConfig(8)
 	cfg.Fabric.Latency = fabric.DefaultLatency()
 	cfg.Fabric.RDMA = false
-	cfg.ForceForkJoin = true
 	f := newWukongSFixture(b, cfg, benchLSConfig())
 	for n := 1; n <= 6; n++ {
 		n := n

@@ -18,9 +18,11 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -52,8 +54,7 @@ func main() {
 	quotes, err := eng.RegisterStream(stream.Config{
 		Name:             "Quotes",
 		BatchInterval:    100 * time.Millisecond,
-		TimingPredicates: []string{"bid"},        // quotes expire with their windows
-		MaxDelay:         100 * time.Millisecond, // feed handlers reorder slightly
+		TimingPredicates: []string{"bid"}, // quotes expire with their windows
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +62,6 @@ func main() {
 	trades, err := eng.RegisterStream(stream.Config{
 		Name:          "Trades",
 		BatchInterval: 100 * time.Millisecond,
-		MaxDelay:      200 * time.Millisecond, // exchange feeds arrive slightly out of order
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -108,30 +108,32 @@ LIMIT 3`,
 		log.Fatal(err)
 	}
 
-	// Drive 15 seconds of feed: ~200 quotes/s, ~50 trades/s.
+	// Drive 15 seconds of feed: ~200 quotes/s, ~50 trades/s. Feed handlers
+	// deliver a tick's messages slightly out of order, and a stream takes its
+	// tuples in timestamp order (C-SPARQL's time model), so each 100 ms tick
+	// of a feed is ordered before it is emitted.
 	rng := rand.New(rand.NewSource(7))
-	price := func() rdf.Term { return rdf.NewIntLiteral(int64(90 + rng.Intn(20))) }
-	for now := rdf.Timestamp(100); now <= 15_000; now += 100 {
-		for i := 0; i < 20; i++ {
+	tick := func(now rdf.Timestamp, n int, pred string) []rdf.Tuple {
+		out := make([]rdf.Tuple, n)
+		for i := range out {
 			sym := symbols[rng.Intn(len(symbols))]
-			if err := quotes.Emit(rdf.Tuple{
-				Triple: rdf.Triple{S: rdf.NewIRI(sym), P: rdf.NewIRI("bid"), O: price()},
+			px := rdf.NewIntLiteral(int64(90 + rng.Intn(20)))
+			out[i] = rdf.Tuple{
+				Triple: rdf.Triple{S: rdf.NewIRI(sym), P: rdf.NewIRI(pred), O: px},
 				TS:     now - rdf.Timestamp(rng.Intn(100)),
-			}); err != nil {
+			}
+		}
+		slices.SortStableFunc(out, func(a, b rdf.Tuple) int { return cmp.Compare(a.TS, b.TS) })
+		return out
+	}
+	for now := rdf.Timestamp(100); now <= 15_000; now += 100 {
+		for _, tu := range tick(now, 20, "bid") {
+			if err := quotes.Emit(tu); err != nil {
 				log.Fatal(err)
 			}
 		}
-		for i := 0; i < 5; i++ {
-			sym := symbols[rng.Intn(len(symbols))]
-			// Trades arrive slightly out of order (MaxDelay absorbs it).
-			ts := now - rdf.Timestamp(rng.Intn(150))
-			if ts < 0 {
-				ts = 0
-			}
-			if err := trades.Emit(rdf.Tuple{
-				Triple: rdf.Triple{S: rdf.NewIRI(sym), P: rdf.NewIRI("trade"), O: price()},
-				TS:     ts,
-			}); err != nil {
+		for _, tu := range tick(now, 5, "trade") {
+			if err := trades.Emit(tu); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/stream"
-
 	"repro/internal/bench/harness"
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -99,46 +97,7 @@ func Ablations(o Options) (*Report, error) {
 			fmt.Sprintf("%d", len(plans)))
 		e.Close()
 	}
-	// --- Out-of-order tolerance (extension) -----------------------------
-	for _, delay := range []time.Duration{0, 100 * time.Millisecond, 300 * time.Millisecond} {
-		e, err := core.New(engineConfig(o, 2))
-		if err != nil {
-			return nil, err
-		}
-		src, err := e.RegisterStream(stream.Config{
-			Name:          "S",
-			BatchInterval: 100 * time.Millisecond,
-			MaxDelay:      delay,
-		})
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		var firedAtClock rdf.Timestamp
-		if _, err := e.RegisterContinuous(`
-REGISTER QUERY ooo AS
-SELECT ?x ?y FROM S [RANGE 1s STEP 1s] WHERE { GRAPH S { ?x p ?y } }`,
-			func(_ *core.Result, f core.FireInfo) {
-				if f.At == 1000 && firedAtClock == 0 {
-					firedAtClock = e.Now()
-				}
-			}); err != nil {
-			e.Close()
-			return nil, err
-		}
-		for now := rdf.Timestamp(100); now <= 2000; now += 100 {
-			if err := src.Emit(rdf.Tuple{Triple: rdf.T("a", "p", "b"), TS: now - 10}); err != nil {
-				e.Close()
-				return nil, err
-			}
-			e.AdvanceTo(now)
-		}
-		lag := firedAtClock - 1000
-		r.Table.Add("out-of-order MaxDelay", delay.String(), "window@1s fire lag",
-			fmt.Sprintf("%d ms", lag))
-		e.Close()
-	}
 	r.Notes = append(r.Notes,
-		"shape target: replication removes the extra index-lookup reads; larger SN cadence trades one-shot freshness for injector flexibility; MaxDelay delays window firing by its bound")
+		"shape target: replication removes the extra index-lookup reads; larger SN cadence trades one-shot freshness for injector flexibility")
 	return r, nil
 }

@@ -335,7 +335,6 @@ func Table5(o Options) (*Report, error) {
 	// treat the fabric config as unset and default RDMA back on.
 	nonCfg.Fabric.Latency = fabric.DefaultLatency()
 	nonCfg.Fabric.RDMA = false
-	nonCfg.ForceForkJoin = true
 	non, err := wukongSLatencies(o, nonCfg, cfg)
 	if err != nil {
 		return nil, err

@@ -46,8 +46,6 @@ func (e *Engine) costInputs() stats.CostInputs {
 // to avoid; the PlanMode flag overrides), then the cost model.
 func (e *Engine) decide(p *plan.Plan) stats.Decision {
 	switch {
-	case e.cfg.ForceForkJoin:
-		return stats.Decision{Mode: exec.ForkJoin, Forced: "force-fork-join"}
 	case !e.fab.RDMA():
 		return stats.Decision{Mode: exec.ForkJoin, Forced: "no-rdma"}
 	case e.cfg.PlanMode == PlanModeInPlace:
@@ -62,7 +60,7 @@ func (e *Engine) decide(p *plan.Plan) stats.Decision {
 }
 
 // decideMode is decide plus the plan_mode_total{mode} accounting; execution
-// paths use it, diagnostic paths (Explain, routing probes) use decide.
+// paths use it, Explain uses decide.
 func (e *Engine) decideMode(p *plan.Plan) stats.Decision {
 	d := e.decide(p)
 	if d.Mode == exec.InPlace {
@@ -71,25 +69,6 @@ func (e *Engine) decideMode(p *plan.Plan) stats.Decision {
 		e.cModeForkJoin.Inc()
 	}
 	return d
-}
-
-// modeFor picks the execution strategy for a compiled plan. Kept as the
-// historical entry point; the decision is now cost-based (DESIGN.md §14)
-// rather than keyed off the seeding step's kind.
-func (e *Engine) modeFor(p *plan.Plan) exec.Mode {
-	return e.decideMode(p).Mode
-}
-
-// ModeForQuery plans a parsed one-shot query and returns the strategy the
-// engine would execute it with. Cluster routing consults it so unanchored
-// queries only scatter across members when fork-join would actually win;
-// selective unanchored queries stay on the coordinator's replica.
-func (e *Engine) ModeForQuery(q *sparql.Query) exec.Mode {
-	p, err := plan.Compile(q, e.ss, e.statsFor(q))
-	if err != nil {
-		return exec.ForkJoin
-	}
-	return e.decide(p).Mode
 }
 
 // recordEstimateError feeds the estimator-error histogram: the planner's

@@ -213,7 +213,7 @@ func (e *Engine) RegisterContinuous(text string, cb func(*Result, FireInfo)) (*C
 	if !e.cfg.DisableIndexReplication {
 		for _, w := range cq.windows {
 			w.state.index.Replicate(cq.home)
-			if e.cfg.ForceForkJoin || !e.fab.RDMA() {
+			if !e.fab.RDMA() {
 				for n := 0; n < e.cfg.Nodes; n++ {
 					w.state.index.Replicate(fabric.NodeID(n))
 				}
@@ -357,7 +357,7 @@ func (cq *ContinuousQuery) execute(at rdf.Timestamp) {
 		defer cancel()
 	}
 	p := cq.replan()
-	mode := e.modeFor(p)
+	mode := e.decideMode(p).Mode
 	var rs *exec.ResultSet
 	var lat time.Duration
 	var err error
@@ -439,7 +439,7 @@ func (cq *ContinuousQuery) ExecuteNow() (*Result, time.Duration, error) {
 	prov := e.providerFor(cq.query, at)
 	rs, trace, err := e.ex.Execute(exec.Request{
 		Node:             cq.Home(),
-		Mode:             e.modeFor(p),
+		Mode:             e.decideMode(p).Mode,
 		Access:           prov,
 		Resolver:         e.ss,
 		ForkThreshold:    e.cfg.ForkThreshold,
@@ -464,7 +464,7 @@ func (cq *ContinuousQuery) ExecuteNowTraced() (*Result, *exec.Trace, error) {
 	prov := e.providerFor(cq.query, at)
 	rs, trace, err := e.ex.Execute(exec.Request{
 		Node:             cq.Home(),
-		Mode:             e.modeFor(p),
+		Mode:             e.decideMode(p).Mode,
 		Access:           prov,
 		Resolver:         e.ss,
 		ForkThreshold:    e.cfg.ForkThreshold,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fabric"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -104,8 +105,8 @@ func TestPlannerZeroCardinalityPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.ModeForQuery(q); got != exec.InPlace {
-		t.Errorf("ModeForQuery(zero-cardinality) = %v, want in-place", got)
+	if got := modeOf(t, e, q); got != exec.InPlace {
+		t.Errorf("mode(zero-cardinality) = %v, want in-place", got)
 	}
 	out, err := e.Explain("SELECT ?A ?B FROM X-Lab WHERE { ?A zz ?B }")
 	if err != nil {
@@ -140,6 +141,17 @@ WHERE { GRAPH Tweet_Stream { ?A zz ?B } }`, col.cb); err != nil {
 	}
 }
 
+// modeOf compiles q over e's live statistics and returns the strategy
+// decide picks for the plan.
+func modeOf(t *testing.T, e *Engine, q *sparql.Query) exec.Mode {
+	t.Helper()
+	p, err := plan.Compile(q, e.ss, e.statsFor(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.decide(p).Mode
+}
+
 // TestAdaptiveDriftFlipsDecision: the same continuous query is costed
 // in-place over an empty window and fork-join once injected stream volume
 // drives the window cardinality past the crossover — the decision tracks
@@ -168,7 +180,7 @@ WHERE { GRAPH PO { ?U po ?P } }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.ModeForQuery(q); got != exec.InPlace {
+	if got := modeOf(t, e, q); got != exec.InPlace {
 		t.Fatalf("mode over empty window = %v, want in-place", got)
 	}
 	// 200 distinct subjects per batch across 5 batches: the unanchored seed's
@@ -179,7 +191,7 @@ WHERE { GRAPH PO { ?U po ?P } }`
 		}
 		e.AdvanceTo(ts)
 	}
-	if got := e.ModeForQuery(q); got != exec.ForkJoin {
+	if got := modeOf(t, e, q); got != exec.ForkJoin {
 		t.Fatalf("mode after rate surge = %v, want fork-join (decision must flip with drift)", got)
 	}
 }

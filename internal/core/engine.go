@@ -72,15 +72,12 @@ type Config struct {
 	// ForkThreshold is the table size that triggers scatter/gather in
 	// fork-join execution (default 32).
 	ForkThreshold int
-	// ForceForkJoin forces fork-join execution for all queries (the paper's
-	// non-RDMA configuration, Table 5).
-	ForceForkJoin bool
 	// PlanMode overrides the cost-based in-place/fork-join decision:
 	// "auto" (or empty, the default) prices both strategies per query with
 	// live cardinality statistics; "inplace" and "forkjoin" force one
-	// strategy (the wukongsd -plan-mode flag). ForceForkJoin and a non-RDMA
-	// fabric still win over PlanMode — fork-join is the only correct
-	// costing without one-sided reads.
+	// strategy (the wukongsd -plan-mode flag). A non-RDMA fabric (the paper's
+	// non-RDMA configuration, Table 5) still wins over PlanMode — fork-join
+	// is the only correct costing without one-sided reads.
 	PlanMode string
 	// DeltaMode controls delta-based continuous-query evaluation (DESIGN.md
 	// §14): "auto" (or empty, the default) evaluates eligible sliding-window
@@ -146,7 +143,7 @@ func (c Config) withDefaults() Config {
 	}
 	// Without one-sided reads, per-item remote access costs a TCP round
 	// trip; fork-join migrates every traversal step to the data instead.
-	if c.ForceForkJoin || (c.Fabric.Nodes > 1 && !c.Fabric.RDMA) {
+	if c.Fabric.Nodes > 1 && !c.Fabric.RDMA {
 		c.ForkThreshold = 1
 	}
 	return c
@@ -488,7 +485,6 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 	// and its strings may be slices of a request line the caller reuses.
 	cfg.Name = strings.Clone(cfg.Name)
 	cfg.TimingPredicates = cloneStrings(cfg.TimingPredicates)
-	cfg.KeepPredicates = cloneStrings(cfg.KeepPredicates)
 	if cfg.MaxPending == 0 && e.cfg.Flow.MaxPending > 0 {
 		// Engine-wide admission default for streams that don't choose their
 		// own bound.
@@ -526,9 +522,11 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 	return src, nil
 }
 
-// cloneStrings copies a string slice and the bytes of every element.
+// cloneStrings copies a string slice and the bytes of every element. An
+// empty slice becomes nil, so a config reads the same whichever encoding it
+// was registered from.
 func cloneStrings(in []string) []string {
-	if in == nil {
+	if len(in) == 0 {
 		return nil
 	}
 	out := make([]string, len(in))

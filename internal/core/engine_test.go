@@ -440,10 +440,11 @@ func TestOneShotLatencyAndTraceRecorded(t *testing.T) {
 	}
 }
 
-func TestForceForkJoinMatchesInPlace(t *testing.T) {
-	run := func(force bool) []string {
-		cfg := Config{Nodes: 4, ForceForkJoin: force}
-		e, err := New(cfg)
+func TestForkJoinPlanMatchesInPlace(t *testing.T) {
+	run := func(planMode string) []string {
+		// ForkThreshold 1: the xlab tables are a few rows, below the default
+		// threshold, and fork-join must really scatter to be compared.
+		e, err := New(Config{Nodes: 4, PlanMode: planMode, ForkThreshold: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +457,7 @@ func TestForceForkJoinMatchesInPlace(t *testing.T) {
 		res.Sort()
 		return res.Strings()
 	}
-	a, b := run(false), run(true)
+	a, b := run(PlanModeInPlace), run(PlanModeForkJoin)
 	if len(a) != len(b) || len(a) == 0 {
 		t.Fatalf("in-place %v vs fork-join %v", a, b)
 	}

@@ -130,13 +130,13 @@ func (e *Engine) EnableFT(cfg FTConfig) error {
 
 // ftStreamMeta is the persisted form of a stream registration. Logs written
 // before the engine dropped its upstream-backup buffer also carry
-// "backup_batches"; decoding skips it.
+// "backup_batches", and those written before the adaptor dropped its
+// predicate filter and reorder buffer may carry "keep_preds" and
+// "max_delay_ms"; decoding skips all three.
 type ftStreamMeta struct {
 	Name        string   `json:"name"`
 	BatchMS     int64    `json:"batch_ms"`
 	TimingPreds []string `json:"timing_preds,omitempty"`
-	KeepPreds   []string `json:"keep_preds,omitempty"`
-	MaxDelayMS  int64    `json:"max_delay_ms,omitempty"`
 }
 
 // ftLogStream logs one stream registration. Caller holds e.mu.
@@ -145,8 +145,6 @@ func (e *Engine) ftLogStream(st *streamState) error {
 		Name:        st.cfg.Name,
 		BatchMS:     st.src.Interval().Milliseconds(),
 		TimingPreds: st.cfg.TimingPredicates,
-		KeepPreds:   st.cfg.KeepPredicates,
-		MaxDelayMS:  st.cfg.MaxDelay.Milliseconds(),
 	})
 	if err != nil {
 		return err
@@ -330,8 +328,6 @@ func (e *Engine) replayRecord(rec string, callbacks func(name string) func(*Resu
 			Name:             m.Name,
 			BatchInterval:    time.Duration(m.BatchMS) * time.Millisecond,
 			TimingPredicates: m.TimingPreds,
-			KeepPredicates:   m.KeepPreds,
-			MaxDelay:         time.Duration(m.MaxDelayMS) * time.Millisecond,
 		})
 		return 0, err
 	case "Q":

@@ -421,7 +421,8 @@ func TestFTLoadSurvivesRestart(t *testing.T) {
 
 // TestFTRecoversLogWithBackupBatches recovers a log as engines wrote it while
 // they kept an upstream-backup buffer: its stream record carries the buffer's
-// budget, which the engine no longer has.
+// budget, which the engine no longer has. Another stream record carries the
+// predicate filter and reorder bound the adaptor no longer has either.
 func TestFTRecoversLogWithBackupBatches(t *testing.T) {
 	dir := t.TempDir()
 	l, err := oplog.Open(dir, oplog.Options{})
@@ -430,6 +431,7 @@ func TestFTRecoversLogWithBackupBatches(t *testing.T) {
 	}
 	for i, rec := range []string{
 		`S {"name":"S","batch_ms":100,"backup_batches":256}`,
+		`S {"name":"T","batch_ms":50,"timing_preds":["ga"],"keep_preds":["po"],"max_delay_ms":200}`,
 		"B S 1\n<Logan> <po> <T-1> . @10\n",
 	} {
 		if err := l.Append(uint64(i+1), []byte(rec)); err != nil {
@@ -444,6 +446,10 @@ func TestFTRecoversLogWithBackupBatches(t *testing.T) {
 	defer re.Close()
 	if src, ok := re.SourceOf("S"); !ok || src.Interval() != 100*time.Millisecond || src.SealedTo() != 1 {
 		t.Fatalf("recovered stream S = %v, %v", src, ok)
+	}
+	want := stream.Config{Name: "T", BatchInterval: 50 * time.Millisecond, TimingPredicates: []string{"ga"}}
+	if got := re.StreamConfigsOrdered(); len(got) != 2 || !reflect.DeepEqual(got[1], want) {
+		t.Fatalf("recovered stream configs = %+v, want T as %+v", got, want)
 	}
 	res, err := re.Query(`SELECT ?P WHERE { Logan po ?P }`)
 	if err != nil {

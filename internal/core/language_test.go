@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/rdf"
-	"repro/internal/stream"
 )
 
 // TestTimeBasedOneShotQueries demonstrates the paper's footnote 10: the
@@ -156,49 +153,6 @@ func TestAskQueries(t *testing.T) {
 	// Modifiers on ASK are rejected.
 	if _, err := e.Ask(`ASK WHERE { ?x po ?y } ORDER BY ?x`); err == nil {
 		t.Error("ASK with ORDER BY accepted")
-	}
-}
-
-// TestOutOfOrderStreamThroughEngine drives a MaxDelay stream end to end:
-// late tuples land in the right windows once the watermark passes.
-func TestOutOfOrderStreamThroughEngine(t *testing.T) {
-	e, err := New(Config{Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	src, err := e.RegisterStream(stream.Config{
-		Name:          "late",
-		BatchInterval: 100 * time.Millisecond,
-		MaxDelay:      200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var col collector
-	if _, err := e.RegisterContinuous(`
-REGISTER QUERY lateq AS
-SELECT ?X ?Z FROM late [RANGE 1s STEP 1s]
-WHERE { GRAPH late { ?X po ?Z } }`, col.cb); err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-order arrivals within the 200ms bound.
-	for _, ts := range []rdf.Timestamp{300, 150, 400, 250, 600, 500} {
-		if err := src.Emit(rdf.Tuple{Triple: rdf.T("u", "po", fmt.Sprintf("p%d", ts)), TS: ts}); err != nil {
-			t.Fatalf("ts %d: %v", ts, err)
-		}
-	}
-	// The watermark trails the clock by MaxDelay, so the window ending at
-	// 1000 can only fire once the clock passes 1200 — the latency cost of
-	// out-of-order tolerance.
-	e.AdvanceTo(1000)
-	if got := col.fireCount(); got != 0 {
-		t.Fatalf("fired %d times before the watermark passed", got)
-	}
-	e.AdvanceTo(1300)
-	rows := col.allRows()
-	if len(rows) != 6 {
-		t.Errorf("rows = %v, want all 6 tuples in the 1s window", rows)
 	}
 }
 

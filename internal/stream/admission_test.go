@@ -384,3 +384,102 @@ func TestEmitBodyBlockedEmitsWaitSideBySide(t *testing.T) {
 		t.Fatalf("timeouts=%d shedNewest=%d, want 2/2", st.Timeouts(), st.ShedNewest())
 	}
 }
+
+// emitEntries emits one tuple through each entry point that admits tuples.
+var emitEntries = map[string]func(*Source, rdf.Tuple) error{
+	"Emit":     (*Source).Emit,
+	"EmitBody": func(src *Source, tu rdf.Tuple) error { return emitBody(src, []rdf.Tuple{tu}) },
+}
+
+// TestRefusedEmitChangesNothing: Emit and EmitBody pass one admission check.
+// Under every shed policy, an emit refused for order, for a sealed batch or
+// for room leaves the stream's clock, its buffer, its admit and evict counts
+// and the string server as they were, and a shed counts once per tuple. So
+// a tuple shed at 500 does not move the clock: one at 400 is admitted once
+// the buffer drains.
+func TestRefusedEmitChangesNothing(t *testing.T) {
+	policies := map[string]flow.Policy{"drop-newest": flow.DropNewest, "drop-oldest": flow.DropOldest, "block": flow.Block}
+	for ename, emit := range emitEntries {
+		for pname, policy := range policies {
+			t.Run(ename+"/"+pname, func(t *testing.T) {
+				src := admissionSource(t, 2, policy, time.Millisecond)
+				for _, tu := range batchAt(150, 2) {
+					if err := emit(src, tu); err != nil {
+						t.Fatal(err)
+					}
+				}
+				src.SealUpTo(100)
+				type state struct {
+					sourceState
+					lastTS rdf.Timestamp
+				}
+				snap := func() state { return state{stateOf(src), src.lastTS} }
+				before := snap()
+				fresh := func(name string, ts rdf.Timestamp) rdf.Tuple {
+					return rdf.Tuple{Triple: rdf.T(name, "p", "o"), TS: ts}
+				}
+				for _, tu := range []rdf.Tuple{fresh("sealed", 50), fresh("behind", 140)} {
+					if err := emit(src, tu); err == nil || errors.Is(err, flow.ErrShed) {
+						t.Errorf("emit at %d: err = %v, want a plain refusal", tu.TS, err)
+					}
+					if got := snap(); got != before {
+						t.Errorf("refused emit at %d: state %+v, was %+v", tu.TS, got, before)
+					}
+				}
+				if policy == flow.DropOldest {
+					return // never refuses for room
+				}
+				if err := emit(src, fresh("late", 500)); !errors.Is(err, flow.ErrShed) {
+					t.Fatalf("emit on a full buffer = %v, want ErrShed", err)
+				}
+				if got := snap(); got != before || src.QueueStats().ShedNewest() != 1 {
+					t.Fatalf("shed emit: state %+v (was %+v), shedNewest %d", got, before, src.QueueStats().ShedNewest())
+				}
+				src.SealUpTo(200)
+				if err := emit(src, fresh("early", 400)); err != nil {
+					t.Fatalf("emit at 400 after a shed at 500: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestBlockedEmitWhoseBatchSeals: a Block wait that ends because a seal
+// drained the buffer, and sealed the waiting tuples' batch with it, sheds
+// them — the same answer from Emit and from EmitBody, one shed per tuple.
+func TestBlockedEmitWhoseBatchSeals(t *testing.T) {
+	answers := map[string]string{}
+	for name, emit := range emitEntries {
+		var src *Source
+		var err error
+		// The emit must reach the Block wait before the seal. One that gets
+		// the lock only after the seal never waits and is refused with the
+		// plain sealed-batch error: give it a longer head start and retry.
+		for headStart := 10 * time.Millisecond; ; headStart *= 2 {
+			src = admissionSource(t, 1, flow.Block, 5*time.Second)
+			if err := emit(src, rdf.Tuple{Triple: rdf.T("a", "p", "o"), TS: 150}); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- emit(src, rdf.Tuple{Triple: rdf.T("b", "p", "o"), TS: 180}) }()
+			time.Sleep(headStart)
+			src.SealUpTo(200)
+			err = <-done
+			if errors.Is(err, flow.ErrShed) || headStart >= 2*time.Second {
+				break
+			}
+		}
+		if !errors.Is(err, flow.ErrShed) {
+			t.Fatalf("%s: blocked emit into a batch sealed meanwhile = %v, want ErrShed", name, err)
+		}
+		st := src.QueueStats()
+		if st.ShedNewest() != 1 || st.Admitted() != 1 || src.PendingLen() != 0 || src.lastTS != 150 || src.ss.NumEntities() != 2 {
+			t.Fatalf("%s: shedNewest=%d admitted=%d pending=%d lastTS=%d entities=%d, want 1/1/0/150/2",
+				name, st.ShedNewest(), st.Admitted(), src.PendingLen(), src.lastTS, src.ss.NumEntities())
+		}
+		answers[name] = err.Error()
+	}
+	if answers["Emit"] != answers["EmitBody"] {
+		t.Fatalf("Emit answers %q, EmitBody %q", answers["Emit"], answers["EmitBody"])
+	}
+}

@@ -111,26 +111,6 @@ func TestTimingClassification(t *testing.T) {
 	}
 }
 
-func TestKeepPredicatesDiscards(t *testing.T) {
-	ss := strserver.New()
-	s := newSource(t, Config{
-		Name:             "s",
-		BatchInterval:    100 * time.Millisecond,
-		KeepPredicates:   []string{"po"},
-		TimingPredicates: []string{"ga"},
-	}, ss)
-	s.Emit(tupleAt(10, "a", "po", "b"))
-	s.Emit(tupleAt(20, "a", "junk", "b"))
-	s.Emit(tupleAt(30, "a", "ga", "b")) // timing predicates are implicitly kept
-	b := s.SealUpTo(100)[0]
-	if len(b.Tuples) != 2 {
-		t.Errorf("kept %d tuples, want 2", len(b.Tuples))
-	}
-	if s.Discarded() != 1 {
-		t.Errorf("Discarded = %d", s.Discarded())
-	}
-}
-
 func TestDispatchPartitionsBySide(t *testing.T) {
 	fab := fabric.New(fabric.DefaultConfig(4))
 	ss := strserver.New()
@@ -249,74 +229,5 @@ func TestInjectReplicationCharged(t *testing.T) {
 	InjectNode(home, w, 1, 1, InjectTarget{Store: st, Index: ix, Transient: tstore.New(0)})
 	if got := fab.Stats().RPCs; got != 3 {
 		t.Errorf("replication RPCs = %d, want 3", got)
-	}
-}
-
-func TestOutOfOrderTolerance(t *testing.T) {
-	ss := strserver.New()
-	s := newSource(t, Config{
-		Name:          "ooo",
-		BatchInterval: 100 * time.Millisecond,
-		MaxDelay:      200 * time.Millisecond,
-	}, ss)
-	// Tuples arrive shuffled within the 200ms delay bound.
-	for _, ts := range []rdf.Timestamp{150, 50, 250, 120, 330, 260} {
-		if err := s.Emit(tupleAt(ts, "a", "p", "b")); err != nil {
-			t.Fatalf("ts %d: %v", ts, err)
-		}
-	}
-	if s.Reordered() != 3 { // 50 after 150; 120 after 250; 260 after 330
-		t.Errorf("Reordered = %d, want 3", s.Reordered())
-	}
-	// Too-late tuple (older than watermark 330-200=130) is rejected.
-	if err := s.Emit(tupleAt(100, "a", "p", "b")); err == nil {
-		t.Error("tuple older than the watermark accepted")
-	}
-
-	// Sealing advances the watermark to the clock (processing time) minus
-	// MaxDelay: at ts=400 the watermark is 200, sealing batches 1 and 2
-	// with the reordered tuples back in timestamp order.
-	batches := s.SealUpTo(400)
-	if len(batches) != 2 || batches[0].ID != 1 || batches[1].ID != 2 {
-		t.Fatalf("sealed = %+v, want batches 1 and 2", batches)
-	}
-	if got := batches[0].Tuples; len(got) != 1 || got[0].TS != 50 {
-		t.Errorf("batch 1 tuples = %+v", got)
-	}
-	if got := batches[1].Tuples; len(got) != 2 || got[0].TS != 120 || got[1].TS != 150 {
-		t.Errorf("batch 2 tuples = %+v", got)
-	}
-	// Advancing further releases the rest.
-	batches = s.SealUpTo(600)
-	var n int
-	for _, b := range batches {
-		n += len(b.Tuples)
-	}
-	if n != 3 { // 250, 260, 330
-		t.Errorf("remaining sealed tuples = %d, want 3", n)
-	}
-}
-
-func TestOutOfOrderMonotonicDownstream(t *testing.T) {
-	ss := strserver.New()
-	s := newSource(t, Config{
-		Name:          "ooo2",
-		BatchInterval: 100 * time.Millisecond,
-		MaxDelay:      300 * time.Millisecond,
-	}, ss)
-	rngTS := []rdf.Timestamp{500, 300, 400, 350, 700, 600, 550, 900, 800}
-	for _, ts := range rngTS {
-		if err := s.Emit(tupleAt(ts, "x", "p", "y")); err != nil {
-			t.Fatalf("ts %d: %v", ts, err)
-		}
-	}
-	prev := rdf.Timestamp(0)
-	for _, b := range s.SealUpTo(1500) {
-		for _, tu := range b.Tuples {
-			if tu.TS < prev {
-				t.Fatalf("downstream order violated: %d after %d", tu.TS, prev)
-			}
-			prev = tu.TS
-		}
 	}
 }

@@ -52,7 +52,6 @@ func newObsWorkload(b *testing.B) *obsWorkloadFixture {
 		Name:             "Quotes",
 		BatchInterval:    100 * time.Millisecond,
 		TimingPredicates: []string{"bid"},
-		MaxDelay:         100 * time.Millisecond, // emitted timestamps jitter backwards
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -60,7 +59,6 @@ func newObsWorkload(b *testing.B) *obsWorkloadFixture {
 	trades, err := eng.RegisterStream(stream.Config{
 		Name:          "Trades",
 		BatchInterval: 100 * time.Millisecond,
-		MaxDelay:      100 * time.Millisecond,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -87,7 +85,8 @@ GROUP BY ?sym`,
 	return &obsWorkloadFixture{e: eng, quotes: quotes, trades: trades, symbols: symbols}
 }
 
-// step drives one 100ms tick of feed: 20 quotes + 5 trades, then AdvanceTo.
+// step drives one 100ms tick of feed: 20 quotes + 5 trades, each stream's
+// timestamps spread evenly and in order over the tick, then AdvanceTo.
 func (f *obsWorkloadFixture) step(b *testing.B, rng *rand.Rand, now rdf.Timestamp) {
 	b.Helper()
 	price := func() rdf.Term { return rdf.NewIntLiteral(int64(90 + rng.Intn(20))) }
@@ -95,7 +94,7 @@ func (f *obsWorkloadFixture) step(b *testing.B, rng *rand.Rand, now rdf.Timestam
 		sym := f.symbols[rng.Intn(len(f.symbols))]
 		if err := f.quotes.Emit(rdf.Tuple{
 			Triple: rdf.Triple{S: rdf.NewIRI(sym), P: rdf.NewIRI("bid"), O: price()},
-			TS:     now - rdf.Timestamp(rng.Intn(100)),
+			TS:     now - 99 + rdf.Timestamp(i*5),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +103,7 @@ func (f *obsWorkloadFixture) step(b *testing.B, rng *rand.Rand, now rdf.Timestam
 		sym := f.symbols[rng.Intn(len(f.symbols))]
 		if err := f.trades.Emit(rdf.Tuple{
 			Triple: rdf.Triple{S: rdf.NewIRI(sym), P: rdf.NewIRI("trade"), O: price()},
-			TS:     now - rdf.Timestamp(rng.Intn(100)),
+			TS:     now - 99 + rdf.Timestamp(i*20),
 		}); err != nil {
 			b.Fatal(err)
 		}
