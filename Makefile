@@ -66,14 +66,16 @@ faults:
 	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$' ./internal/cluster ./internal/wire
 
 # Five seconds of native fuzzing per target where bytes cross a trust
-# boundary: the op decoder never panics and round-trips, the verb interpreter
-# never panics and leaves no trace of an op it refuses, the in-memory tuple
-# parser never panics and agrees with the streaming Reader, the key scanner
-# EMIT interns from agrees with that parser, every tuple the renderer writes
-# parses back to itself, the durable log's Open never
-# panics on a damaged segment and leaves a log that ranges and appends
-# cleanly, and a snapshot file either loads to a payload that saves back to
-# the same bytes or is quarantined. -fuzz takes one target per run.
+# boundary, and where one model checks a whole query path: the op decoder
+# never panics and round-trips, the verb interpreter never panics and leaves
+# no trace of an op it refuses, the in-memory tuple parser never panics and
+# agrees with the streaming Reader, the key scanner EMIT interns from agrees
+# with that parser, every tuple the renderer writes parses back to itself,
+# the durable log's Open never panics on a damaged segment and leaves a log
+# that ranges and appends cleanly, a snapshot file either loads to a payload
+# that saves back to the same bytes or is quarantined, and a one-shot over a
+# drawn graph, query and engine configuration answers what a nested-loop
+# model over term strings answers. -fuzz takes one target per run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
@@ -82,6 +84,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzTupleRoundTrip$$' -fuzztime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzOplogOpen$$' -fuzztime 5s ./internal/oplog
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/oplog
+	$(GO) test -run '^$$' -fuzz '^FuzzOneShot$$' -fuzztime 5s ./internal/core
 
 # Quick confidence pass, including the chaos kill/recover smoke test.
 smoke:
@@ -113,7 +116,8 @@ chaos-proc:
 # daemon-side tick: EMIT ×5, ADVANCE, POLL ×6), BenchmarkMicro_Emit (that
 # tick's five EMITs alone, also in ns/tuple) and BenchmarkMicro_Query (one
 # S2 probe and one S4 scan answered by the QUERY handler, on the 50 k-triple
-# graph and on an engine 1 500 ticks have grown) live in
+# graph, on an engine 1 500 ticks have grown, and on that grown engine while
+# another goroutine keeps ticking it: Small, Grown and Ticking) live in
 # internal/server because they drive unexported handlers. BenchmarkForwardedWrite
 # (internal/cluster) is one write through a member of a seed + member pair
 # over loopback TCP with fsynced oplogs. BenchmarkShardGet,

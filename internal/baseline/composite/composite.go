@@ -167,7 +167,7 @@ func (s *System) ExecuteContinuous(q *sparql.Query, w Windows, at rdf.Timestamp)
 	}
 	bd := &Breakdown{}
 	stages := splitStages(q, s.cfg.PlanMode)
-	carried := &exec.Table{Rows: [][]rdf.ID{{}}}
+	carried := exec.Unit()
 	for _, st := range stages {
 		if st.stream {
 			start := time.Now()
@@ -251,7 +251,7 @@ func (s *System) runStreamStage(q *sparql.Query, pats []sparql.Pattern, w Window
 	if err != nil {
 		return nil, err
 	}
-	if len(carried.Vars) == 0 && len(carried.Rows) > 0 && len(out.Vars) > 0 {
+	if len(carried.Vars) == 0 && carried.Len() > 0 && len(out.Vars) > 0 {
 		// carried was the unit seed; out already stands alone.
 		return out, nil
 	}
@@ -261,7 +261,7 @@ func (s *System) runStreamStage(q *sparql.Query, pats []sparql.Pattern, w Window
 // runStoredStage ships the carried table to the Wukong sub-component,
 // applies the stored patterns there, and ships the result back.
 func (s *System) runStoredStage(q *sparql.Query, pats []sparql.Pattern, carried *exec.Table, bd *Breakdown) (*exec.Table, error) {
-	if len(carried.Rows) == 0 {
+	if carried.Len() == 0 {
 		return carried, nil
 	}
 	// Cross-system: transform the binding table into the store's query
@@ -272,7 +272,7 @@ func (s *System) runStoredStage(q *sparql.Query, pats []sparql.Pattern, carried 
 	// Co-located processes still cross an IPC/loopback boundary.
 	s.fab.ChargeCompute(s.fab.Config().Latency.TCPRoundTrip + perKB(s.fab.Config().Latency.TCPPerKB, bytes))
 	bd.Cross += time.Since(start)
-	bd.CrossTuples += len(carried.Rows)
+	bd.CrossTuples += carried.Len()
 	bd.Crossings++
 
 	storedStart := time.Now()
@@ -301,7 +301,7 @@ func (s *System) runStoredStage(q *sparql.Query, pats []sparql.Pattern, carried 
 	bytes = s.transform(out)
 	s.fab.ChargeCompute(s.fab.Config().Latency.TCPRoundTrip + perKB(s.fab.Config().Latency.TCPPerKB, bytes))
 	bd.Cross += time.Since(start)
-	bd.CrossTuples += len(out.Rows)
+	bd.CrossTuples += out.Len()
 	bd.Crossings++
 	return out, nil
 }
@@ -314,22 +314,20 @@ func (s *System) runStoredStage(q *sparql.Query, pats []sparql.Pattern, carried 
 // paper measures (§6.2).
 func (s *System) transform(t *exec.Table) int {
 	n := 0
-	for _, row := range t.Rows {
-		for _, id := range row {
-			term, ok := s.ss.Entity(id)
-			if !ok {
-				continue
-			}
-			// Serialize to N-Triples term syntax...
-			text := term.String()
-			n += len(text)
-			// ...and parse + re-intern on the receiving side.
-			parsed, err := rdf.ParseTerm(text)
-			if err != nil {
-				parsed = term
-			}
-			s.ss.InternEntity(parsed)
+	for _, id := range t.Cells {
+		term, ok := s.ss.Entity(id)
+		if !ok {
+			continue
 		}
+		// Serialize to N-Triples term syntax...
+		text := term.String()
+		n += len(text)
+		// ...and parse + re-intern on the receiving side.
+		parsed, err := rdf.ParseTerm(text)
+		if err != nil {
+			parsed = term
+		}
+		s.ss.InternEntity(parsed)
 	}
 	return n
 }

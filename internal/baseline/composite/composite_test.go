@@ -56,13 +56,13 @@ func fixture(t *testing.T, cfg Config) (*System, *strserver.Server, Windows) {
 
 func decode(ss *strserver.Server, rs *exec.ResultSet) []string {
 	var out []string
-	for _, r := range rs.Rows {
+	for ri := 0; ri < rs.Len(); ri++ {
 		s := ""
-		for i, v := range r {
+		for i := range rs.Vars {
 			if i > 0 {
 				s += " "
 			}
-			term, _ := ss.Entity(v.ID)
+			term, _ := ss.Entity(rs.Cell(ri, i).ID)
 			s += term.Value
 		}
 		out = append(out, s)
@@ -156,7 +156,7 @@ func TestOneShotIgnoresStreams(t *testing.T) {
 	if rs.Len() != 1 {
 		t.Fatalf("rows = %d, want 1 (T-13 only)", rs.Len())
 	}
-	term, _ := ss.Entity(rs.Rows[0][0].ID)
+	term, _ := ss.Entity(rs.Cell(0, 0).ID)
 	if term.Value != "T-13" {
 		t.Errorf("row = %v", term)
 	}

@@ -90,11 +90,9 @@ func (s *System) matchStored(p rel.Pattern) *exec.Table {
 
 // serialize models the Esper/Jena boundary: bindings cross as strings.
 func (s *System) serialize(t *exec.Table) {
-	for _, row := range t.Rows {
-		for _, id := range row {
-			if term, ok := s.ss.Entity(id); ok {
-				s.ss.InternEntity(rdf.TermFromKey(term.Key()))
-			}
+	for _, id := range t.Cells {
+		if term, ok := s.ss.Entity(id); ok {
+			s.ss.InternEntity(rdf.TermFromKey(term.Key()))
 		}
 	}
 }
@@ -133,7 +131,7 @@ func (s *System) evaluate(q *sparql.Query, w rel.Windows, at rdf.Timestamp) (*ex
 			t = s.matchStored(cp)
 			scanned += int64(len(s.byPred[cp.Pid]))
 		}
-		rows += int64(len(t.Rows))
+		rows += int64(t.Len())
 		if result == nil {
 			result = t
 		} else {
@@ -143,7 +141,7 @@ func (s *System) evaluate(q *sparql.Query, w rel.Windows, at rdf.Timestamp) (*ex
 				s.serialize(t)
 			}
 			result = rel.Join(result, t)
-			rows += int64(len(result.Rows))
+			rows += int64(result.Len())
 		}
 		prevStream = isStream
 	}

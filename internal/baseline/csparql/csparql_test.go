@@ -59,8 +59,8 @@ WHERE {
 	if tbl.Len() != 1 {
 		t.Fatalf("rows = %d", tbl.Len())
 	}
-	x, _ := ss.Entity(tbl.Rows[0][0].ID)
-	z, _ := ss.Entity(tbl.Rows[0][2].ID)
+	x, _ := ss.Entity(tbl.Cell(0, 0).ID)
+	z, _ := ss.Entity(tbl.Cell(0, 2).ID)
 	if x.Value != "Logan" || z.Value != "T-15" {
 		t.Errorf("row = %v %v", x, z)
 	}
@@ -76,7 +76,7 @@ func TestOneShotStaticOnly(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("rows = %d", tbl.Len())
 	}
-	z, _ := ss.Entity(tbl.Rows[0][0].ID)
+	z, _ := ss.Entity(tbl.Cell(0, 0).ID)
 	if z.Value != "T-13" {
 		t.Errorf("row = %v", z)
 	}

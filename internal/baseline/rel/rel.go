@@ -86,14 +86,13 @@ func Match(tuples []strserver.EncodedTriple, p Pattern) *exec.Table {
 		if p.SVar != "" && p.OVar == p.SVar && tu.S != tu.O {
 			continue
 		}
-		row := make([]rdf.ID, len(t.Vars))
+		row := t.AddRow()
 		if sCol >= 0 {
 			row[sCol] = tu.S
 		}
 		if oCol >= 0 {
 			row[oCol] = tu.O
 		}
-		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
@@ -133,15 +132,18 @@ func Join(a, b *exec.Table) *exec.Table {
 			bExtra = append(bExtra, i)
 		}
 	}
+	// An output row is the a-side row followed by the b-side's extra cells.
+	appendJoined := func(ra, rb []rdf.ID) {
+		row := out.AddRow()
+		copy(row, ra)
+		for j, i := range bExtra {
+			row[len(ra)+j] = rb[i]
+		}
+	}
 	if len(shared) == 0 {
-		for _, ra := range a.Rows {
-			for _, rb := range b.Rows {
-				row := make([]rdf.ID, 0, len(out.Vars))
-				row = append(row, ra...)
-				for _, i := range bExtra {
-					row = append(row, rb[i])
-				}
-				out.Rows = append(out.Rows, row)
+		for i := 0; i < a.Len(); i++ {
+			for j := 0; j < b.Len(); j++ {
+				appendJoined(a.Row(i), b.Row(j))
 			}
 		}
 		return out
@@ -149,7 +151,7 @@ func Join(a, b *exec.Table) *exec.Table {
 	// Build on the smaller side.
 	build, probe := a, b
 	swapped := false
-	if len(b.Rows) < len(a.Rows) {
+	if b.Len() < a.Len() {
 		build, probe = b, a
 		swapped = true
 	}
@@ -159,24 +161,20 @@ func Join(a, b *exec.Table) *exec.Table {
 		bCols[i] = build.Col(v)
 		pCols[i] = probe.Col(v)
 	}
-	ht := make(map[string][]int, len(build.Rows))
-	for i, r := range build.Rows {
-		ht[joinKey(r, bCols)] = append(ht[joinKey(r, bCols)], i)
+	ht := make(map[string][]int, build.Len())
+	for i := 0; i < build.Len(); i++ {
+		k := joinKey(build.Row(i), bCols)
+		ht[k] = append(ht[k], i)
 	}
-	for _, rp := range probe.Rows {
+	for pi := 0; pi < probe.Len(); pi++ {
+		rp := probe.Row(pi)
 		for _, bi := range ht[joinKey(rp, pCols)] {
-			rb := build.Rows[bi]
-			// ra must be the a-side row, rbb the b-side row.
-			ra, rbb := rb, rp
+			rb := build.Row(bi)
 			if swapped {
-				ra, rbb = rp, rb
+				appendJoined(rp, rb)
+			} else {
+				appendJoined(rb, rp)
 			}
-			row := make([]rdf.ID, 0, len(out.Vars))
-			row = append(row, ra...)
-			for _, i := range bExtra {
-				row = append(row, rbb[i])
-			}
-			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out
@@ -193,10 +191,17 @@ func joinKey(row []rdf.ID, cols []int) string {
 	return string(buf)
 }
 
+// Relation is a projected result in the relational baseline's own form: one
+// slice of IDs per row.
+type Relation struct {
+	Vars []string
+	Rows [][]rdf.ID
+}
+
 // Project reorders and restricts a table to the query's plain SELECT
 // variables (aggregate projections are handled by exec.Project).
-func Project(t *exec.Table, q *sparql.Query) (*exec.Table, error) {
-	out := &exec.Table{}
+func Project(t *exec.Table, q *sparql.Query) (*Relation, error) {
+	out := &Relation{}
 	cols := make([]int, 0, len(q.Select))
 	for _, pr := range q.Select {
 		if pr.Agg != sparql.AggNone {
@@ -209,7 +214,8 @@ func Project(t *exec.Table, q *sparql.Query) (*exec.Table, error) {
 		cols = append(cols, c)
 		out.Vars = append(out.Vars, pr.As)
 	}
-	for _, row := range t.Rows {
+	for r := 0; r < t.Len(); r++ {
+		row := t.Row(r)
 		nr := make([]rdf.ID, len(cols))
 		for i, c := range cols {
 			nr[i] = row[c]
@@ -221,17 +227,17 @@ func Project(t *exec.Table, q *sparql.Query) (*exec.Table, error) {
 
 // Filter keeps rows satisfying a FILTER expression.
 func Filter(t *exec.Table, expr sparql.Expr, res exec.TermResolver) (*exec.Table, error) {
-	out := &exec.Table{Vars: t.Vars}
-	for _, row := range t.Rows {
-		ok, err := EvalExpr(res, expr, t, row)
+	kept := exec.NewSubset(t)
+	for i := 0; i < t.Len(); i++ {
+		ok, err := EvalExpr(res, expr, t, t.Row(i))
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out.Rows = append(out.Rows, row)
+			kept.Keep(i)
 		}
 	}
-	return out, nil
+	return kept.Table(), nil
 }
 
 // EvalExpr evaluates a FILTER expression against one row (shared with the

@@ -56,23 +56,23 @@ func TestMatch(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?o WHERE { a p ?o }`)
 	cp, _, _ := CompilePattern(q.Patterns[0], ss)
 	got := Match(data, cp)
-	if len(got.Rows) != 2 {
-		t.Errorf("rows = %v", got.Rows)
+	if got.Len() != 2 {
+		t.Errorf("rows = %v", got.Cells)
 	}
 	// Var-var binds both columns.
 	q2 := sparql.MustParse(`SELECT ?s ?o WHERE { ?s p ?o }`)
 	cp2, _, _ := CompilePattern(q2.Patterns[0], ss)
 	got2 := Match(data, cp2)
-	if len(got2.Rows) != 3 || len(got2.Vars) != 2 {
-		t.Errorf("rows = %v vars = %v", got2.Rows, got2.Vars)
+	if got2.Len() != 3 || len(got2.Vars) != 2 {
+		t.Errorf("rows = %v vars = %v", got2.Cells, got2.Vars)
 	}
 	// Same-var pattern matches self-loops only.
 	ss2 := strserver.New()
 	loop := []strserver.EncodedTriple{enc(ss2, "a", "p", "a"), enc(ss2, "a", "p", "b")}
 	q3 := sparql.MustParse(`SELECT ?s WHERE { ?s p ?s }`)
 	cp3, _, _ := CompilePattern(q3.Patterns[0], ss2)
-	if got := Match(loop, cp3); len(got.Rows) != 1 {
-		t.Errorf("self-loop rows = %v", got.Rows)
+	if got := Match(loop, cp3); got.Len() != 1 {
+		t.Errorf("self-loop rows = %v", got.Cells)
 	}
 }
 
@@ -88,19 +88,20 @@ func TestMatchTuplesWindow(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?o WHERE { a p ?o }`)
 	cp, _, _ := CompilePattern(q.Patterns[0], ss)
 	got := MatchTuples(tuples, cp, 200, 500)
-	if len(got.Rows) != 4 { // ts 200,300,400,500
-		t.Errorf("windowed rows = %d, want 4", len(got.Rows))
+	if got.Len() != 4 { // ts 200,300,400,500
+		t.Errorf("windowed rows = %d, want 4", got.Len())
 	}
 }
 
 func TestJoinShared(t *testing.T) {
-	a := &exec.Table{Vars: []string{"x", "y"}, Rows: [][]rdf.ID{{1, 2}, {3, 4}}}
-	b := &exec.Table{Vars: []string{"y", "z"}, Rows: [][]rdf.ID{{2, 9}, {2, 8}, {5, 7}}}
+	a := exec.TableOf([]string{"x", "y"}, [][]rdf.ID{{1, 2}, {3, 4}}...)
+	b := exec.TableOf([]string{"y", "z"}, [][]rdf.ID{{2, 9}, {2, 8}, {5, 7}}...)
 	got := Join(a, b)
-	if len(got.Vars) != 3 || len(got.Rows) != 2 {
-		t.Fatalf("join = %v %v", got.Vars, got.Rows)
+	if len(got.Vars) != 3 || got.Len() != 2 {
+		t.Fatalf("join = %v %v", got.Vars, got.Cells)
 	}
-	for _, r := range got.Rows {
+	for ir := 0; ir < got.Len(); ir++ {
+		r := got.Row(ir)
 		if r[0] != 1 || r[1] != 2 {
 			t.Errorf("row = %v", r)
 		}
@@ -108,19 +109,19 @@ func TestJoinShared(t *testing.T) {
 }
 
 func TestJoinCartesian(t *testing.T) {
-	a := &exec.Table{Vars: []string{"x"}, Rows: [][]rdf.ID{{1}, {2}}}
-	b := &exec.Table{Vars: []string{"y"}, Rows: [][]rdf.ID{{7}, {8}, {9}}}
+	a := exec.TableOf([]string{"x"}, [][]rdf.ID{{1}, {2}}...)
+	b := exec.TableOf([]string{"y"}, [][]rdf.ID{{7}, {8}, {9}}...)
 	got := Join(a, b)
-	if len(got.Rows) != 6 {
-		t.Errorf("cartesian rows = %d, want 6 (the join bomb)", len(got.Rows))
+	if got.Len() != 6 {
+		t.Errorf("cartesian rows = %d, want 6 (the join bomb)", got.Len())
 	}
 }
 
 func TestJoinEmpty(t *testing.T) {
-	a := &exec.Table{Vars: []string{"x"}, Rows: nil}
-	b := &exec.Table{Vars: []string{"x"}, Rows: [][]rdf.ID{{1}}}
-	if got := Join(a, b); len(got.Rows) != 0 {
-		t.Errorf("rows = %v", got.Rows)
+	a := &exec.Table{Vars: []string{"x"}}
+	b := exec.TableOf([]string{"x"}, [][]rdf.ID{{1}}...)
+	if got := Join(a, b); got.Len() != 0 {
+		t.Errorf("rows = %v", got.Cells)
 	}
 }
 
@@ -129,21 +130,23 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 	f := func(av, bv []uint8) bool {
 		a := &exec.Table{Vars: []string{"x", "y"}}
 		for i, v := range av {
-			a.Rows = append(a.Rows, []rdf.ID{rdf.ID(v % 8), rdf.ID(i)})
+			a.AppendRow([]rdf.ID{rdf.ID(v % 8), rdf.ID(i)})
 		}
 		b := &exec.Table{Vars: []string{"x", "z"}}
 		for i, v := range bv {
-			b.Rows = append(b.Rows, []rdf.ID{rdf.ID(v % 8), rdf.ID(i + 100)})
+			b.AppendRow([]rdf.ID{rdf.ID(v % 8), rdf.ID(i + 100)})
 		}
 		want := 0
-		for _, ra := range a.Rows {
-			for _, rb := range b.Rows {
+		for ira := 0; ira < a.Len(); ira++ {
+			ra := a.Row(ira)
+			for irb := 0; irb < b.Len(); irb++ {
+				rb := b.Row(irb)
 				if ra[0] == rb[0] {
 					want++
 				}
 			}
 		}
-		return len(Join(a, b).Rows) == want
+		return Join(a, b).Len() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -154,13 +157,13 @@ func TestFilter(t *testing.T) {
 	ss := strserver.New()
 	lo := ss.InternEntity(rdf.NewIntLiteral(10))
 	hi := ss.InternEntity(rdf.NewIntLiteral(90))
-	tbl := &exec.Table{Vars: []string{"v"}, Rows: [][]rdf.ID{{lo}, {hi}}}
+	tbl := exec.TableOf([]string{"v"}, [][]rdf.ID{{lo}, {hi}}...)
 	q := sparql.MustParse(`SELECT ?v WHERE { ?s p ?v . FILTER (?v > 50) }`)
 	got, err := Filter(tbl, q.Filters[0], ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 1 || got.Rows[0][0] != hi {
-		t.Errorf("filtered = %v", got.Rows)
+	if got.Len() != 1 || got.Row(0)[0] != hi {
+		t.Errorf("filtered = %v", got.Cells)
 	}
 }

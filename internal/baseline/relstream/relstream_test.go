@@ -69,7 +69,7 @@ func TestSparkStreamingTwoStreams(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("rows = %d", tbl.Len())
 	}
-	x, _ := ss.Entity(tbl.Rows[0][0].ID)
+	x, _ := ss.Entity(tbl.Cell(0, 0).ID)
 	if x.Value != "Logan" {
 		t.Errorf("X = %v", x)
 	}

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/fabric"
-	"repro/internal/rdf"
 )
 
 // Variant selects the transfer discipline.
@@ -75,14 +74,15 @@ func Spout(name string, t *exec.Table) *Node {
 	return &Node{Name: name, Op: func([]*exec.Table) (*exec.Table, error) { return t, nil }}
 }
 
-// edge carries rows between operators with the variant's discipline.
+// edge carries rows between operators with the variant's discipline: each
+// message is a table of one row (Storm) or of up to heronBatch rows (Heron).
 type edge struct {
 	vars chan []string
-	rows chan [][]rdf.ID
+	rows chan *exec.Table
 }
 
 func newEdge() edge {
-	return edge{vars: make(chan []string, 1), rows: make(chan [][]rdf.ID, 64)}
+	return edge{vars: make(chan []string, 1), rows: make(chan *exec.Table, 64)}
 }
 
 // send transmits a table over the edge: per-row for Storm, batched for
@@ -91,26 +91,21 @@ func newEdge() edge {
 // per-tuple cost.
 func (e edge) send(v Variant, perTuple time.Duration, t *exec.Table) {
 	e.vars <- t.Vars
-	if perTuple > 0 && len(t.Rows) > 0 {
-		fabric.BusyWait(time.Duration(len(t.Rows)) * perTuple)
+	if perTuple > 0 && t.Len() > 0 {
+		fabric.BusyWait(time.Duration(t.Len()) * perTuple)
 	}
-	switch v {
-	case Storm:
-		for _, r := range t.Rows {
-			e.rows <- [][]rdf.ID{append([]rdf.ID(nil), r...)}
+	batch := 1
+	if v != Storm {
+		batch = heronBatch
+	}
+	for i := 0; i < t.Len(); i += batch {
+		end := min(i+batch, t.Len())
+		msg := &exec.Table{Vars: t.Vars}
+		msg.Grow(end - i)
+		for j := i; j < end; j++ {
+			msg.AppendRow(t.Row(j))
 		}
-	default:
-		for i := 0; i < len(t.Rows); i += heronBatch {
-			end := i + heronBatch
-			if end > len(t.Rows) {
-				end = len(t.Rows)
-			}
-			batch := make([][]rdf.ID, end-i)
-			for j := i; j < end; j++ {
-				batch[j-i] = append([]rdf.ID(nil), t.Rows[j]...)
-			}
-			e.rows <- batch
-		}
+		e.rows <- msg
 	}
 	close(e.rows)
 }
@@ -118,8 +113,10 @@ func (e edge) send(v Variant, perTuple time.Duration, t *exec.Table) {
 // recv reassembles a table from the edge.
 func (e edge) recv() *exec.Table {
 	t := &exec.Table{Vars: <-e.vars}
-	for batch := range e.rows {
-		t.Rows = append(t.Rows, batch...)
+	for msg := range e.rows {
+		for i := 0; i < msg.Len(); i++ {
+			t.AppendRow(msg.Row(i))
+		}
 	}
 	return t
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func table(vars []string, rows ...[]rdf.ID) *exec.Table {
-	return &exec.Table{Vars: vars, Rows: rows}
+	return exec.TableOf(vars, rows...)
 }
 
 func TestSpoutAndSingleBolt(t *testing.T) {
@@ -19,8 +19,9 @@ func TestSpoutAndSingleBolt(t *testing.T) {
 		Inputs: []*Node{src},
 		Op: func(in []*exec.Table) (*exec.Table, error) {
 			out := &exec.Table{Vars: in[0].Vars}
-			for _, r := range in[0].Rows {
-				out.Rows = append(out.Rows, []rdf.ID{r[0] * 2})
+			for ir := 0; ir < in[0].Len(); ir++ {
+				r := in[0].Row(ir)
+				out.AppendRow([]rdf.ID{r[0] * 2})
 			}
 			return out, nil
 		},
@@ -30,8 +31,8 @@ func TestSpoutAndSingleBolt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Rows) != 2 || got.Rows[0][0] != 2 || got.Rows[1][0] != 4 {
-			t.Errorf("%v: rows = %v", v, got.Rows)
+		if got.Len() != 2 || got.Row(0)[0] != 2 || got.Row(1)[0] != 4 {
+			t.Errorf("%v: rows = %v", v, got.Cells)
 		}
 	}
 }
@@ -44,17 +45,14 @@ func TestDiamondTopology(t *testing.T) {
 		Op: func(in []*exec.Table) (*exec.Table, error) { return in[0], nil }}
 	merge := &Node{Name: "merge", Inputs: []*Node{left, right},
 		Op: func(in []*exec.Table) (*exec.Table, error) {
-			out := &exec.Table{Vars: in[0].Vars}
-			out.Rows = append(out.Rows, in[0].Rows...)
-			out.Rows = append(out.Rows, in[1].Rows...)
-			return out, nil
+			return exec.Concat(in[0].Vars, in), nil
 		}}
 	got, err := Run(Storm, merge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 6 {
-		t.Errorf("rows = %d, want 6", len(got.Rows))
+	if got.Len() != 6 {
+		t.Errorf("rows = %d, want 6", got.Len())
 	}
 }
 
@@ -74,7 +72,7 @@ func TestVariantsProduceSameResult(t *testing.T) {
 	// Build a big-ish table so Heron actually batches.
 	big := &exec.Table{Vars: []string{"x"}}
 	for i := 0; i < 1000; i++ {
-		big.Rows = append(big.Rows, []rdf.ID{rdf.ID(i)})
+		big.AppendRow([]rdf.ID{rdf.ID(i)})
 	}
 	src := Spout("src", big)
 	ident := &Node{Name: "id", Inputs: []*Node{src},
@@ -87,11 +85,11 @@ func TestVariantsProduceSameResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
+	if a.Len() != b.Len() {
+		t.Fatalf("row counts differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.Rows {
-		if a.Rows[i][0] != b.Rows[i][0] {
+	for i := 0; i < a.Len(); i++ {
+		if a.Row(i)[0] != b.Row(i)[0] {
 			t.Fatalf("row %d differs", i)
 		}
 	}
@@ -104,13 +102,13 @@ func TestRowsAreCopied(t *testing.T) {
 	src := Spout("src", orig)
 	mut := &Node{Name: "mut", Inputs: []*Node{src},
 		Op: func(in []*exec.Table) (*exec.Table, error) {
-			in[0].Rows[0][0] = 99
+			in[0].Cells[0] = 99
 			return in[0], nil
 		}}
 	if _, err := Run(Storm, mut); err != nil {
 		t.Fatal(err)
 	}
-	if orig.Rows[0][0] != 1 {
+	if orig.Row(0)[0] != 1 {
 		t.Error("upstream table mutated across the serialization boundary")
 	}
 }

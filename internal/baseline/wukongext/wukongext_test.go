@@ -60,8 +60,8 @@ WHERE {
 	if rs.Len() != 1 {
 		t.Fatalf("rows = %d", rs.Len())
 	}
-	x, _ := ss.Entity(rs.Rows[0][0].ID)
-	z, _ := ss.Entity(rs.Rows[0][2].ID)
+	x, _ := ss.Entity(rs.Cell(0, 0).ID)
+	z, _ := ss.Entity(rs.Cell(0, 2).ID)
 	if x.Value != "Logan" || z.Value != "T-15" {
 		t.Errorf("row = %v %v", x, z)
 	}
@@ -101,8 +101,8 @@ func TestOneShotSeesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]bool{}
-	for _, row := range rs.Rows {
-		term, _ := ss.Entity(row[0].ID)
+	for ri := 0; ri < rs.Len(); ri++ {
+		term, _ := ss.Entity(rs.Cell(ri, 0).ID)
 		got[term.Value] = true
 	}
 	if !got["T-13"] || !got["T-15"] {

@@ -555,7 +555,7 @@ func (ws *walkState) segEval(level int, b tstore.BatchID, in *exec.Table) (*exec
 	}
 	if st.Kind == plan.Expand && st.To.IsVar() && in.Col(st.To.Var) < 0 &&
 		(!st.From.IsVar() || in.Col(st.From.Var) >= 0) {
-		if be, ok := ws.edgesFor(level, b, st, seg.stream, len(in.Rows)); ok {
+		if be, ok := ws.edgesFor(level, b, st, seg.stream, in.Len()); ok {
 			return ws.segRest(level, b, joinExpand(st, in, be), seg.steps[1:])
 		}
 	}
@@ -565,7 +565,7 @@ func (ws *walkState) segEval(level int, b tstore.BatchID, in *exec.Table) (*exec
 
 // segRest applies a segment's remaining steps after an in-memory join.
 func (ws *walkState) segRest(level int, b tstore.BatchID, tbl *exec.Table, rest []plan.Step) (*exec.Table, error) {
-	if len(rest) == 0 || len(tbl.Rows) == 0 {
+	if len(rest) == 0 || tbl.Len() == 0 {
 		return tbl, nil
 	}
 	seg := ws.dp.segs[level]
@@ -588,10 +588,9 @@ func seedCrossBind(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 		toCol = len(out.Vars)
 		out.Vars = append(out.Vars, st.To.Var)
 	}
-	var arena exec.RowArena
-	arena.Grow(len(in.Rows) * len(be) * len(out.Vars))
-	out.Rows = make([][]rdf.ID, 0, len(in.Rows)*len(be))
-	for _, row := range in.Rows {
+	out.Grow(in.Len() * len(be))
+	for i := 0; i < in.Len(); i++ {
+		row := in.Row(i)
 		for _, e := range be {
 			if !st.To.IsVar() && e.To != st.To.Const {
 				continue
@@ -599,7 +598,7 @@ func seedCrossBind(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 			if st.To.IsVar() && st.To.Var == st.From.Var && e.From != e.To {
 				continue // ?x p ?x self-loop pattern
 			}
-			nr := arena.Row(len(out.Vars))
+			nr := out.AddRow()
 			copy(nr, row)
 			if fromCol >= 0 {
 				nr[fromCol] = e.From
@@ -607,7 +606,6 @@ func seedCrossBind(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 			if toCol >= 0 {
 				nr[toCol] = e.To
 			}
-			out.Rows = append(out.Rows, nr)
 		}
 	}
 	return out
@@ -629,21 +627,19 @@ func joinExpand(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 		return st.From.Const
 	}
 	// Count the matches first (one more probe per input row) so the output
-	// is two allocations of the right size, not a doubling slice of row
-	// headers plus a chain of chunks.
+	// is one allocation of the right size, not a doubling slice.
 	n := 0
-	for _, row := range in.Rows {
-		n += len(be.from(origin(row)))
+	for i := 0; i < in.Len(); i++ {
+		n += len(be.from(origin(in.Row(i))))
 	}
 	if n == 0 {
 		return out
 	}
-	var arena exec.RowArena
-	arena.Grow(n * len(out.Vars))
-	out.Rows = make([][]rdf.ID, 0, n)
-	for _, row := range in.Rows {
+	out.Grow(n)
+	for i := 0; i < in.Len(); i++ {
+		row := in.Row(i)
 		for _, e := range be.from(origin(row)) {
-			out.Rows = append(out.Rows, arena.Extend(row, e.To))
+			out.AppendExtended(row, e.To)
 		}
 	}
 	return out
@@ -736,8 +732,9 @@ func (e *Engine) applyPost(cq *ContinuousQuery, ds *deltaState, dp *deltaPlan, b
 				return e.ex.ApplySteps(e.deltaRequest(cq, base, ctx), dp.post[i:], tbl)
 			}
 		}
-		out := &exec.Table{Vars: tbl.Vars}
-		for _, row := range tbl.Rows {
+		kept := exec.NewSubset(tbl)
+		for r := 0; r < tbl.Len(); r++ {
+			row := tbl.Row(r)
 			k := exec.Edge{From: st.From.Const, To: st.To.Const}
 			if fromCol >= 0 {
 				k.From = row[fromCol]
@@ -746,11 +743,11 @@ func (e *Engine) applyPost(cq *ContinuousQuery, ds *deltaState, dp *deltaPlan, b
 				k.To = row[toCol]
 			}
 			if ps.counts[k] > 0 {
-				out.Rows = append(out.Rows, row)
+				kept.Keep(r)
 			}
 		}
-		tbl = out
-		if len(tbl.Rows) == 0 {
+		tbl = kept.Table()
+		if tbl.Len() == 0 {
 			return tbl, nil
 		}
 	}
@@ -811,7 +808,7 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 	base.memo = memoStored{inner: base.stored, memo: ds.stored, miss: &ds.misses}
 	pre := ds.pre
 	if pre == nil {
-		pre = &exec.Table{Rows: [][]rdf.ID{{}}} // the unit seed
+		pre = exec.Unit()
 		if len(dp.pre) > 0 {
 			pre, err = e.ex.ApplySteps(e.deltaRequest(cq, base, ctx), dp.pre, pre)
 			if err != nil {
@@ -828,10 +825,10 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 		noEdges:     make([]map[tstore.BatchID]bool, len(dp.segs)),
 		parentEst:   make([]int, len(dp.segs)),
 	}
-	ws.parentEst[0] = len(pre.Rows)
+	ws.parentEst[0] = pre.Len()
 	for l := 1; l < len(dp.segs); l++ {
 		for _, ent := range ds.levels[l-1] {
-			ws.parentEst[l] += len(ent.tbl.Rows)
+			ws.parentEst[l] += ent.tbl.Len()
 		}
 	}
 	var walk func(level int, prefix vecKey, in *exec.Table) error
@@ -853,7 +850,7 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 				}
 				ws.staged[level] = append(ws.staged[level], deltaEntry{vec: key, tbl: tbl})
 			}
-			if len(tbl.Rows) == 0 {
+			if tbl.Len() == 0 {
 				continue // an empty prefix joins to nothing deeper down
 			}
 			if level == len(dp.segs)-1 {
@@ -864,7 +861,7 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 		}
 		return nil
 	}
-	if len(pre.Rows) > 0 {
+	if pre.Len() > 0 {
 		err = walk(0, vecKey{}, pre)
 	}
 	if err != nil {
@@ -889,16 +886,10 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 	// Assemble: concatenated leaves carry exactly the full evaluation's row
 	// multiset for the decomposable steps; deferred stream existence checks
 	// apply incrementally (their pair counts slide with the window), then
-	// Project applies DISTINCT/aggregates/ORDER/LIMIT identically.
+	// Project applies DISTINCT/aggregates/ORDER/LIMIT identically. A lone
+	// leaf is projected in place: cached tables are never written again.
 	if len(leaves) > 0 {
-		total := 0
-		for _, l := range leaves {
-			total += len(l.Rows)
-		}
-		tbl := &exec.Table{Vars: leaves[0].Vars, Rows: make([][]rdf.ID, 0, total)}
-		for _, l := range leaves {
-			tbl.Rows = append(tbl.Rows, l.Rows...)
-		}
+		tbl := exec.Concat(leaves[0].Vars, leaves)
 		if len(dp.post) > 0 {
 			tbl, err = e.applyPost(cq, ds, dp, base, tbl, at, ctx)
 			if err != nil {
@@ -912,10 +903,7 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 			return nil, time.Since(start), err, true
 		}
 	} else {
-		rs = &exec.ResultSet{}
-		for _, pr := range cq.query.Select {
-			rs.Vars = append(rs.Vars, pr.As)
-		}
+		rs = exec.EmptyResult(cq.query)
 	}
 	lat = time.Since(start)
 	ds.mu.Unlock()
@@ -961,18 +949,18 @@ func (e *Engine) crosscheckDelta(cq *ContinuousQuery, p *plan.Plan, at rdf.Times
 }
 
 // canonicalResult renders a result set order-independently (execution row
-// order is nondeterministic in both evaluators).
+// order is nondeterministic in both evaluators), leaving rs as it was.
 func canonicalResult(rs *exec.ResultSet) string {
-	cp := &exec.ResultSet{Vars: rs.Vars, Rows: append([][]exec.Value{}, rs.Rows...)}
-	cp.Sort()
+	rows := make([]string, rs.Len())
 	var b strings.Builder
-	fmt.Fprintf(&b, "%v\n", cp.Vars)
-	for _, row := range cp.Rows {
-		for _, v := range row {
-			b.WriteString(v.String())
+	for i := range rows {
+		b.Reset()
+		for j := range rs.Vars {
+			b.WriteString(rs.Cell(i, j).String())
 			b.WriteByte(' ')
 		}
-		b.WriteByte('\n')
+		rows[i] = b.String()
 	}
-	return b.String()
+	sort.Strings(rows)
+	return fmt.Sprintf("%v\n", rs.Vars) + strings.Join(rows, "\n")
 }

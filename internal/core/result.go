@@ -40,9 +40,9 @@ func (r *Result) Sort() { r.set.Sort() }
 // Row decodes row i into RDF terms. Aggregate cells decode to xsd:double
 // literals.
 func (r *Result) Row(i int) []rdf.Term {
-	row := r.set.Rows[i]
-	out := make([]rdf.Term, len(row))
-	for j, v := range row {
+	out := make([]rdf.Term, len(r.set.Vars))
+	for j := range out {
+		v := r.set.Cell(i, j)
 		if v.IsNum {
 			out[j] = rdf.NewFloatLiteral(v.Num)
 			continue
@@ -75,7 +75,8 @@ func (r *Result) Row(i int) []rdf.Term {
 // place (the bytes of rdf.NewFloatLiteral's Value), so rendering into a
 // buffer with room allocates nothing.
 func (r *Result) AppendRow(dst []byte, i int) []byte {
-	for j, v := range r.set.Rows[i] {
+	for j := range r.set.Vars {
+		v := r.set.Cell(i, j)
 		if j > 0 {
 			dst = append(dst, ' ')
 		}

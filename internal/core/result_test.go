@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/race"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/strserver"
 )
 
@@ -44,13 +46,15 @@ func TestAppendRowMatchesTermValues(t *testing.T) {
 		{"unknown entity", []exec.Value{id(iri), id(987654)}, "http://example.org/Logan unknown-id-987654"},
 		{"no columns", nil, ""},
 	}
-	set := &exec.ResultSet{Vars: []string{"v"}}
 	for _, c := range cases {
-		set.Rows = append(set.Rows, c.row)
-	}
-	r := &Result{set: set, ss: ss}
-	all := r.Strings()
-	for i, c := range cases {
+		vars := make([]string, len(c.row))
+		for j := range vars {
+			vars[j] = fmt.Sprintf("v%d", j)
+		}
+		// Each case is a one-row result of its own: a row is as wide as
+		// its result's Vars.
+		r := &Result{set: exec.ResultOf(vars, c.row), ss: ss}
+		all, i := r.Strings(), 0
 		terms := r.Row(i)
 		values := make([]string, len(terms))
 		for j, term := range terms {
@@ -89,12 +93,27 @@ func TestAppendRowDoesNotAllocate(t *testing.T) {
 		{Num: 2.5, IsNum: true},
 		{ID: 987654}, // unknown
 	}
-	r := &Result{set: &exec.ResultSet{Vars: []string{"s", "p", "o", "u", "n", "a", "x"}, Rows: [][]exec.Value{row}}, ss: ss}
+	r := &Result{set: exec.ResultOf([]string{"s", "p", "o", "u", "n", "a", "x"}, row), ss: ss}
 	buf := make([]byte, 0, 256)
 	if allocs := testing.AllocsPerRun(200, func() { buf = r.AppendRow(buf[:0], 0) }); allocs != 0 {
 		t.Errorf("AppendRow into a pre-sized buffer allocates %v times per row", allocs)
 	}
 	if got, want := string(buf), "http://example.org/Logan po T-13  7 2.5 unknown-id-987654"; got != want {
+		t.Errorf("rendered %q, want %q", got, want)
+	}
+
+	// A plain SELECT's row is read through its column map, straight out of
+	// the binding table: no allocation either.
+	tbl := exec.TableOf([]string{"s", "p", "o", "u"}, []rdf.ID{row[0].ID, row[1].ID, row[2].ID, 0})
+	view, err := exec.Project(sparql.MustParse(`SELECT ?o ?u ?p ?s WHERE { ?s ?p ?o . ?o ?p ?u }`), tbl, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = &Result{set: view, ss: ss}
+	if allocs := testing.AllocsPerRun(200, func() { buf = r.AppendRow(buf[:0], 0) }); allocs != 0 {
+		t.Errorf("AppendRow of a projected view allocates %v times per row", allocs)
+	}
+	if got, want := string(buf), "T-13  po http://example.org/Logan"; got != want {
 		t.Errorf("rendered %q, want %q", got, want)
 	}
 }

@@ -2,9 +2,10 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,62 +15,89 @@ import (
 	"repro/internal/strserver"
 )
 
-// TestRowArenaRowsDoNotShareCapacity: rows carved from one chunk are at full
-// capacity, so appending to one copies it instead of writing into the next.
-func TestRowArenaRowsDoNotShareCapacity(t *testing.T) {
-	var a RowArena
-	a.Grow(6)
-	r1 := a.Extend([]rdf.ID{1, 2}, 3)
-	r2 := a.Extend([]rdf.ID{4, 5}, 6)
+// TestTableRowsDoNotShareCapacity: a row is at full capacity, so appending
+// to it copies instead of writing into the next row; a table built by every
+// append form holds exactly the cells appended.
+func TestTableRowsDoNotShareCapacity(t *testing.T) {
+	tbl := &Table{Vars: []string{"a", "b", "c"}}
+	tbl.Grow(2)
+	tbl.AppendExtended([]rdf.ID{1, 2}, 3)
+	tbl.AppendExtended([]rdf.ID{4, 5}, 6)
+	r1, r2 := tbl.Row(0), tbl.Row(1)
 	if len(r1) != 3 || cap(r1) != 3 || len(r2) != 3 || cap(r2) != 3 {
 		t.Fatalf("rows len/cap = %d/%d and %d/%d, want 3/3 each", len(r1), cap(r1), len(r2), cap(r2))
 	}
-	if &r1[:cap(r1)][2] == &r2[0] {
-		t.Fatal("rows overlap")
-	}
 	grown := append(r1, 99)
 	grown[0] = 77
-	if !reflect.DeepEqual(r2, []rdf.ID{4, 5, 6}) {
-		t.Errorf("appending to a row changed its neighbour: %v", r2)
+	if !reflect.DeepEqual(tbl.Row(1), []rdf.ID{4, 5, 6}) {
+		t.Errorf("appending to a row changed its neighbour: %v", tbl.Row(1))
 	}
-	if r1[0] != 1 {
-		t.Errorf("appending to a row wrote through to it: %v", r1)
+	if tbl.Row(0)[0] != 1 {
+		t.Errorf("appending to a row wrote through to it: %v", tbl.Row(0))
 	}
-	// A thousand more rows, of mixed widths, stay zeroed, distinct and intact.
-	var rows [][]rdf.ID
+	// A thousand more rows stay zeroed when added, and intact afterwards.
 	for i := 0; i < 1000; i++ {
-		r := a.Row(1 + i%4)
+		r := tbl.AddRow()
 		for _, c := range r {
 			if c != 0 {
 				t.Fatalf("row %d is not zeroed: %v", i, r)
 			}
 		}
-		for j := range r {
-			r[j] = rdf.ID(i)
-		}
-		rows = append(rows, r)
+		r[0], r[1], r[2] = rdf.ID(i), rdf.ID(i), rdf.ID(i)
 	}
-	for i, r := range rows {
-		for _, c := range r {
-			if c != rdf.ID(i) {
-				t.Fatalf("row %d was overwritten: %v", i, r)
-			}
+	if tbl.Len() != 1002 || len(tbl.Cells) != 3*1002 {
+		t.Fatalf("%d rows in %d cells, want 1002 in %d", tbl.Len(), len(tbl.Cells), 3*1002)
+	}
+	for i := 0; i < 1000; i++ {
+		if r := tbl.Row(2 + i); !reflect.DeepEqual(r, []rdf.ID{rdf.ID(i), rdf.ID(i), rdf.ID(i)}) {
+			t.Fatalf("row %d was overwritten: %v", 2+i, r)
 		}
+	}
+	// The unit seed is one row of no cells.
+	if u := Unit(); u.Len() != 1 || len(u.Row(0)) != 0 {
+		t.Errorf("unit seed: %d rows, row 0 = %v", u.Len(), u.Row(0))
 	}
 }
 
-// projectReference is Project's plain-projection loop as it was before the
-// cells were carved from one chunk: one []Value per row, Rows grown by append.
-func projectReference(q *sparql.Query, tbl *Table, res TermResolver) *ResultSet {
-	rs := &ResultSet{}
+// TestSubsetSharesUntilItSkips: a subset that keeps every row is its source,
+// one that keeps a prefix shares the source's cells, and one that skips a
+// row copies.
+func TestSubsetSharesUntilItSkips(t *testing.T) {
+	src := TableOf([]string{"a"}, []rdf.ID{1}, []rdf.ID{2}, []rdf.ID{3})
+	keep := func(rows ...int) *Table {
+		s := NewSubset(src)
+		for _, i := range rows {
+			s.Keep(i)
+		}
+		return s.Table()
+	}
+	if got := keep(0, 1, 2); got != src {
+		t.Errorf("keeping every row made a new table: %v", got.Cells)
+	}
+	if got := keep(0, 1); got.Len() != 2 || &got.Cells[0] != &src.Cells[0] {
+		t.Errorf("a kept prefix: %v, shared = %v", got.Cells, &got.Cells[0] == &src.Cells[0])
+	}
+	if got := keep(0, 2); !reflect.DeepEqual(got.Cells, []rdf.ID{1, 3}) || &got.Cells[0] == &src.Cells[0] {
+		t.Errorf("skipping a row: %v", got.Cells)
+	}
+	if got := keep(); got.Len() != 0 {
+		t.Errorf("keeping nothing: %d rows", got.Len())
+	}
+}
+
+// projectReference is Project's plain projection as it was before results
+// were flat: one []Value per row, Rows grown by append, modifiers applied
+// to the row slices.
+func projectReference(q *sparql.Query, tbl *Table, res TermResolver) (vars []string, rows [][]Value) {
 	cols := make([]int, len(q.Select))
 	for i, pr := range q.Select {
-		rs.Vars = append(rs.Vars, pr.As)
+		vars = append(vars, pr.As)
 		cols[i] = tbl.Col(pr.Var)
 	}
 	earlyLimit := q.Limit > 0 && len(q.OrderBy) == 0 && q.Offset == 0
 	seen := map[string]bool{}
-	for _, row := range tbl.Rows {
+	for r := 0; r < tbl.Len(); r++ {
+		row := tbl.Row(r)
 		out := make([]Value, len(cols))
 		for i, c := range cols {
 			out[i] = Value{ID: row[c]}
@@ -81,12 +109,32 @@ func projectReference(q *sparql.Query, tbl *Table, res TermResolver) *ResultSet 
 			}
 			seen[k] = true
 		}
-		rs.Rows = append(rs.Rows, out)
-		if earlyLimit && len(rs.Rows) >= q.Limit {
+		rows = append(rows, out)
+		if earlyLimit && len(rows) >= q.Limit {
 			break
 		}
 	}
-	return applyModifiers(q, rs, res)
+	if len(q.OrderBy) > 0 {
+		sort.SliceStable(rows, func(i, j int) bool {
+			for _, k := range q.OrderBy {
+				c := slices.Index(vars, k.Var)
+				cmp := compareValues(rows[i][c], rows[j][c], res)
+				if cmp == 0 {
+					continue
+				}
+				if k.Desc {
+					return cmp > 0
+				}
+				return cmp < 0
+			}
+			return false
+		})
+	}
+	rows = rows[min(q.Offset, len(rows)):]
+	if q.Limit > 0 && len(rows) > q.Limit {
+		rows = rows[:q.Limit]
+	}
+	return vars, rows
 }
 
 // fmtRowKey is the DISTINCT key as text, as it was built before appendRowKey:
@@ -99,33 +147,35 @@ func fmtRowKey(vals []Value) string {
 	return b.String()
 }
 
-// TestRowKeyKeepsTextKeyEquality: two rows share a binary key exactly when
-// they shared a text key — -0 and 0 stay apart, every NaN is one NaN, and a
-// tagged predicate never meets the entity with its low bits.
+// TestRowKeyKeepsTextKeyEquality: two rows of ID cells share a binary key
+// exactly when they shared a text key — a tagged predicate never meets the
+// entity with its low bits, and an unbound cell is a value of its own.
 func TestRowKeyKeepsTextKeyEquality(t *testing.T) {
-	num := func(f float64) Value { return Value{Num: f, IsNum: true} }
-	cells := []Value{
-		{}, {ID: 5}, {ID: TagPred(5)}, {ID: 5, Num: 0, IsNum: true},
-		num(0), num(math.Copysign(0, -1)), num(1), num(math.Nextafter(1, 2)),
-		num(math.NaN()), num(math.Float64frombits(0x7ff8000000000001)), num(math.Float64frombits(0xfff8000000000000)),
-		num(math.Inf(1)), num(math.Inf(-1)), {Num: 1, IsNum: false},
-	}
-	var rows [][]Value
+	cells := []rdf.ID{Unbound, 1, 5, TagPred(5), 256, 1<<46 - 1, TagPred(1<<46 - 1)}
+	var rows [][]rdf.ID
 	for _, a := range cells {
-		rows = append(rows, []Value{a})
+		rows = append(rows, []rdf.ID{a})
 		for _, b := range cells {
-			rows = append(rows, []Value{a, b})
+			rows = append(rows, []rdf.ID{a, b})
 		}
+	}
+	text := func(row []rdf.ID) string {
+		vals := make([]Value, len(row))
+		for i, id := range row {
+			vals[i] = Value{ID: id}
+		}
+		return fmtRowKey(vals)
 	}
 	for _, a := range rows {
-		ka := string(appendRowKey(nil, a))
-		if len(ka) != rowKeyWidth*len(a) {
-			t.Fatalf("key of %v is %d bytes, want %d", a, len(ka), rowKeyWidth*len(a))
+		cols := identityCols(len(a))
+		ka := string(appendRowKey(nil, a, cols))
+		if len(ka) != 8*len(a) {
+			t.Fatalf("key of %v is %d bytes, want %d", a, len(ka), 8*len(a))
 		}
 		for _, b := range rows {
-			text := fmtRowKey(a) == fmtRowKey(b)
-			if bin := ka == string(appendRowKey(nil, b)); bin != text {
-				t.Errorf("%v vs %v: binary keys equal = %v, text keys equal = %v", a, b, bin, text)
+			same := text(a) == text(b)
+			if bin := ka == string(appendRowKey(nil, b, identityCols(len(b)))); bin != same {
+				t.Errorf("%v vs %v: binary keys equal = %v, text keys equal = %v", a, b, bin, same)
 			}
 		}
 	}
@@ -136,14 +186,32 @@ func TestRowKeyKeepsTextKeyEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := &Table{Vars: []string{"A", "B"}, Rows: [][]rdf.ID{{5, 1}, {TagPred(5), 1}, {5, 2}, {TagPred(5), 3}}}
+	tbl := TableOf([]string{"A", "B"}, []rdf.ID{5, 1}, []rdf.ID{TagPred(5), 1}, []rdf.ID{5, 2}, []rdf.ID{TagPred(5), 3})
 	rs, err := Project(q, tbl, strserver.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := [][]Value{{{ID: 5}}, {{ID: TagPred(5)}}}; !reflect.DeepEqual(rs.Rows, want) {
-		t.Errorf("DISTINCT rows = %v, want %v", rs.Rows, want)
+	if got, want := resultRows(rs), [][]Value{{{ID: 5}}, {{ID: TagPred(5)}}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("DISTINCT rows = %v, want %v", got, want)
 	}
+}
+
+// rowOf copies row i of a result set out.
+func rowOf(rs *ResultSet, i int) []Value {
+	row := make([]Value, len(rs.Vars))
+	for j := range row {
+		row[j] = rs.Cell(i, j)
+	}
+	return row
+}
+
+// resultRows copies a result set's rows out, one slice each.
+func resultRows(rs *ResultSet) [][]Value {
+	rows := make([][]Value, rs.Len())
+	for i := range rows {
+		rows[i] = rowOf(rs, i)
+	}
+	return rows
 }
 
 func seededTable(rows int) *Table {
@@ -151,11 +219,13 @@ func seededTable(rows int) *Table {
 	tbl := &Table{Vars: []string{"A", "B", "C"}}
 	for i := 0; i < rows; i++ {
 		// Few distinct values (DISTINCT has work to do) and some unbound cells.
-		tbl.Rows = append(tbl.Rows, []rdf.ID{rdf.ID(1 + rng.Intn(9)), rdf.ID(rng.Intn(4)), rdf.ID(1 + rng.Intn(500))})
+		tbl.AppendRow([]rdf.ID{rdf.ID(1 + rng.Intn(9)), rdf.ID(rng.Intn(4)), rdf.ID(1 + rng.Intn(500))})
 	}
 	return tbl
 }
 
+// TestProjectMatchesReference: every projection, view or copy, reads the
+// rows the row-slice projection built, and none writes the table it reads.
 func TestProjectMatchesReference(t *testing.T) {
 	ss := strserver.New()
 	for i := 0; i < 600; i++ {
@@ -163,11 +233,13 @@ func TestProjectMatchesReference(t *testing.T) {
 	}
 	for _, rows := range []int{0, 1, 500} {
 		tbl := seededTable(rows)
+		before := tbl.Clone()
 		for _, text := range []string{
 			`SELECT ?A ?B ?C WHERE { ?A p ?B . ?B p ?C }`,
 			`SELECT ?C ?A WHERE { ?A p ?B . ?B p ?C }`,
 			`SELECT DISTINCT ?A ?B WHERE { ?A p ?B . ?B p ?C }`,
 			`SELECT ?A ?C WHERE { ?A p ?B . ?B p ?C } LIMIT 7`,
+			`SELECT ?A ?C WHERE { ?A p ?B . ?B p ?C } OFFSET 490 LIMIT 7`,
 			`SELECT DISTINCT ?A WHERE { ?A p ?B . ?B p ?C } LIMIT 4`,
 			`SELECT ?A ?C WHERE { ?A p ?B . ?B p ?C } ORDER BY ?C LIMIT 9`,
 			`SELECT ?A ?C WHERE { ?A p ?B . ?B p ?C } ORDER BY DESC(?C) OFFSET 5 LIMIT 9`,
@@ -181,19 +253,19 @@ func TestProjectMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
 			}
-			want := projectReference(q, tbl, ss)
-			if !reflect.DeepEqual(got.Vars, want.Vars) || len(got.Rows) != len(want.Rows) {
+			wantVars, want := projectReference(q, tbl, ss)
+			if !reflect.DeepEqual(got.Vars, wantVars) || got.Len() != len(want) {
 				t.Fatalf("%s over %d rows: vars %v rows %d, want vars %v rows %d",
-					text, rows, got.Vars, len(got.Rows), want.Vars, len(want.Rows))
+					text, rows, got.Vars, got.Len(), wantVars, len(want))
 			}
-			for i := range got.Rows {
-				if !reflect.DeepEqual(got.Rows[i], want.Rows[i]) {
-					t.Fatalf("%s over %d rows: row %d = %v, want %v", text, rows, i, got.Rows[i], want.Rows[i])
+			for i := range want {
+				if !reflect.DeepEqual(rowOf(got, i), want[i]) {
+					t.Fatalf("%s over %d rows: row %d = %v, want %v", text, rows, i, rowOf(got, i), want[i])
 				}
-				if cap(got.Rows[i]) != len(got.Rows[i]) {
-					t.Fatalf("%s: row %d has spare capacity %d; an append would reach its neighbour",
-						text, i, cap(got.Rows[i])-len(got.Rows[i]))
-				}
+			}
+			got.Sort()
+			if !reflect.DeepEqual(tbl.Cells, before.Cells) {
+				t.Fatalf("%s: projecting and sorting the result wrote the table's cells", text)
 			}
 		}
 	}
@@ -212,8 +284,8 @@ func TestProjectAllocations(t *testing.T) {
 		if _, err := Project(q, tbl, ss); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Errorf("Project of 500 rows allocates %.0f times, want ≤ 3", n)
+	}); n > 1 {
+		t.Errorf("Project of 500 rows allocates %.0f times, want ≤ 1: a plain SELECT copies no cell", n)
 	}
 }
 

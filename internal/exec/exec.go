@@ -120,12 +120,12 @@ func (ex *Executor) Execute(req Request, p *plan.Plan) (*ResultSet, *Trace, erro
 	if p.Empty {
 		trace.Total = time.Since(start)
 		trace.Wall = trace.Total
-		return emptyResult(p.Query), trace, nil
+		return EmptyResult(p.Query), trace, nil
 	}
 	if len(p.Unions) > 0 {
 		return ex.executeUnion(req, p, start, trace)
 	}
-	tbl := &Table{Rows: [][]rdf.ID{{}}} // one empty row: the unit seed
+	tbl := Unit()
 	trace.Steps = make([]StepTrace, 0, len(p.Steps))
 	for _, st := range p.Steps {
 		if err := ctxErr(req.Ctx); err != nil {
@@ -139,15 +139,15 @@ func (ex *Executor) Execute(req Request, p *plan.Plan) (*ResultSet, *Trace, erro
 		}
 		trace.Steps = append(trace.Steps, StepTrace{
 			Step:    st,
-			Rows:    len(tbl.Rows),
+			Rows:    tbl.Len(),
 			Elapsed: time.Since(stepStart),
 		})
-		if len(tbl.Rows) == 0 {
+		if tbl.Len() == 0 {
 			// No bindings survive: the result is empty regardless of the
 			// remaining steps (which may bind the projected variables).
 			trace.Wall = time.Since(start)
 			trace.Total = trace.Wall - time.Duration(req.savings.Load())
-			return emptyResult(p.Query), trace, nil
+			return EmptyResult(p.Query), trace, nil
 		}
 	}
 	for _, og := range p.Optionals {
@@ -179,8 +179,13 @@ func (ex *Executor) Execute(req Request, p *plan.Plan) (*ResultSet, *Trace, erro
 // executeUnion runs each UNION branch and unions the projected rows, then
 // applies the top query's DISTINCT and solution modifiers once.
 func (ex *Executor) executeUnion(req Request, p *plan.Plan, start time.Time, trace *Trace) (*ResultSet, *Trace, error) {
-	out := emptyResult(p.Query)
+	vars := make([]string, len(p.Query.Select))
+	for i, pr := range p.Query.Select {
+		vars[i] = pr.As
+	}
+	out := idResult(vars)
 	var seen map[string]bool
+	var row []rdf.ID
 	var key []byte
 	if p.Query.Distinct {
 		seen = make(map[string]bool)
@@ -194,15 +199,20 @@ func (ex *Executor) executeUnion(req Request, p *plan.Plan, start time.Time, tra
 			return nil, trace, err
 		}
 		trace.Steps = append(trace.Steps, btr.Steps...)
-		for _, row := range rs.Rows {
+		for i := 0; i < rs.Len(); i++ {
+			row = row[:0]
+			for j := range vars {
+				row = append(row, rs.Cell(i, j).ID)
+			}
 			if seen != nil {
-				key = appendRowKey(key[:0], row)
+				key = appendRowKey(key[:0], row, out.cols)
 				if seen[string(key)] {
 					continue
 				}
 				seen[string(key)] = true
 			}
-			out.Rows = append(out.Rows, row)
+			out.ids = append(out.ids, row...)
+			out.n++
 		}
 	}
 	out = applyModifiers(p.Query, out, req.Resolver)
@@ -245,42 +255,39 @@ func (ex *Executor) applyOptional(req Request, og plan.OptionalSteps, tbl *Table
 			newVars = append(newVars, v)
 		}
 	}
-	out := &Table{Vars: append(append([]string(nil), tbl.Vars...), newVars...)}
-	pad := func(row []rdf.ID) {
-		nr := make([]rdf.ID, len(out.Vars))
-		copy(nr, row)
-		// Remaining cells stay 0 == Unbound.
-		out.Rows = append(out.Rows, nr)
-	}
+	out := &Table{Vars: WithVars(tbl.Vars, newVars...)}
+	// A padded row's new cells stay 0 == Unbound.
 	if og.Never || len(og.Steps) == 0 {
-		for _, row := range tbl.Rows {
-			pad(row)
+		out.Grow(tbl.Len())
+		for i := 0; i < tbl.Len(); i++ {
+			copy(out.AddRow(), tbl.Row(i))
 		}
 		return out, nil
 	}
-	for _, row := range tbl.Rows {
-		sub := &Table{Vars: tbl.Vars, Rows: [][]rdf.ID{row}}
+	for i := 0; i < tbl.Len(); i++ {
+		row := tbl.Row(i)
+		sub := &Table{Vars: tbl.Vars, Cells: row, rows: 1}
 		res, err := ex.ApplySteps(req, og.Steps, sub)
 		if err != nil {
 			return nil, err
 		}
-		if len(res.Rows) == 0 {
-			pad(row)
+		if res.Len() == 0 {
+			copy(out.AddRow(), row)
 			continue
 		}
 		cols := make([]int, len(newVars))
-		for i, v := range newVars {
-			cols[i] = res.Col(v)
+		for j, v := range newVars {
+			cols[j] = res.Col(v)
 		}
-		for _, rr := range res.Rows {
-			nr := make([]rdf.ID, len(out.Vars))
+		for r := 0; r < res.Len(); r++ {
+			rr := res.Row(r)
+			nr := out.AddRow()
 			copy(nr, rr[:len(tbl.Vars)])
-			for i, c := range cols {
+			for j, c := range cols {
 				if c >= 0 {
-					nr[len(tbl.Vars)+i] = rr[c]
+					nr[len(tbl.Vars)+j] = rr[c]
 				}
 			}
-			out.Rows = append(out.Rows, nr)
 		}
 	}
 	return out, nil
@@ -303,19 +310,11 @@ func (ex *Executor) ApplySteps(req Request, steps []plan.Step, tbl *Table) (*Tab
 		if err != nil {
 			return nil, err
 		}
-		if len(tbl.Rows) == 0 {
+		if tbl.Len() == 0 {
 			return tbl, nil
 		}
 	}
 	return tbl, nil
-}
-
-func emptyResult(q *sparql.Query) *ResultSet {
-	rs := &ResultSet{}
-	for _, pr := range q.Select {
-		rs.Vars = append(rs.Vars, pr.As)
-	}
-	return rs
 }
 
 func (ex *Executor) applyStep(req Request, st plan.Step, tbl *Table) (*Table, error) {
@@ -350,16 +349,30 @@ func (ex *Executor) applySeed(req Request, acc Access, st plan.Step, tbl *Table)
 		}
 		seeds = acc.Candidates(req.Node, st.Pid, st.Dir)
 	}
-	return crossBind(tbl, st, expandSeeds(acc, req.Node, seeds, st)), nil
+	return crossBind(tbl, expandSeeds(acc, req.Node, seeds, st)), nil
 }
 
-// pair is one (from, to) edge produced by expanding a seed.
-type pair struct{ from, to rdf.ID }
+// seedVars returns the variables a seeding pattern binds: its origin's,
+// then its target's.
+func seedVars(st plan.Step) []string {
+	var vars []string
+	if st.From.IsVar() {
+		vars = append(vars, st.From.Var)
+	}
+	if st.To.IsVar() && st.To.Var != st.From.Var {
+		vars = append(vars, st.To.Var)
+	}
+	return vars
+}
 
 // expandSeeds follows the seeding pattern's edges for every seed, reading
-// ctxStride seeds per Neighbors call.
-func expandSeeds(acc Access, node fabric.NodeID, seeds []rdf.ID, st plan.Step) []pair {
-	var out []pair
+// ctxStride seeds per Neighbors call, and returns the bindings they make:
+// a table over seedVars(st).
+func expandSeeds(acc Access, node fabric.NodeID, seeds []rdf.ID, st plan.Step) *Table {
+	out := &Table{Vars: seedVars(st)}
+	fromVar := st.From.IsVar()
+	toVar := st.To.IsVar() && st.To.Var != st.From.Var
+	selfLoop := st.To.IsVar() && st.To.Var == st.From.Var // ?x p ?x
 	fr := getFrontier()
 	defer fr.release()
 	for lo := 0; lo < len(seeds); lo += ctxStride {
@@ -369,50 +382,45 @@ func expandSeeds(acc Access, node fabric.NodeID, seeds []rdf.ID, st plan.Step) [
 			fr.keys[i] = store.EdgeKey(s, st.Pid, st.Dir)
 		}
 		acc.Neighbors(node, fr.keys, fr.vals)
+		n := 0
+		for _, ns := range fr.vals {
+			n += len(ns)
+		}
+		out.Grow(n)
 		for i, s := range chunk {
 			for _, n := range fr.vals[i] {
-				if !st.To.IsVar() && n != st.To.Const {
+				if !st.To.IsVar() && n != st.To.Const || selfLoop && s != n {
 					continue
 				}
-				out = append(out, pair{from: s, to: n})
+				if fromVar {
+					out.Cells = append(out.Cells, s)
+				}
+				if toVar {
+					out.Cells = append(out.Cells, n)
+				}
+				out.rows++
 			}
 		}
 	}
 	return out
 }
 
-// crossBind attaches seed pairs to the incoming table (cartesian product —
-// the incoming table is the unit seed in the common case).
-func crossBind(tbl *Table, st plan.Step, pairs []pair) *Table {
-	out := &Table{Vars: append(make([]string, 0, len(tbl.Vars)+2), tbl.Vars...)}
-	fromCol, toCol := -1, -1
-	if st.From.IsVar() {
-		fromCol = len(out.Vars)
-		out.Vars = append(out.Vars, st.From.Var)
+// crossBind attaches a seed's bindings to the incoming table: the cartesian
+// product, which is the seed table itself when the incoming table is the
+// unit seed (the common case).
+func crossBind(tbl, seed *Table) *Table {
+	if tbl.Len() == 1 && len(tbl.Vars) == 0 {
+		return seed
 	}
-	if st.To.IsVar() && st.To.Var != st.From.Var {
-		toCol = len(out.Vars)
-		out.Vars = append(out.Vars, st.To.Var)
-	}
-	var arena RowArena
-	arena.Grow(len(tbl.Rows) * len(pairs) * len(out.Vars))
-	out.Rows = make([][]rdf.ID, 0, len(tbl.Rows)*len(pairs))
-	for _, row := range tbl.Rows {
-		for _, pr := range pairs {
-			if st.To.IsVar() && st.To.Var == st.From.Var && pr.from != pr.to {
-				continue // ?x p ?x self-loop pattern
-			}
-			nr := arena.Row(len(out.Vars))
-			copy(nr, row)
-			if fromCol >= 0 {
-				nr[fromCol] = pr.from
-			}
-			if toCol >= 0 {
-				nr[toCol] = pr.to
-			}
-			out.Rows = append(out.Rows, nr)
+	out := &Table{Vars: WithVars(tbl.Vars, seed.Vars...)}
+	out.Cells = make([]rdf.ID, 0, tbl.Len()*seed.Len()*len(out.Vars))
+	for i := 0; i < tbl.Len(); i++ {
+		row := tbl.Row(i)
+		for j := 0; j < seed.Len(); j++ {
+			out.Cells = append(append(out.Cells, row...), seed.Row(j)...)
 		}
 	}
+	out.rows = tbl.Len() * seed.Len()
 	return out
 }
 
@@ -431,18 +439,14 @@ func (ex *Executor) forkJoinIndexSeed(req Request, acc Access, st plan.Step, tbl
 		home := fab.HomeOf(uint64(s))
 		parts[home] = append(parts[home], s)
 	}
-	results := make([][]pair, ex.cluster.Nodes())
+	results := make([]*Table, ex.cluster.Nodes())
 	runBranches(req, ex.cluster.Nodes(), func(i int) bool { return len(parts[i]) > 0 },
 		func(i int) {
 			n := fabric.NodeID(i)
 			results[n] = expandSeeds(acc, n, parts[n], st)
-			fab.RPC(req.Node, n, 8*len(parts[n]), 16*len(results[n]))
+			fab.RPC(req.Node, n, 8*len(parts[n]), 16*results[n].Len())
 		})
-	var pairs []pair
-	for _, p := range results {
-		pairs = append(pairs, p...)
-	}
-	return crossBind(tbl, st, pairs), nil
+	return crossBind(tbl, Concat(seedVars(st), results)), nil
 }
 
 // runBranches executes per-node fork-join branches: concurrently by
@@ -487,7 +491,7 @@ func runBranches(req Request, n int, active func(i int) bool, branch func(i int)
 // applyTraversal handles Expand and Check steps, scattering in ForkJoin mode
 // when the table is large enough to amortize the round trips.
 func (ex *Executor) applyTraversal(req Request, acc Access, st plan.Step, tbl *Table) (*Table, error) {
-	if req.Mode == ForkJoin && len(tbl.Rows) >= req.ForkThreshold && st.From.IsVar() {
+	if req.Mode == ForkJoin && tbl.Len() >= req.ForkThreshold && st.From.IsVar() {
 		return ex.forkJoinTraversal(req, acc, st, tbl)
 	}
 	return traverse(req.Ctx, acc, req.Node, st, tbl)
@@ -511,61 +515,58 @@ func traverse(ctx context.Context, acc Access, node fabric.NodeID, st plan.Step,
 		toCol = tbl.Col(st.To.Var)
 		newVar = toCol < 0
 	}
-	out := &Table{Vars: tbl.Vars}
+	var out *Table // an Expand's output
 	if newVar {
-		out.Vars = WithVars(tbl.Vars, st.To.Var)
+		out = &Table{Vars: WithVars(tbl.Vars, st.To.Var)}
 	}
-	var arena RowArena
+	kept := NewSubset(tbl) // a Check's surviving rows
 	fr := getFrontier()
 	defer fr.release()
 	// One Neighbors call per chunk of ctxStride rows, with a context poll
 	// between chunks.
-	for lo := 0; lo < len(tbl.Rows); lo += ctxStride {
+	for lo := 0; lo < tbl.Len(); lo += ctxStride {
 		if lo > 0 {
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
 		}
-		rows := tbl.Rows[lo:min(lo+ctxStride, len(tbl.Rows))]
-		fr.size(len(rows))
-		for i, row := range rows {
+		hi := min(lo+ctxStride, tbl.Len())
+		fr.size(hi - lo)
+		for i := lo; i < hi; i++ {
 			from := st.From.Const
 			if fromCol >= 0 {
-				from = row[fromCol]
+				from = tbl.Row(i)[fromCol]
 			}
-			fr.keys[i] = store.EdgeKey(from, st.Pid, st.Dir)
+			fr.keys[i-lo] = store.EdgeKey(from, st.Pid, st.Dir)
 		}
 		acc.Neighbors(node, fr.keys, fr.vals)
-		if newVar {
-			// The chunk's output size is known: room for it all at once.
-			n, cells := 0, 0
-			for i, ns := range fr.vals {
-				n += len(ns)
-				cells += len(ns) * (len(rows[i]) + 1)
-			}
-			arena.Grow(cells)
-			out.Rows = slices.Grow(out.Rows, n)
-		}
-		for i, row := range rows {
-			ns := fr.vals[i]
-			switch {
-			case newVar: // Expand
-				for _, n := range ns {
-					out.Rows = append(out.Rows, arena.Extend(row, n))
-				}
-			default: // Check against bound var or constant
+		if !newVar { // Check against bound var or constant
+			for i := lo; i < hi; i++ {
 				want := st.To.Const
 				if toCol >= 0 {
-					want = row[toCol]
+					want = tbl.Row(i)[toCol]
 				}
-				for _, n := range ns {
-					if n == want {
-						out.Rows = append(out.Rows, row)
-						break
-					}
+				if slices.Contains(fr.vals[i-lo], want) {
+					kept.Keep(i)
 				}
 			}
+			continue
 		}
+		// Expand. The chunk's output size is known: room for it all at once.
+		n := 0
+		for _, ns := range fr.vals {
+			n += len(ns)
+		}
+		out.Grow(n)
+		for i := lo; i < hi; i++ {
+			row := tbl.Row(i)
+			for _, n := range fr.vals[i-lo] {
+				out.AppendExtended(row, n)
+			}
+		}
+	}
+	if !newVar {
+		return kept.Table(), nil
 	}
 	return out, nil
 }
@@ -601,10 +602,10 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 		outToCol = len(out.Vars)
 		out.Vars = append(out.Vars, st.To.Var)
 	}
-	var arena RowArena
 	fr := getFrontier()
 	defer fr.release()
-	for i, row := range tbl.Rows {
+	for i := 0; i < tbl.Len(); i++ {
+		row := tbl.Row(i)
 		if i%ctxStride == ctxStride-1 {
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
@@ -646,7 +647,7 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 						continue
 					}
 				}
-				nr := arena.Row(len(out.Vars))
+				nr := out.AddRow()
 				copy(nr, row)
 				if newPV {
 					nr[outPVCol] = TagPred(pid)
@@ -654,7 +655,6 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 				if newTo {
 					nr[outToCol] = n
 				}
-				out.Rows = append(out.Rows, nr)
 			}
 		}
 	}
@@ -670,67 +670,62 @@ func (ex *Executor) forkJoinTraversal(req Request, acc Access, st plan.Step, tbl
 		return nil, fmt.Errorf("exec: step %s references unbound ?%s", st, st.From.Var)
 	}
 	fab := ex.cluster.Fabric()
-	// Count each node's share first, so every partition is allocated once.
+	// Count each node's share first, so the partitions are carved from one
+	// cell slice.
+	w := len(tbl.Vars)
+	home := func(i int) fabric.NodeID { return fab.HomeOf(uint64(tbl.Row(i)[fromCol])) }
 	counts := make([]int, ex.cluster.Nodes())
-	for _, row := range tbl.Rows {
-		counts[fab.HomeOf(uint64(row[fromCol]))]++
+	for i := 0; i < tbl.Len(); i++ {
+		counts[home(i)]++
 	}
-	parts := make([]*Table, ex.cluster.Nodes())
+	parts := make([]Table, ex.cluster.Nodes())
+	cells := make([]rdf.ID, len(tbl.Cells))
 	for n := range parts {
-		parts[n] = &Table{Vars: tbl.Vars, Rows: make([][]rdf.ID, 0, counts[n])}
+		size := counts[n] * w
+		parts[n] = Table{Vars: tbl.Vars, Cells: cells[:0:size]}
+		cells = cells[size:]
 	}
-	for _, row := range tbl.Rows {
-		home := fab.HomeOf(uint64(row[fromCol]))
-		parts[home].Rows = append(parts[home].Rows, row)
+	for i := 0; i < tbl.Len(); i++ {
+		parts[home(i)].AppendRow(tbl.Row(i))
 	}
 	results := make([]*Table, ex.cluster.Nodes())
 	errs := make([]error, ex.cluster.Nodes())
 	runBranches(req, ex.cluster.Nodes(),
-		func(i int) bool { return len(parts[i].Rows) > 0 },
+		func(i int) bool { return parts[i].Len() > 0 },
 		func(i int) {
 			n := fabric.NodeID(i)
-			res, err := traverse(req.Ctx, acc, n, st, parts[n])
+			res, err := traverse(req.Ctx, acc, n, st, &parts[n])
 			results[n], errs[n] = res, err
 			// Scatter (rows out) and gather (rows back) messages.
 			if err == nil {
 				fab.RPC(req.Node, n, parts[n].ByteSize(), res.ByteSize())
 			}
 		})
-	out := &Table{Vars: tbl.Vars}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	vars := tbl.Vars
 	if st.To.IsVar() && tbl.Col(st.To.Var) < 0 {
-		out.Vars = WithVars(tbl.Vars, st.To.Var)
+		vars = WithVars(tbl.Vars, st.To.Var)
 	}
-	total := 0
-	for n, res := range results {
-		if errs[n] != nil {
-			return nil, errs[n]
-		}
-		if res != nil {
-			total += len(res.Rows)
-		}
-	}
-	out.Rows = make([][]rdf.ID, 0, total)
-	for _, res := range results {
-		if res != nil {
-			out.Rows = append(out.Rows, res.Rows...)
-		}
-	}
-	return out, nil
+	return Concat(vars, results), nil
 }
 
 // applyFilter keeps rows satisfying the expression.
 func applyFilter(res TermResolver, expr sparql.Expr, tbl *Table) (*Table, error) {
-	out := &Table{Vars: tbl.Vars}
-	for _, row := range tbl.Rows {
-		ok, err := evalExpr(res, expr, tbl, row)
+	kept := NewSubset(tbl)
+	for i := 0; i < tbl.Len(); i++ {
+		ok, err := evalExpr(res, expr, tbl, tbl.Row(i))
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out.Rows = append(out.Rows, row)
+			kept.Keep(i)
 		}
 	}
-	return out, nil
+	return kept.Table(), nil
 }
 
 // EvalFilterExpr evaluates a FILTER expression against one row of a binding

@@ -141,7 +141,8 @@ func (f *fixture) run(t testing.TB, src string, mode Mode) *ResultSet {
 // names decodes a result column to entity names for assertion.
 func (f *fixture) names(rs *ResultSet, col int) []string {
 	var out []string
-	for _, row := range rs.Rows {
+	for ri := 0; ri < rs.Len(); ri++ {
+		row := rowOf(rs, ri)
 		term, ok := f.ss.Entity(row[col].ID)
 		if !ok {
 			out = append(out, "?")
@@ -177,9 +178,9 @@ WHERE {
 	if rs.Len() != 1 {
 		t.Fatalf("QC rows = %d, want 1\n%s", rs.Len(), rs)
 	}
-	x, _ := f.ss.Entity(rs.Rows[0][0].ID)
-	y, _ := f.ss.Entity(rs.Rows[0][1].ID)
-	z, _ := f.ss.Entity(rs.Rows[0][2].ID)
+	x, _ := f.ss.Entity(rs.Cell(0, 0).ID)
+	y, _ := f.ss.Entity(rs.Cell(0, 1).ID)
+	z, _ := f.ss.Entity(rs.Cell(0, 2).ID)
 	if x.Value != "Logan" || y.Value != "Erik" || z.Value != "T-15" {
 		t.Errorf("QC = %s %s %s, want Logan Erik T-15", x.Value, y.Value, z.Value)
 	}
@@ -306,7 +307,7 @@ GROUP BY ?r`, InPlace)
 	if rs.Len() != 1 {
 		t.Fatalf("groups = %d\n%s", rs.Len(), rs)
 	}
-	row := rs.Rows[0]
+	row := rowOf(rs, 0)
 	if row[1].Num != 30 || row[2].Num != 3 || row[3].Num != 10 || row[4].Num != 60 || row[5].Num != 90 {
 		t.Errorf("aggregates = %v", row)
 	}
@@ -372,14 +373,14 @@ func TestSelfLoopPattern(t *testing.T) {
 }
 
 func TestResultSetSortDeterministic(t *testing.T) {
-	rs := &ResultSet{Vars: []string{"a"}, Rows: [][]Value{
-		{{ID: 3}}, {{ID: 1}}, {{Num: 2.5, IsNum: true}}, {{ID: 2}},
-	}}
+	rs := ResultOf([]string{"a"},
+		[]Value{{ID: 3}}, []Value{{ID: 1}}, []Value{{Num: 2.5, IsNum: true}}, []Value{{ID: 2}},
+	)
 	rs.Sort()
-	if rs.Rows[0][0].IsNum || rs.Rows[0][0].ID != 1 {
-		t.Errorf("sorted = %v", rs.Rows)
+	if rs.Cell(0, 0).IsNum || rs.Cell(0, 0).ID != 1 {
+		t.Errorf("sorted = %v", rs)
 	}
-	if !rs.Rows[3][0].IsNum {
+	if !rs.Cell(3, 0).IsNum {
 		t.Error("numeric row should sort last")
 	}
 }

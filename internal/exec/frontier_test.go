@@ -79,14 +79,14 @@ func TestTraversalPollsTheContextBetweenChunks(t *testing.T) {
 	cancel()
 	tbl := &Table{Vars: []string{"m"}}
 	for _, m := range mids {
-		tbl.Rows = append(tbl.Rows, []rdf.ID{m})
+		tbl.AppendRow([]rdf.ID{m})
 	}
 	if _, err := traverse(ctx, acc, 0, st, tbl); !errors.Is(err, context.Canceled) {
-		t.Fatalf("traversing %d rows under a cancelled context: err %v", len(tbl.Rows), err)
+		t.Fatalf("traversing %d rows under a cancelled context: err %v", tbl.Len(), err)
 	}
-	tbl.Rows = tbl.Rows[:ctxStride]
+	tbl = tbl.prefix(ctxStride)
 	out, err := traverse(ctx, acc, 0, st, tbl)
-	if err != nil || len(out.Rows) != 3*ctxStride {
-		t.Fatalf("one chunk: %d rows, err %v", len(out.Rows), err)
+	if err != nil || out.Len() != 3*ctxStride {
+		t.Fatalf("one chunk: %d rows, err %v", out.Len(), err)
 	}
 }

@@ -53,7 +53,8 @@ SELECT ?u ?e WHERE { ?u ty Person . OPTIONAL { ?u email ?e } }`)
 		t.Fatalf("rows = %d, want 3 (all persons kept)\n%s", rs.Len(), rs)
 	}
 	bound, unbound := 0, 0
-	for _, row := range rs.Rows {
+	for ri := 0; ri < rs.Len(); ri++ {
+		row := rowOf(rs, ri)
 		if row[1].ID == Unbound {
 			unbound++
 		} else {
@@ -88,8 +89,8 @@ SELECT ?u ?e ?a WHERE {
 	// carol has email but no age; bob has age but no email.
 	byUser := map[string][2]bool{}
 	for i := 0; i < rs.Len(); i++ {
-		u, _ := f.ss.Entity(rs.Rows[i][0].ID)
-		byUser[u.Value] = [2]bool{rs.Rows[i][1].ID != Unbound, rs.Rows[i][2].ID != Unbound}
+		u, _ := f.ss.Entity(rs.Cell(i, 0).ID)
+		byUser[u.Value] = [2]bool{rs.Cell(i, 1).ID != Unbound, rs.Cell(i, 2).ID != Unbound}
 	}
 	if got := byUser["alice"]; !got[0] || !got[1] {
 		t.Errorf("alice = %v, want both bound", got)
@@ -112,8 +113,8 @@ SELECT ?u ?a WHERE { ?u ty Person . OPTIONAL { ?u age ?a . FILTER (?a >= 18) } }
 		t.Fatalf("rows = %d\n%s", rs.Len(), rs)
 	}
 	for i := 0; i < rs.Len(); i++ {
-		u, _ := f.ss.Entity(rs.Rows[i][0].ID)
-		boundAge := rs.Rows[i][1].ID != Unbound
+		u, _ := f.ss.Entity(rs.Cell(i, 0).ID)
+		boundAge := rs.Cell(i, 1).ID != Unbound
 		if u.Value == "alice" && !boundAge {
 			t.Error("alice's adult age dropped")
 		}
@@ -142,7 +143,8 @@ SELECT ?u ?e WHERE { ?u ty Person . OPTIONAL { ?u email ?e . ?e ty GhostClass } 
 	if rs.Len() != 3 {
 		t.Fatalf("rows = %d\n%s", rs.Len(), rs)
 	}
-	for _, row := range rs.Rows {
+	for ri := 0; ri < rs.Len(); ri++ {
+		row := rowOf(rs, ri)
 		if row[1].ID != Unbound {
 			t.Errorf("never-matching group bound ?e: %v", row)
 		}
@@ -171,7 +173,7 @@ WHERE {
 	if rs.Len() != 1 {
 		t.Fatalf("rows = %d\n%s", rs.Len(), rs)
 	}
-	if rs.Rows[0][2].ID == Unbound {
+	if rs.Cell(0, 2).ID == Unbound {
 		t.Error("GPS position should bind from the transient store")
 	}
 }

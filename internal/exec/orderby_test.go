@@ -40,7 +40,8 @@ func runOrder(t *testing.T, f *fixture, src string) *ResultSet {
 func nums(t *testing.T, f *fixture, rs *ResultSet, col int) []float64 {
 	t.Helper()
 	var out []float64
-	for _, row := range rs.Rows {
+	for ri := 0; ri < rs.Len(); ri++ {
+		row := rowOf(rs, ri)
 		v, ok := f.ss.Numeric(row[col].ID)
 		if !ok {
 			t.Fatalf("row %v not numeric", row)
@@ -76,7 +77,7 @@ func TestOrderByLexical(t *testing.T) {
 	rs := runOrder(t, f, `SELECT ?i WHERE { ?i score ?v } ORDER BY ?i`)
 	var names []string
 	for i := 0; i < rs.Len(); i++ {
-		term, _ := f.ss.Entity(rs.Rows[i][0].ID)
+		term, _ := f.ss.Entity(rs.Cell(i, 0).ID)
 		names = append(names, term.Value)
 	}
 	for i := 1; i < len(names); i++ {
@@ -116,8 +117,8 @@ GROUP BY ?k ORDER BY DESC(?s)`)
 	if rs.Len() != 2 {
 		t.Fatalf("groups = %d", rs.Len())
 	}
-	if rs.Rows[0][1].Num < rs.Rows[1][1].Num {
-		t.Errorf("aggregate order wrong: %v", rs.Rows)
+	if rs.Cell(0, 1).Num < rs.Cell(1, 1).Num {
+		t.Errorf("aggregate order wrong: %v", rs)
 	}
 }
 

@@ -120,13 +120,13 @@ func TestPlanOrderIndependence(t *testing.T) {
 }
 
 func TestResultSetByteSizeAndClone(t *testing.T) {
-	tbl := &Table{Vars: []string{"a", "b"}, Rows: [][]rdf.ID{{1, 2}, {3, 4}}}
+	tbl := TableOf([]string{"a", "b"}, []rdf.ID{1, 2}, []rdf.ID{3, 4})
 	if tbl.ByteSize() != 32 {
 		t.Errorf("ByteSize = %d", tbl.ByteSize())
 	}
 	cl := tbl.Clone()
-	cl.Rows[0][0] = 99
-	if tbl.Rows[0][0] != 1 {
+	cl.Cells[0] = 99
+	if tbl.Row(0)[0] != 1 {
 		t.Error("Clone aliases rows")
 	}
 	if tbl.Col("b") != 1 || tbl.Col("zz") != -1 {

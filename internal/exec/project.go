@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/rdf"
@@ -13,6 +12,8 @@ import (
 
 // Project applies a query's SELECT clause to a binding table: plain
 // projection, DISTINCT, GROUP BY aggregation, ORDER BY, OFFSET, and LIMIT.
+// A plain SELECT's result is a view over the table's cells through a column
+// map: it copies none of them.
 func Project(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSet, error) {
 	if q.HasAggregates() {
 		rs, err := projectAggregates(q, tbl, res)
@@ -22,62 +23,67 @@ func Project(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSet, error) 
 		return applyModifiers(q, rs, res), nil
 	}
 	// One allocation carries the result header and, for the usual short
-	// SELECT list, its Vars; the column map lives on the stack.
+	// SELECT list, its Vars and column map.
 	hdr := new(struct {
 		rs   ResultSet
 		vars [4]string
+		cols [4]int
 	})
 	rs := &hdr.rs
-	rs.Vars = hdr.vars[:0]
-	var colBuf [8]int
-	cols := colBuf[:0]
+	rs.Vars, rs.cols = hdr.vars[:0], hdr.cols[:0]
 	for _, pr := range q.Select {
 		rs.Vars = append(rs.Vars, pr.As)
 		c := tbl.Col(pr.Var)
 		if c < 0 {
 			return nil, fmt.Errorf("exec: projected ?%s not bound", pr.Var)
 		}
-		cols = append(cols, c)
+		rs.cols = append(rs.cols, c)
 	}
-	// Early LIMIT only when no modifier needs the full row set first.
-	earlyLimit := q.Limit > 0 && len(q.OrderBy) == 0 && q.Offset == 0
-	n := len(tbl.Rows)
-	if earlyLimit && q.Limit < n {
-		n = q.Limit
-	}
-	var seen map[string]bool
-	var keyBuf [4 * rowKeyWidth]byte
-	key := keyBuf[:0]
 	if q.Distinct {
-		seen = make(map[string]bool)
-	}
-	// The output rows are carved from one chunk of cells, each at full
-	// capacity, and Rows is sized up front: two allocations however many rows.
-	rs.Rows = make([][]Value, 0, n)
-	cells := make([]Value, n*len(cols))
-	for _, row := range tbl.Rows {
-		if len(rs.Rows) == n {
-			break
-		}
-		out := cells[:len(cols):len(cols)]
-		for i, c := range cols {
-			out[i] = Value{ID: row[c]}
-		}
-		if q.Distinct {
-			key = appendRowKey(key[:0], out)
-			if seen[string(key)] {
-				continue // the cells are reused by the next row
-			}
-			seen[string(key)] = true
-		}
-		cells = cells[len(cols):]
-		rs.Rows = append(rs.Rows, out)
+		projectDistinct(q, rs, tbl)
+	} else {
+		rs.ids, rs.stride, rs.n, rs.shared = tbl.Cells, len(tbl.Vars), tbl.Len(), true
 	}
 	return applyModifiers(q, rs, res), nil
 }
 
-// applyModifiers applies ORDER BY, OFFSET, and (if not already applied)
-// LIMIT to a projected result set.
+// projectDistinct fills rs with the first occurrence of each distinct
+// projected row, copied into cells of its own.
+func projectDistinct(q *sparql.Query, rs *ResultSet, tbl *Table) {
+	// Early LIMIT only when no modifier needs the full row set first.
+	limit := tbl.Len()
+	if q.Limit > 0 && len(q.OrderBy) == 0 && q.Offset == 0 {
+		limit = min(limit, q.Limit)
+	}
+	seen := make(map[string]bool)
+	var keyBuf [4 * 8]byte
+	for i := 0; i < tbl.Len() && rs.n < limit; i++ {
+		row := tbl.Row(i)
+		key := appendRowKey(keyBuf[:0], row, rs.cols)
+		if seen[string(key)] {
+			continue
+		}
+		seen[string(key)] = true
+		for _, c := range rs.cols {
+			rs.ids = append(rs.ids, row[c])
+		}
+		rs.n++
+	}
+	rs.stride, rs.cols = len(rs.cols), identityCols(len(rs.cols))
+}
+
+// appendRowKey appends the DISTINCT key of a row's projected cells to dst:
+// eight bytes per cell, so two rows share a key exactly when their cells are
+// equal (a tagged predicate never meets the entity with its low bits).
+func appendRowKey(dst []byte, row []rdf.ID, cols []int) []byte {
+	for _, c := range cols {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(row[c]))
+	}
+	return dst
+}
+
+// applyModifiers applies ORDER BY, OFFSET, and LIMIT to a projected result
+// set.
 func applyModifiers(q *sparql.Query, rs *ResultSet, res TermResolver) *ResultSet {
 	if len(q.OrderBy) > 0 {
 		keys := make([]int, len(q.OrderBy))
@@ -88,10 +94,10 @@ func applyModifiers(q *sparql.Query, rs *ResultSet, res TermResolver) *ResultSet
 				}
 			}
 		}
-		sort.SliceStable(rs.Rows, func(i, j int) bool {
+		rs.sortStable(func(i, j int) bool {
 			for ki, k := range q.OrderBy {
 				c := keys[ki]
-				cmp := compareValues(rs.Rows[i][c], rs.Rows[j][c], res)
+				cmp := compareValues(rs.Cell(i, c), rs.Cell(j, c), res)
 				if cmp == 0 {
 					continue
 				}
@@ -104,16 +110,44 @@ func applyModifiers(q *sparql.Query, rs *ResultSet, res TermResolver) *ResultSet
 		})
 	}
 	if q.Offset > 0 {
-		if q.Offset >= len(rs.Rows) {
-			rs.Rows = nil
-		} else {
-			rs.Rows = rs.Rows[q.Offset:]
-		}
+		rs.drop(q.Offset)
 	}
-	if q.Limit > 0 && len(rs.Rows) > q.Limit {
-		rs.Rows = rs.Rows[:q.Limit]
+	if q.Limit > 0 {
+		rs.truncate(q.Limit)
 	}
 	return rs
+}
+
+// EmptyResult is the projection of no solutions: no rows, except that an
+// aggregate query without GROUP BY makes one group of them (SPARQL 1.1
+// §18.5), whose row is COUNT 0, SUM 0, AVG 0 and MIN, MAX unbound.
+func EmptyResult(q *sparql.Query) *ResultSet {
+	vars := make([]string, len(q.Select))
+	for i, pr := range q.Select {
+		vars[i] = pr.As
+	}
+	if q.HasAggregates() && len(q.GroupBy) == 0 {
+		rs := ResultOf(vars, emptyGroupRow(q))
+		if q.Offset > 0 {
+			rs.drop(q.Offset)
+		}
+		return rs
+	}
+	return &ResultSet{Vars: vars}
+}
+
+// emptyGroupRow is the row of a group with no solutions.
+func emptyGroupRow(q *sparql.Query) []Value {
+	row := make([]Value, len(q.Select))
+	for i, pr := range q.Select {
+		switch pr.Agg {
+		case sparql.AggCount, sparql.AggSum, sparql.AggAvg:
+			row[i] = Value{IsNum: true}
+		default:
+			row[i] = Value{ID: Unbound}
+		}
+	}
+	return row
 }
 
 // termLookup is the optional reverse-mapping side of a resolver (the string
@@ -165,32 +199,6 @@ func valueNum(v Value, res TermResolver) (float64, bool) {
 		return v.Num, true
 	}
 	return res.Numeric(v.ID)
-}
-
-// rowKeyWidth is the bytes appendRowKey writes per cell.
-const rowKeyWidth = 17
-
-// canonicalNaN stands for every NaN in a row key.
-var canonicalNaN = math.Float64bits(math.NaN())
-
-// appendRowKey appends the DISTINCT key of a row to dst: per cell, the ID,
-// the number's bits and the IsNum flag, fixed width. Two rows share a key
-// exactly when fmt's "%d|%g|%v" of their cells agree: -0 and 0 differ, and
-// every NaN is the same NaN.
-func appendRowKey(dst []byte, vals []Value) []byte {
-	for _, v := range vals {
-		bits := math.Float64bits(v.Num)
-		if v.Num != v.Num {
-			bits = canonicalNaN
-		}
-		var isNum byte
-		if v.IsNum {
-			isNum = 1
-		}
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.ID))
-		dst = append(binary.LittleEndian.AppendUint64(dst, bits), isNum)
-	}
-	return dst
 }
 
 // aggState accumulates one aggregate for one group.
@@ -269,13 +277,11 @@ func projectAggregates(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSe
 	groups := make(map[string]*group)
 	var order []*group
 	var kb []byte
-	for _, row := range tbl.Rows {
+	for r := 0; r < tbl.Len(); r++ {
+		row := tbl.Row(r)
 		// The group key is the grouped IDs, eight bytes each; a row of a
 		// known group allocates nothing.
-		kb = kb[:0]
-		for _, c := range groupCols {
-			kb = binary.LittleEndian.AppendUint64(kb, uint64(row[c]))
-		}
+		kb = appendRowKey(kb[:0], row, groupCols)
 		g, ok := groups[string(kb)]
 		if !ok {
 			key := make([]rdf.ID, len(groupCols))
@@ -308,22 +314,29 @@ func projectAggregates(q *sparql.Query, tbl *Table, res TermResolver) (*ResultSe
 			g.aggs[i].add(v)
 		}
 	}
+	if len(order) == 0 && len(groupCols) == 0 {
+		// No GROUP BY: the solutions are one group even when there are none.
+		rs.vals, rs.n = emptyGroupRow(q), 1
+		return rs, nil
+	}
+	rs.vals = make([]Value, 0, len(order)*len(q.Select))
 	for _, g := range order {
-		out := make([]Value, len(q.Select))
 		for i, pr := range q.Select {
 			if pr.Agg == sparql.AggNone {
 				// A grouped plain projection: find its position in GroupBy.
+				var v Value
 				for gi, gv := range q.GroupBy {
 					if gv == pr.Var {
-						out[i] = Value{ID: g.key[gi]}
+						v = Value{ID: g.key[gi]}
 					}
 				}
+				rs.vals = append(rs.vals, v)
 				continue
 			}
-			out[i] = g.aggs[i].result(pr.Agg)
+			rs.vals = append(rs.vals, g.aggs[i].result(pr.Agg))
 		}
-		rs.Rows = append(rs.Rows, out)
-		if q.Limit > 0 && len(q.OrderBy) == 0 && q.Offset == 0 && len(rs.Rows) >= q.Limit {
+		rs.n++
+		if q.Limit > 0 && len(q.OrderBy) == 0 && q.Offset == 0 && rs.n >= q.Limit {
 			break
 		}
 	}

@@ -64,7 +64,7 @@ SELECT ?x WHERE {
 	if rs.Len() != 1 {
 		t.Fatalf("rows = %d, want 1 (Erik via fr)\n%s", rs.Len(), rs)
 	}
-	term, _ := f.ss.Entity(rs.Rows[0][0].ID)
+	term, _ := f.ss.Entity(rs.Cell(0, 0).ID)
 	if term.Value != "Erik" {
 		t.Errorf("row = %v", term)
 	}
@@ -103,8 +103,8 @@ SELECT ?x WHERE { { Logan fo ?x } UNION { Logan fr ?x } } ORDER BY ?x LIMIT 2`)
 	if rs.Len() != 2 {
 		t.Fatalf("rows = %d, want 2\n%s", rs.Len(), rs)
 	}
-	a, _ := f.ss.Entity(rs.Rows[0][0].ID)
-	b, _ := f.ss.Entity(rs.Rows[1][0].ID)
+	a, _ := f.ss.Entity(rs.Cell(0, 0).ID)
+	b, _ := f.ss.Entity(rs.Cell(1, 0).ID)
 	if a.Value > b.Value {
 		t.Errorf("not ordered: %s, %s", a.Value, b.Value)
 	}

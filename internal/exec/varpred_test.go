@@ -31,7 +31,8 @@ func runVP(t *testing.T, f *fixture, src string) [][]string {
 		t.Fatal(err)
 	}
 	var out [][]string
-	for _, row := range rs.Rows {
+	for ri := 0; ri < rs.Len(); ri++ {
+		row := rowOf(rs, ri)
 		var cells []string
 		for _, v := range row {
 			cells = append(cells, decodeCell(f, v))

@@ -2,13 +2,17 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"io"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bench/lsbench"
 	"repro/internal/core"
 	"repro/internal/race"
+	"repro/internal/rdf"
 )
 
 // loopReader yields its text over and over: a connection that sends the same
@@ -64,10 +68,17 @@ const grownTicks = 1500
 // a store several times the small harness's, whose reads miss the cache as
 // a daemon's do after a while on the benchmark.
 func newGrownQueryHarness(tb testing.TB) *queryHarness {
+	h, _ := newGrownHarnesses(tb)
+	return h
+}
+
+// newGrownHarnesses returns the grown query harness and the tick harness
+// that grew its engine.
+func newGrownHarnesses(tb testing.TB) (*queryHarness, *tickHarness) {
 	tb.Helper()
 	th := newTickHarness(tb, 0)
 	th.grow(tb, grownTicks)
-	return newQueryHarnessOn(tb, th.eng, th.ls.QueryS(2, 17), th.ls.QueryS(4, 3))
+	return newQueryHarnessOn(tb, th.eng, th.ls.QueryS(2, 17), th.ls.QueryS(4, 3)), th
 }
 
 // newQueryHarnessOn answers probe and scan on eng, checking that the scan
@@ -129,11 +140,11 @@ func measureQueries(tb testing.TB) (h *queryHarness, bytesPerPair, mallocsPerPai
 
 // TestQueryAllocationBudget pins the daemon side of a QUERY: read the body,
 // parse, plan, execute, project and render every row. One S2 probe plus one
-// S4 scan stay under a ceiling set at 1.5× the 44 KB and 137 mallocs per pair
-// measured when it was set; since a traversal sizes its output once per
-// chunk of rows, the pair measures 39 KB and 117. Before rows rendered from
-// the interned keys and the trace kept its plan steps unformatted, the same
-// pair took 172 mallocs.
+// S4 scan stay under a ceiling set at 1.5× the 15.7 KB and 91 mallocs per
+// pair measured with flat binding tables and a projection that copies no
+// cell. With a slice per row and a projected copy of every cell the pair
+// took 39 KB and 117 mallocs; before rows rendered from the interned keys
+// and the trace kept its plan steps unformatted, 172 mallocs.
 func TestQueryAllocationBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -141,7 +152,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 	h, b, m := measureQueries(t)
 	t.Logf("per pair: %.1f KB, %.0f mallocs; probe %d rows, scan %d rows, %d reply bytes",
 		b/1024, m, h.probeRows, h.scanRows, h.replyBytes)
-	const maxBytes, maxMallocs = 66 << 10, 205
+	const maxBytes, maxMallocs = 24 << 10, 137
 	if b > maxBytes || m > maxMallocs {
 		t.Fatalf("per pair: %.0f bytes (ceiling %d), %.0f mallocs (ceiling %d)", b, maxBytes, m, maxMallocs)
 	}
@@ -150,10 +161,45 @@ func TestQueryAllocationBudget(t *testing.T) {
 // BenchmarkMicro_Query reports time, B/op and allocs/op for one probe + scan
 // pair answered daemon-side (`make bench` runs it beside BenchmarkMicro_Tick).
 // Small is the freshly loaded 50 k-triple graph; Grown is an engine the tick
-// harness has grown, where the store's reads miss the cache.
+// harness has grown, where the store's reads miss the cache; Ticking answers
+// Grown's pair while another goroutine keeps ticking the same engine, so the
+// difference to Grown is what the tick's writers and collections cost a
+// reader, with no socket in the way. Its B/op counts the ticks' allocations
+// too.
 func BenchmarkMicro_Query(b *testing.B) {
 	b.Run("Small", func(b *testing.B) { benchQueries(b, newQueryHarness(b)) })
 	b.Run("Grown", func(b *testing.B) { benchQueries(b, newGrownQueryHarness(b)) })
+	b.Run("Ticking", func(b *testing.B) {
+		h, th := newGrownHarnesses(b)
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					th.grow(goroutineTB{b}, 1)
+				}
+			}
+		}()
+		benchQueries(b, h)
+		b.StopTimer()
+		close(stop)
+		<-done
+	})
+}
+
+// goroutineTB fails a test from a goroutine other than its own: it reports
+// the failure with Error and ends the goroutine, where Fatal may not be
+// called.
+type goroutineTB struct{ testing.TB }
+
+func (g goroutineTB) Fatal(args ...any) { g.TB.Error(args...); runtime.Goexit() }
+
+func (g goroutineTB) Fatalf(format string, args ...any) {
+	g.TB.Errorf(format, args...)
+	runtime.Goexit()
 }
 
 func benchQueries(b *testing.B, h *queryHarness) {
@@ -165,5 +211,48 @@ func benchQueries(b *testing.B, h *queryHarness) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.pair(b)
+	}
+}
+
+// scriptConn is a connection that reads a fixed request script and keeps
+// every Write call's bytes.
+type scriptConn struct {
+	net.Conn // nil: handle only reads, writes and closes
+	in       *strings.Reader
+	writes   []string
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) { return c.in.Read(p) }
+func (c *scriptConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, string(p))
+	return len(p), nil
+}
+func (c *scriptConn) Close() error { return nil }
+
+// TestQueryReplyIsOneWrite: a QUERY reply of 20 KB and more reaches the
+// connection in one Write call, so it leaves in one syscall and the client
+// wakes once for it.
+func TestQueryReplyIsOneWrite(t *testing.T) {
+	eng, err := core.New(core.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	var load []rdf.Triple
+	for i := 0; i < 1000; i++ {
+		load = append(load, rdf.T(fmt.Sprintf("http://example.org/user/%04d", i), "po", fmt.Sprintf("http://example.org/post/%04d", i)))
+	}
+	eng.LoadTriples(load)
+	conn := &scriptConn{in: strings.NewReader("QUERY\nSELECT ?X ?Y WHERE { ?X po ?Y }\n.\nQUERY\nSELECT ?Y WHERE { ?X po ?Y } LIMIT 3\n.\n")}
+	New(eng).handle(conn)
+	if len(conn.writes) != 2 {
+		t.Fatalf("two QUERY replies took %d Write calls, want 2", len(conn.writes))
+	}
+	big := conn.writes[0]
+	if !strings.HasPrefix(big, "+OK 1000 rows") || !strings.HasSuffix(big, "\n.\n") || len(big) < 20<<10 {
+		t.Fatalf("first reply: %d bytes, starting %q", len(big), big[:min(len(big), 40)])
+	}
+	if !strings.HasPrefix(conn.writes[1], "+OK 3 rows") {
+		t.Errorf("second reply = %q", conn.writes[1])
 	}
 }

@@ -190,6 +190,11 @@ func (s *Server) observe(cmd string, start time.Time, n int64) {
 	vo.bytes.Add(n)
 }
 
+// replyBufferSize is each connection's reply buffer. A reply that fits —
+// an S4 scan's is about 6 KB — leaves in one write syscall when the command
+// ends, so the client wakes once for it.
+const replyBufferSize = 64 << 10
+
 // countingWriter counts the bytes written through it.
 type countingWriter struct {
 	w io.Writer
@@ -370,7 +375,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	r := newLineReader(rc)
 	out := &countingWriter{w: conn}
-	w := bufio.NewWriter(out)
+	w := bufio.NewWriterSize(out, replyBufferSize)
 	defer w.Flush()
 	for r.Scan() {
 		start, sent := time.Now(), out.n
