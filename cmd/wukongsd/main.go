@@ -48,7 +48,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/oplog"
 	"repro/internal/rdf"
@@ -70,9 +69,7 @@ type options struct {
 	traceCap    int
 
 	emitRate, emitBurst float64
-	emitWait            time.Duration
 	pollMax, maxPending int
-	shedPolicy          string
 	planMode, deltaMode string
 	queryDL, cqDL       time.Duration
 
@@ -103,10 +100,8 @@ func defineFlags(fs *flag.FlagSet) *options {
 	// Overload-protection knobs (DESIGN.md §10).
 	fs.Float64Var(&o.emitRate, "emit-rate", 0, "rate-limit EMIT to this many tuples/second (0 = unlimited)")
 	fs.Float64Var(&o.emitBurst, "emit-burst", 0, "EMIT token-bucket burst (0 = one second at -emit-rate)")
-	fs.DurationVar(&o.emitWait, "emit-wait", 0, "how long an EMIT may wait for rate tokens before shedding (0 = shed immediately)")
 	fs.IntVar(&o.pollMax, "poll-max", 0, "cap rows returned per POLL; the rest stays buffered (0 = unlimited)")
 	fs.IntVar(&o.maxPending, "max-pending", 0, "per-stream admission buffer bound in tuples (0 = unbounded)")
-	fs.StringVar(&o.shedPolicy, "shed", "drop-newest", "admission shed policy: drop-newest|drop-oldest|block")
 	fs.StringVar(&o.planMode, "plan-mode", "auto", "execution-strategy selection: auto (cost-based per query), inplace, or forkjoin")
 	fs.StringVar(&o.deltaMode, "delta-mode", "auto", "continuous-query delta evaluation: auto (incremental over window deltas) or off (full recompute per firing)")
 	fs.DurationVar(&o.queryDL, "query-deadline", 0, "per-one-shot-query execution deadline (0 = none)")
@@ -136,11 +131,8 @@ func checkFlags(o *options) error {
 		return errors.New("-advertise requires -listen")
 	case o.clusterHB != 0 && !cluster:
 		return errors.New("-cluster-heartbeat requires -listen")
-	case cluster && o.shedPolicy == "block":
-		// A blocked EMIT waits under the apply lock, on every replica, for
-		// room only an ADVANCE makes, and the ADVANCE needs that lock: the
-		// wait always runs its course and then sheds anyway (DESIGN.md §10).
-		return errors.New("-shed block cannot be combined with -listen: an EMIT would wait out its bound under the apply lock the draining ADVANCE needs, then shed")
+	case o.emitBurst != 0 && o.emitRate <= 0:
+		return errors.New("-emit-burst requires -emit-rate")
 	case cluster && o.load != "":
 		// A -load preload would live only in this daemon's replica: it never
 		// enters the seed's op log, so peers would silently diverge.
@@ -169,10 +161,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	shed, err := flow.ParsePolicy(o.shedPolicy)
-	if err != nil {
-		log.Fatalf("-shed: %v", err)
-	}
 	cfg := core.Config{
 		Nodes:          o.nodes,
 		WorkersPerNode: o.workers,
@@ -180,7 +168,6 @@ func main() {
 		DeltaMode:      o.deltaMode,
 		Flow: core.FlowConfig{
 			MaxPending:    o.maxPending,
-			Shed:          shed,
 			QueryDeadline: o.queryDL,
 			CQDeadline:    o.cqDL,
 		},
@@ -233,7 +220,6 @@ func main() {
 	srv := server.New(eng)
 	srv.EmitRate = o.emitRate
 	srv.EmitBurst = o.emitBurst
-	srv.EmitWait = o.emitWait
 	srv.MaxPollRows = o.pollMax
 	srv.Tracer = tracer
 	srvp.Store(srv)

@@ -49,8 +49,8 @@ func TestCheckFlags(t *testing.T) {
 		{"advertise without listen", []string{"-advertise", "h:1"}, "-advertise requires -listen"},
 		{"cluster-heartbeat without listen", []string{"-cluster-heartbeat", "50ms"}, "-cluster-heartbeat requires -listen"},
 		{"load in cluster mode", []string{"-listen", ":7800", "-load", "x.nt"}, "-load cannot be combined with cluster mode"},
-		{"shed block in cluster mode", []string{"-listen", ":7800", "-shed", "block"}, "-shed block cannot be combined with -listen"},
-		{"shed block standalone", []string{"-shed", "block", "-max-pending", "2"}, ""},
+		{"emit-burst with emit-rate", []string{"-emit-rate", "1000", "-emit-burst", "50", "-max-pending", "2"}, ""},
+		{"emit-burst without emit-rate", []string{"-emit-burst", "50"}, "-emit-burst requires -emit-rate"},
 		{"data-dir without listen", []string{"-data-dir", "/d"}, ""},
 		{"snapshot-every without data-dir", []string{"-listen", ":7800", "-snapshot-every", "64"}, "-snapshot-every requires -data-dir"},
 		{"no-sync without data-dir", []string{"-listen", ":7800", "-no-sync"}, "-no-sync requires -data-dir"},
@@ -75,12 +75,12 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// The in-process failover flags and -ft (now -data-dir) are gone, not
-// deprecated: giving one is a usage error like any other unknown flag. The
-// failover names are spelled in two halves so a repo-wide grep for them
-// finds nothing.
+// The in-process failover flags, -ft (now -data-dir), and the shed policy
+// and EMIT wait flags are gone, not deprecated: giving one is a usage error
+// like any other unknown flag. The failover names are spelled in two halves
+// so a repo-wide grep for them finds nothing.
 func TestRemovedFlagsFailParsing(t *testing.T) {
-	for _, f := range []string{"-heartbeat" + "-interval=100ms", "-suspect" + "-after=1", "-dead" + "-after=2", "-ft=/d", "-send" + "-retries=3", "-flow" + "-seed=1"} {
+	for _, f := range []string{"-heartbeat" + "-interval=100ms", "-suspect" + "-after=1", "-dead" + "-after=2", "-ft=/d", "-send" + "-retries=3", "-flow" + "-seed=1", "-shed=block", "-emit-wait=1s"} {
 		if _, err := parse(f); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("parse(%s) = %v, want an undefined-flag error", f, err)
 		}

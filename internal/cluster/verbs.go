@@ -77,8 +77,8 @@ func ApplyVerb(eng *core.Engine, onFire func(name string, res *core.Result, fi c
 		if !ok {
 			return "", fmt.Errorf("unknown stream %q", args[0])
 		}
-		// One admission decision for the whole body: the stream's shed policy
-		// is deterministic in op order, so every replica decides alike.
+		// One admission decision for the whole body: it depends only on the
+		// stream's state in op order, so every replica decides alike.
 		n, err := src.EmitBody(body)
 		if err != nil {
 			return "", err

@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/fabric"
-	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/sindex"
@@ -106,10 +105,9 @@ type Config struct {
 
 // FlowConfig is the engine's overload-protection knob set (DESIGN.md §10).
 type FlowConfig struct {
-	// MaxPending and Shed are engine-wide admission defaults applied to
-	// streams whose own config leaves MaxPending at 0.
+	// MaxPending is the engine-wide admission bound applied to streams
+	// whose own config leaves MaxPending at 0.
 	MaxPending int
-	Shed       flow.Policy
 	// QueryDeadline bounds one-shot query execution (0 = no deadline);
 	// CQDeadline bounds each continuous-query firing. Deadline-exceeded
 	// work is cancelled cooperatively and counted, never silently lost.
@@ -489,7 +487,6 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 		// Engine-wide admission default for streams that don't choose their
 		// own bound.
 		cfg.MaxPending = e.cfg.Flow.MaxPending
-		cfg.Shed = e.cfg.Flow.Shed
 	}
 	src, err := stream.NewSource(cfg, e.ss)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/obs"
 )
 
-// fakeClock is a manually advanced time source whose sleep advances it.
+// fakeClock is a manually advanced time source.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -29,18 +29,6 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{"": DropNewest, "drop-newest": DropNewest, "drop-oldest": DropOldest, "block": Block} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy(bogus) succeeded")
-	}
-}
-
 func TestShedErrorUnwraps(t *testing.T) {
 	err := Shed("test queue", 5*time.Millisecond)
 	if !errors.Is(err, ErrShed) {
@@ -57,7 +45,7 @@ func TestShedErrorUnwraps(t *testing.T) {
 func TestParseShedErrorRoundTrip(t *testing.T) {
 	for _, want := range []*ShedError{
 		Shed("stream S: admission buffer full", 100*time.Millisecond),
-		Shed("stream S: batch 3 sealed while blocked", 0),
+		Shed("EMIT rate limit (3 tuples)", 0),
 		Shed("odd: retry after 5s: reason", 1500*time.Microsecond),
 	} {
 		got, ok := ParseShedError(want.Error())
@@ -80,7 +68,7 @@ func TestParseShedErrorRoundTrip(t *testing.T) {
 
 func TestLimiterTokenBucket(t *testing.T) {
 	var nl *Limiter
-	if !nl.Allow(100) || nl.RetryAfter(1) != 0 || !nl.WaitMax(1, time.Second) {
+	if !nl.Allow(100) || nl.RetryAfter(1) != 0 || nl.Burst() != 0 {
 		t.Fatal("nil limiter must admit everything")
 	}
 	if NewLimiter(0, 10) != nil {
@@ -89,7 +77,10 @@ func TestLimiterTokenBucket(t *testing.T) {
 
 	clk := newFakeClock()
 	l := NewLimiter(10, 5) // 10 tokens/s, burst 5
-	l.SetClock(clk.now, func(d time.Duration) { clk.advance(d) })
+	l.SetClock(clk.now)
+	if l.Burst() != 5 {
+		t.Fatalf("Burst() = %v, want 5", l.Burst())
+	}
 
 	for i := 0; i < 5; i++ {
 		if !l.Allow(1) {
@@ -106,18 +97,11 @@ func TestLimiterTokenBucket(t *testing.T) {
 	if !l.Allow(1) {
 		t.Fatal("refilled token refused")
 	}
-	adm, rej := l.Stats()
-	if adm != 6 || rej != 1 {
-		t.Fatalf("stats = (%d, %d); want (6, 1)", adm, rej)
-	}
-
-	// WaitMax with the fake sleep advancing the clock: the wait succeeds.
-	if !l.WaitMax(2, time.Second) {
-		t.Fatal("WaitMax(2, 1s) should succeed after sleeping for refill")
-	}
-	// An impossible wait (needs 500ms of refill, only 10ms allowed) sheds.
-	if l.WaitMax(5, 10*time.Millisecond) {
-		t.Fatal("WaitMax beyond the deadline should refuse")
+	// The bucket never holds more than its burst: an hour's refill admits
+	// the burst and not one token more.
+	clk.advance(time.Hour)
+	if l.Allow(6) || !l.Allow(5) {
+		t.Fatal("the bucket held other than its burst after a long idle")
 	}
 }
 

@@ -15,10 +15,6 @@ type Limiter struct {
 	tokens float64
 	last   time.Time
 	now    func() time.Time
-	sleep  func(time.Duration)
-
-	admitted int64
-	rejected int64
 }
 
 // NewLimiter creates a token-bucket limiter. rate <= 0 returns nil (the
@@ -30,26 +26,29 @@ func NewLimiter(rate, burst float64) *Limiter {
 	if burst <= 0 {
 		burst = rate
 	}
-	l := &Limiter{rate: rate, burst: burst, tokens: burst, now: time.Now, sleep: time.Sleep}
+	l := &Limiter{rate: rate, burst: burst, tokens: burst, now: time.Now}
 	l.last = l.now()
 	return l
 }
 
-// SetClock replaces the limiter's time source and sleep function (tests).
-// Pass nil to keep the current value.
-func (l *Limiter) SetClock(now func() time.Time, sleep func(time.Duration)) {
+// SetClock replaces the limiter's time source (tests).
+func (l *Limiter) SetClock(now func() time.Time) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if now != nil {
-		l.last = now()
-		l.now = now
+	l.last = now()
+	l.now = now
+}
+
+// Burst returns the bucket's capacity, the most tokens one Allow can ever
+// take (0 for the nil limiter, which needs no tokens).
+func (l *Limiter) Burst() float64 {
+	if l == nil {
+		return 0
 	}
-	if sleep != nil {
-		l.sleep = sleep
-	}
+	return l.burst
 }
 
 // refillLocked credits tokens for the time elapsed since the last refill.
@@ -75,15 +74,14 @@ func (l *Limiter) Allow(n float64) bool {
 	l.refillLocked()
 	if l.tokens >= n {
 		l.tokens -= n
-		l.admitted++
 		return true
 	}
-	l.rejected++
 	return false
 }
 
 // RetryAfter returns how long until n tokens will be available (0 when they
-// already are). It does not take tokens.
+// already are). It does not take tokens. n above Burst never becomes
+// available, whatever this returns.
 func (l *Limiter) RetryAfter(n float64) time.Duration {
 	if l == nil {
 		return 0
@@ -96,53 +94,4 @@ func (l *Limiter) RetryAfter(n float64) time.Duration {
 	}
 	need := n - l.tokens
 	return time.Duration(need / l.rate * float64(time.Second))
-}
-
-// WaitMax blocks until n tokens are taken or `max` has elapsed, reporting
-// whether admission succeeded (the Block policy's primitive: overload becomes
-// latency before it becomes loss). max <= 0 degenerates to Allow.
-func (l *Limiter) WaitMax(n float64, max time.Duration) bool {
-	if l == nil {
-		return true
-	}
-	if max <= 0 {
-		return l.Allow(n)
-	}
-	deadline := l.nowf()().Add(max)
-	for {
-		if l.Allow(n) {
-			return true
-		}
-		wait := l.RetryAfter(n)
-		remaining := deadline.Sub(l.nowf()())
-		if remaining <= 0 || wait > remaining {
-			return false
-		}
-		if wait <= 0 {
-			wait = time.Millisecond
-		}
-		l.sleepf()(wait)
-	}
-}
-
-func (l *Limiter) nowf() func() time.Time {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.now
-}
-
-func (l *Limiter) sleepf() func(time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sleep
-}
-
-// Stats returns the admitted/rejected decision counts (0, 0 for nil).
-func (l *Limiter) Stats() (admitted, rejected int64) {
-	if l == nil {
-		return 0, 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.admitted, l.rejected
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // QueueStats is the accounting a bounded admission point reports through:
-// depth, high-watermark, and per-policy shed counts. It holds no items; the
+// depth, high-watermark, admits and sheds. It holds no items; the
 // buffer it describes (the stream adaptor's pending buffer) is the owner's.
 // All methods are nil-safe.
 type QueueStats struct {
@@ -15,9 +15,7 @@ type QueueStats struct {
 	depth      atomic.Int64
 	watermark  atomic.Int64
 	admitted   atomic.Int64
-	shedNewest atomic.Int64
-	shedOldest atomic.Int64
-	timeouts   atomic.Int64 // Block-policy waits that expired
+	shedNewest atomic.Int64 // incoming items refused
 }
 
 // NewQueueStats creates accounting for a queue bounded at capacity.
@@ -47,24 +45,10 @@ func (s *QueueStats) OnAdmit() {
 	}
 }
 
-// OnShedNewest counts one incoming item rejected.
-func (s *QueueStats) OnShedNewest() {
+// OnShedNewest counts n incoming items refused.
+func (s *QueueStats) OnShedNewest(n int) {
 	if s != nil {
-		s.shedNewest.Add(1)
-	}
-}
-
-// OnShedOldest counts one queued item evicted for a newer one.
-func (s *QueueStats) OnShedOldest() {
-	if s != nil {
-		s.shedOldest.Add(1)
-	}
-}
-
-// OnTimeout counts one Block-policy wait that expired into a shed.
-func (s *QueueStats) OnTimeout() {
-	if s != nil {
-		s.timeouts.Add(1)
+		s.shedNewest.Add(int64(n))
 	}
 }
 
@@ -100,36 +84,13 @@ func (s *QueueStats) Admitted() int64 {
 	return s.admitted.Load()
 }
 
-// Shed returns the total shed count across policies (newest + oldest).
-func (s *QueueStats) Shed() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.shedNewest.Load() + s.shedOldest.Load()
-}
-
-// ShedNewest returns the rejected-incoming count.
+// ShedNewest returns the refused-incoming count: every shed, since a full
+// buffer refuses what arrives and evicts nothing it holds.
 func (s *QueueStats) ShedNewest() int64 {
 	if s == nil {
 		return 0
 	}
 	return s.shedNewest.Load()
-}
-
-// ShedOldest returns the evicted-oldest count.
-func (s *QueueStats) ShedOldest() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.shedOldest.Load()
-}
-
-// Timeouts returns the expired Block-policy wait count.
-func (s *QueueStats) Timeouts() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.timeouts.Load()
 }
 
 // Instrument registers the queue's series on r, labeled queue=<name>:
@@ -144,6 +105,4 @@ func (s *QueueStats) Instrument(r *obs.Registry, name string) {
 	r.GaugeFunc(lbl("flow_queue_watermark"), s.Watermark)
 	r.GaugeFunc(lbl("flow_queue_admitted_total"), s.Admitted)
 	r.GaugeFunc(lbl("flow_queue_shed_newest_total"), s.ShedNewest)
-	r.GaugeFunc(lbl("flow_queue_shed_oldest_total"), s.ShedOldest)
-	r.GaugeFunc(lbl("flow_queue_block_timeouts_total"), s.Timeouts)
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,7 +90,7 @@ func TestEmitOverloadRetryAfter(t *testing.T) {
 		// across the two checks below, and a retrying client gets in after
 		// a few attempts.
 		s.emitLim = flow.NewLimiter(s.EmitRate, s.EmitBurst)
-		s.emitLim.SetClock(new(stepClock).now, nil)
+		s.emitLim.SetClock(new(stepClock).now)
 	})
 	c := dial(t, addr)
 	c.send("STREAM S 100")
@@ -131,6 +133,123 @@ func TestEmitOverloadRetryAfter(t *testing.T) {
 	defer cl2.Close()
 	if err := cl2.Emit("S", rdf.Tuple{Triple: rdf.T("g", "po", "h"), TS: 13}); err != nil {
 		t.Fatalf("Emit with overload retries = %v", err)
+	}
+}
+
+// TestEmitLargerThanBurstIsRefused: an EMIT of more tuples than the token
+// bucket can ever hold is refused outright with an error that names the
+// burst, not shed with a retry-after hint no wait would make come true. The
+// client returns it at once, as a ServerError, instead of retrying; the
+// tokens stay for an EMIT that fits.
+func TestEmitLargerThanBurstIsRefused(t *testing.T) {
+	_, reg, addr := startServerWith(t, func(s *Server) {
+		s.EmitRate = 1000
+		s.EmitBurst = 2
+	})
+	c := dial(t, addr)
+	c.send("STREAM S 100")
+	expectOK(t, c.status())
+	const want = "-ERR EMIT rate limit: 3 tuples can never fit the 2-tuple burst; send smaller EMITs"
+	for i := 0; i < 2; i++ {
+		c.send("EMIT S", "<a> <po> <b> . @10", "<c> <po> <d> . @11", "<e> <po> <f> . @12", ".")
+		if st := c.status(); st != want {
+			t.Fatalf("oversize EMIT %d = %q, want %q", i, st, want)
+		}
+	}
+
+	cl, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: 20, JitterSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	start := time.Now()
+	err = cl.Emit("S", rdf.Tuple{Triple: rdf.T("a", "po", "b"), TS: 10}, rdf.Tuple{Triple: rdf.T("c", "po", "d"), TS: 11},
+		rdf.Tuple{Triple: rdf.T("e", "po", "f"), TS: 12})
+	var se *clientpkg.ServerError
+	if !errors.As(err, &se) || errors.Is(err, clientpkg.ErrOverload) || !strings.Contains(err.Error(), "send smaller EMITs") {
+		t.Fatalf("client Emit of an oversize body = %v, want a ServerError naming the burst", err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("client Emit of an oversize body took %v: it retried", took)
+	}
+	if n := gaugeValue(t, reg, "server_emit_shed_total"); n != 0 {
+		t.Fatalf("server_emit_shed_total = %d, want 0: a refusal is not a shed", n)
+	}
+	c.send("EMIT S", "<a> <po> <b> . @10", "<c> <po> <d> . @11", ".")
+	if st := c.status(); st != "+OK emitted 2" {
+		t.Fatalf("EMIT of the burst = %q, want +OK emitted 2", st)
+	}
+}
+
+// TestClientWaitsOutAFullBuffer: a full stream buffer refuses a whole EMIT
+// with a retry-after hint of one batch interval, and the server holds
+// nothing: the client library waits out the hint and sends again. Once a
+// second connection's ADVANCE seals the buffer, the retry is admitted, and
+// the batch it lands in holds exactly its tuples.
+func TestClientWaitsOutAFullBuffer(t *testing.T) {
+	reg := obs.NewRegistry("t")
+	eng, err := core.New(core.Config{Nodes: 2, Metrics: reg, Flow: core.FlowConfig{MaxPending: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	_, addr := serve(t, eng)
+	c := dial(t, addr)
+	c.send("STREAM S 100")
+	expectOK(t, c.status())
+	c.send("REGISTER", "REGISTER QUERY Q AS", "SELECT ?X ?Y FROM S [RANGE 100ms STEP 100ms]", "WHERE { GRAPH S { ?X po ?Y } }", ".")
+	expectOK(t, c.status())
+	c.send("EMIT S", "<a> <po> <b> . @10", "<c> <po> <d> . @20", ".")
+	expectOK(t, c.status())
+	shed := func() int64 { return gaugeValue(t, reg, obs.Name("flow_queue_shed_newest_total", "queue", "S")) }
+
+	// The hint a shed attempt carries, typed: the stream's batch interval.
+	probe, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: -1, JitterSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	err = probe.Emit("S", rdf.Tuple{Triple: rdf.T("x", "po", "y"), TS: 30})
+	var oe *clientpkg.OverloadError
+	if !errors.As(err, &oe) || oe.RetryAfter != 100*time.Millisecond {
+		t.Fatalf("Emit on a full buffer = %v, want an OverloadError with RetryAfter 100ms", err)
+	}
+	before := shed()
+
+	cl, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: 20, JitterSeed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- cl.Emit("S", rdf.Tuple{Triple: rdf.T("e", "po", "f"), TS: 150}, rdf.Tuple{Triple: rdf.T("g", "po", "h"), TS: 160})
+	}()
+	// The client's first attempt is shed (two tuples): only then does the
+	// buffer drain.
+	for deadline := time.Now().Add(5 * time.Second); shed() < before+2; {
+		select {
+		case err := <-done:
+			t.Fatalf("Emit on a full buffer returned %v before any shed", err)
+		case <-time.After(time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the retrying client's first attempt was never shed")
+		}
+	}
+	c.send("ADVANCE 100")
+	expectOK(t, c.status())
+	if err := <-done; err != nil {
+		t.Fatalf("retrying Emit = %v", err)
+	}
+	c.send("ADVANCE 200")
+	expectOK(t, c.status())
+	c.send("POLL Q")
+	expectOK(t, c.status())
+	got := c.rows()
+	sort.Strings(got)
+	if want := []string{"@100 a b", "@100 c d", "@200 e f", "@200 g h"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("windows hold %q, want %q", got, want)
 	}
 }
 

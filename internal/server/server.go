@@ -86,12 +86,10 @@ type Server struct {
 	// EmitRate, when > 0, rate-limits EMIT admission to this many tuples per
 	// second (token bucket of EmitBurst tuples, default one second's worth).
 	// A shed EMIT gets "-ERR overload retry-after=<duration>: ..." and no
-	// tuple of it is admitted. Set before Serve.
+	// tuple of it is admitted; one of more tuples than the burst can never
+	// be admitted and gets a plain "-ERR" that says so. Set before Serve.
 	EmitRate  float64
 	EmitBurst float64
-	// EmitWait is how long an EMIT may wait for rate-limiter tokens before
-	// shedding (0 = shed immediately). Set before Serve.
-	EmitWait time.Duration
 	// MaxPollRows caps the rows one POLL returns (0 = unlimited); the
 	// remainder stays buffered for the next POLL.
 	MaxPollRows int
@@ -490,7 +488,8 @@ func (s *Server) cmdWrite(w *bufio.Writer, r *lineReader, kind string, args []st
 // modes answer alike. The only thing decided here is admission control at the
 // ingest edge: the rate limiter admits or sheds a whole EMIT by its tuple
 // count before anything is applied or replicated (a half-admitted EMIT would
-// make the client's retry duplicate the admitted half). The body is parsed
+// make the client's retry duplicate the admitted half), and refuses outright
+// one larger than its burst, which no wait would admit. The body is parsed
 // here only to count it, and only when a limiter is configured.
 func (s *Server) execWrite(tc trace.Context, kind string, args []string, body string) (string, error) {
 	if lim := s.emitLim; lim != nil && kind == "EMIT" {
@@ -498,7 +497,10 @@ func (s *Server) execWrite(tc trace.Context, kind string, args []string, body st
 		if err != nil {
 			return "", err
 		}
-		if n > 0 && !lim.WaitMax(float64(n), s.EmitWait) {
+		if burst := lim.Burst(); float64(n) > burst {
+			return "", fmt.Errorf("EMIT rate limit: %d tuples can never fit the %g-tuple burst; send smaller EMITs", n, burst)
+		}
+		if n > 0 && !lim.Allow(float64(n)) {
 			return "", flow.Shed(fmt.Sprintf("EMIT rate limit (%d tuples)", n), lim.RetryAfter(float64(n)))
 		}
 	}

@@ -45,8 +45,6 @@ type Config struct {
 	OverloadFactor int
 	// MaxPending bounds the stream's admission queue (default 2×TuplesPerBatch).
 	MaxPending int
-	// Shed is the admission policy when the queue is full (default DropNewest).
-	Shed flow.Policy
 	// Phase lengths in batches (defaults 10 each).
 	BaselineBatches int
 	OverloadBatches int
@@ -190,7 +188,7 @@ func Run(cfg Config) (*Report, error) {
 	e, err := core.New(core.Config{
 		Nodes:   cfg.Nodes,
 		Metrics: cfg.Metrics,
-		Flow:    core.FlowConfig{MaxPending: cfg.MaxPending, Shed: cfg.Shed},
+		Flow:    core.FlowConfig{MaxPending: cfg.MaxPending},
 	})
 	if err != nil {
 		return nil, err
@@ -278,7 +276,7 @@ func Run(cfg Config) (*Report, error) {
 	qs := src.QueueStats()
 	rep.QueueCapacity = qs.Capacity()
 	rep.QueueWatermark = qs.Watermark()
-	rep.QueueShed = qs.Shed()
+	rep.QueueShed = qs.ShedNewest()
 	rep.StableBatch = int64(e.Coordinator().StableVTS()[0])
 	rep.FinalBatch = int64(batch - 1)
 	mu.Lock()

@@ -13,14 +13,12 @@ import (
 )
 
 // admissionSource builds a 100ms-batch source bounded at maxPending.
-func admissionSource(t *testing.T, maxPending int, shed flow.Policy, wait time.Duration) *Source {
+func admissionSource(t *testing.T, maxPending int) *Source {
 	t.Helper()
 	src, err := NewSource(Config{
 		Name:          "S",
 		BatchInterval: 100 * time.Millisecond,
 		MaxPending:    maxPending,
-		Shed:          shed,
-		ShedWait:      wait,
 	}, strserver.New())
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +32,7 @@ func emitAt(t *testing.T, src *Source, ts rdf.Timestamp) error {
 }
 
 func TestAdmissionDropNewest(t *testing.T) {
-	src := admissionSource(t, 3, flow.DropNewest, 0)
+	src := admissionSource(t, 3)
 	for i := 0; i < 3; i++ {
 		if err := emitAt(t, src, rdf.Timestamp(i)); err != nil {
 			t.Fatalf("emit %d: %v", i, err)
@@ -62,69 +60,16 @@ func TestAdmissionDropNewest(t *testing.T) {
 	}
 }
 
-func TestAdmissionDropOldest(t *testing.T) {
-	src := admissionSource(t, 3, flow.DropOldest, 0)
-	for i := 0; i < 5; i++ {
-		if err := emitAt(t, src, rdf.Timestamp(i)); err != nil {
-			t.Fatalf("emit %d: %v", i, err)
-		}
-	}
-	st := src.QueueStats()
-	if st.ShedOldest() != 2 || st.Depth() != 3 {
-		t.Fatalf("stats shedOldest=%d depth=%d, want 2/3", st.ShedOldest(), st.Depth())
-	}
-	// The freshest tuples survive: timestamps 2, 3, 4.
-	batches := src.SealUpTo(100)
-	if len(batches) != 1 || len(batches[0].Tuples) != 3 {
-		t.Fatalf("sealed %v", batches)
-	}
-	if got := batches[0].Tuples[0].TS; got != 2 {
-		t.Fatalf("oldest surviving tuple at %d, want 2", got)
-	}
-}
-
-func TestAdmissionBlockTimesOutThenSheds(t *testing.T) {
-	src := admissionSource(t, 2, flow.Block, time.Millisecond)
-	for i := 0; i < 2; i++ {
-		if err := emitAt(t, src, rdf.Timestamp(i)); err != nil {
-			t.Fatalf("emit %d: %v", i, err)
-		}
-	}
-	// No consumer drains the buffer: the block expires into a shed.
-	if err := emitAt(t, src, 2); !errors.Is(err, flow.ErrShed) {
-		t.Fatalf("blocked emit = %v, want ErrShed", err)
-	}
-	if src.QueueStats().Timeouts() != 1 {
-		t.Fatalf("timeouts = %d, want 1", src.QueueStats().Timeouts())
-	}
-	// With a concurrent sealer draining, the blocked emit is admitted.
-	src2 := admissionSource(t, 2, flow.Block, time.Second)
-	for i := 0; i < 2; i++ {
-		if err := emitAt(t, src2, rdf.Timestamp(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := make(chan error, 1)
-	go func() { done <- emitAt(t, src2, 150) }()
-	time.Sleep(5 * time.Millisecond)
-	if got := len(src2.SealUpTo(100)); got != 1 {
-		t.Fatalf("sealed %d batches, want 1", got)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("blocked emit after drain = %v", err)
-	}
-}
-
 func TestAdmissionUnboundedByDefault(t *testing.T) {
-	src := admissionSource(t, 0, flow.DropNewest, 0)
+	src := admissionSource(t, 0)
 	for i := 0; i < 1000; i++ {
 		if err := emitAt(t, src, rdf.Timestamp(i/20)); err != nil {
 			t.Fatalf("emit %d: %v", i, err)
 		}
 	}
 	st := src.QueueStats()
-	if st.Shed() != 0 || st.Capacity() != 0 {
-		t.Fatalf("unbounded source shed %d (capacity %d)", st.Shed(), st.Capacity())
+	if st.ShedNewest() != 0 || st.Capacity() != 0 {
+		t.Fatalf("unbounded source shed %d (capacity %d)", st.ShedNewest(), st.Capacity())
 	}
 	if st.Watermark() != 1000 {
 		t.Fatalf("watermark = %d, want 1000", st.Watermark())
@@ -153,13 +98,13 @@ func emitBody(src *Source, tuples []rdf.Tuple) error {
 // sourceState is everything a refused EmitBody must leave alone.
 type sourceState struct {
 	pending, entities, predicates int
-	admitted, shedOldest          int64
+	admitted                      int64
 	keys                          string
 }
 
 func stateOf(src *Source) sourceState {
 	st := src.QueueStats()
-	return sourceState{src.PendingLen(), src.ss.NumEntities(), src.ss.NumPredicates(), st.Admitted(), st.ShedOldest(),
+	return sourceState{src.PendingLen(), src.ss.NumEntities(), src.ss.NumPredicates(), st.Admitted(),
 		strings.Join(src.ss.EntityKeys(), "\n")}
 }
 
@@ -170,7 +115,7 @@ func stateOf(src *Source) sourceState {
 // string server as they were, entity keys included; shed counters move in
 // tuples.
 func TestEmitBodyAllOrNothing(t *testing.T) {
-	src := admissionSource(t, 4, flow.DropNewest, 0)
+	src := admissionSource(t, 4)
 	if err := emitBody(src, batchAt(150, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +147,7 @@ func TestEmitBodyAllOrNothing(t *testing.T) {
 		}
 	}
 
-	idle := admissionSource(t, 4, flow.DropNewest, 0)
+	idle := admissionSource(t, 4)
 	idle.SealUpTo(200)
 	if err := emitBody(idle, []rdf.Tuple{{Triple: rdf.T("s", "p", "o"), TS: 250}, {Triple: rdf.T("s", "p", "o"), TS: 150}}); err == nil {
 		t.Error("regression into a sealed batch admitted")
@@ -250,7 +195,7 @@ func TestEmitBodyAllOrNothing(t *testing.T) {
 // repeated within it, gets the IDs that interning its predicates and then
 // each tuple's subject and object one by one assigns on a twin server.
 func TestEmitBodyAssignsIDsInTupleOrder(t *testing.T) {
-	src := admissionSource(t, 0, flow.DropNewest, 0)
+	src := admissionSource(t, 0)
 	twin := strserver.New()
 	for _, ss := range []*strserver.Server{src.ss, twin} {
 		ss.InternEntity(rdf.NewIRI("known"))
@@ -294,97 +239,6 @@ func TestEmitBodyAssignsIDsInTupleOrder(t *testing.T) {
 	}
 }
 
-func TestEmitBodyDropOldestNeverRefuses(t *testing.T) {
-	src := admissionSource(t, 3, flow.DropOldest, 0)
-	if err := emitBody(src, batchAt(0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// 2 + 2 > 3: the oldest buffered tuple makes room.
-	if err := emitBody(src, batchAt(10, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// A body larger than the buffer keeps its own newest three.
-	if err := emitBody(src, batchAt(20, 5)); err != nil {
-		t.Fatal(err)
-	}
-	b := src.SealUpTo(100)
-	if len(b) != 1 || len(b[0].Tuples) != 3 || b[0].Tuples[0].TS != 22 {
-		t.Fatalf("sealed %+v, want the three newest tuples (22,23,24)", b)
-	}
-	if st := src.QueueStats(); st.Admitted() != 9 || st.ShedOldest() != 6 || st.ShedNewest() != 0 {
-		t.Fatalf("admitted=%d shedOldest=%d shedNewest=%d, want 9/6/0", st.Admitted(), st.ShedOldest(), st.ShedNewest())
-	}
-}
-
-func TestEmitBodyBlockWaitsForTheWholeBody(t *testing.T) {
-	src := admissionSource(t, 4, flow.Block, 2*time.Second)
-	if err := emitBody(src, batchAt(0, 3)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- emitBody(src, batchAt(100, 3)) }()
-	select {
-	case err := <-done:
-		t.Fatalf("EmitBody returned %v with no room for the body", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	src.SealUpTo(100) // drains the first three
-	if err := <-done; err != nil {
-		t.Fatalf("EmitBody after the drain: %v", err)
-	}
-	if got := src.PendingLen(); got != 3 {
-		t.Fatalf("pending = %d, want 3", got)
-	}
-
-	// No drain: the wait expires and the whole body sheds.
-	short := admissionSource(t, 2, flow.Block, 10*time.Millisecond)
-	if err := emitBody(short, batchAt(0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := emitBody(short, batchAt(10, 2)); !errors.Is(err, flow.ErrShed) {
-		t.Fatalf("EmitBody on a full buffer = %v, want ErrShed", err)
-	}
-	if st := short.QueueStats(); st.Timeouts() != 1 || st.ShedNewest() != 2 || short.PendingLen() != 2 {
-		t.Fatalf("timeouts=%d shedNewest=%d pending=%d, want 1/2/2", st.Timeouts(), st.ShedNewest(), short.PendingLen())
-	}
-}
-
-// TestEmitBodyBlockedEmitsWaitSideBySide: ShedWait bounds each EMIT's wait,
-// however many producers block on one full stream at once. Two bodies that
-// block together shed together, each about ShedWait after it began, not one
-// after the other.
-func TestEmitBodyBlockedEmitsWaitSideBySide(t *testing.T) {
-	const wait = 250 * time.Millisecond
-	src := admissionSource(t, 2, flow.Block, wait)
-	if err := emitBody(src, batchAt(0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	type result struct {
-		err  error
-		took time.Duration
-	}
-	done := make(chan result, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			start := time.Now()
-			err := emitBody(src, batchAt(10, 1))
-			done <- result{err, time.Since(start)}
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		r := <-done
-		if !errors.Is(r.err, flow.ErrShed) {
-			t.Fatalf("blocked EmitBody = %v, want ErrShed", r.err)
-		}
-		if r.took >= 2*wait {
-			t.Fatalf("a blocked EmitBody shed after %v, past twice its ShedWait %v: it waited behind the other", r.took, wait)
-		}
-	}
-	if st := src.QueueStats(); st.Timeouts() != 2 || st.ShedNewest() != 2 {
-		t.Fatalf("timeouts=%d shedNewest=%d, want 2/2", st.Timeouts(), st.ShedNewest())
-	}
-}
-
 // emitEntries emits one tuple through each entry point that admits tuples.
 var emitEntries = map[string]func(*Source, rdf.Tuple) error{
 	"Emit":     (*Source).Emit,
@@ -392,94 +246,48 @@ var emitEntries = map[string]func(*Source, rdf.Tuple) error{
 }
 
 // TestRefusedEmitChangesNothing: Emit and EmitBody pass one admission check.
-// Under every shed policy, an emit refused for order, for a sealed batch or
-// for room leaves the stream's clock, its buffer, its admit and evict counts
-// and the string server as they were, and a shed counts once per tuple. So
-// a tuple shed at 500 does not move the clock: one at 400 is admitted once
-// the buffer drains.
+// An emit refused for order, for a sealed batch or for room (drop-newest, the
+// one answer to a full buffer) leaves the stream's clock, its buffer, its
+// admit count and the string server as they were, and a shed counts once per
+// tuple. So a tuple shed at 500 does not move the clock: one at 400 is
+// admitted once the buffer drains.
 func TestRefusedEmitChangesNothing(t *testing.T) {
-	policies := map[string]flow.Policy{"drop-newest": flow.DropNewest, "drop-oldest": flow.DropOldest, "block": flow.Block}
 	for ename, emit := range emitEntries {
-		for pname, policy := range policies {
-			t.Run(ename+"/"+pname, func(t *testing.T) {
-				src := admissionSource(t, 2, policy, time.Millisecond)
-				for _, tu := range batchAt(150, 2) {
-					if err := emit(src, tu); err != nil {
-						t.Fatal(err)
-					}
+		t.Run(ename+"/drop-newest", func(t *testing.T) {
+			src := admissionSource(t, 2)
+			for _, tu := range batchAt(150, 2) {
+				if err := emit(src, tu); err != nil {
+					t.Fatal(err)
 				}
-				src.SealUpTo(100)
-				type state struct {
-					sourceState
-					lastTS rdf.Timestamp
-				}
-				snap := func() state { return state{stateOf(src), src.lastTS} }
-				before := snap()
-				fresh := func(name string, ts rdf.Timestamp) rdf.Tuple {
-					return rdf.Tuple{Triple: rdf.T(name, "p", "o"), TS: ts}
-				}
-				for _, tu := range []rdf.Tuple{fresh("sealed", 50), fresh("behind", 140)} {
-					if err := emit(src, tu); err == nil || errors.Is(err, flow.ErrShed) {
-						t.Errorf("emit at %d: err = %v, want a plain refusal", tu.TS, err)
-					}
-					if got := snap(); got != before {
-						t.Errorf("refused emit at %d: state %+v, was %+v", tu.TS, got, before)
-					}
-				}
-				if policy == flow.DropOldest {
-					return // never refuses for room
-				}
-				if err := emit(src, fresh("late", 500)); !errors.Is(err, flow.ErrShed) {
-					t.Fatalf("emit on a full buffer = %v, want ErrShed", err)
-				}
-				if got := snap(); got != before || src.QueueStats().ShedNewest() != 1 {
-					t.Fatalf("shed emit: state %+v (was %+v), shedNewest %d", got, before, src.QueueStats().ShedNewest())
-				}
-				src.SealUpTo(200)
-				if err := emit(src, fresh("early", 400)); err != nil {
-					t.Fatalf("emit at 400 after a shed at 500: %v", err)
-				}
-			})
-		}
-	}
-}
-
-// TestBlockedEmitWhoseBatchSeals: a Block wait that ends because a seal
-// drained the buffer, and sealed the waiting tuples' batch with it, sheds
-// them — the same answer from Emit and from EmitBody, one shed per tuple.
-func TestBlockedEmitWhoseBatchSeals(t *testing.T) {
-	answers := map[string]string{}
-	for name, emit := range emitEntries {
-		var src *Source
-		var err error
-		// The emit must reach the Block wait before the seal. One that gets
-		// the lock only after the seal never waits and is refused with the
-		// plain sealed-batch error: give it a longer head start and retry.
-		for headStart := 10 * time.Millisecond; ; headStart *= 2 {
-			src = admissionSource(t, 1, flow.Block, 5*time.Second)
-			if err := emit(src, rdf.Tuple{Triple: rdf.T("a", "p", "o"), TS: 150}); err != nil {
-				t.Fatal(err)
 			}
-			done := make(chan error, 1)
-			go func() { done <- emit(src, rdf.Tuple{Triple: rdf.T("b", "p", "o"), TS: 180}) }()
-			time.Sleep(headStart)
+			src.SealUpTo(100)
+			type state struct {
+				sourceState
+				lastTS rdf.Timestamp
+			}
+			snap := func() state { return state{stateOf(src), src.lastTS} }
+			before := snap()
+			fresh := func(name string, ts rdf.Timestamp) rdf.Tuple {
+				return rdf.Tuple{Triple: rdf.T(name, "p", "o"), TS: ts}
+			}
+			for _, tu := range []rdf.Tuple{fresh("sealed", 50), fresh("behind", 140)} {
+				if err := emit(src, tu); err == nil || errors.Is(err, flow.ErrShed) {
+					t.Errorf("emit at %d: err = %v, want a plain refusal", tu.TS, err)
+				}
+				if got := snap(); got != before {
+					t.Errorf("refused emit at %d: state %+v, was %+v", tu.TS, got, before)
+				}
+			}
+			if err := emit(src, fresh("late", 500)); !errors.Is(err, flow.ErrShed) {
+				t.Fatalf("emit on a full buffer = %v, want ErrShed", err)
+			}
+			if got := snap(); got != before || src.QueueStats().ShedNewest() != 1 {
+				t.Fatalf("shed emit: state %+v (was %+v), shedNewest %d", got, before, src.QueueStats().ShedNewest())
+			}
 			src.SealUpTo(200)
-			err = <-done
-			if errors.Is(err, flow.ErrShed) || headStart >= 2*time.Second {
-				break
+			if err := emit(src, fresh("early", 400)); err != nil {
+				t.Fatalf("emit at 400 after a shed at 500: %v", err)
 			}
-		}
-		if !errors.Is(err, flow.ErrShed) {
-			t.Fatalf("%s: blocked emit into a batch sealed meanwhile = %v, want ErrShed", name, err)
-		}
-		st := src.QueueStats()
-		if st.ShedNewest() != 1 || st.Admitted() != 1 || src.PendingLen() != 0 || src.lastTS != 150 || src.ss.NumEntities() != 2 {
-			t.Fatalf("%s: shedNewest=%d admitted=%d pending=%d lastTS=%d entities=%d, want 1/1/0/150/2",
-				name, st.ShedNewest(), st.Admitted(), src.PendingLen(), src.lastTS, src.ss.NumEntities())
-		}
-		answers[name] = err.Error()
-	}
-	if answers["Emit"] != answers["EmitBody"] {
-		t.Fatalf("Emit answers %q, EmitBody %q", answers["Emit"], answers["EmitBody"])
+		})
 	}
 }

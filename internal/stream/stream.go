@@ -53,15 +53,11 @@ type Config struct {
 	// timeless and absorbed into the persistent store.
 	TimingPredicates []string
 	// MaxPending bounds the adaptor's admission buffer (tuples admitted but
-	// not yet sealed). 0 = unbounded: the pre-overload-protection behavior,
-	// where a producer outrunning the injector grows memory without limit.
+	// not yet sealed). An emit that does not fit is refused whole with a
+	// retry-after hint of one batch interval. 0 = unbounded: the
+	// pre-overload-protection behavior, where a producer outrunning the
+	// injector grows memory without limit.
 	MaxPending int
-	// Shed selects what happens to an emitted tuple when the admission
-	// buffer is full (only meaningful with MaxPending > 0).
-	Shed flow.Policy
-	// ShedWait is the Block policy's wait budget before a full buffer sheds
-	// anyway (default: BatchInterval).
-	ShedWait time.Duration
 }
 
 // Source is the per-stream adaptor. Emit is safe for concurrent use with
@@ -83,10 +79,7 @@ type Source struct {
 	ids  []rdf.ID // EmitBody's entity IDs, reused under mu
 
 	maxPending int
-	shed       flow.Policy
-	shedWait   time.Duration
 	qstats     *flow.QueueStats
-	space      chan struct{} // signaled when SealUpTo drains the buffer
 }
 
 // NewSource creates a stream source. The string server is shared with the
@@ -104,15 +97,7 @@ func NewSource(cfg Config, ss *strserver.Server) (*Source, error) {
 		ss:         ss,
 		timing:     make(map[rdf.ID]bool),
 		maxPending: cfg.MaxPending,
-		shed:       cfg.Shed,
-		shedWait:   cfg.ShedWait,
 		qstats:     flow.NewQueueStats(cfg.MaxPending),
-	}
-	if s.shedWait <= 0 {
-		s.shedWait = cfg.BatchInterval
-	}
-	if s.maxPending > 0 && s.shed == flow.Block {
-		s.space = make(chan struct{}, 1)
 	}
 	// Interned at once, so predicates that do not fit refuse the source
 	// without assigning any of them.
@@ -156,7 +141,7 @@ func (s *Source) Emit(t rdf.Tuple) error {
 		return err
 	}
 	s.appendLocked(enc)
-	s.admittedLocked()
+	s.qstats.Observe(len(s.pending))
 	return nil
 }
 
@@ -168,7 +153,7 @@ func (s *Source) EmitEncoded(enc strserver.EncodedTuple) error {
 		return err
 	}
 	s.appendLocked(enc)
-	s.admittedLocked()
+	s.qstats.Observe(len(s.pending))
 	return nil
 }
 
@@ -216,40 +201,35 @@ func (s *Source) EmitBody(body string) (int, error) {
 	for i := 0; i < n; i++ {
 		s.appendLocked(strserver.EncodedTuple{EncodedTriple: strserver.EncodedTriple{S: s.ids[2*i], P: s.pids[i], O: s.ids[2*i+1]}, TS: k.TS(i)})
 	}
-	s.admittedLocked()
+	s.qstats.Observe(len(s.pending))
 	return n, nil
 }
 
 // bodyKeys holds EmitBody's scratch. A pool rather than a field of Source,
-// so that concurrent EMITs to one stream neither wait for each other nor
-// share it while the Block policy waits.
+// so that concurrent EMITs to one stream cut their bodies side by side,
+// before taking the source's lock.
 var bodyKeys = sync.Pool{New: func() any { return new(rdf.TupleKeys) }}
 
 // admitLocked is the one admission check of Emit, EmitEncoded and EmitBody,
 // for n tuples in timestamp order from first: it checks order against the
-// stream and the sealed-batch boundary, then room under the shed policy.
-// DropNewest sheds all n, Block waits for room for all n or sheds them, and
-// DropOldest never refuses for room: admittedLocked evicts after the append,
-// so a refused emit evicts nothing. n tuples that could never fit (more than
-// MaxPending under DropNewest or Block) are a plain error, not a retry hint.
-// Shed counters move in tuples. A nil return means all n may be appended.
+// stream and the sealed-batch boundary, then room for all n. A full buffer
+// sheds all n, counted in tuples, with a retry-after hint of one batch
+// interval: the next seal makes room. n tuples that could never fit (more
+// than MaxPending) are a plain error, not a hint the client would retry
+// forever. A nil return means all n may be appended.
 func (s *Source) admitLocked(n int, first rdf.Timestamp) error {
 	if err := s.orderLocked(first); err != nil {
 		return err
 	}
-	if s.shed == flow.DropOldest {
+	if s.maxPending <= 0 || len(s.pending)+n <= s.maxPending {
 		return nil
 	}
-	if err := s.reserveLocked(n); err != nil {
-		return err
+	if n > s.maxPending {
+		return fmt.Errorf("stream %s: %d tuples can never fit the %d-tuple admission buffer; send smaller EMITs",
+			s.name, n, s.maxPending)
 	}
-	// The Block policy released the lock while it waited: a seal or another
-	// producer may have moved the stream past these tuples meanwhile.
-	if err := s.orderLocked(first); err != nil {
-		s.shedNewestLocked(n)
-		return flow.Shed(err.Error()+" while blocked", 0)
-	}
-	return nil
+	s.qstats.OnShedNewest(n)
+	return flow.Shed("stream "+s.name+": admission buffer full", s.interval)
 }
 
 // appendLocked buffers one admitted tuple.
@@ -257,18 +237,6 @@ func (s *Source) appendLocked(enc strserver.EncodedTuple) {
 	s.pending = append(s.pending, Tuple{EncodedTuple: enc, Timing: s.timing[enc.P]})
 	s.lastTS = enc.TS
 	s.qstats.OnAdmit()
-}
-
-// admittedLocked ends an admission: DropOldest evicts down to the bound (an
-// emit larger than the buffer sheds its own head), and the queue depth is
-// observed once.
-func (s *Source) admittedLocked() {
-	if s.maxPending > 0 && s.shed == flow.DropOldest {
-		for ; len(s.pending) > s.maxPending; s.pending = s.pending[1:] {
-			s.qstats.OnShedOldest()
-		}
-	}
-	s.qstats.Observe(len(s.pending))
 }
 
 // EmitReplayed is Emit minus admission control, for fault-tolerance replay:
@@ -302,51 +270,6 @@ func (s *Source) orderLocked(ts rdf.Timestamp) error {
 		return fmt.Errorf("stream %s: tuple at %d arrived after batch %d was sealed", s.name, ts, b)
 	}
 	return nil
-}
-
-// reserveLocked makes room for n more tuples under DropNewest or Block,
-// applying the shed policy when the admission buffer cannot take them.
-// Called with s.mu held; the Block policy temporarily releases it to wait
-// for SealUpTo to drain the buffer. A nil return means all n fit; an error
-// means none may be appended, and the shed counters have moved by n.
-func (s *Source) reserveLocked(n int) error {
-	if s.maxPending <= 0 || len(s.pending)+n <= s.maxPending {
-		return nil
-	}
-	if n > s.maxPending {
-		return fmt.Errorf("stream %s: %d tuples can never fit the %d-tuple admission buffer; send smaller EMITs",
-			s.name, n, s.maxPending)
-	}
-	if s.shed == flow.Block {
-		deadline := time.Now().Add(s.shedWait)
-		for len(s.pending)+n > s.maxPending {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				s.qstats.OnTimeout()
-				break
-			}
-			s.mu.Unlock()
-			t := time.NewTimer(remaining)
-			select {
-			case <-s.space:
-			case <-t.C:
-			}
-			t.Stop()
-			s.mu.Lock()
-		}
-		if len(s.pending)+n <= s.maxPending {
-			return nil
-		}
-	}
-	s.shedNewestLocked(n)
-	return flow.Shed("stream "+s.name+": admission buffer full", s.interval)
-}
-
-// shedNewestLocked counts n refused tuples.
-func (s *Source) shedNewestLocked(n int) {
-	for i := 0; i < n; i++ {
-		s.qstats.OnShedNewest()
-	}
 }
 
 // QueueStats returns the adaptor's admission accounting (capacity 0 when
@@ -387,12 +310,6 @@ func (s *Source) SealUpTo(ts rdf.Timestamp) []Batch {
 	}
 	s.sealedTo = lastComplete
 	s.qstats.Observe(len(s.pending))
-	if s.space != nil {
-		select {
-		case s.space <- struct{}{}:
-		default:
-		}
-	}
 	return out
 }
 
