@@ -125,8 +125,10 @@ chaos-proc:
 # BenchmarkShardAppendOne (internal/store) probe 100 k keys in random order.
 # BenchmarkClientEmit (internal/client) is one 3 337-tuple EMIT against a
 # server that only acknowledges; it reports ns and allocs per tuple.
+# BenchmarkLexicals (internal/strserver) resolves random IDs of 400 k
+# entities one Lexical call each against one Lexicals call per 64, in ns/ID.
 bench:
-	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server ./internal/cluster ./internal/store ./internal/client
+	$(GO) test -bench . -benchtime 20x -run '^$$' . ./internal/server ./internal/cluster ./internal/store ./internal/client ./internal/strserver
 
 # Short observability-instrumented workload: prints per-stage p50/p99/p999 and
 # writes the metric registry under .bench_build/. wsbench exits nonzero if no

@@ -68,48 +68,83 @@ func (r *Result) Row(i int) []rdf.Term {
 	return out
 }
 
-// AppendRow appends row i to dst as the wire and Strings render it — each
-// cell's lexical value, cells separated by one space, an unbound cell empty —
-// and returns the extended slice. Entity and predicate values are copied
-// straight out of the string server's keys and aggregates are formatted in
-// place (the bytes of rdf.NewFloatLiteral's Value), so rendering into a
-// buffer with room allocates nothing.
-func (r *Result) AppendRow(dst []byte, i int) []byte {
-	for j := range r.set.Vars {
-		v := r.set.Cell(i, j)
-		if j > 0 {
-			dst = append(dst, ' ')
-		}
-		switch {
-		case v.IsNum:
-			dst = strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
-		case v.ID == 0:
-			// An OPTIONAL group left the variable unbound.
-		default:
-			if pid, ok := exec.UntagPred(v.ID); ok {
-				if iri, ok := r.ss.Predicate(pid); ok {
-					dst = append(dst, iri...)
-					continue
+// AppendRows renders every row in order as the wire and Strings render it —
+// prefix, then each cell's lexical value, cells separated by one space, an
+// unbound cell empty — appending to dst and handing the slice to endRow after
+// each row, whose result it goes on appending to. It returns the last slice
+// endRow gave back. Entity values are resolved a block of strserver.Block
+// cells at a time, in one string-server read, and copied straight out of its
+// keys; predicate values come out of its predicate table and aggregates are
+// formatted in place (the bytes of rdf.NewFloatLiteral's Value), so
+// rendering into a buffer with room allocates nothing.
+func (r *Result) AppendRows(dst, prefix []byte, endRow func(dst []byte) []byte) []byte {
+	var (
+		lex  [strserver.Block]string
+		ok   uint64
+		k, m int // the next cell of the block, and its cell count
+	)
+	for i, n := 0, r.set.Len(); i < n; i++ {
+		dst = append(dst, prefix...)
+		for j := range r.set.Vars {
+			if k == m {
+				ok, m = r.resolve(&lex, i, j)
+				k = 0
+			}
+			v := r.set.Cell(i, j)
+			if j > 0 {
+				dst = append(dst, ' ')
+			}
+			switch {
+			case v.IsNum:
+				dst = strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
+			case v.ID == 0:
+				// An OPTIONAL group left the variable unbound.
+			default:
+				if pid, isPred := exec.UntagPred(v.ID); isPred {
+					if iri, found := r.ss.Predicate(pid); found {
+						dst = append(dst, iri...)
+						break
+					}
+				}
+				if ok&(1<<k) != 0 {
+					dst = append(dst, lex[k]...)
+				} else {
+					dst = strconv.AppendUint(append(dst, "unknown-id-"...), uint64(v.ID), 10)
 				}
 			}
-			if lex, ok := r.ss.Lexical(v.ID); ok {
-				dst = append(dst, lex...)
-			} else {
-				dst = strconv.AppendUint(append(dst, "unknown-id-"...), uint64(v.ID), 10)
-			}
+			k++
 		}
+		dst = endRow(dst)
 	}
 	return dst
 }
 
+// resolve reads the lexical forms of the block of up to strserver.Block
+// cells that starts at row i, column j into lex, and returns which of them
+// the string server knows and how many cells the block holds. A number cell
+// asks for ID 0, which it never knows.
+func (r *Result) resolve(lex *[strserver.Block]string, i, j int) (ok uint64, m int) {
+	var ids [strserver.Block]rdf.ID
+	w := len(r.set.Vars)
+	m = min(strserver.Block, (r.set.Len()-i)*w-j)
+	for c := range m {
+		if v := r.set.Cell(i, j); !v.IsNum {
+			ids[c] = v.ID
+		}
+		if j++; j == w {
+			i, j = i+1, 0
+		}
+	}
+	return r.ss.Lexicals(ids[:m], lex[:m]), m
+}
+
 // Strings decodes all rows to human-readable strings (tests and examples).
 func (r *Result) Strings() []string {
-	out := make([]string, r.Len())
-	var row []byte
-	for i := range out {
-		row = r.AppendRow(row[:0], i)
-		out[i] = string(row)
-	}
+	out := make([]string, 0, r.Len())
+	r.AppendRows(nil, nil, func(row []byte) []byte {
+		out = append(out, string(row))
+		return row[:0]
+	})
 	return out
 }
 

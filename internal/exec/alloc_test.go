@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -271,6 +272,72 @@ func TestProjectMatchesReference(t *testing.T) {
 	}
 }
 
+// ORDER BY resolves each key cell once, a block of lexical forms per
+// string-server read, and must order rows exactly as compareValues does on
+// every comparison: over numbers (NaN among them, which ties with every
+// number), literals, IRIs, unbound cells, tagged predicates and unknown IDs,
+// on one key and two, ascending and descending, on ID results and on
+// aggregate results, across block edges.
+func TestOrderByMatchesCompareValues(t *testing.T) {
+	ss := strserver.New()
+	var cells []Value
+	for i := 0; i < 12; i++ {
+		cells = append(cells,
+			Value{ID: ss.InternEntity(rdf.NewIRI(fmt.Sprintf("e%02d", (i*5)%12)))},
+			Value{ID: ss.InternEntity(rdf.NewLiteral(fmt.Sprintf("lit %d", i%4)))},
+			Value{ID: ss.InternEntity(rdf.NewIntLiteral(int64(i%5 - 2)))},
+			Value{Num: float64(i % 3), IsNum: true})
+	}
+	cells = append(cells,
+		Value{ID: ss.InternEntity(rdf.NewTypedLiteral("NaN", rdf.XSDDouble))},
+		Value{Num: math.NaN(), IsNum: true},
+		Value{ID: Unbound}, Value{ID: TagPred(3)}, Value{ID: 987654})
+	rng := rand.New(rand.NewSource(5))
+	for _, rows := range []int{0, 1, 63, 64, 65, 300} {
+		for _, agg := range []bool{false, true} {
+			vals := make([][]Value, rows)
+			for i := range vals {
+				for j := 0; j < 3; j++ {
+					v := cells[rng.Intn(len(cells))]
+					if !agg && v.IsNum {
+						v = Value{ID: Unbound}
+					}
+					vals[i] = append(vals[i], v)
+				}
+			}
+			for _, order := range []string{"?a", "DESC(?b)", "?c DESC(?a)", "DESC(?b) ?c ?a"} {
+				q := sparql.MustParse("SELECT ?a ?b ?c WHERE { ?a p ?b . ?b p ?c } ORDER BY " + order)
+				rs := ResultOf([]string{"a", "b", "c"}, vals...)
+				if !agg {
+					tbl := &Table{Vars: []string{"a", "b", "c"}}
+					for _, row := range vals {
+						tbl.AppendRow([]rdf.ID{row[0].ID, row[1].ID, row[2].ID})
+					}
+					rs, _ = Project(q, tbl, ss)
+				} else {
+					rs = applyModifiers(q, rs, ss)
+				}
+				want := slices.Clone(vals)
+				sort.SliceStable(want, func(i, j int) bool {
+					for _, k := range q.OrderBy {
+						c := slices.Index([]string{"a", "b", "c"}, k.Var)
+						if cmp := compareValues(want[i][c], want[j][c], ss); cmp != 0 {
+							return cmp < 0 != k.Desc
+						}
+					}
+					return false
+				})
+				got := resultRows(rs)
+				for i := range want {
+					if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+						t.Fatalf("%d rows (aggregate %v) ORDER BY %s: row %d = %v, want %v", rows, agg, order, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestProjectAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -318,5 +385,46 @@ func TestProjectKeyAllocations(t *testing.T) {
 		if n > c.max {
 			t.Errorf("%s over 500 rows allocates %.0f times, want ≤ %.0f", c.text, n, c.max)
 		}
+	}
+}
+
+// compareValues is ORDER BY's comparison as it was before sort keys were
+// resolved once per row: numbers numerically (aggregates and numeric
+// literals), then terms lexically, then raw IDs, each cell resolved again
+// on every comparison.
+func compareValues(a, b Value, res TermResolver) int {
+	an, aok := valueNum(a, res)
+	bn, bok := valueNum(b, res)
+	switch {
+	case aok && bok:
+		switch {
+		case an < bn:
+			return -1
+		case an > bn:
+			return 1
+		default:
+			return 0
+		}
+	case aok:
+		return -1 // numbers order before non-numbers, as in SPARQL
+	case bok:
+		return 1
+	}
+	if tl, ok := res.(interface {
+		Lexical(rdf.ID) (string, bool)
+	}); ok {
+		al, aok := tl.Lexical(a.ID)
+		bl, bok := tl.Lexical(b.ID)
+		if aok && bok {
+			return strings.Compare(al, bl)
+		}
+	}
+	switch {
+	case a.ID < b.ID:
+		return -1
+	case a.ID > b.ID:
+		return 1
+	default:
+		return 0
 	}
 }

@@ -1,13 +1,16 @@
 package exec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/strserver"
 )
 
 // Project applies a query's SELECT clause to a binding table: plain
@@ -86,28 +89,7 @@ func appendRowKey(dst []byte, row []rdf.ID, cols []int) []byte {
 // set.
 func applyModifiers(q *sparql.Query, rs *ResultSet, res TermResolver) *ResultSet {
 	if len(q.OrderBy) > 0 {
-		keys := make([]int, len(q.OrderBy))
-		for i, k := range q.OrderBy {
-			for c, v := range rs.Vars {
-				if v == k.Var {
-					keys[i] = c
-				}
-			}
-		}
-		rs.sortStable(func(i, j int) bool {
-			for ki, k := range q.OrderBy {
-				c := keys[ki]
-				cmp := compareValues(rs.Cell(i, c), rs.Cell(j, c), res)
-				if cmp == 0 {
-					continue
-				}
-				if k.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
+		orderBy(rs, q.OrderBy, res)
 	}
 	if q.Offset > 0 {
 		rs.drop(q.Offset)
@@ -151,47 +133,106 @@ func emptyGroupRow(q *sparql.Query) []Value {
 }
 
 // termLookup is the optional reverse-mapping side of a resolver (the string
-// server implements it); ORDER BY uses it for lexical comparison of
-// non-numeric values.
+// server implements it): ORDER BY compares non-numeric values by their
+// lexical forms, read a block of strserver.Block IDs at a time, with a mask
+// bit set for each ID it knows.
 type termLookup interface {
-	Lexical(id rdf.ID) (string, bool)
+	Lexicals(ids []rdf.ID, lex []string) uint64
 }
 
-// compareValues orders two result cells: numbers numerically (aggregates
-// and numeric literals), then terms lexically, then raw IDs.
-func compareValues(a, b Value, res TermResolver) int {
-	an, aok := valueNum(a, res)
-	bn, bok := valueNum(b, res)
+// orderKey is one ORDER BY cell resolved for comparison: its number if it
+// is an aggregate or a numeric literal, else its lexical form if the
+// resolver knows one, and its raw ID.
+type orderKey struct {
+	num          float64
+	lex          string
+	id           rdf.ID
+	isNum, isLex bool
+}
+
+// compare orders two resolved cells: numbers numerically, before every
+// non-number, then terms lexically, then raw IDs (a term with a lexical form
+// and one without compare by ID).
+func (a *orderKey) compare(b *orderKey) int {
 	switch {
-	case aok && bok:
+	case a.isNum && b.isNum:
 		switch {
-		case an < bn:
+		case a.num < b.num:
 			return -1
-		case an > bn:
+		case a.num > b.num:
 			return 1
 		default:
 			return 0
 		}
-	case aok:
+	case a.isNum:
 		return -1 // numbers order before non-numbers, as in SPARQL
-	case bok:
+	case b.isNum:
 		return 1
+	case a.isLex && b.isLex:
+		return strings.Compare(a.lex, b.lex)
 	}
-	if tl, ok := res.(termLookup); ok {
-		al, aok := tl.Lexical(a.ID)
-		bl, bok := tl.Lexical(b.ID)
-		if aok && bok {
-			return strings.Compare(al, bl)
+	return cmp.Compare(a.id, b.id)
+}
+
+// orderBy sorts rs's rows stably by the ORDER BY keys. Each key cell is
+// resolved once per row, the lexical forms a block at a time, and the rows
+// move once, after the sort.
+func orderBy(rs *ResultSet, by []sparql.OrderKey, res TermResolver) {
+	nk := len(by)
+	keys := make([]orderKey, rs.n*nk)
+	tl, _ := res.(termLookup)
+	var (
+		ids [strserver.Block]rdf.ID
+		lex [strserver.Block]string
+		at  [strserver.Block]int // the keys the block's IDs resolve
+		m   int
+	)
+	flush := func() {
+		ok := tl.Lexicals(ids[:m], lex[:m])
+		for j := range m {
+			keys[at[j]].lex, keys[at[j]].isLex = lex[j], ok&(1<<j) != 0
+		}
+		m = 0
+	}
+	for ki, k := range by {
+		c := 0
+		for j, v := range rs.Vars {
+			if v == k.Var {
+				c = j
+			}
+		}
+		for i := 0; i < rs.n; i++ {
+			key := &keys[i*nk+ki]
+			v := rs.Cell(i, c)
+			key.id = v.ID
+			if key.num, key.isNum = valueNum(v, res); key.isNum || tl == nil {
+				continue
+			}
+			ids[m], at[m] = v.ID, i*nk+ki
+			if m++; m == strserver.Block {
+				flush()
+			}
 		}
 	}
-	switch {
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
-	default:
-		return 0
+	if m > 0 {
+		flush()
 	}
+	perm := make([]int, rs.n)
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int {
+		for ki, k := range by {
+			if c := keys[a*nk+ki].compare(&keys[b*nk+ki]); c != 0 {
+				if k.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	})
+	rs.permute(perm)
 }
 
 func valueNum(v Value, res TermResolver) (float64, bool) {

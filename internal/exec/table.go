@@ -268,6 +268,31 @@ func (r *ResultSet) own() {
 	r.ids, r.stride, r.cols, r.shared = ids, k, identityCols(k), false
 }
 
+// permute reorders r's rows so that row i is the old row perm[i], into
+// compact cells of its own.
+func (r *ResultSet) permute(perm []int) {
+	k := len(r.Vars)
+	if r.vals != nil {
+		vals := make([]Value, 0, len(perm)*k)
+		for _, i := range perm {
+			vals = append(vals, r.vals[i*k:(i+1)*k]...)
+		}
+		r.vals = vals
+		return
+	}
+	ids := make([]rdf.ID, 0, len(perm)*k)
+	for _, i := range perm {
+		row := r.ids[i*r.stride:]
+		for _, c := range r.cols {
+			ids = append(ids, row[c])
+		}
+	}
+	if r.shared {
+		r.cols, r.shared = identityCols(k), false
+	}
+	r.ids, r.stride = ids, k
+}
+
 // drop removes the first k rows.
 func (r *ResultSet) drop(k int) {
 	k = min(k, r.n)

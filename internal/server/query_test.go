@@ -99,9 +99,10 @@ func newQueryHarnessOn(tb testing.TB, eng *core.Engine, probe, scan string) *que
 			tb.Fatal(err)
 		}
 		*c.rows = res.Len()
-		for i := 0; i < res.Len(); i++ {
-			h.replyBytes += len(res.AppendRow(nil, i)) + 1
-		}
+		res.AppendRows(nil, nil, func(row []byte) []byte {
+			h.replyBytes += len(row) + 1
+			return row[:0]
+		})
 	}
 	if h.probeRows == 0 || h.scanRows < 100 || h.probeRows >= h.scanRows {
 		tb.Fatalf("probe has %d rows, scan %d: want a probe and a scan of 100+ rows", h.probeRows, h.scanRows)

@@ -523,9 +523,10 @@ func (s *Server) cmdQuery(w *bufio.Writer, r *lineReader) error {
 	fmt.Fprintf(w, "+OK %d rows in %v\n", res.Len(), res.Latency.Round(time.Microsecond))
 	// Each row is rendered once, into the writer's own free space when it
 	// fits (Write of an AvailableBuffer slice copies nothing).
-	for i, n := 0, res.Len(); i < n; i++ {
-		w.Write(append(res.AppendRow(w.AvailableBuffer(), i), '\n'))
-	}
+	res.AppendRows(w.AvailableBuffer(), nil, func(row []byte) []byte {
+		w.Write(append(row, '\n'))
+		return w.AvailableBuffer()
+	})
 	w.WriteString(".\n")
 	return nil
 }
@@ -573,10 +574,10 @@ func (s *Server) BufferResult(name string, res *core.Result, f core.FireInfo) {
 	block, ends := sc.block[:0], sc.ends[:0]
 	var pbuf [24]byte
 	prefix := append(strconv.AppendInt(append(pbuf[:0], '@'), int64(f.At), 10), ' ')
-	for i, n := 0, res.Len(); i < n; i++ {
-		block = res.AppendRow(append(block, prefix...), i)
+	block = res.AppendRows(block, prefix, func(block []byte) []byte {
 		ends = append(ends, len(block))
-	}
+		return block
+	})
 	rows := make([]string, len(ends))
 	all, start := string(block), 0
 	for i, end := range ends {

@@ -320,13 +320,49 @@ func (s *Server) Entity(id rdf.ID) (rdf.Term, bool) {
 // Lexical returns an entity's lexical form — the Value of its term — as a
 // substring of the interned key, without building the term: the key minus
 // its kind byte, cut at the last `"^^` for a literal, exactly as
-// rdf.TermFromKey splits it. Result rendering reads every cell through here.
+// rdf.TermFromKey splits it. Result rendering reads its cells a block at a
+// time through Lexicals.
 func (s *Server) Lexical(id rdf.ID) (string, bool) {
 	k, ok := s.keyString(id)
 	if !ok {
 		return "", false
 	}
 	return lexical(k), true
+}
+
+// Block is the most IDs one Lexicals call resolves: one bit each in its
+// result.
+const Block = 64
+
+// Lexicals sets lex[j] to Lexical(ids[j]) for every j and returns a mask
+// with bit j set where Lexical's ok would be; lex[j] is "" where it is not.
+// It reads all of them under one read lock in two passes, every ID's ref
+// first and then every ref's key, so the block's cache misses overlap rather
+// than queue one cell behind the other. len(ids) must be at most Block, and
+// lex at least as long.
+func (s *Server) Lexicals(ids []rdf.ID, lex []string) (ok uint64) {
+	if len(ids) > Block {
+		panic(fmt.Sprintf("strserver: Lexicals of %d IDs, more than %d", len(ids), Block))
+	}
+	lex = lex[:len(ids)] // out of range here, not under the lock
+	var refs [Block]keyRef
+	s.mu.RLock()
+	n := rdf.ID(s.n)
+	for j, id := range ids {
+		if id-1 < n { // id 0 wraps past n
+			refs[j] = s.refs[(id-1)/refChunk][(id-1)%refChunk]
+			ok |= 1 << j
+		}
+	}
+	for j := range ids {
+		if ok&(1<<j) != 0 {
+			lex[j] = lexical(view(s.keyOf(refs[j])))
+		} else {
+			lex[j] = ""
+		}
+	}
+	s.mu.RUnlock()
+	return ok
 }
 
 // lexical cuts a key to its term's Value.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -599,4 +601,211 @@ func TestConcurrentInternKeys(t *testing.T) {
 	if n := s.NumEntities(); n < len(seen[0]) || n > 1500 {
 		t.Errorf("NumEntities = %d, want %d to 1500", n, len(seen[0]))
 	}
+}
+
+// lexicalsServer interns every kind of term TestLexicalMatchesEntity covers,
+// a key long enough for an arena chunk of its own, and enough IRIs after it
+// to cross refs chunks and roll shared arena chunks over.
+func lexicalsServer(t *testing.T) *Server {
+	s := New()
+	for _, tm := range []rdf.Term{
+		rdf.NewIRI("http://example.org/Logan"),
+		rdf.NewBlank("b9"),
+		rdf.NewLiteral("a plain literal"),
+		rdf.NewTypedLiteral("42", rdf.XSDInteger),
+		rdf.NewTypedLiteral(`x"^^y`, rdf.XSDString),
+		rdf.NewLiteral(`p"^^q`),
+		rdf.NewLiteral(""),
+		rdf.NewLiteral(strings.Repeat("l", arenaChunk)),
+	} {
+		s.InternEntity(tm)
+	}
+	for i := 0; s.NumEntities() < 3*refChunk+100; i++ {
+		s.InternEntity(rdf.NewIRI(fmt.Sprintf("http://example.org/entity/%d", i)))
+	}
+	rollovers := 0
+	for j := 1; j < s.n; j++ {
+		a, b := s.refs[(j-1)/refChunk][(j-1)%refChunk], s.refs[j/refChunk][j%refChunk]
+		if a&0xffff != longKey && b&0xffff != longKey && a>>32 != b>>32 {
+			rollovers++
+		}
+	}
+	if rollovers == 0 {
+		t.Fatal("no two neighbouring IDs sit on both sides of a shared arena chunk's end")
+	}
+	return s
+}
+
+// Lexicals is Lexical of each ID, ok bit included, for blocks of every size
+// up to Block and at every offset: IDs 0 and n+1, the long key, both sides
+// of every refs chunk boundary and of every arena chunk rollover. A block
+// read allocates nothing, and one of more than Block IDs panics without
+// holding the lock.
+func TestLexicalsMatchesLexical(t *testing.T) {
+	s := lexicalsServer(t)
+	ids := make([]rdf.ID, 0, s.n+2)
+	for id := 0; id <= s.n+1; id++ {
+		ids = append(ids, rdf.ID(id))
+	}
+	ids = append(ids, 1<<46-1, math.MaxUint64)
+	var lex [Block]string
+	check := func(block []rdf.ID) {
+		t.Helper()
+		for j := range lex {
+			lex[j] = "stale"
+		}
+		ok := s.Lexicals(block, lex[:])
+		for j, id := range block {
+			want, wantOK := s.Lexical(id)
+			if got, gotOK := lex[j], ok&(1<<j) != 0; got != want || gotOK != wantOK {
+				t.Fatalf("Lexicals(%v)[%d] = %q, %v; Lexical(%d) = %q, %v", block, j, got, gotOK, id, want, wantOK)
+			}
+		}
+		if ok>>len(block) != 0 {
+			t.Fatalf("Lexicals of %d IDs set mask bits past them: %#x", len(block), ok)
+		}
+	}
+	for _, size := range []int{1, 63, Block} {
+		for start := 0; start < min(size, 7); start++ {
+			for i := start; i < len(ids); i += size {
+				check(ids[i:min(i+size, len(ids))])
+			}
+		}
+	}
+	// 65 IDs are two reads, 64 and 1; one read of all 65 is refused.
+	wide := ids[refChunk-32 : refChunk+33]
+	check(wide[:Block])
+	check(wide[Block:])
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Lexicals of 65 IDs did not panic")
+			}
+		}()
+		s.Lexicals(wide, make([]string, len(wide)))
+	}()
+	if _, ok := s.Lexical(1); !ok || s.InternEntity(rdf.NewIRI("after the panic")) == 0 {
+		t.Fatal("the string server is unusable after a refused block")
+	}
+	if race.Enabled {
+		return
+	}
+	block := ids[refChunk-32 : refChunk+32]
+	if n := testing.AllocsPerRun(100, func() { s.Lexicals(block, lex[:]) }); n != 0 {
+		t.Errorf("Lexicals of %d IDs allocates %.0f times, want 0", len(block), n)
+	}
+}
+
+// Block reads race InternKeys (`make race`) while it rolls arena and refs
+// chunks and doubles stripes. Keys are interned in order by one writer, so
+// ID i is key i: a known ID reads back its own key, every ID at or below
+// the count before the read is known, and none above the count after it.
+func TestConcurrentLexicals(t *testing.T) {
+	s := New()
+	const n, body = 3000, 50
+	values := make([]string, n)
+	keys := make([]string, n)
+	for i := range keys {
+		values[i] = fmt.Sprintf("http://example.org/concurrent/entity/%d", i)
+		keys[i] = rdf.NewIRI(values[i]).Key()
+	}
+	done := make(chan struct{})
+	var reads atomic.Int64 // block reads finished; each body waits for one more
+	go func() {
+		defer close(done)
+		ids := make([]rdf.ID, body)
+		for b := 0; b < n; b += body {
+			for reads.Load() < int64(b/body) {
+				runtime.Gosched()
+			}
+			s.InternKeys(ids, keyList(keys[b:b+body]))
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			var block [Block]rdf.ID
+			var lex [Block]string
+			for round := 0; ; round++ {
+				select {
+				case <-done:
+					if round > 0 {
+						return
+					}
+				default:
+				}
+				before := rdf.ID(s.NumEntities())
+				for j := range block {
+					// Every published ID, a few past the count, and 0.
+					block[j] = rdf.ID((round*Block+j*(r+1))%(int(before)+8)) + 1
+				}
+				block[r] = 0
+				ok := s.Lexicals(block[:], lex[:])
+				reads.Add(1)
+				after := rdf.ID(s.NumEntities())
+				for j, id := range block {
+					known := ok&(1<<j) != 0
+					switch {
+					case known && (id == 0 || id > after):
+						t.Errorf("ID %d known with %d entities interned", id, after)
+					case !known && id != 0 && id <= before:
+						t.Errorf("ID %d unknown with %d entities interned", id, before)
+					case known && lex[j] != values[id-1]:
+						t.Errorf("ID %d reads %q, want %q", id, lex[j], values[id-1])
+					}
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	if s.NumEntities() != n || len(s.arena) < 2 || len(s.refs) < 2 || len(s.tabs[0].cells) == minCells {
+		t.Fatalf("%d entities in %d arena chunks, %d refs chunks, stripe 0 of %d cells: want %d entities, chunks rolled and a doubled stripe",
+			s.NumEntities(), len(s.arena), len(s.refs), len(s.tabs[0].cells), n)
+	}
+}
+
+// BenchmarkLexicals resolves 4 096 random IDs of 400 k interned entities per
+// op, one Lexical call per ID against one Lexicals call per Block of them,
+// and reports ns/id. Each op takes the next 4 096 of 256 k drawn IDs, so the
+// refs and keys it reads are mostly not in cache.
+func BenchmarkLexicals(b *testing.B) {
+	s := New()
+	const n, perOp = 400_000, 1 << 12
+	for i := 0; i < n; i++ {
+		s.InternEntity(rdf.NewIRI(fmt.Sprintf("http://example.org/bench/entity/%d", i)))
+	}
+	rng := uint64(1)
+	ids := make([]rdf.ID, 1<<18)
+	for i := range ids {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		ids[i] = rdf.ID(rng>>33)%n + 1
+	}
+	var sink int
+	op := func(i int) []rdf.ID { return ids[i*perOp%len(ids):][:perOp] }
+	perID := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/id")
+	}
+	b.Run("Lexical", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, id := range op(i) {
+				lex, _ := s.Lexical(id)
+				sink += len(lex)
+			}
+		}
+		perID(b)
+	})
+	b.Run("Lexicals", func(b *testing.B) {
+		var lex [Block]string
+		for i := 0; i < b.N; i++ {
+			block := op(i)
+			for at := 0; at < perOp; at += Block {
+				s.Lexicals(block[at:at+Block], lex[:])
+				sink += len(lex[0])
+			}
+		}
+		perID(b)
+	})
+	_ = sink
 }
