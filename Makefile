@@ -43,15 +43,18 @@ examples:
 test:
 	$(GO) test ./...
 
-# The paper's evaluation shapes (EXPERIMENTS.md) as a gate: Table 2's
+# The paper's evaluation shapes (EXPERIMENTS.md) as a gate, on equal work:
+# every baseline answers L1–L6 and C1–C11 with Wukong+S's rows, from the
+# tuples the engine's Driver emitted (TestSystemsAgree). Then Table 2's
 # ordering, Table 4's unsupported cells, Table 5's RDMA penalty, Fig. 4's
-# cross-system share, Fig. 12's Group II speed-up (each a ratio with a margin
-# under spin-injected latency), Table 6's index-free GPS stream and per-batch
-# cost ≪ the batch interval, and Table 7's index < raw data with PO-L
-# amortizing better than PO (every *Shape test). About 3 s of test time
-# (6 s with the build) on a 2-vCPU host; Tables 6 and 7 take 0.03 s of it.
+# cross-system share, Fig. 12's Group II speed-up, Table 9's Wukong+S ≪
+# Storm+Wukong ≪ Spark Streaming (each a ratio with a margin under
+# spin-injected latency), Table 6's index-free GPS stream and per-batch cost
+# ≪ the batch interval, and Table 7's index < raw data with PO-L amortizing
+# better than PO (every *Shape test). About 5 s of test time (6 s with the
+# build) on a 2-vCPU host; Tables 6 and 7 take 0.03 s of it.
 shapes:
-	$(GO) test -count=1 -run 'Shape$$|^TestTable4StructuredStreamingUnsupported$$|^TestFig4CrossSystemCost$$' ./internal/bench/experiments
+	$(GO) test -count=1 -run 'Shape$$|^TestSystemsAgree$$|^TestTable4StructuredStreamingUnsupported$$|^TestFig4CrossSystemCost$$' ./internal/bench/experiments
 
 race:
 	$(GO) test -race $(RACE_PKGS)

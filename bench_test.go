@@ -55,6 +55,10 @@ func benchLSConfig() lsbench.Config {
 	}
 }
 
+// lsStart is L1–L3's start vertex, the experiments' own: their windows at
+// 2000 ms are not empty at this scale.
+const lsStart = 13
+
 func benchEngineConfig(nodes int) core.Config {
 	return core.Config{
 		Nodes:          nodes,
@@ -80,13 +84,13 @@ func newWukongSFixture(b *testing.B, cfg core.Config, lsCfg lsbench.Config) *wuk
 	b.Cleanup(e.Close)
 	f := &wukongSFixture{e: e, w: w, d: d, cqs: map[int]*core.ContinuousQuery{}}
 	for n := 1; n <= 6; n++ {
-		cq, err := e.RegisterContinuous(w.QueryL(n, 3), nil)
+		cq, err := e.RegisterContinuous(w.QueryL(n, lsStart), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		f.cqs[n] = cq
 	}
-	if err := d.Run(100*time.Millisecond, 2000); err != nil {
+	if err := d.Run(harness.LSBenchStep, 2000); err != nil {
 		b.Fatal(err)
 	}
 	return f
@@ -109,32 +113,26 @@ func (f *wukongSFixture) benchQuery(b *testing.B, n int) {
 	}
 }
 
-// lsBaselineEnv is the baseline-side fixture (shared workload + feeder).
+// lsBaselineEnv is the baseline-side fixture: the workload a Wukong+S
+// engine was driven through to 2000 ms, whose string server, initial graph
+// and recorded streams every baseline shares.
 type lsBaselineEnv struct {
-	ss     *strserver.Server
-	w      *lsbench.Workload
-	feeder *harness.Feeder
+	ss *strserver.Server
+	w  *lsbench.Workload
+	d  *harness.Driver
 }
 
 func newLSBaselineEnv(b *testing.B) *lsBaselineEnv {
 	b.Helper()
-	ss := strserver.New()
-	w := lsbench.Generate(benchLSConfig(), ss)
-	feeder := harness.NewFeeder(lsbench.Streams(), w.StreamTuples)
-	feeder.AdvanceTo(2000)
-	return &lsBaselineEnv{ss: ss, w: w, feeder: feeder}
-}
-
-func (env *lsBaselineEnv) windows(q *sparql.Query, at rdf.Timestamp) map[string][]strserver.EncodedTuple {
-	out := map[string][]strserver.EncodedTuple{}
-	for _, win := range q.Windows {
-		from := at - rdf.Timestamp(win.Range.Milliseconds())
-		if from < 0 {
-			from = 0
-		}
-		out[win.Stream] = env.feeder.Window(win.Stream, from, at)
+	e, d, w, err := harness.LSBenchEngine(benchEngineConfig(1), benchLSConfig())
+	if err != nil {
+		b.Fatal(err)
 	}
-	return out
+	defer e.Close() // its string server stays readable
+	if err := d.Run(harness.LSBenchStep, 2000); err != nil {
+		b.Fatal(err)
+	}
+	return &lsBaselineEnv{ss: e.StringServer(), w: w, d: d}
 }
 
 func (env *lsBaselineEnv) fab(nodes int) *fabric.Fabric {
@@ -152,11 +150,11 @@ func BenchmarkFig4_CompositeBreakdown(b *testing.B) {
 			sys := composite.NewSystem(env.fab(1), env.ss, composite.Config{PlanMode: mode})
 			b.Cleanup(sys.Close)
 			sys.LoadBase(env.w.Initial)
-			q := sparql.MustParse(env.w.QueryL(5, 3))
+			q := sparql.MustParse(env.w.QueryL(5, lsStart))
 			var cross time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, bd, err := sys.ExecuteContinuous(q, env.windows(q, 2000), 2000)
+				_, bd, err := sys.ExecuteContinuous(q, env.d.Windows(q, 2000), 2000)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -192,11 +190,11 @@ func benchmarkComposite(b *testing.B, v storm.Variant, nodes int) {
 	b.Cleanup(sys.Close)
 	sys.LoadBase(env.w.Initial)
 	for n := 1; n <= 6; n++ {
-		q := sparql.MustParse(env.w.QueryL(n, 3))
+		q := sparql.MustParse(env.w.QueryL(n, lsStart))
 		b.Run(fmt.Sprintf("L%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sys.ExecuteContinuous(q, env.windows(q, 2000), 2000); err != nil {
+				if _, _, err := sys.ExecuteContinuous(q, env.d.Windows(q, 2000), 2000); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -214,11 +212,11 @@ func BenchmarkTable2_CSPARQL(b *testing.B) {
 	sys := csparql.NewSystemWithConfig(env.ss, cfg)
 	sys.LoadBase(env.w.Initial)
 	for n := 1; n <= 6; n++ {
-		q := sparql.MustParse(env.w.QueryL(n, 3))
+		q := sparql.MustParse(env.w.QueryL(n, lsStart))
 		b.Run(fmt.Sprintf("L%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sys.ExecuteContinuous(q, env.windows(q, 2000), 2000); err != nil {
+				if _, _, err := sys.ExecuteContinuous(q, env.d.Windows(q, 2000), 2000); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -238,14 +236,14 @@ func benchmarkRelstream(b *testing.B, mode relstream.Mode) {
 	sys := relstream.NewSystem(env.fab(1), env.ss, relstream.Config{Mode: mode})
 	sys.LoadBase(env.w.Initial)
 	for _, s := range lsbench.Streams() {
-		sys.Absorb(s, env.feeder.All(s))
+		sys.Absorb(s, env.d.All(s))
 	}
 	for n := 1; n <= 6; n++ {
-		q := sparql.MustParse(env.w.QueryL(n, 3))
+		q := sparql.MustParse(env.w.QueryL(n, lsStart))
 		b.Run(fmt.Sprintf("L%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _, err := sys.ExecuteContinuous(q, env.windows(q, 2000), 2000)
+				_, _, err := sys.ExecuteContinuous(q, env.d.Windows(q, 2000), 2000)
 				if err == relstream.ErrUnsupported {
 					b.Skip("stream-stream joins unsupported by Structured Streaming (Table 4 'x')")
 				}
@@ -264,10 +262,10 @@ func BenchmarkTable4_WukongExt(b *testing.B) {
 	b.Cleanup(sys.Close)
 	sys.LoadBase(env.w.Initial)
 	for _, s := range lsbench.Streams() {
-		sys.Inject(env.feeder.All(s))
+		sys.Inject(s, env.d.All(s))
 	}
 	for n := 1; n <= 6; n++ {
-		q := sparql.MustParse(env.w.QueryL(n, 3))
+		q := sparql.MustParse(env.w.QueryL(n, lsStart))
 		b.Run(fmt.Sprintf("L%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -372,7 +370,7 @@ func benchmarkThroughput(b *testing.B, classes []int) {
 			}
 		}
 	}
-	if err := d.Run(100*time.Millisecond, 1000); err != nil {
+	if err := d.Run(harness.LSBenchStep, 1000); err != nil {
 		b.Fatal(err)
 	}
 	execs.Store(0)
@@ -509,7 +507,7 @@ func BenchmarkTable8_OneShot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := d.Run(100*time.Millisecond, 2000); err != nil {
+	if err := d.Run(harness.LSBenchStep, 2000); err != nil {
 		b.Fatal(err)
 	}
 	for n := 1; n <= 6; n++ {
@@ -545,7 +543,7 @@ func BenchmarkTable9_CityBench(b *testing.B) {
 		}
 		cqs[n] = cq
 	}
-	if err := d.Run(time.Second, 6000); err != nil {
+	if err := d.Run(harness.CityBenchStep, 6000); err != nil {
 		b.Fatal(err)
 	}
 	for n := 1; n <= 11; n++ {

@@ -6,7 +6,10 @@
 //
 // It writes <out>/initial.nt (N-Triples) and one <out>/<stream>.tuples file
 // per stream (N-Triples with " . @ts" timestamp annotations, readable by
-// the server's EMIT command and by rdf.Reader).
+// the server's EMIT command and by rdf.Reader). The streams are generated on
+// the experiments' schedule (harness.Schedule: 100 ms steps for LSBench, 1 s
+// for CityBench, the streams interleaved within a step), so a trace is the
+// stream a harness.Driver emits for the same workload configuration.
 package main
 
 import (
@@ -15,8 +18,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/bench/citybench"
+	"repro/internal/bench/harness"
 	"repro/internal/bench/lsbench"
 	"repro/internal/rdf"
 	"repro/internal/strserver"
@@ -42,18 +47,19 @@ func main() {
 	ss := strserver.New()
 	var initial []strserver.EncodedTriple
 	var streams []string
-	var gen func(stream string, from, to rdf.Timestamp) []strserver.EncodedTuple
+	var gen harness.GenFunc
+	var step time.Duration
 
 	switch *bench {
 	case "lsbench":
 		cfg := lsbench.Config{Seed: *seed}
 		cfg.Users = int(1000 * *scale)
 		w := lsbench.Generate(cfg, ss)
-		initial, streams, gen = w.Initial, lsbench.Streams(), w.StreamTuples
+		initial, streams, gen, step = w.Initial, lsbench.Streams(), w.StreamTuples, harness.LSBenchStep
 	case "citybench":
 		cfg := citybench.Config{Seed: *seed, RateScale: int(*scale)}
 		w := citybench.Generate(cfg, ss)
-		initial, streams, gen = w.Initial, citybench.Streams(), w.StreamTuples
+		initial, streams, gen, step = w.Initial, citybench.Streams(), w.StreamTuples, harness.CityBenchStep
 	default:
 		log.Fatalf("wsgen: unknown benchmark %q", *bench)
 	}
@@ -79,17 +85,22 @@ func main() {
 	fmt.Printf("wrote %d triples to %s\n", len(triples), path)
 
 	// Stream traces.
-	end := rdf.Timestamp(*seconds * 1000)
-	for _, s := range streams {
-		encs := gen(s, 0, end)
-		var tuples []rdf.Tuple
+	traces := make(map[string][]rdf.Tuple)
+	keep := func(s string, encs []strserver.EncodedTuple) error {
 		for _, enc := range encs {
 			t, err := ss.DecodeTriple(enc.EncodedTriple)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			tuples = append(tuples, rdf.Tuple{Triple: t, TS: enc.TS})
+			traces[s] = append(traces[s], rdf.Tuple{Triple: t, TS: enc.TS})
 		}
+		return nil
+	}
+	if err := harness.Schedule(gen, streams, 0, rdf.Timestamp(*seconds*1000), step, keep, nil); err != nil {
+		log.Fatal(err)
+	}
+	for _, s := range streams {
+		tuples := traces[s]
 		path := filepath.Join(*out, s+".tuples")
 		f, err := os.Create(path)
 		if err != nil {

@@ -215,10 +215,7 @@ func (s *System) runStreamStage(q *sparql.Query, pats []sparql.Pattern, w Window
 		if err != nil {
 			return nil, err
 		}
-		from := int64(at) - win.Range.Milliseconds()
-		if from < 0 {
-			from = 0
-		}
+		first, last := rel.WindowBounds(at, win.Range)
 		tuples := w[p.Graph.Name]
 		p := p
 		sel := &storm.Node{
@@ -227,7 +224,7 @@ func (s *System) runStreamStage(q *sparql.Query, pats []sparql.Pattern, w Window
 				if !ok {
 					return &exec.Table{Vars: patternVars(p)}, nil
 				}
-				return rel.MatchTuples(tuples, cp, rdf.Timestamp(from+1), at), nil
+				return rel.MatchTuples(tuples, cp, first, last), nil
 			},
 		}
 		nodes = append(nodes, sel)

@@ -121,11 +121,8 @@ func (s *System) evaluate(q *sparql.Query, w rel.Windows, at rdf.Timestamp) (*ex
 				t = &exec.Table{Vars: p.Vars()}
 				break
 			}
-			from := int64(at) - win.Range.Milliseconds()
-			if from < 0 {
-				from = 0
-			}
-			t = rel.MatchTuples(w[p.Graph.Name], cp, rdf.Timestamp(from+1), at)
+			first, last := rel.WindowBounds(at, win.Range)
+			t = rel.MatchTuples(w[p.Graph.Name], cp, first, last)
 			scanned += int64(len(w[p.Graph.Name]))
 		default:
 			t = s.matchStored(cp)

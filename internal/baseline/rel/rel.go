@@ -12,6 +12,7 @@ package rel
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/rdf"
@@ -24,6 +25,14 @@ import (
 // and relational engines keep their own copies of streaming data — they
 // cannot share the store's (§2.3 Issue#3).
 type Windows map[string][]strserver.EncodedTuple
+
+// WindowBounds returns the first and last timestamps inside the window of
+// range rng that ends at `at`. Every system cuts a window as the engine
+// does, [at − RANGE, at): a tuple stamped exactly at belongs to the next
+// window.
+func WindowBounds(at rdf.Timestamp, rng time.Duration) (first, last rdf.Timestamp) {
+	return max(at-rdf.Timestamp(rng.Milliseconds()), 0), at - 1
+}
 
 // Pattern is a compiled triple pattern: variable names or constant IDs.
 type Pattern struct {

@@ -137,16 +137,13 @@ func (s *System) ExecuteContinuous(q *sparql.Query, w rel.Windows, at rdf.Timest
 				t = &exec.Table{Vars: p.Vars()}
 				break
 			}
-			from := int64(at) - win.Range.Milliseconds()
-			if from < 0 {
-				from = 0
-			}
 			src := w[p.Graph.Name]
 			if s.cfg.Mode == StructuredStreaming {
 				// Unbounded table: scan all history, filter to the window.
 				src = s.history[p.Graph.Name]
 			}
-			t = rel.MatchTuples(src, cp, rdf.Timestamp(from+1), at)
+			first, last := rel.WindowBounds(at, win.Range)
+			t = rel.MatchTuples(src, cp, first, last)
 		default:
 			t = rel.Match(s.stored, cp) // full DataFrame scan
 		}

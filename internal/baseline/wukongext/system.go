@@ -2,8 +2,10 @@ package wukongext
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
+	"repro/internal/baseline/rel"
 	"repro/internal/exec"
 	"repro/internal/fabric"
 	"repro/internal/plan"
@@ -21,6 +23,9 @@ type System struct {
 	ss      *strserver.Server
 	cluster *fabric.Cluster
 	ex      *exec.Executor
+
+	mu      sync.Mutex
+	streams map[string]uint32 // stream name -> the tag its tuples carry
 }
 
 // NewSystem creates a Wukong/Ext instance over a fabric.
@@ -31,6 +36,7 @@ func NewSystem(fab *fabric.Fabric, ss *strserver.Server, workersPerNode int) *Sy
 		ss:      ss,
 		cluster: cluster,
 		ex:      exec.New(cluster),
+		streams: make(map[string]uint32),
 	}
 }
 
@@ -43,12 +49,26 @@ func (s *System) Store() *Store { return s.store }
 // LoadBase loads the initial dataset.
 func (s *System) LoadBase(triples []strserver.EncodedTriple) { s.store.LoadBase(triples) }
 
-// Inject absorbs stream tuples (data and timestamps both enter the KV
+// Inject absorbs a stream's tuples (data and timestamps both enter the KV
 // store; there is no timing/timeless distinction and no GC).
-func (s *System) Inject(tuples []strserver.EncodedTuple) {
+func (s *System) Inject(stream string, tuples []strserver.EncodedTuple) {
+	tag := s.streamTag(stream)
 	for _, t := range tuples {
-		s.store.Insert(t.EncodedTriple, t.TS)
+		s.store.Insert(t.EncodedTriple, t.TS, tag)
 	}
+}
+
+// streamTag returns the tag a stream's tuples carry; a stream nothing was
+// injected into gets one no tuple carries.
+func (s *System) streamTag(stream string) uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tag, ok := s.streams[stream]
+	if !ok {
+		tag = uint32(len(s.streams) + 1)
+		s.streams[stream] = tag
+	}
+	return tag
 }
 
 // provider scopes stream patterns to their windows ending at `at`.
@@ -66,12 +86,8 @@ func (p provider) Access(g sparql.GraphRef) (exec.Access, error) {
 	if !ok {
 		return nil, fmt.Errorf("wukongext: no window for stream %q", g.Name)
 	}
-	from := int64(p.at) - w.Range.Milliseconds()
-	if from < 0 {
-		from = 0
-	}
-	// Window (at-range, at]: first timestamp strictly inside is from+1.
-	return Access{Store: p.s.store, From: rdf.Timestamp(from + 1), To: p.at}, nil
+	first, last := rel.WindowBounds(p.at, w.Range)
+	return Access{Store: p.s.store, From: first, To: last, Stream: p.s.streamTag(g.Name)}, nil
 }
 
 // ExecuteContinuous runs one window execution ending at `at` and returns the

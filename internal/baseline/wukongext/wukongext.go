@@ -25,10 +25,13 @@ import (
 )
 
 // tsVal is one value element with its timestamp — the coupling that makes
-// GC "costly and non-trivial" in this design.
+// GC "costly and non-trivial" in this design — and the stream it came from
+// (0 for base data), so a window reads only its own stream's tuples even
+// where streams share a predicate.
 type tsVal struct {
-	val rdf.ID
-	ts  rdf.Timestamp
+	val    rdf.ID
+	ts     rdf.Timestamp
+	stream uint32
 }
 
 // Store is the timestamped sharded KV store.
@@ -88,8 +91,9 @@ func (s *Store) pstat(pid rdf.ID) *predStat {
 	return st
 }
 
-// Insert adds one triple at the given timestamp (0 for base data).
-func (s *Store) Insert(t strserver.EncodedTriple, ts rdf.Timestamp) {
+// Insert adds one triple of a stream at the given timestamp (stream and
+// timestamp 0 for base data).
+func (s *Store) Insert(t strserver.EncodedTriple, ts rdf.Timestamp, stream uint32) {
 	outKey := store.EdgeKey(t.S, t.P, store.Out)
 	inKey := store.EdgeKey(t.O, t.P, store.In)
 	sh := s.shards[s.homeOf(t.S)]
@@ -100,8 +104,8 @@ func (s *Store) Insert(t strserver.EncodedTriple, ts rdf.Timestamp) {
 	oh.mu.RLock()
 	newObj := len(oh.kv[inKey]) == 0
 	oh.mu.RUnlock()
-	s.append(outKey, tsVal{val: t.O, ts: ts})
-	s.append(inKey, tsVal{val: t.S, ts: ts})
+	s.append(outKey, tsVal{val: t.O, ts: ts, stream: stream})
+	s.append(inKey, tsVal{val: t.S, ts: ts, stream: stream})
 	st := s.pstat(t.P)
 	s.statMu.Lock()
 	st.edges++
@@ -117,7 +121,7 @@ func (s *Store) Insert(t strserver.EncodedTriple, ts rdf.Timestamp) {
 // LoadBase bulk-loads the initial dataset at timestamp 0.
 func (s *Store) LoadBase(triples []strserver.EncodedTriple) {
 	for _, t := range triples {
-		s.Insert(t, 0)
+		s.Insert(t, 0, 0)
 	}
 }
 
@@ -137,31 +141,33 @@ func (s *Store) PredStats(pid rdf.ID) (int64, int64, int64) {
 // planner sees no selectivity benefit (part of why its plans degrade).
 func (s *Store) WindowFraction(g sparql.GraphRef) float64 { return 1 }
 
-// MemoryBytes reports the resident value bytes: 16 per element (value +
-// timestamp), versus 8 in Wukong+S's persistent store. Timestamps never die.
+// MemoryBytes reports the resident value bytes: 20 per element (value,
+// timestamp and stream tag), versus 8 in Wukong+S's persistent store.
+// Timestamps never die.
 func (s *Store) MemoryBytes() int64 {
 	var n int64
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, vals := range sh.kv {
-			n += 24 + 16*int64(len(vals))
+			n += 24 + 20*int64(len(vals))
 		}
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// scan returns key's values with timestamps in [from, to], walking the whole
-// value list — the slow path the stream index avoids (§6.2: "extracting data
-// in a certain time period is inefficient without indexing").
-func (s *Store) scan(reqNode fabric.NodeID, key store.Key, from, to rdf.Timestamp) []rdf.ID {
+// scan returns key's values of a's stream with timestamps in [a.From, a.To],
+// walking the whole value list — the slow path the stream index avoids
+// (§6.2: "extracting data in a certain time period is inefficient without
+// indexing").
+func (s *Store) scan(reqNode fabric.NodeID, key store.Key, a Access) []rdf.ID {
 	home := s.homeOf(key.Vid)
 	sh := s.shards[home]
 	sh.mu.RLock()
 	vals := sh.kv[key]
 	var out []rdf.ID
 	for _, v := range vals {
-		if v.ts >= from && v.ts <= to {
+		if v.ts >= a.From && v.ts <= a.To && (a.Stream == 0 || v.stream == a.Stream) {
 			out = append(out, v.val)
 		}
 	}
@@ -171,11 +177,13 @@ func (s *Store) scan(reqNode fabric.NodeID, key store.Key, from, to rdf.Timestam
 	return out
 }
 
-// Access adapts the store to the executor for a time range. A full-history
-// access (one-shot) uses from=0, to=MaxInt64.
+// Access adapts the store to the executor for a time range of one stream.
+// A full-history access (one-shot) uses from=0, to=MaxInt64 and stream 0,
+// every stream and the base data.
 type Access struct {
 	Store    *Store
 	From, To rdf.Timestamp
+	Stream   uint32
 }
 
 // FullRange covers all data regardless of timestamp.
@@ -186,7 +194,7 @@ func FullRange(s *Store) Access {
 // Neighbors implements exec.Access by a filtered scan per key.
 func (a Access) Neighbors(from fabric.NodeID, keys []store.Key, out [][]rdf.ID) {
 	for i, k := range keys {
-		out[i] = a.Store.scan(from, k, a.From, a.To)
+		out[i] = a.Store.scan(from, k, a)
 	}
 }
 

@@ -32,8 +32,10 @@ func fixture(t *testing.T, nodes int) (*System, *strserver.Server) {
 		base = append(base, must(ss.EncodeTriple(rdf.T(tr[0], tr[1], tr[2]))))
 	}
 	s.LoadBase(base)
-	s.Inject([]strserver.EncodedTuple{
+	s.Inject("Tweet_Stream", []strserver.EncodedTuple{
 		must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-15"), TS: 802})),
+	})
+	s.Inject("Like_Stream", []strserver.EncodedTuple{
 		must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Erik", "li", "T-15"), TS: 806})),
 	})
 	return s, ss
@@ -72,7 +74,7 @@ func TestWindowFiltersByTimestamp(t *testing.T) {
 	q := sparql.MustParse(`
 SELECT ?Z FROM Tweet_Stream [RANGE 1s STEP 1s]
 WHERE { GRAPH Tweet_Stream { Logan po ?Z } }`)
-	// Window (99000,100000]: the tuple at 802 is outside.
+	// Window [99000, 100000): the tuple at 802 is outside.
 	rs, _, err := s.ExecuteContinuous(q, 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -80,13 +82,35 @@ WHERE { GRAPH Tweet_Stream { Logan po ?Z } }`)
 	if rs.Len() != 0 {
 		t.Errorf("rows = %d, want 0", rs.Len())
 	}
-	// Window (0,1000] includes it.
+	// Window [0, 1000) includes it.
 	rs, _, err = s.ExecuteContinuous(q, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Len() != 1 {
 		t.Errorf("rows = %d, want 1", rs.Len())
+	}
+}
+
+// TestWindowReadsOnlyItsStream: a window reads the tuples of its own
+// stream, not those another stream carries under the same predicate.
+func TestWindowReadsOnlyItsStream(t *testing.T) {
+	s, ss := fixture(t, 2)
+	s.Inject("Like_Stream", []strserver.EncodedTuple{
+		must(ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-16"), TS: 804})),
+	})
+	q := sparql.MustParse(`
+SELECT ?Z FROM Tweet_Stream [RANGE 1s STEP 1s]
+WHERE { GRAPH Tweet_Stream { Logan po ?Z } }`)
+	rs, _, err := s.ExecuteContinuous(q, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Len() != 1 {
+		t.Fatalf("rows = %d, want Tweet_Stream's T-15 only", rs.Len())
+	}
+	if z, _ := ss.Entity(rs.Cell(0, 0).ID); z.Value != "T-15" {
+		t.Errorf("row = %v, want T-15", z)
 	}
 }
 
@@ -119,12 +143,12 @@ func TestMemoryGrowsWithoutGC(t *testing.T) {
 			Triple: rdf.T("Logan", "po", "T-13"), TS: rdf.Timestamp(1000 + i),
 		})))
 	}
-	s.Inject(tuples)
+	s.Inject("Tweet_Stream", tuples)
 	after := s.Store().MemoryBytes()
-	// 100 duplicate tuples × 2 directions × 16 bytes: nothing is deduped or
-	// collected, and each value drags its timestamp along.
-	if after-before < 100*2*16 {
-		t.Errorf("memory grew by %d, want >= %d", after-before, 100*2*16)
+	// 100 duplicate tuples × 2 directions × 20 bytes: nothing is deduped or
+	// collected, and each value drags its timestamp and stream tag along.
+	if after-before < 100*2*20 {
+		t.Errorf("memory grew by %d, want >= %d", after-before, 100*2*20)
 	}
 }
 

@@ -39,7 +39,7 @@ func Ablations(o Options) (*Report, error) {
 			}
 			cqs = append(cqs, cq)
 		}
-		if err := d.Run(100*time.Millisecond, warmTime); err != nil {
+		if err := d.Run(harness.LSBenchStep, warmTime); err != nil {
 			e.Close()
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func Ablations(o Options) (*Report, error) {
 		// Stop mid-interval (2.95 s) so the visibility lag of coarse plans
 		// is observable: fine plans track insertion batch by batch, coarse
 		// plans publish visibility only at their cadence.
-		if err := d.Run(100*time.Millisecond, 2950); err != nil {
+		if err := d.Run(harness.LSBenchStep, 2950); err != nil {
 			e.Close()
 			return nil, err
 		}

@@ -4,125 +4,59 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/baseline/composite"
-	"repro/internal/baseline/rel"
 	"repro/internal/baseline/relstream"
+	"repro/internal/baseline/storm"
 	"repro/internal/bench/citybench"
 	"repro/internal/bench/harness"
-	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/rdf"
-	"repro/internal/sparql"
-	"repro/internal/strserver"
 )
 
 // cityWarm fills the 3s windows (plus one step).
 const cityWarm rdf.Timestamp = 6000
+
+// newCityEnv builds the CityBench env on a single node: C1–C11, run to
+// cityWarm.
+func newCityEnv(o Options) (*env, error) {
+	e, d, w, err := harness.CityBenchEngine(engineConfig(o, 1), citybench.Config{RateScale: scaleInt(10, o.Scale, 2)})
+	if err != nil {
+		return nil, err
+	}
+	var texts []string
+	for n := 1; n <= 11; n++ {
+		texts = append(texts, w.QueryC(n, 1))
+	}
+	return newEnv(o, e, d, w.Initial, texts, harness.CityBenchStep, cityWarm)
+}
 
 // Table9 reproduces the CityBench comparison (§6.10) on a single node:
 // Wukong+S vs Storm+Wukong (with component breakdown) vs Spark Streaming,
 // over C1–C11.
 func Table9(o Options) (*Report, error) {
 	o = o.withDefaults()
-	cbCfg := citybench.Config{RateScale: scaleInt(10, o.Scale, 2)}
-
-	// Wukong+S.
-	e, d, w, err := harness.CityBenchEngine(engineConfig(o, 1), cbCfg)
+	env, err := newCityEnv(o)
 	if err != nil {
 		return nil, err
 	}
-	cqs := make(map[int]*core.ContinuousQuery)
-	for n := 1; n <= 11; n++ {
-		cq, err := e.RegisterContinuous(w.QueryC(n, 1), nil)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		cqs[n] = cq
-	}
-	if err := d.Run(time.Second, cityWarm); err != nil {
-		e.Close()
+	ws := env.wukongS()
+	comp, bds, err := env.compositeLatencies(storm.Storm, 1)
+	if err != nil {
 		return nil, err
 	}
-	ws := make(map[int]time.Duration)
-	for n := 1; n <= 11; n++ {
-		cq := cqs[n]
-		ws[n] = harness.MedianOfRuns(o.Runs, func() time.Duration {
-			_, lat, err := cq.ExecuteNow()
-			if err != nil {
-				panic(err)
-			}
-			return lat
-		})
-	}
-	e.Close()
-
-	// Baselines share one workload generation.
-	ss := strserver.New()
-	bw := citybench.Generate(cbCfg, ss)
-	feeder := harness.NewFeeder(citybench.Streams(), bw.StreamTuples)
-	feeder.AdvanceTo(cityWarm)
-	newFab := func() *fabric.Fabric {
-		return fabric.New(fabric.Config{Nodes: 1, Mode: o.LatencyMode, RDMA: true,
-			Latency: fabric.DefaultLatency()})
-	}
-	windowsFor := func(q *sparql.Query) rel.Windows {
-		out := rel.Windows{}
-		for _, win := range q.Windows {
-			from := cityWarm - rdf.Timestamp(win.Range.Milliseconds())
-			out[win.Stream] = feeder.Window(win.Stream, from, cityWarm)
-		}
-		return out
-	}
-
-	comp := composite.NewSystem(newFab(), ss, composite.Config{})
-	comp.LoadBase(bw.Initial)
-	compLat := make(map[int]time.Duration)
-	compBD := make(map[int]*composite.Breakdown)
-	for n := 1; n <= 11; n++ {
-		q := sparql.MustParse(bw.QueryC(n, 1))
-		var lats []time.Duration
-		for i := 0; i < o.Runs; i++ {
-			start := time.Now()
-			_, bd, err := comp.ExecuteContinuous(q, windowsFor(q), cityWarm)
-			if err != nil {
-				comp.Close()
-				return nil, fmt.Errorf("composite C%d: %w", n, err)
-			}
-			lats = append(lats, time.Since(start))
-			compBD[n] = bd
-		}
-		compLat[n] = harness.Median(lats)
-	}
-	comp.Close()
-
-	spark := relstream.NewSystem(newFab(), ss, relstream.Config{Mode: relstream.SparkStreaming})
-	spark.LoadBase(bw.Initial)
-	sparkLat := make(map[int]time.Duration)
-	for n := 1; n <= 11; n++ {
-		q := sparql.MustParse(bw.QueryC(n, 1))
-		sparkLat[n] = harness.MedianOfRuns(o.Runs, func() time.Duration {
-			start := time.Now()
-			if _, _, err := spark.ExecuteContinuous(q, windowsFor(q), cityWarm); err != nil {
-				panic(err)
-			}
-			return time.Since(start)
-		})
-	}
+	spark := env.relstreamLatencies(relstream.SparkStreaming)
 
 	r := &Report{ID: "table9", Title: "CityBench query latency (ms) on a single node"}
 	r.Table = &harness.Table{Header: []string{"Query", "Wukong+S", "Storm+Wukong", "(Storm)", "(Wukong)", "SparkStreaming"}}
 	var wsAll, compAll, sparkAll []time.Duration
 	for n := 1; n <= 11; n++ {
-		wukongCol := harness.Ms(compBD[n].Stored)
-		if compBD[n].Crossings == 0 {
+		wukongCol := harness.Ms(bds[n].Stored)
+		if bds[n].Crossings == 0 {
 			wukongCol = "-" // stream-only queries never reach the store
 		}
-		r.Table.Add(fmt.Sprintf("C%d", n), harness.Ms(ws[n]), harness.Ms(compLat[n]),
-			harness.Ms(compBD[n].Stream), wukongCol, harness.Ms(sparkLat[n]))
+		r.Table.Add(fmt.Sprintf("C%d", n), harness.Ms(ws[n]), harness.Ms(comp[n]),
+			harness.Ms(bds[n].Stream), wukongCol, harness.Ms(spark[n]))
 		wsAll = append(wsAll, ws[n])
-		compAll = append(compAll, compLat[n])
-		sparkAll = append(sparkAll, sparkLat[n])
+		compAll = append(compAll, comp[n])
+		sparkAll = append(sparkAll, spark[n])
 	}
 	r.Table.Add("Geo.M", harness.Ms(harness.GeoMean(wsAll)), harness.Ms(harness.GeoMean(compAll)),
 		"-", "-", harness.Ms(harness.GeoMean(sparkAll)))

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/bench/harness"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/rdf"
-	"repro/internal/sparql"
 )
 
 // Options tunes experiment scale and measurement effort.
@@ -118,44 +116,10 @@ func engineConfig(o Options, nodes int) core.Config {
 // windows are 1 s, so 2 s fills every window and stabilizes all batches.
 const warmTime rdf.Timestamp = 2000
 
-// wukongSLatencies builds a Wukong+S instance, registers L1–L6, warms the
-// streams, and measures each query's median execution latency.
-func wukongSLatencies(o Options, cfg core.Config, lsCfg lsbench.Config) (map[int]time.Duration, error) {
-	e, d, w, err := harness.LSBenchEngine(cfg, lsCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	cqs := make(map[int]*core.ContinuousQuery)
-	for n := 1; n <= 6; n++ {
-		cq, err := e.RegisterContinuous(w.QueryL(n, 3), nil)
-		if err != nil {
-			return nil, err
-		}
-		cqs[n] = cq
-	}
-	if err := d.Run(100*time.Millisecond, warmTime); err != nil {
-		return nil, err
-	}
-	out := make(map[int]time.Duration)
-	runtime.GC() // measure from a clean heap
-	for n := 1; n <= 6; n++ {
-		cq := cqs[n]
-		out[n] = harness.MedianOfRuns(o.Runs, func() time.Duration {
-			_, lat, err := cq.ExecuteNow()
-			if err != nil {
-				panic(err)
-			}
-			return lat
-		})
-	}
-	return out, nil
-}
-
-// parsedL returns the parsed Ln query (shared by baseline runners).
-func parsedL(w *lsbench.Workload, n int) *sparql.Query {
-	return sparql.MustParse(w.QueryL(n, 3))
-}
+// lsStart is the start vertex of L1–L3, chosen so that their windows at
+// warmTime are not empty at QuickOptions scale nor at scale 1 (most users
+// post nothing in a given second).
+const lsStart = 13
 
 // geoMeanOf returns the geometric mean over L1–L6 of a latency map.
 func geoMeanOf(lats map[int]time.Duration) time.Duration {

@@ -1,13 +1,24 @@
 package experiments
 
 import (
-	"repro/internal/bench/harness"
-	"repro/internal/bench/lsbench"
-	"repro/internal/fabric"
+	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/baseline/composite"
+	"repro/internal/baseline/relstream"
+	"repro/internal/baseline/storm"
+	"repro/internal/bench/harness"
+	"repro/internal/bench/lsbench"
+	"repro/internal/exec"
+	"repro/internal/fabric"
+	"repro/internal/sparql"
+	"repro/internal/strserver"
 )
 
 // TestAllExperimentsRun executes every experiment at quick scale: the point
@@ -268,5 +279,183 @@ func TestTable7Shape(t *testing.T) {
 	}
 	if pol, po := ratio(lsbench.StreamPOL), ratio(lsbench.StreamPO); pol >= po {
 		t.Errorf("PO-L index/raw %.2f not below PO's %.2f\n%s", pol, po, r.Table)
+	}
+}
+
+// TestSystemsAgree checks that the paper's comparisons compare equal work:
+// at quick scale every baseline answers each of L1–L6 and C1–C11 with the
+// rows Wukong+S's ExecuteNow answers, compared as sorted rows rendered
+// through the one string server the experiment's env shares. A Structured
+// Streaming refusal (a stream-stream join, Table 4's "x") is the only cell
+// skipped. Every L query must have rows, so the Group I cells do not agree
+// on nothing.
+func TestSystemsAgree(t *testing.T) {
+	o := QuickOptions()
+	ls, err := newLSEnv(o, engineConfig(o, o.Nodes), lsConfig(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	systemsAgree(t, ls, "L", o.Nodes)
+	city, err := newCityEnv(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systemsAgree(t, city, "C", 1)
+}
+
+// systemsAgree compares every baseline over env with Wukong+S, query by
+// query.
+func systemsAgree(t *testing.T, env *env, prefix string, nodes int) {
+	t.Helper()
+	ss := env.e.StringServer()
+	want := make([][]string, len(env.cqs))
+	for i, cq := range env.cqs {
+		res, _, err := cq.ExecuteNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = renderRows(ss, res.Raw())
+	}
+	env.e.Close()
+
+	type system struct {
+		name string
+		run  func(q *sparql.Query) (*exec.ResultSet, error)
+	}
+	var systems []system
+	for _, cfg := range []composite.Config{
+		{Variant: storm.Storm, PlanMode: composite.Interleaved},
+		{Variant: storm.Storm, PlanMode: composite.StreamFirst},
+		{Variant: storm.Heron, PlanMode: composite.Interleaved},
+	} {
+		sys := env.newComposite(cfg, nodes)
+		defer sys.Close()
+		systems = append(systems, system{cfg.Variant.String() + "+Wukong/" + cfg.PlanMode.String(),
+			func(q *sparql.Query) (*exec.ResultSet, error) {
+				rs, _, err := sys.ExecuteContinuous(q, env.windows(q), env.d.Now())
+				return rs, err
+			}})
+	}
+	csq := env.newCSPARQL()
+	systems = append(systems, system{"CSPARQL-engine", func(q *sparql.Query) (*exec.ResultSet, error) {
+		rs, _, err := csq.ExecuteContinuous(q, env.windows(q), env.d.Now())
+		return rs, err
+	}})
+	for _, mode := range []relstream.Mode{relstream.SparkStreaming, relstream.StructuredStreaming} {
+		sys := env.newRelstream(mode)
+		systems = append(systems, system{mode.String(), func(q *sparql.Query) (*exec.ResultSet, error) {
+			rs, _, err := sys.ExecuteContinuous(q, env.windows(q), env.d.Now())
+			return rs, err
+		}})
+	}
+	wext := env.newWukongExt(nodes)
+	defer wext.Close()
+	systems = append(systems, system{"Wukong/Ext", func(q *sparql.Query) (*exec.ResultSet, error) {
+		rs, _, err := wext.ExecuteContinuous(q, env.d.Now())
+		return rs, err
+	}})
+
+	for i, q := range env.qs {
+		name := fmt.Sprintf("%s%d", prefix, i+1)
+		if prefix == "L" && len(want[i]) == 0 {
+			t.Errorf("%s: Wukong+S answers no rows; the comparison would time an empty result", name)
+		}
+		for _, sys := range systems {
+			rs, err := sys.run(q)
+			if errors.Is(err, relstream.ErrUnsupported) {
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s on %s: %v", name, sys.name, err)
+				continue
+			}
+			if got := renderRows(ss, rs); !slices.Equal(got, want[i]) {
+				t.Errorf("%s: %s answers %d rows, Wukong+S %d\n%s", name, sys.name, len(got), len(want[i]),
+					rowDiff(got, want[i]))
+			}
+		}
+		t.Logf("%s: %d rows", name, len(want[i]))
+	}
+}
+
+// renderRows renders a result set's rows through ss, sorted: one rendering
+// for every system's answer.
+func renderRows(ss *strserver.Server, rs *exec.ResultSet) []string {
+	rows := make([]string, rs.Len())
+	for i := range rows {
+		cells := make([]string, len(rs.Vars))
+		for j := range cells {
+			v := rs.Cell(i, j)
+			if v.IsNum {
+				cells[j] = strconv.FormatFloat(v.Num, 'g', 12, 64)
+			} else {
+				cells[j], _ = ss.Lexical(v.ID)
+			}
+		}
+		rows[i] = strings.Join(cells, " ")
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// rowDiff lists up to five rows each side has and the other lacks.
+func rowDiff(got, want []string) string {
+	count := map[string]int{}
+	for _, r := range want {
+		count[r]++
+	}
+	for _, r := range got {
+		count[r]--
+	}
+	var extra, missing []string
+	for r, n := range count {
+		for ; n < 0 && len(extra) < 5; n++ {
+			extra = append(extra, r)
+		}
+		for ; n > 0 && len(missing) < 5; n-- {
+			missing = append(missing, r)
+		}
+	}
+	sort.Strings(extra)
+	sort.Strings(missing)
+	return fmt.Sprintf("extra: %q\nmissing: %q", extra, missing)
+}
+
+// table9Margin is how far below Storm+Wukong's geometric mean over the
+// store-touching C queries Wukong+S's must be, and how far above
+// Storm+Wukong's overall geometric mean Spark Streaming's must be.
+const table9Margin = 2
+
+// TestTable9Shape checks the CityBench comparison at quick scale under
+// spin-injected latency, on equal work (TestSystemsAgree): on the C
+// queries that reach the store, Wukong+S's geometric mean is table9Margin×
+// below Storm+Wukong's, and Spark Streaming is the slowest system.
+func TestTable9Shape(t *testing.T) {
+	o := QuickOptions()
+	o.Runs = 5
+	o.LatencyMode = fabric.Spin
+	r, err := Table9(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: Query, Wukong+S, Storm+Wukong, (Storm), (Wukong), SparkStreaming.
+	var ws, comp []time.Duration
+	for _, row := range r.Table.Rows {
+		if row[0] == "Geo.M" || row[4] == "-" {
+			continue // stream-only queries never reach the store
+		}
+		ws = append(ws, msValue(t, row[1]))
+		comp = append(comp, msValue(t, row[2]))
+	}
+	if len(ws) == 0 {
+		t.Fatalf("no store-touching query:\n%s", r.Table)
+	}
+	if w, c := harness.GeoMean(ws), harness.GeoMean(comp); float64(c) < table9Margin*float64(w) {
+		t.Errorf("store-touching geo-mean: Wukong+S %v vs Storm+Wukong %v, want ≥ %d× below\n%s", w, c, table9Margin, r.Table)
+	}
+	geo := geoRow(t, r)
+	w, c, spark := msValue(t, geo[1]), msValue(t, geo[2]), msValue(t, geo[5])
+	if float64(spark) < table9Margin*float64(max(w, c)) {
+		t.Errorf("Spark Streaming geo-mean %v not the slowest by %d× (Wukong+S %v, Storm+Wukong %v)\n%s", spark, table9Margin, w, c, r.Table)
 	}
 }

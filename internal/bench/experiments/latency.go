@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/baseline/composite"
@@ -13,133 +15,201 @@ import (
 	"repro/internal/baseline/wukongext"
 	"repro/internal/bench/harness"
 	"repro/internal/bench/lsbench"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/strserver"
 )
 
-// lsEnv is the shared baseline environment: one workload generation feeding
-// every baseline system (each keeps its own store, as the real systems do).
-type lsEnv struct {
-	o      Options
-	ss     *strserver.Server
-	w      *lsbench.Workload
-	feeder *harness.Feeder
+// env is one experiment's workload, generated once: a Wukong+S engine
+// loaded with the initial graph, the experiment's continuous queries
+// registered on it, and the Driver that emitted its streams up to the
+// time every system is measured at, d.Now().
+// Every baseline is built over the engine's string server, the same initial
+// graph and the Driver's record, so all systems answer the same windows
+// from the same tuples. Each baseline keeps its own store, as the real
+// systems do.
+type env struct {
+	o       Options
+	e       *core.Engine
+	d       *harness.Driver
+	initial []strserver.EncodedTriple
+	qs      []*sparql.Query         // qs[n-1] is query n
+	cqs     []*core.ContinuousQuery // the same queries on Wukong+S
 }
 
-func newLSEnv(o Options, cfg lsbench.Config) *lsEnv {
-	ss := strserver.New()
-	w := lsbench.Generate(cfg, ss)
-	f := harness.NewFeeder(lsbench.Streams(), w.StreamTuples)
-	f.AdvanceTo(warmTime)
-	return &lsEnv{o: o, ss: ss, w: w, feeder: f}
-}
-
-// windowsFor extracts the window buffers a query needs at time `at`.
-func (env *lsEnv) windowsFor(q *sparql.Query, at rdf.Timestamp) rel.Windows {
-	out := rel.Windows{}
-	for _, win := range q.Windows {
-		from := at - rdf.Timestamp(win.Range.Milliseconds())
-		if from < 0 {
-			from = 0
+// newEnv registers texts on e and drives d to `at` in steps of step. It
+// closes e if it fails.
+func newEnv(o Options, e *core.Engine, d *harness.Driver, initial []strserver.EncodedTriple,
+	texts []string, step time.Duration, at rdf.Timestamp) (*env, error) {
+	env := &env{o: o, e: e, d: d, initial: initial}
+	for _, text := range texts {
+		cq, err := e.RegisterContinuous(text, nil)
+		if err != nil {
+			e.Close()
+			return nil, err
 		}
-		out[win.Stream] = env.feeder.Window(win.Stream, from, at)
+		env.cqs = append(env.cqs, cq)
+		env.qs = append(env.qs, sparql.MustParse(text))
 	}
-	return out
+	if err := d.Run(step, at); err != nil {
+		e.Close()
+		return nil, err
+	}
+	return env, nil
 }
 
-// newFabric builds a baseline fabric with the experiment's latency mode.
-func (env *lsEnv) newFabric(nodes int) *fabric.Fabric {
-	return fabric.New(fabric.Config{Nodes: nodes, Mode: env.o.LatencyMode, RDMA: true,
-		Latency: fabric.DefaultLatency()})
-}
-
-// compositeLatencies measures Storm/Heron+Wukong per query: total median
-// plus the component breakdown of the median run.
-func (env *lsEnv) compositeLatencies(variant storm.Variant, nodes int) (map[int]time.Duration, map[int]*composite.Breakdown, error) {
-	sys := composite.NewSystem(env.newFabric(nodes), env.ss, composite.Config{
-		Variant: variant, PlanMode: composite.Interleaved,
-	})
-	defer sys.Close()
-	sys.LoadBase(env.w.Initial)
-	lats := make(map[int]time.Duration)
-	bds := make(map[int]*composite.Breakdown)
+// newLSEnv builds an LSBench experiment's env: L1–L6 from lsStart, run to
+// warmTime.
+func newLSEnv(o Options, cfg core.Config, lsCfg lsbench.Config) (*env, error) {
+	e, d, w, err := harness.LSBenchEngine(cfg, lsCfg)
+	if err != nil {
+		return nil, err
+	}
+	var texts []string
 	for n := 1; n <= 6; n++ {
-		q := parsedL(env.w, n)
-		type run struct {
-			lat time.Duration
-			bd  *composite.Breakdown
-		}
-		var runs []run
-		for i := 0; i < env.o.Runs; i++ {
-			w := env.windowsFor(q, warmTime)
-			start := time.Now()
-			_, bd, err := sys.ExecuteContinuous(q, w, warmTime)
-			if err != nil {
-				return nil, nil, fmt.Errorf("composite L%d: %w", n, err)
-			}
-			runs = append(runs, run{lat: time.Since(start), bd: bd})
-		}
-		// Median by total latency.
-		med := runs[0]
-		var all []time.Duration
-		for _, r := range runs {
-			all = append(all, r.lat)
-		}
-		target := harness.Median(all)
-		for _, r := range runs {
-			if r.lat == target {
-				med = r
-			}
-		}
-		lats[n] = target
-		bds[n] = med.bd
+		texts = append(texts, w.QueryL(n, lsStart))
 	}
-	return lats, bds, nil
+	return newEnv(o, e, d, w.Initial, texts, harness.LSBenchStep, warmTime)
 }
 
-// csparqlLatencies measures the CSPARQL-engine baseline (single node).
-func (env *lsEnv) csparqlLatencies() (map[int]time.Duration, error) {
-	cfg := csparql.Config{}
-	if env.o.LatencyMode != fabric.Off {
-		cfg = csparql.DefaultConfig()
-	}
-	sys := csparql.NewSystemWithConfig(env.ss, cfg)
-	sys.LoadBase(env.w.Initial)
-	lats := make(map[int]time.Duration)
-	for n := 1; n <= 6; n++ {
-		q := parsedL(env.w, n)
-		lats[n] = harness.MedianOfRuns(env.o.Runs, func() time.Duration {
-			w := env.windowsFor(q, warmTime)
-			_, lat, err := sys.ExecuteContinuous(q, w, warmTime)
+// wukongS measures each query's median execution latency on Wukong+S, then
+// closes the engine; its string server stays readable for the baselines.
+func (env *env) wukongS() map[int]time.Duration {
+	defer env.e.Close()
+	out := make(map[int]time.Duration)
+	runtime.GC() // measure from a clean heap
+	for i, cq := range env.cqs {
+		out[i+1] = harness.MedianOfRuns(env.o.Runs, func() time.Duration {
+			_, lat, err := cq.ExecuteNow()
 			if err != nil {
 				panic(err)
 			}
 			return lat
 		})
 	}
-	return lats, nil
+	return out
+}
+
+// wukongSLatencies measures L1–L6 on a Wukong+S instance of its own.
+func wukongSLatencies(o Options, cfg core.Config, lsCfg lsbench.Config) (map[int]time.Duration, error) {
+	env, err := newLSEnv(o, cfg, lsCfg)
+	if err != nil {
+		return nil, err
+	}
+	return env.wukongS(), nil
+}
+
+// newFabric builds a baseline fabric with the experiment's latency mode.
+func (env *env) newFabric(nodes int) *fabric.Fabric {
+	return fabric.New(fabric.Config{Nodes: nodes, Mode: env.o.LatencyMode, RDMA: true,
+		Latency: fabric.DefaultLatency()})
+}
+
+// newComposite builds a loaded Storm/Heron+Wukong system.
+func (env *env) newComposite(cfg composite.Config, nodes int) *composite.System {
+	sys := composite.NewSystem(env.newFabric(nodes), env.e.StringServer(), cfg)
+	sys.LoadBase(env.initial)
+	return sys
+}
+
+// newCSPARQL builds a loaded CSPARQL-engine (single node).
+func (env *env) newCSPARQL() *csparql.System {
+	cfg := csparql.Config{}
+	if env.o.LatencyMode != fabric.Off {
+		cfg = csparql.DefaultConfig()
+	}
+	sys := csparql.NewSystemWithConfig(env.e.StringServer(), cfg)
+	sys.LoadBase(env.initial)
+	return sys
+}
+
+// newRelstream builds a loaded Spark-like system holding every stream's
+// history.
+func (env *env) newRelstream(mode relstream.Mode) *relstream.System {
+	sys := relstream.NewSystem(env.newFabric(1), env.e.StringServer(), relstream.Config{Mode: mode})
+	sys.LoadBase(env.initial)
+	for _, s := range env.d.Streams() {
+		sys.Absorb(s, env.d.All(s))
+	}
+	return sys
+}
+
+// newWukongExt builds a loaded Wukong/Ext system holding every stream's
+// history.
+func (env *env) newWukongExt(nodes int) *wukongext.System {
+	sys := wukongext.NewSystem(env.newFabric(nodes), env.e.StringServer(), 4)
+	sys.LoadBase(env.initial)
+	for _, s := range env.d.Streams() {
+		sys.Inject(s, env.d.All(s))
+	}
+	return sys
+}
+
+// windows returns q's window contents at the time every system is
+// measured at.
+func (env *env) windows(q *sparql.Query) rel.Windows { return env.d.Windows(q, env.d.Now()) }
+
+// compositeLatencies measures Storm/Heron+Wukong per query: the breakdown
+// of the median run, and its total.
+func (env *env) compositeLatencies(variant storm.Variant, nodes int) (map[int]time.Duration, map[int]*composite.Breakdown, error) {
+	sys := env.newComposite(composite.Config{Variant: variant, PlanMode: composite.Interleaved}, nodes)
+	defer sys.Close()
+	lats := make(map[int]time.Duration)
+	bds := make(map[int]*composite.Breakdown)
+	for i, q := range env.qs {
+		bd, err := env.compositeMedian(sys, q)
+		if err != nil {
+			return nil, nil, fmt.Errorf("composite query %d: %w", i+1, err)
+		}
+		lats[i+1], bds[i+1] = bd.Total(), bd
+	}
+	return lats, bds, nil
+}
+
+// compositeMedian runs q Runs times on sys and returns the breakdown of the
+// median run by total.
+func (env *env) compositeMedian(sys *composite.System, q *sparql.Query) (*composite.Breakdown, error) {
+	var bds []*composite.Breakdown
+	for r := 0; r < env.o.Runs; r++ {
+		_, bd, err := sys.ExecuteContinuous(q, env.windows(q), env.d.Now())
+		if err != nil {
+			return nil, err
+		}
+		bds = append(bds, bd)
+	}
+	slices.SortFunc(bds, func(a, b *composite.Breakdown) int { return cmp.Compare(a.Total(), b.Total()) })
+	return bds[len(bds)/2], nil
+}
+
+// csparqlLatencies measures the CSPARQL-engine baseline (single node).
+func (env *env) csparqlLatencies() map[int]time.Duration {
+	sys := env.newCSPARQL()
+	lats := make(map[int]time.Duration)
+	for i, q := range env.qs {
+		lats[i+1] = harness.MedianOfRuns(env.o.Runs, func() time.Duration {
+			_, lat, err := sys.ExecuteContinuous(q, env.windows(q), env.d.Now())
+			if err != nil {
+				panic(err)
+			}
+			return lat
+		})
+	}
+	return lats
 }
 
 // relstreamLatencies measures the Spark-like baselines. Unsupported queries
 // (stream-stream joins under Structured Streaming) report 0.
-func (env *lsEnv) relstreamLatencies(mode relstream.Mode) (map[int]time.Duration, error) {
-	sys := relstream.NewSystem(env.newFabric(1), env.ss, relstream.Config{Mode: mode})
-	sys.LoadBase(env.w.Initial)
-	for _, s := range lsbench.Streams() {
-		sys.Absorb(s, env.feeder.All(s))
-	}
+func (env *env) relstreamLatencies(mode relstream.Mode) map[int]time.Duration {
+	sys := env.newRelstream(mode)
 	lats := make(map[int]time.Duration)
-	for n := 1; n <= 6; n++ {
-		q := parsedL(env.w, n)
-		unsupported := false
-		lats[n] = harness.MedianOfRuns(env.o.Runs, func() time.Duration {
-			w := env.windowsFor(q, warmTime)
+	for i, q := range env.qs {
+		lats[i+1] = harness.MedianOfRuns(env.o.Runs, func() time.Duration {
+			w := env.windows(q)
 			start := time.Now()
-			_, _, err := sys.ExecuteContinuous(q, w, warmTime)
+			_, _, err := sys.ExecuteContinuous(q, w, env.d.Now())
 			if err == relstream.ErrUnsupported {
-				unsupported = true
 				return 0
 			}
 			if err != nil {
@@ -147,68 +217,45 @@ func (env *lsEnv) relstreamLatencies(mode relstream.Mode) (map[int]time.Duration
 			}
 			return time.Since(start)
 		})
-		if unsupported {
-			lats[n] = 0
-		}
 	}
-	return lats, nil
+	return lats
 }
 
 // wukongExtLatencies measures the Wukong/Ext baseline.
-func (env *lsEnv) wukongExtLatencies(nodes int) (map[int]time.Duration, error) {
-	sys := wukongext.NewSystem(env.newFabric(nodes), env.ss, 4)
+func (env *env) wukongExtLatencies(nodes int) map[int]time.Duration {
+	sys := env.newWukongExt(nodes)
 	defer sys.Close()
-	sys.LoadBase(env.w.Initial)
-	for _, s := range lsbench.Streams() {
-		sys.Inject(env.feeder.All(s))
-	}
 	lats := make(map[int]time.Duration)
-	for n := 1; n <= 6; n++ {
-		q := parsedL(env.w, n)
-		lats[n] = harness.MedianOfRuns(env.o.Runs, func() time.Duration {
-			_, lat, err := sys.ExecuteContinuous(q, warmTime)
+	for i, q := range env.qs {
+		lats[i+1] = harness.MedianOfRuns(env.o.Runs, func() time.Duration {
+			_, lat, err := sys.ExecuteContinuous(q, env.d.Now())
 			if err != nil {
 				panic(err)
 			}
 			return lat
 		})
 	}
-	return lats, nil
+	return lats
 }
 
 // Fig4 reproduces the breakdown of the composite design's execution under
 // its two query plans (paper Fig. 4): L5 (the QC shape) on Storm+Wukong.
 func Fig4(o Options) (*Report, error) {
 	o = o.withDefaults()
-	cfg := lsConfig(o)
+	env, err := newLSEnv(o, engineConfig(o, 1), lsConfig(o))
+	if err != nil {
+		return nil, err
+	}
+	env.e.Close() // only the composite design is measured
 	r := &Report{ID: "fig4", Title: "Execution breakdown of L5 on Storm+Wukong (two query plans)"}
 	r.Table = &harness.Table{Header: []string{"Plan", "Total(ms)", "Storm(ms)", "Wukong(ms)", "Cross(ms)", "CC%", "Crossings"}}
+	q := env.qs[4]
 	for _, mode := range []composite.PlanMode{composite.Interleaved, composite.StreamFirst} {
-		env := newLSEnv(o, cfg)
-		sys := composite.NewSystem(env.newFabric(1), env.ss, composite.Config{PlanMode: mode})
-		sys.LoadBase(env.w.Initial)
-		q := parsedL(env.w, 5)
-		var bds []*composite.Breakdown
-		for i := 0; i < o.Runs; i++ {
-			w := env.windowsFor(q, warmTime)
-			_, bd, err := sys.ExecuteContinuous(q, w, warmTime)
-			if err != nil {
-				sys.Close()
-				return nil, err
-			}
-			bds = append(bds, bd)
-		}
+		sys := env.newComposite(composite.Config{PlanMode: mode}, 1)
+		med, err := env.compositeMedian(sys, q)
 		sys.Close()
-		var totals []time.Duration
-		for _, bd := range bds {
-			totals = append(totals, bd.Total())
-		}
-		target := harness.Median(totals)
-		med := bds[0]
-		for _, bd := range bds {
-			if bd.Total() == target {
-				med = bd
-			}
+		if err != nil {
+			return nil, err
 		}
 		cc := float64(med.Cross) / float64(med.Total()) * 100
 		r.Table.Add(mode.String(), harness.Ms(med.Total()), harness.Ms(med.Stream),
@@ -224,21 +271,16 @@ func Fig4(o Options) (*Report, error) {
 // Storm+Wukong vs CSPARQL-engine on LSBench.
 func Table2(o Options) (*Report, error) {
 	o = o.withDefaults()
-	cfg := lsConfig(o)
-
-	ws, err := wukongSLatencies(o, engineConfig(o, 1), cfg)
+	env, err := newLSEnv(o, engineConfig(o, 1), lsConfig(o))
 	if err != nil {
 		return nil, err
 	}
-	env := newLSEnv(o, cfg)
+	ws := env.wukongS()
 	comp, bds, err := env.compositeLatencies(storm.Storm, 1)
 	if err != nil {
 		return nil, err
 	}
-	csq, err := env.csparqlLatencies()
-	if err != nil {
-		return nil, err
-	}
+	csq := env.csparqlLatencies()
 
 	r := &Report{ID: "table2", Title: "Query latency (ms) on a single node (LSBench)"}
 	r.Table = &harness.Table{Header: []string{"Query", "Wukong+S", "Storm+Wukong", "(Storm)", "(Wukong)", "CSPARQL-engine"}}
@@ -256,21 +298,16 @@ func Table2(o Options) (*Report, error) {
 // Storm+Wukong vs Spark Streaming on the cluster.
 func Table3(o Options) (*Report, error) {
 	o = o.withDefaults()
-	cfg := lsConfig(o)
-
-	ws, err := wukongSLatencies(o, engineConfig(o, o.Nodes), cfg)
+	env, err := newLSEnv(o, engineConfig(o, o.Nodes), lsConfig(o))
 	if err != nil {
 		return nil, err
 	}
-	env := newLSEnv(o, cfg)
+	ws := env.wukongS()
 	comp, bds, err := env.compositeLatencies(storm.Storm, o.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	spark, err := env.relstreamLatencies(relstream.SparkStreaming)
-	if err != nil {
-		return nil, err
-	}
+	spark := env.relstreamLatencies(relstream.SparkStreaming)
 
 	r := &Report{ID: "table3", Title: fmt.Sprintf("Query latency (ms) on %d nodes (LSBench)", o.Nodes)}
 	r.Table = &harness.Table{Header: []string{"Query", "Wukong+S", "Storm+Wukong", "(Storm)", "(Wukong)", "SparkStreaming"}}
@@ -288,21 +325,17 @@ func Table3(o Options) (*Report, error) {
 // Streaming (unsupported queries marked x), and Wukong/Ext.
 func Table4(o Options) (*Report, error) {
 	o = o.withDefaults()
-	cfg := lsConfig(o)
-
-	env := newLSEnv(o, cfg)
+	env, err := newLSEnv(o, engineConfig(o, o.Nodes), lsConfig(o))
+	if err != nil {
+		return nil, err
+	}
+	env.e.Close() // Table 4 measures only the baselines
 	heron, bds, err := env.compositeLatencies(storm.Heron, o.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	structured, err := env.relstreamLatencies(relstream.StructuredStreaming)
-	if err != nil {
-		return nil, err
-	}
-	wext, err := env.wukongExtLatencies(o.Nodes)
-	if err != nil {
-		return nil, err
-	}
+	structured := env.relstreamLatencies(relstream.StructuredStreaming)
+	wext := env.wukongExtLatencies(o.Nodes)
 
 	r := &Report{ID: "table4", Title: fmt.Sprintf("Further comparison (ms) on %d nodes (LSBench)", o.Nodes)}
 	r.Table = &harness.Table{Header: []string{"Query", "Heron+Wukong", "(Heron)", "(Wukong)", "StructuredStreaming", "Wukong/Ext"}}

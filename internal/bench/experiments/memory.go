@@ -25,7 +25,7 @@ func Table6(o Options) (*Report, error) {
 			return nil, err
 		}
 	}
-	if err := d.Run(100*time.Millisecond, 3000); err != nil {
+	if err := d.Run(harness.LSBenchStep, 3000); err != nil {
 		return nil, err
 	}
 	r := &Report{ID: "table6", Title: "Data injection and indexing cost (ms) per 100ms mini-batch"}
@@ -74,7 +74,7 @@ SELECT ?X ?Y FROM %s [RANGE 60s STEP 1s] WHERE { GRAPH %s { ?X po ?Y } }`,
 		}
 	}
 	const logicalMS = 10000 // 10s of stream, extrapolated to a minute
-	if err := d.Run(100*time.Millisecond, logicalMS); err != nil {
+	if err := d.Run(harness.LSBenchStep, logicalMS); err != nil {
 		return nil, err
 	}
 	r := &Report{ID: "table7", Title: "Memory usage (KB/min): raw streaming data vs stream index"}
@@ -151,7 +151,7 @@ func SnapMem(o Options) (*Report, error) {
 			e.Close()
 			return nil, err
 		}
-		if err := d.Run(100*time.Millisecond, 2000); err != nil {
+		if err := d.Run(harness.LSBenchStep, 2000); err != nil {
 			e.Close()
 			return nil, err
 		}

@@ -48,7 +48,7 @@ func Table8(o Options) (*Report, error) {
 				}
 			}
 		}
-		if err := d.Run(100*time.Millisecond, warmTime); err != nil {
+		if err := d.Run(harness.LSBenchStep, warmTime); err != nil {
 			return nil, err
 		}
 		return measureOneShots(o, e, w, d)

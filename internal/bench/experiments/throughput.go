@@ -42,12 +42,12 @@ func runMixedWorkload(o Options, nodes int, classes []int, perClass int, logical
 		}
 	}
 	// Warm one window, then measure.
-	if err := d.Run(100*time.Millisecond, 1000); err != nil {
+	if err := d.Run(harness.LSBenchStep, 1000); err != nil {
 		return nil, err
 	}
 	execs.Store(0)
 	start := time.Now()
-	if err := d.Run(100*time.Millisecond, 1000+logical); err != nil {
+	if err := d.Run(harness.LSBenchStep, 1000+logical); err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
@@ -143,12 +143,12 @@ func FT(o Options) (*Report, error) {
 				cqs = append(cqs, cq)
 			}
 		}
-		if err := d.Run(100*time.Millisecond, 1000); err != nil {
+		if err := d.Run(harness.LSBenchStep, 1000); err != nil {
 			return nil, nil, err
 		}
 		execs.Store(0)
 		start := time.Now()
-		if err := d.Run(100*time.Millisecond, 3000); err != nil {
+		if err := d.Run(harness.LSBenchStep, 3000); err != nil {
 			return nil, nil, err
 		}
 		wall := time.Since(start)

@@ -1,8 +1,8 @@
 // Package harness provides the shared machinery for reproducing the paper's
-// experiments: engine drivers that feed generated streams and advance the
-// logical clock, window feeders for the baseline systems, latency statistics
-// (percentiles, CDFs, geometric means), and table formatting for the wsbench
-// command.
+// experiments: the one schedule every benchmark stream is generated on, an
+// engine Driver that emits it and keeps a record of what it emitted for the
+// baseline systems, latency statistics (percentiles, CDFs, geometric means),
+// and table formatting for the wsbench command.
 package harness
 
 import (
@@ -12,10 +12,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/baseline/rel"
 	"repro/internal/bench/citybench"
 	"repro/internal/bench/lsbench"
 	"repro/internal/core"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/stream"
 	"repro/internal/strserver"
 )
@@ -24,6 +26,41 @@ import (
 // stateful and must be called with contiguous, increasing ranges).
 type GenFunc func(stream string, from, to rdf.Timestamp) []strserver.EncodedTuple
 
+// The steps the experiments generate their streams in: one LSBench batch
+// interval, and one CityBench batch interval.
+const (
+	LSBenchStep   = 100 * time.Millisecond
+	CityBenchStep = time.Second
+)
+
+// Schedule generates streams over (from, until] in fixed steps: every
+// stream's share of one step, in order, before the next step's. A
+// generator's output depends on how it is called (its counts and its picks
+// among earlier entities are per call), so a workload is one stream only on
+// one schedule; the Driver and wsgen both generate through this loop. emit
+// receives each stream's tuples of a step, and stepped, if not nil, the end
+// of each step.
+func Schedule(gen GenFunc, streams []string, from, until rdf.Timestamp, step time.Duration,
+	emit func(stream string, tuples []strserver.EncodedTuple) error, stepped func(to rdf.Timestamp)) error {
+	ms := rdf.Timestamp(step.Milliseconds())
+	if ms <= 0 {
+		return fmt.Errorf("harness: step %v is under a millisecond", step)
+	}
+	for from < until {
+		to := min(from+ms, until)
+		for _, s := range streams {
+			if err := emit(s, gen(s, from, to)); err != nil {
+				return err
+			}
+		}
+		if stepped != nil {
+			stepped(to)
+		}
+		from = to
+	}
+	return nil
+}
+
 // StreamSpec describes one stream to register.
 type StreamSpec struct {
 	Name          string
@@ -31,19 +68,22 @@ type StreamSpec struct {
 	TimingPreds   []string
 }
 
-// Driver feeds generated streams into a Wukong+S engine and advances its
-// clock.
+// Driver feeds generated streams into a Wukong+S engine, advances its
+// clock, and records every tuple a stream admitted: the baselines answer
+// their windows from that record, so they see the tuples the engine saw.
 type Driver struct {
 	E       *core.Engine
 	sources map[string]*stream.Source
-	specs   []StreamSpec
+	streams []string
 	gen     GenFunc
 	now     rdf.Timestamp
+	record  map[string][]strserver.EncodedTuple
 }
 
 // NewDriver registers the streams on the engine and returns a driver.
 func NewDriver(e *core.Engine, specs []StreamSpec, gen GenFunc) (*Driver, error) {
-	d := &Driver{E: e, sources: make(map[string]*stream.Source), specs: specs, gen: gen}
+	d := &Driver{E: e, sources: make(map[string]*stream.Source), gen: gen,
+		record: make(map[string][]strserver.EncodedTuple)}
 	for _, sp := range specs {
 		src, err := e.RegisterStream(stream.Config{
 			Name:             sp.Name,
@@ -54,6 +94,7 @@ func NewDriver(e *core.Engine, specs []StreamSpec, gen GenFunc) (*Driver, error)
 			return nil, err
 		}
 		d.sources[sp.Name] = src
+		d.streams = append(d.streams, sp.Name)
 	}
 	return d, nil
 }
@@ -61,37 +102,59 @@ func NewDriver(e *core.Engine, specs []StreamSpec, gen GenFunc) (*Driver, error)
 // Now returns the driver's logical clock.
 func (d *Driver) Now() rdf.Timestamp { return d.now }
 
-// StepTo generates and emits all stream tuples in (now, ts] and advances the
-// engine, firing due continuous queries.
+// StepTo generates and emits all stream tuples in (now, ts] as one step and
+// advances the engine, firing due continuous queries. A ts at or before now
+// does nothing.
 func (d *Driver) StepTo(ts rdf.Timestamp) error {
 	if ts <= d.now {
 		return nil
 	}
-	for _, sp := range d.specs {
-		for _, tu := range d.gen(sp.Name, d.now, ts) {
-			if err := d.sources[sp.Name].EmitEncoded(tu); err != nil {
-				return err
-			}
-		}
-	}
-	d.now = ts
-	d.E.AdvanceTo(ts)
-	return nil
+	return d.Run(time.Duration(ts-d.now)*time.Millisecond, ts)
 }
 
 // Run advances the logical clock in fixed steps until `until`.
 func (d *Driver) Run(step time.Duration, until rdf.Timestamp) error {
-	for d.now < until {
-		next := d.now + rdf.Timestamp(step.Milliseconds())
-		if next > until {
-			next = until
-		}
-		if err := d.StepTo(next); err != nil {
+	return Schedule(d.gen, d.streams, d.now, until, step, d.emit, d.advance)
+}
+
+// emit admits one step's tuples of a stream and records those admitted.
+func (d *Driver) emit(name string, tuples []strserver.EncodedTuple) error {
+	src := d.sources[name]
+	for i, tu := range tuples {
+		if err := src.EmitEncoded(tu); err != nil {
+			d.record[name] = append(d.record[name], tuples[:i]...)
 			return err
 		}
 	}
+	d.record[name] = append(d.record[name], tuples...)
 	return nil
 }
+
+func (d *Driver) advance(to rdf.Timestamp) {
+	d.now = to
+	d.E.AdvanceTo(to)
+}
+
+// Windows returns the recorded contents of q's windows ending at `at`, keyed
+// by stream, each cut as every system cuts it (rel.WindowBounds).
+func (d *Driver) Windows(q *sparql.Query, at rdf.Timestamp) rel.Windows {
+	out := make(rel.Windows, len(q.Windows))
+	for _, win := range q.Windows {
+		first, last := rel.WindowBounds(at, win.Range)
+		all := d.record[win.Stream]
+		lo := sort.Search(len(all), func(i int) bool { return all[i].TS >= first })
+		hi := sort.Search(len(all), func(i int) bool { return all[i].TS > last })
+		out[win.Stream] = all[lo:hi:hi]
+	}
+	return out
+}
+
+// Streams returns the driven streams' names, in emission order.
+func (d *Driver) Streams() []string { return d.streams }
+
+// All returns every recorded tuple of a stream (Wukong/Ext and Structured
+// Streaming absorb the full history).
+func (d *Driver) All(stream string) []strserver.EncodedTuple { return d.record[stream] }
 
 // LSBenchEngine builds an engine loaded with an LSBench workload: the
 // engine, its driver, and the workload (sharing the engine's string server).
@@ -101,17 +164,12 @@ func LSBenchEngine(engineCfg core.Config, lsCfg lsbench.Config) (*core.Engine, *
 		return nil, nil, nil, err
 	}
 	w := lsbench.Generate(lsCfg, e.StringServer())
-	e.LoadEncoded(w.Initial)
 	var specs []StreamSpec
 	for _, sp := range lsbench.StreamConfigs() {
 		specs = append(specs, StreamSpec{Name: sp.Name, BatchInterval: sp.BatchInterval, TimingPreds: sp.TimingPreds})
 	}
-	d, err := NewDriver(e, specs, w.StreamTuples)
-	if err != nil {
-		e.Close()
-		return nil, nil, nil, err
-	}
-	return e, d, w, nil
+	d, err := load(e, w.Initial, specs, w.StreamTuples)
+	return e, d, w, err
 }
 
 // CityBenchEngine builds an engine loaded with a CityBench workload.
@@ -121,69 +179,24 @@ func CityBenchEngine(engineCfg core.Config, cbCfg citybench.Config) (*core.Engin
 		return nil, nil, nil, err
 	}
 	w := citybench.Generate(cbCfg, e.StringServer())
-	e.LoadEncoded(w.Initial)
 	var specs []StreamSpec
 	for _, sp := range citybench.StreamConfigs() {
 		specs = append(specs, StreamSpec{Name: sp.Name, BatchInterval: sp.BatchInterval, TimingPreds: sp.TimingPreds})
 	}
-	d, err := NewDriver(e, specs, w.StreamTuples)
+	d, err := load(e, w.Initial, specs, w.StreamTuples)
+	return e, d, w, err
+}
+
+// load loads the initial graph into e and returns a driver of its streams.
+// It closes e if it fails.
+func load(e *core.Engine, initial []strserver.EncodedTriple, specs []StreamSpec, gen GenFunc) (*Driver, error) {
+	e.LoadEncoded(initial)
+	d, err := NewDriver(e, specs, gen)
 	if err != nil {
 		e.Close()
-		return nil, nil, nil, err
 	}
-	return e, d, w, nil
+	return d, err
 }
-
-// Feeder buffers generated stream tuples for the baseline systems, which
-// receive window contents per execution instead of owning an injection
-// pipeline.
-type Feeder struct {
-	gen     GenFunc
-	streams []string
-	buf     map[string][]strserver.EncodedTuple
-	upTo    rdf.Timestamp
-}
-
-// NewFeeder creates a feeder over the given streams.
-func NewFeeder(streams []string, gen GenFunc) *Feeder {
-	return &Feeder{gen: gen, streams: streams, buf: make(map[string][]strserver.EncodedTuple)}
-}
-
-// AdvanceTo extends the buffers to cover (0, ts].
-func (f *Feeder) AdvanceTo(ts rdf.Timestamp) {
-	if ts <= f.upTo {
-		return
-	}
-	for _, s := range f.streams {
-		f.buf[s] = append(f.buf[s], f.gen(s, f.upTo, ts)...)
-	}
-	f.upTo = ts
-}
-
-// Window returns the buffered tuples of a stream in (from, to].
-func (f *Feeder) Window(stream string, from, to rdf.Timestamp) []strserver.EncodedTuple {
-	all := f.buf[stream]
-	lo := sort.Search(len(all), func(i int) bool { return all[i].TS > from })
-	hi := sort.Search(len(all), func(i int) bool { return all[i].TS > to })
-	return all[lo:hi]
-}
-
-// Windows returns all streams' windows ending at `to` with the given range.
-func (f *Feeder) Windows(rng time.Duration, to rdf.Timestamp) map[string][]strserver.EncodedTuple {
-	out := make(map[string][]strserver.EncodedTuple, len(f.streams))
-	from := to - rdf.Timestamp(rng.Milliseconds())
-	if from < 0 {
-		from = 0
-	}
-	for _, s := range f.streams {
-		out[s] = f.Window(s, from, to)
-	}
-	return out
-}
-
-// All returns every buffered tuple of a stream (Wukong/Ext and Structured
-// Streaming absorb the full history).
-func (f *Feeder) All(stream string) []strserver.EncodedTuple { return f.buf[stream] }
 
 // Percentile returns the p-th percentile (0–100) of the latencies.
 func Percentile(lats []time.Duration, p float64) time.Duration {

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,8 @@ import (
 	"repro/internal/bench/citybench"
 	"repro/internal/bench/lsbench"
 	"repro/internal/core"
+	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/strserver"
 )
 
@@ -96,28 +100,102 @@ func TestCityBenchEngineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFeederWindows(t *testing.T) {
-	w := lsbench.Generate(smallLS(), newSS())
-	f := NewFeeder(lsbench.Streams(), w.StreamTuples)
-	f.AdvanceTo(1000)
-	f.AdvanceTo(2000)
-	f.AdvanceTo(1500) // no-op
-	win := f.Window(lsbench.StreamPO, 1000, 2000)
-	for _, tu := range win {
-		if tu.TS <= 1000 || tu.TS > 2000 {
-			t.Fatalf("tuple at %d outside window", tu.TS)
+// TestDriverRecordIsWhatTheSourcesAdmitted checks the Driver's record
+// against the engine's own accounting: every recorded tuple of a stream was
+// either injected in a sealed batch or is still pending, and nothing else
+// was.
+func TestDriverRecordIsWhatTheSourcesAdmitted(t *testing.T) {
+	e, d, _, err := LSBenchEngine(core.Config{Nodes: 2, WorkersPerNode: 2}, smallLS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := d.Run(LSBenchStep, 1000); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range lsbench.Streams() {
+		st, _, err := e.InjectionStats(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted := st.TimelessTuples + st.TimingTuples + d.sources[s].PendingLen()
+		if got := len(d.All(s)); got != admitted || got == 0 {
+			t.Errorf("%s: record holds %d tuples, the source admitted %d", s, got, admitted)
 		}
 	}
-	if len(win) == 0 {
-		t.Error("empty window")
+}
+
+// TestDriverWindows drives one stream whose generator stamps a tuple at
+// both ends of every step, (from, to], and checks the record and its
+// windows: a window is [at − RANGE, at) at both edges, a refused tuple is
+// not recorded, and a step back in time adds nothing.
+func TestDriverWindows(t *testing.T) {
+	e, err := core.New(core.Config{Nodes: 1, WorkersPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	all := f.All(lsbench.StreamPO)
-	if len(all) <= len(win) {
-		t.Error("All should cover more than one window")
+	defer e.Close()
+	ss := e.StringServer()
+	tuple := func(ts rdf.Timestamp) strserver.EncodedTuple {
+		enc, err := ss.EncodeTuple(rdf.Tuple{Triple: rdf.T("a", "p", fmt.Sprint(ts)), TS: ts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
 	}
-	ws := f.Windows(time.Second, 2000)
-	if len(ws) != 5 {
-		t.Errorf("Windows = %d streams", len(ws))
+	late := false
+	gen := func(_ string, from, to rdf.Timestamp) []strserver.EncodedTuple {
+		out := []strserver.EncodedTuple{tuple(from + 1), tuple(to)}
+		if late {
+			out = append(out, tuple(5)) // its batch sealed long ago
+		}
+		return out
+	}
+	d, err := NewDriver(e, []StreamSpec{{Name: "S", BatchInterval: 100 * time.Millisecond}}, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const text = `SELECT ?o FROM S [RANGE 200ms STEP 100ms] WHERE { GRAPH S { a p ?o } }`
+	cq, err := e.RegisterContinuous(text, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(100*time.Millisecond, 1000); err != nil {
+		t.Fatal(err)
+	}
+	stamps := func(tuples []strserver.EncodedTuple) []rdf.Timestamp {
+		var out []rdf.Timestamp
+		for _, tu := range tuples {
+			out = append(out, tu.TS)
+		}
+		return out
+	}
+	if got := stamps(d.All("S")); len(got) != 20 || got[0] != 1 || got[19] != 1000 {
+		t.Fatalf("record = %v, want the 20 tuples 1, 100, 101, …, 1000", got)
+	}
+	got := stamps(d.Windows(sparql.MustParse(text), 1000)["S"])
+	if want := []rdf.Timestamp{800, 801, 900, 901}; !slices.Equal(got, want) {
+		t.Errorf("window at 1000 = %v, want %v: [800, 1000) keeps 800 and drops 1000", got, want)
+	}
+	// The engine cuts the same window.
+	res, _, err := cq.ExecuteNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Sort()
+	if rows := res.Strings(); !slices.Equal(rows, []string{"800", "801", "900", "901"}) {
+		t.Errorf("engine window at 1000 = %v", rows)
+	}
+
+	if err := d.StepTo(500); err != nil || d.Now() != 1000 || len(d.All("S")) != 20 {
+		t.Errorf("StepTo(500) at 1000: err %v, now %d, %d recorded; want nothing added", err, d.Now(), len(d.All("S")))
+	}
+	late = true
+	if err := d.StepTo(1100); err == nil {
+		t.Fatal("a tuple in a sealed batch was admitted")
+	}
+	if got := stamps(d.All("S")); len(got) != 22 || got[21] != 1100 {
+		t.Errorf("record after a refusal = %v, want the two admitted tuples and not the refused one", got[18:])
 	}
 }
 
@@ -195,5 +273,3 @@ func TestMedianOfRuns(t *testing.T) {
 		t.Errorf("median = %v", got)
 	}
 }
-
-func newSS() *strserver.Server { return strserver.New() }

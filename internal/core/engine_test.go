@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -441,7 +442,7 @@ func TestOneShotLatencyAndTraceRecorded(t *testing.T) {
 }
 
 func TestForkJoinPlanMatchesInPlace(t *testing.T) {
-	run := func(planMode string) []string {
+	run := func(planMode, query string) []string {
 		// ForkThreshold 1: the xlab tables are a few rows, below the default
 		// threshold, and fork-join must really scatter to be compared.
 		e, err := New(Config{Nodes: 4, PlanMode: planMode, ForkThreshold: 1})
@@ -450,20 +451,27 @@ func TestForkJoinPlanMatchesInPlace(t *testing.T) {
 		}
 		defer e.Close()
 		e.LoadTriples(xlab())
-		res, err := e.Query(`SELECT ?X ?Y WHERE { ?X po ?Y . ?Y ht sosp17 }`)
+		res, err := e.Query(query)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s: %s: %v", planMode, query, err)
+			return nil
 		}
 		res.Sort()
 		return res.Strings()
 	}
-	a, b := run(PlanModeInPlace), run(PlanModeForkJoin)
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("in-place %v vs fork-join %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("row %d: %q vs %q", i, a[i], b[i])
+	for _, q := range []string{
+		`SELECT ?X ?Y WHERE { ?X po ?Y . ?Y ht sosp17 }`,
+		// A variable predicate: each partition's traversal adds ?R's
+		// column, and so must the gathered table, projected or not, with
+		// ?R already bound, and with ?Y bound (a check).
+		`SELECT ?X ?R ?Y WHERE { ?X ty X-Men . ?X ?R ?Y }`,
+		`SELECT ?X ?Y WHERE { ?X ty X-Men . ?X ?R ?Y }`,
+		`SELECT ?X ?R ?Y ?Z WHERE { ?X ty X-Men . ?X ?R ?Y . ?Y ?R ?Z }`,
+		`SELECT ?X ?R ?Y WHERE { ?X ty X-Men . ?Y ty X-Men . ?X ?R ?Y }`,
+	} {
+		a, b := run(PlanModeInPlace, q), run(PlanModeForkJoin, q)
+		if len(a) == 0 || !slices.Equal(a, b) {
+			t.Errorf("%s\nin-place  %q\nfork-join %q", q, a, b)
 		}
 	}
 }

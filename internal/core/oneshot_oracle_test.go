@@ -75,8 +75,9 @@ type osKey struct {
 	desc bool
 }
 
-// osPatterns draws 1-3 connected patterns over ?a ?b ?c ?d. entity holds
-// the vars bound to IRIs, all the vars bound at all.
+// osPatterns draws 1-3 connected patterns over ?a ?b ?c ?d ?e ?f. entity
+// holds the vars bound to IRIs, all the vars bound at all. A pattern out of
+// an anchor may have a variable predicate, binding it to p, q or v.
 func osPatterns(d draw) (pats []oPat, entity, all []string) {
 	newVar := func() string { return fmt.Sprintf("?%c", 'a'+len(all)) }
 	pred := func() string { return []string{"p", "q", "v"}[d(3)] }
@@ -124,8 +125,16 @@ func osPatterns(d draw) (pats []oPat, entity, all []string) {
 				pt.o = newVar()
 				bind(pt.o, pt.p, false)
 			}
-		default: // out of the anchor to a new var
-			pt.s, pt.o = anchor, newVar()
+		default: // out of the anchor to a new var, over a drawn or a variable predicate
+			pt.s = anchor
+			if d(3) == 0 {
+				pt.p = newVar()
+				all = append(all, pt.p)
+				pt.o = newVar()
+				all = append(all, pt.o) // an IRI or a number
+				break
+			}
+			pt.o = newVar()
 			bind(pt.o, pt.p, false)
 		}
 		pats = append(pats, pt)
@@ -205,7 +214,7 @@ func osDraw(d draw) osQuery {
 		for b := 0; b < 2; b++ {
 			br := slices.Clone(pats)
 			for i := range br {
-				if br[i].p != "v" {
+				if br[i].p == "p" || br[i].p == "q" {
 					br[i].p = []string{"p", "q"}[d(2)]
 				}
 			}
@@ -219,7 +228,11 @@ func osDraw(d draw) osQuery {
 		}
 		return q
 	default: // ORDER BY every projected var, then LIMIT
-		q.where, q.sel = pats, osSubset(d, all)
+		// Not by a predicate var: ORDER BY sorts predicate cells by ID, not
+		// by their IRIs, unlike every other term.
+		q.where, q.sel = pats, osSubset(d, slices.DeleteFunc(slices.Clone(all), func(v string) bool {
+			return slices.ContainsFunc(pats, func(p oPat) bool { return p.p == v })
+		}))
 		for _, v := range osSubset(d, q.sel) {
 			q.orderBy = append(q.orderBy, osKey{v: v, desc: d(2) == 0})
 		}
@@ -299,7 +312,7 @@ func osMatch(g [][3]string, rows []map[string]string, pat oPat) []map[string]str
 	var out []map[string]string
 	for _, row := range rows {
 		for _, tr := range g {
-			if tr[1] != pat.p {
+			if tr[1] != pat.p && !strings.HasPrefix(pat.p, "?") {
 				continue
 			}
 			if nb, ok := bind(row, pat, tr); ok {

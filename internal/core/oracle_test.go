@@ -101,8 +101,8 @@ func bind(row map[string]string, pat oPat, tr [3]string) (map[string]string, boo
 	for k, v := range row {
 		out[k] = v
 	}
-	for i, term := range []string{pat.s, pat.o} {
-		val := tr[2*i]
+	for i, term := range []string{pat.s, pat.p, pat.o} {
+		val := tr[i]
 		if !strings.HasPrefix(term, "?") {
 			if term != val {
 				return nil, false

@@ -517,7 +517,7 @@ func traverse(ctx context.Context, acc Access, node fabric.NodeID, st plan.Step,
 	}
 	var out *Table // an Expand's output
 	if newVar {
-		out = &Table{Vars: WithVars(tbl.Vars, st.To.Var)}
+		out = &Table{Vars: stepVars(st, tbl.Vars)}
 	}
 	kept := NewSubset(tbl) // a Check's surviving rows
 	fr := getFrontier()
@@ -590,17 +590,12 @@ func traverseVarPred(ctx context.Context, acc Access, node fabric.NodeID, st pla
 		toCol = tbl.Col(st.To.Var)
 		newTo = toCol < 0
 	}
-	out := &Table{Vars: append([]string(nil), tbl.Vars...)}
+	out := &Table{Vars: stepVars(st, tbl.Vars)}
 	newPV := pvCol < 0
-	outPVCol := pvCol
-	if newPV {
-		outPVCol = len(out.Vars)
-		out.Vars = append(out.Vars, st.PVar)
-	}
+	outPVCol := out.Col(st.PVar)
 	outToCol := toCol
 	if newTo {
-		outToCol = len(out.Vars)
-		out.Vars = append(out.Vars, st.To.Var)
+		outToCol = len(out.Vars) - 1
 	}
 	fr := getFrontier()
 	defer fr.release()
@@ -706,11 +701,22 @@ func (ex *Executor) forkJoinTraversal(req Request, acc Access, st plan.Step, tbl
 			return nil, err
 		}
 	}
-	vars := tbl.Vars
-	if st.To.IsVar() && tbl.Col(st.To.Var) < 0 {
-		vars = WithVars(tbl.Vars, st.To.Var)
+	return Concat(stepVars(st, tbl.Vars), results), nil
+}
+
+// stepVars returns the columns an Expand/Check step's output has over input
+// columns vars: vars, then the predicate variable and the target variable
+// where the step binds them. Every way of applying a step names its output
+// by it.
+func stepVars(st plan.Step, vars []string) []string {
+	out := append(make([]string, 0, len(vars)+2), vars...)
+	if st.PVar != "" && !slices.Contains(vars, st.PVar) {
+		out = append(out, st.PVar)
 	}
-	return Concat(vars, results), nil
+	if st.To.IsVar() && !slices.Contains(vars, st.To.Var) {
+		out = append(out, st.To.Var)
+	}
+	return out
 }
 
 // applyFilter keeps rows satisfying the expression.

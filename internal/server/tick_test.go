@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench/harness"
 	"repro/internal/bench/lsbench"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -83,12 +84,12 @@ func newTickHarness(tb testing.TB, n int) *tickHarness {
 func (h *tickHarness) render(tb testing.TB, i int) harnessTick {
 	from := rdf.Timestamp(i * 100)
 	tk := harnessTick{advance: []string{fmt.Sprint(int64(from) + 100)}}
-	for _, name := range lsbench.Streams() {
+	render := func(_ string, encs []strserver.EncodedTuple) error {
 		var b strings.Builder
-		for j, e := range h.ls.StreamTuples(name, from, from+100) {
+		for j, e := range encs {
 			t, err := h.ls.SS.DecodeTriple(e.EncodedTriple)
 			if err != nil {
-				tb.Fatal(err)
+				return err
 			}
 			if j > 0 {
 				b.WriteByte('\n')
@@ -96,6 +97,10 @@ func (h *tickHarness) render(tb testing.TB, i int) harnessTick {
 			b.WriteString(rdf.Tuple{Triple: t, TS: e.TS}.String())
 		}
 		tk.bodies = append(tk.bodies, b.String())
+		return nil
+	}
+	if err := harness.Schedule(h.ls.StreamTuples, lsbench.Streams(), from, from+100, harness.LSBenchStep, render, nil); err != nil {
+		tb.Fatal(err)
 	}
 	return tk
 }
