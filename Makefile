@@ -76,12 +76,17 @@ faults:
 # with that parser, every tuple the renderer writes parses back to itself,
 # the durable log's Open never panics on a damaged segment and leaves a log
 # that ranges and appends cleanly, a snapshot file either loads to a payload
-# that saves back to the same bytes or is quarantined, and a one-shot over a
-# drawn graph, query and engine configuration answers what a nested-loop
-# model over term strings answers. -fuzz takes one target per run.
+# that saves back to the same bytes or is quarantined, a cluster snapshot
+# transcript restores into a fresh daemon or fails with an error, a store
+# shard answers every drawn append, prune and read the way a plain model
+# does, and a one-shot over a drawn graph, query and engine configuration
+# answers what a nested-loop model over term strings answers. -fuzz takes
+# one target per run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzApplySnapshot$$' -fuzztime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzShardMatchesModel$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTuples$$' -fuzztime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzTupleKeys$$' -fuzztime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzTupleRoundTrip$$' -fuzztime 5s ./internal/rdf

@@ -573,7 +573,7 @@ func BenchmarkMicro_StoreInsert(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Insert(strserver.EncodedTriple{S: ids[i%4096], P: p, O: ids[(i*31+7)%4096]}, 1)
+		st.Insert(strserver.EncodedTriple{S: ids[i%4096], P: p, O: ids[(i*31+7)%4096]}, 1, false, nil)
 	}
 }
 

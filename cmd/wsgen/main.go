@@ -6,10 +6,11 @@
 //
 // It writes <out>/initial.nt (N-Triples) and one <out>/<stream>.tuples file
 // per stream (N-Triples with " . @ts" timestamp annotations, readable by
-// the server's EMIT command and by rdf.Reader). The streams are generated on
-// the experiments' schedule (harness.Schedule: 100 ms steps for LSBench, 1 s
-// for CityBench, the streams interleaved within a step), so a trace is the
-// stream a harness.Driver emits for the same workload configuration.
+// the server's EMIT command and by rdf.Reader). The workload is the
+// experiments' at the same -scale (experiments.LSConfig, CityConfig), and its
+// streams are generated on their schedule (harness.Schedule: 100 ms steps
+// for LSBench, 1 s for CityBench, the streams interleaved within a step), so
+// a trace is the stream wsbench's harness.Driver emits.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/bench/citybench"
+	"repro/internal/bench/experiments"
 	"repro/internal/bench/harness"
 	"repro/internal/bench/lsbench"
 	"repro/internal/rdf"
@@ -32,16 +34,24 @@ func main() {
 		bench   = flag.String("bench", "lsbench", "workload: lsbench|citybench")
 		out     = flag.String("out", "", "output directory (required)")
 		seconds = flag.Int("seconds", 10, "stream trace length")
-		scale   = flag.Float64("scale", 1, "size/rate multiplier")
-		seed    = flag.Int64("seed", 42, "generator seed")
+		scale   = flag.Float64("scale", 1, "size/rate multiplier, as wsbench's -scale")
+		seed    = flag.Int64("seed", 0, "generator seed (0: the generator's default, which the experiments use)")
 	)
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "wsgen: -out required")
 		os.Exit(2)
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	if err := run(*bench, *out, *seconds, *scale, *seed); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run writes the initial graph and the first seconds of every stream of the
+// experiments' workload bench at scale into the directory out.
+func run(bench, out string, seconds int, scale float64, seed int64) error {
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
 	}
 
 	ss := strserver.New()
@@ -50,38 +60,35 @@ func main() {
 	var gen harness.GenFunc
 	var step time.Duration
 
-	switch *bench {
+	o := experiments.Options{Scale: scale}
+	switch bench {
 	case "lsbench":
-		cfg := lsbench.Config{Seed: *seed}
-		cfg.Users = int(1000 * *scale)
+		cfg := experiments.LSConfig(o)
+		cfg.Seed = seed
 		w := lsbench.Generate(cfg, ss)
 		initial, streams, gen, step = w.Initial, lsbench.Streams(), w.StreamTuples, harness.LSBenchStep
 	case "citybench":
-		cfg := citybench.Config{Seed: *seed, RateScale: int(*scale)}
+		cfg := experiments.CityConfig(o)
+		cfg.Seed = seed
 		w := citybench.Generate(cfg, ss)
 		initial, streams, gen, step = w.Initial, citybench.Streams(), w.StreamTuples, harness.CityBenchStep
 	default:
-		log.Fatalf("wsgen: unknown benchmark %q", *bench)
+		return fmt.Errorf("wsgen: unknown benchmark %q", bench)
 	}
 
 	// Initial data.
-	path := filepath.Join(*out, "initial.nt")
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var triples []rdf.Triple
 	for _, enc := range initial {
 		t, err := ss.DecodeTriple(enc)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		triples = append(triples, t)
 	}
-	if err := rdf.WriteTriples(f, triples); err != nil {
-		log.Fatal(err)
+	path := filepath.Join(out, "initial.nt")
+	if err := writeFile(path, func(f *os.File) error { return rdf.WriteTriples(f, triples) }); err != nil {
+		return err
 	}
-	f.Close()
 	fmt.Printf("wrote %d triples to %s\n", len(triples), path)
 
 	// Stream traces.
@@ -96,20 +103,29 @@ func main() {
 		}
 		return nil
 	}
-	if err := harness.Schedule(gen, streams, 0, rdf.Timestamp(*seconds*1000), step, keep, nil); err != nil {
-		log.Fatal(err)
+	if err := harness.Schedule(gen, streams, 0, rdf.Timestamp(seconds*1000), step, keep, nil); err != nil {
+		return err
 	}
 	for _, s := range streams {
 		tuples := traces[s]
-		path := filepath.Join(*out, s+".tuples")
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
+		path := filepath.Join(out, s+".tuples")
+		if err := writeFile(path, func(f *os.File) error { return rdf.WriteTuples(f, tuples) }); err != nil {
+			return err
 		}
-		if err := rdf.WriteTuples(f, tuples); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
 		fmt.Printf("wrote %d tuples to %s\n", len(tuples), path)
 	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(*os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

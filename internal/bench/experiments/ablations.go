@@ -26,7 +26,7 @@ func Ablations(o Options) (*Report, error) {
 	for _, replicate := range []bool{true, false} {
 		cfg := engineConfig(o, o.Nodes)
 		cfg.DisableIndexReplication = !replicate
-		e, d, w, err := harness.LSBenchEngine(cfg, lsConfig(o))
+		e, d, w, err := harness.LSBenchEngine(cfg, LSConfig(o))
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +71,7 @@ func Ablations(o Options) (*Report, error) {
 	for _, cadence := range []time.Duration{100 * time.Millisecond, 500 * time.Millisecond, time.Second} {
 		cfg := engineConfig(o, o.Nodes)
 		cfg.SNCadence = cadence
-		e, d, _, err := harness.LSBenchEngine(cfg, lsConfig(o))
+		e, d, _, err := harness.LSBenchEngine(cfg, LSConfig(o))
 		if err != nil {
 			return nil, err
 		}

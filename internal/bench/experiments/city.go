@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baseline/relstream"
 	"repro/internal/baseline/storm"
-	"repro/internal/bench/citybench"
 	"repro/internal/bench/harness"
 	"repro/internal/rdf"
 )
@@ -17,7 +16,7 @@ const cityWarm rdf.Timestamp = 6000
 // newCityEnv builds the CityBench env on a single node: C1–C11, run to
 // cityWarm.
 func newCityEnv(o Options) (*env, error) {
-	e, d, w, err := harness.CityBenchEngine(engineConfig(o, 1), citybench.Config{RateScale: scaleInt(10, o.Scale, 2)})
+	e, d, w, err := harness.CityBenchEngine(engineConfig(o, 1), CityConfig(o))
 	if err != nil {
 		return nil, err
 	}

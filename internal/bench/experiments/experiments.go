@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bench/citybench"
 	"repro/internal/bench/harness"
 	"repro/internal/bench/lsbench"
 	"repro/internal/core"
@@ -76,10 +77,12 @@ func scaleInt(v int, scale float64, min int) int {
 	return n
 }
 
-// lsConfig returns the LSBench configuration at the experiment scale.
-// Defaults are 1/10 of scale 1 relative to the generator's own defaults so
-// experiments finish promptly; Scale raises them.
-func lsConfig(o Options) lsbench.Config {
+// LSConfig returns the LSBench configuration of the experiments at o's
+// scale (1 when unset). Defaults are 1/10 of scale 1 relative to the
+// generator's own defaults so experiments finish promptly; Scale raises them.
+// cmd/wsgen writes the same workload's traces.
+func LSConfig(o Options) lsbench.Config {
+	o = o.withDefaults()
 	return lsbench.Config{
 		Users:               scaleInt(600, o.Scale, 40),
 		FollowsPerUser:      scaleInt(12, o.Scale, 4),
@@ -91,6 +94,12 @@ func lsConfig(o Options) lsbench.Config {
 		RatePHL:             scaleInt(375, o.Scale, 40),
 		RateGPS:             scaleInt(1000, o.Scale, 50),
 	}
+}
+
+// CityConfig returns the CityBench configuration of the experiments at o's
+// scale (1 when unset): ten times the generator's stream rates at scale 1.
+func CityConfig(o Options) citybench.Config {
+	return citybench.Config{RateScale: scaleInt(10, o.withDefaults().Scale, 2)}
 }
 
 // rateScaled multiplies an LSBench config's stream rates (Fig. 13).

@@ -291,7 +291,7 @@ func TestTable7Shape(t *testing.T) {
 // on nothing.
 func TestSystemsAgree(t *testing.T) {
 	o := QuickOptions()
-	ls, err := newLSEnv(o, engineConfig(o, o.Nodes), lsConfig(o))
+	ls, err := newLSEnv(o, engineConfig(o, o.Nodes), LSConfig(o))
 	if err != nil {
 		t.Fatal(err)
 	}

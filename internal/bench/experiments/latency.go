@@ -242,7 +242,7 @@ func (env *env) wukongExtLatencies(nodes int) map[int]time.Duration {
 // its two query plans (paper Fig. 4): L5 (the QC shape) on Storm+Wukong.
 func Fig4(o Options) (*Report, error) {
 	o = o.withDefaults()
-	env, err := newLSEnv(o, engineConfig(o, 1), lsConfig(o))
+	env, err := newLSEnv(o, engineConfig(o, 1), LSConfig(o))
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +271,7 @@ func Fig4(o Options) (*Report, error) {
 // Storm+Wukong vs CSPARQL-engine on LSBench.
 func Table2(o Options) (*Report, error) {
 	o = o.withDefaults()
-	env, err := newLSEnv(o, engineConfig(o, 1), lsConfig(o))
+	env, err := newLSEnv(o, engineConfig(o, 1), LSConfig(o))
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func Table2(o Options) (*Report, error) {
 // Storm+Wukong vs Spark Streaming on the cluster.
 func Table3(o Options) (*Report, error) {
 	o = o.withDefaults()
-	env, err := newLSEnv(o, engineConfig(o, o.Nodes), lsConfig(o))
+	env, err := newLSEnv(o, engineConfig(o, o.Nodes), LSConfig(o))
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +325,7 @@ func Table3(o Options) (*Report, error) {
 // Streaming (unsupported queries marked x), and Wukong/Ext.
 func Table4(o Options) (*Report, error) {
 	o = o.withDefaults()
-	env, err := newLSEnv(o, engineConfig(o, o.Nodes), lsConfig(o))
+	env, err := newLSEnv(o, engineConfig(o, o.Nodes), LSConfig(o))
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +357,7 @@ func Table4(o Options) (*Report, error) {
 // the purely fork-join non-RDMA configuration.
 func Table5(o Options) (*Report, error) {
 	o = o.withDefaults()
-	cfg := lsConfig(o)
+	cfg := LSConfig(o)
 
 	rdma, err := wukongSLatencies(o, engineConfig(o, o.Nodes), cfg)
 	if err != nil {
@@ -393,7 +393,7 @@ func Fig12(o Options) (*Report, error) {
 	// Group II queries need enough per-window work to parallelize; run the
 	// sweep at 4x the default stream rate (the paper's cluster runs 3.75 B
 	// stored triples and full LSBench rates).
-	cfg := rateScaled(lsConfig(o), 4)
+	cfg := rateScaled(LSConfig(o), 4)
 	nodeCounts := []int{2, 4, 6, 8}
 	results := make(map[int]map[int]time.Duration)
 	for _, nodes := range nodeCounts {
@@ -430,7 +430,7 @@ func Fig13(o Options) (*Report, error) {
 	results := make(map[float64]map[int]time.Duration)
 	for _, m := range mults {
 		runtime.GC()
-		lats, err := wukongSLatencies(o, engineConfig(o, o.Nodes), rateScaled(lsConfig(o), m))
+		lats, err := wukongSLatencies(o, engineConfig(o, o.Nodes), rateScaled(LSConfig(o), m))
 		if err != nil {
 			return nil, err
 		}

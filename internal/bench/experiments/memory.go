@@ -13,7 +13,7 @@ import (
 // indexing time for each LSBench stream at the default rates.
 func Table6(o Options) (*Report, error) {
 	o = o.withDefaults()
-	e, d, w, err := harness.LSBenchEngine(engineConfig(o, o.Nodes), lsConfig(o))
+	e, d, w, err := harness.LSBenchEngine(engineConfig(o, o.Nodes), LSConfig(o))
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func Table6(o Options) (*Report, error) {
 // stream index, normalized to MB per minute of stream.
 func Table7(o Options) (*Report, error) {
 	o = o.withDefaults()
-	e, d, _, err := harness.LSBenchEngine(engineConfig(o, o.Nodes), lsConfig(o))
+	e, d, _, err := harness.LSBenchEngine(engineConfig(o, o.Nodes), LSConfig(o))
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func SnapMem(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := lsbench.Generate(lsConfig(o), e.StringServer())
+		w := lsbench.Generate(LSConfig(o), e.StringServer())
 		e.LoadEncoded(w.Initial)
 		streams := lsbench.Streams()[:conf.streams]
 		var specs []harness.StreamSpec

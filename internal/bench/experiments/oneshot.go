@@ -18,7 +18,7 @@ import (
 //   - Wukong+S/On: streams injecting and continuous queries executing.
 func Table8(o Options) (*Report, error) {
 	o = o.withDefaults()
-	cfg := lsConfig(o)
+	cfg := LSConfig(o)
 
 	// Wukong: plain store. One-shot queries over the loaded data only.
 	measureStatic := func() (map[int]time.Duration, error) {

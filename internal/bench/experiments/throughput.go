@@ -22,7 +22,7 @@ type mixResult struct {
 // drives the streams for `logical` milliseconds and measures execution
 // throughput and latencies.
 func runMixedWorkload(o Options, nodes int, classes []int, perClass int, logical rdf.Timestamp) (*mixResult, error) {
-	e, d, w, err := harness.LSBenchEngine(engineConfig(o, nodes), lsConfig(o))
+	e, d, w, err := harness.LSBenchEngine(engineConfig(o, nodes), LSConfig(o))
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func FT(o Options) (*Report, error) {
 	classes := []int{1, 2, 3}
 
 	run := func(ft bool) (*mixResult, *core.FTStats, error) {
-		e, d, w, err := harness.LSBenchEngine(engineConfig(o, o.Nodes), lsConfig(o))
+		e, d, w, err := harness.LSBenchEngine(engineConfig(o, o.Nodes), LSConfig(o))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -10,8 +10,8 @@
 // that order before anything else touches the string server. Stream and
 // continuous-query registrations replay through the same applyOp path the
 // op log uses, so coordinator slots, round-robin homes, and auto-assigned
-// query names come out identical too. Triples restore through
-// store.InsertFloor, which clamps snapshot numbers instead of panicking
+// query names come out identical too. Triples restore through store.Insert
+// with its floor set, which clamps snapshot numbers instead of panicking
 // when a catch-up replays history into a store that already advanced.
 //
 // Transcript sections, in order:
@@ -26,7 +26,7 @@
 //	ADVANCE <now>                 (clock restore: seal/advance before CQs)
 //	CQ <name> <len>\n<text>       (registration order)
 //	KEY <vid> <pid> <n> <obj...>  (out-edge multisets; in-edges and indexes
-//	                               are rebuilt by InsertFloor)
+//	                               are rebuilt by store.Insert)
 //
 // Window-resident transient state (tstore batches, stream-index spans for
 // unexpired windows) is deliberately NOT captured: the store effects of
@@ -302,7 +302,7 @@ func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabr
 			}
 			for _, obj := range order {
 				for i := 0; i < want[obj]; i++ {
-					g.InsertFloor(strserver.EncodedTriple{S: rdf.ID(vid), P: rdf.ID(pid), O: obj}, store.BaseSN)
+					g.Insert(strserver.EncodedTriple{S: rdf.ID(vid), P: rdf.ID(pid), O: obj}, store.BaseSN, true, nil)
 				}
 			}
 		default:

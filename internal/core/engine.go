@@ -424,7 +424,7 @@ func (e *Engine) LoadTriples(triples []rdf.Triple) error {
 	}
 	sn := e.loadSN()
 	for i, t := range triples {
-		e.stored.Insert(e.ss.EncodeWith(t, pids[i]), sn)
+		e.stored.Insert(e.ss.EncodeWith(t, pids[i]), sn, false, nil)
 	}
 	return nil
 }

@@ -228,11 +228,7 @@ func osDraw(d draw) osQuery {
 		}
 		return q
 	default: // ORDER BY every projected var, then LIMIT
-		// Not by a predicate var: ORDER BY sorts predicate cells by ID, not
-		// by their IRIs, unlike every other term.
-		q.where, q.sel = pats, osSubset(d, slices.DeleteFunc(slices.Clone(all), func(v string) bool {
-			return slices.ContainsFunc(pats, func(p oPat) bool { return p.p == v })
-		}))
+		q.where, q.sel = pats, osSubset(d, all)
 		for _, v := range osSubset(d, q.sel) {
 			q.orderBy = append(q.orderBy, osKey{v: v, desc: d(2) == 0})
 		}

@@ -69,7 +69,7 @@ func randomGraph(t *testing.T, rng *rand.Rand, nodes, nEnts, nPreds, nTriples in
 			continue
 		}
 		seen[tr] = true
-		f.stored.Insert(tr, store.BaseSN)
+		f.stored.Insert(tr, store.BaseSN, false, nil)
 		triples = append(triples, tr)
 	}
 	return f, triples, preds

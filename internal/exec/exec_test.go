@@ -66,12 +66,14 @@ func newFixture(t testing.TB, nodes int) *fixture {
 		{"T-13", "ht", "sosp17"},
 		{"Erik", "li", "T-13"},
 	} {
-		f.stored.Insert(f.enc(tr), store.BaseSN)
+		f.stored.Insert(f.enc(tr), store.BaseSN, false, nil)
 	}
 
 	// Stream batch 1: Logan posts T-15 (timeless, into the store + index);
 	// T-15 carries a GPS position (timing, into the transient store).
-	for _, ks := range f.stored.Insert(f.enc([3]string{"Logan", "po", "T-15"}), 1) {
+	var spans []store.KeySpan
+	f.stored.Insert(f.enc([3]string{"Logan", "po", "T-15"}), 1, false, &spans)
+	for _, ks := range spans {
 		f.tweetIx.AddBatch(1, []store.KeySpan{ks})
 	}
 	gps := f.id("pos-31-121")
@@ -81,7 +83,9 @@ func newFixture(t testing.TB, nodes int) *fixture {
 	f.tweetTS[home].Append(1, []tstore.Pair{{Key: store.EdgeKey(t15, ga, store.Out).Ord(), Val: gps}})
 
 	// Stream batch 2 on Like_Stream: Erik likes T-15.
-	for _, ks := range f.stored.Insert(f.enc([3]string{"Erik", "li", "T-15"}), 1) {
+	spans = spans[:0]
+	f.stored.Insert(f.enc([3]string{"Erik", "li", "T-15"}), 1, false, &spans)
+	for _, ks := range spans {
 		f.likeIx.AddBatch(2, []store.KeySpan{ks})
 	}
 	return f
@@ -262,7 +266,7 @@ func TestFilterNumeric(t *testing.T) {
 	for i, v := range []int64{10, 50, 90} {
 		car := f.id(fmt.Sprintf("car%d", i))
 		val := f.ss.InternEntity(rdf.NewIntLiteral(v))
-		f.stored.Insert(strserver.EncodedTriple{S: car, P: speed, O: val}, store.BaseSN)
+		f.stored.Insert(strserver.EncodedTriple{S: car, P: speed, O: val}, store.BaseSN, false, nil)
 	}
 	rs := f.run(t, `SELECT ?c ?v WHERE { ?c speed ?v . FILTER (?v > 30 && ?v < 80) }`, InPlace)
 	if got := f.names(rs, 0); len(got) != 1 || got[0] != "car1" {
@@ -297,8 +301,8 @@ func TestAggregates(t *testing.T) {
 	for i, v := range []int64{10, 20, 60} {
 		obs := f.id(fmt.Sprintf("obs%d", i))
 		val := f.ss.InternEntity(rdf.NewIntLiteral(v))
-		f.stored.Insert(strserver.EncodedTriple{S: obs, P: speed, O: val}, store.BaseSN)
-		f.stored.Insert(strserver.EncodedTriple{S: obs, P: road, O: r1}, store.BaseSN)
+		f.stored.Insert(strserver.EncodedTriple{S: obs, P: speed, O: val}, store.BaseSN, false, nil)
+		f.stored.Insert(strserver.EncodedTriple{S: obs, P: road, O: r1}, store.BaseSN, false, nil)
 	}
 	rs := f.run(t, `
 SELECT ?r (AVG(?v) AS ?avg) (COUNT(*) AS ?n) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SUM(?v) AS ?sum)
@@ -363,9 +367,9 @@ func TestSelfLoopPattern(t *testing.T) {
 	f := newFixture(t, 2)
 	selfp := f.pred("self")
 	a := f.id("selfnode")
-	f.stored.Insert(strserver.EncodedTriple{S: a, P: selfp, O: a}, store.BaseSN)
+	f.stored.Insert(strserver.EncodedTriple{S: a, P: selfp, O: a}, store.BaseSN, false, nil)
 	b := f.id("othernode")
-	f.stored.Insert(strserver.EncodedTriple{S: b, P: selfp, O: a}, store.BaseSN)
+	f.stored.Insert(strserver.EncodedTriple{S: b, P: selfp, O: a}, store.BaseSN, false, nil)
 	rs := f.run(t, `SELECT ?X WHERE { ?X self ?X }`, InPlace)
 	if got := f.names(rs, 0); len(got) != 1 || got[0] != "selfnode" {
 		t.Errorf("self loops = %v", got)

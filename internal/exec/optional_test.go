@@ -19,14 +19,14 @@ func optionalFixture(t *testing.T) *fixture {
 	age := f.pred("age")
 	person := f.id("Person")
 	for _, u := range []string{"alice", "bob", "carol"} {
-		f.stored.Insert(strserver.EncodedTriple{S: f.id(u), P: ty, O: person}, store.BaseSN)
+		f.stored.Insert(strserver.EncodedTriple{S: f.id(u), P: ty, O: person}, store.BaseSN, false, nil)
 	}
-	f.stored.Insert(strserver.EncodedTriple{S: f.id("alice"), P: email, O: f.id("alice@x")}, store.BaseSN)
-	f.stored.Insert(strserver.EncodedTriple{S: f.id("carol"), P: email, O: f.id("carol@x")}, store.BaseSN)
+	f.stored.Insert(strserver.EncodedTriple{S: f.id("alice"), P: email, O: f.id("alice@x")}, store.BaseSN, false, nil)
+	f.stored.Insert(strserver.EncodedTriple{S: f.id("carol"), P: email, O: f.id("carol@x")}, store.BaseSN, false, nil)
 	f.stored.Insert(strserver.EncodedTriple{S: f.id("alice"), P: age,
-		O: f.ss.InternEntity(rdf.NewIntLiteral(30))}, store.BaseSN)
+		O: f.ss.InternEntity(rdf.NewIntLiteral(30))}, store.BaseSN, false, nil)
 	f.stored.Insert(strserver.EncodedTriple{S: f.id("bob"), P: age,
-		O: f.ss.InternEntity(rdf.NewIntLiteral(17))}, store.BaseSN)
+		O: f.ss.InternEntity(rdf.NewIntLiteral(17))}, store.BaseSN, false, nil)
 	return f
 }
 

@@ -18,7 +18,7 @@ func orderFixture(t *testing.T) *fixture {
 	for i, v := range []int64{30, 10, 50, 20, 40} {
 		item := f.id(fmt.Sprintf("item%d", i))
 		val := f.ss.InternEntity(rdf.NewIntLiteral(v))
-		f.stored.Insert(strserver.EncodedTriple{S: item, P: score, O: val}, store.BaseSN)
+		f.stored.Insert(strserver.EncodedTriple{S: item, P: score, O: val}, store.BaseSN, false, nil)
 	}
 	return f
 }
@@ -108,8 +108,8 @@ func TestOrderByAggregate(t *testing.T) {
 	for i, v := range []int64{5, 7, 1, 2} {
 		item := f.id(fmt.Sprintf("it%d", i))
 		k := f.id(fmt.Sprintf("k%d", i%2))
-		f.stored.Insert(strserver.EncodedTriple{S: item, P: score, O: f.ss.InternEntity(rdf.NewIntLiteral(v))}, store.BaseSN)
-		f.stored.Insert(strserver.EncodedTriple{S: item, P: kind, O: k}, store.BaseSN)
+		f.stored.Insert(strserver.EncodedTriple{S: item, P: score, O: f.ss.InternEntity(rdf.NewIntLiteral(v))}, store.BaseSN, false, nil)
+		f.stored.Insert(strserver.EncodedTriple{S: item, P: kind, O: k}, store.BaseSN, false, nil)
 	}
 	rs := runOrder(t, f, `
 SELECT ?k (SUM(?v) AS ?s) WHERE { ?i kind ?k . ?i score ?v }

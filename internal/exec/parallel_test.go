@@ -20,10 +20,10 @@ func buildChainFixture(t testing.TB, nodes, fanout int) *fixture {
 	root := f.id("root")
 	for i := 0; i < fanout; i++ {
 		mid := f.id(fmt.Sprintf("mid%d", i))
-		f.stored.Insert(strserver.EncodedTriple{S: root, P: p, O: mid}, store.BaseSN)
+		f.stored.Insert(strserver.EncodedTriple{S: root, P: p, O: mid}, store.BaseSN, false, nil)
 		for j := 0; j < 3; j++ {
 			leaf := f.id(fmt.Sprintf("leaf%d_%d", i, j))
-			f.stored.Insert(strserver.EncodedTriple{S: mid, P: q, O: leaf}, store.BaseSN)
+			f.stored.Insert(strserver.EncodedTriple{S: mid, P: q, O: leaf}, store.BaseSN, false, nil)
 		}
 	}
 	return f

@@ -135,9 +135,11 @@ func emptyGroupRow(q *sparql.Query) []Value {
 // termLookup is the optional reverse-mapping side of a resolver (the string
 // server implements it): ORDER BY compares non-numeric values by their
 // lexical forms, read a block of strserver.Block IDs at a time, with a mask
-// bit set for each ID it knows.
+// bit set for each ID it knows, and a predicate cell by its IRI, which is
+// what the cell renders as.
 type termLookup interface {
 	Lexicals(ids []rdf.ID, lex []string) uint64
+	Predicate(pid rdf.ID) (string, bool)
 }
 
 // orderKey is one ORDER BY cell resolved for comparison: its number if it
@@ -206,6 +208,10 @@ func orderBy(rs *ResultSet, by []sparql.OrderKey, res TermResolver) {
 			v := rs.Cell(i, c)
 			key.id = v.ID
 			if key.num, key.isNum = valueNum(v, res); key.isNum || tl == nil {
+				continue
+			}
+			if pid, ok := UntagPred(v.ID); ok {
+				key.lex, key.isLex = tl.Predicate(pid)
 				continue
 			}
 			ids[m], at[m] = v.ID, i*nk+ki

@@ -13,8 +13,8 @@ import (
 func unionFixture(t *testing.T) *fixture {
 	f := newFixture(t, 2)
 	fr := f.pred("fr")
-	f.stored.Insert(strserver.EncodedTriple{S: f.id("Logan"), P: fr, O: f.id("Charles")}, store.BaseSN)
-	f.stored.Insert(strserver.EncodedTriple{S: f.id("Logan"), P: fr, O: f.id("Erik")}, store.BaseSN)
+	f.stored.Insert(strserver.EncodedTriple{S: f.id("Logan"), P: fr, O: f.id("Charles")}, store.BaseSN, false, nil)
+	f.stored.Insert(strserver.EncodedTriple{S: f.id("Logan"), P: fr, O: f.id("Erik")}, store.BaseSN, false, nil)
 	return f
 }
 

@@ -119,13 +119,15 @@ func (s *Shard) readStripe(st int, words []uint64, idx []int32, at1 []uint32, sn
 		}
 	}
 	for j, i := range idx {
-		switch {
-		case at1[j] == 0:
+		if at1[j] == 0 {
 			out[i] = nil
-		case spans == nil:
-			out[i] = s.at(st, at1[j]-1).visible(sn)
-		default:
-			out[i] = s.at(st, at1[j]-1).span(spans[i].Span)
+			continue
+		}
+		e := s.at(st, at1[j]-1)
+		if spans == nil {
+			out[i] = e.visible(s.segs(st, e), sn)
+		} else {
+			out[i] = e.span(count(s.segs(st, e)), spans[i].Span)
 		}
 	}
 	s.mu[st].RUnlock()

@@ -15,9 +15,10 @@ import (
 	"repro/internal/strserver"
 )
 
-// This file pins the shard's layout — one packed word per key, entries carved
-// from slabs with their first two boundaries inline — against a plain model,
-// and pins what the layout costs.
+// This file pins the shard's layout — one packed word per key, 32-byte entries
+// carved from slabs with their first two boundaries inline and any more in
+// the stripe's spill map — against a plain model, and pins what the layout
+// costs.
 
 // must unwraps a value the test's inputs always produce.
 func must[T any](v T, err error) T {
@@ -87,16 +88,19 @@ func TestKeyOutsideTheWord(t *testing.T) {
 }
 
 func TestChunkFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 64 {
-		t.Errorf("entry is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(entry{}); got != 32 {
+		t.Errorf("entry is %d bytes, want 32", got)
 	}
 	if got := unsafe.Sizeof(cell{}); got != 16 {
 		t.Errorf("a key-table cell is %d bytes, want 16, four to a cache line", got)
 	}
 	// The allocator prefixes a pointerful object this large with an 8-byte
-	// header; both must fit the 8192-byte class.
+	// header; both must fit the 8192-byte class, and one more entry must not.
 	if got := unsafe.Sizeof(chunk{}) + 8; got > 8192 {
 		t.Errorf("a chunk and its header take %d bytes, past the 8192-byte class", got)
+	}
+	if got := unsafe.Sizeof(entry{})*(chunkLen+1) + 8; got <= 8192 {
+		t.Errorf("a chunk of %d entries would still fit the 8192-byte class (%d bytes)", chunkLen+1, got)
 	}
 }
 
@@ -299,6 +303,96 @@ func TestShardMatchesModel(t *testing.T) {
 	}
 }
 
+// FuzzShardMatchesModel decodes a shard's operations from the fuzz input —
+// the cap first, then ops on the edge keys — and checks the shard against the
+// model after every one: appends of every kind at non-decreasing snapshots
+// (a floor append may name an older one), prunes up to the newest snapshot,
+// and Get, GetSpan and GetAll at drawn snapshots and spans.
+func FuzzShardMatchesModel(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 3, 1, 0, 2, 3, 4, 1, 5, 0, 6, 0, 7, 0})
+	f.Add([]byte{2, 1, 3, 0, 3, 1, 3, 0, 3, 3, 4, 2, 2, 3, 1, 3, 5, 3})
+	f.Add([]byte{4, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 4, 1, 6, 1, 5, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		maxSnapshots := 1 + int(in[0])%5
+		in = in[1:]
+		next := func() int {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return int(b)
+		}
+		s := NewShard(0, maxSnapshots)
+		m := &shardModel{max: maxSnapshots, vals: map[Key][]modelVal{}, sns: map[Key][]uint32{}}
+		spans := map[Key][]Span{}
+		keys := edgeKeys()
+		var sn, minSN uint32
+		val := rdf.ID(0)
+		// Every check reads each key at every snapshot from its floor, so
+		// inputs stop at 48 ops, which keeps a run in milliseconds.
+		for op := 0; len(in) > 0 && op < 48; op++ {
+			kind, k := next()%8, keys[next()%len(keys)]
+			switch kind {
+			case 0, 1, 2: // Append, AppendOne, AppendOneFloor
+				var got, want Span
+				val++
+				switch kind {
+				case 0:
+					vals := []rdf.ID{val, val + 1, val + 2}[:1+next()%3]
+					val += 2
+					got, want = s.Append(k, vals, sn), m.append(k, sn, false, vals...)
+				case 1:
+					got, _ = s.AppendOne(k, val, sn)
+					want = m.append(k, sn, false, val)
+				default:
+					at := sn - min(sn, uint32(next()%4))
+					got, _ = s.AppendOneFloor(k, val, at)
+					want = m.append(k, at, true, val)
+				}
+				if got != want {
+					t.Fatalf("op %d: append to %v at sn=%d returned %v, want %v", op, k, sn, got, want)
+				}
+				spans[k] = append(spans[k], got)
+			case 3: // the next snapshot
+				sn += 1 + uint32(next()%3)
+			case 4:
+				minSN = max(minSN, sn-min(sn, uint32(next()%3)))
+				s.PruneSnapshots(minSN)
+				m.prune(minSN)
+			case 5: // Get at a snapshot from the key's floor to past the newest
+				if sns := m.sns[k]; len(sns) > 0 {
+					at := sns[0] + uint32(next())%(sn+2-sns[0])
+					if got, want := s.Get(k, at), m.visible(k, at); !slices.Equal(got, want) {
+						t.Fatalf("op %d: Get(%v, %d) = %v, want %v", op, k, at, got, want)
+					}
+				}
+			case 6: // GetSpan over a drawn span, inside the values or past them
+				all := allVals(m.vals[k])
+				end := uint32(next() % (len(all) + 2))
+				sp := Span{Start: end - min(end, uint32(next()%3)), End: end}
+				past := int(end) > len(all)
+				want := []rdf.ID(nil)
+				if !past {
+					want = all[sp.Start:sp.End]
+				}
+				if got := s.GetSpan(k, sp); !slices.Equal(got, want) || past && got != nil {
+					t.Fatalf("op %d: GetSpan(%v, %v) = %v, want %v", op, k, sp, got, want)
+				}
+			default:
+				if got, want := s.GetAll(k), allVals(m.vals[k]); !slices.Equal(got, want) {
+					t.Fatalf("op %d: GetAll(%v) = %v, want %v", op, k, got, want)
+				}
+			}
+			m.check(t, s, sn, spans, fmt.Sprintf("op %d (%d at sn=%d, prune floor %d)", op, kind, sn, minSN))
+			s.checkMultiInvariant(t)
+		}
+	})
+}
+
 // TestKeyTableMatchesMap drives a key table and a map through the same seeded
 // inserts and lookups, word 0 and the all-ones word among the keys, across
 // every doubling from 16 cells to 2^16; after each doubling every key must
@@ -419,7 +513,7 @@ func TestRangeKeysVisitsEachKeyOnce(t *testing.T) {
 
 // A single-value key costs about half a heap object: its one-value list, which
 // the allocator packs two to a 16-byte block. The entry is a slot in a chunk
-// shared with 126 others, and the table cell holding the key is no object.
+// shared with 254 others, and the table cell holding the key is no object.
 func TestStoreHeapObjectsPerKey(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap counts are meaningless under the race detector")
@@ -455,7 +549,7 @@ func TestShardHotPathsDoNotAllocate(t *testing.T) {
 	s.AppendOne(k, 1, BaseSN)
 	w, _ := pack(k)
 	e := s.find(stripeOf(w), w)
-	for cap(e.vals)-len(e.vals) < 500 {
+	for e.cap-e.inline[0].end < 500 {
 		s.AppendOne(k, 1, BaseSN)
 	}
 	if n := testing.AllocsPerRun(100, func() { s.Get(k, BaseSN) }); n != 0 {
@@ -471,8 +565,8 @@ func TestShardHotPathsDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sn++; s.AppendOne(k, 3, sn) }); n != 0 {
 		t.Errorf("AppendOne at a new snapshot allocates %.0f times, want 0", n)
 	}
-	if len(e.segs) != 2 || &e.segs[0] != &e.inline[0] {
-		t.Errorf("after 100 snapshots the entry's %d boundaries live outside its inline pair", len(e.segs))
+	if _, spilled := s.spill[stripeOf(w)][e]; e.nseg != 2 || spilled {
+		t.Errorf("after 100 snapshots the entry has %d boundaries, spilled %v; want its inline pair", e.nseg, spilled)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // PruneSnapshotsWalk collapses snapshot metadata below minSN by visiting
 // every entry of every stripe under the stripe's write lock, taking no hint
 // from the multi-boundary lists. It rebuilds them from what it finds, so a
-// shard pruned only this way keeps the listed ⇔ len(segs) > 1 invariant.
+// shard pruned only this way keeps the listed ⇔ nseg > 1 invariant.
 // Exported (from a _test.go file only) so the engine-level test in package
 // store_test can reach it.
 func (s *Shard) PruneSnapshotsWalk(minSN uint32) {
@@ -25,10 +25,7 @@ func (s *Shard) PruneSnapshotsWalk(minSN uint32) {
 		s.mu[st].Lock()
 		s.multi[st] = s.multi[st][:0]
 		s.eachLocked(st, func(_ Key, e *entry) {
-			before := len(e.segs)
-			e.prune(minSN)
-			s.stat[st].segBounds -= int64(before - len(e.segs))
-			if len(e.segs) > 1 {
+			if s.prune(st, e, minSN) > 1 {
 				s.multi[st] = append(s.multi[st], e)
 			}
 		})
@@ -46,26 +43,38 @@ func (g *Sharded) PruneSnapshotsWalk(minSN uint32) {
 
 // checkMultiInvariant fails the test unless, in every stripe, the
 // multi-boundary list holds exactly the entries with more than one boundary,
-// each once, and the lock-free count mirrors its length.
+// each once, and the lock-free count mirrors its length; and the spill map
+// holds exactly the entries with more than two, each with its count of
+// boundaries.
 func (s *Shard) checkMultiInvariant(t *testing.T) {
 	t.Helper()
 	for st := 0; st < stripes; st++ {
 		s.mu[st].RLock()
 		listed := make(map[*entry]bool, len(s.multi[st]))
 		for _, e := range s.multi[st] {
-			if len(e.segs) <= 1 {
-				t.Errorf("stripe %d lists an entry with %d boundaries", st, len(e.segs))
+			if e.nseg <= 1 {
+				t.Errorf("stripe %d lists an entry with %d boundaries", st, e.nseg)
 			}
 			if listed[e] {
 				t.Errorf("stripe %d lists an entry twice", st)
 			}
 			listed[e] = true
 		}
+		spilled := 0
 		s.eachLocked(st, func(k Key, e *entry) {
-			if len(e.segs) > 1 && !listed[e] {
-				t.Errorf("stripe %d: %v has %d boundaries and is not listed", st, k, len(e.segs))
+			if e.nseg > 1 && !listed[e] {
+				t.Errorf("stripe %d: %v has %d boundaries and is not listed", st, k, e.nseg)
+			}
+			if segs, ok := s.spill[st][e]; ok != (e.nseg > 2) || ok && len(segs) != int(e.nseg) {
+				t.Errorf("stripe %d: %v has %d boundaries and %d spilled (present %v)", st, k, e.nseg, len(segs), ok)
+			}
+			if e.nseg > 2 {
+				spilled++
 			}
 		})
+		if len(s.spill[st]) != spilled {
+			t.Errorf("stripe %d spills %d entries, %d have more than two boundaries", st, len(s.spill[st]), spilled)
+		}
 		if got := int(s.nmulti[st].Load()); got != len(s.multi[st]) {
 			t.Errorf("stripe %d: count %d, list length %d", st, got, len(s.multi[st]))
 		}
@@ -197,17 +206,26 @@ func TestPruneVisitsOnlyTouchedKeys(t *testing.T) {
 	}
 }
 
-// Readers, writers and a pruning loop share a shard (run under -race). Every
-// value a reader sees is the one its writer put at that position, and once the
-// floor passes the last append the lists are empty and every key is back to
-// one boundary.
+// Readers, writers and a pruning loop share a shard (run under -race), under
+// the default cap and under a cap of three, where keys spill past their two
+// inline boundaries and come back. Every value a reader sees is the one its
+// writer put at that position, and once the floor passes the last append the
+// lists are empty and every key is back to one boundary.
 func TestConcurrentPruneWithReadersAndWriters(t *testing.T) {
+	for _, maxSnapshots := range []int{DefaultMaxSnapshots, 3} {
+		t.Run(fmt.Sprintf("max=%d", maxSnapshots), func(t *testing.T) {
+			concurrentPruneWithReadersAndWriters(t, maxSnapshots)
+		})
+	}
+}
+
+func concurrentPruneWithReadersAndWriters(t *testing.T, maxSnapshots int) {
 	const (
 		writers = 2
 		perW    = 400 // keys per writer
 		lastSN  = 30
 	)
-	s := NewShard(0, 0)
+	s := NewShard(0, maxSnapshots)
 	key := func(w, i int) Key { return EdgeKey(rdf.ID(1+w*perW+i), 1, Out) }
 	val := func(k Key, pos int) rdf.ID { return rdf.ID(uint64(k.Vid)*1000 + uint64(pos)) }
 	for w := 0; w < writers; w++ {

@@ -105,84 +105,55 @@ func (g *Sharded) BumpObjects(pid rdf.ID) { g.pstat(pid).Objects.Add(1) }
 
 // Insert adds one triple under snapshot sn: the out-edge on the subject's
 // home shard, the in-edge on the object's home shard, and the index-vertex
-// entries on first sight of each (vid,pid,dir). It returns the key spans of
-// all appended values so the caller can build stream indexes.
+// entries on first sight of each (vid,pid,dir). Unless spans is nil, it
+// appends to *spans the key span of every value a stream index addresses:
+// the out-edge, the in-edge and the index-vertex entries.
+//
+// With floor set every append goes through AppendOneFloor, for snapshot
+// restore and catch-up: replaying a historical triple into a store that
+// already advanced past sn clamps the boundary instead of panicking on
+// snapshot regression.
 //
 // Insert performs the *local* work of the paper's Injector; the stream
 // substrate's dispatcher is responsible for routing each tuple so that
 // Insert runs on (or on behalf of) the owning nodes.
-func (g *Sharded) Insert(t strserver.EncodedTriple, sn uint32) []KeySpan {
-	spans := make([]KeySpan, 0, 4)
+func (g *Sharded) Insert(t strserver.EncodedTriple, sn uint32, floor bool, spans *[]KeySpan) {
 	st := g.pstat(t.P)
 	st.Edges.Add(1)
-
-	// Subject side.
-	sShard := g.ShardOf(t.S)
-	outKey := EdgeKey(t.S, t.P, Out)
-	sp, newSubj := sShard.AppendOne(outKey, t.O, sn)
-	spans = append(spans, KeySpan{Key: outKey, Span: sp})
-	if newSubj {
-		idx := IndexKey(t.P, Out)
-		isp, _ := sShard.AppendOne(idx, t.S, sn)
-		spans = append(spans, KeySpan{Key: idx, Span: isp})
-		sShard.AppendOne(PredIndexKey(t.S, Out), t.P, sn)
+	if g.ShardOf(t.S).insertEdge(t.S, t.P, t.O, Out, sn, floor, spans) {
 		st.Subjects.Add(1)
 	}
-
-	// Object side.
-	oShard := g.ShardOf(t.O)
-	inKey := EdgeKey(t.O, t.P, In)
-	osp, newObj := oShard.AppendOne(inKey, t.S, sn)
-	spans = append(spans, KeySpan{Key: inKey, Span: osp})
-	if newObj {
-		idx := IndexKey(t.P, In)
-		isp, _ := oShard.AppendOne(idx, t.O, sn)
-		spans = append(spans, KeySpan{Key: idx, Span: isp})
-		oShard.AppendOne(PredIndexKey(t.O, In), t.P, sn)
+	if g.ShardOf(t.O).insertEdge(t.O, t.P, t.S, In, sn, floor, spans) {
 		st.Objects.Add(1)
 	}
-	return spans
 }
 
-// InsertFloor is Insert for snapshot restore and catch-up: it performs the
-// same out-edge/in-edge/index writes but through AppendOneFloor, so replaying
-// a historical triple into a store that already advanced past sn clamps the
-// boundary instead of panicking on snapshot regression.
-func (g *Sharded) InsertFloor(t strserver.EncodedTriple, sn uint32) []KeySpan {
-	spans := make([]KeySpan, 0, 4)
-	st := g.pstat(t.P)
-	st.Edges.Add(1)
-
-	sShard := g.ShardOf(t.S)
-	outKey := EdgeKey(t.S, t.P, Out)
-	sp, newSubj := sShard.AppendOneFloor(outKey, t.O, sn)
-	spans = append(spans, KeySpan{Key: outKey, Span: sp})
-	if newSubj {
-		idx := IndexKey(t.P, Out)
-		isp, _ := sShard.AppendOneFloor(idx, t.S, sn)
-		spans = append(spans, KeySpan{Key: idx, Span: isp})
-		sShard.AppendOneFloor(PredIndexKey(t.S, Out), t.P, sn)
-		st.Subjects.Add(1)
+// insertEdge is one side of Insert on vid's home shard s: it appends nbr to
+// vid's pid-edge in direction d and, on the key's first value, vid to the pid
+// index vertex and pid to vid's predicate index. It reports whether the key
+// was new.
+func (s *Shard) insertEdge(vid, pid, nbr rdf.ID, d Dir, sn uint32, floor bool, spans *[]KeySpan) bool {
+	key := EdgeKey(vid, pid, d)
+	sp, first := s.appendOne(key, nbr, sn, floor)
+	if spans != nil {
+		*spans = append(*spans, KeySpan{Key: key, Span: sp})
 	}
-
-	oShard := g.ShardOf(t.O)
-	inKey := EdgeKey(t.O, t.P, In)
-	osp, newObj := oShard.AppendOneFloor(inKey, t.S, sn)
-	spans = append(spans, KeySpan{Key: inKey, Span: osp})
-	if newObj {
-		idx := IndexKey(t.P, In)
-		isp, _ := oShard.AppendOneFloor(idx, t.O, sn)
-		spans = append(spans, KeySpan{Key: idx, Span: isp})
-		oShard.AppendOneFloor(PredIndexKey(t.O, In), t.P, sn)
-		st.Objects.Add(1)
+	if !first {
+		return false
 	}
-	return spans
+	idx := IndexKey(pid, d)
+	isp, _ := s.appendOne(idx, vid, sn, floor)
+	if spans != nil {
+		*spans = append(*spans, KeySpan{Key: idx, Span: isp})
+	}
+	s.appendOne(PredIndexKey(vid, d), pid, sn, floor)
+	return true
 }
 
 // LoadBase bulk-loads the initially stored data at the base snapshot.
 func (g *Sharded) LoadBase(triples []strserver.EncodedTriple) {
 	for _, t := range triples {
-		g.Insert(t, BaseSN)
+		g.Insert(t, BaseSN, false, nil)
 	}
 }
 

@@ -15,8 +15,8 @@
 // cache line: a lookup reads one line in the common case, as the paper's
 // hash bucket does. The slab is a list of fixed-size chunks of entries that
 // never move, so a key costs no heap object of its own: its table cell holds
-// no pointer, and its entry, with its first two snapshot boundaries inline,
-// shares a chunk with 126 others.
+// no pointer, and its 32-byte entry, with its first two snapshot boundaries
+// inline, shares a chunk with 254 others.
 //
 // Values are append-only. Each key keeps a bounded list of snapshot
 // boundaries {SN, end}: a one-shot query reading at stable snapshot number s
@@ -32,6 +32,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fabric"
 	"repro/internal/rdf"
@@ -143,57 +144,63 @@ type segBoundary struct {
 }
 
 // entry is one key's value: an append-only neighbor list plus its snapshot
-// boundaries, newest last. segs is backed by inline until a shard with
-// MaxSnapshots > 2 makes it spill to the heap. 64 bytes.
+// boundaries, newest last. 32 bytes.
+//
+// The list is its array's first element and capacity; how many values are in
+// use is the end of the newest boundary, which every append moves (bound),
+// so the entry keeps no length of its own. Up to two boundaries live inline,
+// nseg counting them; an entry with more keeps its whole list in its
+// stripe's spill map instead (Shard.segs), which only a shard with
+// MaxSnapshots > 2 ever needs.
 type entry struct {
-	vals   []rdf.ID
-	segs   []segBoundary
+	vals   *rdf.ID
+	cap    uint32
+	nseg   uint32
 	inline [2]segBoundary
 }
 
-// chunkLen is how many entries a slab chunk holds: 127 × 64 B is 8128 B,
-// which with the allocator's 8-byte header fills the 8192 B size class (128
+// chunkLen is how many entries a slab chunk holds: 255 × 32 B is 8160 B,
+// which with the allocator's 8-byte header fills the 8192 B size class (256
 // entries would land in the 9472 B class).
-const chunkLen = 127
+const chunkLen = 255
 
 // chunk is a slab's unit of allocation. Chunks never move, so an *entry stays
 // valid for the shard's life.
 type chunk [chunkLen]entry
 
-// visibleLen returns how many values a reader at snapshot sn may see.
-func (e *entry) visibleLen(sn uint32) int {
+// array returns e's value array with its first n values in use.
+func (e *entry) array(n uint32) []rdf.ID { return unsafe.Slice(e.vals, e.cap)[:n] }
+
+// prefix returns e's first n values, capped so an append by the caller
+// cannot reach the store.
+func (e *entry) prefix(n uint32) []rdf.ID { return unsafe.Slice(e.vals, n) }
+
+// visible returns the values a reader at snapshot sn may see, given e's
+// boundaries segs.
+func (e *entry) visible(segs []segBoundary, sn uint32) []rdf.ID {
 	// segs is short (≤ MaxSnapshots) and ordered; scan from the newest.
-	for i := len(e.segs) - 1; i >= 0; i-- {
-		if e.segs[i].sn <= sn {
-			return int(e.segs[i].end)
+	for i := len(segs) - 1; i >= 0; i-- {
+		if segs[i].sn <= sn {
+			return e.prefix(segs[i].end)
 		}
 	}
-	return 0
+	return e.prefix(0)
 }
 
-// visible returns the values a reader at snapshot sn may see.
-func (e *entry) visible(sn uint32) []rdf.ID { return e.vals[:e.visibleLen(sn)] }
-
-// span returns the values sp covers, or nil when sp reaches past them.
-func (e *entry) span(sp Span) []rdf.ID {
-	if int(sp.End) > len(e.vals) {
+// span returns the values sp covers, or nil when sp reaches past the n in use.
+func (e *entry) span(n uint32, sp Span) []rdf.ID {
+	if sp.End > n {
 		return nil
 	}
-	return e.vals[sp.Start:sp.End:sp.End]
+	return e.prefix(sp.End)[sp.Start:]
 }
 
-// prune collapses boundaries below minSN into a single floor boundary.
-func (e *entry) prune(minSN uint32) {
-	i := 0
-	for i < len(e.segs) && e.segs[i].sn < minSN {
-		i++
+// count returns how many values boundaries segs hold: the newest one's end.
+func count(segs []segBoundary) uint32 {
+	if len(segs) == 0 {
+		return 0
 	}
-	if i <= 1 {
-		return
-	}
-	// Keep the newest pruned boundary as the floor for readers at exactly
-	// minSN-1 .. the paper's coordinator guarantees no reader is below it.
-	e.segs = append(e.segs[:0], e.segs[i-1:]...)
+	return segs[len(segs)-1].end
 }
 
 // Span is a half-open [Start,End) range into a key's value list. Stream
@@ -294,10 +301,13 @@ type Shard struct {
 	kv   [stripes]keyTable
 	slab [stripes][]*chunk
 	stat [stripes]shardStat
+	// spill[st] holds the boundaries of stripe st's entries that have more
+	// than fit inline, guarded by mu[st]: an entry is a key ⇔ nseg > 2.
+	spill [stripes]map[*entry][]segBoundary
 
 	// multi[st] lists the entries of stripe st that carry more than one
 	// snapshot boundary, guarded by mu[st]: an entry is listed ⇔
-	// len(segs) > 1. It joins where bound takes it from one boundary to two
+	// nseg > 1. It joins where bound takes it from one boundary to two
 	// and leaves where PruneSnapshots collapses it back to one, so the list
 	// itself is the membership record and entry needs no flag. Only listed
 	// entries can have anything to prune, which makes a prune cost what the
@@ -359,9 +369,7 @@ func (s *Shard) entryLocked(st int, w uint64) *entry {
 		s.slab[st] = append(s.slab[st], new(chunk))
 	}
 	s.kv[st].insert(c, w, i)
-	e := s.at(st, i)
-	e.segs = e.inline[:0]
-	return e
+	return s.at(st, i)
 }
 
 // eachLocked calls f with every key of stripe st and its entry, in no
@@ -374,23 +382,50 @@ func (s *Shard) eachLocked(st int, f func(Key, *entry)) {
 	}
 }
 
-// bound records that e's current values are visible from snapshot sn on: it
-// extends the newest boundary when that already is sn's and adds one
+// segs returns the boundaries of e, an entry of stripe st, oldest first: its
+// inline ones or, past two, its spilled list. Caller holds mu[st]; a writer
+// may change the boundaries in place but must store a list of another length
+// with setSegs.
+func (s *Shard) segs(st int, e *entry) []segBoundary {
+	if e.nseg <= uint32(len(e.inline)) {
+		return e.inline[:e.nseg]
+	}
+	return s.spill[st][e]
+}
+
+// setSegs makes segs e's boundaries, inline when they fit and in the spill
+// map when not. Caller holds mu[st] for writing.
+func (s *Shard) setSegs(st int, e *entry, segs []segBoundary) {
+	if len(segs) > len(e.inline) {
+		if s.spill[st] == nil {
+			s.spill[st] = make(map[*entry][]segBoundary)
+		}
+		s.spill[st][e] = segs
+	} else {
+		if e.nseg > uint32(len(e.inline)) {
+			delete(s.spill[st], e)
+		}
+		copy(e.inline[:], segs)
+	}
+	e.nseg = uint32(len(segs))
+}
+
+// bound records that e's first end values are visible from snapshot sn on:
+// it extends the newest boundary when that already is sn's and adds one
 // otherwise. Every append goes through here, so this is the one place a
-// boundary is added and the one place an entry joins the stripe's
-// multi-boundary list. Snapshot numbers must be non-decreasing per key; the
-// dispatcher and coordinator guarantee this (stream batches within a stream
-// are inserted in order, and SN–VTS plans advance monotonically). Caller holds
-// mu[st].
-func (s *Shard) bound(st int, e *entry, sn uint32) {
-	end := uint32(len(e.vals))
-	n := len(e.segs)
-	if n > 0 && e.segs[n-1].sn == sn {
-		e.segs[n-1].end = end
+// key's value count moves, the one place a boundary is added and the one
+// place an entry joins the stripe's multi-boundary list. Snapshot numbers
+// must be non-decreasing per key; the dispatcher and coordinator guarantee
+// this (stream batches within a stream are inserted in order, and SN–VTS
+// plans advance monotonically). segs is s.segs(st, e). Caller holds mu[st].
+func (s *Shard) bound(st int, e *entry, segs []segBoundary, sn, end uint32) {
+	n := len(segs)
+	if n > 0 && segs[n-1].sn == sn {
+		segs[n-1].end = end
 		return
 	}
-	if n > 0 && e.segs[n-1].sn > sn {
-		panic(fmt.Sprintf("store: snapshot regression on append: %d after %d", sn, e.segs[n-1].sn))
+	if n > 0 && segs[n-1].sn > sn {
+		panic(fmt.Sprintf("store: snapshot regression on append: %d after %d", sn, segs[n-1].sn))
 	}
 	// Bound metadata: collapse the oldest boundaries to make room. This is
 	// safe only once no reader is below the collapsed SN; PruneSnapshots is
@@ -400,14 +435,33 @@ func (s *Shard) bound(st int, e *entry, sn uint32) {
 	// rather than reslice forward, so segs keeps its backing array: under the
 	// default cap of two that is the entry's inline pair, for good.
 	if over := n + 1 - s.maxSnapshots; over > 0 {
-		e.segs = append(e.segs[:0], e.segs[over:]...)
+		segs = append(segs[:0], segs[over:]...)
 	}
-	e.segs = append(e.segs, segBoundary{sn: sn, end: end})
-	s.stat[st].segBounds += int64(len(e.segs) - n)
-	if n == 1 && len(e.segs) > 1 {
+	segs = append(segs, segBoundary{sn: sn, end: end})
+	s.setSegs(st, e, segs)
+	s.stat[st].segBounds += int64(len(segs) - n)
+	if n == 1 && len(segs) > 1 {
 		s.multi[st] = append(s.multi[st], e)
 		s.nmulti[st].Add(1)
 	}
+}
+
+// appendLocked appends vals to e, an entry of stripe st, under snapshot sn,
+// clamped up to e's newest boundary when floor is set and sn would regress,
+// and returns the span they take. Caller holds mu[st].
+func (s *Shard) appendLocked(st int, e *entry, sn uint32, floor bool, vals []rdf.ID) Span {
+	segs := s.segs(st, e)
+	start := count(segs)
+	if n := len(segs); floor && n > 0 {
+		sn = max(sn, segs[n-1].sn)
+	}
+	// Past the count the array holds nothing a reader can see, so the new
+	// values may land there before bound publishes them.
+	v := append(e.array(start), vals...)
+	e.vals, e.cap = unsafe.SliceData(v), uint32(cap(v))
+	s.stat[st].values += int64(len(vals))
+	s.bound(st, e, segs, sn, uint32(len(v)))
+	return Span{Start: start, End: uint32(len(v))}
 }
 
 // Append adds vals to key under snapshot sn, returning the span of the newly
@@ -417,12 +471,7 @@ func (s *Shard) Append(key Key, vals []rdf.ID, sn uint32) Span {
 	st := stripeOf(w)
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()
-	e := s.entryLocked(st, w)
-	start := uint32(len(e.vals))
-	e.vals = append(e.vals, vals...)
-	s.stat[st].values += int64(len(vals))
-	s.bound(st, e, sn)
-	return Span{Start: start, End: uint32(len(e.vals))}
+	return s.appendLocked(st, s.entryLocked(st, w), sn, false, vals)
 }
 
 // AppendOne is Append for a single value, avoiding a slice allocation on the
@@ -448,15 +497,8 @@ func (s *Shard) appendOne(key Key, val rdf.ID, sn uint32, floor bool) (sp Span, 
 	st := stripeOf(w)
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()
-	e := s.entryLocked(st, w)
-	if n := len(e.segs); floor && n > 0 && e.segs[n-1].sn > sn {
-		sn = e.segs[n-1].sn
-	}
-	start := uint32(len(e.vals))
-	e.vals = append(e.vals, val)
-	s.stat[st].values++
-	s.bound(st, e, sn)
-	return Span{Start: start, End: start + 1}, start == 0
+	sp = s.appendLocked(st, s.entryLocked(st, w), sn, floor, []rdf.ID{val})
+	return sp, sp.Start == 0
 }
 
 // RangeKeys calls f for every key in the shard with a copy of its full
@@ -469,7 +511,7 @@ func (s *Shard) RangeKeys(f func(Key, []rdf.ID)) {
 		vals := make([][]rdf.ID, 0, s.kv[st].n)
 		s.eachLocked(st, func(k Key, e *entry) {
 			keys = append(keys, k)
-			vals = append(vals, append([]rdf.ID(nil), e.vals...))
+			vals = append(vals, append([]rdf.ID(nil), e.prefix(count(s.segs(st, e)))...))
 		})
 		s.mu[st].RUnlock()
 		for i, k := range keys {
@@ -493,7 +535,7 @@ func (s *Shard) Get(key Key, sn uint32) []rdf.ID {
 	if e == nil {
 		return nil
 	}
-	return e.visible(sn)
+	return e.visible(s.segs(st, e), sn)
 }
 
 // GetAll returns every value of key regardless of snapshot (continuous
@@ -510,7 +552,7 @@ func (s *Shard) GetAll(key Key) []rdf.ID {
 	if e == nil {
 		return nil
 	}
-	return e.vals[:len(e.vals):len(e.vals)]
+	return e.prefix(count(s.segs(st, e)))
 }
 
 // GetSpan returns the values covered by a stream-index span. The span's fat
@@ -527,7 +569,7 @@ func (s *Shard) GetSpan(key Key, sp Span) []rdf.ID {
 	if e == nil {
 		return nil
 	}
-	return e.span(sp)
+	return e.span(count(s.segs(st, e)), sp)
 }
 
 // PruneSnapshots collapses per-key snapshot metadata below minSN. The engine
@@ -543,10 +585,7 @@ func (s *Shard) PruneSnapshots(minSN uint32) {
 		listed := s.multi[st]
 		kept := listed[:0]
 		for _, e := range listed {
-			before := len(e.segs)
-			e.prune(minSN)
-			s.stat[st].segBounds -= int64(before - len(e.segs))
-			if len(e.segs) > 1 {
+			if s.prune(st, e, minSN) > 1 {
 				kept = append(kept, e)
 			}
 		}
@@ -555,6 +594,25 @@ func (s *Shard) PruneSnapshots(minSN uint32) {
 		s.mu[st].Unlock()
 		s.pruneVisited.Add(int64(len(listed)))
 	}
+}
+
+// prune collapses e's boundaries below minSN into a single floor boundary and
+// returns how many it keeps. Caller holds mu[st] for writing.
+func (s *Shard) prune(st int, e *entry, minSN uint32) int {
+	segs := s.segs(st, e)
+	i := 0
+	for i < len(segs) && segs[i].sn < minSN {
+		i++
+	}
+	if i <= 1 {
+		return len(segs)
+	}
+	// Keep the newest pruned boundary as the floor for readers at exactly
+	// minSN-1 .. the paper's coordinator guarantees no reader is below it.
+	kept := append(segs[:0], segs[i-1:]...)
+	s.setSegs(st, e, kept)
+	s.stat[st].segBounds -= int64(len(segs) - len(kept))
+	return len(kept)
 }
 
 // PruneVisited returns how many entries PruneSnapshots has examined since the

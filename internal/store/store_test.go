@@ -214,38 +214,47 @@ func TestConcurrentAppendsDistinctKeys(t *testing.T) {
 // A reader pinned at a snapshot sees an immutable prefix while a writer
 // appends under later snapshots and a pruner collapses metadata at or below
 // the reader's SN. The shard has room for every boundary, as in
-// TestSnapshotPrefixProperty: what the cap does to a reader it overtakes is
-// TestCapAndPruneKeepReadersAtOrAboveFloor's subject, not this test's.
+// TestSnapshotPrefixProperty, or, under a cap of three, the writer stops two
+// snapshots past the reader's, so the key holds three boundaries — spilled
+// out of the entry — without the cap overtaking the reader: what the cap does
+// to a reader it overtakes is TestCapAndPruneKeepReadersAtOrAboveFloor's
+// subject, not this test's.
 func TestConcurrentReadersDuringAppends(t *testing.T) {
-	const pinned = 3
-	s := NewShard(0, 1<<30)
-	k := EdgeKey(1, 1, Out)
-	s.Append(k, []rdf.ID{1, 2, 3}, 0)
-	for sn := uint32(1); sn <= pinned; sn++ {
-		s.AppendOne(k, rdf.ID(100+sn), sn)
-	}
-	want := []rdf.ID{1, 2, 3, 101, 102, 103}
+	for _, maxSnapshots := range []int{1 << 30, 3} {
+		t.Run(fmt.Sprintf("max=%d", maxSnapshots), func(t *testing.T) {
+			const pinned = 3
+			s := NewShard(0, maxSnapshots)
+			k := EdgeKey(1, 1, Out)
+			s.Append(k, []rdf.ID{1, 2, 3}, 0)
+			for sn := uint32(1); sn <= pinned; sn++ {
+				s.AppendOne(k, rdf.ID(100+sn), sn)
+			}
+			want := []rdf.ID{1, 2, 3, 101, 102, 103}
+			last := uint32(min(200, pinned+maxSnapshots-1))
 
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for sn := uint32(pinned + 1); sn <= 200; sn++ {
-			s.AppendOne(k, rdf.ID(100+sn), sn)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			s.PruneSnapshots(uint32(i % (pinned + 1)))
-		}
-	}()
-	for i := 0; i < 1000; i++ {
-		if got := s.Get(k, pinned); !slices.Equal(got, want) {
-			t.Fatalf("read %d: snapshot-%d prefix changed under appends and prunes: %v", i, pinned, got)
-		}
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := uint32(pinned + 1); i <= 200; i++ {
+					s.AppendOne(k, rdf.ID(100+i), min(i, last))
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					s.PruneSnapshots(uint32(i % (pinned + 1)))
+				}
+			}()
+			for i := 0; i < 1000; i++ {
+				if got := s.Get(k, pinned); !slices.Equal(got, want) {
+					t.Fatalf("read %d: snapshot-%d prefix changed under appends and prunes: %v", i, pinned, got)
+				}
+			}
+			wg.Wait()
+			s.checkMultiInvariant(t)
+		})
 	}
-	wg.Wait()
 }
 
 // The contract the store does give: neither the hard cap nor a prune changes
@@ -350,7 +359,8 @@ func TestShardedInsertAndRead(t *testing.T) {
 	t15 := ss.InternEntity(rdf.NewIRI("T-15"))
 	po := must(ss.InternPredicate("po"))
 
-	spans := g.Insert(strserver.EncodedTriple{S: logan, P: po, O: t15}, 1)
+	var spans []KeySpan
+	g.Insert(strserver.EncodedTriple{S: logan, P: po, O: t15}, 1, false, &spans)
 	if len(spans) != 4 { // out edge + out index + in edge + in index (all first-sight)
 		t.Fatalf("got %d spans: %v", len(spans), spans)
 	}
@@ -378,8 +388,8 @@ func TestShardedIndexDedup(t *testing.T) {
 	b := ss.InternEntity(rdf.NewIRI("b"))
 	c := ss.InternEntity(rdf.NewIRI("c"))
 	p := must(ss.InternPredicate("p"))
-	g.Insert(strserver.EncodedTriple{S: a, P: p, O: b}, 0)
-	g.Insert(strserver.EncodedTriple{S: a, P: p, O: c}, 0)
+	g.Insert(strserver.EncodedTriple{S: a, P: p, O: b}, 0, false, nil)
+	g.Insert(strserver.EncodedTriple{S: a, P: p, O: c}, 0, false, nil)
 	idx := g.Shard(g.HomeOf(a)).Get(IndexKey(p, Out), 0)
 	if len(idx) != 1 || idx[0] != a {
 		t.Errorf("subject indexed %v times: %v", len(idx), idx)
@@ -410,7 +420,7 @@ func TestShardedReadChargesFabric(t *testing.T) {
 		}
 	}
 	p := must(ss.InternPredicate("p"))
-	g.Insert(strserver.EncodedTriple{S: vid, P: p, O: vid}, 0)
+	g.Insert(strserver.EncodedTriple{S: vid, P: p, O: vid}, 0, false, nil)
 	f.ResetStats()
 
 	g.Read(0, EdgeKey(vid, p, Out), 0)
@@ -465,7 +475,7 @@ func TestShardedConcurrentInsert(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				// Distinct (s,o) pairs per worker: no index dedup races by construction.
-				g.Insert(strserver.EncodedTriple{S: ids[w*100+i], P: p, O: ids[(w*100+i+1)%400]}, 1)
+				g.Insert(strserver.EncodedTriple{S: ids[w*100+i], P: p, O: ids[(w*100+i+1)%400]}, 1, false, nil)
 			}
 		}(w)
 	}
