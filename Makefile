@@ -69,13 +69,16 @@ faults:
 	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$' ./internal/cluster ./internal/wire
 
 # Five seconds of native fuzzing per target where bytes cross a trust
-# boundary, and where one model checks a whole query path: the op decoder
-# never panics and round-trips, the verb interpreter never panics and leaves
+# boundary, and where one model checks a whole query path: the wire frame
+# decoder never panics, re-encodes what it decodes to the same bytes, and
+# types its errors the way Resyncable says; the op decoder never panics and
+# round-trips, the verb interpreter never panics and leaves
 # no trace of an op it refuses, the in-memory tuple parser never panics and
 # agrees with the streaming Reader, the key scanner EMIT interns from agrees
 # with that parser, every tuple the renderer writes parses back to itself,
-# the durable log's Open never panics on a damaged segment and leaves a log
-# that ranges and appends cleanly, a snapshot file either loads to a payload
+# the durable log's Open never panics on a damaged segment, counts damage
+# exactly when a non-zero byte follows its records, and leaves a log that
+# ranges and appends cleanly, a snapshot file either loads to a payload
 # that saves back to the same bytes or is quarantined, a cluster snapshot
 # transcript restores into a fresh daemon or fails with an error, a store
 # shard answers every drawn append, prune and read the way a plain model
@@ -83,6 +86,7 @@ faults:
 # answers what a nested-loop model over term strings answers. -fuzz takes
 # one target per run.
 fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplySnapshot$$' -fuzztime 5s ./internal/cluster

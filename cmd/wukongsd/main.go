@@ -116,7 +116,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	// Durability knobs (DESIGN.md §8 standalone, §15 with -listen).
 	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: standalone, the §5 fault-tolerance log (recovered on restart); with -listen, the durable oplog + snapshots (crash restart via Resume)")
 	fs.IntVar(&o.snapEvery, "snapshot-every", 0, "ops between durable engine snapshots (0 = default 4096; needs -data-dir)")
-	fs.BoolVar(&o.noSync, "no-sync", false, "skip fsync on durable oplog appends (faster, loses the tail on power loss)")
+	fs.BoolVar(&o.noSync, "no-sync", false, "skip the per-append data flush (fdatasync) of the durable oplog (faster, loses the tail on power loss)")
 	return o
 }
 

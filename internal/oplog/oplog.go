@@ -15,11 +15,19 @@
 //
 //	[8B seq][frame]
 //
+// The open tail segment is allocated ahead of its records in steps of
+// allocStep bytes, and each record is written at its offset, so a durable
+// append is one data flush (fdatasync) that never has to commit a new file
+// size. Close and rotation trim the segment to its records.
+//
 // A torn tail (partial record after a crash) is tolerated: Open keeps the
 // records before the first one that fails to frame or checksum, and the next
-// write truncates the damage away. A corrupt record in the *middle* of a
-// segment poisons everything after it. The cluster falls back to snapshot
-// catch-up, which is always safe; a standalone engine loses those records.
+// write truncates the damage away. A run of zero bytes after the last valid
+// record is the unused allocation of a tail that was open at the crash, not
+// damage: the next write trims it the same way. A corrupt record in the
+// *middle* of a segment poisons everything after it. The cluster falls back
+// to snapshot catch-up, which is always safe; a standalone engine loses those
+// records.
 package oplog
 
 import (
@@ -74,6 +82,14 @@ const recordHeader = 8 + frameHeader
 // DefaultSegmentOps is how many ops one segment file holds before rotation.
 const DefaultSegmentOps = 8192
 
+// allocStep is how far ahead of its write offset the open tail segment is
+// allocated: one allocation per allocStep bytes of records.
+const allocStep = 4 << 20
+
+// maxKeptBuf bounds the record buffer a Log keeps between appends, so one
+// large LOAD does not pin its size for the life of the log.
+const maxKeptBuf = 64 << 10
+
 // MaxRecord bounds one op's payload (a LOAD body is the realistic worst
 // case); larger appends are refused rather than written unreadably.
 const MaxRecord = 64 << 20
@@ -84,6 +100,7 @@ type segment struct {
 	path string
 	end  int64 // bytes the valid records span, as Open scanned them
 	size int64 // bytes on disk when Open scanned the file
+	junk bool  // a non-zero byte follows the valid records: damage
 }
 
 // Log is an append-only durable op log. All methods are safe for concurrent
@@ -97,15 +114,18 @@ type Log struct {
 	segs  []segment
 	w     *os.File // open tail segment, nil until first append
 	wseg  int      // index into segs of the open tail
+	off   int64    // end of the open tail's records: the next write's offset
+	alloc int64    // bytes allocated to the open tail, a multiple of allocStep
+	buf   []byte   // record buffer, reused by every Append
 	first uint64   // lowest seq on disk (0 = empty)
 	last  uint64   // highest seq on disk (0 = empty)
 
-	// Damage Open found is left on disk until the first write, so a caller
-	// that refuses the log leaves its directory exactly as it found it.
-	// Repair truncates cutPath to cutAt bytes and renames every orphan to
+	// What Open found past the valid records is left on disk until the
+	// first write, so a caller that refuses the log leaves its directory
+	// exactly as it found it. Repair truncates each cut segment to its valid
+	// records (damage or a zero tail) and renames every orphan to
 	// "<name>.bad".
-	cutPath string
-	cutAt   int64
+	cuts    []segment
 	orphans []string
 	damaged int
 }
@@ -149,6 +169,8 @@ func Open(dir string, opt Options) (*Log, error) {
 	// Keep the longest contiguous, fully-valid prefix chain; orphan the rest
 	// (a damaged interior record orphans everything after it — the caller
 	// recovers what the chain covers and catches up the rest elsewhere).
+	// A zero tail is trimmed but breaks nothing: a segment whose trim a
+	// crash undid still chains to the next.
 	good := 0
 	for good < len(l.segs) {
 		s := l.segs[good]
@@ -157,14 +179,16 @@ func Open(dir string, opt Options) (*Log, error) {
 		}
 		good++
 		if s.end < s.size {
-			l.cutPath, l.cutAt = s.path, s.end
+			l.cuts = append(l.cuts, s)
+		}
+		if s.junk {
 			l.damaged++
 			break // keep this segment's valid prefix; orphan the rest
 		}
 	}
 	for _, s := range l.segs[good:] {
 		l.orphans = append(l.orphans, s.path)
-		if s.size > 0 {
+		if s.last != 0 || s.junk {
 			l.damaged++
 		}
 	}
@@ -176,16 +200,47 @@ func Open(dir string, opt Options) (*Log, error) {
 	return l, nil
 }
 
-// Exists reports whether dir holds a log: a segment file with any bytes in
-// it, valid or not. Open on such a directory keeps records or reports
-// damage.
+// Exists reports whether dir holds a log: a segment file with a non-zero
+// byte in it, valid or not. Open on such a directory keeps records or
+// reports damage. A segment of zero bytes only is an allocation no record
+// reached, no log, as an empty file is.
 func Exists(dir string) bool {
 	ents, _ := os.ReadDir(dir) // unreadable = no log to recover
 	for _, e := range ents {
-		if _, ok := segmentBase(e.Name()); ok {
-			if fi, err := e.Info(); err == nil && fi.Size() > 0 {
-				return true
-			}
+		if _, ok := segmentBase(e.Name()); ok && holdsData(filepath.Join(dir, e.Name())) {
+			return true
+		}
+	}
+	return false
+}
+
+// holdsData reports whether the file at path has a non-zero byte. A file it
+// cannot read counts as data: Open reports the error.
+func holdsData(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return true
+	}
+	defer f.Close()
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := f.Read(buf)
+		if nonzero(buf[:n]) {
+			return true
+		}
+		if err == io.EOF {
+			return false
+		}
+		if err != nil {
+			return true
+		}
+	}
+}
+
+func nonzero(p []byte) bool {
+	for _, b := range p {
+		if b != 0 {
+			return true
 		}
 	}
 	return false
@@ -212,8 +267,9 @@ func decode(data []byte, off int) (seq uint64, payload []byte, next int, ok bool
 
 // scanSegment finds one segment's valid prefix — records that frame, pass
 // their checksum and continue the sequence from the segment's base — and
-// records where it ends. It writes nothing; the caller decides what a short
-// prefix means for the chain.
+// records where it ends and whether anything but zero bytes follows it. It
+// writes nothing; the caller decides what a short prefix means for the
+// chain.
 func scanSegment(s *segment) error {
 	data, err := os.ReadFile(s.path)
 	if err != nil {
@@ -227,6 +283,7 @@ func scanSegment(s *segment) error {
 			want = s.last + 1
 		}
 		if !ok || seq != want {
+			s.junk = nonzero(data[off:])
 			return nil
 		}
 		s.last, s.end, off = seq, int64(next), next
@@ -234,19 +291,20 @@ func scanSegment(s *segment) error {
 }
 
 // Damaged reports how many segments Open found damaged: cut short at a
-// record that failed to frame or checksum, or orphaned behind such a cut.
-// Callers add it to ft_quarantined_records_total.
+// record that failed to frame or checksum, or orphaned behind such a cut
+// with a non-zero byte in it. A zero tail is not damage. Callers add it to
+// ft_quarantined_records_total.
 func (l *Log) Damaged() int { return l.damaged }
 
 // repairLocked applies the damage Open left on disk. Every write runs it
 // first, so the log never appends next to, or compacts around, bytes it
 // did not validate.
 func (l *Log) repairLocked() error {
-	if l.cutPath != "" {
-		if err := os.Truncate(l.cutPath, l.cutAt); err != nil {
+	for len(l.cuts) > 0 {
+		if err := os.Truncate(l.cuts[0].path, l.cuts[0].end); err != nil {
 			return err
 		}
-		l.cutPath = ""
+		l.cuts = l.cuts[1:]
 	}
 	for len(l.orphans) > 0 {
 		if err := os.Rename(l.orphans[0], l.orphans[0]+".bad"); err != nil {
@@ -287,16 +345,27 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 			return err
 		}
 	}
-	rec := make([]byte, 8, recordHeader+len(payload))
-	binary.BigEndian.PutUint64(rec, seq)
-	if _, err := l.w.Write(appendFrame(rec, payload)); err != nil {
+	rec := appendFrame(binary.BigEndian.AppendUint64(l.buf[:0], seq), payload)
+	if cap(rec) <= maxKeptBuf {
+		l.buf = rec
+	}
+	end := l.off + int64(len(rec))
+	if end > l.alloc {
+		alloc := (end + allocStep - 1) / allocStep * allocStep
+		if err := allocate(l.w, l.alloc, alloc); err != nil {
+			return err
+		}
+		l.alloc = alloc
+	}
+	if _, err := l.w.WriteAt(rec, l.off); err != nil {
 		return err
 	}
 	if !l.nosync {
-		if err := l.w.Sync(); err != nil {
+		if err := datasync(l.w); err != nil {
 			return err
 		}
 	}
+	l.off = end
 	l.segs[l.wseg].last = seq
 	l.last = seq
 	if l.first == 0 {
@@ -313,7 +382,7 @@ func (l *Log) Sync() error {
 	if l.w == nil {
 		return nil
 	}
-	return l.w.Sync()
+	return datasync(l.w)
 }
 
 // rotateLocked closes the open tail and starts a fresh segment at base.
@@ -321,23 +390,17 @@ func (l *Log) rotateLocked(base uint64) error {
 	if err := l.repairLocked(); err != nil {
 		return err
 	}
-	if l.w != nil {
-		// Without per-append fsync the closing segment's records are only
-		// in the page cache; Sync can reach the open tail only.
-		if l.nosync {
-			if err := l.w.Sync(); err != nil {
-				return err
-			}
-		}
-		l.w.Close()
-		l.w = nil
+	// Without per-append flushes the closing segment's records are only in
+	// the page cache; Sync can reach the open tail only.
+	if err := l.closeTailLocked(l.nosync); err != nil {
+		return err
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("seg-%d.wal", base))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	l.w = f
+	l.w, l.off, l.alloc = f, 0, 0
 	l.segs = append(l.segs, segment{base: base, path: path})
 	l.wseg = len(l.segs) - 1
 	return syncDir(l.dir)
@@ -473,16 +536,30 @@ func (l *Log) Reset() error {
 	return syncDir(l.dir)
 }
 
-// Close releases the open tail segment.
+// Close trims the open tail segment to its records and releases it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.w != nil {
-		err := l.w.Close()
-		l.w = nil
-		return err
+	return l.closeTailLocked(false)
+}
+
+// closeTailLocked trims the open tail to its records, so a closed segment
+// holds exactly its records, flushes it when sync is set, and closes it. A
+// crash before the trim reaches the disk leaves a zero tail, which Open
+// accepts.
+func (l *Log) closeTailLocked(sync bool) error {
+	if l.w == nil {
+		return nil
 	}
-	return nil
+	err := l.w.Truncate(l.off)
+	if err == nil && sync {
+		err = l.w.Sync()
+	}
+	if cerr := l.w.Close(); err == nil {
+		err = cerr
+	}
+	l.w = nil
+	return err
 }
 
 func syncDir(dir string) error {

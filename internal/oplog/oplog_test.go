@@ -228,9 +228,231 @@ func TestSyncAndExists(t *testing.T) {
 	}
 }
 
+// copyDir copies every file in src to a fresh directory, as a crash would
+// leave them: a log still open there keeps its zero tail in the copy.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// recordsSize is the bytes of appendN's records from..to.
+func recordsSize(from, to uint64) int64 {
+	var n int64
+	for s := from; s <= to; s++ {
+		n += recordHeader + int64(len(fmt.Sprintf("op-%d", s)))
+	}
+	return n
+}
+
+// An append inside the allocated step writes into it: the file size moves
+// only when a record crosses the step, and Close trims the segment to its
+// records.
+func TestAppendInsideAllocationKeepsSize(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "seg-1.wal")
+	appendN(t, l, 1, 1)
+	if got := fileSize(t, seg); got != allocStep {
+		t.Fatalf("size after the first append = %d, want %d", got, allocStep)
+	}
+	appendN(t, l, 2, 50)
+	if got := fileSize(t, seg); got != allocStep {
+		t.Fatalf("size after 50 appends = %d, want %d", got, allocStep)
+	}
+	if err := l.Append(51, bytes.Repeat([]byte("x"), allocStep)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, seg); got != 2*allocStep {
+		t.Fatalf("size after a record past the step = %d, want %d", got, 2*allocStep)
+	}
+	l.Close()
+	if got, want := fileSize(t, seg), recordsSize(1, 50)+recordHeader+allocStep; got != want {
+		t.Fatalf("size after Close = %d, want %d", got, want)
+	}
+}
+
+// A log copied while still open — a crash's view of it — ends in the zero
+// bytes of its unused allocation. They are not damage: the copy reopens with
+// every record, takes the next append, and reopens clean and trimmed.
+func TestZeroTailIsNotDamage(t *testing.T) {
+	src := t.TempDir()
+	l, err := Open(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 1, 5)
+	dir := copyDir(t, src)
+	seg := filepath.Join(dir, "seg-1.wal")
+	if got := fileSize(t, seg); got != allocStep {
+		t.Fatalf("copied segment is %d bytes, want the %d allocated", got, allocStep)
+	}
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l2.Last() != 5 || l2.Damaged() != 0 {
+		t.Fatalf("Last = %d, Damaged = %d; want 5, 0", l2.Last(), l2.Damaged())
+	}
+	if got := collect(t, l2, 1, 0); len(got) != 5 || got[5] != "op-5" {
+		t.Fatalf("range over the zero-tailed log = %v", got)
+	}
+	appendN(t, l2, 6, 6)
+	l2.Close()
+	if got, want := fileSize(t, seg), recordsSize(1, 5); got != want {
+		t.Fatalf("zero tail not trimmed: %d bytes, want %d", got, want)
+	}
+
+	l3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if l3.Last() != 6 || l3.Damaged() != 0 {
+		t.Fatalf("reopen: Last = %d, Damaged = %d; want 6, 0", l3.Last(), l3.Damaged())
+	}
+	if got := collect(t, l3, 1, 0); len(got) != 6 || got[6] != "op-6" {
+		t.Fatalf("after the append got %v", got)
+	}
+}
+
+// A rotation whose trim a crash undid leaves a zero tail on a segment that
+// is not the last: the chain still runs through it to the next one.
+func TestZeroTailMidChain(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentOps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 7)
+	l.Close()
+	seg := filepath.Join(dir, "seg-1.wal")
+	if err := os.Truncate(seg, allocStep); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{SegmentOps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.Last() != 7 || l2.Damaged() != 0 {
+		t.Fatalf("Last = %d, Damaged = %d; want 7, 0", l2.Last(), l2.Damaged())
+	}
+	if got := collect(t, l2, 1, 0); len(got) != 7 {
+		t.Fatalf("range = %v", got)
+	}
+	appendN(t, l2, 8, 8)
+	if got, want := fileSize(t, seg), recordsSize(1, 3); got != want {
+		t.Fatalf("first write left seg-1 at %d bytes, want %d", got, want)
+	}
+}
+
+// A record torn inside the allocation — its first bytes written, the rest
+// still zero — is damage: Open cuts it and counts it once, and the first
+// write trims it away.
+func TestTornRecordInsideAllocation(t *testing.T) {
+	src := t.TempDir()
+	l, err := Open(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 1, 6)
+	dir := copyDir(t, src)
+	seg := filepath.Join(dir, "seg-1.wal")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zero record 6 past its seq and length: a write the crash cut short.
+	end5 := recordsSize(1, 5)
+	clear(data[end5+12 : recordsSize(1, 6)])
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l2.Last() != 5 || l2.Damaged() != 1 {
+		t.Fatalf("Last = %d, Damaged = %d; want 5, 1", l2.Last(), l2.Damaged())
+	}
+	appendN(t, l2, 6, 6)
+	l2.Close()
+	if got := fileSize(t, seg); got != end5 {
+		t.Fatalf("torn record not cut: %d bytes, want %d", got, end5)
+	}
+	l3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if l3.Last() != 6 || l3.Damaged() != 0 {
+		t.Fatalf("reopen: Last = %d, Damaged = %d; want 6, 0", l3.Last(), l3.Damaged())
+	}
+}
+
+// A segment of zero bytes only — allocated, no record written before a
+// crash — is no log: Exists says so, Open counts no damage, and the first
+// write sets it aside.
+func TestZeroOnlySegmentIsNoLog(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-1.wal")
+	if err := os.WriteFile(seg, make([]byte, 1<<16), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if Exists(dir) {
+		t.Fatal("a zero-filled segment reported as a log")
+	}
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Last() != 0 || l.Damaged() != 0 {
+		t.Fatalf("Last = %d, Damaged = %d; want 0, 0", l.Last(), l.Damaged())
+	}
+	appendN(t, l, 1, 1)
+	if !Exists(dir) {
+		t.Fatal("a log with a record not reported as one")
+	}
+	if got := collect(t, l, 1, 0); len(got) != 1 {
+		t.Fatalf("range = %v", got)
+	}
+}
+
 // FuzzOplogOpen feeds arbitrary bytes to Open as a segment file: Open never
-// panics, Range then yields a contiguous run of checksummed records, and
-// the log accepts the next append and reopens without damage.
+// panics, Range then yields a contiguous run of checksummed records, Open
+// counts damage exactly when a non-zero byte follows them, and the log
+// accepts the next append and reopens without damage.
 func FuzzOplogOpen(f *testing.F) {
 	dir := f.TempDir()
 	l, err := Open(dir, Options{NoSync: true})
@@ -249,9 +471,13 @@ func FuzzOplogOpen(f *testing.F) {
 	}
 	flipped := append([]byte(nil), good...)
 	flipped[recordHeader+2] ^= 0x10
+	zeroTail := append(append([]byte(nil), good...), make([]byte, 64)...)
+	tornThenZeros := append(append([]byte(nil), good[:len(good)-3]...), make([]byte, 64)...)
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add(flipped)
+	f.Add(zeroTail)
+	f.Add(tornThenZeros)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -263,18 +489,21 @@ func FuzzOplogOpen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, want := uint64(0), l.First()
-		if err := l.Range(0, 0, func(seq uint64, _ []byte) error {
+		n, want, end := uint64(0), l.First(), 0
+		if err := l.Range(0, 0, func(seq uint64, p []byte) error {
 			if seq != want {
 				return fmt.Errorf("seq %d, want %d", seq, want)
 			}
-			n, want = n+1, want+1
+			n, want, end = n+1, want+1, end+recordHeader+len(p)
 			return nil
 		}); err != nil {
 			t.Fatalf("range after open: %v", err)
 		}
 		if last := l.Last(); (n == 0) != (last == 0) || (n > 0 && last != want-1) {
 			t.Fatalf("range yielded %d records ending at %d, Last = %d", n, want-1, last)
+		}
+		if junk := nonzero(data[end:]); (l.Damaged() != 0) != junk {
+			t.Fatalf("Damaged = %d with a non-zero byte past the records: %v", l.Damaged(), junk)
 		}
 		next := l.Last() + 1
 		if err := l.Append(next, []byte("next")); err != nil {

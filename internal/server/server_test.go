@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -539,6 +540,17 @@ func TestRequestMetricsPerVerb(t *testing.T) {
 	sent := func(verb string) int64 {
 		return reg.Counter(obs.Name("server_reply_bytes_total", "verb", verb)).Value()
 	}
+	// The server observes a request after it flushes the reply, so the
+	// reply can reach the client first. Wait, bounded, for the verb's byte
+	// counter, the last thing observe moves, to leave its value from before.
+	moved := func(verb string, before int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); sent(verb) == before; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("server_reply_bytes_total{verb=%s} still %d after 5s", verb, before)
+			}
+		}
+	}
 	c := dial(t, addr)
 	c.send("LOAD", "<a> <po> <b> .", "<a> <po> <c> .", ".")
 	expectOK(t, c.status())
@@ -548,10 +560,11 @@ func TestRequestMetricsPerVerb(t *testing.T) {
 	c.send("EMIT S", "<a> <po> <d> . @10", ".")
 	status := c.status()
 	expectOK(t, status)
+	moved("EMIT", emitBytes)
 	if lat("EMIT") != emits+1 || sent("EMIT") != emitBytes+int64(len(status)+1) {
 		t.Fatalf("one EMIT moved its series by %d requests, %d bytes", lat("EMIT")-emits, sent("EMIT")-emitBytes)
 	}
-	queries, queryBytes, emits, emitBytes, others := lat("QUERY"), sent("QUERY"), lat("EMIT"), sent("EMIT"), lat("OTHER")
+	queries, queryBytes, emits, emitBytes, others, otherBytes := lat("QUERY"), sent("QUERY"), lat("EMIT"), sent("EMIT"), lat("OTHER"), sent("OTHER")
 
 	c.send("QUERY", "SELECT ?X WHERE { a po ?X }", ".")
 	status = c.status()
@@ -561,6 +574,7 @@ func TestRequestMetricsPerVerb(t *testing.T) {
 	for _, r := range rows {
 		want += int64(len(r) + 1)
 	}
+	moved("QUERY", queryBytes)
 	if got := lat("QUERY") - queries; got != 1 {
 		t.Errorf("one QUERY moved server_request_latency_ns{verb=QUERY} by %d", got)
 	}
@@ -572,6 +586,7 @@ func TestRequestMetricsPerVerb(t *testing.T) {
 	}
 	c.send("FROB")
 	c.status()
+	moved("OTHER", otherBytes)
 	if got := lat("OTHER") - others; got != 1 {
 		t.Errorf("an unknown verb moved server_request_latency_ns{verb=OTHER} by %d, want 1", got)
 	}

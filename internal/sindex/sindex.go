@@ -51,7 +51,9 @@ type batchIndex struct {
 	runs    []store.Run
 }
 
-// bytes is the batch's resident size: its two arrays.
+// bytes is the batch's resident size: its two arrays, each allocated at
+// exactly its length, so the size does not depend on the order the batch's
+// shares arrived in.
 func (bi *batchIndex) bytes() int64 {
 	return int64(cap(bi.entries))*int64(unsafe.Sizeof(entry{})) + int64(cap(bi.runs))*int64(unsafe.Sizeof(store.Run{}))
 }
@@ -63,6 +65,10 @@ type Index struct {
 	batches []*batchIndex // ascending batch order
 
 	home fabric.NodeID // fixed at New
+
+	// AddBatch's merge buffers, reused under mu: a batch keeps exact copies.
+	mergeBuf []entry
+	runBuf   []store.Run
 
 	replicaMu   sync.RWMutex
 	replicaList []fabric.NodeID // the set, home first; rebuilt (never edited) by Replicate
@@ -107,7 +113,7 @@ func (ix *Index) AddBatch(batch tstore.BatchID, spans []store.KeySpan) {
 		return
 	}
 	old := bi.entries
-	merged := make([]entry, 0, len(old)+len(spans))
+	merged := ix.mergeBuf[:0]
 	add := func(e entry) {
 		if n := len(merged); n > 0 && merged[n-1].key == e.key && merged[n-1].span.End == e.span.Start {
 			merged[n-1].span.End = e.span.End
@@ -127,9 +133,18 @@ func (ix *Index) AddBatch(batch tstore.BatchID, spans []store.KeySpan) {
 	for _, e := range old[i:] {
 		add(e)
 	}
-	bi.entries = merged
-	bi.runs = store.BuildRuns(bi.runs, merged, func(e *entry) store.Ord { return e.key },
+	bi.entries = exact(merged)
+	runs := store.BuildRuns(ix.runBuf, bi.entries, func(e *entry) store.Ord { return e.key },
 		func(e *entry) int64 { return int64(e.span.Len()) })
+	bi.runs = exact(runs)
+	ix.mergeBuf, ix.runBuf = merged[:0], runs[:0]
+}
+
+// exact copies s into an array of exactly its length.
+func exact[E any](s []E) []E {
+	out := make([]E, len(s))
+	copy(out, s)
+	return out
 }
 
 // window returns the batch indexes in [from, to].

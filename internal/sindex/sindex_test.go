@@ -220,10 +220,39 @@ func TestSharesMergeIntoOneSortedBatch(t *testing.T) {
 	if v, n := ix.PredWindowStats(4, store.Out, 2, 2); v != 0 || n != 0 {
 		t.Errorf("PredWindowStats outside the predicate's batch = %d, %d", v, n)
 	}
-	// Batch 1: four entries, merged from 3 + 2 slots, and two runs; batch 2:
-	// one entry and one run.
+	// Batch 1: four entries and two runs; batch 2: one entry and one run.
 	const entry, run = 16, int64(unsafe.Sizeof(store.Run{}))
-	if got, want := ix.MemoryBytes(), 5*entry+2*run+entry+run; got != want {
+	if got, want := ix.MemoryBytes(), 4*entry+2*run+entry+run; got != want {
 		t.Errorf("MemoryBytes = %d, want %d", got, want)
+	}
+}
+
+// TestSizeIndependentOfShareOrder: a batch's shares arrive in whichever
+// order the nodes finish injecting them, and the index's size is the same
+// either way. Each share merges spans of its own, so the two orders merge
+// different amounts at each step.
+func TestSizeIndependentOfShareOrder(t *testing.T) {
+	a := []store.KeySpan{
+		{Key: key(2), Span: store.Span{Start: 0, End: 1}},
+		{Key: key(2), Span: store.Span{Start: 1, End: 2}},
+		{Key: key(2), Span: store.Span{Start: 2, End: 3}},
+	}
+	b := []store.KeySpan{
+		{Key: key(6), Span: store.Span{Start: 0, End: 1}},
+		{Key: store.EdgeKey(5, 4, store.Out), Span: store.Span{Start: 0, End: 2}},
+	}
+	size := func(first, second []store.KeySpan) int64 {
+		ix := New(0)
+		ix.AddBatch(1, slices.Clone(first))
+		ix.AddBatch(1, slices.Clone(second))
+		return ix.MemoryBytes()
+	}
+	ab, ba := size(a, b), size(b, a)
+	if ab != ba {
+		t.Fatalf("MemoryBytes = %d with share a first, %d with share b first", ab, ba)
+	}
+	const entry, run = 16, int64(unsafe.Sizeof(store.Run{}))
+	if want := 3*entry + 2*run; ab != want {
+		t.Errorf("MemoryBytes = %d, want %d (3 entries, 2 runs)", ab, want)
 	}
 }

@@ -251,8 +251,13 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	}
 	if f.Flags&FlagTrace != 0 {
 		// The frame was fully consumed and CRC-verified, so a short trace
-		// prefix is a peer bug, not stream damage: quarantine, don't reset.
+		// prefix, or one without a trace id (Encode marks only a valid
+		// context), is a peer bug, not stream damage: quarantine, don't
+		// reset.
 		tc, err := trace.DecodeContext(payload)
+		if err == nil && !tc.Valid() {
+			err = errors.New("no trace id")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: trace context: %v", ErrChecksum, err)
 		}

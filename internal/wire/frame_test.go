@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/trace"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -173,4 +175,56 @@ func TestFaultsNilSafe(t *testing.T) {
 	if f.Stats() != (FaultsStats{}) {
 		t.Fatal("nil injector stats must be zero")
 	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes, followed by one intact frame, to
+// ReadFrame: it never panics; a frame that decodes re-encodes to exactly the
+// bytes it was read from; and a damaged one fails with a typed error that
+// agrees with Resyncable — a resyncable error consumed exactly the frame its
+// header declares, so the stream stays aligned, and any other is bad magic,
+// oversize or truncation.
+func FuzzReadFrame(f *testing.F) {
+	tc := trace.Context{TraceID: 7, SpanID: 9, Flags: trace.FlagSampled}
+	plain := Encode(&Frame{Type: TypeSend, From: 1, To: 2, Seq: 42, Payload: []byte("<s> <p> <o> . @100")})
+	traced := Encode(&Frame{Type: TypeCall, From: 3, To: 0, Seq: 1, Payload: []byte("QUERY"), Trace: tc})
+	flipped := append([]byte(nil), plain...)
+	flipped[headerSize+1] ^= 0x20
+	f.Add(plain)
+	f.Add(traced)
+	f.Add(Encode(&Frame{Type: TypePing, From: 0, To: 1, Seq: 1}))
+	f.Add(flipped)
+	f.Add(plain[:headerSize+3])
+	// FlagTrace over a context with no trace id: Encode never writes one.
+	f.Add(Encode(&Frame{Type: TypeSend, Flags: FlagTrace, From: 1, To: 2, Seq: 3, Payload: make([]byte, trace.ContextSize+1)}))
+	f.Add([]byte("WSxx"))
+	f.Add([]byte{})
+
+	intact := Encode(&Frame{Type: TypeSend, From: 4, To: 5, Seq: 99, Payload: []byte("intact")})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stream := append(append([]byte(nil), data...), intact...)
+		r := bytes.NewReader(stream)
+		fr, err := ReadFrame(r)
+		used := len(stream) - r.Len()
+		switch {
+		case err == nil:
+			if again := Encode(fr); !bytes.Equal(again, stream[:used]) {
+				t.Fatalf("frame %v read from %x re-encodes as %x", fr, stream[:used], again)
+			}
+		case Resyncable(err):
+			if !errors.Is(err, ErrChecksum) {
+				t.Fatalf("resyncable error %v is not a checksum mismatch", err)
+			}
+			if want := headerSize + int(binary.BigEndian.Uint32(stream[18:22])); used != want {
+				t.Fatalf("%v after %d bytes of a %d-byte frame", err, used, want)
+			}
+			if used == len(data) {
+				if next, err := ReadFrame(r); err != nil || next.Seq != 99 {
+					t.Fatalf("after %x the stream did not resume at the intact frame: %v, %v", data, next, err)
+				}
+			}
+		case errors.Is(err, ErrBadMagic), errors.Is(err, ErrOversize), errors.Is(err, ErrTruncated):
+		default:
+			t.Fatalf("untyped error %v", err)
+		}
+	})
 }
