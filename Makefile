@@ -82,9 +82,10 @@ faults:
 # that saves back to the same bytes or is quarantined, a cluster snapshot
 # transcript restores into a fresh daemon or fails with an error, a store
 # shard answers every drawn append, prune and read the way a plain model
-# does, and a one-shot over a drawn graph, query and engine configuration
-# answers what a nested-loop model over term strings answers. -fuzz takes
-# one target per run.
+# does, a one-shot over a drawn graph, query and engine configuration
+# answers what a nested-loop model over term strings answers, and the query
+# parser never panics on arbitrary text and renders what it accepts back to
+# a query that parses to the same thing. -fuzz takes one target per run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
@@ -97,6 +98,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzOplogOpen$$' -fuzztime 5s ./internal/oplog
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 5s ./internal/oplog
 	$(GO) test -run '^$$' -fuzz '^FuzzOneShot$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/sparql
 
 # Quick confidence pass, including the chaos kill/recover smoke test.
 smoke:

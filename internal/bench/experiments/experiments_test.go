@@ -289,23 +289,37 @@ func TestTable7Shape(t *testing.T) {
 // Streaming refusal (a stream-stream join, Table 4's "x") is the only cell
 // skipped. Every L query must have rows, so the Group I cells do not agree
 // on nothing.
+//
+// One more cell, C1 from start 3, checks that every system counts a
+// repeated edge alike: it reaches `road28 near place3`, which the CityBench
+// initial graph holds twice, and which the composite design's stored stage
+// checks where the other systems expand or join it.
 func TestSystemsAgree(t *testing.T) {
 	o := QuickOptions()
 	ls, err := newLSEnv(o, engineConfig(o, o.Nodes), LSConfig(o))
 	if err != nil {
 		t.Fatal(err)
 	}
-	systemsAgree(t, ls, "L", o.Nodes)
-	city, err := newCityEnv(o)
+	systemsAgree(t, ls, o.Nodes)
+	e, d, w, err := harness.CityBenchEngine(engineConfig(o, 1), CityConfig(o))
 	if err != nil {
 		t.Fatal(err)
 	}
-	systemsAgree(t, city, "C", 1)
+	var texts []string
+	for n := 1; n <= 11; n++ {
+		texts = append(texts, w.QueryC(n, 1))
+	}
+	texts = append(texts, w.QueryC(1, 3))
+	city, err := newEnv(o, e, d, w.Initial, texts, harness.CityBenchStep, cityWarm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systemsAgree(t, city, 1)
 }
 
 // systemsAgree compares every baseline over env with Wukong+S, query by
-// query.
-func systemsAgree(t *testing.T, env *env, prefix string, nodes int) {
+// query; a cell is named by its query's REGISTER name.
+func systemsAgree(t *testing.T, env *env, nodes int) {
 	t.Helper()
 	ss := env.e.StringServer()
 	want := make([][]string, len(env.cqs))
@@ -356,8 +370,8 @@ func systemsAgree(t *testing.T, env *env, prefix string, nodes int) {
 	}})
 
 	for i, q := range env.qs {
-		name := fmt.Sprintf("%s%d", prefix, i+1)
-		if prefix == "L" && len(want[i]) == 0 {
+		name := q.Name
+		if strings.HasPrefix(name, "L") && len(want[i]) == 0 {
 			t.Errorf("%s: Wukong+S answers no rows; the comparison would time an empty result", name)
 		}
 		for _, sys := range systems {

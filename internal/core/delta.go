@@ -5,7 +5,8 @@
 // rescans every batch. The delta evaluator decomposes an eligible plan into
 // a stored prefix (steps before the first stream pattern) and one segment
 // per stream pattern (that pattern plus the non-stream steps that follow
-// it). Because every stream edge belongs to exactly one mini-batch, the
+// it). Because every stream edge belongs to exactly one mini-batch, and
+// every step — a Check too — counts each matching edge once, the
 // full join decomposes exactly over "batch vectors" — one batch choice per
 // segment — and the firing's result is the concatenation of the per-vector
 // leaf tables. Vectors whose coordinates all lie in the previous window were
@@ -64,9 +65,8 @@ func (e *Engine) countFullRecompute(reason string) {
 // deltaEnabled reports whether delta evaluation is on for this engine.
 func (e *Engine) deltaEnabled() bool { return e.cfg.DeltaMode != DeltaModeOff }
 
-// deltaSeg is one plan segment: a row-producing stream step plus the
-// following steps that decompose over its batches (filters, stored expands
-// and checks, more of the same).
+// deltaSeg is one plan segment: a stream step plus the following steps that
+// decompose over its batches (filters, stored expands and checks).
 type deltaSeg struct {
 	stream string
 	steps  []plan.Step
@@ -76,9 +76,8 @@ type deltaSeg struct {
 type deltaPlan struct {
 	fp         string      // plan fingerprint (shape, not estimates)
 	pre        []plan.Step // stored steps before the first stream step
-	segs       []deltaSeg  // one per row-producing stream step, in plan order
-	post       []plan.Step // stream existence checks, maintained incrementally
-	streams    []string    // every stream read (segments + post checks), deduped
+	segs       []deltaSeg  // one per stream step, in plan order
+	streams    []string    // every stream read, deduped
 	storedPids []rdf.ID    // stored-graph predicates read anywhere
 }
 
@@ -122,14 +121,9 @@ func planFingerprint(p *plan.Plan) string {
 // (negation-like semantics), and variable predicates defeat the stored-drift
 // check, so both fall back to full recompute.
 //
-// A stream step that produces rows (seed or expand) decomposes exactly over
-// batches — each window edge lives in exactly one mini-batch — and starts a
-// new segment. A stream Check does NOT: it keeps a row at most once if a
-// matching edge exists ANYWHERE in the window, so per-batch evaluation would
-// duplicate rows whose edge recurs across batches; Checks are row-wise
-// (their outcome depends only on the row's bindings), so they commute with
-// every later step; they defer to `post`, re-evaluated over the live full
-// window each firing.
+// Every stream step — seed, expand or check — starts a new segment: each
+// window edge lives in exactly one mini-batch, and a step emits a row once
+// per matching edge, so the window's rows are the sum of the batches'.
 func splitDeltaPlan(p *plan.Plan) (*deltaPlan, string) {
 	if !deltaShape(p) {
 		return nil, "shape"
@@ -145,10 +139,6 @@ func splitDeltaPlan(p *plan.Plan) (*deltaPlan, string) {
 				if !slices.Contains(dp.streams, st.Graph.Name) {
 					dp.streams = append(dp.streams, st.Graph.Name)
 				}
-				if st.Kind == plan.Check {
-					dp.post = append(dp.post, st)
-					continue
-				}
 				dp.segs = append(dp.segs, deltaSeg{stream: st.Graph.Name})
 				cur = len(dp.segs) - 1
 			} else if !slices.Contains(dp.storedPids, st.Pid) {
@@ -162,7 +152,7 @@ func splitDeltaPlan(p *plan.Plan) (*deltaPlan, string) {
 		}
 	}
 	if len(dp.segs) == 0 {
-		return nil, "shape" // no row-producing stream steps: nothing slides
+		return nil, "shape" // no stream step: nothing slides
 	}
 	if len(dp.segs) > maxDeltaSegs {
 		return nil, "shape" // vector keys are fixed-size; see maxDeltaSegs
@@ -300,15 +290,6 @@ func (m memoStored) LocalCandidates(n fabric.NodeID, pid rdf.ID, d store.Dir) []
 	return m.inner.LocalCandidates(n, pid, d)
 }
 
-// postState incrementally maintains one deferred stream existence check: a
-// count of each (from, to) edge pair currently inside the check's window,
-// updated per firing by the batches that entered and left. The check then
-// costs one map probe per row instead of a window-span store read.
-type postState struct {
-	counts  map[exec.Edge]int
-	byBatch map[tstore.BatchID][]exec.Edge
-}
-
 // deltaState is a continuous query's delta-evaluation cache. Its own mutex
 // (not cq.mu) serializes evaluation: fireDueQueries may run two firings of
 // one query concurrently, and the later-at firing must see the earlier's
@@ -325,7 +306,6 @@ type deltaState struct {
 	pre      *exec.Table
 	levels   []map[vecKey]deltaEntry         // levels[i]: vector prefix of length i+1
 	segEdges []map[tstore.BatchID]batchEdges // per level: batch edge lists
-	posts    []postState                     // per dp.post entry
 	stored   map[store.Key][]rdf.ID          // cross-firing stored-read memo
 	misses   memoMisses                      // the memo's read scratch
 }
@@ -387,10 +367,6 @@ func (ds *deltaState) reset(e *Engine, dp *deltaPlan) {
 	for i := range ds.levels {
 		ds.levels[i] = map[vecKey]deltaEntry{}
 		ds.segEdges[i] = map[tstore.BatchID]batchEdges{}
-	}
-	ds.posts = make([]postState, len(dp.post))
-	for i := range ds.posts {
-		ds.posts[i] = postState{counts: map[exec.Edge]int{}, byBatch: map[tstore.BatchID][]exec.Edge{}}
 	}
 	ds.stored = map[store.Key][]rdf.ID{}
 }
@@ -534,8 +510,8 @@ func (ws *walkState) edgesFor(level int, b tstore.BatchID, st plan.Step, stream 
 // segEval computes the binding table for one (vector prefix, batch) pair.
 // A segment-leading index seed expands from the batch's one-run edge scan;
 // a segment-leading Expand joins against the batch's sorted edge list when
-// available; everything else (constant seeds, sparse levels, the
-// segment's trailing stored steps) runs through the normal step applier
+// available; everything else (constant seeds, stream checks, sparse levels,
+// the segment's trailing stored steps) runs through the normal step applier
 // restricted to the batch.
 func (ws *walkState) segEval(level int, b tstore.BatchID, in *exec.Table) (*exec.Table, error) {
 	// The in-memory fast paths below never reach the step applier's deadline
@@ -643,115 +619,6 @@ func joinExpand(st plan.Step, in *exec.Table, be batchEdges) *exec.Table {
 		}
 	}
 	return out
-}
-
-// buildPostPairs enumerates a mini-batch's (from, to) edges for a deferred
-// check through the window access's one-run scan, inheriting its fabric
-// charging. A stream without a window access (defensive) falls back to
-// restricted Candidates + per-vertex Neighbors.
-func (e *Engine) buildPostPairs(cq *ContinuousQuery, base *accessProvider, st plan.Step, b tstore.BatchID) ([]exec.Edge, error) {
-	node := cq.Home()
-	if wa, ok := base.byName[st.Graph.Name]; ok {
-		return wa.BatchEdges(node, b, st.Pid, st.Dir), nil
-	}
-	prov := e.batchProvider(base, st.Graph.Name, b)
-	acc, err := prov.Access(st.Graph)
-	if err != nil {
-		return nil, err
-	}
-	cands := acc.Candidates(node, st.Pid, st.Dir)
-	keys := make([]store.Key, len(cands))
-	for i, v := range cands {
-		keys[i] = store.EdgeKey(v, st.Pid, st.Dir)
-	}
-	vals := make([][]rdf.ID, len(cands))
-	acc.Neighbors(node, keys, vals)
-	var pairs []exec.Edge
-	for i, v := range cands {
-		for _, n := range vals[i] {
-			pairs = append(pairs, exec.Edge{From: v, To: n})
-		}
-	}
-	return pairs, nil
-}
-
-// applyPost applies the deferred stream existence checks incrementally: each
-// check's live (from, to) pair counts are updated by the batches that
-// entered and left its window — fallible edge-list builds run before any
-// count mutates, so a failed build leaves the counts consistent — and rows
-// then filter by one map probe each instead of a window-span store read.
-// Caller holds ds.mu. A check whose vars are missing from the table falls
-// back to the classic traversal (planner invariant violation — defensive).
-func (e *Engine) applyPost(cq *ContinuousQuery, ds *deltaState, dp *deltaPlan, base *accessProvider, tbl *exec.Table, at rdf.Timestamp, ctx context.Context) (*exec.Table, error) {
-	for i, st := range dp.post {
-		qw, ok := cq.windowFor(st.Graph.Name)
-		if !ok {
-			return e.ex.ApplySteps(e.deltaRequest(cq, base, ctx), dp.post[i:], tbl)
-		}
-		win := batchRange{from: qw.fromBatch(at), to: qw.toBatch(at)}
-		ps := &ds.posts[i]
-		type batchAdd struct {
-			b     tstore.BatchID
-			pairs []exec.Edge
-		}
-		var adds []batchAdd
-		for b := win.from; b <= win.to; b++ {
-			if _, ok := ps.byBatch[b]; !ok {
-				pairs, err := e.buildPostPairs(cq, base, st, b)
-				if err != nil {
-					return nil, err
-				}
-				adds = append(adds, batchAdd{b: b, pairs: pairs})
-			}
-		}
-		for b, pairs := range ps.byBatch {
-			if b >= win.from && b <= win.to {
-				continue
-			}
-			for _, p := range pairs {
-				if ps.counts[p]--; ps.counts[p] == 0 {
-					delete(ps.counts, p)
-				}
-			}
-			delete(ps.byBatch, b)
-		}
-		for _, a := range adds {
-			ps.byBatch[a.b] = a.pairs
-			for _, p := range a.pairs {
-				ps.counts[p]++
-			}
-		}
-		fromCol, toCol := -1, -1
-		if st.From.IsVar() {
-			if fromCol = tbl.Col(st.From.Var); fromCol < 0 {
-				return e.ex.ApplySteps(e.deltaRequest(cq, base, ctx), dp.post[i:], tbl)
-			}
-		}
-		if st.To.IsVar() {
-			if toCol = tbl.Col(st.To.Var); toCol < 0 {
-				return e.ex.ApplySteps(e.deltaRequest(cq, base, ctx), dp.post[i:], tbl)
-			}
-		}
-		kept := exec.NewSubset(tbl)
-		for r := 0; r < tbl.Len(); r++ {
-			row := tbl.Row(r)
-			k := exec.Edge{From: st.From.Const, To: st.To.Const}
-			if fromCol >= 0 {
-				k.From = row[fromCol]
-			}
-			if toCol >= 0 {
-				k.To = row[toCol]
-			}
-			if ps.counts[k] > 0 {
-				kept.Keep(r)
-			}
-		}
-		tbl = kept.Table()
-		if tbl.Len() == 0 {
-			return tbl, nil
-		}
-	}
-	return tbl, nil
 }
 
 // deltaExecute evaluates one firing delta-based. handled=false means the
@@ -884,20 +751,11 @@ func (e *Engine) deltaExecute(cq *ContinuousQuery, p *plan.Plan, at rdf.Timestam
 	ds.valid = true
 
 	// Assemble: concatenated leaves carry exactly the full evaluation's row
-	// multiset for the decomposable steps; deferred stream existence checks
-	// apply incrementally (their pair counts slide with the window), then
-	// Project applies DISTINCT/aggregates/ORDER/LIMIT identically. A lone
-	// leaf is projected in place: cached tables are never written again.
+	// multiset, then Project applies DISTINCT/aggregates/ORDER/LIMIT
+	// identically. A lone leaf is projected in place: cached tables are
+	// never written again.
 	if len(leaves) > 0 {
-		tbl := exec.Concat(leaves[0].Vars, leaves)
-		if len(dp.post) > 0 {
-			tbl, err = e.applyPost(cq, ds, dp, base, tbl, at, ctx)
-			if err != nil {
-				ds.mu.Unlock()
-				return nil, time.Since(start), err, true
-			}
-		}
-		rs, err = exec.Project(cq.query, tbl, e.ss)
+		rs, err = exec.Project(cq.query, exec.Concat(leaves[0].Vars, leaves), e.ss)
 		if err != nil {
 			ds.mu.Unlock()
 			return nil, time.Since(start), err, true

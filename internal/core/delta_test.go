@@ -18,11 +18,11 @@ import (
 )
 
 // TestDeltaEquivalenceCrosscheck drives a two-stream query with a stored
-// join and a deferred stream check through 20 sliding boundaries with
-// crosscheck on: every delta firing re-runs the full evaluation and panics
-// on divergence, so surviving the timeline IS the equivalence assertion.
-// Recurring edges across batches exercise the deferred-check dedup rule
-// (a row survives at most once however many batches repeat its edge).
+// join and a stream Check through 20 sliding boundaries with crosscheck on:
+// every delta firing re-runs the full evaluation and panics on divergence,
+// so surviving the timeline IS the equivalence assertion. Recurring edges
+// across batches exercise the Check's count: a row is kept once per
+// matching edge in the window, which delta firing sums batch by batch.
 func TestDeltaEquivalenceCrosscheck(t *testing.T) {
 	r := obs.NewRegistry("deltaeq")
 	e, err := New(Config{
@@ -65,7 +65,7 @@ WHERE {
 		emit(t, tweets, ts-50, "Erik", "po", fmt.Sprintf("rec%d", (ts/100)%2))
 		emit(t, likes, ts-50, "Erik", "li", fmt.Sprintf("item%d", ts))
 		emit(t, likes, ts-50, "Logan", "li", fmt.Sprintf("rec%d", (ts/100)%2))
-		// Every third batch also repeats an old like, so a deferred-check edge
+		// Every third batch also repeats an old like, so a checked edge
 		// recurs across batches inside one window.
 		if ts%300 == 0 {
 			emit(t, likes, ts-50, "Erik", "li", fmt.Sprintf("item%d", ts-100))

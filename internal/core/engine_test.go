@@ -442,6 +442,10 @@ func TestOneShotLatencyAndTraceRecorded(t *testing.T) {
 }
 
 func TestForkJoinPlanMatchesInPlace(t *testing.T) {
+	// The graph holds three of its edges twice, one for each kind of step
+	// below: a checked "ht", a checked and variable-predicate "fo", and an
+	// expanded "po".
+	g := append(xlab(), rdf.T("T-13", "ht", "sosp17"), rdf.T("Logan", "fo", "Erik"), rdf.T("Logan", "po", "T-13"))
 	run := func(planMode, query string) []string {
 		// ForkThreshold 1: the xlab tables are a few rows, below the default
 		// threshold, and fork-join must really scatter to be compared.
@@ -450,7 +454,7 @@ func TestForkJoinPlanMatchesInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		e.LoadTriples(xlab())
+		e.LoadTriples(g)
 		res, err := e.Query(query)
 		if err != nil {
 			t.Errorf("%s: %s: %v", planMode, query, err)
@@ -468,6 +472,7 @@ func TestForkJoinPlanMatchesInPlace(t *testing.T) {
 		`SELECT ?X ?Y WHERE { ?X ty X-Men . ?X ?R ?Y }`,
 		`SELECT ?X ?R ?Y ?Z WHERE { ?X ty X-Men . ?X ?R ?Y . ?Y ?R ?Z }`,
 		`SELECT ?X ?R ?Y WHERE { ?X ty X-Men . ?Y ty X-Men . ?X ?R ?Y }`,
+		`SELECT ?X ?Y WHERE { ?X ty X-Men . ?Y ty X-Men . ?X fo ?Y }`,
 	} {
 		a, b := run(PlanModeInPlace, q), run(PlanModeForkJoin, q)
 		if len(a) == 0 || !slices.Equal(a, b) {

@@ -151,8 +151,8 @@ func (e *Engine) writeDeltaExplain(b *strings.Builder, q *sparql.Query, p *plan.
 		fmt.Fprintf(b, "delta: full recompute (%s)\n", reason)
 		return
 	}
-	fmt.Fprintf(b, "delta: eligible (%d stored prefix step(s), %d stream segment(s), %d deferred check(s))\n",
-		len(dp.pre), len(dp.segs), len(dp.post))
+	fmt.Fprintf(b, "delta: eligible (%d stored prefix step(s), %d stream segment(s))\n",
+		len(dp.pre), len(dp.segs))
 }
 
 func writePlanSteps(b *strings.Builder, indent string, p *plan.Plan) {

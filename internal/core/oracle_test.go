@@ -20,6 +20,12 @@ import (
 // both; any divergence in continuous-query results or one-shot visibility
 // is a correctness bug in the hybrid store, stream index, transient store,
 // window math, delta firing or VTS machinery.
+//
+// Both sides count by one rule: a window is a multiset of tuples and the
+// stored graph a multiset of edges, and every pattern — whether the engine
+// plans it as a seed, an Expand or a Check — matches each copy of a
+// repeated triple once. The scripts repeat triples on purpose: inside one
+// window, across windows, and in the stored graph.
 
 // oracleTiming is the timing predicate of stream A: its tuples live only in
 // the transient store and never reach the stored graph.
@@ -30,27 +36,11 @@ type oracleModel struct {
 	mu      sync.Mutex
 	initial [][3]string         // s, p, o
 	tuples  map[string][]oTuple // per stream
-	seen    map[[3]string]bool  // every triple used so far, stored or streamed
 }
 
 type oTuple struct {
 	s, p, o string
 	ts      rdf.Timestamp
-}
-
-// fresh reports whether s p o is new to the model and records it. The
-// scripts use every triple once, so the engine's bag semantics (a stream
-// Expand keeps duplicate edges, a stream Check keeps a row once) and the
-// model's agree.
-func (m *oracleModel) fresh(s, p, o string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := [3]string{s, p, o}
-	if m.seen[k] {
-		return false
-	}
-	m.seen[k] = true
-	return true
 }
 
 func (m *oracleModel) emit(stream, s, p, o string, ts rdf.Timestamp) {
@@ -188,8 +178,8 @@ var storedJoin = oracleCase{
 // oracleCases covers the code that reads a mini-batch's indexes: the stream
 // index's window candidates and spans (unanchored seeds), the transient
 // store (timing data, as a seed and as an expand), two stream patterns
-// joined across streams with different windows, and a deferred stream check
-// (delta firing maintains those incrementally).
+// joined across streams with different windows, and a Check on a repeated
+// edge, in a window and in the stored graph.
 var oracleCases = []oracleCase{
 	storedJoin,
 	{
@@ -222,6 +212,12 @@ var oracleCases = []oracleCase{
 		where:   []oPat{{"A", "?x", "p", "?y"}, {"A", "?y", "p", "?x"}},
 		vars:    []string{"?x", "?y"},
 	},
+	{
+		name:    "stored-check",
+		windows: map[string]int64{"B": 400},
+		where:   []oPat{{"B", "?x", "r", "?z"}, {"", "?x", "q", "?z"}},
+		vars:    []string{"?x", "?z"},
+	},
 }
 
 func TestEngineMatchesOracle(t *testing.T) {
@@ -252,14 +248,19 @@ func TestOracleTable(t *testing.T) {
 
 func runOracle(t *testing.T, seed int64, c oracleCase, cfg Config) {
 	rng := rand.New(rand.NewSource(seed))
+	// The repeats draw from a source of their own, so the rest of the
+	// script is what the seed alone makes it: its timing decides whether
+	// a seed reaches the windows a GC or index mutation shows in.
+	dup := rand.New(rand.NewSource(-seed))
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	model := &oracleModel{tuples: map[string][]oTuple{}, seen: map[[3]string]bool{}}
+	model := &oracleModel{tuples: map[string][]oTuple{}}
 
-	// Initial stored graph: a few q-edges and p-edges.
+	// Initial stored graph: a few q-edges and p-edges, then a second LOAD
+	// that repeats about a third of them.
 	var initial []rdf.Triple
 	ents := func(i int) string { return fmt.Sprintf("e%d", i) }
 	for i := 0; i < 16; i++ {
@@ -267,12 +268,18 @@ func runOracle(t *testing.T, seed int64, c oracleCase, cfg Config) {
 		if i >= 12 {
 			p, o = "p", ents(rng.Intn(8))
 		}
-		if model.fresh(s, p, o) {
-			initial = append(initial, rdf.T(s, p, o))
-			model.initial = append(model.initial, [3]string{s, p, o})
-		}
+		initial = append(initial, rdf.T(s, p, o))
+		model.initial = append(model.initial, [3]string{s, p, o})
 	}
 	e.LoadTriples(initial)
+	var again []rdf.Triple
+	for i := range initial {
+		if dup.Intn(3) == 0 {
+			again = append(again, initial[i])
+			model.initial = append(model.initial, model.initial[i])
+		}
+	}
+	e.LoadTriples(again)
 
 	srcA, err := e.RegisterStream(stream.Config{Name: "A", BatchInterval: 100 * time.Millisecond, TimingPredicates: []string{oracleTiming}})
 	if err != nil {
@@ -305,7 +312,10 @@ func runOracle(t *testing.T, seed int64, c oracleCase, cfg Config) {
 	// in random increments, and cross-check one-shot visibility as we go.
 	// Stream A carries p-edges between the first eight entities and timing
 	// g-edges to four locations; stream B carries q- and r-edges from them
-	// to the next eight entities.
+	// to the next eight entities. After about a third of the tuples, one of
+	// their stream's last few triples is emitted again, so it repeats in
+	// the same window and often in the next ones.
+	recent := map[string][][3]string{}
 	now := rdf.Timestamp(0)
 	emitTS := rdf.Timestamp(1)
 	oneShot := oPat{"", "?x", "p", "?y"}
@@ -330,13 +340,17 @@ func runOracle(t *testing.T, seed int64, c oracleCase, cfg Config) {
 					pred = "r"
 				}
 			}
-			if !model.fresh(s, pred, o) {
-				continue
+			recent[strmName] = append(recent[strmName], [3]string{s, pred, o})
+			trs := [][3]string{{s, pred, o}}
+			if r := recent[strmName]; dup.Intn(3) == 0 {
+				trs = append(trs, r[max(0, len(r)-1-dup.Intn(6))])
 			}
-			if err := src.Emit(rdf.Tuple{Triple: rdf.T(s, pred, o), TS: emitTS}); err != nil {
-				t.Fatal(err)
+			for _, tr := range trs {
+				if err := src.Emit(rdf.Tuple{Triple: rdf.T(tr[0], tr[1], tr[2]), TS: emitTS}); err != nil {
+					t.Fatal(err)
+				}
+				model.emit(strmName, tr[0], tr[1], tr[2], emitTS)
 			}
-			model.emit(strmName, s, pred, o, emitTS)
 		}
 		now += rdf.Timestamp(100 * (1 + rng.Intn(3)))
 		if emitTS > now {

@@ -541,13 +541,17 @@ func traverse(ctx context.Context, acc Access, node fabric.NodeID, st plan.Step,
 		}
 		acc.Neighbors(node, fr.keys, fr.vals)
 		if !newVar { // Check against bound var or constant
+			// A row is kept once per matching edge, as an Expand would emit
+			// it once per edge: a repeated triple counts every time.
 			for i := lo; i < hi; i++ {
 				want := st.To.Const
 				if toCol >= 0 {
 					want = tbl.Row(i)[toCol]
 				}
-				if slices.Contains(fr.vals[i-lo], want) {
-					kept.Keep(i)
+				for _, n := range fr.vals[i-lo] {
+					if n == want {
+						kept.Keep(i)
+					}
 				}
 			}
 			continue

@@ -388,3 +388,43 @@ func TestResultSetSortDeterministic(t *testing.T) {
 		t.Error("numeric row should sort last")
 	}
 }
+
+// TestCheckCountsRepeatedEdges: a Check keeps a row once per matching edge,
+// as an Expand emits one row per edge, so a stored graph that holds a triple
+// twice keeps the row twice — in place and fork-join, with a fixed and a
+// variable predicate.
+func TestCheckCountsRepeatedEdges(t *testing.T) {
+	f := newFixture(t, 4)
+	f.stored.Insert(f.enc([3]string{"Logan", "fo", "Erik"}), store.BaseSN, false, nil) // now twice
+	logan, erik, fo := f.id("Logan"), f.id("Erik"), f.pred("fo")
+	in := &Table{Vars: []string{"x", "y"}}
+	for _, row := range [][]rdf.ID{{logan, erik}, {erik, logan}, {logan, logan}} {
+		in.AppendRow(row)
+	}
+	x, y := plan.Endpoint{Var: "x"}, plan.Endpoint{Var: "y"}
+	for _, c := range []struct {
+		name string
+		st   plan.Step
+		want int
+	}{
+		{"fixed", plan.Step{Kind: plan.Check, Pid: fo, From: x, To: y, Dir: store.Out}, 3},
+		{"constant", plan.Step{Kind: plan.Check, Pid: fo, From: x, To: plan.Endpoint{Const: erik}, Dir: store.Out}, 4},
+		{"variable", plan.Step{Kind: plan.Check, PVar: "r", From: x, To: y, Dir: store.Out}, 3},
+	} {
+		for _, mode := range []Mode{InPlace, ForkJoin} {
+			out, err := f.ex.ApplySteps(Request{Node: 0, Mode: mode, Access: provider{f}, Resolver: f.ss, ForkThreshold: 1},
+				[]plan.Step{c.st}, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := map[[2]rdf.ID]int{}
+			for i := 0; i < out.Len(); i++ {
+				r := out.Row(i)
+				counts[[2]rdf.ID{r[0], r[1]}]++
+			}
+			if out.Len() != c.want || counts[[2]rdf.ID{logan, erik}] != 2 {
+				t.Errorf("%s/%v: %d rows %v, want %d with (Logan, Erik) twice", c.name, mode, out.Len(), counts, c.want)
+			}
+		}
+	}
+}

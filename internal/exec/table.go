@@ -130,7 +130,8 @@ type Subset struct {
 // NewSubset starts a subset of src.
 func NewSubset(src *Table) Subset { return Subset{src: src} }
 
-// Keep adds src's row i. Rows must be kept in increasing order.
+// Keep adds src's row i. Rows must be kept in non-decreasing order; a row
+// kept twice appears twice.
 func (s *Subset) Keep(i int) {
 	if s.out == nil {
 		if i == s.seen {

@@ -32,8 +32,9 @@ const (
 	SeedIndex
 	// Expand extends each row by following edges from a bound variable.
 	Expand
-	// Check verifies edge existence between two bound endpoints (or a bound
-	// endpoint and a constant), discarding rows that fail.
+	// Check matches edges between two bound endpoints (or a bound endpoint
+	// and a constant): a row is kept once per matching edge, and dropped
+	// if there is none.
 	Check
 	// Filter applies a FILTER expression to each row.
 	Filter

@@ -294,6 +294,12 @@ func TestParseErrors(t *testing.T) {
 		`SELECT ?x WHERE { ?x <p ?y }`,                           // unterminated IRI
 		`SELECT ?x WHERE { ?x <p> ?y . FILTER (?y >) }`,          // missing operand
 		`SELECT ?x FROM STREAM <s> [RANGE 1s] WHERE { ?x a ?y }`, // missing STEP
+		// Forms of full SPARQL outside this subset.
+		`BASE <http://example.org/> SELECT ?x WHERE { ?x <p> ?y }`,
+		`SELECT REDUCED ?x WHERE { ?x <p> ?y }`,
+		`CONSTRUCT { ?x <p> ?y } WHERE { ?y <p> ?x }`,
+		`DESCRIBE ?x WHERE { ?x <p> ?y }`,
+		`ASK { ?x <p> ?y }`,
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -65,3 +65,49 @@ func TestRenderDuration(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse feeds arbitrary text to Parse. Every input parses or returns an
+// error, never panics; and a query that parses renders to text that parses
+// back to the same query, so what the parser accepts it understood. The
+// seeds add the forms a fuller SPARQL parser (trigo's) takes and this
+// subset must reject cleanly or read right: PREFIX and BASE, DISTINCT and
+// REDUCED, and CONSTRUCT, ASK and DESCRIBE heads.
+func FuzzParse(f *testing.F) {
+	for _, src := range renderCorpus {
+		f.Add(src)
+	}
+	for _, src := range []string{
+		`PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x ex:knows ?y }`,
+		`PREFIX : <http://example.org/> PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n . ?p :age 42 }`,
+		`BASE <http://example.org/> SELECT ?x WHERE { ?x <knows> ?y }`,
+		`BASE <http://example.org/> PREFIX ex: <ns#> SELECT ?x WHERE { ?x ex:p ?y }`,
+		`SELECT DISTINCT ?x WHERE { ?x <p> ?y }`,
+		`SELECT REDUCED ?x WHERE { ?x <p> ?y }`,
+		`SELECT * WHERE { ?s ?p ?o }`,
+		`CONSTRUCT { ?x <knows> ?y } WHERE { ?y <knows> ?x }`,
+		`CONSTRUCT WHERE { ?x <p> ?y }`,
+		`ASK { <Logan> <fo> <Erik> }`,
+		`ASK WHERE { ?x <p> "lit"@en }`,
+		`DESCRIBE ?x WHERE { ?x <p> ?y }`,
+		`DESCRIBE <http://example.org/alice>`,
+		`SELECT ?x WHERE { ?x <p> "a\"b\\c" . ?x <q> "x"^^<http://www.w3.org/2001/XMLSchema#integer> }`,
+		`SELECT ?x WHERE { ?x <p> -3.5e2 . FILTER (?x != <a>) } LIMIT 10`,
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		rendered := q.String()
+		re, err := Parse(rendered)
+		if err != nil {
+			t.Fatalf("rendered text failed to parse: %v\ninput: %q\nrendered:\n%s", err, src, rendered)
+		}
+		if !reflect.DeepEqual(normalize(q), normalize(re)) {
+			t.Fatalf("round trip changed the query\ninput: %q\nrendered:\n%s\noriginal: %#v\nreparsed: %#v",
+				src, rendered, normalize(q), normalize(re))
+		}
+	})
+}
