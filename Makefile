@@ -61,12 +61,14 @@ race:
 
 # Replication under wire faults, five times over: 15 % drops, 10 % dups and
 # 5 % bit flips on the seed's frames, with nothing on the broadcast retrying,
-# must converge; and a round trip that times out behind a damaged length
-# prefix must drop its socket so the next one redials. A wedge that comes
-# back shows here as a failure, not as a one-in-four flake. About 8 s of wall
-# time on a 2-vCPU host.
+# must converge; a round trip that times out behind a damaged length prefix
+# must drop its socket so the next one redials; and a peer that stops
+# answering on open sockets must neither stall a survivor's Status or
+# detector reads past 20 ms nor escape being declared dead. A wedge that
+# comes back shows here as a failure, not as a one-in-four flake. About 18 s
+# of wall time on a 2-vCPU host.
 faults:
-	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$' ./internal/cluster ./internal/wire
+	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$|TestHungPeerStallsNoLivenessRead$$' ./internal/cluster ./internal/wire
 
 # Five seconds of native fuzzing per target where bytes cross a trust
 # boundary, and where one model checks a whole query path: the wire frame

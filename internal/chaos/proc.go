@@ -49,7 +49,7 @@ type ProcConfig struct {
 	// same workload.
 	Seed int64
 	// Nodes is the daemon count (default 3; minimum 3 so a single kill
-	// leaves a quorum of live probe vantages). Each daemon's engine runs
+	// leaves two survivors, each watching the other and the victim). Each daemon's engine runs
 	// wukongsd's default partition count, whatever the daemon count.
 	Nodes int
 	// Batches is the stream length in mini-batches (default 8).

@@ -21,14 +21,14 @@
 //     daemon may trail by cluster_replica_lag_ops. This package does not see
 //     queries at all.
 //
-//   - Membership is per-daemon: each daemon runs a member.Detector whose
-//     probes are real wire heartbeats from its own vantage (a daemon can
-//     only observe paths that start at itself). A member that misses enough
-//     rounds is declared dead locally — which matters to the write path
-//     (succession) and to federation, never to reads — and a restarted
-//     daemon re-joins, replays the full oplog into a fresh engine, and
-//     re-fires every window exactly once (the dedup contract: fresh POLL
-//     buffers, deterministic replay).
+//   - Membership is per-daemon: each daemon runs a member.Detector that
+//     sends a real wire heartbeat to each of its peers every round (a
+//     daemon can only observe paths that start at itself). A member that
+//     misses enough rounds is declared dead locally — which matters to the
+//     write path (succession) and to federation, never to reads — and a
+//     restarted daemon re-joins, replays the full oplog into a fresh
+//     engine, and re-fires every window exactly once (the dedup contract:
+//     fresh POLL buffers, deterministic replay).
 //
 // A lost replication frame heals one way, by replaying the oplog, on two
 // triggers: a member that observes a sequence gap fetches the missing range
@@ -165,10 +165,6 @@ type Config struct {
 	// HeartbeatInterval is the wall-clock probe-round period (default
 	// 100ms). Negative disables the ticker goroutine (tests drive Tick).
 	HeartbeatInterval time.Duration
-	// SuspectAfter / DeadAfter are consecutive missed probe rounds before a
-	// member is suspected (default 2) / declared dead (default 3).
-	SuspectAfter int
-	DeadAfter    int
 	// Metrics may be nil.
 	Metrics *obs.Registry
 	// Tracer records per-hop spans for distributed tracing (DESIGN.md §13).
@@ -365,29 +361,7 @@ func newNode(cfg Config) (*Node, error) {
 	r.Counter("ft_quarantined_records_total").Add(int64(dl.Damaged()))
 	n.dlog = dl
 	n.t.SetEpoch(1)
-	sa := cfg.SuspectAfter
-	if sa <= 0 {
-		sa = 2
-	}
-	da := cfg.DeadAfter
-	if da <= 0 {
-		da = 3
-	}
-	n.det = member.NewOver(vantage{n}, member.Config{
-		HeartbeatIntervalMS: n.cfg.heartbeat().Milliseconds(),
-		SuspectAfter:        sa,
-		DeadAfter:           da,
-		HasSelf:             true,
-		Self:                n.self,
-	}, member.Hooks{
-		OnDead: func(m fabric.NodeID) {
-			n.logf("member %d declared dead", m)
-			if m == n.currentAuthority() {
-				go n.maybeAssumeAuthority()
-			}
-		},
-		OnRejoin: func(m fabric.NodeID) { n.logf("member %d rejoined", m) },
-	}, r)
+	n.det = member.New(n.self, n.cfg.heartbeat().Milliseconds(), n.t.Heartbeat, r)
 	cfg.Transport.SetHandler(cfg.Self, n)
 	return n, nil
 }
@@ -593,12 +567,14 @@ func (n *Node) startTicker() {
 			case <-n.stop:
 				return
 			case <-t.C:
-				n.det.Tick(time.Since(n.start).Milliseconds())
+				for _, tr := range n.det.Tick(time.Since(n.start).Milliseconds()) {
+					n.logf("member %d %s -> %s", tr.Node, tr.From, tr.To)
+				}
 				if auth := n.currentAuthority(); auth != n.self {
 					go n.antiEntropy()
-					// Belt and braces next to the OnDead hook: succession
-					// also fires if this daemon booted after the authority
-					// died (it never saw the transition).
+					// The one takeover trigger on this path: it also fires
+					// if this daemon booted after the authority died and so
+					// never saw the transition.
 					if n.det.State(auth) == member.Dead {
 						go n.maybeAssumeAuthority()
 					}
@@ -674,23 +650,6 @@ func (n *Node) readAuthHead() (auth fabric.NodeID, latest uint64, ok bool) {
 	n.authHead = latest
 	n.mu.Unlock()
 	return auth, latest, true
-}
-
-// vantage adapts this daemon's wire view to the member.Prober contract: a
-// daemon trusts itself unconditionally and can only probe paths that start
-// at itself — there is no global observer on a real network.
-type vantage struct{ n *Node }
-
-var errNoVantage = errors.New("cluster: cannot probe a path not starting here")
-
-func (v vantage) Heartbeat(from, to fabric.NodeID) error {
-	if to == v.n.self {
-		return nil
-	}
-	if from != v.n.self {
-		return errNoVantage
-	}
-	return v.n.t.Heartbeat(from, to)
 }
 
 // ---------------------------------------------------------------------------
@@ -1435,8 +1394,8 @@ func (n *Node) HandleCallTraced(from fabric.NodeID, req []byte, tc trace.Context
 // The leading SEQ line is load-bearing for anti-entropy; the EPOCH line lets
 // operators (and the chaos harness) watch a failover fence in.
 //
-// The detector is read after n.mu is released: a probe round holds the
-// detector's lock across its heartbeats, and n.mu must never wait on that.
+// The detector's lock is never held across a probe, so reading it here
+// never waits on a peer.
 func (n *Node) membersReply() string {
 	var b strings.Builder
 	n.mu.Lock()

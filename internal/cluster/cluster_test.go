@@ -102,8 +102,6 @@ func clusterConfig(tr *wire.TCP, self fabric.NodeID, eng *core.Engine, d *daemon
 		Engine:            eng,
 		OnFire:            d.onFire,
 		HeartbeatInterval: 20 * time.Millisecond,
-		SuspectAfter:      2,
-		DeadAfter:         3,
 		Metrics:           obs.NewRegistry(""),
 		Tracer:            trace.New(trace.Config{SampleEvery: 1, Node: int(self)}),
 	}

@@ -1,9 +1,10 @@
 // Seed-authority succession (DESIGN.md §15). The write authority is not a
-// fixed rank: when the φ-accrual detector declares the current authority
-// dead, the lowest live rank assumes authority, fences the old epoch, and
-// resumes sequencing. Succession is deterministic — every replica computes
-// the same successor from its membership view — so there is no election
-// protocol, only a fenced takeover:
+// fixed rank: when this daemon's failure detector, which counts consecutive
+// missed heartbeat rounds, declares the current authority dead, the lowest
+// live rank assumes authority, fences the old epoch, and resumes sequencing.
+// Succession is deterministic — every replica computes the same successor
+// from its membership view — so there is no election protocol, only a fenced
+// takeover:
 //
 //  1. The candidate polls every reachable peer's STATE. If any peer already
 //     sits at a higher epoch, someone else won a concurrent takeover (or
@@ -69,9 +70,9 @@ func (n *Node) lowestLiveRank() fabric.NodeID {
 }
 
 // maybeAssumeAuthority runs the takeover guards and, when they all hold,
-// performs the takeover. Called from the detector's death hook, from the
-// ticker, and synchronously from resolveAuthority; the CAS in
-// assumeAuthority collapses concurrent triggers to one attempt.
+// performs the takeover. Called from the ticker after each detector round
+// and synchronously from resolveAuthority; the CAS in assumeAuthority
+// collapses concurrent triggers to one attempt.
 func (n *Node) maybeAssumeAuthority() {
 	auth := n.currentAuthority()
 	if auth == n.self {

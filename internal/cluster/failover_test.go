@@ -56,7 +56,13 @@ func joinDaemonCfg(t testing.TB, seedAddr, listenAddr string, mutate func(*Confi
 	if err != nil {
 		t.Fatalf("member listen %s: %v", listenAddr, err)
 	}
-	advertise := ln.Addr().String()
+	return joinDaemonOn(t, seedAddr, ln, ln.Addr().String(), mutate)
+}
+
+// joinDaemonOn joins a member that serves on ln and advertises advertise,
+// which may be an address in front of ln (a proxy).
+func joinDaemonOn(t testing.TB, seedAddr string, ln net.Listener, advertise string, mutate func(*Config)) *daemon {
+	t.Helper()
 	rank, _, err := Discover(seedAddr, advertise, time.Second)
 	if err != nil {
 		ln.Close()

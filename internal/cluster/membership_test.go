@@ -3,12 +3,15 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/member"
 	"repro/internal/wire"
 )
 
@@ -24,7 +27,7 @@ func gauge(t *testing.T, d *daemon, name string) int64 {
 
 // Ranks come from membership, not from the engine's partition count: a
 // healthy two-daemon cluster whose engines run four partitions probes its two
-// members only, and after more than DeadAfter rounds nobody is dead.
+// members only, and after more than member.DeadAfter rounds nobody is dead.
 func TestHealthyClusterDeclaresNoPhantomRank(t *testing.T) {
 	four := enginePartitions(t, 4)
 	quiet := func(c *Config) {
@@ -38,10 +41,10 @@ func TestHealthyClusterDeclaresNoPhantomRank(t *testing.T) {
 	waitConverged(t, seed, d1)
 
 	for _, d := range []*daemon{seed, d1} {
+		// Each Tick is an hour past the last, so each runs one round.
 		det := d.node.Detector()
-		iv := det.Config().HeartbeatIntervalMS
-		for round := 1; round <= det.Config().DeadAfter+2; round++ {
-			det.Tick(int64(round) * iv)
+		for round := 1; round <= member.DeadAfter+2; round++ {
+			det.Tick(int64(round) * time.Hour.Milliseconds())
 		}
 		if got := gauge(t, d, "member_dead_nodes"); got != 0 {
 			t.Errorf("rank %d: member_dead_nodes = %d, want 0", d.node.Self(), got)
@@ -176,5 +179,159 @@ func TestJoinRankBounds(t *testing.T) {
 	}
 	if first != 1 || again != first || other != 2 {
 		t.Fatalf("reservations: %d, %d again for the same address, %d for another; want 1, 1, 2", first, again, other)
+	}
+}
+
+// stallProxy forwards TCP connections to a target until stall is called.
+// From then on it forwards nothing in either direction and holds every
+// connection open, old and new: a peer that is stopped, hung or behind a
+// black-holed link, as its peers see it.
+type stallProxy struct {
+	ln      net.Listener
+	target  string
+	stalled chan struct{}
+
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func startStallProxy(t *testing.T, target string) *stallProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("proxy listen: %v", err)
+	}
+	p := &stallProxy{ln: ln, target: target, stalled: make(chan struct{})}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.track(c)
+			go p.serve(c)
+		}
+	}()
+	return p
+}
+
+func (p *stallProxy) addr() string { return p.ln.Addr().String() }
+
+func (p *stallProxy) stall() { close(p.stalled) }
+
+func (p *stallProxy) track(c net.Conn) {
+	p.mu.Lock()
+	p.conns = append(p.conns, c)
+	p.mu.Unlock()
+}
+
+func (p *stallProxy) isStalled() bool {
+	select {
+	case <-p.stalled:
+		return true
+	default:
+		return false
+	}
+}
+
+// serve connects c to the target, or, once stalled, just holds it open.
+func (p *stallProxy) serve(c net.Conn) {
+	if p.isStalled() {
+		return
+	}
+	u, err := net.Dial("tcp", p.target)
+	if err != nil {
+		c.Close()
+		return
+	}
+	p.track(u)
+	go p.pipe(u, c)
+	p.pipe(c, u)
+}
+
+// pipe copies src to dst until either side fails, closing both, or until
+// the proxy stalls, from when on what it reads goes nowhere.
+func (p *stallProxy) pipe(dst, src net.Conn) {
+	buf := make([]byte, 32<<10)
+	for {
+		k, err := src.Read(buf)
+		if p.isStalled() {
+			return
+		}
+		if k > 0 {
+			if _, werr := dst.Write(buf[:k]); werr != nil {
+				err = werr
+			}
+		}
+		if err != nil {
+			src.Close()
+			dst.Close()
+			return
+		}
+	}
+}
+
+func (p *stallProxy) close() {
+	p.ln.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		c.Close()
+	}
+}
+
+// A peer that keeps its sockets open and never answers costs a survivor's
+// liveness reads nothing: while rank 1's detector probes the hung rank 2
+// (each probe waiting out a heartbeat timeout, or a dial timeout once the
+// socket is dropped), Status — what /healthz serves — and Detector().State
+// each answer within 20 ms, and rank 2 reaches Dead on the usual count of
+// missed rounds.
+func TestHungPeerStallsNoLivenessRead(t *testing.T) {
+	seed := startSeed(t, nil)
+	defer seed.close()
+	d1 := joinDaemon(t, seed.tr.Addr(), "")
+	defer d1.close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	proxy := startStallProxy(t, ln.Addr().String())
+	defer proxy.close()
+	d2 := joinDaemonOn(t, seed.tr.Addr(), ln, proxy.addr(), nil)
+	defer d2.close()
+	seedData(t, d1)
+	waitConverged(t, seed, d1, d2)
+
+	hung := d2.node.Self()
+	det := d1.node.Detector()
+	proxy.stall()
+	const bound = 20 * time.Millisecond
+	deadline := time.Now().Add(15 * time.Second)
+	reads := 0
+	for {
+		start := time.Now()
+		status := d1.node.Status()
+		statusTook := time.Since(start)
+		start = time.Now()
+		st := det.State(hung)
+		stateTook := time.Since(start)
+		reads++
+		if statusTook > bound || stateTook > bound {
+			t.Fatalf("read %d after the stall: Status took %v, State took %v; want both within %v",
+				reads, statusTook, stateTook, bound)
+		}
+		if status != "ready" {
+			t.Fatalf("Status = %q, want ready: the authority is alive", status)
+		}
+		if st == member.Dead {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d is %v after %d reads, never dead", hung, st, reads)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if st := det.State(seed.node.Self()); st != member.Alive {
+		t.Fatalf("the seed is %v on rank 1, want alive", st)
 	}
 }

@@ -263,7 +263,7 @@ type Not struct{ Expr Expr }
 
 func (n Not) exprNode() {}
 func (n Not) String() string {
-	return "!" + n.Expr.String()
+	return "(!" + n.Expr.String() + ")"
 }
 
 // OrderKey is one ORDER BY sort key over a projected name.

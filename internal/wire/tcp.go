@@ -465,8 +465,9 @@ func (t *TCP) CallTraced(from, to fabric.NodeID, req []byte, tc trace.Context) (
 	return t.roundTrip(p, to, TypeCall, req, t.cfg.CallTimeout, tc)
 }
 
-// Heartbeat probes the path to node to with a Ping/Pong round trip.
-func (t *TCP) Heartbeat(from, to fabric.NodeID) error {
+// Heartbeat probes the path from this transport to node to with a Ping/Pong
+// round trip.
+func (t *TCP) Heartbeat(to fabric.NodeID) error {
 	if t.closed.Load() {
 		return fabric.ErrClusterClosed
 	}

@@ -78,7 +78,7 @@ func TestTCPSendCallHeartbeat(t *testing.T) {
 	b.SetHandler(1, hb)
 	a.SetPeer(1, b.Addr())
 
-	if err := a.Heartbeat(0, 1); err != nil {
+	if err := a.Heartbeat(1); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
 	if err := a.Send(0, 1, []byte("one-way"), trace.Context{}); err != nil {
@@ -384,7 +384,7 @@ func TestTCPPeerDownTypedErrorsAndRecovery(t *testing.T) {
 	defer b2.Close()
 	b2.SetHandler(1, &testHandler{})
 	waitFor(t, "heartbeat rediscovers restarted peer", func() bool {
-		return a.Heartbeat(0, 1) == nil
+		return a.Heartbeat(1) == nil
 	})
 	if err := a.Send(0, 1, []byte("back"), trace.Context{}); err != nil {
 		t.Fatalf("send after recovery: %v", err)
@@ -518,7 +518,7 @@ func TestTCPClosedReturnsClusterClosed(t *testing.T) {
 	if _, err := a.Call(0, 1, nil); !errors.Is(err, fabric.ErrClusterClosed) {
 		t.Fatalf("Call after close: %v", err)
 	}
-	if err := a.Heartbeat(0, 1); !errors.Is(err, fabric.ErrClusterClosed) {
+	if err := a.Heartbeat(1); !errors.Is(err, fabric.ErrClusterClosed) {
 		t.Fatalf("Heartbeat after close: %v", err)
 	}
 }
@@ -591,7 +591,7 @@ func TestTCPUnnamedRankIsPeerDown(t *testing.T) {
 		if _, err := a.Call(0, to, nil); !errors.Is(err, ErrPeerDown) {
 			t.Fatalf("Call to unnamed rank %d: %v", to, err)
 		}
-		if err := a.Heartbeat(0, to); !errors.Is(err, ErrPeerDown) {
+		if err := a.Heartbeat(to); !errors.Is(err, ErrPeerDown) {
 			t.Fatalf("Heartbeat to unnamed rank %d: %v", to, err)
 		}
 		if a.PeerAddr(to) != "" {
