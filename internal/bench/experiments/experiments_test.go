@@ -139,31 +139,54 @@ func TestTable5Shape(t *testing.T) {
 // 2× on the Group II geometric mean, and 1.5× leaves room for a noisy host.
 const fig12Margin = 1.5
 
+// fig12Rounds is how many times TestFig12Shape runs each Group II query on
+// each node count.
+const fig12Rounds = 10
+
 // TestFig12Shape checks the node-scalability study: Group II (L4–L6), whose
 // windows are large enough to parallelize, is faster at 8 nodes than at 2 by
 // fig12Margin on its geometric mean. Group I is µs-level and not checked.
+// The two instances of Fig. 12 are measured in alternating rounds, and each
+// cell is its fastest run: a host stall only ever slows a run down, so it
+// would have to hit every round of one cell to move the ratio.
 func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape check needs a non-trivial run")
 	}
-	o := Options{Runs: 10, Scale: 1, LatencyMode: fabric.Spin}
-	r, err := Fig12(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Columns: Query, 2, 4, 6, 8 nodes; rows L1..L6.
-	groupII := func(col int) time.Duration {
-		var lats []time.Duration
-		for _, row := range r.Table.Rows[3:6] {
-			lats = append(lats, msValue(t, row[col]))
+	o := Options{Scale: 1, LatencyMode: fabric.Spin}.withDefaults()
+	var envs [2]*env // 2 nodes, 8 nodes
+	for i, nodes := range []int{2, 8} {
+		e, err := fig12Env(o, nodes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return harness.GeoMean(lats)
+		defer e.e.Close()
+		envs[i] = e
 	}
-	two, eight := groupII(1), groupII(4)
+	var best [2][]time.Duration // L4–L6 on each instance
+	for i := range best {
+		best[i] = make([]time.Duration, 3)
+	}
+	for round := 0; round < fig12Rounds; round++ {
+		for k := range envs {
+			i := (k + round) % len(envs) // alternate which instance runs first
+			for q, cq := range envs[i].cqs[3:6] {
+				_, lat, err := cq.ExecuteNow()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if round == 0 || lat < best[i][q] {
+					best[i][q] = lat
+				}
+			}
+		}
+	}
+	two, eight := harness.GeoMean(best[0]), harness.GeoMean(best[1])
 	if float64(two) < fig12Margin*float64(eight) {
-		t.Errorf("shape violated: Group II geo-mean %v on 2 nodes vs %v on 8 (want ≥ %.1f× faster)\n%s",
-			two, eight, fig12Margin, r.Table)
+		t.Errorf("shape violated: Group II geo-mean %v on 2 nodes vs %v on 8 (want ≥ %.1f× faster); L4–L6 %v vs %v",
+			two, eight, fig12Margin, best[0], best[1])
 	}
+	t.Logf("Group II geo-mean %v on 2 nodes, %v on 8 (%.2f×)", two, eight, float64(two)/float64(eight))
 }
 
 // TestTable4StructuredStreamingUnsupported checks the Table 4 "x" cells.

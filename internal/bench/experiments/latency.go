@@ -387,22 +387,26 @@ func Table5(o Options) (*Report, error) {
 	return r, nil
 }
 
+// fig12Env builds Fig. 12's Wukong+S instance on the given node count.
+// Group II queries need enough per-window work to parallelize, so the sweep
+// runs at 4x the default stream rate (the paper's cluster runs 3.75 B stored
+// triples and full LSBench rates).
+func fig12Env(o Options, nodes int) (*env, error) {
+	return newLSEnv(o, engineConfig(o, nodes), rateScaled(LSConfig(o), 4))
+}
+
 // Fig12 reproduces the node-scalability study: L1–L6 latency on 2–8 nodes.
 func Fig12(o Options) (*Report, error) {
 	o = o.withDefaults()
-	// Group II queries need enough per-window work to parallelize; run the
-	// sweep at 4x the default stream rate (the paper's cluster runs 3.75 B
-	// stored triples and full LSBench rates).
-	cfg := rateScaled(LSConfig(o), 4)
 	nodeCounts := []int{2, 4, 6, 8}
 	results := make(map[int]map[int]time.Duration)
 	for _, nodes := range nodeCounts {
 		runtime.GC() // isolate configurations from each other's garbage
-		lats, err := wukongSLatencies(o, engineConfig(o, nodes), cfg)
+		env, err := fig12Env(o, nodes)
 		if err != nil {
 			return nil, err
 		}
-		results[nodes] = lats
+		results[nodes] = env.wukongS()
 	}
 	r := &Report{ID: "fig12", Title: "Latency (ms) vs cluster size (LSBench)"}
 	header := []string{"Query"}

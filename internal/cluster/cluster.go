@@ -80,7 +80,9 @@ const SeedRank fabric.NodeID = 0
 // dedupCap bounds the replicated id→reply table that makes client write
 // retries exactly-once. Entries evict FIFO; a client that retries an op id
 // more than dedupCap acked writes later re-executes, which the id scheme
-// treats as a fresh op.
+// treats as a fresh op. An entry holds its own copies of the id and the
+// reply, never the op, so the table costs at most dedupCap × (id + reply)
+// bytes whatever the acked ops carried.
 const dedupCap = 8192
 
 // ErrUnavailable is the base error for cluster operations that failed
@@ -218,8 +220,11 @@ type Node struct {
 	reserved  map[fabric.NodeID]string // authority: rank → addr promised by Discover, not yet joined
 	epoch     uint64                   // current authority epoch (raised only by EPOCH ops)
 	authority fabric.NodeID
-	dedup     map[string]dedupEntry // op id → acked (seq, reply)
-	dedupRing []string              // FIFO eviction order for dedup
+
+	dedup      map[string]dedupEntry // op id → acked (seq, reply); also under mu
+	dedupRing  []string              // FIFO eviction ring: grows to dedupCap, then slot dedupNext is the oldest
+	dedupNext  int
+	dedupBytes int64 // bytes of the ids and replies dedup holds
 
 	dlog   *oplog.Log // the op log; every replay reads it
 	logDir string     // its directory: cfg.DataDir, or a private one
@@ -326,6 +331,16 @@ func newNode(cfg Config) (*Node, error) {
 		cSnapDeferred: r.Counter("snapshot_deferred_total"),
 		hUnavail:      r.Histogram("cluster_write_unavail_ns", nil),
 	}
+	r.GaugeFunc("cluster_dedup_entries", func() int64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return int64(len(n.dedup))
+	})
+	r.GaugeFunc("cluster_dedup_bytes", func() int64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.dedupBytes
+	})
 	r.GaugeFunc("authority_epoch", func() int64 {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -681,8 +696,8 @@ func encodeOp(seq, epoch uint64, id, kind string, args []string, body string) []
 	return b.Bytes()
 }
 
-func decodeOp(p []byte) (seq, epoch uint64, id, kind string, args []string, body string, err error) {
-	head, rest := splitLine(string(p))
+func decodeOp(p string) (seq, epoch uint64, id, kind string, args []string, body string, err error) {
+	head, rest := splitLine(p)
 	f := strings.Fields(head)
 	if len(f) < 5 || f[0] != "OP" {
 		return 0, 0, "", "", nil, "", fmt.Errorf("cluster: malformed op header %q", head)
@@ -1020,7 +1035,7 @@ func (n *Node) handleJoin(args []string) (string, error) {
 			}
 		}
 		if rank >= 0 {
-			n.reserved[fabric.NodeID(rank)] = addr
+			n.reserved[fabric.NodeID(rank)] = strings.Clone(addr)
 		}
 	}
 	latest := n.applied
@@ -1101,7 +1116,7 @@ func (n *Node) HandleSend(from fabric.NodeID, payload []byte) {
 // where epoch fencing bites: an op sequenced under an older epoch than this
 // replica has seen is a zombie ex-authority's broadcast and is rejected.
 func (n *Node) HandleSendTraced(from fabric.NodeID, payload []byte, tc trace.Context) {
-	seq, epoch, id, kind, args, body, err := decodeOp(payload)
+	seq, epoch, id, kind, args, body, err := decodeOp(string(payload))
 	if err != nil {
 		n.logf("dropping malformed op from %d: %v", from, err)
 		return
@@ -1190,7 +1205,7 @@ func (n *Node) syncRangeLocked(target fabric.NodeID, lo, hi uint64) error {
 			if err != nil || size < 0 || size > len(tail) {
 				return fmt.Errorf("cluster: malformed SYNC chunk header %q", head)
 			}
-			raw := []byte(tail[:size])
+			raw := tail[:size]
 			seq, _, id, kind, args, body, err := decodeOp(raw)
 			if err != nil {
 				return err
@@ -1200,7 +1215,7 @@ func (n *Node) syncRangeLocked(target fabric.NodeID, lo, hi uint64) error {
 				// carry the epochs they were sequenced under. A refused op
 				// replays as refused.
 				n.applyLocked(seq, id, kind, args, body)
-				n.recordLocked(seq, kind, raw)
+				n.recordLocked(seq, kind, []byte(raw))
 				n.cSynced.Inc()
 			}
 			lo, rest = seq+1, tail[size:]
@@ -1238,7 +1253,10 @@ func (n *Node) applyLocked(seq uint64, id, kind string, args []string, body stri
 }
 
 // recordDedupLocked installs one acked (id, seq, reply) into the replicated
-// exactly-once table, evicting FIFO past dedupCap. Caller holds n.mu.
+// exactly-once table, evicting FIFO past dedupCap. The table outlives the op,
+// so it keeps copies: id is cut from a request, an op or a snapshot
+// transcript, and so is a restored reply, and either would pin all of it.
+// Caller holds n.mu.
 func (n *Node) recordDedupLocked(id string, seq uint64, reply string) {
 	if id == "" {
 		return
@@ -1246,12 +1264,26 @@ func (n *Node) recordDedupLocked(id string, seq uint64, reply string) {
 	if _, ok := n.dedup[id]; ok {
 		return
 	}
+	id, reply = strings.Clone(id), strings.Clone(reply)
 	n.dedup[id] = dedupEntry{seq: seq, reply: reply}
-	n.dedupRing = append(n.dedupRing, id)
-	if len(n.dedupRing) > dedupCap {
-		evict := n.dedupRing[0]
-		n.dedupRing = n.dedupRing[1:]
-		delete(n.dedup, evict)
+	n.dedupBytes += int64(len(id) + len(reply))
+	if len(n.dedupRing) < dedupCap {
+		n.dedupRing = append(n.dedupRing, id)
+		return
+	}
+	evict := n.dedupRing[n.dedupNext]
+	n.dedupBytes -= int64(len(evict) + len(n.dedup[evict].reply))
+	delete(n.dedup, evict)
+	n.dedupRing[n.dedupNext] = id
+	n.dedupNext = (n.dedupNext + 1) % dedupCap
+}
+
+// dedupOrderLocked calls f for every entry of the exactly-once table, oldest
+// first. Caller holds n.mu.
+func (n *Node) dedupOrderLocked(f func(id string, e dedupEntry)) {
+	for i := range n.dedupRing {
+		id := n.dedupRing[(n.dedupNext+i)%len(n.dedupRing)]
+		f(id, n.dedup[id])
 	}
 }
 
@@ -1268,15 +1300,16 @@ func (n *Node) applyOp(kind string, args []string, body string) (string, error) 
 			return "", fmt.Errorf("cluster: bad member rank %q", args[0])
 		}
 		r := fabric.NodeID(rank)
+		addr := strings.Clone(args[1]) // kept for the daemon's life; args is cut from the op
 		n.mu.Lock()
 		if i, ok := n.memberIndexLocked(r); ok {
-			n.members[i].addr = args[1]
+			n.members[i].addr = addr
 		} else {
-			n.members = slices.Insert(n.members, i, rankAddr{r, args[1]})
+			n.members = slices.Insert(n.members, i, rankAddr{r, addr})
 		}
 		n.mu.Unlock()
 		if r != n.self {
-			n.t.SetPeer(r, args[1])
+			n.t.SetPeer(r, addr)
 		}
 		n.det.Add(r)
 		return fmt.Sprintf("member %d %s", rank, args[1]), nil

@@ -83,7 +83,7 @@ func Resume(cfg Config) (*Node, error) {
 		}
 	}
 	err = n.dlog.Range(1, 0, func(seq uint64, payload []byte) error {
-		_, epoch, _, kind, args, _, derr := decodeOp(payload)
+		_, epoch, _, kind, args, _, derr := decodeOp(string(payload))
 		if derr != nil {
 			return derr
 		}
@@ -107,7 +107,9 @@ func Resume(cfg Config) (*Node, error) {
 	members[int(n.self)] = cfg.SelfAddr
 	for r, addr := range members {
 		if fabric.NodeID(r) != n.self {
-			n.t.SetPeer(fabric.NodeID(r), addr)
+			// The transport keeps addr for the daemon's life, and it is cut
+			// from an op log record or from the whole snapshot transcript.
+			n.t.SetPeer(fabric.NodeID(r), strings.Clone(addr))
 		}
 	}
 
@@ -210,7 +212,7 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 
 	n.applyMu.Lock()
 	if haveSnap {
-		gotSeq, _, _, err := n.applySnapshotLocked(snapPayload)
+		gotSeq, _, _, err := n.applySnapshotLocked(string(snapPayload))
 		if err != nil {
 			n.applyMu.Unlock()
 			return fmt.Errorf("cluster: restore snapshot at %d: %w", snapSeq, err)
@@ -221,7 +223,7 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 	}
 	replayed := 0
 	err := n.dlog.Range(n.Applied()+1, 0, func(seq uint64, payload []byte) error {
-		dseq, _, id, kind, args, body, derr := decodeOp(payload)
+		dseq, _, id, kind, args, body, derr := decodeOp(string(payload))
 		if derr != nil {
 			return derr
 		}
@@ -276,7 +278,7 @@ func RecoverRank(dir, selfAddr string) (fabric.NodeID, bool) {
 	}
 	if dl, err := oplog.Open(dir, oplog.Options{}); err == nil {
 		dl.Range(1, 0, func(seq uint64, payload []byte) error {
-			_, _, _, kind, args, _, derr := decodeOp(payload)
+			_, _, _, kind, args, _, derr := decodeOp(string(payload))
 			if derr != nil {
 				return derr
 			}

@@ -113,10 +113,9 @@ func (n *Node) buildSnapshotLocked() []byte {
 	for _, m := range n.members {
 		fmt.Fprintf(&b, "MEMBER %d %s\n", m.rank, m.addr)
 	}
-	for _, id := range n.dedupRing {
-		e := n.dedup[id]
+	n.dedupOrderLocked(func(id string, e dedupEntry) {
 		fmt.Fprintf(&b, "ACK %s %d %d\n%s\n", id, e.seq, len(e.reply), e.reply)
-	}
+	})
 	now := int64(eng.Now())
 	n.mu.Unlock()
 
@@ -191,7 +190,7 @@ func walkSnapshot(payload string, f func(fields []string, line, blob string) err
 	return nil
 }
 
-// applySnapshotLocked replays a transcript into this replica. Caller holds
+// applySnapshotLocked replays transcript s into this replica. Caller holds
 // applyMu. The same code path serves a fresh engine (restore/join) and a
 // stale one (in-place catch-up): every section skips what already exists,
 // and triple restore inserts only the per-key multiset shortfall. The framing
@@ -200,8 +199,7 @@ func walkSnapshot(payload string, f func(fields []string, line, blob string) err
 // fit the predicate space changes nothing and fails with
 // strserver.ErrPredicateSpace. The entity table is interned next, in ID
 // order.
-func (n *Node) applySnapshotLocked(payload []byte) (seq, epoch uint64, auth fabric.NodeID, err error) {
-	s := string(payload)
+func (n *Node) applySnapshotLocked(s string) (seq, epoch uint64, auth fabric.NodeID, err error) {
 	var (
 		preds []string
 		ents  []byte // the ENT keys, back to back
@@ -428,7 +426,7 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 	}
 
 	n.applyMu.Lock()
-	gotSeq, gotEpoch, _, err := n.applySnapshotLocked(payload)
+	gotSeq, gotEpoch, _, err := n.applySnapshotLocked(string(payload))
 	if err != nil {
 		n.applyMu.Unlock()
 		return err

@@ -60,7 +60,7 @@ func FuzzApplySnapshot(f *testing.F) {
 		defer d.close()
 		d.node.applyMu.Lock()
 		defer d.node.applyMu.Unlock()
-		if _, _, _, err := d.node.applySnapshotLocked(payload); err == nil {
+		if _, _, _, err := d.node.applySnapshotLocked(string(payload)); err == nil {
 			d.node.buildSnapshotLocked()
 		}
 	})

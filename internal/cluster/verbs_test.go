@@ -235,13 +235,13 @@ func FuzzDecodeOp(f *testing.F) {
 	f.Add([]byte("OP x"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		seq, epoch, id, kind, args, body, err := decodeOp(p)
+		seq, epoch, id, kind, args, body, err := decodeOp(string(p))
 		if err != nil {
 			return
 		}
 		// Whatever decoded is whitespace-free by construction, so it must
 		// survive the round trip.
-		seq2, epoch2, id2, kind2, args2, body2, err := decodeOp(encodeOp(seq, epoch, id, kind, args, body))
+		seq2, epoch2, id2, kind2, args2, body2, err := decodeOp(string(encodeOp(seq, epoch, id, kind, args, body)))
 		if err != nil || seq2 != seq || epoch2 != epoch || id2 != id || kind2 != kind || body2 != body ||
 			len(args2) != len(args) || (len(args) > 0 && !reflect.DeepEqual(args2, args)) {
 			t.Fatalf("round trip of %q: got (%d %d %q %q %q %q, %v), want (%d %d %q %q %q %q)",
@@ -571,7 +571,7 @@ func TestSnapshotPastThePredicateSpaceIsRefused(t *testing.T) {
 	ss := d.eng.StringServer()
 	applied, ents, preds := d.node.Applied(), ss.NumEntities(), ss.NumPredicates()
 	d.node.applyMu.Lock()
-	_, _, _, err := d.node.applySnapshotLocked([]byte(b.String()))
+	_, _, _, err := d.node.applySnapshotLocked(b.String())
 	d.node.applyMu.Unlock()
 	if !errors.Is(err, strserver.ErrPredicateSpace) {
 		t.Fatalf("restore of %d predicates: err = %v, want ErrPredicateSpace", strserver.MaxPredicateID+1, err)
@@ -677,7 +677,7 @@ func TestSnapshotFramingIsCheckedFirst(t *testing.T) {
 		{"ENT 1\nx\n", "malformed term key"},           // a key with no kind byte
 	} {
 		d.node.applyMu.Lock()
-		_, _, _, err := d.node.applySnapshotLocked([]byte(head + row.tail))
+		_, _, _, err := d.node.applySnapshotLocked(head + row.tail)
 		d.node.applyMu.Unlock()
 		if err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("%q: err = %v, want %q", row.tail, err, row.want)
@@ -703,7 +703,7 @@ func TestSnapshotRoundTripsLongKeys(t *testing.T) {
 	payload := donor.node.buildSnapshotLocked()
 	donor.node.applyMu.Unlock()
 	restored.node.applyMu.Lock()
-	_, _, _, err := restored.node.applySnapshotLocked(payload)
+	_, _, _, err := restored.node.applySnapshotLocked(string(payload))
 	restored.node.applyMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -740,7 +740,7 @@ func TestStreamEncodingsAgree(t *testing.T) {
 	donor.close()
 
 	restored.node.applyMu.Lock()
-	_, _, _, err := restored.node.applySnapshotLocked(payload)
+	_, _, _, err := restored.node.applySnapshotLocked(string(payload))
 	restored.node.applyMu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -133,6 +134,9 @@ func (cq *ContinuousQuery) replan() *plan.Plan {
 // and replicates the indexes of its streams there — the paper's
 // locality-aware partitioning (§4.2).
 func (e *Engine) RegisterContinuous(text string, cb func(*Result, FireInfo)) (*ContinuousQuery, error) {
+	// The query keeps its text, and the parse's names and terms are cut from
+	// it; text may be a view into a request, an op or a snapshot transcript.
+	text = strings.Clone(text)
 	q, err := sparql.Parse(text)
 	if err != nil {
 		return nil, err

@@ -612,7 +612,9 @@ func TestLatencyHistoryIsBounded(t *testing.T) {
 // TestRegisterStreamCopiesWhatItKeeps: the line-protocol handler hands
 // RegisterStream slices of a request line in an argument slice it reuses, and
 // the engine keeps the config for its whole life — so the name and the
-// predicate lists must be copies, bytes and slice both.
+// predicate lists must be copies, bytes and slice both. The same holds for a
+// continuous query's text, which a cluster replica cuts from an op or a
+// snapshot transcript.
 func TestRegisterStreamCopiesWhatItKeeps(t *testing.T) {
 	e, err := New(Config{Nodes: 1})
 	if err != nil {
@@ -643,5 +645,14 @@ func TestRegisterStreamCopiesWhatItKeeps(t *testing.T) {
 		if inLine(iri) {
 			t.Errorf("interned predicate %q points into the request line", iri)
 		}
+	}
+	// A continuous query keeps its text, and its name is cut from it.
+	line += "REGISTER QUERY QX AS SELECT ?X ?Y FROM S1 [RANGE 1s STEP 100ms] WHERE { GRAPH S1 { ?X ga ?Y } }"
+	cq, err := e.RegisterContinuous(line[1<<20+len("S1 ga gb"):], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cq.Name != "QX" || inLine(cq.Name) || inLine(cq.Text) {
+		t.Errorf("continuous query %q keeps a view into the request body", cq.Name)
 	}
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,7 +199,6 @@ func TestBufferResultAllocations(t *testing.T) {
 	}
 	t.Cleanup(eng.Close)
 	srv := New(eng)
-	srv.PollBuffer = 1 << 30 // never trim: trimming copies the buffer
 	var res *core.Result
 	for _, r := range resultFixture(t) {
 		if r.Len() >= 100 && (res == nil || r.Len() > res.Len()) {
@@ -213,5 +214,71 @@ func TestBufferResultAllocations(t *testing.T) {
 	})
 	if n > 4 {
 		t.Errorf("BufferResult of %d rows allocates %.0f times, want ≤ 4", res.Len(), n)
+	}
+
+	// Overflowing: drop-oldest costs the rows a firing appends and drops,
+	// however many the buffer holds. Copying the buffer on each firing would
+	// cost 16 bytes per buffered row: 16 KB a firing at PollBuffer 1 000,
+	// 160 KB at the default.
+	for _, limit := range []int{1_000, defaultPollBuffer} {
+		srv.PollBuffer = limit
+		for i := 0; i*res.Len() < 2*limit; i++ {
+			srv.BufferResult("Q", res, core.FireInfo{At: 300})
+		}
+		const firings = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < firings; i++ {
+			srv.BufferResult("Q", res, core.FireInfo{At: 400})
+		}
+		runtime.ReadMemStats(&after)
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / firings / float64(res.Len())
+		t.Logf("PollBuffer %d: %.0f bytes per appended row", limit, perRow)
+		if perRow > 160 {
+			t.Errorf("PollBuffer %d: an overflowing firing allocates %.0f bytes per appended row, want ≤ 160", limit, perRow)
+		}
+	}
+}
+
+// TestOverflowingPollReturnsTheNewestRows: past PollBuffer, POLL returns the
+// newest PollBuffer rows in firing order and counts every dropped row.
+func TestOverflowingPollReturnsTheNewestRows(t *testing.T) {
+	eng, err := core.New(core.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	srv := New(eng)
+	srv.PollBuffer = 250
+	var res *core.Result
+	for _, r := range resultFixture(t) {
+		if r.Len() >= 2 && (res == nil || r.Len() < res.Len()) {
+			res = r
+		}
+	}
+	var want []string
+	for at := rdf.Timestamp(1); at <= 400; at++ {
+		srv.BufferResult("Q", res, core.FireInfo{At: at})
+		for _, row := range res.Strings() {
+			want = append(want, fmt.Sprintf("@%d %s", at, row))
+		}
+	}
+	var out strings.Builder
+	w := bufio.NewWriter(&out)
+	if err := srv.cmdPoll(w, []string{"Q"}); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	dropped := len(want) - srv.PollBuffer
+	if head := fmt.Sprintf("+OK %d rows dropped %d", srv.PollBuffer, dropped); lines[0] != head || lines[len(lines)-1] != "." {
+		t.Fatalf("POLL framing: first line %q, last %q; want %q first", lines[0], lines[len(lines)-1], head)
+	}
+	got := lines[1 : len(lines)-1]
+	if !slices.Equal(got, want[dropped:]) {
+		t.Fatalf("POLL returned %d rows; want the newest %d of %d in order", len(got), srv.PollBuffer, len(want))
+	}
+	if q, total := srv.DroppedRows("Q"); q != int64(dropped) || total != int64(dropped) {
+		t.Fatalf("DroppedRows = %d, %d; want %d", q, total, dropped)
 	}
 }

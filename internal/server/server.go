@@ -606,9 +606,13 @@ func (s *Server) BufferResult(name string, res *core.Result, f core.FireInfo) {
 		limit = defaultPollBuffer
 	}
 	// Bounded buffer, drop-oldest: a lagging poller loses the stalest
-	// windows first and learns how many went missing.
+	// windows first and learns how many went missing. Dropping costs the rows
+	// dropped: their headers are cleared, so their strings can be collected,
+	// and the slice steps past them. append moves the rest only when it
+	// outgrows the array, a constant amortized per appended row.
 	if over := len(buf.rows) - limit; over > 0 {
-		buf.rows = append(buf.rows[:0:0], buf.rows[over:]...)
+		clear(buf.rows[:over])
+		buf.rows = buf.rows[over:]
 		buf.dropped += over
 		buf.cumDropped += int64(over)
 	}
