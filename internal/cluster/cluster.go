@@ -375,7 +375,6 @@ func newNode(cfg Config) (*Node, error) {
 	}
 	r.Counter("ft_quarantined_records_total").Add(int64(dl.Damaged()))
 	n.dlog = dl
-	n.t.SetEpoch(1)
 	n.det = member.New(n.self, n.cfg.heartbeat().Milliseconds(), n.t.Heartbeat, r)
 	cfg.Transport.SetHandler(cfg.Self, n)
 	return n, nil
@@ -560,6 +559,14 @@ func (n *Node) stateReply() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return fmt.Sprintf("EPOCH %d AUTH %d SEQ %d FIRST %d", n.epoch, int(n.authority), n.applied, n.dlog.First())
+}
+
+// parseStateReply reads the epoch and applied seq from a STATE reply.
+func parseStateReply(resp string) (epoch, seq uint64, err error) {
+	var auth int
+	var first uint64
+	_, err = fmt.Sscanf(resp, "EPOCH %d AUTH %d SEQ %d FIRST %d", &epoch, &auth, &seq, &first)
+	return epoch, seq, err
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -1332,7 +1339,6 @@ func (n *Node) applyOp(kind string, args []string, body string) (string, error) 
 		}
 		n.authority = fabric.NodeID(rank)
 		n.mu.Unlock()
-		n.t.SetEpoch(e)
 		n.logf("authority epoch %d, rank %d", e, rank)
 		return fmt.Sprintf("epoch %d authority %d", e, rank), nil
 

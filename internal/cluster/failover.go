@@ -16,8 +16,8 @@
 //     daemon, and the candidate drains every such peer first.
 //  3. It bumps the epoch and sequences an EPOCH op as its first act. Every
 //     replica that applies it re-points writes at the successor and raises
-//     its wire epoch, after which any broadcast stamped with the old epoch
-//     is rejected at ingest (and old-epoch handshakes can be refused). A
+//     its epoch, after which any broadcast stamped with the old epoch is
+//     rejected at ingest, on a new connection or a healed one alike. A
 //     zombie ex-authority can therefore neither sequence new ops (members
 //     reject its stale-epoch broadcasts) nor un-fence itself (epochs only
 //     rise).
@@ -117,9 +117,8 @@ func (n *Node) assumeAuthority() error {
 		if err != nil {
 			continue // unreachable right now; the detector will catch up
 		}
-		var e, seq, first uint64
-		var a int
-		if _, err := fmt.Sscanf(resp, "EPOCH %d AUTH %d SEQ %d FIRST %d", &e, &a, &seq, &first); err != nil {
+		e, seq, err := parseStateReply(resp)
+		if err != nil {
 			continue
 		}
 		if e > myEpoch {

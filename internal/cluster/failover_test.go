@@ -145,9 +145,11 @@ func TestFailoverDeterministicSuccessor(t *testing.T) {
 	}
 }
 
-// TestZombieAuthorityFenced replays a broadcast stamped with a stale epoch
-// into a replica that has already seen a newer fence: it must be rejected
-// without touching the state machine.
+// TestZombieAuthorityFenced sends a broadcast stamped with a stale epoch,
+// over a connection opened after the fence, into a replica that has seen a
+// newer fence: a zombie ex-authority whose socket healed. The handshake
+// carries no epoch, so the op's own stamp must get it rejected without
+// touching the state machine.
 func TestZombieAuthorityFenced(t *testing.T) {
 	seed := startSeed(t, nil)
 	defer seed.close()
@@ -163,20 +165,44 @@ func TestZombieAuthorityFenced(t *testing.T) {
 	waitConverged(t, seed, d1)
 	before := d1.node.Applied()
 	beforeNow := int64(d1.eng.Now())
+	rejected := d1.node.cfg.Metrics.Counter("cluster_stale_epoch_rejected_total")
+	rejectedBefore := rejected.Value()
 
-	// A zombie's broadcast: correct next sequence, stale epoch 1.
-	zombie := encodeOp(before+1, 1, "", "ADVANCE", []string{"99999"}, "")
-	d1.node.HandleSendTraced(SeedRank, zombie, trace.Context{})
-	time.Sleep(50 * time.Millisecond)
+	// The zombie: a fresh transport speaking as the old authority, which
+	// dials the replica only now.
+	zombie, err := wire.ListenTCP("127.0.0.1:0", tcpConfig(SeedRank, nil), obs.NewRegistry(""))
+	if err != nil {
+		t.Fatalf("zombie transport: %v", err)
+	}
+	defer zombie.Close()
+	zombie.SetPeer(d1.node.Self(), d1.tr.Addr())
+
+	// Its broadcast: correct next sequence, stale epoch 1.
+	stale := encodeOp(before+1, 1, "", "ADVANCE", []string{"99999"}, "")
+	if err := zombie.Send(SeedRank, d1.node.Self(), stale, trace.Context{}); err != nil {
+		t.Fatalf("zombie send: %v", err)
+	}
+	// The replica reads one connection's frames in order and handles a
+	// Send before it reads the next frame, so once a Call on the same
+	// connection answers, the stale op has been judged.
+	if _, err := zombie.Call(SeedRank, d1.node.Self(), []byte("STATE\n")); err != nil {
+		t.Fatalf("zombie STATE call: %v", err)
+	}
+	if got := rejected.Value(); got != rejectedBefore+1 {
+		t.Fatalf("cluster_stale_epoch_rejected_total = %d, want %d", got, rejectedBefore+1)
+	}
 	if got := d1.node.Applied(); got != before {
 		t.Fatalf("stale-epoch op applied: seq moved %d -> %d", before, got)
 	}
 	if got := int64(d1.eng.Now()); got != beforeNow {
 		t.Fatalf("stale-epoch op advanced the clock: %d -> %d", beforeNow, got)
 	}
-	// The same op under the current epoch is accepted.
+	// The same op under the current epoch, on the same connection, is
+	// accepted.
 	live := encodeOp(before+1, 2, "", "ADVANCE", []string{"1200"}, "")
-	d1.node.HandleSendTraced(SeedRank, live, trace.Context{})
+	if err := zombie.Send(SeedRank, d1.node.Self(), live, trace.Context{}); err != nil {
+		t.Fatalf("current-epoch send: %v", err)
+	}
 	if !d1.node.waitApplied(before+1, 2*time.Second) {
 		t.Fatal("current-epoch op was not applied")
 	}
@@ -364,6 +390,10 @@ func TestResumeAuthorityFromDisk(t *testing.T) {
 	if !HasDurableState(dir) {
 		t.Fatal("no durable state recorded")
 	}
+	// The record that Resume reads also re-identifies the daemon.
+	if r, ok := RecoverRank(dir, addr); !ok || r != SeedRank {
+		t.Fatalf("RecoverRank = %d, %v; want the seed's rank", r, ok)
+	}
 	d := &daemon{eng: newEngine(t)}
 	defer d.close()
 	var tr *wire.TCP
@@ -425,6 +455,9 @@ func TestResumeAsMemberDiscardsStaleState(t *testing.T) {
 	addr := d1.tr.Addr()
 	rank := d1.node.Self()
 	d1.close() // member crashes
+	if r, ok := RecoverRank(dir, addr); !ok || r != rank {
+		t.Fatalf("RecoverRank = %d, %v; want %d", r, ok, rank)
+	}
 
 	// The cluster moves on without it.
 	if _, err := seed.node.Forward("LOAD", nil, "<while> <knows> <down> .\n"); err != nil {

@@ -63,49 +63,18 @@ func Resume(cfg Config) (*Node, error) {
 		return nil, err
 	}
 
-	snapSeq, snapEpoch, snapPayload, err := oplog.LoadSnapshot(cfg.DataDir)
-	haveSnap := err == nil
-	if err != nil && !errors.Is(err, oplog.ErrNoSnapshot) {
-		return nil, fmt.Errorf("cluster: load snapshot: %w", err)
-	}
-
 	// Scan — don't apply — the durable record to recover the succession
 	// facts: who the members were, how high the epoch got, how far the log
-	// reaches. The snapshot's header sections carry the same facts for
-	// everything below the compaction point.
-	members := make(map[int]string)
-	maxEpoch := uint64(1)
-	var logLast uint64
-	if haveSnap {
-		scanSnapshotMeta(snapPayload, members, &maxEpoch)
-		if snapEpoch > maxEpoch {
-			maxEpoch = snapEpoch
-		}
-	}
-	err = n.dlog.Range(1, 0, func(seq uint64, payload []byte) error {
-		_, epoch, _, kind, args, _, derr := decodeOp(string(payload))
-		if derr != nil {
-			return derr
-		}
-		if epoch > maxEpoch {
-			maxEpoch = epoch
-		}
-		if kind == "MEMBER" && len(args) == 2 {
-			if r, e := strconv.Atoi(args[0]); e == nil {
-				members[r] = args[1]
-			}
-		}
-		logLast = seq
-		return nil
-	})
+	// reaches.
+	rec, err := scanDurable(cfg.DataDir, n.dlog)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: scan durable oplog: %w", err)
+		return nil, fmt.Errorf("cluster: scan durable record: %w", err)
 	}
-	if !haveSnap && logLast == 0 {
+	if rec.snap == nil && rec.logLast == 0 {
 		return nil, fmt.Errorf("cluster: nothing to resume in %s", cfg.DataDir)
 	}
-	members[int(n.self)] = cfg.SelfAddr
-	for r, addr := range members {
+	rec.members[int(n.self)] = cfg.SelfAddr
+	for r, addr := range rec.members {
 		if fabric.NodeID(r) != n.self {
 			// The transport keeps addr for the daemon's life, and it is cut
 			// from an op log record or from the whole snapshot transcript.
@@ -118,7 +87,7 @@ func Resume(cfg Config) (*Node, error) {
 	var donor fabric.NodeID
 	var donorEpoch uint64
 	alive := false
-	for r := range members {
+	for r := range rec.members {
 		id := fabric.NodeID(r)
 		if id == n.self {
 			continue
@@ -127,9 +96,8 @@ func Resume(cfg Config) (*Node, error) {
 		if err != nil {
 			continue
 		}
-		var e, seq, first uint64
-		var a int
-		if _, err := fmt.Sscanf(resp, "EPOCH %d AUTH %d SEQ %d FIRST %d", &e, &a, &seq, &first); err != nil {
+		e, _, err := parseStateReply(resp)
+		if err != nil {
 			continue
 		}
 		if !alive || e > donorEpoch {
@@ -142,7 +110,7 @@ func Resume(cfg Config) (*Node, error) {
 			return nil, err
 		}
 	} else {
-		if err := n.resumeAsAuthority(members, maxEpoch, haveSnap, snapPayload, snapSeq); err != nil {
+		if err := n.resumeAsAuthority(rec); err != nil {
 			return nil, err
 		}
 	}
@@ -203,19 +171,19 @@ func (n *Node) resumeAsMember(donor fabric.NodeID) error {
 // resumeAsAuthority restores from disk and assumes sequencing — permitted
 // only when this daemon is the lowest rank the recovered membership knows,
 // so two isolated survivors can never both crown themselves from disk.
-func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSnap bool, snapPayload []byte, snapSeq uint64) error {
-	for r := range members {
+func (n *Node) resumeAsAuthority(rec durableRecord) error {
+	for r := range rec.members {
 		if r < int(n.self) {
 			return fmt.Errorf("cluster: refusing solo authority resume: rank %d is recorded as a member and unreachable; start it (or wipe its record) first", r)
 		}
 	}
 
 	n.applyMu.Lock()
-	if haveSnap {
-		gotSeq, _, _, err := n.applySnapshotLocked(string(snapPayload))
+	if rec.snap != nil {
+		gotSeq, _, _, err := n.applySnapshotLocked(string(rec.snap))
 		if err != nil {
 			n.applyMu.Unlock()
-			return fmt.Errorf("cluster: restore snapshot at %d: %w", snapSeq, err)
+			return fmt.Errorf("cluster: restore snapshot at %d: %w", rec.snapSeq, err)
 		}
 		n.mu.Lock()
 		n.setAppliedLocked(gotSeq)
@@ -245,8 +213,8 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 	// the epoch, so ops the pre-crash incarnation sequenced but never made
 	// durable can never be accepted by anyone who saw them.
 	n.mu.Lock()
-	if maxEpoch > n.epoch {
-		n.epoch = maxEpoch
+	if rec.maxEpoch > n.epoch {
+		n.epoch = rec.maxEpoch
 	}
 	newEpoch := n.epoch + 1
 	n.authority = n.self
@@ -269,29 +237,16 @@ func (n *Node) resumeAsAuthority(members map[int]string, maxEpoch uint64, haveSn
 // RecoverRank scans a data directory for the rank recorded against
 // selfAddr, so a restarting daemon can re-identify itself before the wire
 // transport (which needs a rank to speak for) comes up. It reads the
-// snapshot header and oplog without applying anything.
+// snapshot header and oplog without applying anything; a record that does
+// not decode ends the scan, and what was read before it still counts.
 func RecoverRank(dir, selfAddr string) (fabric.NodeID, bool) {
-	members := make(map[int]string)
-	maxEpoch := uint64(1)
-	if _, _, payload, err := oplog.LoadSnapshot(dir); err == nil {
-		scanSnapshotMeta(payload, members, &maxEpoch)
+	dl, err := oplog.Open(dir, oplog.Options{})
+	if err != nil {
+		return 0, false
 	}
-	if dl, err := oplog.Open(dir, oplog.Options{}); err == nil {
-		dl.Range(1, 0, func(seq uint64, payload []byte) error {
-			_, _, _, kind, args, _, derr := decodeOp(string(payload))
-			if derr != nil {
-				return derr
-			}
-			if kind == "MEMBER" && len(args) == 2 {
-				if r, e := strconv.Atoi(args[0]); e == nil {
-					members[r] = args[1]
-				}
-			}
-			return nil
-		})
-		dl.Close()
-	}
-	for r, addr := range members {
+	rec, _ := scanDurable(dir, dl)
+	dl.Close()
+	for r, addr := range rec.members {
 		if addr == selfAddr {
 			return fabric.NodeID(r), true
 		}
@@ -299,10 +254,52 @@ func RecoverRank(dir, selfAddr string) (fabric.NodeID, bool) {
 	return 0, false
 }
 
-// scanSnapshotMeta extracts membership and epoch facts from a snapshot's
-// header without applying it: only the leading STATE/MEMBER lines matter,
-// and the scan stops at the first data section.
-func scanSnapshotMeta(payload []byte, members map[int]string, maxEpoch *uint64) {
+// durableRecord is what a data directory says about succession, read
+// without applying anything: the latest snapshot, every member's address
+// and the highest epoch across that snapshot's header and the op log, and
+// the last logged seq.
+type durableRecord struct {
+	snapSeq  uint64
+	snap     []byte // the snapshot payload; nil when there is none
+	members  map[int]string
+	maxEpoch uint64
+	logLast  uint64
+}
+
+// scanDurable reads dir's latest snapshot and dl's every record into a
+// durableRecord. On a record that does not decode it returns what it read
+// before it, with the error.
+func scanDurable(dir string, dl *oplog.Log) (durableRecord, error) {
+	rec := durableRecord{members: make(map[int]string), maxEpoch: 1}
+	seq, epoch, payload, err := oplog.LoadSnapshot(dir)
+	if err == nil {
+		rec.snapSeq, rec.snap = seq, payload
+		rec.scanSnapshotHeader(payload)
+		rec.maxEpoch = max(rec.maxEpoch, epoch)
+	} else if !errors.Is(err, oplog.ErrNoSnapshot) {
+		return rec, fmt.Errorf("load snapshot: %w", err)
+	}
+	err = dl.Range(1, 0, func(seq uint64, payload []byte) error {
+		_, epoch, _, kind, args, _, derr := decodeOp(string(payload))
+		if derr != nil {
+			return derr
+		}
+		rec.maxEpoch = max(rec.maxEpoch, epoch)
+		if kind == "MEMBER" && len(args) == 2 {
+			if r, e := strconv.Atoi(args[0]); e == nil {
+				rec.members[r] = args[1]
+			}
+		}
+		rec.logLast = seq
+		return nil
+	})
+	return rec, err
+}
+
+// scanSnapshotHeader extracts membership and epoch facts from a snapshot's
+// header: only the leading STATE/MEMBER lines matter, and the scan stops at
+// the first data section.
+func (rec *durableRecord) scanSnapshotHeader(payload []byte) {
 	rest := string(payload)
 	for rest != "" {
 		line, tail := splitLine(rest)
@@ -318,15 +315,13 @@ func scanSnapshotMeta(payload []byte, members map[int]string, maxEpoch *uint64) 
 			var seq, epoch uint64
 			var auth int
 			if _, err := fmt.Sscanf(line, "STATE SEQ %d EPOCH %d AUTH %d", &seq, &epoch, &auth); err == nil {
-				if epoch > *maxEpoch {
-					*maxEpoch = epoch
-				}
+				rec.maxEpoch = max(rec.maxEpoch, epoch)
 			}
 			rest = tail
 		case "MEMBER":
 			if len(f) == 3 {
 				if r, err := strconv.Atoi(f[1]); err == nil {
-					members[r] = f[2]
+					rec.members[r] = f[2]
 				}
 			}
 			rest = tail

@@ -317,10 +317,8 @@ func (n *Node) applySnapshotLocked(s string) (seq, epoch uint64, auth fabric.Nod
 	if epoch > n.epoch {
 		n.epoch = epoch
 	}
-	cur := n.epoch
 	n.authority = auth
 	n.mu.Unlock()
-	n.t.SetEpoch(cur)
 	return seq, epoch, auth, nil
 }
 

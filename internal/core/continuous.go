@@ -353,7 +353,7 @@ func (cq *ContinuousQuery) ReadyAt(at rdf.Timestamp) bool {
 // execute runs one window execution on the query's home node.
 func (cq *ContinuousQuery) execute(at rdf.Timestamp) {
 	e := cq.engine
-	emitted := e.obs.Span("cq_trigger_to_emit") // trigger → emit, incl. planning
+	triggered := time.Now() // cq_trigger_to_emit: trigger → emit, incl. planning
 	ctx := context.Background()
 	if dl := e.cfg.Flow.CQDeadline; dl > 0 {
 		var cancel context.CancelFunc
@@ -409,10 +409,11 @@ func (cq *ContinuousQuery) execute(at rdf.Timestamp) {
 	e.hExecute.Observe(lat)
 	e.cExecs.Inc()
 	e.cRows.Add(int64(rs.Len()))
-	emit := e.obs.Span("emit")
+	emitStart := time.Now()
 	cq.cb(&Result{set: rs, ss: e.ss}, FireInfo{At: at, Latency: lat, Rows: rs.Len()})
-	emit.End()
-	emitted.End()
+	end := time.Now()
+	e.hEmit.Observe(end.Sub(emitStart))
+	e.hTriggerToEmit.Observe(end.Sub(triggered))
 }
 
 // recordLatLocked remembers one execution latency, overwriting the oldest
@@ -430,34 +431,18 @@ func (cq *ContinuousQuery) recordLatLocked(lat time.Duration) {
 // engine's current stable boundary, regardless of step scheduling. Intended
 // for benchmarks that measure single-execution latency.
 func (cq *ContinuousQuery) ExecuteNow() (*Result, time.Duration, error) {
-	e := cq.engine
-	// Re-execute the most recently fired window boundary (its data is still
-	// retained; see collectGarbage).
-	cq.mu.Lock()
-	at := cq.nextFire - rdf.Timestamp(cq.stepMS)
-	cq.mu.Unlock()
-	if at < 0 {
-		at = 0
-	}
-	p := cq.replan()
-	prov := e.providerFor(cq.query, at)
-	rs, trace, err := e.ex.Execute(exec.Request{
-		Node:             cq.Home(),
-		Mode:             e.decideMode(p).Mode,
-		Access:           prov,
-		Resolver:         e.ss,
-		ForkThreshold:    e.cfg.ForkThreshold,
-		SimulateParallel: true,
-	}, p)
+	res, trace, err := cq.ExecuteNowTraced()
 	if err != nil {
 		return nil, 0, err
 	}
-	return &Result{set: rs, ss: e.ss}, trace.Total, nil
+	return res, trace.Total, nil
 }
 
 // ExecuteNowTraced is ExecuteNow with the per-step execution trace.
 func (cq *ContinuousQuery) ExecuteNowTraced() (*Result, *exec.Trace, error) {
 	e := cq.engine
+	// Re-execute the most recently fired window boundary (its data is still
+	// retained; see collectGarbage).
 	cq.mu.Lock()
 	at := cq.nextFire - rdf.Timestamp(cq.stepMS)
 	cq.mu.Unlock()

@@ -198,14 +198,21 @@ type Engine struct {
 	winObs       *exec.WindowObs   // pre-resolved window fan-out counters
 	injObs       *stream.InjectObs // pre-resolved injection metrics
 
-	// Pre-resolved per-execution metrics: resolved once here so the query
-	// firing path pays no registry lookups.
-	hExecute     *obs.Histogram
-	hOneshot     *obs.Histogram
-	cExecs       *obs.Counter
-	cFailedExecs *obs.Counter
-	cRows        *obs.Counter
-	cOneshots    *obs.Counter
+	// Pre-resolved stage histograms (stage_<name>_latency_ns, DESIGN.md §9)
+	// and per-execution metrics: resolved once here so the tick and firing
+	// paths pay no registry lookups.
+	hAdvance       *obs.Histogram
+	hTrigger       *obs.Histogram
+	hGC            *obs.Histogram
+	hDispatch      *obs.Histogram
+	hTriggerToEmit *obs.Histogram
+	hEmit          *obs.Histogram
+	hExecute       *obs.Histogram
+	hOneshot       *obs.Histogram
+	cExecs         *obs.Counter
+	cFailedExecs   *obs.Counter
+	cRows          *obs.Counter
+	cOneshots      *obs.Counter
 
 	// Adaptive planning and delta evaluation (DESIGN.md §14).
 	cModeInPlace  *obs.Counter            // plan_mode_total{mode="in-place"}
@@ -271,6 +278,12 @@ func New(cfg Config) (*Engine, error) {
 	e.hPrefixWait = e.obs.Histogram("vts_prefix_wait_ns", obs.LatencyBuckets)
 	e.winObs = exec.NewWindowObs(e.obs)
 	e.injObs = stream.NewInjectObs(e.obs)
+	e.hAdvance = e.obs.Stage("advance")
+	e.hTrigger = e.obs.Stage("trigger")
+	e.hGC = e.obs.Stage("gc")
+	e.hDispatch = e.obs.Stage("dispatch")
+	e.hTriggerToEmit = e.obs.Stage("cq_trigger_to_emit")
+	e.hEmit = e.obs.Stage("emit")
 	e.hExecute = e.obs.Stage("execute")
 	e.hOneshot = e.obs.Stage("oneshot")
 	e.cExecs = e.obs.Counter("cq_executions_total")
@@ -676,7 +689,8 @@ func (e *Engine) AdvanceTo(ts rdf.Timestamp) {
 	streams := append([]*streamState(nil), e.streamByID...)
 	e.mu.Unlock()
 	e.tick.Add(1)
-	defer e.obs.Span("advance").End()
+	start := time.Now()
+	defer func() { e.hAdvance.Observe(time.Since(start)) }()
 
 	// Phase 1: seal + inject every due batch. The injectors must keep all
 	// batches with one snapshot number consecutive per key (§4.3), so
@@ -728,14 +742,14 @@ func (e *Engine) AdvanceTo(ts rdf.Timestamp) {
 	e.sealMu.RUnlock()
 
 	// Phase 2: fire continuous queries whose next windows are stable.
-	trig := e.obs.Span("trigger")
+	t0 := time.Now()
 	e.fireDueQueries(ts)
-	trig.End()
+	e.hTrigger.Observe(time.Since(t0))
 
 	// Phase 3: GC expired stream state and snapshot metadata.
-	gc := e.obs.Span("gc")
+	t0 = time.Now()
 	e.collectGarbage()
-	gc.End()
+	e.hGC.Observe(time.Since(t0))
 }
 
 // injectBatch dispatches one batch and injects it on all nodes, blocking
@@ -746,9 +760,9 @@ func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 	if e.ft != nil {
 		e.ftLogBatch(st, b)
 	}
-	disp := e.obs.Span("dispatch")
+	t0 := time.Now()
 	work := stream.Dispatch(e.fab, st.home, b)
-	disp.End()
+	e.hDispatch.Observe(time.Since(t0))
 	var wg sync.WaitGroup
 	for n := range work {
 		n := fabric.NodeID(n)

@@ -33,16 +33,15 @@ var SizeBuckets = []int64{
 // eventually consistent (a reader racing a writer may see a count/sum pair
 // off by the in-flight sample, which is harmless for monitoring).
 type Histogram struct {
-	enabled *atomic.Bool
-	bounds  []int64        // ascending upper bounds; implicit +Inf after
-	counts  []atomic.Int64 // len(bounds)+1, last is the overflow bucket
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // math.MaxInt64 until the first sample
-	max     atomic.Int64
+	bounds []int64        // ascending upper bounds; implicit +Inf after
+	counts []atomic.Int64 // len(bounds)+1, last is the overflow bucket
+	count  atomic.Int64
+	sum    atomic.Int64
+	min    atomic.Int64 // math.MaxInt64 until the first sample
+	max    atomic.Int64
 }
 
-func newHistogram(enabled *atomic.Bool, bounds []int64) *Histogram {
+func newHistogram(bounds []int64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = LatencyBuckets
 	}
@@ -52,9 +51,8 @@ func newHistogram(enabled *atomic.Bool, bounds []int64) *Histogram {
 		}
 	}
 	h := &Histogram{
-		enabled: enabled,
-		bounds:  append([]int64(nil), bounds...),
-		counts:  make([]atomic.Int64, len(bounds)+1),
+		bounds: append([]int64(nil), bounds...),
+		counts: make([]atomic.Int64, len(bounds)+1),
 	}
 	h.min.Store(math.MaxInt64)
 	h.max.Store(math.MinInt64)
@@ -63,9 +61,9 @@ func newHistogram(enabled *atomic.Bool, bounds []int64) *Histogram {
 
 func (h *Histogram) metricType() string { return "histogram" }
 
-// Record adds one sample (no-op on a nil or disabled histogram).
+// Record adds one sample (no-op on a nil histogram).
 func (h *Histogram) Record(v int64) {
-	if h == nil || !h.enabled.Load() {
+	if h == nil {
 		return
 	}
 	i := 0

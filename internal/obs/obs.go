@@ -1,8 +1,9 @@
 // Package obs is the engine's zero-dependency observability layer: lock-light
 // atomic counters and gauges, fixed-bucket histograms with microsecond-
 // resolution buckets (so sub-millisecond latencies do not collapse into one
-// bin), and a stage-span API for tracing a batch through the continuous
-// pipeline (inject → index → VTS → trigger → execute → emit).
+// bin), and per-stage latency histograms (Stage) that break a batch's trip
+// through the continuous pipeline (inject → index → VTS → trigger → execute
+// → emit) into parts.
 //
 // Metrics live in a Registry. The process-global Default registry is what the
 // engine, server, and benchmarks share; tests that need isolation create
@@ -13,9 +14,8 @@
 // which is the Prometheus counter contract).
 //
 // Every method is safe on a nil *Registry and a nil metric — a component
-// handed no registry simply records nothing. A registry can also be disabled
-// wholesale (SetEnabled(false)), turning every record into a single atomic
-// load; the overhead benchmark uses this to measure the instrumentation tax.
+// handed no registry simply records nothing. That is the one way to turn
+// recording off.
 //
 // Naming scheme (see DESIGN.md §9): <subsystem>_<metric>_<unit>, with an
 // optional {label="value"} suffix built by Name. The registry prefix
@@ -39,8 +39,7 @@ type Metric interface {
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
-	enabled *atomic.Bool
-	v       atomic.Int64
+	v atomic.Int64
 }
 
 func (c *Counter) metricType() string { return "counter" }
@@ -48,9 +47,9 @@ func (c *Counter) metricType() string { return "counter" }
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n (no-op on a nil or disabled counter).
+// Add adds n (no-op on a nil counter).
 func (c *Counter) Add(n int64) {
-	if c == nil || !c.enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(n)
@@ -66,15 +65,14 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a settable atomic value.
 type Gauge struct {
-	enabled *atomic.Bool
-	v       atomic.Int64
+	v atomic.Int64
 }
 
 func (g *Gauge) metricType() string { return "gauge" }
 
-// Set stores v (no-op on a nil or disabled gauge).
+// Set stores v (no-op on a nil gauge).
 func (g *Gauge) Set(v int64) {
-	if g == nil || !g.enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Store(v)
@@ -82,7 +80,7 @@ func (g *Gauge) Set(v int64) {
 
 // Add adds n to the gauge.
 func (g *Gauge) Add(n int64) {
-	if g == nil || !g.enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Add(n)
@@ -120,38 +118,21 @@ func (g *FuncGauge) Value() int64 {
 // Registry is a named collection of metrics. All methods are safe for
 // concurrent use and safe on a nil receiver (no-ops).
 type Registry struct {
-	prefix  string
-	enabled atomic.Bool
+	prefix string
 
 	mu      sync.RWMutex
 	metrics map[string]Metric
-
-	stages sync.Map // stage name → *Histogram (span fast path)
 }
 
-// NewRegistry creates an enabled registry whose exported metric names carry
-// the given prefix (may be empty).
+// NewRegistry creates a registry whose exported metric names carry the
+// given prefix (may be empty).
 func NewRegistry(prefix string) *Registry {
-	r := &Registry{prefix: prefix, metrics: make(map[string]Metric)}
-	r.enabled.Store(true)
-	return r
+	return &Registry{prefix: prefix, metrics: make(map[string]Metric)}
 }
 
 // Default is the process-global registry shared by the engine, server,
 // daemon, and benchmarks.
 var Default = NewRegistry("wukongs")
-
-// SetEnabled turns recording on or off for every metric in the registry.
-// Export still works while disabled; values are simply frozen.
-func (r *Registry) SetEnabled(on bool) {
-	if r == nil {
-		return
-	}
-	r.enabled.Store(on)
-}
-
-// Enabled reports whether the registry records (false for nil).
-func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // lookup returns the metric registered under name, or nil.
 func (r *Registry) lookup(name string) Metric {
@@ -183,7 +164,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	m := r.register(name, func() Metric { return &Counter{enabled: &r.enabled} })
+	m := r.register(name, func() Metric { return &Counter{} })
 	c, ok := m.(*Counter)
 	if !ok {
 		panic(fmt.Sprintf("obs: metric %q is a %s, not a counter", name, m.metricType()))
@@ -196,7 +177,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m := r.register(name, func() Metric { return &Gauge{enabled: &r.enabled} })
+	m := r.register(name, func() Metric { return &Gauge{} })
 	g, ok := m.(*Gauge)
 	if !ok {
 		panic(fmt.Sprintf("obs: metric %q is a %s, not a gauge", name, m.metricType()))
@@ -224,7 +205,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m := r.register(name, func() Metric { return newHistogram(&r.enabled, bounds) })
+	m := r.register(name, func() Metric { return newHistogram(bounds) })
 	h, ok := m.(*Histogram)
 	if !ok {
 		panic(fmt.Sprintf("obs: metric %q is a %s, not a histogram", name, m.metricType()))
@@ -232,18 +213,11 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// Stage returns the latency histogram backing stage spans for the given
-// pipeline stage (stage_<name>_latency_ns), cached for the span hot path.
+// Stage returns the latency histogram for the given pipeline stage
+// (stage_<name>_latency_ns). Callers on a hot path resolve it once and keep
+// the pointer.
 func (r *Registry) Stage(stage string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if h, ok := r.stages.Load(stage); ok {
-		return h.(*Histogram)
-	}
-	h := r.Histogram("stage_"+stage+"_latency_ns", LatencyBuckets)
-	r.stages.Store(stage, h)
-	return h
+	return r.Histogram("stage_"+stage+"_latency_ns", LatencyBuckets)
 }
 
 // Each calls fn for every registered metric, in sorted name order.
@@ -273,7 +247,6 @@ func (r *Registry) Reset() {
 	r.mu.Lock()
 	r.metrics = make(map[string]Metric)
 	r.mu.Unlock()
-	r.stages.Range(func(k, _ any) bool { r.stages.Delete(k); return true })
 }
 
 // Name builds a labeled metric name: Name("x_total", "stream", "S") is

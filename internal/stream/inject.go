@@ -92,9 +92,8 @@ type InjectScratch struct {
 }
 
 // InjectObs holds pre-resolved injection metrics so the per-node inject hot
-// path pays no registry lookups — only an atomic add per record (and a single
-// atomic load when the registry is disabled). Safe to share across nodes and
-// streams.
+// path pays no registry lookups — only an atomic add per record. Safe to
+// share across nodes and streams.
 type InjectObs struct {
 	Inject   *obs.Histogram // stage_inject_latency_ns
 	Index    *obs.Histogram // stage_index_latency_ns

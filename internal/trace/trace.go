@@ -6,8 +6,9 @@
 // boundaries.
 //
 // The recorder is deliberately lock-light: starting and ending an unsampled,
-// fast span costs two atomic loads and one clock read; only *kept* spans
-// take a mutex to land in the bounded ring. Sampling is head-based
+// fast span costs a few atomic adds and two clock reads; only *kept* spans
+// take a mutex to land in the bounded ring. A nil *Tracer is tracing turned
+// off: every method on it, and on the spans it hands out, is a no-op. Sampling is head-based
 // (1-in-N decided at the root, the bit propagates in Context.Flags) with a
 // tail escape hatch: any span slower than SlowThreshold is kept even when
 // unsampled, which is what turns the ring into a slow-query log with
@@ -109,13 +110,13 @@ type Stats struct {
 }
 
 // Tracer records spans. All methods are safe for concurrent use and all
-// are nil-receiver-safe, so call sites never branch on "tracing enabled".
+// are nil-receiver-safe, so call sites never branch on "tracing enabled":
+// a nil *Tracer is tracing turned off.
 type Tracer struct {
-	cfg     Config
-	enabled atomic.Bool
-	idBase  uint64        // random per-process base so ids don't collide across ranks
-	idSeq   atomic.Uint64 // monotone suffix for span/trace ids
-	roots   atomic.Uint64 // head-sampling counter
+	cfg    Config
+	idBase uint64        // random per-process base so ids don't collide across ranks
+	idSeq  atomic.Uint64 // monotone suffix for span/trace ids
+	roots  atomic.Uint64 // head-sampling counter
 
 	started atomic.Int64
 	kept    atomic.Int64
@@ -127,8 +128,8 @@ type Tracer struct {
 	wrapped bool
 }
 
-// New builds a Tracer. A nil return never happens; disabled tracing is
-// expressed with SetEnabled(false) or simply a nil *Tracer at call sites.
+// New builds a Tracer. A nil return never happens; disabled tracing is a
+// nil *Tracer at call sites.
 func New(cfg Config) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4096
@@ -140,16 +141,7 @@ func New(cfg Config) *Tracer {
 	} else {
 		t.idBase = uint64(time.Now().UnixNano())
 	}
-	t.enabled.Store(true)
 	return t
-}
-
-// SetEnabled flips the whole tracer; disabled Start/StartRoot return no-op
-// spans without reading the clock.
-func (t *Tracer) SetEnabled(v bool) {
-	if t != nil {
-		t.enabled.Store(v)
-	}
 }
 
 // SetNode updates the rank stamped into spans (the rank of a joiner is
@@ -192,7 +184,7 @@ type Active struct {
 // when the trace is not sampled a probe span is returned so the slow-query
 // escape hatch can still keep it at End.
 func (t *Tracer) StartRoot(name string) Active {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return Active{}
 	}
 	t.started.Add(1)
@@ -213,7 +205,7 @@ func (t *Tracer) StartRoot(name string) Active {
 // unsampled probe span in a fresh trace (a request that arrived untraced
 // still gets slow-query coverage on this node).
 func (t *Tracer) Start(parent Context, name string) Active {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return Active{}
 	}
 	t.started.Add(1)

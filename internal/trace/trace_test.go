@@ -141,17 +141,17 @@ func TestNilAndDisabledTracerAreNoops(t *testing.T) {
 	if c := a.Context(); c.Valid() {
 		t.Fatal("nil tracer produced a context")
 	}
-	nilT.SetEnabled(true)
 	nilT.SetNode(1)
 	if got := nilT.Spans(); got != nil {
 		t.Fatal("nil tracer has spans")
 	}
 
-	tr := New(Config{SampleEvery: 1})
-	tr.SetEnabled(false)
+	// With head sampling and the slow path both off, a tracer keeps nothing.
+	tr := New(Config{})
 	b := tr.StartRoot("x")
+	tr.Start(b.Context(), "y").End()
 	b.End()
-	if len(tr.Spans()) != 0 || tr.Stats().Started != 0 {
+	if len(tr.Spans()) != 0 || tr.Stats().Kept != 0 {
 		t.Fatal("disabled tracer recorded")
 	}
 }
@@ -289,7 +289,7 @@ func TestHandlerFiltersAndLimits(t *testing.T) {
 }
 
 // BenchmarkSpanUnsampled is the hot-path cost when head sampling skips the
-// request: two atomic ops and a clock read, no ring write.
+// request: three atomic adds and two clock reads, no ring write.
 func BenchmarkSpanUnsampled(b *testing.B) {
 	tr := New(Config{SampleEvery: 1 << 30})
 	b.ReportAllocs()
@@ -309,10 +309,10 @@ func BenchmarkSpanSampled(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanDisabled is the cost with tracing off entirely.
+// BenchmarkSpanDisabled is the cost with tracing off entirely (a nil
+// tracer, as -trace-sample 0 leaves it).
 func BenchmarkSpanDisabled(b *testing.B) {
-	tr := New(Config{SampleEvery: 1})
-	tr.SetEnabled(false)
+	var tr *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a := tr.StartRoot("bench")

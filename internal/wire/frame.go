@@ -96,51 +96,31 @@ const (
 // context (DESIGN.md §13).
 const FlagTrace = 0x01
 
-// The Hello and HelloAck payloads have one form, [helloVersion, 8B epoch]:
-// the sender's authority epoch (DESIGN.md §15). Every daemon is built from
-// the same tree, so a handshake in any other form is not a peer, and the
-// side that reads it closes the connection. The epoch is informational at
-// the wire layer — fencing decisions belong to the cluster layer, which
-// observes both sides' epochs via the handshake callback — but carrying it
-// here means a zombie's staleness is visible on the very first frame a
-// healed connection exchanges.
-const (
-	helloVersion = 3
-	helloLen     = 1 + 8
-)
+// The Hello and HelloAck payloads are one byte, helloVersion. Every daemon
+// is built from the same tree, so a handshake in any other form is not a
+// peer, and the side that reads it closes the connection. The handshake
+// carries no epoch: fencing is per op, by the epoch each replicated op is
+// stamped with (DESIGN.md §15), so a zombie's stale op is refused whether
+// its connection is new or healed.
+const helloVersion = 4
 
-// encodeHello renders a Hello/HelloAck payload.
-func encodeHello(epoch uint64) []byte {
-	p := make([]byte, helloLen)
-	p[0] = helloVersion
-	binary.BigEndian.PutUint64(p[1:], epoch)
-	return p
-}
-
-// decodeHello extracts the authority epoch from a Hello/HelloAck payload;
-// ok is false for a payload in any other form.
-func decodeHello(payload []byte) (epoch uint64, ok bool) {
-	if len(payload) != helloLen || payload[0] != helloVersion {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(payload[1:]), true
-}
+// helloPayload is the Hello/HelloAck payload.
+var helloPayload = []byte{helloVersion}
 
 // readHello reads one handshake frame, which must have type typ and a
-// well-formed payload, and returns it with the epoch it carries.
-func readHello(r io.Reader, typ byte) (*Frame, uint64, error) {
+// well-formed payload.
+func readHello(r io.Reader, typ byte) (*Frame, error) {
 	f, err := ReadFrame(r)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if f.Type != typ {
-		return nil, 0, fmt.Errorf("unexpected %s", typeName(f.Type))
+		return nil, fmt.Errorf("unexpected %s", typeName(f.Type))
 	}
-	epoch, ok := decodeHello(f.Payload)
-	if !ok {
-		return nil, 0, fmt.Errorf("malformed %s payload (%d bytes)", typeName(typ), len(f.Payload))
+	if len(f.Payload) != 1 || f.Payload[0] != helloVersion {
+		return nil, fmt.Errorf("malformed %s payload (%d bytes)", typeName(typ), len(f.Payload))
 	}
-	return f, epoch, nil
+	return f, nil
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

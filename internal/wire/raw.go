@@ -29,10 +29,10 @@ func RawCall(addr string, from, to fabric.NodeID, req []byte, timeout time.Durat
 	defer c.Close()
 	c.SetDeadline(deadline)
 
-	if _, err := c.Write(Encode(&Frame{Type: TypeHello, From: from, To: to, Seq: 1, Payload: encodeHello(0)})); err != nil {
+	if _, err := c.Write(Encode(&Frame{Type: TypeHello, From: from, To: to, Seq: 1, Payload: helloPayload})); err != nil {
 		return nil, &PeerDownError{To: to, Op: "call", Err: fmt.Errorf("hello: %w", err)}
 	}
-	if _, _, err := readHello(c, TypeHelloAck); err != nil {
+	if _, err := readHello(c, TypeHelloAck); err != nil {
 		return nil, &PeerDownError{To: to, Op: "call", Err: fmt.Errorf("handshake: %w", err)}
 	}
 	const seq = 2

@@ -191,12 +191,6 @@ type TCP struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
-	// epoch is the authority epoch this transport advertises in handshakes
-	// (DESIGN.md §15); the cluster layer keeps it current via SetEpoch.
-	// epochObs, when set, observes the epoch each peer advertised back.
-	epoch    atomic.Uint64
-	epochObs atomic.Value // func(from fabric.NodeID, epoch uint64)
-
 	// accepted tracks inbound sockets so Close can kill their readers.
 	amu      sync.Mutex
 	accepted map[*wconn]struct{}
@@ -322,30 +316,6 @@ func (t *TCP) SetPeer(n fabric.NodeID, addr string) {
 		}
 	}
 	p.mu.Unlock()
-}
-
-// SetEpoch updates the authority epoch advertised in every subsequent
-// Hello/HelloAck handshake (DESIGN.md §15). Existing connections are not
-// re-handshaken — op-level fencing covers them; the handshake epoch exists
-// so a healing connection reveals staleness on its very first frame.
-func (t *TCP) SetEpoch(epoch uint64) { t.epoch.Store(epoch) }
-
-// Epoch returns the currently advertised authority epoch.
-func (t *TCP) Epoch() uint64 { return t.epoch.Load() }
-
-// SetEpochObserver installs f to receive the authority epoch each peer
-// advertises during handshakes. The cluster layer uses it to notice, the
-// moment a connection heals, that a peer has fenced it out (or that the
-// peer itself is a stale zombie). f must be fast and non-blocking; it runs
-// on the dial/accept path.
-func (t *TCP) SetEpochObserver(f func(from fabric.NodeID, epoch uint64)) {
-	t.epochObs.Store(f)
-}
-
-func (t *TCP) observeEpoch(from fabric.NodeID, epoch uint64) {
-	if f, ok := t.epochObs.Load().(func(fabric.NodeID, uint64)); ok && f != nil {
-		f(from, epoch)
-	}
 }
 
 // PeerAddr returns rank n's recorded address ("" if unknown).
@@ -658,19 +628,17 @@ func (t *TCP) dial(to fabric.NodeID, addr string) (*wconn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	hello := &Frame{Type: TypeHello, From: t.cfg.Self, To: to, Seq: t.seq.Add(1), Payload: encodeHello(t.epoch.Load())}
+	hello := &Frame{Type: TypeHello, From: t.cfg.Self, To: to, Seq: t.seq.Add(1), Payload: helloPayload}
 	c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
 	if _, err := c.Write(Encode(hello)); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("hello: %w", err)
 	}
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	_, epoch, err := readHello(c, TypeHelloAck)
-	if err != nil {
+	if _, err := readHello(c, TypeHelloAck); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
-	t.observeEpoch(to, epoch)
 	c.SetReadDeadline(time.Time{})
 	w := &wconn{c: c}
 	t.wg.Add(1)
@@ -709,14 +677,13 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) serveConn(c net.Conn) {
 	defer t.wg.Done()
 	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	hello, epoch, err := readHello(c, TypeHello)
+	hello, err := readHello(c, TypeHello)
 	if err != nil {
 		c.Close()
 		return
 	}
 	c.SetReadDeadline(time.Time{})
 	w := &wconn{c: c}
-	t.observeEpoch(hello.From, epoch)
 	t.amu.Lock()
 	if t.closed.Load() {
 		t.amu.Unlock()
@@ -732,7 +699,7 @@ func (t *TCP) serveConn(c net.Conn) {
 	}()
 	// Like the dialer's Hello, the HelloAck is written past the fault
 	// injector: faults damage traffic on an established connection.
-	ack := &Frame{Type: TypeHelloAck, From: t.cfg.Self, To: hello.From, Seq: hello.Seq, Payload: encodeHello(t.epoch.Load())}
+	ack := &Frame{Type: TypeHelloAck, From: t.cfg.Self, To: hello.From, Seq: hello.Seq, Payload: helloPayload}
 	c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
 	if _, err := c.Write(Encode(ack)); err != nil {
 		w.close()

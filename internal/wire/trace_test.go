@@ -88,26 +88,31 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 
 // otherHelloForms are handshake payloads no daemon built from this tree
 // sends: the empty and two-byte forms of older builds, their ten-byte
-// feature-and-epoch form, and the current form cut short or overlong.
+// feature-and-epoch form, the nine-byte version-and-epoch form, an old
+// version byte alone, and the current form overlong.
 func otherHelloForms() [][]byte {
 	return [][]byte{
 		nil,
 		{1, 1},
 		append([]byte{2, 1}, make([]byte, 8)...),
-		encodeHello(7)[:helloLen-1],
-		append(encodeHello(7), 0),
+		append([]byte{3}, make([]byte, 8)...),
+		{3},
+		{helloVersion, 0},
 	}
 }
 
-// The handshake payload has one form: it round-trips its epoch, and no
-// other form decodes.
+// The handshake payload has one form: the version byte alone reads, and no
+// other form does.
 func TestHelloFeatureBytes(t *testing.T) {
-	if ep, ok := decodeHello(encodeHello(7)); !ok || ep != 7 {
-		t.Fatalf("epoch roundtrip: %d, %v", ep, ok)
+	hello := func(p []byte) *bytes.Reader {
+		return bytes.NewReader(Encode(&Frame{Type: TypeHello, From: 1, Seq: 1, Payload: p}))
+	}
+	if f, err := readHello(hello(helloPayload), TypeHello); err != nil || f.From != 1 {
+		t.Fatalf("current form: %v, %v", f, err)
 	}
 	for _, p := range otherHelloForms() {
-		if ep, ok := decodeHello(p); ok {
-			t.Fatalf("payload %x decoded (epoch %d); want it refused", p, ep)
+		if _, err := readHello(hello(p), TypeHello); err == nil {
+			t.Fatalf("payload %x read; want it refused", p)
 		}
 	}
 }

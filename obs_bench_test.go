@@ -1,9 +1,11 @@
 package repro
 
-// BenchmarkObsOverhead measures the instrumentation tax: the same
-// marketfeed-style workload (examples/marketfeed) with the observability
-// registry enabled vs disabled. The acceptance bar is < 5% throughput
-// regression with obs on:
+// BenchmarkObsOverhead times the instrumented tick: a marketfeed-style
+// workload (examples/marketfeed) with every engine metric recording into the
+// process-wide registry. The registry has no off-switch; the instrumentation
+// tax was measured once against one (~2–3% of tick throughput, DESIGN.md
+// §9), and this benchmark tracks the instrumented tick's cost and
+// allocations from there:
 //
 //	go test -bench BenchmarkObsOverhead -benchtime 10x -run '^$' .
 
@@ -14,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/stream"
 )
@@ -111,10 +112,8 @@ func (f *obsWorkloadFixture) step(b *testing.B, rng *rand.Rand, now rdf.Timestam
 	f.e.AdvanceTo(now)
 }
 
-func benchObsWorkload(b *testing.B, enabled bool) {
+func BenchmarkObsOverhead(b *testing.B) {
 	b.ReportAllocs()
-	obs.Default.SetEnabled(enabled)
-	defer obs.Default.SetEnabled(true)
 	f := newObsWorkload(b)
 	rng := rand.New(rand.NewSource(7))
 	// Warm up past the first window so every timed tick fires both queries.
@@ -128,10 +127,4 @@ func benchObsWorkload(b *testing.B, enabled bool) {
 		now += 100
 		f.step(b, rng, now)
 	}
-}
-
-func BenchmarkObsOverhead(b *testing.B) {
-	b.ReportAllocs()
-	b.Run("enabled", func(b *testing.B) { benchObsWorkload(b, true) })
-	b.Run("disabled", func(b *testing.B) { benchObsWorkload(b, false) })
 }
