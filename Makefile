@@ -64,11 +64,14 @@ race:
 # must converge; a round trip that times out behind a damaged length prefix
 # must drop its socket so the next one redials; and a peer that stops
 # answering on open sockets must neither stall a survivor's Status or
-# detector reads past 20 ms nor escape being declared dead. A wedge that
-# comes back shows here as a failure, not as a one-in-four flake. About 18 s
-# of wall time on a 2-vCPU host.
+# detector reads past 20 ms nor escape being declared dead, and once the
+# authority has declared it dead must cost no write on the authority 100 ms;
+# and a member must ack a forwarded write, from its own apply, while the
+# authority's apply of it is held. A wedge that comes back shows here as a
+# failure, not as a one-in-four flake. About 35 s of wall time on a 2-vCPU
+# host.
 faults:
-	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$|TestHungPeerStallsNoLivenessRead$$' ./internal/cluster ./internal/wire
+	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$|TestHungPeerStallsNoLivenessRead$$|TestHungPeerStallsNoWriteOnceDead$$|TestForwardAckPrecedesAuthorityApply$$' ./internal/cluster ./internal/wire
 
 # Five seconds of native fuzzing per target where bytes cross a trust
 # boundary, and where one model checks a whole query path: the wire frame

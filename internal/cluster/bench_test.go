@@ -8,8 +8,9 @@ import (
 )
 
 // BenchmarkForwardedWrite times one write entering through a member: FWD to
-// the authority, sequence, broadcast, apply on both daemons, the authority's
-// fsynced append, and the member's wait for its own apply. Seed and member
+// the authority, sequence, broadcast, the authority's fsynced append and
+// ack, and the member's wait for its own apply; the authority applies its
+// copy beside the ack. Seed and member
 // talk over loopback wire.TCP and both fsync their oplogs, as the
 // benchmark's mixed-cluster workload does. Every fifth EMIT is followed by
 // an untimed ADVANCE, as in that workload's ticks, so pending tuples do not

@@ -8,8 +8,8 @@
 //     0, and each joiner gets the next free rank. All state-mutating
 //     operations — LOAD, STREAM, REGISTER, EMIT, ADVANCE —
 //     are forwarded to the seed (rank 0), which assigns each a sequence
-//     number, replicates it one-way to every member, applies it locally
-//     while the members apply their copies, and appends it to its op log.
+//     number, replicates it one-way to every member, appends it to its op
+//     log and then applies it locally, while the members apply their copies.
 //     The engine is deterministic in the op order, so replicas converge to
 //     identical stores, stream indexes, VTS state, and continuous-query
 //     firings.
@@ -64,7 +64,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/flow"
 	"repro/internal/member"
 	"repro/internal/obs"
 	"repro/internal/oplog"
@@ -84,6 +83,13 @@ const SeedRank fabric.NodeID = 0
 // reply, never the op, so the table costs at most dedupCap × (id + reply)
 // bytes whatever the acked ops carried.
 const dedupCap = 8192
+
+// resultSlots bounds the ring of recent apply results every replica keeps:
+// a forwarding member answers its client from its own result for the seq
+// the authority acked. A result more than resultSlots ops old is gone; the
+// forward then fails unavailable, and the client's id= retry finds the
+// reply in the dedup table.
+const resultSlots = 1024
 
 // ErrUnavailable is the base error for cluster operations that failed
 // because a required peer (usually the write authority) is unreachable.
@@ -206,9 +212,11 @@ type Node struct {
 	det    *member.Detector
 	tracer *trace.Tracer
 
-	// applyMu serializes op application (and, on the seed, sequencing +
-	// broadcast, so members observe ops in sequence order per connection).
+	// applyMu serializes op application (and, on the seed, sequencing,
+	// broadcast and append, so members observe ops in sequence order per
+	// connection).
 	applyMu sync.Mutex
+	closed  bool // under applyMu: Close has released the op log
 
 	// mu guards the replicated bookkeeping below. Never held across engine
 	// or transport calls.
@@ -225,6 +233,8 @@ type Node struct {
 	dedupRing  []string              // FIFO eviction ring: grows to dedupCap, then slot dedupNext is the oldest
 	dedupNext  int
 	dedupBytes int64 // bytes of the ids and replies dedup holds
+
+	results [resultSlots]applyResult // recent apply results, slot seq%resultSlots; also under mu
 
 	dlog   *oplog.Log // the op log; every replay reads it
 	logDir string     // its directory: cfg.DataDir, or a private one
@@ -288,6 +298,13 @@ func (n *Node) membersCopy() []rankAddr {
 type dedupEntry struct {
 	seq   uint64
 	reply string
+}
+
+// applyResult is what this replica's apply of op seq answered.
+type applyResult struct {
+	seq   uint64
+	reply string
+	err   error
 }
 
 func (c Config) heartbeat() time.Duration {
@@ -388,7 +405,7 @@ func NewSeed(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := n.sequence(trace.Context{}, "", "MEMBER", []string{"0", cfg.SelfAddr}, ""); err != nil {
+	if _, err := n.sequenceLocal(trace.Context{}, "", "MEMBER", []string{"0", cfg.SelfAddr}, ""); err != nil {
 		return nil, err
 	}
 	n.startTicker()
@@ -494,17 +511,25 @@ func parseJoinReply(resp string) (rank int, seq uint64, err error) {
 	return rank, seq, nil
 }
 
-// Close stops the ticker and closes the op log, removing it if it lives in
-// a private directory. The transport and engine belong to the caller.
+// Close stops the ticker, waits for the op in flight, and closes the op
+// log, removing it if it lives in a private directory. From then on nothing
+// appends to the log or snapshots beside it. The transport and engine
+// belong to the caller.
 func (n *Node) Close() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
+		n.applyMu.Lock()
+		defer n.applyMu.Unlock()
+		n.closed = true
 		n.dlog.Close()
 		if n.tmpDir {
 			os.RemoveAll(n.logDir)
 		}
 	})
 }
+
+// errClosed refuses what a closed node is asked to sequence or append.
+var errClosed = errors.New("cluster: node closed")
 
 // Self returns this daemon's rank.
 func (n *Node) Self() fabric.NodeID { return n.self }
@@ -763,9 +788,9 @@ const forwardAckTimeout = 5 * time.Second
 
 // Forward executes one state-mutating op cluster-wide: the authority
 // sequences and applies it; members relay to the authority, wait for the op
-// to apply locally, and return the reply. This is the single write path —
-// the server's LOAD/STREAM/EMIT/ADVANCE/REGISTER commands all land here in
-// cluster mode. A trailing "id=<token>" argument is the client's
+// to apply locally, and return their own apply's reply. This is the single
+// write path — the server's LOAD/STREAM/EMIT/ADVANCE/REGISTER commands all
+// land here in cluster mode. A trailing "id=<token>" argument is the client's
 // exactly-once token: retries of an already-acked id return the cached
 // reply without re-sequencing. An op too large for one wire frame is refused
 // with ErrOpTooLarge before it is sequenced or relayed.
@@ -805,7 +830,7 @@ func (n *Node) ForwardTraced(tc trace.Context, kind string, args []string, body 
 		var reply string
 		var err error
 		if target == n.self {
-			reply, _, err = n.sequence(tc, id, kind, bare, body)
+			reply, err = n.sequenceLocal(tc, id, kind, bare, body)
 		} else {
 			reply, err = n.forwardRemote(tc, target, id, kind, bare, body)
 		}
@@ -831,7 +856,10 @@ func (n *Node) ForwardTraced(tc trace.Context, kind string, args []string, body 
 
 // forwardRemote relays one op to the authority and waits until this replica
 // has applied the acked sequence, so the committed op exists here before
-// the client hears "ok".
+// the client hears "ok". The authority acks once the op is durable in its
+// log; the answer is this replica's own apply of that seq, reply or
+// refusal, which is the same on every replica. A dedup hit's ack carries
+// the cached reply instead.
 func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind string, args []string, body string) (string, error) {
 	n.cForwarded.Inc()
 	req := "FWD " + kind
@@ -845,28 +873,40 @@ func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind st
 	resp, err := n.callTraced(target, req, body, "forward "+kind, sp.Context())
 	sp.EndErr(err)
 	if err != nil {
-		// The authority's shed decision crossed the wire as text; type it
-		// again so this daemon's client gets the same overload reply and
-		// backoff hint the authority's own client would.
-		if shed, ok := flow.ParseShedError(err.Error()); ok {
-			return "", shed
-		}
 		return "", err
 	}
-	head, reply := splitLine(resp)
-	var seq uint64
-	if _, err := fmt.Sscanf(head, "SEQ %d", &seq); err != nil {
+	head, cached, dup := strings.Cut(resp, "\n")
+	num, ok := strings.CutPrefix(head, "SEQ ")
+	seq, perr := strconv.ParseUint(num, 10, 64)
+	if !ok || perr != nil {
 		return "", fmt.Errorf("cluster: bad FWD ack %q", head)
 	}
 	spWait := n.tracer.Start(tc, "cluster.wait_applied")
-	ok := n.waitApplied(seq, forwardAckTimeout)
+	ok = n.waitApplied(seq, forwardAckTimeout)
 	spWait.End()
 	if !ok {
 		// Committed at the authority but not yet replicated here; the
 		// client's id-bearing retry returns the cached reply once it lands.
 		return "", &UnavailableError{Node: target, Op: "forward " + kind, Err: fmt.Errorf("op %d not replicated locally in %v", seq, forwardAckTimeout)}
 	}
-	return reply, nil
+	if dup {
+		return cached, nil
+	}
+	return n.appliedResult(target, kind, seq)
+}
+
+// appliedResult returns this replica's own reply or refusal for op seq,
+// which it has applied. A result the ring no longer holds (resultSlots ops
+// applied since, or a snapshot transfer skipped the op) is unavailable: an
+// id= retry finds the reply in the dedup table.
+func (n *Node) appliedResult(target fabric.NodeID, kind string, seq uint64) (string, error) {
+	n.mu.Lock()
+	r := n.results[seq%resultSlots]
+	n.mu.Unlock()
+	if r.seq != seq {
+		return "", &UnavailableError{Node: target, Op: "forward " + kind, Err: fmt.Errorf("op %d's result is no longer held here", seq)}
+	}
+	return r.reply, r.err
 }
 
 // waitApplied blocks until this replica has applied seq (true) or the
@@ -919,39 +959,52 @@ func opEpoch(cur uint64, kind string, args []string) uint64 {
 }
 
 // sequence assigns the next op sequence number and runs the op down the
-// write path in the order that lets every replica work at once: broadcast
-// it, apply it locally, append it to the op log, reply. Members apply their
-// copy while the authority applies and fsyncs; the reply still waits for the
-// append. All of it runs under applyMu, so the op order members observe is
-// the apply order, and every op below the one being broadcast is already in
-// the log: a SYNC never needs the op in flight.
+// write path in write-ahead order: encode it, broadcast it to every member
+// the detector has not declared Dead, and append it to the op log (one
+// fdatasync with a data directory). It returns holding applyMu, with apply:
+// the function that applies the op locally, drives the snapshot cadence and
+// releases applyMu. A local write calls apply inline; the FWD handler acks
+// the durable op first and applies it beside the reply, while the forwarding
+// member applies its own copy. Nothing else is sequenced until apply has
+// run, so the authority applies op n before it sequences n+1, members
+// observe ops in apply order, and every op below the one in flight is in the
+// log: a SYNC never needs an older op than that.
 //
 // Because the op is broadcast before anyone knows whether it will be
 // refused, a refused op is sequenced too and refused alike on every replica
 // (ApplyVerb changes nothing when it refuses): it uses up its seq as a
 // no-op, never enters the dedup table, and its error is the reply. Only the
-// current authority may sequence; an already-acked op id short-circuits to
-// the cached reply.
-func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body string) (string, uint64, error) {
+// current authority may sequence, and a closed one sequences nothing; an
+// already-acked op id short-circuits: apply is nil, nothing is held, and
+// cached is the acked reply.
+func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body string) (seq uint64, cached string, apply func() (string, error), err error) {
 	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
+	if n.closed {
+		n.applyMu.Unlock()
+		return 0, "", nil, errClosed
+	}
 	n.mu.Lock()
 	if n.authority != n.self {
 		n.mu.Unlock()
-		return "", 0, ErrNotAuthority
+		n.applyMu.Unlock()
+		return 0, "", nil, ErrNotAuthority
 	}
 	if id != "" {
 		if e, ok := n.dedup[id]; ok {
 			n.mu.Unlock()
+			n.applyMu.Unlock()
 			n.cDupOps.Inc()
-			return e.reply, e.seq, nil
+			return e.seq, e.reply, nil, nil
 		}
 	}
-	seq := n.applied + 1 // applied rises only under applyMu, held here
+	seq = n.applied + 1 // applied rises only under applyMu, held here
 	enc := encodeOp(seq, opEpoch(n.epoch, kind, args), id, kind, args, body)
 	targets := make([]fabric.NodeID, 0, len(n.members))
 	for _, m := range n.members {
-		if m.rank != n.self {
+		// A member declared Dead gets nothing: a hung one would hold the
+		// write path for a dial timeout. Back, it repairs its gap by SYNC
+		// or anti-entropy, as after any lost frame.
+		if m.rank != n.self && n.det.State(m.rank) != member.Dead {
 			targets = append(targets, m.rank)
 		}
 	}
@@ -966,25 +1019,47 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 	}
 	spRepl.End()
 
-	spApply := n.tracer.Start(tc, "seed.apply")
-	reply, err := n.applyLocked(seq, id, kind, args, body)
-	spApply.EndErr(err)
-
 	spSync := n.tracer.Start(tc, "seed.fsync")
-	spSync.EndErr(n.recordLocked(seq, kind, enc))
-	return reply, seq, err
+	spSync.EndErr(n.appendLocked(seq, enc))
+
+	return seq, "", func() (string, error) {
+		defer n.applyMu.Unlock()
+		spApply := n.tracer.Start(tc, "seed.apply")
+		reply, err := n.applyLocked(seq, id, kind, args, body)
+		spApply.EndErr(err)
+		n.maybeSnapshotLocked(kind)
+		return reply, err
+	}, nil
 }
 
-// recordLocked appends one applied op to the op log and drives the snapshot
-// cadence. A failed append is logged, and every later one fails out of
-// order, so the log stops at its last durable op and a SYNC past it answers
-// ErrLogCompacted. Caller holds applyMu.
-func (n *Node) recordLocked(seq uint64, kind string, enc []byte) error {
+// sequenceLocal sequences one op and applies it inline: the write path of a
+// client on the authority and of the authority's own MEMBER and EPOCH ops.
+func (n *Node) sequenceLocal(tc trace.Context, id, kind string, args []string, body string) (string, error) {
+	_, cached, apply, err := n.sequence(tc, id, kind, args, body)
+	if apply != nil {
+		return apply()
+	}
+	return cached, err
+}
+
+// recordLocked appends one op a replica has applied to the op log and
+// drives the snapshot cadence. Caller holds applyMu.
+func (n *Node) recordLocked(seq uint64, kind string, enc []byte) {
+	n.appendLocked(seq, enc)
+	n.maybeSnapshotLocked(kind)
+}
+
+// appendLocked appends one op to the op log. A failed append is logged, and
+// every later one fails out of order, so the log stops at its last durable
+// op and a SYNC past it answers ErrLogCompacted. Caller holds applyMu.
+func (n *Node) appendLocked(seq uint64, enc []byte) error {
+	if n.closed {
+		return errClosed
+	}
 	err := n.dlog.Append(seq, enc)
 	if err != nil {
 		n.logf("oplog append %d: %v", seq, err)
 	}
-	n.maybeSnapshotLocked(kind)
 	return err
 }
 
@@ -1054,7 +1129,7 @@ func (n *Node) handleJoin(args []string) (string, error) {
 		return "", fmt.Errorf("cluster: rank %d is taken", want)
 	}
 	if commit {
-		if _, _, err := n.sequence(trace.Context{}, "", "MEMBER", []string{strconv.Itoa(rank), addr}, ""); err != nil {
+		if _, err := n.sequenceLocal(trace.Context{}, "", "MEMBER", []string{strconv.Itoa(rank), addr}, ""); err != nil {
 			return "", err
 		}
 		latest = n.Applied()
@@ -1073,7 +1148,8 @@ var errSyncFull = errors.New("cluster: sync reply full")
 // handleSync serves SYNC <from> <to> from the op log: the records from
 // <from> on, up to <to>, the last record the log holds and syncReplyBytes,
 // each length-prefixed ("<len>\n<bytes>"). An empty reply means the log holds
-// nothing at <from> yet: the op is in flight.
+// nothing at <from> yet: the op is in flight. On the authority the log may
+// hold one op more than it has applied, the one whose apply is running.
 func (n *Node) handleSync(args []string) (string, error) {
 	if len(args) != 2 {
 		return "", fmt.Errorf("cluster: usage SYNC <from> <to>")
@@ -1242,7 +1318,8 @@ func (n *Node) syncRangeLocked(target fabric.NodeID, lo, hi uint64) error {
 // whichever daemon survives. A refusal changed nothing (ApplyVerb's
 // contract), so it is a no-op that uses up its seq: it is counted in
 // cluster_ops_refused_total and kept out of the dedup table, so a retry of
-// its id runs again.
+// its id runs again. Either way the result goes into the ring a forwarding
+// member answers its client from.
 func (n *Node) applyLocked(seq uint64, id, kind string, args []string, body string) (string, error) {
 	reply, err := n.applyOp(kind, args, body)
 	if err != nil {
@@ -1251,6 +1328,7 @@ func (n *Node) applyLocked(seq uint64, id, kind string, args []string, body stri
 		n.cApplied.Inc()
 	}
 	n.mu.Lock()
+	n.results[seq%resultSlots] = applyResult{seq: seq, reply: reply, err: err}
 	n.setAppliedLocked(seq)
 	if err == nil {
 		n.recordDedupLocked(id, seq, reply)
@@ -1405,13 +1483,19 @@ func (n *Node) HandleCallTraced(from fabric.NodeID, req []byte, tc trace.Context
 			return nil, fmt.Errorf("cluster: usage FWD <kind> [args...]")
 		}
 		id, bare := SplitID(f[2:])
-		reply, seq, err := n.sequence(tc, id, f[1], bare, body)
+		seq, cached, apply, err := n.sequence(tc, id, f[1], bare, body)
 		if err != nil {
 			return nil, err
 		}
-		// The ack leads with the assigned sequence so the forwarding member
-		// can wait for local apply before acking its client.
-		return []byte(fmt.Sprintf("SEQ %d\n%s", seq, reply)), nil
+		if apply == nil {
+			// A dedup hit: the ack carries the reply the id was acked with.
+			return []byte(fmt.Sprintf("SEQ %d\n%s", seq, cached)), nil
+		}
+		// The op is durable here: ack it now and apply it beside the reply.
+		// The forwarding member waits for its own apply of seq and answers
+		// its client from that.
+		go apply()
+		return []byte("SEQ " + strconv.FormatUint(seq, 10)), nil
 	case "STATE":
 		return []byte(n.stateReply()), nil
 	case "SNAPMETA":

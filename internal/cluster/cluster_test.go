@@ -173,11 +173,15 @@ func requireApplied(t *testing.T, d *daemon, seq uint64) {
 	}
 }
 
-// waitConverged blocks until every daemon has applied the first daemon's
-// latest op.
+// waitConverged blocks until every daemon has applied the latest op any of
+// them has. The authority acks a forwarded op once it is durable, before its
+// own apply, so the forwarding member can be an op ahead of it for a moment.
 func waitConverged(t *testing.T, ds ...*daemon) {
 	t.Helper()
-	want := ds[0].node.Applied()
+	var want uint64
+	for _, d := range ds {
+		want = max(want, d.node.Applied())
+	}
 	for _, d := range ds {
 		if !d.node.waitApplied(want, 5*time.Second) {
 			state := make([]uint64, len(ds))

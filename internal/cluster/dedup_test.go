@@ -56,7 +56,7 @@ func TestDedupTableCopiesWhatItKeeps(t *testing.T) {
 	if !pointsInto(id, req) {
 		t.Fatal("test setup: the id does not alias the request")
 	}
-	if _, _, err := seed.node.sequence(trace.Context{}, id, "LOAD", bare, body); err != nil {
+	if _, err := seed.node.sequenceLocal(trace.Context{}, id, "LOAD", bare, body); err != nil {
 		t.Fatal(err)
 	}
 	requireOwnCopies(t, seed.node, req, "fwd-1", "sequenced")
@@ -155,11 +155,11 @@ func TestDedupRingEvictsOldestFirst(t *testing.T) {
 	if held != size {
 		t.Fatalf("dedupBytes = %d, the entries hold %d", held, size)
 	}
-	if reply, _, err := n.sequence(trace.Context{}, "id-3", "ADVANCE", []string{"50"}, ""); err != nil || reply != "now 50" {
+	if reply, err := n.sequenceLocal(trace.Context{}, "id-3", "ADVANCE", []string{"50"}, ""); err != nil || reply != "now 50" {
 		t.Fatalf("an evicted id re-executes: got %q, %v", reply, err)
 	}
 	newest := strconv.Itoa(dedupCap + extra - 1)
-	if reply, _, err := n.sequence(trace.Context{}, "id-"+newest, "ADVANCE", []string{"70"}, ""); err != nil || reply != "now "+newest {
+	if reply, err := n.sequenceLocal(trace.Context{}, "id-"+newest, "ADVANCE", []string{"70"}, ""); err != nil || reply != "now "+newest {
 		t.Fatalf("a kept id answers from the table: got %q, %v", reply, err)
 	}
 }

@@ -143,7 +143,7 @@ func (n *Node) assumeAuthority() error {
 	}
 
 	// Fence and assume. Claiming authority happens before sequencing the
-	// EPOCH op — sequence() requires self-authority — and the op is stamped
+	// EPOCH op — sequence requires self-authority — and the op is stamped
 	// with the epoch it installs (opEpoch), which applying it then raises.
 	n.mu.Lock()
 	if n.epoch != myEpoch || n.authority != auth {
@@ -154,7 +154,7 @@ func (n *Node) assumeAuthority() error {
 	newEpoch := n.epoch + 1
 	n.mu.Unlock()
 
-	_, _, err := n.sequence(trace.Context{}, "", "EPOCH",
+	_, err := n.sequenceLocal(trace.Context{}, "", "EPOCH",
 		[]string{strconv.FormatUint(newEpoch, 10), strconv.Itoa(int(n.self))}, "")
 	if err != nil {
 		return fmt.Errorf("fencing epoch %d: %w", newEpoch, err)

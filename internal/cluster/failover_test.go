@@ -159,7 +159,7 @@ func TestZombieAuthorityFenced(t *testing.T) {
 	waitConverged(t, seed, d1)
 
 	// Fence epoch 2 (authority stays rank 0 — only the epoch moves).
-	if _, _, err := seed.node.sequence(trace.Context{}, "", "EPOCH", []string{"2", "0"}, ""); err != nil {
+	if _, err := seed.node.sequenceLocal(trace.Context{}, "", "EPOCH", []string{"2", "0"}, ""); err != nil {
 		t.Fatalf("EPOCH op: %v", err)
 	}
 	waitConverged(t, seed, d1)

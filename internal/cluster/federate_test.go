@@ -81,10 +81,11 @@ func TestReplicationTrace(t *testing.T) {
 }
 
 // TestWritePathObservability: one refused EMIT through a member counts in
-// cluster_ops_refused_total on both daemons, and a write's trace shows the
-// authority's durable append (seed.fsync) and the member's wait for its own
-// apply (cluster.wait_applied). A refusal's reply carries no sequence number,
-// so the member waits only for an accepted op, here the STREAM before it.
+// cluster_ops_refused_total on both daemons, and each write's trace, refused
+// or accepted, shows the authority's durable append (seed.fsync) ending
+// before its apply (seed.apply) starts, and the member's wait for its own
+// apply (cluster.wait_applied): the authority acks once the op is durable,
+// and the member learns a refusal from its own apply, as it does a reply.
 func TestWritePathObservability(t *testing.T) {
 	seed := startSeedCfg(t, func(c *Config) {
 		c.DataDir = t.TempDir()
@@ -106,28 +107,38 @@ func TestWritePathObservability(t *testing.T) {
 		}
 	}
 
+	// The authority's apply span ends beside its ack, so it can land in
+	// the span ring a moment after the op counts as applied.
 	var refused, accepted bool
-	for _, tr := range gatherTrees(t, seed) {
-		names := map[string]int{}
-		var applyErr string
-		for _, sp := range flatSpans(tr) {
-			names[sp.Name]++
-			if sp.Name == "seed.apply" {
-				applyErr = sp.Err
+	for deadline := time.Now().Add(3 * time.Second); !refused || !accepted; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("want a refused and an accepted write each traced through seed.fsync, then seed.apply, and cluster.wait_applied; got refused %v, accepted %v", refused, accepted)
+		}
+		for _, tr := range gatherTrees(t, seed) {
+			names := map[string]int{}
+			var fsync, apply trace.Span
+			for _, sp := range flatSpans(tr) {
+				names[sp.Name]++
+				switch sp.Name {
+				case "seed.fsync":
+					fsync = sp
+				case "seed.apply":
+					apply = sp
+				}
+			}
+			if names["cluster.forward"] != 1 || names["seed.fsync"] != 1 || names["seed.apply"] != 1 || names["cluster.wait_applied"] != 1 {
+				continue
+			}
+			if fsync.Start+fsync.Dur > apply.Start {
+				t.Fatalf("seed.fsync ends at %d, after seed.apply starts at %d", fsync.Start+fsync.Dur, apply.Start)
+			}
+			switch {
+			case strings.Contains(apply.Err, "timestamp regression"):
+				refused = true
+			case apply.Err == "":
+				accepted = true
 			}
 		}
-		if names["cluster.forward"] != 1 || names["seed.fsync"] != 1 {
-			continue
-		}
-		switch {
-		case strings.Contains(applyErr, "timestamp regression"):
-			refused = names["cluster.wait_applied"] == 0
-		case applyErr == "":
-			accepted = names["cluster.wait_applied"] == 1
-		}
-	}
-	if !refused || !accepted {
-		t.Fatalf("want a refused write traced through seed.fsync with no wait (%v) and an accepted one through seed.fsync and cluster.wait_applied (%v)", refused, accepted)
 	}
 }
 

@@ -335,3 +335,56 @@ func TestHungPeerStallsNoLivenessRead(t *testing.T) {
 		t.Fatalf("the seed is %v on rank 1, want alive", st)
 	}
 }
+
+// Once the authority's detector has declared a hung member Dead, the
+// authority stops broadcasting to it, so the hung peer costs its writes
+// nothing: 40 EMITs on the seed, 20 ms apart, each answer within 100 ms,
+// where a send to the hung peer would wait out the transport's redial and
+// its 1 s dial timeout. The Suspect window before Dead still stalls
+// writes; this test starts after it. The live member gets every op.
+func TestHungPeerStallsNoWriteOnceDead(t *testing.T) {
+	seed := startSeed(t, nil)
+	defer seed.close()
+	d1 := joinDaemon(t, seed.tr.Addr(), "")
+	defer d1.close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	proxy := startStallProxy(t, ln.Addr().String())
+	defer proxy.close()
+	d2 := joinDaemonOn(t, seed.tr.Addr(), ln, proxy.addr(), nil)
+	defer d2.close()
+	seedData(t, d1)
+	waitConverged(t, seed, d1, d2)
+
+	hung := d2.node.Self()
+	proxy.stall()
+	deadline := time.Now().Add(15 * time.Second)
+	for seed.node.Detector().State(hung) != member.Dead {
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d is %v on the seed, never dead", hung, seed.node.Detector().State(hung))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	const writes, bound = 40, 100 * time.Millisecond
+	var slow int
+	var worst time.Duration
+	for i := 0; i < writes; i++ {
+		start := time.Now()
+		if _, err := seed.node.Forward("EMIT", []string{"S"}, fmt.Sprintf("<h%d> <po> <k%d> . @%d\n", i, i, 450+i)); err != nil {
+			t.Fatalf("EMIT %d: %v", i, err)
+		}
+		took := time.Since(start)
+		worst = max(worst, took)
+		if took > bound {
+			slow++
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if slow > 0 {
+		t.Fatalf("%d of %d EMITs on the seed took over %v once rank %d was dead (slowest %v)", slow, writes, bound, hung, worst)
+	}
+	waitConverged(t, seed, d1)
+}

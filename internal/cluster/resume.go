@@ -220,12 +220,12 @@ func (n *Node) resumeAsAuthority(rec durableRecord) error {
 	n.authority = n.self
 	selfAddrStale := n.memberAddrLocked(n.self) != n.cfg.SelfAddr
 	n.mu.Unlock()
-	if _, _, err := n.sequence(trace.Context{}, "", "EPOCH",
+	if _, err := n.sequenceLocal(trace.Context{}, "", "EPOCH",
 		[]string{strconv.FormatUint(newEpoch, 10), strconv.Itoa(int(n.self))}, ""); err != nil {
 		return fmt.Errorf("cluster: re-fencing epoch %d: %w", newEpoch, err)
 	}
 	if selfAddrStale {
-		if _, _, err := n.sequence(trace.Context{}, "", "MEMBER",
+		if _, err := n.sequenceLocal(trace.Context{}, "", "MEMBER",
 			[]string{strconv.Itoa(int(n.self)), n.cfg.SelfAddr}, ""); err != nil {
 			return fmt.Errorf("cluster: re-recording own address: %w", err)
 		}

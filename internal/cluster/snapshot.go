@@ -59,11 +59,14 @@ const DefaultSnapshotEvery = 4096
 // 16 MiB frame ceiling.
 const snapChunk = 1 << 20
 
-// maybeSnapshotLocked drives the snapshot cadence after each recorded op.
+// maybeSnapshotLocked drives the snapshot cadence after each applied op.
 // Caller holds applyMu. Due snapshots are deferred at non-quiescent points
 // (only an ADVANCE with no pending emits is safe — see the package comment)
-// and retried on the next op.
+// and retried on the next op. A closed node takes none.
 func (n *Node) maybeSnapshotLocked(kind string) {
+	if n.closed {
+		return
+	}
 	every := n.cfg.SnapshotEvery
 	if every <= 0 {
 		every = DefaultSnapshotEvery
@@ -424,6 +427,10 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 	}
 
 	n.applyMu.Lock()
+	if n.closed {
+		n.applyMu.Unlock()
+		return errClosed
+	}
 	gotSeq, gotEpoch, _, err := n.applySnapshotLocked(string(payload))
 	if err != nil {
 		n.applyMu.Unlock()

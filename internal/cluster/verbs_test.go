@@ -52,6 +52,9 @@ func expectRefused(t *testing.T, via *daemon, all []*daemon, kind string, args [
 	withID := append(append([]string(nil), args...), "id=refused-"+kind)
 	var first error
 	for attempt := 1; attempt <= 2; attempt++ {
+		// The authority acks a forwarded op before it applies it: take the
+		// baseline once every replica holds the last one.
+		waitConverged(t, all...)
 		applied := all[0].node.Applied()
 		_, err := via.node.Forward(kind, withID, body)
 		if err == nil {
@@ -63,7 +66,7 @@ func expectRefused(t *testing.T, via *daemon, all []*daemon, kind string, args [
 			t.Fatalf("retried %s refused as %q, first as %q", kind, err, first)
 		}
 		for _, d := range all {
-			// A member does not wait for a refused op before replying.
+			// The authority may still be applying the refused op.
 			requireApplied(t, d, applied+1)
 			if got := d.node.Applied(); got != applied+1 {
 				t.Fatalf("refused %s (attempt %d) moved rank %d from op %d to %d, want %d", kind, attempt, d.node.Self(), applied, got, applied+1)
@@ -125,8 +128,8 @@ func TestMalformedEmitLineIsAnError(t *testing.T) {
 	}
 }
 
-// The same for a stream-buffer refusal, which is also typed on the member: a
-// ShedError raised on the authority arrives as a ShedError, hint included.
+// The same for a stream-buffer refusal, which is also typed on the member:
+// its own apply raises the ShedError the authority's does, hint included.
 func TestShedEmitLeavesReplicasEqualAndStaysTyped(t *testing.T) {
 	seed, d1 := startPair(t, core.FlowConfig{MaxPending: 2})
 	all := []*daemon{seed, d1}
@@ -137,12 +140,15 @@ func TestShedEmitLeavesReplicasEqualAndStaysTyped(t *testing.T) {
 	if _, err := d1.node.Forward("EMIT", []string{"S"}, "<a> <po> <b> . @10\n"); err != nil {
 		t.Fatal(err)
 	}
+	// The authority acks a forwarded op before it applies it.
+	waitConverged(t, all...)
 	applied := seed.node.Applied()
 	_, err := d1.node.Forward("EMIT", []string{"S"}, "<c> <po> <d> . @20\n<e> <po> <f> . @30\n")
 	var se *flow.ShedError
 	if !errors.As(err, &se) || se.RetryAfter <= 0 || !strings.Contains(se.Reason, "admission buffer full") {
 		t.Fatalf("shed across the forward hop = %v, want a typed ShedError with its hint", err)
 	}
+	requireApplied(t, seed, applied+1)
 	requireApplied(t, d1, applied+1)
 	if seed.node.Applied() != applied+1 || d1.node.Applied() != applied+1 || seed.eng.PendingEmits() != 1 || d1.eng.PendingEmits() != 1 {
 		t.Fatalf("shed EMIT left a trace: applied %d→%d/%d, pending %d/%d", applied, seed.node.Applied(), d1.node.Applied(), seed.eng.PendingEmits(), d1.eng.PendingEmits())

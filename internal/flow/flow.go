@@ -19,7 +19,6 @@ package flow
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -47,23 +46,4 @@ func (e *ShedError) Unwrap() error { return ErrShed }
 // Shed builds a ShedError.
 func Shed(reason string, retryAfter time.Duration) *ShedError {
 	return &ShedError{Reason: reason, RetryAfter: retryAfter}
-}
-
-// ParseShedError inverts ShedError.Error: a shed decision that crossed a
-// process boundary as text (a forwarded cluster write) becomes typed again,
-// so the daemon that relays it renders the same overload reply, with the same
-// backoff hint, as the daemon that shed.
-func ParseShedError(msg string) (*ShedError, bool) {
-	const sep = ": retry after "
-	rest, okPrefix := strings.CutPrefix(msg, "flow: ")
-	rest, okSuffix := strings.CutSuffix(rest, ": "+ErrShed.Error())
-	i := strings.LastIndex(rest, sep)
-	if !okPrefix || !okSuffix || i < 0 {
-		return nil, false
-	}
-	d, err := time.ParseDuration(rest[i+len(sep):])
-	if err != nil {
-		return nil, false
-	}
-	return Shed(rest[:i], d), true
 }

@@ -40,32 +40,6 @@ func TestShedErrorUnwraps(t *testing.T) {
 	}
 }
 
-// A shed decision that crossed a process boundary as text parses back into
-// the error it was, and nothing else parses as one.
-func TestParseShedErrorRoundTrip(t *testing.T) {
-	for _, want := range []*ShedError{
-		Shed("stream S: admission buffer full", 100*time.Millisecond),
-		Shed("EMIT rate limit (3 tuples)", 0),
-		Shed("odd: retry after 5s: reason", 1500*time.Microsecond),
-	} {
-		got, ok := ParseShedError(want.Error())
-		if !ok || *got != *want {
-			t.Errorf("ParseShedError(%q) = %+v, %v; want %+v", want.Error(), got, ok, want)
-		}
-	}
-	for _, msg := range []string{
-		"",
-		"stream S: timestamp regression 150 after 250",
-		"wire: send to node 2: connection closed: wire: peer down",
-		"flow: q: retry after soon: shed by admission control",
-		"flow: q: shed by admission control",
-	} {
-		if got, ok := ParseShedError(msg); ok {
-			t.Errorf("ParseShedError(%q) = %+v, want no match", msg, got)
-		}
-	}
-}
-
 func TestLimiterTokenBucket(t *testing.T) {
 	var nl *Limiter
 	if !nl.Allow(100) || nl.RetryAfter(1) != 0 || nl.Burst() != 0 {

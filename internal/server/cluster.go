@@ -32,7 +32,8 @@ import (
 // with a fake and free of the cluster package's construction details.
 type ClusterBackend interface {
 	// ForwardTraced runs one write verb cluster-wide and returns the
-	// interpreter's reply from the write authority (e.g. "loaded 42"). args
+	// interpreter's reply from this daemon's own apply (e.g. "loaded 42"),
+	// which is the reply on every replica. args
 	// may end with the client's id= token. A valid tc joins the downstream
 	// hops to the request's trace; the zero Context means untraced.
 	ForwardTraced(tc trace.Context, kind string, args []string, body string) (string, error)

@@ -88,8 +88,8 @@ func TestFrameTraceRoundTrip(t *testing.T) {
 
 // otherHelloForms are handshake payloads no daemon built from this tree
 // sends: the empty and two-byte forms of older builds, their ten-byte
-// feature-and-epoch form, the nine-byte version-and-epoch form, an old
-// version byte alone, and the current form overlong.
+// feature-and-epoch form, the nine-byte version-and-epoch form, old
+// version bytes alone, and the current form overlong.
 func otherHelloForms() [][]byte {
 	return [][]byte{
 		nil,
@@ -97,6 +97,7 @@ func otherHelloForms() [][]byte {
 		append([]byte{2, 1}, make([]byte, 8)...),
 		append([]byte{3}, make([]byte, 8)...),
 		{3},
+		{4},
 		{helloVersion, 0},
 	}
 }
