@@ -66,12 +66,14 @@ race:
 # answering on open sockets must neither stall a survivor's Status or
 # detector reads past 20 ms nor escape being declared dead, and once the
 # authority has declared it dead must cost no write on the authority 100 ms;
-# and a member must ack a forwarded write, from its own apply, while the
-# authority's apply of it is held. A wedge that comes back shows here as a
-# failure, not as a one-in-four flake. About 35 s of wall time on a 2-vCPU
-# host.
+# a member must ack a forwarded write, from its own apply, while the
+# authority's apply of it is held; and a join, a resume, a takeover and an
+# anti-entropy pull that meet a compacted donor must each return with the
+# donor's seq and rows, where a caller that returns while a catch-up is
+# still running fails. A wedge that comes back shows here as a failure, not
+# as a one-in-four flake. About 45 s of wall time on a 2-vCPU host.
 faults:
-	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$|TestHungPeerStallsNoLivenessRead$$|TestHungPeerStallsNoWriteOnceDead$$|TestForwardAckPrecedesAuthorityApply$$' ./internal/cluster ./internal/wire
+	$(GO) test -count=5 -run 'TestClusterTCPReplicationUnderWireFaults$$|TestTCPTimedOutCallRedialsPastDamagedLengthPrefix$$|TestHungPeerStallsNoLivenessRead$$|TestHungPeerStallsNoWriteOnceDead$$|TestForwardAckPrecedesAuthorityApply$$|TestSnapshotCatchUpFarBehindDefaultWindow$$|TestResumeAsMemberFromCompactedDonor$$|TestTakeoverReconcilesFromCompactedSurvivor$$|TestAntiEntropyFromCompactedAuthority$$' ./internal/cluster ./internal/wire
 
 # Five seconds of native fuzzing per target where bytes cross a trust
 # boundary, and where one model checks a whole query path: the wire frame

@@ -232,6 +232,36 @@ func TestEvictedResultIsUnavailable(t *testing.T) {
 	}
 }
 
+// A forward that fails after the authority acked its op is not sent again,
+// so an op with no id= token is sequenced once. Here the member cannot apply
+// until the forward returns, so its wait for the acked op times out after
+// forwardAckTimeout; the caller gets that failure, unavailable, which an id=
+// retry would settle from the dedup table.
+func TestForwardFailureAfterAckIsNotResent(t *testing.T) {
+	seed, d1 := startPair(t, core.FlowConfig{})
+	waitConverged(t, seed, d1)
+	before := seed.node.Applied()
+	d1.node.applyMu.Lock()
+	reply, err := d1.node.Forward("LOAD", nil, "<x> <p> <y> .\n")
+	d1.node.applyMu.Unlock()
+	if !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("LOAD through a member that cannot apply = %q, %v; want unavailable", reply, err)
+	}
+	waitConverged(t, seed, d1)
+	if got := seed.node.Applied(); got != before+1 {
+		t.Fatalf("one LOAD moved the authority from op %d to %d", before, got)
+	}
+	// A LOAD after a sealed batch shows from the next stable snapshot.
+	if _, err := seed.node.Forward("ADVANCE", []string{"600"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, seed, d1)
+	expectSameRows(t, "SELECT ?Y WHERE { x p ?Y }", seed, d1)
+	if got := queryRows(t, seed, "SELECT ?Y WHERE { x p ?Y }"); !reflect.DeepEqual(got, []string{"y"}) {
+		t.Fatalf("the LOAD answers %v, want [y] once", got)
+	}
+}
+
 // An authority that crashes after its flush and before its apply left the
 // op in its log: Resume replays it, once. A LOAD run twice would answer its
 // triple twice.

@@ -30,11 +30,13 @@
 //     engine, and re-fires every window exactly once (the dedup contract:
 //     fresh POLL buffers, deterministic replay).
 //
-// A lost replication frame heals one way, by replaying the oplog, on two
-// triggers: a member that observes a sequence gap fetches the missing range
-// from the sender before applying (SYNC), and each detector tick a member
-// pulls whatever it lacks of the authority's applied sequence (anti-entropy).
-// The broadcast sends each op once per member and never retries.
+// A replica catches up one way, catchUp: it replays the op range it lacks
+// from a donor's op log (SYNC), or, where the donor compacted that range
+// away, restores the donor's snapshot and replays the tail. Join, resume,
+// the takeover reconcile, anti-entropy (each detector tick a member pulls
+// what it lacks of the authority's applied sequence) and gap repair (a
+// member that observes a sequence gap fetches it from the sender) all end
+// there. The broadcast sends each op once per member and never retries.
 //
 // Write authority is survivable (DESIGN.md §15). The sequencer is not
 // pinned to rank 0: when the membership detector declares the current
@@ -246,13 +248,15 @@ type Node struct {
 	snapEpoch    uint64
 	snapPayload  []byte
 
-	catching   atomic.Bool // mid snapshot-transfer / large sync (healthz)
+	// catchMu runs one catch-up at a time. Taken before applyMu, never
+	// while holding it.
+	catchMu    sync.Mutex
+	catching   atomic.Bool // mid snapshot transfer (healthz)
 	takingOver atomic.Bool // one authority takeover attempt at a time
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	start    time.Time
-	aeBusy   atomic.Bool // one anti-entropy pull in flight at a time
 
 	cApplied   *obs.Counter
 	cRefused   *obs.Counter // cluster_ops_refused_total: equal on every replica
@@ -426,52 +430,48 @@ func Join(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.t.SetPeer(SeedRank, cfg.SeedAddr)
-	// JOIN and SYNC are idempotent (the seed reuses the rank for a known
-	// address; replay skips applied ops), so a lossy wire just means retry.
-	var joinErr error
-	for attempt := 0; attempt < 5; attempt++ {
-		if attempt > 0 {
-			time.Sleep(100 * time.Millisecond)
-		}
-		resp, err := n.call(SeedRank, fmt.Sprintf("JOIN %d %s", cfg.Self, cfg.SelfAddr), "", "join")
-		if err != nil {
-			joinErr = err
-			if errors.Is(err, ErrUnavailable) {
-				continue
-			}
-			return nil, err
-		}
-		rank, latest, err := parseJoinReply(resp)
-		if err != nil {
-			return nil, err
-		}
-		if rank != int(cfg.Self) {
-			return nil, fmt.Errorf("cluster: seed assigned rank %d, we are %d", rank, cfg.Self)
-		}
-		if err := n.syncRange(SeedRank, 1, latest); err != nil {
-			if IsLogCompacted(err) {
-				// The seed's log is compacted past op 1: converge by
-				// snapshot transfer plus the incremental tail.
-				if err := n.catchUpFromSnapshot(SeedRank); err != nil {
-					return nil, err
-				}
-			} else {
-				joinErr = err
-				if errors.Is(err, ErrUnavailable) {
-					continue
-				}
-				return nil, err
-			}
-		}
-		joinErr = nil
-		break
-	}
-	if joinErr != nil {
-		return nil, joinErr
+	if err := n.join(SeedRank); err != nil {
+		return nil, err
 	}
 	n.startTicker()
 	n.logf("joined as rank %d, replayed %d ops", int(cfg.Self), n.Applied())
 	return n, nil
+}
+
+// join registers this daemon's rank and address through via, which relays
+// JOIN to the authority, and catches up from via to the seq the reply names.
+// It returns once this replica has applied that seq. JOIN is idempotent (the
+// authority reuses the rank for a known address) and so is a catch-up, so a
+// lossy wire just means retry.
+func (n *Node) join(via fabric.NodeID) error {
+	var err error
+	for attempt := 0; attempt < 5; attempt++ {
+		if attempt > 0 {
+			time.Sleep(100 * time.Millisecond)
+		}
+		var resp string
+		if resp, err = n.call(via, fmt.Sprintf("JOIN %d %s", int(n.self), n.cfg.SelfAddr), "", "join"); err != nil {
+			if errors.Is(err, ErrUnavailable) {
+				continue
+			}
+			return err
+		}
+		var rank int
+		var latest uint64
+		if rank, latest, err = parseJoinReply(resp); err != nil {
+			return err
+		}
+		if rank != int(n.self) {
+			return fmt.Errorf("cluster: the authority assigned rank %d, we are %d", rank, int(n.self))
+		}
+		n.catchMu.Lock()
+		err = n.catchUp(via, latest)
+		n.catchMu.Unlock()
+		if !errors.Is(err, ErrUnavailable) {
+			return err
+		}
+	}
+	return err
 }
 
 // Discover asks the seed at seedAddr for a rank assignment before the
@@ -565,7 +565,7 @@ func (n *Node) currentAuthority() fabric.NodeID {
 func (n *Node) Authority() fabric.NodeID { return n.currentAuthority() }
 
 // Status reports this daemon's serving state for health checks:
-// "ready", "catching-up" (mid snapshot transfer or bulk sync), or
+// "ready", "catching-up" (mid snapshot transfer), or
 // "no-authority" (the sequencer is dead and this daemon is not in line to
 // replace it yet — writes will stall until a successor fences in).
 func (n *Node) Status() string {
@@ -579,19 +579,38 @@ func (n *Node) Status() string {
 	return "ready"
 }
 
-// stateReply renders the STATE verb: the peer-visible succession facts.
+// stateReply renders the STATE verb: the peer-visible succession facts and
+// the applied seq.
 func (n *Node) stateReply() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return fmt.Sprintf("EPOCH %d AUTH %d SEQ %d FIRST %d", n.epoch, int(n.authority), n.applied, n.dlog.First())
+	return fmt.Sprintf("EPOCH %d AUTH %d SEQ %d", n.epoch, int(n.authority), n.applied)
 }
 
-// parseStateReply reads the epoch and applied seq from a STATE reply.
-func parseStateReply(resp string) (epoch, seq uint64, err error) {
-	var auth int
-	var first uint64
-	_, err = fmt.Sscanf(resp, "EPOCH %d AUTH %d SEQ %d FIRST %d", &epoch, &auth, &seq, &first)
-	return epoch, seq, err
+// peerState is one peer's STATE reply.
+type peerState struct {
+	rank       fabric.NodeID
+	epoch, seq uint64
+}
+
+// survey asks each of ranks for its STATE and returns the replies of those
+// that answered, in the order asked: the resume probe, the takeover survey
+// and anti-entropy's head read. A peer answers STATE without waiting for its
+// applyMu.
+func (n *Node) survey(ranks []fabric.NodeID) []peerState {
+	var out []peerState
+	for _, r := range ranks {
+		resp, err := n.call(r, "STATE", "", "state")
+		if err != nil {
+			continue // unreachable right now; the detector tracks that
+		}
+		st := peerState{rank: r}
+		var auth int
+		if _, err := fmt.Sscanf(resp, "EPOCH %d AUTH %d SEQ %d", &st.epoch, &auth, &st.seq); err == nil {
+			out = append(out, st)
+		}
+	}
+	return out
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -637,66 +656,39 @@ func (n *Node) startTicker() {
 // retried a few times and then gone, and gap repair only triggers on
 // RECEIPT of a later op — a finite op stream can strand a member one
 // broadcast behind forever. The fix is to make the member ask: each
-// detector tick it fetches the authority's applied sequence (the MEMBERS
-// reply leads with "SEQ <n>"), records it as the head that
-// cluster_replica_lag_ops is measured against, and SYNCs any shortfall. The
-// authority never pulls (it is the log). A shortfall the authority's log
-// compacted away converges through snapshot transfer instead.
+// detector tick it reads the authority's head and catches up to it. The
+// authority never pulls (it is the log). While another catch-up runs the
+// tick does nothing, and the next one pulls what that one left.
 func (n *Node) antiEntropy() {
-	if !n.aeBusy.CompareAndSwap(false, true) {
+	if !n.catchMu.TryLock() {
 		return
 	}
-	defer n.aeBusy.Store(false)
-	auth, latest, ok := n.readAuthHead()
-	if !ok {
-		return
-	}
-	n.applyMu.Lock()
-	n.mu.Lock()
-	applied := n.applied
-	n.mu.Unlock()
-	var syncErr error
-	if latest > applied {
-		syncErr = n.syncRangeLocked(auth, applied+1, latest)
-	}
-	n.applyMu.Unlock()
-	if syncErr != nil {
-		if IsLogCompacted(syncErr) {
-			if err := n.catchUpFromSnapshot(auth); err != nil {
-				n.logf("snapshot catch-up from %d: %v", auth, err)
-			}
-			return
+	defer n.catchMu.Unlock()
+	if auth, head, ok := n.readAuthHead(); ok {
+		if err := n.catchUp(auth, head); err != nil {
+			n.logf("anti-entropy to %d from %d: %v", head, auth, err)
 		}
-		n.logf("anti-entropy [%d,%d]: %v", applied+1, latest, syncErr)
 	}
 }
 
-// readAuthHead fetches the authority's applied sequence and records it as
-// the head cluster_replica_lag_ops is measured against. It never waits for
-// applyMu, so a member that cannot apply still learns how far behind it is.
-// ok is false on the authority itself and when the authority cannot be read.
-func (n *Node) readAuthHead() (auth fabric.NodeID, latest uint64, ok bool) {
+// readAuthHead reads the authority's applied sequence from its STATE and
+// records it as the head cluster_replica_lag_ops is measured against. It
+// never waits for applyMu, so a member that cannot apply still learns how
+// far behind it is. ok is false on the authority itself and when the
+// authority cannot be read.
+func (n *Node) readAuthHead() (auth fabric.NodeID, head uint64, ok bool) {
 	auth = n.currentAuthority()
 	if auth == n.self {
 		return auth, 0, false
 	}
-	resp, err := n.call(auth, "MEMBERS", "", "anti-entropy")
-	if err != nil {
-		return auth, 0, false // authority unreachable: the detector is already tracking that
-	}
-	head, _ := splitLine(resp)
-	f := strings.Fields(head)
-	if len(f) != 2 || f[0] != "SEQ" {
-		return auth, 0, false
-	}
-	latest, err = strconv.ParseUint(f[1], 10, 64)
-	if err != nil {
+	st := n.survey([]fabric.NodeID{auth})
+	if len(st) == 0 {
 		return auth, 0, false
 	}
 	n.mu.Lock()
-	n.authHead = latest
+	n.authHead = st[0].seq
 	n.mu.Unlock()
-	return auth, latest, true
+	return auth, st[0].seq, true
 }
 
 // ---------------------------------------------------------------------------
@@ -802,7 +794,10 @@ func (n *Node) Forward(kind string, args []string, body string) (string, error) 
 // hop records a cluster.forward span whose context crosses the wire, so the
 // authority's sequencing spans link under it. On authority loss it
 // re-resolves (lowest live rank) and retries until the successor fences in,
-// recording the client-observed write-unavailability window.
+// recording the client-observed write-unavailability window. A failure after
+// the authority acked the op is never retried: the op is sequenced, and a
+// second FWD would sequence it again. It goes back to the caller as is,
+// unavailable, and an id= retry finds the reply in the dedup table.
 func (n *Node) ForwardTraced(tc trace.Context, kind string, args []string, body string) (string, error) {
 	if !tc.Valid() && n.tracer != nil {
 		root := n.tracer.StartRoot("cluster.op")
@@ -829,10 +824,11 @@ func (n *Node) ForwardTraced(tc trace.Context, kind string, args []string, body 
 		target := n.resolveAuthority()
 		var reply string
 		var err error
+		acked := false
 		if target == n.self {
 			reply, err = n.sequenceLocal(tc, id, kind, bare, body)
 		} else {
-			reply, err = n.forwardRemote(tc, target, id, kind, bare, body)
+			reply, acked, err = n.forwardRemote(tc, target, id, kind, bare, body)
 		}
 		switch {
 		case err == nil:
@@ -840,7 +836,7 @@ func (n *Node) ForwardTraced(tc trace.Context, kind string, args []string, body 
 				n.hUnavail.Observe(time.Since(unavailSince))
 			}
 			return reply, nil
-		case errors.Is(err, ErrUnavailable), IsNotAuthority(err):
+		case !acked && (errors.Is(err, ErrUnavailable) || IsNotAuthority(err)):
 			// The authority is gone or moved: start (or continue) the
 			// unavailability window and retry against the re-resolved rank.
 			if unavailSince.IsZero() {
@@ -859,8 +855,9 @@ func (n *Node) ForwardTraced(tc trace.Context, kind string, args []string, body 
 // the client hears "ok". The authority acks once the op is durable in its
 // log; the answer is this replica's own apply of that seq, reply or
 // refusal, which is the same on every replica. A dedup hit's ack carries
-// the cached reply instead.
-func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind string, args []string, body string) (string, error) {
+// the cached reply instead. acked reports that the authority acked the op,
+// whatever the outcome here.
+func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind string, args []string, body string) (reply string, acked bool, err error) {
 	n.cForwarded.Inc()
 	req := "FWD " + kind
 	if len(args) > 0 {
@@ -873,13 +870,13 @@ func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind st
 	resp, err := n.callTraced(target, req, body, "forward "+kind, sp.Context())
 	sp.EndErr(err)
 	if err != nil {
-		return "", err
+		return "", false, err
 	}
 	head, cached, dup := strings.Cut(resp, "\n")
 	num, ok := strings.CutPrefix(head, "SEQ ")
 	seq, perr := strconv.ParseUint(num, 10, 64)
 	if !ok || perr != nil {
-		return "", fmt.Errorf("cluster: bad FWD ack %q", head)
+		return "", false, fmt.Errorf("cluster: bad FWD ack %q", head)
 	}
 	spWait := n.tracer.Start(tc, "cluster.wait_applied")
 	ok = n.waitApplied(seq, forwardAckTimeout)
@@ -887,12 +884,13 @@ func (n *Node) forwardRemote(tc trace.Context, target fabric.NodeID, id, kind st
 	if !ok {
 		// Committed at the authority but not yet replicated here; the
 		// client's id-bearing retry returns the cached reply once it lands.
-		return "", &UnavailableError{Node: target, Op: "forward " + kind, Err: fmt.Errorf("op %d not replicated locally in %v", seq, forwardAckTimeout)}
+		return "", true, &UnavailableError{Node: target, Op: "forward " + kind, Err: fmt.Errorf("op %d not replicated locally in %v", seq, forwardAckTimeout)}
 	}
 	if dup {
-		return cached, nil
+		return cached, true, nil
 	}
-	return n.appliedResult(target, kind, seq)
+	reply, err = n.appliedResult(target, kind, seq)
+	return reply, true, err
 }
 
 // appliedResult returns this replica's own reply or refusal for op seq,
@@ -1213,59 +1211,75 @@ func (n *Node) HandleSendTraced(from fabric.NodeID, payload []byte, tc trace.Con
 		return
 	}
 	sp := n.tracer.Start(tc, "replica.apply")
+	defer sp.End()
 	n.applyMu.Lock()
-	n.ingestLocked(from, payload, seq, id, kind, args, body)
+	gap := n.ingestLocked(payload, seq, id, kind, args, body)
 	n.applyMu.Unlock()
-	sp.End()
+	// Repair a gap from the SENDER — after a failover the sender is the new
+	// authority, and the gap includes the EPOCH op this replica missed;
+	// pulling from the dead old authority would strand it. While another
+	// catch-up runs the op waits, like one that never arrived, for the next
+	// broadcast or anti-entropy tick.
+	if !gap || !n.catchMu.TryLock() {
+		return
+	}
+	err = n.catchUp(from, seq-1)
+	n.catchMu.Unlock()
+	if err != nil {
+		n.logf("gap below op %d unrepaired: %v", seq, err)
+		return
+	}
+	n.applyMu.Lock()
+	n.ingestLocked(payload, seq, id, kind, args, body)
+	n.applyMu.Unlock()
 }
 
-// ingestLocked applies one op in sequence order, fetching any gap from the
-// SENDER first — after a failover the sender is the new authority, and the
-// gap includes the EPOCH op this replica missed; pulling from the dead old
-// authority would strand it. Duplicates (sequence already applied) are
+// ingestLocked applies one op if it is the next in sequence order, and
+// reports a gap if it is not. Duplicates (sequence already applied) are
 // dropped — this plus the deterministic engine is what makes replication
 // idempotent. A refused op is recorded like any other: the authority
 // sequenced it and refused it the same way. enc is the op as it arrived,
-// kept in the oplogs as is.
-func (n *Node) ingestLocked(from fabric.NodeID, enc []byte, seq uint64, id, kind string, args []string, body string) {
+// kept in the oplogs as is. Caller holds applyMu.
+func (n *Node) ingestLocked(enc []byte, seq uint64, id, kind string, args []string, body string) (gap bool) {
 	n.mu.Lock()
 	applied := n.applied
 	n.mu.Unlock()
-	if seq <= applied {
+	switch {
+	case seq <= applied:
 		n.cDupOps.Inc()
-		return
+	case seq > applied+1:
+		return true
+	default:
+		n.applyLocked(seq, id, kind, args, body)
+		n.recordLocked(seq, kind, enc)
 	}
-	if seq > applied+1 {
-		if err := n.syncRangeLocked(from, applied+1, seq-1); err != nil {
-			if IsLogCompacted(err) {
-				go func() {
-					if err := n.catchUpFromSnapshot(from); err != nil {
-						n.logf("snapshot catch-up from %d: %v", from, err)
-					}
-				}()
-				return
-			}
-			n.logf("gap [%d,%d] unrepaired: %v", applied+1, seq-1, err)
-			// Leave the gap; the op cannot be applied out of order. The next
-			// broadcast (or anti-entropy) retries the repair.
-			return
-		}
-	}
-	n.applyLocked(seq, id, kind, args, body)
-	n.recordLocked(seq, kind, enc)
+	return false
 }
 
-// syncRange fetches and applies the op range [lo,hi] from target.
-func (n *Node) syncRange(target fabric.NodeID, lo, hi uint64) error {
+// catchUp brings this replica to op hi of donor's history, the one way a
+// replica catches up: join, resume, the takeover reconcile, anti-entropy and
+// gap repair all end here. It SYNCs [applied+1, hi] from donor's op log, and
+// where donor's log has compacted that range away, it restores donor's
+// snapshot and SYNCs the tail past it. Caller holds catchMu, so one catch-up
+// runs at a time: anti-entropy and gap repair skip theirs while another runs,
+// and join, resume and the takeover wait for it and go on from where it
+// stopped, so none of them returns on a partial replica.
+func (n *Node) catchUp(donor fabric.NodeID, hi uint64) error {
+	err := n.syncTo(donor, hi)
+	if IsLogCompacted(err) {
+		return n.catchUpFromSnapshot(donor, hi)
+	}
+	return err
+}
+
+// syncTo fetches and applies the ops [applied+1, hi] from target's op log.
+func (n *Node) syncTo(target fabric.NodeID, hi uint64) error {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	return n.syncRangeLocked(target, lo, hi)
-}
-
-func (n *Node) syncRangeLocked(target fabric.NodeID, lo, hi uint64) error {
 	// A reply carries at most syncReplyBytes, so the range arrives over as
 	// many round trips as it takes. An empty reply means target has not
 	// logged lo yet: the next broadcast or anti-entropy tick brings it.
+	lo := n.Applied() + 1
 	for from := uint64(0); lo <= hi && lo != from; {
 		from = lo
 		// SYNC is idempotent; a lossy wire (a dropped or quarantined
@@ -1503,37 +1517,11 @@ func (n *Node) HandleCallTraced(from fabric.NodeID, req []byte, tc trace.Context
 		return []byte(resp), err
 	case "SNAPGET":
 		return n.serveSnapGet(f[1:])
-	case "MEMBERS":
-		return []byte(n.membersReply()), nil
 	case verbFedStats, verbFedMetrics, verbFedTraces:
 		return n.serveFed(f[0])
 	default:
 		return nil, fmt.Errorf("cluster: unknown verb %q", f[0])
 	}
-}
-
-// membersReply renders "SEQ <applied>", then "EPOCH <e> AUTH <r>", plus one
-// "<rank> <addr> <state>" line per member, from this daemon's local view.
-// The leading SEQ line is load-bearing for anti-entropy; the EPOCH line lets
-// operators (and the chaos harness) watch a failover fence in.
-//
-// The detector's lock is never held across a probe, so reading it here
-// never waits on a peer.
-func (n *Node) membersReply() string {
-	var b strings.Builder
-	n.mu.Lock()
-	fmt.Fprintf(&b, "SEQ %d\n", n.applied)
-	fmt.Fprintf(&b, "EPOCH %d AUTH %d\n", n.epoch, int(n.authority))
-	members := slices.Clone(n.members)
-	n.mu.Unlock()
-	for _, m := range members {
-		st := n.det.State(m.rank).String()
-		if m.rank == n.self {
-			st = "self"
-		}
-		fmt.Fprintf(&b, "%d %s %s\n", m.rank, m.addr, st)
-	}
-	return b.String()
 }
 
 // Home answers the HOME command, a placement diagnostic: the engine
@@ -1555,8 +1543,22 @@ func (n *Node) Home(entity string) (home fabric.NodeID, state string, known bool
 	}
 }
 
-// Info returns the CLUSTER command's lines: this daemon's view of every
-// member.
+// Info returns the CLUSTER command's lines, from this daemon's view:
+// "SEQ <applied>", "EPOCH <e> AUTH <r>", then "<rank> <addr> <state>" per
+// member. The EPOCH line lets operators (and the chaos harness) watch a
+// failover fence in. The detector's lock is never held across a probe, so
+// reading it here never waits on a peer.
 func (n *Node) Info() []string {
-	return strings.Split(strings.TrimRight(n.membersReply(), "\n"), "\n")
+	n.mu.Lock()
+	lines := []string{fmt.Sprintf("SEQ %d", n.applied), fmt.Sprintf("EPOCH %d AUTH %d", n.epoch, int(n.authority))}
+	members := slices.Clone(n.members)
+	n.mu.Unlock()
+	for _, m := range members {
+		st := n.det.State(m.rank).String()
+		if m.rank == n.self {
+			st = "self"
+		}
+		lines = append(lines, fmt.Sprintf("%d %s %s", m.rank, m.addr, st))
+	}
+	return lines
 }

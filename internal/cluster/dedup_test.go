@@ -71,7 +71,7 @@ func TestDedupTableCopiesWhatItKeeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	replica.node.applyMu.Lock()
-	replica.node.ingestLocked(SeedRank, []byte(op), seq, opID, kind, args, opBody)
+	replica.node.ingestLocked([]byte(op), seq, opID, kind, args, opBody)
 	replica.node.applyMu.Unlock()
 	requireOwnCopies(t, replica.node, op, "bcast-1", "ingested")
 

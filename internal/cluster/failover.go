@@ -28,7 +28,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -105,40 +107,29 @@ func (n *Node) assumeAuthority() error {
 	// Survey every reachable peer: abort on a higher epoch, and find the
 	// most-applied peer to reconcile from.
 	myEpoch := n.Epoch()
-	bestPeer := fabric.NodeID(0)
-	var bestSeq uint64
-	havePeer := false
+	var live []fabric.NodeID
 	for _, m := range n.membersCopy() {
-		p := m.rank
-		if p == n.self || n.det.State(p) == member.Dead {
-			continue
+		if m.rank != n.self && n.det.State(m.rank) != member.Dead {
+			live = append(live, m.rank)
 		}
-		resp, err := n.call(p, "STATE", "", "takeover-survey")
-		if err != nil {
-			continue // unreachable right now; the detector will catch up
-		}
-		e, seq, err := parseStateReply(resp)
-		if err != nil {
-			continue
-		}
-		if e > myEpoch {
-			return fmt.Errorf("peer %d is at epoch %d > %d; standing down", p, e, myEpoch)
-		}
-		if !havePeer || seq > bestSeq {
-			bestPeer, bestSeq, havePeer = p, seq, true
+	}
+	peers := n.survey(live)
+	for _, p := range peers {
+		if p.epoch > myEpoch {
+			return fmt.Errorf("peer %d is at epoch %d > %d; standing down", p.rank, p.epoch, myEpoch)
 		}
 	}
 
 	// Reconcile: no acked op may be lost, and every ack lives on at least
 	// one live daemon (the forward path waits for local apply before
-	// acking), so draining the most-applied live peer suffices.
-	if havePeer && bestSeq > n.Applied() {
-		err := n.syncRange(bestPeer, n.Applied()+1, bestSeq)
-		if IsLogCompacted(err) {
-			err = n.catchUpFromSnapshot(bestPeer)
-		}
+	// acking), so catching up to the most-applied live peer suffices.
+	if len(peers) > 0 {
+		best := slices.MaxFunc(peers, func(a, b peerState) int { return cmp.Compare(a.seq, b.seq) })
+		n.catchMu.Lock()
+		err := n.catchUp(best.rank, best.seq)
+		n.catchMu.Unlock()
 		if err != nil {
-			return fmt.Errorf("reconcile from %d: %w", bestPeer, err)
+			return fmt.Errorf("reconcile from %d: %w", best.rank, err)
 		}
 	}
 

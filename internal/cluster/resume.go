@@ -19,12 +19,13 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/oplog"
@@ -84,35 +85,21 @@ func Resume(cfg Config) (*Node, error) {
 
 	// Probe: is anyone else alive? Prefer the highest-epoch respondent as
 	// the catch-up donor — it has the freshest succession view.
-	var donor fabric.NodeID
-	var donorEpoch uint64
-	alive := false
+	var others []fabric.NodeID
 	for r := range rec.members {
-		id := fabric.NodeID(r)
-		if id == n.self {
-			continue
-		}
-		resp, err := n.call(id, "STATE", "", "resume-probe")
-		if err != nil {
-			continue
-		}
-		e, _, err := parseStateReply(resp)
-		if err != nil {
-			continue
-		}
-		if !alive || e > donorEpoch {
-			donor, donorEpoch, alive = id, e, true
+		if fabric.NodeID(r) != n.self {
+			others = append(others, fabric.NodeID(r))
 		}
 	}
-
-	if alive {
-		if err := n.resumeAsMember(donor); err != nil {
-			return nil, err
-		}
+	slices.Sort(others)
+	if alive := n.survey(others); len(alive) > 0 {
+		donor := slices.MaxFunc(alive, func(a, b peerState) int { return cmp.Compare(a.epoch, b.epoch) })
+		err = n.resumeAsMember(donor.rank)
 	} else {
-		if err := n.resumeAsAuthority(rec); err != nil {
-			return nil, err
-		}
+		err = n.resumeAsAuthority(rec)
+	}
+	if err != nil {
+		return nil, err
 	}
 	n.startTicker()
 	return n, nil
@@ -128,44 +115,8 @@ func (n *Node) resumeAsMember(donor fabric.NodeID) error {
 	}
 	n.logf("resuming as member via rank %d (local history discarded)", donor)
 	// JOIN relays to whoever the donor believes is the authority, so this
-	// works mid-failover too. Idempotent; retry across a lossy window.
-	var joinErr error
-	for attempt := 0; attempt < 5; attempt++ {
-		if attempt > 0 {
-			time.Sleep(100 * time.Millisecond)
-		}
-		resp, err := n.call(donor, fmt.Sprintf("JOIN %d %s", int(n.self), n.cfg.SelfAddr), "", "rejoin")
-		if err != nil {
-			joinErr = err
-			if errors.Is(err, ErrUnavailable) {
-				continue
-			}
-			return err
-		}
-		rank, latest, err := parseJoinReply(resp)
-		if err != nil {
-			return err
-		}
-		if rank != int(n.self) {
-			return fmt.Errorf("cluster: rank %d reassigned to %d while we were down", int(n.self), rank)
-		}
-		if err := n.syncRange(donor, 1, latest); err != nil {
-			if IsLogCompacted(err) {
-				if err := n.catchUpFromSnapshot(donor); err != nil {
-					return err
-				}
-			} else {
-				joinErr = err
-				if errors.Is(err, ErrUnavailable) {
-					continue
-				}
-				return err
-			}
-		}
-		joinErr = nil
-		break
-	}
-	return joinErr
+	// works mid-failover too.
+	return n.join(donor)
 }
 
 // resumeAsAuthority restores from disk and assumes sequencing — permitted

@@ -40,7 +40,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -377,15 +376,11 @@ func (n *Node) serveSnapGet(args []string) ([]byte, error) {
 	return n.snapPayload[lo:hi], nil
 }
 
-// catchUpFromSnapshot converges this replica on target's state via snapshot
-// transfer plus the incremental SYNC tail from the snapshot sequence up to
-// the last op target has logged — the path for members that need ops
-// target's log compacted away (and for restarts that find the log already
-// compacted past their applied point).
-func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
-	if !n.catching.CompareAndSwap(false, true) {
-		return nil // one transfer at a time; the runner converges for us
-	}
+// catchUpFromSnapshot is catchUp's branch for ops target's log compacted
+// away: it restores target's snapshot, then SYNCs the tail past it up to op
+// hi. Status reports "catching-up" meanwhile. Caller holds catchMu.
+func (n *Node) catchUpFromSnapshot(target fabric.NodeID, hi uint64) error {
+	n.catching.Store(true)
 	defer n.catching.Store(false)
 
 	// The donor may briefly have no quiescent snapshot to serve (or be
@@ -412,7 +407,7 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 	}
 	if n.Applied() >= seq {
 		// Already past the snapshot point: a plain tail sync suffices.
-		return n.syncRange(target, n.Applied()+1, math.MaxUint64)
+		return n.syncTo(target, hi)
 	}
 	payload := make([]byte, 0, size)
 	for i := 0; i < chunks; i++ {
@@ -451,5 +446,5 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID) error {
 	n.cSnapXfers.Inc()
 	n.cSnapBytes.Add(int64(len(payload)))
 	n.logf("caught up by snapshot transfer from %d: seq %d (%d bytes)", target, gotSeq, len(payload))
-	return n.syncRange(target, gotSeq+1, math.MaxUint64)
+	return n.syncTo(target, hi)
 }

@@ -101,9 +101,9 @@ const FlagTrace = 0x01
 // peer, and the side that reads it closes the connection. The handshake
 // carries no epoch: fencing is per op, by the epoch each replicated op is
 // stamped with (DESIGN.md §15), so a zombie's stale op is refused whether
-// its connection is new or healed. Version 5: a forwarded write's ack
-// (cluster FWD) means "durable on the authority", not "applied there".
-const helloVersion = 5
+// its connection is new or healed. Version 6: a cluster STATE reply is
+// EPOCH, AUTH and SEQ alone, and it is also the verb anti-entropy reads.
+const helloVersion = 6
 
 // helloPayload is the Hello/HelloAck payload.
 var helloPayload = []byte{helloVersion}

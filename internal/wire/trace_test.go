@@ -98,6 +98,7 @@ func otherHelloForms() [][]byte {
 		append([]byte{3}, make([]byte, 8)...),
 		{3},
 		{4},
+		{5},
 		{helloVersion, 0},
 	}
 }
