@@ -122,16 +122,19 @@ soak:
 soak-short:
 	$(GO) test -race -short -count=1 ./internal/soak/...
 
-# Process-level chaos (DESIGN.md §12, §15): build the real wukongsd, form a
-# 3-daemon TCP cluster, and run three scenarios — a member kill -9 (survivor
+# Process-level chaos (DESIGN.md §8, §12, §15): build the real wukongsd, form
+# a 3-daemon TCP cluster, and run three scenarios — a member kill -9 (survivor
 # answers every one-shot sub-ms and twin-equal; rejoin + twin-equal dedup),
 # an authority kill -9 (fenced succession, bounded recorded
 # write-unavailability, demoted ex-seed resume, twin-equal deliveries), and a
 # fourth daemon joining the running three (rank 3, equal applied sequence,
-# twin-equal deliveries). The scenarios ARE the short configuration, so
-# -short changes nothing.
+# twin-equal deliveries) — then a fourth: a standalone -data-dir daemon
+# kill -9ed between acked EMITs and the ADVANCE that seals them, restarted,
+# and sent the last EMIT again under its id= token (every acked tuple
+# delivered exactly once). The scenarios ARE the short configuration, so
+# -short changes nothing. About 5 s of wall time with the build on a 2-vCPU host.
 chaos-proc:
-	$(GO) test -short -count=1 -run 'TestProcClusterKillDashNine|TestProcSeedKillFailover|TestProcFourthDaemonJoins' ./internal/chaos/...
+	$(GO) test -short -count=1 -run 'TestProcClusterKillDashNine|TestProcSeedKillFailover|TestProcFourthDaemonJoins|TestProcStandaloneKillDashNine' ./internal/chaos/...
 
 # Every benchmark reports B/op and allocs/op. BenchmarkMicro_Tick (one
 # daemon-side tick: EMIT ×5, ADVANCE, POLL ×6), BenchmarkMicro_Emit (that

@@ -11,6 +11,7 @@ package repro
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/bench/citybench"
 	"repro/internal/bench/harness"
 	"repro/internal/bench/lsbench"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/rdf"
@@ -452,6 +454,10 @@ func BenchmarkSnapMem_Scalarization(b *testing.B) {
 
 // ---- §6.8: fault tolerance -----------------------------------------------------
 
+// BenchmarkFT_Overhead is one 100 ms step of the L1–L3 mix — one EMIT per
+// stream and the step's ADVANCE, rendered as the text a client sends — applied
+// through cluster.ApplyVerb (off) or through a one-member cluster that logs
+// and flushes each op before applying it (on). Rendering is not timed.
 func BenchmarkFT_Overhead(b *testing.B) {
 	b.ReportAllocs()
 	for _, ft := range []bool{false, true} {
@@ -461,31 +467,66 @@ func BenchmarkFT_Overhead(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			e, d, w, err := harness.LSBenchEngine(benchEngineConfig(8), benchLSConfig())
+			ss := strserver.New()
+			w := lsbench.Generate(benchLSConfig(), ss)
+			var initial []byte
+			for _, enc := range w.Initial {
+				initial = append(rdf.AppendTriple(initial, must(ss.DecodeTriple(enc))), " .\n"...)
+			}
+			e, err := core.New(benchEngineConfig(8))
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(e.Close)
+			if _, err := cluster.ApplyVerb(e, nil, "LOAD", nil, string(initial)); err != nil {
+				b.Fatal(err)
+			}
+			apply := func(kind string, args []string, body string) (string, error) {
+				return cluster.ApplyVerb(e, nil, kind, args, body)
+			}
 			if ft {
-				dir, err := os.MkdirTemp("", "wukongs-bench-ft-*")
+				n, err := cluster.NewSeed(cluster.Config{Engine: e, SelfAddr: "bench", DataDir: b.TempDir()})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.Cleanup(func() { os.RemoveAll(dir) })
-				if err := e.EnableFT(core.FTConfig{Dir: dir, CheckpointEveryBatches: 100}); err != nil {
+				b.Cleanup(n.Close)
+				apply = n.Forward
+			}
+			for _, sp := range lsbench.StreamConfigs() {
+				args := append([]string{sp.Name, strconv.FormatInt(sp.BatchInterval.Milliseconds(), 10)}, sp.TimingPreds...)
+				if _, err := apply("STREAM", args, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
 			for i := 0; i < 30; i++ {
-				if _, err := e.RegisterContinuous(w.QueryL(i%3+1, i), nil); err != nil {
+				if _, err := apply("REGISTER", nil, w.QueryL(i%3+1, i)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			type op struct{ stream, body string }
 			now := rdf.Timestamp(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var step []op
+				for _, s := range lsbench.Streams() {
+					var body []byte
+					for _, enc := range w.StreamTuples(s, now, now+100) {
+						t := rdf.Tuple{Triple: must(ss.DecodeTriple(enc.EncodedTriple)), TS: enc.TS}
+						body = append(rdf.AppendTuple(body, t), '\n')
+					}
+					if len(body) > 0 {
+						step = append(step, op{s, string(body)})
+					}
+				}
 				now += 100
-				if err := d.StepTo(now); err != nil {
+				b.StartTimer()
+				for _, o := range step {
+					if _, err := apply("EMIT", []string{o.stream}, o.body); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := apply("ADVANCE", []string{strconv.FormatInt(int64(now), 10)}, ""); err != nil {
 					b.Fatal(err)
 				}
 			}

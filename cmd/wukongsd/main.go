@@ -5,9 +5,11 @@
 //	wukongsd -addr :7690 -nodes 8 -workers 4
 //	wukongsd -addr :7690 -load data.nt -data-dir /var/lib/wukongs
 //
-// -data-dir is the one durability flag: standalone, the §5 fault-tolerance
-// log a restart recovers from (or refuses to start over); with -listen, the
-// cluster oplog and snapshots (DESIGN.md §15).
+// -data-dir is the one durability flag, and there is one durability stack:
+// the cluster's op log (DESIGN.md §8, §15). Standalone, the daemon is a
+// one-member cluster with no peers whose log a restart replays (or refuses
+// to start over); with -listen, the log is also what peers catch up from,
+// compacted by snapshots.
 //
 // With -listen it becomes one daemon of a real multi-process cluster
 // (DESIGN.md §12): the first daemon is the seed, later daemons -join it.
@@ -49,7 +51,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/oplog"
 	"repro/internal/rdf"
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -114,8 +115,8 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.clusterHB, "cluster-heartbeat", 0, "cluster peer-liveness probe period (0 = default 100ms)")
 
 	// Durability knobs (DESIGN.md §8 standalone, §15 with -listen).
-	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: standalone, the §5 fault-tolerance log (recovered on restart); with -listen, the durable oplog + snapshots (crash restart via Resume)")
-	fs.IntVar(&o.snapEvery, "snapshot-every", 0, "ops between durable engine snapshots (0 = default 4096; needs -data-dir)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory: the durable op log a restart replays (standalone: a one-member cluster; with -listen, also snapshots)")
+	fs.IntVar(&o.snapEvery, "snapshot-every", 0, "ops between durable engine snapshots (0 = default 4096; needs -listen and -data-dir)")
 	fs.BoolVar(&o.noSync, "no-sync", false, "skip the per-append data flush (fdatasync) of the durable oplog (faster, loses the tail on power loss)")
 	return o
 }
@@ -142,9 +143,7 @@ func checkFlags(o *options) error {
 	case o.noSync && o.dataDir == "":
 		return errors.New("-no-sync requires -data-dir")
 	case o.snapEvery != 0 && !cluster:
-		return errors.New("-snapshot-every requires -listen (the standalone §5 log takes no snapshots)")
-	case o.noSync && !cluster:
-		return errors.New("-no-sync requires -listen (the standalone §5 log syncs only at checkpoints already)")
+		return errors.New("-snapshot-every requires -listen (a standalone daemon takes no snapshots)")
 	}
 	return nil
 }
@@ -184,24 +183,16 @@ func main() {
 			log.Fatalf("loading %s: %v", o.load, err)
 		}
 	}
-	var srvp atomic.Pointer[server.Server]
-	ftDir := o.dataDir
-	if o.listen != "" {
-		ftDir = "" // the cluster's oplog is the durability there
-	}
-	// Recovered queries route their firings into the server's POLL buffers
-	// once it is up (earlier re-fires predate any client).
-	eng, err := openEngine(cfg, ftDir, initial, func(name string) func(*core.Result, core.FireInfo) {
-		return func(res *core.Result, f core.FireInfo) {
-			if s := srvp.Load(); s != nil {
-				s.BufferResult(name, res, f)
-			}
-		}
-	})
+	eng, err := core.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer eng.Close()
+	// The preload is loaded on every start, before any log replays, and is
+	// never logged.
+	if err := eng.LoadTriples(initial); err != nil {
+		log.Fatal(err)
+	}
 	if o.load != "" {
 		fmt.Printf("loaded %d triples from %s\n", len(initial), o.load)
 	}
@@ -222,33 +213,47 @@ func main() {
 	srv.EmitBurst = o.emitBurst
 	srv.MaxPollRows = o.pollMax
 	srv.Tracer = tracer
-	srvp.Store(srv)
 
 	var nodep atomic.Pointer[cluster.Node]
-	if o.listen != "" {
+	ccfg := cluster.Config{
+		Engine:            eng,
+		SelfAddr:          o.addr,
+		OnFire:            srv.BufferResult,
+		HeartbeatInterval: o.clusterHB,
+		DataDir:           o.dataDir,
+		SnapshotEvery:     o.snapEvery,
+		NoSync:            o.noSync,
+		Metrics:           eng.Metrics(),
+		Tracer:            tracer,
+		LocalStats: func() string {
+			line := srv.StatsLine()
+			if n := nodep.Load(); n != nil {
+				line = fmt.Sprintf("rank=%d applied=%d %s", int(n.Self()), n.Applied(), line)
+			}
+			return line
+		},
+		Logf: log.Printf,
+	}
+	switch {
+	case o.listen == "" && o.dataDir != "":
+		node, resumed, err := openSolo(ccfg)
+		if err != nil {
+			log.Fatalf("data dir %s: %v", o.dataDir, err)
+		}
+		defer node.Close()
+		nodep.Store(node)
+		srv.SetCluster(node)
+		if resumed {
+			fmt.Printf("wukongsd: replayed %s (applied %d)\n", o.dataDir, node.Applied())
+		} else {
+			fmt.Printf("wukongsd: op log in %s\n", o.dataDir)
+		}
+	case o.listen != "":
 		adv := o.advertise
 		if adv == "" {
 			adv = o.listen
 		}
-		ccfg := cluster.Config{
-			Engine:            eng,
-			SelfAddr:          adv,
-			OnFire:            srv.BufferResult,
-			HeartbeatInterval: o.clusterHB,
-			DataDir:           o.dataDir,
-			SnapshotEvery:     o.snapEvery,
-			NoSync:            o.noSync,
-			Metrics:           eng.Metrics(),
-			Tracer:            tracer,
-			LocalStats: func() string {
-				line := srv.StatsLine()
-				if n := nodep.Load(); n != nil {
-					line = fmt.Sprintf("rank=%d applied=%d %s", int(n.Self()), n.Applied(), line)
-				}
-				return line
-			},
-			Logf: log.Printf,
-		}
+		ccfg.SelfAddr = adv
 		ln, err := net.Listen("tcp", o.listen)
 		if err != nil {
 			log.Fatalf("cluster -listen %s: %v", o.listen, err)
@@ -361,38 +366,17 @@ func discover(join, advertise string) fabric.NodeID {
 	return fabric.NodeID(r)
 }
 
-// openEngine builds the standalone engine over the initial (-load) triples.
-// With an ftDir that holds a §5 log this start is a restart: the engine is
-// recovered from the log, and a log that does not recover is an error —
-// never a reason to start empty over it. Otherwise a fresh engine logs into
-// ftDir (when set) from now on. The initial triples are loaded before the
-// log opens, so the log never holds them: each start loads them once.
-func openEngine(cfg core.Config, ftDir string, initial []rdf.Triple, callbacks func(name string) func(*core.Result, core.FireInfo)) (*core.Engine, error) {
-	ftCfg := core.FTConfig{Dir: ftDir, CheckpointEveryBatches: 100}
-	if ftDir != "" && oplog.Exists(ftDir) {
-		eng, err := core.Recover(cfg, ftCfg, initial, callbacks)
-		if err == nil {
-			fmt.Printf("recovered engine state from %s\n", ftDir)
-		}
-		return eng, err
+// openSolo starts a standalone daemon's durability: a one-member cluster
+// (no transport) logging into cfg.DataDir. A directory that holds state is a
+// restart, replayed by Resume, and one that does not replay is an error —
+// never a reason to start empty over it.
+func openSolo(cfg cluster.Config) (node *cluster.Node, resumed bool, err error) {
+	if cluster.HasDurableState(cfg.DataDir) {
+		node, err = cluster.Resume(cfg)
+		return node, true, err
 	}
-	eng, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.LoadTriples(initial); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	if ftDir == "" {
-		return eng, nil
-	}
-	if err := eng.EnableFT(ftCfg); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	fmt.Printf("fault tolerance enabled in %s\n", ftDir)
-	return eng, nil
+	node, err = cluster.NewSeed(cfg)
+	return node, false, err
 }
 
 // healthzHandler serves readiness: a single-process daemon is ready once

@@ -10,11 +10,12 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/oplog"
 	"repro/internal/rdf"
-	"repro/internal/stream"
 )
 
 // newFlags is wukongsd's flag set on a quiet, non-exiting FlagSet.
@@ -56,7 +57,7 @@ func TestCheckFlags(t *testing.T) {
 		{"no-sync without data-dir", []string{"-listen", ":7800", "-no-sync"}, "-no-sync requires -data-dir"},
 		{"no-sync standalone", []string{"-no-sync"}, "-no-sync requires -data-dir"},
 		{"snapshot-every with standalone data-dir", []string{"-data-dir", "/d", "-snapshot-every", "64"}, "-snapshot-every requires -listen"},
-		{"no-sync with standalone data-dir", []string{"-data-dir", "/d", "-no-sync"}, "-no-sync requires -listen"},
+		{"no-sync with standalone data-dir", []string{"-data-dir", "/d", "-no-sync"}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -87,85 +88,141 @@ func TestRemovedFlagsFailParsing(t *testing.T) {
 	}
 }
 
-// openEngine recovers exactly when the directory holds a log, and a log that
-// does not recover stops the daemon without touching it: a restart must
-// never start empty over the state it was asked to keep.
+// solo is one life of a standalone daemon on a data directory, started as
+// main starts it: a fresh engine, the preload, then openSolo.
+type solo struct {
+	eng     *core.Engine
+	node    *cluster.Node
+	resumed bool
+}
+
+func startSolo(t *testing.T, dir string, preload []rdf.Triple) (*solo, error) {
+	return startSoloReg(t, dir, preload, obs.NewRegistry(""))
+}
+
+// startSoloReg is startSolo with the daemon's metric registry.
+func startSoloReg(t *testing.T, dir string, preload []rdf.Triple, reg *obs.Registry) (*solo, error) {
+	t.Helper()
+	eng, err := core.New(core.Config{Nodes: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadTriples(preload); err != nil {
+		t.Fatal(err)
+	}
+	node, resumed, err := openSolo(cluster.Config{Engine: eng, SelfAddr: "127.0.0.1:7690", DataDir: dir, NoSync: true, Metrics: reg})
+	if err != nil {
+		eng.Close()
+		return nil, err
+	}
+	return &solo{eng: eng, node: node, resumed: resumed}, nil
+}
+
+// kill ends the life as kill -9 would: what the log holds is what is left.
+func (s *solo) kill() {
+	s.node.Close()
+	s.eng.Close()
+}
+
+func (s *solo) write(t *testing.T, kind string, args []string, body string) {
+	t.Helper()
+	if _, err := s.node.Forward(kind, args, body); err != nil {
+		t.Fatalf("%s: %v", kind, err)
+	}
+}
+
+func (s *solo) rows(t *testing.T, q string) []string {
+	t.Helper()
+	res, err := s.eng.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Strings()
+	sort.Strings(got)
+	return got
+}
+
+// A standalone start on a data directory (openSolo) replays exactly when the
+// directory holds a log, and a log that does not replay stops the daemon
+// without touching it: a restart must never start empty over the state it
+// was asked to keep.
 func TestOpenEngine(t *testing.T) {
-	cfg := core.Config{Nodes: 2}
 	const q = `SELECT ?Y WHERE { Logan po ?Y }`
 
 	// firstLife starts on a fresh directory and leaves one logged batch.
 	firstLife := func(t *testing.T) string {
-		dir := filepath.Join(t.TempDir(), "ft")
-		eng, err := openEngine(cfg, dir, nil, nil)
+		dir := filepath.Join(t.TempDir(), "data")
+		s, err := startSolo(t, dir, nil)
 		if err != nil {
 			t.Fatalf("fresh dir: %v", err)
 		}
-		src, err := eng.RegisterStream(stream.Config{Name: "S", BatchInterval: 100 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Emit(rdf.Tuple{Triple: rdf.T("Logan", "po", "T-1"), TS: 10}); err != nil {
-			t.Fatal(err)
-		}
-		eng.AdvanceTo(100)
-		eng.Kill()
+		s.write(t, "STREAM", []string{"S", "100"}, "")
+		s.write(t, "EMIT", []string{"S"}, "<Logan> <po> <T-1> . @10")
+		s.write(t, "ADVANCE", []string{"100"}, "")
+		s.kill()
 		return dir
 	}
 
 	t.Run("fresh dir gives a new engine", func(t *testing.T) {
-		dir := t.TempDir()
-		eng, err := openEngine(cfg, dir, nil, nil)
+		s, err := startSolo(t, t.TempDir(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer eng.Close()
-		if res, err := eng.Query(q); err != nil || res.Len() != 0 {
-			t.Fatalf("new engine answers %v, %v", res.Strings(), err)
+		defer s.kill()
+		if got := s.rows(t, q); s.resumed || len(got) != 0 {
+			t.Fatalf("new engine answers %v (resumed %v)", got, s.resumed)
 		}
 	})
 
 	t.Run("dir with state gives the recovered rows", func(t *testing.T) {
-		eng, err := openEngine(cfg, firstLife(t), nil, nil)
+		s, err := startSolo(t, firstLife(t), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer eng.Close()
-		res, err := eng.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Strings(); len(got) != 1 || got[0] != "T-1" {
-			t.Fatalf("recovered rows = %v, want [T-1]", got)
+		defer s.kill()
+		if got := s.rows(t, q); !s.resumed || !reflect.DeepEqual(got, []string{"T-1"}) {
+			t.Fatalf("recovered rows = %v (resumed %v), want [T-1]", got, s.resumed)
 		}
 	})
 
+	// The preload is loaded on every start and never logged, so it is never
+	// doubled. A LOAD after the first sealed batch takes the next snapshot
+	// number, visible from the next ADVANCE on, and replay gives it the
+	// same one, however many times the daemon restarts.
 	t.Run("a restart loads the preload once and recovers a later load", func(t *testing.T) {
-		dir := filepath.Join(t.TempDir(), "ft")
+		dir := filepath.Join(t.TempDir(), "data")
 		preload := []rdf.Triple{rdf.T("Logan", "po", "T-1")}
-		eng, err := openEngine(cfg, dir, preload, nil)
+		s, err := startSolo(t, dir, preload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.LoadTriples([]rdf.Triple{rdf.T("Logan", "po", "T-2")}); err != nil {
-			t.Fatal(err)
+		s.write(t, "STREAM", []string{"S", "100"}, "")
+		s.write(t, "EMIT", []string{"S"}, "<x> <q> <y> . @10")
+		s.write(t, "ADVANCE", []string{"200"}, "")
+		s.write(t, "LOAD", nil, "<Logan> <po> <T-2> .")
+		if got := s.rows(t, q); !reflect.DeepEqual(got, []string{"T-1"}) {
+			t.Fatalf("first life answers %v, want [T-1]", got)
 		}
-		eng.Kill()
-		for life := 2; life <= 3; life++ {
-			eng, err := openEngine(cfg, dir, preload, nil)
-			if err != nil {
-				t.Fatal(err)
+		s.kill()
+		for life := 2; life <= 4; life++ {
+			if s, err = startSolo(t, dir, preload); err != nil {
+				t.Fatalf("life %d: %v", life, err)
 			}
-			res, err := eng.Query(q)
-			eng.Kill()
-			if err != nil {
-				t.Fatal(err)
+			if got := s.rows(t, q); !reflect.DeepEqual(got, []string{"T-1"}) {
+				t.Fatalf("life %d answers %v before the next ADVANCE, want [T-1]", life, got)
 			}
-			got := res.Strings()
-			sort.Strings(got)
-			if !reflect.DeepEqual(got, []string{"T-1", "T-2"}) {
-				t.Fatalf("life %d answers %v, want [T-1 T-2]", life, got)
+			if life < 4 {
+				s.kill()
 			}
+		}
+		s.write(t, "ADVANCE", []string{"300"}, "")
+		got := s.rows(t, q)
+		s.kill()
+		if !reflect.DeepEqual(got, []string{"T-1", "T-2"}) {
+			t.Fatalf("after the next ADVANCE the fourth life answers %v, want [T-1 T-2]", got)
+		}
+		if n := loggedOps(t, dir)["LOAD"]; n != 1 {
+			t.Errorf("the log holds %d LOAD ops, want 1 (replay logs none)", n)
 		}
 	})
 
@@ -176,23 +233,48 @@ func TestOpenEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := strings.Index(string(data), `"name"`) // the first record: the stream registration
+		i := strings.Index(string(data), "MEMBER") // the first record: the seed's own address
 		if i < 0 {
-			t.Fatalf("log holds no stream registration:\n%q", data)
+			t.Fatalf("log holds no MEMBER op:\n%q", data)
 		}
 		data[i] ^= 0x01
 		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		before := dirBytes(t, dir)
-		if eng, err := openEngine(cfg, dir, nil, nil); err == nil {
-			eng.Close()
+		reg := obs.NewRegistry("")
+		if s, err := startSoloReg(t, dir, nil, reg); err == nil {
+			s.kill()
 			t.Fatal("opened a log whose first record is damaged")
 		}
 		if after := dirBytes(t, dir); !reflect.DeepEqual(before, after) {
-			t.Fatalf("directory changed:\nbefore %q\nafter  %q", before, after)
+			t.Fatal("a refused start changed the directory")
+		}
+		if n := reg.Counter("ft_quarantined_records_total").Value(); n != 1 {
+			t.Errorf("quarantined records = %d, want 1", n)
 		}
 	})
+}
+
+// loggedOps counts the ops in dir's log by kind.
+func loggedOps(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	l, err := oplog.Open(dir, oplog.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	n := map[string]int{}
+	if err := l.Range(0, 0, func(_ uint64, rec []byte) error {
+		head, _, _ := strings.Cut(string(rec), "\n")
+		if f := strings.Fields(head); len(f) > 4 {
+			n[f[4]]++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // dirBytes maps each file in dir to its contents.

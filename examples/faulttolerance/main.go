@@ -1,10 +1,13 @@
-// Faulttolerance: checkpoint, crash, and recover a Wukong+S instance (§5).
+// Faulttolerance: crash and recover a Wukong+S instance (§5).
 //
-// The example enables fault tolerance (one durable log of stream and query
-// registrations and injected batches, synced at each checkpoint), streams data with a registered continuous query, crashes
-// the engine, and recovers a new instance from the durable state — showing
-// that the store's absorbed data, the stream registrations, and the
-// continuous query all survive, with at-least-once execution semantics.
+// A standalone daemon's durability is a one-member cluster: every write —
+// stream and query registrations, loads, EMITs, ADVANCEs — is appended to
+// an op log (and flushed) before it is applied and acked. The example
+// streams data through a registered continuous query, crashes the node with
+// the last EMITs acked but not yet sealed into a batch, and resumes a new
+// instance from the op log — showing that the store's absorbed data, the
+// stream, the continuous query and every acked EMIT survive, with
+// at-least-once execution semantics (replayed windows fire again).
 //
 //	go run ./examples/faulttolerance
 package main
@@ -13,11 +16,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/rdf"
-	"repro/internal/stream"
 )
 
 func initial() []rdf.Triple {
@@ -33,6 +35,49 @@ SELECT ?F ?P
 FROM Posts [RANGE 1s STEP 1s]
 WHERE { Logan fo ?F . GRAPH Posts { ?F po ?P } }`
 
+// start opens one life of the node on dir: a new op log, or, with resume, a
+// replay of the one an earlier life left. The initial graph is loaded first
+// on every start, as wukongsd's -load is, and never logged.
+func start(dir string, life int, resume bool) (*core.Engine, *cluster.Node) {
+	eng, err := core.New(core.Config{Nodes: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := eng.LoadTriples(initial()); err != nil {
+		log.Fatal(err)
+	}
+	cfg := cluster.Config{
+		Engine:   eng,
+		SelfAddr: "example",
+		DataDir:  dir,
+		OnFire: func(name string, r *core.Result, f core.FireInfo) {
+			for _, row := range r.Strings() {
+				fmt.Printf("[life %d] %s @%dms: %s\n", life, name, f.At, row)
+			}
+		},
+	}
+	open := cluster.NewSeed
+	if resume {
+		open = cluster.Resume
+	}
+	node, err := open(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return eng, node
+}
+
+// must runs one write through the node's op log.
+func must(node *cluster.Node, kind string, args []string, body string) {
+	if _, err := node.Forward(kind, args, body); err != nil {
+		log.Fatalf("%s: %v", kind, err)
+	}
+}
+
+func post(i int) string {
+	return rdf.Tuple{Triple: rdf.T("Erik", "po", fmt.Sprintf("T-%d", 100+i)), TS: rdf.Timestamp(i*100 + 10)}.String()
+}
+
 func main() {
 	dir, err := os.MkdirTemp("", "wukongs-ft-example-*")
 	if err != nil {
@@ -41,68 +86,41 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// ---- First life -----------------------------------------------------
-	eng, err := core.New(core.Config{Nodes: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng.LoadTriples(initial())
-	if err := eng.EnableFT(core.FTConfig{Dir: dir, CheckpointEveryBatches: 10}); err != nil {
-		log.Fatal(err)
-	}
-	posts, err := eng.RegisterStream(stream.Config{Name: "Posts", BatchInterval: 100 * time.Millisecond})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := eng.RegisterContinuous(cq, func(r *core.Result, f core.FireInfo) {
-		for _, row := range r.Strings() {
-			fmt.Printf("[life 1] follows_posts @%dms: %s\n", f.At, row)
-		}
-	}); err != nil {
-		log.Fatal(err)
-	}
-
+	eng, node := start(dir, 1, false)
+	must(node, "STREAM", []string{"Posts", "100"}, "")
+	must(node, "REGISTER", nil, cq)
 	for i := 0; i < 10; i++ {
-		tu := rdf.Tuple{Triple: rdf.T("Erik", "po", fmt.Sprintf("T-%d", 100+i)), TS: rdf.Timestamp(i*100 + 10)}
-		if err := posts.Emit(tu); err != nil {
-			log.Fatal(err)
-		}
+		must(node, "EMIT", []string{"Posts"}, post(i))
 	}
-	eng.AdvanceTo(1000)
-	stats, _ := eng.FTStats()
-	fmt.Printf("[life 1] logged %d batches (%d tuples), %d checkpoints; crashing now\n",
-		stats.LoggedBatches, stats.LoggedTuples, stats.Checkpoints)
-	eng.Close() // simulated crash: no clean shutdown protocol needed
+	must(node, "ADVANCE", []string{"1000"}, "")
+	// Two more posts are acked; no ADVANCE seals them before the crash.
+	for i := 10; i < 12; i++ {
+		must(node, "EMIT", []string{"Posts"}, post(i))
+	}
+	fmt.Printf("[life 1] %d ops logged; crashing now\n", node.Applied())
+	node.Close() // a crash: nothing is flushed that an ack had not flushed already
+	eng.Close()
 
 	// ---- Second life ----------------------------------------------------
-	recovered, err := core.Recover(core.Config{Nodes: 2}, core.FTConfig{Dir: dir, CheckpointEveryBatches: 10},
-		initial(), func(name string) func(*core.Result, core.FireInfo) {
-			return func(r *core.Result, f core.FireInfo) {
-				for _, row := range r.Strings() {
-					fmt.Printf("[life 2] %s @%dms: %s\n", name, f.At, row)
-				}
-			}
-		})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer recovered.Close()
+	eng, node = start(dir, 2, true)
+	defer eng.Close()
+	defer node.Close()
+	fmt.Printf("[life 2] replayed the op log; %d ops applied with the restart's epoch fence\n", node.Applied())
 
 	// The absorbed stream data survived the crash.
-	res, err := recovered.Query(`SELECT ?P WHERE { Erik po ?P }`)
+	res, err := eng.Query(`SELECT ?P WHERE { Erik po ?P }`)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("[life 2] recovered store has %d of Erik's posts\n", res.Len())
 
-	// The recovered continuous query keeps firing on fresh data.
-	src2, ok := recovered.SourceOf("Posts")
-	if !ok {
-		log.Fatal("stream not recovered")
-	}
-	next := recovered.Now() + 50
-	if err := src2.Emit(rdf.Tuple{Triple: rdf.T("Erik", "po", "T-999"), TS: next}); err != nil {
+	// The acked but unsealed posts survived too: the next ADVANCE seals
+	// them, and the recovered continuous query fires over them.
+	must(node, "ADVANCE", []string{"2000"}, "")
+	res, err = eng.Query(`SELECT ?P WHERE { Erik po ?P }`)
+	if err != nil {
 		log.Fatal(err)
 	}
-	recovered.AdvanceTo(next + 1000)
-	fmt.Println("[life 2] done — at-least-once semantics: replayed windows may fire twice")
+	fmt.Printf("[life 2] after the next ADVANCE: %d of Erik's posts\n", res.Len())
+	fmt.Println("[life 2] done — at-least-once semantics: replayed windows fire twice")
 }

@@ -3,12 +3,16 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bench/harness"
+	"repro/internal/bench/lsbench"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/rdf"
+	"repro/internal/strserver"
 )
 
 // mixResult is one throughput measurement.
@@ -107,71 +111,73 @@ func throughputFigure(o Options, id string, classes []int, note string) (*Report
 }
 
 // FT reproduces the fault-tolerance overhead study (§6.8): the L1–L3 mix
-// with logging + checkpointing enabled vs disabled.
+// with every write logged vs not. Both runs apply one rendered schedule —
+// the streams and queries as STREAM and REGISTER ops, then one EMIT per
+// stream and step and the step's ADVANCE, the text a client sends — through
+// the one interpreter: FT off calls cluster.ApplyVerb on the engine, FT on
+// forwards each op through a one-member cluster, which appends it to a
+// durable op log (one fdatasync) before it applies it.
 func FT(o Options) (*Report, error) {
 	o = o.withDefaults()
 	perClass := scaleInt(40, o.Scale, 5)
 	classes := []int{1, 2, 3}
-
-	run := func(ft bool) (*mixResult, *core.FTStats, error) {
-		e, d, w, err := harness.LSBenchEngine(engineConfig(o, o.Nodes), LSConfig(o))
-		if err != nil {
-			return nil, nil, err
-		}
-		defer e.Close()
-		var dir string
-		if ft {
-			dir, err = os.MkdirTemp("", "wukongs-ft-*")
-			if err != nil {
-				return nil, nil, err
-			}
-			defer os.RemoveAll(dir)
-			if err := e.EnableFT(core.FTConfig{Dir: dir, CheckpointEveryBatches: 50}); err != nil {
-				return nil, nil, err
-			}
-		}
-		var execs atomic.Int64
-		var cqs []*core.ContinuousQuery
-		for _, class := range classes {
-			for i := 0; i < perClass; i++ {
-				cq, err := e.RegisterContinuous(w.QueryL(class, i*5+class), func(*core.Result, core.FireInfo) {
-					execs.Add(1)
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				cqs = append(cqs, cq)
-			}
-		}
-		if err := d.Run(harness.LSBenchStep, 1000); err != nil {
-			return nil, nil, err
-		}
-		execs.Store(0)
-		start := time.Now()
-		if err := d.Run(harness.LSBenchStep, 3000); err != nil {
-			return nil, nil, err
-		}
-		wall := time.Since(start)
-		var lats []time.Duration
-		for _, cq := range cqs {
-			lats = append(lats, cq.Latencies()...)
-		}
-		res := &mixResult{Throughput: float64(execs.Load()) / wall.Seconds(), Lats: lats}
-		if ft {
-			st, err := e.FTStats()
-			if err != nil {
-				return nil, nil, err
-			}
-			return res, &st, nil
-		}
-		return res, nil, nil
-	}
-
-	off, _, err := run(false)
+	const warm, until rdf.Timestamp = 1000, 3000
+	initial, ops, err := renderLSBench(o, classes, perClass, until)
 	if err != nil {
 		return nil, err
 	}
-	on, stats, err := run(true)
+
+	run := func(dir string) (*mixResult, error) {
+		e, err := core.New(engineConfig(o, o.Nodes))
+		if err != nil {
+			return nil, err
+		}
+		defer e.Close()
+		// The initial graph is a preload, as wukongsd's -load: never logged.
+		if _, err := cluster.ApplyVerb(e, nil, "LOAD", nil, initial); err != nil {
+			return nil, err
+		}
+		var execs atomic.Int64
+		onFire := func(string, *core.Result, core.FireInfo) { execs.Add(1) }
+		apply := func(op verbOp) (string, error) { return cluster.ApplyVerb(e, onFire, op.kind, op.args, op.body) }
+		if dir != "" {
+			n, err := cluster.NewSeed(cluster.Config{Engine: e, SelfAddr: "ft", DataDir: dir, OnFire: onFire})
+			if err != nil {
+				return nil, err
+			}
+			defer n.Close()
+			apply = func(op verbOp) (string, error) { return n.Forward(op.kind, op.args, op.body) }
+		}
+		// The clock of the last warm-up op; measurement starts after it.
+		warmedAt := strconv.FormatInt(int64(warm), 10)
+		var start time.Time
+		for _, op := range ops {
+			if _, err := apply(op); err != nil {
+				return nil, fmt.Errorf("%s %v: %w", op.kind, op.args, err)
+			}
+			if op.kind == "ADVANCE" && op.args[0] == warmedAt {
+				execs.Store(0)
+				start = time.Now()
+			}
+		}
+		wall := time.Since(start)
+		var lats []time.Duration
+		for _, cq := range e.ContinuousQueries() {
+			lats = append(lats, cq.Latencies()...)
+		}
+		return &mixResult{Throughput: float64(execs.Load()) / wall.Seconds(), Lats: lats}, nil
+	}
+
+	off, err := run("")
+	if err != nil {
+		return nil, err
+	}
+	dir, err := os.MkdirTemp("", "wukongs-ft-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	on, err := run(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -185,13 +191,62 @@ func FT(o Options) (*Report, error) {
 		harness.Ms(harness.Median(on.Lats)), harness.Ms(harness.Percentile(on.Lats, 90)),
 		harness.Ms(harness.Percentile(on.Lats, 99)))
 	drop := (1 - on.Throughput/off.Throughput) * 100
-	perBatch := time.Duration(0)
-	if stats.LoggedBatches > 0 {
-		perBatch = stats.LogTime / time.Duration(stats.LoggedBatches)
-	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("throughput drop: %.1f%%; logging delay per batch: %v; checkpoints: %d",
-			drop, perBatch, stats.Checkpoints),
+		fmt.Sprintf("throughput drop: %.1f%%; %d ops logged, each flushed before it applied", drop, len(ops)),
 		"shape target: modest throughput drop (~10%); 99th-pct latency grows; median stable")
 	return r, nil
+}
+
+// verbOp is one write as a client sends it.
+type verbOp struct {
+	kind string
+	args []string
+	body string
+}
+
+// renderLSBench renders the experiments' LSBench workload as text: the
+// initial graph as one N-Triples body, and the ops that register the
+// streams and perClass instances of each query class and then drive the
+// streams over (0, until] on the Driver's schedule, one EMIT per stream and
+// step, each step closed by its ADVANCE.
+func renderLSBench(o Options, classes []int, perClass int, until rdf.Timestamp) (string, []verbOp, error) {
+	ss := strserver.New()
+	w := lsbench.Generate(LSConfig(o), ss)
+	var initial []byte
+	for _, enc := range w.Initial {
+		t, err := ss.DecodeTriple(enc)
+		if err != nil {
+			return "", nil, err
+		}
+		initial = append(rdf.AppendTriple(initial, t), " .\n"...)
+	}
+	var ops []verbOp
+	for _, sp := range lsbench.StreamConfigs() {
+		args := append([]string{sp.Name, strconv.FormatInt(sp.BatchInterval.Milliseconds(), 10)}, sp.TimingPreds...)
+		ops = append(ops, verbOp{kind: "STREAM", args: args})
+	}
+	for _, class := range classes {
+		for i := 0; i < perClass; i++ {
+			ops = append(ops, verbOp{kind: "REGISTER", body: w.QueryL(class, i*5+class)})
+		}
+	}
+	emit := func(s string, tuples []strserver.EncodedTuple) error {
+		var body []byte
+		for _, enc := range tuples {
+			t, err := ss.DecodeTriple(enc.EncodedTriple)
+			if err != nil {
+				return err
+			}
+			body = append(rdf.AppendTuple(body, rdf.Tuple{Triple: t, TS: enc.TS}), '\n')
+		}
+		if len(body) > 0 {
+			ops = append(ops, verbOp{kind: "EMIT", args: []string{s}, body: string(body)})
+		}
+		return nil
+	}
+	advance := func(to rdf.Timestamp) {
+		ops = append(ops, verbOp{kind: "ADVANCE", args: []string{strconv.FormatInt(int64(to), 10)}})
+	}
+	err := harness.Schedule(w.StreamTuples, lsbench.Streams(), 0, until, harness.LSBenchStep, emit, advance)
+	return string(initial), ops, err
 }

@@ -1,12 +1,13 @@
-// Package chaos is a crash/recovery harness for the §5 fault-tolerance
-// machinery: it drives a registered continuous query over a scripted,
-// seed-deterministic stream, kills the engine mid-run — at checkpoint or
-// non-checkpoint boundaries — recovers it from the fault-tolerance
-// directory, and records every window delivery so tests can assert the
-// paper's recovery contract:
+// Package chaos is a crash/recovery harness for §5 fault tolerance: it
+// drives a registered continuous query over a scripted, seed-deterministic
+// stream through a one-member cluster (cluster.Node without a transport,
+// the standalone daemon's durability), kills the node mid-run — right after
+// an ADVANCE or between acked EMITs and the ADVANCE that seals them — resumes
+// it from its data directory, and records every window delivery so tests
+// can assert the paper's recovery contract:
 //
-//	(a) recovery replays the durable checkpoints and re-registers the
-//	    logged continuous queries;
+//	(a) recovery replays the op log: the stream, the continuous query, and
+//	    every acked EMIT, LOAD and ADVANCE, so nothing acked is lost;
 //	(b) the post-recovery result stream is a superset of the fault-free
 //	    run's, with duplicates only at window granularity — deduplicating
 //	    by the window timestamp makes the two runs identical
@@ -23,13 +24,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
-	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/rdf"
-	"repro/internal/stream"
 )
 
 // batchMS is the scripted stream's mini-batch interval in milliseconds.
@@ -52,20 +53,22 @@ WHERE { GRAPH S { ?X po ?Y } }`
 type Config struct {
 	// Seed drives the scripted stream.
 	Seed int64
-	// Nodes is the engine's cluster size (default 2).
+	// Nodes is the engine's partition count (default 2).
 	Nodes int
 	// Batches is the stream length in mini-batches (default 8).
 	Batches int
 	// TuplesPerBatch is the scripted density (default 6; must stay < 99 so
 	// timestamps fit inside one batch interval).
 	TuplesPerBatch int
-	// CheckpointEvery is the auto-checkpoint cadence in batches (0 = only
-	// the initial empty log; the kill then hits a non-checkpoint boundary).
-	CheckpointEvery int
-	// KillAtBatch kills and recovers the engine after this batch's boundary
+	// KillAtBatch kills and resumes the node after this batch's ADVANCE
 	// (0 = fault-free run).
 	KillAtBatch int
-	// Dir is the fault-tolerance directory (required).
+	// midBatch moves the kill before that ADVANCE: batch KillAtBatch's EMITs
+	// are acked and not yet sealed into a batch. The resumed node is sent
+	// the last EMIT again under its id, as a client whose ack was lost
+	// retries it.
+	midBatch bool
+	// Dir is the node's data directory (required).
 	Dir string
 	// Flow is the engine's overload-protection config, applied identically
 	// to the first life, the recovered life, and the fault-free twin so
@@ -127,8 +130,8 @@ func (r *Report) Dedup() (map[rdf.Timestamp][]string, error) {
 }
 
 // collector accumulates firings; the prefix-integrity probe needs the query
-// handle, which does not exist yet while core.Recover replays (recovered
-// windows fire inside Recover). Those firings are checked as soon as the
+// handle, which does not exist yet while cluster.Resume replays (recovered
+// windows fire inside Resume). Those firings are checked as soon as the
 // handle lands — window stability is monotone, so a late true check is
 // still evidence and a late false check is a hard violation.
 type collector struct {
@@ -190,8 +193,17 @@ func scriptBatch(seed int64, b, n int) []rdf.Tuple {
 	return out
 }
 
-// start builds the first life: engine + FT + stream + query.
-func start(cfg Config, col *collector) (*core.Engine, *stream.Source, error) {
+// life is one incarnation of the node under test: an engine and the
+// one-member cluster that logs every op it applies.
+type life struct {
+	eng  *core.Engine
+	node *cluster.Node
+}
+
+// open starts a life on cfg.Dir: a fresh one, or, when resume is set, one
+// that replays the op log an earlier life left there. Its firings of the
+// scripted query go to col.
+func open(cfg Config, col *collector, resume bool) (*life, error) {
 	e, err := core.New(core.Config{
 		Nodes:          cfg.Nodes,
 		WorkersPerNode: 2,
@@ -202,55 +214,61 @@ func start(cfg Config, col *collector) (*core.Engine, *stream.Source, error) {
 		DeltaCrosscheck: true,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := e.EnableFT(core.FTConfig{Dir: cfg.Dir, CheckpointEveryBatches: cfg.CheckpointEvery}); err != nil {
-		e.Close()
-		return nil, nil, err
+	ccfg := cluster.Config{
+		Engine:   e,
+		SelfAddr: "chaos",
+		DataDir:  cfg.Dir,
+		// A kill here ends a node, not a machine: every appended op is in
+		// the page cache either way.
+		NoSync: true,
+		OnFire: func(name string, r *core.Result, f core.FireInfo) {
+			if name == QueryName {
+				col.cb(r, f)
+			}
+		},
 	}
-	src, err := e.RegisterStream(stream.Config{Name: StreamName, BatchInterval: batchMS * time.Millisecond})
+	start := cluster.NewSeed
+	if resume {
+		start = cluster.Resume
+	}
+	n, err := start(ccfg)
 	if err != nil {
 		e.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	cq, err := e.RegisterContinuous(queryText, col.cb)
-	if err != nil {
-		e.Close()
-		return nil, nil, err
-	}
-	col.attach(cq)
-	return e, src, nil
+	return &life{eng: e, node: n}, nil
 }
 
-// recoverEngine builds the second life from the FT directory. Recovered
-// windows re-fire inside core.Recover (at-least-once); the collector's
-// pending machinery covers their prefix checks.
-func recoverEngine(cfg Config, col *collector) (*core.Engine, *stream.Source, error) {
-	col.detach()
-	e, err := core.Recover(
-		core.Config{Nodes: cfg.Nodes, WorkersPerNode: 2, Flow: cfg.Flow, DeltaCrosscheck: true},
-		core.FTConfig{Dir: cfg.Dir, CheckpointEveryBatches: cfg.CheckpointEvery},
-		nil,
-		func(name string) func(*core.Result, core.FireInfo) {
-			if name == QueryName {
-				return col.cb
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, cq := range e.ContinuousQueries() {
+// attach hands col the life's query handle once it is registered.
+func (l *life) attach(col *collector) {
+	for _, cq := range l.eng.ContinuousQueries() {
 		if cq.Name == QueryName {
 			col.attach(cq)
 		}
 	}
-	src, ok := e.SourceOf(StreamName)
-	if !ok {
-		e.Close()
-		return nil, nil, fmt.Errorf("chaos: stream %q not recovered", StreamName)
-	}
-	return e, src, nil
+}
+
+// kill ends the life as a crash does: nothing is flushed or checkpointed,
+// and what the op log holds is what the next life gets.
+func (l *life) kill(col *collector) {
+	col.detach()
+	l.node.Close()
+	l.eng.Close()
+}
+
+// emit sends one tuple as its own EMIT under id, so admission decides per
+// tuple as a client's single-tuple EMITs do.
+func (l *life) emit(tu rdf.Tuple, id string) error {
+	_, err := l.node.Forward("EMIT", []string{StreamName, "id=" + id}, tu.String())
+	return err
+}
+
+// advance moves the clock to batch b's boundary.
+func (l *life) advance(b int) error {
+	_, err := l.node.Forward("ADVANCE", []string{strconv.Itoa(b * batchMS)}, "")
+	return err
 }
 
 // Run executes one scripted chaos run and returns its report.
@@ -268,13 +286,36 @@ func Run(cfg Config) (*Report, error) {
 	}
 	col := &collector{}
 	rep := &Report{}
-	e, src, err := start(cfg, col)
+	l, err := open(cfg, col, false)
 	if err != nil {
 		return nil, err
 	}
+	defer func() { l.kill(col) }() // a second kill does nothing
+	if _, err := l.node.Forward("STREAM", []string{StreamName, strconv.Itoa(batchMS)}, ""); err != nil {
+		return nil, err
+	}
+	if _, err := l.node.Forward("REGISTER", nil, queryText); err != nil {
+		return nil, err
+	}
+	l.attach(col)
+	// crash kills the life and resumes its successor from the op log.
+	crash := func() error {
+		l.kill(col)
+		next, err := open(cfg, col, true)
+		if err != nil {
+			return err
+		}
+		l = next
+		l.attach(col)
+		rep.Recovered = true
+		return nil
+	}
 	for b := 1; b <= cfg.Batches; b++ {
-		for _, tu := range scriptBatch(cfg.Seed, b, density) {
-			err := src.Emit(tu)
+		var last rdf.Tuple
+		var lastID string
+		for i, tu := range scriptBatch(cfg.Seed, b, density) {
+			last, lastID = tu, fmt.Sprintf("b%d-%d", b, i)
+			err := l.emit(tu, lastID)
 			switch {
 			case err == nil:
 			case errors.Is(err, flow.ErrShed):
@@ -282,23 +323,33 @@ func Run(cfg Config) (*Report, error) {
 				// scripted overload working, not a harness failure.
 				rep.Shed++
 			default:
-				e.Close()
 				return nil, err
 			}
 		}
-		e.AdvanceTo(rdf.Timestamp(b * batchMS))
-		if b == cfg.KillAtBatch {
-			e.Kill()
-			e, src, err = recoverEngine(cfg, col)
-			if err != nil {
+		if b == cfg.KillAtBatch && cfg.midBatch {
+			if err := crash(); err != nil {
 				return nil, err
 			}
-			rep.Recovered = true
+			// The retry of an EMIT the first life acked (or shed) is
+			// answered from the replicated dedup table, not applied again.
+			if err := l.emit(last, lastID); err != nil && !errors.Is(err, flow.ErrShed) {
+				return nil, err
+			}
+		}
+		if err := l.advance(b); err != nil {
+			return nil, err
+		}
+		if b == cfg.KillAtBatch && !cfg.midBatch {
+			if err := crash(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	// One empty boundary past the script flushes the final window.
-	e.AdvanceTo(rdf.Timestamp((cfg.Batches + 1) * batchMS))
-	e.Close()
+	if err := l.advance(cfg.Batches + 1); err != nil {
+		return nil, err
+	}
+	l.kill(col) // every firing is delivered once the engine is closed
 
 	col.mu.Lock()
 	rep.Firings = append(rep.Firings, col.firings...)

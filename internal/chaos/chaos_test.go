@@ -44,8 +44,8 @@ func checkInvariants(t *testing.T, faultFree, faulty *Report) {
 			t.Errorf("window %d diverged after recovery:\n%v\nvs\n%v", at, rows, frows)
 		}
 	}
-	// (a) at-least-once re-delivery actually happened: the recovered engine
-	// re-registered the logged query and re-fired recovered windows.
+	// (a) at-least-once re-delivery actually happened: the resumed node
+	// replayed the logged query and re-fired the windows before the kill.
 	if len(faulty.Firings) <= len(got) {
 		t.Error("recovery produced no duplicate window deliveries (queries not re-fired?)")
 	}
@@ -55,8 +55,11 @@ func checkInvariants(t *testing.T, faultFree, faulty *Report) {
 	}
 }
 
-// TestChaosKillAtNonCheckpointBoundary is the short-mode smoke test: kill
-// between checkpoints, recover, and hold all three §5 invariants.
+// TestChaosKillAtNonCheckpointBoundary kills the node between acked EMITs and
+// the ADVANCE that would seal them into a batch, resumes it, re-sends the
+// last EMIT under its id, and holds all three §5 invariants: the acked EMITs
+// were logged when they were acked, so none is lost, and the retry is not
+// applied twice.
 func TestChaosKillAtNonCheckpointBoundary(t *testing.T) {
 	cfg := Config{Seed: 7, Nodes: 2, Batches: 8, TuplesPerBatch: 6, Dir: t.TempDir()}
 	faultFree, err := Run(cfg)
@@ -68,8 +71,8 @@ func TestChaosKillAtNonCheckpointBoundary(t *testing.T) {
 	}
 
 	cfg.Dir = t.TempDir()
-	cfg.CheckpointEvery = 3
-	cfg.KillAtBatch = 4 // checkpoints land after batches 3 and 6: batch 4 is mid-interval
+	cfg.KillAtBatch = 4 // batch 4's EMITs are acked, its ADVANCE not yet sent
+	cfg.midBatch = true
 	faulty, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +80,8 @@ func TestChaosKillAtNonCheckpointBoundary(t *testing.T) {
 	checkInvariants(t, faultFree, faulty)
 }
 
+// TestChaosKillAtCheckpointBoundary kills the node right after an ADVANCE
+// sealed every acked EMIT, resumes it, and holds all three §5 invariants.
 func TestChaosKillAtCheckpointBoundary(t *testing.T) {
 	cfg := Config{Seed: 11, Nodes: 2, Batches: 8, TuplesPerBatch: 5, Dir: t.TempDir()}
 	faultFree, err := Run(cfg)
@@ -84,8 +89,7 @@ func TestChaosKillAtCheckpointBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Dir = t.TempDir()
-	cfg.CheckpointEvery = 2
-	cfg.KillAtBatch = 4 // immediately after the batch-4 auto-checkpoint
+	cfg.KillAtBatch = 4 // immediately after batch 4's ADVANCE
 	faulty, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +103,7 @@ func TestChaosKillAtCheckpointBoundary(t *testing.T) {
 func TestChaosDeterminism(t *testing.T) {
 	cfg := Config{
 		Seed: 42, Nodes: 2, Batches: 8, TuplesPerBatch: 6,
-		CheckpointEvery: 3, KillAtBatch: 5,
+		KillAtBatch: 5, midBatch: true,
 	}
 	cfg.Dir = t.TempDir()
 	a, err := Run(cfg)
@@ -127,7 +131,8 @@ func TestChaosDeterminism(t *testing.T) {
 
 // TestChaosKillUnderOverload is the combined crash+overload scenario: the
 // stream is over-emitted past its admission bound for the whole run, and the
-// engine is killed mid-run between checkpoints. Recovery must hold the full
+// node is killed mid-batch, its adaptor's admission buffer full of acked
+// EMITs. Recovery must hold the full
 // §5 contract against a fault-free twin running under the same overload —
 // and admission must shed identically in both runs (overload accounting is
 // part of the deterministic state, not collateral of the crash).
@@ -147,8 +152,8 @@ func TestChaosKillUnderOverload(t *testing.T) {
 	}
 
 	cfg.Dir = t.TempDir()
-	cfg.CheckpointEvery = 3
-	cfg.KillAtBatch = 5 // the last checkpoint (batch 3) precedes the kill
+	cfg.KillAtBatch = 5
+	cfg.midBatch = true
 	faulty, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +176,8 @@ func TestChaosLongerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Dir = t.TempDir()
-	cfg.CheckpointEvery = 7
 	cfg.KillAtBatch = 17
+	cfg.midBatch = true
 	faulty, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -293,20 +293,22 @@ func readClusterView(addr string, timeout time.Duration) (*clusterView, error) {
 }
 
 // spawn launches one wukongsd daemon and waits until its protocol port
-// answers STATS.
+// answers STATS. A daemon without a wire address runs standalone.
 func (cfg ProcConfig) spawn(bin string, d *procDaemon, seedWire string) error {
 	args := []string{
 		"-addr", d.addr,
-		"-listen", d.wireAddr,
-		"-cluster-heartbeat", cfg.Heartbeat.String(),
 		"-metrics-addr", d.httpAddr,
 		"-trace-sample", "1",
+	}
+	if d.wireAddr != "" {
+		args = append(args, "-listen", d.wireAddr, "-cluster-heartbeat", cfg.Heartbeat.String())
 	}
 	if d.rank != 0 {
 		args = append(args, "-join", seedWire)
 	}
 	if d.dataDir != "" {
-		// -no-sync: these runs measure failover windows, not disk latency.
+		// -no-sync: a kill -9 keeps the page cache, and these runs measure
+		// failover windows, not disk latency.
 		args = append(args, "-data-dir", d.dataDir, "-no-sync")
 		if cfg.SnapshotEvery > 0 {
 			args = append(args, "-snapshot-every", strconv.Itoa(cfg.SnapshotEvery))

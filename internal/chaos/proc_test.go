@@ -2,10 +2,19 @@ package chaos
 
 import (
 	"fmt"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/stream"
 )
 
 // TestProcClusterKillDashNine is the failover contract asserted across real
@@ -183,4 +192,151 @@ func TestProcFourthDaemonJoins(t *testing.T) {
 	}
 	assertWindowsEqual(t, "member", rep.Windows, rep.TwinWindows)
 	assertWindowsEqual(t, "fourth daemon", rep.JoinerWindows, rep.Windows)
+}
+
+// TestProcStandaloneKillDashNine is §5's "no acked op lost or applied twice"
+// for a real standalone daemon: wukongsd with -data-dir and no -listen is
+// sent EMITs under id= tokens, each acked, and kill -9ed before any ADVANCE
+// seals them. Restarted on the same directory, it is sent the last EMIT
+// again under the same token, as a client whose ack was lost retries it;
+// then ADVANCE and POLL. Every acked tuple must be delivered in every window
+// that spans it exactly once (a multiset match with an in-process twin), and
+// the store must hold each once. Runs in -short mode too (make chaos-proc).
+func TestProcStandaloneKillDashNine(t *testing.T) {
+	const batches = 3
+	cfg := ProcConfig{Seed: 17, WorkDir: t.TempDir(), Logf: t.Logf}.procDefaults()
+	bin, err := cfg.EnsureBin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ports, err := freePorts(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &procDaemon{
+		addr:     fmt.Sprintf("127.0.0.1:%d", ports[0]),
+		httpAddr: fmt.Sprintf("127.0.0.1:%d", ports[1]),
+		dataDir:  filepath.Join(cfg.WorkDir, "data"),
+	}
+	defer d.kill9()
+	if err := cfg.spawn(bin, d, ""); err != nil {
+		t.Fatal(err)
+	}
+	// send runs one command on a fresh connection and returns its status
+	// line, failing unless it is "+OK".
+	send := func(lines ...string) string {
+		t.Helper()
+		l, err := dialLine(d.addr, cfg.Timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.close()
+		st, err := l.cmd(append(lines, "QUIT")...)
+		if err != nil || !strings.HasPrefix(st, "+OK") {
+			t.Fatalf("%s: %q, %v", lines[0], st, err)
+		}
+		return st
+	}
+	emit := func(b int) string {
+		lines := []string{fmt.Sprintf("EMIT %s id=emit-%d", StreamName, b)}
+		for _, tu := range scriptBatch(cfg.Seed, b, cfg.TuplesPerBatch) {
+			lines = append(lines, tu.String())
+		}
+		return send(append(lines, ".")...)
+	}
+	send(fmt.Sprintf("STREAM %s %d id=stream", StreamName, batchMS))
+	send("REGISTER id=register", queryText, ".")
+	var lastAck string
+	for b := 1; b <= batches; b++ {
+		lastAck = emit(b)
+	}
+
+	d.kill9()
+	if err := cfg.spawn(bin, d, ""); err != nil {
+		t.Fatal(err)
+	}
+	if retry := emit(batches); retry != lastAck {
+		t.Errorf("the retried EMIT answered %q, its first ack was %q", retry, lastAck)
+	}
+	send(fmt.Sprintf("ADVANCE %d", (batches+3)*batchMS))
+
+	l, err := dialLine(d.addr, cfg.Timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.close()
+	if st, err := l.cmd("POLL " + QueryName); err != nil || !strings.HasPrefix(st, "+OK") {
+		t.Fatalf("POLL: %q, %v", st, err)
+	}
+	polled, err := l.block()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[rdf.Timestamp][]string{}
+	for _, line := range polled {
+		at, row, _ := strings.Cut(strings.TrimPrefix(line, "@"), " ")
+		ts, err := strconv.ParseInt(at, 10, 64)
+		if err != nil {
+			t.Fatalf("POLL row %q", line)
+		}
+		got[rdf.Timestamp(ts)] = append(got[rdf.Timestamp(ts)], row)
+	}
+	stored, _, err := queryRows(l, `SELECT ?X ?Y WHERE { ?X po ?Y }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The twin applies each scripted batch once and keeps duplicate rows.
+	twin, err := core.New(core.Config{Nodes: twinEngineNodes, WorkersPerNode: 2, Metrics: obs.NewRegistry("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	src, err := twin.RegisterStream(stream.Config{Name: StreamName, BatchInterval: batchMS * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	want := map[rdf.Timestamp][]string{}
+	if _, err := twin.RegisterContinuous(queryText, func(r *core.Result, f core.FireInfo) {
+		if rows := r.Strings(); len(rows) > 0 { // POLL shows no empty firing
+			mu.Lock()
+			want[f.At] = append(want[f.At], rows...)
+			mu.Unlock()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for b := 1; b <= batches; b++ {
+		for _, tu := range scriptBatch(cfg.Seed, b, cfg.TuplesPerBatch) {
+			if err := src.Emit(tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	twin.AdvanceTo((batches + 3) * batchMS)
+	res, err := twin.Query(`SELECT ?X ?Y WHERE { ?X po ?Y }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(want) == 0 {
+		t.Fatal("the twin fired no window")
+	}
+	twinRows := res.Strings()
+	sort.Strings(stored)
+	sort.Strings(twinRows)
+	for _, m := range []map[rdf.Timestamp][]string{got, want} {
+		for _, rows := range m {
+			sort.Strings(rows)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("windows after the restart:\n%v\ntwin:\n%v", got, want)
+	}
+	if !reflect.DeepEqual(stored, twinRows) {
+		t.Errorf("the store holds %d po rows, the twin %d:\n%v\nvs\n%v", len(stored), len(twinRows), stored, twinRows)
+	}
 }

@@ -48,6 +48,10 @@
 // rank replays from one op log, an oplog.Log (durable with a data directory,
 // else private and unsynced), compacted by periodic engine snapshots; a
 // member that needs ops compacted away catches up by snapshot transfer.
+//
+// A node without a transport is a one-member cluster: a standalone daemon's
+// durability (DESIGN.md §8). It sequences, logs and applies like any
+// authority, takes no snapshots, and refuses an op its log refuses.
 package cluster
 
 import (
@@ -159,7 +163,11 @@ var ErrRankSpace = errors.New("cluster: rank space exhausted")
 
 // Config parameterizes one cluster daemon.
 type Config struct {
-	// Transport is the message plane. Required.
+	// Transport is the message plane. Nil makes a one-member cluster with no
+	// peers: a standalone daemon's durability (DESIGN.md §8). Such a node
+	// takes no snapshots (nobody asks for one, and a restored snapshot would
+	// re-fire the windows spanning it without their earlier batches), and
+	// refuses, unapplied, an op its log refuses.
 	Transport *wire.TCP
 	// Self is this daemon's rank (0 = seed); the transport speaks for it.
 	Self fabric.NodeID
@@ -319,8 +327,8 @@ func (c Config) heartbeat() time.Duration {
 }
 
 func newNode(cfg Config) (*Node, error) {
-	if cfg.Transport == nil || cfg.Engine == nil {
-		return nil, fmt.Errorf("cluster: Transport and Engine are required")
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("cluster: Engine is required")
 	}
 	r := cfg.Metrics
 	n := &Node{
@@ -397,7 +405,9 @@ func newNode(cfg Config) (*Node, error) {
 	r.Counter("ft_quarantined_records_total").Add(int64(dl.Damaged()))
 	n.dlog = dl
 	n.det = member.New(n.self, n.cfg.heartbeat().Milliseconds(), n.t.Heartbeat, r)
-	cfg.Transport.SetHandler(cfg.Self, n)
+	if n.t != nil {
+		n.t.SetHandler(cfg.Self, n)
+	}
 	return n, nil
 }
 
@@ -622,7 +632,7 @@ func (n *Node) logf(format string, args ...any) {
 // startTicker drives the membership detector on wall-clock time.
 func (n *Node) startTicker() {
 	iv := n.cfg.heartbeat()
-	if iv < 0 {
+	if iv < 0 || n.t == nil {
 		return
 	}
 	go func() {
@@ -966,7 +976,10 @@ func opEpoch(cur uint64, kind string, args []string) uint64 {
 // member applies its own copy. Nothing else is sequenced until apply has
 // run, so the authority applies op n before it sequences n+1, members
 // observe ops in apply order, and every op below the one in flight is in the
-// log: a SYNC never needs an older op than that.
+// log: a SYNC never needs an older op than that. An op whose append fails
+// before any member was sent it is refused unapplied, and its seq goes to
+// the next op: no replica and no log holds it, so applying it would ack a
+// write no restart replays (on a one-member cluster, every op).
 //
 // Because the op is broadcast before anyone knows whether it will be
 // refused, a refused op is sequenced too and refused alike on every replica
@@ -1018,7 +1031,12 @@ func (n *Node) sequence(tc trace.Context, id, kind string, args []string, body s
 	spRepl.End()
 
 	spSync := n.tracer.Start(tc, "seed.fsync")
-	spSync.EndErr(n.appendLocked(seq, enc))
+	err = n.appendLocked(seq, enc)
+	spSync.EndErr(err)
+	if err != nil && len(targets) == 0 {
+		n.applyMu.Unlock()
+		return 0, "", nil, fmt.Errorf("cluster: op log refused op %d: %w", seq, err)
+	}
 
 	return seq, "", func() (string, error) {
 		defer n.applyMu.Unlock()

@@ -22,7 +22,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -32,30 +32,22 @@ import (
 	"repro/internal/trace"
 )
 
-// HasDurableState reports whether dir holds anything Resume could recover
-// (oplog segments or a snapshot). Callers use it to pick Resume over
-// NewSeed/Join on daemon start.
+// HasDurableState reports whether dir holds anything Resume could recover:
+// an op log (oplog.Exists, so a segment a crash left all zeros is none) or a
+// snapshot file. Callers use it to pick Resume over NewSeed/Join on daemon
+// start.
 func HasDurableState(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".wal") {
-			return true
-		}
-		if strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".ws") {
-			return true
-		}
-	}
-	return false
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.ws"))
+	return oplog.Exists(dir) || len(snaps) > 0
 }
 
-// Resume restarts a daemon from its data directory. cfg.Engine must be
-// fresh (nothing loaded): the recovered snapshot and oplog replay — or the
-// live cluster's history — fully determine its contents.
-func Resume(cfg Config) (*Node, error) {
+// Resume restarts a daemon from its data directory. cfg.Engine must hold
+// nothing an op logged: the recovered snapshot and oplog replay — or the
+// live cluster's history — determine its contents (a standalone daemon's
+// -load preload is the one thing loaded before, on every start). Without a
+// Transport the directory must record no other member. A Resume that fails
+// before it writes closes the node and leaves every file as it found it.
+func Resume(cfg Config) (_ *Node, err error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("cluster: Resume requires DataDir")
 	}
@@ -63,6 +55,11 @@ func Resume(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			n.Close()
+		}
+	}()
 
 	// Scan — don't apply — the durable record to recover the succession
 	// facts: who the members were, how high the epoch got, how far the log
@@ -74,23 +71,22 @@ func Resume(cfg Config) (*Node, error) {
 	if rec.snap == nil && rec.logLast == 0 {
 		return nil, fmt.Errorf("cluster: nothing to resume in %s", cfg.DataDir)
 	}
-	rec.members[int(n.self)] = cfg.SelfAddr
+	var others []fabric.NodeID
 	for r, addr := range rec.members {
-		if fabric.NodeID(r) != n.self {
-			// The transport keeps addr for the daemon's life, and it is cut
-			// from an op log record or from the whole snapshot transcript.
-			n.t.SetPeer(fabric.NodeID(r), strings.Clone(addr))
+		if fabric.NodeID(r) == n.self {
+			continue
 		}
+		if n.t == nil {
+			return nil, fmt.Errorf("cluster: %s records member rank %d, and a daemon without peers cannot reach it", cfg.DataDir, r)
+		}
+		// The transport keeps addr for the daemon's life, and it is cut
+		// from an op log record or from the whole snapshot transcript.
+		n.t.SetPeer(fabric.NodeID(r), strings.Clone(addr))
+		others = append(others, fabric.NodeID(r))
 	}
 
 	// Probe: is anyone else alive? Prefer the highest-epoch respondent as
 	// the catch-up donor — it has the freshest succession view.
-	var others []fabric.NodeID
-	for r := range rec.members {
-		if fabric.NodeID(r) != n.self {
-			others = append(others, fabric.NodeID(r))
-		}
-	}
 	slices.Sort(others)
 	if alive := n.survey(others); len(alive) > 0 {
 		donor := slices.MaxFunc(alive, func(a, b peerState) int { return cmp.Compare(a.epoch, b.epoch) })

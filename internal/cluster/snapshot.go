@@ -61,9 +61,12 @@ const snapChunk = 1 << 20
 // maybeSnapshotLocked drives the snapshot cadence after each applied op.
 // Caller holds applyMu. Due snapshots are deferred at non-quiescent points
 // (only an ADVANCE with no pending emits is safe — see the package comment)
-// and retried on the next op. A closed node takes none.
+// and retried on the next op. A closed node takes none, and neither does a
+// one-member cluster (see Config.Transport). A private op log is compacted
+// without a snapshot file: only Resume reads one, and Resume never opens a
+// private directory.
 func (n *Node) maybeSnapshotLocked(kind string) {
-	if n.closed {
+	if n.closed || n.t == nil {
 		return
 	}
 	every := n.cfg.SnapshotEvery
@@ -82,7 +85,7 @@ func (n *Node) maybeSnapshotLocked(kind string) {
 	n.mu.Lock()
 	seq, epoch := n.applied, n.epoch
 	n.mu.Unlock()
-	if err := oplog.SaveSnapshot(n.logDir, seq, epoch, payload); err != nil {
+	if err := n.saveSnapshot(seq, epoch, payload); err != nil {
 		n.logf("snapshot save at %d: %v", seq, err)
 		return
 	}
@@ -95,6 +98,15 @@ func (n *Node) maybeSnapshotLocked(kind string) {
 	n.cSnapBytes.Add(int64(len(payload)))
 	n.opsSinceSnap = 0
 	n.logf("durable snapshot at seq %d (%d bytes)", seq, len(payload))
+}
+
+// saveSnapshot writes the snapshot file Resume restores from, beside a
+// durable op log; a private one gets none.
+func (n *Node) saveSnapshot(seq, epoch uint64, payload []byte) error {
+	if n.tmpDir {
+		return nil
+	}
+	return oplog.SaveSnapshot(n.logDir, seq, epoch, payload)
 }
 
 func (n *Node) cacheSnapshot(seq, epoch uint64, payload []byte) {
@@ -435,10 +447,10 @@ func (n *Node) catchUpFromSnapshot(target fabric.NodeID, hi uint64) error {
 	n.setAppliedLocked(gotSeq)
 	n.mu.Unlock()
 	// Rebase the op log at the snapshot: everything before it is captured by
-	// the snapshot file saved alongside.
+	// the snapshot, saved alongside a durable log.
 	if err := n.dlog.Reset(); err != nil {
 		n.logf("oplog rebase: %v", err)
-	} else if err := oplog.SaveSnapshot(n.logDir, gotSeq, gotEpoch, payload); err != nil {
+	} else if err := n.saveSnapshot(gotSeq, gotEpoch, payload); err != nil {
 		n.logf("snapshot save: %v", err)
 	}
 	n.applyMu.Unlock()

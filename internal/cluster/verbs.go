@@ -49,7 +49,7 @@ func ApplyVerb(eng *core.Engine, onFire func(name string, res *core.Result, fi c
 		if err != nil {
 			// Idempotent re-registration: the stream already exists (a
 			// reconnecting client replaying its session, a stream recovered
-			// from the FT log, a snapshot restored under the op). Adopt it.
+			// from the op log, a snapshot restored under the op). Adopt it.
 			if _, ok := eng.SourceOf(args[0]); !ok {
 				return "", err
 			}

@@ -724,16 +724,12 @@ func TestSnapshotRoundTripsLongKeys(t *testing.T) {
 	}
 }
 
-// TestStreamEncodingsAgree: a stream has three encodings — the STREAM verb,
-// the §5 log's S record, and a cluster snapshot's STREAM line — and each
-// registers the same config, with timing predicates and without.
+// TestStreamEncodingsAgree: a stream has two encodings — the STREAM verb and
+// a cluster snapshot's STREAM line — and both register the same config, with
+// timing predicates and without.
 func TestStreamEncodingsAgree(t *testing.T) {
 	donor, restored := startSeedCfg(t, nil), startSeedCfg(t, nil)
 	defer restored.close()
-	dir := t.TempDir()
-	if err := donor.eng.EnableFT(core.FTConfig{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
 	for _, args := range [][]string{{"S", "100"}, {"G", "50", "ga", "gb"}} {
 		if _, err := ApplyVerb(donor.eng, nil, "STREAM", args, ""); err != nil {
 			t.Fatal(err)
@@ -751,17 +747,10 @@ func TestStreamEncodingsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := core.Recover(core.Config{Nodes: engineNodes, WorkersPerNode: 2, Metrics: obs.NewRegistry("")}, core.FTConfig{Dir: dir}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
 	if len(want) != 2 || len(want[1].TimingPredicates) != 2 {
 		t.Fatalf("the STREAM verb registered %+v", want)
 	}
-	for name, eng := range map[string]*core.Engine{"snapshot": restored.eng, "S record": recovered} {
-		if got := eng.StreamConfigsOrdered(); !reflect.DeepEqual(got, want) {
-			t.Errorf("from the %s: %+v, the STREAM verb registered %+v", name, got, want)
-		}
+	if got := restored.eng.StreamConfigsOrdered(); !reflect.DeepEqual(got, want) {
+		t.Errorf("from the snapshot: %+v, the STREAM verb registered %+v", got, want)
 	}
 }

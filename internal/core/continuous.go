@@ -226,9 +226,6 @@ func (e *Engine) RegisterContinuous(text string, cb func(*Result, FireInfo)) (*C
 	}
 	e.continuous[name] = cq
 	e.cqOrder = append(e.cqOrder, name)
-	if e.ft != nil {
-		e.ftLogQuery(text)
-	}
 	return cq, nil
 }
 

@@ -160,7 +160,7 @@ type streamState struct {
 	inject   []stream.InjectScratch // per node, guarded by injectMu
 	home     fabric.NodeID          // adaptor home (stream arrival node)
 	timing   bool                   // has any timing predicates (diagnostics)
-	cfg      stream.Config          // original registration config (persisted by FT)
+	cfg      stream.Config          // original registration config (for snapshots)
 
 	// Per-stream observability counters (nil-safe; see RegisterStream).
 	mTuples  *obs.Counter
@@ -233,8 +233,6 @@ type Engine struct {
 	cqSeq      int
 	now        rdf.Timestamp
 	nextHome   int // round-robin placement for queries and adaptors
-
-	ft *ftState // non-nil when fault tolerance is enabled
 
 	// sealMu orders loads after the batches sealed before them: AdvanceTo
 	// holds it shared while it seals and injects, LoadTriples exclusively.
@@ -357,7 +355,7 @@ func (e *Engine) registerMetrics() {
 	}
 }
 
-// Close stops the engine's workers and flushes durable state gracefully.
+// Close stops the engine's workers.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -365,33 +363,8 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	ft := e.ft
 	e.mu.Unlock()
 	e.cluster.Close()
-	if ft != nil {
-		ft.close(true)
-	}
-}
-
-// Kill abruptly stops the engine, simulating a process crash: workers stop,
-// the log is closed without a sync, and no final checkpoint is taken — the
-// fault-tolerance directory is left exactly as the last append left it. The
-// engine is unusable afterwards; Recover builds a successor from the
-// directory. The chaos harness uses this to exercise §5 recovery at
-// non-checkpoint boundaries.
-func (e *Engine) Kill() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	ft := e.ft
-	e.mu.Unlock()
-	e.cluster.Close()
-	if ft != nil {
-		ft.close(false)
-	}
 }
 
 // StringServer exposes the shared string server (clients encode query
@@ -423,8 +396,7 @@ func (e *Engine) Now() rdf.Timestamp {
 // snapshot. Later, a load takes a snapshot number as a batch does (§4.1,
 // §4.3): the next one, the lowest any stream may still write at, so no key
 // sees its snapshots regress, and one-shots see the whole load from the next
-// stable snapshot on. With fault tolerance on, the load is logged first, and
-// a load the log refuses is not applied.
+// stable snapshot on.
 func (e *Engine) LoadTriples(triples []rdf.Triple) error {
 	pids := make([]rdf.ID, len(triples))
 	if err := e.ss.InternPredicates(pids, func(i int) string { return triples[i].P.Value }); err != nil {
@@ -432,9 +404,6 @@ func (e *Engine) LoadTriples(triples []rdf.Triple) error {
 	}
 	e.sealMu.Lock()
 	defer e.sealMu.Unlock()
-	if err := e.ftLogLoad(triples); err != nil {
-		return err
-	}
 	sn := e.loadSN()
 	for i, t := range triples {
 		e.stored.Insert(e.ss.EncodeWith(t, pids[i]), sn, false, nil)
@@ -524,11 +493,6 @@ func (e *Engine) RegisterStream(cfg stream.Config) (*stream.Source, error) {
 	e.registerStreamMetrics(st, cfg.Name)
 	e.streams[cfg.Name] = st
 	e.streamByID = append(e.streamByID, st)
-	if e.ft != nil {
-		if err := e.ftLogStream(st); err != nil {
-			return nil, err
-		}
-	}
 	return src, nil
 }
 
@@ -757,9 +721,6 @@ func (e *Engine) AdvanceTo(ts rdf.Timestamp) {
 func (e *Engine) injectBatch(st *streamState, b stream.Batch, sn uint32) {
 	st.injectMu.Lock()
 	defer st.injectMu.Unlock()
-	if e.ft != nil {
-		e.ftLogBatch(st, b)
-	}
 	t0 := time.Now()
 	work := stream.Dispatch(e.fab, st.home, b)
 	e.hDispatch.Observe(time.Since(t0))

@@ -126,3 +126,11 @@ func TestExplainLSBenchAsksNoWindowFraction(t *testing.T) {
 		}
 	}
 }
+
+func TestEngineClientExplainPath(t *testing.T) {
+	e, _, _ := figure1Engine(t, 2)
+	out, err := e.Explain(`SELECT ?X WHERE { Logan po ?X }`)
+	if err != nil || out == "" {
+		t.Fatalf("explain: %v %q", err, out)
+	}
+}

@@ -2,8 +2,9 @@
 // §15): segmented, CRC32C-framed record files plus a snapshot file. The
 // cluster stores its replicated ops in it, so a restarted daemon recovers
 // cluster state from disk instead of needing a live peer to replay the whole
-// history; a standalone engine stores its §5 fault-tolerance records in it,
-// and the log is all that engine's recovery has.
+// history. A standalone daemon with a data directory is a one-member
+// cluster, so the same log is its §5 fault-tolerance log, and all its
+// recovery has.
 //
 // Both kinds of durable record carry their payload in one frame,
 //
@@ -26,8 +27,8 @@
 // record is the unused allocation of a tail that was open at the crash, not
 // damage: the next write trims it the same way. A corrupt record in the
 // *middle* of a segment poisons everything after it. The cluster falls back
-// to snapshot catch-up, which is always safe; a standalone engine loses those
-// records.
+// to snapshot catch-up, which is always safe; a one-member cluster loses
+// those records.
 package oplog
 
 import (
@@ -135,8 +136,7 @@ type Options struct {
 	// SegmentOps is the rotation threshold (default DefaultSegmentOps).
 	SegmentOps int
 	// NoSync skips the per-append fsync: a process crash keeps every
-	// appended record, power loss may lose the tail since the last Sync. The
-	// §5 fault-tolerance log runs this way and syncs at each checkpoint.
+	// appended record, power loss may lose the tail since the last Sync.
 	NoSync bool
 }
 

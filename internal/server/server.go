@@ -23,8 +23,9 @@
 //	QUIT
 //
 // The first five are the write verbs. Each may end with an "id=<token>"
-// argument, the client's exactly-once handle: cluster mode threads it into
-// the replicated dedup table, a standalone daemon drops it. Both modes
+// argument, the client's exactly-once handle: cluster mode, and a standalone
+// daemon with a data directory (a one-member cluster), thread it into the
+// replicated dedup table; a standalone daemon without one drops it. Both modes
 // execute them with the same code, cluster.ApplyVerb — a standalone daemon
 // calls it on its engine, a cluster daemon forwards the command to the write
 // authority, which calls it there and on every replica — so a command gets
@@ -482,10 +483,10 @@ func (s *Server) cmdWrite(w *bufio.Writer, r *lineReader, kind string, args []st
 }
 
 // execWrite hands one write command to the one interpreter: directly on a
-// standalone daemon, through the replicated op log in cluster mode (where the
-// write authority and every replica run that same interpreter). Argument
-// checking, parsing and the reply text are the interpreter's alone, so both
-// modes answer alike. The only thing decided here is admission control at the
+// standalone daemon without a data directory, through a cluster node's op log
+// otherwise (with peers, the write authority and every replica run that same
+// interpreter). Argument checking, parsing and the reply text are the
+// interpreter's alone, so every mode answers alike. The only thing decided here is admission control at the
 // ingest edge: the rate limiter admits or sheds a whole EMIT by its tuple
 // count before anything is applied or replicated (a half-admitted EMIT would
 // make the client's retry duplicate the admitted half), and refuses outright
@@ -561,9 +562,9 @@ func (s *Server) cmdExplain(w *bufio.Writer, r *lineReader) error {
 
 // BufferResult appends a continuous-query firing to name's POLL buffer —
 // the sink REGISTER wires up. Exported so firings that do not originate in
-// this server's own REGISTER reach the same buffers: cluster replication
-// (cluster.Config.OnFire) and an engine recovered before the server existed
-// (core.Recover's callback factory).
+// this server's own REGISTER reach the same buffers: every query a cluster
+// node applies, replicated or replayed from its op log
+// (cluster.Config.OnFire).
 func (s *Server) BufferResult(name string, res *core.Result, f core.FireInfo) {
 	// Render every "@<at> <row>" line into one scratch buffer before taking
 	// the lock, make one string of it and hand out substrings: a firing costs

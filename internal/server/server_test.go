@@ -369,7 +369,7 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// A restarted daemon recovers streams from the FT log into the engine, but
+// A restarted daemon recovers streams from its op log into the engine, but
 // the server process's own stream table starts empty. EMIT must fall back to
 // the engine, and a replayed STREAM must be an idempotent no-op, or
 // reconnecting clients are stranded after every recovery.

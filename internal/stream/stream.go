@@ -4,8 +4,8 @@
 //     to IDs, classifies each tuple as timing or timeless, enforces the
 //     C-SPARQL monotonic-timestamp model, and groups tuples into mini-batches
 //     by timestamp. It keeps no sealed batch: the paper's upstream backup
-//     (§5) is the client's buffer, and an engine's durable copy is its
-//     fault-tolerance log (internal/core/ft.go).
+//     (§5) is the client's buffer, and a daemon's durable copy is its
+//     op log (internal/cluster, one EMIT op per acked EMIT).
 //   - Dispatch (the paper's Dispatcher): partitions a sealed batch across
 //     nodes — each tuple's subject side goes to the subject's home node and
 //     its object side to the object's home node, the same sharding the
@@ -237,26 +237,6 @@ func (s *Source) appendLocked(enc strserver.EncodedTuple) {
 	s.pending = append(s.pending, Tuple{EncodedTuple: enc, Timing: s.timing[enc.P]})
 	s.lastTS = enc.TS
 	s.qstats.OnAdmit()
-}
-
-// EmitReplayed is Emit minus admission control, for fault-tolerance replay:
-// a durably-logged tuple was admitted before the crash, and shedding it now
-// would silently turn at-least-once recovery into at-most-once. Ordering and
-// sealed-batch checks still apply, and the tuple still counts in the queue's
-// admit/depth accounting.
-func (s *Source) EmitReplayed(t rdf.Tuple) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.orderLocked(t.TS); err != nil {
-		return err
-	}
-	enc, err := s.ss.EncodeTuple(t)
-	if err != nil {
-		return err
-	}
-	s.appendLocked(enc)
-	s.qstats.Observe(len(s.pending))
-	return nil
 }
 
 // orderLocked enforces the strict time model on one timestamp: it may not

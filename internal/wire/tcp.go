@@ -831,8 +831,8 @@ func (t *TCP) failConnCalls(w *wconn, from fabric.NodeID) {
 }
 
 // quarantine counts one untrustworthy frame dropped by the receive path. It
-// bumps both the wire counter and the cluster-wide quarantine counter that
-// core/ft.go uses for damaged durable records: "data failed its checksum
+// bumps both the wire counter and the quarantine counter a node's op log
+// counts its damaged durable records in: "data failed its checksum
 // and was set aside" is one budget, wherever the bytes came from.
 func (t *TCP) quarantine() {
 	t.cQuarantined.Inc()
