@@ -246,6 +246,71 @@ func TestFTQuarantinesBitFlippedRecord(t *testing.T) {
 	}
 }
 
+// TestFTDetectsCorruptStreamMetadata damages the records a stream's data
+// replays against. The log's first record is the node's MEMBER op, logged
+// before the stream registration and every op after it: a bit flipped there
+// must stop the restart loudly, count the damage, and leave the log as it
+// found it. A bit flipped in the STREAM op itself quarantines that op and
+// everything after it: the resumed node keeps the ops before it, knows no
+// Tweet_Stream, and refuses an EMIT to it instead of applying it against
+// nothing.
+func TestFTDetectsCorruptStreamMetadata(t *testing.T) {
+	// damagedLife logs a stream registration and one sealed batch on it,
+	// crashes, and flips a bit in the first record that mentions word. It
+	// returns the segment's path and its damaged bytes.
+	damagedLife := func(t *testing.T, dir, word string) (string, []byte) {
+		t.Helper()
+		l := tweetsLife(t, dir, nil)
+		l.emit(t, "Tweet_Stream", 110, "Logan", "po", "T-90")
+		l.advance(t, 200)
+		l.kill()
+		seg := filepath.Join(dir, "seg-1.wal")
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := strings.Index(string(data), word)
+		if i < 0 {
+			t.Fatalf("log does not mention %s:\n%q", word, data)
+		}
+		data[i] ^= 0x01
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return seg, data
+	}
+
+	t.Run("damaged first record refuses the restart", func(t *testing.T) {
+		dir := t.TempDir()
+		seg, data := damagedLife(t, dir, "MEMBER")
+		reg := obs.NewRegistry("")
+		if _, err := open(t, dir, nil, func(c *cluster.Config) { c.Metrics = reg }); err == nil {
+			t.Fatal("resume from a damaged first record succeeded")
+		}
+		if n := reg.Counter("ft_quarantined_records_total").Value(); n != 1 {
+			t.Errorf("quarantined records = %d, want 1", n)
+		}
+		if after, _ := os.ReadFile(seg); string(after) != string(data) {
+			t.Error("failed resume modified the log")
+		}
+	})
+
+	t.Run("damaged stream registration drops the stream", func(t *testing.T) {
+		dir := t.TempDir()
+		damagedLife(t, dir, "Tweet_Stream")
+		re := mustOpen(t, dir, nil)
+		if got := re.rows(t, `SELECT ?P WHERE { Logan po ?P }`); !reflect.DeepEqual(got, []string{"T-13"}) {
+			t.Errorf("recovered rows = %v, want [T-13]: the LOAD before the damage, no tuple after it", got)
+		}
+		if n := re.reg.Counter("ft_quarantined_records_total").Value(); n != 1 {
+			t.Errorf("quarantined records = %d, want 1", n)
+		}
+		if reply, err := re.node.Forward("EMIT", []string{"Tweet_Stream"}, "<Logan> <po> <T-91> . @300"); err == nil {
+			t.Errorf("EMIT to a stream whose registration was quarantined answered %q", reply)
+		}
+	})
+}
+
 // A failed append refuses its op, applied nowhere: with one op per segment,
 // the next op must create a segment file, which fails once the directory is
 // gone. The refusal sticks while the log cannot take an op, for every verb,
