@@ -78,7 +78,10 @@ faults:
 # Five seconds of native fuzzing per target where bytes cross a trust
 # boundary, and where one model checks a whole query path: the wire frame
 # decoder never panics, re-encodes what it decodes to the same bytes, and
-# types its errors the way Resyncable says; the op decoder never panics and
+# types its errors the way Resyncable says; a daemon's connection handler
+# never panics on arbitrary request bytes, frames every reply line as a
+# status line, a counted row or ".", and leaves the next connection served;
+# the op decoder never panics and
 # round-trips, the verb interpreter never panics and leaves
 # no trace of an op it refuses, the in-memory tuple parser never panics and
 # agrees with the streaming Reader, the key scanner EMIT interns from agrees
@@ -95,6 +98,7 @@ faults:
 # a query that parses to the same thing. -fuzz takes one target per run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyVerb$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzApplySnapshot$$' -fuzztime 5s ./internal/cluster

@@ -896,11 +896,11 @@ func RunProcSeedKill(cfg ProcConfig) (*SeedKillReport, error) {
 	if cfg.RestartAtBatch <= cfg.KillAtBatch || cfg.RestartAtBatch > cfg.Batches {
 		return nil, fmt.Errorf("chaos: RestartAtBatch %d must be inside (KillAtBatch, Batches]", cfg.RestartAtBatch)
 	}
-	// Drive everything through the successor-to-be. A generous unavailable
+	// Drive everything through the successor-to-be. A generous retry
 	// budget keeps each write inside ONE id-bearing logical op, so a write
 	// that raced the takeover retries with the same id — the dedup table,
 	// not the harness, guarantees exactly-once.
-	p, err := startProc(cfg, cfg.Nodes, 1, true, client.Options{UnavailableRetries: 400})
+	p, err := startProc(cfg, cfg.Nodes, 1, true, client.Options{MaxRetries: 400})
 	if err != nil {
 		return nil, err
 	}

@@ -3,12 +3,24 @@
 // server's line protocol, letting applications load data, attach streams,
 // drive the logical clock, and run one-shot or continuous queries remotely.
 //
-// The client is fault-tolerant in the same at-least-once sense as the engine
-// (§5): every request runs under an I/O deadline, and when the connection
-// dies the client reconnects with jittered exponential backoff, replays its
-// session (STREAM and REGISTER commands), and retries the request. A retried
-// EMIT may therefore deliver tuples twice — exactly the duplication the
-// engine's window-granularity dedup contract absorbs.
+// A Client is a connection, not a session: the streams and continuous
+// queries it registers live on the server, and a daemon that logs restores
+// them from its op log after a restart (§5). Every request runs under an I/O deadline; a
+// failed one is re-sent, byte for byte, under one retry budget — after the
+// server's retry-after hint when it was shed or reported a peer unavailable,
+// after a jittered exponential backoff and a redial when the connection
+// died. LOAD, EMIT and REGISTER carry an id= token, and STREAM and ADVANCE
+// are idempotent, so a daemon that logs applies a re-sent write once. Two
+// re-sends are weaker than that:
+//
+//   - A daemon without a log drops id=, so a LOAD, REGISTER or EMIT re-sent
+//     after its reply was lost may apply twice there.
+//   - POLL drains the server's buffer before it writes the reply, so the rows
+//     of a lost reply are gone, and the re-sent POLL returns only rows
+//     buffered since.
+//
+// A server restarted without a log has forgotten the session: a request that
+// names one of its streams or queries gets a ServerError.
 package client
 
 import (
@@ -33,28 +45,21 @@ type Options struct {
 	// RequestTimeout is the I/O deadline applied to every request/response
 	// exchange (default 10s; negative disables deadlines).
 	RequestTimeout time.Duration
-	// MaxRetries is how many reconnect+retry cycles a failed request gets
-	// (default 2; negative disables reconnection entirely).
+	// MaxRetries is how many times a failed request is re-sent, whatever
+	// failed it: an overload shed, a server-reported unavailability or a
+	// dead connection all draw on the one budget (default 4; negative
+	// disables retries).
 	MaxRetries int
-	// BaseBackoff is the first reconnect delay (default 20ms); each further
-	// attempt doubles it, jittered, capped at MaxBackoff (default 1s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// JitterSeed makes the backoff jitter deterministic when nonzero.
 	JitterSeed int64
-	// OverloadRetries is how many times a request shed by the server's
-	// admission control ("-ERR overload retry-after=...") is retried after
-	// honoring the server's retry-after hint (default 2; negative disables —
-	// the caller gets the typed OverloadError immediately).
-	OverloadRetries int
-	// UnavailableRetries is how many times a server-reported peer failure
-	// ("-ERR unavailable retry-after=...", typically a write that raced a
-	// seed failover) is retried on the same connection after honoring the
-	// server's retry-after hint (default 4; negative disables). The server
-	// re-resolves the write authority on each attempt, and the id= token
-	// attached to every mutating request makes those retries exactly-once.
-	UnavailableRetries int
 }
+
+// A retry the server sent no hint for waits baseBackoff, doubled for each
+// earlier retry of the request; no retry waits more than maxBackoff.
+const (
+	baseBackoff = 20 * time.Millisecond
+	maxBackoff  = time.Second
+)
 
 func (o Options) withDefaults() Options {
 	if o.DialTimeout == 0 {
@@ -64,19 +69,7 @@ func (o Options) withDefaults() Options {
 		o.RequestTimeout = 10 * time.Second
 	}
 	if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.BaseBackoff == 0 {
-		o.BaseBackoff = 20 * time.Millisecond
-	}
-	if o.MaxBackoff == 0 {
-		o.MaxBackoff = time.Second
-	}
-	if o.OverloadRetries == 0 {
-		o.OverloadRetries = 2
-	}
-	if o.UnavailableRetries == 0 {
-		o.UnavailableRetries = 4
+		o.MaxRetries = 4
 	}
 	return o
 }
@@ -94,8 +87,8 @@ var ErrOverload = errors.New("server overloaded")
 
 // OverloadError carries the server's shed response and its backoff hint.
 // Reconnecting would not help (the server is healthy, just saturated), so
-// the client sleeps RetryAfter and retries on the same connection, up to
-// Options.OverloadRetries times, before surfacing this error.
+// the client sleeps RetryAfter and retries on the same connection, within
+// Options.MaxRetries, before surfacing this error.
 type OverloadError struct {
 	// RetryAfter is the server's hint: retrying sooner will almost certainly
 	// be shed again.
@@ -120,7 +113,7 @@ const overloadPrefix = "-ERR overload retry-after="
 var ErrUnavailable = errors.New("server unavailable")
 
 // UnavailableError wraps a transport-level failure — a failed dial, a dead
-// connection that exhausted the reconnect budget, or a server-reported
+// connection that outlasted the retry budget, or a server-reported
 // "unavailable" (a cluster peer was unreachable). The underlying cause is
 // preserved in Err for errors.Is/As, but callers should branch on
 // ErrUnavailable rather than the raw network error.
@@ -182,15 +175,6 @@ func parseOverload(line string) (*OverloadError, bool) {
 
 var errClosed = errors.New("client: connection closed")
 
-// streamReg and queryReg are the session state replayed after a reconnect.
-type streamReg struct{ cmd string }
-
-type queryReg struct {
-	text string
-	orig string // name returned to the caller
-	cur  string // name on the current connection (server may reassign)
-}
-
 // Client is one protocol connection. Not safe for concurrent use — open one
 // client per goroutine (the server handles many connections).
 type Client struct {
@@ -198,7 +182,7 @@ type Client struct {
 	opts Options
 	rng  *rand.Rand
 
-	conn   net.Conn
+	conn   net.Conn // nil after a connection failure, until the next attempt dials
 	r      *bufio.Scanner
 	w      *bufio.Writer
 	closed bool
@@ -206,12 +190,9 @@ type Client struct {
 	// opSession + opSeq mint the per-request id= tokens: a random session
 	// tag (so two clients never collide) and a counter (so two ops from one
 	// client never collide). Retries of one logical op reuse its token —
-	// that is what makes a replayed write exactly-once cluster-side.
+	// that is what makes a re-sent write exactly-once on a daemon that logs.
 	opSession uint64
 	opSeq     uint64
-
-	streams []streamReg
-	queries []*queryReg
 
 	// req is the EMIT request Emit renders, kept whole so a retry re-sends
 	// the same bytes; reply is where rows gathers a reply's lines. Both are
@@ -243,20 +224,23 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	}
 	c := &Client{addr: addr, opts: opts, rng: rand.New(rand.NewSource(seed))}
 	c.opSession = uint64(c.rng.Int63())
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
-	if err != nil {
+	if err := c.dial(); err != nil {
 		return nil, err
 	}
-	c.install(conn)
 	return c, nil
 }
 
-func (c *Client) install(conn net.Conn) {
+func (c *Client) dial() error {
+	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	if err != nil {
+		return err
+	}
 	c.conn = conn
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	c.r = sc
 	c.w = bufio.NewWriter(conn)
+	return nil
 }
 
 // Close sends QUIT (best effort) and closes the connection.
@@ -273,189 +257,75 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// do runs one request exchange: overload sheds and server-reported peer
-// unavailability (a write racing a seed failover, typically) back off per
-// the server's retry-after hint and retry on the same connection;
-// connection failures reconnect and retry (server "-ERR" responses are
-// neither). Whatever transport-level failure survives the retry budget is
-// wrapped in a typed UnavailableError so callers never see a raw
-// net.OpError.
+// do runs one request exchange, fn, re-sending it up to MaxRetries times
+// under one budget. A "-ERR" rejection is final. An overload shed or a
+// server-reported unavailability (a write racing a seed failover,
+// typically) reached a healthy server, so it sleeps the server's
+// retry-after hint and re-sends on the same connection. Any other failure
+// is the connection's: it sleeps a jittered exponential backoff, redials and
+// re-sends. fn writes the same bytes every time, a mutating request's id=
+// token included, so a daemon that logs applies the request once however
+// often it arrives. A connection failure that outlasts the budget surfaces
+// as an UnavailableError, never as a raw net.OpError.
 func (c *Client) do(op string, fn func() error) error {
-	overloadTries, unavailTries := 0, 0
-	for {
-		err := c.doConn(fn)
+	for try := 0; ; try++ {
+		if c.closed {
+			return errClosed
+		}
+		err := c.attempt(fn)
 		if err == nil {
 			return nil
 		}
+		var se *ServerError
 		var oe *OverloadError
 		var ue *UnavailableError
+		var hint time.Duration
 		switch {
+		case errors.As(err, &se):
+			return err
 		case errors.As(err, &oe):
-			if c.closed || c.opts.OverloadRetries < 0 || overloadTries >= c.opts.OverloadRetries {
-				return err
-			}
-			overloadTries++
-			c.backoffHint(oe.RetryAfter)
-		case errors.As(err, &ue) && ue.Op == "remote":
-			// The server itself is healthy but could not complete the op
-			// cluster-side — usually the write authority died and a
-			// successor is fencing in. The server re-resolves the authority
-			// on every attempt, so retrying the same bytes (with their id=
-			// token) is both useful and exactly-once.
-			if c.closed || c.opts.UnavailableRetries < 0 || unavailTries >= c.opts.UnavailableRetries {
-				return err
-			}
-			unavailTries++
-			c.backoffHint(ue.RetryAfter)
+			hint = oe.RetryAfter
+		case errors.As(err, &ue):
+			hint = ue.RetryAfter
 		default:
-			return c.typed(op, err)
+			if c.conn != nil {
+				c.conn.Close()
+				c.conn = nil
+			}
+			err = &UnavailableError{Addr: c.addr, Op: op, Err: err}
 		}
-	}
-}
-
-// backoffHint sleeps the server's retry-after hint (or the base backoff),
-// jittered upward so synchronized producers do not all retry at the same
-// instant, capped at MaxBackoff.
-func (c *Client) backoffHint(hint time.Duration) {
-	d := hint
-	if d <= 0 {
-		d = c.opts.BaseBackoff
-	}
-	if d > c.opts.MaxBackoff {
-		d = c.opts.MaxBackoff
-	}
-	time.Sleep(d + time.Duration(c.rng.Int63n(int64(d/4)+1)))
-}
-
-// typed wraps raw transport failures in UnavailableError at the client
-// boundary. Application-level errors (server rejections, overload sheds,
-// already-typed unavailability) and a deliberate Close pass through
-// unchanged.
-func (c *Client) typed(op string, err error) error {
-	if err == nil {
-		return nil
-	}
-	var se *ServerError
-	var oe *OverloadError
-	var ue *UnavailableError
-	if errors.As(err, &se) || errors.As(err, &oe) || errors.As(err, &ue) {
-		return err
-	}
-	if c.closed && errors.Is(err, errClosed) {
-		return err
-	}
-	return &UnavailableError{Addr: c.addr, Op: op, Err: err}
-}
-
-// doConn runs one request exchange, reconnecting and retrying on connection
-// failures.
-func (c *Client) doConn(fn func() error) error {
-	err := c.attempt(fn)
-	if err == nil || !c.retryable(err) {
-		return err
-	}
-	for try := 0; try < c.opts.MaxRetries; try++ {
-		if rerr := c.reconnect(try); rerr != nil {
-			err = rerr
-			continue
+		if try >= c.opts.MaxRetries {
+			return err
 		}
-		if err = c.attempt(fn); err == nil || !c.retryable(err) {
+		time.Sleep(c.backoff(try, hint))
+	}
+}
+
+// attempt sends one request and reads its reply, dialing first when the last
+// attempt left no connection.
+func (c *Client) attempt(fn func() error) error {
+	if c.conn == nil {
+		if err := c.dial(); err != nil {
 			return err
 		}
 	}
-	return err
-}
-
-func (c *Client) attempt(fn func() error) error {
-	if c.closed || c.conn == nil {
-		return errClosed
-	}
-	c.applyDeadline()
-	return fn()
-}
-
-func (c *Client) applyDeadline() {
 	if c.opts.RequestTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.RequestTimeout))
 	}
+	return fn()
 }
 
-func (c *Client) retryable(err error) bool {
-	if c.closed || c.opts.MaxRetries < 0 {
-		return false
+// backoff is how long retry try waits: the server's hint when it sent one,
+// else baseBackoff doubled per earlier retry, capped at maxBackoff either
+// way; then lengthened by up to a quarter at random, so clients that failed
+// together do not retry together and none retries before its hint.
+func (c *Client) backoff(try int, hint time.Duration) time.Duration {
+	d := hint
+	if d <= 0 {
+		d = baseBackoff << min(try, 6)
 	}
-	// A shed request reached a healthy server: reconnecting would not help.
-	// do's outer loop handles the backoff instead.
-	var oe *OverloadError
-	if errors.As(err, &oe) {
-		return false
-	}
-	// Server-reported peer unavailability also reached a healthy server;
-	// reconnecting to it cannot revive the dead rank.
-	var ue *UnavailableError
-	if errors.As(err, &ue) && ue.Op == "remote" {
-		return false
-	}
-	var se *ServerError
-	return !errors.As(err, &se)
-}
-
-// reconnect dials again after a jittered exponential backoff and replays the
-// session's stream and query registrations.
-func (c *Client) reconnect(try int) error {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	backoff := c.opts.BaseBackoff << uint(try)
-	if backoff > c.opts.MaxBackoff || backoff <= 0 {
-		backoff = c.opts.MaxBackoff
-	}
-	// Full jitter in [backoff/2, backoff): desynchronizes reconnect storms.
-	time.Sleep(backoff/2 + time.Duration(c.rng.Int63n(int64(backoff/2)+1)))
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-	if err != nil {
-		return err
-	}
-	c.install(conn)
-	c.applyDeadline()
-	return c.replay()
-}
-
-// replay re-registers the session's streams and continuous queries on a
-// fresh connection. Server-side rejections (typically "already registered"
-// when only the connection — not the server — died) are ignored; connection
-// failures abort so the retry loop can back off again. A replayed REGISTER
-// may come back under a new server-assigned name; Poll translates.
-func (c *Client) replay() error {
-	for _, s := range c.streams {
-		if err := c.send(s.cmd); err != nil {
-			return err
-		}
-		if _, err := c.status(); err != nil {
-			var se *ServerError
-			if !errors.As(err, &se) {
-				return err
-			}
-		}
-	}
-	for _, q := range c.queries {
-		if err := c.sendBlock("REGISTER", q.text); err != nil {
-			return err
-		}
-		st, err := c.status()
-		if err != nil {
-			var se *ServerError
-			if !errors.As(err, &se) {
-				return err
-			}
-			continue // rejected: keep the old name
-		}
-		if f := strings.Fields(st); len(f) == 2 && f[0] == "registered" {
-			q.cur = f[1]
-		}
-	}
-	return nil
+	d = min(d, maxBackoff)
+	return d + time.Duration(c.rng.Int63n(int64(d/4)+1))
 }
 
 // send writes one command line and flushes it.
@@ -580,30 +450,25 @@ func (c *Client) Load(ntriples string) (int, error) {
 }
 
 // Stream registers a stream with the given mini-batch interval and timing
-// predicates. The registration is replayed after reconnects.
+// predicates.
 func (c *Client) Stream(name string, interval time.Duration, timingPreds ...string) error {
 	cmd := fmt.Sprintf("STREAM %s %d", name, interval.Milliseconds())
 	if len(timingPreds) > 0 {
 		cmd += " " + strings.Join(timingPreds, " ")
 	}
-	err := c.do("STREAM", func() error {
+	return c.do("STREAM", func() error {
 		if err := c.send(cmd); err != nil {
 			return err
 		}
 		_, err := c.status()
 		return err
 	})
-	if err == nil {
-		c.streams = append(c.streams, streamReg{cmd: cmd})
-	}
-	return err
 }
 
 // Emit pushes tuples into a stream. Every Emit carries a fresh id= token,
-// reused across its own retries: a clustered server dedups on it, so a
-// retried Emit lands exactly once; a standalone daemon ignores the token and
-// keeps the at-least-once contract the engine's window-granularity dedup
-// absorbs.
+// reused across its own retries: a daemon that logs dedups on it, so a
+// retried Emit lands exactly once; a daemon without a log drops the token,
+// so there a retried Emit may land twice.
 //
 // The whole request — command line, one rendered line per tuple, terminator —
 // is built in one pass into a buffer the client reuses, and written with one
@@ -688,9 +553,7 @@ func (c *Client) block(cmd, text string) ([]string, error) {
 	return out, err
 }
 
-// Register registers a continuous query and returns its name for Poll. The
-// registration is replayed after reconnects; if the server assigns a new
-// name then, Poll keeps accepting the name returned here.
+// Register registers a continuous query and returns its name for Poll.
 func (c *Client) Register(text string) (string, error) {
 	if err := checkBlock(text); err != nil {
 		return "", err
@@ -712,11 +575,7 @@ func (c *Client) Register(text string) (string, error) {
 		name = fields[1]
 		return nil
 	})
-	if err != nil {
-		return "", err
-	}
-	c.queries = append(c.queries, &queryReg{text: text, orig: name, cur: name})
-	return name, nil
+	return name, err
 }
 
 // FireRow is one buffered continuous-query result row.
@@ -726,17 +585,11 @@ type FireRow struct {
 }
 
 // Poll drains a continuous query's buffered results. name is the name
-// Register returned; reconnect renames are translated internally.
+// Register returned.
 func (c *Client) Poll(name string) ([]FireRow, error) {
-	cur := name
-	for _, q := range c.queries {
-		if q.orig == name {
-			cur = q.cur
-		}
-	}
 	var raw []string
 	err := c.do("POLL", func() error {
-		if err := c.send("POLL " + cur); err != nil {
+		if err := c.send("POLL " + name); err != nil {
 			return err
 		}
 		if _, err := c.status(); err != nil {

@@ -48,8 +48,9 @@ func ApplyVerb(eng *core.Engine, onFire func(name string, res *core.Result, fi c
 		})
 		if err != nil {
 			// Idempotent re-registration: the stream already exists (a
-			// reconnecting client replaying its session, a stream recovered
-			// from the op log, a snapshot restored under the op). Adopt it.
+			// client re-sending a STREAM whose reply it lost, a stream
+			// recovered from the op log, a snapshot restored under the op).
+			// Adopt it.
 			if _, ok := eng.SourceOf(args[0]); !ok {
 				return "", err
 			}

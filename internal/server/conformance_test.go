@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,19 +12,14 @@ import (
 	"repro/internal/obs"
 )
 
-// TestWriteVerbsConformAcrossModes drives one script of write commands — each
-// verb accepted, with and without the id= token, then every way a verb can be
-// refused — through a standalone daemon, a cluster's write authority and a
-// cluster member, and requires byte-identical status lines from all three:
-// the verbs are interpreted by the same code wherever they arrive, and a
-// refusal decided on the authority reaches a member's client unchanged. The
-// closing query shows no refused command left anything behind in any mode.
-// (internal/cluster's fuzz targets are seeded from this script.)
-func TestWriteVerbsConformAcrossModes(t *testing.T) {
-	flowCfg := core.FlowConfig{MaxPending: 4}
-	q1 := []string{"REGISTER QUERY Q1 AS", "SELECT ?X ?Y FROM S [RANGE 100ms STEP 100ms]", "WHERE { GRAPH S { ?X po ?Y } }", "."}
-	q2 := []string{"REGISTER QUERY Q2 AS", "SELECT ?X ?Y FROM T [RANGE 100ms STEP 100ms]", "WHERE { GRAPH T { ?X po ?Y } }", "."}
-	script := []struct {
+// conformanceScript is every write verb accepted, with and without the id=
+// token, then every way a verb can be refused, on an engine whose streams
+// admit at most 4 pending tuples; each step is the lines a client sends and
+// the prefix of the status line every mode answers.
+var (
+	conformanceQ1     = []string{"REGISTER QUERY Q1 AS", "SELECT ?X ?Y FROM S [RANGE 100ms STEP 100ms]", "WHERE { GRAPH S { ?X po ?Y } }", "."}
+	conformanceQ2     = []string{"REGISTER QUERY Q2 AS", "SELECT ?X ?Y FROM T [RANGE 100ms STEP 100ms]", "WHERE { GRAPH T { ?X po ?Y } }", "."}
+	conformanceScript = []struct {
 		send []string
 		want string // prefix of the status line
 	}{
@@ -31,8 +27,8 @@ func TestWriteVerbsConformAcrossModes(t *testing.T) {
 		{[]string{"STREAM T 100 ga id=c1"}, "+OK stream T"},
 		{[]string{"LOAD", "<a> <p> <b> .", "."}, "+OK loaded 1"},
 		{[]string{"LOAD id=c2", "<c> <p> <d> .", "<e> <p> <f> .", "."}, "+OK loaded 2"},
-		{append([]string{"REGISTER"}, q1...), "+OK registered Q1"},
-		{append([]string{"REGISTER id=c3"}, q2...), "+OK registered Q2"},
+		{append([]string{"REGISTER"}, conformanceQ1...), "+OK registered Q1"},
+		{append([]string{"REGISTER id=c3"}, conformanceQ2...), "+OK registered Q2"},
 		{[]string{"EMIT S", "<a> <po> <b> . @10", "."}, "+OK emitted 1"},
 		{[]string{"EMIT S id=c4", "<c> <po> <d> . @20", "<e> <po> <f> . @30", "."}, "+OK emitted 2"},
 		{[]string{"ADVANCE 100"}, "+OK now 100"},
@@ -63,7 +59,18 @@ func TestWriteVerbsConformAcrossModes(t *testing.T) {
 
 		{[]string{"ADVANCE 400"}, "+OK now 400"},
 	}
+)
 
+// TestWriteVerbsConformAcrossModes drives one script of write commands — each
+// verb accepted, with and without the id= token, then every way a verb can be
+// refused — through a standalone daemon, a cluster's write authority and a
+// cluster member, and requires byte-identical status lines from all three:
+// the verbs are interpreted by the same code wherever they arrive, and a
+// refusal decided on the authority reaches a member's client unchanged. The
+// closing query shows no refused command left anything behind in any mode.
+// (internal/cluster's fuzz targets are seeded from this script.)
+func TestWriteVerbsConformAcrossModes(t *testing.T) {
+	flowCfg := core.FlowConfig{MaxPending: 4}
 	eng, err := core.New(core.Config{Nodes: 2, Metrics: obs.NewRegistry(""), Flow: flowCfg})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +92,7 @@ func TestWriteVerbsConformAcrossModes(t *testing.T) {
 		{"member", member.srv, dial(t, member.addr)},
 	}
 
-	for _, step := range script {
+	for _, step := range conformanceScript {
 		ok := true
 		var first string
 		var report strings.Builder
@@ -141,4 +148,113 @@ func TestWriteVerbsConformAcrossModes(t *testing.T) {
 			t.Errorf("%s: final state %v, want exactly the accepted facts %v", m.name, final[i], want)
 		}
 	}
+}
+
+// FuzzServerRequest feeds arbitrary bytes to one connection's handler — the
+// request reader (command, readBlock) and the verb dispatch — on a 1×1
+// engine, then opens a fresh connection. The handler never panics; every line
+// it writes is a status line, a row of a reply that counts or ends its rows,
+// or the "." that ends them; and the fresh connection still answers STATS.
+func FuzzServerRequest(f *testing.F) {
+	var all strings.Builder
+	for _, step := range conformanceScript {
+		req := strings.Join(step.send, "\n") + "\n"
+		f.Add(req)
+		all.WriteString(req)
+	}
+	f.Add(all.String())
+	for _, s := range []string{
+		all.String() + "QUERY\nSELECT ?X ?Y WHERE { ?X po ?Y }\n.\nPOLL Q1\nPOLL nope\nPOLL\n",
+		"EXPLAIN\nSELECT ?X WHERE { ?X p ?Y }\n.\nEXPLAIN\ngarbage\n.\n",
+		"REGISTER\n" + strings.Join(conformanceQ1, "\n") + "\nPOLL Q1\n",
+		"CLUSTER\nCLUSTER STATS\nCLUSTER METRICS\nCLUSTER TRACES\nHOME a\nHOME\n",
+		"STATS\nMETRICS\nnonsense verb\n\n   \nQUIT\nSTATS\n",
+		".\n.\n . \nQUERY\n.\n",
+		"QUERY\nSELECT ?X WHERE { ?X p ?Y }",
+		"LOAD\n<a> <p> <b> .\n",
+		"EMIT S\n",
+		"QUERY\n" + strings.Repeat("x", 1<<20+1) + "\n.\nSTATS\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		// The clock seals one batch per stream interval it passes, empty or
+		// not, so a far-future ADVANCE is slow by design, not a finding: skip
+		// one past 1e6 ms, or past 1e4 intervals of the input's finest stream
+		// (FuzzApplyVerb's bound on its 100 ms streams).
+		var until, finest int64
+		for _, line := range strings.Split(in, "\n") {
+			f := strings.Fields(line)
+			if len(f) < 2 {
+				continue
+			}
+			switch strings.ToUpper(f[0]) {
+			case "ADVANCE":
+				if v, err := strconv.ParseInt(f[1], 10, 64); err == nil {
+					until = max(until, v)
+				}
+			case "STREAM":
+				if len(f) < 3 {
+					continue
+				}
+				if v, err := strconv.ParseInt(f[2], 10, 64); err == nil && v > 0 && (finest == 0 || v < finest) {
+					finest = v
+				}
+			}
+		}
+		if until > 1e6 || finest > 0 && until/finest > 1e4 {
+			t.Skip()
+		}
+		eng, err := core.New(core.Config{Nodes: 1, WorkersPerNode: 1, Metrics: obs.NewRegistry(""), Flow: core.FlowConfig{MaxPending: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		s := New(eng)
+		if err := checkReplies(handleScript(s, in)); err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if out := handleScript(s, "STATS\n"); !strings.HasPrefix(out, "+OK now=") {
+			t.Fatalf("%q left a server whose next connection answers STATS with %q", in, out)
+		}
+	})
+}
+
+// handleScript runs one connection's handler over in and returns what it
+// wrote.
+func handleScript(s *Server, in string) string {
+	conn := &scriptConn{in: strings.NewReader(in)}
+	s.handle(conn)
+	return strings.Join(conn.writes, "")
+}
+
+// checkReplies walks a connection's replies: each starts with a status line;
+// "+OK <n> rows ..." (QUERY, POLL) is followed by n rows and ".", and
+// "+OK explain" and "+OK metrics" by lines up to ".".
+func checkReplies(out string) error {
+	lines := strings.SplitAfter(out, "\n")
+	if last := lines[len(lines)-1]; last != "" {
+		return fmt.Errorf("unterminated last line %q", last)
+	}
+	lines = lines[:len(lines)-1]
+	for i := 0; i < len(lines); i++ {
+		st := strings.TrimSuffix(lines[i], "\n")
+		var n int
+		switch _, err := fmt.Sscanf(st, "+OK %d rows", &n); {
+		case strings.HasPrefix(st, "-ERR "):
+		case err == nil:
+			if i += n + 1; i >= len(lines) || lines[i] != ".\n" {
+				return fmt.Errorf("%q: no \".\" after its %d rows", st, n)
+			}
+		case st == "+OK explain" || st == "+OK metrics":
+			for i++; i < len(lines) && lines[i] != ".\n"; i++ {
+			}
+			if i == len(lines) {
+				return fmt.Errorf("%q: no \".\" ends it", st)
+			}
+		case !strings.HasPrefix(st, "+OK"):
+			return fmt.Errorf("%q is not a status line", st)
+		}
+	}
+	return nil
 }

@@ -110,7 +110,7 @@ func TestEmitOverloadRetryAfter(t *testing.T) {
 	}
 
 	// Typed error with retries disabled.
-	cl, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: -1, JitterSeed: 1})
+	cl, err := clientpkg.DialOptions(addr, clientpkg.Options{MaxRetries: -1, JitterSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestEmitOverloadRetryAfter(t *testing.T) {
 
 	// With retries enabled the client backs off per the hint and succeeds
 	// (the bucket refills at 1 token per simulated ms).
-	cl2, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: 20, JitterSeed: 2})
+	cl2, err := clientpkg.DialOptions(addr, clientpkg.Options{MaxRetries: 20, JitterSeed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEmitLargerThanBurstIsRefused(t *testing.T) {
 		}
 	}
 
-	cl, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: 20, JitterSeed: 1})
+	cl, err := clientpkg.DialOptions(addr, clientpkg.Options{MaxRetries: 20, JitterSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestClientWaitsOutAFullBuffer(t *testing.T) {
 	shed := func() int64 { return gaugeValue(t, reg, obs.Name("flow_queue_shed_newest_total", "queue", "S")) }
 
 	// The hint a shed attempt carries, typed: the stream's batch interval.
-	probe, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: -1, JitterSeed: 1})
+	probe, err := clientpkg.DialOptions(addr, clientpkg.Options{MaxRetries: -1, JitterSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestClientWaitsOutAFullBuffer(t *testing.T) {
 	}
 	before := shed()
 
-	cl, err := clientpkg.DialOptions(addr, clientpkg.Options{OverloadRetries: 20, JitterSeed: 2})
+	cl, err := clientpkg.DialOptions(addr, clientpkg.Options{MaxRetries: 20, JitterSeed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
